@@ -1047,7 +1047,7 @@ mod inline_ref {
 /// batch-steal probe runs ([`ReadyQueue::scan_in_order`] over the top
 /// `2 × MAX_STEAL_BATCH` jobs) — at high occupancy, on the live
 /// struct-of-arrays [`ReadyQueue`] against the frozen inline-payload
-/// [`inline_ref`] layout it replaced. The random re-priority makes
+/// `inline_ref` layout it replaced. The random re-priority makes
 /// every cycle sift through a different heap path instead of
 /// re-walking one cache-hot root chain; both sides consume the
 /// identical priority stream and run the identical operation sequence
@@ -1145,7 +1145,7 @@ pub fn run_queue_scan(n: usize, iters: u32, warmup: u32) -> QueueScanReport {
 }
 
 /// The real-thread hand-off measurement (PR 10): a burst of short jobs
-/// lands on worker 0's shard of a running [`ShardedRuntime`] while
+/// lands on worker 0's shard of a running [`ShardedRuntime`](yasmin_rt::ShardedRuntime) while
 /// worker 1 idles; the wall-clock drain time with work stealing on is
 /// recorded against the same burst with stealing off (victim drains
 /// alone). Real scheduler threads, real mailbox lanes, real batch

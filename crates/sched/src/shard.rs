@@ -50,7 +50,7 @@
 //!    respect to its own scheduling** — the driver owns the shard, so
 //!    no dispatch can interleave — via
 //!    [`EngineShard::release_stolen_batch`], which packs them into a
-//!    `Copy` [`JobBatch`] that rides a peer lane by value. Stale hints
+//!    `Copy` [`JobBatch`](crate::job::JobBatch) that rides a peer lane by value. Stale hints
 //!    are skipped, never errors.
 //! 3. One [`ShardCmd::StolenBatch`] ack lands the whole batch on the
 //!    thief, which adopts and runs **one dispatch round for all of

@@ -19,6 +19,10 @@
 //! * [`steal`] — the advisory [`steal::LoadBoard`] work-stealing
 //!   thieves probe before sending a steal request over the mailbox's
 //!   per-peer request/response lanes;
+//! * [`doorbell`] — [`doorbell::Doorbell`], the one-sleeper /
+//!   many-ringers wake-up signal (`park`/`unpark` behind a Dekker
+//!   flag) that lets the owner of a mailbox or an SPSC ring sleep until
+//!   a producer has work for it instead of polling;
 //! * [`wait`] — sleep vs spin waiting strategies.
 //!
 //! This is the only crate in the workspace that uses `unsafe` code; every
@@ -28,6 +32,7 @@
 #![warn(missing_docs)]
 
 pub mod barrier;
+pub mod doorbell;
 pub mod lock;
 pub mod mailbox;
 pub mod mcs;
@@ -38,6 +43,7 @@ pub mod ticket;
 pub mod wait;
 
 pub use barrier::SpinBarrier;
+pub use doorbell::Doorbell;
 pub use lock::{LockKind, YasminLock};
 pub use mailbox::{mailbox, MailboxFull, MailboxReceiver, MailboxSender};
 pub use mcs::McsLock;

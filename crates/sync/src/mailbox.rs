@@ -26,11 +26,20 @@
 //!   for now" from "lane will never produce again", which is what a
 //!   deterministic merge needs for its watermark;
 //! * **no allocation after construction**: lanes are fixed-capacity
-//!   rings created up front.
+//!   rings created up front;
+//! * **event-driven idling**: an owner with nothing to do may
+//!   [`MailboxReceiver::park`] until the next `send` on any lane. The
+//!   mailbox carries a [`Doorbell`] next to its pending counter; every
+//!   successful `send` (and every lane close) rings it, which against
+//!   an owner that is awake — or that never parks, like the simulator's
+//!   protocol loop — is one load of a flag on the cache line the `send`
+//!   has just written.
 
+use crate::doorbell::Doorbell;
 use crate::spsc;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Error returned by [`MailboxSender::send`] when the sender's lane is
 /// full (the owner is not draining fast enough — back-pressure).
@@ -45,9 +54,12 @@ impl<T> std::fmt::Display for MailboxFull<T> {
 
 impl<T: std::fmt::Debug> std::error::Error for MailboxFull<T> {}
 
-struct LaneShared {
-    pending: Arc<AtomicUsize>,
-    closed: Arc<AtomicBool>,
+/// What every lane shares with the owner: the pending counter and the
+/// owner's doorbell, side by side so a `send`'s ring reads the line its
+/// count has just written.
+struct Shared {
+    pending: AtomicUsize,
+    bell: Doorbell,
 }
 
 /// Creates a command mailbox with `lanes` producers, each backed by a
@@ -66,7 +78,10 @@ pub fn mailbox<T: Send>(
     lane_capacity: usize,
 ) -> (Vec<MailboxSender<T>>, MailboxReceiver<T>) {
     assert!(lanes > 0, "mailbox needs at least one lane");
-    let pending = Arc::new(AtomicUsize::new(0));
+    let shared = Arc::new(Shared {
+        pending: AtomicUsize::new(0),
+        bell: Doorbell::new(),
+    });
     let mut senders = Vec::with_capacity(lanes);
     let mut receivers = Vec::with_capacity(lanes);
     for _ in 0..lanes {
@@ -74,10 +89,8 @@ pub fn mailbox<T: Send>(
         let closed = Arc::new(AtomicBool::new(false));
         senders.push(MailboxSender {
             lane: tx,
-            shared: LaneShared {
-                pending: Arc::clone(&pending),
-                closed: Arc::clone(&closed),
-            },
+            shared: Arc::clone(&shared),
+            closed: Arc::clone(&closed),
         });
         receivers.push(Lane { rx, closed });
     }
@@ -86,7 +99,7 @@ pub fn mailbox<T: Send>(
         MailboxReceiver {
             lanes: receivers,
             next: 0,
-            pending,
+            shared,
         },
     )
 }
@@ -94,14 +107,15 @@ pub fn mailbox<T: Send>(
 /// The producing endpoint of one mailbox lane (single producer).
 pub struct MailboxSender<T> {
     lane: spsc::Producer<T>,
-    shared: LaneShared,
+    shared: Arc<Shared>,
+    closed: Arc<AtomicBool>,
 }
 
 impl<T: Send> std::fmt::Debug for MailboxSender<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MailboxSender")
             .field("buffered", &self.lane.len())
-            .field("closed", &self.shared.closed.load(Ordering::Relaxed))
+            .field("closed", &self.closed.load(Ordering::Relaxed))
             .finish()
     }
 }
@@ -116,15 +130,29 @@ impl<T: Send> MailboxSender<T> {
     pub fn send(&mut self, cmd: T) -> Result<(), MailboxFull<T>> {
         // Count *before* the push: the counter must never under-count,
         // or an owner could believe the mailbox empty while a command is
-        // already visible in a lane.
-        self.shared.pending.fetch_add(1, Ordering::Release);
+        // already visible in a lane. `SeqCst` because the count is also
+        // what a parking owner re-reads (`MailboxReceiver::park`): that
+        // makes the ring below fence-free.
+        let shared = &*self.shared;
+        shared.pending.fetch_add(1, Ordering::SeqCst);
         match self.lane.push(cmd) {
-            Ok(()) => Ok(()),
+            Ok(()) => {
+                shared.bell.ring_published();
+                Ok(())
+            }
             Err(spsc::Full(v)) => {
-                self.shared.pending.fetch_sub(1, Ordering::Release);
+                shared.pending.fetch_sub(1, Ordering::Release);
                 Err(MailboxFull(v))
             }
         }
+    }
+
+    /// Wakes the owner if it is parked, without sending anything — for
+    /// a producer that changed state the owner watches *outside* the
+    /// mailbox (a shared flag, an advisory board) and re-checks in the
+    /// closure it passes to [`MailboxReceiver::park`].
+    pub fn wake(&self) {
+        self.shared.bell.ring();
     }
 
     /// Commands currently buffered in this lane.
@@ -149,13 +177,23 @@ impl<T: Send> MailboxSender<T> {
     /// then treat the lane as finished. Dropping the sender closes the
     /// lane too; `close` exists for making the hand-off explicit.
     pub fn close(&mut self) {
-        self.shared.closed.store(true, Ordering::Release);
+        self.mark_closed();
+    }
+}
+
+impl<T> MailboxSender<T> {
+    /// A closing lane is an event the owner may be waiting for (a
+    /// request outstanding towards a producer that is gone), so it
+    /// rings.
+    fn mark_closed(&self) {
+        self.closed.store(true, Ordering::Release);
+        self.shared.bell.ring();
     }
 }
 
 impl<T> Drop for MailboxSender<T> {
     fn drop(&mut self) {
-        self.shared.closed.store(true, Ordering::Release);
+        self.mark_closed();
     }
 }
 
@@ -168,14 +206,14 @@ struct Lane<T> {
 pub struct MailboxReceiver<T> {
     lanes: Vec<Lane<T>>,
     next: usize,
-    pending: Arc<AtomicUsize>,
+    shared: Arc<Shared>,
 }
 
 impl<T> std::fmt::Debug for MailboxReceiver<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MailboxReceiver")
             .field("lanes", &self.lanes.len())
-            .field("pending", &self.pending.load(Ordering::Relaxed))
+            .field("pending", &self.shared.pending.load(Ordering::Relaxed))
             .finish()
     }
 }
@@ -186,14 +224,14 @@ impl<T: Send> MailboxReceiver<T> {
     /// starve the others). Returns `None` when every lane is empty.
     #[must_use]
     pub fn try_recv(&mut self) -> Option<T> {
-        if self.pending.load(Ordering::Acquire) == 0 {
+        if self.shared.pending.load(Ordering::Acquire) == 0 {
             return None; // O(1) idle fast path
         }
         let n = self.lanes.len();
         for k in 0..n {
             let i = (self.next + k) % n;
             if let Some(cmd) = self.lanes[i].rx.pop() {
-                self.pending.fetch_sub(1, Ordering::Release);
+                self.shared.pending.fetch_sub(1, Ordering::Release);
                 self.next = (i + 1) % n;
                 return Some(cmd);
             }
@@ -205,7 +243,7 @@ impl<T: Send> MailboxReceiver<T> {
     /// over-count while a `send` is mid-flight, never under-counts.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.pending.load(Ordering::Acquire)
+        self.shared.pending.load(Ordering::Acquire)
     }
 
     /// `true` when no command is pending (subject to the same advisory
@@ -242,9 +280,27 @@ impl<T: Send> MailboxReceiver<T> {
     pub fn pop_lane(&mut self, i: usize) -> Option<T> {
         let cmd = self.lanes[i].rx.pop();
         if cmd.is_some() {
-            self.pending.fetch_sub(1, Ordering::Release);
+            self.shared.pending.fetch_sub(1, Ordering::Release);
         }
         cmd
+    }
+
+    /// Parks the owner thread until a command is pending, a lane
+    /// closes, a producer calls [`MailboxSender::wake`], or `timeout`
+    /// elapses (`None`: no deadline). `also_ready` is the owner's look
+    /// at whatever it watches besides the mailbox; it runs after the
+    /// owner has announced itself, so a state change followed by a
+    /// `wake` cannot slip between the look and the sleep. Returns at
+    /// once when a command is already pending or `also_ready()` holds.
+    ///
+    /// May return with nothing to do (see [`Doorbell::wait`]): call it
+    /// from a loop that drains and re-evaluates. Always from the same
+    /// thread — the mailbox has one owner.
+    pub fn park(&self, timeout: Option<Duration>, also_ready: impl FnOnce() -> bool) {
+        let shared = &*self.shared;
+        shared.bell.wait(timeout, || {
+            shared.pending.load(Ordering::SeqCst) != 0 || also_ready()
+        });
     }
 
     /// `true` once every lane is closed *and* fully drained: no command
@@ -410,6 +466,45 @@ mod tests {
         }
         producer.join().unwrap();
         assert_eq!(expected, 1_000);
+    }
+
+    #[test]
+    fn parked_owner_is_woken_by_send_wake_and_close() {
+        // Untimed parks throughout: a missed ring hangs the test.
+        let (mut txs, mut rx) = mailbox::<u64>(2, 4);
+        let flag = Arc::new(AtomicBool::new(false));
+        let mut tx1 = txs.pop().unwrap();
+        let mut tx0 = txs.pop().unwrap();
+        let producer = {
+            let flag = Arc::clone(&flag);
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(5));
+                tx0.send(7).unwrap();
+                std::thread::sleep(Duration::from_millis(5));
+                // State outside the mailbox: publish, then wake.
+                flag.store(true, Ordering::Release);
+                tx1.wake();
+                std::thread::sleep(Duration::from_millis(5));
+                tx1.close();
+            })
+        };
+        let mut got = None;
+        while got.is_none() {
+            rx.park(None, || false);
+            got = rx.try_recv();
+        }
+        assert_eq!(got, Some(7));
+        while !flag.load(Ordering::Acquire) {
+            rx.park(None, || flag.load(Ordering::Acquire));
+        }
+        while rx.lane_open(1) {
+            rx.park(None, || !rx.lane_open(1));
+        }
+        producer.join().unwrap();
+        // A pending command makes park return at once, deadline or not.
+        let (mut txs, rx) = mailbox::<u64>(1, 4);
+        txs[0].send(1).unwrap();
+        rx.park(None, || false);
     }
 
     #[test]

@@ -44,13 +44,28 @@
 //!   bitmask filled once at runtime start from the task graph; shards
 //!   past index 63 simply carry no hint.
 //!
+//! # Parked thieves
+//!
+//! A thief that sleeps between probes instead of polling (the sharded
+//! runtime under the sleep waiting strategy) would never notice load
+//! appearing on a peer. The board therefore also carries one **idle
+//! flag** per shard: a thief that found no victim raises its flag
+//! ([`LoadBoard::set_idle`]) before it parks, and a victim that has
+//! just published a load above zero asks the board who is waiting
+//! ([`LoadBoard::idle_peers`]) and wakes them. The thief must probe
+//! once more *after* announcing its sleep — between its wake-up
+//! primitive's `SeqCst` fence and the park (the `also_ready` closure of
+//! `MailboxReceiver::park`) — so that a publish it misses is guaranteed
+//! to see the flag: the same store / fence / load pairing on both sides
+//! as [`crate::doorbell`].
+//!
 //! The full ranking key is `(load, adjacent-to-me, donations, lowest
 //! index)` — every component is a pure function of published state, so
 //! selection is deterministic for deterministic inputs; the simulator's
 //! protocol loop relies on exactly that to keep batch-steal runs
 //! bit-reproducible.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 /// Cache-line padding so two shards' load counters never share a line
 /// (the publish side writes on every engine interaction).
@@ -62,8 +77,13 @@ struct PaddedLoad(AtomicUsize);
 #[repr(align(64))]
 struct PaddedWord(AtomicU64);
 
+/// Cache-line-padded per-shard flag; same sharing argument again.
+#[repr(align(64))]
+struct PaddedFlag(AtomicBool);
+
 /// One advisory ready-count slot per shard, plus the donation-history
-/// and DAG-adjacency tie-breakers; see the module docs.
+/// and DAG-adjacency tie-breakers and the parked-thief flags; see the
+/// module docs.
 pub struct LoadBoard {
     loads: Vec<PaddedLoad>,
     /// Steals granted by each shard since the last decay (victim side of
@@ -72,6 +92,9 @@ pub struct LoadBoard {
     /// Bit `v` of `adjacency[t]` set ⇔ shards `t` and `v` share a
     /// cross-shard DAG edge (symmetric; shards ≥ 64 carry no hint).
     adjacency: Vec<PaddedWord>,
+    /// `idle[t]` raised ⇔ shard `t` is parked (or about to park) with
+    /// nothing to run and nobody to steal from.
+    idle: Vec<PaddedFlag>,
 }
 
 impl std::fmt::Debug for LoadBoard {
@@ -93,6 +116,9 @@ impl LoadBoard {
                 .collect(),
             donations: (0..shards).map(|_| PaddedWord(AtomicU64::new(0))).collect(),
             adjacency: (0..shards).map(|_| PaddedWord(AtomicU64::new(0))).collect(),
+            idle: (0..shards)
+                .map(|_| PaddedFlag(AtomicBool::new(false)))
+                .collect(),
         }
     }
 
@@ -194,6 +220,28 @@ impl LoadBoard {
             }
         }
         best.map(|(_, i)| i)
+    }
+
+    /// Thief side: raises (before parking for want of a victim) or
+    /// lowers (on waking) shard `i`'s idle flag. Raise it *before*
+    /// announcing the sleep and re-probe [`LoadBoard::pick_victim`]
+    /// after — see "Parked thieves" in the module docs.
+    pub fn set_idle(&self, i: usize, idle: bool) {
+        self.idle[i].0.store(idle, Ordering::SeqCst);
+    }
+
+    /// Victim side, right after a [`LoadBoard::publish`] above zero:
+    /// the shards other than `me` whose idle flag is raised, lowest
+    /// index first. The `SeqCst` fence orders the publish before the
+    /// flag reads, so a thief whose last probe missed the publish is
+    /// seen here.
+    pub fn idle_peers(&self, me: usize) -> impl Iterator<Item = usize> + '_ {
+        fence(Ordering::SeqCst);
+        self.idle
+            .iter()
+            .enumerate()
+            .filter(move |(i, f)| *i != me && f.0.load(Ordering::Relaxed))
+            .map(|(i, _)| i)
     }
 
     /// The batch size a thief should request from `victim`: half the
@@ -298,6 +346,18 @@ mod tests {
         b.record_donation(1);
         b.set_adjacent(0, 2);
         assert_eq!(b.pick_victim(0), Some(2), "adjacency beats donations");
+    }
+
+    #[test]
+    fn idle_flags_name_the_parked_peers() {
+        let b = LoadBoard::new(4);
+        assert_eq!(b.idle_peers(0).count(), 0);
+        b.set_idle(0, true);
+        b.set_idle(1, true);
+        b.set_idle(3, true);
+        assert_eq!(b.idle_peers(0).collect::<Vec<_>>(), [1, 3], "never me");
+        b.set_idle(3, false);
+        assert_eq!(b.idle_peers(2).collect::<Vec<_>>(), [0, 1]);
     }
 
     #[test]
