@@ -15,33 +15,12 @@
 //! Rᵏ⁺¹ = Cᵢ + Bᵢ + Σ_{j ∈ hp(i)} ⌈Rᵏ / Tⱼ⌉ · Cⱼ
 //! ```
 
-use crate::rta::ResponseTime;
-use crate::util::{wcet_of, WcetAssumption};
+use crate::rta::{fixed_points, static_priority, ResponseTime};
+use crate::util::WcetAssumption;
 use yasmin_core::graph::TaskSet;
 use yasmin_core::ids::{AccelId, TaskId};
-use yasmin_core::priority::{Priority, PriorityPolicy};
+use yasmin_core::priority::PriorityPolicy;
 use yasmin_core::time::Duration;
-
-fn static_priority(ts: &TaskSet, policy: PriorityPolicy, t: TaskId) -> Priority {
-    match policy {
-        PriorityPolicy::RateMonotonic => ts
-            .effective_period(t)
-            .map_or(Priority::LOWEST, Priority::rate_monotonic),
-        PriorityPolicy::DeadlineMonotonic => {
-            let d = ts.effective_deadline(t);
-            if d == Duration::MAX {
-                Priority::LOWEST
-            } else {
-                Priority::deadline_monotonic(d)
-            }
-        }
-        PriorityPolicy::UserDefined => ts.tasks()[t.index()]
-            .spec()
-            .static_priority()
-            .unwrap_or(Priority::LOWEST),
-        PriorityPolicy::EarliestDeadlineFirst => Priority::LOWEST,
-    }
-}
 
 /// Accelerators any version of `t` may occupy.
 fn accels_of(ts: &TaskSet, t: TaskId) -> Vec<AccelId> {
@@ -122,55 +101,10 @@ pub fn response_times_blocking(
     assumption: WcetAssumption,
 ) -> Vec<ResponseTime> {
     assert!(policy.is_static(), "blocking RTA needs static priorities");
-    let tasks: Vec<TaskId> = ts.tasks().iter().map(|t| t.id()).collect();
-    tasks
-        .iter()
-        .map(|&t| {
-            let c = wcet_of(ts, t, assumption);
-            let b = blocking_term(ts, policy, t, assumption);
-            let d = ts.effective_deadline(t);
-            let my_prio = static_priority(ts, policy, t);
-            let hp: Vec<(Duration, Duration)> = tasks
-                .iter()
-                .filter(|&&j| j != t)
-                .filter(|&&j| {
-                    let pj = static_priority(ts, policy, j);
-                    pj.is_higher_than(my_prio) || (pj == my_prio && j < t)
-                })
-                .filter_map(|&j| {
-                    let tj = ts.effective_period(j)?;
-                    if tj.is_zero() {
-                        return None;
-                    }
-                    Some((wcet_of(ts, j, assumption), tj))
-                })
-                .collect();
-            let limit = if d == Duration::MAX {
-                ts.hyperperiod().unwrap_or(Duration::MAX)
-            } else {
-                d
-            };
-            let mut r = c + b;
-            let wcrt = loop {
-                let mut next = c + b;
-                for (cj, tj) in &hp {
-                    next += *cj * r.as_nanos().div_ceil(tj.as_nanos());
-                }
-                if next == r {
-                    break Some(r);
-                }
-                if next > limit {
-                    break None;
-                }
-                r = next;
-            };
-            ResponseTime {
-                task: t,
-                wcrt,
-                deadline: d,
-            }
-        })
-        .collect()
+    let all: Vec<TaskId> = ts.tasks().iter().map(|t| t.id()).collect();
+    fixed_points(ts, &all, policy, assumption, |t| {
+        blocking_term(ts, policy, t, assumption)
+    })
 }
 
 #[cfg(test)]

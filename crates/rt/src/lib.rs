@@ -19,6 +19,8 @@
 pub mod os;
 pub mod runtime;
 pub mod sharded;
+#[cfg(test)]
+mod test_util;
 
 pub use runtime::{JobCtx, RtJobRecord, Runtime, RuntimeBuilder, RuntimeReport, TaskBody};
 pub use sharded::{ShardedRuntime, ShardedRuntimeBuilder};

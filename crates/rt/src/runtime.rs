@@ -6,6 +6,13 @@
 //! threads** ("virtual CPUs") are pinned to cores best-effort and execute
 //! registered version bodies to completion.
 //!
+//! The scheduler thread has **one wait**: a timed receive on its inbox,
+//! which carries workers' completions and every control command
+//! (`activate`, `admit`, `retire`, message boosts, `stop`) alike, bounded
+//! by the next tick edge. A command therefore takes effect when it is
+//! sent, not at the next completion or tick; the table of what the loop
+//! acts on and what wakes it sits at the wait in `scheduler_main`.
+//!
 //! Substitution note (DESIGN.md): the paper preempts workers with POSIX
 //! signals and a hand-written `swapcontext`. Safe Rust cannot hijack a
 //! thread asynchronously, so this runtime schedules **non-preemptively at
@@ -24,10 +31,10 @@ use std::sync::{Arc, Mutex};
 use yasmin_core::config::Config;
 use yasmin_core::error::{Error, Result};
 use yasmin_core::graph::TaskSet;
-use yasmin_core::ids::{TaskId, TenantId, VersionId, WorkerId};
+use yasmin_core::ids::{JobId, TaskId, TenantId, VersionId, WorkerId};
 use yasmin_core::priority::Priority;
 use yasmin_core::time::{Clock, Instant, MonotonicClock};
-use yasmin_sched::admission::{reservation_for, AdmissionControl, AdmissionError};
+use yasmin_sched::admission::{reservation_for, AdmissionControl, AdmissionError, TenantLedger};
 use yasmin_sched::msg::{MsgEvent, NotifyHandle, Receiver as MsgReceiver, Sender as MsgSender};
 use yasmin_sched::server::TenantBudget;
 use yasmin_sched::{Action, ActionSink, EngineStats, Job, JobOutcome, OnlineEngine};
@@ -148,6 +155,15 @@ enum Cmd {
     Shutdown,
 }
 
+/// Everything the scheduler thread waits for, on one channel: a worker's
+/// completion or a command from any other thread. One inbox means one
+/// blocking receive covers both, and the FIFO keeps a command ordered
+/// after the completions sent before it.
+enum Event {
+    Done(Completion),
+    Cmd(Cmd),
+}
+
 /// Builder mirroring the paper's init/declare phase.
 pub struct RuntimeBuilder {
     taskset: Arc<TaskSet>,
@@ -235,8 +251,11 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Validates and spawns all threads; the schedule is *not* running
-    /// when the engine's schedule starts (immediately on spawn).
+    /// Validates the declarations and spawns the scheduler and worker
+    /// threads. The schedule starts immediately: the scheduler thread
+    /// starts the engine as its first act, so periodic tasks with a zero
+    /// release offset are dispatched before `build` has returned to a
+    /// slow caller. There is no separate `start` call.
     ///
     /// # Errors
     ///
@@ -274,14 +293,13 @@ impl RuntimeBuilder {
 
 /// The running middleware: scheduler thread + pinned workers.
 pub struct Runtime {
-    cmd_tx: Sender<Cmd>,
+    inbox: Sender<Event>,
     scheduler: Option<std::thread::JoinHandle<RuntimeReport>>,
     workers: Vec<std::thread::JoinHandle<()>>,
     worker_tx: Vec<Sender<WorkerMsg>>,
-    /// The current merged task set (grows with each admission) and the
-    /// next tenant id, serialising admissions from concurrent callers.
-    state: Mutex<(Arc<TaskSet>, u32)>,
-    admission: AdmissionControl,
+    /// Tenant state; the mutex serialises admissions and retirements
+    /// from concurrent callers.
+    ledger: Mutex<TenantLedger>,
 }
 
 impl std::fmt::Debug for Runtime {
@@ -302,8 +320,7 @@ impl Runtime {
             yasmin_core::config::WaitChoice::Spin => WaitMode::Spin,
         };
         let clock = Arc::new(MonotonicClock::new());
-        let (done_tx, done_rx) = bounded::<Completion>(builder.config.max_pending_jobs());
-        let (cmd_tx, cmd_rx) = bounded::<Cmd>(64);
+        let (inbox, inbox_rx) = bounded::<Event>(builder.config.max_pending_jobs());
 
         // Arm the channel notify hooks: a high-lane post/drain from any
         // thread becomes a scheduler command. Channels without a
@@ -312,12 +329,12 @@ impl Runtime {
             if handle.ceiling().is_none() {
                 continue;
             }
-            let tx = cmd_tx.clone();
+            let tx = inbox.clone();
             let _ = handle.set_notify(Arc::new(move |ev| {
-                let _ = match ev {
-                    MsgEvent::HighPosted { dst, ceiling } => tx.send(Cmd::MsgHigh { dst, ceiling }),
-                    MsgEvent::HighDrained { dst } => tx.send(Cmd::MsgDrained { dst }),
-                };
+                let _ = tx.send(Event::Cmd(match ev {
+                    MsgEvent::HighPosted { dst, ceiling } => Cmd::MsgHigh { dst, ceiling },
+                    MsgEvent::HighDrained { dst } => Cmd::MsgDrained { dst },
+                }));
             }));
         }
 
@@ -327,7 +344,7 @@ impl Runtime {
         for w in 0..workers_n {
             let (tx, rx) = bounded::<WorkerMsg>(builder.config.max_pending_jobs());
             worker_tx.push(tx);
-            let done_tx = done_tx.clone();
+            let done_tx = inbox.clone();
             let clock = Arc::clone(&clock);
             let core = builder.pin_offset + w;
             workers.push(
@@ -346,7 +363,7 @@ impl Runtime {
         let sched_core = builder.pin_offset + workers_n;
         let worker_tx_sched = worker_tx.clone();
         let tick = engine.tick_period();
-        let admission = AdmissionControl::for_engine(&engine);
+        let ledger = TenantLedger::new(AdmissionControl::for_engine(&engine), builder.taskset);
         let scheduler = std::thread::Builder::new()
             .name("yasmin-scheduler".into())
             .spawn(move || {
@@ -355,8 +372,7 @@ impl Runtime {
                     &mut engine,
                     bodies,
                     &worker_tx_sched,
-                    &done_rx,
-                    &cmd_rx,
+                    &inbox_rx,
                     &clock,
                     tick,
                     wait_mode,
@@ -365,13 +381,18 @@ impl Runtime {
             .map_err(|e| Error::Os(format!("spawning scheduler: {e}")))?;
 
         Ok(Runtime {
-            cmd_tx,
+            inbox,
             scheduler: Some(scheduler),
             workers,
             worker_tx,
-            state: Mutex::new((builder.taskset, 1)),
-            admission,
+            ledger: Mutex::new(ledger),
         })
+    }
+
+    fn send(&self, cmd: Cmd) -> Result<()> {
+        self.inbox
+            .send(Event::Cmd(cmd))
+            .map_err(|_| Error::ScheduleNotRunning)
     }
 
     /// Activates an aperiodic or sporadic task (the paper's
@@ -381,9 +402,7 @@ impl Runtime {
     ///
     /// [`Error::ScheduleNotRunning`] when the scheduler thread is gone.
     pub fn activate(&self, task: TaskId) -> Result<()> {
-        self.cmd_tx
-            .send(Cmd::Activate(task))
-            .map_err(|_| Error::ScheduleNotRunning)
+        self.send(Cmd::Activate(task))
     }
 
     /// Admits a new tenant into the **running** schedule.
@@ -393,14 +412,15 @@ impl Runtime {
     /// ids) to executable bodies; `budget`, when given, caps the
     /// tenant's processor share with a per-tenant reservation server.
     ///
-    /// The schedulability check ([`AdmissionControl::evaluate`]) runs on
-    /// the **caller's** thread — the paper's non-real-time admission
-    /// path — and only an accepted tenant ever reaches the scheduler
-    /// thread, which splices and commits it between two engine rounds.
-    /// Existing tenants' scheduling is untouched either way. Returns the
-    /// assigned [`TenantId`] (use it with [`Runtime::retire`]); task ids
-    /// of the tenant are its candidate ids offset by the number of tasks
-    /// admitted before it.
+    /// The schedulability check ([`AdmissionControl::evaluate`], on the
+    /// live tenants only — see [`TenantLedger`]) runs on the **caller's**
+    /// thread — the paper's non-real-time admission path — and only an
+    /// accepted tenant ever reaches the scheduler thread, which is woken
+    /// by the command and splices and commits it between two engine
+    /// rounds. Existing tenants' scheduling is untouched either way.
+    /// Returns the assigned [`TenantId`] (use it with
+    /// [`Runtime::retire`]); task ids of the tenant are its candidate
+    /// ids offset by the number of tasks admitted before it.
     ///
     /// # Errors
     ///
@@ -414,38 +434,33 @@ impl Runtime {
         bodies: HashMap<(TaskId, VersionId), TaskBody>,
         budget: Option<TenantBudget>,
     ) -> std::result::Result<TenantId, AdmissionError> {
-        let mut state = self.state.lock().expect("admission mutex poisoned");
         check_candidate_bodies(candidate, &bodies)?;
-        let merged = self
-            .admission
-            .evaluate(&state.0, candidate, budget.as_ref())?;
-        let offset = state.0.len() as u32;
-        let remapped = bodies
-            .into_iter()
-            .map(|((t, v), b)| ((TaskId::new(offset + t.raw()), v), b))
-            .collect();
-        let (reply_tx, reply_rx) = bounded(1);
-        self.cmd_tx
-            .send(Cmd::Admit {
-                merged: Arc::clone(&merged),
+        let mut ledger = self.ledger.lock().expect("tenant ledger mutex poisoned");
+        ledger.admit(candidate, budget.as_ref(), |admission| {
+            let remapped = bodies
+                .into_iter()
+                .map(|((t, v), b)| ((TaskId::new(admission.task_offset + t.raw()), v), b))
+                .collect();
+            let (reply_tx, reply_rx) = bounded(1);
+            self.send(Cmd::Admit {
+                merged: Arc::clone(admission.merged),
                 bodies: remapped,
                 budget,
                 reply: reply_tx,
-            })
-            .map_err(|_| AdmissionError::Invalid(Error::ScheduleNotRunning))?;
-        let tenant = reply_rx
-            .recv()
-            .map_err(|_| AdmissionError::Invalid(Error::ScheduleNotRunning))?
-            .map_err(AdmissionError::Invalid)?;
-        state.0 = merged;
-        state.1 = tenant.raw() + 1;
-        Ok(tenant)
+            })?;
+            let spliced = reply_rx.recv().map_err(|_| Error::ScheduleNotRunning)??;
+            debug_assert_eq!(spliced, admission.tenant, "engine and ledger count alike");
+            Ok(())
+        })
     }
 
     /// Retires an admitted tenant: its future releases stop, its ready
     /// jobs are culled, its in-flight jobs finish without firing
     /// successors. Other tenants are untouched. Returns once the
-    /// scheduler thread has applied the retirement.
+    /// scheduler thread has applied the retirement; from then on the
+    /// tenant's bandwidth is available to [`Runtime::admit`] (up to
+    /// `workers` of its jobs, already executing, may still finish — see
+    /// `yasmin_sched::admission`).
     ///
     /// # Errors
     ///
@@ -454,20 +469,20 @@ impl Runtime {
     /// build-time set — use [`Runtime::stop`]);
     /// [`Error::ScheduleNotRunning`] when the scheduler is gone.
     pub fn retire(&self, tenant: TenantId) -> Result<()> {
+        let mut ledger = self.ledger.lock().expect("tenant ledger mutex poisoned");
         let (reply_tx, reply_rx) = bounded(1);
-        self.cmd_tx
-            .send(Cmd::Retire {
-                tenant,
-                reply: reply_tx,
-            })
-            .map_err(|_| Error::ScheduleNotRunning)?;
-        reply_rx.recv().map_err(|_| Error::ScheduleNotRunning)?
+        self.send(Cmd::Retire {
+            tenant,
+            reply: reply_tx,
+        })?;
+        reply_rx.recv().map_err(|_| Error::ScheduleNotRunning)??;
+        ledger.retire(tenant)
     }
 
     /// Stops releasing new periodic jobs; in-flight jobs drain (the
     /// paper's `yas_stop`).
     pub fn stop(&self) {
-        let _ = self.cmd_tx.send(Cmd::Stop);
+        let _ = self.send(Cmd::Stop);
     }
 
     /// Waits for all worker threads to finish and closes (the paper's
@@ -478,7 +493,7 @@ impl Runtime {
     /// Panics if a runtime thread panicked.
     #[must_use]
     pub fn cleanup(mut self) -> RuntimeReport {
-        let _ = self.cmd_tx.send(Cmd::Shutdown);
+        let _ = self.send(Cmd::Shutdown);
         let report = self
             .scheduler
             .take()
@@ -518,7 +533,7 @@ pub(crate) fn check_candidate_bodies(
 
 fn worker_main(
     rx: &Receiver<WorkerMsg>,
-    done_tx: &Sender<Completion>,
+    done_tx: &Sender<Event>,
     clock: &Arc<MonotonicClock>,
     me: WorkerId,
 ) {
@@ -546,14 +561,14 @@ fn worker_main(
                     };
                 let completed = clock.now();
                 if done_tx
-                    .send(Completion {
+                    .send(Event::Done(Completion {
                         worker: me,
                         job,
                         version,
                         started,
                         completed,
                         outcome,
-                    })
+                    }))
                     .is_err()
                 {
                     break; // scheduler gone
@@ -563,13 +578,35 @@ fn worker_main(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Retires the completions gathered so far (possibly none) in one
+/// engine round, leaving only that round's actions in `sink`, and
+/// empties both batches.
+fn retire_gathered(
+    engine: &mut OnlineEngine,
+    done: &mut Vec<(WorkerId, JobId)>,
+    failed: &mut Vec<(WorkerId, JobId)>,
+    at: Instant,
+    sink: &mut ActionSink,
+) {
+    sink.clear();
+    for (worker, job) in failed.drain(..) {
+        engine
+            .on_job_failed_into(worker, job, at, sink)
+            .expect("failure protocol upheld");
+    }
+    if !done.is_empty() {
+        engine
+            .on_jobs_completed_into(done, at, sink)
+            .expect("completion protocol upheld");
+        done.clear();
+    }
+}
+
 fn scheduler_main(
     engine: &mut OnlineEngine,
     mut bodies: HashMap<(TaskId, VersionId), TaskBody>,
     worker_tx: &[Sender<WorkerMsg>],
-    done_rx: &Receiver<Completion>,
-    cmd_rx: &Receiver<Cmd>,
+    inbox: &Receiver<Event>,
     clock: &Arc<MonotonicClock>,
     tick: yasmin_core::time::Duration,
     wait_mode: WaitMode,
@@ -586,12 +623,10 @@ fn scheduler_main(
     // Completions pending at one wake are retired together through the
     // engine's batch API: N workers finishing close together cost one
     // dispatch round, not N.
-    let mut done_batch: Vec<(WorkerId, yasmin_core::ids::JobId)> =
-        Vec::with_capacity(worker_tx.len().max(4));
+    let mut done_batch: Vec<(WorkerId, JobId)> = Vec::with_capacity(worker_tx.len().max(4));
     // Failed (panicked) jobs retire through the failure path, one by
     // one — rare by construction, so no batch API is warranted.
-    let mut failed_batch: Vec<(WorkerId, yasmin_core::ids::JobId)> =
-        Vec::with_capacity(worker_tx.len().max(4));
+    let mut failed_batch: Vec<(WorkerId, JobId)> = Vec::with_capacity(worker_tx.len().max(4));
     // `bodies` is passed explicitly (not captured) because admission
     // grows the map between rounds.
     let dispatch = |sink: &ActionSink, bodies: &HashMap<(TaskId, VersionId), TaskBody>| {
@@ -620,125 +655,29 @@ fn scheduler_main(
     let mut next_tick = clock.now() + tick;
 
     loop {
-        // Drain commands.
-        while let Ok(cmd) = cmd_rx.try_recv() {
-            match cmd {
-                Cmd::Activate(task) => {
-                    let now = clock.now();
-                    sink.clear();
-                    if engine.activate_into(task, now, &mut sink).is_ok() {
-                        dispatch(&sink, &bodies);
-                    }
-                }
-                Cmd::MsgHigh { dst, ceiling } => {
-                    let now = clock.now();
-                    sink.clear();
-                    if engine
-                        .on_high_posted_into(dst, ceiling, now, &mut sink)
-                        .is_ok()
-                    {
-                        dispatch(&sink, &bodies);
-                    }
-                }
-                Cmd::MsgDrained { dst } => {
-                    let now = clock.now();
-                    sink.clear();
-                    if engine.on_high_drained_into(dst, now, &mut sink).is_ok() {
-                        dispatch(&sink, &bodies);
-                    }
-                }
-                Cmd::Admit {
-                    merged,
-                    bodies: tenant_bodies,
-                    budget,
-                    reply,
-                } => {
-                    // Control path: allocation here is fine, the tenant
-                    // is not running yet (see module docs of
-                    // `yasmin_sched::admission`).
-                    let now = clock.now();
-                    let tenant = TenantId::new(engine.tenant_count() as u32);
-                    let server = reservation_for(tenant, budget, now);
-                    sink.clear();
-                    // Anchor the release train at the next tick edge:
-                    // this thread dispatches on a fixed tick grid, and
-                    // an off-grid phase would delay every dispatch of
-                    // the tenant by up to one tick.
-                    let res = engine.splice_taskset(merged, server).and_then(|t| {
-                        bodies.extend(tenant_bodies);
-                        engine.commit_tenant_anchored_into(t, next_tick, now, &mut sink)?;
-                        Ok(t)
-                    });
-                    if res.is_ok() {
-                        dispatch(&sink, &bodies);
-                    }
-                    let _ = reply.send(res);
-                }
-                Cmd::Retire { tenant, reply } => {
-                    sink.clear();
-                    let res = engine.retire_tenant_into(tenant, clock.now(), &mut sink);
-                    if res.is_ok() {
-                        dispatch(&sink, &bodies);
-                    }
-                    let _ = reply.send(res);
-                }
-                Cmd::Stop => engine.stop(),
-                Cmd::Shutdown => shutting_down = true,
-            }
-        }
         if shutting_down && engine.is_idle() {
             break;
         }
 
-        // Wait for a completion until the next tick; handle whichever
-        // comes first.
+        // The one wait. Everything this loop acts on, and what wakes
+        // it:
+        //
+        //  * a worker's completion      — `Event::Done` on the inbox;
+        //  * `activate`, `admit`, `retire`, a high-lane post or drain,
+        //    `stop`, `cleanup`          — `Event::Cmd` on the inbox,
+        //                                 from the calling thread;
+        //  * the tick edge              — the timeout.
+        //
+        // A condition added to this loop needs a line here: an event
+        // on the inbox from whoever changes it, or the timeout.
         let now = clock.now();
         let timeout: std::time::Duration = if next_tick > now {
             (next_tick - now).into()
         } else {
             std::time::Duration::ZERO
         };
-        match done_rx.recv_timeout(timeout) {
-            Ok(first) => {
-                done_batch.clear();
-                failed_batch.clear();
-                let mut last_completed = first.completed;
-                let mut book = |c: Completion,
-                                batch: &mut Vec<(WorkerId, _)>,
-                                failed: &mut Vec<(WorkerId, _)>| {
-                    match c.outcome {
-                        JobOutcome::Completed => batch.push((c.worker, c.job.id)),
-                        JobOutcome::Failed => failed.push((c.worker, c.job.id)),
-                    }
-                    records.push(RtJobRecord {
-                        job: c.job,
-                        version: c.version,
-                        worker: c.worker,
-                        started: c.started,
-                        completed: c.completed,
-                        outcome: c.outcome,
-                    });
-                };
-                book(first, &mut done_batch, &mut failed_batch);
-                // Coalesce the burst: every completion already pending
-                // joins this batch and the single dispatch round below.
-                while let Ok(c) = done_rx.try_recv() {
-                    last_completed = last_completed.max(c.completed);
-                    book(c, &mut done_batch, &mut failed_batch);
-                }
-                sink.clear();
-                for &(worker, job) in &failed_batch {
-                    engine
-                        .on_job_failed_into(worker, job, last_completed, &mut sink)
-                        .expect("failure protocol upheld");
-                }
-                if !done_batch.is_empty() {
-                    engine
-                        .on_jobs_completed_into(&done_batch, last_completed, &mut sink)
-                        .expect("completion protocol upheld");
-                }
-                dispatch(&sink, &bodies);
-            }
+        let first = match inbox.recv_timeout(timeout) {
+            Ok(event) => event,
             Err(RecvTimeoutError::Timeout) => {
                 // Tick edge: wait precisely (spin window), then release.
                 let _ = wait_until(wait_mode, to_std(next_tick));
@@ -749,9 +688,110 @@ fn scheduler_main(
                 while next_tick <= now {
                     next_tick += tick;
                 }
+                continue;
             }
             Err(RecvTimeoutError::Disconnected) => break,
+        };
+
+        // Coalesce the burst: every completion already pending joins
+        // one batch and one dispatch round. A command flushes the batch
+        // gathered so far, so it acts on an engine that has seen every
+        // completion sent before it.
+        let mut last_completed = Instant::ZERO;
+        let mut pending = Some(first);
+        while let Some(event) = pending {
+            match event {
+                Event::Done(c) => {
+                    last_completed = last_completed.max(c.completed);
+                    match c.outcome {
+                        JobOutcome::Completed => done_batch.push((c.worker, c.job.id)),
+                        JobOutcome::Failed => failed_batch.push((c.worker, c.job.id)),
+                    }
+                    records.push(RtJobRecord {
+                        job: c.job,
+                        version: c.version,
+                        worker: c.worker,
+                        started: c.started,
+                        completed: c.completed,
+                        outcome: c.outcome,
+                    });
+                }
+                Event::Cmd(cmd) => {
+                    retire_gathered(
+                        engine,
+                        &mut done_batch,
+                        &mut failed_batch,
+                        last_completed,
+                        &mut sink,
+                    );
+                    dispatch(&sink, &bodies);
+                    sink.clear();
+                    let now = clock.now();
+                    // An engine refusal (unknown task, retired tenant,
+                    // failed splice) leaves nothing to dispatch.
+                    let applied = match cmd {
+                        Cmd::Activate(task) => engine.activate_into(task, now, &mut sink).is_ok(),
+                        Cmd::MsgHigh { dst, ceiling } => engine
+                            .on_high_posted_into(dst, ceiling, now, &mut sink)
+                            .is_ok(),
+                        Cmd::MsgDrained { dst } => {
+                            engine.on_high_drained_into(dst, now, &mut sink).is_ok()
+                        }
+                        Cmd::Admit {
+                            merged,
+                            bodies: tenant_bodies,
+                            budget,
+                            reply,
+                        } => {
+                            // Control path: allocation here is fine, the
+                            // tenant is not running yet (see module docs
+                            // of `yasmin_sched::admission`).
+                            let tenant = TenantId::new(engine.tenant_count() as u32);
+                            let server = reservation_for(tenant, budget, now);
+                            // Anchor the release train at the next tick
+                            // edge: this thread dispatches on a fixed
+                            // tick grid, and an off-grid phase would
+                            // delay every dispatch of the tenant by up
+                            // to one tick.
+                            let res = engine.splice_taskset(merged, server).and_then(|t| {
+                                bodies.extend(tenant_bodies);
+                                engine.commit_tenant_anchored_into(t, next_tick, now, &mut sink)?;
+                                Ok(t)
+                            });
+                            let applied = res.is_ok();
+                            let _ = reply.send(res);
+                            applied
+                        }
+                        Cmd::Retire { tenant, reply } => {
+                            let res = engine.retire_tenant_into(tenant, now, &mut sink);
+                            let applied = res.is_ok();
+                            let _ = reply.send(res);
+                            applied
+                        }
+                        Cmd::Stop => {
+                            engine.stop();
+                            false
+                        }
+                        Cmd::Shutdown => {
+                            shutting_down = true;
+                            false
+                        }
+                    };
+                    if applied {
+                        dispatch(&sink, &bodies);
+                    }
+                }
+            }
+            pending = inbox.try_recv().ok();
         }
+        retire_gathered(
+            engine,
+            &mut done_batch,
+            &mut failed_batch,
+            last_completed,
+            &mut sink,
+        );
+        dispatch(&sink, &bodies);
     }
 
     RuntimeReport {
@@ -763,6 +803,9 @@ fn scheduler_main(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_util::within_attempts;
+    #[cfg(target_os = "linux")]
+    use crate::test_util::{alone_in_child, thread_sleeps};
     use std::sync::atomic::{AtomicU32, Ordering};
     use yasmin_core::graph::TaskSetBuilder;
     use yasmin_core::priority::PriorityPolicy;
@@ -985,6 +1028,211 @@ mod tests {
         ));
         rt.stop();
         let _ = rt.cleanup();
+    }
+
+    /// A candidate tenant in its own id space: one periodic task with
+    /// the given period and declared WCET, and a no-op body.
+    fn candidate(
+        period_ms: u64,
+        wcet: Duration,
+    ) -> (TaskSet, HashMap<(TaskId, VersionId), TaskBody>) {
+        let mut c = TaskSetBuilder::new();
+        let t = c
+            .task_decl(TaskSpec::periodic("tenant", ms(period_ms)))
+            .unwrap();
+        let v = c.version_decl(t, VersionSpec::new("v", wcet)).unwrap();
+        let mut bodies: HashMap<(TaskId, VersionId), TaskBody> = HashMap::new();
+        bodies.insert((t, v), Arc::new(|_: &JobCtx| {}));
+        (c.build().unwrap(), bodies)
+    }
+
+    #[test]
+    fn retired_bandwidth_is_returned() {
+        // Base U = 0.2; a U = 0.5 tenant admitted and retired three
+        // times over. With the retired copies still counted the second
+        // round reads `TotalUtilisation { total: 1.2 }`.
+        let mut b = TaskSetBuilder::new();
+        let base = b.task_decl(TaskSpec::periodic("base", ms(10))).unwrap();
+        let vb = b.version_decl(base, VersionSpec::new("v", ms(2))).unwrap();
+        let ts = Arc::new(b.build().unwrap());
+        let rt = RuntimeBuilder::new(ts, config(1))
+            .body(base, vb, |_| {})
+            .build()
+            .unwrap();
+        for round in 1..=3 {
+            let (cand, bodies) = candidate(10, ms(5));
+            let tenant = rt
+                .admit(&cand, bodies, None)
+                .unwrap_or_else(|e| panic!("round {round}: {e}"));
+            assert_eq!(tenant.raw(), round);
+            // Beside the live copy a second one does not fit.
+            let (cand, bodies) = candidate(10, ms(5));
+            assert!(matches!(
+                rt.admit(&cand, bodies, None),
+                Err(AdmissionError::Rejected(_))
+            ));
+            rt.retire(tenant).unwrap();
+        }
+        rt.stop();
+        let _ = rt.cleanup();
+    }
+
+    #[test]
+    fn command_wakes_a_parked_scheduler() {
+        // Tick 50 ms, the scheduler parked between edges: an admission,
+        // a retirement, an activation and a high-lane boost must take
+        // effect when they are sent — not at the next completion or
+        // tick, which is when a loop that reads its commands only after
+        // waking for something else would see them.
+        use yasmin_core::priority::Priority;
+        use yasmin_sched::ChannelBuilder;
+        within_attempts(3, || {
+            let mut b = TaskSetBuilder::new();
+            let mut task = |spec: TaskSpec, prio: u64| {
+                let t = b
+                    .task_decl(spec.with_priority(Priority::new(prio)))
+                    .unwrap();
+                let v = b
+                    .version_decl(t, VersionSpec::new("v", Duration::from_micros(10)))
+                    .unwrap();
+                (t, v)
+            };
+            let (p, vp) = task(TaskSpec::periodic("p", ms(50)), 0);
+            let (blocker, vblocker) = task(TaskSpec::aperiodic("blocker"), 1);
+            let (mid, vmid) = task(TaskSpec::aperiodic("mid"), 2);
+            let (rcv, vrcv) = task(TaskSpec::aperiodic("rcv"), 3);
+            let ts = Arc::new(b.build().unwrap());
+            let cfg = Config::builder()
+                .workers(1)
+                .priority(PriorityPolicy::UserDefined)
+                .preemption(false)
+                .build()
+                .unwrap();
+            let (tx, _rx) = ChannelBuilder::standalone("urgent", rcv)
+                .high_lane(2, Priority::HIGHEST)
+                .build::<u64>()
+                .unwrap();
+
+            let epoch = std::time::Instant::now();
+            let blocker_at_us = Arc::new(AtomicU32::new(0));
+            // Start order of `mid` and `rcv`: 1 for whoever runs first.
+            let order = Arc::new(AtomicU32::new(0));
+            let (mid_rank, rcv_rank) = (Arc::new(AtomicU32::new(0)), Arc::new(AtomicU32::new(0)));
+            let started = Arc::clone(&blocker_at_us);
+            let rank = |slot: &Arc<AtomicU32>| {
+                let (order, slot) = (Arc::clone(&order), Arc::clone(slot));
+                move |_: &JobCtx| {
+                    slot.store(order.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst)
+                }
+            };
+            let rt = RuntimeBuilder::new(ts, cfg)
+                .register_channel(tx.notify_handle())
+                .body(p, vp, |_| {})
+                .body(blocker, vblocker, move |_| {
+                    started.store(epoch.elapsed().as_micros() as u32, Ordering::SeqCst);
+                    std::thread::sleep(std::time::Duration::from_millis(10));
+                })
+                .body(mid, vmid, rank(&mid_rank))
+                .body(rcv, vrcv, rank(&rcv_rank))
+                .build()
+                .unwrap();
+            // Past the first edge's job, 40 ms short of the next edge.
+            std::thread::sleep(std::time::Duration::from_millis(10));
+
+            // `admit` and `retire` return once the scheduler thread has
+            // replied, so their durations are the command round trips.
+            let (cand, bodies) = candidate(50, Duration::from_micros(50));
+            let t = std::time::Instant::now();
+            let admitted = rt.admit(&cand, bodies, None);
+            let admit_us = t.elapsed().as_micros();
+            let t = std::time::Instant::now();
+            let retired = admitted.as_ref().ok().map(|&tenant| rt.retire(tenant));
+            let retire_us = t.elapsed().as_micros();
+
+            let sent_us = epoch.elapsed().as_micros() as u32;
+            rt.activate(blocker).unwrap();
+            while blocker_at_us.load(Ordering::SeqCst) == 0
+                && epoch.elapsed() < std::time::Duration::from_secs(1)
+            {
+                std::thread::sleep(std::time::Duration::from_micros(200));
+            }
+            let activate_us = blocker_at_us.load(Ordering::SeqCst).saturating_sub(sent_us);
+            // Both wait behind the blocker; the post lifts `rcv` over
+            // `mid` only if the engine hears of it before the blocker's
+            // completion hands the worker to `mid`.
+            rt.activate(mid).unwrap();
+            rt.activate(rcv).unwrap();
+            tx.send_high(1).unwrap();
+            while order.load(Ordering::SeqCst) < 2
+                && epoch.elapsed() < std::time::Duration::from_secs(1)
+            {
+                std::thread::sleep(std::time::Duration::from_micros(200));
+            }
+            rt.stop();
+            let report = rt.cleanup();
+
+            admitted.expect("a light tenant on the running tick is admitted");
+            retired
+                .expect("admitted")
+                .expect("the tenant just admitted retires");
+            assert!(
+                blocker_at_us.load(Ordering::SeqCst) > 0,
+                "activation never ran"
+            );
+            assert_eq!(order.load(Ordering::SeqCst), 2, "mid and rcv both ran");
+            if admit_us >= 5_000 || retire_us >= 5_000 || activate_us >= 5_000 {
+                return Err(format!(
+                    "admit took {admit_us} µs, retire {retire_us} µs, activation {activate_us} µs"
+                ));
+            }
+            if rcv_rank.load(Ordering::SeqCst) != 1 {
+                return Err(format!(
+                    "the boost came too late: mid ran before rcv ({} boosts counted)",
+                    report.engine_stats.msg_boosts
+                ));
+            }
+            Ok(())
+        });
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn idle_scheduler_stays_parked() {
+        // The command wake must be an event, not a poll: over 300 ms of
+        // a 50 ms schedule the scheduler thread blocks a few times per
+        // tick (timed receive, the sleep before the spin window, the
+        // job's completion), where a polling loop blocks thousands of
+        // times. Same bound as `sharded::tests::idle_threads_stay_parked`.
+        if !alone_in_child("runtime::tests::idle_scheduler_stays_parked") {
+            return;
+        }
+        let mut b = TaskSetBuilder::new();
+        let t = b.task_decl(TaskSpec::periodic("t", ms(50))).unwrap();
+        let v = b
+            .version_decl(t, VersionSpec::new("v", Duration::from_micros(100)))
+            .unwrap();
+        let ts = Arc::new(b.build().unwrap());
+        let rt = RuntimeBuilder::new(ts, config(1))
+            .body(t, v, |_| {})
+            .build()
+            .unwrap();
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        let names = ["yasmin-schedule", "yasmin-worker-"];
+        let before = thread_sleeps(&names);
+        std::thread::sleep(std::time::Duration::from_millis(300));
+        let after = thread_sleeps(&names);
+        rt.stop();
+        let report = rt.cleanup();
+        assert!(report.records.len() >= 5, "the schedule ran meanwhile");
+        assert_eq!(before.len(), 2, "one scheduler and one worker thread");
+        for (tid, (name, sleeps_before)) in &before {
+            let (_, sleeps_after) = after[tid];
+            let slept = sleeps_after - sleeps_before;
+            assert!(
+                slept <= 30,
+                "{name} (tid {tid}) blocked {slept} times in 300 ms of a 50 ms schedule"
+            );
+        }
     }
 
     #[test]

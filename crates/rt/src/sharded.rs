@@ -98,7 +98,7 @@ use yasmin_core::graph::TaskSet;
 use yasmin_core::ids::{JobId, TaskId, TenantId, VersionId, WorkerId};
 use yasmin_core::priority::Priority;
 use yasmin_core::time::{Clock, Instant, MonotonicClock};
-use yasmin_sched::admission::{AdmissionControl, AdmissionError};
+use yasmin_sched::admission::{AdmissionControl, AdmissionError, TenantLedger};
 use yasmin_sched::msg::{MsgEvent, NotifyHandle, Receiver as MsgReceiver, Sender as MsgSender};
 use yasmin_sched::server::TenantBudget;
 use yasmin_sched::{
@@ -352,20 +352,13 @@ impl ShardedRuntimeBuilder {
     }
 }
 
-/// Tenant bookkeeping of a sharded runtime, held under one mutex so
-/// concurrent admissions serialise: the current merged task set (grows
-/// with each admission), the next tenant id, and the ids already
-/// retired (validated here because shard threads cannot reply).
-struct TenantState {
-    current: Arc<TaskSet>,
-    next_tenant: u32,
-    retired: Vec<TenantId>,
-}
-
 /// The running sharded middleware: per-core scheduler threads + workers.
 pub struct ShardedRuntime {
-    state: Mutex<TenantState>,
-    admission: AdmissionControl,
+    /// Tenant state; the mutex serialises admissions and retirements
+    /// from concurrent callers. Retirements are validated here because
+    /// shard threads cannot reply.
+    ledger: Mutex<TenantLedger>,
+    config: Config,
     clock: Arc<MonotonicClock>,
     /// One control sender per shard (lane [`LANE_CONTROL`]); behind a
     /// mutex because mailbox lanes are single-producer while this handle
@@ -565,12 +558,8 @@ impl ShardedRuntime {
         }
 
         Ok(ShardedRuntime {
-            state: Mutex::new(TenantState {
-                current: builder.taskset,
-                next_tenant: 1,
-                retired: Vec::new(),
-            }),
-            admission,
+            ledger: Mutex::new(TenantLedger::new(admission, builder.taskset)),
+            config: builder.config,
             clock,
             control: Mutex::new(control),
             schedulers,
@@ -587,9 +576,9 @@ impl ShardedRuntime {
     /// task does not exist or has no worker assignment.
     pub fn activate(&self, task: TaskId) -> Result<()> {
         let w = {
-            let state = self.state.lock().expect("tenant state mutex poisoned");
-            state
-                .current
+            let ledger = self.ledger.lock().expect("tenant ledger mutex poisoned");
+            ledger
+                .merged()
                 .task(task)?
                 .spec()
                 .assigned_worker()
@@ -610,8 +599,9 @@ impl ShardedRuntime {
     /// worker** (a tenant spanning `k` shards may consume up to `k ×`
     /// capacity per period).
     ///
-    /// The schedulability check ([`AdmissionControl::evaluate`] plus the
-    /// sharding contract, [`validate_sharding`]) runs on the **caller's**
+    /// The schedulability check ([`AdmissionControl::evaluate`] on the
+    /// live tenants only — see [`TenantLedger`] — plus the sharding
+    /// contract, [`validate_sharding`]) runs on the **caller's**
     /// thread — the paper's non-real-time admission path. An accepted
     /// tenant is then spliced in **two phases** over the control lanes:
     /// every shard first adopts the merged set with the new releases
@@ -638,58 +628,58 @@ impl ShardedRuntime {
         bodies: HashMap<(TaskId, VersionId), TaskBody>,
         budget: Option<TenantBudget>,
     ) -> std::result::Result<TenantId, AdmissionError> {
-        let mut state = self.state.lock().expect("tenant state mutex poisoned");
         check_candidate_bodies(candidate, &bodies)?;
-        let merged = self
-            .admission
-            .evaluate(&state.current, candidate, budget.as_ref())?;
-        validate_sharding(&merged, self.admission.config()).map_err(AdmissionError::Invalid)?;
-        let tenant = TenantId::new(state.next_tenant);
-        let offset = state.current.len() as u32;
-        let remapped: Arc<HashMap<(TaskId, VersionId), TaskBody>> = Arc::new(
-            bodies
-                .into_iter()
-                .map(|((t, v), b)| ((TaskId::new(offset + t.raw()), v), b))
-                .collect(),
-        );
-
-        // Phase 1: broadcast the splice and wait for every shard to
-        // acknowledge it.
-        let mut control = self.control.lock().expect("control mutex poisoned");
-        let ack = Arc::new(AtomicUsize::new(control.len()));
-        let at = self.clock.now();
-        for tx in control.iter_mut() {
-            send_with_backoff(
-                tx,
-                ShardMsg::Admit {
-                    taskset: Arc::clone(&merged),
-                    bodies: Arc::clone(&remapped),
-                    budget,
-                    at,
-                    ack: Arc::clone(&ack),
-                },
+        let mut ledger = self.ledger.lock().expect("tenant ledger mutex poisoned");
+        ledger.admit(candidate, budget.as_ref(), |admission| {
+            validate_sharding(admission.merged, &self.config)?;
+            let remapped: Arc<HashMap<(TaskId, VersionId), TaskBody>> = Arc::new(
+                bodies
+                    .into_iter()
+                    .map(|((t, v), b)| ((TaskId::new(admission.task_offset + t.raw()), v), b))
+                    .collect(),
             );
-        }
-        let mut backoff = Backoff::new();
-        while ack.load(Ordering::Acquire) != 0 {
-            backoff.snooze();
-        }
 
-        // Phase 2: every shard knows the tenant — arm its releases
-        // (each shard anchors them at its next local tick edge).
-        for tx in control.iter_mut() {
-            send_with_backoff(tx, ShardMsg::Commit { tenant });
-        }
-        drop(control);
-        state.current = merged;
-        state.next_tenant += 1;
-        Ok(tenant)
+            // Phase 1: broadcast the splice and wait for every shard to
+            // acknowledge it.
+            let mut control = self.control.lock().expect("control mutex poisoned");
+            let ack = Arc::new(AtomicUsize::new(control.len()));
+            let at = self.clock.now();
+            for tx in control.iter_mut() {
+                send_with_backoff(
+                    tx,
+                    ShardMsg::Admit {
+                        taskset: Arc::clone(admission.merged),
+                        bodies: Arc::clone(&remapped),
+                        budget,
+                        at,
+                        ack: Arc::clone(&ack),
+                    },
+                );
+            }
+            let mut backoff = Backoff::new();
+            while ack.load(Ordering::Acquire) != 0 {
+                backoff.snooze();
+            }
+
+            // Phase 2: every shard knows the tenant — arm its releases
+            // (each shard anchors them at its next local tick edge).
+            for tx in control.iter_mut() {
+                send_with_backoff(
+                    tx,
+                    ShardMsg::Commit {
+                        tenant: admission.tenant,
+                    },
+                );
+            }
+            Ok(())
+        })
     }
 
     /// Retires an admitted tenant on every shard: its future releases
     /// stop, its ready jobs are culled, its in-flight jobs finish
     /// without firing successors, and racing cross-shard tokens are
-    /// dropped silently. Other tenants are untouched.
+    /// dropped silently. Other tenants are untouched, and the tenant's
+    /// bandwidth is available to the next [`ShardedRuntime::admit`].
     ///
     /// # Errors
     ///
@@ -697,26 +687,17 @@ impl ShardedRuntime {
     /// admitted or already retired; [`Error::InvalidConfig`] for tenant
     /// 0 (the build-time set — use [`ShardedRuntime::stop`]).
     pub fn retire(&self, tenant: TenantId) -> Result<()> {
-        let mut state = self.state.lock().expect("tenant state mutex poisoned");
-        if tenant.raw() == 0 {
-            return Err(Error::InvalidConfig(
-                "tenant 0 is the built-in task set; stop the schedule to end it".into(),
-            ));
-        }
-        if tenant.raw() >= state.next_tenant {
-            return Err(Error::UnknownTenant(tenant.raw()));
-        }
-        if state.retired.contains(&tenant) {
-            return Err(Error::TenantRetired(tenant.raw()));
-        }
+        let mut ledger = self.ledger.lock().expect("tenant ledger mutex poisoned");
+        // The ledger forgets the tenant before the shards hear of it:
+        // a later admission's splice travels the same FIFO control
+        // lanes, so every shard has retired the tenant by the time it
+        // commits a tenant admitted into the freed bandwidth.
+        ledger.retire(tenant)?;
         let at = self.clock.now();
-        {
-            let mut control = self.control.lock().expect("control mutex poisoned");
-            for tx in control.iter_mut() {
-                send_with_backoff(tx, ShardMsg::Retire { tenant, at });
-            }
+        let mut control = self.control.lock().expect("control mutex poisoned");
+        for tx in control.iter_mut() {
+            send_with_backoff(tx, ShardMsg::Retire { tenant, at });
         }
-        state.retired.push(tenant);
         Ok(())
     }
 
@@ -1437,6 +1418,9 @@ fn shard_scheduler_main(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_util::within_attempts;
+    #[cfg(target_os = "linux")]
+    use crate::test_util::{alone_in_child, thread_sleeps};
     use std::sync::atomic::{AtomicU32, Ordering};
     use yasmin_core::config::MappingScheme;
     use yasmin_core::graph::TaskSetBuilder;
@@ -1965,78 +1949,48 @@ mod tests {
         assert!(report.records.iter().all(|r| r.job.task == base));
     }
 
-    /// Runs a timing scenario up to `n` times. The scenarios below
-    /// claim "well inside one tick"; the shared hosts these tests run
-    /// on stall a vCPU for tens of milliseconds a few times a minute,
-    /// which fails an attempt, not the protocol.
-    fn within_attempts(n: usize, attempt: impl Fn() -> std::result::Result<(), String>) {
-        let mut last = String::new();
-        for _ in 0..n {
-            match attempt() {
-                Ok(()) => return,
-                Err(e) => last = e,
-            }
+    #[test]
+    fn retired_bandwidth_is_returned() {
+        // Base U = 0.2 on worker 0; a U = 0.5 tenant on the same worker,
+        // admitted and retired three times over. With the retired
+        // copies still counted the second round reads density 1.2.
+        let mut b = TaskSetBuilder::new();
+        let base = b
+            .task_decl(TaskSpec::periodic("base", ms(10)).on_worker(WorkerId::new(0)))
+            .unwrap();
+        let vb = b.version_decl(base, VersionSpec::new("v", ms(2))).unwrap();
+        let ts = Arc::new(b.build().unwrap());
+        let rt = ShardedRuntimeBuilder::new(ts, sharded_config(2))
+            .body(base, vb, |_| {})
+            .build()
+            .unwrap();
+        let noop = Arc::new(AtomicU32::new(0));
+        for round in 1..=3 {
+            let (cand, bodies) = candidate(10, ms(5), 0, &noop);
+            let tenant = rt
+                .admit(&cand, bodies, None)
+                .unwrap_or_else(|e| panic!("round {round}: {e}"));
+            assert_eq!(tenant.raw(), round);
+            // Beside the live copy a second one does not fit.
+            let (cand, bodies) = candidate(10, ms(5), 0, &noop);
+            assert!(matches!(
+                rt.admit(&cand, bodies, None),
+                Err(AdmissionError::Rejected(
+                    yasmin_sched::BoundViolation::WorkerOverload { .. }
+                ))
+            ));
+            rt.retire(tenant).unwrap();
         }
-        panic!("{last}");
-    }
-
-    /// `voluntary_ctxt_switches` of every live thread of this process
-    /// named like a sharded scheduler or worker thread, by tid.
-    #[cfg(target_os = "linux")]
-    fn runtime_thread_sleeps() -> HashMap<String, (String, u64)> {
-        let mut out = HashMap::new();
-        for entry in std::fs::read_dir("/proc/self/task").unwrap().flatten() {
-            let dir = entry.path();
-            // A thread may exit between the listing and the reads.
-            let (Ok(name), Ok(status)) = (
-                std::fs::read_to_string(dir.join("comm")),
-                std::fs::read_to_string(dir.join("status")),
-            ) else {
-                continue;
-            };
-            // `comm` keeps 15 bytes of the name.
-            if !(name.starts_with("yasmin-shard-sc") || name.starts_with("yasmin-worker-")) {
-                continue;
-            }
-            let sleeps = status
-                .lines()
-                .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"))
-                .and_then(|v| v.trim().parse().ok())
-                .expect("status lists voluntary_ctxt_switches");
-            let tid = entry.file_name().to_string_lossy().into_owned();
-            out.insert(tid, (name.trim().to_owned(), sleeps));
-        }
-        out
+        rt.stop();
+        let _ = rt.cleanup();
     }
 
     #[test]
     #[cfg(target_os = "linux")]
     fn idle_threads_stay_parked() {
-        // Every blocking sleep is one voluntary context switch, so the
-        // kernel's per-thread count tells a parked thread (a few per
-        // tick) from a polling one (a 100 µs nap: thousands in
-        // 300 ms). Thread names are all that tells this runtime's
-        // threads from those of the tests running beside this one, so
-        // the measurement runs in a child process that runs this test
-        // alone.
-        const CHILD: &str = "YASMIN_IDLE_THREADS_CHILD";
-        if std::env::var_os(CHILD).is_none() {
-            let out = std::process::Command::new(std::env::current_exe().unwrap())
-                .args([
-                    "--exact",
-                    "sharded::tests::idle_threads_stay_parked",
-                    "--test-threads=1",
-                    "--nocapture",
-                ])
-                .env(CHILD, "1")
-                .output()
-                .unwrap();
-            assert!(
-                out.status.success(),
-                "{}{}",
-                String::from_utf8_lossy(&out.stdout),
-                String::from_utf8_lossy(&out.stderr)
-            );
+        // A parked thread blocks a few times per tick, a polling one (a
+        // 100 µs nap) thousands of times in 300 ms.
+        if !alone_in_child("sharded::tests::idle_threads_stay_parked") {
             return;
         }
 
@@ -2053,9 +2007,9 @@ mod tests {
             .build()
             .unwrap();
         std::thread::sleep(std::time::Duration::from_millis(20));
-        let before = runtime_thread_sleeps();
+        let before = thread_sleeps(&["yasmin-shard-sc", "yasmin-worker-"]);
         std::thread::sleep(std::time::Duration::from_millis(300));
-        let after = runtime_thread_sleeps();
+        let after = thread_sleeps(&["yasmin-shard-sc", "yasmin-worker-"]);
         rt.stop();
         let report = rt.cleanup();
         assert!(report.records.len() >= 5, "the schedule ran meanwhile");

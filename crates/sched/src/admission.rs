@@ -33,6 +33,16 @@
 //!   reclaimed only when the schedule itself ends; this is the price of
 //!   letting the hot path index dense per-task vectors without
 //!   indirection.
+//! * **Ids tombstone, the analysis forgets.** The schedulability tests
+//!   run on the *live* tenants only — the build-time set plus every
+//!   admitted tenant not yet retired — so a retired tenant's bandwidth
+//!   is available to the next candidate and an admission costs what the
+//!   live system costs, not what its history does. One residue: up to
+//!   `workers` jobs of a retired tenant that were already executing may
+//!   still finish after the retirement is acknowledged. That
+//!   interference is one-shot and bounded by one job per worker — the
+//!   same class as the non-preemptive blocking the analysis already
+//!   leaves out.
 //! * **Tenant 0 is the task set the engine was built with.** It is never
 //!   budgeted and cannot be retired (stop the schedule instead).
 //!
@@ -49,6 +59,21 @@
 //! replica of the server: the budget is then a *per-worker* guarantee,
 //! and a tenant spanning `k` shards may consume up to `k × capacity`
 //! per period in total.
+//!
+//! # One owner of tenant state
+//!
+//! Every driver — the single-owner and the sharded thread runtime, the
+//! simulator — keeps its tenants in a [`TenantLedger`]: the id-stable
+//! merged set its engines splice, the next tenant id, which tenants
+//! are retired, and a compact *analysis view* holding the live tenants
+//! only (in admission order, so priority ties break as they do in the
+//! merged id space). [`TenantLedger::admit`] evaluates
+//! `view ⊕ candidate` with [`AdmissionControl::evaluate`], translates a
+//! refusal's task ids back to the merged space, hands the driver
+//! `merged ⊕ candidate` to splice and records the tenant only if that
+//! splice succeeded; [`TenantLedger::retire`] drops the tenant from the
+//! view. [`AdmissionControl::evaluate`] itself is the stateless gate —
+//! the case where everything in `current` is live.
 //!
 //! # The admission state machine
 //!
@@ -343,6 +368,10 @@ impl AdmissionControl {
     /// request. Returns the merged task set — ready for
     /// [`OnlineEngine::splice_taskset`] — on acceptance.
     ///
+    /// Every task of `current` counts as live. A schedule that retires
+    /// tenants admits through a [`TenantLedger`], which calls this on
+    /// the live tenants only.
+    ///
     /// Runs on the caller's thread and allocates freely: call it from an
     /// admission thread, never a scheduler thread.
     ///
@@ -575,6 +604,190 @@ pub fn reservation_for(
     budget.map(|b| ReservationServer::new(tenant, b, now))
 }
 
+/// What a driver must splice for an admission the analysis accepted —
+/// handed to the closure of [`TenantLedger::admit`].
+#[derive(Debug, Clone, Copy)]
+pub struct Admission<'a> {
+    /// The id the engines' splice will assign to the tenant.
+    pub tenant: TenantId,
+    /// The id-stable merged set, `current.extended(candidate)`, ready
+    /// for [`OnlineEngine::splice_taskset`].
+    pub merged: &'a Arc<TaskSet>,
+    /// The merged id of the tenant's first task: its candidate-local
+    /// `T<k>` is `T<task_offset + k>` in the running schedule.
+    pub task_offset: u32,
+}
+
+/// One admitted tenant in the ledger (index = tenant id).
+#[derive(Debug, Clone)]
+struct Tenant {
+    /// Merged id of the tenant's first task.
+    first: u32,
+    /// The tenant's own declaration, from which the analysis view is
+    /// rebuilt when another tenant retires; `None` once retired.
+    set: Option<Arc<TaskSet>>,
+}
+
+/// The tenant state of one running schedule (see the module docs):
+/// the merged set the engines splice, tenant ids, and the live-only
+/// view admission is analysed against.
+///
+/// Not synchronised: a driver serving concurrent callers keeps it
+/// under the mutex that serialises its admissions.
+#[derive(Debug, Clone)]
+pub struct TenantLedger {
+    control: AdmissionControl,
+    /// Base set extended by every tenant ever admitted; append-only.
+    merged: Arc<TaskSet>,
+    tenants: Vec<Tenant>,
+    /// Base set extended by the live tenants, in admission order.
+    view: Arc<TaskSet>,
+}
+
+impl TenantLedger {
+    /// A ledger for a schedule built with `base` (tenant 0), admitting
+    /// through `control`.
+    #[must_use]
+    pub fn new(control: AdmissionControl, base: Arc<TaskSet>) -> Self {
+        TenantLedger {
+            control,
+            tenants: vec![Tenant {
+                first: 0,
+                set: Some(Arc::clone(&base)),
+            }],
+            view: Arc::clone(&base),
+            merged: base,
+        }
+    }
+
+    /// The merged set the engines currently run: every tenant ever
+    /// admitted, retired ones included (ids are never reused).
+    #[must_use]
+    pub fn merged(&self) -> &Arc<TaskSet> {
+        &self.merged
+    }
+
+    /// The set admission analyses against: the live tenants only.
+    #[must_use]
+    pub fn live_view(&self) -> &TaskSet {
+        &self.view
+    }
+
+    /// Evaluates `candidate` against the live tenants and, when the
+    /// analysis accepts it, calls `splice` with what the driver's
+    /// engines must adopt. The tenant is recorded only if `splice`
+    /// returns `Ok`, so a driver-side failure leaves the ledger — like
+    /// the engines — as it was.
+    ///
+    /// # Errors
+    ///
+    /// As [`AdmissionControl::evaluate`], with every task id of a
+    /// [`BoundViolation`] in the merged id space;
+    /// [`AdmissionError::Invalid`] also carries an error of `splice`.
+    pub fn admit(
+        &mut self,
+        candidate: &TaskSet,
+        budget: Option<&TenantBudget>,
+        splice: impl FnOnce(Admission<'_>) -> Result<(), Error>,
+    ) -> Result<TenantId, AdmissionError> {
+        let task_offset = self.merged.len() as u32;
+        let view = self
+            .control
+            .evaluate(&self.view, candidate, budget)
+            .map_err(|e| self.in_merged_ids(e))?;
+        let merged = Arc::new(self.merged.extended(candidate)?);
+        let tenant = TenantId::new(self.tenants.len() as u32);
+        splice(Admission {
+            tenant,
+            merged: &merged,
+            task_offset,
+        })?;
+        self.tenants.push(Tenant {
+            first: task_offset,
+            set: Some(Arc::new(candidate.clone())),
+        });
+        self.view = view;
+        self.merged = merged;
+        Ok(tenant)
+    }
+
+    /// Drops `tenant` from the analysis view: its bandwidth is free for
+    /// the next candidate. Its ids stay tombstoned in
+    /// [`TenantLedger::merged`]. Call it in step with the engines'
+    /// retirement — after they acknowledged it, or before sending it
+    /// down the same FIFO lane a later splice travels.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidConfig`] for tenant 0 (the build-time set),
+    /// [`Error::UnknownTenant`] for an id never admitted,
+    /// [`Error::TenantRetired`] for a double retire.
+    pub fn retire(&mut self, tenant: TenantId) -> Result<(), Error> {
+        if tenant.raw() == 0 {
+            return Err(Error::InvalidConfig(
+                "tenant 0 is the built-in task set; stop the schedule to end it".into(),
+            ));
+        }
+        let entry = self
+            .tenants
+            .get_mut(tenant.raw() as usize)
+            .ok_or(Error::UnknownTenant(tenant.raw()))?;
+        if entry.set.take().is_none() {
+            return Err(Error::TenantRetired(tenant.raw()));
+        }
+        // Rebuild the view from the declarations still live: O(live),
+        // and exactly the set a from-scratch evaluation would see.
+        let mut live = self.tenants.iter().filter_map(|t| t.set.as_ref());
+        let base = live.next().expect("tenant 0 is never retired");
+        self.view = live.fold(Arc::clone(base), |view, set| {
+            Arc::new(
+                view.extended(set)
+                    .expect("a subset of the merged set fits the id spaces"),
+            )
+        });
+        Ok(())
+    }
+
+    /// Rewrites the view-space task ids of a refusal into merged ids.
+    fn in_merged_ids(&self, e: AdmissionError) -> AdmissionError {
+        // The view lays the live tenants end to end; a view id past
+        // them is the candidate's, which the merged set appends after
+        // everything admitted so far.
+        let map = |t: TaskId| {
+            let mut at = 0;
+            for tenant in &self.tenants {
+                let Some(set) = &tenant.set else { continue };
+                if t.index() < at + set.len() {
+                    return TaskId::new(tenant.first + (t.index() - at) as u32);
+                }
+                at += set.len();
+            }
+            TaskId::new((self.merged.len() + t.index() - at) as u32)
+        };
+        match e {
+            AdmissionError::Rejected(BoundViolation::TaskUnschedulable {
+                task,
+                wcrt,
+                deadline,
+            }) => AdmissionError::Rejected(BoundViolation::TaskUnschedulable {
+                task: map(task),
+                wcrt,
+                deadline,
+            }),
+            AdmissionError::Rejected(BoundViolation::DagDeadline {
+                root,
+                bound,
+                deadline,
+            }) => AdmissionError::Rejected(BoundViolation::DagDeadline {
+                root: map(root),
+                bound,
+                deadline,
+            }),
+            other => other,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -744,6 +957,98 @@ mod tests {
         let msg = e.to_string();
         assert!(msg.contains("admission rejected"), "{msg}");
         assert!(msg.contains("1.25"), "{msg}");
+    }
+
+    #[test]
+    fn ledger_returns_retired_bandwidth_and_keeps_ids_stable() {
+        let base = Arc::new(set("base", 2, 10, None)); // U = 0.2
+        let mut ledger = TenantLedger::new(AdmissionControl::new(edf(1), ms(10)), base);
+        let half = set("half", 5, 10, None); // U = 0.5
+        for round in 1..=3u32 {
+            let tenant = ledger
+                .admit(&half, None, |a| {
+                    assert_eq!(a.tenant.raw(), round);
+                    assert_eq!(a.task_offset, round, "ids are never reused");
+                    assert_eq!(a.merged.len(), round as usize + 1);
+                    Ok(())
+                })
+                .unwrap_or_else(|e| panic!("round {round}: {e}"));
+            assert_eq!(ledger.live_view().len(), 2);
+            // 0.2 + 0.5 + 0.5 does not fit beside a live tenant…
+            assert!(matches!(
+                ledger.admit(&half, None, |_| Ok(())),
+                Err(AdmissionError::Rejected(
+                    BoundViolation::TotalUtilisation { .. }
+                ))
+            ));
+            // …and does once it is gone.
+            ledger.retire(tenant).unwrap();
+            assert_eq!(ledger.live_view().len(), 1);
+        }
+        assert_eq!(
+            ledger.merged().len(),
+            4,
+            "tombstones stay in the merged set"
+        );
+    }
+
+    #[test]
+    fn ledger_reports_violations_in_merged_ids() {
+        let cfg = Config::builder()
+            .workers(1)
+            .priority(PriorityPolicy::RateMonotonic)
+            .build()
+            .unwrap();
+        let base = Arc::new(set("base", 1, 10, None));
+        let mut ledger = TenantLedger::new(AdmissionControl::new(cfg, ms(10)), base);
+        let filler = set("filler", 1, 10, None);
+        let gone = ledger.admit(&filler, None, |_| Ok(())).unwrap(); // T1
+        ledger
+            .admit(&set("slow", 4, 20, None), None, |_| Ok(()))
+            .unwrap(); // T2
+        ledger.retire(gone).unwrap();
+        // View = {base, slow} = view ids {0, 1}. The hog (view id 2)
+        // passes; it is `slow` (view id 1, merged T2) that no longer
+        // makes its deadline behind 1 + 8 ms of higher-priority work.
+        match ledger.admit(&set("hog", 8, 10, None), None, |_| Ok(())) {
+            Err(AdmissionError::Rejected(BoundViolation::TaskUnschedulable { task, .. })) => {
+                assert_eq!(task, TaskId::new(2));
+            }
+            other => panic!("expected an RTA rejection, got {other:?}"),
+        }
+        // A failing candidate is named past every id ever assigned.
+        match ledger.admit(&set("late", 16, 20, None), None, |_| Ok(())) {
+            Err(AdmissionError::Rejected(BoundViolation::TaskUnschedulable { task, .. })) => {
+                assert_eq!(task, TaskId::new(3));
+            }
+            other => panic!("expected an RTA rejection, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn ledger_is_untouched_by_a_failed_splice_and_validates_retire() {
+        let base = Arc::new(set("base", 2, 10, None));
+        let mut ledger = TenantLedger::new(AdmissionControl::new(edf(1), ms(10)), base);
+        let guest = set("guest", 2, 10, None);
+        assert!(matches!(
+            ledger.admit(&guest, None, |_| Err(Error::ScheduleNotRunning)),
+            Err(AdmissionError::Invalid(Error::ScheduleNotRunning))
+        ));
+        assert_eq!(ledger.merged().len(), 1);
+        assert_eq!(ledger.live_view().len(), 1);
+        let t = ledger.admit(&guest, None, |_| Ok(())).unwrap();
+        assert_eq!(t, TenantId::new(1), "the failed attempt consumed no id");
+
+        assert!(matches!(
+            ledger.retire(TenantId::new(0)),
+            Err(Error::InvalidConfig(_))
+        ));
+        assert!(matches!(
+            ledger.retire(TenantId::new(2)),
+            Err(Error::UnknownTenant(2))
+        ));
+        ledger.retire(t).unwrap();
+        assert!(matches!(ledger.retire(t), Err(Error::TenantRetired(1))));
     }
 
     /// End-to-end through a live engine: evaluate → splice → commit →

@@ -44,7 +44,7 @@ pub mod shard;
 pub mod sink;
 
 pub use accel::AccelManager;
-pub use admission::{AdmissionControl, AdmissionError, BoundViolation};
+pub use admission::{AdmissionControl, AdmissionError, BoundViolation, TenantLedger};
 pub use engine::{
     Action, EngineStats, JobOutcome, OnlineEngine, RemoteActivation, RunningJob, StealHint,
 };

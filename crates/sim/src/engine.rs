@@ -34,7 +34,7 @@ use yasmin_core::platform::PlatformSpec;
 use yasmin_core::stats::Samples;
 use yasmin_core::task::ActivationKind;
 use yasmin_core::time::{Duration, Instant};
-use yasmin_sched::admission::{AdmissionControl, AdmissionError};
+use yasmin_sched::admission::{AdmissionControl, AdmissionError, TenantLedger};
 use yasmin_sched::server::{ReservationServer, TenantBudget};
 use yasmin_sched::{Action, ActionSink, Job, OnlineEngine, ShardCmd};
 
@@ -174,7 +174,7 @@ enum Ev {
         mode: yasmin_core::version::ExecMode,
     },
     /// Splice + commit a pre-validated tenant admission; `idx` indexes
-    /// [`Simulation`]'s pending-admissions side table (the event itself
+    /// [`Simulation`]'s admit-event payload table (the event itself
     /// stays `Copy` — the merged set travels by `Arc` in the table).
     Admit {
         idx: usize,
@@ -358,12 +358,15 @@ pub struct Simulation {
     /// energy/idle accounting covers only worker `w` so per-shard
     /// results sum to the whole-system result.
     shard: Option<WorkerId>,
-    /// Side table for [`Ev::Admit`]: (merged set, budget) per scheduled
-    /// admission, pre-validated by [`Simulation::admit_at`].
-    pending_admissions: Vec<(Arc<TaskSet>, Option<TenantBudget>)>,
-    /// The task set as it will stand after every scheduled admission —
-    /// the base each further [`Simulation::admit_at`] extends.
-    planned: Arc<TaskSet>,
+    /// Payload of each [`Ev::Admit`]: the merged set to splice and the
+    /// budget, pre-validated by [`Simulation::admit_at`].
+    admit_events: Vec<(Arc<TaskSet>, Option<TenantBudget>)>,
+    /// Tenant state as it will stand at `last_admit_offset`: every
+    /// scheduled admission, minus the retirements scheduled up to then.
+    ledger: TenantLedger,
+    /// Retirements scheduled past `last_admit_offset`: they leave the
+    /// ledger's view once an admission is scheduled at or after them.
+    planned_retirements: Vec<(Duration, TenantId)>,
     /// Admissions must be scheduled in non-decreasing time order (their
     /// splice order defines tenant ids).
     last_admit_offset: Duration,
@@ -440,8 +443,9 @@ impl Simulation {
             seq: 0,
             tick,
             shard,
-            pending_admissions: Vec::new(),
-            planned: engine.taskset_arc(),
+            admit_events: Vec::new(),
+            ledger: TenantLedger::new(AdmissionControl::for_engine(&engine), engine.taskset_arc()),
+            planned_retirements: Vec::new(),
             last_admit_offset: Duration::ZERO,
             engine,
             cfg: sim,
@@ -450,11 +454,13 @@ impl Simulation {
 
     /// Schedules a tenant admission at `offset` from the start:
     /// `tenant` (declared in its own id space) is schedulability-checked
-    /// **now** against the planned set — the base set extended by every
-    /// previously scheduled admission — exactly as the runtime's
-    /// admission thread would, and on acceptance an internal admit event
-    /// splices and commits it at the simulated instant. Returns the
-    /// [`TenantId`] the splice will assign.
+    /// **now** against the tenants planned to be live at `offset` — the
+    /// base set, plus every previously scheduled admission, minus every
+    /// [`Simulation::retire_at`] already scheduled at or before `offset`
+    /// — exactly as the runtime's admission thread would, and on
+    /// acceptance an internal admit event splices and commits it at the
+    /// simulated instant. Returns the [`TenantId`] the splice will
+    /// assign.
     ///
     /// Deterministic by construction: the admission instant, the merged
     /// set and the tenant id are all fixed before the run starts, so two
@@ -476,15 +482,24 @@ impl Simulation {
                 "admissions must be scheduled in non-decreasing time order".into(),
             )));
         }
-        let ctl = AdmissionControl::new(self.engine.config().clone(), self.tick);
-        let merged = ctl.evaluate(&self.planned, tenant, budget.as_ref())?;
-        // Tenant ids count the base set (tenant 0) plus every admission
-        // scheduled so far, in splice order.
-        let id = TenantId::new((1 + self.pending_admissions.len()) as u32);
-        self.planned = Arc::clone(&merged);
+        // Retirements that will have happened by `offset` (their events
+        // were pushed first, so they also run first at an equal
+        // instant). An id the run will refuse is refused there, as
+        // before; the ledger's complaint about it adds nothing.
+        let ledger = &mut self.ledger;
+        self.planned_retirements.retain(|&(at, retired)| {
+            if at <= offset {
+                let _ = ledger.retire(retired);
+            }
+            at > offset
+        });
+        let idx = self.admit_events.len();
+        let events = &mut self.admit_events;
+        let id = self.ledger.admit(tenant, budget.as_ref(), |admission| {
+            events.push((Arc::clone(admission.merged), budget));
+            Ok(())
+        })?;
         self.last_admit_offset = offset;
-        let idx = self.pending_admissions.len();
-        self.pending_admissions.push((merged, budget));
         self.push_event(Instant::ZERO + offset, Ev::Admit { idx });
         Ok(id)
     }
@@ -492,8 +507,10 @@ impl Simulation {
     /// Schedules the retirement of an admitted tenant at `offset` from
     /// the start. The tenant must exist by then (i.e. come from a prior
     /// [`Simulation::admit_at`] with an earlier or equal offset);
-    /// tenant 0 cannot be retired.
+    /// tenant 0 cannot be retired. An admission scheduled **after** this
+    /// call at an equal or later offset is analysed without the tenant.
     pub fn retire_at(&mut self, offset: Duration, tenant: TenantId) {
+        self.planned_retirements.push((offset, tenant));
         self.push_event(Instant::ZERO + offset, Ev::Retire { tenant });
     }
 
@@ -1016,7 +1033,7 @@ impl Simulation {
                 }
                 Ev::Fault { ev } => self.apply_fault(now, ev),
                 Ev::Admit { idx } => {
-                    let (merged, budget) = self.pending_admissions[idx].clone();
+                    let (merged, budget) = self.admit_events[idx].clone();
                     let tenant = TenantId::new(self.engine.tenant_count() as u32);
                     let server = budget.map(|b| ReservationServer::new(tenant, b, now));
                     let first_new = self.engine.taskset().len();

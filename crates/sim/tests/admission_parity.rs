@@ -189,3 +189,47 @@ fn stacked_admissions_get_sequential_tenant_ids() {
     assert!(res.records_of(TaskId::new(3)).count() > 0);
     assert_eq!(res.total_misses(), 0);
 }
+
+/// Base U = 0.2 on worker 1; a U = 0.5 tenant admitted and retired three
+/// times over. Each admission is scheduled after the previous tenant's
+/// `retire_at` at the same instant, so it is analysed without it — and a
+/// second copy *beside* a still-live one is refused.
+#[test]
+fn retired_bandwidth_is_returned() {
+    let mut b = TaskSetBuilder::new();
+    let t = b
+        .task_decl(TaskSpec::periodic("base", ms(10)).on_worker(WorkerId::new(1)))
+        .unwrap();
+    b.version_decl(t, VersionSpec::new("v", ms(2))).unwrap();
+    let base = Arc::new(b.build().unwrap());
+    let mut sim = Simulation::new(base, config(2), SimConfig::uniform(2, ms(400))).unwrap();
+
+    let mut live = sim.admit_at(ms(20), &tenant_b(5), None).unwrap();
+    match sim.admit_at(ms(50), &tenant_b(5), None) {
+        Err(AdmissionError::Rejected(BoundViolation::WorkerOverload { density, .. })) => {
+            assert!((density - 1.2).abs() < 1e-9, "density = {density}");
+        }
+        other => panic!("expected an overload beside the live tenant, got {other:?}"),
+    }
+    for round in 1..3u64 {
+        let at = ms(20 + 100 * round);
+        sim.retire_at(at, live);
+        live = sim
+            .admit_at(at, &tenant_b(5), None)
+            .unwrap_or_else(|e| panic!("round {round}: {e}"));
+    }
+    // A retirement scheduled *later* than an admission stays in its view.
+    sim.retire_at(ms(350), live);
+    assert!(matches!(
+        sim.admit_at(ms(300), &tenant_b(5), None),
+        Err(AdmissionError::Rejected(_))
+    ));
+
+    let res = sim.run().unwrap();
+    assert_eq!(res.total_misses(), 0, "the analysis held at run time");
+    // Merged ids 1, 2, 3: each copy ran for its own ≥ 100 ms window.
+    for id in 1..=3 {
+        let n = res.records_of(TaskId::new(id)).count();
+        assert!(n >= 9, "T{id} ran {n} jobs");
+    }
+}

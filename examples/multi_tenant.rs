@@ -10,6 +10,9 @@
 //! next tick edge so the first deadline is as safe as the analysis
 //! assumed. A third, oversubscribed task set is refused with the exact
 //! bound it violates, and the running schedule never hears of it.
+//! Retirement returns the tenant's bandwidth: a task set that needs a
+//! whole worker is refused while the guest is live and admitted once it
+//! has retired.
 //!
 //! Run: `cargo run --release --example multi_tenant`
 //!
@@ -113,13 +116,35 @@ fn main() -> Result<(), yasmin::Error> {
         other => panic!("expected a rejection, got {other:?}"),
     }
 
+    // A tenant declaring 9.95 ms of work every 10 ms needs worker 1 to
+    // itself: beside the guest (density 0.008) it is refused too.
+    let heir_runs = Arc::new(AtomicU32::new(0));
+    let heir = || tenant_taskset("heir", ms(10), Duration::from_micros(9_950), 1, &heir_runs);
+    let (cand, bodies) = heir();
+    match rt.admit(&cand, bodies, None) {
+        Err(AdmissionError::Rejected(violation)) => {
+            println!("heir refused while the guest is live: {violation}");
+        }
+        other => panic!("expected a rejection, got {other:?}"),
+    }
+
     // ----- run, then retire --------------------------------------------
     std::thread::sleep(std::time::Duration::from_millis(50));
     let served = tenant_runs.load(Ordering::Relaxed);
     rt.retire(tenant)?;
     println!("tenant {} retired after {served} jobs", tenant.raw());
 
-    std::thread::sleep(std::time::Duration::from_millis(20));
+    // ----- re-admit: the retired tenant's bandwidth is back ------------
+    // Ids are never reused (the guest's T1 stays a tombstone, the heir
+    // becomes tenant 2 with task T2), but the analysis forgets a
+    // retired tenant: the same request now passes.
+    let (cand, bodies) = heir();
+    let heir_id = rt
+        .admit(&cand, bodies, None)
+        .expect("the retired guest's bandwidth is available again");
+    println!("heir admitted as tenant {} after the retire", heir_id.raw());
+
+    std::thread::sleep(std::time::Duration::from_millis(30));
     rt.stop();
     let report = rt.cleanup();
 
@@ -132,10 +157,15 @@ fn main() -> Result<(), yasmin::Error> {
         .filter(|r| r.job.task == guest_task)
         .count();
     println!(
-        "final tally: tenant 0 ran {} jobs, guest ran {} (records agree: {})",
+        "final tally: tenant 0 ran {} jobs, guest ran {} (records agree: {}), heir ran {}",
         base_runs.load(Ordering::Relaxed),
         tenant_runs.load(Ordering::Relaxed),
-        guest_recs
+        guest_recs,
+        heir_runs.load(Ordering::Relaxed)
+    );
+    assert!(
+        heir_runs.load(Ordering::Relaxed) > 0,
+        "the re-admitted tenant ran"
     );
     Ok(())
 }

@@ -92,7 +92,7 @@ pub mod prelude {
     pub use yasmin_sched::{
         AdmissionControl, AdmissionError, BoundViolation, ChannelBuilder, JobOutcome, MsgEvent,
         MsgNotify, NotifyHandle, OnlineEngine, Receiver, ScheduleTable, SendError, Sender,
-        TenantBudget,
+        TenantBudget, TenantLedger,
     };
     pub use yasmin_sim::{SimConfig, Simulation};
 }

@@ -157,3 +157,143 @@ proptest! {
         prop_assert!(la.as_fraction() <= 1.0);
     }
 }
+
+/// One row of the admission test table (`AdmissionControl` rustdoc).
+fn admission_rows() -> Vec<Config> {
+    let row = |workers, mapping, priority| {
+        Config::builder()
+            .workers(workers)
+            .mapping(mapping)
+            .priority(priority)
+            .build()
+            .unwrap()
+    };
+    use MappingScheme::{Global, Partitioned};
+    vec![
+        row(2, Partitioned, PriorityPolicy::RateMonotonic),
+        row(2, Partitioned, PriorityPolicy::EarliestDeadlineFirst),
+        row(1, Global, PriorityPolicy::EarliestDeadlineFirst),
+        row(3, Global, PriorityPolicy::EarliestDeadlineFirst),
+        row(1, Global, PriorityPolicy::DeadlineMonotonic),
+    ]
+}
+
+/// A `taskgen` set of `n` tasks at utilisation `u`, pinned worst-fit
+/// when `config` is partitioned.
+fn generated_tenant(config: &Config, n: usize, u: f64, seed: u64) -> TaskSet {
+    use yasmin::taskgen::taskset::{build_independent, build_partitioned, IndependentSetParams};
+    let p = IndependentSetParams {
+        n,
+        total_utilisation: u,
+        seed,
+        ..Default::default()
+    };
+    match config.mapping() {
+        MappingScheme::Partitioned => build_partitioned(&p, config.workers()),
+        MappingScheme::Global => build_independent(&p),
+    }
+    .unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The tenant ledger against the stateless gate, under every row of
+    /// the admission test table: over a random admit/retire sequence the
+    /// ledger's verdict is `AdmissionControl::evaluate` on a set built
+    /// from scratch out of exactly the live tenants, with task ids moved
+    /// to the merged space; after 200 steps its view holds the base and
+    /// the live tenants' tasks and nothing else.
+    #[test]
+    fn ledger_matches_from_scratch_evaluation(
+        seed in any::<u64>(),
+        ops in prop::collection::vec(0u32..1_000, 200..201),
+    ) {
+        use yasmin::sched::admission::{AdmissionControl, AdmissionError, BoundViolation, TenantLedger};
+        // Every `taskgen` grid period is a multiple of 5 ms.
+        let tick = Duration::from_millis(5);
+        for config in admission_rows() {
+            let gate = AdmissionControl::new(config.clone(), tick);
+            let base = Arc::new(generated_tenant(
+                &config,
+                3,
+                0.2 * config.workers() as f64,
+                seed,
+            ));
+            let mut ledger = TenantLedger::new(gate.clone(), Arc::clone(&base));
+            // The model: live tenants as (id, first merged id, set).
+            let mut live: Vec<(TenantId, usize, TaskSet)> = Vec::new();
+            let mut merged_len = base.len();
+            let (mut accepted, mut refused) = (0, 0);
+
+            for (i, &op) in ops.iter().enumerate() {
+                if live.len() >= 5 || (op % 3 == 0 && !live.is_empty()) {
+                    let (tenant, _, _) = live.remove(op as usize / 3 % live.len());
+                    prop_assert!(ledger.retire(tenant).is_ok());
+                    prop_assert!(ledger.retire(tenant).is_err(), "double retire");
+                    continue;
+                }
+                // Heavy enough, on any worker count, that a full house
+                // of five refuses its share of candidates.
+                let n = 1 + op as usize % 3;
+                let u = (0.1 + 0.15 * f64::from(op % 5)) * config.workers() as f64;
+                let cand =
+                    generated_tenant(&config, n, u.min(0.9 * n as f64), seed.wrapping_add(i as u64));
+                let mut scratch = (*base).clone();
+                for (_, _, set) in &live {
+                    scratch = scratch.extended(set).unwrap();
+                }
+                // Scratch id → merged id, from the model alone.
+                let to_merged = |t: TaskId| {
+                    let mut at = base.len();
+                    if t.index() < at {
+                        return Some(t);
+                    }
+                    for (_, first, set) in &live {
+                        if t.index() < at + set.len() {
+                            return Some(TaskId::new((first + t.index() - at) as u32));
+                        }
+                        at += set.len();
+                    }
+                    (t.index() < at + cand.len())
+                        .then(|| TaskId::new((merged_len + t.index() - at) as u32))
+                };
+                let expected = gate.evaluate(&scratch, &cand, None).map(|_| ()).map_err(|e| match e {
+                    AdmissionError::Rejected(BoundViolation::TaskUnschedulable { task, wcrt, deadline }) => {
+                        AdmissionError::Rejected(BoundViolation::TaskUnschedulable {
+                            task: to_merged(task).expect("names a live or candidate task"),
+                            wcrt,
+                            deadline,
+                        })
+                    }
+                    other => other,
+                });
+                let got = ledger.admit(&cand, None, |a| {
+                    assert_eq!(a.task_offset as usize, merged_len);
+                    assert_eq!(a.merged.len(), merged_len + cand.len());
+                    Ok(())
+                });
+                match got {
+                    Ok(tenant) => {
+                        prop_assert_eq!(expected, Ok(()));
+                        live.push((tenant, merged_len, cand.clone()));
+                        merged_len += cand.len();
+                        accepted += 1;
+                    }
+                    Err(e) => {
+                        prop_assert_eq!(Err(e), expected);
+                        refused += 1;
+                    }
+                }
+                let live_tasks: usize = live.iter().map(|(_, _, s)| s.len()).sum();
+                prop_assert_eq!(ledger.live_view().len(), base.len() + live_tasks);
+                prop_assert_eq!(ledger.merged().len(), merged_len);
+            }
+            prop_assert!(
+                accepted > 10 && refused > 10,
+                "{:?}: {} accepted, {} refused — one-sided sequence",
+                config.priority(), accepted, refused
+            );
+        }
+    }
+}
