@@ -8,9 +8,10 @@
 //!
 //! * [`runtime`] — [`runtime::RuntimeBuilder`] / [`runtime::Runtime`],
 //!   mirroring the paper's `init`/`start`/`stop`/`cleanup` lifecycle;
-//! * [`sharded`] — the per-core sharded runtime: one scheduler thread
-//!   per worker, each owning an independent engine shard fed through
-//!   the lock-free command mailbox (partitioned mapping);
+//! * [`sharded`] — the per-core sharded runtime: one thread per shard,
+//!   scheduler and worker at once, each owning an independent engine
+//!   shard fed through the lock-free command mailbox (partitioned
+//!   mapping);
 //! * [`os`] — best-effort real-time OS setup (feature `os-rt`, on by
 //!   default; degrades gracefully in unprivileged containers).
 

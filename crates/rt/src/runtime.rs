@@ -11,7 +11,11 @@
 //! (`activate`, `admit`, `retire`, message boosts, `stop`) alike, bounded
 //! by the next tick edge. A command therefore takes effect when it is
 //! sent, not at the next completion or tick; the table of what the loop
-//! acts on and what wakes it sits at the wait in `scheduler_main`.
+//! acts on and what wakes it sits at the wait in `scheduler_main`. The
+//! receive sleeps in the kernel whatever `Config::waiting` says
+//! (busy-waiting between jobs is the sharded runtime's, where a thread
+//! has its core to itself), and the tick grid is anchored at the instant
+//! the engine started.
 //!
 //! Substitution note (DESIGN.md): the paper preempts workers with POSIX
 //! signals and a hand-written `swapcontext`. Safe Rust cannot hijack a
@@ -38,7 +42,6 @@ use yasmin_sched::admission::{reservation_for, AdmissionControl, AdmissionError,
 use yasmin_sched::msg::{MsgEvent, NotifyHandle, Receiver as MsgReceiver, Sender as MsgSender};
 use yasmin_sched::server::TenantBudget;
 use yasmin_sched::{Action, ActionSink, EngineStats, Job, JobOutcome, OnlineEngine};
-use yasmin_sync::wait::{wait_until, WaitMode};
 
 /// Context handed to a task body for each job.
 #[derive(Debug, Clone, Copy)]
@@ -99,6 +102,11 @@ pub struct RuntimeReport {
     pub records: Vec<RtJobRecord>,
     /// Engine counters.
     pub engine_stats: EngineStats,
+    /// Runtime threads the kernel refused to pin to their core (no such
+    /// core, restricted cpuset, `os-rt` disabled): they ran wherever
+    /// the host put them, so the run's timing is that of a floating
+    /// thread, not of the placement the builder asked for.
+    pub unpinned_threads: usize,
 }
 
 enum WorkerMsg {
@@ -237,7 +245,10 @@ impl RuntimeBuilder {
     }
 
     /// Pins worker *w* to core `offset + w` (scheduler thread to
-    /// `offset + workers`), best-effort.
+    /// `offset + workers`), best-effort: a thread the kernel refuses to
+    /// pin runs unpinned and is counted in
+    /// [`RuntimeReport::unpinned_threads`] — the scheduler's, for one,
+    /// whenever the host has no more cores than workers.
     #[must_use]
     pub fn pin_cores_from(mut self, offset: usize) -> Self {
         self.pin_offset = offset;
@@ -271,17 +282,7 @@ impl RuntimeBuilder {
                     .into(),
             ));
         }
-        for t in self.taskset.tasks() {
-            for (vi, _) in t.versions().iter().enumerate() {
-                let key = (t.id(), VersionId::new(vi as u16));
-                if !self.bodies.contains_key(&key) {
-                    return Err(Error::InvalidConfig(format!(
-                        "no body registered for task {} version v{vi}",
-                        t.id()
-                    )));
-                }
-            }
-        }
+        check_bodies(&self.taskset, &self.bodies)?;
         let engine = OnlineEngine::new(Arc::clone(&self.taskset), self.config.clone())?;
         if self.lock_memory {
             // Best-effort; containers commonly deny it.
@@ -295,7 +296,8 @@ impl RuntimeBuilder {
 pub struct Runtime {
     inbox: Sender<Event>,
     scheduler: Option<std::thread::JoinHandle<RuntimeReport>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
+    /// Each worker returns whether it ran pinned.
+    workers: Vec<std::thread::JoinHandle<bool>>,
     worker_tx: Vec<Sender<WorkerMsg>>,
     /// Tenant state; the mutex serialises admissions and retirements
     /// from concurrent callers.
@@ -313,12 +315,6 @@ impl std::fmt::Debug for Runtime {
 impl Runtime {
     fn spawn(builder: RuntimeBuilder, mut engine: OnlineEngine) -> Result<Self> {
         let workers_n = builder.config.workers();
-        let wait_mode = match builder.config.waiting() {
-            yasmin_core::config::WaitChoice::Sleep => WaitMode::HybridSpin {
-                spin_window_us: 200,
-            },
-            yasmin_core::config::WaitChoice::Spin => WaitMode::Spin,
-        };
         let clock = Arc::new(MonotonicClock::new());
         let (inbox, inbox_rx) = bounded::<Event>(builder.config.max_pending_jobs());
 
@@ -351,8 +347,9 @@ impl Runtime {
                 std::thread::Builder::new()
                     .name(format!("yasmin-worker-{w}"))
                     .spawn(move || {
-                        let _ = crate::os::pin_current_thread(core);
+                        let pinned = crate::os::pin_current_thread(core).is_ok();
                         worker_main(&rx, &done_tx, &clock, WorkerId::new(w as u16));
+                        pinned
                     })
                     .map_err(|e| Error::Os(format!("spawning worker {w}: {e}")))?,
             );
@@ -367,16 +364,17 @@ impl Runtime {
         let scheduler = std::thread::Builder::new()
             .name("yasmin-scheduler".into())
             .spawn(move || {
-                let _ = crate::os::pin_current_thread(sched_core);
-                scheduler_main(
+                let pinned = crate::os::pin_current_thread(sched_core).is_ok();
+                let mut report = scheduler_main(
                     &mut engine,
                     bodies,
                     &worker_tx_sched,
                     &inbox_rx,
                     &clock,
                     tick,
-                    wait_mode,
-                )
+                );
+                report.unpinned_threads = usize::from(!pinned);
+                report
             })
             .map_err(|e| Error::Os(format!("spawning scheduler: {e}")))?;
 
@@ -434,7 +432,7 @@ impl Runtime {
         bodies: HashMap<(TaskId, VersionId), TaskBody>,
         budget: Option<TenantBudget>,
     ) -> std::result::Result<TenantId, AdmissionError> {
-        check_candidate_bodies(candidate, &bodies)?;
+        check_bodies(candidate, &bodies).map_err(AdmissionError::Invalid)?;
         let mut ledger = self.ledger.lock().expect("tenant ledger mutex poisoned");
         ledger.admit(candidate, budget.as_ref(), |admission| {
             let remapped = bodies
@@ -494,7 +492,7 @@ impl Runtime {
     #[must_use]
     pub fn cleanup(mut self) -> RuntimeReport {
         let _ = self.send(Cmd::Shutdown);
-        let report = self
+        let mut report = self
             .scheduler
             .take()
             .expect("cleanup runs once")
@@ -504,27 +502,28 @@ impl Runtime {
             let _ = tx.send(WorkerMsg::Exit);
         }
         for w in self.workers.drain(..) {
-            w.join().expect("worker thread panicked");
+            let pinned = w.join().expect("worker thread panicked");
+            report.unpinned_threads += usize::from(!pinned);
         }
         report
     }
 }
 
-/// Verifies every version of every candidate task has a registered body
-/// (keyed by candidate-local ids) before any scheduler thread hears
-/// about the tenant.
-pub(crate) fn check_candidate_bodies(
-    candidate: &TaskSet,
+/// Verifies every version of every task of `taskset` — a build-time set,
+/// or a candidate tenant in its own id space — has a registered body,
+/// before any runtime thread hears of it.
+pub(crate) fn check_bodies(
+    taskset: &TaskSet,
     bodies: &HashMap<(TaskId, VersionId), TaskBody>,
-) -> std::result::Result<(), AdmissionError> {
-    for t in candidate.tasks() {
+) -> Result<()> {
+    for t in taskset.tasks() {
         for (vi, _) in t.versions().iter().enumerate() {
             let key = (t.id(), VersionId::new(vi as u16));
             if !bodies.contains_key(&key) {
-                return Err(AdmissionError::Invalid(Error::InvalidConfig(format!(
-                    "no body registered for admitted task {} version v{vi}",
+                return Err(Error::InvalidConfig(format!(
+                    "no body registered for task {} version v{vi}",
                     t.id()
-                ))));
+                )));
             }
         }
     }
@@ -609,11 +608,7 @@ fn scheduler_main(
     inbox: &Receiver<Event>,
     clock: &Arc<MonotonicClock>,
     tick: yasmin_core::time::Duration,
-    wait_mode: WaitMode,
 ) -> RuntimeReport {
-    let epoch = std::time::Instant::now();
-    let to_std = |t: Instant| epoch + std::time::Duration::from_nanos(t.as_nanos());
-
     let mut records: Vec<RtJobRecord> = Vec::new();
     let mut shutting_down = false;
 
@@ -648,11 +643,16 @@ fn scheduler_main(
         }
     };
 
+    // One instant anchors both grids: the releases `start_into` arms
+    // and the tick edges that dispatch them. An anchor taken after the
+    // first dispatch round would make every tick of the run trail its
+    // release by however long that round took.
+    let t0 = clock.now();
     engine
-        .start_into(clock.now(), &mut sink)
+        .start_into(t0, &mut sink)
         .expect("fresh engine starts");
     dispatch(&sink, &bodies);
-    let mut next_tick = clock.now() + tick;
+    let mut next_tick = t0 + tick;
 
     loop {
         if shutting_down && engine.is_idle() {
@@ -679,8 +679,7 @@ fn scheduler_main(
         let first = match inbox.recv_timeout(timeout) {
             Ok(event) => event,
             Err(RecvTimeoutError::Timeout) => {
-                // Tick edge: wait precisely (spin window), then release.
-                let _ = wait_until(wait_mode, to_std(next_tick));
+                // Tick edge: the timed receive has slept up to it.
                 let now = clock.now();
                 sink.clear();
                 engine.on_tick_into(now, &mut sink);
@@ -797,6 +796,7 @@ fn scheduler_main(
     RuntimeReport {
         records,
         engine_stats: engine.stats().clone(),
+        unpinned_threads: 0,
     }
 }
 
@@ -850,6 +850,42 @@ mod tests {
         assert!(n >= 6, "only {n} activations");
         assert_eq!(report.records.len() as u32, n);
         assert_eq!(report.engine_stats.completed as u32, n);
+    }
+
+    #[test]
+    fn failed_pins_are_counted() {
+        // No host has core 100 000: every thread of either runtime runs
+        // unpinned and says so.
+        let mut b = TaskSetBuilder::new();
+        let spec = TaskSpec::periodic("t", ms(5)).on_worker(WorkerId::new(0));
+        let t = b.task_decl(spec).unwrap();
+        let v = b
+            .version_decl(t, VersionSpec::new("v", Duration::from_micros(10)))
+            .unwrap();
+        let ts = Arc::new(b.build().unwrap());
+        let rt = RuntimeBuilder::new(Arc::clone(&ts), config(2))
+            .body(t, v, |_| {})
+            .pin_cores_from(100_000)
+            .build()
+            .unwrap();
+        assert_eq!(
+            rt.cleanup().unpinned_threads,
+            3,
+            "two workers, one scheduler"
+        );
+        let sharded = Config::builder()
+            .workers(2)
+            .mapping(yasmin_core::config::MappingScheme::Partitioned)
+            .sharded_dispatch(true)
+            .preemption(false)
+            .build()
+            .unwrap();
+        let rt = crate::sharded::ShardedRuntimeBuilder::new(ts, sharded)
+            .body(t, v, |_| {})
+            .pin_cores_from(100_000)
+            .build()
+            .unwrap();
+        assert_eq!(rt.cleanup().unpinned_threads, 2, "two shards");
     }
 
     #[test]

@@ -1,49 +1,90 @@
-//! The sharded real-thread runtime: **one scheduler thread per core**.
+//! The sharded real-thread runtime: **one thread per core**.
 //!
 //! The classic [`crate::runtime::Runtime`] owns one scheduler thread for
-//! the whole engine. Under partitioned mapping the engine state splits
-//! into independent per-worker shards ([`EngineShard`]), so this runtime
-//! spawns a *pair* of threads per core — the worker, and the scheduler
-//! thread owning that worker's shard — and connects them with lock-free
-//! queues **plus a wake-up protocol**, so that a thread with nothing to
-//! do sleeps in the kernel until someone has work for it (the paper's
-//! "sleep" waiting strategy, §3.5) instead of polling:
+//! the whole engine and hands every job to a worker thread. Under
+//! partitioned mapping the engine state splits into independent
+//! per-worker shards ([`EngineShard`]) — the paper's Fig. 1b, one
+//! scheduler per virtual CPU — so this runtime spawns **one thread per
+//! shard** that is scheduler and worker at once: it runs an engine
+//! round, executes the body that round dispatched *itself*, retires it,
+//! and goes back to its mailbox at the **job boundary**. A job costs no
+//! hand-off: no dispatch ring, no completion message, no second thread
+//! to wake on the same core.
 //!
-//! * **downstream** (scheduler → worker): a wait-free SPSC ring carrying
-//!   dispatches;
-//! * **upstream** (everyone → scheduler): the MPSC command mailbox of
-//!   `yasmin_sync::mailbox` with one lane for the worker's completion
-//!   hand-backs, one lane for control commands
-//!   (activate/stop/shutdown), and **one lane per peer shard** carrying
-//!   the cross-shard protocol — routed DAG activation tokens
-//!   (`CrossActivate`) and the work-stealing handshake
-//!   (`StealRequest` / `StolenBatch` / `StealDeny`) — with ticks
-//!   generated locally by each scheduler thread at the shared gcd
-//!   period.
+//! Everything else reaches a shard through the MPSC command mailbox of
+//! `yasmin_sync::mailbox`: one lane for control commands
+//! (activate/admit/retire/stop/shutdown), **one lane per peer shard**
+//! carrying the cross-shard protocol — routed DAG activation tokens
+//! (`CrossActivate`), forwarded message-plane events and the
+//! work-stealing handshake (`StealRequest` / `StolenBatch` /
+//! `StealDeny`) — and one *message lane* fed by the channel notify
+//! hooks that fire on other threads. Ticks are generated locally by
+//! each shard thread at the shared gcd period.
+//!
+//! # The job boundary
+//!
+//! Shards schedule **non-preemptively** (`preemption(false)`, like the
+//! single-owner runtime; preemptive sharded configurations are
+//! exercised by the simulator driver `yasmin_sim::par`), and a shard
+//! thread inside a body does nothing else. Whatever reaches the shard
+//! meanwhile waits for the boundary — at most **one body**, i.e. one
+//! WCET of a job that keeps to it:
+//!
+//! * **Tick edges** that passed while the body ran are handled when it
+//!   returns, each at its nominal instant, in time order and *before*
+//!   the completion retires: `enforce_wcet` and the miss trip find the
+//!   overrunning job still in its slot. The releases carry their
+//!   nominal times and are dispatched late by the rest of the body —
+//!   the analysis' non-preemptive blocking term.
+//! * **Steal requests**: a victim grants or refuses at its boundary;
+//!   the thief has one request in flight and sleeps until the answer
+//!   rings. Fewer jobs migrate than a free-running scheduler thread
+//!   would give away.
+//! * **`admit`**: a shard splices and acknowledges at its boundary, so
+//!   [`ShardedRuntime::admit`] returns after the longest body then in
+//!   flight. `Commit`, [`ShardedRuntime::retire`] (which returns at
+//!   once), `activate` and `stop` take effect there too.
+//! * **`DrainFlush`** is acknowledged at the boundary; the shutdown
+//!   drain waits out the bodies in flight in any case.
+//! * **Tokens and boosts from other threads** (`CrossActivate`,
+//!   `MsgHigh`, `MsgDrained`): a boost cannot displace a running body
+//!   on any design; it re-orders the queue the next dispatch reads.
+//! * **Message-plane events from a shard's own bodies.** A notify hook
+//!   firing on its channel's *home* thread must not send into the
+//!   message lane: only that thread drains it, so waiting for room
+//!   would wait for itself. It appends to a queue the thread owns
+//!   (`post`), applied at the boundary ahead of the mailbox — no lock,
+//!   no bound. Each post first moves what the lane holds behind what is
+//!   queued, so queue-then-lane stays the one FIFO route per channel
+//!   and a drain never overtakes its post.
+//! * **Calls from a body.** `activate`, `retire`, `stop` and a post to
+//!   another home may wait: for room in a lane, or for the ledger lock
+//!   of a caller that is itself waiting for room. Every such wait
+//!   (`wait_for`) holds nothing and, on a shard thread, keeps moving
+//!   that thread's mailbox into its own queue — so the room others wait
+//!   for is always made, and two bodies can never wait on each other.
+//!   `admit` waits for every shard's boundary with nothing held, which
+//!   lets those calls through; it must not itself come from a body,
+//!   whose own shard would never get there.
 //!
 //! # Wake-up protocol
 //!
-//! Every sleep in this file is a `yasmin_sync::doorbell::Doorbell` wait;
-//! there is no polling nap. Who sleeps where, and who rings:
+//! Every sleep in this file is a `yasmin_sync::doorbell::Doorbell` wait
+//! (the paper's "sleep" waiting strategy, §3.5); there is no polling
+//! nap. A shard thread with no job to run parks on its mailbox
+//! (`MailboxReceiver::park`) until its next tick edge, and:
 //!
-//! * A **scheduler thread** parks on its mailbox
-//!   (`MailboxReceiver::park`) until its next tick edge. Every `send`
-//!   into any lane rings it: the worker's `Done`, a peer's
-//!   `CrossActivate` / `Steal*` / `MsgHigh` / `Drain*`, the control
-//!   lane (`activate`, `admit`, `retire`, `stop`, `cleanup`) and the
-//!   channel notify hooks on the message lane. A lane closing rings it
-//!   too.
-//! * A **worker thread** first polls its ring 64 times (scheduler and
-//!   worker share a core: the yields in that back-off let the scheduler
-//!   hand over the next job without a futex round trip), then parks on
-//!   its own doorbell until the scheduler's next dispatch rings it.
-//! * Two things a scheduler waits for are *not* messages, so their
-//!   writers ring explicitly (`MailboxSender::wake`) and the sleeper
-//!   re-checks them after announcing its sleep: **stealable load** — an
-//!   idle thief that found no victim raises its idle flag on the
-//!   [`LoadBoard`] before parking, and a victim publishing a stealable
-//!   load above zero wakes the flagged peers — and **the shutdown drain
-//!   board** — a shard that raises its drained flag wakes every peer.
+//! * Every `send` into any lane rings it: a peer's `CrossActivate` /
+//!   `Steal*` / `MsgHigh` / `Drain*`, the control lane (`activate`,
+//!   `admit`, `retire`, `stop`, `cleanup`) and the notify hooks on the
+//!   message lane. A lane closing rings it too.
+//! * Two things it waits for are *not* messages, so their writers ring
+//!   explicitly (`MailboxSender::wake`) and the sleeper re-checks them
+//!   after announcing its sleep: **stealable load** — an idle thief
+//!   that found no victim raises its idle flag on the [`LoadBoard`]
+//!   before parking, and a victim publishing a stealable load above
+//!   zero wakes the flagged peers — and **the shutdown drain board** —
+//!   a shard that raises its drained flag wakes every peer.
 //! * One thing has no event at all: room appearing in a full peer lane.
 //!   While a shard holds spilled peer sends its park is bounded by
 //!   `SPILL_RETRY`.
@@ -51,21 +92,19 @@
 //! No wake-up is lost because both sides follow the doorbell's rule
 //! (see its module docs): the ringer publishes, fences, then looks for
 //! a sleeper; the sleeper announces itself, fences, then looks for
-//! work. A ring at an awake thread costs one load. The full list of
-//! conditions the scheduler re-evaluates on waking sits at its park
-//! site in `shard_scheduler_main`.
+//! work. A ring at an awake thread — one inside a body included — costs
+//! one load. The full list of conditions the loop re-evaluates on
+//! waking sits at its park site in `shard_scheduler_main`. Under
+//! [`WaitChoice::Spin`] nobody parks: the shard thread spins on its
+//! mailbox and the clock between jobs, alone on its core.
 //!
-//! Under [`WaitChoice::Spin`] nobody parks: the scheduler spins on its
-//! mailbox and the clock, the worker backs off on its ring, and every
-//! ring finds the sleeper awake.
-//!
-//! A wake that finds pending completions *and* a due tick coalesces
-//! both into **one** engine round ([`EngineShard::advance_into`]): the
-//! single dispatch round sees the freed workers and the fresh releases
-//! together instead of paying two rounds.
+//! A pass that finds the completion of the body it has just run *and* a
+//! due tick coalesces both into **one** engine round
+//! ([`EngineShard::advance_into`]): the single dispatch round sees the
+//! freed worker and the fresh releases together.
 //!
 //! With [`ShardedRuntimeBuilder::work_stealing`] enabled, an idle shard
-//! (empty queue, idle worker, drained mailbox) probes the advisory
+//! (empty queue, no job, drained mailbox) probes the advisory
 //! [`LoadBoard`] for a victim — most loaded peer first, exact load
 //! ties broken towards DAG-adjacent shards (wired from the task set's
 //! cross-shard edges at startup) and recent donors — and sends it a
@@ -76,22 +115,19 @@
 //! ([`EngineShard::try_steal_batch`] /
 //! [`EngineShard::release_stolen_batch`]) and grants them back as a
 //! single `StolenBatch` ack, and the thief adopts the whole batch with
-//! one dispatch round, running the jobs on its own worker — global
-//! [`WorkerId`]s keep every record truthful about where a job actually
-//! ran. Cross-shard DAG successors of any completion (stolen or local)
-//! are drained from the shard outbox and routed to the owning peer's
-//! lane.
-//!
+//! one dispatch round and runs the jobs itself — global [`WorkerId`]s
+//! keep every record truthful about where a job actually ran.
+//! Cross-shard DAG successors of any completion (stolen or local) are
+//! drained from the shard outbox and routed to the owning peer's lane.
 //! Scheduling decisions run through the same zero-allocation
-//! [`ActionSink`] path as the single-owner runtime. Like that runtime,
-//! shards schedule **non-preemptively at job boundaries**
-//! (`preemption(false)`); preemptive sharded configurations are
-//! exercised by the multi-threaded simulator driver (`yasmin_sim::par`).
+//! [`ActionSink`] path as the single-owner runtime.
 
-use crate::runtime::{check_candidate_bodies, JobCtx, RtJobRecord, RuntimeReport, TaskBody};
-use std::collections::HashMap;
+use crate::runtime::{check_bodies, JobCtx, RtJobRecord, RuntimeReport, TaskBody};
+use std::cell::RefCell;
+use std::collections::{HashMap, VecDeque};
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 use yasmin_core::config::{Config, WaitChoice};
 use yasmin_core::error::{Error, Result};
 use yasmin_core::graph::TaskSet;
@@ -105,52 +141,29 @@ use yasmin_sched::{
     validate_sharding, Action, ActionSink, EngineShard, EngineStats, Job, JobBatch, JobOutcome,
     RemoteActivation, ShardCmd, StealHint, MAX_STEAL_BATCH,
 };
-use yasmin_sync::doorbell::Doorbell;
 use yasmin_sync::mailbox::{mailbox, MailboxFull, MailboxReceiver, MailboxSender};
-use yasmin_sync::spsc;
 use yasmin_sync::steal::LoadBoard;
 use yasmin_sync::wait::Backoff;
 
 /// Lane indices of each shard's command mailbox; lane `LANE_PEER0 + p`
 /// belongs to peer shard `p` (a shard's own peer lane stays unused, so
 /// indexing needs no adjustment). Lane `LANE_PEER0 + n` is the *message
-/// lane*: channel notify hooks post high-lane events there from
-/// whichever thread sent or received (the sender handle is shared
-/// behind a mutex, so the lane keeps one logical producer).
-const LANE_WORKER: usize = 0;
-const LANE_CONTROL: usize = 1;
-const LANE_PEER0: usize = 2;
+/// lane* (see [`MsgLanes`]).
+const LANE_CONTROL: usize = 0;
+const LANE_PEER0: usize = 1;
 
-/// Longest park of a scheduler thread that holds spilled peer sends
+/// Longest park of a shard thread that holds spilled peer sends
 /// ([`PeerLinks::pending`]): room appearing in a full lane rings no
 /// bell, so the flush is retried on this period until the backlog is
 /// gone.
 const SPILL_RETRY: std::time::Duration = std::time::Duration::from_micros(200);
 
-enum WorkerMsg {
-    Run {
-        job: Job,
-        version: VersionId,
-        body: TaskBody,
-    },
-    Exit,
-}
-
-/// Commands flowing into a shard's scheduler thread.
+/// Commands flowing into a shard thread.
 // The steal-grant variant embeds a fixed-size `JobBatch` (see
 // `ShardCmd`): boxing it would allocate on the steal hot path, and the
 // messages live in preallocated mailbox lanes anyway.
 #[allow(clippy::large_enum_variant)]
 enum ShardMsg {
-    /// The shard's worker finished a job — normally or by panic (the
-    /// `JobCompleted` / `JobFailed` commands).
-    Done {
-        job: Job,
-        version: VersionId,
-        started: Instant,
-        completed: Instant,
-        outcome: JobOutcome,
-    },
     /// Explicit activation of a task owned by the shard.
     Activate(TaskId),
     /// A DAG token routed from a peer shard (cross-shard edge whose
@@ -198,7 +211,8 @@ enum ShardMsg {
     /// — enough to sink a deadline equal to the period.
     Commit { tenant: TenantId },
     /// Quiesce a tenant: cull its ready jobs, disarm its releases, drop
-    /// its pending tokens; in-flight jobs finish but fire no successors.
+    /// its pending tokens; a job in flight finishes but fires no
+    /// successors.
     Retire { tenant: TenantId, at: Instant },
     /// Stop releasing periodic jobs.
     Stop,
@@ -278,9 +292,9 @@ impl ShardedRuntimeBuilder {
     }
 
     /// Enables work stealing: an idle shard probes the advisory load
-    /// board and pulls the most urgent accelerator-free ready job off
-    /// the most loaded peer, running it on its own worker. Off by
-    /// default, which preserves strict task-to-worker placement.
+    /// board and pulls the most urgent accelerator-free ready jobs off
+    /// the most loaded peer, running them itself. Off by default, which
+    /// preserves strict task-to-worker placement.
     #[must_use]
     pub fn work_stealing(mut self, on: bool) -> Self {
         self.work_stealing = on;
@@ -299,8 +313,10 @@ impl ShardedRuntimeBuilder {
         self
     }
 
-    /// Pins worker *w* — and its shard's scheduler thread — to core
-    /// `offset + w`, best-effort.
+    /// Pins the thread of shard *w* to core `offset + w`, best-effort: a
+    /// thread the kernel refuses to pin (no such core, restricted
+    /// cpuset) runs unpinned and is counted in
+    /// [`RuntimeReport::unpinned_threads`].
     #[must_use]
     pub fn pin_cores_from(mut self, offset: usize) -> Self {
         self.pin_offset = offset;
@@ -314,8 +330,8 @@ impl ShardedRuntimeBuilder {
         self
     }
 
-    /// Validates the sharding contract and spawns all threads; the
-    /// schedule starts immediately.
+    /// Validates the sharding contract and spawns one thread per shard;
+    /// the schedule starts immediately.
     ///
     /// # Errors
     ///
@@ -332,17 +348,7 @@ impl ShardedRuntimeBuilder {
                     .into(),
             ));
         }
-        for t in self.taskset.tasks() {
-            for (vi, _) in t.versions().iter().enumerate() {
-                let key = (t.id(), VersionId::new(vi as u16));
-                if !self.bodies.contains_key(&key) {
-                    return Err(Error::InvalidConfig(format!(
-                        "no body registered for task {} version v{vi}",
-                        t.id()
-                    )));
-                }
-            }
-        }
+        check_bodies(&self.taskset, &self.bodies)?;
         let shards = EngineShard::build_all(&self.taskset, &self.config)?;
         if self.lock_memory {
             // Best-effort; containers commonly deny it.
@@ -352,41 +358,125 @@ impl ShardedRuntimeBuilder {
     }
 }
 
-/// The running sharded middleware: per-core scheduler threads + workers.
+/// What a shard thread returns when it exits: its records, its engine
+/// counters, and whether it ran pinned.
+type ShardExit = (Vec<RtJobRecord>, EngineStats, bool);
+
+/// The running sharded middleware: one scheduling-and-executing thread
+/// per core.
 pub struct ShardedRuntime {
-    /// Tenant state; the mutex serialises admissions and retirements
-    /// from concurrent callers. Retirements are validated here because
-    /// shard threads cannot reply.
+    /// Tenant state; the mutex serialises the splice and retire
+    /// broadcasts of concurrent callers, so every shard hears them in
+    /// ledger order. Retirements are validated here because shard
+    /// threads cannot reply.
     ledger: Mutex<TenantLedger>,
     config: Config,
     clock: Arc<MonotonicClock>,
-    /// One control sender per shard (lane [`LANE_CONTROL`]); behind a
-    /// mutex because mailbox lanes are single-producer while this handle
-    /// is `&self`-shared.
-    control: Mutex<Vec<MailboxSender<ShardMsg>>>,
-    schedulers: Vec<std::thread::JoinHandle<(Vec<RtJobRecord>, EngineStats)>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
+    /// One control sender per shard (lane [`LANE_CONTROL`]), shared by
+    /// the callers of this `&self` handle.
+    control: Vec<SharedLane>,
+    /// Tells a caller that is inside a body of this runtime ([`wait_for`]).
+    lanes: MsgLanes,
+    shards: Vec<std::thread::JoinHandle<ShardExit>>,
 }
 
 impl std::fmt::Debug for ShardedRuntime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedRuntime")
-            .field("shards", &self.schedulers.len())
+            .field("shards", &self.shards.len())
             .finish_non_exhaustive()
     }
 }
 
-/// Sends `msg` into a mailbox lane, backing off while it is full.
-fn send_with_backoff(tx: &mut MailboxSender<ShardMsg>, mut msg: ShardMsg) {
+/// A sender into one lane of a shard's mailbox that threads share: the
+/// mutex keeps the lane at one logical producer.
+type SharedLane = Mutex<MailboxSender<ShardMsg>>;
+
+/// The message lanes of one runtime, by home shard: where the channel
+/// notify hooks post from threads other than the home shard's own.
+/// Shared by the hooks, the runtime handle and the shard threads, which
+/// tell their own runtime by it.
+type MsgLanes = Arc<Vec<SharedLane>>;
+
+/// What code running inside a body finds of the shard thread it is on:
+/// the queue of events the thread owns, and the mailbox only this
+/// thread drains.
+struct ShardLocal {
+    lanes: MsgLanes,
+    me: usize,
+    rx: Rc<RefCell<MailboxReceiver<ShardMsg>>>,
+    /// Events this thread's bodies posted to their own home, and what
+    /// [`post`] and [`wait_for`] moved here from the mailbox; applied at
+    /// the job boundary, ahead of the mailbox.
+    posts: VecDeque<ShardMsg>,
+}
+
+thread_local! {
+    static LOCAL: RefCell<Option<ShardLocal>> = const { RefCell::new(None) };
+}
+
+/// Retries `attempt` until it yields, from whichever thread and with
+/// nothing held in between. What it waits for — room in a lane, a lock
+/// another caller holds while *it* waits for room — comes from a shard
+/// reaching its job boundary, and the caller may be inside a body of one
+/// of `lanes`' shards: that thread keeps moving its mailbox into its own
+/// queue meanwhile, so it always makes the room others are waiting for
+/// and two bodies can never wait on each other.
+fn wait_for<T>(lanes: &MsgLanes, mut attempt: impl FnMut() -> Option<T>) -> T {
     let mut backoff = Backoff::new();
     loop {
-        match tx.send(msg) {
-            Ok(()) => return,
-            Err(MailboxFull(v)) => {
-                msg = v;
-                backoff.snooze();
-            }
+        if let Some(v) = attempt() {
+            return v;
         }
+        LOCAL.with_borrow_mut(|local| {
+            if let Some(l) = local.as_mut().filter(|l| Arc::ptr_eq(&l.lanes, lanes)) {
+                let mut rx = l.rx.borrow_mut();
+                while let Some(msg) = rx.try_recv() {
+                    l.posts.push_back(msg);
+                }
+            }
+        });
+        backoff.snooze();
+    }
+}
+
+fn try_lock<T>(m: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
+    match m.try_lock() {
+        Ok(guard) => Some(guard),
+        Err(TryLockError::WouldBlock) => None,
+        Err(TryLockError::Poisoned(_)) => panic!("runtime mutex poisoned"),
+    }
+}
+
+/// Sends `msg` into a shared lane, waiting for room ([`wait_for`]).
+fn send_waiting(lanes: &MsgLanes, lane: &SharedLane, msg: ShardMsg) {
+    let mut msg = Some(msg);
+    wait_for(lanes, || {
+        let sent = try_lock(lane)?.send(msg.take()?);
+        sent.map_err(|MailboxFull(v)| msg = Some(v)).ok()
+    });
+}
+
+/// Delivers a message-plane event to its channel's `home` shard from
+/// whichever thread the notify hook fired on (see "The job boundary" in
+/// the module docs). On the home thread itself: the thread-owned queue,
+/// behind what the message lane holds — no lock, never full. Anywhere
+/// else: the home's message lane.
+fn post(lanes: &MsgLanes, home: usize, msg: ShardMsg) {
+    let elsewhere = LOCAL.with_borrow_mut(|local| {
+        let at_home = |l: &&mut ShardLocal| Arc::ptr_eq(&l.lanes, lanes) && l.me == home;
+        let Some(l) = local.as_mut().filter(at_home) else {
+            return Some(msg);
+        };
+        let mut rx = l.rx.borrow_mut();
+        while let Some(earlier) = rx.pop_lane(LANE_PEER0 + lanes.len()) {
+            l.posts.push_back(earlier);
+        }
+        l.posts.push_back(msg);
+        None
+    });
+    if let Some(msg) = elsewhere {
+        send_waiting(lanes, &lanes[home], msg);
     }
 }
 
@@ -404,19 +494,18 @@ impl ShardedRuntime {
             })?;
         let admission = AdmissionControl::new(builder.config.clone(), tick);
         let board = Arc::new(LoadBoard::new(n));
+        let taskset = &builder.taskset;
+        let owner_of = |t: TaskId| -> Result<usize> {
+            let owner = taskset.task(t)?.spec().assigned_worker();
+            Ok(owner.ok_or(Error::MissingPartition(t))?.index())
+        };
         // Seed the victim-selection hints: shards joined by a
         // cross-shard DAG edge are marked adjacent, so on exact load
         // ties a thief prefers a victim whose jobs have successors (or
         // predecessors) on the thief's own shard — the stolen work's
         // tokens then travel a lane that already exists.
-        for e in builder.taskset.edges() {
-            let worker_of = |t: TaskId| {
-                builder.taskset.tasks()[t.index()]
-                    .spec()
-                    .assigned_worker()
-                    .map(|w| w.index())
-            };
-            if let (Some(a), Some(b)) = (worker_of(e.src), worker_of(e.dst)) {
+        for e in taskset.edges() {
+            if let (Ok(a), Ok(b)) = (owner_of(e.src), owner_of(e.dst)) {
                 if a != b {
                     board.set_adjacent(a, b);
                 }
@@ -424,67 +513,47 @@ impl ShardedRuntime {
         }
         let drain_board: Arc<Vec<AtomicBool>> =
             Arc::new((0..n).map(|_| AtomicBool::new(false)).collect());
-        let mut control = Vec::with_capacity(n);
-        let mut schedulers = Vec::with_capacity(n);
-        let mut workers = Vec::with_capacity(n);
 
-        // One mailbox per shard: worker lane, control lane, one lane per
-        // peer shard for the cross-shard protocol, and a final message
-        // lane fed by the channel notify hooks. Peer senders are
-        // regrouped so scheduler thread `s` owns, for every target `t`,
-        // the sender feeding lane `LANE_PEER0 + s` of `t`'s mailbox.
-        let mut worker_txs = Vec::with_capacity(n);
+        // One mailbox per shard: control lane, one lane per peer shard
+        // for the cross-shard protocol, and a final message lane fed by
+        // the channel notify hooks. Peer senders are regrouped so shard
+        // thread `s` owns, for every target `t`, the sender feeding lane
+        // `LANE_PEER0 + s` of `t`'s mailbox.
+        let mut control = Vec::with_capacity(n);
         let mut receivers = Vec::with_capacity(n);
         let mut peer_lanes_by_target = Vec::with_capacity(n);
         let mut msg_txs = Vec::with_capacity(n);
         for _ in 0..n {
             let (mut lanes, mailbox_rx) = mailbox::<ShardMsg>(LANE_PEER0 + n + 1, cap.max(64));
             let mut peer_lanes = lanes.split_off(LANE_PEER0);
-            let msg_tx = peer_lanes.pop().expect("message lane present");
-            msg_txs.push(Arc::new(Mutex::new(msg_tx)));
+            msg_txs.push(Mutex::new(peer_lanes.pop().expect("message lane present")));
             peer_lanes_by_target.push(peer_lanes);
-            control.push(lanes.remove(LANE_CONTROL));
-            worker_txs.push(lanes.remove(LANE_WORKER));
+            control.push(Mutex::new(lanes.swap_remove(LANE_CONTROL)));
             receivers.push(mailbox_rx);
         }
+        let msg_lanes: MsgLanes = Arc::new(msg_txs);
 
         // Arm the channel notify hooks: each channel posts its events to
-        // its *home* shard's message lane — the sending task's shard, so
-        // one channel's posts and drains travel one FIFO route and can
-        // never reorder. A home shard that does not own the receiver
-        // forwards over the per-peer lanes (see `ShardMsg::MsgHigh`).
+        // its *home* shard — the sending task's shard, so one channel's
+        // posts and drains travel one FIFO route and can never reorder.
+        // A home shard that does not own the receiver forwards over the
+        // per-peer lanes (see `ShardMsg::MsgHigh`).
         for handle in &builder.channels {
             if handle.ceiling().is_none() {
                 continue;
             }
-            let owner_of = |t: TaskId| -> Result<usize> {
-                builder
-                    .taskset
-                    .tasks()
-                    .get(t.index())
-                    .ok_or(Error::UnknownTask(t))?
-                    .spec()
-                    .assigned_worker()
-                    .ok_or(Error::MissingPartition(t))
-                    .map(|w| w.index())
-            };
-            let home = match builder
-                .taskset
+            let edge = taskset
                 .edges()
                 .iter()
-                .find(|e| Some(e.channel) == handle.channel())
-            {
-                Some(e) => owner_of(e.src)?,
-                None => owner_of(handle.dst())?,
-            };
-            let tx = Arc::clone(&msg_txs[home]);
+                .find(|e| Some(e.channel) == handle.channel());
+            let home = owner_of(edge.map_or(handle.dst(), |e| e.src))?;
+            let lanes = Arc::clone(&msg_lanes);
             let _ = handle.set_notify(Arc::new(move |ev| {
                 let msg = match ev {
                     MsgEvent::HighPosted { dst, ceiling } => ShardMsg::MsgHigh { dst, ceiling },
                     MsgEvent::HighDrained { dst } => ShardMsg::MsgDrained { dst },
                 };
-                let mut tx = tx.lock().expect("message lane mutex poisoned");
-                send_with_backoff(&mut tx, msg);
+                post(&lanes, home, msg);
             }));
         }
         // Transpose: peer_txs[source][target], a shard never sends to
@@ -497,63 +566,31 @@ impl ShardedRuntime {
             }
         }
 
-        for ((shard, mailbox_rx), (worker_tx, peers)) in shards
-            .into_iter()
-            .zip(receivers)
-            .zip(worker_txs.into_iter().zip(peer_txs))
-        {
+        let mut threads = Vec::with_capacity(n);
+        for ((shard, mailbox_rx), peers) in shards.into_iter().zip(receivers).zip(peer_txs) {
             let w = shard.worker();
             let core = builder.pin_offset + w.index();
-            let (to_worker, from_sched) = spsc::channel::<WorkerMsg>(cap);
-            let to_worker = WorkerLink {
-                ring: to_worker,
-                bell: Arc::new(Doorbell::new()),
-            };
-
-            let worker_clock = Arc::clone(&clock);
-            let worker_bell = Arc::clone(&to_worker.bell);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("yasmin-worker-{w}"))
-                    .spawn(move || {
-                        let _ = crate::os::pin_current_thread(core);
-                        shard_worker_main(
-                            from_sched,
-                            &worker_bell,
-                            worker_tx,
-                            &worker_clock,
-                            w,
-                            waiting,
-                        );
-                    })
-                    .map_err(|e| Error::Os(format!("spawning worker {w}: {e}")))?,
-            );
-
-            let shard_bodies = builder.bodies.clone();
-            let sched_clock = Arc::clone(&clock);
+            let bodies = builder.bodies.clone();
+            let clock = Arc::clone(&clock);
+            let lanes = Arc::clone(&msg_lanes);
             let links = PeerLinks {
                 txs: peers,
-                pending: (0..n).map(|_| std::collections::VecDeque::new()).collect(),
+                pending: (0..n).map(|_| VecDeque::new()).collect(),
                 board: Arc::clone(&board),
                 stealing: builder.work_stealing && n > 1,
                 drained: Arc::clone(&drain_board),
             };
-            schedulers.push(
+            threads.push(
                 std::thread::Builder::new()
                     .name(format!("yasmin-shard-sched-{w}"))
                     .spawn(move || {
-                        let _ = crate::os::pin_current_thread(core);
-                        shard_scheduler_main(
-                            shard,
-                            shard_bodies,
-                            to_worker,
-                            mailbox_rx,
-                            &sched_clock,
-                            waiting,
-                            links,
-                        )
+                        let pinned = crate::os::pin_current_thread(core).is_ok();
+                        let (records, stats) = shard_scheduler_main(
+                            shard, bodies, mailbox_rx, &clock, waiting, links, lanes,
+                        );
+                        (records, stats, pinned)
                     })
-                    .map_err(|e| Error::Os(format!("spawning shard scheduler {w}: {e}")))?,
+                    .map_err(|e| Error::Os(format!("spawning shard thread {w}: {e}")))?,
             );
         }
 
@@ -561,31 +598,45 @@ impl ShardedRuntime {
             ledger: Mutex::new(TenantLedger::new(admission, builder.taskset)),
             config: builder.config,
             clock,
-            control: Mutex::new(control),
-            schedulers,
-            workers,
+            control,
+            lanes: msg_lanes,
+            shards: threads,
         })
     }
 
+    /// Sends one `msg()` down every shard's control lane.
+    fn broadcast(&self, msg: impl Fn() -> ShardMsg) {
+        for lane in &self.control {
+            send_waiting(&self.lanes, lane, msg());
+        }
+    }
+
+    fn lock_ledger(&self) -> MutexGuard<'_, TenantLedger> {
+        wait_for(&self.lanes, || try_lock(&self.ledger))
+    }
+
     /// Activates an aperiodic or sporadic task on its owning shard (the
-    /// paper's `yas_task_activate`).
+    /// paper's `yas_task_activate`). Like [`ShardedRuntime::retire`] and
+    /// [`ShardedRuntime::stop`] it may be called from a task body of
+    /// this runtime, whatever the other callers are doing.
     ///
     /// # Errors
     ///
     /// [`Error::UnknownTask`] / [`Error::MissingPartition`] when the
     /// task does not exist or has no worker assignment.
     pub fn activate(&self, task: TaskId) -> Result<()> {
-        let w = {
-            let ledger = self.ledger.lock().expect("tenant ledger mutex poisoned");
-            ledger
-                .merged()
-                .task(task)?
-                .spec()
-                .assigned_worker()
-                .ok_or(Error::MissingPartition(task))?
-        };
-        let mut control = self.control.lock().expect("control mutex poisoned");
-        send_with_backoff(&mut control[w.index()], ShardMsg::Activate(task));
+        let owner = self
+            .lock_ledger()
+            .merged()
+            .task(task)?
+            .spec()
+            .assigned_worker();
+        let w = owner.ok_or(Error::MissingPartition(task))?;
+        send_waiting(
+            &self.lanes,
+            &self.control[w.index()],
+            ShardMsg::Activate(task),
+        );
         Ok(())
     }
 
@@ -608,8 +659,11 @@ impl ShardedRuntime {
     /// disarmed and acknowledges, and only once all shards have
     /// acknowledged is the commit broadcast that arms the releases. The
     /// barrier guarantees a cross-shard DAG token of the new tenant can
-    /// never arrive at a shard that has not yet spliced. Existing
-    /// tenants' scheduling is untouched either way.
+    /// never arrive at a shard that has not yet spliced. A shard
+    /// acknowledges at its next job boundary, so the call lasts as long
+    /// as the longest body then running — and must not come from a task
+    /// body of this runtime, whose own shard could then never
+    /// acknowledge. Existing tenants' scheduling is untouched either way.
     ///
     /// Returns the assigned [`TenantId`] (use it with
     /// [`ShardedRuntime::retire`]); the tenant's task ids are its
@@ -628,58 +682,50 @@ impl ShardedRuntime {
         bodies: HashMap<(TaskId, VersionId), TaskBody>,
         budget: Option<TenantBudget>,
     ) -> std::result::Result<TenantId, AdmissionError> {
-        check_candidate_bodies(candidate, &bodies)?;
-        let mut ledger = self.ledger.lock().expect("tenant ledger mutex poisoned");
-        ledger.admit(candidate, budget.as_ref(), |admission| {
-            validate_sharding(admission.merged, &self.config)?;
-            let remapped: Arc<HashMap<(TaskId, VersionId), TaskBody>> = Arc::new(
-                bodies
-                    .into_iter()
-                    .map(|((t, v), b)| ((TaskId::new(admission.task_offset + t.raw()), v), b))
-                    .collect(),
-            );
-
-            // Phase 1: broadcast the splice and wait for every shard to
-            // acknowledge it.
-            let mut control = self.control.lock().expect("control mutex poisoned");
-            let ack = Arc::new(AtomicUsize::new(control.len()));
-            let at = self.clock.now();
-            for tx in control.iter_mut() {
-                send_with_backoff(
-                    tx,
-                    ShardMsg::Admit {
-                        taskset: Arc::clone(admission.merged),
-                        bodies: Arc::clone(&remapped),
-                        budget,
-                        at,
-                        ack: Arc::clone(&ack),
-                    },
+        check_bodies(candidate, &bodies).map_err(AdmissionError::Invalid)?;
+        let ack = Arc::new(AtomicUsize::new(self.control.len()));
+        // Phase 1: broadcast the splice, under the ledger lock so that
+        // every shard hears concurrent admissions in ledger order.
+        let tenant = self
+            .lock_ledger()
+            .admit(candidate, budget.as_ref(), |admission| {
+                validate_sharding(admission.merged, &self.config)?;
+                let remapped: Arc<HashMap<(TaskId, VersionId), TaskBody>> = Arc::new(
+                    bodies
+                        .into_iter()
+                        .map(|((t, v), b)| ((TaskId::new(admission.task_offset + t.raw()), v), b))
+                        .collect(),
                 );
-            }
-            let mut backoff = Backoff::new();
-            while ack.load(Ordering::Acquire) != 0 {
-                backoff.snooze();
-            }
-
-            // Phase 2: every shard knows the tenant — arm its releases
-            // (each shard anchors them at its next local tick edge).
-            for tx in control.iter_mut() {
-                send_with_backoff(
-                    tx,
-                    ShardMsg::Commit {
-                        tenant: admission.tenant,
-                    },
-                );
-            }
-            Ok(())
-        })
+                let at = self.clock.now();
+                self.broadcast(|| ShardMsg::Admit {
+                    taskset: Arc::clone(admission.merged),
+                    bodies: Arc::clone(&remapped),
+                    budget,
+                    at,
+                    ack: Arc::clone(&ack),
+                });
+                Ok(())
+            })?;
+        // Wait for every shard to acknowledge, holding nothing: a body
+        // that calls `activate`, `retire` or `stop` meanwhile gets
+        // through, returns, and lets its shard reach the boundary this
+        // wait is for.
+        wait_for(&self.lanes, || {
+            (ack.load(Ordering::Acquire) == 0).then_some(())
+        });
+        // Phase 2: every shard knows the tenant — arm its releases
+        // (each shard anchors them at its next local tick edge).
+        self.broadcast(|| ShardMsg::Commit { tenant });
+        Ok(tenant)
     }
 
     /// Retires an admitted tenant on every shard: its future releases
-    /// stop, its ready jobs are culled, its in-flight jobs finish
+    /// stop, its ready jobs are culled, a job of its in flight finishes
     /// without firing successors, and racing cross-shard tokens are
     /// dropped silently. Other tenants are untouched, and the tenant's
     /// bandwidth is available to the next [`ShardedRuntime::admit`].
+    /// Returns once the command is sent; each shard applies it at its
+    /// next job boundary.
     ///
     /// # Errors
     ///
@@ -687,27 +733,21 @@ impl ShardedRuntime {
     /// admitted or already retired; [`Error::InvalidConfig`] for tenant
     /// 0 (the build-time set — use [`ShardedRuntime::stop`]).
     pub fn retire(&self, tenant: TenantId) -> Result<()> {
-        let mut ledger = self.ledger.lock().expect("tenant ledger mutex poisoned");
+        let mut ledger = self.lock_ledger();
         // The ledger forgets the tenant before the shards hear of it:
         // a later admission's splice travels the same FIFO control
         // lanes, so every shard has retired the tenant by the time it
         // commits a tenant admitted into the freed bandwidth.
         ledger.retire(tenant)?;
         let at = self.clock.now();
-        let mut control = self.control.lock().expect("control mutex poisoned");
-        for tx in control.iter_mut() {
-            send_with_backoff(tx, ShardMsg::Retire { tenant, at });
-        }
+        self.broadcast(|| ShardMsg::Retire { tenant, at });
         Ok(())
     }
 
     /// Stops releasing new periodic jobs on every shard; in-flight jobs
     /// drain (the paper's `yas_stop`).
     pub fn stop(&self) {
-        let mut control = self.control.lock().expect("control mutex poisoned");
-        for tx in control.iter_mut() {
-            send_with_backoff(tx, ShardMsg::Stop);
-        }
+        self.broadcast(|| ShardMsg::Stop);
     }
 
     /// Drains every shard, joins all threads and returns the merged run
@@ -719,116 +759,28 @@ impl ShardedRuntime {
     /// Panics if a runtime thread panicked.
     #[must_use]
     pub fn cleanup(mut self) -> RuntimeReport {
-        {
-            let mut control = self.control.lock().expect("control mutex poisoned");
-            for tx in control.iter_mut() {
-                send_with_backoff(tx, ShardMsg::Shutdown);
-            }
+        self.broadcast(|| ShardMsg::Shutdown);
+        let mut report = RuntimeReport {
+            records: Vec::new(),
+            engine_stats: EngineStats::default(),
+            unpinned_threads: 0,
+        };
+        for s in self.shards.drain(..) {
+            let (records, stats, pinned) = s.join().expect("shard thread panicked");
+            report.records.extend(records);
+            report.engine_stats.merge(&stats);
+            report.unpinned_threads += usize::from(!pinned);
         }
-        let mut records = Vec::new();
-        let mut engine_stats = EngineStats::default();
-        for s in self.schedulers.drain(..) {
-            let (recs, stats) = s.join().expect("shard scheduler thread panicked");
-            records.extend(recs);
-            engine_stats.merge(&stats);
-        }
-        for w in self.workers.drain(..) {
-            w.join().expect("worker thread panicked");
-        }
-        records.sort_by_key(|r| (r.completed, r.job.task, r.job.seq));
-        RuntimeReport {
-            records,
-            engine_stats,
-        }
+        report
+            .records
+            .sort_by_key(|r| (r.completed, r.job.task, r.job.seq));
+        report
     }
 }
 
-/// The scheduler's end of its worker: the dispatch ring and the bell
-/// the worker sleeps on when the ring stays empty.
-struct WorkerLink {
-    ring: spsc::Producer<WorkerMsg>,
-    bell: Arc<Doorbell>,
-}
-
-impl WorkerLink {
-    /// Hands `msg` to the worker and wakes it if it sleeps. The ring is
-    /// sized for `max_pending_jobs`, so a full ring only means the
-    /// worker is momentarily behind — and awake, every earlier push
-    /// having rung it.
-    fn push(&mut self, mut msg: WorkerMsg) {
-        let mut backoff = Backoff::new();
-        while let Err(spsc::Full(v)) = self.ring.push(msg) {
-            msg = v;
-            backoff.snooze();
-        }
-        self.bell.ring();
-    }
-}
-
-fn shard_worker_main(
-    mut rx: spsc::Consumer<WorkerMsg>,
-    bell: &Doorbell,
-    mut done_tx: MailboxSender<ShardMsg>,
-    clock: &Arc<MonotonicClock>,
-    me: WorkerId,
-    waiting: WaitChoice,
-) {
-    let mut backoff = Backoff::new();
-    let mut idle_polls = 0u32;
-    loop {
-        match rx.pop() {
-            Some(WorkerMsg::Exit) => break,
-            Some(WorkerMsg::Run { job, version, body }) => {
-                backoff.reset();
-                idle_polls = 0;
-                let started = clock.now();
-                let ctx = JobCtx {
-                    job,
-                    version,
-                    worker: me,
-                };
-                // Contain body panics: a panicking job is handed back as
-                // Failed instead of killing the worker thread and with it
-                // the whole shard. `TaskBody` is a shared closure and not
-                // `UnwindSafe`, but its captured state is never observed
-                // by the runtime after a panic, so the assertion is sound.
-                let outcome =
-                    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&ctx))) {
-                        Ok(()) => JobOutcome::Completed,
-                        Err(_) => JobOutcome::Failed,
-                    };
-                let completed = clock.now();
-                send_with_backoff(
-                    &mut done_tx,
-                    ShardMsg::Done {
-                        job,
-                        version,
-                        started,
-                        completed,
-                        outcome,
-                    },
-                );
-            }
-            None => {
-                idle_polls += 1;
-                // Under the sleep strategy an idle worker polls through
-                // one back-off — the yields let the scheduler, on the
-                // same core, hand over the next job of a burst without
-                // a futex round trip — then sleeps until the
-                // scheduler's next dispatch rings.
-                if waiting == WaitChoice::Sleep && idle_polls > 64 {
-                    bell.wait(None, || !rx.is_empty());
-                } else {
-                    backoff.snooze();
-                }
-            }
-        }
-    }
-}
-
-/// A scheduler thread's links to its peers: one mailbox sender per
-/// target shard (its own slot is `None`), the advisory load board, and
-/// whether stealing is enabled.
+/// A shard thread's links to its peers: one mailbox sender per target
+/// shard (its own slot is `None`), the advisory load board, and whether
+/// stealing is enabled.
 ///
 /// Peer sends never block: a full lane spills into a local per-target
 /// FIFO that [`PeerLinks::flush`] retries every wake. Blocking here
@@ -838,7 +790,7 @@ fn shard_worker_main(
 struct PeerLinks {
     txs: Vec<Option<MailboxSender<ShardMsg>>>,
     /// Per-target overflow, preserving lane FIFO order.
-    pending: Vec<std::collections::VecDeque<ShardMsg>>,
+    pending: Vec<VecDeque<ShardMsg>>,
     board: Arc<LoadBoard>,
     stealing: bool,
     /// The shared drain board of the two-phase shutdown: `drained[s]`
@@ -879,9 +831,7 @@ impl PeerLinks {
     }
 
     fn pending_empty(&self) -> bool {
-        self.pending
-            .iter()
-            .all(std::collections::VecDeque::is_empty)
+        self.pending.iter().all(VecDeque::is_empty)
     }
 
     /// Publishes this shard's stealable load and, when there is
@@ -924,15 +874,17 @@ impl PeerLinks {
     }
 }
 
+/// One shard's thread: engine rounds, and between them the one job the
+/// last round dispatched, run right here.
 #[allow(clippy::too_many_lines)]
 fn shard_scheduler_main(
     mut shard: EngineShard,
     mut bodies: HashMap<(TaskId, VersionId), TaskBody>,
-    mut to_worker: WorkerLink,
-    mut rx: MailboxReceiver<ShardMsg>,
+    rx: MailboxReceiver<ShardMsg>,
     clock: &Arc<MonotonicClock>,
     waiting: WaitChoice,
     mut peers: PeerLinks,
+    lanes: MsgLanes,
 ) -> (Vec<RtJobRecord>, EngineStats) {
     let worker = shard.worker();
     let me = worker.index();
@@ -953,30 +905,32 @@ fn shard_scheduler_main(
     let mut drain_acks = 0usize;
     let peer_count = peers.txs.len().saturating_sub(1);
 
+    // The mailbox is shared with the notify hooks that fire on this
+    // thread (`post`): they run inside a body, when this loop holds no
+    // borrow of it.
+    let rx = Rc::new(RefCell::new(rx));
+    LOCAL.set(Some(ShardLocal {
+        lanes,
+        me,
+        rx: Rc::clone(&rx),
+        posts: VecDeque::new(),
+    }));
+    // What the body just run left in `ShardLocal::posts`, swapped out at
+    // the boundary (the two buffers alternate, neither reallocates).
+    let mut posts: VecDeque<ShardMsg> = VecDeque::new();
+
     // One reusable sink: the steady-state loop allocates nothing for
-    // actions. Dispatches go straight into the worker's SPSC ring.
+    // actions.
     let mut sink = ActionSink::new();
-    // Completions found pending in one mailbox drain, retired through
-    // the engine's batch API (or folded into a due tick) so the whole
-    // burst pays a single dispatch round.
-    let mut done_batch: Vec<(WorkerId, JobId)> = Vec::with_capacity(8);
+    // The job the engine's last round dispatched — one worker, never
+    // preempted, so at most one — run at the top of the next pass.
+    let mut next_job: Option<(Job, VersionId)> = None;
+    // The completion of the body just run, not yet retired: folded into
+    // a due tick, or retired ahead of the first command of the pass.
+    let mut done: Option<(WorkerId, JobId)> = None;
+    let mut last_done = Instant::ZERO;
     // Cross-shard DAG tokens drained from the shard outbox, reused.
     let mut outbox: Vec<RemoteActivation> = Vec::with_capacity(8);
-    let mut last_done = Instant::ZERO;
-    // `bodies` is passed explicitly (not captured) because admission
-    // grows the map between rounds.
-    let dispatch = |sink: &ActionSink,
-                    to_worker: &mut WorkerLink,
-                    bodies: &HashMap<(TaskId, VersionId), TaskBody>| {
-        for &a in sink.as_slice() {
-            if let Action::Dispatch { job, version, .. } = a {
-                let body = Arc::clone(&bodies[&(job.task, version)]);
-                to_worker.push(WorkerMsg::Run { job, version, body });
-            }
-            // Boost actions are priority bookkeeping only; preemption is
-            // disabled, so Preempt cannot occur.
-        }
-    };
 
     // The advertised load is the *stealable* load: zero whenever the
     // steal probe would yield no hint (empty queue, or a top job that
@@ -986,14 +940,21 @@ fn shard_scheduler_main(
     let stealable_load =
         |shard: &EngineShard| -> usize { shard.try_steal().map_or(0, |_| shard.ready_len()) };
 
-    // Everything an engine round leaves behind: dispatches go to the
-    // worker ring, cross-shard tokens route to their owning peers, and
+    // Everything an engine round leaves behind: the dispatch becomes
+    // the next job, cross-shard tokens route to their owning peers, and
     // — when anyone actually probes — the advisory load is republished
     // (with stealing off, the probe and the store would be pure
     // overhead on the benchmarked dispatch path).
     macro_rules! settle_round {
-        ($sink:expr) => {{
-            dispatch($sink, &mut to_worker, &bodies);
+        () => {{
+            for &a in sink.as_slice() {
+                // Boost actions are priority bookkeeping only;
+                // preemption is disabled, so Preempt cannot occur.
+                if let Action::Dispatch { job, version, .. } = a {
+                    debug_assert!(next_job.is_none(), "one worker, one job");
+                    next_job = Some((job, version));
+                }
+            }
             shard.drain_outbox_into(&mut outbox);
             for ra in outbox.drain(..) {
                 peers.send(
@@ -1009,6 +970,38 @@ fn shard_scheduler_main(
             }
         }};
     }
+    // Retires the pending completion, if any, in a round of its own.
+    macro_rules! retire_done {
+        () => {
+            if let Some(c) = done.take() {
+                sink.clear();
+                shard
+                    .on_jobs_completed_into(&[c], last_done, &mut sink)
+                    .expect("completion protocol upheld");
+                settle_round!();
+            }
+        };
+    }
+    // The tick round at `$at`, folding in the pending completion: one
+    // dispatch round sees the freed worker and the fresh releases
+    // together.
+    macro_rules! tick_round {
+        ($at:expr) => {{
+            sink.clear();
+            shard
+                .advance_into(done.as_slice(), $at, &mut sink)
+                .expect("completion protocol upheld");
+            done = None;
+            settle_round!();
+            // Age the donation history once per tick, from one shard
+            // only (every shard halving it would decay n times faster
+            // than intended). "Recent donor" then means "donated within
+            // the last few ticks".
+            if peers.stealing && me == 0 {
+                peers.board.decay_donations();
+            }
+        }};
+    }
 
     // One instant anchors both grids: the releases `start_into` arms
     // and the tick edges that dispatch them. An anchor taken after the
@@ -1016,37 +1009,88 @@ fn shard_scheduler_main(
     // release by however long that round took.
     let t0 = clock.now();
     shard.start_into(t0, &mut sink).expect("fresh shard starts");
-    settle_round!(&sink);
+    settle_round!();
     let mut next_tick = t0 + tick;
 
     loop {
+        // The job boundary. Run the dispatched job here, on the shard's
+        // own thread; everything below waited for it (module docs).
+        if let Some((job, version)) = next_job.take() {
+            let ctx = JobCtx {
+                job,
+                version,
+                worker,
+            };
+            let body = &bodies[&(job.task, version)];
+            let started = clock.now();
+            // Contain body panics: a panicking job retires as Failed
+            // instead of killing the thread and with it the whole shard.
+            // `TaskBody` is a shared closure and not `UnwindSafe`, but
+            // its captured state is never observed by the runtime after
+            // a panic, so the assertion is sound.
+            let outcome =
+                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&ctx))) {
+                    Ok(()) => JobOutcome::Completed,
+                    Err(_) => JobOutcome::Failed,
+                };
+            let completed = clock.now();
+            // The edges the body ran across, in time order and ahead of
+            // its completion: overrun enforcement and the miss trip
+            // find the job still in its slot.
+            while next_tick <= completed {
+                tick_round!(next_tick);
+                next_tick += tick;
+            }
+            records.push(RtJobRecord {
+                job,
+                version,
+                worker,
+                started,
+                completed,
+                outcome,
+            });
+            last_done = completed;
+            match outcome {
+                JobOutcome::Completed => done = Some((worker, job.id)),
+                // Rare by construction: retired alone through the
+                // failure path (successors are policy-gated there).
+                JobOutcome::Failed => {
+                    sink.clear();
+                    shard
+                        .on_job_failed_into(worker, job.id, completed, &mut sink)
+                        .expect("failure protocol upheld");
+                    settle_round!();
+                }
+            }
+            LOCAL.with_borrow_mut(|l| {
+                let l = l.as_mut().expect("set when the thread started");
+                std::mem::swap(&mut posts, &mut l.posts);
+            });
+        }
+
         // Retry any peer sends that found a full lane earlier — before
         // draining our own mailbox, so two busy shards always make
         // mutual progress.
         peers.flush();
-        // Drain the mailbox (completions, control, peer protocol) on
-        // the zero-alloc path. Pending completions coalesce; any other
-        // command first flushes them, so command effects stay ordered
-        // as received. Completions still pending when the drain ends
-        // are folded into the tick round below if one is due.
+        // Drain on the zero-alloc path, in the order things happened:
+        // what the body posted, its completion, then the mailbox
+        // (control, peer protocol, message lane). The completion
+        // retires ahead of the first command, so command effects stay
+        // ordered behind it; if none arrived it is folded into the tick
+        // round below when one is due.
         let mut drained_any = false;
-        debug_assert!(done_batch.is_empty());
         loop {
-            let msg = rx.try_recv();
-            if msg.is_some() {
-                drained_any = true;
-            }
-            let flush =
-                !done_batch.is_empty() && !matches!(msg, Some(ShardMsg::Done { .. }) | None);
-            if flush {
-                sink.clear();
-                shard
-                    .on_jobs_completed_into(&done_batch, last_done, &mut sink)
-                    .expect("completion protocol upheld");
-                done_batch.clear();
-                settle_round!(&sink);
-            }
-            let Some(msg) = msg else { break };
+            let msg = match posts.pop_front() {
+                Some(msg) => msg,
+                None => {
+                    let Some(msg) = rx.borrow_mut().try_recv() else {
+                        break;
+                    };
+                    retire_done!();
+                    msg
+                }
+            };
+            drained_any = true;
             // Late work arriving after this shard advertised quiescence
             // revokes the advertisement before any effect of the work
             // (dispatches, routed tokens) becomes visible to peers. The
@@ -1055,51 +1099,10 @@ fn shard_scheduler_main(
                 peers.clear_drained(me);
             }
             match msg {
-                ShardMsg::Done {
-                    job,
-                    version,
-                    started,
-                    completed,
-                    outcome,
-                } => {
-                    // Max, not overwrite: the mailbox merges lanes, and
-                    // a batch's dispatch round must not run at a
-                    // timestamp earlier than a completion it retires.
-                    last_done = last_done.max(completed);
-                    records.push(RtJobRecord {
-                        job,
-                        version,
-                        worker,
-                        started,
-                        completed,
-                        outcome,
-                    });
-                    match outcome {
-                        JobOutcome::Completed => done_batch.push((worker, job.id)),
-                        JobOutcome::Failed => {
-                            // Failures are rare by construction: flush
-                            // the completed batch so retirement stays
-                            // ordered, then retire the failure alone
-                            // through the failure path (successors are
-                            // policy-gated there).
-                            sink.clear();
-                            if !done_batch.is_empty() {
-                                shard
-                                    .on_jobs_completed_into(&done_batch, last_done, &mut sink)
-                                    .expect("completion protocol upheld");
-                                done_batch.clear();
-                            }
-                            shard
-                                .on_job_failed_into(worker, job.id, completed, &mut sink)
-                                .expect("failure protocol upheld");
-                            settle_round!(&sink);
-                        }
-                    }
-                }
                 ShardMsg::Activate(task) => {
                     sink.clear();
                     if shard.activate_into(task, clock.now(), &mut sink).is_ok() {
-                        settle_round!(&sink);
+                        settle_round!();
                     }
                 }
                 ShardMsg::CrossActivate {
@@ -1110,9 +1113,9 @@ fn shard_scheduler_main(
                     shard
                         .on_remote_token(edge, graph_release, clock.now(), &mut sink)
                         .expect("cross-shard token routed to the owning shard");
-                    settle_round!(&sink);
+                    settle_round!();
                 }
-                ShardMsg::MsgHigh { dst, ceiling } => {
+                ShardMsg::MsgHigh { dst, .. } | ShardMsg::MsgDrained { dst } => {
                     let owner = shard
                         .taskset()
                         .tasks()
@@ -1120,40 +1123,21 @@ fn shard_scheduler_main(
                         .and_then(|t| t.spec().assigned_worker());
                     match owner {
                         Some(o) if o.index() == me => {
-                            sink.clear();
-                            let cmd = ShardCmd::MsgHigh {
-                                dst,
-                                ceiling,
-                                at: clock.now(),
+                            let at = clock.now();
+                            let cmd = match msg {
+                                ShardMsg::MsgHigh { ceiling, .. } => {
+                                    ShardCmd::MsgHigh { dst, ceiling, at }
+                                }
+                                _ => ShardCmd::MsgDrained { dst, at },
                             };
+                            sink.clear();
                             if shard.process_into(cmd, &mut sink).is_ok() {
-                                settle_round!(&sink);
+                                settle_round!();
                             }
                         }
                         // Not ours: ride the per-peer lane to the owner,
                         // like a cross-shard activation token.
-                        Some(o) => peers.send(o.index(), ShardMsg::MsgHigh { dst, ceiling }),
-                        None => {}
-                    }
-                }
-                ShardMsg::MsgDrained { dst } => {
-                    let owner = shard
-                        .taskset()
-                        .tasks()
-                        .get(dst.index())
-                        .and_then(|t| t.spec().assigned_worker());
-                    match owner {
-                        Some(o) if o.index() == me => {
-                            sink.clear();
-                            let cmd = ShardCmd::MsgDrained {
-                                dst,
-                                at: clock.now(),
-                            };
-                            if shard.process_into(cmd, &mut sink).is_ok() {
-                                settle_round!(&sink);
-                            }
-                        }
-                        Some(o) => peers.send(o.index(), ShardMsg::MsgDrained { dst }),
+                        Some(o) => peers.send(o.index(), msg),
                         None => {}
                     }
                 }
@@ -1186,7 +1170,7 @@ fn shard_scheduler_main(
                     shard
                         .adopt_stolen_batch(jobs.as_slice(), clock.now(), &mut sink)
                         .expect("stolen batch adoptable by the requesting shard");
-                    settle_round!(&sink);
+                    settle_round!();
                 }
                 ShardMsg::StealDeny => pending_steal = None,
                 ShardMsg::Admit {
@@ -1216,7 +1200,7 @@ fn shard_scheduler_main(
                         .commit_tenant_anchored_into(tenant, next_tick, clock.now(), &mut sink)
                         .is_ok()
                     {
-                        settle_round!(&sink);
+                        settle_round!();
                     }
                 }
                 ShardMsg::Retire { tenant, at } => {
@@ -1224,7 +1208,7 @@ fn shard_scheduler_main(
                     shard
                         .retire_tenant_into(tenant, at, &mut sink)
                         .expect("retirement validated by the retiring thread");
-                    settle_round!(&sink);
+                    settle_round!();
                 }
                 ShardMsg::Stop => shard.stop(),
                 ShardMsg::Shutdown => {
@@ -1242,6 +1226,7 @@ fn shard_scheduler_main(
                 ShardMsg::DrainAck => drain_acks += 1,
             }
         }
+        let rx = rx.borrow();
 
         // A steal request outstanding towards a victim that exited
         // unanswered (its lane closed and drained) counts as a refusal.
@@ -1251,21 +1236,20 @@ fn shard_scheduler_main(
                 pending_steal = None;
             }
         }
-        // Two-phase loss-free drain (closes ROADMAP parity gap (2), the
-        // shutdown-loss window of the old bounded flush). Phase one: a
-        // shard that has gone locally quiet — idle worker, no steal in
-        // flight, spill backlog flushed — barriers every peer lane with
-        // `DrainFlush` and waits for all acks; the FIFO lanes turn each
-        // ack into a proof that the peer received everything routed to
-        // it before the flush. Phase two: with all acks in and its own
-        // mailbox empty, the shard raises its flag on the shared drain
-        // board. Exit happens only at global quiescence — every shard
-        // drained *and* this shard's mailbox and backlog still empty. A
-        // late token un-drains its receiver before any effect of the
-        // work is visible, and an undelivered message always shows up
-        // either in its sender's backlog (sender not drained) or its
-        // receiver's mailbox (receiver re-checks before exiting), so no
-        // message can be lost.
+        // Two-phase loss-free drain. Phase one: a shard that has gone
+        // locally quiet — no job, no steal in flight, spill backlog
+        // flushed — barriers every peer lane with `DrainFlush` and
+        // waits for all acks; the FIFO lanes turn each ack into a proof
+        // that the peer received everything routed to it before the
+        // flush. Phase two: with all acks in and its own mailbox empty,
+        // the shard raises its flag on the shared drain board. Exit
+        // happens only at global quiescence — every shard drained *and*
+        // this shard's mailbox and backlog still empty. A late token
+        // un-drains its receiver before any effect of the work is
+        // visible, and an undelivered message always shows up either in
+        // its sender's backlog (sender not drained) or its receiver's
+        // mailbox (receiver re-checks before exiting), so no message
+        // can be lost.
         if shutting_down && shard.is_idle() && pending_steal.is_none() && peers.pending_empty() {
             if !flush_sent {
                 for p in 0..peers.txs.len() {
@@ -1283,41 +1267,19 @@ fn shard_scheduler_main(
             }
         }
 
-        // Tick edge, generated locally by this shard's owner. A due
-        // tick folds the still-pending completion batch into the same
-        // engine round: one dispatch round sees the freed worker and
-        // the fresh releases together.
+        // Tick edge, generated locally by this shard's owner.
         let now = clock.now();
         if now >= next_tick {
-            sink.clear();
-            shard
-                .advance_into(&done_batch, now, &mut sink)
-                .expect("completion protocol upheld");
-            done_batch.clear();
-            settle_round!(&sink);
-            // Age the donation history once per tick, from one shard
-            // only (every shard halving it would decay n times faster
-            // than intended). "Recent donor" then means "donated within
-            // the last few ticks".
-            if peers.stealing && me == 0 {
-                peers.board.decay_donations();
-            }
+            tick_round!(now);
             while next_tick <= now {
                 next_tick += tick;
             }
             continue;
         }
-        if !done_batch.is_empty() {
-            sink.clear();
-            shard
-                .on_jobs_completed_into(&done_batch, last_done, &mut sink)
-                .expect("completion protocol upheld");
-            done_batch.clear();
-            settle_round!(&sink);
-        }
+        retire_done!();
 
-        // Fully idle (empty queue, idle worker, drained mailbox): probe
-        // the load board and ask the most loaded peer for work.
+        // Fully idle (empty queue, no job, drained mailbox): probe the
+        // load board and ask the most loaded peer for work.
         let thief = peers.stealing
             && !shutting_down
             && pending_steal.is_none()
@@ -1343,8 +1305,9 @@ fn shard_scheduler_main(
             }
         }
 
-        if drained_any {
-            // Something arrived this pass: look again before sleeping.
+        if drained_any || next_job.is_some() {
+            // Something arrived this pass, or there is a job to run:
+            // back to the top before sleeping.
             continue;
         }
         match waiting {
@@ -1352,9 +1315,9 @@ fn shard_scheduler_main(
                 // Sleep until the next tick edge or the first ring.
                 // Everything this loop acts on, and what wakes it:
                 //
-                //  * a mailbox command (completion, control, peer
-                //    protocol incl. `DrainFlush`/`DrainAck`, message
-                //    lane)            — `send` rings;
+                //  * a mailbox command (control, peer protocol incl.
+                //    `DrainFlush`/`DrainAck`, message lane)
+                //                     — `send` rings;
                 //  * `pending_steal` towards a victim that is gone
                 //    (its thread died: a live victim always answers)
                 //                     — a closing lane rings; one that
@@ -1369,6 +1332,9 @@ fn shard_scheduler_main(
                 //  * room in a full peer lane for `peers.flush()`
                 //                     — no event: timeout capped at
                 //                       `SPILL_RETRY` while spilled.
+                //
+                // A job to run and this thread's own posts are not in
+                // the list: neither outlives the pass that found it.
                 //
                 // The two re-checks run inside `park`, after this
                 // thread has announced its sleep: a writer that changes
@@ -1395,23 +1361,17 @@ fn shard_scheduler_main(
         }
     }
 
-    // Global quiescence reached: every shard is drained and this
-    // shard's mailbox and spill backlog are empty. Nothing can be in
-    // flight — an undelivered message would have kept either its
-    // sender's backlog non-empty (sender not drained) or this mailbox
-    // non-empty — so exiting here loses no routed token, steal grant
-    // or completion. (The old exit bounded its backlog flush and
-    // documented a shutdown-loss window; the drain barrier replaces
-    // it.)
+    // Global quiescence (see the drain protocol above): nothing can be
+    // in flight, so exiting here loses no routed token or steal grant.
     debug_assert!(
         peers.pending_empty(),
         "drained shard with spilled peer messages"
     );
-    debug_assert!(rx.is_empty(), "drained shard with a non-empty mailbox");
+    debug_assert!(
+        rx.borrow().is_empty(),
+        "drained shard with a non-empty mailbox"
+    );
     peers.board.publish(me, 0);
-
-    // Release the worker.
-    to_worker.push(WorkerMsg::Exit);
     (records, shard.stats().clone())
 }
 
@@ -1422,10 +1382,10 @@ mod tests {
     #[cfg(target_os = "linux")]
     use crate::test_util::{alone_in_child, thread_sleeps};
     use std::sync::atomic::{AtomicU32, Ordering};
-    use yasmin_core::config::MappingScheme;
+    use yasmin_core::config::{ConfigBuilder, MappingScheme};
     use yasmin_core::graph::TaskSetBuilder;
     use yasmin_core::priority::PriorityPolicy;
-    use yasmin_core::task::TaskSpec;
+    use yasmin_core::task::{OverrunPolicy, TaskSpec};
     use yasmin_core::time::Duration;
     use yasmin_core::version::VersionSpec;
 
@@ -1433,15 +1393,17 @@ mod tests {
         Duration::from_millis(v)
     }
 
-    fn sharded_config(workers: usize) -> Config {
+    fn sharded(workers: usize) -> ConfigBuilder {
         Config::builder()
             .workers(workers)
             .mapping(MappingScheme::Partitioned)
             .sharded_dispatch(true)
             .priority(PriorityPolicy::EarliestDeadlineFirst)
             .preemption(false)
-            .build()
-            .unwrap()
+    }
+
+    fn sharded_config(workers: usize) -> Config {
+        sharded(workers).build().unwrap()
     }
 
     #[test]
@@ -1769,11 +1731,12 @@ mod tests {
     fn cross_shard_high_lane_boosts_the_receiver() {
         // src (worker 0) streams typed messages to dst (worker 1) over
         // the channel bound to their DAG edge; every third message rides
-        // the high lane. The notify hook runs on worker 0's thread, the
-        // post crosses shard 0's message lane and a peer lane to shard 1
-        // — the thread crossings this smoke test exists to put under
-        // TSan. dst outlasts the src period, so a high post always finds
-        // a live dst job to boost.
+        // the high lane. The post hook runs in src's body on shard 0's
+        // thread and takes that thread's own queue, the drain hook runs
+        // on shard 1's and crosses shard 0's message lane, and both are
+        // forwarded over a peer lane to shard 1 — the thread crossings
+        // this smoke test exists to put under TSan. dst outlasts the src
+        // period, so a high post always finds a live dst job to boost.
         use yasmin_core::priority::Priority;
         let mut b = TaskSetBuilder::new();
         let src = b
@@ -2007,13 +1970,16 @@ mod tests {
             .build()
             .unwrap();
         std::thread::sleep(std::time::Duration::from_millis(20));
-        let before = thread_sleeps(&["yasmin-shard-sc", "yasmin-worker-"]);
+        let before = thread_sleeps(&["yasmin-"]);
         std::thread::sleep(std::time::Duration::from_millis(300));
-        let after = thread_sleeps(&["yasmin-shard-sc", "yasmin-worker-"]);
+        let after = thread_sleeps(&["yasmin-"]);
         rt.stop();
         let report = rt.cleanup();
         assert!(report.records.len() >= 5, "the schedule ran meanwhile");
-        assert_eq!(before.len(), 4, "two scheduler and two worker threads");
+        // The census: a shard is one thread, and there are no others.
+        let mut names: Vec<&str> = before.values().map(|(name, _)| name.as_str()).collect();
+        names.sort_unstable();
+        assert_eq!(names, ["yasmin-shard-sc", "yasmin-shard-sc"]);
         for (tid, (name, sleeps_before)) in &before {
             let (_, sleeps_after) = after[tid];
             let slept = sleeps_after - sleeps_before;
@@ -2186,5 +2152,286 @@ mod tests {
             );
             assert!(!r.missed(), "missed deadline in an idle host run");
         }
+    }
+
+    /// Declares a task pinned to `worker` with one version of `wcet`.
+    fn task(
+        b: &mut TaskSetBuilder,
+        spec: TaskSpec,
+        worker: u16,
+        wcet: Duration,
+    ) -> (TaskId, VersionId) {
+        let t = b.task_decl(spec.on_worker(WorkerId::new(worker))).unwrap();
+        let v = b.version_decl(t, VersionSpec::new("v", wcet)).unwrap();
+        (t, v)
+    }
+
+    fn nap_ms(v: u64) {
+        std::thread::sleep(std::time::Duration::from_millis(v));
+    }
+
+    #[test]
+    fn spinning_shards_keep_their_schedule() {
+        // `WaitChoice::Spin`, one 5 ms task per shard for 200 ms: each
+        // shard busy-waits alone on its thread, so every job starts
+        // within a period of its release, none is lost, and `cleanup`
+        // has no backlog to wait out.
+        within_attempts(3, || {
+            let mut b = TaskSetBuilder::new();
+            let ids = [0, 1].map(|w| {
+                let spec = TaskSpec::periodic(format!("t{w}"), ms(5));
+                task(&mut b, spec, w, Duration::from_micros(100))
+            });
+            let ts = Arc::new(b.build().unwrap());
+            let config = sharded(2).waiting(WaitChoice::Spin).build().unwrap();
+            let mut builder = ShardedRuntimeBuilder::new(ts, config);
+            for (t, v) in ids {
+                builder = builder.body(t, v, |_| {});
+            }
+            let rt = builder.build().unwrap();
+            nap_ms(200);
+            rt.stop();
+            let t = std::time::Instant::now();
+            let report = rt.cleanup();
+            let cleanup_ms = t.elapsed().as_millis();
+            for (task, _) in ids {
+                let seqs: Vec<u64> = report
+                    .records
+                    .iter()
+                    .filter(|r| r.job.task == task)
+                    .map(|r| r.job.seq)
+                    .collect();
+                assert!(seqs.len() >= 30, "{task} ran {seqs:?}");
+                assert!(
+                    seqs.iter().copied().eq(0..seqs.len() as u64),
+                    "{task} lost a job: {seqs:?}"
+                );
+            }
+            let late = report
+                .records
+                .iter()
+                .filter(|r| r.start_latency() >= ms(5))
+                .count();
+            if late > 0 || cleanup_ms >= 1_000 {
+                return Err(format!(
+                    "{late} jobs a period late, cleanup took {cleanup_ms} ms"
+                ));
+            }
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn overrunning_body_is_flagged_in_its_slot() {
+        // Tick 5 ms (quick's period). slow's first body sleeps across
+        // two edges on a 2 ms WCET; the thread that handles them was
+        // inside that body, so they are handled when it returns — before
+        // its completion retires, or the overrun would find the slot
+        // empty and the killed job's successor would fire.
+        within_attempts(3, || {
+            let mut b = TaskSetBuilder::new();
+            let slow = TaskSpec::periodic("slow", ms(50)).with_overrun_policy(OverrunPolicy::Kill);
+            let (slow, vs) = task(&mut b, slow, 0, ms(2));
+            let (succ, vsucc) = task(&mut b, TaskSpec::graph_node("succ"), 0, ms(2));
+            let (quick, vq) = task(&mut b, TaskSpec::periodic("quick", ms(5)), 0, ms(2));
+            let c = b.channel_decl("c", 1, 8);
+            b.channel_connect(slow, succ, c).unwrap();
+            let ts = Arc::new(b.build().unwrap());
+            let config = sharded(1).enforce_wcet(true).build().unwrap();
+            let first = AtomicBool::new(true);
+            let rt = ShardedRuntimeBuilder::new(ts, config)
+                .body(slow, vs, move |_| {
+                    if first.swap(false, Ordering::SeqCst) {
+                        nap_ms(12);
+                    }
+                })
+                .body(succ, vsucc, |_| {})
+                .body(quick, vq, |_| {})
+                .build()
+                .unwrap();
+            nap_ms(130);
+            rt.stop();
+            let report = rt.cleanup();
+            let ran = |t: TaskId| report.records.iter().filter(|r| r.job.task == t).count();
+            assert!(ran(slow) >= 2 && ran(quick) >= 10, "the schedule ran");
+            // A body the host stalled for 2 ms reads as an overrun too.
+            if report.engine_stats.overruns != 1 {
+                return Err(format!("{} overruns", report.engine_stats.overruns));
+            }
+            assert_eq!(
+                ran(succ),
+                ran(slow) - 1,
+                "the killed job fired no successor"
+            );
+            Ok(())
+        });
+    }
+
+    /// Runs `scenario` on a thread of its own and fails if it has not
+    /// returned within 20 s: the scenarios below hang when a shard
+    /// thread waits for itself.
+    fn must_return<T: Send + 'static>(scenario: impl FnOnce() -> T + Send + 'static) -> T {
+        let (verdict_tx, verdict_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || verdict_tx.send(scenario()));
+        verdict_rx
+            .recv_timeout(std::time::Duration::from_secs(20))
+            .expect("a shard thread waits for itself")
+    }
+
+    #[test]
+    fn a_body_may_post_more_than_its_home_lane_holds() {
+        // Every src job posts 100 high messages: 100 events from shard
+        // 0's own thread to its own home, whose message lane holds 64 —
+        // sent there, the first job would wait for room only its own
+        // thread can make. dst drains them all in one job on shard 1:
+        // 100 drain events into that lane from a foreign body, which
+        // does wait for room, while shard 0 forwards 100 posts the other
+        // way. Nothing may hang, and every boost must balance (in debug
+        // builds the engine asserts that no drain overtakes its post).
+        const PER_JOB: u32 = 100;
+        let (sent, got) = must_return(|| {
+            let mut b = TaskSetBuilder::new();
+            let (src, vs) = task(&mut b, TaskSpec::periodic("src", ms(10)), 0, ms(1));
+            let (dst, vd) = task(&mut b, TaskSpec::graph_node("dst"), 1, ms(1));
+            let c = b.channel_decl_prioritized("data", 64, 8, 256, Priority::HIGHEST);
+            b.channel_connect(src, dst, c).unwrap();
+            let ts = Arc::new(b.build().unwrap());
+            let config = sharded(2).max_pending_jobs(64).build().unwrap();
+            let mut builder = ShardedRuntimeBuilder::new(ts, config);
+            let (tx, rx) = builder.channel::<u64>(c).unwrap();
+            let sent = Arc::new(AtomicU32::new(0));
+            let got = Arc::new(AtomicU32::new(0));
+            let (s, g) = (Arc::clone(&sent), Arc::clone(&got));
+            let rt = builder
+                .body(src, vs, move |_| {
+                    for i in 0..PER_JOB {
+                        s.fetch_add(
+                            u32::from(tx.send_high(u64::from(i)).is_ok()),
+                            Ordering::SeqCst,
+                        );
+                    }
+                })
+                .body(dst, vd, move |_| {
+                    while rx.recv().is_some() {
+                        g.fetch_add(1, Ordering::SeqCst);
+                    }
+                })
+                .build()
+                .unwrap();
+            nap_ms(60);
+            rt.stop();
+            let _ = rt.cleanup();
+            (sent.load(Ordering::SeqCst), got.load(Ordering::SeqCst))
+        });
+        assert!(sent >= 3 * PER_JOB, "only {sent} posts");
+        assert_eq!(sent, got, "every post was drained");
+    }
+
+    #[test]
+    fn a_body_may_activate_while_another_thread_admits() {
+        // base (shard 0, every 5 ms) activates an aperiodic task of its
+        // own shard 100 times per job — more than the 64 slots of the
+        // control lane only its own thread drains — while this thread
+        // admits and retires tenants back to back: `admit` waits for
+        // shard 0's job boundary, which base reaches only if `activate`
+        // gets past whatever `admit` holds.
+        const PER_JOB: u32 = 100;
+        let (activated, ran) = must_return(|| {
+            let mut b = TaskSetBuilder::new();
+            let (base, vb) = task(&mut b, TaskSpec::periodic("base", ms(5)), 0, ms(1));
+            let (aper, va) = task(
+                &mut b,
+                TaskSpec::aperiodic("aper"),
+                0,
+                Duration::from_micros(1),
+            );
+            let ts = Arc::new(b.build().unwrap());
+            // Where the body finds the runtime it runs on.
+            let slot: Arc<std::sync::RwLock<Option<ShardedRuntime>>> = Arc::default();
+            let rt = Arc::clone(&slot);
+            let activated = Arc::new(AtomicU32::new(0));
+            let ran = Arc::new(AtomicU32::new(0));
+            let (act, r) = (Arc::clone(&activated), Arc::clone(&ran));
+            let config = sharded(2).max_pending_jobs(64).build().unwrap();
+            let built = ShardedRuntimeBuilder::new(ts, config)
+                .body(base, vb, move |_| {
+                    let rt = rt.read().unwrap();
+                    let Some(rt) = rt.as_ref() else { return };
+                    for _ in 0..PER_JOB {
+                        rt.activate(aper).unwrap();
+                        act.fetch_add(1, Ordering::SeqCst);
+                    }
+                })
+                .body(aper, va, move |_| {
+                    r.fetch_add(1, Ordering::SeqCst);
+                })
+                .build()
+                .unwrap();
+            *slot.write().unwrap() = Some(built);
+            {
+                let rt = slot.read().unwrap();
+                let rt = rt.as_ref().unwrap();
+                let noop = Arc::new(AtomicU32::new(0));
+                let until = std::time::Instant::now() + std::time::Duration::from_millis(60);
+                while std::time::Instant::now() < until {
+                    let (cand, bodies) = candidate(5, Duration::from_micros(50), 1, &noop);
+                    let tenant = rt.admit(&cand, bodies, None).unwrap();
+                    rt.retire(tenant).unwrap();
+                }
+                rt.stop();
+            }
+            // Taken once the bodies in flight have let go of it.
+            let rt = slot.write().unwrap().take().unwrap();
+            let stats = rt.cleanup().engine_stats;
+            assert_eq!(stats.released, stats.completed);
+            (activated.load(Ordering::SeqCst), ran.load(Ordering::SeqCst))
+        });
+        assert!(activated >= 3 * PER_JOB, "only {activated} activations");
+        // The ready queue holds 64 too; what it refused is dropped.
+        assert!(ran >= 64, "only {ran} of {activated} activations ran");
+    }
+
+    #[test]
+    fn admit_and_retire_wait_one_body_at_most() {
+        // Shard 0 spends 20 ms of every 50 in one body. An `admit`
+        // issued inside it is acknowledged at the job boundary, a
+        // `retire` only has to be sent: both return within two bodies.
+        const BODY_MS: u64 = 20;
+        within_attempts(3, || {
+            let mut b = TaskSetBuilder::new();
+            let (base, vb) = task(&mut b, TaskSpec::periodic("base", ms(50)), 0, ms(25));
+            let ts = Arc::new(b.build().unwrap());
+            let bodies_begun = Arc::new(AtomicU32::new(0));
+            let begun = Arc::clone(&bodies_begun);
+            let rt = ShardedRuntimeBuilder::new(ts, sharded_config(2))
+                .body(base, vb, move |_| {
+                    begun.fetch_add(1, Ordering::SeqCst);
+                    nap_ms(BODY_MS);
+                })
+                .build()
+                .unwrap();
+            let inside_body = |nth: u32| {
+                while bodies_begun.load(Ordering::SeqCst) < nth {
+                    std::thread::sleep(std::time::Duration::from_micros(200));
+                }
+                std::time::Instant::now()
+            };
+            let noop = Arc::new(AtomicU32::new(0));
+            let (cand, bodies) = candidate(50, Duration::from_micros(50), 1, &noop);
+            let t = inside_body(1);
+            let admitted = rt.admit(&cand, bodies, None);
+            let admit_ms = t.elapsed().as_millis() as u64;
+            let t = inside_body(2);
+            let retired = admitted.as_ref().ok().map(|&tenant| rt.retire(tenant));
+            let retire_ms = t.elapsed().as_millis() as u64;
+            rt.stop();
+            let _ = rt.cleanup();
+            admitted.expect("a light tenant on the running tick is admitted");
+            retired.unwrap().expect("a live tenant retires");
+            if admit_ms >= 2 * BODY_MS || retire_ms >= 2 * BODY_MS {
+                return Err(format!("admit took {admit_ms} ms, retire {retire_ms} ms"));
+            }
+            Ok(())
+        });
     }
 }

@@ -140,24 +140,30 @@ fn user_defined_priorities_are_honoured() {
         .preemption(false)
         .build()
         .unwrap();
-    let order = Arc::new(Mutex::new(Vec::<&'static str>::new()));
-    let (oa, ob) = (Arc::clone(&order), Arc::clone(&order));
     let rt = RuntimeBuilder::new(ts, config)
-        .body(t_a, va, move |_| oa.lock().unwrap().push("a"))
-        .body(t_b, vb, move |_| ob.lock().unwrap().push("b"))
+        .body(t_a, va, |_| {})
+        .body(t_b, vb, |_| {})
         .build()
         .unwrap();
     std::thread::sleep(std::time::Duration::from_millis(50));
     rt.stop();
-    let _ = rt.cleanup();
-    let order = order.lock().unwrap();
-    assert!(order.len() >= 4);
-    // In every released pair, b precedes a.
-    for pair in order.chunks(2) {
-        if pair.len() == 2 {
-            assert_eq!(pair[0], "b", "user priority violated: {order:?}");
-            assert_eq!(pair[1], "a");
-        }
+    let report = rt.cleanup();
+    // In every release — the pair of jobs with one `seq` — b starts
+    // before a. Pairing executions in the order they happened instead
+    // would fail on a host stall longer than the period: two releases in
+    // one tick run `b b a a`.
+    let started = |task, seq| {
+        let mut of_job = report.records.iter().filter(|r| r.job.task == task);
+        of_job.find(|r| r.job.seq == seq).map(|r| r.started)
+    };
+    let releases = report.records.iter().filter(|r| r.job.task == t_a).count() as u64;
+    assert!(releases >= 2, "only {releases} releases");
+    for seq in 0..releases {
+        let (a, b) = (started(t_a, seq), started(t_b, seq));
+        assert!(
+            b.is_some() && b < a,
+            "user priority violated in release {seq}: {report:?}"
+        );
     }
 }
 
