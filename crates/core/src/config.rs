@@ -468,7 +468,12 @@ impl ConfigBuilder {
         self
     }
 
-    /// Sets the waiting strategy.
+    /// Sets the waiting strategy: how a thread of the thread runtimes
+    /// waits between jobs. Every owner thread honours it — a shard's and
+    /// the single-owner `Runtime`'s alike, it is one loop — and so do
+    /// `Runtime`'s helper threads: [`WaitChoice::Sleep`] parks until the
+    /// next tick edge or the first wake-up, [`WaitChoice::Spin`] parks
+    /// nobody and wants a core per thread.
     #[must_use]
     pub fn waiting(mut self, w: WaitChoice) -> Self {
         self.waiting = w;

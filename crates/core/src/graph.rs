@@ -303,30 +303,83 @@ impl TaskSet {
     /// [`Error::CapacityExceeded`] if the combined counts overflow the id
     /// spaces (`u32` tasks/channels, `u16` accelerators).
     pub fn extended(&self, tenant: &TaskSet) -> Result<TaskSet> {
-        let task_off = self.tasks.len();
-        let accel_off = self.accels.len();
-        let chan_off = self.channels.len();
-        let edge_off = self.edges.len();
-        if u32::try_from(task_off + tenant.tasks.len()).is_err() {
+        self.check_room_for(tenant)?;
+        let mut merged = self.clone();
+        merged.append(tenant);
+        Ok(merged)
+    }
+
+    /// [`TaskSet::extended`] built in recycled storage: `stale` is an
+    /// earlier generation of `self` — a set `self` descends from through
+    /// `extended` calls, hence a prefix of it entity for entity — and
+    /// comes back as `self ⊕ tenant`, having copied only what it lacked.
+    /// The cost is that of the tenants appended since `stale` was
+    /// current, not of every task `self` holds, and none of `stale`'s
+    /// storage is freed.
+    ///
+    /// # Errors
+    ///
+    /// As [`TaskSet::extended`] (`stale` is dropped).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stale` holds more entities of any kind than `self`;
+    /// that it is a prefix of `self` is otherwise the caller's word.
+    pub fn extended_from(&self, mut stale: TaskSet, tenant: &TaskSet) -> Result<TaskSet> {
+        self.check_room_for(tenant)?;
+        stale
+            .tasks
+            .extend_from_slice(&self.tasks[stale.tasks.len()..]);
+        stale
+            .accels
+            .extend_from_slice(&self.accels[stale.accels.len()..]);
+        stale
+            .channels
+            .extend_from_slice(&self.channels[stale.channels.len()..]);
+        stale
+            .edges
+            .extend_from_slice(&self.edges[stale.edges.len()..]);
+        stale
+            .preds
+            .extend_from_slice(&self.preds[stale.preds.len()..]);
+        stale
+            .succs
+            .extend_from_slice(&self.succs[stale.succs.len()..]);
+        stale.topo.extend_from_slice(&self.topo[stale.topo.len()..]);
+        stale.append(tenant);
+        Ok(stale)
+    }
+
+    fn check_room_for(&self, tenant: &TaskSet) -> Result<()> {
+        if u32::try_from(self.tasks.len() + tenant.tasks.len()).is_err() {
             return Err(Error::CapacityExceeded {
                 what: "task ids",
                 capacity: u32::MAX as usize,
             });
         }
-        if u16::try_from(accel_off + tenant.accels.len()).is_err() {
+        if u16::try_from(self.accels.len() + tenant.accels.len()).is_err() {
             return Err(Error::CapacityExceeded {
                 what: "accelerator ids",
                 capacity: u16::MAX as usize,
             });
         }
-        if u32::try_from(chan_off + tenant.channels.len()).is_err() {
+        if u32::try_from(self.channels.len() + tenant.channels.len()).is_err() {
             return Err(Error::CapacityExceeded {
                 what: "channel ids",
                 capacity: u32::MAX as usize,
             });
         }
+        Ok(())
+    }
 
-        let mut tasks = self.tasks.clone();
+    /// Appends `tenant`'s entities under offset ids; the id spaces have
+    /// room (`check_room_for`).
+    fn append(&mut self, tenant: &TaskSet) {
+        let task_off = self.tasks.len();
+        let accel_off = self.accels.len();
+        let chan_off = self.channels.len();
+        let edge_off = self.edges.len();
+
         for t in &tenant.tasks {
             let mut task = Task::new(
                 TaskId::new((task_off + t.id().index()) as u32),
@@ -339,68 +392,47 @@ impl TaskSet {
                 }
                 task.push_version(spec);
             }
-            tasks.push(task);
+            self.tasks.push(task);
         }
-
-        let mut accels = self.accels.clone();
         for a in &tenant.accels {
-            accels.push(
+            self.accels.push(
                 AccelSpec::new(AccelId::new((accel_off + a.id().index()) as u16), a.name())
                     .with_active_power(a.active_power()),
             );
         }
-
-        let mut channels = self.channels.clone();
         for c in &tenant.channels {
             // `with_id` preserves every other field (capacity, element
             // size, high-priority lane) across the id offset.
-            channels.push(
+            self.channels.push(
                 c.clone()
                     .with_id(ChannelId::new((chan_off + c.id().index()) as u32)),
             );
         }
-
-        let mut edges = self.edges.clone();
         for e in &tenant.edges {
-            edges.push(Edge {
+            self.edges.push(Edge {
                 src: TaskId::new((task_off + e.src.index()) as u32),
                 dst: TaskId::new((task_off + e.dst.index()) as u32),
                 channel: ChannelId::new((chan_off + e.channel.index()) as u32),
             });
         }
-
-        let mut preds = self.preds.clone();
-        let mut succs = self.succs.clone();
-        preds.extend(
+        self.preds.extend(
             tenant
                 .preds
                 .iter()
                 .map(|p| p.iter().map(|&i| edge_off + i).collect()),
         );
-        succs.extend(
+        self.succs.extend(
             tenant
                 .succs
                 .iter()
                 .map(|s| s.iter().map(|&i| edge_off + i).collect()),
         );
-
-        let mut topo = self.topo.clone();
-        topo.extend(
+        self.topo.extend(
             tenant
                 .topo
                 .iter()
                 .map(|t| TaskId::new((task_off + t.index()) as u32)),
         );
-
-        Ok(TaskSet {
-            tasks,
-            accels,
-            channels,
-            edges,
-            preds,
-            succs,
-            topo,
-        })
     }
 }
 
@@ -877,6 +909,36 @@ mod tests {
             merged.effective_period(TaskId::new(5)),
             Some(Duration::from_millis(50))
         );
+    }
+
+    #[test]
+    fn extended_from_a_stale_generation_equals_extended() {
+        // A tenant with an edge, a channel and an accelerator, so every
+        // table and every offset takes part.
+        let mut b = TaskSetBuilder::new();
+        let root = b
+            .task_decl(TaskSpec::periodic("t-root", Duration::from_millis(50)))
+            .unwrap();
+        let sink = b.task_decl(TaskSpec::graph_node("t-sink")).unwrap();
+        let gpu = b.hwaccel_decl("t-gpu");
+        b.version_decl(root, simple_version()).unwrap();
+        b.version_decl(sink, simple_version().with_accel(gpu))
+            .unwrap();
+        let ch = b.channel_decl("t-ch", 1, 8);
+        b.channel_connect(root, sink, ch).unwrap();
+        let tenant = b.build().unwrap();
+
+        let gen0 = diamond();
+        let gen1 = gen0.extended(&tenant).unwrap();
+        let gen2 = gen1.extended(&tenant).unwrap();
+        let copied = gen2.extended(&tenant).unwrap();
+        // Two generations behind, one behind, and level with `self`.
+        for stale in [gen0, gen1, gen2.clone()] {
+            let recycled = gen2.extended_from(stale, &tenant).unwrap();
+            assert_eq!(format!("{recycled:?}"), format!("{copied:?}"));
+        }
+        assert_eq!(copied.len(), 10);
+        assert_eq!(copied.component_root(TaskId::new(9)), TaskId::new(8));
     }
 
     #[test]

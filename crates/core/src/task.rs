@@ -7,6 +7,7 @@ use crate::priority::Priority;
 use crate::time::Duration;
 use crate::version::VersionSpec;
 use std::fmt;
+use std::sync::Arc;
 
 /// How a task is activated.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
@@ -82,7 +83,9 @@ pub enum DeadlineKind {
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TaskSpec {
-    name: String,
+    /// Shared, so copying a task set (every admission copies the
+    /// merged one) allocates nothing for names.
+    name: Arc<str>,
     kind: ActivationKind,
     period: Duration,
     deadline: DeadlineKind,
@@ -97,7 +100,7 @@ impl TaskSpec {
     #[must_use]
     pub fn periodic(name: impl Into<String>, period: Duration) -> Self {
         TaskSpec {
-            name: name.into(),
+            name: Arc::from(name.into()),
             kind: ActivationKind::Periodic,
             period,
             deadline: DeadlineKind::Implicit,
@@ -120,7 +123,7 @@ impl TaskSpec {
     #[must_use]
     pub fn aperiodic(name: impl Into<String>) -> Self {
         TaskSpec {
-            name: name.into(),
+            name: Arc::from(name.into()),
             kind: ActivationKind::Aperiodic,
             period: Duration::ZERO,
             deadline: DeadlineKind::Implicit,

@@ -11,6 +11,7 @@ use crate::energy::Energy;
 use crate::ids::AccelId;
 use crate::time::Duration;
 use std::fmt;
+use std::sync::Arc;
 
 /// The execution mode the system is currently in.
 ///
@@ -189,7 +190,8 @@ impl VersionProps {
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct VersionSpec {
-    name: String,
+    /// Shared, like [`crate::task::TaskSpec`]'s.
+    name: Arc<str>,
     wcet: Duration,
     energy: Energy,
     accel: Option<AccelId>,
@@ -202,7 +204,7 @@ impl VersionSpec {
     #[must_use]
     pub fn new(name: impl Into<String>, wcet: Duration) -> Self {
         VersionSpec {
-            name: name.into(),
+            name: Arc::from(name.into()),
             wcet,
             energy: Energy::ZERO,
             accel: None,

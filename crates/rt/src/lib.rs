@@ -1,17 +1,18 @@
 //! # yasmin-rt
 //!
-//! The real-thread POSIX runtime of YASMIN: a dedicated scheduler thread
-//! driving the shared scheduling engine at the gcd tick, worker threads
-//! ("virtual CPUs") pinned to cores executing registered task bodies, and
-//! the OS plumbing the paper relies on (affinity, `mlockall`,
+//! The real-thread POSIX runtime of YASMIN: owner threads driving the
+//! scheduling engine at the gcd tick and executing registered task
+//! bodies — themselves, or on pinned helper threads ("virtual CPUs") —
+//! and the OS plumbing the paper relies on (affinity, `mlockall`,
 //! `SCHED_FIFO`).
 //!
 //! * [`runtime`] — [`runtime::RuntimeBuilder`] / [`runtime::Runtime`],
-//!   mirroring the paper's `init`/`start`/`stop`/`cleanup` lifecycle;
-//! * [`sharded`] — the per-core sharded runtime: one thread per shard,
-//!   scheduler and worker at once, each owning an independent engine
-//!   shard fed through the lock-free command mailbox (partitioned
-//!   mapping);
+//!   mirroring the paper's `init`/`start`/`stop`/`cleanup` lifecycle:
+//!   one owner over the whole engine, which runs the bodies itself with
+//!   one worker and feeds a helper thread per worker with more;
+//! * [`sharded`] — the per-core sharded runtime (partitioned mapping):
+//!   one owner per shard, scheduler and worker at once, fed through the
+//!   lock-free command mailbox — and the owner loop both runtimes run;
 //! * [`os`] — best-effort real-time OS setup (feature `os-rt`, on by
 //!   default; degrades gracefully in unprivileged containers).
 

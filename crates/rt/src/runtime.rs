@@ -1,21 +1,33 @@
 //! The real-thread YASMIN runtime (Fig. 1a/1b brought to life).
 //!
-//! One **scheduler thread** owns the scheduling engine, wakes at the gcd
-//! tick (§3.3), processes completion notifications from workers between
-//! ticks, and pushes dispatches into per-worker mailboxes. **Worker
-//! threads** ("virtual CPUs") are pinned to cores best-effort and execute
-//! registered version bodies to completion.
+//! One **owner thread** (`yasmin-scheduler`) holds the whole scheduling
+//! engine over worker slots `0..n`, wakes at the gcd tick (§3.3) and
+//! runs the loop every shard of the sharded runtime runs
+//! ([`crate::sharded`], whose module docs describe it). **Who executes
+//! the bodies follows from the worker count and nothing else:**
 //!
-//! The scheduler thread has **one wait**: a timed receive on its inbox,
-//! which carries workers' completions and every control command
-//! (`activate`, `admit`, `retire`, message boosts, `stop`) alike, bounded
-//! by the next tick edge. A command therefore takes effect when it is
-//! sent, not at the next completion or tick; the table of what the loop
-//! acts on and what wakes it sits at the wait in `scheduler_main`. The
-//! receive sleeps in the kernel whatever `Config::waiting` says
-//! (busy-waiting between jobs is the sharded runtime's, where a thread
-//! has its core to itself), and the tick grid is anchored at the instant
-//! the engine started.
+//! * **One worker** — the owner is scheduler and worker at once. It
+//!   executes the body the engine dispatched itself, pinned to worker
+//!   0's core, and a job costs no hand-off and wakes no second thread.
+//!   While it is inside a body everything else waits for the **job
+//!   boundary** — tick edges, commands, message boosts, a body's own
+//!   posts and calls; the sharded module's "The job boundary" lists
+//!   what waits and how long, and it applies here word for word.
+//! * **Two workers or more** — the owner only schedules, and never runs
+//!   a body: under global scheduling a worker that finishes while the
+//!   owner is inside someone's long body would idle beside ready work.
+//!   Each worker is a helper thread (`yasmin-worker-{w}`, a "virtual
+//!   CPU", pinned best-effort) fed through a one-slot ring with a
+//!   doorbell and answering on its own mailbox lane. Ticks, commands
+//!   and completions are handled as they arrive; completions found
+//!   pending at one wake retire in one engine round.
+//!
+//! Control commands (`activate`, `admit`, `retire`, message boosts,
+//! `stop`) reach the owner over mailbox lanes that ring it, so a parked
+//! owner acts on a command when it is sent, not at the next completion
+//! or tick. Between jobs it waits as [`Config::waiting`] says — parked
+//! on its mailbox until the next tick edge, or spinning — and the tick
+//! grid is anchored at the instant the engine started.
 //!
 //! Substitution note (DESIGN.md): the paper preempts workers with POSIX
 //! signals and a hand-written `swapcontext`. Safe Rust cannot hijack a
@@ -29,19 +41,18 @@
 //! closures (the Rust analogue of the paper's macro-generated static
 //! FIFO buffers — see `examples/quickstart.rs`).
 
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
+use crate::sharded::{Launch, Owners};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use yasmin_core::config::Config;
 use yasmin_core::error::{Error, Result};
 use yasmin_core::graph::TaskSet;
-use yasmin_core::ids::{JobId, TaskId, TenantId, VersionId, WorkerId};
-use yasmin_core::priority::Priority;
-use yasmin_core::time::{Clock, Instant, MonotonicClock};
-use yasmin_sched::admission::{reservation_for, AdmissionControl, AdmissionError, TenantLedger};
-use yasmin_sched::msg::{MsgEvent, NotifyHandle, Receiver as MsgReceiver, Sender as MsgSender};
+use yasmin_core::ids::{TaskId, TenantId, VersionId, WorkerId};
+use yasmin_core::time::Instant;
+use yasmin_sched::admission::AdmissionError;
+use yasmin_sched::msg::{NotifyHandle, Receiver as MsgReceiver, Sender as MsgSender};
 use yasmin_sched::server::TenantBudget;
-use yasmin_sched::{Action, ActionSink, EngineStats, Job, JobOutcome, OnlineEngine};
+use yasmin_sched::{EngineStats, Job, JobOutcome, OnlineEngine};
 
 /// Context handed to a task body for each job.
 #[derive(Debug, Clone, Copy)]
@@ -71,7 +82,7 @@ pub struct RtJobRecord {
     /// When the body returned.
     pub completed: Instant,
     /// Whether the body returned normally or panicked (panics are
-    /// contained on the worker and retired as failures).
+    /// contained on the thread that ran it and retired as failures).
     pub outcome: JobOutcome,
 }
 
@@ -109,76 +120,9 @@ pub struct RuntimeReport {
     pub unpinned_threads: usize,
 }
 
-enum WorkerMsg {
-    Run {
-        job: Job,
-        version: VersionId,
-        body: TaskBody,
-    },
-    Exit,
-}
-
-struct Completion {
-    worker: WorkerId,
-    job: Job,
-    version: VersionId,
-    started: Instant,
-    completed: Instant,
-    outcome: JobOutcome,
-}
-
-enum Cmd {
-    Activate(TaskId),
-    /// A high-priority message entered a channel lane: boost the
-    /// receiving task through the engine's PIP machinery (see
-    /// `yasmin_sched::msg`). Raised by the channel notify hooks wired in
-    /// [`RuntimeBuilder::channel`], from whichever thread sent.
-    MsgHigh {
-        dst: TaskId,
-        ceiling: Priority,
-    },
-    /// A high-lane message was consumed; the boost drops when the lane
-    /// drains (posts and drains balance).
-    MsgDrained {
-        dst: TaskId,
-    },
-    /// Splice-and-commit an already-evaluated tenant (see
-    /// [`Runtime::admit`]): the scheduler thread adopts the merged set,
-    /// registers the tenant's bodies, arms its releases and replies with
-    /// the assigned id — all between two engine rounds, so the splice is
-    /// atomic with respect to scheduling decisions.
-    Admit {
-        merged: Arc<TaskSet>,
-        bodies: HashMap<(TaskId, VersionId), TaskBody>,
-        budget: Option<TenantBudget>,
-        reply: Sender<Result<TenantId>>,
-    },
-    /// Quiesce a tenant: cull its ready jobs and stop its releases;
-    /// in-flight jobs finish but fire no successors.
-    Retire {
-        tenant: TenantId,
-        reply: Sender<Result<()>>,
-    },
-    Stop,
-    Shutdown,
-}
-
-/// Everything the scheduler thread waits for, on one channel: a worker's
-/// completion or a command from any other thread. One inbox means one
-/// blocking receive covers both, and the FIFO keeps a command ordered
-/// after the completions sent before it.
-enum Event {
-    Done(Completion),
-    Cmd(Cmd),
-}
-
 /// Builder mirroring the paper's init/declare phase.
 pub struct RuntimeBuilder {
-    taskset: Arc<TaskSet>,
-    config: Config,
-    bodies: HashMap<(TaskId, VersionId), TaskBody>,
-    channels: Vec<NotifyHandle>,
-    pin_offset: usize,
+    launch: Launch,
     lock_memory: bool,
 }
 
@@ -187,11 +131,7 @@ impl RuntimeBuilder {
     #[must_use]
     pub fn new(taskset: Arc<TaskSet>, config: Config) -> Self {
         RuntimeBuilder {
-            taskset,
-            config,
-            bodies: HashMap::new(),
-            channels: Vec::new(),
-            pin_offset: 0,
+            launch: Launch::new(taskset, config),
             lock_memory: false,
         }
     }
@@ -218,8 +158,8 @@ impl RuntimeBuilder {
         &mut self,
         id: yasmin_core::ids::ChannelId,
     ) -> Result<(MsgSender<T>, MsgReceiver<T>)> {
-        let (tx, rx) = yasmin_sched::msg::channel(&self.taskset, id)?;
-        self.channels.push(tx.notify_handle());
+        let (tx, rx) = yasmin_sched::msg::channel(&self.launch.taskset, id)?;
+        self.launch.channels.push(tx.notify_handle());
         Ok((tx, rx))
     }
 
@@ -228,7 +168,7 @@ impl RuntimeBuilder {
     /// its high-lane traffic reaches this runtime's scheduler.
     #[must_use]
     pub fn register_channel(mut self, handle: NotifyHandle) -> Self {
-        self.channels.push(handle);
+        self.launch.channels.push(handle);
         self
     }
 
@@ -240,18 +180,20 @@ impl RuntimeBuilder {
         version: VersionId,
         f: impl Fn(&JobCtx) + Send + Sync + 'static,
     ) -> Self {
-        self.bodies.insert((task, version), Arc::new(f));
+        self.launch.bodies.insert((task, version), Arc::new(f));
         self
     }
 
-    /// Pins worker *w* to core `offset + w` (scheduler thread to
-    /// `offset + workers`), best-effort: a thread the kernel refuses to
-    /// pin runs unpinned and is counted in
-    /// [`RuntimeReport::unpinned_threads`] — the scheduler's, for one,
-    /// whenever the host has no more cores than workers.
+    /// Places the runtime's threads from core `offset` on, best-effort.
+    /// With one worker the only thread — scheduler and worker at once —
+    /// pins to `offset`. With more, worker *w* pins to `offset + w` and
+    /// the scheduling thread to `offset + workers`. A thread the kernel
+    /// refuses to pin runs unpinned and is counted in
+    /// [`RuntimeReport::unpinned_threads`] — the scheduling thread's,
+    /// for one, whenever the host has no more cores than workers.
     #[must_use]
     pub fn pin_cores_from(mut self, offset: usize) -> Self {
-        self.pin_offset = offset;
+        self.launch.pin_offset = offset;
         self
     }
 
@@ -262,11 +204,11 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Validates the declarations and spawns the scheduler and worker
-    /// threads. The schedule starts immediately: the scheduler thread
-    /// starts the engine as its first act, so periodic tasks with a zero
-    /// release offset are dispatched before `build` has returned to a
-    /// slow caller. There is no separate `start` call.
+    /// Validates the declarations and spawns the runtime's threads. The
+    /// schedule starts immediately: the owner thread starts the engine
+    /// as its first act, so periodic tasks with a zero release offset
+    /// are dispatched before `build` has returned to a slow caller.
+    /// There is no separate `start` call.
     ///
     /// # Errors
     ///
@@ -274,7 +216,7 @@ impl RuntimeBuilder {
     ///   docs) or a version has no registered body;
     /// * engine construction errors (partition validation etc.).
     pub fn build(self) -> Result<Runtime> {
-        if self.config.preemption() {
+        if self.launch.config.preemption() {
             return Err(Error::InvalidConfig(
                 "the thread runtime schedules non-preemptively at job boundaries; \
                  build the Config with .preemption(false) (the simulator exercises \
@@ -282,125 +224,38 @@ impl RuntimeBuilder {
                     .into(),
             ));
         }
-        check_bodies(&self.taskset, &self.bodies)?;
-        let engine = OnlineEngine::new(Arc::clone(&self.taskset), self.config.clone())?;
+        check_bodies(&self.launch.taskset, &self.launch.bodies)?;
+        let engine =
+            OnlineEngine::new(Arc::clone(&self.launch.taskset), self.launch.config.clone())?;
         if self.lock_memory {
             // Best-effort; containers commonly deny it.
             let _ = crate::os::lock_all_memory();
         }
-        Runtime::spawn(self, engine)
+        let owners = Owners::spawn(vec![engine], self.launch)?;
+        Ok(Runtime { owners })
     }
 }
 
-/// The running middleware: scheduler thread + pinned workers.
+/// The running middleware: one owner thread over the whole engine, and
+/// one helper thread per worker when there are two or more.
+#[derive(Debug)]
 pub struct Runtime {
-    inbox: Sender<Event>,
-    scheduler: Option<std::thread::JoinHandle<RuntimeReport>>,
-    /// Each worker returns whether it ran pinned.
-    workers: Vec<std::thread::JoinHandle<bool>>,
-    worker_tx: Vec<Sender<WorkerMsg>>,
-    /// Tenant state; the mutex serialises admissions and retirements
-    /// from concurrent callers.
-    ledger: Mutex<TenantLedger>,
-}
-
-impl std::fmt::Debug for Runtime {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Runtime")
-            .field("workers", &self.worker_tx.len())
-            .finish_non_exhaustive()
-    }
+    owners: Owners,
 }
 
 impl Runtime {
-    fn spawn(builder: RuntimeBuilder, mut engine: OnlineEngine) -> Result<Self> {
-        let workers_n = builder.config.workers();
-        let clock = Arc::new(MonotonicClock::new());
-        let (inbox, inbox_rx) = bounded::<Event>(builder.config.max_pending_jobs());
-
-        // Arm the channel notify hooks: a high-lane post/drain from any
-        // thread becomes a scheduler command. Channels without a
-        // declared ceiling never reach the scheduler.
-        for handle in &builder.channels {
-            if handle.ceiling().is_none() {
-                continue;
-            }
-            let tx = inbox.clone();
-            let _ = handle.set_notify(Arc::new(move |ev| {
-                let _ = tx.send(Event::Cmd(match ev {
-                    MsgEvent::HighPosted { dst, ceiling } => Cmd::MsgHigh { dst, ceiling },
-                    MsgEvent::HighDrained { dst } => Cmd::MsgDrained { dst },
-                }));
-            }));
-        }
-
-        // Worker threads.
-        let mut worker_tx = Vec::with_capacity(workers_n);
-        let mut workers = Vec::with_capacity(workers_n);
-        for w in 0..workers_n {
-            let (tx, rx) = bounded::<WorkerMsg>(builder.config.max_pending_jobs());
-            worker_tx.push(tx);
-            let done_tx = inbox.clone();
-            let clock = Arc::clone(&clock);
-            let core = builder.pin_offset + w;
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("yasmin-worker-{w}"))
-                    .spawn(move || {
-                        let pinned = crate::os::pin_current_thread(core).is_ok();
-                        worker_main(&rx, &done_tx, &clock, WorkerId::new(w as u16));
-                        pinned
-                    })
-                    .map_err(|e| Error::Os(format!("spawning worker {w}: {e}")))?,
-            );
-        }
-
-        // Scheduler thread.
-        let bodies = builder.bodies;
-        let sched_core = builder.pin_offset + workers_n;
-        let worker_tx_sched = worker_tx.clone();
-        let tick = engine.tick_period();
-        let ledger = TenantLedger::new(AdmissionControl::for_engine(&engine), builder.taskset);
-        let scheduler = std::thread::Builder::new()
-            .name("yasmin-scheduler".into())
-            .spawn(move || {
-                let pinned = crate::os::pin_current_thread(sched_core).is_ok();
-                let mut report = scheduler_main(
-                    &mut engine,
-                    bodies,
-                    &worker_tx_sched,
-                    &inbox_rx,
-                    &clock,
-                    tick,
-                );
-                report.unpinned_threads = usize::from(!pinned);
-                report
-            })
-            .map_err(|e| Error::Os(format!("spawning scheduler: {e}")))?;
-
-        Ok(Runtime {
-            inbox,
-            scheduler: Some(scheduler),
-            workers,
-            worker_tx,
-            ledger: Mutex::new(ledger),
-        })
-    }
-
-    fn send(&self, cmd: Cmd) -> Result<()> {
-        self.inbox
-            .send(Event::Cmd(cmd))
-            .map_err(|_| Error::ScheduleNotRunning)
-    }
-
     /// Activates an aperiodic or sporadic task (the paper's
-    /// `yas_task_activate`).
+    /// `yas_task_activate`). The engine ignores a task it does not
+    /// know or whose tenant has retired. May be called from a task body
+    /// of this runtime, like [`Runtime::retire`] and [`Runtime::stop`].
     ///
     /// # Errors
     ///
-    /// [`Error::ScheduleNotRunning`] when the scheduler thread is gone.
+    /// None today: the command is queued for the owner thread, which
+    /// lives until [`Runtime::cleanup`] consumes the handle.
     pub fn activate(&self, task: TaskId) -> Result<()> {
-        self.send(Cmd::Activate(task))
+        self.owners.activate_on(0, task);
+        Ok(())
     }
 
     /// Admits a new tenant into the **running** schedule.
@@ -410,12 +265,21 @@ impl Runtime {
     /// ids) to executable bodies; `budget`, when given, caps the
     /// tenant's processor share with a per-tenant reservation server.
     ///
-    /// The schedulability check ([`AdmissionControl::evaluate`], on the
-    /// live tenants only — see [`TenantLedger`]) runs on the **caller's**
-    /// thread — the paper's non-real-time admission path — and only an
-    /// accepted tenant ever reaches the scheduler thread, which is woken
-    /// by the command and splices and commits it between two engine
-    /// rounds. Existing tenants' scheduling is untouched either way.
+    /// Everything that can refuse the tenant runs on the **caller's**
+    /// thread — the paper's non-real-time admission path: the body
+    /// check, the request's shape and the schedulability analysis
+    /// ([`yasmin_sched::AdmissionControl::evaluate`], on the live
+    /// tenants only — see [`yasmin_sched::admission::TenantLedger`]).
+    /// An accepted tenant's splice and commit are then sent down the
+    /// owner's control lane and the call **returns once they are sent**,
+    /// without waiting for the owner: it applies them at its next job
+    /// boundary (at once, when it is parked or only schedules), between
+    /// two engine rounds and anchored at its next tick edge, and the
+    /// lane's FIFO order puts them ahead of anything the caller sends
+    /// afterwards. Existing tenants' scheduling is untouched either way.
+    /// A commit that arrives after [`Runtime::stop`] is refused by the
+    /// engine: the tenant never starts.
+    ///
     /// Returns the assigned [`TenantId`] (use it with
     /// [`Runtime::retire`]); task ids of the tenant are its candidate
     /// ids offset by the number of tasks admitted before it.
@@ -424,88 +288,53 @@ impl Runtime {
     ///
     /// [`AdmissionError::Rejected`] names the violated analysis bound;
     /// [`AdmissionError::Invalid`] covers malformed requests (missing
-    /// bodies, partition violations, a period off the running tick) and
-    /// a scheduler that is no longer running.
+    /// bodies, partition violations, a period off the running tick, a
+    /// degenerate budget).
     pub fn admit(
         &self,
         candidate: &TaskSet,
         bodies: HashMap<(TaskId, VersionId), TaskBody>,
         budget: Option<TenantBudget>,
     ) -> std::result::Result<TenantId, AdmissionError> {
-        check_bodies(candidate, &bodies).map_err(AdmissionError::Invalid)?;
-        let mut ledger = self.ledger.lock().expect("tenant ledger mutex poisoned");
-        ledger.admit(candidate, budget.as_ref(), |admission| {
-            let remapped = bodies
-                .into_iter()
-                .map(|((t, v), b)| ((TaskId::new(admission.task_offset + t.raw()), v), b))
-                .collect();
-            let (reply_tx, reply_rx) = bounded(1);
-            self.send(Cmd::Admit {
-                merged: Arc::clone(admission.merged),
-                bodies: remapped,
-                budget,
-                reply: reply_tx,
-            })?;
-            let spliced = reply_rx.recv().map_err(|_| Error::ScheduleNotRunning)??;
-            debug_assert_eq!(spliced, admission.tenant, "engine and ledger count alike");
-            Ok(())
-        })
+        self.owners.admit(candidate, bodies, budget, |_| Ok(()))
     }
 
     /// Retires an admitted tenant: its future releases stop, its ready
     /// jobs are culled, its in-flight jobs finish without firing
-    /// successors. Other tenants are untouched. Returns once the
-    /// scheduler thread has applied the retirement; from then on the
-    /// tenant's bandwidth is available to [`Runtime::admit`] (up to
-    /// `workers` of its jobs, already executing, may still finish — see
-    /// `yasmin_sched::admission`).
+    /// successors. Other tenants are untouched. The id is validated on
+    /// the caller's thread and the call **returns once the command is
+    /// sent**; the owner applies it at its next job boundary, ahead of
+    /// anything the caller sends afterwards. The tenant's bandwidth is
+    /// available to the next [`Runtime::admit`] as soon as this returns
+    /// (that admission's splice queues behind the retirement; up to
+    /// `workers` of the tenant's jobs, already executing, may still
+    /// finish — see `yasmin_sched::admission`).
     ///
     /// # Errors
     ///
     /// [`Error::UnknownTenant`] / [`Error::TenantRetired`] for bad ids
     /// or a double retire; [`Error::InvalidConfig`] for tenant 0 (the
-    /// build-time set — use [`Runtime::stop`]);
-    /// [`Error::ScheduleNotRunning`] when the scheduler is gone.
+    /// build-time set — use [`Runtime::stop`]).
     pub fn retire(&self, tenant: TenantId) -> Result<()> {
-        let mut ledger = self.ledger.lock().expect("tenant ledger mutex poisoned");
-        let (reply_tx, reply_rx) = bounded(1);
-        self.send(Cmd::Retire {
-            tenant,
-            reply: reply_tx,
-        })?;
-        reply_rx.recv().map_err(|_| Error::ScheduleNotRunning)??;
-        ledger.retire(tenant)
+        self.owners.retire(tenant)
     }
 
     /// Stops releasing new periodic jobs; in-flight jobs drain (the
     /// paper's `yas_stop`).
     pub fn stop(&self) {
-        let _ = self.send(Cmd::Stop);
+        self.owners.stop();
     }
 
-    /// Waits for all worker threads to finish and closes (the paper's
-    /// `yas_cleanup`), returning the run report.
+    /// Waits for the runtime's threads to finish and closes (the
+    /// paper's `yas_cleanup`), returning the run report, records
+    /// ordered by completion time.
     ///
     /// # Panics
     ///
     /// Panics if a runtime thread panicked.
     #[must_use]
-    pub fn cleanup(mut self) -> RuntimeReport {
-        let _ = self.send(Cmd::Shutdown);
-        let mut report = self
-            .scheduler
-            .take()
-            .expect("cleanup runs once")
-            .join()
-            .expect("scheduler thread panicked");
-        for tx in &self.worker_tx {
-            let _ = tx.send(WorkerMsg::Exit);
-        }
-        for w in self.workers.drain(..) {
-            let pinned = w.join().expect("worker thread panicked");
-            report.unpinned_threads += usize::from(!pinned);
-        }
-        report
+    pub fn cleanup(self) -> RuntimeReport {
+        self.owners.cleanup()
     }
 }
 
@@ -530,286 +359,16 @@ pub(crate) fn check_bodies(
     Ok(())
 }
 
-fn worker_main(
-    rx: &Receiver<WorkerMsg>,
-    done_tx: &Sender<Event>,
-    clock: &Arc<MonotonicClock>,
-    me: WorkerId,
-) {
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            WorkerMsg::Exit => break,
-            WorkerMsg::Run { job, version, body } => {
-                let started = clock.now();
-                let ctx = JobCtx {
-                    job,
-                    version,
-                    worker: me,
-                };
-                // Contain body panics on the worker: a panicking job is
-                // reported as Failed instead of poisoning the thread (the
-                // whole point of fault isolation — one bad tenant body
-                // must not take a virtual CPU down with it). `TaskBody`
-                // is not `UnwindSafe` because it is a shared closure, but
-                // the runtime never observes its captured state after a
-                // panic, so the assertion is sound.
-                let outcome =
-                    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&ctx))) {
-                        Ok(()) => JobOutcome::Completed,
-                        Err(_) => JobOutcome::Failed,
-                    };
-                let completed = clock.now();
-                if done_tx
-                    .send(Event::Done(Completion {
-                        worker: me,
-                        job,
-                        version,
-                        started,
-                        completed,
-                        outcome,
-                    }))
-                    .is_err()
-                {
-                    break; // scheduler gone
-                }
-            }
-        }
-    }
-}
-
-/// Retires the completions gathered so far (possibly none) in one
-/// engine round, leaving only that round's actions in `sink`, and
-/// empties both batches.
-fn retire_gathered(
-    engine: &mut OnlineEngine,
-    done: &mut Vec<(WorkerId, JobId)>,
-    failed: &mut Vec<(WorkerId, JobId)>,
-    at: Instant,
-    sink: &mut ActionSink,
-) {
-    sink.clear();
-    for (worker, job) in failed.drain(..) {
-        engine
-            .on_job_failed_into(worker, job, at, sink)
-            .expect("failure protocol upheld");
-    }
-    if !done.is_empty() {
-        engine
-            .on_jobs_completed_into(done, at, sink)
-            .expect("completion protocol upheld");
-        done.clear();
-    }
-}
-
-fn scheduler_main(
-    engine: &mut OnlineEngine,
-    mut bodies: HashMap<(TaskId, VersionId), TaskBody>,
-    worker_tx: &[Sender<WorkerMsg>],
-    inbox: &Receiver<Event>,
-    clock: &Arc<MonotonicClock>,
-    tick: yasmin_core::time::Duration,
-) -> RuntimeReport {
-    let mut records: Vec<RtJobRecord> = Vec::new();
-    let mut shutting_down = false;
-
-    // One reusable sink for every engine interaction: the scheduler
-    // thread's steady-state loop performs no allocation for actions.
-    let mut sink = ActionSink::new();
-    // Completions pending at one wake are retired together through the
-    // engine's batch API: N workers finishing close together cost one
-    // dispatch round, not N.
-    let mut done_batch: Vec<(WorkerId, JobId)> = Vec::with_capacity(worker_tx.len().max(4));
-    // Failed (panicked) jobs retire through the failure path, one by
-    // one — rare by construction, so no batch API is warranted.
-    let mut failed_batch: Vec<(WorkerId, JobId)> = Vec::with_capacity(worker_tx.len().max(4));
-    // `bodies` is passed explicitly (not captured) because admission
-    // grows the map between rounds.
-    let dispatch = |sink: &ActionSink, bodies: &HashMap<(TaskId, VersionId), TaskBody>| {
-        for &a in sink.as_slice() {
-            if let Action::Dispatch {
-                worker,
-                job,
-                version,
-            } = a
-            {
-                let body = Arc::clone(&bodies[&(job.task, version)]);
-                // Bounded mailbox: a full mailbox is a protocol bug since
-                // the engine never double-books a worker.
-                worker_tx[worker.index()]
-                    .send(WorkerMsg::Run { job, version, body })
-                    .expect("worker mailbox closed");
-            }
-            // Preempt/Boost cannot occur: preemption is disabled.
-        }
-    };
-
-    // One instant anchors both grids: the releases `start_into` arms
-    // and the tick edges that dispatch them. An anchor taken after the
-    // first dispatch round would make every tick of the run trail its
-    // release by however long that round took.
-    let t0 = clock.now();
-    engine
-        .start_into(t0, &mut sink)
-        .expect("fresh engine starts");
-    dispatch(&sink, &bodies);
-    let mut next_tick = t0 + tick;
-
-    loop {
-        if shutting_down && engine.is_idle() {
-            break;
-        }
-
-        // The one wait. Everything this loop acts on, and what wakes
-        // it:
-        //
-        //  * a worker's completion      — `Event::Done` on the inbox;
-        //  * `activate`, `admit`, `retire`, a high-lane post or drain,
-        //    `stop`, `cleanup`          — `Event::Cmd` on the inbox,
-        //                                 from the calling thread;
-        //  * the tick edge              — the timeout.
-        //
-        // A condition added to this loop needs a line here: an event
-        // on the inbox from whoever changes it, or the timeout.
-        let now = clock.now();
-        let timeout: std::time::Duration = if next_tick > now {
-            (next_tick - now).into()
-        } else {
-            std::time::Duration::ZERO
-        };
-        let first = match inbox.recv_timeout(timeout) {
-            Ok(event) => event,
-            Err(RecvTimeoutError::Timeout) => {
-                // Tick edge: the timed receive has slept up to it.
-                let now = clock.now();
-                sink.clear();
-                engine.on_tick_into(now, &mut sink);
-                dispatch(&sink, &bodies);
-                while next_tick <= now {
-                    next_tick += tick;
-                }
-                continue;
-            }
-            Err(RecvTimeoutError::Disconnected) => break,
-        };
-
-        // Coalesce the burst: every completion already pending joins
-        // one batch and one dispatch round. A command flushes the batch
-        // gathered so far, so it acts on an engine that has seen every
-        // completion sent before it.
-        let mut last_completed = Instant::ZERO;
-        let mut pending = Some(first);
-        while let Some(event) = pending {
-            match event {
-                Event::Done(c) => {
-                    last_completed = last_completed.max(c.completed);
-                    match c.outcome {
-                        JobOutcome::Completed => done_batch.push((c.worker, c.job.id)),
-                        JobOutcome::Failed => failed_batch.push((c.worker, c.job.id)),
-                    }
-                    records.push(RtJobRecord {
-                        job: c.job,
-                        version: c.version,
-                        worker: c.worker,
-                        started: c.started,
-                        completed: c.completed,
-                        outcome: c.outcome,
-                    });
-                }
-                Event::Cmd(cmd) => {
-                    retire_gathered(
-                        engine,
-                        &mut done_batch,
-                        &mut failed_batch,
-                        last_completed,
-                        &mut sink,
-                    );
-                    dispatch(&sink, &bodies);
-                    sink.clear();
-                    let now = clock.now();
-                    // An engine refusal (unknown task, retired tenant,
-                    // failed splice) leaves nothing to dispatch.
-                    let applied = match cmd {
-                        Cmd::Activate(task) => engine.activate_into(task, now, &mut sink).is_ok(),
-                        Cmd::MsgHigh { dst, ceiling } => engine
-                            .on_high_posted_into(dst, ceiling, now, &mut sink)
-                            .is_ok(),
-                        Cmd::MsgDrained { dst } => {
-                            engine.on_high_drained_into(dst, now, &mut sink).is_ok()
-                        }
-                        Cmd::Admit {
-                            merged,
-                            bodies: tenant_bodies,
-                            budget,
-                            reply,
-                        } => {
-                            // Control path: allocation here is fine, the
-                            // tenant is not running yet (see module docs
-                            // of `yasmin_sched::admission`).
-                            let tenant = TenantId::new(engine.tenant_count() as u32);
-                            let server = reservation_for(tenant, budget, now);
-                            // Anchor the release train at the next tick
-                            // edge: this thread dispatches on a fixed
-                            // tick grid, and an off-grid phase would
-                            // delay every dispatch of the tenant by up
-                            // to one tick.
-                            let res = engine.splice_taskset(merged, server).and_then(|t| {
-                                bodies.extend(tenant_bodies);
-                                engine.commit_tenant_anchored_into(t, next_tick, now, &mut sink)?;
-                                Ok(t)
-                            });
-                            let applied = res.is_ok();
-                            let _ = reply.send(res);
-                            applied
-                        }
-                        Cmd::Retire { tenant, reply } => {
-                            let res = engine.retire_tenant_into(tenant, now, &mut sink);
-                            let applied = res.is_ok();
-                            let _ = reply.send(res);
-                            applied
-                        }
-                        Cmd::Stop => {
-                            engine.stop();
-                            false
-                        }
-                        Cmd::Shutdown => {
-                            shutting_down = true;
-                            false
-                        }
-                    };
-                    if applied {
-                        dispatch(&sink, &bodies);
-                    }
-                }
-            }
-            pending = inbox.try_recv().ok();
-        }
-        retire_gathered(
-            engine,
-            &mut done_batch,
-            &mut failed_batch,
-            last_completed,
-            &mut sink,
-        );
-        dispatch(&sink, &bodies);
-    }
-
-    RuntimeReport {
-        records,
-        engine_stats: engine.stats().clone(),
-        unpinned_threads: 0,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_util::within_attempts;
     #[cfg(target_os = "linux")]
     use crate::test_util::{alone_in_child, thread_sleeps};
-    use std::sync::atomic::{AtomicU32, Ordering};
+    use crate::test_util::{must_return, nap_ms, within_attempts};
+    use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
     use yasmin_core::graph::TaskSetBuilder;
-    use yasmin_core::priority::PriorityPolicy;
-    use yasmin_core::task::TaskSpec;
+    use yasmin_core::priority::{Priority, PriorityPolicy};
+    use yasmin_core::task::{OverrunPolicy, TaskSpec};
     use yasmin_core::time::Duration;
     use yasmin_core::version::VersionSpec;
 
@@ -1175,8 +734,8 @@ mod tests {
             // Past the first edge's job, 40 ms short of the next edge.
             std::thread::sleep(std::time::Duration::from_millis(10));
 
-            // `admit` and `retire` return once the scheduler thread has
-            // replied, so their durations are the command round trips.
+            // `admit` and `retire` return once validated and sent: the
+            // parked owner is woken by them, not waited for.
             let (cand, bodies) = candidate(50, Duration::from_micros(50));
             let t = std::time::Instant::now();
             let admitted = rt.admit(&cand, bodies, None);
@@ -1235,40 +794,348 @@ mod tests {
     #[cfg(target_os = "linux")]
     fn idle_scheduler_stays_parked() {
         // The command wake must be an event, not a poll: over 300 ms of
-        // a 50 ms schedule the scheduler thread blocks a few times per
-        // tick (timed receive, the sleep before the spin window, the
-        // job's completion), where a polling loop blocks thousands of
-        // times. Same bound as `sharded::tests::idle_threads_stay_parked`.
+        // a 50 ms schedule a runtime thread blocks a few times per tick
+        // (the timed park, a helper's wait for its next job), where a
+        // polling loop blocks thousands of times. Same bound as
+        // `sharded::tests::idle_threads_stay_parked`. And the census:
+        // one worker is one thread, scheduler and worker at once; two
+        // are two helpers and the thread that schedules them.
         if !alone_in_child("runtime::tests::idle_scheduler_stays_parked") {
             return;
         }
-        let mut b = TaskSetBuilder::new();
-        let t = b.task_decl(TaskSpec::periodic("t", ms(50))).unwrap();
-        let v = b
-            .version_decl(t, VersionSpec::new("v", Duration::from_micros(100)))
-            .unwrap();
-        let ts = Arc::new(b.build().unwrap());
-        let rt = RuntimeBuilder::new(ts, config(1))
-            .body(t, v, |_| {})
-            .build()
-            .unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        let names = ["yasmin-schedule", "yasmin-worker-"];
-        let before = thread_sleeps(&names);
-        std::thread::sleep(std::time::Duration::from_millis(300));
-        let after = thread_sleeps(&names);
-        rt.stop();
-        let report = rt.cleanup();
-        assert!(report.records.len() >= 5, "the schedule ran meanwhile");
-        assert_eq!(before.len(), 2, "one scheduler and one worker thread");
-        for (tid, (name, sleeps_before)) in &before {
-            let (_, sleeps_after) = after[tid];
-            let slept = sleeps_after - sleeps_before;
-            assert!(
-                slept <= 30,
-                "{name} (tid {tid}) blocked {slept} times in 300 ms of a 50 ms schedule"
-            );
+        for (workers, census) in [
+            (1, vec!["yasmin-schedule"]),
+            (
+                2,
+                vec!["yasmin-schedule", "yasmin-worker-0", "yasmin-worker-1"],
+            ),
+        ] {
+            let mut b = TaskSetBuilder::new();
+            let t = b.task_decl(TaskSpec::periodic("t", ms(50))).unwrap();
+            let v = b
+                .version_decl(t, VersionSpec::new("v", Duration::from_micros(100)))
+                .unwrap();
+            let ts = Arc::new(b.build().unwrap());
+            let rt = RuntimeBuilder::new(ts, config(workers))
+                .body(t, v, |_| {})
+                .build()
+                .unwrap();
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            let before = thread_sleeps(&["yasmin-"]);
+            std::thread::sleep(std::time::Duration::from_millis(300));
+            let after = thread_sleeps(&["yasmin-"]);
+            rt.stop();
+            let report = rt.cleanup();
+            assert!(report.records.len() >= 5, "the schedule ran meanwhile");
+            let mut names: Vec<&str> = before.values().map(|(name, _)| name.as_str()).collect();
+            names.sort_unstable();
+            assert_eq!(names, census, "threads of a {workers}-worker runtime");
+            for (tid, (name, sleeps_before)) in &before {
+                let (_, sleeps_after) = after[tid];
+                let slept = sleeps_after - sleeps_before;
+                assert!(
+                    slept <= 30,
+                    "{name} (tid {tid}) blocked {slept} times in 300 ms of a 50 ms schedule"
+                );
+            }
         }
+    }
+
+    /// Declares a task with one version of `wcet`.
+    fn task(b: &mut TaskSetBuilder, spec: TaskSpec, wcet: Duration) -> (TaskId, VersionId) {
+        let t = b.task_decl(spec).unwrap();
+        let v = b.version_decl(t, VersionSpec::new("v", wcet)).unwrap();
+        (t, v)
+    }
+
+    /// Sleeps until `done()` — a few periods of a schedule that makes
+    /// progress — or for 10 s, inside the watchdog of [`must_return`].
+    fn nap_until(done: impl Fn() -> bool) {
+        let t = std::time::Instant::now();
+        while !done() && t.elapsed() < std::time::Duration::from_secs(10) {
+            nap_ms(5);
+        }
+    }
+
+    #[test]
+    fn a_body_may_post_more_than_the_message_lane_holds() {
+        // One worker: src and dst run on the thread that drains the
+        // mailbox. Every src job posts 100 high messages and every dst
+        // job drains them: 200 events a period from that thread's own
+        // bodies, against a message lane of 64 — sent there, the first
+        // job would wait for room only its own thread can make. Nothing
+        // may hang, and every boost must balance (in debug builds the
+        // engine asserts that no drain overtakes its post).
+        const PER_JOB: u32 = 100;
+        let (sent, got, stats) = must_return(|| {
+            let mut b = TaskSetBuilder::new();
+            let (src, vs) = task(&mut b, TaskSpec::periodic("src", ms(10)), ms(1));
+            let (dst, vd) = task(&mut b, TaskSpec::graph_node("dst"), ms(1));
+            let c = b.channel_decl_prioritized("data", 64, 8, 256, Priority::HIGHEST);
+            b.channel_connect(src, dst, c).unwrap();
+            let ts = Arc::new(b.build().unwrap());
+            let config = Config::builder()
+                .workers(1)
+                .priority(PriorityPolicy::EarliestDeadlineFirst)
+                .preemption(false)
+                .max_pending_jobs(64)
+                .build()
+                .unwrap();
+            let mut builder = RuntimeBuilder::new(ts, config);
+            let (tx, rx) = builder.channel::<u64>(c).unwrap();
+            let sent = Arc::new(AtomicU32::new(0));
+            let got = Arc::new(AtomicU32::new(0));
+            let (s, g) = (Arc::clone(&sent), Arc::clone(&got));
+            let rt = builder
+                .body(src, vs, move |_| {
+                    for i in 0..PER_JOB {
+                        s.fetch_add(
+                            u32::from(tx.send_high(u64::from(i)).is_ok()),
+                            Ordering::SeqCst,
+                        );
+                    }
+                })
+                .body(dst, vd, move |_| {
+                    while rx.recv().is_some() {
+                        g.fetch_add(1, Ordering::SeqCst);
+                    }
+                })
+                .build()
+                .unwrap();
+            nap_until(|| sent.load(Ordering::SeqCst) >= 3 * PER_JOB);
+            rt.stop();
+            let stats = rt.cleanup().engine_stats;
+            (
+                sent.load(Ordering::SeqCst),
+                got.load(Ordering::SeqCst),
+                stats,
+            )
+        });
+        assert!(sent >= 3 * PER_JOB, "only {sent} posts");
+        assert_eq!(sent, got, "every post was drained");
+        assert_eq!(stats.released, stats.completed);
+    }
+
+    #[test]
+    fn a_body_may_activate_more_than_the_control_lane_holds() {
+        // One worker: base activates an aperiodic task 100 times per
+        // job, more than the 64 slots of the control lane only its own
+        // thread drains.
+        const PER_JOB: u32 = 100;
+        let (activated, ran) = must_return(|| {
+            let mut b = TaskSetBuilder::new();
+            let (base, vb) = task(&mut b, TaskSpec::periodic("base", ms(5)), ms(1));
+            let (aper, va) = task(
+                &mut b,
+                TaskSpec::aperiodic("aper"),
+                Duration::from_micros(1),
+            );
+            let ts = Arc::new(b.build().unwrap());
+            // Where the body finds the runtime it runs on.
+            let slot: Arc<std::sync::RwLock<Option<Runtime>>> = Arc::default();
+            let rt = Arc::clone(&slot);
+            let activated = Arc::new(AtomicU32::new(0));
+            let ran = Arc::new(AtomicU32::new(0));
+            let (act, r) = (Arc::clone(&activated), Arc::clone(&ran));
+            let config = Config::builder()
+                .workers(1)
+                .priority(PriorityPolicy::EarliestDeadlineFirst)
+                .preemption(false)
+                .max_pending_jobs(64)
+                .build()
+                .unwrap();
+            let built = RuntimeBuilder::new(ts, config)
+                .body(base, vb, move |_| {
+                    let rt = rt.read().unwrap();
+                    let Some(rt) = rt.as_ref() else { return };
+                    for _ in 0..PER_JOB {
+                        rt.activate(aper).unwrap();
+                        act.fetch_add(1, Ordering::SeqCst);
+                    }
+                })
+                .body(aper, va, move |_| {
+                    r.fetch_add(1, Ordering::SeqCst);
+                })
+                .build()
+                .unwrap();
+            *slot.write().unwrap() = Some(built);
+            nap_until(|| activated.load(Ordering::SeqCst) >= 3 * PER_JOB);
+            slot.read().unwrap().as_ref().unwrap().stop();
+            // Taken once the bodies in flight have let go of it.
+            let rt = slot.write().unwrap().take().unwrap();
+            let stats = rt.cleanup().engine_stats;
+            assert_eq!(stats.released, stats.completed);
+            (activated.load(Ordering::SeqCst), ran.load(Ordering::SeqCst))
+        });
+        assert!(activated >= 3 * PER_JOB, "only {activated} activations");
+        // The ready queue holds 64 too; what it refused is dropped.
+        assert!(ran >= 64, "only {ran} of {activated} activations ran");
+    }
+
+    #[test]
+    fn admit_and_retire_do_not_wait_for_the_job_boundary() {
+        // One worker, inside a 20 ms body of every 50: `admit` and
+        // `retire` validate on this thread, send and return — they do
+        // not wait for the owner, which is the thread inside the body.
+        // What they sent is applied when the body returns: the tenant
+        // (10 ms period on the 5 ms tick) is anchored at the next edge
+        // and its first job starts within one of its periods.
+        const BODY_MS: u64 = 20;
+        within_attempts(3, || {
+            let mut b = TaskSetBuilder::new();
+            let (base, vb) = task(&mut b, TaskSpec::periodic("base", ms(50)), ms(25));
+            let ts = Arc::new(b.build().unwrap());
+            let config = Config::builder()
+                .workers(1)
+                .priority(PriorityPolicy::EarliestDeadlineFirst)
+                .preemption(false)
+                .tick(ms(5))
+                .build()
+                .unwrap();
+            let bodies_begun = Arc::new(AtomicU32::new(0));
+            let begun = Arc::clone(&bodies_begun);
+            let rt = RuntimeBuilder::new(ts, config)
+                .body(base, vb, move |_| {
+                    begun.fetch_add(1, Ordering::SeqCst);
+                    nap_ms(BODY_MS);
+                })
+                .build()
+                .unwrap();
+            let inside_body = |nth: u32| {
+                while bodies_begun.load(Ordering::SeqCst) < nth {
+                    std::thread::sleep(std::time::Duration::from_micros(200));
+                }
+                std::time::Instant::now()
+            };
+            let (cand, bodies) = candidate(10, Duration::from_micros(50));
+            let t = inside_body(1);
+            let admitted = rt.admit(&cand, bodies, None);
+            let admit_us = t.elapsed().as_micros();
+            let t = inside_body(3);
+            let retired = admitted.as_ref().ok().map(|&tenant| rt.retire(tenant));
+            let retire_us = t.elapsed().as_micros();
+            rt.stop();
+            let report = rt.cleanup();
+            admitted.expect("a light tenant on the running tick is admitted");
+            retired.unwrap().expect("a live tenant retires");
+            if admit_us >= 5_000 || retire_us >= 5_000 {
+                return Err(format!("admit took {admit_us} µs, retire {retire_us} µs"));
+            }
+            let body_end = report.records.iter().find(|r| r.job.task == base);
+            let body_end = body_end.expect("base ran").completed;
+            let first = report
+                .records
+                .iter()
+                .filter(|r| r.job.task == TaskId::new(1))
+                .map(|r| r.started)
+                .min()
+                .ok_or("the tenant never ran")?;
+            if first < body_end || first.saturating_since(body_end) >= ms(10) {
+                return Err(format!(
+                    "the body ended at {body_end}, the tenant first started at {first}"
+                ));
+            }
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn an_owner_with_helpers_never_runs_a_body() {
+        // Two workers, global EDF, released together: one 30 ms job
+        // (earliest deadline, so it is dispatched first) and three 1 ms
+        // jobs. One worker takes the long job, the other must be handed
+        // the short ones one after the other while it runs — by an
+        // owner that is free to, i.e. is not itself inside the long
+        // body. All three finish long before it does.
+        within_attempts(3, || {
+            let mut b = TaskSetBuilder::new();
+            let long = TaskSpec::periodic("long", ms(200)).with_constrained_deadline(ms(100));
+            let (long, vl) = task(&mut b, long, ms(40));
+            let shorts: Vec<_> = (0..3)
+                .map(|i| {
+                    let spec = TaskSpec::periodic(format!("short{i}"), ms(200));
+                    task(&mut b, spec, ms(2))
+                })
+                .collect();
+            let ts = Arc::new(b.build().unwrap());
+            let mut builder = RuntimeBuilder::new(ts, config(2)).body(long, vl, |_| nap_ms(30));
+            for &(t, v) in &shorts {
+                builder = builder.body(t, v, |_| nap_ms(1));
+            }
+            let rt = builder.build().unwrap();
+            nap_ms(60);
+            rt.stop();
+            let report = rt.cleanup();
+            let first = |t: TaskId| {
+                let r = report.records.iter().find(|r| r.job.task == t);
+                *r.expect("every task ran in 60 ms")
+            };
+            let long = first(long);
+            for &(t, _) in &shorts {
+                let short = first(t);
+                assert_ne!(short.worker, long.worker, "the long job keeps its worker");
+                if short.completed >= long.completed {
+                    return Err(format!(
+                        "{t} completed at {}, the long job at {}",
+                        short.completed, long.completed
+                    ));
+                }
+            }
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn overrunning_body_is_flagged_in_its_slot() {
+        // `sharded::tests::overrunning_body_is_flagged_in_its_slot` on
+        // the one-worker runtime: slow's first body sleeps across two
+        // 5 ms edges on a 2 ms WCET, and the thread that handles them
+        // was inside that body — they are handled when it returns,
+        // before its completion retires, or the overrun would find the
+        // slot empty and the killed job's successor would fire.
+        within_attempts(3, || {
+            let mut b = TaskSetBuilder::new();
+            let slow = TaskSpec::periodic("slow", ms(50)).with_overrun_policy(OverrunPolicy::Kill);
+            let (slow, vs) = task(&mut b, slow, ms(2));
+            let (succ, vsucc) = task(&mut b, TaskSpec::graph_node("succ"), ms(2));
+            let (quick, vq) = task(&mut b, TaskSpec::periodic("quick", ms(5)), ms(2));
+            let c = b.channel_decl("c", 1, 8);
+            b.channel_connect(slow, succ, c).unwrap();
+            let ts = Arc::new(b.build().unwrap());
+            let config = Config::builder()
+                .workers(1)
+                .priority(PriorityPolicy::EarliestDeadlineFirst)
+                .preemption(false)
+                .enforce_wcet(true)
+                .build()
+                .unwrap();
+            let first = AtomicBool::new(true);
+            let rt = RuntimeBuilder::new(ts, config)
+                .body(slow, vs, move |_| {
+                    if first.swap(false, Ordering::SeqCst) {
+                        nap_ms(12);
+                    }
+                })
+                .body(succ, vsucc, |_| {})
+                .body(quick, vq, |_| {})
+                .build()
+                .unwrap();
+            nap_ms(130);
+            rt.stop();
+            let report = rt.cleanup();
+            let ran = |t: TaskId| report.records.iter().filter(|r| r.job.task == t).count();
+            assert!(ran(slow) >= 2 && ran(quick) >= 10, "the schedule ran");
+            // A body the host stalled for 2 ms reads as an overrun too.
+            if report.engine_stats.overruns != 1 {
+                return Err(format!("{} overruns", report.engine_stats.overruns));
+            }
+            assert_eq!(
+                ran(succ),
+                ran(slow) - 1,
+                "the killed job fired no successor"
+            );
+            Ok(())
+        });
     }
 
     #[test]

@@ -1,34 +1,58 @@
-//! The sharded real-thread runtime: **one thread per core**.
+//! The sharded real-thread runtime — **one thread per core** — and the
+//! **owner loop** both thread runtimes run.
 //!
-//! The classic [`crate::runtime::Runtime`] owns one scheduler thread for
-//! the whole engine and hands every job to a worker thread. Under
-//! partitioned mapping the engine state splits into independent
-//! per-worker shards ([`EngineShard`]) — the paper's Fig. 1b, one
-//! scheduler per virtual CPU — so this runtime spawns **one thread per
-//! shard** that is scheduler and worker at once: it runs an engine
-//! round, executes the body that round dispatched *itself*, retires it,
-//! and goes back to its mailbox at the **job boundary**. A job costs no
-//! hand-off: no dispatch ring, no completion message, no second thread
-//! to wake on the same core.
+//! An *owner* is one thread that owns one engine: the whole
+//! [`OnlineEngine`] over worker slots `0..n` behind
+//! [`crate::runtime::Runtime`], or — under partitioned mapping, where
+//! the engine state splits into independent per-worker shards
+//! ([`EngineShard`], the paper's Fig. 1b: one scheduler per virtual CPU)
+//! — one shard's engine per thread of a [`ShardedRuntime`]. Both spawn
+//! the same thread function (`owner_main`) and talk to it over the same
+//! lanes with the same commands (`Owners`); the two public handles
+//! differ in how many owners there are and in what each engine owns.
 //!
-//! Everything else reaches a shard through the MPSC command mailbox of
+//! **Who executes a body follows from the owner's slot count alone.** An
+//! owner with *one* slot — every shard, and a one-worker `Runtime` — is
+//! scheduler and worker at once: it runs an engine round, executes the
+//! body that round dispatched *itself*, retires it, and goes back to its
+//! mailbox at the **job boundary**. A job costs no hand-off: no dispatch
+//! ring, no completion message, no second thread to wake. An owner with
+//! *n ≥ 2* slots is a dedicated scheduling thread and **never** executes
+//! a body: under global scheduling a worker that finishes while the
+//! owner is inside someone's long body would idle beside ready work.
+//! Its dispatches go to `n` helper threads (`yasmin-worker-{w}`), each
+//! fed through a one-slot `yasmin_sync::spsc` ring with a
+//! `Doorbell` beside it and answering on a one-slot mailbox lane of its
+//! own (`ShardMsg::Done`) — the engine books a slot again only after
+//! retiring what ran there, so one job is all either ever holds.
+//! Completions found pending at one drain retire in one engine round.
+//!
+//! Everything else reaches an owner through the MPSC command mailbox of
 //! `yasmin_sync::mailbox`: one lane for control commands
 //! (activate/admit/retire/stop/shutdown), **one lane per peer shard**
 //! carrying the cross-shard protocol — routed DAG activation tokens
 //! (`CrossActivate`), forwarded message-plane events and the
 //! work-stealing handshake (`StealRequest` / `StolenBatch` /
 //! `StealDeny`) — and one *message lane* fed by the channel notify
-//! hooks that fire on other threads. Ticks are generated locally by
-//! each shard thread at the shared gcd period.
+//! hooks that fire on other threads. Lanes are sized by what they
+//! carry: a peer lane is `max_pending_jobs` deep (a peer never waits,
+//! and each token becomes a pending job), the control and message lanes
+//! hold 64 commands (their senders wait for room), a helper's lane and
+//! the lane a shard would use to write to itself one. Ticks are
+//! generated locally by each owner at the shared gcd period.
 //!
 //! # The job boundary
 //!
-//! Shards schedule **non-preemptively** (`preemption(false)`, like the
-//! single-owner runtime; preemptive sharded configurations are
-//! exercised by the simulator driver `yasmin_sim::par`), and a shard
-//! thread inside a body does nothing else. Whatever reaches the shard
-//! meanwhile waits for the boundary — at most **one body**, i.e. one
-//! WCET of a job that keeps to it:
+//! Both runtimes schedule **non-preemptively** (`preemption(false)`;
+//! preemptive configurations are exercised by the simulator, sharded
+//! ones by its driver `yasmin_sim::par`), and an owner inside a body
+//! does nothing else. Whatever reaches it meanwhile waits for the
+//! boundary — at most **one body**, i.e. one WCET of a job that keeps
+//! to it — and is applied there in the order it happened: what the body
+//! posted, what arrived while it ran, and only then its completion. An
+//! activation, a token or a boost that arrived during the body is
+//! therefore in the queue when the round that retires the body picks
+//! the next job — one lower-priority body of blocking, not two:
 //!
 //! * **Tick edges** that passed while the body ran are handled when it
 //!   returns, each at its nominal instant, in time order and *before*
@@ -36,20 +60,23 @@
 //!   overrunning job still in its slot. The releases carry their
 //!   nominal times and are dispatched late by the rest of the body —
 //!   the analysis' non-preemptive blocking term.
-//! * **Steal requests**: a victim grants or refuses at its boundary;
-//!   the thief has one request in flight and sleeps until the answer
-//!   rings. Fewer jobs migrate than a free-running scheduler thread
-//!   would give away.
-//! * **`admit`**: a shard splices and acknowledges at its boundary, so
+//! * **Steal requests**: a victim grants or refuses at its boundary —
+//!   after its own pick, so the job it is about to run stays home; the
+//!   thief has one request in flight and sleeps until the answer rings.
+//!   Fewer jobs migrate than a free-running scheduler thread would give
+//!   away.
+//! * **`admit`**: an owner splices at its boundary. With two shards or
+//!   more every shard acknowledges before the commit is sent, so
 //!   [`ShardedRuntime::admit`] returns after the longest body then in
-//!   flight. `Commit`, [`ShardedRuntime::retire`] (which returns at
-//!   once), `activate` and `stop` take effect there too.
+//!   flight; with one owner nothing is waited for. `Commit`, `retire`
+//!   (which returns at once), `activate` and `stop` take effect there
+//!   too.
 //! * **`DrainFlush`** is acknowledged at the boundary; the shutdown
 //!   drain waits out the bodies in flight in any case.
 //! * **Tokens and boosts from other threads** (`CrossActivate`,
 //!   `MsgHigh`, `MsgDrained`): a boost cannot displace a running body
 //!   on any design; it re-orders the queue the next dispatch reads.
-//! * **Message-plane events from a shard's own bodies.** A notify hook
+//! * **Message-plane events from an owner's own bodies.** A notify hook
 //!   firing on its channel's *home* thread must not send into the
 //!   message lane: only that thread drains it, so waiting for room
 //!   would wait for itself. It appends to a queue the thread owns
@@ -60,31 +87,39 @@
 //! * **Calls from a body.** `activate`, `retire`, `stop` and a post to
 //!   another home may wait: for room in a lane, or for the ledger lock
 //!   of a caller that is itself waiting for room. Every such wait
-//!   (`wait_for`) holds nothing and, on a shard thread, keeps moving
+//!   (`wait_for`) holds nothing and, on an owner's thread, keeps moving
 //!   that thread's mailbox into its own queue — so the room others wait
 //!   for is always made, and two bodies can never wait on each other.
-//!   `admit` waits for every shard's boundary with nothing held, which
-//!   lets those calls through; it must not itself come from a body,
-//!   whose own shard would never get there.
+//!   An `admit` that waits for acknowledgements does so with nothing
+//!   held, which lets those calls through; it must not itself come from
+//!   a body, whose own shard would never get there.
+//!
+//! An owner that feeds helpers has no boundary of this kind: it is
+//! never inside a body, so ticks, commands and completions are handled
+//! as they arrive, and its helpers' bodies reach it like any foreign
+//! thread — over the control and message lanes.
 //!
 //! # Wake-up protocol
 //!
 //! Every sleep in this file is a `yasmin_sync::doorbell::Doorbell` wait
 //! (the paper's "sleep" waiting strategy, §3.5); there is no polling
-//! nap. A shard thread with no job to run parks on its mailbox
-//! (`MailboxReceiver::park`) until its next tick edge, and:
+//! nap. An owner with no job to run parks on its mailbox
+//! (`MailboxReceiver::park`) until its next tick edge, a helper with an
+//! empty ring on the bell beside it, and:
 //!
-//! * Every `send` into any lane rings it: a peer's `CrossActivate` /
-//!   `Steal*` / `MsgHigh` / `Drain*`, the control lane (`activate`,
-//!   `admit`, `retire`, `stop`, `cleanup`) and the notify hooks on the
-//!   message lane. A lane closing rings it too.
-//! * Two things it waits for are *not* messages, so their writers ring
-//!   explicitly (`MailboxSender::wake`) and the sleeper re-checks them
-//!   after announcing its sleep: **stealable load** — an idle thief
-//!   that found no victim raises its idle flag on the [`LoadBoard`]
-//!   before parking, and a victim publishing a stealable load above
-//!   zero wakes the flagged peers — and **the shutdown drain board** —
-//!   a shard that raises its drained flag wakes every peer.
+//! * Every `send` into any lane rings the owner: a peer's
+//!   `CrossActivate` / `Steal*` / `MsgHigh` / `Drain*`, a helper's
+//!   `Done`, the control lane (`activate`, `admit`, `retire`, `stop`,
+//!   `cleanup`) and the notify hooks on the message lane. A lane
+//!   closing rings it too. Every push into a helper's ring rings the
+//!   helper.
+//! * Two things an owner waits for are *not* messages, so their writers
+//!   ring explicitly (`MailboxSender::wake`) and the sleeper re-checks
+//!   them after announcing its sleep: **stealable load** — an idle
+//!   thief that found no victim raises its idle flag on the
+//!   [`LoadBoard`] before parking, and a victim publishing a stealable
+//!   load above zero wakes the flagged peers — and **the shutdown drain
+//!   board** — a shard that raises its drained flag wakes every peer.
 //! * One thing has no event at all: room appearing in a full peer lane.
 //!   While a shard holds spilled peer sends its park is bounded by
 //!   `SPILL_RETRY`.
@@ -94,14 +129,15 @@
 //! a sleeper; the sleeper announces itself, fences, then looks for
 //! work. A ring at an awake thread — one inside a body included — costs
 //! one load. The full list of conditions the loop re-evaluates on
-//! waking sits at its park site in `shard_scheduler_main`. Under
-//! [`WaitChoice::Spin`] nobody parks: the shard thread spins on its
-//! mailbox and the clock between jobs, alone on its core.
+//! waking sits at its park site in `owner_main`. Under
+//! [`WaitChoice::Spin`] nobody parks: owners spin on their mailbox and
+//! the clock between jobs, helpers on their ring, each alone on its
+//! core.
 //!
-//! A pass that finds the completion of the body it has just run *and* a
-//! due tick coalesces both into **one** engine round
-//! ([`EngineShard::advance_into`]): the single dispatch round sees the
-//! freed worker and the fresh releases together.
+//! A pass that finds completions *and* a due tick coalesces both into
+//! **one** engine round ([`OnlineEngine::advance_into`]): the single
+//! dispatch round sees the freed workers and the fresh releases
+//! together.
 //!
 //! With [`ShardedRuntimeBuilder::work_stealing`] enabled, an idle shard
 //! (empty queue, no job, drained mailbox) probes the advisory
@@ -112,15 +148,15 @@
 //! ([`LoadBoard::steal_batch_size`], capped at
 //! [`yasmin_sched::MAX_STEAL_BATCH`]). The victim detaches up to `k` of
 //! its most urgent accelerator-free ready jobs in one exchange
-//! ([`EngineShard::try_steal_batch`] /
-//! [`EngineShard::release_stolen_batch`]) and grants them back as a
+//! ([`OnlineEngine::steal_hints`] /
+//! [`OnlineEngine::release_stolen_batch`]) and grants them back as a
 //! single `StolenBatch` ack, and the thief adopts the whole batch with
 //! one dispatch round and runs the jobs itself — global [`WorkerId`]s
 //! keep every record truthful about where a job actually ran.
 //! Cross-shard DAG successors of any completion (stolen or local) are
 //! drained from the shard outbox and routed to the owning peer's lane.
-//! Scheduling decisions run through the same zero-allocation
-//! [`ActionSink`] path as the single-owner runtime.
+//! Scheduling decisions run through the zero-allocation [`ActionSink`]
+//! path.
 
 use crate::runtime::{check_bodies, JobCtx, RtJobRecord, RuntimeReport, TaskBody};
 use std::cell::RefCell;
@@ -134,23 +170,34 @@ use yasmin_core::graph::TaskSet;
 use yasmin_core::ids::{JobId, TaskId, TenantId, VersionId, WorkerId};
 use yasmin_core::priority::Priority;
 use yasmin_core::time::{Clock, Instant, MonotonicClock};
-use yasmin_sched::admission::{AdmissionControl, AdmissionError, TenantLedger};
+use yasmin_sched::admission::{reservation_for, AdmissionControl, AdmissionError, TenantLedger};
 use yasmin_sched::msg::{MsgEvent, NotifyHandle, Receiver as MsgReceiver, Sender as MsgSender};
 use yasmin_sched::server::TenantBudget;
 use yasmin_sched::{
     validate_sharding, Action, ActionSink, EngineShard, EngineStats, Job, JobBatch, JobOutcome,
-    RemoteActivation, ShardCmd, StealHint, MAX_STEAL_BATCH,
+    OnlineEngine, RemoteActivation, StealHint, MAX_STEAL_BATCH,
 };
-use yasmin_sync::mailbox::{mailbox, MailboxFull, MailboxReceiver, MailboxSender};
+use yasmin_sync::doorbell::Doorbell;
+use yasmin_sync::mailbox::{mailbox_with_capacities, MailboxFull, MailboxReceiver, MailboxSender};
+use yasmin_sync::spsc;
 use yasmin_sync::steal::LoadBoard;
 use yasmin_sync::wait::Backoff;
 
-/// Lane indices of each shard's command mailbox; lane `LANE_PEER0 + p`
+/// Lane indices of each owner's command mailbox; lane `LANE_PEER0 + p`
 /// belongs to peer shard `p` (a shard's own peer lane stays unused, so
 /// indexing needs no adjustment). Lane `LANE_PEER0 + n` is the *message
-/// lane* (see [`MsgLanes`]).
+/// lane* (see [`MsgLanes`]); an owner's helpers answer on the lanes
+/// after it.
 const LANE_CONTROL: usize = 0;
 const LANE_PEER0: usize = 1;
+
+/// Slots of a control or message lane. Whoever finds one full waits for
+/// room ([`wait_for`]) — back-pressure, never loss — so the depth only
+/// says how many commands may queue behind one body; and a slot is as
+/// large as the largest message (a steal grant's inline `JobBatch`), so
+/// a lane as deep as the engine's ready queue would spend megabytes on
+/// holding a handful of commands.
+const COMMAND_LANE_DEPTH: usize = 64;
 
 /// Longest park of a shard thread that holds spilled peer sends
 /// ([`PeerLinks::pending`]): room appearing in a full lane rings no
@@ -158,12 +205,15 @@ const LANE_PEER0: usize = 1;
 /// gone.
 const SPILL_RETRY: std::time::Duration = std::time::Duration::from_micros(200);
 
-/// Commands flowing into a shard thread.
+/// Commands flowing into an owner thread.
 // The steal-grant variant embeds a fixed-size `JobBatch` (see
-// `ShardCmd`): boxing it would allocate on the steal hot path, and the
-// messages live in preallocated mailbox lanes anyway.
+// `yasmin_sched::ShardCmd`): boxing it would allocate on the steal hot
+// path, and the messages live in preallocated mailbox lanes anyway.
 #[allow(clippy::large_enum_variant)]
 enum ShardMsg {
+    /// A helper ran the job this owner dispatched to it, to completion
+    /// or into a panic.
+    Done(RtJobRecord),
     /// Explicit activation of a task owned by the shard.
     Activate(TaskId),
     /// A DAG token routed from a peer shard (cross-shard edge whose
@@ -189,26 +239,27 @@ enum ShardMsg {
     StolenBatch { jobs: JobBatch },
     /// A victim's refusal; the thief may re-probe.
     StealDeny,
-    /// Phase one of a two-phase tenant admission (see
-    /// [`ShardedRuntime::admit`]): splice the merged task set — its
-    /// suffix is the new tenant — into this shard and register the
-    /// tenant's bodies, with every new release left **disarmed**. The
-    /// shard decrements `ack` when its splice is done; the admitting
+    /// Phase one of a tenant admission (see `Owners::admit`): splice
+    /// the merged task set — its suffix is the new tenant — into this
+    /// owner's engine and register the tenant's bodies, with every new
+    /// release left **disarmed**. With two shards or more each
+    /// decrements `ack` when its splice is done, and the admitting
     /// thread holds the commit until the counter hits zero so a
     /// cross-shard token for a new task can never reach a shard that has
-    /// not yet heard of it.
+    /// not yet heard of it; one owner's lane is FIFO and carries no
+    /// counter.
     Admit {
         taskset: Arc<TaskSet>,
         bodies: Arc<HashMap<(TaskId, VersionId), TaskBody>>,
         budget: Option<TenantBudget>,
         at: Instant,
-        ack: Arc<AtomicUsize>,
+        ack: Option<Arc<AtomicUsize>>,
     },
-    /// Phase two: arm the tenant's releases. Each shard anchors them at
-    /// its **next local tick edge** (not the commit send instant): the
-    /// shard dispatches on a fixed tick grid, so an off-grid release
-    /// phase would delay every dispatch of the tenant by up to one tick
-    /// — enough to sink a deadline equal to the period.
+    /// Phase two: arm the tenant's releases. Each owner anchors them at
+    /// its **next local tick edge** (not the commit send instant): it
+    /// dispatches on a fixed tick grid, so an off-grid release phase
+    /// would delay every dispatch of the tenant by up to one tick —
+    /// enough to sink a deadline equal to the period.
     Commit { tenant: TenantId },
     /// Quiesce a tenant: cull its ready jobs, disarm its releases, drop
     /// its pending tokens; a job in flight finishes but fires no
@@ -217,7 +268,7 @@ enum ShardMsg {
     /// Stop releasing periodic jobs.
     Stop,
     /// Drain and exit (two-phase: see the drain protocol in
-    /// [`shard_scheduler_main`]).
+    /// [`owner_main`]).
     Shutdown,
     /// Phase one of the loss-free shutdown drain: a quiesced shard
     /// barriers each peer lane with this marker. Peer lanes are FIFO,
@@ -234,13 +285,8 @@ enum ShardMsg {
 /// Builder for the sharded runtime, mirroring
 /// [`crate::runtime::RuntimeBuilder`].
 pub struct ShardedRuntimeBuilder {
-    taskset: Arc<TaskSet>,
-    config: Config,
-    bodies: HashMap<(TaskId, VersionId), TaskBody>,
-    channels: Vec<NotifyHandle>,
-    pin_offset: usize,
+    launch: Launch,
     lock_memory: bool,
-    work_stealing: bool,
 }
 
 impl ShardedRuntimeBuilder {
@@ -251,13 +297,8 @@ impl ShardedRuntimeBuilder {
     #[must_use]
     pub fn new(taskset: Arc<TaskSet>, config: Config) -> Self {
         ShardedRuntimeBuilder {
-            taskset,
-            config,
-            bodies: HashMap::new(),
-            channels: Vec::new(),
-            pin_offset: 0,
+            launch: Launch::new(taskset, config),
             lock_memory: false,
-            work_stealing: false,
         }
     }
 
@@ -277,8 +318,8 @@ impl ShardedRuntimeBuilder {
         &mut self,
         id: yasmin_core::ids::ChannelId,
     ) -> Result<(MsgSender<T>, MsgReceiver<T>)> {
-        let (tx, rx) = yasmin_sched::msg::channel(&self.taskset, id)?;
-        self.channels.push(tx.notify_handle());
+        let (tx, rx) = yasmin_sched::msg::channel(&self.launch.taskset, id)?;
+        self.launch.channels.push(tx.notify_handle());
         Ok((tx, rx))
     }
 
@@ -287,7 +328,7 @@ impl ShardedRuntimeBuilder {
     /// its high-lane traffic reaches the shard owning the receiver.
     #[must_use]
     pub fn register_channel(mut self, handle: NotifyHandle) -> Self {
-        self.channels.push(handle);
+        self.launch.channels.push(handle);
         self
     }
 
@@ -297,7 +338,7 @@ impl ShardedRuntimeBuilder {
     /// preserves strict task-to-worker placement.
     #[must_use]
     pub fn work_stealing(mut self, on: bool) -> Self {
-        self.work_stealing = on;
+        self.launch.work_stealing = on;
         self
     }
 
@@ -309,7 +350,7 @@ impl ShardedRuntimeBuilder {
         version: VersionId,
         f: impl Fn(&JobCtx) + Send + Sync + 'static,
     ) -> Self {
-        self.bodies.insert((task, version), Arc::new(f));
+        self.launch.bodies.insert((task, version), Arc::new(f));
         self
     }
 
@@ -319,7 +360,7 @@ impl ShardedRuntimeBuilder {
     /// [`RuntimeReport::unpinned_threads`].
     #[must_use]
     pub fn pin_cores_from(mut self, offset: usize) -> Self {
-        self.pin_offset = offset;
+        self.launch.pin_offset = offset;
         self
     }
 
@@ -341,64 +382,211 @@ impl ShardedRuntimeBuilder {
     ///   ([`yasmin_sched::validate_sharding`]);
     /// * engine construction errors (partition validation etc.).
     pub fn build(self) -> Result<ShardedRuntime> {
-        if self.config.preemption() {
+        if self.launch.config.preemption() {
             return Err(Error::InvalidConfig(
                 "the sharded thread runtime schedules non-preemptively at job \
                  boundaries; build the Config with .preemption(false)"
                     .into(),
             ));
         }
-        check_bodies(&self.taskset, &self.bodies)?;
-        let shards = EngineShard::build_all(&self.taskset, &self.config)?;
+        check_bodies(&self.launch.taskset, &self.launch.bodies)?;
+        let shards = EngineShard::build_all(&self.launch.taskset, &self.launch.config)?;
         if self.lock_memory {
             // Best-effort; containers commonly deny it.
             let _ = crate::os::lock_all_memory();
         }
-        ShardedRuntime::spawn(self, shards)
+        let config = self.launch.config.clone();
+        let engines = shards.into_iter().map(EngineShard::into_inner).collect();
+        let owners = Owners::spawn(engines, self.launch)?;
+        Ok(ShardedRuntime { owners, config })
     }
 }
 
-/// What a shard thread returns when it exits: its records, its engine
-/// counters, and whether it ran pinned.
-type ShardExit = (Vec<RtJobRecord>, EngineStats, bool);
-
 /// The running sharded middleware: one scheduling-and-executing thread
 /// per core.
+#[derive(Debug)]
 pub struct ShardedRuntime {
-    /// Tenant state; the mutex serialises the splice and retire
-    /// broadcasts of concurrent callers, so every shard hears them in
-    /// ledger order. Retirements are validated here because shard
-    /// threads cannot reply.
-    ledger: Mutex<TenantLedger>,
+    owners: Owners,
     config: Config,
+}
+
+impl ShardedRuntime {
+    /// Activates an aperiodic or sporadic task on its owning shard (the
+    /// paper's `yas_task_activate`). Like [`ShardedRuntime::retire`] and
+    /// [`ShardedRuntime::stop`] it may be called from a task body of
+    /// this runtime, whatever the other callers are doing.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::UnknownTask`] / [`Error::MissingPartition`] when the
+    /// task does not exist or has no worker assignment.
+    pub fn activate(&self, task: TaskId) -> Result<()> {
+        let owner = self
+            .owners
+            .lock_ledger()
+            .merged()
+            .task(task)?
+            .spec()
+            .assigned_worker();
+        let w = owner.ok_or(Error::MissingPartition(task))?;
+        self.owners.activate_on(w.index(), task);
+        Ok(())
+    }
+
+    /// Admits a new tenant into the **running** sharded schedule.
+    ///
+    /// `candidate` is the tenant's task set declared in its own id
+    /// space; `bodies` maps its `(task, version)` pairs (candidate-local
+    /// ids) to executable bodies; `budget`, when given, caps the
+    /// tenant's share with a per-shard replica of its reservation server
+    /// — under partitioned scheduling the budget bounds the tenant **per
+    /// worker** (a tenant spanning `k` shards may consume up to `k ×`
+    /// capacity per period).
+    ///
+    /// The schedulability check ([`AdmissionControl::evaluate`] on the
+    /// live tenants only — see [`TenantLedger`] — plus the sharding
+    /// contract, [`validate_sharding`]) runs on the **caller's**
+    /// thread — the paper's non-real-time admission path. An accepted
+    /// tenant is then spliced in **two phases** over the control lanes:
+    /// every shard first adopts the merged set with the new releases
+    /// disarmed and acknowledges, and only once all shards have
+    /// acknowledged is the commit broadcast that arms the releases. The
+    /// barrier guarantees a cross-shard DAG token of the new tenant can
+    /// never arrive at a shard that has not yet spliced. A shard
+    /// acknowledges at its next job boundary, so the call lasts as long
+    /// as the longest body then running — and must not come from a task
+    /// body of this runtime, whose own shard could then never
+    /// acknowledge. (A single shard has nobody to race: its lane is
+    /// FIFO, and the call returns once both commands are sent.)
+    /// Existing tenants' scheduling is untouched either way.
+    ///
+    /// Returns the assigned [`TenantId`] (use it with
+    /// [`ShardedRuntime::retire`]); the tenant's task ids are its
+    /// candidate ids offset by the number of tasks admitted before it.
+    ///
+    /// # Errors
+    ///
+    /// [`AdmissionError::Rejected`] names the violated analysis bound;
+    /// [`AdmissionError::Invalid`] covers malformed requests — missing
+    /// bodies, partition or sharding-contract violations (e.g. an
+    /// accelerator shared with another shard), a period off the running
+    /// tick, a degenerate budget.
+    pub fn admit(
+        &self,
+        candidate: &TaskSet,
+        bodies: HashMap<(TaskId, VersionId), TaskBody>,
+        budget: Option<TenantBudget>,
+    ) -> std::result::Result<TenantId, AdmissionError> {
+        self.owners.admit(candidate, bodies, budget, |merged| {
+            validate_sharding(merged, &self.config)
+        })
+    }
+
+    /// Retires an admitted tenant on every shard: its future releases
+    /// stop, its ready jobs are culled, a job of its in flight finishes
+    /// without firing successors, and racing cross-shard tokens are
+    /// dropped silently. Other tenants are untouched, and the tenant's
+    /// bandwidth is available to the next [`ShardedRuntime::admit`].
+    /// Returns once the command is sent; each shard applies it at its
+    /// next job boundary.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::UnknownTenant`] / [`Error::TenantRetired`] for ids never
+    /// admitted or already retired; [`Error::InvalidConfig`] for tenant
+    /// 0 (the build-time set — use [`ShardedRuntime::stop`]).
+    pub fn retire(&self, tenant: TenantId) -> Result<()> {
+        self.owners.retire(tenant)
+    }
+
+    /// Stops releasing new periodic jobs on every shard; in-flight jobs
+    /// drain (the paper's `yas_stop`).
+    pub fn stop(&self) {
+        self.owners.stop();
+    }
+
+    /// Drains every shard, joins all threads and returns the merged run
+    /// report (the paper's `yas_cleanup`). Records are ordered by
+    /// completion time across shards.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a runtime thread panicked.
+    #[must_use]
+    pub fn cleanup(self) -> RuntimeReport {
+        self.owners.cleanup()
+    }
+}
+
+/// What either builder collects and hands to [`Owners::spawn`].
+pub(crate) struct Launch {
+    pub(crate) taskset: Arc<TaskSet>,
+    pub(crate) config: Config,
+    pub(crate) bodies: HashMap<(TaskId, VersionId), TaskBody>,
+    pub(crate) channels: Vec<NotifyHandle>,
+    pub(crate) pin_offset: usize,
+    /// Only shards steal; off unless the sharded builder turns it on.
+    work_stealing: bool,
+}
+
+impl Launch {
+    pub(crate) fn new(taskset: Arc<TaskSet>, config: Config) -> Self {
+        Launch {
+            taskset,
+            config,
+            bodies: HashMap::new(),
+            channels: Vec::new(),
+            pin_offset: 0,
+            work_stealing: false,
+        }
+    }
+}
+
+/// What an owner thread returns when it exits: its records, its engine
+/// counters, and whether it ran pinned.
+type OwnerExit = (Vec<RtJobRecord>, EngineStats, bool);
+
+/// The threads of one running schedule and the lanes into them — what
+/// [`ShardedRuntime`] (one owner per shard) and
+/// [`crate::runtime::Runtime`] (one owner for the whole engine) both
+/// are underneath.
+pub(crate) struct Owners {
+    /// Tenant state; the mutex serialises the splice and retire
+    /// broadcasts of concurrent callers, so every owner hears them in
+    /// ledger order. Admissions and retirements are validated here:
+    /// owner threads do not reply.
+    ledger: Mutex<TenantLedger>,
     clock: Arc<MonotonicClock>,
-    /// One control sender per shard (lane [`LANE_CONTROL`]), shared by
-    /// the callers of this `&self` handle.
+    /// One control sender per owner (lane [`LANE_CONTROL`]), shared by
+    /// the callers of the `&self` handle.
     control: Vec<SharedLane>,
     /// Tells a caller that is inside a body of this runtime ([`wait_for`]).
     lanes: MsgLanes,
-    shards: Vec<std::thread::JoinHandle<ShardExit>>,
+    threads: Vec<std::thread::JoinHandle<OwnerExit>>,
+    /// Each helper returns whether it ran pinned.
+    helpers: Vec<std::thread::JoinHandle<bool>>,
 }
 
-impl std::fmt::Debug for ShardedRuntime {
+impl std::fmt::Debug for Owners {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedRuntime")
-            .field("shards", &self.shards.len())
+        f.debug_struct("Owners")
+            .field("owners", &self.threads.len())
+            .field("helpers", &self.helpers.len())
             .finish_non_exhaustive()
     }
 }
 
-/// A sender into one lane of a shard's mailbox that threads share: the
+/// A sender into one lane of an owner's mailbox that threads share: the
 /// mutex keeps the lane at one logical producer.
 type SharedLane = Mutex<MailboxSender<ShardMsg>>;
 
 /// The message lanes of one runtime, by home shard: where the channel
-/// notify hooks post from threads other than the home shard's own.
-/// Shared by the hooks, the runtime handle and the shard threads, which
-/// tell their own runtime by it.
+/// notify hooks post from threads other than the home's own. Shared by
+/// the hooks, the runtime handle and the owner threads, which tell
+/// their own runtime by it.
 type MsgLanes = Arc<Vec<SharedLane>>;
 
-/// What code running inside a body finds of the shard thread it is on:
+/// What code running inside a body finds of the owner thread it is on:
 /// the queue of events the thread owns, and the mailbox only this
 /// thread drains.
 struct ShardLocal {
@@ -417,9 +605,9 @@ thread_local! {
 
 /// Retries `attempt` until it yields, from whichever thread and with
 /// nothing held in between. What it waits for — room in a lane, a lock
-/// another caller holds while *it* waits for room — comes from a shard
-/// reaching its job boundary, and the caller may be inside a body of one
-/// of `lanes`' shards: that thread keeps moving its mailbox into its own
+/// another caller holds while *it* waits for room — comes from an owner
+/// reaching its job boundary, and the caller may be inside a body on one
+/// of `lanes`' owners: that thread keeps moving its mailbox into its own
 /// queue meanwhile, so it always makes the room others are waiting for
 /// and two bodies can never wait on each other.
 fn wait_for<T>(lanes: &MsgLanes, mut attempt: impl FnMut() -> Option<T>) -> T {
@@ -457,7 +645,7 @@ fn send_waiting(lanes: &MsgLanes, lane: &SharedLane, msg: ShardMsg) {
     });
 }
 
-/// Delivers a message-plane event to its channel's `home` shard from
+/// Delivers a message-plane event to its channel's `home` owner from
 /// whichever thread the notify hook fired on (see "The job boundary" in
 /// the module docs). On the home thread itself: the thread-owned queue,
 /// behind what the message lane holds — no lock, never full. Anywhere
@@ -480,24 +668,36 @@ fn post(lanes: &MsgLanes, home: usize, msg: ShardMsg) {
     }
 }
 
-impl ShardedRuntime {
-    fn spawn(builder: ShardedRuntimeBuilder, shards: Vec<EngineShard>) -> Result<Self> {
+impl Owners {
+    /// Spawns one owner thread per engine of `engines` — every shard of
+    /// a partitioned set in worker order, or the one whole engine — and
+    /// the helpers of each owner that has more than one slot.
+    pub(crate) fn spawn(engines: Vec<OnlineEngine>, launch: Launch) -> Result<Self> {
         let clock = Arc::new(MonotonicClock::new());
-        let cap = builder.config.max_pending_jobs();
-        let waiting = builder.config.waiting();
-        let n = shards.len();
-        let tick = shards
+        // A peer never waits for room — what finds none spills
+        // (`PeerLinks::pending`) — and every token it sends becomes a
+        // pending job of the receiver: as deep as an engine's queue.
+        let peer_depth = launch.config.max_pending_jobs().max(64);
+        let waiting = launch.config.waiting();
+        let n = engines.len();
+        let tick = engines
             .first()
-            .map(EngineShard::tick_period)
+            .map(OnlineEngine::tick_period)
             .ok_or_else(|| {
-                Error::InvalidConfig("sharded runtime needs at least one worker".into())
+                Error::InvalidConfig("a thread runtime needs at least one worker".into())
             })?;
-        let admission = AdmissionControl::new(builder.config.clone(), tick);
+        let admission = AdmissionControl::new(launch.config.clone(), tick);
         let board = Arc::new(LoadBoard::new(n));
-        let taskset = &builder.taskset;
+        let taskset = &launch.taskset;
+        // Who has a task: the whole engine every one, assigned to a
+        // worker or not; a shard's those assigned to its worker.
+        let shard_workers: Vec<Option<WorkerId>> =
+            engines.iter().map(OnlineEngine::shard_worker).collect();
         let owner_of = |t: TaskId| -> Result<usize> {
-            let owner = taskset.task(t)?.spec().assigned_worker();
-            Ok(owner.ok_or(Error::MissingPartition(t))?.index())
+            let assigned = taskset.task(t)?.spec().assigned_worker();
+            let has = |w: &Option<WorkerId>| w.is_none() || *w == assigned;
+            let owner = shard_workers.iter().position(has);
+            owner.ok_or(Error::MissingPartition(t))
         };
         // Seed the victim-selection hints: shards joined by a
         // cross-shard DAG edge are marked adjacent, so on exact load
@@ -514,17 +714,28 @@ impl ShardedRuntime {
         let drain_board: Arc<Vec<AtomicBool>> =
             Arc::new((0..n).map(|_| AtomicBool::new(false)).collect());
 
-        // One mailbox per shard: control lane, one lane per peer shard
-        // for the cross-shard protocol, and a final message lane fed by
-        // the channel notify hooks. Peer senders are regrouped so shard
-        // thread `s` owns, for every target `t`, the sender feeding lane
-        // `LANE_PEER0 + s` of `t`'s mailbox.
+        // One mailbox per owner: control lane, one lane per peer shard
+        // for the cross-shard protocol, the message lane fed by the
+        // channel notify hooks, and one lane per helper. Peer senders
+        // are regrouped so owner `s` holds, for every target `t`, the
+        // sender feeding lane `LANE_PEER0 + s` of `t`'s mailbox.
         let mut control = Vec::with_capacity(n);
         let mut receivers = Vec::with_capacity(n);
         let mut peer_lanes_by_target = Vec::with_capacity(n);
         let mut msg_txs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (mut lanes, mailbox_rx) = mailbox::<ShardMsg>(LANE_PEER0 + n + 1, cap.max(64));
+        let mut done_lanes_by_owner = Vec::with_capacity(n);
+        for (s, engine) in engines.iter().enumerate() {
+            // Who executes: an owner with one slot itself, one with
+            // more hands every job to the slot's helper.
+            let slots = engine.shard_worker().map_or(launch.config.workers(), |_| 1);
+            let helpers = if slots > 1 { slots } else { 0 };
+            let mut capacities = vec![peer_depth; LANE_PEER0 + n + 1];
+            capacities[LANE_CONTROL] = COMMAND_LANE_DEPTH;
+            capacities[LANE_PEER0 + s] = 1; // nobody writes to itself
+            capacities[LANE_PEER0 + n] = COMMAND_LANE_DEPTH;
+            capacities.resize(capacities.len() + helpers, 1); // one job in flight each
+            let (mut lanes, mailbox_rx) = mailbox_with_capacities::<ShardMsg>(&capacities);
+            done_lanes_by_owner.push(lanes.split_off(LANE_PEER0 + n + 1));
             let mut peer_lanes = lanes.split_off(LANE_PEER0);
             msg_txs.push(Mutex::new(peer_lanes.pop().expect("message lane present")));
             peer_lanes_by_target.push(peer_lanes);
@@ -534,11 +745,12 @@ impl ShardedRuntime {
         let msg_lanes: MsgLanes = Arc::new(msg_txs);
 
         // Arm the channel notify hooks: each channel posts its events to
-        // its *home* shard — the sending task's shard, so one channel's
-        // posts and drains travel one FIFO route and can never reorder.
-        // A home shard that does not own the receiver forwards over the
-        // per-peer lanes (see `ShardMsg::MsgHigh`).
-        for handle in &builder.channels {
+        // its *home* owner — the sending task's, so one channel's posts
+        // and drains travel one FIFO route and can never reorder. A
+        // home shard that does not own the receiver forwards over the
+        // per-peer lanes (see `ShardMsg::MsgHigh`). Channels without a
+        // declared ceiling never reach an engine.
+        for handle in &launch.channels {
             if handle.ceiling().is_none() {
                 continue;
             }
@@ -567,129 +779,118 @@ impl ShardedRuntime {
         }
 
         let mut threads = Vec::with_capacity(n);
-        for ((shard, mailbox_rx), peers) in shards.into_iter().zip(receivers).zip(peer_txs) {
-            let w = shard.worker();
-            let core = builder.pin_offset + w.index();
-            let bodies = builder.bodies.clone();
+        let mut helpers = Vec::new();
+        for (((engine, mailbox_rx), peers), done_lanes) in engines
+            .into_iter()
+            .zip(receivers)
+            .zip(peer_txs)
+            .zip(done_lanes_by_owner)
+        {
+            let mut to_helpers = Vec::with_capacity(done_lanes.len());
+            for (w, done_tx) in done_lanes.into_iter().enumerate() {
+                let (ring, from_owner) = spsc::channel(1);
+                let bell = Arc::new(Doorbell::new());
+                to_helpers.push(HelperLink {
+                    ring,
+                    bell: Arc::clone(&bell),
+                });
+                let core = launch.pin_offset + w;
+                let clock = Arc::clone(&clock);
+                helpers.push(
+                    std::thread::Builder::new()
+                        .name(format!("yasmin-worker-{w}"))
+                        .spawn(move || {
+                            let pinned = crate::os::pin_current_thread(core).is_ok();
+                            let worker = WorkerId::new(w as u16);
+                            helper_main(from_owner, &bell, done_tx, &clock, worker, waiting);
+                            pinned
+                        })
+                        .map_err(|e| Error::Os(format!("spawning worker {w}: {e}")))?,
+                );
+            }
+            // An owner that executes sits on its worker's core, one that
+            // only schedules on the core after its helpers'.
+            let (name, core) = match engine.shard_worker() {
+                Some(w) => (format!("yasmin-shard-sched-{w}"), w.index()),
+                None => ("yasmin-scheduler".to_owned(), to_helpers.len()),
+            };
+            let core = launch.pin_offset + core;
+            let bodies = launch.bodies.clone();
             let clock = Arc::clone(&clock);
             let lanes = Arc::clone(&msg_lanes);
             let links = PeerLinks {
                 txs: peers,
                 pending: (0..n).map(|_| VecDeque::new()).collect(),
                 board: Arc::clone(&board),
-                stealing: builder.work_stealing && n > 1,
+                stealing: launch.work_stealing && n > 1,
                 drained: Arc::clone(&drain_board),
             };
             threads.push(
                 std::thread::Builder::new()
-                    .name(format!("yasmin-shard-sched-{w}"))
+                    .name(name.clone())
                     .spawn(move || {
                         let pinned = crate::os::pin_current_thread(core).is_ok();
-                        let (records, stats) = shard_scheduler_main(
-                            shard, bodies, mailbox_rx, &clock, waiting, links, lanes,
+                        let (records, stats) = owner_main(
+                            engine, bodies, mailbox_rx, &clock, links, lanes, to_helpers,
                         );
                         (records, stats, pinned)
                     })
-                    .map_err(|e| Error::Os(format!("spawning shard thread {w}: {e}")))?,
+                    .map_err(|e| Error::Os(format!("spawning {name}: {e}")))?,
             );
         }
 
-        Ok(ShardedRuntime {
-            ledger: Mutex::new(TenantLedger::new(admission, builder.taskset)),
-            config: builder.config,
+        Ok(Owners {
+            ledger: Mutex::new(TenantLedger::new(admission, launch.taskset)),
             clock,
             control,
             lanes: msg_lanes,
-            shards: threads,
+            threads,
+            helpers,
         })
     }
 
-    /// Sends one `msg()` down every shard's control lane.
+    /// Sends one `msg()` down every owner's control lane.
     fn broadcast(&self, msg: impl Fn() -> ShardMsg) {
         for lane in &self.control {
             send_waiting(&self.lanes, lane, msg());
         }
     }
 
-    fn lock_ledger(&self) -> MutexGuard<'_, TenantLedger> {
+    pub(crate) fn lock_ledger(&self) -> MutexGuard<'_, TenantLedger> {
         wait_for(&self.lanes, || try_lock(&self.ledger))
     }
 
-    /// Activates an aperiodic or sporadic task on its owning shard (the
-    /// paper's `yas_task_activate`). Like [`ShardedRuntime::retire`] and
-    /// [`ShardedRuntime::stop`] it may be called from a task body of
-    /// this runtime, whatever the other callers are doing.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::UnknownTask`] / [`Error::MissingPartition`] when the
-    /// task does not exist or has no worker assignment.
-    pub fn activate(&self, task: TaskId) -> Result<()> {
-        let owner = self
-            .lock_ledger()
-            .merged()
-            .task(task)?
-            .spec()
-            .assigned_worker();
-        let w = owner.ok_or(Error::MissingPartition(task))?;
-        send_waiting(
-            &self.lanes,
-            &self.control[w.index()],
-            ShardMsg::Activate(task),
-        );
-        Ok(())
+    /// Sends an activation of `task` to `owner`, whose engine refuses
+    /// what it does not know.
+    pub(crate) fn activate_on(&self, owner: usize, task: TaskId) {
+        send_waiting(&self.lanes, &self.control[owner], ShardMsg::Activate(task));
     }
 
-    /// Admits a new tenant into the **running** sharded schedule.
-    ///
-    /// `candidate` is the tenant's task set declared in its own id
-    /// space; `bodies` maps its `(task, version)` pairs (candidate-local
-    /// ids) to executable bodies; `budget`, when given, caps the
-    /// tenant's share with a per-shard replica of its reservation server
-    /// — under partitioned scheduling the budget bounds the tenant **per
-    /// worker** (a tenant spanning `k` shards may consume up to `k ×`
-    /// capacity per period).
-    ///
-    /// The schedulability check ([`AdmissionControl::evaluate`] on the
-    /// live tenants only — see [`TenantLedger`] — plus the sharding
-    /// contract, [`validate_sharding`]) runs on the **caller's**
-    /// thread — the paper's non-real-time admission path. An accepted
-    /// tenant is then spliced in **two phases** over the control lanes:
-    /// every shard first adopts the merged set with the new releases
-    /// disarmed and acknowledges, and only once all shards have
-    /// acknowledged is the commit broadcast that arms the releases. The
-    /// barrier guarantees a cross-shard DAG token of the new tenant can
-    /// never arrive at a shard that has not yet spliced. A shard
-    /// acknowledges at its next job boundary, so the call lasts as long
-    /// as the longest body then running — and must not come from a task
-    /// body of this runtime, whose own shard could then never
-    /// acknowledge. Existing tenants' scheduling is untouched either way.
-    ///
-    /// Returns the assigned [`TenantId`] (use it with
-    /// [`ShardedRuntime::retire`]); the tenant's task ids are its
-    /// candidate ids offset by the number of tasks admitted before it.
-    ///
-    /// # Errors
-    ///
-    /// [`AdmissionError::Rejected`] names the violated analysis bound;
-    /// [`AdmissionError::Invalid`] covers malformed requests — missing
-    /// bodies, partition or sharding-contract violations (e.g. an
-    /// accelerator shared with another shard), a period off the running
-    /// tick, a degenerate budget.
-    pub fn admit(
+    /// Admission for both runtimes: analysed on the caller's thread
+    /// under the ledger lock (plus the caller's own `validate` of the
+    /// merged set), then spliced and committed over the control lanes.
+    /// Everything an engine's splice refuses is refused here first —
+    /// owner threads do not reply.
+    pub(crate) fn admit(
         &self,
         candidate: &TaskSet,
         bodies: HashMap<(TaskId, VersionId), TaskBody>,
         budget: Option<TenantBudget>,
+        validate: impl FnOnce(&Arc<TaskSet>) -> Result<()>,
     ) -> std::result::Result<TenantId, AdmissionError> {
         check_bodies(candidate, &bodies).map_err(AdmissionError::Invalid)?;
-        let ack = Arc::new(AtomicUsize::new(self.control.len()));
+        // The acknowledgement barrier is for two shards and more, whose
+        // cross-shard tokens could otherwise reach a shard before its
+        // splice. One owner's control lane is FIFO: the splice is ahead
+        // of the commit and of whatever the caller sends next.
+        let shards = self.control.len();
+        let ack = (shards > 1).then(|| Arc::new(AtomicUsize::new(shards)));
         // Phase 1: broadcast the splice, under the ledger lock so that
-        // every shard hears concurrent admissions in ledger order.
+        // every owner hears concurrent admissions in ledger order.
         let tenant = self
             .lock_ledger()
             .admit(candidate, budget.as_ref(), |admission| {
-                validate_sharding(admission.merged, &self.config)?;
+                validate(admission.merged)?;
                 let remapped: Arc<HashMap<(TaskId, VersionId), TaskBody>> = Arc::new(
                     bodies
                         .into_iter()
@@ -702,41 +903,30 @@ impl ShardedRuntime {
                     bodies: Arc::clone(&remapped),
                     budget,
                     at,
-                    ack: Arc::clone(&ack),
+                    ack: ack.clone(),
                 });
                 Ok(())
             })?;
-        // Wait for every shard to acknowledge, holding nothing: a body
-        // that calls `activate`, `retire` or `stop` meanwhile gets
-        // through, returns, and lets its shard reach the boundary this
-        // wait is for.
-        wait_for(&self.lanes, || {
-            (ack.load(Ordering::Acquire) == 0).then_some(())
-        });
-        // Phase 2: every shard knows the tenant — arm its releases
-        // (each shard anchors them at its next local tick edge).
+        if let Some(ack) = ack {
+            // Holding nothing: a body that calls `activate`, `retire`
+            // or `stop` meanwhile gets through, returns, and lets its
+            // shard reach the boundary this wait is for.
+            wait_for(&self.lanes, || {
+                (ack.load(Ordering::Acquire) == 0).then_some(())
+            });
+        }
+        // Phase 2: every owner knows the tenant — arm its releases
+        // (each anchors them at its next local tick edge). A commit
+        // that lost a race with `stop()` is refused by the engine.
         self.broadcast(|| ShardMsg::Commit { tenant });
         Ok(tenant)
     }
 
-    /// Retires an admitted tenant on every shard: its future releases
-    /// stop, its ready jobs are culled, a job of its in flight finishes
-    /// without firing successors, and racing cross-shard tokens are
-    /// dropped silently. Other tenants are untouched, and the tenant's
-    /// bandwidth is available to the next [`ShardedRuntime::admit`].
-    /// Returns once the command is sent; each shard applies it at its
-    /// next job boundary.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::UnknownTenant`] / [`Error::TenantRetired`] for ids never
-    /// admitted or already retired; [`Error::InvalidConfig`] for tenant
-    /// 0 (the build-time set — use [`ShardedRuntime::stop`]).
-    pub fn retire(&self, tenant: TenantId) -> Result<()> {
+    pub(crate) fn retire(&self, tenant: TenantId) -> Result<()> {
         let mut ledger = self.lock_ledger();
-        // The ledger forgets the tenant before the shards hear of it:
+        // The ledger forgets the tenant before the owners hear of it:
         // a later admission's splice travels the same FIFO control
-        // lanes, so every shard has retired the tenant by the time it
+        // lanes, so every owner has retired the tenant by the time it
         // commits a tenant admitted into the freed bandwidth.
         ledger.retire(tenant)?;
         let at = self.clock.now();
@@ -744,37 +934,121 @@ impl ShardedRuntime {
         Ok(())
     }
 
-    /// Stops releasing new periodic jobs on every shard; in-flight jobs
-    /// drain (the paper's `yas_stop`).
-    pub fn stop(&self) {
+    pub(crate) fn stop(&self) {
         self.broadcast(|| ShardMsg::Stop);
     }
 
-    /// Drains every shard, joins all threads and returns the merged run
-    /// report (the paper's `yas_cleanup`). Records are ordered by
-    /// completion time across shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a runtime thread panicked.
-    #[must_use]
-    pub fn cleanup(mut self) -> RuntimeReport {
+    /// Drains every owner, joins all threads and merges their reports,
+    /// records ordered by completion time.
+    pub(crate) fn cleanup(self) -> RuntimeReport {
         self.broadcast(|| ShardMsg::Shutdown);
         let mut report = RuntimeReport {
             records: Vec::new(),
             engine_stats: EngineStats::default(),
             unpinned_threads: 0,
         };
-        for s in self.shards.drain(..) {
-            let (records, stats, pinned) = s.join().expect("shard thread panicked");
-            report.records.extend(records);
+        for t in self.threads {
+            let (records, stats, pinned) = t.join().expect("owner thread panicked");
+            if report.records.is_empty() {
+                // The first owner's records — all there are, with one
+                // owner — become the report's without a copy.
+                report.records = records;
+            } else {
+                report.records.extend(records);
+            }
             report.engine_stats.merge(&stats);
+            report.unpinned_threads += usize::from(!pinned);
+        }
+        // An owner dismisses its helpers as it exits.
+        for h in self.helpers {
+            let pinned = h.join().expect("worker thread panicked");
             report.unpinned_threads += usize::from(!pinned);
         }
         report
             .records
             .sort_by_key(|r| (r.completed, r.job.task, r.job.seq));
         report
+    }
+}
+
+/// Runs one job's body on the calling thread. A panic is contained: the
+/// job reads as [`JobOutcome::Failed`] and the thread — an owner, and
+/// with it its whole shard, or a helper — survives. `TaskBody` is a
+/// shared closure and not `UnwindSafe`, but its captured state is never
+/// observed by the runtime after a panic, so the assertion is sound.
+fn run_body(body: &TaskBody, ctx: &JobCtx, clock: &MonotonicClock) -> RtJobRecord {
+    let started = clock.now();
+    let outcome = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(ctx))) {
+        Ok(()) => JobOutcome::Completed,
+        Err(_) => JobOutcome::Failed,
+    };
+    RtJobRecord {
+        job: ctx.job,
+        version: ctx.version,
+        worker: ctx.worker,
+        started,
+        completed: clock.now(),
+        outcome,
+    }
+}
+
+/// What an owner hands a helper: one dispatched job.
+struct Run {
+    job: Job,
+    version: VersionId,
+    body: TaskBody,
+}
+
+/// An owner's end of one helper: the dispatch ring — `None` dismisses
+/// the helper — and the bell the helper sleeps on while it is empty.
+struct HelperLink {
+    ring: spsc::Producer<Option<Run>>,
+    bell: Arc<Doorbell>,
+}
+
+impl HelperLink {
+    fn push(&mut self, run: Option<Run>) {
+        // One slot is enough: the engine books a worker again only once
+        // it has retired the job the helper popped from here.
+        if self.ring.push(run).is_err() {
+            unreachable!("the engine never double-books a worker");
+        }
+        self.bell.ring();
+    }
+}
+
+/// A helper thread: worker slot `worker` of an owner that does not
+/// execute. Runs what the ring holds, answers on its own mailbox lane.
+fn helper_main(
+    mut ring: spsc::Consumer<Option<Run>>,
+    bell: &Doorbell,
+    mut done: MailboxSender<ShardMsg>,
+    clock: &MonotonicClock,
+    worker: WorkerId,
+    waiting: WaitChoice,
+) {
+    loop {
+        let Some(msg) = ring.pop() else {
+            match waiting {
+                WaitChoice::Sleep => bell.wait(None, || !ring.is_empty()),
+                WaitChoice::Spin => std::hint::spin_loop(),
+            }
+            continue;
+        };
+        let Some(Run { job, version, body }) = msg else {
+            break;
+        };
+        let ctx = JobCtx {
+            job,
+            version,
+            worker,
+        };
+        let record = run_body(&body, &ctx, clock);
+        // The owner took the previous answer out of the lane before it
+        // dispatched this job.
+        if done.send(ShardMsg::Done(record)).is_err() {
+            unreachable!("one job in flight per helper");
+        }
     }
 }
 
@@ -874,21 +1148,26 @@ impl PeerLinks {
     }
 }
 
-/// One shard's thread: engine rounds, and between them the one job the
-/// last round dispatched, run right here.
+/// One owner's thread: engine rounds over `engine` — a shard's, or the
+/// whole — and between them either the one job the last round
+/// dispatched, run right here (no `helpers`: one slot), or nothing but
+/// scheduling (one helper per slot).
 #[allow(clippy::too_many_lines)]
-fn shard_scheduler_main(
-    mut shard: EngineShard,
+fn owner_main(
+    mut engine: OnlineEngine,
     mut bodies: HashMap<(TaskId, VersionId), TaskBody>,
     rx: MailboxReceiver<ShardMsg>,
     clock: &Arc<MonotonicClock>,
-    waiting: WaitChoice,
     mut peers: PeerLinks,
     lanes: MsgLanes,
+    mut helpers: Vec<HelperLink>,
 ) -> (Vec<RtJobRecord>, EngineStats) {
-    let worker = shard.worker();
+    // The whole engine owns slots `0..n` and sits at index 0 of its
+    // one-owner runtime; alone on one slot it is worker 0 itself.
+    let worker = engine.shard_worker().unwrap_or(WorkerId::new(0));
     let me = worker.index();
-    let tick = shard.tick_period();
+    let tick = engine.tick_period();
+    let waiting = engine.config().waiting();
     let mut records: Vec<RtJobRecord> = Vec::new();
     let mut shutting_down = false;
     // The victim worker index of the one in-flight steal request, if
@@ -922,12 +1201,15 @@ fn shard_scheduler_main(
     // One reusable sink: the steady-state loop allocates nothing for
     // actions.
     let mut sink = ActionSink::new();
-    // The job the engine's last round dispatched — one worker, never
-    // preempted, so at most one — run at the top of the next pass.
+    // The job the engine's last round dispatched to this thread — one
+    // slot, never preempted, so at most one — run at the top of the
+    // next pass. Stays empty on an owner that feeds helpers.
     let mut next_job: Option<(Job, VersionId)> = None;
-    // The completion of the body just run, not yet retired: folded into
-    // a due tick, or retired ahead of the first command of the pass.
-    let mut done: Option<(WorkerId, JobId)> = None;
+    // Completions not yet retired — the body just run, or what the
+    // helpers reported this drain, one per slot at most: folded into a
+    // due tick, or retired together ahead of the first command of the
+    // pass.
+    let mut done: Vec<(WorkerId, JobId)> = Vec::with_capacity(helpers.len().max(1));
     let mut last_done = Instant::ZERO;
     // Cross-shard DAG tokens drained from the shard outbox, reused.
     let mut outbox: Vec<RemoteActivation> = Vec::with_capacity(8);
@@ -938,24 +1220,36 @@ fn shard_scheduler_main(
     // persistent request/deny ping-pong against a shard whose queue
     // holds only unstealable work.
     let stealable_load =
-        |shard: &EngineShard| -> usize { shard.try_steal().map_or(0, |_| shard.ready_len()) };
+        |engine: &OnlineEngine| -> usize { engine.steal_hint().map_or(0, |_| engine.ready_len()) };
 
-    // Everything an engine round leaves behind: the dispatch becomes
-    // the next job, cross-shard tokens route to their owning peers, and
-    // — when anyone actually probes — the advisory load is republished
-    // (with stealing off, the probe and the store would be pure
-    // overhead on the benchmarked dispatch path).
+    // Everything an engine round leaves behind: a dispatch becomes this
+    // thread's next job or goes to its slot's helper, cross-shard
+    // tokens route to their owning peers, and — when anyone actually
+    // probes — the advisory load is republished (with stealing off, the
+    // probe and the store would be pure overhead on the benchmarked
+    // dispatch path).
     macro_rules! settle_round {
         () => {{
             for &a in sink.as_slice() {
                 // Boost actions are priority bookkeeping only;
                 // preemption is disabled, so Preempt cannot occur.
-                if let Action::Dispatch { job, version, .. } = a {
-                    debug_assert!(next_job.is_none(), "one worker, one job");
+                let Action::Dispatch {
+                    worker: slot,
+                    job,
+                    version,
+                } = a
+                else {
+                    continue;
+                };
+                if let Some(helper) = helpers.get_mut(slot.index()) {
+                    let body = Arc::clone(&bodies[&(job.task, version)]);
+                    helper.push(Some(Run { job, version, body }));
+                } else {
+                    debug_assert!(next_job.is_none(), "one slot, one job");
                     next_job = Some((job, version));
                 }
             }
-            shard.drain_outbox_into(&mut outbox);
+            engine.drain_outbox_into(&mut outbox);
             for ra in outbox.drain(..) {
                 peers.send(
                     ra.worker.index(),
@@ -966,32 +1260,33 @@ fn shard_scheduler_main(
                 );
             }
             if peers.stealing {
-                peers.publish_load(me, stealable_load(&shard));
+                peers.publish_load(me, stealable_load(&engine));
             }
         }};
     }
-    // Retires the pending completion, if any, in a round of its own.
+    // Retires the pending completions, if any, in a round of their own.
     macro_rules! retire_done {
         () => {
-            if let Some(c) = done.take() {
+            if !done.is_empty() {
                 sink.clear();
-                shard
-                    .on_jobs_completed_into(&[c], last_done, &mut sink)
+                engine
+                    .on_jobs_completed_into(&done, last_done, &mut sink)
                     .expect("completion protocol upheld");
+                done.clear();
                 settle_round!();
             }
         };
     }
-    // The tick round at `$at`, folding in the pending completion: one
-    // dispatch round sees the freed worker and the fresh releases
+    // The tick round at `$at`, folding in the pending completions: one
+    // dispatch round sees the freed workers and the fresh releases
     // together.
     macro_rules! tick_round {
         ($at:expr) => {{
             sink.clear();
-            shard
-                .advance_into(done.as_slice(), $at, &mut sink)
+            engine
+                .advance_into(&done, $at, &mut sink)
                 .expect("completion protocol upheld");
-            done = None;
+            done.clear();
             settle_round!();
             // Age the donation history once per tick, from one shard
             // only (every shard halving it would decay n times faster
@@ -1002,18 +1297,41 @@ fn shard_scheduler_main(
             }
         }};
     }
+    // A job ran, here or on a helper: its record, and its completion
+    // queued for the next retiring round.
+    macro_rules! job_done {
+        ($record:expr) => {{
+            let r: RtJobRecord = $record;
+            records.push(r);
+            last_done = last_done.max(r.completed);
+            match r.outcome {
+                JobOutcome::Completed => done.push((r.worker, r.job.id)),
+                // Rare by construction: retired alone through the
+                // failure path (successors are policy-gated there).
+                JobOutcome::Failed => {
+                    sink.clear();
+                    engine
+                        .on_job_failed_into(r.worker, r.job.id, r.completed, &mut sink)
+                        .expect("failure protocol upheld");
+                    settle_round!();
+                }
+            }
+        }};
+    }
 
     // One instant anchors both grids: the releases `start_into` arms
     // and the tick edges that dispatch them. An anchor taken after the
     // first dispatch round would make every tick of the run trail its
     // release by however long that round took.
     let t0 = clock.now();
-    shard.start_into(t0, &mut sink).expect("fresh shard starts");
+    engine
+        .start_into(t0, &mut sink)
+        .expect("fresh engine starts");
     settle_round!();
     let mut next_tick = t0 + tick;
 
     loop {
-        // The job boundary. Run the dispatched job here, on the shard's
+        // The job boundary. Run the dispatched job here, on the owner's
         // own thread; everything below waited for it (module docs).
         if let Some((job, version)) = next_job.take() {
             let ctx = JobCtx {
@@ -1021,47 +1339,15 @@ fn shard_scheduler_main(
                 version,
                 worker,
             };
-            let body = &bodies[&(job.task, version)];
-            let started = clock.now();
-            // Contain body panics: a panicking job retires as Failed
-            // instead of killing the thread and with it the whole shard.
-            // `TaskBody` is a shared closure and not `UnwindSafe`, but
-            // its captured state is never observed by the runtime after
-            // a panic, so the assertion is sound.
-            let outcome =
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&ctx))) {
-                    Ok(()) => JobOutcome::Completed,
-                    Err(_) => JobOutcome::Failed,
-                };
-            let completed = clock.now();
+            let record = run_body(&bodies[&(job.task, version)], &ctx, clock);
             // The edges the body ran across, in time order and ahead of
             // its completion: overrun enforcement and the miss trip
             // find the job still in its slot.
-            while next_tick <= completed {
+            while next_tick <= record.completed {
                 tick_round!(next_tick);
                 next_tick += tick;
             }
-            records.push(RtJobRecord {
-                job,
-                version,
-                worker,
-                started,
-                completed,
-                outcome,
-            });
-            last_done = completed;
-            match outcome {
-                JobOutcome::Completed => done = Some((worker, job.id)),
-                // Rare by construction: retired alone through the
-                // failure path (successors are policy-gated there).
-                JobOutcome::Failed => {
-                    sink.clear();
-                    shard
-                        .on_job_failed_into(worker, job.id, completed, &mut sink)
-                        .expect("failure protocol upheld");
-                    settle_round!();
-                }
-            }
+            job_done!(record);
             LOCAL.with_borrow_mut(|l| {
                 let l = l.as_mut().expect("set when the thread started");
                 std::mem::swap(&mut posts, &mut l.posts);
@@ -1073,22 +1359,21 @@ fn shard_scheduler_main(
         // mutual progress.
         peers.flush();
         // Drain on the zero-alloc path, in the order things happened:
-        // what the body posted, its completion, then the mailbox
-        // (control, peer protocol, message lane). The completion
-        // retires ahead of the first command, so command effects stay
-        // ordered behind it; if none arrived it is folded into the tick
-        // round below when one is due.
+        // what the body posted, what reached the mailbox while it ran
+        // (control, peer protocol, message lane — or, on an owner that
+        // feeds helpers, whatever rang it, their completions among it),
+        // and only then the completions: an activation or a boost that
+        // arrived during a body finds its slot still taken and queues,
+        // so the round that retires the body picks the most urgent of
+        // everything that is ready by then — what a scheduler thread of
+        // its own would have decided. (One exception: the completions
+        // retire ahead of a steal grant, see there.) All completions of
+        // one drain retire in one round, folded into the tick round
+        // below when one is due.
         let mut drained_any = false;
         loop {
-            let msg = match posts.pop_front() {
-                Some(msg) => msg,
-                None => {
-                    let Some(msg) = rx.borrow_mut().try_recv() else {
-                        break;
-                    };
-                    retire_done!();
-                    msg
-                }
+            let Some(msg) = posts.pop_front().or_else(|| rx.borrow_mut().try_recv()) else {
+                break;
             };
             drained_any = true;
             // Late work arriving after this shard advertised quiescence
@@ -1099,9 +1384,10 @@ fn shard_scheduler_main(
                 peers.clear_drained(me);
             }
             match msg {
+                ShardMsg::Done(record) => job_done!(record),
                 ShardMsg::Activate(task) => {
                     sink.clear();
-                    if shard.activate_into(task, clock.now(), &mut sink).is_ok() {
+                    if engine.activate_into(task, clock.now(), &mut sink).is_ok() {
                         settle_round!();
                     }
                 }
@@ -1110,28 +1396,33 @@ fn shard_scheduler_main(
                     graph_release,
                 } => {
                     sink.clear();
-                    shard
+                    engine
                         .on_remote_token(edge, graph_release, clock.now(), &mut sink)
                         .expect("cross-shard token routed to the owning shard");
                     settle_round!();
                 }
                 ShardMsg::MsgHigh { dst, .. } | ShardMsg::MsgDrained { dst } => {
-                    let owner = shard
-                        .taskset()
-                        .tasks()
-                        .get(dst.index())
-                        .and_then(|t| t.spec().assigned_worker());
+                    // The whole engine has every task; a shard's, those
+                    // assigned to its worker.
+                    let owner = match engine.shard_worker() {
+                        None => Some(worker),
+                        Some(_) => engine
+                            .taskset()
+                            .tasks()
+                            .get(dst.index())
+                            .and_then(|t| t.spec().assigned_worker()),
+                    };
                     match owner {
-                        Some(o) if o.index() == me => {
+                        Some(o) if o == worker => {
                             let at = clock.now();
-                            let cmd = match msg {
-                                ShardMsg::MsgHigh { ceiling, .. } => {
-                                    ShardCmd::MsgHigh { dst, ceiling, at }
-                                }
-                                _ => ShardCmd::MsgDrained { dst, at },
-                            };
                             sink.clear();
-                            if shard.process_into(cmd, &mut sink).is_ok() {
+                            let applied = match msg {
+                                ShardMsg::MsgHigh { ceiling, .. } => {
+                                    engine.on_high_posted_into(dst, ceiling, at, &mut sink)
+                                }
+                                _ => engine.on_high_drained_into(dst, at, &mut sink),
+                            };
+                            if applied.is_ok() {
                                 settle_round!();
                             }
                         }
@@ -1142,14 +1433,18 @@ fn shard_scheduler_main(
                     }
                 }
                 ShardMsg::StealRequest { thief, k } => {
+                    // This owner picks first: what it is about to run
+                    // itself stays home, the thief gets what is behind
+                    // it.
+                    retire_done!();
                     // Answer authoritatively: detach up to `k` of the
                     // most urgent accelerator-free ready jobs in one
                     // exchange, or refuse. Scratch buffers are retained
                     // across rounds — the grant path allocates nothing.
                     steal_hints.clear();
                     steal_batch.clear();
-                    shard.try_steal_batch(k as usize, &mut steal_hints);
-                    let granted = shard.release_stolen_batch(&steal_hints, &mut steal_batch);
+                    engine.steal_hints(k as usize, &mut steal_hints);
+                    let granted = engine.release_stolen_batch(&steal_hints, &mut steal_batch);
                     let reply = if granted == 0 {
                         ShardMsg::StealDeny
                     } else {
@@ -1161,13 +1456,13 @@ fn shard_scheduler_main(
                     };
                     peers.send(thief.index(), reply);
                     if peers.stealing {
-                        peers.publish_load(me, stealable_load(&shard));
+                        peers.publish_load(me, stealable_load(&engine));
                     }
                 }
                 ShardMsg::StolenBatch { jobs } => {
                     pending_steal = None;
                     sink.clear();
-                    shard
+                    engine
                         .adopt_stolen_batch(jobs.as_slice(), clock.now(), &mut sink)
                         .expect("stolen batch adoptable by the requesting shard");
                     settle_round!();
@@ -1186,17 +1481,20 @@ fn shard_scheduler_main(
                     for (k, b) in tenant_bodies.iter() {
                         bodies.insert(*k, Arc::clone(b));
                     }
-                    shard
-                        .admit_tasks(taskset, budget, at)
+                    let tenant = TenantId::new(engine.tenant_count() as u32);
+                    engine
+                        .splice_taskset(taskset, reservation_for(tenant, budget, at))
                         .expect("admission validated by the admitting thread");
-                    ack.fetch_sub(1, Ordering::AcqRel);
+                    if let Some(ack) = ack {
+                        ack.fetch_sub(1, Ordering::AcqRel);
+                    }
                 }
                 ShardMsg::Commit { tenant } => {
                     sink.clear();
                     // A commit racing a `stop()` is refused by the
                     // engine (`ScheduleNotRunning`) — the schedule is
                     // ending anyway, so the tenant simply never starts.
-                    if shard
+                    if engine
                         .commit_tenant_anchored_into(tenant, next_tick, clock.now(), &mut sink)
                         .is_ok()
                     {
@@ -1205,16 +1503,16 @@ fn shard_scheduler_main(
                 }
                 ShardMsg::Retire { tenant, at } => {
                     sink.clear();
-                    shard
+                    engine
                         .retire_tenant_into(tenant, at, &mut sink)
                         .expect("retirement validated by the retiring thread");
                     settle_round!();
                 }
-                ShardMsg::Stop => shard.stop(),
+                ShardMsg::Stop => engine.stop(),
                 ShardMsg::Shutdown => {
                     // Shutdown implies stop: the drain below terminates
                     // only once releases cease.
-                    shard.stop();
+                    engine.stop();
                     shutting_down = true;
                 }
                 ShardMsg::DrainFlush { from } => {
@@ -1249,8 +1547,9 @@ fn shard_scheduler_main(
         // visible, and an undelivered message always shows up either in
         // its sender's backlog (sender not drained) or its receiver's
         // mailbox (receiver re-checks before exiting), so no message
-        // can be lost.
-        if shutting_down && shard.is_idle() && pending_steal.is_none() && peers.pending_empty() {
+        // can be lost. (An engine with a completion still to retire is
+        // not idle: helpers' jobs are waited out like the owner's own.)
+        if shutting_down && engine.is_idle() && pending_steal.is_none() && peers.pending_empty() {
             if !flush_sent {
                 for p in 0..peers.txs.len() {
                     if p != me {
@@ -1267,7 +1566,7 @@ fn shard_scheduler_main(
             }
         }
 
-        // Tick edge, generated locally by this shard's owner.
+        // Tick edge, generated locally by this owner.
         let now = clock.now();
         if now >= next_tick {
             tick_round!(now);
@@ -1283,7 +1582,7 @@ fn shard_scheduler_main(
         let thief = peers.stealing
             && !shutting_down
             && pending_steal.is_none()
-            && shard.is_idle()
+            && engine.is_idle()
             && rx.is_empty();
         if thief {
             if let Some(victim) = peers.board.pick_victim(me) {
@@ -1292,7 +1591,7 @@ fn shard_scheduler_main(
                 // victim, and never for more than the batch cap.
                 let k = peers
                     .board
-                    .steal_batch_size(victim, shard.ready_len(), MAX_STEAL_BATCH);
+                    .steal_batch_size(victim, engine.ready_len(), MAX_STEAL_BATCH);
                 peers.send(
                     victim,
                     ShardMsg::StealRequest {
@@ -1316,8 +1615,8 @@ fn shard_scheduler_main(
                 // Everything this loop acts on, and what wakes it:
                 //
                 //  * a mailbox command (control, peer protocol incl.
-                //    `DrainFlush`/`DrainAck`, message lane)
-                //                     — `send` rings;
+                //    `DrainFlush`/`DrainAck`, message lane, a helper's
+                //    `Done`)          — `send` rings;
                 //  * `pending_steal` towards a victim that is gone
                 //    (its thread died: a live victim always answers)
                 //                     — a closing lane rings; one that
@@ -1372,15 +1671,18 @@ fn shard_scheduler_main(
         "drained shard with a non-empty mailbox"
     );
     peers.board.publish(me, 0);
-    (records, shard.stats().clone())
+    for helper in &mut helpers {
+        helper.push(None);
+    }
+    (records, engine.stats().clone())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_util::within_attempts;
     #[cfg(target_os = "linux")]
     use crate::test_util::{alone_in_child, thread_sleeps};
+    use crate::test_util::{must_return, nap_ms, within_attempts};
     use std::sync::atomic::{AtomicU32, Ordering};
     use yasmin_core::config::{ConfigBuilder, MappingScheme};
     use yasmin_core::graph::TaskSetBuilder;
@@ -2166,10 +2468,6 @@ mod tests {
         (t, v)
     }
 
-    fn nap_ms(v: u64) {
-        std::thread::sleep(std::time::Duration::from_millis(v));
-    }
-
     #[test]
     fn spinning_shards_keep_their_schedule() {
         // `WaitChoice::Spin`, one 5 ms task per shard for 200 ms: each
@@ -2265,17 +2563,6 @@ mod tests {
             );
             Ok(())
         });
-    }
-
-    /// Runs `scenario` on a thread of its own and fails if it has not
-    /// returned within 20 s: the scenarios below hang when a shard
-    /// thread waits for itself.
-    fn must_return<T: Send + 'static>(scenario: impl FnOnce() -> T + Send + 'static) -> T {
-        let (verdict_tx, verdict_rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || verdict_tx.send(scenario()));
-        verdict_rx
-            .recv_timeout(std::time::Duration::from_secs(20))
-            .expect("a shard thread waits for itself")
     }
 
     #[test]

@@ -17,6 +17,21 @@ pub(crate) fn within_attempts(n: usize, attempt: impl Fn() -> Result<(), String>
     panic!("{last}");
 }
 
+pub(crate) fn nap_ms(v: u64) {
+    std::thread::sleep(std::time::Duration::from_millis(v));
+}
+
+/// Runs `scenario` on a thread of its own and fails if it has not
+/// returned within 20 s: the scenarios that use it hang when an owner
+/// thread waits for itself.
+pub(crate) fn must_return<T: Send + 'static>(scenario: impl FnOnce() -> T + Send + 'static) -> T {
+    let (verdict_tx, verdict_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || verdict_tx.send(scenario()));
+    verdict_rx
+        .recv_timeout(std::time::Duration::from_secs(20))
+        .expect("an owner thread waits for itself")
+}
+
 /// `voluntary_ctxt_switches` of every live thread of this process whose
 /// name starts with one of `prefixes`, by tid: `(name, count)`. Every
 /// blocking sleep is one voluntary context switch, so the count tells a

@@ -75,6 +75,21 @@
 //! view. [`AdmissionControl::evaluate`] itself is the stateless gate —
 //! the case where everything in `current` is live.
 //!
+//! The ledger also keeps each *superseded* merged set alive until the
+//! engines have let go of it. A driver's splice closure may return once
+//! the new set is sent (the thread runtimes' do), so the engine that
+//! adopts it last would otherwise drop the last reference to the old
+//! one — one `free` per task, version vector and adjacency list ever
+//! admitted, on a real-time thread. The next `admit` takes the newest
+//! such set back instead and builds `merged ⊕ candidate` in its storage
+//! ([`TaskSet::extended_from`]): it is a prefix of the current set, so
+//! only the tenants admitted since are copied and nothing is freed. In
+//! the steady state two sets alternate — the one the engines run and
+//! the one before it — and an admission copies two tenants, not every
+//! task ever admitted; only when the engines fall behind does `admit`
+//! copy the whole set, and drop, on the caller's thread, the older
+//! sets they let go of later.
+//!
 //! # The admission state machine
 //!
 //! ```text
@@ -101,7 +116,8 @@
 //!   tenant's periodic roots. Two-phase matters under sharding: commit
 //!   is sent only after *every* shard acknowledged its splice, so no
 //!   shard can complete a tenant job and route a cross-shard token to a
-//!   shard that has never heard of the edge.
+//!   shard that has never heard of the edge. A single engine hears both
+//!   commands over one FIFO lane, in order, and nobody waits for it.
 //! * **Retired** — [`OnlineEngine::retire_tenant_into`] quiesced the
 //!   tenant: future releases disarmed, ready jobs culled, pending DAG
 //!   tokens dropped, late cross-shard tokens silently discarded.
@@ -642,6 +658,10 @@ pub struct TenantLedger {
     tenants: Vec<Tenant>,
     /// Base set extended by the live tenants, in admission order.
     view: Arc<TaskSet>,
+    /// Earlier values of `merged`, oldest first (module docs): kept
+    /// while an engine may still run them, then recycled by the next
+    /// admission — or dropped by it, on a caller's thread.
+    superseded: Vec<Arc<TaskSet>>,
 }
 
 impl TenantLedger {
@@ -657,7 +677,20 @@ impl TenantLedger {
             }],
             view: Arc::clone(&base),
             merged: base,
+            superseded: Vec::new(),
         }
+    }
+
+    /// Takes back the newest superseded set every engine has let go of
+    /// — the one that lacks the least — and drops the older such ones.
+    fn reclaim_superseded(&mut self) -> Option<TaskSet> {
+        // A count of one cannot rise again — only a holder can clone —
+        // and `try_unwrap` synchronises with the drop that left it.
+        let unheld = |set: &Arc<TaskSet>| Arc::strong_count(set) == 1;
+        let newest = self.superseded.iter().rposition(unheld)?;
+        let stale = self.superseded.remove(newest);
+        self.superseded.retain(|set| !unheld(set));
+        Arc::try_unwrap(stale).ok()
     }
 
     /// The merged set the engines currently run: every tenant ever
@@ -695,7 +728,10 @@ impl TenantLedger {
             .control
             .evaluate(&self.view, candidate, budget)
             .map_err(|e| self.in_merged_ids(e))?;
-        let merged = Arc::new(self.merged.extended(candidate)?);
+        let merged = Arc::new(match self.reclaim_superseded() {
+            Some(stale) => self.merged.extended_from(stale, candidate)?,
+            None => self.merged.extended(candidate)?,
+        });
         let tenant = TenantId::new(self.tenants.len() as u32);
         splice(Admission {
             tenant,
@@ -707,7 +743,8 @@ impl TenantLedger {
             set: Some(Arc::new(candidate.clone())),
         });
         self.view = view;
-        self.merged = merged;
+        self.superseded
+            .push(std::mem::replace(&mut self.merged, merged));
         Ok(tenant)
     }
 
@@ -1049,6 +1086,50 @@ mod tests {
         ));
         ledger.retire(t).unwrap();
         assert!(matches!(ledger.retire(t), Err(Error::TenantRetired(1))));
+    }
+
+    #[test]
+    fn superseded_merged_set_outlives_the_engine_that_still_runs_it() {
+        // A stand-in for an engine that splices when it gets round to
+        // it: `running` is the set it runs, and each admission returns
+        // what the driver's splice closure sent it.
+        let base = Arc::new(set("base", 1, 100, None));
+        let mut ledger = TenantLedger::new(AdmissionControl::new(edf(1), ms(100)), base);
+        let guest = set("guest", 1, 100, None);
+        let mut admit = || {
+            let mut sent = None;
+            let tenant = ledger
+                .admit(&guest, None, |a| {
+                    sent = Some(Arc::clone(a.merged));
+                    Ok(())
+                })
+                .unwrap();
+            (tenant, sent.expect("spliced"))
+        };
+        let (_, mut running) = admit();
+        let first = Arc::downgrade(&running);
+
+        // Two admissions go by before the engine adopts anything: it
+        // must not be left holding the last reference to what it runs.
+        let _second = admit();
+        assert_eq!(Arc::strong_count(&running), 2, "engine and ledger");
+        let (_, third) = admit();
+        assert_eq!(Arc::strong_count(&running), 2, "engine and ledger");
+
+        // The engine splices the latest set: nothing dies on its thread…
+        running = third;
+        assert!(first.upgrade().is_some(), "the ledger still holds it");
+        // …and the caller's next admission takes the storage back: the
+        // new set is built in it, and is what copying would have built.
+        let (_, fourth) = admit();
+        assert!(first.upgrade().is_none(), "recycled once the engine let go");
+        let mut copied = set("base", 1, 100, None);
+        for _ in 0..4 {
+            copied = copied.extended(&guest).unwrap();
+        }
+        assert_eq!(format!("{fourth:?}"), format!("{copied:?}"));
+        assert!(Arc::ptr_eq(&fourth, ledger.merged()));
+        assert_eq!(Arc::strong_count(&running), 2, "engine and ledger");
     }
 
     /// End-to-end through a live engine: evaluate → splice → commit →

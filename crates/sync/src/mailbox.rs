@@ -77,14 +77,29 @@ pub fn mailbox<T: Send>(
     lanes: usize,
     lane_capacity: usize,
 ) -> (Vec<MailboxSender<T>>, MailboxReceiver<T>) {
-    assert!(lanes > 0, "mailbox needs at least one lane");
+    mailbox_with_capacities(&vec![lane_capacity; lanes])
+}
+
+/// [`mailbox`] with one lane per entry of `capacities`, each ring sized
+/// by what its producer can have in flight: a lane that carries one
+/// reply at a time needs one slot, not the depth of the command lanes
+/// beside it (a slot is as large as the largest command).
+///
+/// # Panics
+///
+/// Panics if `capacities` is empty or holds a zero.
+#[must_use]
+pub fn mailbox_with_capacities<T: Send>(
+    capacities: &[usize],
+) -> (Vec<MailboxSender<T>>, MailboxReceiver<T>) {
+    assert!(!capacities.is_empty(), "mailbox needs at least one lane");
     let shared = Arc::new(Shared {
         pending: AtomicUsize::new(0),
         bell: Doorbell::new(),
     });
-    let mut senders = Vec::with_capacity(lanes);
-    let mut receivers = Vec::with_capacity(lanes);
-    for _ in 0..lanes {
+    let mut senders = Vec::with_capacity(capacities.len());
+    let mut receivers = Vec::with_capacity(capacities.len());
+    for &lane_capacity in capacities {
         let (tx, rx) = spsc::channel::<T>(lane_capacity);
         let closed = Arc::new(AtomicBool::new(false));
         senders.push(MailboxSender {
@@ -348,6 +363,20 @@ mod tests {
         txs[0].send(3).unwrap();
         assert_eq!(rx.try_recv(), Some(2));
         assert_eq!(rx.try_recv(), Some(3));
+    }
+
+    #[test]
+    fn lanes_are_sized_one_by_one() {
+        let (mut txs, mut rx) = mailbox_with_capacities::<u8>(&[1, 3]);
+        assert_eq!((txs[0].capacity(), txs[1].capacity()), (1, 3));
+        txs[0].send(1).unwrap();
+        assert_eq!(txs[0].send(2), Err(MailboxFull(2)));
+        for v in 10..13 {
+            txs[1].send(v).unwrap();
+        }
+        assert_eq!(rx.len(), 4);
+        assert_eq!(rx.pop_lane(0), Some(1));
+        txs[0].send(2).unwrap();
     }
 
     #[test]

@@ -203,7 +203,9 @@ proptest! {
     /// ledger's verdict is `AdmissionControl::evaluate` on a set built
     /// from scratch out of exactly the live tenants, with task ids moved
     /// to the merged space; after 200 steps its view holds the base and
-    /// the live tenants' tasks and nothing else.
+    /// the live tenants' tasks and nothing else, and its merged set —
+    /// built in recycled storage from the third admission on — is the
+    /// base extended by every accepted candidate in turn.
     #[test]
     fn ledger_matches_from_scratch_evaluation(
         seed in any::<u64>(),
@@ -224,6 +226,7 @@ proptest! {
             // The model: live tenants as (id, first merged id, set).
             let mut live: Vec<(TenantId, usize, TaskSet)> = Vec::new();
             let mut merged_len = base.len();
+            let mut every_tenant = (*base).clone();
             let (mut accepted, mut refused) = (0, 0);
 
             for (i, &op) in ops.iter().enumerate() {
@@ -276,6 +279,7 @@ proptest! {
                 match got {
                     Ok(tenant) => {
                         prop_assert_eq!(expected, Ok(()));
+                        every_tenant = every_tenant.extended(&cand).unwrap();
                         live.push((tenant, merged_len, cand.clone()));
                         merged_len += cand.len();
                         accepted += 1;
@@ -289,6 +293,7 @@ proptest! {
                 prop_assert_eq!(ledger.live_view().len(), base.len() + live_tasks);
                 prop_assert_eq!(ledger.merged().len(), merged_len);
             }
+            prop_assert_eq!(format!("{:?}", ledger.merged()), format!("{every_tenant:?}"));
             prop_assert!(
                 accepted > 10 && refused > 10,
                 "{:?}: {} accepted, {} refused — one-sided sequence",
