@@ -2,23 +2,18 @@
 //! CI perf gate reads, in one process, into `results/BENCH_PR10.json`.
 //!
 //! Sections: the steady-state tick/complete loop against the
-//! single-owner engine (`after` — comparable 1:1 with the committed
-//! PR 2/3/4/5 records) and against the sharded engine fed through the
-//! lock-free command mailbox (`mailbox_feed`); the **remove-heavy**
-//! queue loop and the **bursty-completion** loop (PR 4); the **steal**
-//! loop and the **cross-activation** loop (PR 5); the message-plane
-//! loop (PR 8) and the enforcement-overhead loop (PR 9), both folded
-//! into this file so every same-host ratio the gate checks comes from
-//! one process on one host; and the three PR 10 loops — **steal_batch**
-//! (eight single-steal protocol rounds against one batched exchange
-//! moving the same eight jobs), **queue_scan** (a pop+push sift cycle
-//! at n = 8192 on the struct-of-arrays `ReadyQueue` against the frozen
-//! inline-payload PR 4 layout) and **handoff** (a short-job burst
-//! drained on real `ShardedRuntime` threads, stealing off vs on).
-//!
-//! The committed `BENCH_PR5.json` / `BENCH_PR8.json` / `BENCH_PR9.json`
-//! are historical records now: this binary no longer rewrites them, and
-//! the gate reads its same-host ratios from `BENCH_PR10.json` alone.
+//! single-owner engine (`after`) and against the sharded engine fed
+//! through the lock-free command mailbox (`mailbox_feed`); the
+//! **remove-heavy** queue loop and the **bursty-completion** loop; the
+//! **steal** loop (one job, as a batch of one) and the
+//! **cross-activation** loop; the message-plane loop and the
+//! enforcement-overhead loop; **steal_batch** (eight exchanges of one
+//! job against one batched exchange moving the same eight jobs),
+//! **queue_scan** (a pop+push sift cycle at n = 8192 on the
+//! struct-of-arrays `ReadyQueue` against the frozen inline-payload PR 4
+//! layout) and **handoff** (a short-job burst drained on real sharded
+//! `Runtime` threads, stealing off vs on). Every ratio the gate checks
+//! comes from one process on one host.
 //!
 //! Each engine loop runs three times and the run with the lowest p50
 //! sum is kept: the per-run medians are stable, but host noise (other
@@ -94,7 +89,7 @@ fn main() {
          ({HANDOFF_JOBS} jobs x {HANDOFF_SPIN_US}us)"
     );
     let handoff = hotpath::run_handoff(HANDOFF_JOBS, HANDOFF_SPIN_US, 3);
-    let json = hotpath::render_json_pr10(
+    let json = hotpath::render_json(
         &direct,
         &sharded,
         &remove_heavy,

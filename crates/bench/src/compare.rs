@@ -1,7 +1,7 @@
-//! Comparison of recorded hotpath benchmark JSONs — the CI
-//! perf-regression gate (PR 3).
+//! Same-host ratio checks over one recorded hotpath benchmark JSON —
+//! the CI perf-regression gate.
 //!
-//! The workspace vendors no JSON library, and the `BENCH_PR*.json`
+//! The workspace vendors no JSON library, and the `BENCH_PR10.json`
 //! format is our own (flat, one section per line, emitted by
 //! [`crate::hotpath`]), so extraction is a small scanner rather than a
 //! parser: find the section key, then the entry key after it, then the
@@ -49,7 +49,7 @@ pub fn extract_p50(json: &str, section: &str, entry: &str) -> Option<u64> {
 /// Outcome of one gated comparison.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GateCheck {
-    /// `section.entry` compared (e.g. `after.on_tick`).
+    /// What was compared (e.g. `steal.steal_cycle vs steal.local_pop`).
     pub what: String,
     /// Baseline median, ns.
     pub baseline_p50_ns: u64,
@@ -70,49 +70,6 @@ impl std::fmt::Display for GateCheck {
             if self.regressed { "REGRESSED" } else { "ok" }
         )
     }
-}
-
-/// Compares the current JSON's `after` p50 medians against the **best**
-/// (minimum) recorded baseline per entry point across several baseline
-/// JSONs — so a PR cannot claim a win against the slowest ancestor
-/// while regressing on the fastest. `baselines` pairs a display name
-/// with the file's contents.
-///
-/// # Errors
-///
-/// A message naming the first entry missing from any JSON (a format
-/// drift — the gate must fail loudly, not silently pass).
-pub fn gate_p50_vs_best(
-    baselines: &[(&str, &str)],
-    current_json: &str,
-    max_regression_pct: u64,
-) -> Result<Vec<GateCheck>, String> {
-    if baselines.is_empty() {
-        return Err("gate_p50_vs_best needs at least one baseline".into());
-    }
-    let entries = ["on_tick", "on_job_completed"];
-    let mut checks = Vec::with_capacity(entries.len());
-    for entry in entries {
-        let mut best: Option<(u64, &str)> = None;
-        for (name, json) in baselines {
-            let b = extract_p50(json, "after", entry)
-                .ok_or_else(|| format!("baseline {name} lacks after.{entry}.p50_ns"))?;
-            if best.is_none_or(|(v, _)| b < v) {
-                best = Some((b, name));
-            }
-        }
-        let (b, name) = best.expect("baselines is non-empty");
-        let c = extract_p50(current_json, "after", entry)
-            .ok_or_else(|| format!("current JSON lacks after.{entry}.p50_ns"))?;
-        let limit = b.saturating_mul(100 + max_regression_pct) / 100;
-        checks.push(GateCheck {
-            what: format!("after.{entry} (best: {name})"),
-            baseline_p50_ns: b,
-            current_p50_ns: c,
-            regressed: c > limit,
-        });
-    }
-    Ok(checks)
 }
 
 /// Same-host ratio gate between two p50 medians of ONE json: the
@@ -178,13 +135,12 @@ pub fn gate_min_speedup(
     })
 }
 
-/// Same-host sanity gate: within one `BENCH_PR3.json`, the mailbox-fed
-/// sharded path may cost at most `max_overhead_pct` percent over the
-/// direct path for each entry point. Both sides are measured in the
-/// same process on the same host, so — unlike the cross-file check —
-/// this bound is immune to runner-vs-reference-host speed differences;
-/// it catches a lock, allocation or O(n) scan slipping into the
-/// mailbox feed itself.
+/// Same-host sanity gate: within one JSON, the mailbox-fed sharded
+/// path may cost at most `max_overhead_pct` percent over the direct
+/// path for each entry point. Both sides are measured in the same
+/// process on the same host, so this bound is immune to
+/// runner-vs-reference-host speed differences; it catches a lock,
+/// allocation or O(n) scan slipping into the mailbox feed itself.
 ///
 /// # Errors
 ///
@@ -253,58 +209,6 @@ mod tests {
     }
 
     #[test]
-    fn gate_passes_within_threshold() {
-        let current = BASE.replace("\"p50_ns\": 140", "\"p50_ns\": 170");
-        let checks = gate_p50_vs_best(&[("BASE", BASE)], &current, 25).unwrap();
-        assert!(checks.iter().all(|c| !c.regressed), "{checks:?}");
-    }
-
-    #[test]
-    fn gate_fails_past_threshold() {
-        let current = BASE.replace("\"p50_ns\": 190", "\"p50_ns\": 260");
-        let checks = gate_p50_vs_best(&[("BASE", BASE)], &current, 25).unwrap();
-        let bad: Vec<_> = checks.iter().filter(|c| c.regressed).collect();
-        assert_eq!(bad.len(), 1);
-        assert_eq!(bad[0].what, "after.on_job_completed (best: BASE)");
-        assert!(bad[0].to_string().contains("REGRESSED"));
-    }
-
-    #[test]
-    fn gate_errors_on_format_drift() {
-        assert!(gate_p50_vs_best(&[("BASE", BASE)], "{}", 25).is_err());
-        assert!(gate_p50_vs_best(&[("bad", "{}")], BASE, 25).is_err());
-    }
-
-    const PR3: &str = r#"{
-  "bench": "hotpath",
-  "after": {"on_tick": {"p50_ns": 160}, "on_job_completed": {"p50_ns": 190}},
-  "mailbox_feed": {"on_tick": {"p50_ns": 140}, "on_job_completed": {"p50_ns": 210}}
-}"#;
-
-    #[test]
-    fn best_baseline_gate_takes_the_minimum() {
-        // PR2 has the faster on_tick, PR3 the faster on_job_completed:
-        // the gate must compare against each entry's best.
-        let pr2 = r#"{"after": {"on_tick": {"p50_ns": 100}, "on_job_completed": {"p50_ns": 300}}}"#;
-        let pr3 = r#"{"after": {"on_tick": {"p50_ns": 200}, "on_job_completed": {"p50_ns": 150}}}"#;
-        let current =
-            r#"{"after": {"on_tick": {"p50_ns": 110}, "on_job_completed": {"p50_ns": 160}}}"#;
-        let checks = gate_p50_vs_best(&[("PR2", pr2), ("PR3", pr3)], current, 25).unwrap();
-        assert_eq!(checks[0].baseline_p50_ns, 100);
-        assert!(checks[0].what.contains("PR2"));
-        assert_eq!(checks[1].baseline_p50_ns, 150);
-        assert!(checks[1].what.contains("PR3"));
-        assert!(checks.iter().all(|c| !c.regressed), "{checks:?}");
-        // Regressing past the best (but not the worst) baseline fails.
-        let slow =
-            r#"{"after": {"on_tick": {"p50_ns": 180}, "on_job_completed": {"p50_ns": 160}}}"#;
-        let checks = gate_p50_vs_best(&[("PR2", pr2), ("PR3", pr3)], slow, 25).unwrap();
-        assert!(checks[0].regressed, "{checks:?}");
-        assert!(gate_p50_vs_best(&[], current, 25).is_err());
-        assert!(gate_p50_vs_best(&[("PR2", "{}")], current, 25).is_err());
-    }
-
-    #[test]
     fn ratio_gate_bounds_numerator_over_denominator() {
         let json = r#"{
   "remove_heavy": {"pop": {"p50_ns": 100}, "remove_then_pop": {"p50_ns": 180}, "n": 1024},
@@ -363,6 +267,12 @@ mod tests {
         assert!(gate_min_speedup(json, ("missing", "x"), ("steal_batch", "batch"), 200).is_err());
         assert!(gate_min_speedup(json, ("steal_batch", "single"), ("missing", "x"), 200).is_err());
     }
+
+    const PR3: &str = r#"{
+  "bench": "hotpath",
+  "after": {"on_tick": {"p50_ns": 160}, "on_job_completed": {"p50_ns": 190}},
+  "mailbox_feed": {"on_tick": {"p50_ns": 140}, "on_job_completed": {"p50_ns": 210}}
+}"#;
 
     #[test]
     fn mailbox_overhead_gate_passes_within_bound() {

@@ -19,7 +19,9 @@ use yasmin_core::ids::{JobId, TaskId, WorkerId};
 use yasmin_core::priority::{Priority, PriorityPolicy};
 use yasmin_core::stats::Samples;
 use yasmin_core::time::{Duration, Instant};
-use yasmin_sched::{Action, ActionSink, EngineShard, Job, OnlineEngine, ReadyQueue, ShardCmd};
+use yasmin_sched::{
+    Action, ActionSink, EngineShard, Job, JobBatch, OnlineEngine, ReadyQueue, ShardCmd, StealHint,
+};
 use yasmin_sync::mailbox::{mailbox, MailboxReceiver, MailboxSender};
 use yasmin_taskgen::taskset::{build_independent, build_partitioned, IndependentSetParams};
 
@@ -497,13 +499,14 @@ pub fn run_burst(p: &HotpathParams, workers: usize) -> BurstReport {
     }
 }
 
-/// The steal-path measurement (PR 5): the full work-stealing hand-off
-/// — O(1) `try_steal` probe, O(log n) `release_stolen` detach, thief
-/// `adopt_stolen` with its dispatch round — against a plain local
-/// dispatch (completion pops the most urgent job onto the worker), on
-/// a victim queue held at a steady size. Both sides run in the same
-/// process, so the ratio is host-independent: the perf gate bounds the
-/// steal cycle at 2× the local pop path.
+/// The steal-path measurement: the full work-stealing hand-off of one
+/// job — a batch of one: ordered `try_steal_batch` probe, O(log n)
+/// `release_stolen_batch` detach, thief `adopt_stolen_batch` with its
+/// dispatch round — against a plain local dispatch (completion pops the
+/// most urgent job onto the worker), on a victim queue held at a steady
+/// size. Both sides run in the same process, so the ratio is
+/// host-independent: the perf gate bounds the steal cycle at 2× the
+/// local pop path.
 #[derive(Debug, Clone)]
 pub struct StealReport {
     /// Steady live size of the victim's ready queue.
@@ -522,45 +525,11 @@ pub struct StealReport {
 /// Panics on engine/taskset construction failure (parameter bug).
 #[must_use]
 pub fn run_steal(n_tasks: usize, iters: u32, warmup: u32) -> StealReport {
-    use yasmin_core::task::TaskSpec;
     use yasmin_core::time::Instant as SimInstant;
-    let mut b = yasmin_core::graph::TaskSetBuilder::new();
-    let mut tasks = Vec::with_capacity(n_tasks);
-    for i in 0..n_tasks {
-        let t = b
-            .task_decl(TaskSpec::aperiodic(format!("a{i}")).on_worker(WorkerId::new(0)))
-            .unwrap();
-        b.version_decl(
-            t,
-            yasmin_core::version::VersionSpec::new("v", Duration::from_millis(1)),
-        )
-        .unwrap();
-        tasks.push(t);
-    }
-    let ts = std::sync::Arc::new(b.build().unwrap());
-    let config = Config::builder()
-        .workers(2)
-        .mapping(MappingScheme::Partitioned)
-        .sharded_dispatch(true)
-        .priority(PriorityPolicy::EarliestDeadlineFirst)
-        .preemption(false)
-        .tick(Duration::from_millis(1_000))
-        .max_pending_jobs(n_tasks + 8)
-        .build()
-        .unwrap();
-    let mut shards = EngineShard::build_all(&ts, &config).expect("valid shards");
-    let mut thief = shards.pop().unwrap();
-    let mut victim = shards.pop().unwrap();
+    let (mut victim, mut thief) = steal_pair(n_tasks);
     let mut sink = ActionSink::with_capacity(64);
-    victim.start_into(SimInstant::ZERO, &mut sink).unwrap();
-    thief.start_into(SimInstant::ZERO, &mut sink).unwrap();
-    // Fill the victim: the first activation parks on its worker, the
-    // rest hold the queue at its steady size.
-    for &t in &tasks {
-        victim
-            .activate_into(t, SimInstant::ZERO, &mut sink)
-            .unwrap();
-    }
+    let mut hints: Vec<StealHint> = Vec::with_capacity(1);
+    let mut batch = JobBatch::new();
     let w0 = WorkerId::new(0);
     let w1 = WorkerId::new(1);
     let mut now = SimInstant::ZERO;
@@ -573,17 +542,19 @@ pub fn run_steal(n_tasks: usize, iters: u32, warmup: u32) -> StealReport {
         now += step;
         // Timed steal cycle: probe, detach, adopt (thief dispatches).
         sink.clear();
+        batch.clear();
         let t0 = WallInstant::now();
-        let hint = victim.try_steal().expect("victim queue is loaded");
-        let job = victim.release_stolen(hint).expect("hint is fresh");
+        victim.try_steal_batch(1, &mut hints);
+        victim.release_stolen_batch(&hints, &mut batch);
         thief
-            .adopt_stolen(job, now, &mut sink)
+            .adopt_stolen_batch(batch.as_slice(), now, &mut sink)
             .expect("thief is idle");
         let dt = t0.elapsed();
         if measuring {
             steal_ns.record(u64::try_from(dt.as_nanos()).unwrap_or(u64::MAX));
         }
         // Untimed: retire the stolen job and refill the victim queue.
+        let job = batch.as_slice()[0];
         sink.clear();
         thief
             .on_job_completed_into(w1, job.id, now, &mut sink)
@@ -614,36 +585,38 @@ pub fn run_steal(n_tasks: usize, iters: u32, warmup: u32) -> StealReport {
 }
 
 /// The batch-steal measurement (PR 10): moving `k` jobs from a loaded
-/// victim to an idle thief as `k` single-steal protocol rounds against
+/// victim to an idle thief as `k` exchanges of one job each against
 /// **one** batched exchange — with the victim's scheduler on a real
 /// second thread, as in the sharded runtime. Every exchange therefore
 /// pays the genuine cross-thread cost the protocol pays in production:
 /// a request hop on a mailbox lane, the victim thread's scan + detach,
 /// a grant hop carrying the jobs back, and the thief's adoption round.
-/// The single-steal series serialises k of those round trips (the
-/// runtime holds one outstanding request per thief); the batch pays
-/// one. One sample = the whole k-job hand-off; the perf gate requires
-/// the single-steal series to cost at least 2× the batched one (i.e.
-/// batch throughput ≥ 2× single-steal throughput at k = 8).
+/// The one-job series serialises k of those round trips (the runtime
+/// holds one outstanding request per thief); the batch pays one. One
+/// sample = the whole k-job hand-off; the perf gate requires the
+/// one-job series to cost at least 2× the batched one (i.e. batch
+/// throughput ≥ 2× one-at-a-time throughput at k = 8).
 #[derive(Debug, Clone)]
 pub struct StealBatchReport {
     /// Steady live size of the victim's ready queue.
     pub n: usize,
     /// Jobs moved per sample.
     pub k: usize,
-    /// Latency of `k` single steal rounds (request hop + probe + detach
-    /// + grant hop + adopt, per job, serialised).
+    /// Latency of `k` rounds of one job each (request hop + probe +
+    /// detach + grant hop + adopt, per job, serialised).
     pub single: LatencyStats,
     /// Latency of one k-job batched round (request hop + ordered scan +
     /// detach pass + one grant hop + one adoption round).
     pub batch: LatencyStats,
 }
 
-fn steal_pair(n_tasks: usize) -> (EngineShard, EngineShard, Vec<TaskId>) {
+/// A started two-shard pair for the steal loops: `n_tasks` aperiodic
+/// tasks homed on the victim (worker 0), all activated, and an idle
+/// thief (worker 1).
+fn steal_pair(n_tasks: usize) -> (EngineShard, EngineShard) {
     use yasmin_core::task::TaskSpec;
     use yasmin_core::time::Instant as SimInstant;
     let mut b = yasmin_core::graph::TaskSetBuilder::new();
-    let mut tasks = Vec::with_capacity(n_tasks);
     for i in 0..n_tasks {
         let t = b
             .task_decl(TaskSpec::aperiodic(format!("a{i}")).on_worker(WorkerId::new(0)))
@@ -653,7 +626,6 @@ fn steal_pair(n_tasks: usize) -> (EngineShard, EngineShard, Vec<TaskId>) {
             yasmin_core::version::VersionSpec::new("v", Duration::from_millis(1)),
         )
         .unwrap();
-        tasks.push(t);
     }
     let ts = std::sync::Arc::new(b.build().unwrap());
     let config = Config::builder()
@@ -667,20 +639,19 @@ fn steal_pair(n_tasks: usize) -> (EngineShard, EngineShard, Vec<TaskId>) {
         .build()
         .unwrap();
     let mut shards = EngineShard::build_all(&ts, &config).expect("valid shards");
-    let thief = shards.pop().unwrap();
+    let mut thief = shards.pop().unwrap();
     let mut victim = shards.pop().unwrap();
     let mut sink = ActionSink::with_capacity(64);
     victim.start_into(SimInstant::ZERO, &mut sink).unwrap();
+    thief.start_into(SimInstant::ZERO, &mut sink).unwrap();
     // Fill the victim: the first activation parks on its worker, the
     // rest hold the queue at its steady size.
-    for &t in &tasks {
+    for t in ts.tasks() {
         victim
-            .activate_into(t, SimInstant::ZERO, &mut sink)
+            .activate_into(t.id(), SimInstant::ZERO, &mut sink)
             .unwrap();
     }
-    let mut thief = thief;
-    thief.start_into(SimInstant::ZERO, &mut sink).unwrap();
-    (victim, thief, tasks)
+    (victim, thief)
 }
 
 /// Victim-thread request codes carried on the `u8` lane: `1..=0xF0` is
@@ -712,7 +683,7 @@ pub fn run_steal_batch(n_tasks: usize, k: usize, iters: u32, warmup: u32) -> Ste
     let stall = std::time::Duration::from_secs(10);
 
     let run_variant = |batched: bool| -> LatencyStats {
-        let (victim, mut thief, _) = steal_pair(n_tasks);
+        let (victim, mut thief) = steal_pair(n_tasks);
         let (mut req_lanes, req_rx) = mailbox::<u8>(1, 16);
         let mut req_tx = req_lanes.pop().expect("one lane requested");
         let (mut grant_lanes, mut grant_rx) = mailbox::<ShardCmd>(1, 16);
@@ -727,7 +698,7 @@ pub fn run_steal_batch(n_tasks: usize, k: usize, iters: u32, warmup: u32) -> Ste
             let mut req_rx = req_rx;
             let mut grant_tx = grant_tx;
             let mut sink = ActionSink::with_capacity(64);
-            let mut hints: Vec<yasmin_sched::StealHint> = Vec::with_capacity(k);
+            let mut hints: Vec<StealHint> = Vec::with_capacity(k);
             let mut donated: Vec<TaskId> = Vec::with_capacity(k + 1);
             let mut now = SimInstant::ZERO;
             let mut idle = WallInstant::now();
@@ -753,18 +724,10 @@ pub fn run_steal_batch(n_tasks: usize, k: usize, iters: u32, warmup: u32) -> Ste
                             .send(ShardCmd::Tick { at: now })
                             .expect("grant lane sized for the loop");
                     }
-                    1 => {
-                        let hint = victim.try_steal().expect("victim queue is loaded");
-                        let job = victim.release_stolen(hint).expect("hint is fresh");
-                        donated.push(job.task);
-                        grant_tx
-                            .send(ShardCmd::Stolen { job, at: now })
-                            .expect("grant lane sized for the loop");
-                    }
                     want => {
                         let got = victim.try_steal_batch(want as usize, &mut hints);
                         debug_assert_eq!(got, want as usize, "victim queue is loaded");
-                        let mut jobs = yasmin_sched::JobBatch::new();
+                        let mut jobs = JobBatch::new();
                         victim.release_stolen_batch(&hints, &mut jobs);
                         for j in jobs.as_slice() {
                             donated.push(j.task);
@@ -807,7 +770,7 @@ pub fn run_steal_batch(n_tasks: usize, k: usize, iters: u32, warmup: u32) -> Ste
                     .expect("thief adopts the batch");
             } else {
                 // The runtime keeps one outstanding request per thief,
-                // so k single steals are k serialised round trips.
+                // so k batches of one are k serialised round trips.
                 for _ in 0..k {
                     req_tx.send(1).expect("request lane sized for the loop");
                     let cmd = recv_grant(&mut grant_rx);
@@ -839,11 +802,9 @@ pub fn run_steal_batch(n_tasks: usize, k: usize, iters: u32, warmup: u32) -> Ste
             .expect("request lane sized for the loop");
         let victim = victim_thread.join().expect("victim thread exits cleanly");
         let rounds = u64::from(iters + warmup);
-        if batched {
-            assert!(thief.stats().stolen_batch >= rounds);
-        } else {
-            assert!(victim.stats().donated >= rounds * k as u64);
-        }
+        let exchanges = if batched { rounds } else { rounds * k as u64 };
+        assert!(thief.stats().stolen_batch >= exchanges);
+        assert!(victim.stats().donated >= rounds * k as u64);
         LatencyStats::from_samples(&mut samples)
     };
 
@@ -1763,294 +1724,17 @@ pub fn run_faults(p: &HotpathParams) -> FaultReport {
     }
 }
 
-/// Renders the enforcement-overhead report as `results/BENCH_PR9.json`
-/// (PR 9). The CI perf gate bounds `fault.tick_on` against
-/// `fault.tick_off` (same host, same process): the armed overrun scan
-/// plus miss-window bookkeeping must stay within +15% of the unarmed
-/// tick.
-#[must_use]
-pub fn render_json_pr9(f: &FaultReport) -> String {
-    // Not `"bench": "fault"` — the gate's scanner would hit that value
-    // string before the `"fault"` section key (the PR8 `"msg"` record
-    // only dodges this because nothing braced sits between the two).
-    let mut out = String::from("{\n  \"bench\": \"fault-tolerance\",\n");
-    out.push_str(&format!(
-        "  \"params\": {{\"tasks\": {}, \"workers\": {}, \"total_utilisation\": {}, \"seed\": {}, \"iters\": {}}},\n",
-        f.params.tasks,
-        f.params.workers,
-        f.params.total_utilisation,
-        f.params.seed,
-        f.params.iters
-    ));
-    out.push_str(
-        "  \"note\": \"WCET-overrun enforcement overhead, both sides same host, same \
-         process; 'tick_off'/'completion_off' run the steady-state loop with \
-         enforcement disabled, 'tick_on'/'completion_on' run the identical loop with \
-         Config::enforce_wcet and the miss trip wire armed (budget never exhausted, so \
-         dispatch behaviour is identical and the delta is pure detection cost)\",\n",
-    );
-    out.push_str(&format!(
-        "  \"fault\": {{\"tick_off\": {}, \"tick_on\": {}, \"completion_off\": {}, \
-         \"completion_on\": {}}},\n",
-        f.tick_off.json(),
-        f.tick_on.json(),
-        f.completion_off.json(),
-        f.completion_on.json()
-    ));
-    out.push_str(&format!("  \"overruns\": {}\n}}\n", f.overruns));
-    out
-}
-
-/// The dispatch-path latency recorded at the seed state (PR 1, before
-/// the zero-allocation refactor) on the reference host, with the
-/// default parameters. `exp_hotpath` embeds it as the `before` section
-/// of `results/BENCH_PR2.json` so the improvement stays visible in the
-/// committed trajectory.
-#[must_use]
-pub fn recorded_baseline() -> Option<HotpathReport> {
-    // Median of five seed-state runs interleaved with post-optimisation
-    // runs (2026-07-27, same host, same loop, legacy Vec-returning API —
-    // the only API the seed engine had).
-    Some(HotpathReport {
-        params: HotpathParams::default(),
-        tick: LatencyStats {
-            p50_ns: 164,
-            p99_ns: 718,
-            mean_ns: 198.5,
-            max_ns: 38_653,
-            count: 10_000,
-        },
-        completion: LatencyStats {
-            p50_ns: 206,
-            p99_ns: 328,
-            mean_ns: 221.6,
-            max_ns: 59_080,
-            count: 20_000,
-        },
-        dispatches: 22_000,
-    })
-}
-
-/// The direct-path latency recorded by PR 2 (`results/BENCH_PR2.json`,
-/// "after" section) on the reference host — the baseline the PR 3 CI
-/// perf gate regresses against.
-#[must_use]
-pub fn recorded_pr2() -> Option<HotpathReport> {
-    Some(HotpathReport {
-        params: HotpathParams::default(),
-        tick: LatencyStats {
-            p50_ns: 140,
-            p99_ns: 646,
-            mean_ns: 160.9,
-            max_ns: 18_688,
-            count: 10_000,
-        },
-        completion: LatencyStats {
-            p50_ns: 190,
-            p99_ns: 294,
-            mean_ns: 201.1,
-            max_ns: 44_803,
-            count: 20_000,
-        },
-        dispatches: 22_000,
-    })
-}
-
-/// The direct-path latency recorded by PR 3 (`results/BENCH_PR3.json`,
-/// "after" section) on the reference host — together with
-/// [`recorded_pr2`] it forms the *best recorded baseline* the PR 4 CI
-/// perf gate regresses against (per entry point, the better of the
-/// two).
-#[must_use]
-pub fn recorded_pr3() -> Option<HotpathReport> {
-    Some(HotpathReport {
-        params: HotpathParams::default(),
-        tick: LatencyStats {
-            p50_ns: 160,
-            p99_ns: 675,
-            mean_ns: 164.9,
-            max_ns: 11_017,
-            count: 10_000,
-        },
-        completion: LatencyStats {
-            p50_ns: 188,
-            p99_ns: 251,
-            mean_ns: 196.6,
-            max_ns: 28_014,
-            count: 20_000,
-        },
-        dispatches: 22_000,
-    })
-}
-
-/// The direct-path latency recorded by PR 4 (`results/BENCH_PR4.json`,
-/// "after" section) on the reference host — with [`recorded_pr2`] and
-/// [`recorded_pr3`] it forms the *best recorded baseline* the PR 5 CI
-/// perf gate regresses against (per entry point, the best of the
-/// three).
-#[must_use]
-pub fn recorded_pr4() -> Option<HotpathReport> {
-    Some(HotpathReport {
-        params: HotpathParams::default(),
-        tick: LatencyStats {
-            p50_ns: 171,
-            p99_ns: 652,
-            mean_ns: 187.2,
-            max_ns: 17_767,
-            count: 10_000,
-        },
-        completion: LatencyStats {
-            p50_ns: 235,
-            p99_ns: 349,
-            mean_ns: 247.2,
-            max_ns: 28_968,
-            count: 20_000,
-        },
-        dispatches: 22_000,
-    })
-}
-
-/// Renders the PR 5 record: everything the PR 4 record carried, plus
-/// the **steal** section (local completion-pop dispatch vs the full
-/// steal cycle) and the **cross-activation** section (same-shard DAG
-/// firing vs outbox-routed `CrossActivate`), alongside the recorded
-/// PR 2/3/4 baselines. The CI perf gate compares the "after" p50
-/// medians against the best recorded baseline per entry point and
-/// bounds the same-host ratios (mailbox overhead, remove-vs-pop,
-/// batched-vs-sequential, steal ≤ 2× local pop, routed ≤ 3× local
-/// fire).
+/// Renders `results/BENCH_PR10.json` — one file carrying every section
+/// the CI perf gate reads, all measured in one process on one host:
+/// `after` (the direct dispatch path), `mailbox_feed`, `remove_heavy`,
+/// `burst`, `steal`, `cross_activation`, the message-plane (`msg`) and
+/// enforcement (`fault`) sections, `steal_batch` (k hand-offs of one
+/// job vs one batched exchange), `queue_scan` (SoA key sift vs the
+/// frozen inline-payload layout) and `handoff` (real-thread drain of an
+/// imbalanced burst, recorded but not gated).
 #[must_use]
 #[allow(clippy::too_many_arguments)]
-pub fn render_json_pr5(
-    direct: &HotpathReport,
-    sharded: &HotpathReport,
-    remove_heavy: &RemoveHeavyReport,
-    burst: &BurstReport,
-    steal: &StealReport,
-    crossact: &CrossActReport,
-    pr2: Option<&HotpathReport>,
-    pr3: Option<&HotpathReport>,
-    pr4: Option<&HotpathReport>,
-) -> String {
-    let mut out = String::from("{\n  \"bench\": \"hotpath\",\n");
-    out.push_str(&format!(
-        "  \"params\": {{\"tasks\": {}, \"workers\": {}, \"total_utilisation\": {}, \"seed\": {}, \"iters\": {}}},\n",
-        direct.params.tasks,
-        direct.params.workers,
-        direct.params.total_utilisation,
-        direct.params.seed,
-        direct.params.iters
-    ));
-    out.push_str(
-        "  \"note\": \"'pr2_baseline'/'pr3_baseline'/'pr4_baseline' are the recorded \
-         reference-host direct-path latencies; 'after' is the same loop on this host \
-         (best of three runs by p50 sum); 'mailbox_feed' times the sharded path end to \
-         end; 'remove_heavy' compares remove-then-pop against pop alone on a full \
-         queue; 'burst' compares batched against sequential completion retirement; \
-         'steal' compares the full work-stealing cycle (probe + detach + adopt) \
-         against a local completion-pop dispatch on the same loaded shard; \
-         'cross_activation' compares a same-shard DAG successor firing against the \
-         outbox-routed cross-shard path (all ratios same host, same process)\",\n",
-    );
-    if let Some(b) = pr2 {
-        out.push_str(&format!(
-            "  \"pr2_baseline\": {{\"on_tick\": {}, \"on_job_completed\": {}}},\n",
-            b.tick.json(),
-            b.completion.json()
-        ));
-    }
-    if let Some(b) = pr3 {
-        out.push_str(&format!(
-            "  \"pr3_baseline\": {{\"on_tick\": {}, \"on_job_completed\": {}}},\n",
-            b.tick.json(),
-            b.completion.json()
-        ));
-    }
-    if let Some(b) = pr4 {
-        out.push_str(&format!(
-            "  \"pr4_baseline\": {{\"on_tick\": {}, \"on_job_completed\": {}}},\n",
-            b.tick.json(),
-            b.completion.json()
-        ));
-    }
-    out.push_str(&format!(
-        "  \"after\": {{\"on_tick\": {}, \"on_job_completed\": {}}},\n",
-        direct.tick.json(),
-        direct.completion.json()
-    ));
-    out.push_str(&format!(
-        "  \"mailbox_feed\": {{\"on_tick\": {}, \"on_job_completed\": {}, \"dispatches\": {}}},\n",
-        sharded.tick.json(),
-        sharded.completion.json(),
-        sharded.dispatches
-    ));
-    out.push_str(&format!(
-        "  \"remove_heavy\": {{\"pop\": {}, \"remove_then_pop\": {}, \"n\": {}}},\n",
-        remove_heavy.pop.json(),
-        remove_heavy.remove_then_pop.json(),
-        remove_heavy.n
-    ));
-    out.push_str(&format!(
-        "  \"burst\": {{\"sequential\": {}, \"batched\": {}, \"workers\": {}}},\n",
-        burst.sequential.json(),
-        burst.batched.json(),
-        burst.workers
-    ));
-    out.push_str(&format!(
-        "  \"steal\": {{\"local_pop\": {}, \"steal_cycle\": {}, \"n\": {}}},\n",
-        steal.local_pop.json(),
-        steal.steal_cycle.json(),
-        steal.n
-    ));
-    out.push_str(&format!(
-        "  \"cross_activation\": {{\"local_fire\": {}, \"routed\": {}}},\n",
-        crossact.local_fire.json(),
-        crossact.routed.json()
-    ));
-    out.push_str(&format!("  \"dispatches\": {}\n}}\n", direct.dispatches));
-    out
-}
-
-/// Renders the message-plane report as `results/BENCH_PR8.json` (PR 8).
-/// The CI perf gate bounds `msg.routed_send` against `msg.local_send`
-/// (same host, same process): the cross-shard hop must stay within 3×
-/// of the home-shard post.
-#[must_use]
-pub fn render_json_pr8(msg: &MsgReport) -> String {
-    let mut out = String::from("{\n  \"bench\": \"msg\",\n");
-    out.push_str(
-        "  \"note\": \"typed message plane (yasmin_sched::msg), all sections same host, \
-         same process; 'send_recv' is the normal-lane endpoint round trip; \
-         'boost_cycle' is send_high + the owning shard's boost round + recv_high + \
-         the restore round; 'local_send' is send_high + notify hook + sender-lane \
-         pop + the owning shard's MsgHigh round with the receiver on the sender's \
-         home shard; 'routed_send' adds the peer-lane hop to a foreign owner\",\n",
-    );
-    out.push_str(&format!(
-        "  \"msg\": {{\"send_recv\": {}, \"boost_cycle\": {}, \"local_send\": {}, \
-         \"routed_send\": {}}}\n}}\n",
-        msg.send_recv.json(),
-        msg.boost_cycle.json(),
-        msg.local_send.json(),
-        msg.routed_send.json()
-    ));
-    out
-}
-
-/// Renders the PR 10 record — one file carrying every section the CI
-/// perf gate reads: the PR 5 sections (`after`, `mailbox_feed`,
-/// `remove_heavy`, `burst`, `steal`, `cross_activation`), the PR 8
-/// message-plane and PR 9 enforcement sections (previously separate
-/// files, now regenerated together so every same-host ratio comes from
-/// one process on one host), and the three PR 10 sections:
-/// `steal_batch` (k single hand-offs vs one batched exchange),
-/// `queue_scan` (SoA key sift vs the frozen inline-payload layout) and
-/// `handoff` (real-thread drain of an imbalanced burst, recorded but
-/// not gated). The cross-file gate compares `after` against the
-/// committed `BENCH_PR2/3/4/5.json` baselines.
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn render_json_pr10(
+pub fn render_json(
     direct: &HotpathReport,
     sharded: &HotpathReport,
     remove_heavy: &RemoveHeavyReport,
@@ -2074,14 +1758,14 @@ pub fn render_json_pr10(
     ));
     out.push_str(
         "  \"note\": \"'after' is the direct dispatch path on this host (best of three \
-         runs by p50 sum; the cross-file gate compares it against the committed \
-         BENCH_PR2/PR3/PR4/PR5 records); every other section is a same-host, \
-         same-process ratio. 'steal_batch' compares k=8 single-steal protocol rounds \
-         (request hop + probe + detach + grant hop + adoption, per job) against one \
-         batched exchange moving the same 8 jobs; 'queue_scan' compares a pop+push \
-         sift cycle at n=8192 on the struct-of-arrays ReadyQueue against the frozen \
-         inline-payload PR 4 layout; 'handoff' drains a short-job burst on real \
-         ShardedRuntime threads with stealing off vs on (recorded, not gated)\",\n",
+         runs by p50 sum); every other section is a same-host, same-process ratio. \
+         'steal' times the hand-off of one job as a batch of one; 'steal_batch' \
+         compares k=8 exchanges of one job (request hop + probe + detach + grant hop \
+         + adoption, per job) against one batched exchange moving the same 8 jobs; \
+         'queue_scan' compares a pop+push sift cycle at n=8192 on the \
+         struct-of-arrays ReadyQueue against the frozen inline-payload PR 4 layout; \
+         'handoff' drains a short-job burst on real sharded Runtime threads with \
+         stealing off vs on (recorded, not gated)\",\n",
     );
     out.push_str(&format!(
         "  \"after\": {{\"on_tick\": {}, \"on_job_completed\": {}}},\n",
@@ -2160,41 +1844,6 @@ pub fn render_json_pr10(
     out
 }
 
-/// Renders the report (plus an optional recorded baseline) as JSON.
-#[must_use]
-pub fn render_json(report: &HotpathReport, baseline: Option<&HotpathReport>) -> String {
-    let mut out = String::from("{\n  \"bench\": \"hotpath\",\n");
-    out.push_str(&format!(
-        "  \"params\": {{\"tasks\": {}, \"workers\": {}, \"total_utilisation\": {}, \"seed\": {}, \"iters\": {}}},\n",
-        report.params.tasks,
-        report.params.workers,
-        report.params.total_utilisation,
-        report.params.seed,
-        report.params.iters
-    ));
-    if let Some(b) = baseline {
-        // The baseline is pinned to the reference host; flag that in the
-        // record so a JSON regenerated on different hardware is not
-        // misread as an apples-to-apples regression.
-        out.push_str(
-            "  \"note\": \"'before' is the recorded reference-host baseline (PR 2 seed \
-             state); 'after' reflects the host this file was regenerated on\",\n",
-        );
-        out.push_str(&format!(
-            "  \"before\": {{\"on_tick\": {}, \"on_job_completed\": {}}},\n",
-            b.tick.json(),
-            b.completion.json()
-        ));
-    }
-    out.push_str(&format!(
-        "  \"after\": {{\"on_tick\": {}, \"on_job_completed\": {}}},\n",
-        report.tick.json(),
-        report.completion.json()
-    ));
-    out.push_str(&format!("  \"dispatches\": {}\n}}\n", report.dispatches));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2211,9 +1860,6 @@ mod tests {
         assert_eq!(r.tick.count, 50);
         assert!(r.completion.count > 0);
         assert!(r.dispatches > 0);
-        let json = render_json(&r, None);
-        assert!(json.contains("\"after\""));
-        assert!(!json.contains("\"before\""));
     }
 
     #[test]
@@ -2281,16 +1927,6 @@ mod tests {
         assert_eq!(r.tick_off.count, 50);
         assert_eq!(r.tick_on.count, 50);
         assert!(r.completion_on.count > 0);
-        let json = render_json_pr9(&r);
-        assert!(crate::compare::extract_p50(&json, "fault", "tick_on").is_some());
-        assert!(crate::compare::extract_p50(&json, "fault", "tick_off").is_some());
-        assert!(crate::compare::gate_ratio(
-            &json,
-            ("fault", "tick_on"),
-            ("fault", "tick_off"),
-            10_000
-        )
-        .is_ok());
     }
 
     #[test]
@@ -2356,7 +1992,7 @@ mod tests {
     }
 
     #[test]
-    fn pr10_json_has_every_section() {
+    fn json_has_every_section() {
         let p = HotpathParams {
             tasks: 8,
             iters: 20,
@@ -2381,7 +2017,7 @@ mod tests {
             stolen: 1,
             stolen_batch: 1,
         };
-        let json = render_json_pr10(
+        let json = render_json(
             &direct, &sharded, &rh, &burst, &steal, &crossact, &msg, &faults, &sb, &qs, &handoff,
         );
         for section in [
@@ -2405,47 +2041,14 @@ mod tests {
         assert!(crate::compare::extract_p50(&json, "queue_scan", "inline_ref").is_some());
         assert!(crate::compare::extract_p50(&json, "fault", "tick_on").is_some());
         assert!(crate::compare::extract_p50(&json, "msg", "routed_send").is_some());
-    }
-
-    #[test]
-    fn pr5_json_has_every_section() {
-        let p = HotpathParams {
-            tasks: 8,
-            iters: 20,
-            warmup: 5,
-            ..HotpathParams::default()
-        };
-        let direct = run(&p);
-        let sharded = run_sharded(&p);
-        let rh = run_remove_heavy(32, 50, 10);
-        let burst = run_burst(&p, 2);
-        let steal = run_steal(16, 20, 5);
-        let crossact = run_cross_activation(20, 5);
-        let json = render_json_pr5(
-            &direct,
-            &sharded,
-            &rh,
-            &burst,
-            &steal,
-            &crossact,
-            recorded_pr2().as_ref(),
-            recorded_pr3().as_ref(),
-            recorded_pr4().as_ref(),
-        );
-        for section in [
-            "\"pr2_baseline\"",
-            "\"pr3_baseline\"",
-            "\"pr4_baseline\"",
-            "\"after\"",
-            "\"mailbox_feed\"",
-            "\"remove_heavy\"",
-            "\"burst\"",
-            "\"steal\"",
-            "\"cross_activation\"",
-        ] {
-            assert!(json.contains(section), "missing {section}: {json}");
-        }
         assert!(crate::compare::extract_p50(&json, "steal", "steal_cycle").is_some());
         assert!(crate::compare::extract_p50(&json, "cross_activation", "routed").is_some());
+        assert!(crate::compare::gate_ratio(
+            &json,
+            ("fault", "tick_on"),
+            ("fault", "tick_off"),
+            10_000
+        )
+        .is_ok());
     }
 }

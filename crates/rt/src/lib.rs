@@ -6,13 +6,18 @@
 //! and the OS plumbing the paper relies on (affinity, `mlockall`,
 //! `SCHED_FIFO`).
 //!
-//! * [`runtime`] — [`runtime::RuntimeBuilder`] / [`runtime::Runtime`],
-//!   mirroring the paper's `init`/`start`/`stop`/`cleanup` lifecycle:
-//!   one owner over the whole engine, which runs the bodies itself with
-//!   one worker and feeds a helper thread per worker with more;
-//! * [`sharded`] — the per-core sharded runtime (partitioned mapping):
-//!   one owner per shard, scheduler and worker at once, fed through the
-//!   lock-free command mailbox — and the owner loop both runtimes run;
+//! * [`runtime`] — the one builder and the one handle,
+//!   [`runtime::RuntimeBuilder`] / [`runtime::Runtime`], mirroring the
+//!   paper's `init`/`start`/`stop`/`cleanup` lifecycle. The `Config`
+//!   decides what comes up: one owner over the whole engine — which
+//!   runs the bodies itself with one worker and feeds a helper thread
+//!   per worker with more — or, with `Config::sharded_dispatch`, one
+//!   owner per shard, scheduler and worker at once;
+//! * [`sharded`] — the owner loop all of them run, fed through the
+//!   lock-free command mailbox, plus the aliases
+//!   [`sharded::ShardedRuntime`] / [`sharded::ShardedRuntimeBuilder`]
+//!   of the two types above (source compatibility; they go at the next
+//!   benchmark re-baseline);
 //! * [`os`] — best-effort real-time OS setup (feature `os-rt`, on by
 //!   default; degrades gracefully in unprivileged containers).
 

@@ -1,20 +1,36 @@
-//! The real-thread YASMIN runtime (Fig. 1a/1b brought to life).
+//! The real-thread YASMIN runtime (Fig. 1a/1b brought to life): **one
+//! builder, one handle**, and a [`Config`] that says which runtime
+//! comes up.
 //!
-//! One **owner thread** (`yasmin-scheduler`) holds the whole scheduling
-//! engine over worker slots `0..n`, wakes at the gcd tick (§3.3) and
-//! runs the loop every shard of the sharded runtime runs
-//! ([`crate::sharded`], whose module docs describe it). **Who executes
-//! the bodies follows from the worker count and nothing else:**
+//! [`RuntimeBuilder::build`] spawns *owner* threads. An owner holds one
+//! engine, wakes at the gcd tick (§3.3) and runs the owner loop of
+//! [`crate::sharded`], whose module docs describe it. **How many owners
+//! there are follows from [`Config::sharded_dispatch`] and nothing
+//! else:**
 //!
-//! * **One worker** — the owner is scheduler and worker at once. It
-//!   executes the body the engine dispatched itself, pinned to worker
-//!   0's core, and a job costs no hand-off and wakes no second thread.
-//!   While it is inside a body everything else waits for the **job
-//!   boundary** — tick edges, commands, message boosts, a body's own
-//!   posts and calls; the sharded module's "The job boundary" lists
-//!   what waits and how long, and it applies here word for word.
-//! * **Two workers or more** — the owner only schedules, and never runs
-//!   a body: under global scheduling a worker that finishes while the
+//! * **Off** — global mapping, or partitioned mapping under one
+//!   scheduler (Fig. 1a): one owner (`yasmin-scheduler`) holds the whole
+//!   engine over worker slots `0..n`.
+//! * **On** — partitioned mapping with the engine state split into
+//!   independent per-worker shards (Fig. 1b, `yasmin_sched::shard`):
+//!   one owner per shard (`yasmin-shard-sched-{w}`), each over its one
+//!   slot, talking to its peers over mailbox lanes — cross-shard DAG
+//!   tokens, forwarded message events and, with
+//!   [`RuntimeBuilder::work_stealing`], the steal handshake.
+//!
+//! **Who executes the bodies follows from an owner's slot count and
+//! nothing else:**
+//!
+//! * **One slot** — every shard, and the whole engine with one worker:
+//!   the owner is scheduler and worker at once. It executes the body
+//!   the engine dispatched itself, pinned to its worker's core, and a
+//!   job costs no hand-off and wakes no second thread. While it is
+//!   inside a body everything else waits for the **job boundary** —
+//!   tick edges, commands, message boosts, a body's own posts and
+//!   calls; the sharded module's "The job boundary" lists what waits
+//!   and how long.
+//! * **Two slots or more** — the owner only schedules, and never runs a
+//!   body: under global scheduling a worker that finishes while the
 //!   owner is inside someone's long body would idle beside ready work.
 //!   Each worker is a helper thread (`yasmin-worker-{w}`, a "virtual
 //!   CPU", pinned best-effort) fed through a one-slot ring with a
@@ -23,11 +39,15 @@
 //!   pending at one wake retire in one engine round.
 //!
 //! Control commands (`activate`, `admit`, `retire`, message boosts,
-//! `stop`) reach the owner over mailbox lanes that ring it, so a parked
+//! `stop`) reach an owner over mailbox lanes that ring it, so a parked
 //! owner acts on a command when it is sent, not at the next completion
 //! or tick. Between jobs it waits as [`Config::waiting`] says — parked
 //! on its mailbox until the next tick edge, or spinning — and the tick
 //! grid is anchored at the instant the engine started.
+//!
+//! `ShardedRuntime` and `ShardedRuntimeBuilder` ([`crate::sharded`])
+//! are aliases of [`Runtime`] and [`RuntimeBuilder`], kept for source
+//! compatibility; they go at the next benchmark re-baseline.
 //!
 //! Substitution note (DESIGN.md): the paper preempts workers with POSIX
 //! signals and a hand-written `swapcontext`. Safe Rust cannot hijack a
@@ -41,18 +61,22 @@
 //! closures (the Rust analogue of the paper's macro-generated static
 //! FIFO buffers — see `examples/quickstart.rs`).
 
-use crate::sharded::{Launch, Owners};
+use crate::sharded::{
+    owner_of, send_waiting, spawn, try_lock, wait_for, Launch, MsgLanes, OwnerExit, ShardMsg,
+    SharedLane,
+};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use yasmin_core::config::Config;
 use yasmin_core::error::{Error, Result};
 use yasmin_core::graph::TaskSet;
 use yasmin_core::ids::{TaskId, TenantId, VersionId, WorkerId};
-use yasmin_core::time::Instant;
-use yasmin_sched::admission::AdmissionError;
+use yasmin_core::time::{Clock, Instant, MonotonicClock};
+use yasmin_sched::admission::{AdmissionError, TenantLedger};
 use yasmin_sched::msg::{NotifyHandle, Receiver as MsgReceiver, Sender as MsgSender};
 use yasmin_sched::server::TenantBudget;
-use yasmin_sched::{EngineStats, Job, JobOutcome, OnlineEngine};
+use yasmin_sched::{validate_sharding, EngineShard, EngineStats, Job, JobOutcome, OnlineEngine};
 
 /// Context handed to a task body for each job.
 #[derive(Debug, Clone, Copy)]
@@ -111,7 +135,7 @@ impl RtJobRecord {
 pub struct RuntimeReport {
     /// Every completed job.
     pub records: Vec<RtJobRecord>,
-    /// Engine counters.
+    /// Engine counters, merged over the owners.
     pub engine_stats: EngineStats,
     /// Runtime threads the kernel refused to pin to their core (no such
     /// core, restricted cpuset, `os-rt` disabled): they ran wherever
@@ -127,7 +151,10 @@ pub struct RuntimeBuilder {
 }
 
 impl RuntimeBuilder {
-    /// Starts building a runtime for `taskset` under `config`.
+    /// Starts building a runtime for `taskset` under `config`, which
+    /// must set `preemption(false)`. With `Config::sharded_dispatch`
+    /// (partitioned mapping) the runtime is one owner per shard,
+    /// otherwise one owner over the whole engine — see the module docs.
     #[must_use]
     pub fn new(taskset: Arc<TaskSet>, config: Config) -> Self {
         RuntimeBuilder {
@@ -143,7 +170,11 @@ impl RuntimeBuilder {
     /// [`yasmin_sched::msg::Sender::send_high`] on this channel boosts
     /// the receiving task's pending job through the scheduler until the
     /// high lane drains. Capacity and element size are validated
-    /// against the [`yasmin_core::channel::ChannelSpec`].
+    /// against the [`yasmin_core::channel::ChannelSpec`]. Under sharding
+    /// the channel's events land on its *home* shard (the sending
+    /// task's); when the receiving task lives on another shard the home
+    /// forwards them over the per-peer lanes, exactly like cross-shard
+    /// DAG activation tokens.
     ///
     /// Hand the [`yasmin_sched::msg::Sender`] to the producing task's
     /// body and the [`yasmin_sched::msg::Receiver`] to the consuming
@@ -165,10 +196,22 @@ impl RuntimeBuilder {
 
     /// Registers a standalone channel (built with
     /// [`yasmin_sched::ChannelBuilder`], outside the task-set graph) so
-    /// its high-lane traffic reaches this runtime's scheduler.
+    /// its high-lane traffic reaches the owner of the receiving task.
     #[must_use]
     pub fn register_channel(mut self, handle: NotifyHandle) -> Self {
         self.launch.channels.push(handle);
+        self
+    }
+
+    /// Enables work stealing between shards: an idle shard probes the
+    /// advisory load board and pulls the most urgent accelerator-free
+    /// ready jobs off the most loaded peer, running them itself. Off by
+    /// default, which preserves strict task-to-worker placement.
+    /// Stealing moves jobs between shards, so [`RuntimeBuilder::build`]
+    /// refuses it under a configuration that is not sharded.
+    #[must_use]
+    pub fn work_stealing(mut self, on: bool) -> Self {
+        self.launch.work_stealing = on;
         self
     }
 
@@ -185,11 +228,12 @@ impl RuntimeBuilder {
     }
 
     /// Places the runtime's threads from core `offset` on, best-effort.
-    /// With one worker the only thread — scheduler and worker at once —
-    /// pins to `offset`. With more, worker *w* pins to `offset + w` and
-    /// the scheduling thread to `offset + workers`. A thread the kernel
-    /// refuses to pin runs unpinned and is counted in
-    /// [`RuntimeReport::unpinned_threads`] — the scheduling thread's,
+    /// An owner that executes — a shard's, or the only thread of a
+    /// one-worker runtime — pins to its worker's core, `offset + w`.
+    /// One owner with more workers pins worker *w* to `offset + w` and
+    /// itself to `offset + workers`. A thread the kernel refuses to pin
+    /// runs unpinned and is counted in
+    /// [`RuntimeReport::unpinned_threads`] — that scheduling thread's,
     /// for one, whenever the host has no more cores than workers.
     #[must_use]
     pub fn pin_cores_from(mut self, offset: usize) -> Self {
@@ -204,19 +248,26 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Validates the declarations and spawns the runtime's threads. The
-    /// schedule starts immediately: the owner thread starts the engine
-    /// as its first act, so periodic tasks with a zero release offset
-    /// are dispatched before `build` has returned to a slow caller.
-    /// There is no separate `start` call.
+    /// Validates the declarations and spawns the runtime's threads: one
+    /// owner per shard under `Config::sharded_dispatch`, one owner over
+    /// the whole engine otherwise. The schedule starts immediately: an
+    /// owner starts its engine as its first act, so periodic tasks with
+    /// a zero release offset are dispatched before `build` has returned
+    /// to a slow caller. There is no separate `start` call.
     ///
     /// # Errors
     ///
     /// * [`Error::InvalidConfig`] when preemption is enabled (see module
-    ///   docs) or a version has no registered body;
+    ///   docs), a version has no registered body, work stealing is asked
+    ///   of a configuration that is not sharded, or a sharded one's task
+    ///   set violates the sharding contract
+    ///   ([`yasmin_sched::validate_sharding`]);
     /// * engine construction errors (partition validation etc.).
     pub fn build(self) -> Result<Runtime> {
-        if self.launch.config.preemption() {
+        let Launch {
+            taskset, config, ..
+        } = &self.launch;
+        if config.preemption() {
             return Err(Error::InvalidConfig(
                 "the thread runtime schedules non-preemptively at job boundaries; \
                  build the Config with .preemption(false) (the simulator exercises \
@@ -224,37 +275,88 @@ impl RuntimeBuilder {
                     .into(),
             ));
         }
-        check_bodies(&self.launch.taskset, &self.launch.bodies)?;
-        let engine =
-            OnlineEngine::new(Arc::clone(&self.launch.taskset), self.launch.config.clone())?;
+        if self.launch.work_stealing && !config.sharded_dispatch() {
+            return Err(Error::InvalidConfig(
+                "work stealing moves jobs between shards: enable \
+                 Config::sharded_dispatch, or leave it off"
+                    .into(),
+            ));
+        }
+        check_bodies(taskset, &self.launch.bodies)?;
+        let engines = if config.sharded_dispatch() {
+            let shards = EngineShard::build_all(taskset, config)?;
+            shards.into_iter().map(EngineShard::into_inner).collect()
+        } else {
+            vec![OnlineEngine::new(Arc::clone(taskset), config.clone())?]
+        };
         if self.lock_memory {
             // Best-effort; containers commonly deny it.
             let _ = crate::os::lock_all_memory();
         }
-        let owners = Owners::spawn(vec![engine], self.launch)?;
-        Ok(Runtime { owners })
+        spawn(engines, self.launch)
     }
 }
 
-/// The running middleware: one owner thread over the whole engine, and
-/// one helper thread per worker when there are two or more.
-#[derive(Debug)]
+/// The running middleware: the owner threads of one schedule — one over
+/// the whole engine or one per shard, with a helper thread per worker
+/// under an owner that has two or more — and the lanes into them.
 pub struct Runtime {
-    owners: Owners,
+    /// Tenant state; the mutex serialises the splice and retire
+    /// broadcasts of concurrent callers, so every owner hears them in
+    /// ledger order. Admissions and retirements are validated here:
+    /// owner threads do not reply.
+    pub(crate) ledger: Mutex<TenantLedger>,
+    pub(crate) clock: Arc<MonotonicClock>,
+    /// Says whether the owners are shards.
+    pub(crate) config: Config,
+    /// One control sender per owner, shared by the callers of the
+    /// `&self` handle.
+    pub(crate) control: Vec<SharedLane>,
+    /// Tells a caller that is inside a body of this runtime
+    /// ([`wait_for`]).
+    pub(crate) lanes: MsgLanes,
+    pub(crate) threads: Vec<std::thread::JoinHandle<OwnerExit>>,
+    /// Each helper returns whether it ran pinned.
+    pub(crate) helpers: Vec<std::thread::JoinHandle<bool>>,
+}
+
+impl std::fmt::Debug for Runtime {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Runtime")
+            .field("owners", &self.threads.len())
+            .field("helpers", &self.helpers.len())
+            .finish_non_exhaustive()
+    }
 }
 
 impl Runtime {
-    /// Activates an aperiodic or sporadic task (the paper's
-    /// `yas_task_activate`). The engine ignores a task it does not
-    /// know or whose tenant has retired. May be called from a task body
-    /// of this runtime, like [`Runtime::retire`] and [`Runtime::stop`].
+    /// Sends one `msg()` down every owner's control lane.
+    fn broadcast(&self, msg: impl Fn() -> ShardMsg) {
+        for lane in &self.control {
+            send_waiting(&self.lanes, lane, msg());
+        }
+    }
+
+    fn lock_ledger(&self) -> MutexGuard<'_, TenantLedger> {
+        wait_for(&self.lanes, || try_lock(&self.ledger))
+    }
+
+    /// Activates an aperiodic or sporadic task on the owner that has it
+    /// (the paper's `yas_task_activate`). The id is validated on the
+    /// caller's thread; the engine then ignores a periodic task or one
+    /// whose tenant has retired. Like [`Runtime::retire`] and
+    /// [`Runtime::stop`] it may be called from a task body of this
+    /// runtime, whatever the other callers are doing.
     ///
     /// # Errors
     ///
-    /// None today: the command is queued for the owner thread, which
-    /// lives until [`Runtime::cleanup`] consumes the handle.
+    /// [`Error::UnknownTask`] when no tenant ever admitted has the
+    /// task; under sharding, [`Error::MissingPartition`] when it has no
+    /// worker assignment (one owner has every task, assigned or not).
     pub fn activate(&self, task: TaskId) -> Result<()> {
-        self.owners.activate_on(0, task);
+        let sharded = self.config.sharded_dispatch();
+        let owner = owner_of(self.lock_ledger().merged(), sharded, task)?;
+        send_waiting(&self.lanes, &self.control[owner], ShardMsg::Activate(task));
         Ok(())
     }
 
@@ -263,22 +365,35 @@ impl Runtime {
     /// `candidate` is the tenant's task set declared in its own id
     /// space; `bodies` maps its `(task, version)` pairs (candidate-local
     /// ids) to executable bodies; `budget`, when given, caps the
-    /// tenant's processor share with a per-tenant reservation server.
+    /// tenant's processor share with a per-tenant reservation server —
+    /// one replica per shard under sharding, where the budget bounds
+    /// the tenant **per worker** (a tenant spanning `k` shards may
+    /// consume up to `k ×` capacity per period).
     ///
     /// Everything that can refuse the tenant runs on the **caller's**
     /// thread — the paper's non-real-time admission path: the body
-    /// check, the request's shape and the schedulability analysis
+    /// check, the request's shape, the schedulability analysis
     /// ([`yasmin_sched::AdmissionControl::evaluate`], on the live
-    /// tenants only — see [`yasmin_sched::admission::TenantLedger`]).
-    /// An accepted tenant's splice and commit are then sent down the
-    /// owner's control lane and the call **returns once they are sent**,
-    /// without waiting for the owner: it applies them at its next job
-    /// boundary (at once, when it is parked or only schedules), between
-    /// two engine rounds and anchored at its next tick edge, and the
-    /// lane's FIFO order puts them ahead of anything the caller sends
-    /// afterwards. Existing tenants' scheduling is untouched either way.
-    /// A commit that arrives after [`Runtime::stop`] is refused by the
-    /// engine: the tenant never starts.
+    /// tenants only — see [`TenantLedger`]) and, under sharding, the
+    /// sharding contract ([`validate_sharding`]). An accepted tenant is
+    /// then spliced in **two phases** over the control lanes: every
+    /// owner first adopts the merged set with the new releases disarmed,
+    /// and only then is the commit sent that arms them, anchored at
+    /// each owner's next tick edge. An owner applies both at its next
+    /// job boundary (at once, when it is parked or only schedules),
+    /// between two engine rounds, and a lane's FIFO order puts them
+    /// ahead of anything the caller sends afterwards. Existing tenants'
+    /// scheduling is untouched either way. A commit that arrives after
+    /// [`Runtime::stop`] is refused by the engine: the tenant never
+    /// starts.
+    ///
+    /// **One owner** has nobody to race: the call **returns once both
+    /// commands are sent**, without waiting for the owner. **Two shards
+    /// or more** acknowledge the splice before the commit is sent, so a
+    /// cross-shard DAG token of the new tenant can never arrive at a
+    /// shard that has not yet spliced: the call lasts as long as the
+    /// longest body then running — and must not come from a task body
+    /// of this runtime, whose own shard could then never acknowledge.
     ///
     /// Returns the assigned [`TenantId`] (use it with
     /// [`Runtime::retire`]); task ids of the tenant are its candidate
@@ -287,28 +402,68 @@ impl Runtime {
     /// # Errors
     ///
     /// [`AdmissionError::Rejected`] names the violated analysis bound;
-    /// [`AdmissionError::Invalid`] covers malformed requests (missing
-    /// bodies, partition violations, a period off the running tick, a
-    /// degenerate budget).
+    /// [`AdmissionError::Invalid`] covers malformed requests — missing
+    /// bodies, partition or sharding-contract violations (e.g. an
+    /// accelerator shared with another shard), a period off the running
+    /// tick, a degenerate budget.
     pub fn admit(
         &self,
         candidate: &TaskSet,
         bodies: HashMap<(TaskId, VersionId), TaskBody>,
         budget: Option<TenantBudget>,
     ) -> std::result::Result<TenantId, AdmissionError> {
-        self.owners.admit(candidate, bodies, budget, |_| Ok(()))
+        check_bodies(candidate, &bodies).map_err(AdmissionError::Invalid)?;
+        let owners = self.control.len();
+        let ack = (owners > 1).then(|| Arc::new(AtomicUsize::new(owners)));
+        // Phase 1: broadcast the splice, under the ledger lock so that
+        // every owner hears concurrent admissions in ledger order.
+        // Everything an engine's splice refuses is refused here first.
+        let tenant = self
+            .lock_ledger()
+            .admit(candidate, budget.as_ref(), |admission| {
+                if self.config.sharded_dispatch() {
+                    validate_sharding(admission.merged, &self.config)?;
+                }
+                let remapped: Arc<HashMap<(TaskId, VersionId), TaskBody>> = Arc::new(
+                    bodies
+                        .into_iter()
+                        .map(|((t, v), b)| ((TaskId::new(admission.task_offset + t.raw()), v), b))
+                        .collect(),
+                );
+                let at = self.clock.now();
+                self.broadcast(|| ShardMsg::Admit {
+                    taskset: Arc::clone(admission.merged),
+                    bodies: Arc::clone(&remapped),
+                    budget,
+                    at,
+                    ack: ack.clone(),
+                });
+                Ok(())
+            })?;
+        if let Some(ack) = ack {
+            // Holding nothing: a body that calls `activate`, `retire`
+            // or `stop` meanwhile gets through, returns, and lets its
+            // shard reach the boundary this wait is for.
+            wait_for(&self.lanes, || {
+                (ack.load(Ordering::Acquire) == 0).then_some(())
+            });
+        }
+        // Phase 2: every owner knows the tenant — arm its releases.
+        self.broadcast(|| ShardMsg::Commit { tenant });
+        Ok(tenant)
     }
 
-    /// Retires an admitted tenant: its future releases stop, its ready
-    /// jobs are culled, its in-flight jobs finish without firing
-    /// successors. Other tenants are untouched. The id is validated on
-    /// the caller's thread and the call **returns once the command is
-    /// sent**; the owner applies it at its next job boundary, ahead of
-    /// anything the caller sends afterwards. The tenant's bandwidth is
-    /// available to the next [`Runtime::admit`] as soon as this returns
-    /// (that admission's splice queues behind the retirement; up to
-    /// `workers` of the tenant's jobs, already executing, may still
-    /// finish — see `yasmin_sched::admission`).
+    /// Retires an admitted tenant on every owner: its future releases
+    /// stop, its ready jobs are culled, its in-flight jobs finish
+    /// without firing successors, and racing cross-shard tokens are
+    /// dropped silently. Other tenants are untouched. The id is
+    /// validated on the caller's thread and the call **returns once the
+    /// command is sent**; an owner applies it at its next job boundary,
+    /// ahead of anything the caller sends afterwards. The tenant's
+    /// bandwidth is available to the next [`Runtime::admit`] as soon as
+    /// this returns (that admission's splice queues behind the
+    /// retirement; up to `workers` of the tenant's jobs, already
+    /// executing, may still finish — see `yasmin_sched::admission`).
     ///
     /// # Errors
     ///
@@ -316,35 +471,67 @@ impl Runtime {
     /// or a double retire; [`Error::InvalidConfig`] for tenant 0 (the
     /// build-time set — use [`Runtime::stop`]).
     pub fn retire(&self, tenant: TenantId) -> Result<()> {
-        self.owners.retire(tenant)
+        let mut ledger = self.lock_ledger();
+        // The ledger forgets the tenant before the owners hear of it:
+        // a later admission's splice travels the same FIFO control
+        // lanes, so every owner has retired the tenant by the time it
+        // commits a tenant admitted into the freed bandwidth.
+        ledger.retire(tenant)?;
+        let at = self.clock.now();
+        self.broadcast(|| ShardMsg::Retire { tenant, at });
+        Ok(())
     }
 
-    /// Stops releasing new periodic jobs; in-flight jobs drain (the
-    /// paper's `yas_stop`).
+    /// Stops releasing new periodic jobs on every owner; in-flight jobs
+    /// drain (the paper's `yas_stop`).
     pub fn stop(&self) {
-        self.owners.stop();
+        self.broadcast(|| ShardMsg::Stop);
     }
 
-    /// Waits for the runtime's threads to finish and closes (the
-    /// paper's `yas_cleanup`), returning the run report, records
-    /// ordered by completion time.
+    /// Drains every owner — loss-free across shards: no routed token or
+    /// steal grant is dropped — joins all threads and returns the merged
+    /// run report (the paper's `yas_cleanup`), records ordered by
+    /// completion time.
     ///
     /// # Panics
     ///
     /// Panics if a runtime thread panicked.
     #[must_use]
     pub fn cleanup(self) -> RuntimeReport {
-        self.owners.cleanup()
+        self.broadcast(|| ShardMsg::Shutdown);
+        let mut report = RuntimeReport {
+            records: Vec::new(),
+            engine_stats: EngineStats::default(),
+            unpinned_threads: 0,
+        };
+        for t in self.threads {
+            let (records, stats, pinned) = t.join().expect("owner thread panicked");
+            if report.records.is_empty() {
+                // The first owner's records — all there are, with one
+                // owner — become the report's without a copy.
+                report.records = records;
+            } else {
+                report.records.extend(records);
+            }
+            report.engine_stats.merge(&stats);
+            report.unpinned_threads += usize::from(!pinned);
+        }
+        // An owner dismisses its helpers as it exits.
+        for h in self.helpers {
+            let pinned = h.join().expect("worker thread panicked");
+            report.unpinned_threads += usize::from(!pinned);
+        }
+        report
+            .records
+            .sort_by_key(|r| (r.completed, r.job.task, r.job.seq));
+        report
     }
 }
 
 /// Verifies every version of every task of `taskset` — a build-time set,
 /// or a candidate tenant in its own id space — has a registered body,
 /// before any runtime thread hears of it.
-pub(crate) fn check_bodies(
-    taskset: &TaskSet,
-    bodies: &HashMap<(TaskId, VersionId), TaskBody>,
-) -> Result<()> {
+fn check_bodies(taskset: &TaskSet, bodies: &HashMap<(TaskId, VersionId), TaskBody>) -> Result<()> {
     for t in taskset.tasks() {
         for (vi, _) in t.versions().iter().enumerate() {
             let key = (t.id(), VersionId::new(vi as u16));
@@ -364,8 +551,8 @@ mod tests {
     use super::*;
     #[cfg(target_os = "linux")]
     use crate::test_util::{alone_in_child, thread_sleeps};
-    use crate::test_util::{must_return, nap_ms, within_attempts};
-    use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+    use crate::test_util::{must_return, nap_ms, sharded, within_attempts};
+    use std::sync::atomic::{AtomicBool, AtomicU32};
     use yasmin_core::graph::TaskSetBuilder;
     use yasmin_core::priority::{Priority, PriorityPolicy};
     use yasmin_core::task::{OverrunPolicy, TaskSpec};
@@ -413,8 +600,8 @@ mod tests {
 
     #[test]
     fn failed_pins_are_counted() {
-        // No host has core 100 000: every thread of either runtime runs
-        // unpinned and says so.
+        // No host has core 100 000: every thread of the runtime, however
+        // configured, runs unpinned and says so.
         let mut b = TaskSetBuilder::new();
         let spec = TaskSpec::periodic("t", ms(5)).on_worker(WorkerId::new(0));
         let t = b.task_decl(spec).unwrap();
@@ -432,14 +619,7 @@ mod tests {
             3,
             "two workers, one scheduler"
         );
-        let sharded = Config::builder()
-            .workers(2)
-            .mapping(yasmin_core::config::MappingScheme::Partitioned)
-            .sharded_dispatch(true)
-            .preemption(false)
-            .build()
-            .unwrap();
-        let rt = crate::sharded::ShardedRuntimeBuilder::new(ts, sharded)
+        let rt = RuntimeBuilder::new(ts, sharded(2).build().unwrap())
             .body(t, v, |_| {})
             .pin_cores_from(100_000)
             .build()
@@ -469,6 +649,120 @@ mod tests {
         let ts = Arc::new(b.build().unwrap());
         let r = RuntimeBuilder::new(ts, config(1)).build();
         assert!(matches!(r, Err(Error::InvalidConfig(_))));
+    }
+
+    /// One periodic task per worker and an aperiodic one on worker 1,
+    /// every one assigned, so the set builds under any mapping.
+    fn one_task_per_worker() -> (Arc<TaskSet>, Vec<(TaskId, VersionId)>, TaskId) {
+        let mut b = TaskSetBuilder::new();
+        let wcet = Duration::from_micros(100);
+        let mut ids = Vec::new();
+        for w in 0..2 {
+            let spec = TaskSpec::periodic(format!("t{w}"), ms(50));
+            ids.push(task(&mut b, spec.on_worker(WorkerId::new(w)), wcet));
+        }
+        let aper = TaskSpec::aperiodic("aper").on_worker(WorkerId::new(1));
+        ids.push(task(&mut b, aper, wcet));
+        let aper = ids[2].0;
+        (Arc::new(b.build().unwrap()), ids, aper)
+    }
+
+    fn all_bodies(ts: Arc<TaskSet>, config: Config, ids: &[(TaskId, VersionId)]) -> RuntimeBuilder {
+        let builder = RuntimeBuilder::new(ts, config);
+        ids.iter().fold(builder, |b, &(t, v)| b.body(t, v, |_| {}))
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn the_configuration_decides_which_runtime_comes_up() {
+        // One task set, one builder, three configurations: the thread
+        // census says whether one owner feeds a helper per worker or
+        // every shard is a thread of its own.
+        if !alone_in_child("runtime::tests::the_configuration_decides_which_runtime_comes_up") {
+            return;
+        }
+        let one_owner = vec!["yasmin-schedule", "yasmin-worker-0", "yasmin-worker-1"];
+        let partitioned = || sharded(2).sharded_dispatch(false);
+        for (config, census) in [
+            (config(2), one_owner.clone()),
+            (partitioned().build().unwrap(), one_owner),
+            (
+                sharded(2).build().unwrap(),
+                vec!["yasmin-shard-sc", "yasmin-shard-sc"],
+            ),
+        ] {
+            let (ts, ids, _) = one_task_per_worker();
+            let rt = all_bodies(ts, config, &ids).build().unwrap();
+            nap_ms(20);
+            let threads = thread_sleeps(&["yasmin-"]);
+            rt.stop();
+            let report = rt.cleanup();
+            let mut names: Vec<&str> = threads.values().map(|(name, _)| name.as_str()).collect();
+            names.sort_unstable();
+            assert_eq!(names, census);
+            assert!(report.records.len() >= 2, "both periodic tasks ran");
+        }
+    }
+
+    #[test]
+    fn activate_names_a_task_somebody_owns() {
+        // Validated on the caller for every configuration: the engine
+        // drops what it does not know without a word. A task without a
+        // worker assignment is fine when one owner has them all.
+        let (ts, ids, aper) = one_task_per_worker();
+        for config in [config(2), sharded(2).build().unwrap()] {
+            let rt = all_bodies(Arc::clone(&ts), config, &ids).build().unwrap();
+            rt.activate(aper).unwrap();
+            let unknown = TaskId::new(ts.len() as u32);
+            assert!(matches!(
+                rt.activate(unknown),
+                Err(Error::UnknownTask(t)) if t == unknown
+            ));
+            // A tenant's tasks are known from the moment it is admitted.
+            let (cand, bodies) = candidate(50, Duration::from_micros(50));
+            rt.admit(&cand, bodies, None).unwrap();
+            assert!(rt.activate(unknown).is_ok(), "known, if periodic");
+            rt.stop();
+            let report = rt.cleanup();
+            let ran = report.records.iter().filter(|r| r.job.task == aper);
+            assert_eq!(ran.count(), 1, "the one valid activation ran");
+        }
+        let mut b = TaskSetBuilder::new();
+        let (p, vp) = task(&mut b, TaskSpec::periodic("p", ms(50)), ms(1));
+        let (a, va) = task(&mut b, TaskSpec::aperiodic("unassigned"), ms(1));
+        let rt = RuntimeBuilder::new(Arc::new(b.build().unwrap()), config(1))
+            .body(p, vp, |_| {})
+            .body(a, va, |_| {})
+            .build()
+            .unwrap();
+        rt.activate(a).unwrap();
+        rt.stop();
+        let _ = rt.cleanup();
+    }
+
+    #[test]
+    fn work_stealing_needs_shards_to_steal_between() {
+        let (ts, ids, _) = one_task_per_worker();
+        for unsharded in [
+            config(2),
+            sharded(2).sharded_dispatch(false).build().unwrap(),
+        ] {
+            let built = all_bodies(Arc::clone(&ts), unsharded, &ids)
+                .work_stealing(true)
+                .build();
+            assert!(matches!(built, Err(Error::InvalidConfig(_))));
+        }
+        // Sharded, it is legal even where it can find no victim.
+        let mut b = TaskSetBuilder::new();
+        let spec = TaskSpec::periodic("t", ms(50)).on_worker(WorkerId::new(0));
+        let (t, v) = task(&mut b, spec, ms(1));
+        let rt = RuntimeBuilder::new(Arc::new(b.build().unwrap()), sharded(1).build().unwrap())
+            .work_stealing(true)
+            .body(t, v, |_| {})
+            .build()
+            .unwrap();
+        rt.stop();
+        assert_eq!(rt.cleanup().engine_stats.stolen, 0);
     }
 
     #[test]
@@ -625,15 +919,16 @@ mod tests {
         let _ = rt.cleanup();
     }
 
-    /// A candidate tenant in its own id space: one periodic task with
-    /// the given period and declared WCET, and a no-op body.
+    /// A candidate tenant in its own id space: one periodic task on
+    /// worker 0 with the given period and declared WCET, and a no-op
+    /// body.
     fn candidate(
         period_ms: u64,
         wcet: Duration,
     ) -> (TaskSet, HashMap<(TaskId, VersionId), TaskBody>) {
         let mut c = TaskSetBuilder::new();
         let t = c
-            .task_decl(TaskSpec::periodic("tenant", ms(period_ms)))
+            .task_decl(TaskSpec::periodic("tenant", ms(period_ms)).on_worker(WorkerId::new(0)))
             .unwrap();
         let v = c.version_decl(t, VersionSpec::new("v", wcet)).unwrap();
         let mut bodies: HashMap<(TaskId, VersionId), TaskBody> = HashMap::new();
@@ -643,33 +938,45 @@ mod tests {
 
     #[test]
     fn retired_bandwidth_is_returned() {
-        // Base U = 0.2; a U = 0.5 tenant admitted and retired three
-        // times over. With the retired copies still counted the second
-        // round reads `TotalUtilisation { total: 1.2 }`.
-        let mut b = TaskSetBuilder::new();
-        let base = b.task_decl(TaskSpec::periodic("base", ms(10))).unwrap();
-        let vb = b.version_decl(base, VersionSpec::new("v", ms(2))).unwrap();
-        let ts = Arc::new(b.build().unwrap());
-        let rt = RuntimeBuilder::new(ts, config(1))
-            .body(base, vb, |_| {})
-            .build()
-            .unwrap();
-        for round in 1..=3 {
-            let (cand, bodies) = candidate(10, ms(5));
-            let tenant = rt
-                .admit(&cand, bodies, None)
-                .unwrap_or_else(|e| panic!("round {round}: {e}"));
-            assert_eq!(tenant.raw(), round);
-            // Beside the live copy a second one does not fit.
-            let (cand, bodies) = candidate(10, ms(5));
-            assert!(matches!(
-                rt.admit(&cand, bodies, None),
-                Err(AdmissionError::Rejected(_))
-            ));
-            rt.retire(tenant).unwrap();
+        // Base U = 0.2 on worker 0; a U = 0.5 tenant on the same worker,
+        // admitted and retired three times over. With the retired
+        // copies still counted the second round reads
+        // `TotalUtilisation { total: 1.2 }` — under sharding, a density
+        // of 1.2 on worker 0.
+        for config in [config(1), sharded(2).build().unwrap()] {
+            let per_worker = config.sharded_dispatch();
+            let mut b = TaskSetBuilder::new();
+            let base = TaskSpec::periodic("base", ms(10)).on_worker(WorkerId::new(0));
+            let (base, vb) = task(&mut b, base, ms(2));
+            let ts = Arc::new(b.build().unwrap());
+            let rt = RuntimeBuilder::new(ts, config)
+                .body(base, vb, |_| {})
+                .build()
+                .unwrap();
+            for round in 1..=3 {
+                let (cand, bodies) = candidate(10, ms(5));
+                let tenant = rt
+                    .admit(&cand, bodies, None)
+                    .unwrap_or_else(|e| panic!("round {round}: {e}"));
+                assert_eq!(tenant.raw(), round);
+                // Beside the live copy a second one does not fit.
+                let (cand, bodies) = candidate(10, ms(5));
+                match rt.admit(&cand, bodies, None) {
+                    Err(AdmissionError::Rejected(violated)) => assert!(
+                        !per_worker
+                            || matches!(
+                                violated,
+                                yasmin_sched::BoundViolation::WorkerOverload { .. }
+                            ),
+                        "{violated:?}"
+                    ),
+                    other => panic!("round {round}: {other:?}"),
+                }
+                rt.retire(tenant).unwrap();
+            }
+            rt.stop();
+            let _ = rt.cleanup();
         }
-        rt.stop();
-        let _ = rt.cleanup();
     }
 
     #[test]
@@ -1087,81 +1394,84 @@ mod tests {
 
     #[test]
     fn overrunning_body_is_flagged_in_its_slot() {
-        // `sharded::tests::overrunning_body_is_flagged_in_its_slot` on
-        // the one-worker runtime: slow's first body sleeps across two
-        // 5 ms edges on a 2 ms WCET, and the thread that handles them
-        // was inside that body — they are handled when it returns,
-        // before its completion retires, or the overrun would find the
-        // slot empty and the killed job's successor would fire.
-        within_attempts(3, || {
-            let mut b = TaskSetBuilder::new();
-            let slow = TaskSpec::periodic("slow", ms(50)).with_overrun_policy(OverrunPolicy::Kill);
-            let (slow, vs) = task(&mut b, slow, ms(2));
-            let (succ, vsucc) = task(&mut b, TaskSpec::graph_node("succ"), ms(2));
-            let (quick, vq) = task(&mut b, TaskSpec::periodic("quick", ms(5)), ms(2));
-            let c = b.channel_decl("c", 1, 8);
-            b.channel_connect(slow, succ, c).unwrap();
-            let ts = Arc::new(b.build().unwrap());
-            let config = Config::builder()
-                .workers(1)
-                .priority(PriorityPolicy::EarliestDeadlineFirst)
-                .preemption(false)
-                .enforce_wcet(true)
-                .build()
-                .unwrap();
-            let first = AtomicBool::new(true);
-            let rt = RuntimeBuilder::new(ts, config)
-                .body(slow, vs, move |_| {
-                    if first.swap(false, Ordering::SeqCst) {
-                        nap_ms(12);
-                    }
-                })
-                .body(succ, vsucc, |_| {})
-                .body(quick, vq, |_| {})
-                .build()
-                .unwrap();
-            nap_ms(130);
-            rt.stop();
-            let report = rt.cleanup();
-            let ran = |t: TaskId| report.records.iter().filter(|r| r.job.task == t).count();
-            assert!(ran(slow) >= 2 && ran(quick) >= 10, "the schedule ran");
-            // A body the host stalled for 2 ms reads as an overrun too.
-            if report.engine_stats.overruns != 1 {
-                return Err(format!("{} overruns", report.engine_stats.overruns));
-            }
-            assert_eq!(
-                ran(succ),
-                ran(slow) - 1,
-                "the killed job fired no successor"
-            );
-            Ok(())
-        });
+        // Tick 5 ms (quick's period), one slot — the whole engine's, or
+        // a shard's. slow's first body sleeps across two edges on a
+        // 2 ms WCET; the thread that handles them was inside that body,
+        // so they are handled when it returns — before its completion
+        // retires, or the overrun would find the slot empty and the
+        // killed job's successor would fire.
+        let one_owner = Config::builder()
+            .workers(1)
+            .priority(PriorityPolicy::EarliestDeadlineFirst)
+            .preemption(false);
+        for config in [one_owner, sharded(1)] {
+            let config = config.enforce_wcet(true).build().unwrap();
+            within_attempts(3, || {
+                let mut b = TaskSetBuilder::new();
+                let on0 = |spec: TaskSpec| spec.on_worker(WorkerId::new(0));
+                let slow =
+                    TaskSpec::periodic("slow", ms(50)).with_overrun_policy(OverrunPolicy::Kill);
+                let (slow, vs) = task(&mut b, on0(slow), ms(2));
+                let (succ, vsucc) = task(&mut b, on0(TaskSpec::graph_node("succ")), ms(2));
+                let (quick, vq) = task(&mut b, on0(TaskSpec::periodic("quick", ms(5))), ms(2));
+                let c = b.channel_decl("c", 1, 8);
+                b.channel_connect(slow, succ, c).unwrap();
+                let ts = Arc::new(b.build().unwrap());
+                let first = AtomicBool::new(true);
+                let rt = RuntimeBuilder::new(ts, config.clone())
+                    .body(slow, vs, move |_| {
+                        if first.swap(false, Ordering::SeqCst) {
+                            nap_ms(12);
+                        }
+                    })
+                    .body(succ, vsucc, |_| {})
+                    .body(quick, vq, |_| {})
+                    .build()
+                    .unwrap();
+                nap_ms(130);
+                rt.stop();
+                let report = rt.cleanup();
+                let ran = |t: TaskId| report.records.iter().filter(|r| r.job.task == t).count();
+                assert!(ran(slow) >= 2 && ran(quick) >= 10, "the schedule ran");
+                // A body the host stalled for 2 ms reads as an overrun too.
+                if report.engine_stats.overruns != 1 {
+                    return Err(format!("{} overruns", report.engine_stats.overruns));
+                }
+                assert_eq!(
+                    ran(succ),
+                    ran(slow) - 1,
+                    "the killed job fired no successor"
+                );
+                Ok(())
+            });
+        }
     }
 
     #[test]
     fn latency_is_sane() {
-        // Wake-up latency on this host should be far below one period.
-        let mut b = TaskSetBuilder::new();
-        let t = b.task_decl(TaskSpec::periodic("t", ms(10))).unwrap();
-        let v = b
-            .version_decl(t, VersionSpec::new("v", Duration::from_micros(20)))
-            .unwrap();
-        let ts = Arc::new(b.build().unwrap());
-        let rt = RuntimeBuilder::new(ts, config(1))
-            .body(t, v, |_| {})
-            .build()
-            .unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(80));
-        rt.stop();
-        let report = rt.cleanup();
-        assert!(report.records.len() >= 3);
-        for r in &report.records {
-            assert!(
-                r.start_latency() < ms(10),
-                "latency {} exceeds the period",
-                r.start_latency()
-            );
-            assert!(!r.missed(), "missed deadline in an idle host run");
+        // Wake-up latency on this host should be far below one period,
+        // whichever owner has the task.
+        for config in [config(1), sharded(1).build().unwrap()] {
+            let mut b = TaskSetBuilder::new();
+            let spec = TaskSpec::periodic("t", ms(10)).on_worker(WorkerId::new(0));
+            let (t, v) = task(&mut b, spec, Duration::from_micros(20));
+            let ts = Arc::new(b.build().unwrap());
+            let rt = RuntimeBuilder::new(ts, config)
+                .body(t, v, |_| {})
+                .build()
+                .unwrap();
+            std::thread::sleep(std::time::Duration::from_millis(80));
+            rt.stop();
+            let report = rt.cleanup();
+            assert!(report.records.len() >= 3);
+            for r in &report.records {
+                assert!(
+                    r.start_latency() < ms(10),
+                    "latency {} exceeds the period",
+                    r.start_latency()
+                );
+                assert!(!r.missed(), "missed deadline in an idle host run");
+            }
         }
     }
 }

@@ -1,6 +1,18 @@
-//! Helpers shared by the wake-up tests of both runtimes.
+//! Helpers shared by the tests of the runtime and of its owner loop.
 
 use std::collections::HashMap;
+use yasmin_core::config::{Config, ConfigBuilder, MappingScheme};
+use yasmin_core::priority::PriorityPolicy;
+
+/// Non-preemptive partitioned EDF with one owner per shard.
+pub(crate) fn sharded(workers: usize) -> ConfigBuilder {
+    Config::builder()
+        .workers(workers)
+        .mapping(MappingScheme::Partitioned)
+        .sharded_dispatch(true)
+        .priority(PriorityPolicy::EarliestDeadlineFirst)
+        .preemption(false)
+}
 
 /// Runs a timing scenario up to `n` times. The scenarios claim "well
 /// inside one tick"; the shared hosts these tests run on stall a vCPU

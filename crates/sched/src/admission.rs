@@ -107,7 +107,7 @@
 //!   bounds and demand tests allocate and iterate, so drivers run them
 //!   on an admission thread, never on a scheduler thread.
 //! * **Spliced** — every engine (the single [`OnlineEngine`], or each
-//!   [`EngineShard`](crate::shard::EngineShard)) adopted the merged set
+//!   shard's) adopted the merged set
 //!   via [`OnlineEngine::splice_taskset`] with the tenant's releases
 //!   still disarmed. In the sharded runtime the splice command travels
 //!   the same per-shard control mailbox lane as every other command, so

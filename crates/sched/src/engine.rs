@@ -138,9 +138,9 @@ pub struct EngineStats {
     pub stolen: u64,
     /// Ready jobs this engine handed to a thief shard (victim side).
     pub donated: u64,
-    /// Batch-steal exchanges this engine completed as the thief
-    /// ([`OnlineEngine::adopt_stolen_batch`]); each exchange's jobs are
-    /// also counted individually in `stolen`.
+    /// Steal exchanges this engine completed as the thief
+    /// ([`OnlineEngine::adopt_stolen_batch`], a batch of one included);
+    /// each exchange's jobs are also counted individually in `stolen`.
     pub stolen_batch: u64,
     /// Histogram of adopted batch sizes: bucket `i` counts exchanges
     /// that delivered `i + 1` jobs (the last bucket absorbs anything
@@ -235,8 +235,7 @@ struct TenantEntry {
 /// of a job whose out-edge crosses shards does not touch the local
 /// token state (the *destination* shard owns every edge entering its
 /// tasks) — it lands here instead, for the driver to route to the
-/// owning shard's mailbox as a
-/// [`crate::shard::ShardCmd::CrossActivate`].
+/// owning shard ([`OnlineEngine::on_remote_token`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RemoteActivation {
     /// The worker whose shard owns the edge's destination task.
@@ -248,10 +247,10 @@ pub struct RemoteActivation {
     pub graph_release: Instant,
 }
 
-/// An O(1) snapshot of a shard's most urgent ready job, taken through a
-/// shared reference — what a work-stealing thief uses to decide whether
-/// a victim is worth a steal request, and what the victim then turns
-/// into a concrete hand-off via [`OnlineEngine::release_stolen`].
+/// A snapshot of one stealable ready job of a shard, taken without
+/// detaching it ([`OnlineEngine::steal_hint`],
+/// [`OnlineEngine::try_steal_batch`]) — what the victim then turns into
+/// a concrete hand-off via [`OnlineEngine::release_stolen_batch`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StealHint {
     /// The hinted job.
@@ -342,8 +341,8 @@ pub struct OnlineEngine {
     /// Busy accelerators wished for by the last `Blocked` choice.
     wish_buf: Vec<AccelId>,
     /// Frontier scratch for the ordered ready-queue scan behind
-    /// [`OnlineEngine::steal_hints`] (batch-steal probes); retained so
-    /// steady-state batch stealing never allocates.
+    /// [`OnlineEngine::try_steal_batch`]; retained so steady-state
+    /// stealing never allocates.
     steal_frontier: Vec<u32>,
     /// Jobs popped but unable to run this round (returned to the queue).
     blocked_buf: Vec<Job>,
@@ -415,8 +414,8 @@ impl OnlineEngine {
 
     /// Builds the *shard* of the engine owning only `worker`: one ready
     /// queue, one running slot, releases restricted to tasks assigned to
-    /// `worker`. Used through [`crate::shard::EngineShard`], which also
-    /// validates that the task set partitions cleanly across shards.
+    /// `worker`. Built by [`crate::shard::EngineShard::build_all`], which
+    /// also validates that the task set partitions cleanly across shards.
     ///
     /// # Errors
     ///
@@ -731,8 +730,8 @@ impl OnlineEngine {
     }
 
     /// The most urgent ready job, through a shared reference — O(1) per
-    /// queue since [`ReadyQueue::peek`] is index-tracked; suitable for
-    /// telemetry and work-stealing probes of a shard.
+    /// queue since [`ReadyQueue::peek`] is index-tracked; for telemetry
+    /// (the stealing probe is [`OnlineEngine::steal_hint`]).
     #[must_use]
     pub fn most_urgent_hint(&self) -> Option<&Job> {
         self.queues
@@ -761,25 +760,9 @@ impl OnlineEngine {
     }
 
     /// Starts the schedule at `now` (the paper's `yas_start`): arms the
-    /// periodic release bookkeeping and performs the first release round.
-    ///
-    /// Allocating wrapper over [`OnlineEngine::start_into`].
-    ///
-    /// # Errors
-    ///
-    /// [`Error::ScheduleRunning`] if already started.
-    #[deprecated(
-        since = "0.1.0",
-        note = "allocates a fresh Vec per call; use start_into with a reusable ActionSink"
-    )]
-    pub fn start(&mut self, now: Instant) -> Result<Vec<Action>> {
-        let mut sink = ActionSink::new();
-        self.start_into(now, &mut sink)?;
-        Ok(sink.into_vec())
-    }
-
-    /// [`OnlineEngine::start`], appending the resulting actions to a
-    /// caller-owned reusable sink instead of allocating a `Vec`.
+    /// periodic release bookkeeping and performs the first release
+    /// round, appending the resulting actions to a caller-owned reusable
+    /// sink.
     ///
     /// # Errors
     ///
@@ -1152,22 +1135,10 @@ impl OnlineEngine {
     }
 
     /// One scheduler-thread activation at time `now`: releases every
-    /// periodic job due by `now`, then dispatches/preempts.
-    ///
-    /// Allocating wrapper over [`OnlineEngine::on_tick_into`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "allocates a fresh Vec per call; use on_tick_into with a reusable ActionSink"
-    )]
-    pub fn on_tick(&mut self, now: Instant) -> Vec<Action> {
-        let mut sink = ActionSink::new();
-        self.on_tick_into(now, &mut sink);
-        sink.into_vec()
-    }
-
-    /// [`OnlineEngine::on_tick`], appending the resulting actions to a
-    /// caller-owned reusable sink. With a warmed-up sink this path
-    /// performs no heap allocation in steady state.
+    /// periodic job due by `now`, then dispatches/preempts, appending the
+    /// resulting actions to a caller-owned reusable sink. With a
+    /// warmed-up sink this path performs no heap allocation in steady
+    /// state.
     pub fn on_tick_into(&mut self, now: Instant, sink: &mut ActionSink) {
         if now >= self.next_wake {
             let mut wake = Instant::MAX;
@@ -1331,26 +1302,8 @@ impl OnlineEngine {
     }
 
     /// Explicit activation (the paper's `yas_task_activate`): sporadic
-    /// arrivals and user-triggered aperiodic jobs.
-    ///
-    /// Allocating wrapper over [`OnlineEngine::activate_into`].
-    ///
-    /// # Errors
-    ///
-    /// [`Error::UnknownTask`]; [`Error::InvalidConfig`] for periodic tasks
-    /// (those are released by the scheduler itself).
-    #[deprecated(
-        since = "0.1.0",
-        note = "allocates a fresh Vec per call; use activate_into with a reusable ActionSink"
-    )]
-    pub fn activate(&mut self, task: TaskId, now: Instant) -> Result<Vec<Action>> {
-        let mut sink = ActionSink::new();
-        self.activate_into(task, now, &mut sink)?;
-        Ok(sink.into_vec())
-    }
-
-    /// [`OnlineEngine::activate`], appending the resulting actions to a
-    /// caller-owned reusable sink.
+    /// arrivals and user-triggered aperiodic jobs. Resulting actions are
+    /// appended to a caller-owned reusable sink.
     ///
     /// # Errors
     ///
@@ -1393,32 +1346,9 @@ impl OnlineEngine {
 
     /// Notification that `job` finished on `worker` at `now`. Frees the
     /// worker and any held accelerator, fires DAG successors, then
-    /// dispatches.
-    ///
-    /// Allocating wrapper over [`OnlineEngine::on_job_completed_into`].
-    ///
-    /// # Errors
-    ///
-    /// [`Error::InvalidConfig`] if `worker` is not running `job` — a
-    /// driver protocol violation.
-    #[deprecated(
-        since = "0.1.0",
-        note = "allocates a fresh Vec per call; use on_job_completed_into with a reusable ActionSink"
-    )]
-    pub fn on_job_completed(
-        &mut self,
-        worker: WorkerId,
-        job: JobId,
-        now: Instant,
-    ) -> Result<Vec<Action>> {
-        let mut sink = ActionSink::new();
-        self.on_job_completed_into(worker, job, now, &mut sink)?;
-        Ok(sink.into_vec())
-    }
-
-    /// [`OnlineEngine::on_job_completed`], appending the resulting
-    /// actions to a caller-owned reusable sink. With a warmed-up sink
-    /// this path performs no heap allocation in steady state.
+    /// dispatches, appending the resulting actions to a caller-owned
+    /// reusable sink. With a warmed-up sink this path performs no heap
+    /// allocation in steady state.
     ///
     /// # Errors
     ///
@@ -1444,8 +1374,6 @@ impl OnlineEngine {
     /// simulator retiring same-timestamp finishes), this amortises the
     /// dispatch round across the burst and lets the round see the whole
     /// burst's released successors before placing jobs on workers.
-    ///
-    /// Allocating wrapper: [`OnlineEngine::on_jobs_completed`].
     ///
     /// # Errors
     ///
@@ -1477,26 +1405,6 @@ impl OnlineEngine {
             Some(e) => Err(e),
             None => Ok(()),
         }
-    }
-
-    /// [`OnlineEngine::on_jobs_completed_into`], returning a fresh
-    /// `Vec` instead of appending to a caller-owned sink.
-    ///
-    /// # Errors
-    ///
-    /// As [`OnlineEngine::on_jobs_completed_into`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "allocates a fresh Vec per call; use on_jobs_completed_into with a reusable ActionSink"
-    )]
-    pub fn on_jobs_completed(
-        &mut self,
-        completions: &[(WorkerId, JobId)],
-        now: Instant,
-    ) -> Result<Vec<Action>> {
-        let mut sink = ActionSink::new();
-        let res = self.on_jobs_completed_into(completions, now, &mut sink);
-        res.map(|()| sink.into_vec())
     }
 
     /// One coalesced engine round: retires every `(worker, job)`
@@ -1539,7 +1447,10 @@ impl OnlineEngine {
     /// one of an accelerator-bound task (accelerators are arbitrated
     /// shard-locally), or one this shard itself adopted from elsewhere
     /// — a job migrates **at most once**, so thieves can never bounce
-    /// work around or hand a job back to its owner.
+    /// work around or hand a job back to its owner. This is the "is my
+    /// top job stealable" probe a driver advertises its load by and
+    /// filters victims with; grants go through
+    /// [`OnlineEngine::try_steal_batch`].
     #[must_use]
     pub fn steal_hint(&self) -> Option<StealHint> {
         let w = self.shard?;
@@ -1555,14 +1466,13 @@ impl OnlineEngine {
         })
     }
 
-    /// Hands the hinted ready job to a thief (victim side of a steal):
-    /// removes it from the ready queue in O(log n) via the
-    /// index-tracked [`ReadyQueue::remove`] and returns it for the
-    /// thief to adopt. Returns `None` when the hint went stale (the job
+    /// Detaches the hinted ready job for a thief: removes it from the
+    /// ready queue in O(log n) via the index-tracked
+    /// [`ReadyQueue::remove`]. `None` when the hint went stale (the job
     /// dispatched or was culled since the hint was taken) or the job
     /// must not migrate (accelerator-bound task, or a job this shard
     /// itself adopted — migration happens at most once).
-    pub fn release_stolen(&mut self, hint: StealHint) -> Option<Job> {
+    fn release_stolen(&mut self, hint: StealHint) -> Option<Job> {
         let w = self.shard?;
         if self.task_worker[hint.task.index()] != w.raw()
             || self.task_accel_bound[hint.task.index()]
@@ -1575,54 +1485,14 @@ impl OnlineEngine {
         Some(job)
     }
 
-    /// Adopts a job stolen from a victim shard (thief side): the job
-    /// enters this shard's ready queue — keeping EDF order against any
-    /// local work — and the dispatch round runs it on this shard's
-    /// worker, reporting the thief's **global** [`WorkerId`] in the
-    /// dispatch action. Completion is then handed back to *this* shard
-    /// like any local job; DAG successors it fires are routed by
-    /// destination ownership (outbox for foreign destinations).
-    ///
-    /// # Errors
-    ///
-    /// [`Error::InvalidConfig`] on a non-shard engine or for a task of
-    /// this very shard (nothing was stolen) — protocol violations. A
-    /// *full* local queue is not an error: like every release-path
-    /// overflow it is a sizing condition, surfaced through
-    /// `stats.channel_overflows` (the job is dropped) rather than by
-    /// panicking a scheduler thread mid-handshake.
-    pub fn adopt_stolen(&mut self, job: Job, now: Instant, sink: &mut ActionSink) -> Result<()> {
-        let Some(w) = self.shard else {
-            return Err(Error::InvalidConfig(
-                "only engine shards adopt stolen jobs".into(),
-            ));
-        };
-        if self.task_worker[job.task.index()] == w.raw() {
-            return Err(Error::InvalidConfig(format!(
-                "job of task {} is already owned by shard {w}",
-                job.task
-            )));
-        }
-        if self.queues[0].push(job).is_ok() {
-            self.stats.stolen += 1;
-            self.stats.max_ready = self.stats.max_ready.max(self.ready_len());
-        } else {
-            self.stats.channel_overflows += 1;
-        }
-        self.dispatch_round(now, sink);
-        Ok(())
-    }
-
-    /// Up to `k` steal hints in ascending queue-key order — the batch
-    /// generalisation of [`OnlineEngine::steal_hint`]. The ordered scan
-    /// walks the ready heap without detaching anything and **stops at
-    /// the first job that must not migrate** (accelerator-bound task,
-    /// or a job this shard itself adopted): like the single-job probe,
-    /// a thief never takes less urgent work while skipping over more
-    /// urgent local-only work. Hints are appended to `out` (cleared
-    /// here); returns the number produced. Shard engines only — 0
-    /// otherwise.
-    pub fn steal_hints(&mut self, k: usize, out: &mut Vec<StealHint>) -> usize {
+    /// Up to `k` steal hints in ascending queue-key order (victim side
+    /// of a steal, step one). The ordered scan walks the ready heap
+    /// without detaching anything and **stops at the first job that
+    /// must not migrate** (see [`OnlineEngine::steal_hint`]): a thief
+    /// never takes less urgent work while skipping over more urgent
+    /// local-only work. Hints are appended to `out` (cleared here);
+    /// returns the number produced. Shard engines only — 0 otherwise.
+    pub fn try_steal_batch(&mut self, k: usize, out: &mut Vec<StealHint>) -> usize {
         out.clear();
         let Some(w) = self.shard else { return 0 };
         let k = k.min(crate::job::MAX_STEAL_BATCH);
@@ -1648,12 +1518,12 @@ impl OnlineEngine {
     }
 
     /// Hands a batch of hinted jobs to a thief in one exchange (victim
-    /// side): each hint is re-validated exactly like
-    /// [`OnlineEngine::release_stolen`] — stale hints (dispatched or
-    /// culled since the probe) and jobs that must no longer migrate are
-    /// skipped, never errors — and each detached job is appended to
-    /// `out` in hint order (most urgent first). Returns the number
-    /// detached; every one counts in [`EngineStats::donated`].
+    /// side, step two): each hint is re-validated — stale hints
+    /// (dispatched or culled since the probe) and jobs that must no
+    /// longer migrate are skipped, never errors — and each detached job
+    /// is appended to `out` in hint order (most urgent first). Returns
+    /// the number detached; every one counts in
+    /// [`EngineStats::donated`].
     pub fn release_stolen_batch(&mut self, hints: &[StealHint], out: &mut JobBatch) -> usize {
         let mut released = 0;
         for &hint in hints {
@@ -1674,25 +1544,31 @@ impl OnlineEngine {
         released
     }
 
-    /// Adopts a whole stolen batch (thief side): every job enters this
+    /// Adopts a stolen batch (thief side): every job enters this
     /// shard's ready queue — keeping EDF order against local work —
     /// then **one** dispatch round runs for the batch, which is the
     /// point of batching: k migrations pay one protocol exchange and
-    /// one dispatch round instead of k of each. Tenant budgets keep the
-    /// single-steal semantics — each job charges *this* shard's replica
-    /// of its tenant's reservation at dispatch, not at adoption.
+    /// one dispatch round instead of k of each. The dispatch reports
+    /// the thief's **global** [`WorkerId`]; completion is handed back
+    /// to *this* shard like any local job, and DAG successors are
+    /// routed by destination ownership (outbox for foreign
+    /// destinations). Each job charges *this* shard's replica of its
+    /// tenant's reservation at dispatch, not at adoption.
     ///
     /// Books one exchange in [`EngineStats::stolen_batch`] and the
-    /// batch length in the [`EngineStats::steal_batch_len`] histogram;
-    /// each job also counts in [`EngineStats::stolen`].
+    /// batch length in the [`EngineStats::steal_batch_len`] histogram —
+    /// a batch of one included; each job also counts in
+    /// [`EngineStats::stolen`].
     ///
     /// # Errors
     ///
     /// [`Error::InvalidConfig`] on a non-shard engine or when any job
     /// belongs to this very shard (nothing was stolen) — protocol
     /// violations, checked before any job is enqueued. A *full* local
-    /// queue is not an error: overflowing jobs are dropped and counted
-    /// in `stats.channel_overflows`, like every release-path overflow.
+    /// queue is not an error: like every release-path overflow it is a
+    /// sizing condition — overflowing jobs are dropped and counted in
+    /// `stats.channel_overflows` rather than panicking a scheduler
+    /// thread mid-handshake.
     pub fn adopt_stolen_batch(
         &mut self,
         jobs: &[Job],
@@ -2527,10 +2403,6 @@ impl OnlineEngine {
 
 #[cfg(test)]
 mod tests {
-    // The deprecated Vec-returning wrappers stay exercised here until
-    // they are removed outright.
-    #![allow(deprecated)]
-
     use super::*;
     use yasmin_core::config::VersionPolicy;
     use yasmin_core::task::TaskSpec;
@@ -2542,6 +2414,13 @@ mod tests {
 
     fn at(v: u64) -> Instant {
         Instant::from_nanos(v * 1_000_000)
+    }
+
+    /// What one engine call appends to a fresh sink.
+    fn emitted(call: impl FnOnce(&mut ActionSink)) -> Vec<Action> {
+        let mut sink = ActionSink::new();
+        call(&mut sink);
+        sink.into_vec()
     }
 
     fn two_task_set() -> Arc<TaskSet> {
@@ -2570,7 +2449,7 @@ mod tests {
     #[test]
     fn start_releases_and_dispatches_by_deadline_order() {
         let mut e = OnlineEngine::new(two_task_set(), edf_config(1)).unwrap();
-        let actions = e.start(Instant::ZERO).unwrap();
+        let actions = emitted(|s| e.start_into(Instant::ZERO, s).unwrap());
         // Both release at 0; EDF picks the 10ms-deadline task first on the
         // single worker.
         assert_eq!(actions.len(), 1);
@@ -2589,12 +2468,15 @@ mod tests {
     #[test]
     fn completion_dispatches_next() {
         let mut e = OnlineEngine::new(two_task_set(), edf_config(1)).unwrap();
-        let a0 = e.start(Instant::ZERO).unwrap();
+        let a0 = emitted(|s| e.start_into(Instant::ZERO, s).unwrap());
         let first = match &a0[0] {
             Action::Dispatch { job, .. } => job.id,
             _ => unreachable!(),
         };
-        let a1 = e.on_job_completed(WorkerId::new(0), first, at(2)).unwrap();
+        let a1 = emitted(|s| {
+            e.on_job_completed_into(WorkerId::new(0), first, at(2), s)
+                .unwrap()
+        });
         assert_eq!(a1.len(), 1);
         match &a1[0] {
             Action::Dispatch { job, .. } => assert_eq!(job.task, TaskId::new(1)),
@@ -2627,10 +2509,10 @@ mod tests {
         b.channel_connect(right, join, c4).unwrap();
         let ts = Arc::new(b.build().unwrap());
         let mut e = OnlineEngine::new(ts, edf_config(2)).unwrap();
-        let _ = e.start(Instant::ZERO).unwrap();
+        let mut sink = ActionSink::new();
+        e.start_into(Instant::ZERO, &mut sink).unwrap();
         let fork_id = e.running(WorkerId::new(0)).unwrap().job.id;
-        let _ = e
-            .on_job_completed(WorkerId::new(0), fork_id, at(1))
+        e.on_job_completed_into(WorkerId::new(0), fork_id, at(1), &mut sink)
             .unwrap();
         let batch = [
             (
@@ -2642,7 +2524,7 @@ mod tests {
                 e.running(WorkerId::new(1)).unwrap().job.id,
             ),
         ];
-        let acts = e.on_jobs_completed(&batch, at(2)).unwrap();
+        let acts = emitted(|s| e.on_jobs_completed_into(&batch, at(2), s).unwrap());
         assert!(
             acts.iter()
                 .any(|a| matches!(a, Action::Dispatch { job, .. } if job.task == join)),
@@ -2654,13 +2536,14 @@ mod tests {
     #[test]
     fn batch_completion_error_keeps_retired_prefix() {
         let mut e = OnlineEngine::new(two_task_set(), edf_config(2)).unwrap();
-        let _ = e.start(Instant::ZERO).unwrap();
+        let mut sink = ActionSink::new();
+        e.start_into(Instant::ZERO, &mut sink).unwrap();
         let good = e.running(WorkerId::new(0)).unwrap().job.id;
         let batch = [
             (WorkerId::new(0), good),
             (WorkerId::new(1), JobId::new(999)), // protocol violation
         ];
-        let err = e.on_jobs_completed(&batch, at(1));
+        let err = e.on_jobs_completed_into(&batch, at(1), &mut sink);
         assert!(err.is_err());
         // The valid prefix was retired (worker 0 freed, completion
         // counted); the offender's worker still runs its job.
@@ -2671,8 +2554,9 @@ mod tests {
     #[test]
     fn empty_batch_is_a_no_op() {
         let mut e = OnlineEngine::new(two_task_set(), edf_config(2)).unwrap();
-        let _ = e.start(Instant::ZERO).unwrap();
-        let acts = e.on_jobs_completed(&[], at(1)).unwrap();
+        let mut sink = ActionSink::new();
+        e.start_into(Instant::ZERO, &mut sink).unwrap();
+        let acts = emitted(|s| e.on_jobs_completed_into(&[], at(1), s).unwrap());
         assert!(acts.is_empty());
         assert_eq!(e.stats().completed, 0);
     }
@@ -2680,26 +2564,30 @@ mod tests {
     #[test]
     fn wrong_completion_is_protocol_error() {
         let mut e = OnlineEngine::new(two_task_set(), edf_config(1)).unwrap();
-        let _ = e.start(Instant::ZERO).unwrap();
+        let mut sink = ActionSink::new();
+        e.start_into(Instant::ZERO, &mut sink).unwrap();
         assert!(e
-            .on_job_completed(WorkerId::new(0), JobId::new(999), at(1))
+            .on_job_completed_into(WorkerId::new(0), JobId::new(999), at(1), &mut sink)
             .is_err());
         assert!(e
-            .on_job_completed(WorkerId::new(1), JobId::new(0), at(1))
+            .on_job_completed_into(WorkerId::new(1), JobId::new(0), at(1), &mut sink)
             .is_err());
     }
 
     #[test]
     fn periodic_rereleases_on_tick() {
         let mut e = OnlineEngine::new(two_task_set(), edf_config(2)).unwrap();
-        let _ = e.start(Instant::ZERO).unwrap();
+        let mut sink = ActionSink::new();
+        e.start_into(Instant::ZERO, &mut sink).unwrap();
         // Finish both first jobs.
         let r0 = e.running(WorkerId::new(0)).unwrap().job.id;
         let r1 = e.running(WorkerId::new(1)).unwrap().job.id;
-        let _ = e.on_job_completed(WorkerId::new(0), r0, at(2)).unwrap();
-        let _ = e.on_job_completed(WorkerId::new(1), r1, at(5)).unwrap();
+        e.on_job_completed_into(WorkerId::new(0), r0, at(2), &mut sink)
+            .unwrap();
+        e.on_job_completed_into(WorkerId::new(1), r1, at(5), &mut sink)
+            .unwrap();
         // Tick at 10ms: only task a (period 10) re-releases.
-        let acts = e.on_tick(at(10));
+        let acts = emitted(|s| e.on_tick_into(at(10), s));
         assert_eq!(acts.len(), 1);
         match &acts[0] {
             Action::Dispatch { job, .. } => {
@@ -2711,8 +2599,9 @@ mod tests {
         }
         // Tick at 20ms: task a again + task c.
         let r0 = e.running(WorkerId::new(0)).unwrap().job.id;
-        let _ = e.on_job_completed(WorkerId::new(0), r0, at(12)).unwrap();
-        let acts = e.on_tick(at(20));
+        e.on_job_completed_into(WorkerId::new(0), r0, at(12), &mut sink)
+            .unwrap();
+        let acts = emitted(|s| e.on_tick_into(at(20), s));
         assert_eq!(acts.len(), 2);
         assert_eq!(e.stats().released, 5);
     }
@@ -2734,9 +2623,9 @@ mod tests {
         b.version_decl(fast, VersionSpec::new("f", ms(5))).unwrap();
         let ts = Arc::new(b.build().unwrap());
         let mut e = OnlineEngine::new(ts, edf_config(1)).unwrap();
-        let a0 = e.start(Instant::ZERO).unwrap();
+        let a0 = emitted(|s| e.start_into(Instant::ZERO, s).unwrap());
         assert_eq!(a0.len(), 1); // slow dispatched
-        let acts = e.on_tick(at(10));
+        let acts = emitted(|s| e.on_tick_into(at(10), s));
         // fast (deadline 30ms) preempts slow (deadline 100ms).
         assert!(matches!(acts[0], Action::Preempt { .. }), "{acts:?}");
         match &acts[1] {
@@ -2748,9 +2637,10 @@ mod tests {
         assert_eq!(e.ready_len(), 1);
         // Completing fast resumes slow.
         let fast_id = e.running(WorkerId::new(0)).unwrap().job.id;
-        let acts = e
-            .on_job_completed(WorkerId::new(0), fast_id, at(15))
-            .unwrap();
+        let acts = emitted(|s| {
+            e.on_job_completed_into(WorkerId::new(0), fast_id, at(15), s)
+                .unwrap()
+        });
         match &acts[0] {
             Action::Dispatch { job, .. } => {
                 assert_eq!(job.task, slow);
@@ -2781,8 +2671,9 @@ mod tests {
             .build()
             .unwrap();
         let mut e = OnlineEngine::new(ts, cfg).unwrap();
-        let _ = e.start(Instant::ZERO).unwrap();
-        let acts = e.on_tick(at(10));
+        let mut sink = ActionSink::new();
+        e.start_into(Instant::ZERO, &mut sink).unwrap();
+        let acts = emitted(|s| e.on_tick_into(at(10), s));
         assert!(acts.is_empty(), "{acts:?}");
         assert_eq!(e.stats().preempted, 0);
     }
@@ -2814,7 +2705,7 @@ mod tests {
             .build()
             .unwrap();
         let mut e = OnlineEngine::new(ts, cfg).unwrap();
-        let acts = e.start(Instant::ZERO).unwrap();
+        let acts = emitted(|s| e.start_into(Instant::ZERO, s).unwrap());
         match &acts[0] {
             Action::Dispatch { worker, .. } => assert_eq!(*worker, WorkerId::new(1)),
             other => panic!("{other:?}"),
@@ -2842,11 +2733,13 @@ mod tests {
         b.channel_connect(right, join, c4).unwrap();
         let ts = Arc::new(b.build().unwrap());
         let mut e = OnlineEngine::new(ts, edf_config(2)).unwrap();
-        let _ = e.start(Instant::ZERO).unwrap();
+        let mut sink = ActionSink::new();
+        e.start_into(Instant::ZERO, &mut sink).unwrap();
         let fork_id = e.running(WorkerId::new(0)).unwrap().job.id;
-        let acts = e
-            .on_job_completed(WorkerId::new(0), fork_id, at(1))
-            .unwrap();
+        let acts = emitted(|s| {
+            e.on_job_completed_into(WorkerId::new(0), fork_id, at(1), s)
+                .unwrap()
+        });
         // left and right both released and dispatched on the two workers.
         let dispatched: Vec<TaskId> = acts
             .iter()
@@ -2859,14 +2752,16 @@ mod tests {
         assert!(dispatched.contains(&left) && dispatched.contains(&right));
         // Join waits for both.
         let left_id = e.running(WorkerId::new(0)).unwrap().job.id;
-        let acts = e
-            .on_job_completed(WorkerId::new(0), left_id, at(2))
-            .unwrap();
+        let acts = emitted(|s| {
+            e.on_job_completed_into(WorkerId::new(0), left_id, at(2), s)
+                .unwrap()
+        });
         assert!(acts.is_empty(), "join must wait for right: {acts:?}");
         let right_id = e.running(WorkerId::new(1)).unwrap().job.id;
-        let acts = e
-            .on_job_completed(WorkerId::new(1), right_id, at(3))
-            .unwrap();
+        let acts = emitted(|s| {
+            e.on_job_completed_into(WorkerId::new(1), right_id, at(3), s)
+                .unwrap()
+        });
         let join_dispatch = acts
             .iter()
             .any(|a| matches!(a, Action::Dispatch { job, .. } if job.task == join));
@@ -2894,7 +2789,7 @@ mod tests {
         b.version_decl(t2, VersionSpec::new("cpu", ms(30))).unwrap();
         let ts = Arc::new(b.build().unwrap());
         let mut e = OnlineEngine::new(ts, edf_config(2)).unwrap();
-        let acts = e.start(Instant::ZERO).unwrap();
+        let acts = emitted(|s| e.start_into(Instant::ZERO, s).unwrap());
         // t2 (tighter deadline) gets the GPU; t1 falls back to CPU.
         let mut gpu_user = None;
         let mut cpu_user = None;
@@ -2930,8 +2825,9 @@ mod tests {
             .unwrap();
         let ts = Arc::new(b.build().unwrap());
         let mut e = OnlineEngine::new(ts, edf_config(2)).unwrap();
-        let _ = e.start(Instant::ZERO).unwrap();
-        let acts = e.on_tick(at(10));
+        let mut sink = ActionSink::new();
+        e.start_into(Instant::ZERO, &mut sink).unwrap();
+        let acts = emitted(|s| e.on_tick_into(at(10), s));
         // urgent is blocked on the GPU -> PIP boost of the holder.
         let boost = acts.iter().find_map(|a| match a {
             Action::Boost { priority, .. } => Some(*priority),
@@ -2948,9 +2844,10 @@ mod tests {
         );
         // When the holder finishes, urgent gets the GPU.
         let hold_id = holder.job.id;
-        let acts = e
-            .on_job_completed(WorkerId::new(0), hold_id, at(50))
-            .unwrap();
+        let acts = emitted(|s| {
+            e.on_job_completed_into(WorkerId::new(0), hold_id, at(50), s)
+                .unwrap()
+        });
         assert!(acts.iter().any(|a| matches!(
             a,
             Action::Dispatch { job, .. } if job.task == urgent
@@ -2975,8 +2872,9 @@ mod tests {
             .unwrap();
         let ts = Arc::new(b.build().unwrap());
         let mut e = OnlineEngine::new(ts, edf_config(1)).unwrap();
-        let _ = e.start(Instant::ZERO).unwrap();
-        let acts = e.on_tick(at(10));
+        let mut sink = ActionSink::new();
+        e.start_into(Instant::ZERO, &mut sink).unwrap();
+        let acts = emitted(|s| e.on_tick_into(at(10), s));
         // The only worker runs the GPU holder; urgent must NOT preempt it.
         assert!(
             !acts.iter().any(|a| matches!(a, Action::Preempt { .. })),
@@ -2994,14 +2892,15 @@ mod tests {
         b.version_decl(a, VersionSpec::new("a", ms(1))).unwrap();
         let ts = Arc::new(b.build().unwrap());
         let mut e = OnlineEngine::new(ts, edf_config(2)).unwrap();
-        let _ = e.start(Instant::ZERO).unwrap();
-        let acts = e.activate(a, at(3)).unwrap();
+        let mut sink = ActionSink::new();
+        e.start_into(Instant::ZERO, &mut sink).unwrap();
+        let acts = emitted(|s| e.activate_into(a, at(3), s).unwrap());
         assert!(acts.iter().any(|x| matches!(
             x,
             Action::Dispatch { job, .. } if job.task == a
         )));
         // Periodic tasks cannot be activated by hand.
-        assert!(e.activate(p, at(4)).is_err());
+        assert!(e.activate_into(p, at(4), &mut sink).is_err());
     }
 
     #[test]
@@ -3017,41 +2916,50 @@ mod tests {
             .build()
             .unwrap();
         let mut e = OnlineEngine::new(ts, cfg).unwrap();
-        let _ = e.start(Instant::ZERO).unwrap();
-        let _ = e.activate(s, at(0)).unwrap();
-        let _ = e.activate(s, at(5)).unwrap(); // violates T=10
+        let mut sink = ActionSink::new();
+        e.start_into(Instant::ZERO, &mut sink).unwrap();
+        e.activate_into(s, at(0), &mut sink).unwrap();
+        e.activate_into(s, at(5), &mut sink).unwrap(); // violates T=10
         assert_eq!(e.stats().sporadic_violations, 1);
-        let _ = e.activate(s, at(20)).unwrap();
+        e.activate_into(s, at(20), &mut sink).unwrap();
         assert_eq!(e.stats().sporadic_violations, 1);
     }
 
     #[test]
     fn stop_drains() {
         let mut e = OnlineEngine::new(two_task_set(), edf_config(2)).unwrap();
-        let _ = e.start(Instant::ZERO).unwrap();
+        let mut sink = ActionSink::new();
+        e.start_into(Instant::ZERO, &mut sink).unwrap();
         e.stop();
-        let acts = e.on_tick(at(10));
+        let acts = emitted(|s| e.on_tick_into(at(10), s));
         assert!(acts.is_empty(), "no releases after stop: {acts:?}");
         assert!(!e.is_idle());
         let r0 = e.running(WorkerId::new(0)).unwrap().job.id;
         let r1 = e.running(WorkerId::new(1)).unwrap().job.id;
-        let _ = e.on_job_completed(WorkerId::new(0), r0, at(11)).unwrap();
-        let _ = e.on_job_completed(WorkerId::new(1), r1, at(12)).unwrap();
+        e.on_job_completed_into(WorkerId::new(0), r0, at(11), &mut sink)
+            .unwrap();
+        e.on_job_completed_into(WorkerId::new(1), r1, at(12), &mut sink)
+            .unwrap();
         assert!(e.is_idle());
     }
 
     #[test]
     fn double_start_rejected_until_stop() {
         let mut e = OnlineEngine::new(two_task_set(), edf_config(1)).unwrap();
-        let _ = e.start(Instant::ZERO).unwrap();
-        assert!(matches!(e.start(at(1)), Err(Error::ScheduleRunning)));
+        let mut sink = ActionSink::new();
+        e.start_into(Instant::ZERO, &mut sink).unwrap();
+        assert!(matches!(
+            e.start_into(at(1), &mut sink),
+            Err(Error::ScheduleRunning)
+        ));
         e.stop();
         // Multi-mode scheduling: resume after stop (§3.1).
-        assert!(e.start(at(100)).is_ok());
+        assert!(e.start_into(at(100), &mut sink).is_ok());
     }
 
     #[test]
     fn rank_cache_invalidated_on_mode_switch() {
+        let mut sink = ActionSink::new();
         // Mode policy: the cached ranking must be recomputed when the
         // execution mode changes, or the wrong version would dispatch.
         use yasmin_core::version::ModeMask;
@@ -3075,16 +2983,17 @@ mod tests {
             .build()
             .unwrap();
         let mut e = OnlineEngine::new(ts, cfg).unwrap();
-        let acts = e.start(Instant::ZERO).unwrap();
+        let acts = emitted(|s| e.start_into(Instant::ZERO, s).unwrap());
         match &acts[0] {
             Action::Dispatch { version, .. } => assert_eq!(version.index(), 0),
             other => panic!("{other:?}"),
         }
         let id = e.running(WorkerId::new(0)).unwrap().job.id;
-        let _ = e.on_job_completed(WorkerId::new(0), id, at(1)).unwrap();
+        e.on_job_completed_into(WorkerId::new(0), id, at(1), &mut sink)
+            .unwrap();
         // Switch mode; the next release must pick the secure version.
         e.set_mode(ExecMode::new(1));
-        let acts = e.on_tick(at(10));
+        let acts = emitted(|s| e.on_tick_into(at(10), s));
         match &acts[0] {
             Action::Dispatch { version, .. } => {
                 assert_eq!(version.index(), 1, "cache must refresh on mode switch")
@@ -3095,6 +3004,7 @@ mod tests {
 
     #[test]
     fn energy_policy_tracks_battery_probe_through_cache() {
+        let mut sink = ActionSink::new();
         // The rank cache must refresh when the probe's reading changes —
         // and only the Energy (and user-defined) policies pay the probe.
         use std::sync::atomic::{AtomicU32, Ordering};
@@ -3128,7 +3038,7 @@ mod tests {
             .build()
             .unwrap();
         let mut e = OnlineEngine::new(ts, cfg).unwrap();
-        let acts = e.start(Instant::ZERO).unwrap();
+        let acts = emitted(|s| e.start_into(Instant::ZERO, s).unwrap());
         match &acts[0] {
             Action::Dispatch { version, .. } => {
                 assert_eq!(version.index(), 1, "full battery affords hungry")
@@ -3136,10 +3046,11 @@ mod tests {
             other => panic!("{other:?}"),
         }
         let id = e.running(WorkerId::new(0)).unwrap().job.id;
-        let _ = e.on_job_completed(WorkerId::new(0), id, at(1)).unwrap();
+        e.on_job_completed_into(WorkerId::new(0), id, at(1), &mut sink)
+            .unwrap();
         // Battery collapses; the next dispatch must degrade.
         level.store(100, Ordering::Relaxed);
-        let acts = e.on_tick(at(10));
+        let acts = emitted(|s| e.on_tick_into(at(10), s));
         match &acts[0] {
             Action::Dispatch { version, .. } => {
                 assert_eq!(version.index(), 0, "cache must refresh on battery change")
@@ -3192,21 +3103,25 @@ mod tests {
             .build()
             .unwrap();
         let mut e = OnlineEngine::new(ts, cfg).unwrap();
-        let _ = e.start(Instant::ZERO).unwrap();
+        let mut sink = ActionSink::new();
+        e.start_into(Instant::ZERO, &mut sink).unwrap();
         assert_eq!(e.running(WorkerId::new(0)).unwrap().job.task, winner);
         assert_eq!(e.ready_len(), 1, "loser queued");
         // Ticks before the loser's deadline (40ms) keep it queued.
-        let _ = e.on_tick(at(30));
+        e.on_tick_into(at(30), &mut sink);
         assert_eq!(e.ready_len(), 1);
         assert_eq!(e.stats().culled, 0);
         // First tick past the deadline culls it.
-        let _ = e.on_tick(at(50));
+        e.on_tick_into(at(50), &mut sink);
         assert_eq!(e.ready_len(), 0);
         assert_eq!(e.stats().culled, 1);
         // The culled job never dispatches: completing the winner leaves
         // the worker idle.
         let w = e.running(WorkerId::new(0)).unwrap().job.id;
-        let acts = e.on_job_completed(WorkerId::new(0), w, at(60)).unwrap();
+        let acts = emitted(|s| {
+            e.on_job_completed_into(WorkerId::new(0), w, at(60), s)
+                .unwrap()
+        });
         assert!(acts.is_empty(), "{acts:?}");
         assert!(e.running(WorkerId::new(0)).is_none());
         assert_eq!(e.stats().dispatched, 1);
@@ -3228,7 +3143,7 @@ mod tests {
             .build()
             .unwrap();
         let mut e = OnlineEngine::new(ts, cfg).unwrap();
-        let acts = e.start(Instant::ZERO).unwrap();
+        let acts = emitted(|s| e.start_into(Instant::ZERO, s).unwrap());
         match &acts[0] {
             Action::Dispatch { version, .. } => assert_eq!(version.index(), 1),
             other => panic!("{other:?}"),
@@ -3267,8 +3182,9 @@ mod tests {
         let ts = three_task_set();
         let receiver = TaskId::new(2);
         let mut e = OnlineEngine::new(ts, edf_np_config(1)).unwrap();
-        let _ = e.start(Instant::ZERO).unwrap();
         let mut sink = ActionSink::new();
+        e.start_into(Instant::ZERO, &mut sink).unwrap();
+        sink.clear();
         e.on_high_posted_into(receiver, Priority::HIGHEST, at(1), &mut sink)
             .unwrap();
         assert!(sink.is_empty(), "no worker freed, no action yet");
@@ -3308,11 +3224,12 @@ mod tests {
     fn high_post_boosts_running_job_and_drain_restores_base() {
         let ts = three_task_set();
         let mut e = OnlineEngine::new(ts, edf_np_config(1)).unwrap();
-        let _ = e.start(Instant::ZERO).unwrap();
+        let mut sink = ActionSink::new();
+        e.start_into(Instant::ZERO, &mut sink).unwrap();
         // a runs with its EDF base priority (deadline at 10ms).
         let base = e.running(WorkerId::new(0)).unwrap().effective_priority;
         assert_eq!(base, Priority::earliest_deadline(at(10)));
-        let mut sink = ActionSink::new();
+        sink.clear();
         e.on_high_posted_into(TaskId::new(0), Priority::new(7), at(1), &mut sink)
             .unwrap();
         let boosted = e.running(WorkerId::new(0)).unwrap();
@@ -3355,9 +3272,10 @@ mod tests {
         let ts = Arc::new(b.build().unwrap());
         let receiver = r;
         let mut e = OnlineEngine::new(ts, edf_np_config(2)).unwrap();
-        let _ = e.start(Instant::ZERO).unwrap();
-        // Both tasks run; complete both so the next releases are fresh.
         let mut sink = ActionSink::new();
+        e.start_into(Instant::ZERO, &mut sink).unwrap();
+        // Both tasks run; complete both so the next releases are fresh.
+        sink.clear();
         for w in [0, 1] {
             let id = e.running(WorkerId::new(w)).unwrap().job.id;
             e.on_job_completed_into(WorkerId::new(w), id, at(6), &mut sink)
@@ -3406,8 +3324,9 @@ mod tests {
         let ts = three_task_set();
         let receiver = TaskId::new(2);
         let mut e = OnlineEngine::new(ts, edf_np_config(1)).unwrap();
-        let _ = e.start(Instant::ZERO).unwrap();
         let mut sink = ActionSink::new();
+        e.start_into(Instant::ZERO, &mut sink).unwrap();
+        sink.clear();
         e.on_high_posted_into(receiver, Priority::new(9), at(1), &mut sink)
             .unwrap();
         e.on_high_posted_into(receiver, Priority::new(3), at(1), &mut sink)

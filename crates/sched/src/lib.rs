@@ -14,8 +14,8 @@
 //! * [`accel`] — accelerator arbitration with Priority Inheritance;
 //! * [`engine`] — the on-line global/partitioned scheduler (§3.3);
 //! * [`shard`] — per-worker engine shards for partitioned mapping: one
-//!   independent scheduler state per worker, fed through the lock-free
-//!   command mailbox (`yasmin_sync::mailbox`);
+//!   independent [`OnlineEngine`] per worker, the cross-shard steal
+//!   protocol, and the simulator's timestamped command vocabulary;
 //! * [`msg`] — the typed priority message plane: dual-lane
 //!   (normal/high) channels over the wait-free SPSC rings, whose high
 //!   lane boosts the receiving task through the engine's PIP machinery;

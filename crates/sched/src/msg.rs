@@ -51,11 +51,11 @@
 //! In the sharded runtime the notify events ride the same per-peer
 //! mailbox lanes as `CrossActivate` tokens: the sending worker hands
 //! the event to its own shard's scheduler, which applies it locally
-//! when it owns the receiver and otherwise forwards it as a
+//! when it owns the receiver and otherwise forwards it to the owning
+//! shard. The simulator applies the same events as
 //! [`crate::shard::ShardCmd::MsgHigh`]/[`crate::shard::ShardCmd::MsgDrained`]
-//! to the owning shard. The simulator applies the same commands at
-//! event boundaries, so delivery is deterministic and trace-identical
-//! across single-owner and sharded runs.
+//! commands at event boundaries, so delivery is deterministic and
+//! trace-identical across single-owner and sharded runs.
 //!
 //! ## Declaring channels
 //!

@@ -1,160 +1,119 @@
-//! Per-worker engine shards (partitioned mapping, PR 3; cross-shard
-//! activation routing and work stealing, PR 5).
+//! Engine shards: one scheduler per worker under partitioned mapping
+//! (Fig. 1b), cross-shard activation routing and work stealing.
 //!
 //! Under [`MappingScheme::Partitioned`] every worker already has its own
-//! ready queue (Fig. 1b) — yet the classic [`OnlineEngine`] funnels all
-//! of them through one owner, capping the system at a single scheduler
-//! thread. An [`EngineShard`] is the slice of the engine belonging to
-//! exactly one worker: its own [`crate::ReadyQueue`], running slot, rank
-//! cache and scratch buffers, with **zero mutable state shared between
-//! shards** (the task set is shared immutably through an `Arc`). One
-//! scheduler thread per core can then drive its shard independently,
-//! fed through the lock-free command mailbox in `yasmin-sync`.
+//! ready queue, yet one whole-system [`OnlineEngine`] funnels all of
+//! them through one owner. A **shard is an [`OnlineEngine`]** that owns
+//! exactly one worker — its own [`crate::ReadyQueue`], running slot,
+//! rank cache and scratch buffers — with **zero mutable state shared
+//! between shards** (the task set is shared through an `Arc`).
+//! [`EngineShard::build_all`] validates the sharding contract once and
+//! builds one per worker; an [`EngineShard`] dereferences to its
+//! engine, so every scheduling call is [`OnlineEngine`]'s own `*_into`
+//! API, reporting the shard's **global** [`WorkerId`] in every action.
 //!
 //! ## What may cross shards, and how
 //!
-//! * **DAG edges** may span workers. Every edge's activation-token
-//!   state is owned by the shard owning the edge's *destination* task;
-//!   a completion whose out-edge points at a foreign destination lands
-//!   in the shard's **outbox** as a
-//!   [`crate::engine::RemoteActivation`], which the driver drains
-//!   ([`EngineShard::drain_outbox_into`]) and routes to the owning
-//!   shard's mailbox as a [`ShardCmd::CrossActivate`]. Because only the
-//!   destination's owner ever touches an edge's tokens, two shards
+//! * **DAG edges** may span workers. An edge's activation-token state
+//!   is owned by the shard owning the edge's *destination* task; a
+//!   completion whose out-edge points at a foreign destination lands in
+//!   the shard's **outbox** as a [`crate::engine::RemoteActivation`],
+//!   which the driver drains ([`OnlineEngine::drain_outbox_into`]) and
+//!   routes to the owner ([`OnlineEngine::on_remote_token`]). Only the
+//!   destination's owner ever touches an edge's tokens, so two shards
 //!   never race on them — ownership, not exclusion.
-//! * **Ready jobs** may migrate once, via work stealing: an idle shard
-//!   probes a victim ([`EngineShard::try_steal`], an O(1) shared-ref
-//!   peek through the index-tracked queue), the victim detaches the
-//!   hinted job ([`EngineShard::release_stolen`], an O(log n)
-//!   [`crate::ReadyQueue::remove`]) and the thief adopts it
-//!   ([`EngineShard::adopt_stolen`]), running it on its own worker with
-//!   the thief's global [`WorkerId`] in every action. A stolen job
-//!   completes on the thief; any successors it fires are routed by
-//!   destination ownership exactly as above, so stealing composes with
-//!   cross-shard edges.
+//! * **Ready jobs** may migrate once, via work stealing. A stolen job
+//!   runs and completes on the thief, under the thief's [`WorkerId`];
+//!   its successors are routed by destination ownership, as above.
 //!
-//! ## Batch steals (PR 10)
+//! ## The steal protocol
 //!
-//! One request/grant round-trip may move up to
-//! [`crate::MAX_STEAL_BATCH`] jobs instead of one. The protocol is the
-//! single steal's, widened:
+//! One exchange moves up to [`crate::MAX_STEAL_BATCH`] jobs; a "single
+//! steal" is the batch of one (`k = 1`), not a protocol of its own.
+//! The thief asks for `k` jobs (sized from the load gap on the
+//! `yasmin_sync::steal::LoadBoard`). The victim's driver collects up to
+//! `k` hints, most urgent first and stopping at the first job that must
+//! not migrate ([`OnlineEngine::try_steal_batch`], a non-mutating
+//! scan), and detaches the still-fresh ones into a `Copy` [`JobBatch`]
+//! that rides a peer lane by value
+//! ([`OnlineEngine::release_stolen_batch`]) — atomically with respect
+//! to its own scheduling, since the driver owns the shard. One ack
+//! ([`ShardCmd::StolenBatch`]) lands the batch on the thief, which
+//! adopts it with **one dispatch round for all of it**
+//! ([`OnlineEngine::adopt_stolen_batch`]). [`OnlineEngine::steal_hint`]
+//! is the O(1) "is my most urgent job stealable" probe a driver
+//! advertises its load by; it never grants.
 //!
-//! 1. The thief asks for `k` jobs (sized from the load gap on the
-//!    `yasmin_sync::steal::LoadBoard`); the victim's driver collects up
-//!    to `k` hints with [`EngineShard::try_steal_batch`] — a
-//!    **non-mutating ordered scan** of the ready queue
-//!    ([`crate::ReadyQueue::scan_in_order`]) that stops at the first
-//!    job in key order that cannot migrate, so a thief never skips
-//!    more-urgent local-only work to take less-urgent jobs behind it.
-//! 2. The victim detaches all still-fresh hinted jobs **atomically with
-//!    respect to its own scheduling** — the driver owns the shard, so
-//!    no dispatch can interleave — via
-//!    [`EngineShard::release_stolen_batch`], which packs them into a
-//!    `Copy` [`JobBatch`](crate::job::JobBatch) that rides a peer lane by value. Stale hints
-//!    are skipped, never errors.
-//! 3. One [`ShardCmd::StolenBatch`] ack lands the whole batch on the
-//!    thief, which adopts and runs **one dispatch round for all of
-//!    them** ([`EngineShard::adopt_stolen_batch`]).
+//! **Migrate-at-most-once** is enforced on both sides: the victim's
+//! scan refuses jobs whose task is not homed on its own worker (jobs it
+//! adopted itself), and the thief's adopt rejects any batch containing
+//! a job its shard already owns. Budgets follow the tenant: a stolen
+//! job charges the **thief's** replica of its tenant's reservation
+//! server, at dispatch.
 //!
-//! The **migrate-at-most-once** invariant is enforced on both sides:
-//! the victim's scan refuses jobs whose task is not homed on the
-//! victim's own worker (i.e. jobs it previously adopted from someone
-//! else), and the thief's adopt rejects any batch containing a job the
-//! thief's shard already owns. A job therefore moves shards at most
-//! once in its lifetime, and tenant-budget charging stays what PR 8
-//! fixed: the charge lands on the **thief's** replica at dispatch.
+//! ## What cannot cross shards, and why
 //!
-//! ## What still cannot cross shards, and why
-//!
-//! * **Accelerator bindings.** [`EngineShard::build_all`] rejects a
-//!   task set whose accelerator is referenced from tasks of more than
-//!   one worker, and the steal path refuses to migrate any job of a
-//!   task with an accelerator-bound version
-//!   ([`EngineShard::try_steal`] returns no hint for them). Each shard
-//!   arbitrates its accelerators locally — holders, PIP boosts, free
-//!   lists — with no cross-shard view; migrating an accelerator user
-//!   would let two shards grant the same device concurrently.
+//! * **Accelerator bindings.** [`validate_sharding`] rejects a task set
+//!   whose accelerator is used from more than one worker, and no job of
+//!   a task with an accelerator-bound version is ever hinted for
+//!   stealing: each shard arbitrates its accelerators locally, so a
+//!   migrated user would let two shards grant one device concurrently.
 //! * **Worker slots.** A shard dispatches onto exactly its own worker;
-//!   stealing moves the *job* to the thief's shard rather than letting
-//!   a shard dispatch onto a foreign worker, so the "one owner per
-//!   running slot" invariant survives.
+//!   stealing moves the *job* to the thief's shard, so the "one owner
+//!   per running slot" invariant survives.
 //!
-//! The remaining contract, enforced by [`EngineShard::build_all`]: the
-//! configuration opts in via `Config::sharded_dispatch` (which itself
-//! requires partitioned mapping), every task carries a worker
-//! assignment, and accelerators stay within one worker (above).
-//!
-//! Job ids are stamped with the shard's worker index in their high bits,
-//! so ids stay unique across shards numbering concurrently — and stay
-//! meaningful when a job migrates to a thief; per-task sequence numbers
-//! (`Job::seq`) are identical to the single-owner engine's, which is
-//! what trace cross-checks compare on.
+//! Job ids carry the shard's worker index in their high bits, so they
+//! stay unique across shards numbering concurrently and meaningful when
+//! a job migrates; per-task sequence numbers (`Job::seq`) equal the
+//! single-owner engine's, which is what trace cross-checks compare on.
 
-use crate::engine::{EngineStats, OnlineEngine, RemoteActivation, RunningJob, StealHint};
-use crate::job::Job;
-use crate::server::{ReservationServer, TenantBudget};
+use crate::engine::{OnlineEngine, RunningJob};
+use crate::job::JobBatch;
 use crate::sink::ActionSink;
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 use yasmin_core::config::{Config, MappingScheme};
 use yasmin_core::error::{Error, Result};
 use yasmin_core::graph::TaskSet;
-use yasmin_core::ids::{JobId, TaskId, TenantId, WorkerId};
+use yasmin_core::ids::{JobId, TaskId, WorkerId};
 use yasmin_core::priority::Priority;
-use yasmin_core::time::{Duration, Instant};
-use yasmin_core::version::ExecMode;
+use yasmin_core::time::Instant;
 
-/// A command fed to an [`EngineShard`] by its mailbox producers.
+/// One **timestamped** engine call: the vocabulary of the simulator's
+/// mailbox lanes (`yasmin_sim::par`), whose producers and protocol loop
+/// hand an engine a call with the simulated instant it takes effect, so
+/// an owner merges its lanes in a deterministic time order.
+/// [`OnlineEngine::process_into`] maps a command to its engine call.
 ///
-/// Each variant carries the (driver-supplied) time it takes effect, so a
-/// shard owner can drain several producers and process commands in a
-/// deterministic time order (see `yasmin_sim::par` for the protocol
-/// loop that exploits this, and the sharded runtime in `yasmin-rt` for
-/// the free-running equivalent).
-///
-/// Commands travel three kinds of mailbox lanes: the *worker* lane
-/// (completions), the *control* lane (ticks, stop, admission) and
-/// *peer* lanes (cross-shard tokens and steal traffic). The admission
-/// variants ([`ShardCmd::AdmitTasks`] / [`ShardCmd::CommitTenant`] /
-/// [`ShardCmd::RetireTenant`]) are control-lane commands: rare,
-/// allocation-tolerant, and ordered with the ticks around them.
-///
-/// Not `Copy`: [`ShardCmd::AdmitTasks`] carries the merged task set by
-/// `Arc`, which every shard must adopt *by reference* (the whole point
-/// of splicing is that shards share one immutable merged set).
-// StolenBatch carries its jobs inline in the fixed-size `JobBatch`
-// rather than boxing them: the command rides preallocated mailbox
-// lanes, and a `Box` would put an allocation + free on the steal hot
-// path that `tests/zero_alloc.rs` scenario 13 forbids. The widened
-// enum only grows those preallocated slots.
+/// The thread runtime keeps an enum of its own (`yasmin-rt`'s private
+/// `ShardMsg`) on purpose: its commands are *untimed* — the owner
+/// stamps them as it applies them — and several need what only real
+/// threads have (bodies and an acknowledgement riding an admission, a
+/// commit anchored at the next tick edge, message events forwarded to
+/// the owning shard, steal requests answered over a reverse lane), so
+/// one shared enum would branch on its caller.
+// StolenBatch carries its jobs inline rather than boxed: the command
+// rides preallocated mailbox lanes, whose slots the wide variant only
+// grows, and a `Box` would put an allocation + free on the steal hot
+// path that `tests/zero_alloc.rs` forbids.
 #[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub enum ShardCmd {
     /// Explicit activation of a sporadic/aperiodic task owned by the
-    /// shard (the paper's `yas_task_activate`).
+    /// engine (the paper's `yas_task_activate`).
     Activate {
         /// The task to activate.
         task: TaskId,
         /// Activation time.
         at: Instant,
     },
-    /// A worker finished a job the shard dispatched.
+    /// A worker finished a job the engine dispatched.
     JobCompleted {
-        /// The worker that ran the job (must be the shard's worker).
+        /// The worker that ran the job (one of the engine's).
         worker: WorkerId,
         /// The completed job.
         job: JobId,
         /// Completion time.
-        at: Instant,
-    },
-    /// A worker's job body failed (panicked); the shard retires the job
-    /// without firing successors unless the task's overrun policy is
-    /// `LogOnly` (see [`OnlineEngine::on_job_failed_into`]).
-    JobFailed {
-        /// The worker that ran the job (must be the shard's worker).
-        worker: WorkerId,
-        /// The failed job.
-        job: JobId,
-        /// Failure time.
         at: Instant,
     },
     /// A scheduler-thread tick: release periodic jobs due by `at`.
@@ -162,9 +121,9 @@ pub enum ShardCmd {
         /// The tick instant.
         at: Instant,
     },
-    /// A DAG activation token routed from a foreign shard: a
-    /// predecessor on another worker completed and this shard owns the
-    /// edge's destination (see [`EngineShard::drain_outbox_into`]).
+    /// A DAG activation token routed from the shard that completed the
+    /// predecessor ([`OnlineEngine::drain_outbox_into`]) to this one,
+    /// which owns the edge's destination.
     CrossActivate {
         /// Index of the edge in the task set's edge list.
         edge: u32,
@@ -174,13 +133,9 @@ pub enum ShardCmd {
         at: Instant,
     },
     /// A high-priority message was posted to a channel whose receiving
-    /// task this shard owns (see [`yasmin_sched::msg`](crate::msg)).
-    /// Routed like [`ShardCmd::CrossActivate`] when the sender runs on
-    /// a foreign shard: the sender's shard forwards it over the
-    /// per-peer lane to the owner, which applies
-    /// [`OnlineEngine::on_high_posted_into`].
+    /// task this engine owns (see [`yasmin_sched::msg`](crate::msg)).
     MsgHigh {
-        /// The receiving task (owned by this shard).
+        /// The receiving task (owned by this engine).
         dst: TaskId,
         /// The channel's declared priority ceiling.
         ceiling: Priority,
@@ -188,141 +143,85 @@ pub enum ShardCmd {
         at: Instant,
     },
     /// A high-priority message was consumed from a channel whose
-    /// receiving task this shard owns; applies
-    /// [`OnlineEngine::on_high_drained_into`], releasing the boost once
-    /// the last outstanding high post drains.
+    /// receiving task this engine owns: the boost is released once the
+    /// last outstanding high post drains.
     MsgDrained {
-        /// The receiving task (owned by this shard).
+        /// The receiving task (owned by this engine).
         dst: TaskId,
         /// Drain time.
         at: Instant,
     },
-    /// An idle thief shard asks this shard for a ready job. Drivers
-    /// answer it themselves (via [`EngineShard::try_steal`] /
-    /// [`EngineShard::release_stolen`] and a [`ShardCmd::Stolen`] or
-    /// [`ShardCmd::StealDeny`] reply) — it is the one command
-    /// [`EngineShard::process_into`] rejects, because a reply needs the
-    /// driver's reverse lane.
-    StealRequest {
-        /// The requesting shard's worker.
-        thief: WorkerId,
-        /// Request time.
-        at: Instant,
-    },
-    /// A victim's grant: the detached ready job for the thief to adopt.
-    Stolen {
-        /// The stolen job (already removed from the victim's queue).
-        job: Job,
-        /// Grant time.
-        at: Instant,
-    },
-    /// A victim's batch grant: up to [`crate::MAX_STEAL_BATCH`] detached
-    /// ready jobs in one ack, most urgent first (see the module docs on
-    /// batch steals). The thief adopts them all with **one** dispatch
-    /// round ([`EngineShard::adopt_stolen_batch`]).
+    /// A victim's steal grant: up to [`crate::MAX_STEAL_BATCH`] detached
+    /// ready jobs in one ack, most urgent first, adopted with **one**
+    /// dispatch round (see the module docs).
     StolenBatch {
         /// The stolen jobs (already removed from the victim's queue).
-        jobs: crate::job::JobBatch,
+        jobs: JobBatch,
         /// Grant time.
         at: Instant,
     },
-    /// A victim's refusal (nothing stealable); the thief may re-probe.
-    StealDeny {
-        /// Refusal time.
-        at: Instant,
-    },
-    /// Phase one of a two-phase tenant admission: adopt the merged task
-    /// set produced by `yasmin_sched::admission` with the new tenant's
-    /// releases still **disarmed** (see
-    /// [`OnlineEngine::splice_taskset`]). The driver broadcasts this to
-    /// every shard and must wait for all of them to apply it before
-    /// sending [`ShardCmd::CommitTenant`] — otherwise a committed
-    /// shard could complete a tenant job and route a cross-shard token
-    /// to a shard that has never heard of the edge.
-    AdmitTasks {
-        /// The merged (live + tenant) task set, shared across shards.
-        taskset: Arc<TaskSet>,
-        /// The tenant's budget; each shard instantiates its own
-        /// [`ReservationServer`] replica anchored at `at`, so the
-        /// budget is a per-worker guarantee under sharding.
-        budget: Option<TenantBudget>,
-        /// Admission time (anchors budget replenishment).
-        at: Instant,
-    },
-    /// Phase two of a tenant admission: arm the tenant's periodic
-    /// releases at `at` (see [`OnlineEngine::commit_tenant_into`]).
-    /// Safe to send only after every shard applied the matching
-    /// [`ShardCmd::AdmitTasks`].
-    CommitTenant {
-        /// The tenant assigned by the splice.
-        tenant: TenantId,
-        /// Commit instant — the tenant's release origin.
-        at: Instant,
-    },
-    /// Quiesce a tenant: disarm future releases, cull its ready jobs,
-    /// drop its pending DAG tokens; in-flight jobs finish but fire no
-    /// successors (see [`OnlineEngine::retire_tenant_into`]). Racing
-    /// cross-shard tokens for a retired tenant are discarded silently,
-    /// so shards may retire in any order.
-    RetireTenant {
-        /// The tenant to retire (tenant 0 is refused).
-        tenant: TenantId,
-        /// Retirement time.
-        at: Instant,
-    },
-    /// Stop releasing periodic jobs; in-flight work drains.
-    Stop,
 }
 
 impl ShardCmd {
-    /// The simulated/driver time the command takes effect, if it
-    /// carries one (`Stop` is timeless).
+    /// The simulated/driver time the command takes effect.
     #[must_use]
-    pub fn at(&self) -> Option<Instant> {
+    pub fn at(&self) -> Instant {
         match *self {
             ShardCmd::Activate { at, .. }
             | ShardCmd::JobCompleted { at, .. }
-            | ShardCmd::JobFailed { at, .. }
             | ShardCmd::Tick { at }
             | ShardCmd::CrossActivate { at, .. }
             | ShardCmd::MsgHigh { at, .. }
             | ShardCmd::MsgDrained { at, .. }
-            | ShardCmd::StealRequest { at, .. }
-            | ShardCmd::Stolen { at, .. }
-            | ShardCmd::StolenBatch { at, .. }
-            | ShardCmd::StealDeny { at }
-            | ShardCmd::AdmitTasks { at, .. }
-            | ShardCmd::CommitTenant { at, .. }
-            | ShardCmd::RetireTenant { at, .. } => Some(at),
-            ShardCmd::Stop => None,
+            | ShardCmd::StolenBatch { at, .. } => at,
         }
     }
 }
 
-/// The independent slice of the scheduling engine owned by one worker.
-///
-/// Construction goes through [`EngineShard::build_all`], which validates
-/// the sharding contract for the whole task set. All scheduling entry
-/// points mirror [`OnlineEngine`]'s zero-allocation `*_into` API and
-/// report the shard's **global** [`WorkerId`] in every action.
-#[derive(Debug)]
-pub struct EngineShard {
-    engine: OnlineEngine,
-    worker: WorkerId,
+impl OnlineEngine {
+    /// Applies one command at the time it carries, appending resulting
+    /// actions to `sink` (**not** cleared — the caller batches).
+    ///
+    /// # Errors
+    ///
+    /// The underlying engine call's — a completion for a foreign worker,
+    /// a task or token this engine does not own, a `StolenBatch` on a
+    /// whole-system engine: driver protocol violations, all of them.
+    pub fn process_into(&mut self, cmd: ShardCmd, sink: &mut ActionSink) -> Result<()> {
+        match cmd {
+            ShardCmd::Activate { task, at } => self.activate_into(task, at, sink),
+            ShardCmd::JobCompleted { worker, job, at } => {
+                self.on_job_completed_into(worker, job, at, sink)
+            }
+            ShardCmd::Tick { at } => {
+                self.on_tick_into(at, sink);
+                Ok(())
+            }
+            ShardCmd::CrossActivate {
+                edge,
+                graph_release,
+                at,
+            } => self.on_remote_token(edge, graph_release, at, sink),
+            ShardCmd::MsgHigh { dst, ceiling, at } => {
+                self.on_high_posted_into(dst, ceiling, at, sink)
+            }
+            ShardCmd::MsgDrained { dst, at } => self.on_high_drained_into(dst, at, sink),
+            ShardCmd::StolenBatch { jobs, at } => {
+                self.adopt_stolen_batch(jobs.as_slice(), at, sink)
+            }
+        }
+    }
 }
 
-/// Checks the sharding contract for `taskset` under `config`; see the
-/// module docs. Cross-shard DAG edges are **accepted** (their tokens
-/// are owned by the destination's shard and routed through the
-/// outbox/mailbox); cross-shard accelerator bindings are still
-/// rejected, because each shard arbitrates its accelerators with no
-/// view of foreign holders.
+/// Checks the sharding contract for `taskset` under `config` (module
+/// docs): `Config::sharded_dispatch` is on, every task is assigned to
+/// an existing worker, and no accelerator is used from two workers.
+/// DAG edges may cross shards.
 ///
 /// # Errors
 ///
-/// [`Error::InvalidConfig`] naming the violated rule; partition errors
-/// ([`Error::MissingPartition`] / [`Error::UnknownWorker`]) as in
-/// [`OnlineEngine::new`].
+/// [`Error::InvalidConfig`] naming the violated rule;
+/// [`Error::MissingPartition`] / [`Error::UnknownWorker`] for a task.
 pub fn validate_sharding(taskset: &TaskSet, config: &Config) -> Result<()> {
     if !config.sharded_dispatch() {
         return Err(Error::InvalidConfig(
@@ -338,8 +237,7 @@ pub fn validate_sharding(taskset: &TaskSet, config: &Config) -> Result<()> {
         }
     };
     for e in taskset.edges() {
-        // Both endpoints must be assigned (and in range); the edge
-        // itself may cross shards.
+        // Both endpoints assigned and in range; the edge may cross.
         let _ = (assigned(e.src)?, assigned(e.dst)?);
     }
     let mut accel_owner = vec![None; taskset.accels().len()];
@@ -363,9 +261,15 @@ pub fn validate_sharding(taskset: &TaskSet, config: &Config) -> Result<()> {
     Ok(())
 }
 
+/// An [`OnlineEngine`] known to be a shard. Dereferences to the engine
+/// — every scheduling call is the engine's own — and keeps what only a
+/// shard can answer without an argument: which worker it is.
+#[derive(Debug)]
+pub struct EngineShard(OnlineEngine);
+
 impl EngineShard {
-    /// Builds one shard per worker, validating the sharding contract
-    /// once for the whole set. The returned vector is indexed by worker.
+    /// Builds one shard per worker, indexed by worker, validating the
+    /// sharding contract once for the whole set.
     ///
     /// # Errors
     ///
@@ -375,10 +279,8 @@ impl EngineShard {
         (0..config.workers())
             .map(|w| {
                 let worker = WorkerId::new(w as u16);
-                Ok(EngineShard {
-                    engine: OnlineEngine::new_shard(Arc::clone(taskset), config.clone(), worker)?,
-                    worker,
-                })
+                OnlineEngine::new_shard(Arc::clone(taskset), config.clone(), worker)
+                    .map(EngineShard)
             })
             .collect()
     }
@@ -386,434 +288,46 @@ impl EngineShard {
     /// The worker this shard owns.
     #[must_use]
     pub fn worker(&self) -> WorkerId {
-        self.worker
-    }
-
-    /// Applies one mailbox command, appending resulting actions to
-    /// `sink` (which is **not** cleared — the caller batches).
-    ///
-    /// # Errors
-    ///
-    /// The underlying engine call's errors — e.g. a `JobCompleted` for a
-    /// foreign worker, an `Activate` of a task the shard does not own,
-    /// or a `CrossActivate` routed to the wrong shard. Those are driver
-    /// protocol violations, not runtime conditions.
-    /// [`ShardCmd::StealRequest`] is also an error here: answering it
-    /// needs the driver's reverse lane, so drivers handle it themselves
-    /// with [`EngineShard::try_steal`] / [`EngineShard::release_stolen`].
-    pub fn process_into(&mut self, cmd: ShardCmd, sink: &mut ActionSink) -> Result<()> {
-        match cmd {
-            ShardCmd::Activate { task, at } => self.engine.activate_into(task, at, sink),
-            ShardCmd::JobCompleted { worker, job, at } => {
-                self.engine.on_job_completed_into(worker, job, at, sink)
-            }
-            ShardCmd::JobFailed { worker, job, at } => {
-                self.engine.on_job_failed_into(worker, job, at, sink)
-            }
-            ShardCmd::Tick { at } => {
-                self.engine.on_tick_into(at, sink);
-                Ok(())
-            }
-            ShardCmd::CrossActivate {
-                edge,
-                graph_release,
-                at,
-            } => self.engine.on_remote_token(edge, graph_release, at, sink),
-            ShardCmd::MsgHigh { dst, ceiling, at } => {
-                self.engine.on_high_posted_into(dst, ceiling, at, sink)
-            }
-            ShardCmd::MsgDrained { dst, at } => self.engine.on_high_drained_into(dst, at, sink),
-            ShardCmd::Stolen { job, at } => self.engine.adopt_stolen(job, at, sink),
-            ShardCmd::StolenBatch { jobs, at } => {
-                self.engine.adopt_stolen_batch(jobs.as_slice(), at, sink)
-            }
-            ShardCmd::StealDeny { .. } => Ok(()),
-            ShardCmd::AdmitTasks {
-                taskset,
-                budget,
-                at,
-            } => self.admit_tasks(taskset, budget, at).map(|_| ()),
-            ShardCmd::CommitTenant { tenant, at } => {
-                self.engine.commit_tenant_into(tenant, at, sink)
-            }
-            ShardCmd::RetireTenant { tenant, at } => {
-                self.engine.retire_tenant_into(tenant, at, sink)
-            }
-            ShardCmd::StealRequest { thief, .. } => Err(Error::InvalidConfig(format!(
-                "StealRequest from {thief} reached process_into: the driver must \
-                 answer steal requests itself (try_steal/release_stolen)"
-            ))),
-            ShardCmd::Stop => {
-                self.engine.stop();
-                Ok(())
-            }
-        }
-    }
-
-    /// Starts the shard's schedule at `now`; see
-    /// [`OnlineEngine::start_into`].
-    ///
-    /// # Errors
-    ///
-    /// [`Error::ScheduleRunning`] if already started.
-    pub fn start_into(&mut self, now: Instant, sink: &mut ActionSink) -> Result<()> {
-        self.engine.start_into(now, sink)
-    }
-
-    /// One scheduler tick; see [`OnlineEngine::on_tick_into`].
-    pub fn on_tick_into(&mut self, now: Instant, sink: &mut ActionSink) {
-        self.engine.on_tick_into(now, sink);
-    }
-
-    /// Explicit activation; see [`OnlineEngine::activate_into`].
-    ///
-    /// # Errors
-    ///
-    /// As [`OnlineEngine::activate_into`], plus a protocol error when
-    /// the task is not assigned to this shard's worker.
-    pub fn activate_into(
-        &mut self,
-        task: TaskId,
-        now: Instant,
-        sink: &mut ActionSink,
-    ) -> Result<()> {
-        self.engine.activate_into(task, now, sink)
-    }
-
-    /// Completion hand-back; see [`OnlineEngine::on_job_completed_into`].
-    ///
-    /// # Errors
-    ///
-    /// As [`OnlineEngine::on_job_completed_into`]; `worker` must be this
-    /// shard's worker.
-    pub fn on_job_completed_into(
-        &mut self,
-        worker: WorkerId,
-        job: JobId,
-        now: Instant,
-        sink: &mut ActionSink,
-    ) -> Result<()> {
-        self.engine.on_job_completed_into(worker, job, now, sink)
-    }
-
-    /// Failed-job hand-back (worker body panicked or was reported as
-    /// failed by a fault injector); see
-    /// [`OnlineEngine::on_job_failed_into`].
-    ///
-    /// # Errors
-    ///
-    /// As [`OnlineEngine::on_job_failed_into`]; `worker` must be this
-    /// shard's worker.
-    pub fn on_job_failed_into(
-        &mut self,
-        worker: WorkerId,
-        job: JobId,
-        now: Instant,
-        sink: &mut ActionSink,
-    ) -> Result<()> {
-        self.engine.on_job_failed_into(worker, job, now, sink)
-    }
-
-    /// Forces an overrun on the shard's running job of `task` (fault
-    /// injection); see [`OnlineEngine::force_overrun`]. Returns `false`
-    /// when no such job is running.
-    pub fn force_overrun(&mut self, task: TaskId, now: Instant, sink: &mut ActionSink) -> bool {
-        self.engine.force_overrun(task, now, sink)
-    }
-
-    /// `true` while the shard's deadline-miss trip wire is tripped.
-    #[must_use]
-    pub fn is_tripped(&self) -> bool {
-        self.engine.is_tripped()
-    }
-
-    /// Batched completion hand-back: a mailbox drain that finds several
-    /// pending `JobCompleted` commands coalesces them into one call, so
-    /// the shard pays a single dispatch round for the whole burst; see
-    /// [`OnlineEngine::on_jobs_completed_into`].
-    ///
-    /// # Errors
-    ///
-    /// As [`OnlineEngine::on_jobs_completed_into`]; every worker in the
-    /// batch must be this shard's worker.
-    pub fn on_jobs_completed_into(
-        &mut self,
-        completions: &[(WorkerId, JobId)],
-        now: Instant,
-        sink: &mut ActionSink,
-    ) -> Result<()> {
-        self.engine.on_jobs_completed_into(completions, now, sink)
-    }
-
-    /// Coalesced wake: retires `completions` and performs the tick at
-    /// `now` with one dispatch round for both; see
-    /// [`OnlineEngine::advance_into`].
-    ///
-    /// # Errors
-    ///
-    /// As [`OnlineEngine::advance_into`].
-    pub fn advance_into(
-        &mut self,
-        completions: &[(WorkerId, JobId)],
-        now: Instant,
-        sink: &mut ActionSink,
-    ) -> Result<()> {
-        self.engine.advance_into(completions, now, sink)
-    }
-
-    /// Applies a DAG token routed from a foreign shard; see
-    /// [`OnlineEngine::on_remote_token`].
-    ///
-    /// # Errors
-    ///
-    /// As [`OnlineEngine::on_remote_token`].
-    pub fn on_remote_token(
-        &mut self,
-        edge: u32,
-        graph_release: Instant,
-        now: Instant,
-        sink: &mut ActionSink,
-    ) -> Result<()> {
-        self.engine.on_remote_token(edge, graph_release, now, sink)
-    }
-
-    /// Moves pending cross-shard activations into `buf` (appended);
-    /// see [`OnlineEngine::drain_outbox_into`]. Drivers call this after
-    /// every interaction that can complete jobs and route each entry to
-    /// the shard owning `entry.worker`.
-    pub fn drain_outbox_into(&mut self, buf: &mut Vec<RemoteActivation>) {
-        self.engine.drain_outbox_into(buf);
-    }
-
-    /// `true` when cross-shard tokens await routing.
-    #[must_use]
-    pub fn has_outbox(&self) -> bool {
-        self.engine.has_outbox()
-    }
-
-    /// An O(1) shared-reference steal probe: the most urgent ready job,
-    /// unless it belongs to an accelerator-bound task (those never
-    /// migrate); see [`OnlineEngine::steal_hint`].
-    #[must_use]
-    pub fn try_steal(&self) -> Option<StealHint> {
-        self.engine.steal_hint()
-    }
-
-    /// Victim side of a steal: detaches the hinted job from the ready
-    /// queue (O(log n)) and returns it for the thief; `None` when the
-    /// hint went stale. See [`OnlineEngine::release_stolen`].
-    pub fn release_stolen(&mut self, hint: StealHint) -> Option<Job> {
-        self.engine.release_stolen(hint)
-    }
-
-    /// Thief side of a steal: adopts `job` into the local queue and
-    /// dispatches, reporting this shard's global [`WorkerId`]; see
-    /// [`OnlineEngine::adopt_stolen`].
-    ///
-    /// # Errors
-    ///
-    /// As [`OnlineEngine::adopt_stolen`].
-    pub fn adopt_stolen(&mut self, job: Job, now: Instant, sink: &mut ActionSink) -> Result<()> {
-        self.engine.adopt_stolen(job, now, sink)
-    }
-
-    /// Batch steal probe: collects up to `k` hints (most urgent first)
-    /// into `out` via a non-mutating ordered scan of the ready queue,
-    /// stopping at the first job in key order that cannot migrate;
-    /// returns the hint count. See [`OnlineEngine::steal_hints`] and the
-    /// module docs on batch steals.
-    pub fn try_steal_batch(&mut self, k: usize, out: &mut Vec<StealHint>) -> usize {
-        self.engine.steal_hints(k, out)
-    }
-
-    /// Victim side of a batch steal: detaches every still-fresh hinted
-    /// job and appends it to `out`, most urgent first; stale hints are
-    /// skipped. Returns the number of jobs released. See
-    /// [`OnlineEngine::release_stolen_batch`].
-    pub fn release_stolen_batch(
-        &mut self,
-        hints: &[StealHint],
-        out: &mut crate::job::JobBatch,
-    ) -> usize {
-        self.engine.release_stolen_batch(hints, out)
-    }
-
-    /// Thief side of a batch steal: adopts every job in `jobs` into the
-    /// local queue, then runs **one** dispatch round for the whole
-    /// batch; see [`OnlineEngine::adopt_stolen_batch`].
-    ///
-    /// # Errors
-    ///
-    /// As [`OnlineEngine::adopt_stolen_batch`] — the batch is rejected
-    /// whole if any job already belongs to this shard.
-    pub fn adopt_stolen_batch(
-        &mut self,
-        jobs: &[Job],
-        now: Instant,
-        sink: &mut ActionSink,
-    ) -> Result<()> {
-        self.engine.adopt_stolen_batch(jobs, now, sink)
-    }
-
-    /// Phase one of a tenant admission on this shard: adopts `merged`
-    /// (releases disarmed) and, when a budget is requested, builds this
-    /// shard's own [`ReservationServer`] replica anchored at `at`.
-    /// Returns the tenant id the splice assigned — identical on every
-    /// shard, since all of them splice the same merged set in the same
-    /// admission order.
-    ///
-    /// # Errors
-    ///
-    /// As [`OnlineEngine::splice_taskset`] — the merged set must be an
-    /// append-only extension of the shard's current set, with every new
-    /// task partitioned and every new period a multiple of the tick.
-    pub fn admit_tasks(
-        &mut self,
-        merged: Arc<TaskSet>,
-        budget: Option<TenantBudget>,
-        at: Instant,
-    ) -> Result<TenantId> {
-        let tenant = TenantId::new(self.engine.tenant_count() as u32);
-        let server = budget.map(|b| ReservationServer::new(tenant, b, at));
-        self.engine.splice_taskset(merged, server)
-    }
-
-    /// Phase two of a tenant admission: arms the tenant's releases; see
-    /// [`OnlineEngine::commit_tenant_into`].
-    ///
-    /// # Errors
-    ///
-    /// As [`OnlineEngine::commit_tenant_into`].
-    pub fn commit_tenant_into(
-        &mut self,
-        tenant: TenantId,
-        now: Instant,
-        sink: &mut ActionSink,
-    ) -> Result<()> {
-        self.engine.commit_tenant_into(tenant, now, sink)
-    }
-
-    /// Phase two with the release anchor pinned to this shard's tick
-    /// grid; see [`OnlineEngine::commit_tenant_anchored_into`]. The
-    /// sharded thread runtime passes its next local tick edge so the
-    /// tenant's releases coincide with dispatch edges.
-    ///
-    /// # Errors
-    ///
-    /// As [`OnlineEngine::commit_tenant_into`].
-    pub fn commit_tenant_anchored_into(
-        &mut self,
-        tenant: TenantId,
-        anchor: Instant,
-        now: Instant,
-        sink: &mut ActionSink,
-    ) -> Result<()> {
-        self.engine
-            .commit_tenant_anchored_into(tenant, anchor, now, sink)
-    }
-
-    /// Quiesces a tenant on this shard; see
-    /// [`OnlineEngine::retire_tenant_into`].
-    ///
-    /// # Errors
-    ///
-    /// As [`OnlineEngine::retire_tenant_into`].
-    pub fn retire_tenant_into(
-        &mut self,
-        tenant: TenantId,
-        now: Instant,
-        sink: &mut ActionSink,
-    ) -> Result<()> {
-        self.engine.retire_tenant_into(tenant, now, sink)
-    }
-
-    /// Number of tenants this shard knows (including tenant 0 and
-    /// retired ones — tenant ids are never reused).
-    #[must_use]
-    pub fn tenant_count(&self) -> usize {
-        self.engine.tenant_count()
-    }
-
-    /// This shard's replica of a tenant's reservation server, if the
-    /// tenant carries a budget. Stolen jobs charge the **thief** shard's
-    /// replica on dispatch — the budget follows the tenant, not the
-    /// shard the task was partitioned onto.
-    #[must_use]
-    pub fn tenant_server(&self, tenant: TenantId) -> Option<&crate::server::ReservationServer> {
-        self.engine.tenant_server(tenant)
-    }
-
-    /// Stops releasing periodic jobs; in-flight work drains.
-    pub fn stop(&mut self) {
-        self.engine.stop();
-    }
-
-    /// Switches the execution mode (shard-local; a driver broadcasting a
-    /// mode switch sends it to every shard).
-    pub fn set_mode(&mut self, mode: ExecMode) {
-        self.engine.set_mode(mode);
-    }
-
-    /// The scheduler-thread period (identical across shards: gcd over
-    /// the *whole* task set, so shard ticks stay aligned).
-    #[must_use]
-    pub fn tick_period(&self) -> Duration {
-        self.engine.tick_period()
-    }
-
-    /// The shared (immutable) task set.
-    #[must_use]
-    pub fn taskset(&self) -> &TaskSet {
-        self.engine.taskset()
-    }
-
-    /// Shard counters (merge with [`EngineStats::merge`] for a global
-    /// view).
-    #[must_use]
-    pub fn stats(&self) -> &EngineStats {
-        self.engine.stats()
+        self.0.shard_worker().expect("built by new_shard")
     }
 
     /// What the shard's worker is currently executing.
     #[must_use]
     pub fn running(&self) -> Option<&RunningJob> {
-        self.engine.running(self.worker)
+        self.0.running(self.worker())
     }
 
-    /// Ready (not running) jobs queued in this shard.
-    #[must_use]
-    pub fn ready_len(&self) -> usize {
-        self.engine.ready_len()
-    }
-
-    /// `true` when the queue is empty and the worker idle.
-    #[must_use]
-    pub fn is_idle(&self) -> bool {
-        self.engine.is_idle()
-    }
-
-    /// The most urgent ready job, O(1) through a shared reference
-    /// (telemetry, future work-stealing probes) — the index-tracked
-    /// [`crate::ReadyQueue`] peeks without any side effect.
-    #[must_use]
-    pub fn peek_hint(&self) -> Option<&Job> {
-        self.engine.most_urgent_hint()
-    }
-
-    /// Unwraps the inner shard-view engine, for drivers that embed the
-    /// shard in their own event loop (the simulator does this).
+    /// Unwraps the engine, for drivers that own it by value.
     #[must_use]
     pub fn into_inner(self) -> OnlineEngine {
-        self.engine
+        self.0
+    }
+}
+
+impl Deref for EngineShard {
+    type Target = OnlineEngine;
+
+    fn deref(&self) -> &OnlineEngine {
+        &self.0
+    }
+}
+
+impl DerefMut for EngineShard {
+    fn deref_mut(&mut self) -> &mut OnlineEngine {
+        &mut self.0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Action;
+    use crate::admission::reservation_for;
+    use crate::engine::{Action, EngineStats};
+    use crate::server::TenantBudget;
+    use yasmin_core::ids::TenantId;
     use yasmin_core::priority::PriorityPolicy;
     use yasmin_core::task::TaskSpec;
+    use yasmin_core::time::Duration;
     use yasmin_core::version::VersionSpec;
 
     fn ms(v: u64) -> Duration {
@@ -935,11 +449,12 @@ mod tests {
         let mut sink = ActionSink::new();
         shard.start_into(Instant::ZERO, &mut sink).unwrap();
         let first = shard.running().unwrap().job;
+        let worker = shard.worker();
         sink.clear();
         shard
             .process_into(
                 ShardCmd::JobCompleted {
-                    worker: shard.worker(),
+                    worker,
                     job: first.id,
                     at: at(2),
                 },
@@ -952,14 +467,12 @@ mod tests {
             .process_into(ShardCmd::Tick { at: at(10) }, &mut sink)
             .unwrap();
         assert_eq!(shard.stats().released, 3, "period-10 task re-released");
-        shard.process_into(ShardCmd::Stop, &mut sink).unwrap();
+        shard.stop();
         sink.clear();
-        shard
-            .process_into(ShardCmd::Tick { at: at(20) }, &mut sink)
-            .unwrap();
+        let tick = ShardCmd::Tick { at: at(20) };
+        assert_eq!(tick.at(), at(20));
+        shard.process_into(tick, &mut sink).unwrap();
         assert_eq!(shard.stats().released, 3, "no releases after stop");
-        assert_eq!(ShardCmd::Stop.at(), None);
-        assert_eq!(ShardCmd::Tick { at: at(20) }.at(), Some(at(20)));
     }
 
     #[test]
@@ -970,9 +483,10 @@ mod tests {
         let mut sink = ActionSink::new();
         shard.start_into(Instant::ZERO, &mut sink).unwrap();
         let first = shard.running().unwrap().job.id;
+        let worker = shard.worker();
         sink.clear();
         shard
-            .on_jobs_completed_into(&[(shard.worker(), first)], at(2), &mut sink)
+            .on_jobs_completed_into(&[(worker, first)], at(2), &mut sink)
             .unwrap();
         assert_eq!(sink.len(), 1, "next own task dispatches from the batch");
         // A batch naming a foreign worker is a protocol error.
@@ -1063,7 +577,7 @@ mod tests {
     }
 
     #[test]
-    fn steal_cycle_moves_a_ready_job_to_the_thief() {
+    fn a_steal_of_one_is_a_batch_of_one() {
         // Both tasks live on worker 0; worker 1's shard is idle.
         let mut b = yasmin_core::graph::TaskSetBuilder::new();
         for name in ["a0", "a1"] {
@@ -1084,13 +598,22 @@ mod tests {
             "one job queued behind the running one"
         );
 
-        let hint = shards[0].try_steal().expect("victim has a stealable job");
-        let job = shards[0].release_stolen(hint).expect("hint is fresh");
+        // The O(1) probe and the k = 1 scan name the same job.
+        let top = shards[0].steal_hint().expect("victim has a stealable job");
+        let mut hints = Vec::new();
+        assert_eq!(shards[0].try_steal_batch(1, &mut hints), 1);
+        assert_eq!(hints, [top]);
+        let mut batch = JobBatch::new();
+        assert_eq!(shards[0].release_stolen_batch(&hints, &mut batch), 1);
+        let job = batch.as_slice()[0];
         assert_eq!(shards[0].ready_len(), 0);
         assert_eq!(shards[0].stats().donated, 1);
+        assert!(shards[0].steal_hint().is_none(), "nothing left to offer");
 
         sink.clear();
-        shards[1].adopt_stolen(job, at(1), &mut sink).unwrap();
+        shards[1]
+            .adopt_stolen_batch(batch.as_slice(), at(1), &mut sink)
+            .unwrap();
         match sink.as_slice()[0] {
             Action::Dispatch { worker, job: j, .. } => {
                 assert_eq!(worker, WorkerId::new(1), "thief reports its global id");
@@ -1098,7 +621,10 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+        // One job, and one exchange booked in the length-1 bucket.
         assert_eq!(shards[1].stats().stolen, 1);
+        assert_eq!(shards[1].stats().stolen_batch, 1);
+        assert_eq!(shards[1].stats().steal_batch_len[0], 1);
         // The stolen job completes on the thief like any local job.
         sink.clear();
         shards[1]
@@ -1106,32 +632,21 @@ mod tests {
             .unwrap();
         assert_eq!(shards[1].stats().completed, 1);
         // A stale hint (already released) yields nothing.
-        assert!(shards[0].release_stolen(hint).is_none());
+        let mut empty = JobBatch::new();
+        assert_eq!(shards[0].release_stolen_batch(&hints, &mut empty), 0);
         // Adopting a job the shard already owns is a protocol error.
-        let own = Job {
-            task: job.task,
-            ..job
-        };
-        assert!(shards[0].adopt_stolen(own, at(2), &mut sink).is_err());
-        // StealRequest must be answered by the driver, not process_into.
         assert!(shards[0]
-            .process_into(
-                ShardCmd::StealRequest {
-                    thief: WorkerId::new(1),
-                    at: at(2),
-                },
-                &mut sink,
-            )
+            .adopt_stolen_batch(&[job], at(2), &mut sink)
             .is_err());
-        // StealDeny is a no-op.
-        shards[1]
-            .process_into(ShardCmd::StealDeny { at: at(2) }, &mut sink)
-            .unwrap();
     }
 
-    #[test]
-    fn stolen_job_charges_the_thief_shard_tenant_replica() {
-        // Base: one task per worker, so both shards build and start.
+    /// One 40 ms base task per worker, both shards started, plus a guest
+    /// tenant — two 4 ms tasks on worker 0 — spliced and committed on
+    /// both with a 6 ms / 40 ms deferrable budget: capacity for one
+    /// guest WCET on a replica, not for two. Worker 0 runs its base
+    /// task with both guest jobs queued behind it; worker 1 has finished
+    /// its own and idles — the steal scenario.
+    fn idle_thief_beside_two_budgeted_guest_jobs() -> (Vec<EngineShard>, TenantId) {
         let mut b = yasmin_core::graph::TaskSetBuilder::new();
         for (name, w) in [("base0", 0), ("base1", 1)] {
             let t = b
@@ -1145,8 +660,6 @@ mod tests {
         shards[0].start_into(Instant::ZERO, &mut sink).unwrap();
         shards[1].start_into(Instant::ZERO, &mut sink).unwrap();
 
-        // Guest tenant: two tasks on worker 0, budgeted. Every shard
-        // splices its own server replica.
         let mut g = yasmin_core::graph::TaskSetBuilder::new();
         for name in ["g0", "g1"] {
             let t = g
@@ -1155,43 +668,82 @@ mod tests {
             g.version_decl(t, VersionSpec::new(name, ms(4))).unwrap();
         }
         let merged = Arc::new(live.extended(&g.build().unwrap()).unwrap());
-        // Capacity covers one guest WCET (4ms) but not two: the second
-        // stolen job must defer on the thief's replica.
-        let budget = crate::server::TenantBudget::deferrable(ms(6), ms(40));
-        let tenant = shards[0]
-            .admit_tasks(Arc::clone(&merged), Some(budget), Instant::ZERO)
-            .unwrap();
-        assert_eq!(
-            shards[1]
-                .admit_tasks(merged, Some(budget), Instant::ZERO)
-                .unwrap(),
-            tenant
-        );
-        sink.clear();
-        for s in shards.iter_mut() {
+        // Every shard splices its own server replica.
+        let budget = Some(TenantBudget::deferrable(ms(6), ms(40)));
+        let tenant = TenantId::new(1);
+        for s in &mut shards {
+            let server = reservation_for(tenant, budget, Instant::ZERO);
+            assert_eq!(
+                s.splice_taskset(Arc::clone(&merged), server).unwrap(),
+                tenant
+            );
             s.commit_tenant_into(tenant, Instant::ZERO, &mut sink)
                 .unwrap();
         }
-        // Worker 0 runs base0; both guest jobs queue behind it. Worker 1
-        // finishes base1 and goes idle — the steal scenario.
         assert_eq!(shards[0].ready_len(), 2);
         let b1 = shards[1].running().expect("base1 runs").job.id;
-        sink.clear();
         shards[1]
             .on_job_completed_into(WorkerId::new(1), b1, at(1), &mut sink)
             .unwrap();
         assert!(shards[1].is_idle());
+        (shards, tenant)
+    }
 
-        let hint = shards[0].try_steal().expect("guest job is stealable");
-        let job = shards[0].release_stolen(hint).expect("hint is fresh");
+    /// One exchange of up to `k` jobs from shard 0 to shard 1 at `now`;
+    /// returns the jobs that moved.
+    fn steal(
+        shards: &mut [EngineShard],
+        k: usize,
+        now: Instant,
+        sink: &mut ActionSink,
+    ) -> JobBatch {
+        let mut hints = Vec::new();
+        shards[0].try_steal_batch(k, &mut hints);
+        let mut batch = JobBatch::new();
+        shards[0].release_stolen_batch(&hints, &mut batch);
         sink.clear();
-        shards[1].adopt_stolen(job, at(1), &mut sink).unwrap();
+        shards[1]
+            .adopt_stolen_batch(batch.as_slice(), now, sink)
+            .unwrap();
+        batch
+    }
+
+    /// Migrating cannot mint budget: with the first stolen guest job
+    /// charged (4 of 6 ms) and completed, the thief's replica refuses
+    /// the second 4 ms charge and the job defers instead of running.
+    fn second_guest_job_defers_on_the_thief(
+        shards: &mut [EngineShard],
+        tenant: TenantId,
+        first: JobId,
+        sink: &mut ActionSink,
+    ) {
+        shards[1]
+            .on_job_completed_into(WorkerId::new(1), first, at(5), sink)
+            .unwrap();
         assert!(
-            matches!(sink.as_slice()[0], Action::Dispatch { job: j, .. } if j.id == job.id),
+            shards[1].running().is_none(),
+            "deferred job must not dispatch"
+        );
+        assert_eq!(shards[1].ready_len(), 1, "it stays queued instead");
+        assert!(shards[1].stats().budget_deferrals >= 1);
+        let thief = shards[1].tenant_server(tenant).expect("replica spliced");
+        assert_eq!(
+            thief.total_charged(),
+            ms(4),
+            "no charge beyond the replica's capacity"
+        );
+    }
+
+    #[test]
+    fn stolen_job_charges_the_thief_shard_tenant_replica() {
+        let (mut shards, tenant) = idle_thief_beside_two_budgeted_guest_jobs();
+        let mut sink = ActionSink::new();
+        let first = steal(&mut shards, 1, at(1), &mut sink).as_slice()[0];
+        assert!(
+            matches!(sink.as_slice()[0], Action::Dispatch { job: j, .. } if j.id == first.id),
             "{:?}",
             sink.as_slice()
         );
-
         // The dispatch charged the *thief's* replica with the guest
         // version's WCET; the victim's replica is untouched (its guest
         // job is still queued behind base0).
@@ -1200,30 +752,9 @@ mod tests {
         let victim = shards[0].tenant_server(tenant).expect("replica spliced");
         assert_eq!(victim.total_charged(), Duration::ZERO);
 
-        // Steal the second guest job too. Migrating cannot mint budget:
-        // once the first job completes, the thief's replica (2ms left)
-        // refuses the 4ms charge and the job defers instead of running.
-        let hint2 = shards[0].try_steal().expect("second guest job queued");
-        let job2 = shards[0].release_stolen(hint2).expect("hint is fresh");
-        sink.clear();
-        shards[1].adopt_stolen(job2, at(2), &mut sink).unwrap();
-        shards[1]
-            .on_job_completed_into(WorkerId::new(1), job.id, at(5), &mut sink)
-            .unwrap();
-        assert!(
-            shards[1].running().is_none(),
-            "deferred job must not dispatch"
-        );
-        assert_eq!(shards[1].ready_len(), 1, "it stays queued instead");
-        assert!(shards[1].stats().budget_deferrals >= 1);
-        assert_eq!(
-            shards[1]
-                .tenant_server(tenant)
-                .expect("replica spliced")
-                .total_charged(),
-            ms(4),
-            "no charge beyond the replica's capacity"
-        );
+        // The second guest job follows in an exchange of its own.
+        assert_eq!(steal(&mut shards, 1, at(2), &mut sink).len(), 1);
+        second_guest_job_defers_on_the_thief(&mut shards, tenant, first.id, &mut sink);
     }
 
     #[test]
@@ -1246,9 +777,10 @@ mod tests {
         // the queue holds gpu0 then gpu1 — both accelerator-bound.
         assert_eq!(shards[0].ready_len(), 2);
         assert!(
-            shards[0].try_steal().is_none(),
+            shards[0].steal_hint().is_none(),
             "accelerator-bound jobs never migrate"
         );
+        assert_eq!(shards[0].try_steal_batch(8, &mut Vec::new()), 0);
     }
 
     #[test]
@@ -1289,12 +821,12 @@ mod tests {
         // The probe detached nothing: the queue is intact.
         assert_eq!(shards[0].ready_len(), 4);
 
-        let mut batch = crate::job::JobBatch::new();
+        let mut batch = JobBatch::new();
         assert_eq!(shards[0].release_stolen_batch(&hints, &mut batch), 4);
         assert_eq!(shards[0].ready_len(), 0);
         assert_eq!(shards[0].stats().donated, 4);
         // Re-releasing the same hints finds them all stale.
-        let mut empty = crate::job::JobBatch::new();
+        let mut empty = JobBatch::new();
         assert_eq!(shards[0].release_stolen_batch(&hints, &mut empty), 0);
 
         // One StolenBatch ack lands all four on the thief.
@@ -1329,7 +861,7 @@ mod tests {
         // Migrate-at-most-once: the thief never re-offers adopted jobs.
         let mut again = Vec::new();
         assert_eq!(shards[1].try_steal_batch(8, &mut again), 0);
-        assert!(shards[1].try_steal().is_none());
+        assert!(shards[1].steal_hint().is_none());
 
         // A batch containing a job the shard already owns is rejected
         // whole — nothing enqueued.
@@ -1374,85 +906,21 @@ mod tests {
     }
 
     #[test]
-    fn stolen_batch_charges_the_thief_replica_like_single_steals() {
-        // Same scenario as stolen_job_charges_the_thief_shard_tenant_replica,
-        // but both guest jobs migrate in ONE batch exchange: budgets must
-        // still charge the thief's replica per-dispatch, not per-adopt.
-        let mut b = yasmin_core::graph::TaskSetBuilder::new();
-        for (name, w) in [("base0", 0), ("base1", 1)] {
-            let t = b
-                .task_decl(TaskSpec::periodic(name, ms(40)).on_worker(WorkerId::new(w)))
-                .unwrap();
-            b.version_decl(t, VersionSpec::new(name, ms(1))).unwrap();
-        }
-        let live = Arc::new(b.build().unwrap());
-        let mut shards = EngineShard::build_all(&live, &partitioned_config(2)).unwrap();
+    fn stolen_batch_charges_the_thief_replica_at_dispatch_not_at_adoption() {
+        // Both guest jobs migrate in ONE exchange: budgets must still
+        // charge the thief's replica per dispatch, not per adopt.
+        let (mut shards, tenant) = idle_thief_beside_two_budgeted_guest_jobs();
         let mut sink = ActionSink::new();
-        shards[0].start_into(Instant::ZERO, &mut sink).unwrap();
-        shards[1].start_into(Instant::ZERO, &mut sink).unwrap();
-
-        let mut g = yasmin_core::graph::TaskSetBuilder::new();
-        for name in ["g0", "g1"] {
-            let t = g
-                .task_decl(TaskSpec::periodic(name, ms(40)).on_worker(WorkerId::new(0)))
-                .unwrap();
-            g.version_decl(t, VersionSpec::new(name, ms(4))).unwrap();
-        }
-        let merged = Arc::new(live.extended(&g.build().unwrap()).unwrap());
-        let budget = crate::server::TenantBudget::deferrable(ms(6), ms(40));
-        let tenant = shards[0]
-            .admit_tasks(Arc::clone(&merged), Some(budget), Instant::ZERO)
-            .unwrap();
-        shards[1]
-            .admit_tasks(merged, Some(budget), Instant::ZERO)
-            .unwrap();
-        sink.clear();
-        for s in shards.iter_mut() {
-            s.commit_tenant_into(tenant, Instant::ZERO, &mut sink)
-                .unwrap();
-        }
-        let b1 = shards[1].running().expect("base1 runs").job.id;
-        sink.clear();
-        shards[1]
-            .on_job_completed_into(WorkerId::new(1), b1, at(1), &mut sink)
-            .unwrap();
-        assert!(shards[1].is_idle());
-
-        // Both guest jobs leave in one exchange.
-        let mut hints = Vec::new();
-        assert_eq!(shards[0].try_steal_batch(8, &mut hints), 2);
-        let mut batch = crate::job::JobBatch::new();
-        assert_eq!(shards[0].release_stolen_batch(&hints, &mut batch), 2);
-        sink.clear();
-        shards[1]
-            .adopt_stolen_batch(batch.as_slice(), at(1), &mut sink)
-            .unwrap();
-
+        let batch = steal(&mut shards, 8, at(1), &mut sink);
+        assert_eq!(batch.len(), 2);
         // The single dispatch charged one WCET on the thief; adoption of
         // the still-queued second job charged nothing.
         let thief = shards[1].tenant_server(tenant).expect("replica spliced");
         assert_eq!(thief.total_charged(), ms(4));
         let victim = shards[0].tenant_server(tenant).expect("replica spliced");
         assert_eq!(victim.total_charged(), Duration::ZERO);
-
-        // When the first stolen job completes, the replica (2ms left)
-        // refuses the second 4ms charge: defer, never mint budget by
-        // migrating.
         let first = batch.as_slice()[0].id;
-        sink.clear();
-        shards[1]
-            .on_job_completed_into(WorkerId::new(1), first, at(5), &mut sink)
-            .unwrap();
-        assert!(shards[1].running().is_none(), "deferred, not dispatched");
-        assert_eq!(shards[1].ready_len(), 1);
-        assert!(shards[1].stats().budget_deferrals >= 1);
-        assert_eq!(
-            shards[1]
-                .tenant_server(tenant)
-                .expect("replica spliced")
-                .total_charged(),
-            ms(4)
-        );
+        second_guest_job_defers_on_the_thief(&mut shards, tenant, first, &mut sink);
     }
 
     #[test]
@@ -1547,7 +1015,7 @@ mod tests {
             .unwrap();
         assert!(empty_sink.is_empty());
         assert!(shards[0].is_idle());
-        assert!(shards[0].peek_hint().is_none());
+        assert!(shards[0].most_urgent_hint().is_none());
     }
 
     #[test]

@@ -782,88 +782,34 @@ impl Simulation {
     /// Commands past the horizon are drained but not simulated (the
     /// producers must be unblocked even when the run is over).
     fn apply_external(&mut self, cmd: ShardCmd, horizon: Instant) -> Result<()> {
-        match cmd {
-            ShardCmd::Activate { task, at } => {
-                if at > horizon {
-                    return Ok(());
-                }
-                let mut sink = std::mem::take(&mut self.sink);
-                sink.clear();
-                self.timed(|e| {
-                    e.activate_into(task, at, &mut sink)
-                        .expect("fed task is activatable on this shard");
-                });
-                self.apply_actions(at, &sink);
-                self.sink = sink;
-                Ok(())
-            }
-            ShardCmd::Tick { at } => {
-                if at > horizon {
-                    return Ok(());
-                }
-                let mut sink = std::mem::take(&mut self.sink);
-                sink.clear();
-                self.timed(|e| e.on_tick_into(at, &mut sink));
-                self.apply_actions(at, &sink);
-                self.sink = sink;
-                Ok(())
-            }
-            ShardCmd::MsgHigh { dst, ceiling, at } => {
-                if at > horizon {
-                    return Ok(());
-                }
-                let mut sink = std::mem::take(&mut self.sink);
-                sink.clear();
-                self.timed(|e| {
-                    e.on_high_posted_into(dst, ceiling, at, &mut sink)
-                        .expect("fed message destination is owned by this shard");
-                });
-                self.apply_actions(at, &sink);
-                self.sink = sink;
-                Ok(())
-            }
-            ShardCmd::MsgDrained { dst, at } => {
-                if at > horizon {
-                    return Ok(());
-                }
-                let mut sink = std::mem::take(&mut self.sink);
-                sink.clear();
-                self.timed(|e| {
-                    e.on_high_drained_into(dst, at, &mut sink)
-                        .expect("fed message destination is owned by this shard");
-                });
-                self.apply_actions(at, &sink);
-                self.sink = sink;
-                Ok(())
-            }
-            ShardCmd::Stop => {
-                self.engine.stop();
-                Ok(())
-            }
-            ShardCmd::JobCompleted { .. } | ShardCmd::JobFailed { .. } => {
-                Err(Error::InvalidConfig(
-                    "the simulator generates completions and failures internally; an \
-                 external completion command is a driver bug"
-                        .into(),
-                ))
-            }
-            ShardCmd::CrossActivate { .. }
-            | ShardCmd::StealRequest { .. }
-            | ShardCmd::Stolen { .. }
-            | ShardCmd::StolenBatch { .. }
-            | ShardCmd::StealDeny { .. } => Err(Error::InvalidConfig(
+        let refused = match cmd {
+            ShardCmd::Activate { .. }
+            | ShardCmd::Tick { .. }
+            | ShardCmd::MsgHigh { .. }
+            | ShardCmd::MsgDrained { .. } => None,
+            ShardCmd::JobCompleted { .. } => Some(
+                "the simulator generates completions internally; an external \
+                 completion command is a driver bug",
+            ),
+            ShardCmd::CrossActivate { .. } | ShardCmd::StolenBatch { .. } => Some(
                 "cross-shard routing and stealing run through the protocol loop \
-                 (yasmin_sim::par), not the free-running shard feed"
-                    .into(),
-            )),
-            ShardCmd::AdmitTasks { .. }
-            | ShardCmd::CommitTenant { .. }
-            | ShardCmd::RetireTenant { .. } => Err(Error::InvalidConfig(
-                "the simulator schedules admissions deterministically via \
-                 Simulation::admit_at / retire_at, not the external feed"
-                    .into(),
-            )),
+                 (yasmin_sim::par), not the free-running shard feed",
+            ),
+        };
+        if let Some(why) = refused {
+            return Err(Error::InvalidConfig(why.into()));
         }
+        let at = cmd.at();
+        if at > horizon {
+            return Ok(());
+        }
+        let mut sink = std::mem::take(&mut self.sink);
+        sink.clear();
+        let mut applied = Ok(());
+        self.timed(|e| applied = e.process_into(cmd, &mut sink));
+        self.apply_actions(at, &sink);
+        self.sink = sink;
+        applied
     }
 
     /// [`Simulation::run`] with an optional external command feed — the

@@ -100,12 +100,13 @@ pub struct ParSimOptions {
     /// [`run_partitioned_parallel`].
     pub steal: bool,
     /// Cap on the batch size of one steal exchange (clamped to
-    /// [`yasmin_sched::MAX_STEAL_BATCH`]). At the default `1` every
-    /// exchange moves a single job over [`ShardCmd::Stolen`] —
-    /// bit-identical to the pre-batching protocol. Above `1` an idle
-    /// thief takes up to half the victim's ready load in one
-    /// [`ShardCmd::StolenBatch`] exchange, sized deterministically from
-    /// the victim's queue length at the event boundary.
+    /// `1..=`[`yasmin_sched::MAX_STEAL_BATCH`]). An idle thief takes up
+    /// to half the victim's ready load, at least one job and at most
+    /// this many, in one [`ShardCmd::StolenBatch`] exchange sized
+    /// deterministically from the victim's queue length at the event
+    /// boundary. At the default `1` every exchange is a batch of one —
+    /// the most urgent stealable job — booked like any other in
+    /// `EngineStats::stolen_batch`.
     pub steal_batch: usize,
 }
 
@@ -136,12 +137,6 @@ impl ShardFeed {
         }
     }
 
-    /// The effective time of a command, in nanoseconds (timeless
-    /// commands act immediately).
-    fn time_of(cmd: &ShardCmd) -> u64 {
-        cmd.at().map_or(0, Instant::as_nanos)
-    }
-
     /// The earliest pending (time, lane), blocking (bounded spin: every
     /// producer pushes a finite schedule and closes its lane) until
     /// that minimum is *known* — i.e. no lane is simultaneously open
@@ -159,7 +154,7 @@ impl ShardFeed {
             for i in 0..self.rx.lane_count() {
                 match self.rx.peek_lane(i) {
                     Some(cmd) => {
-                        let t = Self::time_of(cmd);
+                        let t = cmd.at().as_nanos();
                         if min.is_none_or(|(mt, _)| t < mt) {
                             min = Some((t, i));
                         }
@@ -643,7 +638,7 @@ impl Protocol<'_> {
     /// One engine interaction of shard `s` through the command
     /// protocol, with action modelling and outbox routing.
     fn interact(&mut self, s: usize, cmd: ShardCmd) -> Result<()> {
-        let at = cmd.at().unwrap_or(self.horizon);
+        let at = cmd.at();
         let mut sink = std::mem::take(&mut self.sink);
         sink.clear();
         let res = if self.sim.measure_engine_time {
@@ -778,15 +773,14 @@ impl Protocol<'_> {
     /// At an event boundary, every fully idle shard (no slice, empty
     /// queue) adopts work from the most loaded *stealable* peer (one
     /// whose probe yields a hint; ties towards the lowest worker
-    /// index); rounds repeat until no steal succeeds. Deterministic by
-    /// construction. With `steal_batch == 1` each exchange moves the
-    /// single most urgent job ([`ShardCmd::Stolen`], the pre-batching
-    /// protocol verbatim); above `1` it moves up to half the victim's
-    /// ready load in one [`ShardCmd::StolenBatch`] — the batch size
-    /// depends only on the victim's queue length, so reruns stay
-    /// bit-identical.
+    /// index); rounds repeat until no steal succeeds. Each exchange
+    /// moves up to half the victim's ready load in one
+    /// [`ShardCmd::StolenBatch`], at least one job and at most
+    /// [`ParSimOptions::steal_batch`]: the size depends only on the
+    /// victim's queue length, so reruns stay bit-identical.
     fn steal_pass(&mut self, at: Instant) -> Result<()> {
         let n = self.states.len();
+        let cap = self.steal_batch.clamp(1, MAX_STEAL_BATCH);
         let mut hints = Vec::new();
         loop {
             let mut stole = false;
@@ -796,34 +790,22 @@ impl Protocol<'_> {
                 }
                 let victim = (0..n)
                     .filter(|&v| v != thief)
-                    .filter(|&v| self.states[v].shard.try_steal().is_some())
+                    .filter(|&v| self.states[v].shard.steal_hint().is_some())
                     .map(|v| (self.states[v].shard.ready_len(), v))
                     .max_by_key(|&(load, v)| (load, Reverse(v)));
                 let Some((load, v)) = victim else { continue };
-                if self.steal_batch <= 1 {
-                    let Some(hint) = self.states[v].shard.try_steal() else {
-                        continue;
-                    };
-                    let Some(job) = self.states[v].shard.release_stolen(hint) else {
-                        continue;
-                    };
-                    self.interact(thief, ShardCmd::Stolen { job, at })?;
-                } else {
-                    // Half the load gap (the thief is empty, so the gap
-                    // is the victim's whole ready load), capped by the
-                    // option and the protocol batch limit — the same
-                    // sizing rule the free-running runtime derives from
-                    // its load board.
-                    let k = (load / 2).clamp(1, self.steal_batch.min(MAX_STEAL_BATCH));
-                    if self.states[v].shard.try_steal_batch(k, &mut hints) == 0 {
-                        continue;
-                    }
-                    let mut jobs = JobBatch::new();
-                    if self.states[v].shard.release_stolen_batch(&hints, &mut jobs) == 0 {
-                        continue;
-                    }
-                    self.interact(thief, ShardCmd::StolenBatch { jobs, at })?;
+                // Half the load gap (the thief is empty, so the gap is
+                // the victim's whole ready load) — the same sizing rule
+                // the free-running runtime derives from its load board.
+                let k = (load / 2).clamp(1, cap);
+                if self.states[v].shard.try_steal_batch(k, &mut hints) == 0 {
+                    continue;
                 }
+                let mut jobs = JobBatch::new();
+                if self.states[v].shard.release_stolen_batch(&hints, &mut jobs) == 0 {
+                    continue;
+                }
+                self.interact(thief, ShardCmd::StolenBatch { jobs, at })?;
                 stole = true;
             }
             if !stole {
@@ -901,7 +883,7 @@ impl Protocol<'_> {
                         .feed
                         .pop_if_at_or_before(Some(tc))
                         .expect("peeked command present");
-                    let at = cmd.at().unwrap_or(Instant::ZERO);
+                    let at = cmd.at();
                     if at <= self.horizon {
                         self.interact(s, cmd)?;
                         if self.steal {

@@ -277,12 +277,17 @@ fn stealing_lowers_the_makespan_of_an_imbalanced_set() {
 /// one-shots plus a train of three accelerator-bound jobs on worker 0,
 /// and a light tick source on worker 1. The accel jobs carry the
 /// shortest deadlines, so once they land they head worker 0's EDF
-/// queue and **close the steal window** (`try_steal` refuses
+/// queue and **close the steal window** (the steal probe refuses
 /// accel-bound heads). A k=1 thief grabs only a couple of heavies
 /// before the window shuts and then idles; a batched thief prefetches
 /// half the victim's queue in one exchange and keeps working straight
 /// through the closed window — measurably lowering the heavy-set
 /// makespan. Reruns stay bit-identical.
+///
+/// k = 1 is a batch of one: every exchange rides the same grant and is
+/// booked in the length-1 bucket. The constants are the schedule a
+/// dedicated single-steal path produced for this scenario before it was
+/// deleted — what the surviving path must keep.
 #[test]
 fn batch_steals_beat_single_steals_when_the_steal_window_closes() {
     let mut b = TaskSetBuilder::new();
@@ -349,9 +354,18 @@ fn batch_steals_beat_single_steals_when_the_steal_window_closes() {
         assert!(r.engine_stats.stolen >= 1);
         assert_eq!(r.engine_stats.stolen, r.engine_stats.donated);
     }
-    // k = 1 never rides the batch grant; k = 8 does, and at least one
-    // exchange moved more than one job.
-    assert_eq!(single.engine_stats.stolen_batch, 0);
+    // k = 1: one job per exchange, every exchange booked.
+    assert_eq!(single.engine_stats.stolen_batch, single.engine_stats.stolen);
+    assert_eq!(
+        single.engine_stats.steal_batch_len[0],
+        single.engine_stats.stolen_batch
+    );
+    assert_eq!(single.records.len(), 42);
+    assert_eq!(single.engine_stats.stolen, 14);
+    assert_eq!(single.engine_stats.donated, 14);
+    assert_eq!(single.engine_stats.dispatched, 43);
+    assert_eq!(heavy_makespan(&single), Instant::from_nanos(58_907_000));
+    // k = 8: at least one exchange moved more than one job.
     assert!(batched.engine_stats.stolen_batch >= 1);
     assert!(
         batched.engine_stats.steal_batch_len[1..]

@@ -17,10 +17,9 @@
 //! count, read by thieves with plain `Acquire` loads. The values are
 //! **advisory** — a probe may race with a dispatch and name a victim
 //! that turns out empty — which is fine: the steal request itself is
-//! answered authoritatively by the victim (`EngineShard::try_steal` /
-//! `EngineShard::release_stolen` and their batch variants in
-//! `yasmin-sched`, a deny otherwise). Stale reads cost a wasted
-//! request, never correctness.
+//! answered authoritatively by the victim (`try_steal_batch` /
+//! `release_stolen_batch` on its engine in `yasmin-sched`, a deny
+//! otherwise). Stale reads cost a wasted request, never correctness.
 //!
 //! # Victim ranking
 //!

@@ -80,7 +80,7 @@ fn main() -> Result<(), yasmin::Error> {
 
     let base_runs = Arc::new(AtomicU32::new(0));
     let br = Arc::clone(&base_runs);
-    let rt = ShardedRuntimeBuilder::new(taskset, config)
+    let rt = RuntimeBuilder::new(taskset, config)
         .body(base, vb, move |_| {
             br.fetch_add(1, Ordering::Relaxed);
         })

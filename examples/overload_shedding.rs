@@ -63,7 +63,7 @@ fn main() -> Result<(), yasmin::Error> {
         .preemption(false)
         .build()?;
 
-    let mut builder = ShardedRuntimeBuilder::new(taskset, config);
+    let mut builder = RuntimeBuilder::new(taskset, config);
     let (frames_tx, frames_rx) = builder.channel::<u64>(frames)?;
 
     let produced = Arc::new(AtomicU32::new(0));

@@ -58,7 +58,7 @@ fn main() -> Result<(), yasmin::Error> {
         .build()?;
 
     // ----- typed endpoints, validated against the declared spec -------
-    let mut builder = ShardedRuntimeBuilder::new(taskset, config);
+    let mut builder = RuntimeBuilder::new(taskset, config);
     let (frames_tx, frames_rx) = builder.channel::<u64>(frames)?;
     let (kept_tx, kept_rx) = builder.channel::<u64>(kept)?;
 

@@ -619,7 +619,7 @@ fn worker_panic_is_contained_in_sharded_runtime() {
         .priority(PriorityPolicy::EarliestDeadlineFirst)
         .build()
         .unwrap();
-    let rt = ShardedRuntimeBuilder::new(ts, config)
+    let rt = RuntimeBuilder::new(ts, config)
         .body(bad, vb, |_| panic!("injected body fault"))
         .body(good, vg, |_| {})
         .build()
@@ -672,7 +672,7 @@ fn sharded_stop_is_loss_free_under_cross_shard_traffic() {
             .build()
             .unwrap();
         let hits = Arc::clone(&crossed);
-        let rt = ShardedRuntimeBuilder::new(ts, config)
+        let rt = RuntimeBuilder::new(ts, config)
             .body(src, vs, |_| {})
             .body(dst, vd, move |_| {
                 hits.fetch_add(1, Ordering::Relaxed);

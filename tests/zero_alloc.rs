@@ -23,10 +23,9 @@
 //!    each dispatch re-ranks versions through the invalidated rank
 //!    cache (PR 5: the cache-refresh path itself must run on the
 //!    pre-grown per-task entries and the in-place rank scratch);
-//! 7. **steady-state stealing** — every cycle an idle thief shard runs
-//!    the full PR 5 migration (O(1) `try_steal` probe, O(log n)
-//!    `release_stolen` detach, `adopt_stolen` dispatch round) and
-//!    retires the stolen job, while the victim refills;
+//! 7. **steady-state stealing** — every cycle an idle thief shard
+//!    takes one job — a batch of one — through the full migration of
+//!    scenario 13 and retires it, while the victim refills;
 //! 8. **multi-tenant serving** — a budgeted tenant admitted on-line
 //!    (evaluate → splice → commit) before the measured window; the
 //!    post-admission steady loop, including the per-dispatch budget
@@ -50,7 +49,7 @@
 //!     the new battery context (the last zero-alloc gap the ROADMAP
 //!     names);
 //! 13. **steady-state batch stealing** — every cycle the thief shard
-//!     runs the full PR 10 batched migration (ordered `try_steal_batch`
+//!     runs the full batched migration, k = 4 (ordered `try_steal_batch`
 //!     scan, `release_stolen_batch` detach into the fixed-size
 //!     [`JobBatch`], `adopt_stolen_batch` dispatch round) and retires
 //!     all k stolen jobs, while the victim refills.
@@ -535,73 +534,12 @@ fn mode_switch_rank_refresh() {
     );
 }
 
-/// Scenario 7: the full work-stealing migration every cycle — probe,
-/// detach, adopt, dispatch on the thief, completion hand-back — plus
-/// the victim's refill, all on pre-grown storage.
+/// Scenario 7: the full work-stealing migration every cycle, one job
+/// at a time — a batch of one: probe, detach, adopt, dispatch on the
+/// thief, completion hand-back — plus the victim's refill, all on
+/// pre-grown storage.
 fn steady_state_stealing() {
-    const TASKS: usize = 32;
-    let mut b = TaskSetBuilder::new();
-    let mut tasks = Vec::new();
-    for i in 0..TASKS {
-        let t = b
-            .task_decl(TaskSpec::aperiodic(format!("a{i}")).on_worker(WorkerId::new(0)))
-            .unwrap();
-        b.version_decl(t, VersionSpec::new("v", Duration::from_millis(1)))
-            .unwrap();
-        tasks.push(t);
-    }
-    let ts = Arc::new(b.build().unwrap());
-    let config = Config::builder()
-        .workers(2)
-        .mapping(MappingScheme::Partitioned)
-        .sharded_dispatch(true)
-        .priority(PriorityPolicy::EarliestDeadlineFirst)
-        .preemption(false)
-        .tick(Duration::from_millis(1_000))
-        .max_pending_jobs(TASKS + 8)
-        .build()
-        .expect("valid config");
-    let mut shards = EngineShard::build_all(&ts, &config).expect("valid shards");
-    let mut thief = shards.pop().unwrap();
-    let mut victim = shards.pop().unwrap();
-    let mut sink = ActionSink::with_capacity(64);
-    victim
-        .start_into(Instant::ZERO, &mut sink)
-        .expect("fresh shard starts");
-    thief
-        .start_into(Instant::ZERO, &mut sink)
-        .expect("fresh shard starts");
-    // The first activation parks on the victim's worker; the rest hold
-    // the queue at its steady size.
-    for &t in &tasks {
-        victim.activate_into(t, Instant::ZERO, &mut sink).unwrap();
-    }
-    let w1 = WorkerId::new(1);
-    let mut now = Instant::ZERO;
-    let step = Duration::from_micros(1);
-
-    assert_zero_alloc("steady-state-stealing", || {
-        now += step;
-        let hint = victim.try_steal().expect("victim queue is loaded");
-        let job = victim.release_stolen(hint).expect("hint is fresh");
-        sink.clear();
-        thief
-            .adopt_stolen(job, now, &mut sink)
-            .expect("thief is idle");
-        sink.clear();
-        thief
-            .on_job_completed_into(w1, job.id, now, &mut sink)
-            .expect("completion protocol upheld");
-        sink.clear();
-        victim.activate_into(job.task, now, &mut sink).unwrap();
-    });
-    assert!(
-        victim.stats().donated > u64::from(WARMUP),
-        "every cycle must donate (got {})",
-        victim.stats().donated
-    );
-    assert_eq!(victim.stats().donated, thief.stats().stolen);
-    assert!(thief.stats().completed > u64::from(WARMUP));
+    steal_every_cycle("steady-state-stealing", 1);
 }
 
 /// Scenario 8: multi-tenant steady state. A budgeted tenant is admitted
@@ -1080,8 +1018,14 @@ fn battery_energy_refresh() {
 /// adopt dispatch round on the thief, all k retirements and the
 /// victim's refill, all on pre-grown storage.
 fn steady_state_batch_stealing() {
+    steal_every_cycle("steady-state-batch-stealing", 4);
+}
+
+/// Scenarios 7 and 13: every cycle an idle thief takes `k` jobs off a
+/// loaded victim in one exchange and retires them, and the victim
+/// refills.
+fn steal_every_cycle(label: &str, k: usize) {
     const TASKS: usize = 32;
-    const K: usize = 4;
     let mut b = TaskSetBuilder::new();
     let mut tasks = Vec::new();
     for i in 0..TASKS {
@@ -1113,30 +1057,32 @@ fn steady_state_batch_stealing() {
     thief
         .start_into(Instant::ZERO, &mut sink)
         .expect("fresh shard starts");
+    // The first activation parks on the victim's worker; the rest hold
+    // the queue at its steady size.
     for &t in &tasks {
         victim.activate_into(t, Instant::ZERO, &mut sink).unwrap();
     }
     let w1 = WorkerId::new(1);
     let mut now = Instant::ZERO;
     let step = Duration::from_micros(1);
-    let mut hints: Vec<StealHint> = Vec::with_capacity(K);
+    let mut hints: Vec<StealHint> = Vec::with_capacity(k);
     let mut batch = JobBatch::new();
 
-    assert_zero_alloc("steady-state-batch-stealing", || {
+    assert_zero_alloc(label, || {
         now += step;
         hints.clear();
-        let hinted = victim.try_steal_batch(K, &mut hints);
-        assert_eq!(hinted, K, "victim queue is loaded");
+        let hinted = victim.try_steal_batch(k, &mut hints);
+        assert_eq!(hinted, k, "victim queue is loaded");
         batch.clear();
         let released = victim.release_stolen_batch(&hints, &mut batch);
-        assert_eq!(released, K, "hints are fresh");
+        assert_eq!(released, k, "hints are fresh");
         sink.clear();
         thief
             .adopt_stolen_batch(batch.as_slice(), now, &mut sink)
             .expect("thief is idle");
         // The adopt round dispatched the most urgent stolen job; each
         // retirement dispatches the next from the thief's local queue.
-        for _ in 0..K {
+        for _ in 0..k {
             let job = thief.running().expect("an adopted job runs").job.id;
             sink.clear();
             thief
@@ -1151,11 +1097,12 @@ fn steady_state_batch_stealing() {
     });
     assert!(
         thief.stats().stolen_batch > u64::from(WARMUP),
-        "every cycle must run one batched exchange (got {})",
+        "every cycle must run one exchange (got {})",
         thief.stats().stolen_batch
     );
     assert_eq!(victim.stats().donated, thief.stats().stolen);
-    assert!(thief.stats().completed > u64::from(K as u32 * WARMUP));
+    assert_eq!(thief.stats().stolen, k as u64 * thief.stats().stolen_batch);
+    assert!(thief.stats().completed > u64::from(k as u32 * WARMUP));
 }
 
 fn main() {
