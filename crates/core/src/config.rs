@@ -62,7 +62,11 @@ pub enum LockChoice {
 /// Waiting strategy between activations (§3.5 "Waiting").
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum WaitChoice {
-    /// Sleep in the kernel (default; hardly timing-analysable).
+    /// Sleep in the kernel (default; hardly timing-analysable). A thread
+    /// runtime's owner arms its timed park ahead of the tick edge by the
+    /// wake-up lateness its own parks have shown, so the sleep ends at
+    /// the edge rather than that much after it; nothing is scheduled
+    /// ahead of its edge (`yasmin_rt::sharded`, "The tick edge").
     #[default]
     Sleep,
     /// Busy-spin on the clock: precise overhead analysis, wastes energy.
@@ -472,7 +476,8 @@ impl ConfigBuilder {
     /// waits between jobs. Every owner thread honours it — a shard's and
     /// the single-owner `Runtime`'s alike, it is one loop — and so do
     /// `Runtime`'s helper threads: [`WaitChoice::Sleep`] parks until the
-    /// next tick edge or the first wake-up, [`WaitChoice::Spin`] parks
+    /// next tick edge (armed early by the lateness the parks show) or
+    /// the first wake-up, [`WaitChoice::Spin`] parks
     /// nobody and wants a core per thread.
     #[must_use]
     pub fn waiting(mut self, w: WaitChoice) -> Self {

@@ -29,5 +29,7 @@ pub mod sharded;
 #[cfg(test)]
 mod test_util;
 
-pub use runtime::{JobCtx, RtJobRecord, Runtime, RuntimeBuilder, RuntimeReport, TaskBody};
+pub use runtime::{
+    JobCtx, RtJobRecord, Runtime, RuntimeBuilder, RuntimeReport, TaskBody, TickStats,
+};
 pub use sharded::{ShardedRuntime, ShardedRuntimeBuilder};

@@ -122,6 +122,16 @@ pub fn available_cores() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
+/// What every runtime thread — owner or helper — does before its loop:
+/// pin to `core`, best-effort. Returns whether the kernel agreed; a
+/// thread it refused runs wherever the host puts it and is counted in
+/// `RuntimeReport::unpinned_threads`. Placement and priority of runtime
+/// threads are decided here and nowhere else.
+#[must_use]
+pub fn enter_runtime_thread(core: usize) -> bool {
+    pin_current_thread(core).is_ok()
+}
+
 /// Applies the full shielded-worker setup best-effort: pin to `core`,
 /// set FIFO priority. Returns the list of failures (empty = full RT
 /// setup achieved).

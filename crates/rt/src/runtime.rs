@@ -130,6 +130,29 @@ impl RtJobRecord {
     }
 }
 
+/// How one owner met its tick edges over a run, and what arming its
+/// timed park early cost it (see "The tick edge" in [`crate::sharded`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TickStats {
+    /// Tick rounds the owner ran.
+    pub edges: u64,
+    /// Median of *round began − nominal edge* over those rounds, to
+    /// about 6 %: the timer's lateness where the owner was parked, the
+    /// rest of a body where an edge fell inside one.
+    pub late_p50_ns: u64,
+    /// The largest such lateness, exact.
+    pub late_max_ns: u64,
+    /// The lead in force when the owner exited: how far ahead of an
+    /// edge its timed park was armed.
+    pub lead_ns: u64,
+    /// Times the owner found itself idle inside the lead and spun to
+    /// the edge — its park ended earlier than the lead had learned, or
+    /// its last job did.
+    pub early_wakes: u64,
+    /// Total time spent in those spins.
+    pub spin_ns: u64,
+}
+
 /// Final report returned by [`Runtime::cleanup`].
 #[derive(Debug)]
 pub struct RuntimeReport {
@@ -137,6 +160,8 @@ pub struct RuntimeReport {
     pub records: Vec<RtJobRecord>,
     /// Engine counters, merged over the owners.
     pub engine_stats: EngineStats,
+    /// One entry per owner thread, in owner (shard) order.
+    pub tick_stats: Vec<TickStats>,
     /// Runtime threads the kernel refused to pin to their core (no such
     /// core, restricted cpuset, `os-rt` disabled): they ran wherever
     /// the host put them, so the run's timing is that of a floating
@@ -502,10 +527,11 @@ impl Runtime {
         let mut report = RuntimeReport {
             records: Vec::new(),
             engine_stats: EngineStats::default(),
+            tick_stats: Vec::with_capacity(self.threads.len()),
             unpinned_threads: 0,
         };
         for t in self.threads {
-            let (records, stats, pinned) = t.join().expect("owner thread panicked");
+            let (records, stats, ticks, pinned) = t.join().expect("owner thread panicked");
             if report.records.is_empty() {
                 // The first owner's records — all there are, with one
                 // owner — become the report's without a copy.
@@ -514,6 +540,7 @@ impl Runtime {
                 report.records.extend(records);
             }
             report.engine_stats.merge(&stats);
+            report.tick_stats.push(ticks);
             report.unpinned_threads += usize::from(!pinned);
         }
         // An owner dismisses its helpers as it exits.
@@ -551,7 +578,7 @@ mod tests {
     use super::*;
     #[cfg(target_os = "linux")]
     use crate::test_util::{alone_in_child, thread_sleeps};
-    use crate::test_util::{must_return, nap_ms, sharded, within_attempts};
+    use crate::test_util::{must_return, nap_ms, one_owner as config, sharded, within_attempts};
     use std::sync::atomic::{AtomicBool, AtomicU32};
     use yasmin_core::graph::TaskSetBuilder;
     use yasmin_core::priority::{Priority, PriorityPolicy};
@@ -561,15 +588,6 @@ mod tests {
 
     fn ms(v: u64) -> Duration {
         Duration::from_millis(v)
-    }
-
-    fn config(workers: usize) -> Config {
-        Config::builder()
-            .workers(workers)
-            .priority(PriorityPolicy::EarliestDeadlineFirst)
-            .preemption(false)
-            .build()
-            .unwrap()
     }
 
     #[test]
@@ -842,55 +860,60 @@ mod tests {
 
     #[test]
     fn tenant_admission_on_the_single_owner_runtime() {
-        let mut b = TaskSetBuilder::new();
-        let base = b.task_decl(TaskSpec::periodic("base", ms(5))).unwrap();
-        let vb = b
-            .version_decl(base, VersionSpec::new("v", Duration::from_micros(50)))
-            .unwrap();
-        let ts = Arc::new(b.build().unwrap());
-        let rt = RuntimeBuilder::new(ts, config(1))
-            .body(base, vb, |_| {})
-            .build()
-            .unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(15));
+        // Every functional assertion holds on every attempt; only the
+        // 5 ms deadlines may lose an attempt to a stalled host.
+        within_attempts(3, || {
+            let mut b = TaskSetBuilder::new();
+            let base = b.task_decl(TaskSpec::periodic("base", ms(5))).unwrap();
+            let vb = b
+                .version_decl(base, VersionSpec::new("v", Duration::from_micros(50)))
+                .unwrap();
+            let ts = Arc::new(b.build().unwrap());
+            let rt = RuntimeBuilder::new(ts, config(1))
+                .body(base, vb, |_| {})
+                .build()
+                .unwrap();
+            std::thread::sleep(std::time::Duration::from_millis(15));
 
-        // Candidate in its own id space: one periodic task.
-        let mut c = TaskSetBuilder::new();
-        let t = c.task_decl(TaskSpec::periodic("tenant", ms(10))).unwrap();
-        let v = c
-            .version_decl(t, VersionSpec::new("v", Duration::from_micros(50)))
-            .unwrap();
-        let cand = c.build().unwrap();
-        let hits = Arc::new(AtomicU32::new(0));
-        let h = Arc::clone(&hits);
-        let mut bodies: HashMap<(TaskId, VersionId), TaskBody> = HashMap::new();
-        bodies.insert(
-            (t, v),
-            Arc::new(move |_: &JobCtx| {
-                h.fetch_add(1, Ordering::SeqCst);
-            }),
-        );
-        let tenant = rt.admit(&cand, bodies, None).unwrap();
-        assert_eq!(tenant.raw(), 1);
-        std::thread::sleep(std::time::Duration::from_millis(35));
-        let ran = hits.load(Ordering::SeqCst);
-        assert!(ran >= 2, "admitted tenant only ran {ran} jobs");
-        rt.retire(tenant).unwrap();
-        assert!(matches!(rt.retire(tenant), Err(Error::TenantRetired(_))));
-        std::thread::sleep(std::time::Duration::from_millis(25));
-        let after = hits.load(Ordering::SeqCst);
-        assert!(after <= ran + 1, "tenant kept running after retirement");
-        rt.stop();
-        let report = rt.cleanup();
-        // The tenant's task is the merged suffix id T1; none of its jobs
-        // missed a deadline.
-        for r in report
-            .records
-            .iter()
-            .filter(|r| r.job.task == TaskId::new(1))
-        {
-            assert!(!r.missed());
-        }
+            // Candidate in its own id space: one periodic task.
+            let mut c = TaskSetBuilder::new();
+            let t = c.task_decl(TaskSpec::periodic("tenant", ms(10))).unwrap();
+            let v = c
+                .version_decl(t, VersionSpec::new("v", Duration::from_micros(50)))
+                .unwrap();
+            let cand = c.build().unwrap();
+            let hits = Arc::new(AtomicU32::new(0));
+            let h = Arc::clone(&hits);
+            let mut bodies: HashMap<(TaskId, VersionId), TaskBody> = HashMap::new();
+            bodies.insert(
+                (t, v),
+                Arc::new(move |_: &JobCtx| {
+                    h.fetch_add(1, Ordering::SeqCst);
+                }),
+            );
+            let tenant = rt.admit(&cand, bodies, None).unwrap();
+            assert_eq!(tenant.raw(), 1);
+            std::thread::sleep(std::time::Duration::from_millis(35));
+            let ran = hits.load(Ordering::SeqCst);
+            assert!(ran >= 2, "admitted tenant only ran {ran} jobs");
+            rt.retire(tenant).unwrap();
+            assert!(matches!(rt.retire(tenant), Err(Error::TenantRetired(_))));
+            std::thread::sleep(std::time::Duration::from_millis(25));
+            let after = hits.load(Ordering::SeqCst);
+            assert!(after <= ran + 1, "tenant kept running after retirement");
+            rt.stop();
+            let report = rt.cleanup();
+            // The tenant's task is the merged suffix id T1; none of its
+            // jobs missed a deadline.
+            let tenant_jobs = report
+                .records
+                .iter()
+                .filter(|r| r.job.task == TaskId::new(1));
+            match tenant_jobs.filter(|r| r.missed()).count() {
+                0 => Ok(()),
+                missed => Err(format!("{missed} tenant jobs missed their deadline")),
+            }
+        });
     }
 
     #[test]
@@ -1452,26 +1475,31 @@ mod tests {
         // Wake-up latency on this host should be far below one period,
         // whichever owner has the task.
         for config in [config(1), sharded(1).build().unwrap()] {
-            let mut b = TaskSetBuilder::new();
-            let spec = TaskSpec::periodic("t", ms(10)).on_worker(WorkerId::new(0));
-            let (t, v) = task(&mut b, spec, Duration::from_micros(20));
-            let ts = Arc::new(b.build().unwrap());
-            let rt = RuntimeBuilder::new(ts, config)
-                .body(t, v, |_| {})
-                .build()
-                .unwrap();
-            std::thread::sleep(std::time::Duration::from_millis(80));
-            rt.stop();
-            let report = rt.cleanup();
-            assert!(report.records.len() >= 3);
-            for r in &report.records {
-                assert!(
-                    r.start_latency() < ms(10),
-                    "latency {} exceeds the period",
-                    r.start_latency()
-                );
-                assert!(!r.missed(), "missed deadline in an idle host run");
-            }
+            within_attempts(3, || {
+                let mut b = TaskSetBuilder::new();
+                let spec = TaskSpec::periodic("t", ms(10)).on_worker(WorkerId::new(0));
+                let (t, v) = task(&mut b, spec, Duration::from_micros(20));
+                let ts = Arc::new(b.build().unwrap());
+                let rt = RuntimeBuilder::new(ts, config.clone())
+                    .body(t, v, |_| {})
+                    .build()
+                    .unwrap();
+                std::thread::sleep(std::time::Duration::from_millis(80));
+                rt.stop();
+                let report = rt.cleanup();
+                assert!(report.records.len() >= 3);
+                let slow = report
+                    .records
+                    .iter()
+                    .filter(|r| r.start_latency() >= ms(10) || r.missed())
+                    .count();
+                if slow > 0 {
+                    return Err(format!(
+                        "{slow} jobs a period late or past their deadline on an idle host"
+                    ));
+                }
+                Ok(())
+            });
         }
     }
 }

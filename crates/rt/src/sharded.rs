@@ -106,8 +106,9 @@
 //! Every sleep in this file is a `yasmin_sync::doorbell::Doorbell` wait
 //! (the paper's "sleep" waiting strategy, §3.5); there is no polling
 //! nap. An owner with no job to run parks on its mailbox
-//! (`MailboxReceiver::park`) until its next tick edge, a helper with an
-//! empty ring on the bell beside it, and:
+//! (`MailboxReceiver::park`) until its next tick edge — less the
+//! lateness such a park has shown, see "The tick edge" below — a helper
+//! with an empty ring on the bell beside it, and:
 //!
 //! * Every `send` into any lane rings the owner: a peer's
 //!   `CrossActivate` / `Steal*` / `MsgHigh` / `Drain*`, a helper's
@@ -136,6 +137,33 @@
 //! the clock between jobs, helpers on their ring, each alone on its
 //! core.
 //!
+//! # The tick edge
+//!
+//! A timed park returns late, and on a given host most of that lateness
+//! is the same every time (timer slack, then the way back onto a core:
+//! some 100 µs of a 10 ms park where this was written). It used to be
+//! the largest single term of a periodic job's dispatch latency. An
+//! owner therefore measures it — `woke − armed` of its own parks that
+//! ran into their timeout, the last 64 of them, in a
+//! `yasmin_sync::wait::TimerLead` — and arms the next park *early* by
+//! the smallest value it has seen (at most `TimerLead::CAP`, and at
+//! most an eighth of a tick): the park then ends at or just after the
+//! edge, and nothing is spun away. A host whose timer is on time
+//! teaches a lead of zero and runs the loop as if there were none.
+//!
+//! The lead moves the *wake-up*, never the schedule: a tick round runs
+//! only once `clock.now() >= next_tick`, so no release, dispatch or
+//! overrun check happens ahead of its edge, and the engine sees the
+//! same instants as before. An owner that is nevertheless idle inside
+//! `[next_tick − lead, next_tick)` — its park ended sooner than any of
+//! the last 64, or its last job did — spins to the edge, polling what
+//! the park's re-check polls, so a command that lands there is served
+//! at once. [`TickStats`], one per owner in
+//! [`crate::RuntimeReport::tick_stats`], says what came of it: how late
+//! the tick rounds began, the lead in force, how often the owner was
+//! early and how long it spun. [`WaitChoice::Spin`] has no park and no
+//! lead.
+//!
 //! A pass that finds completions *and* a due tick coalesces both into
 //! **one** engine round ([`OnlineEngine::advance_into`]): the single
 //! dispatch round sees the freed workers and the fresh releases
@@ -160,7 +188,7 @@
 //! Scheduling decisions run through the zero-allocation [`ActionSink`]
 //! path.
 
-use crate::runtime::{JobCtx, RtJobRecord, Runtime, RuntimeBuilder, TaskBody};
+use crate::runtime::{JobCtx, RtJobRecord, Runtime, RuntimeBuilder, TaskBody, TickStats};
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
@@ -171,7 +199,7 @@ use yasmin_core::error::{Error, Result};
 use yasmin_core::graph::TaskSet;
 use yasmin_core::ids::{JobId, TaskId, TenantId, VersionId, WorkerId};
 use yasmin_core::priority::Priority;
-use yasmin_core::time::{Clock, Instant, MonotonicClock};
+use yasmin_core::time::{Clock, Duration, Instant, MonotonicClock};
 use yasmin_sched::admission::{reservation_for, AdmissionControl, TenantLedger};
 use yasmin_sched::msg::{MsgEvent, NotifyHandle};
 use yasmin_sched::server::TenantBudget;
@@ -183,7 +211,7 @@ use yasmin_sync::doorbell::Doorbell;
 use yasmin_sync::mailbox::{mailbox_with_capacities, MailboxFull, MailboxReceiver, MailboxSender};
 use yasmin_sync::spsc;
 use yasmin_sync::steal::LoadBoard;
-use yasmin_sync::wait::Backoff;
+use yasmin_sync::wait::{Backoff, TimerLead};
 
 /// Lane indices of each owner's command mailbox; lane `LANE_PEER0 + p`
 /// belongs to peer shard `p` (a shard's own peer lane stays unused, so
@@ -319,8 +347,8 @@ impl Launch {
 }
 
 /// What an owner thread returns when it exits: its records, its engine
-/// counters, and whether it ran pinned.
-pub(crate) type OwnerExit = (Vec<RtJobRecord>, EngineStats, bool);
+/// counters, how it met its tick edges, and whether it ran pinned.
+pub(crate) type OwnerExit = (Vec<RtJobRecord>, EngineStats, TickStats, bool);
 
 /// A sender into one lane of an owner's mailbox that threads share: the
 /// mutex keeps the lane at one logical producer.
@@ -549,7 +577,7 @@ pub(crate) fn spawn(engines: Vec<OnlineEngine>, launch: Launch) -> Result<Runtim
                 std::thread::Builder::new()
                     .name(format!("yasmin-worker-{w}"))
                     .spawn(move || {
-                        let pinned = crate::os::pin_current_thread(core).is_ok();
+                        let pinned = crate::os::enter_runtime_thread(core);
                         let worker = WorkerId::new(w as u16);
                         helper_main(from_owner, &bell, done_tx, &clock, worker, waiting);
                         pinned
@@ -578,10 +606,10 @@ pub(crate) fn spawn(engines: Vec<OnlineEngine>, launch: Launch) -> Result<Runtim
             std::thread::Builder::new()
                 .name(name.clone())
                 .spawn(move || {
-                    let pinned = crate::os::pin_current_thread(core).is_ok();
-                    let (records, stats) =
+                    let pinned = crate::os::enter_runtime_thread(core);
+                    let (records, stats, ticks) =
                         owner_main(engine, bodies, mailbox_rx, &clock, links, lanes, to_helpers);
-                    (records, stats, pinned)
+                    (records, stats, ticks, pinned)
                 })
                 .map_err(|e| Error::Os(format!("spawning {name}: {e}")))?,
         );
@@ -775,6 +803,81 @@ impl PeerLinks {
     }
 }
 
+/// What tests make of the lead: `u64::MAX` leaves it learned, anything
+/// else pins every owner of the process to that many nanoseconds,
+/// whatever its estimator has been fed.
+#[cfg(test)]
+static PINNED_LEAD_NS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(u64::MAX);
+
+/// `None` outside tests: the lead is what [`TimerLead`] learned.
+fn pinned_lead() -> Option<Duration> {
+    #[cfg(test)]
+    {
+        let ns = PINNED_LEAD_NS.load(Ordering::Relaxed);
+        (ns != u64::MAX).then(|| Duration::from_nanos(ns))
+    }
+    #[cfg(not(test))]
+    None
+}
+
+/// How far ahead of a tick edge an owner arms its timed park: what its
+/// parks taught it, and never more than an eighth of a tick — a lead as
+/// long as the tick would leave nothing to park for.
+fn lead_in_force(pinned: Option<Duration>, learned: &TimerLead, tick: Duration) -> Duration {
+    pinned.unwrap_or_else(|| learned.lead()).min(tick / 8)
+}
+
+/// How late an owner's tick rounds began, in nanoseconds: eight buckets
+/// per power of two (a value keeps its four leading bits), filled in
+/// place at every round.
+struct LateHist {
+    buckets: [u64; Self::BUCKETS],
+    count: u64,
+    max: u64,
+}
+
+impl LateHist {
+    /// Values below 8 have a bucket each; `8 << s ..= 15 << s` follow
+    /// for every shift `s` a `u64` allows.
+    const BUCKETS: usize = 8 + 8 * 61;
+
+    const fn new() -> Self {
+        LateHist {
+            buckets: [0; Self::BUCKETS],
+            count: 0,
+            max: 0,
+        }
+    }
+
+    fn record(&mut self, late: Duration) {
+        let ns = late.as_nanos();
+        let bucket = if ns < 8 {
+            ns as usize
+        } else {
+            let shift = ns.ilog2() - 3;
+            (8 * shift + (ns >> shift) as u32) as usize
+        };
+        self.buckets[bucket] += 1;
+        self.count += 1;
+        self.max = self.max.max(ns);
+    }
+
+    /// The middle of the bucket the median falls in, or the maximum
+    /// where that is lower; 0 when empty.
+    fn median(&self) -> u64 {
+        let mut below = 0;
+        for (bucket, &n) in self.buckets.iter().enumerate() {
+            below += n;
+            if n > 0 && 2 * below >= self.count {
+                let shift = (bucket / 8).saturating_sub(1);
+                let lowest = ((bucket - 8 * shift) as u64) << shift;
+                return (lowest + ((1u64 << shift) >> 1)).min(self.max);
+            }
+        }
+        0
+    }
+}
+
 /// One owner's thread: engine rounds over `engine` — a shard's, or the
 /// whole — and between them either the one job the last round
 /// dispatched, run right here (no `helpers`: one slot), or nothing but
@@ -788,7 +891,7 @@ fn owner_main(
     mut peers: PeerLinks,
     lanes: MsgLanes,
     mut helpers: Vec<HelperLink>,
-) -> (Vec<RtJobRecord>, EngineStats) {
+) -> (Vec<RtJobRecord>, EngineStats, TickStats) {
     // The whole engine owns slots `0..n` and sits at index 0 of its
     // one-owner runtime; alone on one slot it is worker 0 itself.
     let worker = engine.shard_worker().unwrap_or(WorkerId::new(0));
@@ -840,6 +943,13 @@ fn owner_main(
     let mut last_done = Instant::ZERO;
     // Cross-shard DAG tokens drained from the shard outbox, reused.
     let mut outbox: Vec<RemoteActivation> = Vec::with_capacity(8);
+    // The tick edge (module docs): the lateness this thread's timed
+    // parks show, how late its tick rounds began, and what waking
+    // early cost.
+    let mut timer_lead = TimerLead::new();
+    let pinned_lead = pinned_lead();
+    let mut late = LateHist::new();
+    let mut ticks = TickStats::default();
 
     // The advertised load is the *stealable* load: zero whenever the
     // steal probe would yield no hint (empty queue, or a top job that
@@ -904,11 +1014,14 @@ fn owner_main(
             }
         };
     }
-    // The tick round at `$at`, folding in the pending completions: one
-    // dispatch round sees the freed workers and the fresh releases
-    // together.
+    // The tick round at `$at` for the edge `$edge`, begun at `$now`,
+    // folding in the pending completions: one dispatch round sees the
+    // freed workers and the fresh releases together. Never ahead of its
+    // edge, however early the park before it was armed.
     macro_rules! tick_round {
-        ($at:expr) => {{
+        ($at:expr, $edge:expr, $now:expr) => {{
+            debug_assert!($now >= $edge, "a tick round ahead of its edge");
+            late.record($now.saturating_since($edge));
             sink.clear();
             engine
                 .advance_into(&done, $at, &mut sink)
@@ -971,7 +1084,7 @@ fn owner_main(
             // its completion: overrun enforcement and the miss trip
             // find the job still in its slot.
             while next_tick <= record.completed {
-                tick_round!(next_tick);
+                tick_round!(next_tick, next_tick, record.completed);
                 next_tick += tick;
             }
             job_done!(record);
@@ -1196,7 +1309,7 @@ fn owner_main(
         // Tick edge, generated locally by this owner.
         let now = clock.now();
         if now >= next_tick {
-            tick_round!(now);
+            tick_round!(now, next_tick, now);
             while next_tick <= now {
                 next_tick += tick;
             }
@@ -1254,10 +1367,15 @@ fn owner_main(
                 //                       wakes, re-probed below;
                 //  * `all_drained()`  — `set_drained` wakes,
                 //                       re-checked below;
-                //  * the tick edge    — the timeout;
+                //  * the tick edge    — the timeout, armed `lead`
+                //                       ahead of the edge: the park
+                //                       returns late by about that,
+                //                       and a return that is still
+                //                       early is spun out below;
                 //  * room in a full peer lane for `peers.flush()`
                 //                     — no event: timeout capped at
-                //                       `SPILL_RETRY` while spilled.
+                //                       `SPILL_RETRY` while spilled
+                //                       (and the spin at the lead).
                 //
                 // A job to run and this thread's own posts are not in
                 // the list: neither outlives the pass that found it.
@@ -1268,17 +1386,51 @@ fn owner_main(
                 // the announcement and ring. A condition added to this
                 // loop needs a line here: a ring from its writer, a
                 // re-check below, or a bound on the timeout.
-                let mut timeout: std::time::Duration = (next_tick - now).into();
-                if !peers.pending_empty() {
-                    timeout = timeout.min(SPILL_RETRY);
-                }
+                //
+                // The lead is the smallest `woke − armed` of this
+                // thread's last 64 parks that *ran into their timeout*:
+                // woken with the mailbox still empty and neither
+                // re-check true, not capped by `SPILL_RETRY`, not back
+                // before `armed` (a stale token). A park a ring ended
+                // says nothing about the timer and is not sampled.
+                //
+                // Idle at or past `armed` — the park returned earlier
+                // than it ever had, or the pass began that close to
+                // the edge — the thread spins to the edge. The spin
+                // polls what `park` polls and nothing else: the
+                // mailbox's pending count and the two re-checks; every
+                // other line above is a ring that shows there, or the
+                // edge itself. It ends at the first of them and the
+                // pass starts over, so a command that lands inside the
+                // lead is served at once and the tick round still
+                // waits for `clock.now() >= next_tick`.
+                let lead = lead_in_force(pinned_lead, &timer_lead, tick);
+                let armed = next_tick - lead;
                 if thief {
                     peers.board.set_idle(me, true);
                 }
-                rx.park(Some(timeout), || {
+                let also_ready = || {
                     (thief && peers.board.pick_victim(me).is_some())
                         || (shutting_down && peers.all_drained())
-                });
+                };
+                if now < armed {
+                    let spilled = !peers.pending_empty();
+                    let mut timeout: std::time::Duration = (armed - now).into();
+                    if spilled {
+                        timeout = timeout.min(SPILL_RETRY);
+                    }
+                    rx.park(Some(timeout), also_ready);
+                    let timed_out = !spilled && rx.is_empty() && !also_ready();
+                    timer_lead.observe(armed, clock.now(), timed_out);
+                } else {
+                    ticks.early_wakes += 1;
+                    let mut spun_to = now;
+                    while spun_to < next_tick && rx.is_empty() && !also_ready() {
+                        std::hint::spin_loop();
+                        spun_to = clock.now();
+                    }
+                    ticks.spin_ns += spun_to.saturating_since(now).as_nanos();
+                }
                 if thief {
                     peers.board.set_idle(me, false);
                 }
@@ -1301,7 +1453,11 @@ fn owner_main(
     for helper in &mut helpers {
         helper.push(None);
     }
-    (records, engine.stats().clone())
+    ticks.edges = late.count;
+    ticks.late_p50_ns = late.median();
+    ticks.late_max_ns = late.max;
+    ticks.lead_ns = lead_in_force(pinned_lead, &timer_lead, tick).as_nanos();
+    (records, engine.stats().clone(), ticks)
 }
 
 #[cfg(test)]
@@ -1309,7 +1465,7 @@ mod tests {
     use super::*;
     #[cfg(target_os = "linux")]
     use crate::test_util::{alone_in_child, thread_sleeps};
-    use crate::test_util::{must_return, nap_ms, sharded, within_attempts};
+    use crate::test_util::{must_return, nap_ms, one_owner, sharded, within_attempts};
     use std::sync::atomic::{AtomicU32, Ordering};
     use yasmin_core::config::MappingScheme;
     use yasmin_core::graph::TaskSetBuilder;
@@ -2057,6 +2213,177 @@ mod tests {
             if late > 0 || cleanup_ms >= 1_000 {
                 return Err(format!(
                     "{late} jobs a period late, cleanup took {cleanup_ms} ms"
+                ));
+            }
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn late_hist_keeps_four_leading_bits() {
+        let mut h = LateHist::new();
+        assert_eq!(h.median(), 0);
+        // Small values are exact, the largest a `u64` holds has a bucket.
+        for ns in [0, 7, 8, 15, u64::MAX] {
+            let mut one = LateHist::new();
+            one.record(Duration::from_nanos(ns));
+            let width = if ns < 16 { 1 } else { 1u64 << (ns.ilog2() - 3) };
+            assert!(one.median().abs_diff(ns) <= width / 2 + 1, "{ns}");
+        }
+        // 60 µs three times, 170 µs twice: the median is the 60 µs
+        // bucket's middle, within a sixteenth of the value.
+        for us in [170, 60, 60, 170, 60] {
+            h.record(Duration::from_micros(us));
+        }
+        assert_eq!((h.count, h.max), (5, 170_000));
+        assert!(h.median().abs_diff(60_000) <= 60_000 / 16, "{}", h.median());
+    }
+
+    #[test]
+    fn no_job_starts_before_its_release() {
+        // 1 s of a 2 ms tick — some 490 edges met with the park armed
+        // early, on one owner and on two shards: arming early moves no
+        // dispatch ahead of its edge (in debug builds `tick_round!`
+        // asserts the same of every round).
+        for config in [one_owner(1), sharded_config(2)] {
+            let workers = config.workers() as u16;
+            let mut b = TaskSetBuilder::new();
+            let mut ids = Vec::new();
+            for w in 0..workers {
+                for period in [2, 6] {
+                    let spec = TaskSpec::periodic(format!("t{w}p{period}"), ms(period));
+                    ids.push(task(&mut b, spec, w, Duration::from_micros(20)));
+                }
+            }
+            let ts = Arc::new(b.build().unwrap());
+            let mut builder = RuntimeBuilder::new(ts, config);
+            for (t, v) in ids {
+                builder = builder.body(t, v, |_| {});
+            }
+            let rt = builder.build().unwrap();
+            nap_ms(1_000);
+            rt.stop();
+            let report = rt.cleanup();
+            assert!(report.records.len() >= 100, "the schedule ran");
+            for r in &report.records {
+                assert!(
+                    r.started >= r.job.release,
+                    "{:?} started {} ahead of its release",
+                    r.job,
+                    r.job.release - r.started
+                );
+            }
+            assert_eq!(report.tick_stats.len(), usize::from(workers));
+            for t in &report.tick_stats {
+                assert!(t.edges >= 50, "{t:?}");
+                assert!(t.late_p50_ns <= t.late_max_ns, "{t:?}");
+            }
+        }
+    }
+
+    /// 400 ms of one 5 ms task on one owner; what its edges cost.
+    #[cfg(target_os = "linux")]
+    fn tick_stats_of_a_short_run() -> TickStats {
+        let mut b = TaskSetBuilder::new();
+        let spec = TaskSpec::periodic("t", ms(5));
+        let (t, v) = task(&mut b, spec, 0, Duration::from_micros(20));
+        let ts = Arc::new(b.build().unwrap());
+        let rt = RuntimeBuilder::new(ts, one_owner(1))
+            .body(t, v, |_| {})
+            .build()
+            .unwrap();
+        nap_ms(400);
+        rt.stop();
+        rt.cleanup().tick_stats[0]
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn the_lead_is_bounded_and_cheap() {
+        // Alone: the pinned lead is process-wide.
+        if !alone_in_child("sharded::tests::the_lead_is_bounded_and_cheap") {
+            return;
+        }
+        within_attempts(3, || {
+            PINNED_LEAD_NS.store(0, Ordering::Relaxed);
+            let plain = tick_stats_of_a_short_run();
+            PINNED_LEAD_NS.store(u64::MAX, Ordering::Relaxed);
+            let led = tick_stats_of_a_short_run();
+
+            assert_eq!((plain.lead_ns, plain.spin_ns), (0, 0), "lead pinned to 0");
+            assert!(led.edges >= 20 && plain.edges >= 20, "{led:?} {plain:?}");
+            assert!(led.lead_ns <= TimerLead::CAP.as_nanos(), "{led:?}");
+            if led.spin_ns > 400_000_000 / 50 {
+                return Err(format!("spun more than 2 % of 400 ms: {led:?}"));
+            }
+            if led.late_p50_ns > plain.late_p50_ns {
+                return Err(format!(
+                    "later with the lead {led:?} than without {plain:?}"
+                ));
+            }
+            Ok(())
+        });
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn a_command_inside_the_lead_is_served_before_the_edge() {
+        // Tick 50 ms and a lead pinned to 5 ms, so the owner spins
+        // through a window wide enough to aim at: an activation sent
+        // 2.5 ms ahead of an edge finds the owner spinning, and its job
+        // starts before that edge — the spin polls the mailbox.
+        if !alone_in_child("sharded::tests::a_command_inside_the_lead_is_served_before_the_edge") {
+            return;
+        }
+        const TICK_MS: u64 = 50;
+        let lead = ms(5);
+        PINNED_LEAD_NS.store(lead.as_nanos(), Ordering::Relaxed);
+        within_attempts(3, || {
+            let mut b = TaskSetBuilder::new();
+            let (p, vp) = task(&mut b, TaskSpec::periodic("p", ms(TICK_MS)), 0, ms(1));
+            let (a, va) = task(&mut b, TaskSpec::aperiodic("a"), 0, ms(1));
+            let ts = Arc::new(b.build().unwrap());
+            // The grid: `p`'s first release is the owner's anchor.
+            let anchor_ns = Arc::new(std::sync::atomic::AtomicU64::new(0));
+            let anchor = Arc::clone(&anchor_ns);
+            let rt = RuntimeBuilder::new(ts, one_owner(1))
+                .body(p, vp, move |ctx| {
+                    if ctx.job.seq == 0 {
+                        anchor.store(ctx.job.release.as_nanos(), Ordering::SeqCst);
+                    }
+                })
+                .body(a, va, |_| {})
+                .build()
+                .unwrap();
+            nap_ms(10);
+            let anchor = Instant::from_nanos(anchor_ns.load(Ordering::SeqCst));
+            let edge = anchor + ms(2 * TICK_MS);
+            let aim = edge - lead / 2;
+            // Sleep to a millisecond short of it, then watch the clock.
+            std::thread::sleep((aim - ms(1)).saturating_since(rt.clock.now()).into());
+            while rt.clock.now() < aim {
+                std::hint::spin_loop();
+            }
+            rt.activate(a).unwrap();
+            let sent = rt.clock.now();
+            nap_ms(TICK_MS);
+            rt.stop();
+            let report = rt.cleanup();
+
+            assert!(anchor > Instant::ZERO, "p ran at the anchor");
+            let ticks = report.tick_stats[0];
+            assert_eq!(ticks.lead_ns, lead.as_nanos());
+            assert!(ticks.early_wakes >= 1 && ticks.spin_ns > 0, "{ticks:?}");
+            let ran: Vec<_> = report.records.iter().filter(|r| r.job.task == a).collect();
+            assert_eq!(ran.len(), 1, "activated once");
+            if sent >= edge {
+                return Err(format!("sent {} past the edge", sent - edge));
+            }
+            if ran[0].started >= edge {
+                return Err(format!(
+                    "sent {} ahead of the edge, started {} past it",
+                    edge - sent,
+                    ran[0].started - edge
                 ));
             }
             Ok(())

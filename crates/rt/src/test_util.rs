@@ -14,6 +14,16 @@ pub(crate) fn sharded(workers: usize) -> ConfigBuilder {
         .preemption(false)
 }
 
+/// Non-preemptive global EDF under one owner over `workers` slots.
+pub(crate) fn one_owner(workers: usize) -> Config {
+    Config::builder()
+        .workers(workers)
+        .priority(PriorityPolicy::EarliestDeadlineFirst)
+        .preemption(false)
+        .build()
+        .unwrap()
+}
+
 /// Runs a timing scenario up to `n` times. The scenarios claim "well
 /// inside one tick"; the shared hosts these tests run on stall a vCPU
 /// for tens of milliseconds a few times a minute, which fails an

@@ -5,8 +5,15 @@
 //! timing-analysable, 2. spinlock: enable a more precise overhead analysis
 //! at the cost of potential energy waste" (§3.5). The scheduler thread and
 //! idle workers wait for their next activation through this module.
+//!
+//! A kernel sleep wakes *late*, and most of that lateness is the same
+//! from one sleep to the next (timer slack plus the way back onto a
+//! core). [`TimerLead`] learns that floor from the sleeps themselves, so
+//! a sleeper can arm its timer early by it and wake on time without
+//! spinning.
 
 use std::time::{Duration as StdDuration, Instant as StdInstant};
+use yasmin_core::time::{Duration, Instant};
 
 /// How a thread waits for a point in time.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
@@ -58,6 +65,79 @@ pub fn wait_until(mode: WaitMode, deadline: StdInstant) -> StdDuration {
 /// Blocks for `d` from now using the given strategy; returns lateness.
 pub fn wait_for(mode: WaitMode, d: StdDuration) -> StdDuration {
     wait_until(mode, StdInstant::now() + d)
+}
+
+/// How early to arm a timed sleep so that it ends on time: the smallest
+/// wake-up lateness of the last [`TimerLead::WINDOW`] sleeps that ran
+/// into their timeout.
+///
+/// The minimum, not a mean: a sleep armed at `target − lead` then wakes
+/// at or after `target` as long as the host is no quicker than it has
+/// been over the window, and nothing has to be spun away. When the host
+/// does get quicker the sleeper finds itself early by
+/// `lead − new lateness` once, and that sleep's sample lowers the lead
+/// for the next. A host whose timer is on time teaches a lead of zero.
+///
+/// Pure state over a fixed array: no clock, no allocation, no thread.
+#[derive(Clone, Debug)]
+pub struct TimerLead {
+    /// `woke − armed` of the last sleeps that counted, as a ring.
+    late: [Duration; Self::WINDOW],
+    /// Where the next sample goes.
+    next: usize,
+    /// Samples held, up to the window.
+    held: usize,
+}
+
+impl TimerLead {
+    /// Samples remembered: a low one is forgotten after this many more.
+    pub const WINDOW: usize = 64;
+    /// Samples needed before any lead is given.
+    pub const WARM_UP: usize = 8;
+    /// The longest lead ever given, and so the longest a sleeper can
+    /// find itself early when the lateness it had learned vanishes.
+    pub const CAP: Duration = Duration::from_micros(500);
+
+    /// No samples, no lead.
+    #[must_use]
+    pub const fn new() -> Self {
+        TimerLead {
+            late: [Duration::ZERO; Self::WINDOW],
+            next: 0,
+            held: 0,
+        }
+    }
+
+    /// One sleep armed to end at `armed` that returned at `woke`.
+    /// `timed_out` says the timeout is what ended it; a sleep cut short
+    /// by a ring, or one that returned before `armed`, says nothing
+    /// about the timer and is ignored.
+    pub fn observe(&mut self, armed: Instant, woke: Instant, timed_out: bool) {
+        if !timed_out || woke < armed {
+            return;
+        }
+        self.late[self.next] = woke - armed;
+        self.next = (self.next + 1) % Self::WINDOW;
+        self.held = (self.held + 1).min(Self::WINDOW);
+    }
+
+    /// How early to arm the next sleep: the window minimum, at most
+    /// [`TimerLead::CAP`]; zero until [`TimerLead::WARM_UP`] samples
+    /// exist.
+    #[must_use]
+    pub fn lead(&self) -> Duration {
+        if self.held < Self::WARM_UP {
+            return Duration::ZERO;
+        }
+        let floor = self.late[..self.held].iter().copied().min();
+        floor.map_or(Duration::ZERO, |d| d.min(Self::CAP))
+    }
+}
+
+impl Default for TimerLead {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 /// Exponential backoff for contended retry loops (spin a few times, then
@@ -137,6 +217,89 @@ mod tests {
             let late = wait_until(mode, past);
             assert!(late >= StdDuration::from_millis(1));
         }
+    }
+
+    /// Feeds one timed-out sleep that woke `late_us` after it was armed.
+    fn timed_out(lead: &mut TimerLead, late_us: u64) {
+        let armed = Instant::from_nanos(1_000_000);
+        lead.observe(armed, armed + Duration::from_micros(late_us), true);
+    }
+
+    #[test]
+    fn lead_is_the_window_minimum_once_warm() {
+        let mut lead = TimerLead::new();
+        for late in [130, 99, 167, 120, 126, 140, 111] {
+            timed_out(&mut lead, late);
+            assert_eq!(lead.lead(), Duration::ZERO, "7 samples or fewer");
+        }
+        timed_out(&mut lead, 150);
+        assert_eq!(lead.lead(), Duration::from_micros(99));
+        timed_out(&mut lead, 104);
+        assert_eq!(lead.lead(), Duration::from_micros(99));
+    }
+
+    #[test]
+    fn lead_forgets_a_low_sample_after_a_window_of_others() {
+        let mut lead = TimerLead::new();
+        timed_out(&mut lead, 40);
+        for _ in 0..TimerLead::WINDOW - 1 {
+            timed_out(&mut lead, 120);
+            // Not yet: the low sample is still among the last 64.
+        }
+        assert_eq!(lead.lead(), Duration::from_micros(40));
+        timed_out(&mut lead, 125);
+        assert_eq!(lead.lead(), Duration::from_micros(120));
+    }
+
+    #[test]
+    fn lead_follows_a_drop_within_one_sample() {
+        // A sleeper armed at `target − lead` that wakes `late` after
+        // `armed` is early by `lead − late`: once, for the sample that
+        // shows the drop also ends it.
+        let mut lead = TimerLead::new();
+        for _ in 0..TimerLead::WINDOW {
+            timed_out(&mut lead, 120);
+        }
+        let old = lead.lead();
+        assert_eq!(old, Duration::from_micros(120));
+        timed_out(&mut lead, 30);
+        let early_once = old - Duration::from_micros(30);
+        assert_eq!(early_once, Duration::from_micros(90));
+        assert_eq!(lead.lead(), Duration::from_micros(30));
+        // A host whose timer turns out to be on time: no lead at all.
+        timed_out(&mut lead, 0);
+        assert_eq!(lead.lead(), Duration::ZERO);
+    }
+
+    #[test]
+    fn lead_never_exceeds_the_cap() {
+        let mut lead = TimerLead::new();
+        for _ in 0..TimerLead::WINDOW {
+            timed_out(&mut lead, 4_000);
+            assert!(lead.lead() <= TimerLead::CAP);
+        }
+        assert_eq!(lead.lead(), TimerLead::CAP);
+    }
+
+    #[test]
+    fn lead_ignores_sleeps_the_timer_did_not_end() {
+        let mut lead = TimerLead::new();
+        for _ in 0..TimerLead::WARM_UP {
+            timed_out(&mut lead, 120);
+        }
+        let armed = Instant::from_nanos(1_000_000);
+        // Rung awake just past the armed instant, and a stale token
+        // that returned before it: neither is the timer's lateness.
+        lead.observe(armed, armed + Duration::from_micros(2), false);
+        lead.observe(armed, armed - Duration::from_micros(300), true);
+        lead.observe(armed, armed - Duration::from_micros(300), false);
+        assert_eq!(lead.lead(), Duration::from_micros(120));
+        // Nor do they count towards the warm-up.
+        let mut cold = TimerLead::new();
+        for _ in 0..TimerLead::WINDOW {
+            cold.observe(armed, armed + Duration::from_micros(50), false);
+        }
+        assert_eq!(cold.lead(), Duration::ZERO);
     }
 
     #[test]
