@@ -30,6 +30,6 @@ pub mod sharded;
 mod test_util;
 
 pub use runtime::{
-    JobCtx, RtJobRecord, Runtime, RuntimeBuilder, RuntimeReport, TaskBody, TickStats,
+    JobCtx, RtJobRecord, Runtime, RuntimeBuilder, RuntimeReport, StealStats, TaskBody, TickStats,
 };
 pub use sharded::{ShardedRuntime, ShardedRuntimeBuilder};

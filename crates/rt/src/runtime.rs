@@ -153,6 +153,27 @@ pub struct TickStats {
     pub spin_ns: u64,
 }
 
+/// What one owner gave away and took by work stealing (see "Work
+/// stealing" in [`crate::sharded`]); all zero unless
+/// [`RuntimeBuilder::work_stealing`] is on.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StealStats {
+    /// Jobs the owner laid out on its shelf before running a body.
+    pub shelved: u64,
+    /// Of those, the jobs a peer took — this owner's share of
+    /// `EngineStats::donated`. The rest went back into its queue.
+    pub taken: u64,
+    /// Times the owner, idle, took jobs from a peer's shelf.
+    pub claims: u64,
+    /// The jobs those claims took — this owner's share of
+    /// `EngineStats::stolen`.
+    pub jobs_claimed: u64,
+    /// Times the owner, idle, found nothing to take: no loaded peer had
+    /// anything on its shelf, or another thief was faster. One per
+    /// park — or per pass of the loop under `WaitChoice::Spin`.
+    pub empty_probes: u64,
+}
+
 /// Final report returned by [`Runtime::cleanup`].
 #[derive(Debug)]
 pub struct RuntimeReport {
@@ -162,6 +183,8 @@ pub struct RuntimeReport {
     pub engine_stats: EngineStats,
     /// One entry per owner thread, in owner (shard) order.
     pub tick_stats: Vec<TickStats>,
+    /// One entry per owner thread, in owner (shard) order.
+    pub steal_stats: Vec<StealStats>,
     /// Runtime threads the kernel refused to pin to their core (no such
     /// core, restricted cpuset, `os-rt` disabled): they ran wherever
     /// the host put them, so the run's timing is that of a floating
@@ -528,10 +551,11 @@ impl Runtime {
             records: Vec::new(),
             engine_stats: EngineStats::default(),
             tick_stats: Vec::with_capacity(self.threads.len()),
+            steal_stats: Vec::with_capacity(self.threads.len()),
             unpinned_threads: 0,
         };
         for t in self.threads {
-            let (records, stats, ticks, pinned) = t.join().expect("owner thread panicked");
+            let (records, stats, ticks, steals, pinned) = t.join().expect("owner thread panicked");
             if report.records.is_empty() {
                 // The first owner's records — all there are, with one
                 // owner — become the report's without a copy.
@@ -541,6 +565,7 @@ impl Runtime {
             }
             report.engine_stats.merge(&stats);
             report.tick_stats.push(ticks);
+            report.steal_stats.push(steals);
             report.unpinned_threads += usize::from(!pinned);
         }
         // An owner dismisses its helpers as it exits.

@@ -33,10 +33,10 @@
 //! `yasmin_sync::mailbox`: one lane for control commands
 //! (activate/admit/retire/stop/shutdown), **one lane per peer shard**
 //! carrying the cross-shard protocol — routed DAG activation tokens
-//! (`CrossActivate`), forwarded message-plane events and the
-//! work-stealing handshake (`StealRequest` / `StolenBatch` /
-//! `StealDeny`) — and one *message lane* fed by the channel notify
-//! hooks that fire on other threads. Lanes are sized by what they
+//! (`CrossActivate`), forwarded message-plane events and the drain
+//! barrier — and one *message lane* fed by the channel notify hooks
+//! that fire on other threads. (Stolen jobs do not travel by mailbox:
+//! see "Work stealing" below.) Lanes are sized by what they
 //! carry: a peer lane is `max_pending_jobs` deep (a peer never waits,
 //! and each token becomes a pending job), the control and message lanes
 //! hold 64 commands (their senders wait for room), a helper's lane and
@@ -62,11 +62,10 @@
 //!   overrunning job still in its slot. The releases carry their
 //!   nominal times and are dispatched late by the rest of the body —
 //!   the analysis' non-preemptive blocking term.
-//! * **Steal requests**: a victim grants or refuses at its boundary —
-//!   after its own pick, so the job it is about to run stays home; the
-//!   thief has one request in flight and sleeps until the answer rings.
-//!   Fewer jobs migrate than a free-running scheduler thread would give
-//!   away.
+//! * **Thieves do not wait for it.** What an owner can spare lies on
+//!   its shelf for the whole of the body (see "Work stealing" below);
+//!   the boundary is where the owner takes back what nobody took,
+//!   before anything else happens there.
 //! * **`admit`**: an owner splices at its boundary. With two shards or
 //!   more every shard acknowledges before the commit is sent, so
 //!   [`Runtime::admit`] returns after the longest body then in
@@ -111,17 +110,17 @@
 //! with an empty ring on the bell beside it, and:
 //!
 //! * Every `send` into any lane rings the owner: a peer's
-//!   `CrossActivate` / `Steal*` / `MsgHigh` / `Drain*`, a helper's
+//!   `CrossActivate` / `MsgHigh` / `Drain*`, a helper's
 //!   `Done`, the control lane (`activate`, `admit`, `retire`, `stop`,
 //!   `cleanup`) and the notify hooks on the message lane. A lane
 //!   closing rings it too. Every push into a helper's ring rings the
 //!   helper.
 //! * Two things an owner waits for are *not* messages, so their writers
 //!   ring explicitly (`MailboxSender::wake`) and the sleeper re-checks
-//!   them after announcing its sleep: **stealable load** — an idle
-//!   thief that found no victim raises its idle flag on the
-//!   [`LoadBoard`] before parking, and a victim publishing a stealable
-//!   load above zero wakes the flagged peers — and **the shutdown drain
+//!   them after announcing its sleep: **a peer's shelf filling** — an
+//!   idle thief that found nothing to take raises its idle flag on the
+//!   [`LoadBoard`] before parking, and a victim that has put jobs on
+//!   its shelf wakes the flagged peers — and **the shutdown drain
 //!   board** — a shard that raises its drained flag wakes every peer.
 //! * One thing has no event at all: room appearing in a full peer lane.
 //!   While a shard holds spilled peer sends its park is bounded by
@@ -169,26 +168,51 @@
 //! dispatch round sees the freed workers and the fresh releases
 //! together.
 //!
-//! With [`RuntimeBuilder::work_stealing`] enabled, an idle shard
-//! (empty queue, no job, drained mailbox) probes the advisory
-//! [`LoadBoard`] for a victim — most loaded peer first, exact load
-//! ties broken towards DAG-adjacent shards (wired from the task set's
-//! cross-shard edges at startup) and recent donors — and sends it a
-//! `StealRequest` carrying a batch size `k` derived from the load gap
-//! ([`LoadBoard::steal_batch_size`], capped at
-//! [`yasmin_sched::MAX_STEAL_BATCH`]). The victim detaches up to `k` of
-//! its most urgent accelerator-free ready jobs in one exchange
-//! ([`OnlineEngine::try_steal_batch`] /
-//! [`OnlineEngine::release_stolen_batch`]) and grants them back as a
-//! single `StolenBatch` ack, and the thief adopts the whole batch with
-//! one dispatch round and runs the jobs itself — global [`WorkerId`]s
-//! keep every record truthful about where a job actually ran.
+//! # Work stealing
+//!
+//! With [`RuntimeBuilder::work_stealing`] enabled every shard has a
+//! **shelf** (`yasmin_sync::shelf`, [`MAX_STEAL_BATCH`] slots). A shard
+//! inside a body cannot answer anybody, so it answers beforehand:
+//! **right before it runs a body** it detaches the stealable jobs
+//! queued behind that one — most urgent first, up to the first that
+//! must stay (an accelerator-bound task's, one that already migrated
+//! once, or *another instance of the task it is about to run*, which
+//! a thief would run beside this one) —
+//! [`OnlineEngine::try_steal_batch`] /
+//! [`OnlineEngine::release_stolen_batch`] — lays them on its shelf and
+//! wakes the peers flagged idle. **The first thing after the body** it
+//! closes the shelf: what a thief claimed is donated, what nobody
+//! claimed goes back into the ready queue
+//! ([`OnlineEngine::return_unclaimed`]) under its own key — a total
+//! order, so the queue is as if those jobs had never left it. No
+//! engine round runs while a shelf is open, and a shelf is open only
+//! during a body: wherever the loop below looks at the engine or the
+//! drain protocol looks at the shard, its shelf is empty.
+//!
+//! An idle shard (empty queue, no job, drained mailbox) asks the
+//! advisory [`LoadBoard`] for a victim among the peers whose shelf has
+//! something on it — most loaded peer first, exact load ties broken
+//! towards DAG-adjacent shards (wired from the task set's cross-shard
+//! edges at startup) and recent donors — claims up to `k` jobs from
+//! that shelf with one compare-and-swap, `k` derived from the load gap
+//! ([`LoadBoard::steal_batch_size`]), adopts them with one dispatch
+//! round ([`OnlineEngine::adopt_stolen_batch`]) and runs them itself —
+//! global [`WorkerId`]s keep every record truthful about where a job
+//! actually ran. It waits for nobody: a steal costs the thief a wake-up
+//! at most, whatever the victim is doing. ([`StealStats`], one per
+//! owner in [`crate::RuntimeReport::steal_stats`], counts both sides.)
+//! The simulator's protocol loop keeps the request/grant messages of
+//! `yasmin_sched::ShardCmd`: in virtual time a victim answers at once,
+//! which is what the shelf gives real threads.
+//!
 //! Cross-shard DAG successors of any completion (stolen or local) are
 //! drained from the shard outbox and routed to the owning peer's lane.
 //! Scheduling decisions run through the zero-allocation [`ActionSink`]
 //! path.
 
-use crate::runtime::{JobCtx, RtJobRecord, Runtime, RuntimeBuilder, TaskBody, TickStats};
+use crate::runtime::{
+    JobCtx, RtJobRecord, Runtime, RuntimeBuilder, StealStats, TaskBody, TickStats,
+};
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
@@ -209,6 +233,7 @@ use yasmin_sched::{
 };
 use yasmin_sync::doorbell::Doorbell;
 use yasmin_sync::mailbox::{mailbox_with_capacities, MailboxFull, MailboxReceiver, MailboxSender};
+use yasmin_sync::shelf;
 use yasmin_sync::spsc;
 use yasmin_sync::steal::LoadBoard;
 use yasmin_sync::wait::{Backoff, TimerLead};
@@ -223,10 +248,9 @@ const LANE_PEER0: usize = 1;
 
 /// Slots of a control or message lane. Whoever finds one full waits for
 /// room ([`wait_for`]) — back-pressure, never loss — so the depth only
-/// says how many commands may queue behind one body; and a slot is as
-/// large as the largest message (a steal grant's inline `JobBatch`), so
-/// a lane as deep as the engine's ready queue would spend megabytes on
-/// holding a handful of commands.
+/// says how many commands may queue behind one body, and a lane as deep
+/// as the engine's ready queue would spend its slots on holding a
+/// handful of commands.
 const COMMAND_LANE_DEPTH: usize = 64;
 
 /// Longest park of a shard thread that holds spilled peer sends
@@ -236,10 +260,6 @@ const COMMAND_LANE_DEPTH: usize = 64;
 const SPILL_RETRY: std::time::Duration = std::time::Duration::from_micros(200);
 
 /// Commands flowing into an owner thread.
-// The steal-grant variant embeds a fixed-size `JobBatch` (see
-// `yasmin_sched::ShardCmd`): boxing it would allocate on the steal hot
-// path, and the messages live in preallocated mailbox lanes anyway.
-#[allow(clippy::large_enum_variant)]
 pub(crate) enum ShardMsg {
     /// A helper ran the job this owner dispatched to it, to completion
     /// or into a panic.
@@ -259,16 +279,6 @@ pub(crate) enum ShardMsg {
     /// [`ShardMsg::MsgHigh`], releasing the boost when posts and drains
     /// balance.
     MsgDrained { dst: TaskId },
-    /// An idle peer asks for up to `k` ready jobs; `k` is sized by the
-    /// thief from the advertised load gap
-    /// ([`LoadBoard::steal_batch_size`]).
-    StealRequest { thief: WorkerId, k: u8 },
-    /// A victim's grant: up to [`MAX_STEAL_BATCH`] detached jobs in one
-    /// ack (a single steal is a batch of one); the thief adopts them
-    /// all with one dispatch round.
-    StolenBatch { jobs: JobBatch },
-    /// A victim's refusal; the thief may re-probe.
-    StealDeny,
     /// Phase one of a tenant admission (see [`Runtime::admit`]): splice
     /// the merged task set — its suffix is the new tenant — into this
     /// owner's engine and register the tenant's bodies, with every new
@@ -312,6 +322,12 @@ pub(crate) enum ShardMsg {
     DrainAck,
 }
 
+// Every slot of every lane is this large, and a peer lane is
+// `max_pending_jobs` slots deep: a variant that carries a batch of jobs
+// inline (a steal grant once did, 456 bytes) is paid for in every one
+// of them. `Done` — a job and its timing, 80 bytes — is the largest.
+const _: () = assert!(std::mem::size_of::<ShardMsg>() <= 80);
+
 /// [`Runtime`] under a configuration with `Config::sharded_dispatch`.
 /// An alias kept for source compatibility; it goes at the next
 /// benchmark re-baseline.
@@ -347,8 +363,14 @@ impl Launch {
 }
 
 /// What an owner thread returns when it exits: its records, its engine
-/// counters, how it met its tick edges, and whether it ran pinned.
-pub(crate) type OwnerExit = (Vec<RtJobRecord>, EngineStats, TickStats, bool);
+/// counters, how it met its tick edges, what it shelved and stole, and
+/// whether it ran pinned.
+pub(crate) type OwnerExit = (Vec<RtJobRecord>, EngineStats, TickStats, StealStats, bool);
+
+/// A shard's shelf: the jobs it can spare while it is inside a body.
+type JobShelf = shelf::Owner<Job, MAX_STEAL_BATCH>;
+/// Where a thief finds them.
+type PeerShelf = shelf::Thief<Job, MAX_STEAL_BATCH>;
 
 /// A sender into one lane of an owner's mailbox that threads share: the
 /// mutex keeps the lane at one logical producer.
@@ -490,6 +512,10 @@ pub(crate) fn spawn(engines: Vec<OnlineEngine>, launch: Launch) -> Result<Runtim
     }
     let drain_board: Arc<Vec<AtomicBool>> =
         Arc::new((0..n).map(|_| AtomicBool::new(false)).collect());
+    // One shelf per owner (module docs, "Work stealing"): the filling
+    // end is its owner's, every owner gets a taking end.
+    let (shelves, peer_shelves): (Vec<JobShelf>, Vec<PeerShelf>) =
+        (0..n).map(|_| shelf::new()).unzip();
 
     // One mailbox per owner: control lane, one lane per peer shard
     // for the cross-shard protocol, the message lane fed by the
@@ -557,11 +583,12 @@ pub(crate) fn spawn(engines: Vec<OnlineEngine>, launch: Launch) -> Result<Runtim
 
     let mut threads = Vec::with_capacity(n);
     let mut helpers = Vec::new();
-    for (((engine, mailbox_rx), peers), done_lanes) in engines
+    for ((((engine, mailbox_rx), peers), done_lanes), shelf) in engines
         .into_iter()
         .zip(receivers)
         .zip(peer_txs)
         .zip(done_lanes_by_owner)
+        .zip(shelves)
     {
         let mut to_helpers = Vec::with_capacity(done_lanes.len());
         for (w, done_tx) in done_lanes.into_iter().enumerate() {
@@ -600,6 +627,8 @@ pub(crate) fn spawn(engines: Vec<OnlineEngine>, launch: Launch) -> Result<Runtim
             pending: (0..n).map(|_| VecDeque::new()).collect(),
             board: Arc::clone(&board),
             stealing: launch.work_stealing && n > 1,
+            shelf,
+            shelves: peer_shelves.clone(),
             drained: Arc::clone(&drain_board),
         };
         threads.push(
@@ -607,9 +636,9 @@ pub(crate) fn spawn(engines: Vec<OnlineEngine>, launch: Launch) -> Result<Runtim
                 .name(name.clone())
                 .spawn(move || {
                     let pinned = crate::os::enter_runtime_thread(core);
-                    let (records, stats, ticks) =
+                    let (records, stats, ticks, steals) =
                         owner_main(engine, bodies, mailbox_rx, &clock, links, lanes, to_helpers);
-                    (records, stats, ticks, pinned)
+                    (records, stats, ticks, steals, pinned)
                 })
                 .map_err(|e| Error::Os(format!("spawning {name}: {e}")))?,
         );
@@ -708,8 +737,8 @@ fn helper_main(
 }
 
 /// A shard thread's links to its peers: one mailbox sender per target
-/// shard (its own slot is `None`), the advisory load board, and whether
-/// stealing is enabled.
+/// shard (its own slot is `None`), the advisory load board, whether
+/// stealing is enabled, and the shelves stolen jobs change hands on.
 ///
 /// Peer sends never block: a full lane spills into a local per-target
 /// FIFO that [`PeerLinks::flush`] retries every wake. Blocking here
@@ -722,6 +751,12 @@ struct PeerLinks {
     pending: Vec<VecDeque<ShardMsg>>,
     board: Arc<LoadBoard>,
     stealing: bool,
+    /// This shard's shelf, filled right before a body and closed right
+    /// after it (module docs, "Work stealing").
+    shelf: JobShelf,
+    /// The taking end of every shard's shelf, this shard's own included
+    /// so that a shard index needs no adjustment.
+    shelves: Vec<PeerShelf>,
     /// The shared drain board of the two-phase shutdown: `drained[s]`
     /// is raised by shard `s` once it is quiet during shutdown and
     /// cleared by `s` when late work arrives. A shard exits only at
@@ -763,16 +798,20 @@ impl PeerLinks {
         self.pending.iter().all(VecDeque::is_empty)
     }
 
-    /// Publishes this shard's stealable load and, when there is
-    /// something to take, wakes up to that many thieves parked for want
-    /// of a victim (see "Parked thieves" in `yasmin_sync::steal`).
-    fn publish_load(&self, me: usize, load: usize) {
-        self.board.publish(me, load);
-        if load > 0 {
-            for thief in self.board.idle_peers(me).take(load) {
-                if let Some(tx) = &self.txs[thief] {
-                    tx.wake();
-                }
+    /// Whom the idle shard `me` robs: the board's choice among the
+    /// peers that have something on their shelf right now.
+    fn victim(&self, me: usize) -> Option<usize> {
+        self.board
+            .pick_victim_among(me, |p| !self.shelves[p].is_empty())
+    }
+
+    /// Wakes up to `jobs` thieves parked for want of anything to take
+    /// (see "Parked thieves" in `yasmin_sync::steal`), after this shard
+    /// put that many jobs on its shelf.
+    fn wake_thieves(&self, me: usize, jobs: usize) {
+        for thief in self.board.idle_peers(me).take(jobs) {
+            if let Some(tx) = &self.txs[thief] {
+                tx.wake();
             }
         }
     }
@@ -891,7 +930,7 @@ fn owner_main(
     mut peers: PeerLinks,
     lanes: MsgLanes,
     mut helpers: Vec<HelperLink>,
-) -> (Vec<RtJobRecord>, EngineStats, TickStats) {
+) -> (Vec<RtJobRecord>, EngineStats, TickStats, StealStats) {
     // The whole engine owns slots `0..n` and sits at index 0 of its
     // one-owner runtime; alone on one slot it is worker 0 itself.
     let worker = engine.shard_worker().unwrap_or(WorkerId::new(0));
@@ -900,14 +939,12 @@ fn owner_main(
     let waiting = engine.config().waiting();
     let mut records: Vec<RtJobRecord> = Vec::new();
     let mut shutting_down = false;
-    // The victim worker index of the one in-flight steal request, if
-    // any — cleared by its grant/refusal, or when the victim's lane
-    // closes without answering (the victim exited).
-    let mut pending_steal: Option<usize> = None;
-    // Victim-side batch-steal scratch, reused across grants so the
-    // steal path stays allocation-free after the first exchange.
+    // Steal scratch, reused so that neither side of a steal allocates:
+    // what the engine names stealable, and the jobs on their way to or
+    // from a shelf.
     let mut steal_hints: Vec<StealHint> = Vec::with_capacity(MAX_STEAL_BATCH);
     let mut steal_batch = JobBatch::new();
+    let mut steals = StealStats::default();
     // Two-phase drain state: whether this shard has barriered its peer
     // lanes with `DrainFlush`, and how many peers have acked.
     let mut flush_sent = false;
@@ -953,9 +990,9 @@ fn owner_main(
 
     // The advertised load is the *stealable* load: zero whenever the
     // steal probe would yield no hint (empty queue, or a top job that
-    // must not migrate). Advertising raw ready counts would invite a
-    // persistent request/deny ping-pong against a shard whose queue
-    // holds only unstealable work.
+    // must not migrate). Advertising raw ready counts would rank a
+    // shard whose queue holds only unstealable work above one a thief
+    // can actually relieve.
     let stealable_load =
         |engine: &OnlineEngine| -> usize { engine.steal_hint().map_or(0, |_| engine.ready_len()) };
 
@@ -997,7 +1034,7 @@ fn owner_main(
                 );
             }
             if peers.stealing {
-                peers.publish_load(me, stealable_load(&engine));
+                peers.board.publish(me, stealable_load(&engine));
             }
         }};
     }
@@ -1079,7 +1116,45 @@ fn owner_main(
                 version,
                 worker,
             };
+            // Nobody can ask this thread for work while it is inside
+            // the body, so what it can spare goes on the shelf first
+            // (module docs, "Work stealing"): the stealable jobs behind
+            // this one, most urgent first, and nothing from another
+            // instance of this task onwards: a thief would run it
+            // beside this one.
+            let mut shelved = 0;
+            if peers.stealing {
+                engine.try_steal_batch(peers.shelf.room(), &mut steal_hints);
+                if let Some(n) = steal_hints.iter().position(|h| h.task == job.task) {
+                    steal_hints.truncate(n);
+                }
+                steal_batch.clear();
+                shelved = engine.release_stolen_batch(&steal_hints, &mut steal_batch);
+                for &spare in steal_batch.as_slice() {
+                    peers.shelf.put(spare).expect("room was counted");
+                }
+                if shelved > 0 {
+                    steals.shelved += shelved as u64;
+                    peers.wake_thieves(me, shelved);
+                }
+            }
             let record = run_body(&bodies[&(job.task, version)], &ctx, clock);
+            // Close the shelf before anything looks at the engine: what
+            // a thief claimed is donated, the rest is back in the queue
+            // under its own key, as if it had never left.
+            if shelved > 0 {
+                steal_batch.clear();
+                let unclaimed = peers.shelf.close(|spare| {
+                    steal_batch.push(spare);
+                });
+                engine.return_unclaimed(steal_batch.as_slice());
+                if unclaimed < shelved {
+                    steals.taken += (shelved - unclaimed) as u64;
+                    // Future load ties break towards this shard: recent
+                    // donors tend to stay the imbalanced ones.
+                    peers.board.record_donation(me);
+                }
+            }
             // The edges the body ran across, in time order and ahead of
             // its completion: overrun enforcement and the miss trip
             // find the job still in its slot.
@@ -1106,10 +1181,9 @@ fn owner_main(
         // arrived during a body finds its slot still taken and queues,
         // so the round that retires the body picks the most urgent of
         // everything that is ready by then — what a scheduler thread of
-        // its own would have decided. (One exception: the completions
-        // retire ahead of a steal grant, see there.) All completions of
-        // one drain retire in one round, folded into the tick round
-        // below when one is due.
+        // its own would have decided. All completions of one drain
+        // retire in one round, folded into the tick round below when
+        // one is due.
         let mut drained_any = false;
         loop {
             let Some(msg) = posts.pop_front().or_else(|| rx.borrow_mut().try_recv()) else {
@@ -1172,42 +1246,6 @@ fn owner_main(
                         None => {}
                     }
                 }
-                ShardMsg::StealRequest { thief, k } => {
-                    // This owner picks first: what it is about to run
-                    // itself stays home, the thief gets what is behind
-                    // it.
-                    retire_done!();
-                    // Answer authoritatively: detach up to `k` of the
-                    // most urgent accelerator-free ready jobs in one
-                    // exchange, or refuse. Scratch buffers are retained
-                    // across rounds — the grant path allocates nothing.
-                    steal_hints.clear();
-                    steal_batch.clear();
-                    engine.try_steal_batch(k as usize, &mut steal_hints);
-                    let granted = engine.release_stolen_batch(&steal_hints, &mut steal_batch);
-                    let reply = if granted == 0 {
-                        ShardMsg::StealDeny
-                    } else {
-                        // Record the donation so future load ties break
-                        // towards this shard — recent donors tend to
-                        // stay the imbalanced ones.
-                        peers.board.record_donation(me);
-                        ShardMsg::StolenBatch { jobs: steal_batch }
-                    };
-                    peers.send(thief.index(), reply);
-                    if peers.stealing {
-                        peers.publish_load(me, stealable_load(&engine));
-                    }
-                }
-                ShardMsg::StolenBatch { jobs } => {
-                    pending_steal = None;
-                    sink.clear();
-                    engine
-                        .adopt_stolen_batch(jobs.as_slice(), clock.now(), &mut sink)
-                        .expect("stolen batch adoptable by the requesting shard");
-                    settle_round!();
-                }
-                ShardMsg::StealDeny => pending_steal = None,
                 ShardMsg::Admit {
                     taskset,
                     bodies: tenant_bodies,
@@ -1266,20 +1304,12 @@ fn owner_main(
         }
         let rx = rx.borrow();
 
-        // A steal request outstanding towards a victim that exited
-        // unanswered (its lane closed and drained) counts as a refusal.
-        if let Some(v) = pending_steal {
-            let lane = LANE_PEER0 + v;
-            if !rx.lane_open(lane) && rx.peek_lane(lane).is_none() {
-                pending_steal = None;
-            }
-        }
         // Two-phase loss-free drain. Phase one: a shard that has gone
-        // locally quiet — no job, no steal in flight, spill backlog
-        // flushed — barriers every peer lane with `DrainFlush` and
-        // waits for all acks; the FIFO lanes turn each ack into a proof
-        // that the peer received everything routed to it before the
-        // flush. Phase two: with all acks in and its own mailbox empty,
+        // locally quiet — no job, spill backlog flushed, and (as
+        // everywhere outside a body) nothing on its shelf — barriers
+        // every peer lane with `DrainFlush` and waits for all acks; the
+        // FIFO lanes turn each ack into a proof that the peer received
+        // everything routed to it before the flush. Phase two: with all acks in and its own mailbox empty,
         // the shard raises its flag on the shared drain board. Exit
         // happens only at global quiescence — every shard drained *and*
         // this shard's mailbox and backlog still empty. A late token
@@ -1289,7 +1319,7 @@ fn owner_main(
         // mailbox (receiver re-checks before exiting), so no message
         // can be lost. (An engine with a completion still to retire is
         // not idle: helpers' jobs are waited out like the owner's own.)
-        if shutting_down && engine.is_idle() && pending_steal.is_none() && peers.pending_empty() {
+        if shutting_down && engine.is_idle() && peers.pending_empty() {
             if !flush_sent {
                 for p in 0..peers.txs.len() {
                     if p != me {
@@ -1317,29 +1347,33 @@ fn owner_main(
         }
         retire_done!();
 
-        // Fully idle (empty queue, no job, drained mailbox): probe the
-        // load board and ask the most loaded peer for work.
-        let thief = peers.stealing
-            && !shutting_down
-            && pending_steal.is_none()
-            && engine.is_idle()
-            && rx.is_empty();
+        // Fully idle (empty queue, no job, drained mailbox): take from
+        // the shelf of the most loaded peer that has one filled.
+        let thief = peers.stealing && !shutting_down && engine.is_idle() && rx.is_empty();
         if thief {
-            if let Some(victim) = peers.board.pick_victim(me) {
-                // Size the request to half the advertised load gap: a
-                // thief this idle asks for more from a deeply loaded
-                // victim, and never for more than the batch cap.
+            steal_batch.clear();
+            if let Some(victim) = peers.victim(me) {
+                // Half the advertised load gap: a thief this idle takes
+                // more from a deeply loaded victim, and never more than
+                // a shelf holds.
                 let k = peers
                     .board
                     .steal_batch_size(victim, engine.ready_len(), MAX_STEAL_BATCH);
-                peers.send(
-                    victim,
-                    ShardMsg::StealRequest {
-                        thief: worker,
-                        k: k as u8,
-                    },
-                );
-                pending_steal = Some(victim);
+                peers.shelves[victim].claim(k, |job| {
+                    steal_batch.push(job);
+                });
+            }
+            if steal_batch.is_empty() {
+                // Nothing on offer, or another thief was faster.
+                steals.empty_probes += 1;
+            } else {
+                steals.claims += 1;
+                steals.jobs_claimed += steal_batch.len() as u64;
+                sink.clear();
+                engine
+                    .adopt_stolen_batch(steal_batch.as_slice(), clock.now(), &mut sink)
+                    .expect("a shelf holds its own shard's jobs only");
+                settle_round!();
                 continue;
             }
         }
@@ -1357,14 +1391,10 @@ fn owner_main(
                 //  * a mailbox command (control, peer protocol incl.
                 //    `DrainFlush`/`DrainAck`, message lane, a helper's
                 //    `Done`)          — `send` rings;
-                //  * `pending_steal` towards a victim that is gone
-                //    (its thread died: a live victim always answers)
-                //                     — a closing lane rings; one that
-                //                       closes between the look above
-                //                       and the park waits a tick;
-                //  * a victim appearing on the load board
-                //                     — idle flag up, `publish_load`
-                //                       wakes, re-probed below;
+                //  * a peer's shelf filling
+                //                     — idle flag up, the filler wakes
+                //                       idle-flagged peers, re-checked
+                //                       below;
                 //  * `all_drained()`  — `set_drained` wakes,
                 //                       re-checked below;
                 //  * the tick edge    — the timeout, armed `lead`
@@ -1410,8 +1440,7 @@ fn owner_main(
                     peers.board.set_idle(me, true);
                 }
                 let also_ready = || {
-                    (thief && peers.board.pick_victim(me).is_some())
-                        || (shutting_down && peers.all_drained())
+                    (thief && peers.victim(me).is_some()) || (shutting_down && peers.all_drained())
                 };
                 if now < armed {
                     let spilled = !peers.pending_empty();
@@ -1440,7 +1469,8 @@ fn owner_main(
     }
 
     // Global quiescence (see the drain protocol above): nothing can be
-    // in flight, so exiting here loses no routed token or steal grant.
+    // in flight, so exiting here loses no routed token and no job.
+    debug_assert!(peers.shelf.is_empty(), "a shelf is open during a body only");
     debug_assert!(
         peers.pending_empty(),
         "drained shard with spilled peer messages"
@@ -1457,7 +1487,7 @@ fn owner_main(
     ticks.late_p50_ns = late.median();
     ticks.late_max_ns = late.max;
     ticks.lead_ns = lead_in_force(pinned_lead, &timer_lead, tick).as_nanos();
-    (records, engine.stats().clone(), ticks)
+    (records, engine.stats().clone(), ticks, steals)
 }
 
 #[cfg(test)]
@@ -1791,6 +1821,232 @@ mod tests {
             report.engine_stats.steal_batch_len.iter().sum::<u64>(),
             report.engine_stats.stolen_batch
         );
+    }
+
+    /// A sharded pair with stealing on: `gate` (worker 0) keeps its
+    /// shard inside a body until the flag is raised, so that whatever is
+    /// activated meanwhile is queued — in activation order — when that
+    /// body ends; `light` gives shard 1 a tick and nothing else to do.
+    struct Gated {
+        b: TaskSetBuilder,
+        gate: (TaskId, VersionId),
+        light: (TaskId, VersionId),
+    }
+
+    impl Gated {
+        fn new() -> Self {
+            let mut b = TaskSetBuilder::new();
+            let gate = task(&mut b, TaskSpec::aperiodic("gate"), 0, ms(1));
+            let light = task(&mut b, TaskSpec::periodic("light", ms(100)), 1, ms(1));
+            Gated { b, gate, light }
+        }
+
+        /// Builds with `bodies` added, runs `gate`, activates `queued`
+        /// behind it in order, opens the gate and reports after `run_ms`.
+        fn run(
+            self,
+            bodies: Vec<((TaskId, VersionId), TaskBody)>,
+            queued: &[TaskId],
+            run_ms: u64,
+        ) -> crate::RuntimeReport {
+            let ts = Arc::new(self.b.build().unwrap());
+            let inside = Arc::new(AtomicBool::new(false));
+            let open = Arc::new(AtomicBool::new(false));
+            let (is_inside, is_open) = (Arc::clone(&inside), Arc::clone(&open));
+            let mut builder = RuntimeBuilder::new(ts, sharded_config(2))
+                .work_stealing(true)
+                .body(self.light.0, self.light.1, |_| {})
+                .body(self.gate.0, self.gate.1, move |_| {
+                    is_inside.store(true, Ordering::SeqCst);
+                    while !is_open.load(Ordering::SeqCst) {
+                        std::thread::sleep(std::time::Duration::from_micros(200));
+                    }
+                });
+            for ((t, v), body) in bodies {
+                builder = builder.body(t, v, move |ctx| body(ctx));
+            }
+            let rt = builder.build().unwrap();
+            rt.activate(self.gate.0).unwrap();
+            while !inside.load(Ordering::SeqCst) {
+                std::thread::sleep(std::time::Duration::from_micros(200));
+            }
+            for &t in queued {
+                rt.activate(t).unwrap();
+            }
+            open.store(true, Ordering::SeqCst);
+            nap_ms(run_ms);
+            rt.stop();
+            rt.cleanup()
+        }
+    }
+
+    #[test]
+    fn a_thief_does_not_wait_for_the_victims_body() {
+        // Shard 0 enters a 30 ms body with four short jobs queued behind
+        // it; shard 1 is parked with nothing to do. The four lie on
+        // shard 0's shelf for those 30 ms, and shard 1 has run them all
+        // before the body ends. (Asking shard 0 would take until the
+        // body's end: it reads no mailbox meanwhile.)
+        within_attempts(3, || {
+            let mut g = Gated::new();
+            let long = task(&mut g.b, TaskSpec::aperiodic("long"), 0, ms(30));
+            let shorts: Vec<_> = (0..4)
+                .map(|i| task(&mut g.b, TaskSpec::aperiodic(format!("s{i}")), 0, ms(1)))
+                .collect();
+            let mut bodies: Vec<((TaskId, VersionId), TaskBody)> =
+                vec![(long, Arc::new(|_: &JobCtx| nap_ms(30)))];
+            bodies.extend(shorts.iter().map(|&s| (s, Arc::new(|_: &JobCtx| {}) as _)));
+            let mut queued = vec![long.0];
+            queued.extend(shorts.iter().map(|s| s.0));
+            let report = g.run(bodies, &queued, 60);
+
+            let of = |t: TaskId| report.records.iter().find(|r| r.job.task == t);
+            let long_ended = of(long.0).expect("long ran").completed;
+            for (s, _) in &shorts {
+                let r = of(*s).expect("every short job ran");
+                if r.worker != WorkerId::new(1) || r.completed >= long_ended {
+                    return Err(format!(
+                        "{s} ran on {} and ended {} after the long body",
+                        r.worker,
+                        r.completed.saturating_since(long_ended)
+                    ));
+                }
+            }
+            let (victim, thief) = (report.steal_stats[0], report.steal_stats[1]);
+            assert_eq!((victim.shelved, victim.taken), (4, 4), "{victim:?}");
+            assert_eq!(thief.jobs_claimed, 4, "{thief:?}");
+            assert!((1..=4).contains(&thief.claims), "{thief:?}");
+            assert_eq!(report.engine_stats.stolen, 4);
+            assert_eq!(report.engine_stats.donated, 4);
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn the_running_tasks_next_instance_stays_home() {
+        // Queued behind the gate: two instances of `twice`, then
+        // `other`. While the first instance runs the second is the most
+        // urgent job of the queue, and it must stay: nothing is shelved,
+        // `other` behind it included. While the second runs, `other` is
+        // on offer.
+        let mut g = Gated::new();
+        let twice = task(&mut g.b, TaskSpec::aperiodic("twice"), 0, ms(10));
+        let other = task(&mut g.b, TaskSpec::aperiodic("other"), 0, ms(1));
+        let bodies: Vec<((TaskId, VersionId), TaskBody)> = vec![
+            (twice, Arc::new(|_: &JobCtx| nap_ms(10))),
+            (other, Arc::new(|_: &JobCtx| {})),
+        ];
+        let report = g.run(bodies, &[twice.0, twice.0, other.0], 60);
+
+        let of = |t: TaskId| report.records.iter().filter(move |r| r.job.task == t);
+        let instances: Vec<_> = of(twice.0).collect();
+        assert_eq!(instances.len(), 2);
+        for r in &instances {
+            assert_eq!(r.worker, WorkerId::new(0), "{:?} migrated", r.job);
+        }
+        assert!(instances[1].started >= instances[0].completed);
+        let other = of(other.0).next().expect("other ran");
+        assert!(
+            other.started >= instances[0].completed,
+            "other was on offer while the first instance ran"
+        );
+        assert_eq!(report.steal_stats[0].shelved, 1, "other, once");
+        assert_eq!(report.engine_stats.stolen, report.engine_stats.donated);
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn an_idle_thief_with_empty_shelves_stays_parked() {
+        // Every 50 ms shard 0 spends 20 ms in `busy` with `spare` queued
+        // behind it. Shard 1 takes `spare` off the shelf at once — and
+        // for the rest of those 20 ms the load board still shows shard 0
+        // loaded (it publishes between bodies) while its shelf is empty:
+        // the thief has to sleep on the shelf, not poll the board.
+        if !alone_in_child("sharded::tests::an_idle_thief_with_empty_shelves_stays_parked") {
+            return;
+        }
+        let mut b = TaskSetBuilder::new();
+        let busy = task(&mut b, TaskSpec::periodic("busy", ms(50)), 0, ms(20));
+        let spare = task(&mut b, TaskSpec::periodic("spare", ms(50)), 0, ms(1));
+        let ts = Arc::new(b.build().unwrap());
+        let rt = RuntimeBuilder::new(ts, sharded_config(2))
+            .work_stealing(true)
+            .body(busy.0, busy.1, |_| nap_ms(20))
+            .body(spare.0, spare.1, |_| {})
+            .build()
+            .unwrap();
+        nap_ms(20);
+        let before = thread_sleeps(&["yasmin-"]);
+        nap_ms(300);
+        let after = thread_sleeps(&["yasmin-"]);
+        rt.stop();
+        let report = rt.cleanup();
+        let thief = report.steal_stats[1];
+        assert!(thief.jobs_claimed >= 4, "spare was stolen: {thief:?}");
+        assert_eq!(before.len(), 2, "two shard threads");
+        for (tid, (name, sleeps_before)) in &before {
+            let slept = after[tid].1 - sleeps_before;
+            assert!(
+                slept <= 60,
+                "{name} (tid {tid}) blocked {slept} times in six 50 ms ticks: {thief:?}"
+            );
+        }
+        assert!(thief.empty_probes <= 60, "{thief:?}");
+    }
+
+    #[test]
+    fn stealing_beside_admit_and_retire_loses_and_doubles_nothing() {
+        // Shard 0 is 60 % loaded by three 1 ms jobs every 5 ms, so there
+        // is always something on its shelf and shard 1 steals all the
+        // time; meanwhile tenants with a task on shard 0 are admitted
+        // and retired back to back — their jobs are shelved, stolen,
+        // returned and culled like any other. Every released job ends up
+        // in exactly one place.
+        let mut b = TaskSetBuilder::new();
+        let mut ids = vec![task(&mut b, TaskSpec::periodic("light", ms(5)), 1, ms(1))];
+        for i in 0..3 {
+            ids.push(task(
+                &mut b,
+                TaskSpec::periodic(format!("h{i}"), ms(5)),
+                0,
+                ms(1),
+            ));
+        }
+        let ts = Arc::new(b.build().unwrap());
+        let mut builder = RuntimeBuilder::new(ts, sharded_config(2)).work_stealing(true);
+        for (i, (t, v)) in ids.into_iter().enumerate() {
+            builder = builder.body(t, v, move |_| nap_ms(u64::from(i > 0)));
+        }
+        let rt = builder.build().unwrap();
+        let ran = Arc::new(AtomicU32::new(0));
+        let until = std::time::Instant::now() + std::time::Duration::from_millis(150);
+        let mut tenants = 0;
+        while std::time::Instant::now() < until {
+            let (cand, bodies) = candidate(5, Duration::from_micros(50), 0, &ran);
+            let tenant = rt.admit(&cand, bodies, None).unwrap();
+            nap_ms(7);
+            rt.retire(tenant).unwrap();
+            tenants += 1;
+        }
+        rt.stop();
+        let report = rt.cleanup();
+        let stats = &report.engine_stats;
+        assert!(
+            tenants >= 5 && ran.load(Ordering::SeqCst) >= 5,
+            "tenants ran"
+        );
+        assert!(stats.stolen >= 10, "shard 1 stole throughout: {stats:?}");
+        assert_eq!(stats.stolen, stats.donated);
+        assert_eq!(
+            stats.released,
+            report.records.len() as u64 + stats.culled,
+            "{stats:?}"
+        );
+        let sum = |f: fn(&StealStats) -> u64| report.steal_stats.iter().map(f).sum::<u64>();
+        assert_eq!(sum(|s| s.taken), stats.donated);
+        assert_eq!(sum(|s| s.jobs_claimed), stats.stolen);
+        assert_eq!(sum(|s| s.claims), stats.stolen_batch);
+        assert!(sum(|s| s.shelved) >= sum(|s| s.taken));
     }
 
     #[test]

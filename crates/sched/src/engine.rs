@@ -1544,6 +1544,24 @@ impl OnlineEngine {
         released
     }
 
+    /// Takes back what [`OnlineEngine::release_stolen_batch`] detached
+    /// and no thief took after all (victim side, the inverse of step
+    /// two): each job re-enters the ready queue and no longer counts in
+    /// [`EngineStats::donated`]. The queue key `(priority, release, id)`
+    /// is a total order, so the queue then pops exactly as if the jobs
+    /// had never left it. Between the two calls the caller ran no other
+    /// engine round, so the slots the detach vacated are still free; a
+    /// caller that did and filled them loses the job to
+    /// `stats.channel_overflows`, like every queue overflow.
+    pub fn return_unclaimed(&mut self, jobs: &[Job]) {
+        for &job in jobs {
+            self.stats.donated -= 1;
+            if self.queues[0].push(job).is_err() {
+                self.stats.channel_overflows += 1;
+            }
+        }
+    }
+
     /// Adopts a stolen batch (thief side): every job enters this
     /// shard's ready queue — keeping EDF order against local work —
     /// then **one** dispatch round runs for the batch, which is the

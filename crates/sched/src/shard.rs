@@ -44,6 +44,16 @@
 //! is the O(1) "is my most urgent job stealable" probe a driver
 //! advertises its load by; it never grants.
 //!
+//! That is the exchange as the simulator's drivers run it, where a
+//! victim answers in the same virtual instant. A victim on a real
+//! thread is inside a body when it is asked, so `yasmin-rt` makes the
+//! same engine calls in another order: the victim detaches what it can
+//! spare *before* each body and lays it out on a
+//! `yasmin_sync::shelf`, thieves take from there without asking, and
+//! after the body [`OnlineEngine::return_unclaimed`] puts back what
+//! nobody took. `JobBatch` and the message below then never cross a
+//! thread.
+//!
 //! **Migrate-at-most-once** is enforced on both sides: the victim's
 //! scan refuses jobs whose task is not homed on its own worker (jobs it
 //! adopted itself), and the thief's adopt rejects any batch containing
@@ -90,8 +100,8 @@ use yasmin_core::time::Instant;
 /// stamps them as it applies them — and several need what only real
 /// threads have (bodies and an acknowledgement riding an admission, a
 /// commit anchored at the next tick edge, message events forwarded to
-/// the owning shard, steal requests answered over a reverse lane), so
-/// one shared enum would branch on its caller.
+/// the owning shard), and stolen jobs do not travel by message there at
+/// all, so one shared enum would branch on its caller.
 // StolenBatch carries its jobs inline rather than boxed: the command
 // rides preallocated mailbox lanes, whose slots the wide variant only
 // grows, and a `Box` would put an allocation + free on the steal hot
@@ -873,6 +883,42 @@ mod tests {
         // An empty batch is a no-op, not an error.
         shards[1].adopt_stolen_batch(&[], at(2), &mut sink).unwrap();
         assert_eq!(shards[1].stats().stolen_batch, 1);
+    }
+
+    #[test]
+    fn returned_jobs_are_queued_as_if_they_had_never_left() {
+        // p0 runs, p1..p4 queue. Detach all four, let a thief have the
+        // second, return the other three: the victim then runs p1, p3,
+        // p4 in that order and has donated exactly one job.
+        let mut b = yasmin_core::graph::TaskSetBuilder::new();
+        for i in 0..5u64 {
+            let spec = TaskSpec::periodic(format!("p{i}"), ms(10 * (i + 1)));
+            let t = b.task_decl(spec.on_worker(WorkerId::new(0))).unwrap();
+            b.version_decl(t, VersionSpec::new("v", ms(1))).unwrap();
+        }
+        let ts = Arc::new(b.build().unwrap());
+        let mut shards = EngineShard::build_all(&ts, &partitioned_config(2)).unwrap();
+        let mut sink = ActionSink::new();
+        shards[0].start_into(Instant::ZERO, &mut sink).unwrap();
+        let mut hints = Vec::new();
+        let mut batch = JobBatch::new();
+        shards[0].try_steal_batch(8, &mut hints);
+        assert_eq!(shards[0].release_stolen_batch(&hints, &mut batch), 4);
+        let jobs = batch.as_slice();
+        // Returned out of order on purpose: the key decides, not the
+        // order of the pushes.
+        shards[0].return_unclaimed(&[jobs[3], jobs[0], jobs[2]]);
+        assert_eq!(shards[0].stats().donated, 1);
+        assert_eq!(shards[0].ready_len(), 3);
+        let mut ran = Vec::new();
+        while let Some(running) = shards[0].running() {
+            let id = running.job.id;
+            ran.push(id);
+            shards[0]
+                .on_job_completed_into(WorkerId::new(0), id, at(1), &mut sink)
+                .unwrap();
+        }
+        assert_eq!(ran[1..], [jobs[0].id, jobs[2].id, jobs[3].id]);
     }
 
     #[test]

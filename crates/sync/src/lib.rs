@@ -17,8 +17,10 @@
 //!   per producer, single owner) feeding the sharded per-worker
 //!   scheduler;
 //! * [`steal`] — the advisory [`steal::LoadBoard`] work-stealing
-//!   thieves probe before sending a steal request over the mailbox's
-//!   per-peer request/response lanes;
+//!   thieves pick their victim by;
+//! * [`shelf`] — the single-producer / multi-consumer exchange a
+//!   victim lays its spare jobs out on before it runs a body, and from
+//!   which a thief takes them with one compare-and-swap;
 //! * [`doorbell`] — [`doorbell::Doorbell`], the one-sleeper /
 //!   many-ringers wake-up signal (`park`/`unpark` behind a Dekker
 //!   flag) that lets the owner of a mailbox or an SPSC ring sleep until
@@ -37,6 +39,7 @@ pub mod lock;
 pub mod mailbox;
 pub mod mcs;
 pub mod pip;
+pub mod shelf;
 pub mod spsc;
 pub mod steal;
 pub mod ticket;

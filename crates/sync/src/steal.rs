@@ -1,25 +1,22 @@
 //! Advisory load board for work-stealing victim selection.
 //!
-//! The steal *hand-off* rides the existing lock-free command mailbox
-//! (`yasmin_sync::mailbox`): each shard's mailbox carries one wait-free
-//! SPSC lane per peer, over which a thief sends its steal request and a
-//! victim returns the detached jobs (or a refusal) on its own lane back
-//! — a request/response lane pair per ordered shard pair, with both
-//! directions completing in a bounded number of steps. Since the batch
-//! protocol, one exchange can hand over up to `k` jobs; the board also
-//! feeds the thief the victim/thief load gap from which `k` is derived.
+//! The steal *hand-off* is the [`crate::shelf`]: a victim lays the jobs
+//! it can spare out before it runs a body, and a thief takes them with
+//! one compare-and-swap — no message, and no waiting for the victim.
+//! (The simulator's protocol loop, `yasmin_sim::par`, hands jobs over
+//! as `ShardCmd` messages: in virtual time a victim answers at once,
+//! which is what the shelf gives real threads.)
 //!
-//! What messaging alone cannot give a thief is *victim selection*: an
-//! idle shard should not broadcast requests to every peer and make all
-//! of them pay a drain round for nothing. The [`LoadBoard`] is the
-//! missing probe surface: one cache-padded atomic per shard, updated
-//! by its owner after every engine interaction with its current ready
-//! count, read by thieves with plain `Acquire` loads. The values are
+//! What the shelf cannot tell a thief is *whom to rob*: an idle shard
+//! should go to the peer it relieves most. The [`LoadBoard`] is that
+//! probe surface: one cache-padded atomic per shard, updated by its
+//! owner after every engine interaction with its current ready count,
+//! read by thieves with plain `Acquire` loads. The values are
 //! **advisory** — a probe may race with a dispatch and name a victim
-//! that turns out empty — which is fine: the steal request itself is
-//! answered authoritatively by the victim (`try_steal_batch` /
-//! `release_stolen_batch` on its engine in `yasmin-sched`, a deny
-//! otherwise). Stale reads cost a wasted request, never correctness.
+//! that turns out to have nothing on its shelf — which is fine: what a
+//! thief gets is decided by the claim on the shelf, filled from the
+//! victim's engine (`try_steal_batch` / `release_stolen_batch` in
+//! `yasmin-sched`). Stale reads cost a wasted probe, never correctness.
 //!
 //! # Victim ranking
 //!
@@ -29,12 +26,12 @@
 //! equally loaded peers, both advisory and both cache-padded per shard:
 //!
 //! * a **donation history** ([`LoadBoard::record_donation`]): shards
-//!   that recently granted a steal are preferred — a granted request is
-//!   evidence the peer publishes honest, stealable load, where an
-//!   untried peer may be all accelerator-bound or already-migrated
-//!   jobs. History decays by halving ([`LoadBoard::decay_donations`],
-//!   called periodically by the thief loop) so a burst of old donations
-//!   does not pin victim choice forever;
+//!   that were recently robbed are preferred — a job taken is evidence
+//!   the peer publishes honest, stealable load, where an untried peer
+//!   may be all accelerator-bound or already-migrated jobs. History
+//!   decays by halving ([`LoadBoard::decay_donations`], called once a
+//!   tick by shard 0's loop) so a burst of old donations does not pin
+//!   victim choice forever;
 //! * a **DAG-adjacency hint table** ([`LoadBoard::set_adjacent`]):
 //!   shards connected to the thief by a cross-shard DAG edge are
 //!   preferred, because jobs stolen from a graph neighbour keep their
@@ -48,15 +45,15 @@
 //! A thief that sleeps between probes instead of polling (the sharded
 //! runtime under the sleep waiting strategy) would never notice load
 //! appearing on a peer. The board therefore also carries one **idle
-//! flag** per shard: a thief that found no victim raises its flag
-//! ([`LoadBoard::set_idle`]) before it parks, and a victim that has
-//! just published a load above zero asks the board who is waiting
+//! flag** per shard: a thief that found nothing to take raises its
+//! flag ([`LoadBoard::set_idle`]) before it parks, and a victim that
+//! has just put jobs on its shelf asks the board who is waiting
 //! ([`LoadBoard::idle_peers`]) and wakes them. The thief must probe
 //! once more *after* announcing its sleep — between its wake-up
 //! primitive's `SeqCst` fence and the park (the `also_ready` closure of
-//! `MailboxReceiver::park`) — so that a publish it misses is guaranteed
-//! to see the flag: the same store / fence / load pairing on both sides
-//! as [`crate::doorbell`].
+//! `MailboxReceiver::park`) — so that a shelf filling which it misses
+//! is guaranteed to see the flag: the same store / fence / load pairing
+//! on both sides as [`crate::doorbell`].
 //!
 //! The full ranking key is `(load, adjacent-to-me, donations, lowest
 //! index)` — every component is a pure function of published state, so
@@ -85,7 +82,7 @@ struct PaddedFlag(AtomicBool);
 /// module docs.
 pub struct LoadBoard {
     loads: Vec<PaddedLoad>,
-    /// Steals granted by each shard since the last decay (victim side of
+    /// Times each shard was robbed since the last decay (victim side of
     /// the history: "who recently donated").
     donations: Vec<PaddedWord>,
     /// Bit `v` of `adjacency[t]` set ⇔ shards `t` and `v` share a
@@ -145,9 +142,10 @@ impl LoadBoard {
         self.loads[i].0.load(Ordering::Acquire)
     }
 
-    /// Books a granted steal from `donor` (thief side, on receiving a
-    /// `Stolen`/`StolenBatch` grant): recent donors are preferred among
-    /// equally loaded victims. Saturates well below overflow.
+    /// Books that `donor` was robbed (victim side: the donor itself,
+    /// on finding that jobs it offered were taken): recent donors are
+    /// preferred among equally loaded victims. Saturates well below
+    /// overflow.
     pub fn record_donation(&self, donor: usize) {
         let slot = &self.donations[donor].0;
         // Saturating add without a CAS loop: the counter is advisory, a
@@ -204,9 +202,18 @@ impl LoadBoard {
     /// published state. `None` when every peer looks empty.
     #[must_use]
     pub fn pick_victim(&self, me: usize) -> Option<usize> {
+        self.pick_victim_among(me, |_| true)
+    }
+
+    /// [`LoadBoard::pick_victim`] among the peers `has_offer` admits —
+    /// for a thief that can see which peers have anything to take right
+    /// now (a non-empty shelf) and must not be sent back to the most
+    /// loaded one while it has not.
+    #[must_use]
+    pub fn pick_victim_among(&self, me: usize, has_offer: impl Fn(usize) -> bool) -> Option<usize> {
         let mut best: Option<((usize, bool, u64), usize)> = None;
         for (i, slot) in self.loads.iter().enumerate() {
-            if i == me {
+            if i == me || !has_offer(i) {
                 continue;
             }
             let l = slot.0.load(Ordering::Acquire);
@@ -229,11 +236,11 @@ impl LoadBoard {
         self.idle[i].0.store(idle, Ordering::SeqCst);
     }
 
-    /// Victim side, right after a [`LoadBoard::publish`] above zero:
-    /// the shards other than `me` whose idle flag is raised, lowest
-    /// index first. The `SeqCst` fence orders the publish before the
-    /// flag reads, so a thief whose last probe missed the publish is
-    /// seen here.
+    /// Victim side, right after it made work available (filled its
+    /// shelf, having published its load before): the shards other than
+    /// `me` whose idle flag is raised, lowest index first. The `SeqCst`
+    /// fence orders what the victim wrote before the flag reads, so a
+    /// thief whose last probe missed it is seen here.
     pub fn idle_peers(&self, me: usize) -> impl Iterator<Item = usize> + '_ {
         fence(Ordering::SeqCst);
         self.idle
@@ -243,12 +250,11 @@ impl LoadBoard {
             .map(|(i, _)| i)
     }
 
-    /// The batch size a thief should request from `victim`: half the
+    /// The batch size a thief should take from `victim`: half the
     /// published load gap (the thief takes what levels the pair without
     /// overshooting into a reverse imbalance), at least 1, capped at
-    /// `max`. Advisory like every board read — the victim's engine
-    /// answers authoritatively with however many jobs are actually
-    /// stealable.
+    /// `max`. Advisory like every board read — how many jobs are
+    /// actually stealable is what the victim's engine put on offer.
     #[must_use]
     pub fn steal_batch_size(&self, victim: usize, thief_ready: usize, max: usize) -> usize {
         let gap = self.load(victim).saturating_sub(thief_ready);
@@ -345,6 +351,23 @@ mod tests {
         b.record_donation(1);
         b.set_adjacent(0, 2);
         assert_eq!(b.pick_victim(0), Some(2), "adjacency beats donations");
+    }
+
+    #[test]
+    fn a_peer_without_an_offer_is_passed_over() {
+        let b = LoadBoard::new(4);
+        b.publish(1, 9);
+        b.publish(2, 4);
+        b.publish(3, 4);
+        b.set_adjacent(0, 3);
+        assert_eq!(b.pick_victim_among(0, |_| true), b.pick_victim(0));
+        // The most loaded peer has nothing to take: the ranking goes on
+        // among the others, by the same key.
+        assert_eq!(b.pick_victim_among(0, |p| p != 1), Some(3));
+        assert_eq!(b.pick_victim_among(0, |p| p == 2), Some(2));
+        assert_eq!(b.pick_victim_among(0, |_| false), None);
+        // An offer does not make up for a published load of zero.
+        assert_eq!(b.pick_victim_among(1, |p| p == 0), None);
     }
 
     #[test]

@@ -8,14 +8,14 @@ use std::sync::Arc;
 use yasmin::baselines::cyclictest::{run_real, CyclictestConfig};
 use yasmin::baselines::stress::StressRunner;
 use yasmin::prelude::*;
-use yasmin::rt::TickStats;
+use yasmin::rt::{StealStats, TickStats};
 use yasmin::sim::StressProfile;
 
 fn yasmin_managed(
     cfg: &CyclictestConfig,
     loops_cap: usize,
     workers: usize,
-) -> (yasmin::core::stats::Summary, Vec<TickStats>) {
+) -> (yasmin::core::stats::Summary, Vec<(TickStats, StealStats)>) {
     // The same measurement, but with the threads managed by the YASMIN
     // runtime: dispatch latency is release → body start, per job. With
     // one worker the scheduling thread runs the bodies itself; with
@@ -52,13 +52,16 @@ fn yasmin_managed(
         .iter()
         .map(|r| r.start_latency().as_nanos())
         .collect();
-    (latency, report.tick_stats)
+    let owners = report.tick_stats.into_iter().zip(report.steal_stats);
+    (latency, owners.collect())
 }
 
-/// How each owner met its tick edges: what is left of the latency
-/// above once the timed park is armed early by the lateness it shows.
-fn print_tick_stats(owners: &[TickStats]) {
-    for (i, t) in owners.iter().enumerate() {
+/// How each owner met its tick edges — what is left of the latency
+/// above once the timed park is armed early by the lateness it shows —
+/// and what it gave to and took from its peers (nothing here: one owner
+/// has no peer to steal from).
+fn print_owner_stats(owners: &[(TickStats, StealStats)]) {
+    for (i, (t, s)) in owners.iter().enumerate() {
         println!(
             "    owner {i}: {} edges, late p50 {:.0} µs / max {:.0} µs, lead {:.0} µs, \
              {} early wakes, {:.0} µs spun",
@@ -68,6 +71,11 @@ fn print_tick_stats(owners: &[TickStats]) {
             t.lead_ns as f64 / 1e3,
             t.early_wakes,
             t.spin_ns as f64 / 1e3,
+        );
+        println!(
+            "             {} jobs shelved, {} of them taken; {} claims took {} jobs, \
+             {} probes found nothing",
+            s.shelved, s.taken, s.claims, s.jobs_claimed, s.empty_probes,
         );
     }
 }
@@ -102,17 +110,17 @@ fn main() {
     let (min, max, avg) = loaded.as_micros_triple();
     println!("bare threads, stressed host : <{min:.0}, {max:.0}, {avg:.0}> µs");
 
-    let (relayed, ticks) = yasmin_managed(&cfg, 100, cfg.threads);
+    let (relayed, owners) = yasmin_managed(&cfg, 100, cfg.threads);
     let (min, max, avg) = relayed.as_micros_triple();
     println!(
         "YASMIN-managed, {} workers   : <{min:.0}, {max:.0}, {avg:.0}> µs",
         cfg.threads
     );
-    print_tick_stats(&ticks);
-    let (fused, ticks) = yasmin_managed(&cfg, 100, 1);
+    print_owner_stats(&owners);
+    let (fused, owners) = yasmin_managed(&cfg, 100, 1);
     let (min, max, avg) = fused.as_micros_triple();
     println!("YASMIN-managed, 1 worker    : <{min:.0}, {max:.0}, {avg:.0}> µs");
-    print_tick_stats(&ticks);
+    print_owner_stats(&owners);
     println!(
         "\n(Idle host. With {} workers every job crosses the scheduler-thread relay —\n\
          a ring, a doorbell and a second thread to wake: the architectural cost\n\
