@@ -1139,7 +1139,7 @@ pub struct HandoffReport {
 pub fn run_handoff(jobs: usize, spin_us: u64, tries: u32) -> HandoffReport {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use yasmin_core::task::TaskSpec;
-    use yasmin_rt::sharded::ShardedRuntimeBuilder;
+    use yasmin_rt::RuntimeBuilder;
 
     let run_once = |stealing: bool| -> (u64, u64, u64) {
         let mut b = yasmin_core::graph::TaskSetBuilder::new();
@@ -1178,7 +1178,7 @@ pub fn run_handoff(jobs: usize, spin_us: u64, tries: u32) -> HandoffReport {
             .build()
             .unwrap();
         let done = std::sync::Arc::new(AtomicUsize::new(0));
-        let mut builder = ShardedRuntimeBuilder::new(ts, config)
+        let mut builder = RuntimeBuilder::new(ts, config)
             .work_stealing(stealing)
             .body(light, vl, |_| {});
         let spin = std::time::Duration::from_micros(spin_us);

@@ -5,7 +5,9 @@
 //! locking and waiting strategy, worker count — fixed for the whole binary
 //! (§3.1). Here the same knobs live in a validated [`Config`] value built
 //! once and frozen before `start()`; switching policy means building a new
-//! `Config`, the Rust analogue of recompiling with a new header.
+//! `Config`, the Rust analogue of recompiling with a new header. (The
+//! paper's locking choice has no knob here: the runtime's own paths take
+//! no lock — see "Locking" in `docs/ARCHITECTURE.md`.)
 
 use crate::energy::BatteryLevel;
 use crate::error::{Error, Result};
@@ -47,18 +49,6 @@ pub enum SchedulerClass {
     Offline,
 }
 
-/// Lock implementation used by the middleware internals (§3.5 "Locking").
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-pub enum LockChoice {
-    /// OS/GLibC-backed locks: better energy, kernel calls are hard to
-    /// analyse for WCET.
-    #[default]
-    Posix,
-    /// Lock-free/queue-based spinlocks (Mellor-Crummey & Scott): superior
-    /// for static WCET analysis, higher energy.
-    LockFree,
-}
-
 /// Waiting strategy between activations (§3.5 "Waiting").
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum WaitChoice {
@@ -66,7 +56,7 @@ pub enum WaitChoice {
     /// runtime's owner arms its timed park ahead of the tick edge by the
     /// wake-up lateness its own parks have shown, so the sleep ends at
     /// the edge rather than that much after it; nothing is scheduled
-    /// ahead of its edge (`yasmin_rt::sharded`, "The tick edge").
+    /// ahead of its edge (`yasmin_rt::owner`, "The tick edge").
     #[default]
     Sleep,
     /// Busy-spin on the clock: precise overhead analysis, wastes energy.
@@ -190,7 +180,6 @@ pub struct Config {
     scheduler_class: SchedulerClass,
     priority: PriorityPolicy,
     version_policy: VersionPolicy,
-    locking: LockChoice,
     waiting: WaitChoice,
     preemption: bool,
     tick_override: Option<Duration>,
@@ -238,12 +227,6 @@ impl Config {
     #[must_use]
     pub const fn version_policy(&self) -> &VersionPolicy {
         &self.version_policy
-    }
-
-    /// The lock implementation choice.
-    #[must_use]
-    pub const fn locking(&self) -> LockChoice {
-        self.locking
     }
 
     /// The waiting strategy choice.
@@ -357,7 +340,6 @@ impl fmt::Debug for Config {
             .field("scheduler_class", &self.scheduler_class)
             .field("priority", &self.priority)
             .field("version_policy", &self.version_policy)
-            .field("locking", &self.locking)
             .field("waiting", &self.waiting)
             .field("preemption", &self.preemption)
             .field("tick_override", &self.tick_override)
@@ -383,7 +365,6 @@ pub struct ConfigBuilder {
     scheduler_class: SchedulerClass,
     priority: PriorityPolicy,
     version_policy: VersionPolicy,
-    locking: LockChoice,
     waiting: WaitChoice,
     preemption: bool,
     tick_override: Option<Duration>,
@@ -414,7 +395,6 @@ impl Default for ConfigBuilder {
             scheduler_class: SchedulerClass::default(),
             priority: PriorityPolicy::default(),
             version_policy: VersionPolicy::default(),
-            locking: LockChoice::default(),
             waiting: WaitChoice::default(),
             preemption: true,
             tick_override: None,
@@ -462,13 +442,6 @@ impl ConfigBuilder {
     #[must_use]
     pub fn version_policy(mut self, v: VersionPolicy) -> Self {
         self.version_policy = v;
-        self
-    }
-
-    /// Sets the lock implementation.
-    #[must_use]
-    pub fn locking(mut self, l: LockChoice) -> Self {
-        self.locking = l;
         self
     }
 
@@ -605,7 +578,6 @@ impl ConfigBuilder {
             scheduler_class: self.scheduler_class,
             priority: self.priority,
             version_policy: self.version_policy,
-            locking: self.locking,
             waiting: self.waiting,
             preemption: self.preemption,
             tick_override: self.tick_override,
@@ -641,7 +613,6 @@ mod tests {
             .scheduler_class(SchedulerClass::Online)
             .priority(PriorityPolicy::RateMonotonic)
             .version_policy(VersionPolicy::Energy)
-            .locking(LockChoice::LockFree)
             .waiting(WaitChoice::Spin)
             .preemption(false)
             .tick(Duration::from_millis(1))
@@ -654,7 +625,6 @@ mod tests {
         assert_eq!(c.mapping(), MappingScheme::Partitioned);
         assert_eq!(c.priority(), PriorityPolicy::RateMonotonic);
         assert_eq!(c.version_policy().label(), "energy");
-        assert_eq!(c.locking(), LockChoice::LockFree);
         assert_eq!(c.waiting(), WaitChoice::Spin);
         assert!(!c.preemption());
         assert_eq!(c.tick_override(), Some(Duration::from_millis(1)));

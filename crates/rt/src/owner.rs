@@ -1,235 +1,166 @@
-//! The **owner loop** every thread runtime runs — one owner or one per
-//! shard, **one thread per core** — and what feeds it.
+//! The **owner** of an engine — the one scheduling thread per virtual
+//! CPU (paper §3, Fig. 1b), **one thread per core** — as a step
+//! machine, the thread that drives it, and what feeds it.
 //!
-//! An *owner* is one thread that owns one engine: the whole
-//! [`OnlineEngine`] over worker slots `0..n`, or — under
-//! `Config::sharded_dispatch`, where the engine state splits into
-//! independent per-worker shards (`yasmin_sched::shard`, the paper's
-//! Fig. 1b: one scheduler per virtual CPU) — one shard's engine per
-//! thread. [`Runtime`] is the handle on either; the configuration its
-//! builder was given decides how many owners `spawn` brings up and
-//! what each engine owns. All run the same thread function
-//! (`owner_main`) and are talked to over the same lanes with the same
-//! commands (`ShardMsg`).
+//! An owner owns one engine: the whole [`OnlineEngine`] over worker
+//! slots `0..n`, or — under `Config::sharded_dispatch`, where the
+//! engine state splits into per-worker shards (`yasmin_sched::shard`) —
+//! one shard's. [`Runtime`] is the handle on either; its builder's
+//! configuration decides how many owners `spawn` brings up. The whole
+//! protocol is `Owner`: `Owner::step` runs engine rounds until it
+//! can say what its thread is to do next (`Next`) and never blocks,
+//! sleeps or runs a body. `owner_thread` is the shell that does those
+//! three things and nothing else; a second shell, in this module's
+//! tests, steps the owners `wire` returns on one thread under a
+//! `ManualClock` and checks the orders the sections below promise.
 //!
-//! **Who executes a body follows from the owner's slot count alone.** An
-//! owner with *one* slot — every shard, and the whole engine with one
-//! worker — is scheduler and worker at once: it runs an engine round,
-//! executes the body that round dispatched *itself*, retires it, and
-//! goes back to its mailbox at the **job boundary**. A job costs no
-//! hand-off: no dispatch ring, no completion message, no second thread
-//! to wake. An owner with *n ≥ 2* slots is a dedicated scheduling
-//! thread and **never** executes a body: under global scheduling a
-//! worker that finishes while the owner is inside someone's long body
-//! would idle beside ready work. Its dispatches go to `n` helper
-//! threads (`yasmin-worker-{w}`), each fed through a one-slot
-//! `yasmin_sync::spsc` ring with a `Doorbell` beside it and answering
-//! on a one-slot mailbox lane of its own (`ShardMsg::Done`) — the
-//! engine books a slot again only after retiring what ran there, so one
-//! job is all either ever holds. Completions found pending at one drain
-//! retire in one engine round.
+//! **Who executes a body follows from the owner's slot count alone.**
+//! An owner with *one* slot — every shard, and the whole engine with
+//! one worker — is scheduler and worker at once: `step` answers
+//! `Next::Run` and the thread runs that body itself, at no hand-off.
+//! An owner with *n ≥ 2* slots is a dedicated scheduling thread and
+//! **never** gets a `Run`: under global scheduling a worker that
+//! finishes while the owner is inside someone's long body would idle
+//! beside ready work. Its dispatches go to `n` helper threads
+//! (`yasmin-worker-{w}`), each fed through a one-slot `yasmin_sync::spsc`
+//! ring with a `Doorbell` beside it and answering on a one-slot mailbox
+//! lane of its own (`ShardMsg::Done`) — the engine books a slot again
+//! only after retiring what ran there, so one job is all either holds.
 //!
-//! Everything else reaches an owner through the MPSC command mailbox of
-//! `yasmin_sync::mailbox`: one lane for control commands
-//! (activate/admit/retire/stop/shutdown), **one lane per peer shard**
-//! carrying the cross-shard protocol — routed DAG activation tokens
-//! (`CrossActivate`), forwarded message-plane events and the drain
+//! Everything else reaches an owner through its MPSC mailbox
+//! (`yasmin_sync::mailbox`): one lane for control commands, **one lane
+//! per peer shard** for the cross-shard protocol — routed DAG tokens
+//! (`CrossActivate`), forwarded message-plane events, the drain
 //! barrier — and one *message lane* fed by the channel notify hooks
-//! that fire on other threads. (Stolen jobs do not travel by mailbox:
-//! see "Work stealing" below.) Lanes are sized by what they
-//! carry: a peer lane is `max_pending_jobs` deep (a peer never waits,
-//! and each token becomes a pending job), the control and message lanes
-//! hold 64 commands (their senders wait for room), a helper's lane and
-//! the lane a shard would use to write to itself one. Ticks are
-//! generated locally by each owner at the shared gcd period.
+//! that fire on other threads, each sized by what it carries (`wire`).
+//! Ticks are generated locally by each owner at the shared gcd period.
 //!
 //! # The job boundary
 //!
-//! Both runtimes schedule **non-preemptively** (`preemption(false)`;
-//! preemptive configurations are exercised by the simulator, sharded
-//! ones by its driver `yasmin_sim::par`), and an owner inside a body
+//! Both runtimes schedule **non-preemptively** (`preemption(false)`),
+//! and between `Owner::begin_body` and `Owner::end_body` an owner
 //! does nothing else. Whatever reaches it meanwhile waits for the
-//! boundary — at most **one body**, i.e. one WCET of a job that keeps
-//! to it — and is applied there in the order it happened: what the body
-//! posted, what arrived while it ran, and only then its completion. An
-//! activation, a token or a boost that arrived during the body is
-//! therefore in the queue when the round that retires the body picks
-//! the next job — one lower-priority body of blocking, not two:
+//! `step` after `end_body` — at most **one body** — and is applied
+//! there in the order it happened: what the body posted, what arrived
+//! while it ran, and only then its completion, so the round that
+//! retires the body picks the most urgent of everything ready by then:
 //!
-//! * **Tick edges** that passed while the body ran are handled when it
-//!   returns, each at its nominal instant, in time order and *before*
-//!   the completion retires: `enforce_wcet` and the miss trip find the
-//!   overrunning job still in its slot. The releases carry their
-//!   nominal times and are dispatched late by the rest of the body —
-//!   the analysis' non-preemptive blocking term.
-//! * **Thieves do not wait for it.** What an owner can spare lies on
-//!   its shelf for the whole of the body (see "Work stealing" below);
-//!   the boundary is where the owner takes back what nobody took,
-//!   before anything else happens there.
+//! * **Tick edges** the body ran across are handled by `end_body`, each
+//!   at its nominal instant, in time order and *before* the completion
+//!   retires: `enforce_wcet` and the miss trip find the overrunning job
+//!   still in its slot. The releases are dispatched late by the rest of
+//!   the body — the analysis' non-preemptive blocking term.
+//! * **Thieves do not wait for it** (see "Work stealing").
 //! * **`admit`**: an owner splices at its boundary. With two shards or
 //!   more every shard acknowledges before the commit is sent, so
-//!   [`Runtime::admit`] returns after the longest body then in
-//!   flight; with one owner nothing is waited for. `Commit`, `retire`
-//!   (which returns at once), `activate` and `stop` take effect there
-//!   too.
-//! * **`DrainFlush`** is acknowledged at the boundary; the shutdown
-//!   drain waits out the bodies in flight in any case.
-//! * **Tokens and boosts from other threads** (`CrossActivate`,
-//!   `MsgHigh`, `MsgDrained`): a boost cannot displace a running body
-//!   on any design; it re-orders the queue the next dispatch reads.
+//!   [`Runtime::admit`] returns after the longest body then in flight;
+//!   with one owner nothing is waited for. `Commit`, `retire`,
+//!   `activate`, `stop` and `DrainFlush` take effect there too.
 //! * **Message-plane events from an owner's own bodies.** A notify hook
 //!   firing on its channel's *home* thread must not send into the
 //!   message lane: only that thread drains it, so waiting for room
-//!   would wait for itself. It appends to a queue the thread owns
-//!   (`post`), applied at the boundary ahead of the mailbox — no lock,
-//!   no bound. Each post first moves what the lane holds behind what is
-//!   queued, so queue-then-lane stays the one FIFO route per channel
-//!   and a drain never overtakes its post.
+//!   would wait for itself. For the length of a body
+//!   (`Owner::in_body`) the thread-local `LOCAL` holds the owner's
+//!   mailbox and a queue the thread owns; the hook (`post`) appends to
+//!   that queue — no lock, no bound — after moving what the lane holds
+//!   behind what is queued, so queue-then-lane stays the one FIFO route
+//!   per channel and a drain never overtakes its post.
 //! * **Calls from a body.** `activate`, `retire`, `stop` and a post to
 //!   another home may wait: for room in a lane, or for the ledger lock
 //!   of a caller that is itself waiting for room. Every such wait
-//!   (`wait_for`) holds nothing and, on an owner's thread, keeps moving
-//!   that thread's mailbox into its own queue — so the room others wait
-//!   for is always made, and two bodies can never wait on each other.
-//!   An `admit` that waits for acknowledgements does so with nothing
-//!   held, which lets those calls through; it must not itself come from
+//!   (`wait_for`) holds nothing and, inside a body, keeps moving that
+//!   owner's mailbox into its own queue — so the room others wait for
+//!   is always made, and two bodies can never wait on each other. An
+//!   `admit` that waits for acknowledgements must not itself come from
 //!   a body, whose own shard would never get there.
 //!
-//! An owner that feeds helpers has no boundary of this kind: it is
-//! never inside a body, so ticks, commands and completions are handled
-//! as they arrive, and its helpers' bodies reach it like any foreign
-//! thread — over the control and message lanes.
+//! An owner that feeds helpers is never inside a body: ticks, commands
+//! and completions are handled as they arrive.
 //!
 //! # Wake-up protocol
 //!
-//! Every sleep in this file is a `yasmin_sync::doorbell::Doorbell` wait
-//! (the paper's "sleep" waiting strategy, §3.5); there is no polling
-//! nap. An owner with no job to run parks on its mailbox
-//! (`MailboxReceiver::park`) until its next tick edge — less the
-//! lateness such a park has shown, see "The tick edge" below — a helper
-//! with an empty ring on the bell beside it, and:
-//!
-//! * Every `send` into any lane rings the owner: a peer's
-//!   `CrossActivate` / `MsgHigh` / `Drain*`, a helper's
-//!   `Done`, the control lane (`activate`, `admit`, `retire`, `stop`,
-//!   `cleanup`) and the notify hooks on the message lane. A lane
-//!   closing rings it too. Every push into a helper's ring rings the
-//!   helper.
-//! * Two things an owner waits for are *not* messages, so their writers
-//!   ring explicitly (`MailboxSender::wake`) and the sleeper re-checks
-//!   them after announcing its sleep: **a peer's shelf filling** — an
-//!   idle thief that found nothing to take raises its idle flag on the
-//!   [`LoadBoard`] before parking, and a victim that has put jobs on
-//!   its shelf wakes the flagged peers — and **the shutdown drain
-//!   board** — a shard that raises its drained flag wakes every peer.
-//! * One thing has no event at all: room appearing in a full peer lane.
-//!   While a shard holds spilled peer sends its park is bounded by
-//!   `SPILL_RETRY`.
-//!
-//! No wake-up is lost because both sides follow the doorbell's rule
-//! (see its module docs): the ringer publishes, fences, then looks for
-//! a sleeper; the sleeper announces itself, fences, then looks for
-//! work. A ring at an awake thread — one inside a body included — costs
-//! one load. The full list of conditions the loop re-evaluates on
-//! waking sits at its park site in `owner_main`. Under
-//! [`WaitChoice::Spin`] nobody parks: owners spin on their mailbox and
-//! the clock between jobs, helpers on their ring, each alone on its
-//! core.
+//! Every sleep here is a `yasmin_sync::doorbell::Doorbell` wait (the
+//! paper's "sleep" waiting strategy, §3.5); there is no polling nap. A
+//! helper with an empty ring waits on the bell beside it; an owner that
+//! `step` found nothing for gets `Next::Park`, whose `wake` names
+//! everything that may end the park — `WakeSource` says, per source,
+//! who rings and what the sleeper re-checks. No wake-up is lost because
+//! both sides follow the doorbell's rule: the ringer publishes, fences,
+//! then looks for a sleeper; the sleeper announces itself, fences, then
+//! looks for work. A ring at an awake thread — one inside a body
+//! included — costs one load. Under [`WaitChoice::Spin`] nobody parks.
 //!
 //! # The tick edge
 //!
 //! A timed park returns late, and on a given host most of that lateness
-//! is the same every time (timer slack, then the way back onto a core:
-//! some 100 µs of a 10 ms park where this was written). It used to be
-//! the largest single term of a periodic job's dispatch latency. An
-//! owner therefore measures it — `woke − armed` of its own parks that
-//! ran into their timeout, the last 64 of them, in a
-//! `yasmin_sync::wait::TimerLead` — and arms the next park *early* by
-//! the smallest value it has seen (at most `TimerLead::CAP`, and at
+//! is the same every time (some 100 µs of a 10 ms park where this was
+//! written). An owner measures it — `woke − armed` of its own parks
+//! that ran into their timeout (`Owner::woke`), the last 64 of them,
+//! in a `yasmin_sync::wait::TimerLead` — and `step` arms the next park
+//! *early* by the smallest value seen (at most `TimerLead::CAP`, and at
 //! most an eighth of a tick): the park then ends at or just after the
 //! edge, and nothing is spun away. A host whose timer is on time
-//! teaches a lead of zero and runs the loop as if there were none.
+//! teaches a lead of zero.
 //!
 //! The lead moves the *wake-up*, never the schedule: a tick round runs
-//! only once `clock.now() >= next_tick`, so no release, dispatch or
-//! overrun check happens ahead of its edge, and the engine sees the
-//! same instants as before. An owner that is nevertheless idle inside
-//! `[next_tick − lead, next_tick)` — its park ended sooner than any of
-//! the last 64, or its last job did — spins to the edge, polling what
-//! the park's re-check polls, so a command that lands there is served
-//! at once. [`TickStats`], one per owner in
-//! [`crate::RuntimeReport::tick_stats`], says what came of it: how late
-//! the tick rounds began, the lead in force, how often the owner was
-//! early and how long it spun. [`WaitChoice::Spin`] has no park and no
-//! lead.
-//!
-//! A pass that finds completions *and* a due tick coalesces both into
-//! **one** engine round ([`OnlineEngine::advance_into`]): the single
-//! dispatch round sees the freed workers and the fresh releases
-//! together.
+//! only once the clock has reached its edge, so the engine sees the
+//! same instants as without it. An owner that is nevertheless idle
+//! inside `[edge − lead, edge)` — its park ended sooner than any of
+//! the last 64, or its last job did — gets `Next::SpinTo` that edge:
+//! its thread polls what a park's re-check polls, so a command that
+//! lands there is served at once. [`TickStats`], one per owner in
+//! [`crate::RuntimeReport::tick_stats`], says what came of it. A pass
+//! that finds completions *and* a due tick coalesces both into **one**
+//! engine round ([`OnlineEngine::advance_into`]).
 //!
 //! # Work stealing
 //!
-//! With [`RuntimeBuilder::work_stealing`] enabled every shard has a
-//! **shelf** (`yasmin_sync::shelf`, [`MAX_STEAL_BATCH`] slots). A shard
-//! inside a body cannot answer anybody, so it answers beforehand:
-//! **right before it runs a body** it detaches the stealable jobs
-//! queued behind that one — most urgent first, up to the first that
-//! must stay (an accelerator-bound task's, one that already migrated
-//! once, or *another instance of the task it is about to run*, which
-//! a thief would run beside this one) —
-//! [`OnlineEngine::try_steal_batch`] /
-//! [`OnlineEngine::release_stolen_batch`] — lays them on its shelf and
-//! wakes the peers flagged idle. **The first thing after the body** it
-//! closes the shelf: what a thief claimed is donated, what nobody
-//! claimed goes back into the ready queue
-//! ([`OnlineEngine::return_unclaimed`]) under its own key — a total
-//! order, so the queue is as if those jobs had never left it. No
-//! engine round runs while a shelf is open, and a shelf is open only
-//! during a body: wherever the loop below looks at the engine or the
-//! drain protocol looks at the shard, its shelf is empty.
+//! With [`RuntimeBuilder::work_stealing`] every shard has a **shelf**
+//! (`yasmin_sync::shelf`, [`MAX_STEAL_BATCH`] slots). A shard inside a
+//! body cannot answer anybody, so it answers beforehand:
+//! `Owner::begin_body` detaches the stealable jobs queued behind the
+//! one about to run — most urgent first, up to the first that must stay
+//! (an accelerator-bound task's, one that already migrated once, or
+//! *another instance of the task about to run*, which a thief would run
+//! beside this one) — lays them on the shelf and wakes the peers
+//! flagged idle. The first thing `Owner::end_body` does is close the
+//! shelf: what a thief claimed is donated, what nobody claimed goes
+//! back into the ready queue ([`OnlineEngine::return_unclaimed`]) under
+//! its own key — a total order, so the queue is as if those jobs had
+//! never left it. A shelf is open only between those two calls:
+//! whenever `step` looks at the engine or the drain protocol looks at
+//! the shard, its shelf is empty.
 //!
 //! An idle shard (empty queue, no job, drained mailbox) asks the
 //! advisory [`LoadBoard`] for a victim among the peers whose shelf has
-//! something on it — most loaded peer first, exact load ties broken
-//! towards DAG-adjacent shards (wired from the task set's cross-shard
-//! edges at startup) and recent donors — claims up to `k` jobs from
-//! that shelf with one compare-and-swap, `k` derived from the load gap
+//! something on it — most loaded first, exact ties broken towards
+//! DAG-adjacent shards and recent donors — claims up to `k` jobs with
+//! one compare-and-swap, `k` derived from the load gap
 //! ([`LoadBoard::steal_batch_size`]), adopts them with one dispatch
 //! round ([`OnlineEngine::adopt_stolen_batch`]) and runs them itself —
 //! global [`WorkerId`]s keep every record truthful about where a job
-//! actually ran. It waits for nobody: a steal costs the thief a wake-up
-//! at most, whatever the victim is doing. ([`StealStats`], one per
-//! owner in [`crate::RuntimeReport::steal_stats`], counts both sides.)
-//! The simulator's protocol loop keeps the request/grant messages of
-//! `yasmin_sched::ShardCmd`: in virtual time a victim answers at once,
-//! which is what the shelf gives real threads.
-//!
-//! Cross-shard DAG successors of any completion (stolen or local) are
-//! drained from the shard outbox and routed to the owning peer's lane.
-//! Scheduling decisions run through the zero-allocation [`ActionSink`]
-//! path.
+//! ran. It waits for nobody. ([`StealStats`], one per owner in
+//! [`crate::RuntimeReport::steal_stats`], counts both sides.)
 
 use crate::runtime::{
     JobCtx, RtJobRecord, Runtime, RuntimeBuilder, StealStats, TaskBody, TickStats,
 };
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
-use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
-use yasmin_core::config::{Config, WaitChoice};
+use yasmin_core::config::WaitChoice;
 use yasmin_core::error::{Error, Result};
 use yasmin_core::graph::TaskSet;
 use yasmin_core::ids::{JobId, TaskId, TenantId, VersionId, WorkerId};
 use yasmin_core::priority::Priority;
 use yasmin_core::time::{Clock, Duration, Instant, MonotonicClock};
 use yasmin_sched::admission::{reservation_for, AdmissionControl, TenantLedger};
-use yasmin_sched::msg::{MsgEvent, NotifyHandle};
+use yasmin_sched::msg::MsgEvent;
 use yasmin_sched::server::TenantBudget;
 use yasmin_sched::{
-    Action, ActionSink, EngineStats, Job, JobBatch, JobOutcome, OnlineEngine, RemoteActivation,
-    StealHint, MAX_STEAL_BATCH,
+    Action, ActionSink, EngineShard, EngineStats, Job, JobBatch, JobOutcome, OnlineEngine,
+    RemoteActivation, StealHint, MAX_STEAL_BATCH,
 };
 use yasmin_sync::doorbell::Doorbell;
 use yasmin_sync::mailbox::{mailbox_with_capacities, MailboxFull, MailboxReceiver, MailboxSender};
@@ -248,16 +179,12 @@ const LANE_PEER0: usize = 1;
 
 /// Slots of a control or message lane. Whoever finds one full waits for
 /// room ([`wait_for`]) — back-pressure, never loss — so the depth only
-/// says how many commands may queue behind one body, and a lane as deep
-/// as the engine's ready queue would spend its slots on holding a
-/// handful of commands.
+/// says how many commands may queue behind one body.
 const COMMAND_LANE_DEPTH: usize = 64;
 
-/// Longest park of a shard thread that holds spilled peer sends
-/// ([`PeerLinks::pending`]): room appearing in a full lane rings no
-/// bell, so the flush is retried on this period until the backlog is
-/// gone.
-const SPILL_RETRY: std::time::Duration = std::time::Duration::from_micros(200);
+/// Longest park of a shard that holds spilled peer sends
+/// ([`PeerLinks::pending`], [`WakeSource::SpillRetry`]).
+const SPILL_RETRY: Duration = Duration::from_micros(200);
 
 /// Commands flowing into an owner thread.
 pub(crate) enum ShardMsg {
@@ -271,9 +198,8 @@ pub(crate) enum ShardMsg {
     CrossActivate { edge: u32, graph_release: Instant },
     /// A high-priority message entered a channel lane. Lands first on
     /// the channel's *home* shard (the sending task's, so one channel's
-    /// posts and drains share one FIFO route); a home shard that does
-    /// not own `dst` forwards it over the per-peer lane to the owner,
-    /// exactly like a [`ShardMsg::CrossActivate`] token.
+    /// posts and drains share one FIFO route); a home that does not own
+    /// `dst` forwards it over the per-peer lane, like a token.
     MsgHigh { dst: TaskId, ceiling: Priority },
     /// A high-lane message was consumed; routed like
     /// [`ShardMsg::MsgHigh`], releasing the boost when posts and drains
@@ -284,10 +210,8 @@ pub(crate) enum ShardMsg {
     /// owner's engine and register the tenant's bodies, with every new
     /// release left **disarmed**. With two shards or more each
     /// decrements `ack` when its splice is done, and the admitting
-    /// thread holds the commit until the counter hits zero so a
-    /// cross-shard token for a new task can never reach a shard that has
-    /// not yet heard of it; one owner's lane is FIFO and carries no
-    /// counter.
+    /// thread holds the commit until the counter hits zero; one owner's
+    /// lane is FIFO and carries no counter.
     Admit {
         taskset: Arc<TaskSet>,
         bodies: Arc<HashMap<(TaskId, VersionId), TaskBody>>,
@@ -297,9 +221,8 @@ pub(crate) enum ShardMsg {
     },
     /// Phase two: arm the tenant's releases. Each owner anchors them at
     /// its **next local tick edge** (not the commit send instant): it
-    /// dispatches on a fixed tick grid, so an off-grid release phase
-    /// would delay every dispatch of the tenant by up to one tick —
-    /// enough to sink a deadline equal to the period.
+    /// dispatches on a fixed tick grid, and an off-grid release phase
+    /// would delay every dispatch of the tenant by up to one tick.
     Commit { tenant: TenantId },
     /// Quiesce a tenant: cull its ready jobs, disarm its releases, drop
     /// its pending tokens; a job in flight finishes but fires no
@@ -307,18 +230,13 @@ pub(crate) enum ShardMsg {
     Retire { tenant: TenantId, at: Instant },
     /// Stop releasing periodic jobs.
     Stop,
-    /// Drain and exit (two-phase: see the drain protocol in
-    /// [`owner_main`]).
+    /// Drain and exit (two-phase: see [`Owner::drained`]).
     Shutdown,
-    /// Phase one of the loss-free shutdown drain: a quiesced shard
-    /// barriers each peer lane with this marker. Peer lanes are FIFO,
-    /// so by the time the receiver sees the flush, every token the
-    /// sender routed before it has been received; the receiver answers
-    /// with [`ShardMsg::DrainAck`].
+    /// The barrier a quiesced shard puts into each peer lane during that
+    /// drain, answered with [`ShardMsg::DrainAck`].
     DrainFlush { from: usize },
-    /// The ack completing a [`ShardMsg::DrainFlush`] barrier: the
-    /// sending peer has observed everything routed to it before the
-    /// flush (the peer's identity is implied by its lane).
+    /// The sending peer has seen everything routed to it before the
+    /// flush (its identity is implied by its lane).
     DrainAck,
 }
 
@@ -329,43 +247,27 @@ pub(crate) enum ShardMsg {
 const _: () = assert!(std::mem::size_of::<ShardMsg>() <= 80);
 
 /// [`Runtime`] under a configuration with `Config::sharded_dispatch`.
-/// An alias kept for source compatibility; it goes at the next
-/// benchmark re-baseline.
+/// An alias kept for source compatibility until the next benchmark
+/// re-baseline.
 pub type ShardedRuntime = Runtime;
 
 /// [`RuntimeBuilder`], whose `Config` says whether the runtime is
-/// sharded. An alias kept for source compatibility, like
-/// [`ShardedRuntime`].
+/// sharded. An alias, like [`ShardedRuntime`].
 pub type ShardedRuntimeBuilder = RuntimeBuilder;
 
-/// What the builder collects and hands to [`spawn`].
-pub(crate) struct Launch {
-    pub(crate) taskset: Arc<TaskSet>,
-    pub(crate) config: Config,
-    pub(crate) bodies: HashMap<(TaskId, VersionId), TaskBody>,
-    pub(crate) channels: Vec<NotifyHandle>,
-    pub(crate) pin_offset: usize,
-    /// Only shards steal; off unless the builder turns it on.
-    pub(crate) work_stealing: bool,
+/// What an owner leaves behind when it exits ([`Owner::into_report`]),
+/// filled in as it runs.
+#[derive(Default)]
+pub(crate) struct OwnerReport {
+    pub(crate) records: Vec<RtJobRecord>,
+    pub(crate) stats: EngineStats,
+    /// How it met its tick edges.
+    pub(crate) ticks: TickStats,
+    /// What it shelved and stole.
+    pub(crate) steals: StealStats,
+    /// Whether its thread ran pinned.
+    pub(crate) pinned: bool,
 }
-
-impl Launch {
-    pub(crate) fn new(taskset: Arc<TaskSet>, config: Config) -> Self {
-        Launch {
-            taskset,
-            config,
-            bodies: HashMap::new(),
-            channels: Vec::new(),
-            pin_offset: 0,
-            work_stealing: false,
-        }
-    }
-}
-
-/// What an owner thread returns when it exits: its records, its engine
-/// counters, how it met its tick edges, what it shelved and stole, and
-/// whether it ran pinned.
-pub(crate) type OwnerExit = (Vec<RtJobRecord>, EngineStats, TickStats, StealStats, bool);
 
 /// A shard's shelf: the jobs it can spare while it is inside a body.
 type JobShelf = shelf::Owner<Job, MAX_STEAL_BATCH>;
@@ -378,17 +280,17 @@ pub(crate) type SharedLane = Mutex<MailboxSender<ShardMsg>>;
 
 /// The message lanes of one runtime, by home shard: where the channel
 /// notify hooks post from threads other than the home's own. Shared by
-/// the hooks, the runtime handle and the owner threads, which tell
-/// their own runtime by it.
+/// the hooks, the handle and the owners, which tell their runtime by it.
 pub(crate) type MsgLanes = Arc<Vec<SharedLane>>;
 
-/// What code running inside a body finds of the owner thread it is on:
-/// the queue of events the thread owns, and the mailbox only this
-/// thread drains.
+/// An owner's mailbox, which only its thread drains, and the queue that
+/// thread owns. They are the [`Owner`]'s between bodies and `LOCAL`'s
+/// during one ([`Owner::in_body`]): what code running inside a body
+/// finds of the owner it runs on.
 struct ShardLocal {
     lanes: MsgLanes,
     me: usize,
-    rx: Rc<RefCell<MailboxReceiver<ShardMsg>>>,
+    rx: MailboxReceiver<ShardMsg>,
     /// Events this thread's bodies posted to their own home, and what
     /// [`post`] and [`wait_for`] moved here from the mailbox; applied at
     /// the job boundary, ahead of the mailbox.
@@ -402,10 +304,9 @@ thread_local! {
 /// Retries `attempt` until it yields, from whichever thread and with
 /// nothing held in between. What it waits for — room in a lane, a lock
 /// another caller holds while *it* waits for room — comes from an owner
-/// reaching its job boundary, and the caller may be inside a body on one
-/// of `lanes`' owners: that thread keeps moving its mailbox into its own
-/// queue meanwhile, so it always makes the room others are waiting for
-/// and two bodies can never wait on each other.
+/// reaching its job boundary, and the caller may be inside a body of one
+/// of `lanes`' owners: it keeps moving that owner's mailbox into its
+/// queue meanwhile, so the room others wait for is always made.
 pub(crate) fn wait_for<T>(lanes: &MsgLanes, mut attempt: impl FnMut() -> Option<T>) -> T {
     let mut backoff = Backoff::new();
     loop {
@@ -414,8 +315,7 @@ pub(crate) fn wait_for<T>(lanes: &MsgLanes, mut attempt: impl FnMut() -> Option<
         }
         LOCAL.with_borrow_mut(|local| {
             if let Some(l) = local.as_mut().filter(|l| Arc::ptr_eq(&l.lanes, lanes)) {
-                let mut rx = l.rx.borrow_mut();
-                while let Some(msg) = rx.try_recv() {
+                while let Some(msg) = l.rx.try_recv() {
                     l.posts.push_back(msg);
                 }
             }
@@ -426,9 +326,8 @@ pub(crate) fn wait_for<T>(lanes: &MsgLanes, mut attempt: impl FnMut() -> Option<
 
 pub(crate) fn try_lock<T>(m: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
     match m.try_lock() {
-        Ok(guard) => Some(guard),
         Err(TryLockError::WouldBlock) => None,
-        Err(TryLockError::Poisoned(_)) => panic!("runtime mutex poisoned"),
+        locked => Some(locked.expect("runtime mutex poisoned")),
     }
 }
 
@@ -442,18 +341,16 @@ pub(crate) fn send_waiting(lanes: &MsgLanes, lane: &SharedLane, msg: ShardMsg) {
 }
 
 /// Delivers a message-plane event to its channel's `home` owner from
-/// whichever thread the notify hook fired on (see "The job boundary" in
-/// the module docs). On the home thread itself: the thread-owned queue,
-/// behind what the message lane holds — no lock, never full. Anywhere
-/// else: the home's message lane.
+/// whichever thread the notify hook fired on ("The job boundary"): in
+/// a body of the home itself, the thread-owned queue, behind what the
+/// message lane holds — no lock, never full; anywhere else, that lane.
 fn post(lanes: &MsgLanes, home: usize, msg: ShardMsg) {
     let elsewhere = LOCAL.with_borrow_mut(|local| {
         let at_home = |l: &&mut ShardLocal| Arc::ptr_eq(&l.lanes, lanes) && l.me == home;
         let Some(l) = local.as_mut().filter(at_home) else {
             return Some(msg);
         };
-        let mut rx = l.rx.borrow_mut();
-        while let Some(earlier) = rx.pop_lane(LANE_PEER0 + lanes.len()) {
+        while let Some(earlier) = l.rx.pop_lane(LANE_PEER0 + lanes.len()) {
             l.posts.push_back(earlier);
         }
         l.posts.push_back(msg);
@@ -468,41 +365,47 @@ fn post(lanes: &MsgLanes, home: usize, msg: ShardMsg) {
 /// that is not `sharded` has every task, assigned to a worker or not; a
 /// shard has those assigned to its worker.
 pub(crate) fn owner_of(taskset: &TaskSet, sharded: bool, t: TaskId) -> Result<usize> {
-    let task = taskset.task(t)?;
-    if !sharded {
-        return Ok(0);
+    let assigned = taskset.task(t)?.spec().assigned_worker();
+    match sharded {
+        false => Ok(0),
+        true => assigned
+            .map(|w| w.index())
+            .ok_or(Error::MissingPartition(t)),
     }
-    let assigned = task.spec().assigned_worker();
-    assigned
-        .map(WorkerId::index)
-        .ok_or(Error::MissingPartition(t))
 }
 
-/// Spawns one owner thread per engine of `engines` — every shard of
-/// a partitioned set in worker order, or the one whole engine — and
-/// the helpers of each owner that has more than one slot.
-pub(crate) fn spawn(engines: Vec<OnlineEngine>, launch: Launch) -> Result<Runtime> {
-    let clock = Arc::new(MonotonicClock::new());
+/// Every owner of one runtime, each beside the far ends of its helpers
+/// (none for an owner that executes).
+pub(crate) type Owners<C> = Vec<(Owner<C>, Vec<HelperEnd>)>;
+
+/// Builds one [`Owner`] per engine — every shard of a partitioned set
+/// in worker order, or the one whole engine — and what joins them:
+/// mailbox lanes, shelves, the load board, the drain board and the
+/// channel notify hooks. Starts no thread; returns the owners, the
+/// control lane into each, and the message lanes.
+pub(crate) fn wire<C: Clock>(
+    launch: &RuntimeBuilder,
+    clock: &Arc<C>,
+) -> Result<(Owners<C>, Vec<SharedLane>, MsgLanes)> {
+    let (taskset, config) = (&launch.taskset, &launch.config);
+    let sharded = config.sharded_dispatch();
+    let engines = if sharded {
+        let shards = EngineShard::build_all(taskset, config)?;
+        shards.into_iter().map(EngineShard::into_inner).collect()
+    } else {
+        vec![OnlineEngine::new(Arc::clone(taskset), config.clone())?]
+    };
     // A peer never waits for room — what finds none spills
     // (`PeerLinks::pending`) — and every token it sends becomes a
     // pending job of the receiver: as deep as an engine's queue.
-    let peer_depth = launch.config.max_pending_jobs().max(64);
-    let waiting = launch.config.waiting();
+    let peer_depth = config.max_pending_jobs().max(64);
     let n = engines.len();
-    let tick = engines
-        .first()
-        .map(OnlineEngine::tick_period)
-        .ok_or_else(|| Error::InvalidConfig("a thread runtime needs at least one worker".into()))?;
-    let admission = AdmissionControl::new(launch.config.clone(), tick);
     let board = Arc::new(LoadBoard::new(n));
-    let taskset = &launch.taskset;
-    let sharded = launch.config.sharded_dispatch();
     let owner = |t: TaskId| owner_of(taskset, sharded, t);
-    // Seed the victim-selection hints: shards joined by a
-    // cross-shard DAG edge are marked adjacent, so on exact load
-    // ties a thief prefers a victim whose jobs have successors (or
-    // predecessors) on the thief's own shard — the stolen work's
-    // tokens then travel a lane that already exists.
+    // Seed the victim-selection hints: shards joined by a cross-shard
+    // DAG edge are marked adjacent, so on exact load ties a thief
+    // prefers a victim whose jobs have successors (or predecessors) on
+    // its own shard — their tokens then travel a lane that exists.
     for e in taskset.edges() {
         if let (Ok(a), Ok(b)) = (owner(e.src), owner(e.dst)) {
             if a != b {
@@ -530,7 +433,7 @@ pub(crate) fn spawn(engines: Vec<OnlineEngine>, launch: Launch) -> Result<Runtim
     for (s, engine) in engines.iter().enumerate() {
         // Who executes: an owner with one slot itself, one with
         // more hands every job to the slot's helper.
-        let slots = engine.shard_worker().map_or(launch.config.workers(), |_| 1);
+        let slots = engine.shard_worker().map_or(config.workers(), |_| 1);
         let helpers = if slots > 1 { slots } else { 0 };
         let mut capacities = vec![peer_depth; LANE_PEER0 + n + 1];
         capacities[LANE_CONTROL] = COMMAND_LANE_DEPTH;
@@ -548,11 +451,9 @@ pub(crate) fn spawn(engines: Vec<OnlineEngine>, launch: Launch) -> Result<Runtim
     let msg_lanes: MsgLanes = Arc::new(msg_txs);
 
     // Arm the channel notify hooks: each channel posts its events to
-    // its *home* owner — the sending task's, so one channel's posts
-    // and drains travel one FIFO route and can never reorder. A
-    // home shard that does not own the receiver forwards over the
-    // per-peer lanes (see `ShardMsg::MsgHigh`). Channels without a
-    // declared ceiling never reach an engine.
+    // its *home* owner — the sending task's, so one channel's posts and
+    // drains travel one FIFO route (see `ShardMsg::MsgHigh`). Channels
+    // without a declared ceiling never reach an engine.
     for handle in &launch.channels {
         if handle.ceiling().is_none() {
             continue;
@@ -581,49 +482,17 @@ pub(crate) fn spawn(engines: Vec<OnlineEngine>, launch: Launch) -> Result<Runtim
         }
     }
 
-    let mut threads = Vec::with_capacity(n);
-    let mut helpers = Vec::new();
-    for ((((engine, mailbox_rx), peers), done_lanes), shelf) in engines
+    let mut owners = Vec::with_capacity(n);
+    for ((((engine, rx), txs), done_lanes), shelf) in engines
         .into_iter()
         .zip(receivers)
         .zip(peer_txs)
         .zip(done_lanes_by_owner)
         .zip(shelves)
     {
-        let mut to_helpers = Vec::with_capacity(done_lanes.len());
-        for (w, done_tx) in done_lanes.into_iter().enumerate() {
-            let (ring, from_owner) = spsc::channel(1);
-            let bell = Arc::new(Doorbell::new());
-            to_helpers.push(HelperLink {
-                ring,
-                bell: Arc::clone(&bell),
-            });
-            let core = launch.pin_offset + w;
-            let clock = Arc::clone(&clock);
-            helpers.push(
-                std::thread::Builder::new()
-                    .name(format!("yasmin-worker-{w}"))
-                    .spawn(move || {
-                        let pinned = crate::os::enter_runtime_thread(core);
-                        let worker = WorkerId::new(w as u16);
-                        helper_main(from_owner, &bell, done_tx, &clock, worker, waiting);
-                        pinned
-                    })
-                    .map_err(|e| Error::Os(format!("spawning worker {w}: {e}")))?,
-            );
-        }
-        // An owner that executes sits on its worker's core, one that
-        // only schedules on the core after its helpers'.
-        let (name, core) = match engine.shard_worker() {
-            Some(w) => (format!("yasmin-shard-sched-{w}"), w.index()),
-            None => ("yasmin-scheduler".to_owned(), to_helpers.len()),
-        };
-        let core = launch.pin_offset + core;
-        let bodies = launch.bodies.clone();
-        let clock = Arc::clone(&clock);
-        let lanes = Arc::clone(&msg_lanes);
-        let links = PeerLinks {
-            txs: peers,
+        let (helpers, ends) = done_lanes.into_iter().map(helper_ends).unzip();
+        let peers = PeerLinks {
+            txs,
             pending: (0..n).map(|_| VecDeque::new()).collect(),
             board: Arc::clone(&board),
             stealing: launch.work_stealing && n > 1,
@@ -631,17 +500,46 @@ pub(crate) fn spawn(engines: Vec<OnlineEngine>, launch: Launch) -> Result<Runtim
             shelves: peer_shelves.clone(),
             drained: Arc::clone(&drain_board),
         };
-        threads.push(
-            std::thread::Builder::new()
-                .name(name.clone())
-                .spawn(move || {
-                    let pinned = crate::os::enter_runtime_thread(core);
-                    let (records, stats, ticks, steals) =
-                        owner_main(engine, bodies, mailbox_rx, &clock, links, lanes, to_helpers);
-                    (records, stats, ticks, steals, pinned)
-                })
-                .map_err(|e| Error::Os(format!("spawning {name}: {e}")))?,
-        );
+        let bodies = launch.bodies.clone();
+        let lanes = Arc::clone(&msg_lanes);
+        let owner = Owner::new(engine, bodies, rx, Arc::clone(clock), peers, lanes, helpers);
+        owners.push((owner, ends));
+    }
+    Ok((owners, control, msg_lanes))
+}
+
+/// [`wire`]s the owners and starts one thread per owner and one per
+/// helper.
+pub(crate) fn spawn(launch: RuntimeBuilder) -> Result<Runtime> {
+    let clock = Arc::new(MonotonicClock::new());
+    let waiting = launch.config.waiting();
+    let (owners, control, lanes) = wire(&launch, &clock)?;
+    let tick = owners
+        .first()
+        .map(|(owner, _)| owner.tick)
+        .ok_or_else(|| Error::InvalidConfig("a thread runtime needs at least one worker".into()))?;
+    let admission = AdmissionControl::new(launch.config.clone(), tick);
+
+    let mut threads = Vec::with_capacity(owners.len());
+    let mut helpers = Vec::new();
+    for (owner, ends) in owners {
+        // An owner that executes sits on its worker's core, one that
+        // only schedules on the core after its helpers'.
+        let (name, core) = match owner.engine.shard_worker() {
+            Some(w) => (format!("yasmin-shard-sched-{w}"), w.index()),
+            None => ("yasmin-scheduler".to_owned(), ends.len()),
+        };
+        for (w, end) in ends.into_iter().enumerate() {
+            let core = launch.pin_offset + w;
+            let clock = Arc::clone(&clock);
+            helpers.push(start_thread(format!("yasmin-worker-{w}"), move || {
+                let pinned = crate::os::enter_runtime_thread(core);
+                helper_main(end, &*clock, WorkerId::new(w as u16), waiting);
+                pinned
+            })?);
+        }
+        let core = launch.pin_offset + core;
+        threads.push(start_thread(name, move || owner_thread(owner, core))?);
     }
 
     Ok(Runtime {
@@ -649,18 +547,71 @@ pub(crate) fn spawn(engines: Vec<OnlineEngine>, launch: Launch) -> Result<Runtim
         clock,
         config: launch.config,
         control,
-        lanes: msg_lanes,
+        lanes,
         threads,
         helpers,
     })
 }
 
+fn start_thread<T: Send + 'static>(
+    name: String,
+    main: impl FnOnce() -> T + Send + 'static,
+) -> Result<std::thread::JoinHandle<T>> {
+    let spawned = std::thread::Builder::new().name(name.clone()).spawn(main);
+    spawned.map_err(|e| Error::Os(format!("spawning {name}: {e}")))
+}
+
+/// One owner's thread, the shell around [`Owner::step`]: it runs the
+/// bodies, parks on the mailbox and spins to an edge, and decides
+/// nothing.
+fn owner_thread(mut owner: Owner<MonotonicClock>, core: usize) -> OwnerReport {
+    let pinned = crate::os::enter_runtime_thread(core);
+    let clock = Arc::clone(&owner.clock);
+    let worker = owner.worker;
+    let mut next = owner.start();
+    loop {
+        match next {
+            Next::Run(job, version) => {
+                let ctx = JobCtx {
+                    job,
+                    version,
+                    worker,
+                };
+                owner.begin_body(&job);
+                let key = (job.task, version);
+                let record = owner.in_body(key, |body| run_body(body, &ctx, &*clock));
+                owner.end_body(record);
+            }
+            Next::Park { until, wake } => {
+                // `also_ready` runs after the thread has announced its
+                // sleep: whoever changes it later sees that and rings.
+                let timeout = until.saturating_since(owner.now);
+                owner
+                    .mailbox()
+                    .park(Some(timeout.into()), || owner.also_ready(wake));
+                owner.woke(until, wake);
+            }
+            Next::SpinTo { edge, wake } => {
+                let to = loop {
+                    std::hint::spin_loop();
+                    let at = clock.now();
+                    if at >= edge || !owner.mailbox().is_empty() || owner.also_ready(wake) {
+                        break at;
+                    }
+                };
+                owner.spun(to, wake);
+            }
+            Next::Exit => return owner.into_report(pinned),
+        }
+        next = owner.step();
+    }
+}
+
 /// Runs one job's body on the calling thread. A panic is contained: the
-/// job reads as [`JobOutcome::Failed`] and the thread — an owner, and
-/// with it its whole shard, or a helper — survives. `TaskBody` is a
-/// shared closure and not `UnwindSafe`, but its captured state is never
-/// observed by the runtime after a panic, so the assertion is sound.
-fn run_body(body: &TaskBody, ctx: &JobCtx, clock: &MonotonicClock) -> RtJobRecord {
+/// job reads as [`JobOutcome::Failed`] and the thread — an owner, or a
+/// helper — survives. `TaskBody` is not `UnwindSafe`, but the runtime
+/// never observes its captured state after a panic.
+fn run_body(body: &TaskBody, ctx: &JobCtx, clock: &impl Clock) -> RtJobRecord {
     let started = clock.now();
     let outcome = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(ctx))) {
         Ok(()) => JobOutcome::Completed,
@@ -677,7 +628,7 @@ fn run_body(body: &TaskBody, ctx: &JobCtx, clock: &MonotonicClock) -> RtJobRecor
 }
 
 /// What an owner hands a helper: one dispatched job.
-struct Run {
+pub(crate) struct Run {
     job: Job,
     version: VersionId,
     body: TaskBody,
@@ -701,20 +652,35 @@ impl HelperLink {
     }
 }
 
+/// A helper's end of its owner: the ring it pops, the bell it sleeps
+/// on, and the mailbox lane of its own it answers on.
+pub(crate) struct HelperEnd {
+    ring: spsc::Consumer<Option<Run>>,
+    bell: Arc<Doorbell>,
+    done: MailboxSender<ShardMsg>,
+}
+
+/// Both ends of the helper that answers on `done`.
+fn helper_ends(done: MailboxSender<ShardMsg>) -> (HelperLink, HelperEnd) {
+    let (to_helper, ring) = spsc::channel(1);
+    let bell = Arc::new(Doorbell::new());
+    let ring_bell = Arc::clone(&bell);
+    (
+        HelperLink {
+            ring: to_helper,
+            bell: ring_bell,
+        },
+        HelperEnd { ring, bell, done },
+    )
+}
+
 /// A helper thread: worker slot `worker` of an owner that does not
 /// execute. Runs what the ring holds, answers on its own mailbox lane.
-fn helper_main(
-    mut ring: spsc::Consumer<Option<Run>>,
-    bell: &Doorbell,
-    mut done: MailboxSender<ShardMsg>,
-    clock: &MonotonicClock,
-    worker: WorkerId,
-    waiting: WaitChoice,
-) {
+fn helper_main(mut end: HelperEnd, clock: &impl Clock, worker: WorkerId, waiting: WaitChoice) {
     loop {
-        let Some(msg) = ring.pop() else {
+        let Some(msg) = end.ring.pop() else {
             match waiting {
-                WaitChoice::Sleep => bell.wait(None, || !ring.is_empty()),
+                WaitChoice::Sleep => end.bell.wait(None, || !end.ring.is_empty()),
                 WaitChoice::Spin => std::hint::spin_loop(),
             }
             continue;
@@ -730,7 +696,7 @@ fn helper_main(
         let record = run_body(&body, &ctx, clock);
         // The owner took the previous answer out of the lane before it
         // dispatched this job.
-        if done.send(ShardMsg::Done(record)).is_err() {
+        if end.done.send(ShardMsg::Done(record)).is_err() {
             unreachable!("one job in flight per helper");
         }
     }
@@ -757,11 +723,9 @@ struct PeerLinks {
     /// The taking end of every shard's shelf, this shard's own included
     /// so that a shard index needs no adjustment.
     shelves: Vec<PeerShelf>,
-    /// The shared drain board of the two-phase shutdown: `drained[s]`
-    /// is raised by shard `s` once it is quiet during shutdown and
-    /// cleared by `s` when late work arrives. A shard exits only at
-    /// global quiescence — every flag raised *and* its own mailbox and
-    /// spill backlog empty — so no in-flight message is ever dropped.
+    /// The drain board of the two-phase shutdown ([`Owner::drained`]):
+    /// `drained[s]` is raised by shard `s` once it is quiet and cleared
+    /// by `s` when late work arrives.
     drained: Arc<Vec<AtomicBool>>,
 }
 
@@ -842,30 +806,6 @@ impl PeerLinks {
     }
 }
 
-/// What tests make of the lead: `u64::MAX` leaves it learned, anything
-/// else pins every owner of the process to that many nanoseconds,
-/// whatever its estimator has been fed.
-#[cfg(test)]
-static PINNED_LEAD_NS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(u64::MAX);
-
-/// `None` outside tests: the lead is what [`TimerLead`] learned.
-fn pinned_lead() -> Option<Duration> {
-    #[cfg(test)]
-    {
-        let ns = PINNED_LEAD_NS.load(Ordering::Relaxed);
-        (ns != u64::MAX).then(|| Duration::from_nanos(ns))
-    }
-    #[cfg(not(test))]
-    None
-}
-
-/// How far ahead of a tick edge an owner arms its timed park: what its
-/// parks taught it, and never more than an eighth of a tick — a lead as
-/// long as the tick would leave nothing to park for.
-fn lead_in_force(pinned: Option<Duration>, learned: &TimerLead, tick: Duration) -> Duration {
-    pinned.unwrap_or_else(|| learned.lead()).min(tick / 8)
-}
-
 /// How late an owner's tick rounds began, in nanoseconds: eight buckets
 /// per power of two (a value keeps its four leading bits), filled in
 /// place at every round.
@@ -917,578 +857,661 @@ impl LateHist {
     }
 }
 
-/// One owner's thread: engine rounds over `engine` — a shard's, or the
-/// whole — and between them either the one job the last round
-/// dispatched, run right here (no `helpers`: one slot), or nothing but
-/// scheduling (one helper per slot).
-#[allow(clippy::too_many_lines)]
-fn owner_main(
-    mut engine: OnlineEngine,
-    mut bodies: HashMap<(TaskId, VersionId), TaskBody>,
-    rx: MailboxReceiver<ShardMsg>,
-    clock: &Arc<MonotonicClock>,
-    mut peers: PeerLinks,
-    lanes: MsgLanes,
-    mut helpers: Vec<HelperLink>,
-) -> (Vec<RtJobRecord>, EngineStats, TickStats, StealStats) {
-    // The whole engine owns slots `0..n` and sits at index 0 of its
-    // one-owner runtime; alone on one slot it is worker 0 itself.
-    let worker = engine.shard_worker().unwrap_or(WorkerId::new(0));
-    let me = worker.index();
-    let tick = engine.tick_period();
-    let waiting = engine.config().waiting();
-    let mut records: Vec<RtJobRecord> = Vec::new();
-    let mut shutting_down = false;
-    // Steal scratch, reused so that neither side of a steal allocates:
-    // what the engine names stealable, and the jobs on their way to or
-    // from a shelf.
-    let mut steal_hints: Vec<StealHint> = Vec::with_capacity(MAX_STEAL_BATCH);
-    let mut steal_batch = JobBatch::new();
-    let mut steals = StealStats::default();
-    // Two-phase drain state: whether this shard has barriered its peer
-    // lanes with `DrainFlush`, and how many peers have acked.
-    let mut flush_sent = false;
-    let mut drain_acks = 0usize;
-    let peer_count = peers.txs.len().saturating_sub(1);
+/// One thing that can end an owner's park. A condition `step` acts on
+/// is one of these — a ring from its writer, a re-check after the
+/// sleeper announced itself, or a bound on the timeout — or it does
+/// not outlive the pass that found it (a job to run, the thread's own
+/// posts).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum WakeSource {
+    /// A command in any lane — control, the peer protocol with
+    /// `DrainFlush`/`DrainAck`, the message lane, a helper's `Done`:
+    /// every `send` rings, and a park looks at the pending count after
+    /// announcing itself.
+    Mailbox,
+    /// A peer's shelf filling, for an idle thief: it raises its idle
+    /// flag on the [`LoadBoard`] before parking, a victim that shelved
+    /// jobs wakes the flagged peers ([`PeerLinks::wake_thieves`]), and
+    /// the sleeper re-checks [`PeerLinks::victim`].
+    PeerShelf,
+    /// Every shard drained, during shutdown: a shard raising its flag
+    /// wakes every peer ([`PeerLinks::set_drained`]), and the sleeper
+    /// re-checks [`PeerLinks::all_drained`].
+    AllDrained,
+    /// Room in a full peer lane for [`PeerLinks::flush`]. No event:
+    /// while a shard holds spilled sends its park ends `SPILL_RETRY`
+    /// on at the latest, and says nothing about the timer.
+    SpillRetry,
+    /// The next tick edge: the timeout, armed the lead ahead of it.
+    TickEdge,
+}
 
-    // The mailbox is shared with the notify hooks that fire on this
-    // thread (`post`): they run inside a body, when this loop holds no
-    // borrow of it.
-    let rx = Rc::new(RefCell::new(rx));
-    LOCAL.set(Some(ShardLocal {
-        lanes,
-        me,
-        rx: Rc::clone(&rx),
-        posts: VecDeque::new(),
-    }));
-    // What the body just run left in `ShardLocal::posts`, swapped out at
-    // the boundary (the two buffers alternate, neither reallocates).
-    let mut posts: VecDeque<ShardMsg> = VecDeque::new();
+/// The [`WakeSource`]s of one park, built where it is decided.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) struct WakeSet(u8);
 
-    // One reusable sink: the steady-state loop allocates nothing for
-    // actions.
-    let mut sink = ActionSink::new();
-    // The job the engine's last round dispatched to this thread — one
-    // slot, never preempted, so at most one — run at the top of the
-    // next pass. Stays empty on an owner that feeds helpers.
-    let mut next_job: Option<(Job, VersionId)> = None;
-    // Completions not yet retired — the body just run, or what the
-    // helpers reported this drain, one per slot at most: folded into a
-    // due tick, or retired together ahead of the first command of the
-    // pass.
-    let mut done: Vec<(WorkerId, JobId)> = Vec::with_capacity(helpers.len().max(1));
-    let mut last_done = Instant::ZERO;
-    // Cross-shard DAG tokens drained from the shard outbox, reused.
-    let mut outbox: Vec<RemoteActivation> = Vec::with_capacity(8);
-    // The tick edge (module docs): the lateness this thread's timed
-    // parks show, how late its tick rounds began, and what waking
-    // early cost.
-    let mut timer_lead = TimerLead::new();
-    let pinned_lead = pinned_lead();
-    let mut late = LateHist::new();
-    let mut ticks = TickStats::default();
-
-    // The advertised load is the *stealable* load: zero whenever the
-    // steal probe would yield no hint (empty queue, or a top job that
-    // must not migrate). Advertising raw ready counts would rank a
-    // shard whose queue holds only unstealable work above one a thief
-    // can actually relieve.
-    let stealable_load =
-        |engine: &OnlineEngine| -> usize { engine.steal_hint().map_or(0, |_| engine.ready_len()) };
-
-    // Everything an engine round leaves behind: a dispatch becomes this
-    // thread's next job or goes to its slot's helper, cross-shard
-    // tokens route to their owning peers, and — when anyone actually
-    // probes — the advisory load is republished (with stealing off, the
-    // probe and the store would be pure overhead on the benchmarked
-    // dispatch path).
-    macro_rules! settle_round {
-        () => {{
-            for &a in sink.as_slice() {
-                // Boost actions are priority bookkeeping only;
-                // preemption is disabled, so Preempt cannot occur.
-                let Action::Dispatch {
-                    worker: slot,
-                    job,
-                    version,
-                } = a
-                else {
-                    continue;
-                };
-                if let Some(helper) = helpers.get_mut(slot.index()) {
-                    let body = Arc::clone(&bodies[&(job.task, version)]);
-                    helper.push(Some(Run { job, version, body }));
-                } else {
-                    debug_assert!(next_job.is_none(), "one slot, one job");
-                    next_job = Some((job, version));
-                }
-            }
-            engine.drain_outbox_into(&mut outbox);
-            for ra in outbox.drain(..) {
-                peers.send(
-                    ra.worker.index(),
-                    ShardMsg::CrossActivate {
-                        edge: ra.edge,
-                        graph_release: ra.graph_release,
-                    },
-                );
-            }
-            if peers.stealing {
-                peers.board.publish(me, stealable_load(&engine));
-            }
-        }};
-    }
-    // Retires the pending completions, if any, in a round of their own.
-    macro_rules! retire_done {
-        () => {
-            if !done.is_empty() {
-                sink.clear();
-                engine
-                    .on_jobs_completed_into(&done, last_done, &mut sink)
-                    .expect("completion protocol upheld");
-                done.clear();
-                settle_round!();
-            }
-        };
-    }
-    // The tick round at `$at` for the edge `$edge`, begun at `$now`,
-    // folding in the pending completions: one dispatch round sees the
-    // freed workers and the fresh releases together. Never ahead of its
-    // edge, however early the park before it was armed.
-    macro_rules! tick_round {
-        ($at:expr, $edge:expr, $now:expr) => {{
-            debug_assert!($now >= $edge, "a tick round ahead of its edge");
-            late.record($now.saturating_since($edge));
-            sink.clear();
-            engine
-                .advance_into(&done, $at, &mut sink)
-                .expect("completion protocol upheld");
-            done.clear();
-            settle_round!();
-            // Age the donation history once per tick, from one shard
-            // only (every shard halving it would decay n times faster
-            // than intended). "Recent donor" then means "donated within
-            // the last few ticks".
-            if peers.stealing && me == 0 {
-                peers.board.decay_donations();
-            }
-        }};
-    }
-    // A job ran, here or on a helper: its record, and its completion
-    // queued for the next retiring round.
-    macro_rules! job_done {
-        ($record:expr) => {{
-            let r: RtJobRecord = $record;
-            records.push(r);
-            last_done = last_done.max(r.completed);
-            match r.outcome {
-                JobOutcome::Completed => done.push((r.worker, r.job.id)),
-                // Rare by construction: retired alone through the
-                // failure path (successors are policy-gated there).
-                JobOutcome::Failed => {
-                    sink.clear();
-                    engine
-                        .on_job_failed_into(r.worker, r.job.id, r.completed, &mut sink)
-                        .expect("failure protocol upheld");
-                    settle_round!();
-                }
-            }
-        }};
+impl WakeSet {
+    fn with(self, source: WakeSource, on: bool) -> Self {
+        WakeSet(self.0 | u8::from(on) << source as u8)
     }
 
-    // One instant anchors both grids: the releases `start_into` arms
-    // and the tick edges that dispatch them. An anchor taken after the
-    // first dispatch round would make every tick of the run trail its
-    // release by however long that round took.
-    let t0 = clock.now();
-    engine
-        .start_into(t0, &mut sink)
-        .expect("fresh engine starts");
-    settle_round!();
-    let mut next_tick = t0 + tick;
+    pub(crate) fn has(self, source: WakeSource) -> bool {
+        self.0 >> source as u8 & 1 != 0
+    }
+}
 
-    loop {
-        // The job boundary. Run the dispatched job here, on the owner's
-        // own thread; everything below waited for it (module docs).
-        if let Some((job, version)) = next_job.take() {
-            let ctx = JobCtx {
-                job,
-                version,
-                worker,
-            };
-            // Nobody can ask this thread for work while it is inside
-            // the body, so what it can spare goes on the shelf first
-            // (module docs, "Work stealing"): the stealable jobs behind
-            // this one, most urgent first, and nothing from another
-            // instance of this task onwards: a thief would run it
-            // beside this one.
-            let mut shelved = 0;
-            if peers.stealing {
-                engine.try_steal_batch(peers.shelf.room(), &mut steal_hints);
-                if let Some(n) = steal_hints.iter().position(|h| h.task == job.task) {
-                    steal_hints.truncate(n);
-                }
-                steal_batch.clear();
-                shelved = engine.release_stolen_batch(&steal_hints, &mut steal_batch);
-                for &spare in steal_batch.as_slice() {
-                    peers.shelf.put(spare).expect("room was counted");
-                }
-                if shelved > 0 {
-                    steals.shelved += shelved as u64;
-                    peers.wake_thieves(me, shelved);
-                }
-            }
-            let record = run_body(&bodies[&(job.task, version)], &ctx, clock);
-            // Close the shelf before anything looks at the engine: what
-            // a thief claimed is donated, the rest is back in the queue
-            // under its own key, as if it had never left.
-            if shelved > 0 {
-                steal_batch.clear();
-                let unclaimed = peers.shelf.close(|spare| {
-                    steal_batch.push(spare);
-                });
-                engine.return_unclaimed(steal_batch.as_slice());
-                if unclaimed < shelved {
-                    steals.taken += (shelved - unclaimed) as u64;
-                    // Future load ties break towards this shard: recent
-                    // donors tend to stay the imbalanced ones.
-                    peers.board.record_donation(me);
-                }
-            }
-            // The edges the body ran across, in time order and ahead of
-            // its completion: overrun enforcement and the miss trip
-            // find the job still in its slot.
-            while next_tick <= record.completed {
-                tick_round!(next_tick, next_tick, record.completed);
-                next_tick += tick;
-            }
-            job_done!(record);
-            LOCAL.with_borrow_mut(|l| {
-                let l = l.as_mut().expect("set when the thread started");
-                std::mem::swap(&mut posts, &mut l.posts);
-            });
+/// What [`Owner::step`] tells the thread that called it to do.
+pub(crate) enum Next {
+    /// Run this job's body on this thread: [`Owner::begin_body`], the
+    /// body inside [`Owner::in_body`], [`Owner::end_body`].
+    Run(Job, VersionId),
+    /// Nothing to do before `until`: sleep on the mailbox, with
+    /// [`Owner::also_ready`] as the look after the announcement, then
+    /// [`Owner::woke`].
+    Park { until: Instant, wake: WakeSet },
+    /// Nothing to do, and no time to sleep: watch the clock, the
+    /// mailbox and [`Owner::also_ready`] until the first of them, then
+    /// [`Owner::spun`]. `edge` is the next tick edge when the owner is
+    /// idle inside its lead, and already reached — one look — under
+    /// [`WaitChoice::Spin`].
+    SpinTo { edge: Instant, wake: WakeSet },
+    /// Globally quiescent after `Shutdown`: [`Owner::into_report`].
+    Exit,
+}
+
+/// One owner's protocol over its engine — a shard's, or the whole — as
+/// a machine a thread steps: the thread runs bodies, parks and spins.
+pub(crate) struct Owner<C: Clock> {
+    engine: OnlineEngine,
+    bodies: HashMap<(TaskId, VersionId), TaskBody>,
+    clock: Arc<C>,
+    /// `None` while a body has it ([`Owner::in_body`]).
+    local: Option<ShardLocal>,
+    peers: PeerLinks,
+    /// One per slot, or none: an owner with one slot executes.
+    helpers: Vec<HelperLink>,
+    /// The whole engine owns slots `0..n` and sits at index 0 of its
+    /// one-owner runtime; alone on one slot it is worker 0 itself.
+    worker: WorkerId,
+    me: usize,
+    tick: Duration,
+    waiting: WaitChoice,
+    /// Reused: the steady state allocates nothing for actions.
+    sink: ActionSink,
+    /// The [`Next::Run`] of the job the last round dispatched to this
+    /// thread — one slot, never preempted, so at most one; none on an
+    /// owner that feeds helpers.
+    next_job: Option<Next>,
+    /// Completions not yet retired — the body just run, or what the
+    /// helpers reported this drain, one per slot at most.
+    done: Vec<(WorkerId, JobId)>,
+    last_done: Instant,
+    /// Cross-shard DAG tokens drained from the shard outbox, reused.
+    outbox: Vec<RemoteActivation>,
+    next_tick: Instant,
+    /// The clock as the last pass read it for its tick check.
+    now: Instant,
+    /// The lateness this thread's timed parks show, how late its tick
+    /// rounds began, what waking early cost.
+    timer_lead: TimerLead,
+    late: LateHist,
+    /// Steal scratch, reused: what the engine names stealable, the jobs
+    /// on their way to or from a shelf, how many lie on this owner's.
+    steal_hints: Vec<StealHint>,
+    steal_batch: JobBatch,
+    shelved: usize,
+    /// Two-phase drain state: `Shutdown` seen, the peer lanes barriered
+    /// with `DrainFlush`, and how many peers have acked.
+    shutting_down: bool,
+    flush_sent: bool,
+    drain_acks: usize,
+    report: OwnerReport,
+}
+
+impl<C: Clock> Owner<C> {
+    fn new(
+        engine: OnlineEngine,
+        bodies: HashMap<(TaskId, VersionId), TaskBody>,
+        rx: MailboxReceiver<ShardMsg>,
+        clock: Arc<C>,
+        peers: PeerLinks,
+        lanes: MsgLanes,
+        helpers: Vec<HelperLink>,
+    ) -> Self {
+        let worker = engine.shard_worker().unwrap_or(WorkerId::new(0));
+        Owner {
+            local: Some(ShardLocal {
+                lanes,
+                me: worker.index(),
+                rx,
+                posts: VecDeque::new(),
+            }),
+            worker,
+            me: worker.index(),
+            tick: engine.tick_period(),
+            waiting: engine.config().waiting(),
+            sink: ActionSink::new(),
+            next_job: None,
+            done: Vec::with_capacity(helpers.len().max(1)),
+            last_done: Instant::ZERO,
+            outbox: Vec::with_capacity(8),
+            next_tick: Instant::MAX,
+            now: Instant::ZERO,
+            timer_lead: TimerLead::new(),
+            late: LateHist::new(),
+            steal_hints: Vec::with_capacity(MAX_STEAL_BATCH),
+            steal_batch: JobBatch::new(),
+            shelved: 0,
+            shutting_down: false,
+            flush_sent: false,
+            drain_acks: 0,
+            report: OwnerReport::default(),
+            engine,
+            bodies,
+            clock,
+            peers,
+            helpers,
         }
+    }
 
-        // Retry any peer sends that found a full lane earlier — before
-        // draining our own mailbox, so two busy shards always make
-        // mutual progress.
-        peers.flush();
-        // Drain on the zero-alloc path, in the order things happened:
-        // what the body posted, what reached the mailbox while it ran
-        // (control, peer protocol, message lane — or, on an owner that
-        // feeds helpers, whatever rang it, their completions among it),
-        // and only then the completions: an activation or a boost that
-        // arrived during a body finds its slot still taken and queues,
-        // so the round that retires the body picks the most urgent of
-        // everything that is ready by then — what a scheduler thread of
-        // its own would have decided. All completions of one drain
-        // retire in one round, folded into the tick round below when
-        // one is due.
-        let mut drained_any = false;
+    fn local(&mut self) -> &mut ShardLocal {
+        self.local.as_mut().expect("no body has the mailbox")
+    }
+
+    /// The mailbox, for the thread to park on and to poll.
+    pub(crate) fn mailbox(&self) -> &MailboxReceiver<ShardMsg> {
+        &self.local.as_ref().expect("no body has the mailbox").rx
+    }
+
+    /// Starts the engine. One instant anchors both grids, the releases
+    /// and the tick edges that dispatch them: an anchor taken after the
+    /// first round would make every tick trail its release by however
+    /// long that round took.
+    pub(crate) fn start(&mut self) -> Next {
+        let t0 = self.clock.now();
+        self.engine
+            .start_into(t0, &mut self.sink)
+            .expect("fresh engine starts");
+        self.settle_round();
+        self.next_tick = t0 + self.tick;
+        self.next_job.take().unwrap_or_else(|| self.step())
+    }
+
+    /// Engine rounds, from the job boundary on, until there is
+    /// something for the thread to do.
+    pub(crate) fn step(&mut self) -> Next {
         loop {
-            let Some(msg) = posts.pop_front().or_else(|| rx.borrow_mut().try_recv()) else {
-                break;
-            };
+            if let Some(next) = self.pass() {
+                return next;
+            }
+        }
+    }
+
+    /// One pass; `None` when something happened and nothing came of it
+    /// for the thread: start over.
+    fn pass(&mut self) -> Option<Next> {
+        // Retry peer sends that found a full lane — before draining our
+        // own mailbox, so two busy shards always make mutual progress.
+        self.peers.flush();
+        // In the order things happened: what the body posted, what
+        // reached the mailbox meanwhile (helpers' completions among
+        // it), and only then the completions, all in one round —
+        // folded into the tick round below when one is due.
+        let mut drained_any = false;
+        while let Some(msg) = self.next_msg() {
             drained_any = true;
-            // Late work arriving after this shard advertised quiescence
-            // revokes the advertisement before any effect of the work
-            // (dispatches, routed tokens) becomes visible to peers. The
-            // drain-protocol markers themselves are not work.
-            if shutting_down && !matches!(msg, ShardMsg::DrainFlush { .. } | ShardMsg::DrainAck) {
-                peers.clear_drained(me);
-            }
-            match msg {
-                ShardMsg::Done(record) => job_done!(record),
-                ShardMsg::Activate(task) => {
-                    sink.clear();
-                    if engine.activate_into(task, clock.now(), &mut sink).is_ok() {
-                        settle_round!();
-                    }
-                }
-                ShardMsg::CrossActivate {
-                    edge,
-                    graph_release,
-                } => {
-                    sink.clear();
-                    engine
-                        .on_remote_token(edge, graph_release, clock.now(), &mut sink)
-                        .expect("cross-shard token routed to the owning shard");
-                    settle_round!();
-                }
-                ShardMsg::MsgHigh { dst, .. } | ShardMsg::MsgDrained { dst } => {
-                    // The whole engine has every task; a shard's, those
-                    // assigned to its worker.
-                    let owner = match engine.shard_worker() {
-                        None => Some(worker),
-                        Some(_) => engine
-                            .taskset()
-                            .tasks()
-                            .get(dst.index())
-                            .and_then(|t| t.spec().assigned_worker()),
-                    };
-                    match owner {
-                        Some(o) if o == worker => {
-                            let at = clock.now();
-                            sink.clear();
-                            let applied = match msg {
-                                ShardMsg::MsgHigh { ceiling, .. } => {
-                                    engine.on_high_posted_into(dst, ceiling, at, &mut sink)
-                                }
-                                _ => engine.on_high_drained_into(dst, at, &mut sink),
-                            };
-                            if applied.is_ok() {
-                                settle_round!();
-                            }
-                        }
-                        // Not ours: ride the per-peer lane to the owner,
-                        // like a cross-shard activation token.
-                        Some(o) => peers.send(o.index(), msg),
-                        None => {}
-                    }
-                }
-                ShardMsg::Admit {
-                    taskset,
-                    bodies: tenant_bodies,
-                    budget,
-                    at,
-                    ack,
-                } => {
-                    // Control path: allocation here is fine, the tenant
-                    // is not running yet (see module docs of
-                    // `yasmin_sched::admission`).
-                    for (k, b) in tenant_bodies.iter() {
-                        bodies.insert(*k, Arc::clone(b));
-                    }
-                    let tenant = TenantId::new(engine.tenant_count() as u32);
-                    engine
-                        .splice_taskset(taskset, reservation_for(tenant, budget, at))
-                        .expect("admission validated by the admitting thread");
-                    if let Some(ack) = ack {
-                        ack.fetch_sub(1, Ordering::AcqRel);
-                    }
-                }
-                ShardMsg::Commit { tenant } => {
-                    sink.clear();
-                    // A commit racing a `stop()` is refused by the
-                    // engine (`ScheduleNotRunning`) — the schedule is
-                    // ending anyway, so the tenant simply never starts.
-                    if engine
-                        .commit_tenant_anchored_into(tenant, next_tick, clock.now(), &mut sink)
-                        .is_ok()
-                    {
-                        settle_round!();
-                    }
-                }
-                ShardMsg::Retire { tenant, at } => {
-                    sink.clear();
-                    engine
-                        .retire_tenant_into(tenant, at, &mut sink)
-                        .expect("retirement validated by the retiring thread");
-                    settle_round!();
-                }
-                ShardMsg::Stop => engine.stop(),
-                ShardMsg::Shutdown => {
-                    // Shutdown implies stop: the drain below terminates
-                    // only once releases cease.
-                    engine.stop();
-                    shutting_down = true;
-                }
-                ShardMsg::DrainFlush { from } => {
-                    // The flush rode the FIFO peer lane behind every
-                    // token `from` routed here before quiescing; acking
-                    // it proves all of them have been received.
-                    peers.send(from, ShardMsg::DrainAck);
-                }
-                ShardMsg::DrainAck => drain_acks += 1,
-            }
+            self.handle(msg);
         }
-        let rx = rx.borrow();
-
-        // Two-phase loss-free drain. Phase one: a shard that has gone
-        // locally quiet — no job, spill backlog flushed, and (as
-        // everywhere outside a body) nothing on its shelf — barriers
-        // every peer lane with `DrainFlush` and waits for all acks; the
-        // FIFO lanes turn each ack into a proof that the peer received
-        // everything routed to it before the flush. Phase two: with all acks in and its own mailbox empty,
-        // the shard raises its flag on the shared drain board. Exit
-        // happens only at global quiescence — every shard drained *and*
-        // this shard's mailbox and backlog still empty. A late token
-        // un-drains its receiver before any effect of the work is
-        // visible, and an undelivered message always shows up either in
-        // its sender's backlog (sender not drained) or its receiver's
-        // mailbox (receiver re-checks before exiting), so no message
-        // can be lost. (An engine with a completion still to retire is
-        // not idle: helpers' jobs are waited out like the owner's own.)
-        if shutting_down && engine.is_idle() && peers.pending_empty() {
-            if !flush_sent {
-                for p in 0..peers.txs.len() {
-                    if p != me {
-                        peers.send(p, ShardMsg::DrainFlush { from: me });
-                    }
-                }
-                flush_sent = true;
-            }
-            if drain_acks >= peer_count && rx.is_empty() {
-                peers.set_drained(me);
-                if peers.all_drained() && rx.is_empty() && peers.pending_empty() {
-                    break;
-                }
-            }
+        if self.shutting_down && self.drained() {
+            // Global quiescence: nothing is in flight, nothing is lost.
+            debug_assert!(self.peers.shelf.is_empty(), "open during a body only");
+            self.peers.board.publish(self.me, 0);
+            self.helpers.iter_mut().for_each(|h| h.push(None));
+            return Some(Next::Exit);
         }
-
         // Tick edge, generated locally by this owner.
-        let now = clock.now();
-        if now >= next_tick {
-            tick_round!(now, next_tick, now);
-            while next_tick <= now {
-                next_tick += tick;
+        self.now = self.clock.now();
+        if self.now >= self.next_tick {
+            self.tick_round(self.now, self.now);
+            while self.next_tick <= self.now {
+                self.next_tick += self.tick;
             }
-            continue;
+            return self.next_job.take();
         }
-        retire_done!();
-
+        // No tick due: the completions retire in a round of their own.
+        if !self.done.is_empty() {
+            self.sink.clear();
+            self.engine
+                .on_jobs_completed_into(&self.done, self.last_done, &mut self.sink)
+                .expect("completion protocol upheld");
+            self.done.clear();
+            self.settle_round();
+        }
         // Fully idle (empty queue, no job, drained mailbox): take from
         // the shelf of the most loaded peer that has one filled.
-        let thief = peers.stealing && !shutting_down && engine.is_idle() && rx.is_empty();
-        if thief {
-            steal_batch.clear();
-            if let Some(victim) = peers.victim(me) {
-                // Half the advertised load gap: a thief this idle takes
-                // more from a deeply loaded victim, and never more than
-                // a shelf holds.
-                let k = peers
-                    .board
-                    .steal_batch_size(victim, engine.ready_len(), MAX_STEAL_BATCH);
-                peers.shelves[victim].claim(k, |job| {
-                    steal_batch.push(job);
-                });
-            }
-            if steal_batch.is_empty() {
-                // Nothing on offer, or another thief was faster.
-                steals.empty_probes += 1;
-            } else {
-                steals.claims += 1;
-                steals.jobs_claimed += steal_batch.len() as u64;
-                sink.clear();
-                engine
-                    .adopt_stolen_batch(steal_batch.as_slice(), clock.now(), &mut sink)
-                    .expect("a shelf holds its own shard's jobs only");
-                settle_round!();
+        let thief = self.peers.stealing
+            && !self.shutting_down
+            && self.engine.is_idle()
+            && self.mailbox().is_empty();
+        if (thief && self.steal()) || drained_any || self.next_job.is_some() {
+            return self.next_job.take();
+        }
+        Some(self.idle(thief))
+    }
+
+    fn next_msg(&mut self) -> Option<ShardMsg> {
+        let local = self.local();
+        local.posts.pop_front().or_else(|| local.rx.try_recv())
+    }
+
+    /// Everything an engine round leaves behind: a dispatch becomes
+    /// this thread's next job or goes to its slot's helper, cross-shard
+    /// tokens route to their owning peers, and — only when anyone
+    /// probes it — the advisory load is republished.
+    fn settle_round(&mut self) {
+        for &a in self.sink.as_slice() {
+            // Boost actions are priority bookkeeping only; preemption
+            // is disabled, so Preempt cannot occur.
+            let Action::Dispatch {
+                worker: slot,
+                job,
+                version,
+            } = a
+            else {
                 continue;
+            };
+            if let Some(helper) = self.helpers.get_mut(slot.index()) {
+                let body = Arc::clone(&self.bodies[&(job.task, version)]);
+                helper.push(Some(Run { job, version, body }));
+            } else {
+                debug_assert!(self.next_job.is_none(), "one slot, one job");
+                self.next_job = Some(Next::Run(job, version));
             }
         }
-
-        if drained_any || next_job.is_some() {
-            // Something arrived this pass, or there is a job to run:
-            // back to the top before sleeping.
-            continue;
+        self.engine.drain_outbox_into(&mut self.outbox);
+        for ra in self.outbox.drain(..) {
+            let token = ShardMsg::CrossActivate {
+                edge: ra.edge,
+                graph_release: ra.graph_release,
+            };
+            self.peers.send(ra.worker.index(), token);
         }
-        match waiting {
-            WaitChoice::Sleep => {
-                // Sleep until the next tick edge or the first ring.
-                // Everything this loop acts on, and what wakes it:
-                //
-                //  * a mailbox command (control, peer protocol incl.
-                //    `DrainFlush`/`DrainAck`, message lane, a helper's
-                //    `Done`)          — `send` rings;
-                //  * a peer's shelf filling
-                //                     — idle flag up, the filler wakes
-                //                       idle-flagged peers, re-checked
-                //                       below;
-                //  * `all_drained()`  — `set_drained` wakes,
-                //                       re-checked below;
-                //  * the tick edge    — the timeout, armed `lead`
-                //                       ahead of the edge: the park
-                //                       returns late by about that,
-                //                       and a return that is still
-                //                       early is spun out below;
-                //  * room in a full peer lane for `peers.flush()`
-                //                     — no event: timeout capped at
-                //                       `SPILL_RETRY` while spilled
-                //                       (and the spin at the lead).
-                //
-                // A job to run and this thread's own posts are not in
-                // the list: neither outlives the pass that found it.
-                //
-                // The two re-checks run inside `park`, after this
-                // thread has announced its sleep: a writer that changes
-                // the state after the look is then guaranteed to see
-                // the announcement and ring. A condition added to this
-                // loop needs a line here: a ring from its writer, a
-                // re-check below, or a bound on the timeout.
-                //
-                // The lead is the smallest `woke − armed` of this
-                // thread's last 64 parks that *ran into their timeout*:
-                // woken with the mailbox still empty and neither
-                // re-check true, not capped by `SPILL_RETRY`, not back
-                // before `armed` (a stale token). A park a ring ended
-                // says nothing about the timer and is not sampled.
-                //
-                // Idle at or past `armed` — the park returned earlier
-                // than it ever had, or the pass began that close to
-                // the edge — the thread spins to the edge. The spin
-                // polls what `park` polls and nothing else: the
-                // mailbox's pending count and the two re-checks; every
-                // other line above is a ring that shows there, or the
-                // edge itself. It ends at the first of them and the
-                // pass starts over, so a command that lands inside the
-                // lead is served at once and the tick round still
-                // waits for `clock.now() >= next_tick`.
-                let lead = lead_in_force(pinned_lead, &timer_lead, tick);
-                let armed = next_tick - lead;
-                if thief {
-                    peers.board.set_idle(me, true);
+        if self.peers.stealing {
+            // The advertised load is the *stealable* load: zero
+            // whenever the steal probe would yield no hint (empty
+            // queue, or a top job that must not migrate). Raw ready
+            // counts would rank a shard whose queue holds only
+            // unstealable work above one a thief can relieve.
+            let hint = self.engine.steal_hint();
+            let load = hint.map_or(0, |_| self.engine.ready_len());
+            self.peers.board.publish(self.me, load);
+        }
+    }
+
+    /// The tick round at `at` for the edge `next_tick`, begun at `now`,
+    /// folding in the pending completions: one dispatch round sees the
+    /// freed workers and the fresh releases together. Never ahead of
+    /// its edge, however early the park before it was armed.
+    fn tick_round(&mut self, at: Instant, now: Instant) {
+        debug_assert!(now >= self.next_tick, "a tick round ahead of its edge");
+        self.late.record(now.saturating_since(self.next_tick));
+        self.sink.clear();
+        self.engine
+            .advance_into(&self.done, at, &mut self.sink)
+            .expect("completion protocol upheld");
+        self.done.clear();
+        self.settle_round();
+        // Age the donation history once per tick, from one shard only
+        // (every shard halving it would decay n times faster than
+        // intended). "Recent donor" then means "donated within the
+        // last few ticks".
+        if self.peers.stealing && self.me == 0 {
+            self.peers.board.decay_donations();
+        }
+    }
+
+    /// A job ran, here or on a helper: its record, and its completion
+    /// queued for the next retiring round.
+    fn job_done(&mut self, r: RtJobRecord) {
+        self.report.records.push(r);
+        self.last_done = self.last_done.max(r.completed);
+        match r.outcome {
+            JobOutcome::Completed => self.done.push((r.worker, r.job.id)),
+            // Rare by construction: retired alone through the failure
+            // path (successors are policy-gated there).
+            JobOutcome::Failed => {
+                self.sink.clear();
+                self.engine
+                    .on_job_failed_into(r.worker, r.job.id, r.completed, &mut self.sink)
+                    .expect("failure protocol upheld");
+                self.settle_round();
+            }
+        }
+    }
+
+    /// Applies one command.
+    fn handle(&mut self, msg: ShardMsg) {
+        // Late work arriving after this shard advertised quiescence
+        // revokes the advertisement before any effect of the work
+        // (dispatches, routed tokens) becomes visible to peers. The
+        // drain-protocol markers themselves are not work.
+        if self.shutting_down && !matches!(msg, ShardMsg::DrainFlush { .. } | ShardMsg::DrainAck) {
+            self.peers.clear_drained(self.me);
+        }
+        self.sink.clear();
+        let applied = match msg {
+            ShardMsg::Done(record) => return self.job_done(record),
+            ShardMsg::Activate(task) => {
+                let now = self.clock.now();
+                self.engine.activate_into(task, now, &mut self.sink).is_ok()
+            }
+            ShardMsg::CrossActivate {
+                edge,
+                graph_release,
+            } => {
+                let now = self.clock.now();
+                self.engine
+                    .on_remote_token(edge, graph_release, now, &mut self.sink)
+                    .expect("cross-shard token routed to the owning shard");
+                true
+            }
+            ShardMsg::MsgHigh { dst, .. } | ShardMsg::MsgDrained { dst } => {
+                return self.msg_event(dst, msg)
+            }
+            ShardMsg::Admit {
+                taskset,
+                bodies,
+                budget,
+                at,
+                ack,
+            } => {
+                // Control path: allocation is fine, the tenant is not
+                // running yet (module docs of `yasmin_sched::admission`).
+                let tenants = bodies.iter().map(|(k, b)| (*k, Arc::clone(b)));
+                self.bodies.extend(tenants);
+                let tenant = TenantId::new(self.engine.tenant_count() as u32);
+                self.engine
+                    .splice_taskset(taskset, reservation_for(tenant, budget, at))
+                    .expect("admission validated by the admitting thread");
+                if let Some(ack) = ack {
+                    ack.fetch_sub(1, Ordering::AcqRel);
                 }
-                let also_ready = || {
-                    (thief && peers.victim(me).is_some()) || (shutting_down && peers.all_drained())
+                false
+            }
+            // A commit racing a `stop()` is refused by the engine
+            // (`ScheduleNotRunning`) — the schedule is ending anyway,
+            // so the tenant simply never starts.
+            ShardMsg::Commit { tenant } => {
+                let (edge, now) = (self.next_tick, self.clock.now());
+                self.engine
+                    .commit_tenant_anchored_into(tenant, edge, now, &mut self.sink)
+                    .is_ok()
+            }
+            ShardMsg::Retire { tenant, at } => {
+                self.engine
+                    .retire_tenant_into(tenant, at, &mut self.sink)
+                    .expect("retirement validated by the retiring thread");
+                true
+            }
+            ShardMsg::Stop | ShardMsg::Shutdown => {
+                // Shutdown implies stop: the drain terminates only once
+                // releases cease.
+                self.engine.stop();
+                self.shutting_down |= matches!(msg, ShardMsg::Shutdown);
+                false
+            }
+            ShardMsg::DrainFlush { from } => {
+                // The flush rode the FIFO peer lane behind every token
+                // `from` routed here before quiescing; acking it proves
+                // all of them have been received.
+                self.peers.send(from, ShardMsg::DrainAck);
+                false
+            }
+            ShardMsg::DrainAck => {
+                self.drain_acks += 1;
+                false
+            }
+        };
+        if applied {
+            self.settle_round();
+        }
+    }
+
+    /// A high-lane post or drain for `dst`: applied when this engine
+    /// has the task — the whole engine has every task; a shard's, those
+    /// assigned to its worker — and otherwise sent on over the per-peer
+    /// lane to the owner, like a cross-shard activation token.
+    fn msg_event(&mut self, dst: TaskId, msg: ShardMsg) {
+        let sharded = self.engine.shard_worker().is_some();
+        match owner_of(self.engine.taskset(), sharded, dst) {
+            Ok(o) if o == self.me => {
+                let at = self.clock.now();
+                let applied = match msg {
+                    ShardMsg::MsgHigh { ceiling, .. } => {
+                        self.engine
+                            .on_high_posted_into(dst, ceiling, at, &mut self.sink)
+                    }
+                    _ => self.engine.on_high_drained_into(dst, at, &mut self.sink),
                 };
-                if now < armed {
-                    let spilled = !peers.pending_empty();
-                    let mut timeout: std::time::Duration = (armed - now).into();
-                    if spilled {
-                        timeout = timeout.min(SPILL_RETRY);
-                    }
-                    rx.park(Some(timeout), also_ready);
-                    let timed_out = !spilled && rx.is_empty() && !also_ready();
-                    timer_lead.observe(armed, clock.now(), timed_out);
-                } else {
-                    ticks.early_wakes += 1;
-                    let mut spun_to = now;
-                    while spun_to < next_tick && rx.is_empty() && !also_ready() {
-                        std::hint::spin_loop();
-                        spun_to = clock.now();
-                    }
-                    ticks.spin_ns += spun_to.saturating_since(now).as_nanos();
-                }
-                if thief {
-                    peers.board.set_idle(me, false);
+                if applied.is_ok() {
+                    self.settle_round();
                 }
             }
-            WaitChoice::Spin => std::hint::spin_loop(),
+            Ok(o) => self.peers.send(o, msg),
+            Err(_) => {}
         }
     }
 
-    // Global quiescence (see the drain protocol above): nothing can be
-    // in flight, so exiting here loses no routed token and no job.
-    debug_assert!(peers.shelf.is_empty(), "a shelf is open during a body only");
-    debug_assert!(
-        peers.pending_empty(),
-        "drained shard with spilled peer messages"
-    );
-    debug_assert!(
-        rx.borrow().is_empty(),
-        "drained shard with a non-empty mailbox"
-    );
-    peers.board.publish(me, 0);
-    for helper in &mut helpers {
-        helper.push(None);
+    /// The two-phase loss-free drain; `true` when this shard may exit.
+    /// Phase one: a shard that has gone locally quiet — engine idle
+    /// (helpers' jobs retired like its own), spill backlog flushed —
+    /// barriers every peer lane with `DrainFlush` and waits for all
+    /// acks; the FIFO lanes turn each ack into a proof that the peer
+    /// received everything routed to it before the flush. Phase two:
+    /// with all acks in and its own mailbox empty, the shard raises its
+    /// flag on the drain board, and exits at global quiescence — every
+    /// flag up *and* its mailbox and backlog still empty. A late token
+    /// un-drains its receiver before any effect of the work is visible
+    /// ([`Owner::handle`]), and an undelivered message shows either in
+    /// its sender's backlog or in its receiver's mailbox, so none is
+    /// lost.
+    fn drained(&mut self) -> bool {
+        if !self.engine.is_idle() || !self.peers.pending_empty() {
+            return false;
+        }
+        let (me, peers) = (self.me, self.peers.txs.len());
+        if !self.flush_sent {
+            for p in (0..peers).filter(|&p| p != me) {
+                self.peers.send(p, ShardMsg::DrainFlush { from: me });
+            }
+            self.flush_sent = true;
+        }
+        if self.drain_acks + 1 < peers || !self.mailbox().is_empty() {
+            return false;
+        }
+        self.peers.set_drained(me);
+        self.peers.all_drained() && self.mailbox().is_empty() && self.peers.pending_empty()
     }
-    ticks.edges = late.count;
-    ticks.late_p50_ns = late.median();
-    ticks.late_max_ns = late.max;
-    ticks.lead_ns = lead_in_force(pinned_lead, &timer_lead, tick).as_nanos();
-    (records, engine.stats().clone(), ticks, steals)
+
+    /// Thief side of a steal; `true` when jobs were taken and adopted.
+    fn steal(&mut self) -> bool {
+        self.steal_batch.clear();
+        if let Some(victim) = self.peers.victim(self.me) {
+            // Half the advertised load gap: a thief this idle takes
+            // more from a deeply loaded victim, and never more than a
+            // shelf holds.
+            let ready = self.engine.ready_len();
+            let k = (self.peers.board).steal_batch_size(victim, ready, MAX_STEAL_BATCH);
+            let batch = &mut self.steal_batch;
+            self.peers.shelves[victim].claim(k, |job| {
+                batch.push(job);
+            });
+        }
+        if self.steal_batch.is_empty() {
+            // Nothing on offer, or another thief was faster.
+            self.report.steals.empty_probes += 1;
+            return false;
+        }
+        self.report.steals.claims += 1;
+        self.report.steals.jobs_claimed += self.steal_batch.len() as u64;
+        self.sink.clear();
+        let now = self.clock.now();
+        self.engine
+            .adopt_stolen_batch(self.steal_batch.as_slice(), now, &mut self.sink)
+            .expect("a shelf holds its own shard's jobs only");
+        self.settle_round();
+        true
+    }
+
+    /// How far ahead of a tick edge the timed park is armed: what this
+    /// thread's parks taught it, and at most an eighth of a tick — a
+    /// lead as long as the tick would leave nothing to park for.
+    fn lead(&self) -> Duration {
+        self.timer_lead.lead().min(self.tick / 8)
+    }
+
+    /// Nothing to do: how the thread waits for something.
+    fn idle(&mut self, thief: bool) -> Next {
+        let spilled = !self.peers.pending_empty();
+        let wake = WakeSet(1 << WakeSource::Mailbox as u8 | 1 << WakeSource::TickEdge as u8)
+            .with(WakeSource::PeerShelf, thief)
+            .with(WakeSource::AllDrained, self.shutting_down)
+            .with(WakeSource::SpillRetry, spilled);
+        let spin_to = |edge| Next::SpinTo { edge, wake };
+        if self.waiting == WaitChoice::Spin {
+            return spin_to(self.now);
+        }
+        if thief {
+            self.peers.board.set_idle(self.me, true);
+        }
+        let armed = self.next_tick - self.lead();
+        if self.now < armed {
+            let until = match spilled {
+                true => armed.min(self.now + SPILL_RETRY),
+                false => armed,
+            };
+            return Next::Park { until, wake };
+        }
+        // Idle at or past `armed`: a park ended early, or a job did.
+        self.report.ticks.early_wakes += 1;
+        spin_to(self.next_tick)
+    }
+
+    /// What a sleeping or spinning owner watches besides its mailbox.
+    pub(crate) fn also_ready(&self, wake: WakeSet) -> bool {
+        (wake.has(WakeSource::PeerShelf) && self.peers.victim(self.me).is_some())
+            || (wake.has(WakeSource::AllDrained) && self.peers.all_drained())
+    }
+
+    /// The park `step` asked for is over. Its lateness feeds the lead
+    /// when it *ran into its timeout*: woken with the mailbox still
+    /// empty and nothing else ready, not capped by `SPILL_RETRY`, not
+    /// back before `armed` (a stale token). A park a ring ended says
+    /// nothing about the timer.
+    pub(crate) fn woke(&mut self, armed: Instant, wake: WakeSet) {
+        let timed_out = !wake.has(WakeSource::SpillRetry)
+            && self.mailbox().is_empty()
+            && !self.also_ready(wake);
+        self.timer_lead.observe(armed, self.clock.now(), timed_out);
+        if wake.has(WakeSource::PeerShelf) {
+            self.peers.board.set_idle(self.me, false);
+        }
+    }
+
+    /// The spin `step` asked for ended at `to`. Under `WaitChoice::Spin`
+    /// it was one look between two passes, and counts for nothing.
+    pub(crate) fn spun(&mut self, to: Instant, wake: WakeSet) {
+        if self.waiting == WaitChoice::Sleep {
+            self.report.ticks.spin_ns += to.saturating_since(self.now).as_nanos();
+            if wake.has(WakeSource::PeerShelf) {
+                self.peers.board.set_idle(self.me, false);
+            }
+        }
+    }
+
+    /// Right before `job`'s body: nobody can ask this thread for work
+    /// while it is inside, so what it can spare goes on the shelf
+    /// first (module docs, "Work stealing").
+    pub(crate) fn begin_body(&mut self, job: &Job) {
+        if !self.peers.stealing {
+            return;
+        }
+        let room = self.peers.shelf.room();
+        self.engine.try_steal_batch(room, &mut self.steal_hints);
+        let same_task = self.steal_hints.iter().position(|h| h.task == job.task);
+        if let Some(n) = same_task {
+            self.steal_hints.truncate(n);
+        }
+        self.steal_batch.clear();
+        self.shelved = self
+            .engine
+            .release_stolen_batch(&self.steal_hints, &mut self.steal_batch);
+        for &spare in self.steal_batch.as_slice() {
+            self.peers.shelf.put(spare).expect("room was counted");
+        }
+        if self.shelved > 0 {
+            self.report.steals.shelved += self.shelved as u64;
+            self.peers.wake_thieves(self.me, self.shelved);
+        }
+    }
+
+    /// Runs `run` on the body of `key` with this owner's mailbox and
+    /// queue in `LOCAL`, where [`post`] and [`wait_for`] find them.
+    pub(crate) fn in_body<R>(
+        &mut self,
+        key: (TaskId, VersionId),
+        run: impl FnOnce(&TaskBody) -> R,
+    ) -> R {
+        LOCAL.with_borrow_mut(|l| std::mem::swap(l, &mut self.local));
+        let out = run(&self.bodies[&key]);
+        LOCAL.with_borrow_mut(|l| std::mem::swap(l, &mut self.local));
+        out
+    }
+
+    /// The body is over: the job boundary begins.
+    pub(crate) fn end_body(&mut self, record: RtJobRecord) {
+        // Close the shelf before anything looks at the engine: what a
+        // thief claimed is donated, the rest is back in the queue under
+        // its own key, as if it had never left.
+        let shelved = self.shelved;
+        if shelved > 0 {
+            self.steal_batch.clear();
+            let batch = &mut self.steal_batch;
+            let unclaimed = self.peers.shelf.close(|spare| {
+                batch.push(spare);
+            });
+            self.engine.return_unclaimed(self.steal_batch.as_slice());
+            if unclaimed < shelved {
+                self.report.steals.taken += (shelved - unclaimed) as u64;
+                // Future load ties break towards this shard: recent
+                // donors tend to stay the imbalanced ones.
+                self.peers.board.record_donation(self.me);
+            }
+        }
+        // The edges the body ran across, in time order and ahead of its
+        // completion: overrun enforcement and the miss trip find the
+        // job still in its slot.
+        while self.next_tick <= record.completed {
+            self.tick_round(self.next_tick, record.completed);
+            self.next_tick += self.tick;
+        }
+        self.job_done(record);
+    }
+
+    /// The exited owner's records and counters.
+    pub(crate) fn into_report(mut self, pinned: bool) -> OwnerReport {
+        let lead_ns = self.lead().as_nanos();
+        let ticks = &mut self.report.ticks;
+        (ticks.edges, ticks.late_max_ns) = (self.late.count, self.late.max);
+        (ticks.late_p50_ns, ticks.lead_ns) = (self.late.median(), lead_ns);
+        self.report.stats = self.engine.stats().clone();
+        self.report.pinned = pinned;
+        self.report
+    }
 }
+
+#[cfg(test)]
+mod harness;
 
 #[cfg(test)]
 mod tests {
@@ -1497,7 +1520,7 @@ mod tests {
     use crate::test_util::{alone_in_child, thread_sleeps};
     use crate::test_util::{must_return, nap_ms, one_owner, sharded, within_attempts};
     use std::sync::atomic::{AtomicU32, Ordering};
-    use yasmin_core::config::MappingScheme;
+    use yasmin_core::config::{Config, MappingScheme};
     use yasmin_core::graph::TaskSetBuilder;
     use yasmin_core::task::TaskSpec;
     use yasmin_core::time::Duration;
@@ -1962,7 +1985,7 @@ mod tests {
         // for the rest of those 20 ms the load board still shows shard 0
         // loaded (it publishes between bodies) while its shelf is empty:
         // the thief has to sleep on the shelf, not poll the board.
-        if !alone_in_child("sharded::tests::an_idle_thief_with_empty_shelves_stays_parked") {
+        if !alone_in_child("owner::tests::an_idle_thief_with_empty_shelves_stays_parked") {
             return;
         }
         let mut b = TaskSetBuilder::new();
@@ -2239,7 +2262,7 @@ mod tests {
     fn idle_threads_stay_parked() {
         // A parked thread blocks a few times per tick, a polling one (a
         // 100 µs nap) thousands of times in 300 ms.
-        if !alone_in_child("sharded::tests::idle_threads_stay_parked") {
+        if !alone_in_child("owner::tests::idle_threads_stay_parked") {
             return;
         }
 
@@ -2499,7 +2522,7 @@ mod tests {
     fn no_job_starts_before_its_release() {
         // 1 s of a 2 ms tick — some 490 edges met with the park armed
         // early, on one owner and on two shards: arming early moves no
-        // dispatch ahead of its edge (in debug builds `tick_round!`
+        // dispatch ahead of its edge (in debug builds `tick_round`
         // asserts the same of every round).
         for config in [one_owner(1), sharded_config(2)] {
             let workers = config.workers() as u16;
@@ -2535,115 +2558,6 @@ mod tests {
                 assert!(t.late_p50_ns <= t.late_max_ns, "{t:?}");
             }
         }
-    }
-
-    /// 400 ms of one 5 ms task on one owner; what its edges cost.
-    #[cfg(target_os = "linux")]
-    fn tick_stats_of_a_short_run() -> TickStats {
-        let mut b = TaskSetBuilder::new();
-        let spec = TaskSpec::periodic("t", ms(5));
-        let (t, v) = task(&mut b, spec, 0, Duration::from_micros(20));
-        let ts = Arc::new(b.build().unwrap());
-        let rt = RuntimeBuilder::new(ts, one_owner(1))
-            .body(t, v, |_| {})
-            .build()
-            .unwrap();
-        nap_ms(400);
-        rt.stop();
-        rt.cleanup().tick_stats[0]
-    }
-
-    #[test]
-    #[cfg(target_os = "linux")]
-    fn the_lead_is_bounded_and_cheap() {
-        // Alone: the pinned lead is process-wide.
-        if !alone_in_child("sharded::tests::the_lead_is_bounded_and_cheap") {
-            return;
-        }
-        within_attempts(3, || {
-            PINNED_LEAD_NS.store(0, Ordering::Relaxed);
-            let plain = tick_stats_of_a_short_run();
-            PINNED_LEAD_NS.store(u64::MAX, Ordering::Relaxed);
-            let led = tick_stats_of_a_short_run();
-
-            assert_eq!((plain.lead_ns, plain.spin_ns), (0, 0), "lead pinned to 0");
-            assert!(led.edges >= 20 && plain.edges >= 20, "{led:?} {plain:?}");
-            assert!(led.lead_ns <= TimerLead::CAP.as_nanos(), "{led:?}");
-            if led.spin_ns > 400_000_000 / 50 {
-                return Err(format!("spun more than 2 % of 400 ms: {led:?}"));
-            }
-            if led.late_p50_ns > plain.late_p50_ns {
-                return Err(format!(
-                    "later with the lead {led:?} than without {plain:?}"
-                ));
-            }
-            Ok(())
-        });
-    }
-
-    #[test]
-    #[cfg(target_os = "linux")]
-    fn a_command_inside_the_lead_is_served_before_the_edge() {
-        // Tick 50 ms and a lead pinned to 5 ms, so the owner spins
-        // through a window wide enough to aim at: an activation sent
-        // 2.5 ms ahead of an edge finds the owner spinning, and its job
-        // starts before that edge — the spin polls the mailbox.
-        if !alone_in_child("sharded::tests::a_command_inside_the_lead_is_served_before_the_edge") {
-            return;
-        }
-        const TICK_MS: u64 = 50;
-        let lead = ms(5);
-        PINNED_LEAD_NS.store(lead.as_nanos(), Ordering::Relaxed);
-        within_attempts(3, || {
-            let mut b = TaskSetBuilder::new();
-            let (p, vp) = task(&mut b, TaskSpec::periodic("p", ms(TICK_MS)), 0, ms(1));
-            let (a, va) = task(&mut b, TaskSpec::aperiodic("a"), 0, ms(1));
-            let ts = Arc::new(b.build().unwrap());
-            // The grid: `p`'s first release is the owner's anchor.
-            let anchor_ns = Arc::new(std::sync::atomic::AtomicU64::new(0));
-            let anchor = Arc::clone(&anchor_ns);
-            let rt = RuntimeBuilder::new(ts, one_owner(1))
-                .body(p, vp, move |ctx| {
-                    if ctx.job.seq == 0 {
-                        anchor.store(ctx.job.release.as_nanos(), Ordering::SeqCst);
-                    }
-                })
-                .body(a, va, |_| {})
-                .build()
-                .unwrap();
-            nap_ms(10);
-            let anchor = Instant::from_nanos(anchor_ns.load(Ordering::SeqCst));
-            let edge = anchor + ms(2 * TICK_MS);
-            let aim = edge - lead / 2;
-            // Sleep to a millisecond short of it, then watch the clock.
-            std::thread::sleep((aim - ms(1)).saturating_since(rt.clock.now()).into());
-            while rt.clock.now() < aim {
-                std::hint::spin_loop();
-            }
-            rt.activate(a).unwrap();
-            let sent = rt.clock.now();
-            nap_ms(TICK_MS);
-            rt.stop();
-            let report = rt.cleanup();
-
-            assert!(anchor > Instant::ZERO, "p ran at the anchor");
-            let ticks = report.tick_stats[0];
-            assert_eq!(ticks.lead_ns, lead.as_nanos());
-            assert!(ticks.early_wakes >= 1 && ticks.spin_ns > 0, "{ticks:?}");
-            let ran: Vec<_> = report.records.iter().filter(|r| r.job.task == a).collect();
-            assert_eq!(ran.len(), 1, "activated once");
-            if sent >= edge {
-                return Err(format!("sent {} past the edge", sent - edge));
-            }
-            if ran[0].started >= edge {
-                return Err(format!(
-                    "sent {} ahead of the edge, started {} past it",
-                    edge - sent,
-                    ran[0].started - edge
-                ));
-            }
-            Ok(())
-        });
     }
 
     #[test]

@@ -1,0 +1,1083 @@
+//! The **test shell**: the [`Owner`]s [`wire`] returns, stepped on one
+//! thread over their real mailboxes, shelves, [`LoadBoard`] and helper
+//! rings — all deterministic when one thread drives them — under a
+//! [`ManualClock`], with the step order, the body durations, the park
+//! lateness and the instants commands arrive chosen by a seed.
+//!
+//! It calls what `owner_thread` calls (`start`, `step`, `begin_body`,
+//! `in_body`, `end_body`, `also_ready`, `woke`, `spun`, `into_report`)
+//! and stands in for what that thread *does*: a body is a span of
+//! virtual time, a spin is waiting for the next event, and a park is
+//! the two halves of `MailboxReceiver::park` with the rest of the world
+//! in between — the owner stays announced, and goes on only once a
+//! ringer has claimed the announcement or its (late) timeout is up.
+//! That makes a lost wake-up a failed assertion instead of a slow test.
+//! What the prose of the module docs promises is checked after every
+//! event and again when all owners have left ([`World::finish`]).
+//!
+//! Not under test here: `Runtime`'s caller side (the ledger is used to
+//! build valid `Admit`s, but validation and the acknowledgement wait
+//! stay with the thread tests), memory orderings (the thread tests
+//! under ThreadSanitizer), and scenarios that need two threads to make
+//! progress — a body waiting for room in a full lane never returns on
+//! one.
+//!
+//! A failure prints its [`Case`] and the last steps of the trace; put
+//! the case into [`REPLAY`] and run `harness::replay` with
+//! `--nocapture` for the whole trace. A trace line reads
+//! `<virtual ns> o<owner> <event> -> <what step answered>`.
+
+use super::*;
+use crate::test_util::{one_owner, sharded};
+use proptest::prelude::*;
+use std::collections::HashSet;
+use yasmin_core::config::Config;
+use yasmin_core::graph::TaskSetBuilder;
+use yasmin_core::task::TaskSpec;
+use yasmin_core::time::ManualClock;
+use yasmin_core::version::VersionSpec;
+use yasmin_sched::validate_sharding;
+
+fn us(v: u64) -> Duration {
+    Duration::from_micros(v)
+}
+
+/// Where every run's clock starts: not zero, which `Instant` uses for
+/// "never".
+const T0: Instant = Instant::from_nanos(1_000_000);
+
+/// splitmix64: all a schedule needs, and no second RNG API to follow.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    fn span(&mut self, lo: Duration, hi: Duration) -> Duration {
+        Duration::from_nanos(lo.as_nanos() + self.next() % (hi.as_nanos() - lo.as_nanos() + 1))
+    }
+}
+
+/// How long a job's body lasts.
+type BodyTime = dyn FnMut(&Job, &mut Rng) -> Duration;
+
+/// What a seat's owner is doing, as its thread would be.
+enum Seat {
+    /// Not started yet.
+    Fresh,
+    /// To be stepped.
+    Ready,
+    /// Between `begin_body` and `end_body`; the record says until when.
+    InBody(RtJobRecord),
+    /// Announced on its mailbox; its timeout fires `late` after `until`.
+    Asleep {
+        until: Instant,
+        late: Duration,
+        wake: WakeSet,
+    },
+    Spinning {
+        edge: Instant,
+        wake: WakeSet,
+    },
+    Exited,
+}
+
+/// A command on its way to the owners.
+enum Cmd {
+    Activate(TaskId),
+    /// A high-lane post (`high`) or drain for `dst`, by way of `home`.
+    Msg {
+        home: usize,
+        dst: TaskId,
+        high: bool,
+    },
+    /// A one-task tenant on `worker`, spliced through the ledger;
+    /// retired `retire_after` its commit when that is given.
+    Admit {
+        worker: u16,
+        retire_after: Option<Duration>,
+    },
+    /// Sent once every owner has acknowledged the splice.
+    Commit {
+        tenant: TenantId,
+        ack: Option<Arc<AtomicUsize>>,
+        retire_after: Option<Duration>,
+    },
+    Retire(TenantId),
+    Stop,
+    Shutdown,
+}
+
+#[derive(Clone, Copy)]
+enum Event {
+    Step(usize),
+    EndBody(usize),
+    Wake(usize),
+    EndSpin(usize),
+    /// Helper `.1` of owner `.0` takes what its ring holds.
+    Pop(usize, usize),
+    /// … and answers `Done`.
+    Done(usize, usize),
+    Deliver(usize),
+}
+
+/// A helper thread's stand-in: its end of the owner, and the job it
+/// "runs" until `completed`.
+struct HelperSeat {
+    end: HelperEnd,
+    busy: Option<RtJobRecord>,
+}
+
+struct World {
+    label: String,
+    clock: Arc<ManualClock>,
+    rng: Rng,
+    owners: Vec<Owner<ManualClock>>,
+    seats: Vec<Seat>,
+    helpers: Vec<Vec<HelperSeat>>,
+    control: Vec<SharedLane>,
+    lanes: MsgLanes,
+    config: Config,
+    ledger: TenantLedger,
+    /// Undelivered commands and the instant each is due.
+    script: Vec<(Instant, Cmd)>,
+    body_time: Box<BodyTime>,
+    lateness: Box<dyn FnMut(&mut Rng) -> Duration>,
+    /// Longest stretch of virtual time one event takes.
+    jitter: Duration,
+    trace: VecDeque<String>,
+    /// Trace lines kept.
+    keep: usize,
+    shutdown_at: Option<Instant>,
+    records_at_shutdown: usize,
+    longest_body: Duration,
+    next_seen: [u64; 4],
+}
+
+fn noop_bodies(taskset: &TaskSet, offset: u32) -> HashMap<(TaskId, VersionId), TaskBody> {
+    let mut bodies: HashMap<(TaskId, VersionId), TaskBody> = HashMap::new();
+    for t in taskset.tasks() {
+        for v in 0..t.versions().len() {
+            let key = (TaskId::new(offset + t.id().raw()), VersionId::new(v as u16));
+            bodies.insert(key, Arc::new(|_: &JobCtx| {}));
+        }
+    }
+    bodies
+}
+
+fn send(lane: &SharedLane, msg: ShardMsg) {
+    let sent = try_lock(lane).expect("one thread").send(msg);
+    assert!(sent.is_ok(), "the script overfills a command lane");
+}
+
+impl World {
+    fn new(label: String, seed: u64, taskset: TaskSet, config: Config, stealing: bool) -> Self {
+        let taskset = Arc::new(taskset);
+        let mut launch = RuntimeBuilder::new(Arc::clone(&taskset), config.clone());
+        launch.bodies = noop_bodies(&taskset, 0);
+        launch.work_stealing = stealing;
+        let clock = Arc::new(ManualClock::new());
+        clock.set(T0);
+        let (owners, control, lanes) = wire(&launch, &clock).unwrap();
+        let (owners, ends): (Vec<_>, Vec<Vec<HelperEnd>>) = owners.into_iter().unzip();
+        let tick = owners[0].tick;
+        let helper = |end| HelperSeat { end, busy: None };
+        World {
+            label,
+            clock,
+            rng: Rng(seed),
+            seats: owners.iter().map(|_| Seat::Fresh).collect(),
+            owners,
+            helpers: (ends.into_iter())
+                .map(|e| e.into_iter().map(helper).collect())
+                .collect(),
+            control,
+            lanes,
+            ledger: TenantLedger::new(AdmissionControl::new(config.clone(), tick), taskset),
+            config,
+            script: Vec::new(),
+            body_time: Box::new(|_, rng| match rng.below(10) {
+                0 => rng.span(us(2_000), us(5_000)), // across an edge or two
+                _ => rng.span(us(10), us(400)),
+            }),
+            lateness: Box::new(|rng| rng.span(Duration::ZERO, us(200))),
+            jitter: us(3),
+            trace: VecDeque::new(),
+            keep: 48,
+            shutdown_at: None,
+            records_at_shutdown: 0,
+            longest_body: Duration::ZERO,
+            next_seen: [0; 4],
+        }
+    }
+
+    fn now(&self) -> Instant {
+        self.clock.now()
+    }
+
+    fn at(&mut self, when: Instant, cmd: Cmd) {
+        self.script.push((when, cmd));
+    }
+
+    fn note(&mut self, line: String) {
+        if self.trace.len() == self.keep {
+            self.trace.pop_front();
+        }
+        self.trace
+            .push_back(format!("{:>10} {line}", self.now().as_nanos()));
+    }
+
+    /// Whether owner `i` sleeps with its announcement still standing.
+    fn announced(&self, i: usize) -> bool {
+        matches!(self.seats[i], Seat::Asleep { .. }) && self.owners[i].mailbox().is_announced()
+    }
+
+    fn due(&self, k: usize) -> bool {
+        let (when, cmd) = &self.script[k];
+        *when <= self.now()
+            && match cmd {
+                Cmd::Commit { ack, .. } => {
+                    ack.as_ref().is_none_or(|a| a.load(Ordering::Acquire) == 0)
+                }
+                _ => true,
+            }
+    }
+
+    /// Everything that can happen at this instant.
+    fn enabled(&self) -> Vec<Event> {
+        let now = self.now();
+        let mut on = Vec::new();
+        for (i, seat) in self.seats.iter().enumerate() {
+            let owner = &self.owners[i];
+            match seat {
+                Seat::Fresh | Seat::Ready => on.push(Event::Step(i)),
+                Seat::InBody(r) if r.completed <= now => on.push(Event::EndBody(i)),
+                Seat::Asleep { until, late, .. }
+                    if !owner.mailbox().is_announced() || *until + *late <= now =>
+                {
+                    on.push(Event::Wake(i));
+                }
+                Seat::Spinning { edge, wake }
+                    if *edge <= now || !owner.mailbox().is_empty() || owner.also_ready(*wake) =>
+                {
+                    on.push(Event::EndSpin(i));
+                }
+                _ => {}
+            }
+            for (h, helper) in self.helpers[i].iter().enumerate() {
+                match helper.busy {
+                    None if !helper.end.ring.is_empty() => on.push(Event::Pop(i, h)),
+                    Some(r) if r.completed <= now => on.push(Event::Done(i, h)),
+                    _ => {}
+                }
+            }
+        }
+        on.extend(
+            (0..self.script.len())
+                .filter(|&k| self.due(k))
+                .map(Event::Deliver),
+        );
+        on
+    }
+
+    /// The next instant at which the clock alone enables something.
+    fn next_instant(&self) -> Option<Instant> {
+        let seats = self.seats.iter().filter_map(|s| match s {
+            Seat::InBody(r) => Some(r.completed),
+            Seat::Asleep { until, late, .. } => Some(*until + *late),
+            Seat::Spinning { edge, .. } => Some(*edge),
+            _ => None,
+        });
+        let helpers = self.helpers.iter().flatten();
+        let busy = helpers.filter_map(|h| h.busy.map(|r| r.completed));
+        let script = self.script.iter().map(|(when, _)| *when);
+        seats
+            .chain(busy)
+            .chain(script)
+            .filter(|t| *t > self.now())
+            .min()
+    }
+
+    /// Runs until every owner has left, or until the clock reaches
+    /// `stop` with nothing left to do before it.
+    fn run_until(&mut self, stop: Instant) {
+        for _ in 0..400_000 {
+            if self.now() >= stop {
+                return;
+            }
+            let on = self.enabled();
+            if on.is_empty() {
+                if self.seats.iter().all(|s| matches!(s, Seat::Exited)) {
+                    return;
+                }
+                let next = self.next_instant().expect("nothing can ever happen again");
+                if next > stop {
+                    return self.clock.set(stop);
+                }
+                if let Some(down) = self.shutdown_at {
+                    let after = self.records().saturating_sub(self.records_at_shutdown) as u64;
+                    let bound = self.owners[0].tick * 8 + self.longest_body * (after + 2);
+                    assert!(next <= down + bound, "still running {bound} after Shutdown");
+                }
+                self.clock.set(next);
+                continue;
+            }
+            let event = on[self.rng.below(on.len())];
+            self.apply(event);
+            self.check_sleepers();
+            let pause = self.rng.span(Duration::ZERO, self.jitter);
+            self.clock.advance(pause);
+        }
+        panic!("the run does not end");
+    }
+
+    fn run(&mut self) {
+        self.run_until(Instant::MAX);
+    }
+
+    fn records(&self) -> usize {
+        self.owners.iter().map(|o| o.report.records.len()).sum()
+    }
+
+    fn apply(&mut self, event: Event) {
+        let now = self.now();
+        match event {
+            Event::Step(i) => {
+                let (edges, edge) = (self.owners[i].late.count, self.owners[i].next_tick);
+                let next = match self.seats[i] {
+                    Seat::Fresh => self.owners[i].start(),
+                    _ => self.owners[i].step(),
+                };
+                self.tick_rounds_kept_to(i, edges, edge);
+                assert!(self.owners[i].peers.shelf.is_empty(), "o{i}: shelf open");
+                self.stepped(i, next);
+            }
+            Event::EndBody(i) => {
+                let Seat::InBody(record) = std::mem::replace(&mut self.seats[i], Seat::Ready)
+                else {
+                    unreachable!()
+                };
+                let (edges, edge) = (self.owners[i].late.count, self.owners[i].next_tick);
+                self.owners[i].end_body(record);
+                self.tick_rounds_kept_to(i, edges, edge);
+                self.note(format!("o{i} end_body {:?}", record.job.id));
+            }
+            Event::Wake(i) => {
+                let Seat::Asleep { until, wake, .. } =
+                    std::mem::replace(&mut self.seats[i], Seat::Ready)
+                else {
+                    unreachable!()
+                };
+                let rung = !self.owners[i].mailbox().is_announced();
+                // The sleep's second half: over at once, it withdraws
+                // the announcement and uses up a ringer's token.
+                self.owners[i]
+                    .mailbox()
+                    .park_announced(Some(std::time::Duration::ZERO));
+                self.owners[i].woke(until, wake);
+                let late = now.saturating_since(until);
+                self.note(format!("o{i} woke rung={rung} {late} past its timeout"));
+            }
+            Event::EndSpin(i) => {
+                let Seat::Spinning { wake, .. } =
+                    std::mem::replace(&mut self.seats[i], Seat::Ready)
+                else {
+                    unreachable!()
+                };
+                self.owners[i].spun(now, wake);
+                self.note(format!("o{i} spun"));
+            }
+            Event::Pop(i, h) => {
+                let helper = &mut self.helpers[i][h];
+                let Some(Run { job, version, .. }) = helper.end.ring.pop().unwrap() else {
+                    return self.note(format!("o{i} helper {h} dismissed"));
+                };
+                let spent = (self.body_time)(&job, &mut self.rng);
+                self.longest_body = self.longest_body.max(spent);
+                helper.busy = Some(RtJobRecord {
+                    job,
+                    version,
+                    worker: WorkerId::new(h as u16),
+                    started: now,
+                    completed: now + spent,
+                    outcome: JobOutcome::Completed,
+                });
+                self.note(format!("o{i} helper {h} runs {:?} for {spent}", job.id));
+            }
+            Event::Done(i, h) => {
+                let helper = &mut self.helpers[i][h];
+                let record = helper.busy.take().unwrap();
+                let sent = helper.end.done.send(ShardMsg::Done(record));
+                assert!(sent.is_ok(), "one job in flight per helper");
+                self.note(format!("o{i} helper {h} done {:?}", record.job.id));
+            }
+            Event::Deliver(k) => {
+                let (_, cmd) = self.script.swap_remove(k);
+                self.deliver(cmd);
+            }
+        }
+    }
+
+    /// No tick round ahead of its edge: `i` had run `edges` rounds and
+    /// the next was due at `edge` before the call that just returned.
+    fn tick_rounds_kept_to(&self, i: usize, edges: u64, edge: Instant) {
+        let ran = self.owners[i].late.count > edges;
+        assert!(
+            !ran || self.now() >= edge,
+            "o{i}: a tick round ahead of {edge}"
+        );
+    }
+
+    /// What the thread shell does with `step`'s answer.
+    fn stepped(&mut self, i: usize, next: Next) {
+        let now = self.now();
+        match next {
+            Next::Run(job, version) => {
+                self.next_seen[0] += 1;
+                // `wake_thieves`' contract: of the peers flagged idle,
+                // lowest index first, as many as jobs were shelved are
+                // rung. (A flagged sleeper past those may look at a
+                // filled shelf until a woken one empties it: not lost.)
+                let flagged: Vec<usize> = (0..self.seats.len())
+                    .filter(|&p| match self.seats[p] {
+                        Seat::Asleep { wake, .. } | Seat::Spinning { wake, .. } => {
+                            wake.has(WakeSource::PeerShelf)
+                        }
+                        _ => false,
+                    })
+                    .collect();
+                let asleep: Vec<bool> = flagged.iter().map(|&p| self.announced(p)).collect();
+                self.owners[i].begin_body(&job);
+                let shelved = self.owners[i].shelved;
+                for (&p, was) in flagged.iter().zip(asleep).take(shelved) {
+                    assert!(
+                        !(was && self.announced(p)),
+                        "lost wake: o{i} shelved {shelved} jobs and left thief o{p} asleep"
+                    );
+                }
+                let spent = (self.body_time)(&job, &mut self.rng);
+                self.longest_body = self.longest_body.max(spent);
+                self.seats[i] = Seat::InBody(RtJobRecord {
+                    job,
+                    version,
+                    worker: self.owners[i].worker,
+                    started: now,
+                    completed: now + spent,
+                    outcome: JobOutcome::Completed,
+                });
+                self.note(format!(
+                    "o{i} step -> Run({:?} of {}) for {spent}, {shelved} shelved",
+                    job.id, job.task
+                ));
+            }
+            Next::Park { until, wake } => {
+                self.next_seen[1] += 1;
+                let owner = &self.owners[i];
+                // The sleep's first half. What it finds is found.
+                if owner.mailbox().announce(|| owner.also_ready(wake)) {
+                    let late = (self.lateness)(&mut self.rng);
+                    self.seats[i] = Seat::Asleep { until, late, wake };
+                } else {
+                    self.owners[i].woke(until, wake);
+                    self.seats[i] = Seat::Ready;
+                }
+                self.note(format!("o{i} step -> Park until {until} {}", sources(wake)));
+            }
+            Next::SpinTo { edge, wake } => {
+                self.next_seen[2] += 1;
+                self.seats[i] = Seat::Spinning { edge, wake };
+                self.note(format!("o{i} step -> SpinTo {edge} {}", sources(wake)));
+            }
+            Next::Exit => {
+                self.next_seen[3] += 1;
+                self.seats[i] = Seat::Exited;
+                self.note(format!("o{i} step -> Exit"));
+                // Global quiescence: nothing is on its way to anybody.
+                for (p, owner) in self.owners.iter().enumerate() {
+                    assert!(
+                        owner.peers.pending_empty(),
+                        "o{i} left, o{p} holds spilled sends"
+                    );
+                    assert!(
+                        owner.mailbox().is_empty(),
+                        "o{i} left, o{p}'s mailbox is not empty"
+                    );
+                    assert!(
+                        owner.peers.shelf.is_empty(),
+                        "o{i} left, o{p}'s shelf is open"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A sleeper whose announcement stands has nothing to wake up for:
+    /// every `send` and every `set_drained` rings.
+    fn check_sleepers(&self) {
+        for i in (0..self.seats.len()).filter(|&i| self.announced(i)) {
+            let Seat::Asleep { wake, .. } = self.seats[i] else {
+                unreachable!()
+            };
+            let owner = &self.owners[i];
+            assert!(
+                owner.mailbox().is_empty(),
+                "lost wake: o{i} sleeps on a mailbox that is not empty"
+            );
+            assert!(
+                !(wake.has(WakeSource::AllDrained) && owner.peers.all_drained()),
+                "lost wake: o{i} sleeps although every shard has drained"
+            );
+        }
+    }
+
+    fn broadcast(&self, msg: impl Fn() -> ShardMsg) {
+        for lane in &self.control {
+            send(lane, msg());
+        }
+    }
+
+    fn deliver(&mut self, cmd: Cmd) {
+        let now = self.now();
+        let sharded = self.config.sharded_dispatch();
+        match cmd {
+            Cmd::Activate(task) => {
+                let owner = owner_of(self.ledger.merged(), sharded, task).unwrap();
+                send(&self.control[owner], ShardMsg::Activate(task));
+                self.note(format!("activate {task} -> o{owner}"));
+            }
+            Cmd::Msg { home, dst, high } => {
+                let msg = match high {
+                    true => ShardMsg::MsgHigh {
+                        dst,
+                        ceiling: Priority::HIGHEST,
+                    },
+                    false => ShardMsg::MsgDrained { dst },
+                };
+                // From a body of the home owner when it is inside one —
+                // the thread-owned queue — and from a foreign thread
+                // otherwise.
+                if let Seat::InBody(r) = self.seats[home] {
+                    let lanes = Arc::clone(&self.lanes);
+                    self.owners[home].in_body((r.job.task, r.version), |_| post(&lanes, home, msg));
+                } else {
+                    send(&self.lanes[home], msg);
+                }
+                self.note(format!("msg high={high} for {dst} by way of o{home}"));
+            }
+            Cmd::Admit {
+                worker,
+                retire_after,
+            } => {
+                let mut b = TaskSetBuilder::new();
+                let mut spec = TaskSpec::periodic("tenant", us(4_000));
+                if sharded {
+                    spec = spec.on_worker(WorkerId::new(worker));
+                }
+                let t = b.task_decl(spec).unwrap();
+                b.version_decl(t, VersionSpec::new("v", us(50))).unwrap();
+                let candidate = b.build().unwrap();
+                let owners = self.control.len();
+                let ack = (owners > 1).then(|| Arc::new(AtomicUsize::new(owners)));
+                let (control, config) = (&self.control, &self.config);
+                let admitted = self.ledger.admit(&candidate, None, |admission| {
+                    if sharded {
+                        validate_sharding(admission.merged, config)?;
+                    }
+                    let bodies = Arc::new(noop_bodies(&candidate, admission.task_offset));
+                    for lane in control {
+                        let msg = ShardMsg::Admit {
+                            taskset: Arc::clone(admission.merged),
+                            bodies: Arc::clone(&bodies),
+                            budget: None,
+                            at: now,
+                            ack: ack.clone(),
+                        };
+                        send(lane, msg);
+                    }
+                    Ok(())
+                });
+                self.note(format!("admit -> {admitted:?}"));
+                if let Ok(tenant) = admitted {
+                    let commit = Cmd::Commit {
+                        tenant,
+                        ack,
+                        retire_after,
+                    };
+                    self.at(now, commit);
+                }
+            }
+            Cmd::Commit {
+                tenant,
+                retire_after,
+                ..
+            } => {
+                self.broadcast(|| ShardMsg::Commit { tenant });
+                self.note(format!("commit {tenant}"));
+                if let Some(after) = retire_after {
+                    self.at(now + after, Cmd::Retire(tenant));
+                }
+            }
+            Cmd::Retire(tenant) => {
+                self.ledger.retire(tenant).unwrap();
+                self.broadcast(|| ShardMsg::Retire { tenant, at: now });
+                self.note(format!("retire {tenant}"));
+            }
+            Cmd::Stop => {
+                self.broadcast(|| ShardMsg::Stop);
+                self.note("stop".into());
+            }
+            Cmd::Shutdown => {
+                assert!(self.script.is_empty(), "Shutdown is the last command");
+                self.broadcast(|| ShardMsg::Shutdown);
+                self.shutdown_at = Some(now);
+                self.records_at_shutdown = self.records();
+                self.note("shutdown".into());
+            }
+        }
+    }
+
+    /// Every owner has left: what must hold of the whole run.
+    fn finish(mut self) -> Vec<OwnerReport> {
+        assert!(self.seats.iter().all(|s| matches!(s, Seat::Exited)));
+        let merged = Arc::clone(self.ledger.merged());
+        for (i, owner) in self.owners.iter().enumerate() {
+            // Nothing is queued, dispatched or half retired at exit …
+            assert!(owner.engine.is_idle(), "o{i}: engine not idle at exit");
+            assert!(owner.next_job.is_none() && owner.done.is_empty());
+            // … and every posted boost was drained.
+            for t in merged.tasks() {
+                assert_eq!(
+                    owner.engine.high_lane_depth(t.id()),
+                    0,
+                    "o{i}: {} boosted",
+                    t.id()
+                );
+            }
+        }
+        let owners = std::mem::take(&mut self.owners);
+        let reports: Vec<_> = owners.into_iter().map(|o| o.into_report(true)).collect();
+        let mut stats = EngineStats::default();
+        let mut seen = HashSet::new();
+        let mut migrated = 0;
+        for r in reports
+            .iter()
+            .inspect(|r| stats.merge(&r.stats))
+            .flat_map(|r| &r.records)
+        {
+            assert!(
+                seen.insert((r.job.task, r.job.seq)),
+                "{:?} ran twice",
+                r.job
+            );
+            assert!(
+                r.started >= r.job.release,
+                "{:?} started before its release",
+                r.job
+            );
+            let home = merged.tasks()[r.job.task.index()].spec().assigned_worker();
+            migrated += u64::from(self.config.sharded_dispatch() && home != Some(r.worker));
+        }
+        // Every released job is in exactly one place.
+        assert_eq!(
+            stats.released,
+            seen.len() as u64 + stats.culled,
+            "{stats:?}"
+        );
+        // Both sides of every steal agree, and a job migrates once.
+        let sum = |f: fn(&StealStats) -> u64| reports.iter().map(|r| f(&r.steals)).sum::<u64>();
+        assert_eq!(stats.stolen, stats.donated);
+        assert_eq!(sum(|s| s.taken), stats.donated);
+        assert_eq!(sum(|s| s.jobs_claimed), stats.stolen);
+        assert_eq!(sum(|s| s.claims), stats.stolen_batch);
+        assert_eq!(
+            migrated, stats.stolen,
+            "a job migrated twice, or home again"
+        );
+        reports
+    }
+}
+
+fn sources(wake: WakeSet) -> String {
+    use WakeSource::{AllDrained, Mailbox, PeerShelf, SpillRetry, TickEdge};
+    let all = [Mailbox, PeerShelf, AllDrained, SpillRetry, TickEdge];
+    format!(
+        "{:?}",
+        all.into_iter().filter(|s| wake.has(*s)).collect::<Vec<_>>()
+    )
+}
+
+impl Drop for World {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!("harness: {} — the last steps:", self.label);
+            self.trace.iter().for_each(|line| eprintln!("  {line}"));
+        }
+    }
+}
+
+/// Declares a task with one version of `wcet`, pinned to `worker` when
+/// the set is sharded.
+fn task(b: &mut TaskSetBuilder, spec: TaskSpec, worker: Option<u16>, wcet: Duration) -> TaskId {
+    let spec = match worker {
+        Some(w) => spec.on_worker(WorkerId::new(w)),
+        None => spec,
+    };
+    let t = b.task_decl(spec).unwrap();
+    b.version_decl(t, VersionSpec::new("v", wcet)).unwrap();
+    t
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Shape {
+    /// One owner over one slot: it executes.
+    Alone,
+    /// One owner over two slots: two helpers execute.
+    Helpers,
+    Shards(usize),
+}
+
+/// One generated run: everything else follows from these.
+#[derive(Clone, Copy, Debug)]
+struct Case {
+    seed: u64,
+    shape: Shape,
+    stealing: bool,
+    /// Periodic tasks per worker.
+    tasks: usize,
+    /// Commands before the `Shutdown`.
+    commands: usize,
+}
+
+/// Builds `case`'s world and script, runs it to the end and checks it.
+fn explore(case: Case, keep: usize) -> (Vec<OwnerReport>, [u64; 4], VecDeque<String>) {
+    let mut rng = Rng(case.seed ^ 0x5EED);
+    let (workers, config) = match case.shape {
+        Shape::Alone => (1, one_owner(1)),
+        Shape::Helpers => (2, one_owner(2)),
+        Shape::Shards(n) => (n, sharded(n).build().unwrap()),
+    };
+    let pinned = config.sharded_dispatch();
+    let mut b = TaskSetBuilder::new();
+    let (mut periodic, mut aperiodic) = (Vec::new(), Vec::new());
+    for w in 0..workers as u16 {
+        let on = pinned.then_some(w);
+        for i in 0..case.tasks {
+            let period = us([2_000, 4_000][rng.below(2)]);
+            let spec = TaskSpec::periodic(format!("p{w}.{i}"), period);
+            periodic.push(task(&mut b, spec, on, us(300)));
+        }
+        aperiodic.push(task(
+            &mut b,
+            TaskSpec::aperiodic(format!("a{w}")),
+            on,
+            us(300),
+        ));
+    }
+    if workers > 1 {
+        // A DAG edge across owners: every job of `src` sends `dst` a
+        // token, over a peer lane when the set is sharded.
+        let src = task(
+            &mut b,
+            TaskSpec::periodic("src", us(4_000)),
+            pinned.then_some(0),
+            us(200),
+        );
+        let dst = task(
+            &mut b,
+            TaskSpec::graph_node("dst"),
+            pinned.then_some(1),
+            us(200),
+        );
+        let c = b.channel_decl("c", 1, 8);
+        b.channel_connect(src, dst, c).unwrap();
+    }
+    let stealing = case.stealing && pinned && workers > 1;
+    let mut world = World::new(
+        format!("{case:?}"),
+        case.seed,
+        b.build().unwrap(),
+        config,
+        stealing,
+    );
+    world.keep = keep;
+
+    let horizon = us(16_000);
+    for _ in 0..case.commands {
+        let when = T0 + rng.span(Duration::ZERO, horizon);
+        match rng.below(20) {
+            0..=9 => world.at(when, Cmd::Activate(aperiodic[rng.below(aperiodic.len())])),
+            10..=13 => {
+                let dst = periodic[rng.below(periodic.len())];
+                let home = dst.index() % world.control.len();
+                let drain = when + rng.span(us(1), us(3_000));
+                world.at(
+                    when,
+                    Cmd::Msg {
+                        home,
+                        dst,
+                        high: true,
+                    },
+                );
+                world.at(
+                    drain,
+                    Cmd::Msg {
+                        home,
+                        dst,
+                        high: false,
+                    },
+                );
+            }
+            14..=18 => {
+                let worker = rng.below(workers) as u16;
+                let retire_after = (rng.below(2) == 0).then(|| rng.span(us(1), us(6_000)));
+                world.at(
+                    when,
+                    Cmd::Admit {
+                        worker,
+                        retire_after,
+                    },
+                );
+            }
+            _ => world.at(when, Cmd::Stop),
+        }
+    }
+    world.run_until(T0 + horizon + us(9_100));
+    // Whatever was gated on an acknowledgement has been sent by now.
+    while !world.script.is_empty() {
+        world.run_until(world.now() + us(1_000));
+    }
+    let down = world.now();
+    world.at(down, Cmd::Shutdown);
+    world.run();
+    let (seen, trace) = (world.next_seen, std::mem::take(&mut world.trace));
+    (world.finish(), seen, trace)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 256 }))]
+
+    /// The invariants of [`World`] over seed × shape × task-set size ×
+    /// command schedule.
+    #[test]
+    fn any_schedule_keeps_the_protocol(
+        seed in any::<u64>(),
+        shape in 0usize..5,
+        stealing in any::<bool>(),
+        tasks in 1usize..3,
+        commands in 0usize..14,
+    ) {
+        const SHAPES: [Shape; 5] =
+            [Shape::Alone, Shape::Helpers, Shape::Shards(2), Shape::Shards(3), Shape::Shards(3)];
+        explore(Case { seed, shape: SHAPES[shape], stealing, tasks, commands }, 48);
+    }
+}
+
+/// The case to replay: paste what a failure printed.
+const REPLAY: Case = Case {
+    seed: 7,
+    shape: Shape::Shards(3),
+    stealing: true,
+    tasks: 2,
+    commands: 12,
+};
+
+#[test]
+fn replay() {
+    let (reports, seen, trace) = explore(REPLAY, usize::MAX);
+    trace.iter().for_each(|line| println!("{line}"));
+    let [run, park, spin, exit] = seen;
+    println!("{REPLAY:?}: {run} Run, {park} Park, {spin} SpinTo, {exit} Exit");
+    reports
+        .iter()
+        .for_each(|r| println!("{:?} {:?}", r.ticks, r.steals));
+}
+
+#[test]
+fn the_exploration_reaches_every_part_of_the_protocol() {
+    // What the generated runs are made of: unless they steal, route
+    // tokens, splice tenants and park for every reason there is, their
+    // invariants hold of nothing.
+    let mut stats = EngineStats::default();
+    let mut seen = [0; 4];
+    for seed in 0..if cfg!(miri) { 2 } else { 24 } {
+        let case = Case {
+            seed,
+            shape: Shape::Shards(2 + (seed % 2) as usize),
+            stealing: true,
+            tasks: 2,
+            commands: 12,
+        };
+        let (reports, next, _) = explore(case, 48);
+        reports.iter().for_each(|r| stats.merge(&r.stats));
+        (0..4).for_each(|k| seen[k] += next[k]);
+    }
+    if cfg!(miri) {
+        return;
+    }
+    assert!(stats.stolen > 0 && stats.cross_activations > 0, "{stats:?}");
+    assert!(stats.culled > 0 && stats.msg_boosts > 0, "{stats:?}");
+    assert!(
+        seen.iter().all(|&n| n > 0),
+        "Run/Park/SpinTo/Exit: {seen:?}"
+    );
+}
+
+/// One owner over one slot with `p` every 50 ms (the tick) and the
+/// aperiodic `a`, no jitter, and parks that return as late as `script`
+/// says, then `rest` late for good. The owner's anchor is [`T0`], so
+/// its `k`-th edge is `T0 + k × 50 ms`.
+fn ticking_alone(script: &[u64], rest: u64) -> (World, TaskId) {
+    let mut b = TaskSetBuilder::new();
+    task(&mut b, TaskSpec::periodic("p", us(50_000)), None, us(100));
+    let a = task(&mut b, TaskSpec::aperiodic("a"), None, us(100));
+    let label = format!("ticking_alone({script:?}, {rest})");
+    let mut world = World::new(label, 0, b.build().unwrap(), one_owner(1), false);
+    world.jitter = Duration::ZERO;
+    world.body_time = Box::new(|_, _| us(5));
+    let mut script: VecDeque<u64> = script.iter().copied().collect();
+    world.lateness = Box::new(move |_| us(script.pop_front().unwrap_or(rest)));
+    (world, a)
+}
+
+fn edge(k: u64) -> Instant {
+    T0 + us(50_000) * k
+}
+
+#[test]
+fn a_command_inside_the_lead_is_served_before_the_edge() {
+    // Eight parks teach the lead their smallest lateness, 99 µs. The
+    // ninth, armed that much early, ends on its edge. The tenth returns
+    // after 60 µs only: 39 µs ahead of edge 10 and inside the new lead
+    // of 60 µs, so the owner spins — and an activation that lands 20 µs
+    // ahead of the edge is applied at that instant.
+    let (mut world, a) = ticking_alone(&[130, 99, 167, 120, 126, 140, 111, 150, 99, 60], 60);
+    world.run_until(edge(8) + us(1_000));
+    assert_eq!(world.owners[0].lead(), us(99), "the window's minimum");
+    world.run_until(edge(9) + us(1_000));
+    assert_eq!(
+        world.owners[0].late.max, 167_000,
+        "round 9 began on its edge"
+    );
+    assert_eq!(world.next_seen[2], 0, "no spin so far");
+    let sent = edge(10) - us(20);
+    world.at(sent, Cmd::Activate(a));
+    world.at(edge(10) + us(10_000), Cmd::Shutdown);
+    world.run();
+    let ran: Vec<_> = (world.owners[0].report.records.iter())
+        .filter(|r| r.job.task == a)
+        .collect();
+    assert_eq!(ran.len(), 1, "activated once");
+    assert_eq!(ran[0].job.release, sent, "applied when it arrived");
+    assert_eq!(ran[0].started, sent, "and started then: ahead of the edge");
+    let ticks = world.finish()[0].ticks;
+    // Spun from 39 µs ahead of the edge to the command, and again from
+    // the end of `a`'s 5 µs to the edge.
+    assert_eq!(
+        (ticks.early_wakes, ticks.spin_ns),
+        (2, 19_000 + 15_000),
+        "{ticks:?}"
+    );
+    assert_eq!(ticks.lead_ns, 60_000);
+    assert_eq!(
+        ticks.edges, 10,
+        "and no round ahead of its edge: `tick_rounds_kept_to`"
+    );
+}
+
+#[test]
+fn the_lead_is_bounded_and_cheap() {
+    let run = |late: u64| {
+        let (mut world, _) = ticking_alone(&[], late);
+        world.at(edge(24) + us(10_000), Cmd::Shutdown);
+        world.run();
+        let spins = world.next_seen[2];
+        (world.finish()[0].ticks, spins)
+    };
+    // A timer that is on time teaches no lead, and an owner without a
+    // lead never spins.
+    let (plain, spins) = run(0);
+    assert_eq!(
+        (plain.lead_ns, plain.spin_ns, plain.early_wakes, spins),
+        (0, 0, 0, 0)
+    );
+    assert_eq!((plain.edges, plain.late_max_ns), (24, 0));
+    // One that is always 130 µs late teaches exactly that: eight rounds
+    // begin 130 µs late, every later one on its edge, and with nothing
+    // ever early nothing is spun away.
+    let (led, spins) = run(130);
+    assert_eq!(
+        (led.lead_ns, led.late_max_ns, led.late_p50_ns),
+        (130_000, 130_000, 0)
+    );
+    assert_eq!(
+        (led.edges, led.spin_ns, led.early_wakes, spins),
+        (24, 0, 0, 0)
+    );
+    // However late the timer, the lead stops at the cap (and at an
+    // eighth of the tick, 6.25 ms here).
+    let (capped, _) = run(4_000);
+    assert_eq!(capped.lead_ns, TimerLead::CAP.as_nanos());
+    assert_eq!(capped.late_max_ns, 4_000_000);
+}
+
+#[test]
+#[ignore = "ROADMAP: instances of one task never overlap"]
+fn two_instances_of_one_task_never_overlap() {
+    // Shard 0 enters `gate` with two instances of `t` queued behind it,
+    // so both go on the shelf. Shard 1 takes one (`k = 1`: half the
+    // load gap of 2) and runs it for 10 ms. `gate` ends after 2 ms, the
+    // other instance comes home when the shelf closes, and shard 0
+    // dispatches it — while the first still runs on shard 1.
+    let mut b = TaskSetBuilder::new();
+    let pre = task(&mut b, TaskSpec::aperiodic("pre"), Some(0), us(1_000));
+    let gate = task(&mut b, TaskSpec::aperiodic("gate"), Some(0), us(2_000));
+    let t = task(&mut b, TaskSpec::aperiodic("t"), Some(0), us(10_000));
+    task(
+        &mut b,
+        TaskSpec::periodic("light", us(100_000)),
+        Some(1),
+        us(10),
+    );
+    let config = sharded(2).build().unwrap();
+    let mut world = World::new("overlap".into(), 0, b.build().unwrap(), config, true);
+    world.jitter = Duration::ZERO;
+    world.body_time = Box::new(move |job, _| match job.task {
+        task if task == pre => us(1_000),
+        task if task == gate => us(2_000),
+        task if task == t => us(10_000),
+        _ => us(10),
+    });
+    // All three arrive inside `pre` and are queued, in this order, at
+    // its end.
+    world.at(T0 + us(100), Cmd::Activate(pre));
+    for (i, queued) in [gate, t, t].into_iter().enumerate() {
+        world.at(T0 + us(300 + i as u64), Cmd::Activate(queued));
+    }
+    world.run_until(T0 + us(50_000));
+    world.at(world.now(), Cmd::Shutdown);
+    world.run();
+    let records = world.owners.iter().flat_map(|o| &o.report.records);
+    let mut ran: Vec<_> = records.filter(|r| r.job.task == t).collect();
+    ran.sort_by_key(|r| r.started);
+    assert_eq!(ran.len(), 2, "both instances ran");
+    assert!(
+        ran[1].started >= ran[0].completed,
+        "{:?} started on {} at {}, {} before {:?} ended on {}",
+        ran[1].job.id,
+        ran[1].worker,
+        ran[1].started,
+        ran[0].completed - ran[1].started,
+        ran[0].job.id,
+        ran[0].worker,
+    );
+    world.finish();
+}

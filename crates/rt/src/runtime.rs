@@ -3,40 +3,25 @@
 //! comes up.
 //!
 //! [`RuntimeBuilder::build`] spawns *owner* threads. An owner holds one
-//! engine, wakes at the gcd tick (§3.3) and runs the owner loop of
-//! [`crate::sharded`], whose module docs describe it. **How many owners
+//! engine, wakes at the gcd tick (§3.3) and steps the owner machine of
+//! [`crate::owner`], whose module docs describe it. **How many owners
 //! there are follows from [`Config::sharded_dispatch`] and nothing
-//! else:**
-//!
-//! * **Off** — global mapping, or partitioned mapping under one
-//!   scheduler (Fig. 1a): one owner (`yasmin-scheduler`) holds the whole
-//!   engine over worker slots `0..n`.
-//! * **On** — partitioned mapping with the engine state split into
-//!   independent per-worker shards (Fig. 1b, `yasmin_sched::shard`):
-//!   one owner per shard (`yasmin-shard-sched-{w}`), each over its one
-//!   slot, talking to its peers over mailbox lanes — cross-shard DAG
-//!   tokens, forwarded message events and, with
-//!   [`RuntimeBuilder::work_stealing`], the steal handshake.
+//! else:** off — global mapping, or partitioned mapping under one
+//! scheduler (Fig. 1a) — one owner (`yasmin-scheduler`) holds the whole
+//! engine over worker slots `0..n`; on — partitioned mapping with the
+//! engine state split into per-worker shards (Fig. 1b,
+//! `yasmin_sched::shard`) — one owner per shard
+//! (`yasmin-shard-sched-{w}`), talking to its peers over mailbox lanes
+//! and, with [`RuntimeBuilder::work_stealing`], their shelves.
 //!
 //! **Who executes the bodies follows from an owner's slot count and
-//! nothing else:**
-//!
-//! * **One slot** — every shard, and the whole engine with one worker:
-//!   the owner is scheduler and worker at once. It executes the body
-//!   the engine dispatched itself, pinned to its worker's core, and a
-//!   job costs no hand-off and wakes no second thread. While it is
-//!   inside a body everything else waits for the **job boundary** —
-//!   tick edges, commands, message boosts, a body's own posts and
-//!   calls; the sharded module's "The job boundary" lists what waits
-//!   and how long.
-//! * **Two slots or more** — the owner only schedules, and never runs a
-//!   body: under global scheduling a worker that finishes while the
-//!   owner is inside someone's long body would idle beside ready work.
-//!   Each worker is a helper thread (`yasmin-worker-{w}`, a "virtual
-//!   CPU", pinned best-effort) fed through a one-slot ring with a
-//!   doorbell and answering on its own mailbox lane. Ticks, commands
-//!   and completions are handled as they arrive; completions found
-//!   pending at one wake retire in one engine round.
+//! nothing else.** With one slot — every shard, and the whole engine
+//! with one worker — the owner is scheduler and worker at once: it
+//! executes the body the engine dispatched itself, pinned to its
+//! worker's core, and everything else waits for the **job boundary**
+//! ("The job boundary" there lists what waits and how long). With two
+//! slots or more the owner only schedules, and each worker is a helper
+//! thread (`yasmin-worker-{w}`, a "virtual CPU", pinned best-effort).
 //!
 //! Control commands (`activate`, `admit`, `retire`, message boosts,
 //! `stop`) reach an owner over mailbox lanes that ring it, so a parked
@@ -45,8 +30,8 @@
 //! on its mailbox until the next tick edge, or spinning — and the tick
 //! grid is anchored at the instant the engine started.
 //!
-//! `ShardedRuntime` and `ShardedRuntimeBuilder` ([`crate::sharded`])
-//! are aliases of [`Runtime`] and [`RuntimeBuilder`], kept for source
+//! `ShardedRuntime` and `ShardedRuntimeBuilder` ([`crate::owner`]) are
+//! aliases of [`Runtime`] and [`RuntimeBuilder`], kept for source
 //! compatibility; they go at the next benchmark re-baseline.
 //!
 //! Substitution note (DESIGN.md): the paper preempts workers with POSIX
@@ -61,9 +46,8 @@
 //! closures (the Rust analogue of the paper's macro-generated static
 //! FIFO buffers — see `examples/quickstart.rs`).
 
-use crate::sharded::{
-    owner_of, send_waiting, spawn, try_lock, wait_for, Launch, MsgLanes, OwnerExit, ShardMsg,
-    SharedLane,
+use crate::owner::{
+    owner_of, send_waiting, spawn, try_lock, wait_for, MsgLanes, OwnerReport, ShardMsg, SharedLane,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -76,7 +60,7 @@ use yasmin_core::time::{Clock, Instant, MonotonicClock};
 use yasmin_sched::admission::{AdmissionError, TenantLedger};
 use yasmin_sched::msg::{NotifyHandle, Receiver as MsgReceiver, Sender as MsgSender};
 use yasmin_sched::server::TenantBudget;
-use yasmin_sched::{validate_sharding, EngineShard, EngineStats, Job, JobOutcome, OnlineEngine};
+use yasmin_sched::{validate_sharding, EngineStats, Job, JobOutcome};
 
 /// Context handed to a task body for each job.
 #[derive(Debug, Clone, Copy)]
@@ -131,7 +115,7 @@ impl RtJobRecord {
 }
 
 /// How one owner met its tick edges over a run, and what arming its
-/// timed park early cost it (see "The tick edge" in [`crate::sharded`]).
+/// timed park early cost it (see "The tick edge" in [`crate::owner`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TickStats {
     /// Tick rounds the owner ran.
@@ -154,7 +138,7 @@ pub struct TickStats {
 }
 
 /// What one owner gave away and took by work stealing (see "Work
-/// stealing" in [`crate::sharded`]); all zero unless
+/// stealing" in [`crate::owner`]); all zero unless
 /// [`RuntimeBuilder::work_stealing`] is on.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StealStats {
@@ -175,7 +159,7 @@ pub struct StealStats {
 }
 
 /// Final report returned by [`Runtime::cleanup`].
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct RuntimeReport {
     /// Every completed job.
     pub records: Vec<RtJobRecord>,
@@ -194,7 +178,13 @@ pub struct RuntimeReport {
 
 /// Builder mirroring the paper's init/declare phase.
 pub struct RuntimeBuilder {
-    launch: Launch,
+    pub(crate) taskset: Arc<TaskSet>,
+    pub(crate) config: Config,
+    pub(crate) bodies: HashMap<(TaskId, VersionId), TaskBody>,
+    pub(crate) channels: Vec<NotifyHandle>,
+    pub(crate) pin_offset: usize,
+    /// Only shards steal; off unless turned on.
+    pub(crate) work_stealing: bool,
     lock_memory: bool,
 }
 
@@ -206,7 +196,12 @@ impl RuntimeBuilder {
     #[must_use]
     pub fn new(taskset: Arc<TaskSet>, config: Config) -> Self {
         RuntimeBuilder {
-            launch: Launch::new(taskset, config),
+            taskset,
+            config,
+            bodies: HashMap::new(),
+            channels: Vec::new(),
+            pin_offset: 0,
+            work_stealing: false,
             lock_memory: false,
         }
     }
@@ -237,8 +232,8 @@ impl RuntimeBuilder {
         &mut self,
         id: yasmin_core::ids::ChannelId,
     ) -> Result<(MsgSender<T>, MsgReceiver<T>)> {
-        let (tx, rx) = yasmin_sched::msg::channel(&self.launch.taskset, id)?;
-        self.launch.channels.push(tx.notify_handle());
+        let (tx, rx) = yasmin_sched::msg::channel(&self.taskset, id)?;
+        self.channels.push(tx.notify_handle());
         Ok((tx, rx))
     }
 
@@ -247,7 +242,7 @@ impl RuntimeBuilder {
     /// its high-lane traffic reaches the owner of the receiving task.
     #[must_use]
     pub fn register_channel(mut self, handle: NotifyHandle) -> Self {
-        self.launch.channels.push(handle);
+        self.channels.push(handle);
         self
     }
 
@@ -259,7 +254,7 @@ impl RuntimeBuilder {
     /// refuses it under a configuration that is not sharded.
     #[must_use]
     pub fn work_stealing(mut self, on: bool) -> Self {
-        self.launch.work_stealing = on;
+        self.work_stealing = on;
         self
     }
 
@@ -271,7 +266,7 @@ impl RuntimeBuilder {
         version: VersionId,
         f: impl Fn(&JobCtx) + Send + Sync + 'static,
     ) -> Self {
-        self.launch.bodies.insert((task, version), Arc::new(f));
+        self.bodies.insert((task, version), Arc::new(f));
         self
     }
 
@@ -285,7 +280,7 @@ impl RuntimeBuilder {
     /// for one, whenever the host has no more cores than workers.
     #[must_use]
     pub fn pin_cores_from(mut self, offset: usize) -> Self {
-        self.launch.pin_offset = offset;
+        self.pin_offset = offset;
         self
     }
 
@@ -312,9 +307,7 @@ impl RuntimeBuilder {
     ///   ([`yasmin_sched::validate_sharding`]);
     /// * engine construction errors (partition validation etc.).
     pub fn build(self) -> Result<Runtime> {
-        let Launch {
-            taskset, config, ..
-        } = &self.launch;
+        let (taskset, config) = (&self.taskset, &self.config);
         if config.preemption() {
             return Err(Error::InvalidConfig(
                 "the thread runtime schedules non-preemptively at job boundaries; \
@@ -323,25 +316,19 @@ impl RuntimeBuilder {
                     .into(),
             ));
         }
-        if self.launch.work_stealing && !config.sharded_dispatch() {
+        if self.work_stealing && !config.sharded_dispatch() {
             return Err(Error::InvalidConfig(
                 "work stealing moves jobs between shards: enable \
                  Config::sharded_dispatch, or leave it off"
                     .into(),
             ));
         }
-        check_bodies(taskset, &self.launch.bodies)?;
-        let engines = if config.sharded_dispatch() {
-            let shards = EngineShard::build_all(taskset, config)?;
-            shards.into_iter().map(EngineShard::into_inner).collect()
-        } else {
-            vec![OnlineEngine::new(Arc::clone(taskset), config.clone())?]
-        };
+        check_bodies(taskset, &self.bodies)?;
         if self.lock_memory {
             // Best-effort; containers commonly deny it.
             let _ = crate::os::lock_all_memory();
         }
-        spawn(engines, self.launch)
+        spawn(self)
     }
 }
 
@@ -363,7 +350,7 @@ pub struct Runtime {
     /// Tells a caller that is inside a body of this runtime
     /// ([`wait_for`]).
     pub(crate) lanes: MsgLanes,
-    pub(crate) threads: Vec<std::thread::JoinHandle<OwnerExit>>,
+    pub(crate) threads: Vec<std::thread::JoinHandle<OwnerReport>>,
     /// Each helper returns whether it ran pinned.
     pub(crate) helpers: Vec<std::thread::JoinHandle<bool>>,
 }
@@ -547,26 +534,20 @@ impl Runtime {
     #[must_use]
     pub fn cleanup(self) -> RuntimeReport {
         self.broadcast(|| ShardMsg::Shutdown);
-        let mut report = RuntimeReport {
-            records: Vec::new(),
-            engine_stats: EngineStats::default(),
-            tick_stats: Vec::with_capacity(self.threads.len()),
-            steal_stats: Vec::with_capacity(self.threads.len()),
-            unpinned_threads: 0,
-        };
+        let mut report = RuntimeReport::default();
         for t in self.threads {
-            let (records, stats, ticks, steals, pinned) = t.join().expect("owner thread panicked");
+            let owner = t.join().expect("owner thread panicked");
             if report.records.is_empty() {
                 // The first owner's records — all there are, with one
                 // owner — become the report's without a copy.
-                report.records = records;
+                report.records = owner.records;
             } else {
-                report.records.extend(records);
+                report.records.extend(owner.records);
             }
-            report.engine_stats.merge(&stats);
-            report.tick_stats.push(ticks);
-            report.steal_stats.push(steals);
-            report.unpinned_threads += usize::from(!pinned);
+            report.engine_stats.merge(&owner.stats);
+            report.tick_stats.push(owner.ticks);
+            report.steal_stats.push(owner.steals);
+            report.unpinned_threads += usize::from(!owner.pinned);
         }
         // An owner dismisses its helpers as it exits.
         for h in self.helpers {
@@ -1152,7 +1133,7 @@ mod tests {
         // a 50 ms schedule a runtime thread blocks a few times per tick
         // (the timed park, a helper's wait for its next job), where a
         // polling loop blocks thousands of times. Same bound as
-        // `sharded::tests::idle_threads_stay_parked`. And the census:
+        // `owner::tests::idle_threads_stay_parked`. And the census:
         // one worker is one thread, scheduler and worker at once; two
         // are two helpers and the thread that schedules them.
         if !alone_in_child("runtime::tests::idle_scheduler_stays_parked") {

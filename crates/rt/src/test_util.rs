@@ -87,7 +87,7 @@ pub(crate) fn thread_sleeps(prefixes: &[&str]) -> HashMap<String, (String, u64)>
 }
 
 /// Re-executes the test binary so that `test` (its full path, e.g.
-/// `sharded::tests::idle_threads_stay_parked`) runs alone in a child
+/// `owner::tests::idle_threads_stay_parked`) runs alone in a child
 /// process — thread names are all that tells a runtime's threads from
 /// those of the tests running beside it. Returns `true` in the child,
 /// where the caller goes on to measure; in the parent it asserts the

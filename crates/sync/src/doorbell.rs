@@ -91,6 +91,17 @@ impl Doorbell {
     ///
     /// All calls must come from one thread: the bell has one sleeper.
     pub fn wait(&self, timeout: Option<Duration>, ready: impl FnOnce() -> bool) {
+        if self.announce(ready) {
+            self.park(timeout);
+        }
+    }
+
+    /// The first half of [`Doorbell::wait`]: announces the sleep, then
+    /// looks. `true` says `ready()` found nothing and the announcement
+    /// stands — every ring from now on claims it — so the caller goes
+    /// on to [`Doorbell::park`]; `false` says there is work and nobody
+    /// is announced.
+    pub fn announce(&self, ready: impl FnOnce() -> bool) -> bool {
         let me = self.sleeper.get_or_init(std::thread::current);
         debug_assert_eq!(
             me.id(),
@@ -99,13 +110,31 @@ impl Doorbell {
         );
         self.sleeping.store(true, Ordering::SeqCst);
         fence(Ordering::SeqCst);
-        if !ready() {
-            match timeout {
-                Some(d) => std::thread::park_timeout(d),
-                None => std::thread::park(),
-            }
+        let asleep = !ready();
+        if !asleep {
+            self.sleeping.store(false, Ordering::Relaxed);
+        }
+        asleep
+    }
+
+    /// The second half: parks the announced thread until a ring or
+    /// `timeout`, and withdraws the announcement.
+    pub fn park(&self, timeout: Option<Duration>) {
+        match timeout {
+            Some(d) => std::thread::park_timeout(d),
+            None => std::thread::park(),
         }
         self.sleeping.store(false, Ordering::Relaxed);
+    }
+
+    /// `true` from an [`Doorbell::announce`] that returned `true` until
+    /// a ringer claims the announcement or [`Doorbell::park`] returns:
+    /// what a driver that stands in for the sleeping thread (one thread
+    /// stepping several sleepers in virtual time) asks before it lets
+    /// that sleeper go on ahead of its timeout.
+    #[must_use]
+    pub fn is_announced(&self) -> bool {
+        self.sleeping.load(Ordering::SeqCst)
     }
 
     /// Ringer side: wakes the sleeper if it sleeps. Call *after*
@@ -179,6 +208,25 @@ mod tests {
             "second wait returned after {:?}",
             t0.elapsed()
         );
+    }
+
+    #[test]
+    fn a_ring_claims_a_standing_announcement() {
+        let bell = Doorbell::new();
+        assert!(!bell.announce(|| true), "work found: nobody announced");
+        assert!(!bell.is_announced());
+        assert!(bell.announce(|| false));
+        assert!(bell.is_announced());
+        bell.ring();
+        assert!(!bell.is_announced(), "the ringer claimed it");
+        // Its token ends the park at once, whatever the timeout.
+        let t0 = Instant::now();
+        bell.park(Some(Duration::from_secs(5)));
+        assert!(t0.elapsed() < Duration::from_secs(1));
+        // An announcement nobody claims stands until the park is over.
+        assert!(bell.announce(|| false));
+        bell.park(Some(Duration::ZERO));
+        assert!(!bell.is_announced());
     }
 
     #[test]

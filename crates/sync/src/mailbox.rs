@@ -312,10 +312,32 @@ impl<T: Send> MailboxReceiver<T> {
     /// from a loop that drains and re-evaluates. Always from the same
     /// thread — the mailbox has one owner.
     pub fn park(&self, timeout: Option<Duration>, also_ready: impl FnOnce() -> bool) {
+        if self.announce(also_ready) {
+            self.park_announced(timeout);
+        }
+    }
+
+    /// The first half of [`MailboxReceiver::park`] — the owner
+    /// announces its sleep, then looks at the pending count and at
+    /// `also_ready` ([`Doorbell::announce`]); `true` when it found
+    /// nothing and is to go on to [`MailboxReceiver::park_announced`].
+    pub fn announce(&self, also_ready: impl FnOnce() -> bool) -> bool {
         let shared = &*self.shared;
-        shared.bell.wait(timeout, || {
-            shared.pending.load(Ordering::SeqCst) != 0 || also_ready()
-        });
+        shared
+            .bell
+            .announce(|| shared.pending.load(Ordering::SeqCst) != 0 || also_ready())
+    }
+
+    /// The second half: the sleep itself ([`Doorbell::park`]).
+    pub fn park_announced(&self, timeout: Option<Duration>) {
+        self.shared.bell.park(timeout);
+    }
+
+    /// `true` while an announced sleep stands that no `send`, `wake` or
+    /// lane close has claimed yet ([`Doorbell::is_announced`]).
+    #[must_use]
+    pub fn is_announced(&self) -> bool {
+        self.shared.bell.is_announced()
     }
 
     /// `true` once every lane is closed *and* fully drained: no command

@@ -76,7 +76,7 @@ pub use yasmin_core::{Error, Result};
 pub mod prelude {
     pub use yasmin_core::channel::BackpressurePolicy;
     pub use yasmin_core::config::{
-        Config, LockChoice, MappingScheme, SchedulerClass, VersionPolicy, WaitChoice,
+        Config, MappingScheme, SchedulerClass, VersionPolicy, WaitChoice,
     };
     pub use yasmin_core::energy::{BatteryLevel, Energy, Power};
     pub use yasmin_core::graph::{TaskSet, TaskSetBuilder};
