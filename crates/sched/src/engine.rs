@@ -110,102 +110,132 @@ pub struct RunningJob {
     pub killed: bool,
 }
 
-/// Counters the engine maintains for overhead analysis (Fig. 2 uses the
-/// queue-operation and preemption counts).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct EngineStats {
+/// How one [`EngineStats`] field combines with another engine's (`add`)
+/// and with itself over cycles of a schedule that repeats (`repeat`).
+trait Tally {
+    fn add(&mut self, other: &Self);
+    /// Grows by `n` more times what was gained since `mark`.
+    fn repeat(&mut self, mark: &Self, n: u64);
+}
+
+impl Tally for u64 {
+    fn add(&mut self, other: &u64) {
+        *self += other;
+    }
+    fn repeat(&mut self, mark: &u64, n: u64) {
+        *self += (*self - mark) * n;
+    }
+}
+
+impl Tally for [u64; 8] {
+    fn add(&mut self, other: &Self) {
+        self.iter_mut().zip(other).for_each(|(b, o)| b.add(o));
+    }
+    fn repeat(&mut self, mark: &Self, n: u64) {
+        self.iter_mut().zip(mark).for_each(|(b, m)| b.repeat(m, n));
+    }
+}
+
+/// The one high-water mark, `max_ready`: summed across shards, held
+/// across cycles (a repeated cycle reaches the same depth again).
+impl Tally for usize {
+    fn add(&mut self, other: &usize) {
+        *self += other;
+    }
+    fn repeat(&mut self, _mark: &usize, _n: u64) {}
+}
+
+/// States the [`EngineStats`] fields once; the struct, [`EngineStats::merge`]
+/// and the cycle repeat behind [`OnlineEngine::skip_cycles`] all come
+/// from this one list.
+macro_rules! engine_stats {
+    ($($(#[$doc:meta])* $field:ident: $ty:ty,)*) => {
+        /// Counters the engine maintains for overhead analysis (Fig. 2 uses the
+        /// queue-operation and preemption counts).
+        #[derive(Debug, Clone, Default, PartialEq, Eq)]
+        pub struct EngineStats {
+            $($(#[$doc])* pub $field: $ty,)*
+        }
+
+        impl EngineStats {
+            /// Accumulates another engine's counters into this one — used to
+            /// aggregate per-shard stats into a whole-system view. Every counter
+            /// sums; `max_ready` sums too (each shard's high-water mark is over
+            /// its own queue, so the sum is a conservative bound on the global
+            /// concurrent ready count, not an observed maximum).
+            pub fn merge(&mut self, other: &EngineStats) {
+                $(self.$field.add(&other.$field);)*
+            }
+
+            /// Adds `n` more times what every counter gained since `mark`;
+            /// `max_ready` stays the maximum it is.
+            fn repeat_since(&mut self, mark: &EngineStats, n: u64) {
+                $(self.$field.repeat(&mark.$field, n);)*
+            }
+        }
+    };
+}
+
+engine_stats! {
     /// Jobs released into ready queues.
-    pub released: u64,
+    released: u64,
     /// Dispatch actions emitted.
-    pub dispatched: u64,
+    dispatched: u64,
     /// Jobs completed.
-    pub completed: u64,
+    completed: u64,
     /// Preemptions performed.
-    pub preempted: u64,
+    preempted: u64,
     /// PIP boosts applied.
-    pub pip_boosts: u64,
+    pip_boosts: u64,
     /// Times a ready job had to be skipped because every eligible version
     /// targeted a busy accelerator (it stays ready).
-    pub blocked_skips: u64,
+    blocked_skips: u64,
     /// Sporadic activations violating the minimum inter-arrival time.
-    pub sporadic_violations: u64,
+    sporadic_violations: u64,
     /// Token pushes that exceeded a channel's declared capacity.
-    pub channel_overflows: u64,
+    channel_overflows: u64,
     /// High-water mark over all ready queues.
-    pub max_ready: usize,
+    max_ready: usize,
     /// Foreign jobs this engine adopted from a victim shard and ran on
     /// its own worker (work stealing; thief side).
-    pub stolen: u64,
+    stolen: u64,
     /// Ready jobs this engine handed to a thief shard (victim side).
-    pub donated: u64,
+    donated: u64,
     /// Steal exchanges this engine completed as the thief
     /// ([`OnlineEngine::adopt_stolen_batch`], a batch of one included);
     /// each exchange's jobs are also counted individually in `stolen`.
-    pub stolen_batch: u64,
+    stolen_batch: u64,
     /// Histogram of adopted batch sizes: bucket `i` counts exchanges
     /// that delivered `i + 1` jobs (the last bucket absorbs anything
     /// larger, future-proofing against a raised batch cap).
-    pub steal_batch_len: [u64; 8],
+    steal_batch_len: [u64; 8],
     /// DAG activation tokens routed to a foreign shard through the
     /// outbox instead of fired locally (cross-shard edges).
-    pub cross_activations: u64,
+    cross_activations: u64,
     /// Ready jobs culled — either at a tick because their absolute
     /// deadline had already passed
     /// ([`yasmin_core::config::Config::cull_missed`]), or because their
     /// tenant was retired while they waited
     /// ([`OnlineEngine::retire_tenant_into`]).
-    pub culled: u64,
+    culled: u64,
     /// Dispatch attempts deferred because the job's tenant had exhausted
     /// its [`ReservationServer`] budget for the current replenishment
     /// period (the job stays ready and retries on later rounds).
-    pub budget_deferrals: u64,
+    budget_deferrals: u64,
     /// Priority boosts applied because a high-priority message arrived
     /// for a task (message-plane PIP; released when the lane drains).
-    pub msg_boosts: u64,
+    msg_boosts: u64,
     /// Jobs caught running past their enforcement deadline
     /// (`Config::enforce_wcet`), or force-flagged by fault injection.
-    pub overruns: u64,
+    overruns: u64,
     /// Jobs retired as [`JobOutcome::Failed`] (body panicked; contained
     /// by the runtime).
-    pub failed: u64,
+    failed: u64,
     /// DAG tokens shed by a channel's [`BackpressurePolicy`]
     /// (`DropOldest` / `DeadlineAwareDrop`) on a full channel.
-    pub shed_drops: u64,
+    shed_drops: u64,
     /// Times the deadline-miss trip wire tripped (`Config::miss_trip`).
-    pub miss_trips: u64,
-}
-
-impl EngineStats {
-    /// Accumulates another engine's counters into this one — used to
-    /// aggregate per-shard stats into a whole-system view. Every counter
-    /// sums; `max_ready` sums too (each shard's high-water mark is over
-    /// its own queue, so the sum is a conservative bound on the global
-    /// concurrent ready count, not an observed maximum).
-    pub fn merge(&mut self, other: &EngineStats) {
-        self.released += other.released;
-        self.dispatched += other.dispatched;
-        self.completed += other.completed;
-        self.preempted += other.preempted;
-        self.pip_boosts += other.pip_boosts;
-        self.blocked_skips += other.blocked_skips;
-        self.sporadic_violations += other.sporadic_violations;
-        self.channel_overflows += other.channel_overflows;
-        self.max_ready += other.max_ready;
-        self.stolen += other.stolen;
-        self.donated += other.donated;
-        self.stolen_batch += other.stolen_batch;
-        for (b, o) in self.steal_batch_len.iter_mut().zip(&other.steal_batch_len) {
-            *b += o;
-        }
-        self.cross_activations += other.cross_activations;
-        self.culled += other.culled;
-        self.budget_deferrals += other.budget_deferrals;
-        self.msg_boosts += other.msg_boosts;
-        self.overruns += other.overruns;
-        self.failed += other.failed;
-        self.shed_drops += other.shed_drops;
-        self.miss_trips += other.miss_trips;
-    }
+    miss_trips: u64,
 }
 
 /// Per-tenant bookkeeping: the contiguous id ranges a tenant occupies in
@@ -259,6 +289,22 @@ pub struct StealHint {
     pub task: TaskId,
     /// Its queue priority (smaller = more urgent).
     pub priority: Priority,
+}
+
+/// An engine's running counts at a recurrence point
+/// ([`OnlineEngine::recurrence_mark`]). Two of them bracket one cycle
+/// of a schedule that repeats: their differences are what every further
+/// cycle adds, to the engine ([`OnlineEngine::skip_cycles`]) and to
+/// whatever a driver derives from job ids and sequence numbers.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CycleMark {
+    /// The recurrence instant.
+    pub at: Instant,
+    /// Jobs minted so far: the raw [`JobId`] the next release gets.
+    pub job_counter: u64,
+    /// Activations so far per task: the `seq` its next job gets.
+    pub activation_seq: Vec<u64>,
+    stats: EngineStats,
 }
 
 enum VersionChoice {
@@ -798,6 +844,87 @@ impl OnlineEngine {
             *r = Instant::MAX;
         }
         self.next_wake = Instant::MAX;
+    }
+
+    /// `true` when the schedule from `now` on depends on `now` alone —
+    /// **quiescent**: nothing ready, running (so no accelerator held),
+    /// tokened, message-boosted or waiting in the outbox, and nothing
+    /// armed that remembers earlier instants or callers (a reservation
+    /// server, WCET enforcement, the miss trip wire, deadline culling, a
+    /// version policy that reads the battery or a user callback);
+    /// **synchronous**: every auto-released task is due exactly at
+    /// `now`. An engine not yet started is asked about `start_into(now)`.
+    fn recurs_at(&self, now: Instant) -> bool {
+        let synchronous = if self.started {
+            let due = |&r: &Instant| r == now || r == Instant::MAX;
+            self.next_wake == now && self.next_release.iter().all(due)
+        } else {
+            let mut tasks = self.taskset.tasks().iter();
+            tasks.all(|t| t.spec().release_offset() == Duration::ZERO)
+        };
+        synchronous
+            && !self.stopping
+            && self.is_idle()
+            && self.outbox.is_empty()
+            && !(self.enforce_wcet || self.cull_missed || self.policy_uses_battery)
+            && self.miss_trip.is_none()
+            && self.tokens.iter().all(|&t| t == 0)
+            && self.high_depth.iter().all(|&d| d == 0)
+            && self.tenants.iter().all(|t| t.server.is_none())
+    }
+
+    /// The engine's running counts at `now`, if `now` is a **recurrence
+    /// point**: the engine is quiescent and every auto-released task is
+    /// due exactly at `now` (`start_into(now)` of a set without release
+    /// offsets is one). From two such points on, as long as the driver
+    /// feeds the engine nothing but ticks and completions and every job
+    /// runs for a fixed time, the schedule repeats with the distance
+    /// between them as its cycle; [`OnlineEngine::skip_cycles`] then
+    /// advances the engine over whole cycles without running them.
+    #[must_use]
+    pub fn recurrence_mark(&self, now: Instant) -> Option<CycleMark> {
+        self.recurs_at(now).then(|| CycleMark {
+            at: now,
+            job_counter: self.job_counter,
+            activation_seq: self.activation_seq.clone(),
+            stats: self.stats.clone(),
+        })
+    }
+
+    /// Advances an engine standing at a recurrence point by `n` cycles
+    /// of the schedule it ran since `since`, the previous one: every
+    /// pending release, the job and activation counters and the additive
+    /// [`EngineStats`] move as if the engine had been ticked through
+    /// `n` more repetitions of that cycle (`max_ready` stays a maximum),
+    /// so the next `on_tick_into` emits the jobs it would have then.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidConfig`] when the engine is not at a recurrence
+    /// point later than `since`, or `since` is not a mark of this engine.
+    pub fn skip_cycles(&mut self, since: &CycleMark, n: u64) -> Result<()> {
+        let now = self.next_wake;
+        let ours = since.at < now && since.activation_seq.len() == self.activation_seq.len();
+        let shift = now.saturating_since(since.at).checked_mul(n);
+        let (true, Some(shift)) = (self.started && ours && self.recurs_at(now), shift) else {
+            return Err(Error::InvalidConfig(
+                "skip_cycles needs a recurrence point past its mark".into(),
+            ));
+        };
+        for (i, seq) in self.activation_seq.iter_mut().enumerate() {
+            let fired = *seq - since.activation_seq[i];
+            *seq += fired * n;
+            if let Some(last) = self.last_activation[i].as_mut().filter(|_| fired > 0) {
+                *last += shift;
+            }
+            if self.next_release[i] != Instant::MAX {
+                self.next_release[i] += shift;
+            }
+        }
+        self.next_wake += shift;
+        self.job_counter += (self.job_counter - since.job_counter) * n;
+        self.stats.repeat_since(&since.stats, n);
+        Ok(())
     }
 
     /// Number of tenants ever admitted (including the built-in tenant 0
@@ -3374,5 +3501,156 @@ mod tests {
             e.on_high_drained_into(TaskId::new(9), at(0), &mut sink),
             Err(Error::UnknownTask(_))
         ));
+    }
+
+    /// One 20 ms hyperperiod of [`two_task_set`] on one worker: `first`
+    /// opens it at `from` (`start_into` or `on_tick_into`), a tick
+    /// follows 10 ms later, and every dispatched job completes its WCET
+    /// after the previous one. Returns every action emitted.
+    fn one_cycle(
+        e: &mut OnlineEngine,
+        from: Instant,
+        first: impl FnOnce(&mut OnlineEngine, &mut ActionSink),
+    ) -> Vec<Action> {
+        let w = WorkerId::new(0);
+        let mut sink = ActionSink::new();
+        first(e, &mut sink);
+        for tick in [from, from + ms(10)] {
+            if tick > from {
+                e.on_tick_into(tick, &mut sink);
+            }
+            let mut now = tick;
+            while let Some(r) = e.running(w).copied() {
+                now += e.taskset().tasks()[r.job.task.index()].versions()[0].wcet();
+                e.on_job_completed_into(w, r.job.id, now, &mut sink)
+                    .unwrap();
+            }
+        }
+        sink.into_vec()
+    }
+
+    fn tick_cycle(e: &mut OnlineEngine, from: Instant) -> Vec<Action> {
+        one_cycle(e, from, |e, s| e.on_tick_into(from, s))
+    }
+
+    #[test]
+    fn skip_cycles_lands_where_ticking_would() {
+        let started = |e: &mut OnlineEngine| {
+            one_cycle(e, at(0), |e, s| e.start_into(at(0), s).unwrap());
+            tick_cycle(e, at(20));
+        };
+        // The reference is ticked through [40, 100); the other skips it.
+        let mut ticked = OnlineEngine::new(two_task_set(), edf_config(1)).unwrap();
+        started(&mut ticked);
+        for k in 2..5 {
+            tick_cycle(&mut ticked, at(20 * k));
+        }
+        let mut skipped = OnlineEngine::new(two_task_set(), edf_config(1)).unwrap();
+        assert!(skipped.recurrence_mark(at(0)).is_some(), "the start is one");
+        one_cycle(&mut skipped, at(0), |e, s| e.start_into(at(0), s).unwrap());
+        let mark = skipped.recurrence_mark(at(20)).expect("idle, all due");
+        tick_cycle(&mut skipped, at(20));
+        let here = skipped.recurrence_mark(at(40)).expect("idle, all due");
+        assert_eq!(here.job_counter - mark.job_counter, 3);
+        assert_eq!(here.activation_seq, [4, 2]);
+        let before = skipped.stats().clone();
+        skipped.skip_cycles(&mark, 3).unwrap();
+
+        // before + 3 × (one cycle's delta); the high-water mark holds.
+        let after = skipped.stats().clone();
+        assert_eq!(&after, ticked.stats());
+        assert_eq!(after.released, before.released + 3 * 3);
+        assert_eq!(after.dispatched, before.dispatched + 3 * 3);
+        assert_eq!(after.completed, before.completed + 3 * 3);
+        assert_eq!(after.max_ready, before.max_ready);
+        assert_eq!(
+            skipped.recurrence_mark(at(100)),
+            ticked.recurrence_mark(at(100))
+        );
+        // Same jobs from here on: ids, seqs, releases, deadlines.
+        let next = tick_cycle(&mut skipped, at(100));
+        assert_eq!(next, tick_cycle(&mut ticked, at(100)));
+        assert!(
+            matches!(next[0], Action::Dispatch { job, .. } if job.id == JobId::new(15)
+                && job.seq == 10 && job.release == at(100)),
+            "{next:?}"
+        );
+    }
+
+    #[test]
+    fn recurrence_needs_a_quiescent_synchronous_engine() {
+        let w = WorkerId::new(0);
+        let refused = |e: &mut OnlineEngine, mark: &CycleMark, now: Instant, why: &str| {
+            assert!(e.recurrence_mark(now).is_none(), "{why}");
+            assert!(e.skip_cycles(mark, 1).is_err(), "{why}");
+        };
+        let mut e = OnlineEngine::new(two_task_set(), edf_config(1)).unwrap();
+        let start = e.recurrence_mark(at(0)).unwrap();
+        let mut sink = ActionSink::new();
+        e.start_into(at(0), &mut sink).unwrap();
+        refused(&mut e, &start, at(0), "one job running, one ready");
+        let a = e.running(w).unwrap().job.id;
+        e.on_job_completed_into(w, a, at(2), &mut sink).unwrap();
+        assert_eq!(e.ready_len(), 0);
+        refused(&mut e, &start, at(10), "a job running");
+        let c = e.running(w).unwrap().job.id;
+        e.on_job_completed_into(w, c, at(7), &mut sink).unwrap();
+        refused(&mut e, &start, at(10), "idle, but only `a` is due at 10 ms");
+        e.on_tick_into(at(10), &mut sink);
+        let a = e.running(w).unwrap().job.id;
+        e.on_job_completed_into(w, a, at(12), &mut sink).unwrap();
+        assert!(e.recurrence_mark(at(20)).is_some());
+        assert!(e.recurrence_mark(at(30)).is_none(), "due at 20 ms, not 30");
+
+        // A tenant with a reservation server: its budget remembers when
+        // it was last replenished.
+        let mut b = yasmin_core::graph::TaskSetBuilder::new();
+        let t = b.task_decl(TaskSpec::periodic("t", ms(20))).unwrap();
+        b.version_decl(t, VersionSpec::new("t", ms(1))).unwrap();
+        let merged = Arc::new(e.taskset().extended(&b.build().unwrap()).unwrap());
+        let budget = crate::server::TenantBudget::deferrable(ms(5), ms(20));
+        let server = ReservationServer::new(TenantId::new(1), budget, at(20));
+        e.splice_taskset(merged, Some(server)).unwrap();
+        refused(&mut e, &start, at(20), "a reservation server attached");
+
+        // An accelerator is held by a running job only.
+        let mut b = yasmin_core::graph::TaskSetBuilder::new();
+        let gpu = b.hwaccel_decl("gpu");
+        let t = b.task_decl(TaskSpec::periodic("t", ms(20))).unwrap();
+        b.version_decl(t, VersionSpec::new("gpu", ms(5)).with_accel(gpu))
+            .unwrap();
+        let mut e = OnlineEngine::new(Arc::new(b.build().unwrap()), edf_config(1)).unwrap();
+        let start = e.recurrence_mark(at(0)).unwrap();
+        e.start_into(at(0), &mut sink).unwrap();
+        assert!(e.running(w).unwrap().accel.is_some());
+        refused(&mut e, &start, at(0), "the accelerator held");
+
+        // fast (10 ms) and slow (20 ms) feed a join: by 20 ms fast has
+        // sent two tokens and the join has consumed one.
+        let mut b = yasmin_core::graph::TaskSetBuilder::new();
+        let fast = b.task_decl(TaskSpec::periodic("fast", ms(10))).unwrap();
+        let slow = b.task_decl(TaskSpec::periodic("slow", ms(20))).unwrap();
+        let join = b.task_decl(TaskSpec::graph_node("join")).unwrap();
+        for t in [fast, slow, join] {
+            b.version_decl(t, VersionSpec::new("v", ms(1))).unwrap();
+        }
+        let (c1, c2) = (b.channel_decl("fj", 1, 4), b.channel_decl("sj", 1, 4));
+        b.channel_connect(fast, join, c1).unwrap();
+        b.channel_connect(slow, join, c2).unwrap();
+        let mut e = OnlineEngine::new(Arc::new(b.build().unwrap()), edf_config(1)).unwrap();
+        let start = e.recurrence_mark(at(0)).unwrap();
+        one_cycle(&mut e, at(0), |e, s| e.start_into(at(0), s).unwrap());
+        assert!(e.is_idle());
+        refused(&mut e, &start, at(20), "a token waiting on fast -> join");
+    }
+
+    #[test]
+    fn a_release_offset_keeps_the_start_from_recurring() {
+        let mut b = yasmin_core::graph::TaskSetBuilder::new();
+        let spec = TaskSpec::periodic("late", ms(10)).with_release_offset(ms(3));
+        let t = b.task_decl(spec).unwrap();
+        b.version_decl(t, VersionSpec::new("v", ms(1))).unwrap();
+        let e = OnlineEngine::new(Arc::new(b.build().unwrap()), edf_config(1)).unwrap();
+        assert!(e.recurrence_mark(at(0)).is_none());
     }
 }

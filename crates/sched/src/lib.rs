@@ -46,7 +46,8 @@ pub mod sink;
 pub use accel::AccelManager;
 pub use admission::{AdmissionControl, AdmissionError, BoundViolation, TenantLedger};
 pub use engine::{
-    Action, EngineStats, JobOutcome, OnlineEngine, RemoteActivation, RunningJob, StealHint,
+    Action, CycleMark, EngineStats, JobOutcome, OnlineEngine, RemoteActivation, RunningJob,
+    StealHint,
 };
 pub use job::{Job, JobBatch, MAX_STEAL_BATCH};
 pub use msg::{ChannelBuilder, MsgEvent, MsgNotify, NotifyHandle, Receiver, SendError, Sender};

@@ -36,7 +36,7 @@ use yasmin_core::task::ActivationKind;
 use yasmin_core::time::{Duration, Instant};
 use yasmin_sched::admission::{AdmissionControl, AdmissionError, TenantLedger};
 use yasmin_sched::server::{ReservationServer, TenantBudget};
-use yasmin_sched::{Action, ActionSink, Job, OnlineEngine, ShardCmd};
+use yasmin_sched::{Action, ActionSink, CycleMark, Job, OnlineEngine, ShardCmd};
 
 /// Modelled fixed costs of scheduler interactions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -323,6 +323,17 @@ impl JobSlab {
     }
 }
 
+/// What the simulator has accumulated at a recurrence boundary
+/// ([`Simulation::run`]): with the next boundary's counts, one cycle.
+#[derive(Debug)]
+struct Boundary {
+    engine: CycleMark,
+    /// `records.len()` at the boundary.
+    records: usize,
+    worker_busy: Vec<Duration>,
+    accel_busy: Vec<Duration>,
+}
+
 /// The discrete-event simulator.
 #[derive(Debug)]
 pub struct Simulation {
@@ -370,6 +381,11 @@ pub struct Simulation {
     /// Admissions must be scheduled in non-decreasing time order (their
     /// splice order defines tenant ids).
     last_admit_offset: Duration,
+    /// The last recurrence boundary, while nothing but ticks and
+    /// finishes has been consumed since.
+    boundary: Option<Boundary>,
+    replayed_cycles: u64,
+    replayed_jobs: u64,
 }
 
 impl Simulation {
@@ -447,6 +463,9 @@ impl Simulation {
             ledger: TenantLedger::new(AdmissionControl::for_engine(&engine), engine.taskset_arc()),
             planned_retirements: Vec::new(),
             last_admit_offset: Duration::ZERO,
+            boundary: None,
+            replayed_cycles: 0,
+            replayed_jobs: 0,
             engine,
             cfg: sim,
         })
@@ -532,14 +551,18 @@ impl Simulation {
 
     /// Reference-work → wall time on `worker`.
     fn wall_time(&self, worker: WorkerId, reference: Duration) -> Duration {
-        let (num, den) = self.speed_of(worker);
-        reference.scale(den, num)
+        match self.speed_of(worker) {
+            (num, den) if num == den => reference,
+            (num, den) => reference.scale(den, num),
+        }
     }
 
     /// Wall time → reference work on `worker`.
     fn ref_work(&self, worker: WorkerId, wall: Duration) -> Duration {
-        let (num, den) = self.speed_of(worker);
-        wall.scale(num, den)
+        match self.speed_of(worker) {
+            (num, den) if num == den => wall,
+            (num, den) => wall.scale(num, den),
+        }
     }
 
     fn timed<F: FnOnce(&mut OnlineEngine)>(&mut self, f: F) {
@@ -770,12 +793,118 @@ impl Simulation {
 
     /// Runs the simulation to the horizon and aggregates the result.
     ///
+    /// # Recurrence
+    ///
+    /// A schedule that recurs is simulated once and replayed. A
+    /// **recurrence boundary** is a tick popped at *t* with nothing else
+    /// in the event queue, no job in flight and the engine at a
+    /// recurrence point ([`OnlineEngine::recurrence_mark`]: quiescent,
+    /// every auto-released task due exactly at *t*); the start of a set
+    /// without release offsets is one. When the previous boundary *t₀*
+    /// is still valid — only ticks and finishes were consumed since —
+    /// the records of [*t₀*, *t*) are appended ⌊(horizon − *t*) /
+    /// (*t* − *t₀*)⌋ more times with instants, `seq` and job ids
+    /// shifted, engine counters and busy times advance by as many
+    /// cycles, and the run carries on event by event from the instant it
+    /// reached, so a horizon that is no multiple of the cycle gets its
+    /// tail the ordinary way. The [`SimResult`] is the one the
+    /// event-by-event loop produces, field for field, save two:
+    /// [`SimResult::replayed_cycles`] / [`SimResult::replayed_jobs`]
+    /// say what was replayed, and [`SimResult::sched_overhead_ns`] holds
+    /// one sample per engine call actually made.
+    ///
+    /// Nothing selects this; a run folds or not by what the simulator
+    /// sees in its own state. What keeps it from folding: random
+    /// execution times ([`ExecModel::UniformPct`]) or a kernel model;
+    /// sporadic trains, release offsets, or any scheduled mode, message,
+    /// fault, admission or retirement event still pending (after the
+    /// last one, the next two clean boundaries fold again); backlog at
+    /// every candidate boundary (an over-utilised set); and whatever
+    /// keeps the engine from a recurrence point.
+    ///
     /// # Errors
     ///
     /// Engine errors (protocol violations) — not expected in normal
     /// operation.
     pub fn run(self) -> Result<SimResult> {
-        self.run_with_feed(None)
+        let fold = self.cfg.exec == ExecModel::Wcet && self.kernel.is_none();
+        self.drive(None, fold)
+    }
+
+    /// [`Simulation::run`] without the replay: every cycle simulated —
+    /// the reference the parity tests hold `run` against.
+    #[cfg(test)]
+    pub(crate) fn run_event_by_event(self) -> Result<SimResult> {
+        self.drive(None, false)
+    }
+
+    /// Called at the start and with a tick popped at `now` off an
+    /// otherwise empty event queue. If `now` is a recurrence boundary
+    /// ([`Simulation::run`]) it becomes `self.boundary`; if the previous
+    /// one is still valid, the cycle between the two is first replayed
+    /// as often as fits before `horizon`. Returns the instant the run
+    /// continues from: `now`, or the end of the last replayed cycle.
+    fn fold(&mut self, now: Instant, horizon: Instant) -> Instant {
+        if self.slab.len() > 0 || !self.suspended.is_empty() {
+            return now;
+        }
+        let Some(mut here) = self.engine.recurrence_mark(now) else {
+            return now;
+        };
+        let mut at = now;
+        if let Some(prev) = self.boundary.take() {
+            let cycle = now.saturating_since(prev.engine.at);
+            let n = horizon.saturating_since(now).as_nanos() / cycle.as_nanos();
+            at = now + cycle * n;
+            if n > 0 {
+                let span = prev.records..self.records.len();
+                let jobs = here.job_counter - prev.engine.job_counter;
+                let seqs = |t: TaskId| {
+                    here.activation_seq[t.index()] - prev.engine.activation_seq[t.index()]
+                };
+                // One reservation: the copies, and the tail's records
+                // (fewer than a cycle's) when the horizon leaves one.
+                let copies = usize::try_from(n).expect("a cycle count fits the address space");
+                self.records
+                    .reserve_exact(span.len() * (copies + usize::from(at < horizon)));
+                for k in 1..=n {
+                    let dt = cycle * k;
+                    for i in span.clone() {
+                        let mut r = self.records[i];
+                        r.job = JobId::new(r.job.raw() + jobs * k);
+                        r.seq += seqs(r.task) * k;
+                        r.release += dt;
+                        r.graph_release += dt;
+                        r.first_start += dt;
+                        r.completion += dt;
+                        if r.abs_deadline != Instant::MAX {
+                            r.abs_deadline += dt;
+                        }
+                        self.records.push(r);
+                    }
+                }
+                let busy = self.worker_busy.iter_mut().zip(&prev.worker_busy);
+                for (busy, before) in busy.chain(self.accel_busy.iter_mut().zip(&prev.accel_busy)) {
+                    *busy += (*busy - *before) * n;
+                }
+                self.engine
+                    .skip_cycles(&prev.engine, n)
+                    .expect("the engine stands at the recurrence point just marked");
+                here = self
+                    .engine
+                    .recurrence_mark(at)
+                    .expect("whole cycles later the engine stands at one again");
+                self.replayed_cycles += n;
+                self.replayed_jobs += span.len() as u64 * n;
+            }
+        }
+        self.boundary = Some(Boundary {
+            engine: here,
+            records: self.records.len(),
+            worker_busy: self.worker_busy.clone(),
+            accel_busy: self.accel_busy.clone(),
+        });
+        at
     }
 
     /// Processes one externally-fed command at its carried time.
@@ -812,17 +941,28 @@ impl Simulation {
         applied
     }
 
-    /// [`Simulation::run`] with an optional external command feed — the
+    /// [`Simulation::run`] with an external command feed — the
     /// multi-threaded partitioned driver ([`crate::par`]) hands each
     /// shard a mailbox-backed feed delivering its sporadic activations.
+    /// Never folds: what the feed will deliver is not the simulator's
+    /// to see.
     ///
     /// The merge is deterministic regardless of producer thread timing:
     /// each mailbox lane delivers commands in non-decreasing time order,
     /// the feed blocks until every open lane has revealed its next
     /// command (the watermark), and an external command at time *t* is
     /// processed before any local event at the same *t*.
-    pub(crate) fn run_with_feed(mut self, mut feed: Option<ShardFeed>) -> Result<SimResult> {
+    pub(crate) fn run_with_feed(self, feed: ShardFeed) -> Result<SimResult> {
+        self.drive(Some(feed), false)
+    }
+
+    /// The event loop behind [`Simulation::run`] (`fold` as it decided)
+    /// and [`Simulation::run_with_feed`].
+    fn drive(mut self, mut feed: Option<ShardFeed>, fold: bool) -> Result<SimResult> {
         let horizon = Instant::ZERO + self.cfg.horizon;
+        if fold {
+            self.fold(Instant::ZERO, horizon);
+        }
 
         // Start the schedule and arm the tick train.
         let mut sink = std::mem::take(&mut self.sink);
@@ -880,9 +1020,21 @@ impl Simulation {
             let Some(Reverse(item)) = self.queue.pop() else {
                 break;
             };
-            let now = Instant::from_nanos(item.time);
+            let mut now = Instant::from_nanos(item.time);
+            if !matches!(item.ev, Ev::Tick | Ev::Finish { .. }) {
+                self.boundary = None;
+            }
             match item.ev {
                 Ev::Tick => {
+                    if fold && self.queue.is_empty() {
+                        let reached = self.fold(now, horizon);
+                        if reached > now && reached == horizon {
+                            // The last replayed cycle's tick found the
+                            // horizon and armed no successor.
+                            continue;
+                        }
+                        now = reached;
+                    }
                     let mut sink = std::mem::take(&mut self.sink);
                     sink.clear();
                     self.timed(|e| e.on_tick_into(now, &mut sink));
@@ -1079,6 +1231,8 @@ impl Simulation {
             sched_overhead_ns: self.overhead_ns,
             worker_busy: self.worker_busy,
             energy,
+            replayed_cycles: self.replayed_cycles,
+            replayed_jobs: self.replayed_jobs,
         })
     }
 }
@@ -1255,8 +1409,15 @@ mod tests {
         let ts = simple_set(5, 10, 1);
         let mut cfg = SimConfig::uniform(2, ms(100));
         cfg.measure_engine_time = true;
+        // One sample per engine call made: ten periods of them when
+        // every period is simulated, one period's when the rest is
+        // replayed.
+        let every = Simulation::new(Arc::clone(&ts), edf(2), cfg.clone()).unwrap();
+        let every = every.run_event_by_event().unwrap();
         let r = Simulation::new(ts, edf(2), cfg).unwrap().run().unwrap();
-        assert!(r.sched_overhead_ns.count() > 10);
+        assert_eq!(r.replayed_cycles, 9);
+        assert!(every.sched_overhead_ns.count() > 10);
+        assert!(r.sched_overhead_ns.count() < every.sched_overhead_ns.count() / 5);
         assert!(r.sched_overhead_ns.max().unwrap() > 0);
     }
 

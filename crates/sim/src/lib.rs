@@ -24,6 +24,8 @@
 
 pub mod engine;
 pub mod exec;
+#[cfg(test)]
+mod fold_parity;
 pub mod kernel;
 pub mod par;
 pub mod render;

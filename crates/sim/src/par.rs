@@ -269,6 +269,8 @@ fn merge_results(results: Vec<SimResult>, workers: usize) -> SimResult {
         sched_overhead_ns: yasmin_core::stats::Samples::new(),
         worker_busy: vec![Duration::ZERO; workers],
         energy: yasmin_core::energy::Energy::ZERO,
+        replayed_cycles: 0,
+        replayed_jobs: 0,
     };
     for r in results {
         merged.records.extend(r.records);
@@ -450,7 +452,7 @@ pub fn run_partitioned_parallel(
                     .name(format!("yasmin-sim-shard-{worker}"))
                     .spawn_scoped(scope, move || {
                         Simulation::from_engine(shard.into_inner(), cfg)?
-                            .run_with_feed(Some(ShardFeed::new(rx)))
+                            .run_with_feed(ShardFeed::new(rx))
                     })
                     .expect("spawning shard simulation thread"),
             );
@@ -996,6 +998,8 @@ impl Protocol<'_> {
             sched_overhead_ns: self.overhead_ns,
             worker_busy,
             energy,
+            replayed_cycles: 0,
+            replayed_jobs: 0,
         }
     }
 }

@@ -82,6 +82,12 @@ pub struct SimResult {
     pub worker_busy: Vec<Duration>,
     /// Total modelled energy (cores + accelerators).
     pub energy: Energy,
+    /// Cycles of a recurring schedule that [`crate::Simulation::run`]
+    /// appended time-shifted instead of simulating (0: the run never
+    /// recurred, or came from a sharded driver, which never folds).
+    pub replayed_cycles: u64,
+    /// Records those cycles contributed.
+    pub replayed_jobs: u64,
 }
 
 impl SimResult {
@@ -187,6 +193,8 @@ mod tests {
             sched_overhead_ns: Samples::new(),
             worker_busy: vec![Duration::from_millis(20)],
             energy: Energy::ZERO,
+            replayed_cycles: 0,
+            replayed_jobs: 0,
         };
         let t = TaskId::new(0);
         assert_eq!(result.miss_count(t), 1);
