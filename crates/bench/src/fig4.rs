@@ -18,7 +18,7 @@ use yasmin_core::platform::PlatformSpec;
 use yasmin_core::priority::PriorityPolicy;
 use yasmin_core::time::Duration;
 use yasmin_core::version::ExecMode;
-use yasmin_sim::{ExecModel, SimConfig, SimResult, Simulation};
+use yasmin_sim::{ExecModel, SimConfig, Simulation};
 use yasmin_taskgen::drone::{self, VersionRestriction, FRAME_PERIOD, SECURE_MODE};
 
 /// Parameters of the exploration.
@@ -94,19 +94,15 @@ fn mode_schedule(p: &Fig4Params) -> Vec<(Duration, ExecMode)> {
         .collect()
 }
 
-/// Runs one configuration and returns its row plus the raw result.
-///
-/// # Panics
-///
-/// Panics on internal configuration errors (the parameter space is
-/// closed, so none are expected).
-#[must_use]
-pub fn run_one(
+/// Runs one configuration and returns its row. Panics on internal
+/// configuration errors (the parameter space is closed, so none are
+/// expected).
+fn run_one(
     mapping: MappingScheme,
     priority: PriorityPolicy,
     restriction: VersionRestriction,
     p: &Fig4Params,
-) -> (Fig4Row, SimResult) {
+) -> Fig4Row {
     let workload = match mapping {
         MappingScheme::Global => drone::build(restriction).expect("valid workload"),
         MappingScheme::Partitioned => {
@@ -167,22 +163,19 @@ pub fn run_one(
         priority.label(),
         restriction.label()
     );
-    (
-        Fig4Row {
-            label,
-            frames: result.records_of(workload.tasks.send).count(),
-            avg_frame_ms: e2e.mean().unwrap_or(0.0) / 1e6,
-            max_frame_ms: e2e.max().unwrap_or(0) as f64 / 1e6,
-            frame_misses,
-            fc_misses,
-            miss_ratio: if total_jobs == 0 {
-                0.0
-            } else {
-                total_misses as f64 / total_jobs as f64
-            },
+    Fig4Row {
+        label,
+        frames: result.records_of(workload.tasks.send).count(),
+        avg_frame_ms: e2e.mean().unwrap_or(0.0) / 1e6,
+        max_frame_ms: e2e.max().unwrap_or(0) as f64 / 1e6,
+        frame_misses,
+        fc_misses,
+        miss_ratio: if total_jobs == 0 {
+            0.0
+        } else {
+            total_misses as f64 / total_jobs as f64
         },
-        result,
-    )
+    }
 }
 
 /// Runs the full 12-configuration exploration.
@@ -202,7 +195,7 @@ pub fn run(p: &Fig4Params) -> Vec<Fig4Row> {
         ),
     ] {
         for restriction in VersionRestriction::ALL {
-            rows.push(run_one(mapping, priority, restriction, p).0);
+            rows.push(run_one(mapping, priority, restriction, p));
         }
     }
     rows

@@ -10,15 +10,17 @@
 //!
 //! Each module exposes `run` + `render`; the binaries
 //! (`exp_fig2`, `exp_table2`, `exp_fig4`) print the paper-format tables
-//! and write CSVs under `results/`. Criterion micro-benchmarks live in
-//! `benches/`.
+//! and write a Markdown table and a CSV under `results/` through
+//! [`write_result`]; the committed outputs and the host they were
+//! measured on are in `results/README.md`. `benches/` holds the three
+//! criterion ablations (lock, ready-queue and version-selection
+//! alternatives) and nothing that another instrument already times:
+//! end-to-end and per-layer numbers come from `benchmark/run.sh`.
 
 #![warn(missing_docs)]
 
-pub mod compare;
 pub mod fig2;
 pub mod fig4;
-pub mod hotpath;
 pub mod table2;
 
 use std::io::Write;

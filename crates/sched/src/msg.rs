@@ -294,7 +294,7 @@ impl<T: Send> Receiver<T> {
     }
 
     /// Receives from the high lane only.
-    pub fn recv_high(&self) -> Option<T> {
+    fn recv_high(&self) -> Option<T> {
         let high = self.high.as_ref()?;
         let v = high.lock().pop()?;
         if self.shared.ceiling.is_some() {

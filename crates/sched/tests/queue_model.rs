@@ -7,6 +7,10 @@
 //! (in the at-capacity variant) the exact `len()` accounting at the
 //! bound, and (in the scan variant) `scan_in_order` enumerating exactly
 //! the reference's sorted order, with early stops, without mutating.
+//!
+//! One plain test beside the properties guards a complexity, not an
+//! order: `remove_stays_logarithmic_on_a_large_queue` drains 2¹⁶
+//! entries by `remove`, which only an index-tracked heap does quickly.
 
 use proptest::prelude::*;
 use yasmin_core::ids::{JobId, TaskId};
@@ -226,4 +230,61 @@ proptest! {
             }
         }
     }
+}
+
+/// Drains a 2¹⁶-entry queue by `remove` in an order unrelated to
+/// priority, a `pop` in front of every fourth one, against the sorted
+/// model walked with tombstones (the model's own `pop`/`remove` are
+/// linear and would be the slow side here). With the id → position
+/// index every `remove` is O(log n) and the drain takes ≈ 45 ms in a
+/// test build on a 2-vCPU host; a `remove` that scans the node array
+/// for the id reads ≈ 2³⁰ entries over the drain — ≈ 5 s in the same
+/// build — and trips the bound below: one absolute limit with a
+/// factor of twenty of room on the fast side, no ratio of two timings.
+/// (An optimised build scans in ≈ 0.75 s and would slip under it; the
+/// guard is for the unoptimised build `cargo test` makes.)
+#[test]
+fn remove_stays_logarithmic_on_a_large_queue() {
+    const N: u64 = 1 << 16;
+    const BOUND: std::time::Duration = std::time::Duration::from_secs(1);
+
+    let mut q = ReadyQueue::with_capacity(N as usize);
+    let mut m = ModelQueue::default();
+    for id in 0..N {
+        // Priority and release are hashes of the id: 64 levels with
+        // ties, nothing a walk over the ids could follow.
+        let h = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let j = job(id, h >> 58, (h >> 20) % 4);
+        q.push(j).unwrap();
+        m.push(j);
+    }
+    let sorted = m.sorted();
+    let mut gone = vec![false; N as usize];
+    let mut head = 0usize;
+
+    let started = std::time::Instant::now();
+    for i in 0..N {
+        if i % 4 == 3 {
+            while head < sorted.len() && gone[sorted[head].id.raw() as usize] {
+                head += 1;
+            }
+            let expect = sorted.get(head).copied();
+            assert_eq!(q.pop(), expect, "pop {i}");
+            if let Some(j) = expect {
+                gone[j.id.raw() as usize] = true;
+            }
+        }
+        // An odd multiplier permutes 0..N.
+        let id = i * 40_503 % N;
+        let expect = (!gone[id as usize]).then(|| m.jobs[id as usize]);
+        assert_eq!(q.remove(JobId::new(id)), expect, "remove {id}");
+        gone[id as usize] = true;
+    }
+    let took = started.elapsed();
+
+    assert!(q.is_empty() && gone.iter().all(|&g| g));
+    assert!(
+        took < BOUND,
+        "draining {N} entries by remove took {took:?}: an O(n) scan is back in ReadyQueue::remove"
+    );
 }

@@ -61,7 +61,6 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use yasmin_bench::hotpath::track_actions as track;
 use yasmin_core::config::{Config, MappingScheme};
 use yasmin_core::graph::TaskSetBuilder;
 use yasmin_core::ids::{JobId, WorkerId};
@@ -69,7 +68,7 @@ use yasmin_core::priority::PriorityPolicy;
 use yasmin_core::task::TaskSpec;
 use yasmin_core::time::{Duration, Instant};
 use yasmin_core::version::VersionSpec;
-use yasmin_sched::{ActionSink, EngineShard, JobBatch, OnlineEngine, ShardCmd, StealHint};
+use yasmin_sched::{Action, ActionSink, EngineShard, JobBatch, OnlineEngine, ShardCmd, StealHint};
 use yasmin_sync::mailbox::{mailbox, MailboxReceiver, MailboxSender};
 use yasmin_taskgen::taskset::{build_independent, build_partitioned, IndependentSetParams};
 
@@ -103,6 +102,18 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 const WARMUP: u32 = 1_000;
 const STEADY: u32 = 10_000;
+
+/// Replays the engine's actions onto a per-worker `running` model, so
+/// a scenario knows which job to complete next.
+fn track(running: &mut [Option<JobId>], actions: &[Action]) {
+    for a in actions {
+        match *a {
+            Action::Dispatch { worker, job, .. } => running[worker.index()] = Some(job.id),
+            Action::Preempt { worker, .. } => running[worker.index()] = None,
+            Action::Boost { .. } => {}
+        }
+    }
+}
 
 /// Runs `iter` WARMUP times unmeasured, then STEADY times measured, and
 /// asserts zero allocations across the measured window.
