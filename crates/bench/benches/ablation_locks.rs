@@ -3,8 +3,9 @@
 //! contention.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use parking_lot::Mutex;
 use std::sync::Arc;
-use yasmin_sync::{LockKind, McsLock, TicketLock, YasminLock};
+use yasmin_sync::{McsLock, TicketLock};
 
 fn bench_uncontended(c: &mut Criterion) {
     let mut group = c.benchmark_group("locks/uncontended");
@@ -24,7 +25,7 @@ fn bench_uncontended(c: &mut Criterion) {
         });
     });
     group.bench_function("posix(parking_lot)", |b| {
-        let lock = YasminLock::new(LockKind::Posix, 0u64);
+        let lock = Mutex::new(0u64);
         b.iter(|| {
             *lock.lock() += 1;
         });
@@ -68,7 +69,7 @@ fn bench_contended(c: &mut Criterion) {
         });
     });
     group.bench_function("posix(parking_lot)", |b| {
-        let lock = Arc::new(YasminLock::new(LockKind::Posix, 0u64));
+        let lock = Arc::new(Mutex::new(0u64));
         b.iter(|| {
             let l = Arc::clone(&lock);
             contended(4, 2_000, Arc::new(move || *l.lock() += 1));

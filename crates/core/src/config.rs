@@ -277,7 +277,7 @@ impl Config {
     /// Whether drivers should run one independent engine shard per
     /// worker (partitioned mapping only) instead of a single shared
     /// engine owner. Sharded dispatch is the opt-in for the per-core
-    /// scheduler threads and the multi-threaded simulation driver.
+    /// scheduler threads and the sharded simulation driver.
     #[must_use]
     pub const fn sharded_dispatch(&self) -> bool {
         self.sharded_dispatch

@@ -57,5 +57,5 @@ pub use offline::{
 pub use queue::ReadyQueue;
 pub use select::{rank_versions, rank_versions_into, RankBuf};
 pub use server::{AperiodicServer, ReservationServer, ServerKind, TenantBudget};
-pub use shard::{validate_sharding, EngineShard, ShardCmd};
+pub use shard::{validate_sharding, EngineShard};
 pub use sink::ActionSink;

@@ -52,10 +52,12 @@
 //! mailbox lanes as `CrossActivate` tokens: the sending worker hands
 //! the event to its own shard's scheduler, which applies it locally
 //! when it owns the receiver and otherwise forwards it to the owning
-//! shard. The simulator applies the same events as
-//! [`crate::shard::ShardCmd::MsgHigh`]/[`crate::shard::ShardCmd::MsgDrained`]
-//! commands at event boundaries, so delivery is deterministic and
-//! trace-identical across single-owner and sharded runs.
+//! shard. The simulator applies the same events
+//! ([`OnlineEngine::on_high_posted_into`](crate::OnlineEngine::on_high_posted_into)
+//! / [`on_high_drained_into`](crate::OnlineEngine::on_high_drained_into))
+//! at event boundaries, on the shard owning the receiver, so delivery
+//! is deterministic and trace-identical across single-owner and sharded
+//! runs.
 //!
 //! ## Declaring channels
 //!

@@ -34,25 +34,23 @@
 //! `yasmin_sync::steal::LoadBoard`). The victim's driver collects up to
 //! `k` hints, most urgent first and stopping at the first job that must
 //! not migrate ([`OnlineEngine::try_steal_batch`], a non-mutating
-//! scan), and detaches the still-fresh ones into a `Copy` [`JobBatch`]
-//! that rides a peer lane by value
-//! ([`OnlineEngine::release_stolen_batch`]) — atomically with respect
-//! to its own scheduling, since the driver owns the shard. One ack
-//! ([`ShardCmd::StolenBatch`]) lands the batch on the thief, which
-//! adopts it with **one dispatch round for all of it**
+//! scan), and detaches the still-fresh ones into a `Copy`
+//! [`crate::JobBatch`] ([`OnlineEngine::release_stolen_batch`]) —
+//! atomically with respect to its own scheduling, since the driver owns
+//! the shard. The batch lands on the thief in one piece, which adopts
+//! it with **one dispatch round for all of it**
 //! ([`OnlineEngine::adopt_stolen_batch`]). [`OnlineEngine::steal_hint`]
 //! is the O(1) "is my most urgent job stealable" probe a driver
 //! advertises its load by; it never grants.
 //!
-//! That is the exchange as the simulator's drivers run it, where a
-//! victim answers in the same virtual instant. A victim on a real
-//! thread is inside a body when it is asked, so `yasmin-rt` makes the
-//! same engine calls in another order: the victim detaches what it can
-//! spare *before* each body and lays it out on a
-//! `yasmin_sync::shelf`, thieves take from there without asking, and
-//! after the body [`OnlineEngine::return_unclaimed`] puts back what
-//! nobody took. `JobBatch` and the message below then never cross a
-//! thread.
+//! That is the exchange as the simulator's sharded driver runs it
+//! (`yasmin_sim::par`), where a victim answers in the same virtual
+//! instant. A victim on a real thread is inside a body when it is
+//! asked, so `yasmin-rt` makes the same engine calls in another order:
+//! the victim detaches what it can spare *before* each body and lays it
+//! out on a `yasmin_sync::shelf`, thieves take from there without
+//! asking, and after the body [`OnlineEngine::return_unclaimed`] puts
+//! back what nobody took.
 //!
 //! **Migrate-at-most-once** is enforced on both sides: the victim's
 //! scan refuses jobs whose task is not homed on its own worker (jobs it
@@ -78,150 +76,12 @@
 //! single-owner engine's, which is what trace cross-checks compare on.
 
 use crate::engine::{OnlineEngine, RunningJob};
-use crate::job::JobBatch;
-use crate::sink::ActionSink;
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 use yasmin_core::config::{Config, MappingScheme};
 use yasmin_core::error::{Error, Result};
 use yasmin_core::graph::TaskSet;
-use yasmin_core::ids::{JobId, TaskId, WorkerId};
-use yasmin_core::priority::Priority;
-use yasmin_core::time::Instant;
-
-/// One **timestamped** engine call: the vocabulary of the simulator's
-/// mailbox lanes (`yasmin_sim::par`), whose producers and protocol loop
-/// hand an engine a call with the simulated instant it takes effect, so
-/// an owner merges its lanes in a deterministic time order.
-/// [`OnlineEngine::process_into`] maps a command to its engine call.
-///
-/// The thread runtime keeps an enum of its own (`yasmin-rt`'s private
-/// `ShardMsg`) on purpose: its commands are *untimed* — the owner
-/// stamps them as it applies them — and several need what only real
-/// threads have (bodies and an acknowledgement riding an admission, a
-/// commit anchored at the next tick edge, message events forwarded to
-/// the owning shard), and stolen jobs do not travel by message there at
-/// all, so one shared enum would branch on its caller.
-// StolenBatch carries its jobs inline rather than boxed: the command
-// rides preallocated mailbox lanes, whose slots the wide variant only
-// grows, and a `Box` would put an allocation + free on the steal hot
-// path that `tests/zero_alloc.rs` forbids.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone, Copy)]
-pub enum ShardCmd {
-    /// Explicit activation of a sporadic/aperiodic task owned by the
-    /// engine (the paper's `yas_task_activate`).
-    Activate {
-        /// The task to activate.
-        task: TaskId,
-        /// Activation time.
-        at: Instant,
-    },
-    /// A worker finished a job the engine dispatched.
-    JobCompleted {
-        /// The worker that ran the job (one of the engine's).
-        worker: WorkerId,
-        /// The completed job.
-        job: JobId,
-        /// Completion time.
-        at: Instant,
-    },
-    /// A scheduler-thread tick: release periodic jobs due by `at`.
-    Tick {
-        /// The tick instant.
-        at: Instant,
-    },
-    /// A DAG activation token routed from the shard that completed the
-    /// predecessor ([`OnlineEngine::drain_outbox_into`]) to this one,
-    /// which owns the edge's destination.
-    CrossActivate {
-        /// Index of the edge in the task set's edge list.
-        edge: u32,
-        /// Graph release carried by the token (join semantics).
-        graph_release: Instant,
-        /// The predecessor's completion time.
-        at: Instant,
-    },
-    /// A high-priority message was posted to a channel whose receiving
-    /// task this engine owns (see [`yasmin_sched::msg`](crate::msg)).
-    MsgHigh {
-        /// The receiving task (owned by this engine).
-        dst: TaskId,
-        /// The channel's declared priority ceiling.
-        ceiling: Priority,
-        /// Post time.
-        at: Instant,
-    },
-    /// A high-priority message was consumed from a channel whose
-    /// receiving task this engine owns: the boost is released once the
-    /// last outstanding high post drains.
-    MsgDrained {
-        /// The receiving task (owned by this engine).
-        dst: TaskId,
-        /// Drain time.
-        at: Instant,
-    },
-    /// A victim's steal grant: up to [`crate::MAX_STEAL_BATCH`] detached
-    /// ready jobs in one ack, most urgent first, adopted with **one**
-    /// dispatch round (see the module docs).
-    StolenBatch {
-        /// The stolen jobs (already removed from the victim's queue).
-        jobs: JobBatch,
-        /// Grant time.
-        at: Instant,
-    },
-}
-
-impl ShardCmd {
-    /// The simulated/driver time the command takes effect.
-    #[must_use]
-    pub fn at(&self) -> Instant {
-        match *self {
-            ShardCmd::Activate { at, .. }
-            | ShardCmd::JobCompleted { at, .. }
-            | ShardCmd::Tick { at }
-            | ShardCmd::CrossActivate { at, .. }
-            | ShardCmd::MsgHigh { at, .. }
-            | ShardCmd::MsgDrained { at, .. }
-            | ShardCmd::StolenBatch { at, .. } => at,
-        }
-    }
-}
-
-impl OnlineEngine {
-    /// Applies one command at the time it carries, appending resulting
-    /// actions to `sink` (**not** cleared — the caller batches).
-    ///
-    /// # Errors
-    ///
-    /// The underlying engine call's — a completion for a foreign worker,
-    /// a task or token this engine does not own, a `StolenBatch` on a
-    /// whole-system engine: driver protocol violations, all of them.
-    pub fn process_into(&mut self, cmd: ShardCmd, sink: &mut ActionSink) -> Result<()> {
-        match cmd {
-            ShardCmd::Activate { task, at } => self.activate_into(task, at, sink),
-            ShardCmd::JobCompleted { worker, job, at } => {
-                self.on_job_completed_into(worker, job, at, sink)
-            }
-            ShardCmd::Tick { at } => {
-                self.on_tick_into(at, sink);
-                Ok(())
-            }
-            ShardCmd::CrossActivate {
-                edge,
-                graph_release,
-                at,
-            } => self.on_remote_token(edge, graph_release, at, sink),
-            ShardCmd::MsgHigh { dst, ceiling, at } => {
-                self.on_high_posted_into(dst, ceiling, at, sink)
-            }
-            ShardCmd::MsgDrained { dst, at } => self.on_high_drained_into(dst, at, sink),
-            ShardCmd::StolenBatch { jobs, at } => {
-                self.adopt_stolen_batch(jobs.as_slice(), at, sink)
-            }
-        }
-    }
-}
+use yasmin_core::ids::{TaskId, WorkerId};
 
 /// Checks the sharding contract for `taskset` under `config` (module
 /// docs): `Config::sharded_dispatch` is on, every task is assigned to
@@ -333,11 +193,13 @@ mod tests {
     use super::*;
     use crate::admission::reservation_for;
     use crate::engine::{Action, EngineStats};
+    use crate::job::JobBatch;
     use crate::server::TenantBudget;
-    use yasmin_core::ids::TenantId;
+    use crate::sink::ActionSink;
+    use yasmin_core::ids::{JobId, TenantId};
     use yasmin_core::priority::PriorityPolicy;
     use yasmin_core::task::TaskSpec;
-    use yasmin_core::time::Duration;
+    use yasmin_core::time::{Duration, Instant};
     use yasmin_core::version::VersionSpec;
 
     fn ms(v: u64) -> Duration {
@@ -452,7 +314,7 @@ mod tests {
     }
 
     #[test]
-    fn process_into_drives_the_full_cycle() {
+    fn a_shard_runs_the_full_cycle() {
         let ts = two_worker_set();
         let mut shards = EngineShard::build_all(&ts, &partitioned_config(2)).unwrap();
         let shard = &mut shards[0];
@@ -462,26 +324,15 @@ mod tests {
         let worker = shard.worker();
         sink.clear();
         shard
-            .process_into(
-                ShardCmd::JobCompleted {
-                    worker,
-                    job: first.id,
-                    at: at(2),
-                },
-                &mut sink,
-            )
+            .on_job_completed_into(worker, first.id, at(2), &mut sink)
             .unwrap();
         assert_eq!(sink.len(), 1, "next own task dispatches");
         sink.clear();
-        shard
-            .process_into(ShardCmd::Tick { at: at(10) }, &mut sink)
-            .unwrap();
+        shard.on_tick_into(at(10), &mut sink);
         assert_eq!(shard.stats().released, 3, "period-10 task re-released");
         shard.stop();
         sink.clear();
-        let tick = ShardCmd::Tick { at: at(20) };
-        assert_eq!(tick.at(), at(20));
-        shard.process_into(tick, &mut sink).unwrap();
+        shard.on_tick_into(at(20), &mut sink);
         assert_eq!(shard.stats().released, 3, "no releases after stop");
     }
 
@@ -553,17 +404,10 @@ mod tests {
         assert_eq!(ts.edges()[ra.edge as usize].src, src);
         assert_eq!(shards[0].stats().cross_activations, 1);
 
-        // Route it (what a driver does) via the ShardCmd path.
+        // Route it (what a driver does) to the owning shard.
         sink.clear();
         shards[1]
-            .process_into(
-                ShardCmd::CrossActivate {
-                    edge: ra.edge,
-                    graph_release: ra.graph_release,
-                    at: at(1),
-                },
-                &mut sink,
-            )
+            .on_remote_token(ra.edge, ra.graph_release, at(1), &mut sink)
             .unwrap();
         match sink.as_slice()[0] {
             Action::Dispatch { worker, job, .. } => {
@@ -839,16 +683,10 @@ mod tests {
         let mut empty = JobBatch::new();
         assert_eq!(shards[0].release_stolen_batch(&hints, &mut empty), 0);
 
-        // One StolenBatch ack lands all four on the thief.
+        // One exchange lands all four on the thief.
         sink.clear();
         shards[1]
-            .process_into(
-                ShardCmd::StolenBatch {
-                    jobs: batch,
-                    at: at(1),
-                },
-                &mut sink,
-            )
+            .adopt_stolen_batch(batch.as_slice(), at(1), &mut sink)
             .unwrap();
         let dispatches = sink
             .as_slice()

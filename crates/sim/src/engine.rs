@@ -19,7 +19,6 @@
 
 use crate::exec::{ExecModel, ExecSampler};
 use crate::kernel::{KernelKind, KernelModel};
-use crate::par::ShardFeed;
 use crate::stress::StressProfile;
 use crate::trace::{JobRecord, SimResult};
 use std::cmp::Reverse;
@@ -36,7 +35,7 @@ use yasmin_core::task::ActivationKind;
 use yasmin_core::time::{Duration, Instant};
 use yasmin_sched::admission::{AdmissionControl, AdmissionError, TenantLedger};
 use yasmin_sched::server::{ReservationServer, TenantBudget};
-use yasmin_sched::{Action, ActionSink, CycleMark, Job, OnlineEngine, ShardCmd};
+use yasmin_sched::{Action, ActionSink, CycleMark, Job, MsgEvent, OnlineEngine};
 
 /// Modelled fixed costs of scheduler interactions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -51,8 +50,9 @@ pub struct OverheadModel {
 ///
 /// Faults are events like any other: delivered at exact instants, so a
 /// fault schedule replays bit-identically across runs — and across
-/// drivers (single-owner, free-running sharded, protocol loop), which
-/// is what the failure-injection parity tests lock in.
+/// both drivers (one [`Simulation`] over the whole engine, or one per
+/// shard under [`crate::par`]), which is what the failure-injection
+/// parity tests lock in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultEvent {
     /// Force a WCET overrun on the running job of `task`: the engine
@@ -129,7 +129,7 @@ pub struct SimConfig {
     /// posts/drains delivered deterministically at event boundaries, so
     /// a simulated run reproduces the priority boosts a real channel's
     /// notify hook would raise (see `yasmin_sched::msg`).
-    pub msg_schedule: Vec<(Duration, yasmin_sched::MsgEvent)>,
+    pub msg_schedule: Vec<(Duration, MsgEvent)>,
     /// Timed fault injections (offset from start, fault): overruns,
     /// crashes and activation bursts delivered deterministically, so
     /// fault handling is parity-testable bit-for-bit across drivers.
@@ -187,11 +187,17 @@ enum Ev {
     /// a high-lane post or drain delivered to the engine at this exact
     /// event boundary.
     Msg {
-        ev: yasmin_sched::MsgEvent,
+        ev: MsgEvent,
     },
     /// A scheduled fault injection ([`SimConfig::fault_schedule`]).
     Fault {
         ev: FaultEvent,
+    },
+    /// A DAG activation token a peer shard's completion routed to this
+    /// one, which owns the edge's destination ([`crate::par`]).
+    Cross {
+        edge: u32,
+        graph_release: Instant,
     },
 }
 
@@ -337,7 +343,9 @@ struct Boundary {
 /// The discrete-event simulator.
 #[derive(Debug)]
 pub struct Simulation {
-    engine: OnlineEngine,
+    /// [`crate::par`] reaches in for what only a sharded run needs: the
+    /// steal probes and the cross-shard outbox.
+    pub(crate) engine: OnlineEngine,
     cfg: SimConfig,
     queue: BinaryHeap<Reverse<QItem>>,
     seq: u64,
@@ -363,10 +371,12 @@ pub struct Simulation {
     worker_busy: Vec<Duration>,
     accel_busy: Vec<Duration>,
     tick: Duration,
+    /// The end of the run: `cfg.horizon` as an instant.
+    horizon: Instant,
     /// `Some(w)`: this simulation drives the engine *shard* of worker
-    /// `w` (multi-threaded partitioned driver). Sporadic roots are then
-    /// fed externally through the mailbox instead of self-generated, and
-    /// energy/idle accounting covers only worker `w` so per-shard
+    /// `w` ([`crate::par`] steps one per worker). It then arms only the
+    /// sporadic roots, message events and faults of tasks `w` owns, and
+    /// energy/idle accounting covers only worker `w`, so per-shard
     /// results sum to the whole-system result.
     shard: Option<WorkerId>,
     /// Payload of each [`Ev::Admit`]: the merged set to splice and the
@@ -384,6 +394,9 @@ pub struct Simulation {
     /// The last recurrence boundary, while nothing but ticks and
     /// finishes has been consumed since.
     boundary: Option<Boundary>,
+    /// Whether this run replays recurring cycles ([`Simulation::run`]
+    /// decides; set by [`Simulation::arm`]).
+    folding: bool,
     replayed_cycles: u64,
     replayed_jobs: u64,
 }
@@ -402,14 +415,14 @@ impl Simulation {
     }
 
     /// Builds a simulation around an already-constructed engine — the
-    /// whole-system engine, or one shard of it (the multi-threaded
-    /// driver in [`crate::par`] hands each shard thread its own).
+    /// whole-system engine, or one shard of it ([`crate::par`] builds
+    /// one per worker and steps them in one global order).
     ///
     /// # Errors
     ///
     /// [`Error::InvalidConfig`] if the platform has fewer cores than
     /// workers.
-    pub(crate) fn from_engine(engine: OnlineEngine, sim: SimConfig) -> Result<Self> {
+    pub(crate) fn from_engine(engine: OnlineEngine, mut sim: SimConfig) -> Result<Self> {
         let config = engine.config();
         if config.workers() > sim.platform.core_count() {
             return Err(Error::InvalidConfig(format!(
@@ -429,16 +442,21 @@ impl Simulation {
         // here instead of on every `run()` (released at the minimum
         // inter-arrival — the worst-case law the Fig. 2 harness wants).
         let ts = engine.taskset();
+        // A shard is the event source of the tasks it owns, no others.
+        let owns =
+            |t: TaskId| shard.is_none() || ts.tasks()[t.index()].spec().assigned_worker() == shard;
         let mut sporadic_roots = Vec::new();
         let mut sporadic_period = vec![Duration::ZERO; ts.len()];
         for t in ts.tasks() {
             if t.spec().kind() == ActivationKind::Sporadic {
                 sporadic_period[t.id().index()] = t.spec().period();
-                if ts.in_degree(t.id()) == 0 {
+                if ts.in_degree(t.id()) == 0 && owns(t.id()) {
                     sporadic_roots.push((t.id(), t.spec().release_offset()));
                 }
             }
         }
+        sim.msg_schedule.retain(|(_, ev)| owns(msg_dst(ev)));
+        sim.fault_schedule.retain(|(_, ev)| owns(ev.task()));
         Ok(Simulation {
             exec: ExecSampler::new(sim.exec, sim.seed ^ 0xE5E5),
             kernel: sim.kernel.map(|k| KernelModel::new(k, sim.seed ^ 0x5EED)),
@@ -458,12 +476,14 @@ impl Simulation {
             queue: BinaryHeap::new(),
             seq: 0,
             tick,
+            horizon: Instant::ZERO + sim.horizon,
             shard,
             admit_events: Vec::new(),
             ledger: TenantLedger::new(AdmissionControl::for_engine(&engine), engine.taskset_arc()),
             planned_retirements: Vec::new(),
             last_admit_offset: Duration::ZERO,
             boundary: None,
+            folding: false,
             replayed_cycles: 0,
             replayed_jobs: 0,
             engine,
@@ -565,15 +585,29 @@ impl Simulation {
         }
     }
 
-    fn timed<F: FnOnce(&mut OnlineEngine)>(&mut self, f: F) {
-        if self.cfg.measure_engine_time {
+    /// One engine interaction at `now`: `f` makes the call with the
+    /// cleared action sink — wall-clock timed when
+    /// [`SimConfig::measure_engine_time`] is set — and the actions it
+    /// left are then modelled on the workers.
+    fn engine_call<R>(
+        &mut self,
+        now: Instant,
+        f: impl FnOnce(&mut OnlineEngine, &mut ActionSink) -> R,
+    ) -> R {
+        let mut sink = std::mem::take(&mut self.sink);
+        sink.clear();
+        let out = if self.cfg.measure_engine_time {
             let t0 = std::time::Instant::now();
-            f(&mut self.engine);
+            let out = f(&mut self.engine, &mut sink);
             self.overhead_ns
                 .record(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
+            out
         } else {
-            f(&mut self.engine);
-        }
+            f(&mut self.engine, &mut sink)
+        };
+        self.apply_actions(now, &sink);
+        self.sink = sink;
+        out
     }
 
     fn apply_actions(&mut self, now: Instant, actions: &ActionSink) {
@@ -729,30 +763,18 @@ impl Simulation {
     fn apply_fault(&mut self, now: Instant, ev: FaultEvent) {
         match ev {
             FaultEvent::Overrun { task } => {
-                let mut sink = std::mem::take(&mut self.sink);
-                sink.clear();
-                self.timed(|e| {
-                    // No-op when the task is not running at the instant
-                    // (e.g. it already finished) — the schedule stays
-                    // valid across parameter sweeps.
-                    let _ = e.force_overrun(task, now, &mut sink);
-                });
-                self.apply_actions(now, &sink);
-                self.sink = sink;
+                // No-op when the task is not running at the instant
+                // (e.g. it already finished) — the schedule stays
+                // valid across parameter sweeps.
+                self.engine_call(now, |e, sink| e.force_overrun(task, now, sink));
             }
             FaultEvent::Crash { task } => self.apply_crash(now, task),
             FaultEvent::Burst { task, count } => {
-                let mut sink = std::mem::take(&mut self.sink);
-                sink.clear();
                 for _ in 0..count {
-                    self.timed(|e| {
-                        // Tolerates non-activatable targets so burst
-                        // schedules compose with retirement schedules.
-                        let _ = e.activate_into(task, now, &mut sink);
-                    });
+                    // Tolerates non-activatable targets so burst
+                    // schedules compose with retirement schedules.
+                    let _ = self.engine_call(now, |e, sink| e.activate_into(task, now, sink));
                 }
-                self.apply_actions(now, &sink);
-                self.sink = sink;
             }
         }
     }
@@ -781,14 +803,10 @@ impl Simulation {
         self.account_accel(&slice, busy);
         let (j, _p) = self.slab.remove(slice.slot);
         debug_assert_eq!(j.id, slice.job, "slab slot tracks the crashed job");
-        let mut sink = std::mem::take(&mut self.sink);
-        sink.clear();
-        self.timed(|e| {
-            e.on_job_failed_into(worker, slice.job, now, &mut sink)
+        self.engine_call(now, |e, sink| {
+            e.on_job_failed_into(worker, slice.job, now, sink)
                 .expect("crashed job is running on its worker");
         });
-        self.apply_actions(now, &sink);
-        self.sink = sink;
     }
 
     /// Runs the simulation to the horizon and aggregates the result.
@@ -828,23 +846,32 @@ impl Simulation {
     /// operation.
     pub fn run(self) -> Result<SimResult> {
         let fold = self.cfg.exec == ExecModel::Wcet && self.kernel.is_none();
-        self.drive(None, fold)
+        self.run_folding(fold)
     }
 
     /// [`Simulation::run`] without the replay: every cycle simulated —
     /// the reference the parity tests hold `run` against.
     #[cfg(test)]
     pub(crate) fn run_event_by_event(self) -> Result<SimResult> {
-        self.drive(None, false)
+        self.run_folding(false)
+    }
+
+    fn run_folding(mut self, fold: bool) -> Result<SimResult> {
+        self.arm(fold)?;
+        while self.next_key().is_some() {
+            self.step();
+        }
+        Ok(self.finish())
     }
 
     /// Called at the start and with a tick popped at `now` off an
     /// otherwise empty event queue. If `now` is a recurrence boundary
     /// ([`Simulation::run`]) it becomes `self.boundary`; if the previous
     /// one is still valid, the cycle between the two is first replayed
-    /// as often as fits before `horizon`. Returns the instant the run
+    /// as often as fits before the horizon. Returns the instant the run
     /// continues from: `now`, or the end of the last replayed cycle.
-    fn fold(&mut self, now: Instant, horizon: Instant) -> Instant {
+    fn fold(&mut self, now: Instant) -> Instant {
+        let horizon = self.horizon;
         if self.slab.len() > 0 || !self.suspended.is_empty() {
             return now;
         }
@@ -907,285 +934,226 @@ impl Simulation {
         at
     }
 
-    /// Processes one externally-fed command at its carried time.
-    /// Commands past the horizon are drained but not simulated (the
-    /// producers must be unblocked even when the run is over).
-    fn apply_external(&mut self, cmd: ShardCmd, horizon: Instant) -> Result<()> {
-        let refused = match cmd {
-            ShardCmd::Activate { .. }
-            | ShardCmd::Tick { .. }
-            | ShardCmd::MsgHigh { .. }
-            | ShardCmd::MsgDrained { .. } => None,
-            ShardCmd::JobCompleted { .. } => Some(
-                "the simulator generates completions internally; an external \
-                 completion command is a driver bug",
-            ),
-            ShardCmd::CrossActivate { .. } | ShardCmd::StolenBatch { .. } => Some(
-                "cross-shard routing and stealing run through the protocol loop \
-                 (yasmin_sim::par), not the free-running shard feed",
-            ),
-        };
-        if let Some(why) = refused {
-            return Err(Error::InvalidConfig(why.into()));
-        }
-        let at = cmd.at();
-        if at > horizon {
-            return Ok(());
-        }
-        let mut sink = std::mem::take(&mut self.sink);
-        sink.clear();
-        let mut applied = Ok(());
-        self.timed(|e| applied = e.process_into(cmd, &mut sink));
-        self.apply_actions(at, &sink);
-        self.sink = sink;
-        applied
+    /// Runs `f` with the insertion counter `seq` in place of this
+    /// simulation's own: [`crate::par`] numbers the events of all the
+    /// shards of a run from one counter, so same-instant events of
+    /// different shards keep the order they were scheduled in.
+    pub(crate) fn with_seq<R>(&mut self, seq: &mut u64, f: impl FnOnce(&mut Self) -> R) -> R {
+        std::mem::swap(&mut self.seq, seq);
+        let out = f(self);
+        std::mem::swap(&mut self.seq, seq);
+        out
     }
 
-    /// [`Simulation::run`] with an external command feed — the
-    /// multi-threaded partitioned driver ([`crate::par`]) hands each
-    /// shard a mailbox-backed feed delivering its sporadic activations.
-    /// Never folds: what the feed will deliver is not the simulator's
-    /// to see.
+    /// Schedules a cross-shard activation token for `at`
+    /// ([`crate::par`] routes a peer's outbox here).
+    pub(crate) fn push_cross(&mut self, at: Instant, edge: u32, graph_release: Instant) {
+        self.push_event(
+            at,
+            Ev::Cross {
+                edge,
+                graph_release,
+            },
+        );
+    }
+
+    /// Adopts jobs a peer shard released to this (idle) one at `now`.
     ///
-    /// The merge is deterministic regardless of producer thread timing:
-    /// each mailbox lane delivers commands in non-decreasing time order,
-    /// the feed blocks until every open lane has revealed its next
-    /// command (the watermark), and an external command at time *t* is
-    /// processed before any local event at the same *t*.
-    pub(crate) fn run_with_feed(self, feed: ShardFeed) -> Result<SimResult> {
-        self.drive(Some(feed), false)
+    /// # Errors
+    ///
+    /// [`OnlineEngine::adopt_stolen_batch`]'s: a driver protocol
+    /// violation.
+    pub(crate) fn adopt_stolen(&mut self, jobs: &[Job], now: Instant) -> Result<()> {
+        self.engine_call(now, |e, sink| e.adopt_stolen_batch(jobs, now, sink))
     }
 
-    /// The event loop behind [`Simulation::run`] (`fold` as it decided)
-    /// and [`Simulation::run_with_feed`].
-    fn drive(mut self, mut feed: Option<ShardFeed>, fold: bool) -> Result<SimResult> {
-        let horizon = Instant::ZERO + self.cfg.horizon;
+    /// Starts the schedule at time zero and arms the event sources: the
+    /// tick train, the sporadic roots, the mode, message and fault
+    /// schedules. `fold` as [`Simulation::run`] decided.
+    ///
+    /// # Errors
+    ///
+    /// [`OnlineEngine::start_into`]'s.
+    pub(crate) fn arm(&mut self, fold: bool) -> Result<()> {
+        self.folding = fold;
         if fold {
-            self.fold(Instant::ZERO, horizon);
+            self.fold(Instant::ZERO);
         }
-
-        // Start the schedule and arm the tick train.
-        let mut sink = std::mem::take(&mut self.sink);
-        if self.cfg.measure_engine_time {
-            let t0 = std::time::Instant::now();
-            self.engine.start_into(Instant::ZERO, &mut sink)?;
-            self.overhead_ns
-                .record(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        } else {
-            self.engine.start_into(Instant::ZERO, &mut sink)?;
-        }
-        self.apply_actions(Instant::ZERO, &sink);
-        self.sink = sink;
+        self.engine_call(Instant::ZERO, |e, sink| e.start_into(Instant::ZERO, sink))?;
         self.push_event(Instant::ZERO + self.tick, Ev::Tick);
-
-        // Arm the sporadic roots (precomputed in `new`) — unless the
-        // external feed is the activation source.
-        if feed.is_none() {
-            for i in 0..self.sporadic_roots.len() {
-                let (t, offset) = self.sporadic_roots[i];
-                self.push_event(Instant::ZERO + offset, Ev::Sporadic { task: t });
-            }
+        for i in 0..self.sporadic_roots.len() {
+            let (task, offset) = self.sporadic_roots[i];
+            self.push_event(Instant::ZERO + offset, Ev::Sporadic { task });
         }
-        let mode_schedule = std::mem::take(&mut self.cfg.mode_schedule);
-        for (offset, mode) in mode_schedule {
+        for (offset, mode) in std::mem::take(&mut self.cfg.mode_schedule) {
             self.push_event(Instant::ZERO + offset, Ev::ModeSwitch { mode });
         }
-        let msg_schedule = std::mem::take(&mut self.cfg.msg_schedule);
-        for (offset, ev) in msg_schedule {
+        for (offset, ev) in std::mem::take(&mut self.cfg.msg_schedule) {
             self.push_event(Instant::ZERO + offset, Ev::Msg { ev });
         }
-        let fault_schedule = std::mem::take(&mut self.cfg.fault_schedule);
-        for (offset, ev) in fault_schedule {
+        for (offset, ev) in std::mem::take(&mut self.cfg.fault_schedule) {
             self.push_event(Instant::ZERO + offset, Ev::Fault { ev });
         }
+        Ok(())
+    }
 
-        loop {
-            // Next local event, unless the run is over (the first local
-            // event past the horizon ends it, matching the single-feed
-            // `run` semantics — nothing later can be earlier).
-            let local_t = self
-                .queue
-                .peek()
-                .map(|Reverse(item)| item.time)
-                .filter(|&t| Instant::from_nanos(t) <= horizon);
-            if let Some(f) = feed.as_mut() {
-                if let Some(cmd) = f.pop_if_at_or_before(local_t) {
-                    self.apply_external(cmd, horizon)?;
-                    continue;
+    /// The (time in ns, insertion number) of the next event, or `None`
+    /// when the run is over: the first event past the horizon ends it
+    /// (nothing later can be earlier).
+    pub(crate) fn next_key(&self) -> Option<(u64, u64)> {
+        self.queue
+            .peek()
+            .map(|Reverse(item)| (item.time, item.seq))
+            .filter(|&(t, _)| Instant::from_nanos(t) <= self.horizon)
+    }
+
+    /// Consumes the next event ([`Simulation::next_key`] must be `Some`).
+    // Inlined into both loops that call it: as a call of its own it
+    // cost the drone sweep 8 % (155 → 168 ns per job), the price of the
+    // frame of so large a function once per event.
+    #[inline(always)]
+    pub(crate) fn step(&mut self) {
+        let Some(Reverse(item)) = self.queue.pop() else {
+            return;
+        };
+        let mut now = Instant::from_nanos(item.time);
+        if !matches!(item.ev, Ev::Tick | Ev::Finish { .. }) {
+            self.boundary = None;
+        }
+        match item.ev {
+            Ev::Tick => {
+                if self.folding && self.queue.is_empty() {
+                    let reached = self.fold(now);
+                    if reached > now && reached == self.horizon {
+                        // The last replayed cycle's tick found the
+                        // horizon and armed no successor.
+                        return;
+                    }
+                    now = reached;
+                }
+                self.engine_call(now, |e, sink| e.on_tick_into(now, sink));
+                let next = now + self.tick;
+                // The horizon is exclusive for new releases, so runs
+                // over [0, horizon) release exactly horizon/T jobs.
+                if next < self.horizon {
+                    self.push_event(next, Ev::Tick);
                 }
             }
-            if local_t.is_none() {
-                break;
+            Ev::Finish { worker, job, gen } => {
+                let mut batch = std::mem::take(&mut self.finish_batch);
+                batch.clear();
+                batch.extend(self.settle_finish(now, worker, job, gen));
+                // Coalesce the consecutive run of same-timestamp
+                // finishes at the head of the event queue into one
+                // batched engine call — a burst of completions pays
+                // a single dispatch round. Only the Finish prefix is
+                // absorbed, so ordering against ticks and arrivals
+                // at the same instant is unchanged.
+                while let Some(&Reverse(QItem {
+                    time,
+                    ev: Ev::Finish { worker, job, gen },
+                    ..
+                })) = self.queue.peek()
+                {
+                    if time != item.time {
+                        break;
+                    }
+                    self.queue.pop();
+                    batch.extend(self.settle_finish(now, worker, job, gen));
+                }
+                if !batch.is_empty() {
+                    self.engine_call(now, |e, sink| {
+                        e.on_jobs_completed_into(&batch, now, sink)
+                            .expect("driver protocol upheld");
+                    });
+                }
+                self.finish_batch = batch;
             }
-            let Some(Reverse(item)) = self.queue.pop() else {
-                break;
-            };
-            let mut now = Instant::from_nanos(item.time);
-            if !matches!(item.ev, Ev::Tick | Ev::Finish { .. }) {
-                self.boundary = None;
+            Ev::Sporadic { task } => {
+                // A retired tenant's sporadic train ends silently:
+                // no activation, no re-arm.
+                if self.engine.is_task_retired(task) {
+                    return;
+                }
+                self.engine_call(now, |e, sink| {
+                    e.activate_into(task, now, sink)
+                        .expect("sporadic task is activatable");
+                });
+                let next = now + self.sporadic_period[task.index()];
+                if next < self.horizon {
+                    self.push_event(next, Ev::Sporadic { task });
+                }
             }
-            match item.ev {
-                Ev::Tick => {
-                    if fold && self.queue.is_empty() {
-                        let reached = self.fold(now, horizon);
-                        if reached > now && reached == horizon {
-                            // The last replayed cycle's tick found the
-                            // horizon and armed no successor.
-                            continue;
-                        }
-                        now = reached;
+            Ev::ModeSwitch { mode } => self.engine.set_mode(mode),
+            Ev::Msg { ev } => self.engine_call(now, |e, sink| {
+                match ev {
+                    MsgEvent::HighPosted { dst, ceiling } => {
+                        e.on_high_posted_into(dst, ceiling, now, sink)
                     }
-                    let mut sink = std::mem::take(&mut self.sink);
-                    sink.clear();
-                    self.timed(|e| e.on_tick_into(now, &mut sink));
-                    self.apply_actions(now, &sink);
-                    self.sink = sink;
-                    let next = now + self.tick;
-                    // The horizon is exclusive for new releases, so runs
-                    // over [0, horizon) release exactly horizon/T jobs.
-                    if next < horizon {
-                        self.push_event(next, Ev::Tick);
-                    }
+                    MsgEvent::HighDrained { dst } => e.on_high_drained_into(dst, now, sink),
                 }
-                Ev::Finish { worker, job, gen } => {
-                    let mut batch = std::mem::take(&mut self.finish_batch);
-                    batch.clear();
-                    if let Some(c) = self.settle_finish(now, worker, job, gen) {
-                        batch.push(c);
-                    }
-                    // Coalesce the consecutive run of same-timestamp
-                    // finishes at the head of the event queue into one
-                    // batched engine call — a burst of completions pays
-                    // a single dispatch round. Only the Finish prefix is
-                    // absorbed, so ordering against ticks and arrivals
-                    // at the same instant is unchanged.
-                    loop {
-                        let more = matches!(
-                            self.queue.peek(),
-                            Some(Reverse(n))
-                                if n.time == item.time && matches!(n.ev, Ev::Finish { .. })
-                        );
-                        if !more {
-                            break;
-                        }
-                        let Some(Reverse(next)) = self.queue.pop() else {
-                            break;
-                        };
-                        let Ev::Finish { worker, job, gen } = next.ev else {
-                            unreachable!("peek matched a finish event")
-                        };
-                        if let Some(c) = self.settle_finish(now, worker, job, gen) {
-                            batch.push(c);
-                        }
-                    }
-                    if !batch.is_empty() {
-                        let mut sink = std::mem::take(&mut self.sink);
-                        sink.clear();
-                        self.timed(|e| {
-                            e.on_jobs_completed_into(&batch, now, &mut sink)
-                                .expect("driver protocol upheld");
-                        });
-                        self.apply_actions(now, &sink);
-                        self.sink = sink;
-                    }
-                    self.finish_batch = batch;
-                }
-                Ev::Sporadic { task } => {
-                    // A retired tenant's sporadic train ends silently:
-                    // no activation, no re-arm.
-                    if self.engine.is_task_retired(task) {
-                        continue;
-                    }
-                    let mut sink = std::mem::take(&mut self.sink);
-                    sink.clear();
-                    self.timed(|e| {
-                        e.activate_into(task, now, &mut sink)
-                            .expect("sporadic task is activatable");
-                    });
-                    self.apply_actions(now, &sink);
-                    self.sink = sink;
-                    let next = now + self.sporadic_period[task.index()];
-                    if next < horizon {
-                        self.push_event(next, Ev::Sporadic { task });
-                    }
-                }
-                Ev::ModeSwitch { mode } => {
-                    self.engine.set_mode(mode);
-                }
-                Ev::Msg { ev } => {
-                    let mut sink = std::mem::take(&mut self.sink);
-                    sink.clear();
-                    self.timed(|e| {
-                        match ev {
-                            yasmin_sched::MsgEvent::HighPosted { dst, ceiling } => {
-                                e.on_high_posted_into(dst, ceiling, now, &mut sink)
-                            }
-                            yasmin_sched::MsgEvent::HighDrained { dst } => {
-                                e.on_high_drained_into(dst, now, &mut sink)
-                            }
-                        }
-                        .expect("scheduled message event targets a known task");
-                    });
-                    self.apply_actions(now, &sink);
-                    self.sink = sink;
-                }
-                Ev::Fault { ev } => self.apply_fault(now, ev),
-                Ev::Admit { idx } => {
-                    let (merged, budget) = self.admit_events[idx].clone();
-                    let tenant = TenantId::new(self.engine.tenant_count() as u32);
-                    let server = budget.map(|b| ReservationServer::new(tenant, b, now));
-                    let first_new = self.engine.taskset().len();
-                    // Splice: pre-validated at admit_at time, so a
-                    // failure here is a driver bug, not a tenant fault.
-                    self.engine
-                        .splice_taskset(Arc::clone(&merged), server)
-                        .expect("admission was validated by admit_at");
-                    // Grow the per-task / per-accel side state the sim
-                    // keeps alongside the engine.
-                    self.accel_busy
-                        .resize(merged.accels().len(), Duration::ZERO);
-                    for t in &merged.tasks()[first_new..] {
-                        self.sporadic_period
-                            .push(if t.spec().kind() == ActivationKind::Sporadic {
-                                t.spec().period()
-                            } else {
-                                Duration::ZERO
-                            });
-                    }
-                    let mut sink = std::mem::take(&mut self.sink);
-                    sink.clear();
-                    self.timed(|e| {
-                        e.commit_tenant_into(tenant, now, &mut sink)
-                            .expect("spliced tenant commits");
-                    });
-                    self.apply_actions(now, &sink);
-                    self.sink = sink;
-                    // Arm the tenant's sporadic roots from the commit
-                    // instant, like the base set's at start.
-                    for t in &merged.tasks()[first_new..] {
-                        if t.spec().kind() == ActivationKind::Sporadic
-                            && merged.in_degree(t.id()) == 0
-                        {
-                            let first = now + t.spec().release_offset();
-                            if first < horizon {
-                                self.push_event(first, Ev::Sporadic { task: t.id() });
-                            }
-                        }
-                    }
-                }
-                Ev::Retire { tenant } => {
-                    let mut sink = std::mem::take(&mut self.sink);
-                    sink.clear();
-                    self.timed(|e| {
-                        e.retire_tenant_into(tenant, now, &mut sink)
-                            .expect("retired tenant was admitted");
-                    });
-                    self.apply_actions(now, &sink);
-                    self.sink = sink;
+                .expect("scheduled message event targets a known task");
+            }),
+            Ev::Fault { ev } => self.apply_fault(now, ev),
+            Ev::Cross {
+                edge,
+                graph_release,
+            } => self.engine_call(now, |e, sink| {
+                e.on_remote_token(edge, graph_release, now, sink)
+                    .expect("a token is routed to the shard owning its edge");
+            }),
+            Ev::Admit { idx } => self.apply_admit(now, idx),
+            Ev::Retire { tenant } => self.engine_call(now, |e, sink| {
+                e.retire_tenant_into(tenant, now, sink)
+                    .expect("retired tenant was admitted");
+            }),
+        }
+    }
+
+    /// Splices and commits the tenant [`Simulation::admit_at`] validated
+    /// as admission `idx`, and arms its sporadic roots.
+    fn apply_admit(&mut self, now: Instant, idx: usize) {
+        let (merged, budget) = self.admit_events[idx].clone();
+        let tenant = TenantId::new(self.engine.tenant_count() as u32);
+        let server = budget.map(|b| ReservationServer::new(tenant, b, now));
+        let first_new = self.engine.taskset().len();
+        // Splice: pre-validated at admit_at time, so a failure here is
+        // a driver bug, not a tenant fault.
+        self.engine
+            .splice_taskset(Arc::clone(&merged), server)
+            .expect("admission was validated by admit_at");
+        // Grow the per-task / per-accel side state the sim keeps
+        // alongside the engine.
+        self.accel_busy
+            .resize(merged.accels().len(), Duration::ZERO);
+        for t in &merged.tasks()[first_new..] {
+            self.sporadic_period
+                .push(if t.spec().kind() == ActivationKind::Sporadic {
+                    t.spec().period()
+                } else {
+                    Duration::ZERO
+                });
+        }
+        self.engine_call(now, |e, sink| {
+            e.commit_tenant_into(tenant, now, sink)
+                .expect("spliced tenant commits");
+        });
+        // Arm the tenant's sporadic roots from the commit instant, like
+        // the base set's at start.
+        for t in &merged.tasks()[first_new..] {
+            if t.spec().kind() == ActivationKind::Sporadic && merged.in_degree(t.id()) == 0 {
+                let first = now + t.spec().release_offset();
+                if first < self.horizon {
+                    self.push_event(first, Ev::Sporadic { task: t.id() });
                 }
             }
         }
+    }
 
+    /// Aggregates the run into its result, once
+    /// [`Simulation::next_key`] has answered `None`.
+    pub(crate) fn finish(mut self) -> SimResult {
+        let horizon = self.horizon;
         // Account still-running slices up to the horizon.
         for (w, slice) in self.slices.iter().enumerate() {
             if let Some(s) = slice {
@@ -1222,7 +1190,7 @@ impl Simulation {
             .filter(|j| j.deadline_missed_at(horizon))
             .count();
 
-        Ok(SimResult {
+        SimResult {
             records: self.records,
             unfinished,
             unfinished_missed,
@@ -1233,7 +1201,15 @@ impl Simulation {
             energy,
             replayed_cycles: self.replayed_cycles,
             replayed_jobs: self.replayed_jobs,
-        })
+        }
+    }
+}
+
+/// The receiving task of a message-plane event: its owner's shard
+/// delivers it.
+fn msg_dst(ev: &MsgEvent) -> TaskId {
+    match *ev {
+        MsgEvent::HighPosted { dst, .. } | MsgEvent::HighDrained { dst } => dst,
     }
 }
 

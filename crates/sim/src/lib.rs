@@ -11,10 +11,11 @@
 //! * [`exec`] — execution-time models (WCET, uniform fraction);
 //! * [`kernel`] — wake-up-latency models of the kernels in Table 2
 //!   (vanilla Linux, PREEMPT_RT, LitmusRT GSN-EDF / P-RES);
-//! * [`par`] — the multi-threaded partitioned driver: one simulation
-//!   thread per engine shard, fed by producer threads through the
-//!   lock-free command mailbox, with results identical to the
-//!   single-threaded [`engine::Simulation`];
+//! * [`par`] — the sharded driver: one [`engine::Simulation`] per engine
+//!   shard, stepped on one thread in one global event order, with
+//!   cross-shard token routing and work stealing between them and
+//!   results identical to the single [`engine::Simulation`] over the
+//!   whole engine;
 //! * [`stress`] — the stress-ng-like interference profile;
 //! * [`trace`] — per-job records and result aggregation;
 //! * [`render`] — ASCII Gantt charts and Chrome-trace export.

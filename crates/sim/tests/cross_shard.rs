@@ -1,5 +1,5 @@
-//! PR 5 acceptance checks for the cross-shard protocol loop in
-//! `yasmin_sim::par`:
+//! PR 5 acceptance checks for cross-shard traffic under the sharded
+//! driver in `yasmin_sim::par`:
 //!
 //! * a DAG task set whose edges span workers runs under
 //!   `run_partitioned_parallel` and produces **the same trace** as the
@@ -8,7 +8,7 @@
 //! * an imbalanced partitioned set with stealing enabled shows
 //!   `stolen > 0` and a strictly lower makespan than the same run
 //!   without stealing;
-//! * the protocol loop is deterministic run to run.
+//! * the driver is deterministic run to run.
 
 use std::sync::Arc;
 use yasmin_core::config::{Config, MappingScheme};
@@ -41,10 +41,8 @@ fn config(workers: usize, sharded: bool) -> Config {
 
 fn opts(steal: bool) -> ParSimOptions {
     ParSimOptions {
-        producers: 2,
-        lane_capacity: 16,
         steal,
-        steal_batch: 1,
+        ..ParSimOptions::default()
     }
 }
 
@@ -146,20 +144,20 @@ fn cross_shard_protocol_loop_is_deterministic() {
     for (a, b) in x.records.iter().zip(&y.records) {
         assert_eq!(a, b);
     }
-    // The protocol loop records measured scheduler overhead like the
-    // other drivers.
+    // A sharded run records measured scheduler overhead like a single
+    // simulation.
     assert!(x.sched_overhead_ns.count() > 10);
 }
 
 #[test]
 fn cross_shard_sporadic_commands_merge_in_global_time_order() {
-    // Regression: the protocol loop once applied every external
-    // command due before the *pre-pass* heap minimum in one batch, so
-    // shard 1's sporadic at 4 ms was dispatched before shard 0's
-    // finish at ~2 ms emitted its cross-shard token — the successor
-    // then found worker 1 busy and started late, diverging from the
-    // single-owner reference. The merge must interleave commands and
-    // heap events in one global time order.
+    // Regression: the driver once applied every sporadic activation
+    // due before the *pre-pass* event minimum in one batch, so shard
+    // 1's sporadic at 4 ms was dispatched before shard 0's finish at
+    // ~2 ms emitted its cross-shard token — the successor then found
+    // worker 1 busy and started late, diverging from the single-owner
+    // reference. Arrivals and every other event of every shard must
+    // interleave in one global time order.
     let w0 = WorkerId::new(0);
     let w1 = WorkerId::new(1);
     let mut b = TaskSetBuilder::new();
@@ -380,7 +378,7 @@ fn batch_steals_beat_single_steals_when_the_steal_window_closes() {
         mk < m1,
         "batch steals must lower the heavy makespan: {mk} !< {m1}"
     );
-    // Deterministic: a rerun of the batched protocol loop is
+    // Deterministic: a rerun of the batched steal pass is
     // bit-identical, batch sizing included.
     let again = run(8);
     assert_eq!(batched.records, again.records);
@@ -405,8 +403,8 @@ fn stealing_run_is_deterministic() {
 
 /// PR 8 acceptance: scheduled high-lane message events are delivered
 /// deterministically at event boundaries, produce the *same trace* in
-/// the single-owner reference and the parallel protocol loop, and the
-/// boost visibly reorders dispatch.
+/// the single-owner reference and the sharded driver, and the boost
+/// visibly reorders dispatch.
 #[test]
 fn message_boost_matches_single_owner_reference() {
     use yasmin_core::priority::Priority;
@@ -492,6 +490,102 @@ fn message_boost_matches_single_owner_reference() {
         .unwrap();
     let y = run_partitioned_parallel(Arc::clone(&ts), config(2, true), sim2, opts(false)).unwrap();
     assert_eq!(x.records, y.records);
+}
+
+/// A shard is a full `Simulation`, so a cross-shard run follows a mode
+/// schedule (every shard switches at the scheduled instant) and matches
+/// the single-owner trace — `InvalidConfig` before the drivers merged.
+#[test]
+fn cross_shard_dag_with_a_mode_schedule_matches_single_owner_reference() {
+    use yasmin_core::config::VersionPolicy;
+    use yasmin_core::version::{ExecMode, ModeMask};
+    const ALT: ExecMode = ExecMode::new(1);
+    let w0 = WorkerId::new(0);
+    let w1 = WorkerId::new(1);
+    let mut b = TaskSetBuilder::new();
+    let src = b
+        .task_decl(TaskSpec::periodic("src", ms(20)).on_worker(w0))
+        .unwrap();
+    let dst = b
+        .task_decl(TaskSpec::graph_node("dst").on_worker(w1))
+        .unwrap();
+    let local = b
+        .task_decl(TaskSpec::periodic("local", ms(40)).on_worker(w1))
+        .unwrap();
+    // Every task is slower in the alternative mode, by odd amounts.
+    for (t, normal, alt) in [
+        (src, 3_137, 4_649),
+        (dst, 2_411, 5_003),
+        (local, 5_071, 6_121),
+    ] {
+        for (name, wcet, mode) in [("n", normal, ExecMode::NORMAL), ("a", alt, ALT)] {
+            let v = VersionSpec::new(name, us(wcet)).with_modes(ModeMask::only(mode));
+            b.version_decl(t, v).unwrap();
+        }
+    }
+    let c = b.channel_decl("c", 1, 8);
+    b.channel_connect(src, dst, c).unwrap();
+    let ts = Arc::new(b.build().unwrap());
+
+    let config = |sharded: bool| {
+        Config::builder()
+            .workers(2)
+            .mapping(MappingScheme::Partitioned)
+            .sharded_dispatch(sharded)
+            .priority(PriorityPolicy::EarliestDeadlineFirst)
+            .version_policy(VersionPolicy::Mode)
+            .preemption(false)
+            .build()
+            .unwrap()
+    };
+    let mut sim = SimConfig::uniform(2, ms(200));
+    sim.mode_schedule = vec![(us(70_001), ALT), (us(150_001), ExecMode::NORMAL)];
+    let single = Simulation::new(Arc::clone(&ts), config(false), sim.clone())
+        .unwrap()
+        .run()
+        .unwrap();
+    let par = run_partitioned_parallel(Arc::clone(&ts), config(true), sim, opts(false)).unwrap();
+    // Both shards really switched: each ran both versions of a task.
+    for task in [src, dst] {
+        let versions: std::collections::BTreeSet<_> =
+            par.records_of(task).map(|r| r.version).collect();
+        assert_eq!(versions.len(), 2, "{task} ran in both modes");
+    }
+    assert!(par.engine_stats.cross_activations >= 9);
+    assert_same_trace(&single, &par);
+}
+
+/// A kernel model samples a wake-up latency per dispatch from each
+/// shard's own stream: a cross-shard run under one is reproducible, and
+/// the latency shows in every start — `InvalidConfig` before the
+/// drivers merged.
+#[test]
+fn cross_shard_dag_with_a_kernel_model_is_deterministic() {
+    let ts = cross_shard_set();
+    let mut sim = SimConfig::uniform(2, ms(200));
+    sim.kernel = Some(yasmin_sim::KernelKind::PreemptRt);
+    sim.stress = yasmin_sim::StressProfile::PAPER;
+    sim.seed = 7;
+    let run =
+        || run_partitioned_parallel(Arc::clone(&ts), config(2, true), sim.clone(), opts(false));
+    let x = run().unwrap();
+    let y = run().unwrap();
+    assert_eq!(x.records, y.records);
+    assert!(x.engine_stats.cross_activations >= 10);
+    assert!(x.records.len() >= 28);
+    for r in &x.records {
+        assert!(
+            r.start_latency() >= us(170),
+            "kernel base latency applies: {}",
+            r.start_latency()
+        );
+    }
+    sim.seed = 8;
+    let z = run_partitioned_parallel(Arc::clone(&ts), config(2, true), sim, opts(false)).unwrap();
+    assert_ne!(
+        x.records, z.records,
+        "the seed reaches the shards' samplers"
+    );
 }
 
 #[test]

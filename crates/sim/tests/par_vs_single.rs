@@ -1,7 +1,7 @@
-//! The PR 3 acceptance check: the multi-threaded sharded driver (N
-//! producer threads feeding per-worker engine shards through the
-//! lock-free command mailbox) must produce **the same trace** as the
-//! single-threaded simulation for the same partitioned task set.
+//! The PR 3 acceptance check: the sharded driver (one `Simulation` per
+//! engine shard, stepped in one global event order) must produce **the
+//! same trace** as the single simulation over the whole engine for the
+//! same partitioned task set.
 //!
 //! Job ids are excluded from the comparison — shards stamp their worker
 //! index into the id's high bits — so records are matched on the
@@ -38,7 +38,7 @@ fn config(workers: usize, sharded: bool) -> Config {
 }
 
 /// Runs both drivers and asserts trace + aggregate equality.
-fn assert_traces_match(ts: &Arc<TaskSet>, workers: usize, horizon: Duration, producers: usize) {
+fn assert_traces_match(ts: &Arc<TaskSet>, workers: usize, horizon: Duration) {
     let sim = SimConfig::uniform(workers, horizon);
     let single = Simulation::new(Arc::clone(ts), config(workers, false), sim.clone())
         .unwrap()
@@ -48,11 +48,7 @@ fn assert_traces_match(ts: &Arc<TaskSet>, workers: usize, horizon: Duration, pro
         Arc::clone(ts),
         config(workers, true),
         sim,
-        ParSimOptions {
-            producers,
-            lane_capacity: 16,
-            ..ParSimOptions::default()
-        },
+        ParSimOptions::default(),
     )
     .unwrap();
 
@@ -127,8 +123,7 @@ fn mixed_two_worker_set() -> Arc<TaskSet> {
 #[test]
 fn par_driver_matches_single_thread_mixed_sporadic() {
     let ts = mixed_two_worker_set();
-    // ≥ 4 producer threads per the acceptance criterion.
-    assert_traces_match(&ts, 2, ms(200), 4);
+    assert_traces_match(&ts, 2, ms(200));
 }
 
 #[test]
@@ -150,44 +145,41 @@ fn par_driver_matches_single_thread_generated_periodic() {
         )
         .unwrap(),
     );
-    assert_traces_match(&ts, 3, ms(300), 4);
+    assert_traces_match(&ts, 3, ms(300));
 }
 
 #[test]
-fn par_driver_handles_more_producers_than_tasks() {
-    let ts = mixed_two_worker_set();
-    assert_traces_match(&ts, 2, ms(100), 8);
-}
-
-#[test]
-fn par_driver_survives_schedules_far_beyond_the_lane_floor() {
-    // Regression: with bounded lanes, producer 0 blocked on shard 0's
-    // full lane while shard 1 waits on producer 0's open-but-empty lane
-    // (and symmetrically) deadlocked the watermark merge. Lanes are now
-    // sized to the full per-producer schedule, so a 150-activation
-    // stream against a floor of 8 must complete — and still match the
-    // single-threaded trace.
+fn par_driver_matches_single_thread_with_sporadics_on_the_tick_grid() {
+    // Sporadic offsets and WCETs exactly on the 10 ms tick grid: every
+    // arrival ties with a tick, and some with a completion. Each shard
+    // arms its own sporadic train in its own event queue, so the tie
+    // breaks by insertion order exactly as in the single simulation.
     let mut b = TaskSetBuilder::new();
     for w in 0..2u16 {
-        let t = b
+        let worker = WorkerId::new(w);
+        let p = b
+            .task_decl(TaskSpec::periodic(format!("p{w}"), ms(20)).on_worker(worker))
+            .unwrap();
+        b.version_decl(p, VersionSpec::new("p", ms(10))).unwrap();
+        let s = b
             .task_decl(
-                TaskSpec::sporadic(format!("s{w}"), ms(1))
-                    .with_release_offset(us(300 + 400 * u64::from(w)))
-                    .on_worker(WorkerId::new(w)),
+                TaskSpec::sporadic(format!("s{w}"), ms(10 + 20 * u64::from(w)))
+                    .with_release_offset(ms(10 * u64::from(w + 1)))
+                    .on_worker(worker),
             )
             .unwrap();
-        b.version_decl(t, VersionSpec::new("v", us(97))).unwrap();
+        b.version_decl(s, VersionSpec::new("s", ms(2))).unwrap();
     }
     let ts = Arc::new(b.build().unwrap());
-    assert_traces_match(&ts, 2, ms(150), 2);
+    assert_traces_match(&ts, 2, ms(200));
 }
 
 #[test]
 fn par_driver_matches_single_thread_at_the_horizon_edge() {
     // Regression: the single-threaded driver releases a sporadic root
     // whose offset lands *exactly* on the horizon (its event filter is
-    // inclusive); the producer schedules must do the same or released/
-    // unfinished counts diverge.
+    // inclusive); a shard must do the same or released/unfinished
+    // counts diverge.
     let mut b = TaskSetBuilder::new();
     let s = b
         .task_decl(
@@ -211,5 +203,5 @@ fn par_driver_matches_single_thread_at_the_horizon_edge() {
     .run()
     .unwrap();
     assert_eq!(single.unfinished, 1, "horizon-edge release is counted");
-    assert_traces_match(&ts, 1, ms(50), 4);
+    assert_traces_match(&ts, 1, ms(50));
 }

@@ -5,12 +5,8 @@
 //!
 //! * [`ticket`] — FIFO ticket spinlock;
 //! * [`mcs`] — Mellor-Crummey & Scott queue lock (the paper's "lock-free
-//!   algorithms from \[27\]" option);
-//! * [`lock`] — [`lock::YasminLock`], run-time selectable between the
-//!   POSIX-backed and the lock-free implementation;
-//! * [`pip`] — a priority-tracking mutex for the Priority Inheritance
-//!   Protocol applied on accelerator contention (§3.2);
-//! * [`barrier`] — sense-reversing spin barrier;
+//!   algorithms from \[27\]" option); the two are what §3.5 compares a
+//!   POSIX mutex with (`crates/bench/benches/ablation_locks.rs`);
 //! * [`spsc`] — bounded wait-free SPSC FIFO ring backing the task
 //!   channels;
 //! * [`mod@mailbox`] — lock-free MPSC command mailbox (one SPSC lane
@@ -33,24 +29,18 @@
 
 #![warn(missing_docs)]
 
-pub mod barrier;
 pub mod doorbell;
-pub mod lock;
 pub mod mailbox;
 pub mod mcs;
-pub mod pip;
 pub mod shelf;
 pub mod spsc;
 pub mod steal;
 pub mod ticket;
 pub mod wait;
 
-pub use barrier::SpinBarrier;
 pub use doorbell::Doorbell;
-pub use lock::{LockKind, YasminLock};
 pub use mailbox::{mailbox, MailboxFull, MailboxReceiver, MailboxSender};
 pub use mcs::McsLock;
-pub use pip::PipMutex;
 pub use spsc::{channel as spsc_channel, Consumer, Producer};
 pub use steal::LoadBoard;
 pub use ticket::TicketLock;

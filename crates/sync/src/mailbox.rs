@@ -31,9 +31,8 @@
 //!   [`MailboxReceiver::park`] until the next `send` on any lane. The
 //!   mailbox carries a [`Doorbell`] next to its pending counter; every
 //!   successful `send` (and every lane close) rings it, which against
-//!   an owner that is awake — or that never parks, like the simulator's
-//!   protocol loop — is one load of a flag on the cache line the `send`
-//!   has just written.
+//!   an owner that is awake is one load of a flag on the cache line the
+//!   `send` has just written.
 
 use crate::doorbell::Doorbell;
 use crate::spsc;

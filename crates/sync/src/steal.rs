@@ -3,9 +3,10 @@
 //! The steal *hand-off* is the [`crate::shelf`]: a victim lays the jobs
 //! it can spare out before it runs a body, and a thief takes them with
 //! one compare-and-swap — no message, and no waiting for the victim.
-//! (The simulator's protocol loop, `yasmin_sim::par`, hands jobs over
-//! as `ShardCmd` messages: in virtual time a victim answers at once,
-//! which is what the shelf gives real threads.)
+//! (The simulator's sharded driver, `yasmin_sim::par`, moves a batch
+//! from the victim's engine to the thief's in one call: in virtual
+//! time a victim answers at once, which is what the shelf gives real
+//! threads.)
 //!
 //! What the shelf cannot tell a thief is *whom to rob*: an idle shard
 //! should go to the peer it relieves most. The [`LoadBoard`] is that
@@ -57,9 +58,9 @@
 //!
 //! The full ranking key is `(load, adjacent-to-me, donations, lowest
 //! index)` — every component is a pure function of published state, so
-//! selection is deterministic for deterministic inputs; the simulator's
-//! protocol loop relies on exactly that to keep batch-steal runs
-//! bit-reproducible.
+//! selection is deterministic for deterministic inputs (the
+//! simulator's steal pass, which needs bit-reproducible runs, ranks by
+//! load and lowest index alone).
 
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 

@@ -2,7 +2,7 @@
 //! accelerator starvation (PIP), sporadic violations, queue saturation,
 //! configuration misuse — plus the PR 9 fault-tolerance machinery:
 //! WCET-overrun enforcement, deterministic fault schedules replayed
-//! through all three sim drivers, worker-panic containment in both
+//! through both sim drivers, worker-panic containment in both
 //! thread runtimes, overload shedding and the deadline-miss trip wire,
 //! and the loss-free sharded drain.
 
@@ -379,9 +379,9 @@ fn miss_storm_trips_and_window_recovers() {
 #[test]
 fn fault_schedule_parity_single_owner_vs_sharded() {
     // The same fault schedule (overrun + crash + burst) replayed through
-    // the single-owner simulator and the free-running sharded driver
-    // must produce bit-identical traces (modulo shard-stamped job ids)
-    // and identical fault counters.
+    // the single-owner simulator and the sharded driver must produce
+    // bit-identical traces (modulo shard-stamped job ids) and identical
+    // fault counters.
     let w0 = WorkerId::new(0);
     let w1 = WorkerId::new(1);
     let mut b = TaskSetBuilder::new();
@@ -444,17 +444,9 @@ fn fault_schedule_parity_single_owner_vs_sharded() {
         .unwrap()
         .run()
         .unwrap();
-    let par = run_partitioned_parallel(
-        Arc::clone(&ts),
-        config(true),
-        sim,
-        ParSimOptions {
-            producers: 2,
-            lane_capacity: 16,
-            ..ParSimOptions::default()
-        },
-    )
-    .unwrap();
+    let par =
+        run_partitioned_parallel(Arc::clone(&ts), config(true), sim, ParSimOptions::default())
+            .unwrap();
 
     assert!(single.engine_stats.overruns >= 1, "the overrun landed");
     assert_eq!(single.engine_stats.failed, 1, "the crash landed");
@@ -480,10 +472,10 @@ fn fault_schedule_parity_single_owner_vs_sharded() {
 
 #[test]
 fn fault_schedule_through_protocol_loop() {
-    // Cross-shard edge: the fault schedule runs through the protocol
-    // loop. The overrun kills the first src activation's token; the
-    // crash at 11.3ms swallows the second instance entirely; the rest
-    // route their tokens across shards.
+    // Cross-shard edge: the fault schedule runs through the sharded
+    // driver's token routing. The overrun kills the first src
+    // activation's token; the crash at 11.3ms swallows the second
+    // instance entirely; the rest route their tokens across shards.
     let w0 = WorkerId::new(0);
     let w1 = WorkerId::new(1);
     let mut b = TaskSetBuilder::new();
@@ -522,17 +514,7 @@ fn fault_schedule_through_protocol_loop() {
             FaultEvent::Crash { task: src },
         ),
     ];
-    let result = run_partitioned_parallel(
-        ts,
-        config,
-        sim,
-        ParSimOptions {
-            producers: 1,
-            lane_capacity: 8,
-            ..ParSimOptions::default()
-        },
-    )
-    .unwrap();
+    let result = run_partitioned_parallel(ts, config, sim, ParSimOptions::default()).unwrap();
     assert_eq!(result.engine_stats.overruns, 1);
     assert_eq!(result.engine_stats.failed, 1);
     assert_eq!(

@@ -68,7 +68,7 @@ use yasmin_core::priority::PriorityPolicy;
 use yasmin_core::task::TaskSpec;
 use yasmin_core::time::{Duration, Instant};
 use yasmin_core::version::VersionSpec;
-use yasmin_sched::{Action, ActionSink, EngineShard, JobBatch, OnlineEngine, ShardCmd, StealHint};
+use yasmin_sched::{Action, ActionSink, EngineShard, JobBatch, OnlineEngine, StealHint};
 use yasmin_sync::mailbox::{mailbox, MailboxReceiver, MailboxSender};
 use yasmin_taskgen::taskset::{build_independent, build_partitioned, IndependentSetParams};
 
@@ -262,12 +262,20 @@ fn dag_firing() {
     );
 }
 
-type Feed = (Vec<MailboxSender<ShardCmd>>, MailboxReceiver<ShardCmd>);
+/// What scenario 3's mailbox carries: the two engine calls of its loop,
+/// by value.
+#[derive(Debug, Clone, Copy)]
+enum Cmd {
+    Completed { job: JobId, at: Instant },
+    Tick { at: Instant },
+}
+
+type Feed = (Vec<MailboxSender<Cmd>>, MailboxReceiver<Cmd>);
 
 /// Scenario 3: partitioned mapping with one [`EngineShard`] per worker,
-/// every interaction fed as a [`ShardCmd`] through the lock-free
-/// mailbox — the sharded dispatch path must be allocation-free
-/// *including* the mailbox push and drain.
+/// every interaction fed as a message through the lock-free mailbox —
+/// the sharded dispatch path must be allocation-free *including* the
+/// mailbox push and drain.
 fn partitioned_sharded_mailbox() {
     const WORKERS: usize = 2;
     let ts = Arc::new(
@@ -291,7 +299,7 @@ fn partitioned_sharded_mailbox() {
         .build()
         .expect("valid config");
     let mut shards = EngineShard::build_all(&ts, &config).expect("valid shards");
-    let mut feeds: Vec<Feed> = (0..WORKERS).map(|_| mailbox::<ShardCmd>(1, 64)).collect();
+    let mut feeds: Vec<Feed> = (0..WORKERS).map(|_| mailbox::<Cmd>(1, 64)).collect();
     let mut sink = ActionSink::with_capacity(256);
     let mut running: Vec<Option<JobId>> = vec![None; WORKERS];
 
@@ -304,14 +312,18 @@ fn partitioned_sharded_mailbox() {
     let tick = shards[0].tick_period();
     let mut now = Instant::ZERO;
 
-    let feed = |shard: &mut EngineShard, feed: &mut Feed, cmd: ShardCmd, sink: &mut ActionSink| {
+    let feed = |shard: &mut EngineShard, feed: &mut Feed, cmd: Cmd, sink: &mut ActionSink| {
         let (txs, rx) = feed;
         txs[0].send(cmd).expect("lane sized for the loop");
         sink.clear();
+        let worker = shard.worker();
         while let Some(cmd) = rx.try_recv() {
-            shard
-                .process_into(cmd, sink)
-                .expect("driver protocol upheld");
+            match cmd {
+                Cmd::Completed { job, at } => shard
+                    .on_job_completed_into(worker, job, at, sink)
+                    .expect("driver protocol upheld"),
+                Cmd::Tick { at } => shard.on_tick_into(at, sink),
+            }
         }
     };
 
@@ -319,18 +331,14 @@ fn partitioned_sharded_mailbox() {
         let mid = now + tick.scale(1, 2);
         for (w, shard) in shards.iter_mut().enumerate() {
             if let Some(job) = running[w].take() {
-                let cmd = ShardCmd::JobCompleted {
-                    worker: WorkerId::new(w as u16),
-                    job,
-                    at: mid,
-                };
+                let cmd = Cmd::Completed { job, at: mid };
                 feed(shard, &mut feeds[w], cmd, &mut sink);
                 track(&mut running, sink.as_slice());
             }
         }
         now += tick;
         for (w, shard) in shards.iter_mut().enumerate() {
-            feed(shard, &mut feeds[w], ShardCmd::Tick { at: now }, &mut sink);
+            feed(shard, &mut feeds[w], Cmd::Tick { at: now }, &mut sink);
             track(&mut running, sink.as_slice());
         }
     });
@@ -827,15 +835,8 @@ fn cross_shard_outbox() {
         s0.drain_outbox_into(&mut outbox);
         for ra in outbox.drain(..) {
             sink.clear();
-            s1.process_into(
-                ShardCmd::CrossActivate {
-                    edge: ra.edge,
-                    graph_release: ra.graph_release,
-                    at: now,
-                },
-                &mut sink,
-            )
-            .expect("cross token routes");
+            s1.on_remote_token(ra.edge, ra.graph_release, now, &mut sink)
+                .expect("cross token routes");
             track(&mut running, sink.as_slice());
         }
         let j1 = running[1].take().expect("dst dispatched");
