@@ -2,10 +2,10 @@
 //!
 //! [`Simulation`] executes a task set on a modelled platform by driving
 //! the *real* scheduling engine (`yasmin_sched::OnlineEngine`) with
-//! simulated time: scheduler ticks, job completions and sporadic arrivals
-//! are events in a time-ordered queue; the engine's actions (dispatch,
-//! preempt, boost) are applied to modelled workers whose speed comes from
-//! the platform description.
+//! simulated time: scheduler ticks, job completions, sporadic arrivals
+//! and scheduled events are consumed in time order from their sources;
+//! the engine's actions (dispatch, preempt, boost) are applied to
+//! modelled workers whose speed comes from the platform description.
 //!
 //! Overheads are handled two ways at once:
 //!
@@ -159,70 +159,49 @@ impl SimConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Ev {
-    Tick,
-    Finish {
-        worker: WorkerId,
-        job: JobId,
-        gen: u64,
-    },
-    Sporadic {
-        task: TaskId,
-    },
-    ModeSwitch {
-        mode: yasmin_core::version::ExecMode,
-    },
-    /// Splice + commit a pre-validated tenant admission; `idx` indexes
-    /// [`Simulation`]'s admit-event payload table (the event itself
-    /// stays `Copy` — the merged set travels by `Arc` in the table).
-    Admit {
-        idx: usize,
-    },
+/// What orders events: (time in ns, insertion number). Every event
+/// gets the next insertion number when it is scheduled, so no two keys
+/// are equal and same-instant events run in the order they were
+/// scheduled in.
+type Key = (u64, u64);
+
+/// An event fixed before the run: [`Simulation::arm`] sorts them once.
+#[derive(Debug, Clone, Copy)]
+enum Planned {
+    /// An execution-mode switch ([`SimConfig::mode_schedule`]).
+    Mode(yasmin_core::version::ExecMode),
+    /// A message-plane event ([`SimConfig::msg_schedule`]): a high-lane
+    /// post or drain delivered to the engine at this exact instant.
+    Msg(MsgEvent),
+    /// A fault injection ([`SimConfig::fault_schedule`]).
+    Fault(FaultEvent),
+    /// Splice + commit a pre-validated tenant admission: an index into
+    /// [`Simulation`]'s admit payload table (the merged set travels by
+    /// `Arc` there).
+    Admit(usize),
     /// Quiesce an admitted tenant.
-    Retire {
-        tenant: TenantId,
-    },
-    /// A scheduled message-plane event ([`SimConfig::msg_schedule`]):
-    /// a high-lane post or drain delivered to the engine at this exact
-    /// event boundary.
-    Msg {
-        ev: MsgEvent,
-    },
-    /// A scheduled fault injection ([`SimConfig::fault_schedule`]).
-    Fault {
-        ev: FaultEvent,
-    },
+    Retire(TenantId),
+}
+
+/// An arrival created during the run. (Ordered only so that a
+/// `(Key, Arrival)` is: keys are unique, so it never decides.)
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Arrival {
+    /// The next job of a sporadic train.
+    Sporadic(TaskId),
     /// A DAG activation token a peer shard's completion routed to this
     /// one, which owns the edge's destination ([`crate::par`]).
-    Cross {
-        edge: u32,
-        graph_release: Instant,
-    },
+    Cross { edge: u32, graph_release: Instant },
 }
 
-#[derive(Debug)]
-struct QItem {
-    time: u64,
-    seq: u64,
-    ev: Ev,
-}
-
-impl PartialEq for QItem {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for QItem {}
-impl Ord for QItem {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
-impl PartialOrd for QItem {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+/// The event source holding the next event ([`Simulation::head`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Source {
+    Tick,
+    /// The running slice of this worker finishes.
+    Finish(usize),
+    Planned,
+    Arrival,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -235,6 +214,8 @@ struct Slice {
     start: Instant,
     /// Remaining reference-time work at slice start.
     remaining_ref: Duration,
+    /// When the slice finishes, unless it is preempted or crashed first.
+    finish: Key,
 }
 
 #[derive(Debug, Default, Clone)]
@@ -347,13 +328,23 @@ pub struct Simulation {
     /// steal probes and the cross-shard outbox.
     pub(crate) engine: OnlineEngine,
     cfg: SimConfig,
-    queue: BinaryHeap<Reverse<QItem>>,
+    // The event sources, merged by key in `head`: the armed tick, each
+    // worker's running slice, the planned schedule and the run-time
+    // arrivals.
+    next_tick: Option<Key>,
+    /// The running slice of each worker; its `finish` is the worker's
+    /// one pending completion.
+    slices: Vec<Option<Slice>>,
+    /// Every event fixed before the run, latest first once
+    /// [`Simulation::arm`] has sorted it: the next is the last.
+    planned: Vec<(Key, Planned)>,
+    /// Sporadic trains and cross-shard tokens.
+    arrivals: BinaryHeap<Reverse<(Key, Arrival)>>,
+    /// The last insertion number handed out.
     seq: u64,
     exec: ExecSampler,
     kernel: Option<KernelModel>,
     stress_intensity: f64,
-    slices: Vec<Option<Slice>>,
-    gens: Vec<u64>,
     /// In-flight job state (dispatched or preempted), slab-allocated.
     slab: JobSlab,
     /// Preempted jobs waiting for re-dispatch: (id, slab handle).
@@ -461,8 +452,10 @@ impl Simulation {
             exec: ExecSampler::new(sim.exec, sim.seed ^ 0xE5E5),
             kernel: sim.kernel.map(|k| KernelModel::new(k, sim.seed ^ 0x5EED)),
             stress_intensity,
+            next_tick: None,
             slices: vec![None; workers],
-            gens: vec![0; workers],
+            planned: Vec::new(),
+            arrivals: BinaryHeap::new(),
             slab: JobSlab::default(),
             suspended: Vec::new(),
             sink: ActionSink::with_capacity(workers * 2),
@@ -473,7 +466,6 @@ impl Simulation {
             overhead_ns: Samples::new(),
             worker_busy: vec![Duration::ZERO; workers],
             accel_busy: vec![Duration::ZERO; accels],
-            queue: BinaryHeap::new(),
             seq: 0,
             tick,
             horizon: Instant::ZERO + sim.horizon,
@@ -539,7 +531,7 @@ impl Simulation {
             Ok(())
         })?;
         self.last_admit_offset = offset;
-        self.push_event(Instant::ZERO + offset, Ev::Admit { idx });
+        self.plan(offset, Planned::Admit(idx));
         Ok(id)
     }
 
@@ -550,16 +542,23 @@ impl Simulation {
     /// call at an equal or later offset is analysed without the tenant.
     pub fn retire_at(&mut self, offset: Duration, tenant: TenantId) {
         self.planned_retirements.push((offset, tenant));
-        self.push_event(Instant::ZERO + offset, Ev::Retire { tenant });
+        self.plan(offset, Planned::Retire(tenant));
     }
 
-    fn push_event(&mut self, at: Instant, ev: Ev) {
+    /// The key of an event scheduled now for `at`.
+    fn key(&mut self, at: Instant) -> Key {
         self.seq += 1;
-        self.queue.push(Reverse(QItem {
-            time: at.as_nanos(),
-            seq: self.seq,
-            ev,
-        }));
+        (at.as_nanos(), self.seq)
+    }
+
+    fn plan(&mut self, offset: Duration, ev: Planned) {
+        let key = self.key(Instant::ZERO + offset);
+        self.planned.push((key, ev));
+    }
+
+    fn push_arrival(&mut self, at: Instant, arrival: Arrival) {
+        let key = self.key(at);
+        self.arrivals.push(Reverse((key, arrival)));
     }
 
     fn speed_of(&self, worker: WorkerId) -> (u64, u64) {
@@ -668,10 +667,7 @@ impl Simulation {
         if p.first_start.is_none() {
             p.first_start = Some(start);
         }
-        let wall = self.wall_time(worker, remaining);
-        let finish = start + wall;
-        self.gens[worker.index()] += 1;
-        let gen = self.gens[worker.index()];
+        let finish = self.key(start + self.wall_time(worker, remaining));
         self.slices[worker.index()] = Some(Slice {
             job: job.id,
             slot,
@@ -679,24 +675,16 @@ impl Simulation {
             version,
             start,
             remaining_ref: remaining,
-        });
-        self.push_event(
             finish,
-            Ev::Finish {
-                worker,
-                job: job.id,
-                gen,
-            },
-        );
+        });
     }
 
+    /// Takes the slice off `worker`, and with it its finish.
     fn apply_preempt(&mut self, now: Instant, worker: WorkerId, job: JobId) {
         let Some(slice) = self.slices[worker.index()].take() else {
             return;
         };
         debug_assert_eq!(slice.job, job, "engine preempted a different job");
-        // Invalidate the scheduled finish.
-        self.gens[worker.index()] += 1;
         // Progress made this slice (the slice may not have started yet if
         // `now` falls inside the dispatch-delay window).
         let elapsed = now.saturating_since(slice.start);
@@ -718,33 +706,23 @@ impl Simulation {
         }
     }
 
-    /// Books one finish event — worker busy time, accelerator time, the
-    /// job record — and returns the completion pair for the engine
-    /// call, which the event loop batches across same-timestamp
-    /// finishes. Returns `None` for a stale event (the slice was
-    /// preempted after this finish was scheduled).
-    fn settle_finish(
-        &mut self,
-        now: Instant,
-        worker: WorkerId,
-        job: JobId,
-        gen: u64,
-    ) -> Option<(WorkerId, JobId)> {
-        if self.gens[worker.index()] != gen {
-            return None; // stale event from before a preemption
-        }
-        let slice = self.slices[worker.index()]
+    /// Books the finish of `w`'s slice — worker busy time, accelerator
+    /// time, the job record — and returns the completion pair for the
+    /// engine call, which the event loop batches across same-timestamp
+    /// finishes.
+    fn settle_finish(&mut self, now: Instant, w: usize) -> (WorkerId, JobId) {
+        let slice = self.slices[w]
             .take()
-            .expect("matching generation implies an active slice");
-        debug_assert_eq!(slice.job, job);
+            .expect("a finish is a running slice's");
+        let worker = WorkerId::new(w as u16);
         let wall = now.saturating_since(slice.start);
-        self.worker_busy[worker.index()] += wall;
+        self.worker_busy[w] += wall;
         self.account_accel(&slice, wall);
 
         let (j, p) = self.slab.remove(slice.slot);
-        debug_assert_eq!(j.id, job, "slab slot tracks the finished job");
+        debug_assert_eq!(j.id, slice.job, "slab slot tracks the finished job");
         self.records.push(JobRecord {
-            job,
+            job: j.id,
             task: j.task,
             seq: j.seq,
             release: j.release,
@@ -756,7 +734,34 @@ impl Simulation {
             worker,
             preemptions: p.preemptions,
         });
-        Some((worker, job))
+        (worker, slice.job)
+    }
+
+    /// Forgets the preempted jobs a release round at `now` culls
+    /// ([`Config::cull_missed`]): those past their deadline.
+    fn forget_missed(&mut self, now: Instant) {
+        if self.engine.config().cull_missed() {
+            self.forget_culled(|_, job| job.deadline_missed_at(now));
+        }
+    }
+
+    /// Forgets the preempted jobs an engine call about to be made will
+    /// cull from the ready queue: those `culled` picks. A culled job is
+    /// never dispatched again, so it must not stay in flight here.
+    fn forget_culled(&mut self, culled: impl Fn(&OnlineEngine, &Job) -> bool) {
+        let Simulation {
+            engine,
+            slab,
+            suspended,
+            ..
+        } = self;
+        suspended.retain(|&(_, slot)| {
+            let gone = culled(engine, &slab.get_mut(slot).job);
+            if gone {
+                slab.remove(slot);
+            }
+            !gone
+        });
     }
 
     /// Delivers one scheduled fault ([`SimConfig::fault_schedule`]).
@@ -795,8 +800,6 @@ impl Simulation {
         };
         let slice = self.slices[w].take().expect("position matched");
         let worker = WorkerId::new(w as u16);
-        // Invalidate the scheduled finish.
-        self.gens[w] += 1;
         let elapsed = now.saturating_since(slice.start);
         let busy = elapsed.min(self.wall_time(worker, slice.remaining_ref));
         self.worker_busy[w] += busy;
@@ -814,16 +817,19 @@ impl Simulation {
     /// # Recurrence
     ///
     /// A schedule that recurs is simulated once and replayed. A
-    /// **recurrence boundary** is a tick popped at *t* with nothing else
-    /// in the event queue, no job in flight and the engine at a
-    /// recurrence point ([`OnlineEngine::recurrence_mark`]: quiescent,
-    /// every auto-released task due exactly at *t*); the start of a set
-    /// without release offsets is one. When the previous boundary *t₀*
-    /// is still valid — only ticks and finishes were consumed since —
-    /// the records of [*t₀*, *t*) are appended ⌊(horizon − *t*) /
-    /// (*t* − *t₀*)⌋ more times with instants, `seq` and job ids
-    /// shifted, engine counters and busy times advance by as many
-    /// cycles, and the run carries on event by event from the instant it
+    /// **recurrence boundary** is a tick consumed at *t* with no other
+    /// event pending, no job in flight and the engine at a recurrence
+    /// point ([`OnlineEngine::recurrence_mark`]: quiescent, every
+    /// auto-released task due exactly at *t*); the start of a set
+    /// without release offsets is one. Only events that will still
+    /// happen are pending: a preempted or crashed slice takes its
+    /// finish with it, so it holds back no boundary. When the previous
+    /// boundary *t₀* is still valid — only ticks and finishes were
+    /// consumed since — the records of [*t₀*, *t*) are appended
+    /// ⌊(horizon − *t*) / (*t* − *t₀*)⌋ more times, each copy the
+    /// previous one with instants, `seq` and job ids shifted by one
+    /// cycle; engine counters and busy times advance by as many cycles,
+    /// and the run carries on event by event from the instant it
     /// reached, so a horizon that is no multiple of the cycle gets its
     /// tail the ordinary way. The [`SimResult`] is the one the
     /// event-by-event loop produces, field for field, save two:
@@ -858,14 +864,14 @@ impl Simulation {
 
     fn run_folding(mut self, fold: bool) -> Result<SimResult> {
         self.arm(fold)?;
-        while self.next_key().is_some() {
-            self.step();
+        while let Some(next) = self.next() {
+            self.consume(next);
         }
         Ok(self.finish())
     }
 
-    /// Called at the start and with a tick popped at `now` off an
-    /// otherwise empty event queue. If `now` is a recurrence boundary
+    /// Called at the start and with a tick consumed at `now` while no
+    /// planned event or arrival is pending. If `now` is a recurrence boundary
     /// ([`Simulation::run`]) it becomes `self.boundary`; if the previous
     /// one is still valid, the cycle between the two is first replayed
     /// as often as fits before the horizon. Returns the instant the run
@@ -884,30 +890,33 @@ impl Simulation {
             let n = horizon.saturating_since(now).as_nanos() / cycle.as_nanos();
             at = now + cycle * n;
             if n > 0 {
-                let span = prev.records..self.records.len();
+                let len = self.records.len() - prev.records;
                 let jobs = here.job_counter - prev.engine.job_counter;
-                let seqs = |t: TaskId| {
-                    here.activation_seq[t.index()] - prev.engine.activation_seq[t.index()]
-                };
+                let seqs: Vec<u64> = here
+                    .activation_seq
+                    .iter()
+                    .zip(&prev.engine.activation_seq)
+                    .map(|(now, before)| now - before)
+                    .collect();
                 // One reservation: the copies, and the tail's records
                 // (fewer than a cycle's) when the horizon leaves one.
                 let copies = usize::try_from(n).expect("a cycle count fits the address space");
                 self.records
-                    .reserve_exact(span.len() * (copies + usize::from(at < horizon)));
-                for k in 1..=n {
-                    let dt = cycle * k;
-                    for i in span.clone() {
-                        let mut r = self.records[i];
-                        r.job = JobId::new(r.job.raw() + jobs * k);
-                        r.seq += seqs(r.task) * k;
-                        r.release += dt;
-                        r.graph_release += dt;
-                        r.first_start += dt;
-                        r.completion += dt;
+                    .reserve_exact(len * (copies + usize::from(at < horizon)));
+                // Each copy is the previous cycle's, one cycle later.
+                for _ in 0..n {
+                    let from = self.records.len() - len;
+                    self.records.extend_from_within(from..);
+                    for r in &mut self.records[from + len..] {
+                        r.job = JobId::new(r.job.raw() + jobs);
+                        r.seq += seqs[r.task.index()];
+                        r.release += cycle;
+                        r.graph_release += cycle;
+                        r.first_start += cycle;
+                        r.completion += cycle;
                         if r.abs_deadline != Instant::MAX {
-                            r.abs_deadline += dt;
+                            r.abs_deadline += cycle;
                         }
-                        self.records.push(r);
                     }
                 }
                 let busy = self.worker_busy.iter_mut().zip(&prev.worker_busy);
@@ -922,7 +931,7 @@ impl Simulation {
                     .recurrence_mark(at)
                     .expect("whole cycles later the engine stands at one again");
                 self.replayed_cycles += n;
-                self.replayed_jobs += span.len() as u64 * n;
+                self.replayed_jobs += len as u64 * n;
             }
         }
         self.boundary = Some(Boundary {
@@ -948,9 +957,9 @@ impl Simulation {
     /// Schedules a cross-shard activation token for `at`
     /// ([`crate::par`] routes a peer's outbox here).
     pub(crate) fn push_cross(&mut self, at: Instant, edge: u32, graph_release: Instant) {
-        self.push_event(
+        self.push_arrival(
             at,
-            Ev::Cross {
+            Arrival::Cross {
                 edge,
                 graph_release,
             },
@@ -980,98 +989,145 @@ impl Simulation {
             self.fold(Instant::ZERO);
         }
         self.engine_call(Instant::ZERO, |e, sink| e.start_into(Instant::ZERO, sink))?;
-        self.push_event(Instant::ZERO + self.tick, Ev::Tick);
+        self.next_tick = Some(self.key(Instant::ZERO + self.tick));
         for i in 0..self.sporadic_roots.len() {
             let (task, offset) = self.sporadic_roots[i];
-            self.push_event(Instant::ZERO + offset, Ev::Sporadic { task });
+            self.push_arrival(Instant::ZERO + offset, Arrival::Sporadic(task));
         }
         for (offset, mode) in std::mem::take(&mut self.cfg.mode_schedule) {
-            self.push_event(Instant::ZERO + offset, Ev::ModeSwitch { mode });
+            self.plan(offset, Planned::Mode(mode));
         }
         for (offset, ev) in std::mem::take(&mut self.cfg.msg_schedule) {
-            self.push_event(Instant::ZERO + offset, Ev::Msg { ev });
+            self.plan(offset, Planned::Msg(ev));
         }
         for (offset, ev) in std::mem::take(&mut self.cfg.fault_schedule) {
-            self.push_event(Instant::ZERO + offset, Ev::Fault { ev });
+            self.plan(offset, Planned::Fault(ev));
         }
+        self.planned.sort_unstable_by_key(|&(key, _)| Reverse(key));
         Ok(())
     }
 
+    /// The key and source of the next event: the least key of the armed
+    /// tick, the running slices' finishes, the next planned event and
+    /// the earliest arrival.
+    #[inline]
+    fn head(&self) -> Option<(Key, Source)> {
+        let mut head = self.next_tick.map(|key| (key, Source::Tick));
+        let mut offer = |key: Key, source: Source| {
+            if head.is_none_or(|(least, _)| key < least) {
+                head = Some((key, source));
+            }
+        };
+        for (w, slice) in self.slices.iter().enumerate() {
+            if let Some(slice) = slice {
+                offer(slice.finish, Source::Finish(w));
+            }
+        }
+        if let Some(&(key, _)) = self.planned.last() {
+            offer(key, Source::Planned);
+        }
+        if let Some(&Reverse((key, _))) = self.arrivals.peek() {
+            offer(key, Source::Arrival);
+        }
+        head
+    }
+
+    /// The next event, or `None` when the run is over: the first event
+    /// past the horizon ends it (nothing later can be earlier).
+    #[inline]
+    fn next(&self) -> Option<(Key, Source)> {
+        self.head()
+            .filter(|&((t, _), _)| Instant::from_nanos(t) <= self.horizon)
+    }
+
     /// The (time in ns, insertion number) of the next event, or `None`
-    /// when the run is over: the first event past the horizon ends it
-    /// (nothing later can be earlier).
+    /// when the run is over.
     pub(crate) fn next_key(&self) -> Option<(u64, u64)> {
-        self.queue
-            .peek()
-            .map(|Reverse(item)| (item.time, item.seq))
-            .filter(|&(t, _)| Instant::from_nanos(t) <= self.horizon)
+        self.next().map(|(key, _)| key)
     }
 
     /// Consumes the next event ([`Simulation::next_key`] must be `Some`).
-    // Inlined into both loops that call it: as a call of its own it
-    // cost the drone sweep 8 % (155 → 168 ns per job), the price of the
-    // frame of so large a function once per event.
+    // Inlined, with `consume`, into the sharded driver's loop: as a call
+    // of its own it cost the DAG runs ≈ 1.5 % (224 → 228 ns per job).
     #[inline(always)]
     pub(crate) fn step(&mut self) {
-        let Some(Reverse(item)) = self.queue.pop() else {
-            return;
-        };
-        let mut now = Instant::from_nanos(item.time);
-        if !matches!(item.ev, Ev::Tick | Ev::Finish { .. }) {
-            self.boundary = None;
+        if let Some(next) = self.head() {
+            self.consume(next);
         }
-        match item.ev {
-            Ev::Tick => {
-                if self.folding && self.queue.is_empty() {
-                    let reached = self.fold(now);
-                    if reached > now && reached == self.horizon {
-                        // The last replayed cycle's tick found the
-                        // horizon and armed no successor.
-                        return;
-                    }
-                    now = reached;
-                }
-                self.engine_call(now, |e, sink| e.on_tick_into(now, sink));
-                let next = now + self.tick;
-                // The horizon is exclusive for new releases, so runs
-                // over [0, horizon) release exactly horizon/T jobs.
-                if next < self.horizon {
-                    self.push_event(next, Ev::Tick);
-                }
-            }
-            Ev::Finish { worker, job, gen } => {
+    }
+
+    /// Consumes the event `head` answered.
+    // Inlined into `run_folding`'s loop and `step`: as a call of its own
+    // it cost the drone sweep ≈ 3 % (135 → 139 ns per job), the price of
+    // the frame of so large a function once per event.
+    #[inline(always)]
+    fn consume(&mut self, ((time, _), source): (Key, Source)) {
+        let now = Instant::from_nanos(time);
+        match source {
+            Source::Tick => self.on_tick(now),
+            Source::Finish(w) => {
                 let mut batch = std::mem::take(&mut self.finish_batch);
                 batch.clear();
-                batch.extend(self.settle_finish(now, worker, job, gen));
+                batch.push(self.settle_finish(now, w));
                 // Coalesce the consecutive run of same-timestamp
-                // finishes at the head of the event queue into one
-                // batched engine call — a burst of completions pays
-                // a single dispatch round. Only the Finish prefix is
-                // absorbed, so ordering against ticks and arrivals
-                // at the same instant is unchanged.
-                while let Some(&Reverse(QItem {
-                    time,
-                    ev: Ev::Finish { worker, job, gen },
-                    ..
-                })) = self.queue.peek()
-                {
-                    if time != item.time {
+                // finishes at the head into one batched engine call — a
+                // burst of completions pays a single dispatch round.
+                // Only the Finish prefix is absorbed, so ordering
+                // against ticks and arrivals at the same instant is
+                // unchanged.
+                while let Some(((t, _), Source::Finish(w))) = self.head() {
+                    if t != time {
                         break;
                     }
-                    self.queue.pop();
-                    batch.extend(self.settle_finish(now, worker, job, gen));
+                    batch.push(self.settle_finish(now, w));
                 }
-                if !batch.is_empty() {
-                    self.engine_call(now, |e, sink| {
-                        e.on_jobs_completed_into(&batch, now, sink)
-                            .expect("driver protocol upheld");
-                    });
-                }
+                self.engine_call(now, |e, sink| {
+                    e.on_jobs_completed_into(&batch, now, sink)
+                        .expect("driver protocol upheld");
+                });
                 self.finish_batch = batch;
             }
-            Ev::Sporadic { task } => {
-                // A retired tenant's sporadic train ends silently:
-                // no activation, no re-arm.
+            Source::Planned => {
+                self.boundary = None;
+                let (_, ev) = self.planned.pop().expect("the head is planned");
+                self.apply_planned(now, ev);
+            }
+            Source::Arrival => {
+                self.boundary = None;
+                let Reverse((_, arrival)) = self.arrivals.pop().expect("the head is an arrival");
+                self.apply_arrival(now, arrival);
+            }
+        }
+    }
+
+    /// The armed tick at `now`: first the replay, when nothing but ticks
+    /// and finishes can happen from here ([`Simulation::fold`]).
+    fn on_tick(&mut self, mut now: Instant) {
+        self.next_tick = None;
+        if self.folding && self.planned.is_empty() && self.arrivals.is_empty() {
+            let reached = self.fold(now);
+            if reached > now && reached == self.horizon {
+                // The last replayed cycle's tick found the horizon and
+                // armed no successor.
+                return;
+            }
+            now = reached;
+        }
+        self.forget_missed(now);
+        self.engine_call(now, |e, sink| e.on_tick_into(now, sink));
+        let next = now + self.tick;
+        // The horizon is exclusive for new releases, so runs over
+        // [0, horizon) release exactly horizon/T jobs.
+        if next < self.horizon {
+            self.next_tick = Some(self.key(next));
+        }
+    }
+
+    fn apply_arrival(&mut self, now: Instant, arrival: Arrival) {
+        match arrival {
+            Arrival::Sporadic(task) => {
+                // A retired tenant's sporadic train ends silently: no
+                // activation, no re-arm.
                 if self.engine.is_task_retired(task) {
                     return;
                 }
@@ -1081,11 +1137,23 @@ impl Simulation {
                 });
                 let next = now + self.sporadic_period[task.index()];
                 if next < self.horizon {
-                    self.push_event(next, Ev::Sporadic { task });
+                    self.push_arrival(next, Arrival::Sporadic(task));
                 }
             }
-            Ev::ModeSwitch { mode } => self.engine.set_mode(mode),
-            Ev::Msg { ev } => self.engine_call(now, |e, sink| {
+            Arrival::Cross {
+                edge,
+                graph_release,
+            } => self.engine_call(now, |e, sink| {
+                e.on_remote_token(edge, graph_release, now, sink)
+                    .expect("a token is routed to the shard owning its edge");
+            }),
+        }
+    }
+
+    fn apply_planned(&mut self, now: Instant, ev: Planned) {
+        match ev {
+            Planned::Mode(mode) => self.engine.set_mode(mode),
+            Planned::Msg(ev) => self.engine_call(now, |e, sink| {
                 match ev {
                     MsgEvent::HighPosted { dst, ceiling } => {
                         e.on_high_posted_into(dst, ceiling, now, sink)
@@ -1094,19 +1162,16 @@ impl Simulation {
                 }
                 .expect("scheduled message event targets a known task");
             }),
-            Ev::Fault { ev } => self.apply_fault(now, ev),
-            Ev::Cross {
-                edge,
-                graph_release,
-            } => self.engine_call(now, |e, sink| {
-                e.on_remote_token(edge, graph_release, now, sink)
-                    .expect("a token is routed to the shard owning its edge");
-            }),
-            Ev::Admit { idx } => self.apply_admit(now, idx),
-            Ev::Retire { tenant } => self.engine_call(now, |e, sink| {
-                e.retire_tenant_into(tenant, now, sink)
-                    .expect("retired tenant was admitted");
-            }),
+            Planned::Fault(ev) => self.apply_fault(now, ev),
+            Planned::Admit(idx) => self.apply_admit(now, idx),
+            Planned::Retire(tenant) => {
+                // The engine culls the tenant's ready jobs.
+                self.forget_culled(|e, job| e.tenant_of_task(job.task) == Some(tenant));
+                self.engine_call(now, |e, sink| {
+                    e.retire_tenant_into(tenant, now, sink)
+                        .expect("retired tenant was admitted");
+                });
+            }
         }
     }
 
@@ -1134,6 +1199,8 @@ impl Simulation {
                     Duration::ZERO
                 });
         }
+        // The commit runs a tick's release round, culling included.
+        self.forget_missed(now);
         self.engine_call(now, |e, sink| {
             e.commit_tenant_into(tenant, now, sink)
                 .expect("spliced tenant commits");
@@ -1144,7 +1211,7 @@ impl Simulation {
             if t.spec().kind() == ActivationKind::Sporadic && merged.in_degree(t.id()) == 0 {
                 let first = now + t.spec().release_offset();
                 if first < self.horizon {
-                    self.push_event(first, Ev::Sporadic { task: t.id() });
+                    self.push_arrival(first, Arrival::Sporadic(t.id()));
                 }
             }
         }
@@ -1425,6 +1492,130 @@ mod tests {
         let ts = simple_set(1, 10, 1);
         let err = Simulation::new(ts, edf(4), SimConfig::uniform(2, ms(10)));
         assert!(err.is_err());
+    }
+
+    fn rm(workers: usize) -> yasmin_core::config::ConfigBuilder {
+        Config::builder()
+            .workers(workers)
+            .priority(PriorityPolicy::RateMonotonic)
+    }
+
+    fn periodic_set(tasks: &[(u64, u64)]) -> Arc<TaskSet> {
+        let mut b = TaskSetBuilder::new();
+        for &(p, c) in tasks {
+            let t = b
+                .task_decl(TaskSpec::periodic(format!("t{p}"), ms(p)))
+                .unwrap();
+            b.version_decl(t, VersionSpec::new("v", ms(c))).unwrap();
+        }
+        Arc::new(b.build().unwrap())
+    }
+
+    /// Every released job is a record, culled, or unfinished: once.
+    fn assert_conserved(r: &SimResult) {
+        let s = &r.engine_stats;
+        assert_eq!(
+            s.released,
+            r.records.len() as u64 + s.culled + r.unfinished as u64,
+            "records {} culled {} unfinished {}",
+            r.records.len(),
+            s.culled,
+            r.unfinished
+        );
+    }
+
+    #[test]
+    fn a_culled_preempted_job_leaves_the_simulation() {
+        // The 97 ms task is preempted, then culled past its deadline
+        // while it waits to resume.
+        let ts = periodic_set(&[(10, 5), (20, 9), (97, 30)]);
+        let config = rm(1).cull_missed(true).build().unwrap();
+        let r = Simulation::new(ts, config, SimConfig::uniform(1, ms(400)))
+            .unwrap()
+            .run()
+            .unwrap();
+        assert_eq!(r.engine_stats.released, 65);
+        assert!(r.engine_stats.culled > 0);
+        assert_conserved(&r);
+    }
+
+    #[test]
+    fn a_retired_tenants_preempted_job_leaves_the_simulation() {
+        // t0 preempts the tenant's job at 20 ms (14 of its 20 ms done);
+        // the tenant retires at 21 ms while the job waits to resume.
+        let ts = periodic_set(&[(10, 3)]);
+        let mut sim =
+            Simulation::new(ts, rm(1).build().unwrap(), SimConfig::uniform(1, ms(50))).unwrap();
+        let tenant = sim
+            .admit_at(Duration::ZERO, &periodic_set(&[(100, 20)]), None)
+            .unwrap();
+        sim.retire_at(ms(21), tenant);
+        let r = sim.run().unwrap();
+        assert_eq!(r.engine_stats.released, 6);
+        assert_eq!(r.engine_stats.culled, 1);
+        assert_eq!(r.records.len(), 5);
+        assert_conserved(&r);
+    }
+
+    #[test]
+    fn same_instant_events_run_in_insertion_order() {
+        // At 10 ms: p's first job finishes, the tick releases its second,
+        // the sporadic s arrives and preempts it (deadline 15 < 20 ms),
+        // the mode switches and s is forced to overrun — in the order
+        // they were scheduled in, whatever their source.
+        let mut b = TaskSetBuilder::new();
+        let p = b.task_decl(TaskSpec::periodic("p", ms(10))).unwrap();
+        b.version_decl(p, VersionSpec::new("p", ms(10))).unwrap();
+        let spec = TaskSpec::sporadic("s", ms(10))
+            .with_constrained_deadline(ms(5))
+            .with_release_offset(ms(10));
+        let s = b.task_decl(spec).unwrap();
+        b.version_decl(s, VersionSpec::new("s", ms(1))).unwrap();
+        let mut cfg = SimConfig::uniform(1, ms(25));
+        cfg.mode_schedule = vec![(ms(10), yasmin_core::version::ExecMode::new(1))];
+        cfg.fault_schedule = vec![(ms(10), FaultEvent::Overrun { task: s })];
+        let ts = Arc::new(b.build().unwrap());
+        let mut sim = Simulation::new(ts, edf(1), cfg).unwrap();
+        sim.arm(false).unwrap();
+        let mut consumed = Vec::new();
+        while let Some(((t, seq), source)) = sim.head() {
+            if Instant::from_nanos(t) > sim.horizon {
+                break;
+            }
+            consumed.push((t / 1_000_000, seq, source));
+            sim.step();
+        }
+        use Source::{Arrival, Finish, Planned, Tick};
+        let at_10: Vec<_> = consumed.iter().filter(|c| c.0 == 10).collect();
+        assert_eq!(
+            at_10.iter().map(|c| c.2).collect::<Vec<_>>(),
+            [Finish(0), Tick, Arrival, Planned, Planned],
+            "{consumed:?}"
+        );
+        assert!(at_10.windows(2).all(|w| w[0].1 < w[1].1), "{consumed:?}");
+        // p's preempted slice would have finished at 20 ms; only the
+        // tick and s's next arrival happen then, and p finishes at 21.
+        let times: Vec<_> = consumed.iter().map(|c| (c.0, c.2)).collect();
+        assert_eq!(
+            times,
+            [
+                (10, Finish(0)),
+                (10, Tick),
+                (10, Arrival),
+                (10, Planned),
+                (10, Planned),
+                (11, Finish(0)),
+                (20, Tick),
+                (20, Arrival),
+                (21, Finish(0)),
+                (22, Finish(0)),
+            ]
+        );
+        let r = sim.finish();
+        assert_eq!(r.engine_stats.preempted, 1);
+        assert_eq!(r.engine_stats.overruns, 1);
+        assert_eq!(r.records.len(), 4);
+        assert_eq!(r.records[2].preemptions, 1);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use yasmin_core::config::{Config, MappingScheme, VersionPolicy};
 use yasmin_core::graph::{TaskSet, TaskSetBuilder};
 use yasmin_core::ids::{TaskId, WorkerId};
-use yasmin_core::platform::PlatformSpec;
+use yasmin_core::platform::{CoreClass, PlatformSpec};
 use yasmin_core::priority::{Priority, PriorityPolicy};
 use yasmin_core::task::TaskSpec;
 use yasmin_core::time::Duration;
@@ -46,9 +46,13 @@ enum Shape {
     Msg,
     Admit,
     AdmitRetire,
+    /// Preemptive and global on [`big_little`]: a job preempted on the
+    /// LITTLE core may finish on a big one before its slice would have
+    /// ended, and a job preempted on a big one resumes slower.
+    Migrate,
 }
 
-const SHAPES: [Shape; 9] = [
+const SHAPES: [Shape; 10] = [
     Shape::Plain,
     Shape::Hetero,
     Shape::Overloaded,
@@ -58,7 +62,16 @@ const SHAPES: [Shape; 9] = [
     Shape::Msg,
     Shape::Admit,
     Shape::AdmitRetire,
+    Shape::Migrate,
 ];
+
+/// Worker 0 on a core at 0.4× the reference speed, the others at 1×.
+fn big_little(workers: usize) -> PlatformSpec {
+    let classes = vec![CoreClass::new("big", 1, 1), CoreClass::new("LITTLE", 2, 5)];
+    let mut cores = vec![0; workers];
+    cores[0] = 1;
+    PlatformSpec::new("big.LITTLE", classes, cores)
+}
 
 #[derive(Debug, Clone, Copy)]
 struct Case {
@@ -150,8 +163,10 @@ impl Case {
         }
         let horizon = ms(self.cycles * HYPERPERIOD_MS + self.tail_ms);
         let mut sim = SimConfig::uniform(self.workers, horizon);
-        if self.shape == Shape::Hetero {
-            sim.platform = PlatformSpec::odroid_xu4();
+        match self.shape {
+            Shape::Hetero => sim.platform = PlatformSpec::odroid_xu4(),
+            Shape::Migrate => sim.platform = big_little(self.workers),
+            _ => {}
         }
         // The one scheduled event: somewhere in the first two
         // hyperperiods, on or off a tick.
@@ -222,6 +237,7 @@ proptest! {
         tail_ms in 0u64..HYPERPERIOD_MS,
         whole in any::<bool>(),
     ) {
+        let migrate = SHAPES[shape] == Shape::Migrate;
         let case = Case {
             shape: SHAPES[shape],
             seed,
@@ -230,9 +246,9 @@ proptest! {
                 PriorityPolicy::RateMonotonic,
                 PriorityPolicy::DeadlineMonotonic,
             ][policy],
-            preemptive,
-            partitioned,
-            workers,
+            preemptive: preemptive || migrate,
+            partitioned: partitioned && !migrate,
+            workers: if migrate { workers.max(2) } else { workers },
             tasks,
             cycles,
             tail_ms: if whole { 0 } else { tail_ms },
@@ -251,7 +267,7 @@ proptest! {
             Shape::Plain | Shape::Fault | Shape::Mode | Shape::Msg | Shape::AdmitRetire => {
                 prop_assert!(folded.replayed_cycles > 0, "{:?}", case);
             }
-            Shape::Hetero | Shape::Admit => {}
+            Shape::Hetero | Shape::Admit | Shape::Migrate => {}
         }
         if folded.replayed_cycles > 0 {
             prop_assert!(folded.replayed_jobs > 0, "{:?}", case);
@@ -338,6 +354,31 @@ fn no_cycle_is_replayed_across_a_scheduled_event() {
     // and voids the start; 40 and 60 ms are the next two clean ones,
     // and the seven cycles left are replayed from there.
     assert_eq!(folded.replayed_cycles, 7);
+}
+
+#[test]
+fn a_slice_preempted_before_its_end_holds_back_no_boundary() {
+    // A 100 ms cycle in which a job preempted on the LITTLE core resumes
+    // on the big one and finishes within the cycle, where its first
+    // slice would have ended after the cycle's end. While that slice's
+    // finish stayed pending, it held back every boundary and nothing
+    // was replayed.
+    let case = Case {
+        shape: Shape::Migrate,
+        seed: 16_332_089_260_941_435_463,
+        policy: PriorityPolicy::RateMonotonic,
+        preemptive: true,
+        partitioned: false,
+        workers: 2,
+        tasks: 5,
+        cycles: 5,
+        tail_ms: 23,
+    };
+    let folded = case.simulation().run().unwrap();
+    let reference = case.simulation().run_event_by_event().unwrap();
+    assert_same(&case, &folded, &reference);
+    assert!(folded.records.iter().any(|r| r.preemptions > 0));
+    assert_eq!(folded.replayed_cycles, 9);
 }
 
 #[test]

@@ -5,8 +5,8 @@
 //! (`yasmin-sched`) with virtual time, so every experiment exercises
 //! production scheduling code on a modelled platform:
 //!
-//! * [`engine`] — the DES driver ([`engine::Simulation`]): event queue,
-//!   modelled workers with per-core speeds, preemption progress tracking,
+//! * [`engine`] — the DES driver ([`engine::Simulation`]): event sources
+//!   merged in time order, modelled workers with per-core speeds, preemption progress tracking,
 //!   measured + modelled overheads, energy accounting;
 //! * [`exec`] — execution-time models (WCET, uniform fraction);
 //! * [`kernel`] — wake-up-latency models of the kernels in Table 2

@@ -152,7 +152,7 @@ fn par_driver_matches_single_thread_generated_periodic() {
 fn par_driver_matches_single_thread_with_sporadics_on_the_tick_grid() {
     // Sporadic offsets and WCETs exactly on the 10 ms tick grid: every
     // arrival ties with a tick, and some with a completion. Each shard
-    // arms its own sporadic train in its own event queue, so the tie
+    // arms its own sporadic train among its own events, so the tie
     // breaks by insertion order exactly as in the single simulation.
     let mut b = TaskSetBuilder::new();
     for w in 0..2u16 {
