@@ -54,8 +54,9 @@ pub enum SchedulerClass {
 pub enum WaitChoice {
     /// Sleep in the kernel (default; hardly timing-analysable). A thread
     /// runtime's owner arms its timed park ahead of the tick edge by the
-    /// wake-up lateness its own parks have shown, so the sleep ends at
-    /// the edge rather than that much after it; nothing is scheduled
+    /// lower quartile of the wake-up lateness its own parks have shown,
+    /// so the sleep ends near the edge rather than that much after it
+    /// (and spins the rest when it ends ahead); nothing is scheduled
     /// ahead of its edge (`yasmin_rt::owner`, "The tick edge").
     #[default]
     Sleep,

@@ -92,23 +92,23 @@
 //!
 //! # The tick edge
 //!
-//! A timed park returns late, and on a given host most of that lateness
-//! is the same every time (some 100 µs of a 10 ms park where this was
-//! written). An owner measures it — `woke − armed` of its own parks
+//! A timed park returns late, by an amount that spreads from one park
+//! to the next. An owner measures it — `woke − armed` of its own parks
 //! that ran into their timeout (`Owner::woke`), the last 64 of them,
 //! in a `yasmin_sync::wait::TimerLead` — and `step` arms the next park
-//! *early* by the smallest value seen (at most `TimerLead::CAP`, and at
-//! most an eighth of a tick): the park then ends at or just after the
-//! edge, and nothing is spun away. A host whose timer is on time
-//! teaches a lead of zero.
+//! *early* by their lower quartile (at most `TimerLead::CAP`, and at
+//! most an eighth of a tick). About three parks in four then end at or
+//! just after the edge; the fourth ends a few µs ahead of it, and the
+//! owner spins the rest. A host whose timer is on time teaches a lead
+//! of zero.
 //!
 //! The lead moves the *wake-up*, never the schedule: a tick round runs
 //! only once the clock has reached its edge, so the engine sees the
-//! same instants as without it. An owner that is nevertheless idle
-//! inside `[edge − lead, edge)` — its park ended sooner than any of
-//! the last 64, or its last job did — gets `Next::SpinTo` that edge:
-//! its thread polls what a park's re-check polls, so a command that
-//! lands there is served at once. [`TickStats`], one per owner in
+//! same instants as without it. An owner idle inside
+//! `[edge − lead, edge)` — its park ended inside the lead, or its last
+//! job did — gets `Next::SpinTo` that edge: its thread polls what a
+//! park's re-check polls, so a command that lands there is served at
+//! once. [`TickStats`], one per owner in
 //! [`crate::RuntimeReport::tick_stats`], says what came of it. A pass
 //! that finds completions *and* a due tick coalesces both into **one**
 //! engine round ([`OnlineEngine::advance_into`]).

@@ -954,14 +954,18 @@ fn edge(k: u64) -> Instant {
 
 #[test]
 fn a_command_inside_the_lead_is_served_before_the_edge() {
-    // Eight parks teach the lead their smallest lateness, 99 µs. The
+    // Eight parks teach the lead their lower quartile, 120 µs. The
     // ninth, armed that much early, ends on its edge. The tenth returns
-    // after 60 µs only: 39 µs ahead of edge 10 and inside the new lead
-    // of 60 µs, so the owner spins — and an activation that lands 20 µs
-    // ahead of the edge is applied at that instant.
-    let (mut world, a) = ticking_alone(&[130, 99, 167, 120, 126, 140, 111, 150, 99, 60], 60);
+    // after 60 µs only: 60 µs ahead of edge 10 and inside the lead, so
+    // the owner spins — and an activation that lands 20 µs ahead of the
+    // edge is applied at that instant.
+    let (mut world, a) = ticking_alone(&[130, 99, 167, 120, 126, 140, 111, 150, 120, 60], 60);
     world.run_until(edge(8) + us(1_000));
-    assert_eq!(world.owners[0].lead(), us(99), "the window's minimum");
+    assert_eq!(
+        world.owners[0].lead(),
+        us(120),
+        "the window's lower quartile"
+    );
     world.run_until(edge(9) + us(1_000));
     assert_eq!(
         world.owners[0].late.max, 167_000,
@@ -979,14 +983,15 @@ fn a_command_inside_the_lead_is_served_before_the_edge() {
     assert_eq!(ran[0].job.release, sent, "applied when it arrived");
     assert_eq!(ran[0].started, sent, "and started then: ahead of the edge");
     let ticks = world.finish()[0].ticks;
-    // Spun from 39 µs ahead of the edge to the command, and again from
+    // Spun from 60 µs ahead of the edge to the command, and again from
     // the end of `a`'s 5 µs to the edge.
     assert_eq!(
         (ticks.early_wakes, ticks.spin_ns),
-        (2, 19_000 + 15_000),
+        (2, 40_000 + 15_000),
         "{ticks:?}"
     );
-    assert_eq!(ticks.lead_ns, 60_000);
+    // 60 99 [111] 120 120 …: the tenth sample moved the lead one rank.
+    assert_eq!(ticks.lead_ns, 111_000);
     assert_eq!(
         ticks.edges, 10,
         "and no round ahead of its edge: `tick_rounds_kept_to`"
@@ -1027,6 +1032,38 @@ fn the_lead_is_bounded_and_cheap() {
     let (capped, _) = run(4_000);
     assert_eq!(capped.lead_ns, TimerLead::CAP.as_nanos());
     assert_eq!(capped.late_max_ns, 4_000_000);
+}
+
+#[test]
+fn a_quarter_of_the_parks_end_early_and_spin_to_their_edge() {
+    // Parks return 160, 140, 120, 100 µs late, over and over. Eight
+    // teach a lead of 120 µs, the lower quartile, and it stays there:
+    // every window holds as many 100s as its rank, never more. From
+    // edge 9 on, the 120s end on their edge, the 140s and 160s 20 and
+    // 40 µs past it, and the 100s — a quarter — 20 µs ahead, spun away.
+    let cycle = [160, 140, 120, 100];
+    let script: Vec<u64> = (0..100).map(|k| cycle[k % 4]).collect();
+    let (mut world, _) = ticking_alone(&script, 0);
+    for k in 8..=72 {
+        world.run_until(edge(k) + us(1_000));
+        assert_eq!(world.owners[0].lead(), us(120), "after edge {k}");
+    }
+    world.at(edge(72) + us(10_000), Cmd::Shutdown);
+    world.run();
+    let ticks = world.finish()[0].ticks;
+    assert_eq!((ticks.edges, ticks.lead_ns), (72, 120_000));
+    assert_eq!(
+        (ticks.early_wakes, ticks.spin_ns),
+        (64 / 4, 64 / 4 * 20_000),
+        "{ticks:?}"
+    );
+    // After the warm-up half the rounds begin on their edge, a quarter
+    // 20 µs late and a quarter 40 µs; with the warm-up's eight late
+    // ones the median is the 20 µs residual.
+    let mut residual = LateHist::new();
+    residual.record(us(20));
+    assert_eq!(ticks.late_p50_ns, residual.median());
+    assert_eq!(ticks.late_max_ns, 160_000, "a warm-up round");
 }
 
 #[test]

@@ -130,10 +130,12 @@ pub struct TickStats {
     /// edge its timed park was armed.
     pub lead_ns: u64,
     /// Times the owner found itself idle inside the lead and spun to
-    /// the edge — its park ended earlier than the lead had learned, or
-    /// its last job did.
+    /// the edge — its park ended inside the lead, or its last job did.
+    /// The lead is the lower quartile of the park lateness, so about a
+    /// quarter of the edges of an owner that parks between them.
     pub early_wakes: u64,
-    /// Total time spent in those spins.
+    /// Total time spent in those spins: a few µs per early wake, the
+    /// part of the lead its park did not sleep through.
     pub spin_ns: u64,
 }
 

@@ -6,11 +6,12 @@
 //! at the cost of potential energy waste" (§3.5). The scheduler thread and
 //! idle workers wait for their next activation through this module.
 //!
-//! A kernel sleep wakes *late*, and most of that lateness is the same
-//! from one sleep to the next (timer slack plus the way back onto a
-//! core). [`TimerLead`] learns that floor from the sleeps themselves, so
-//! a sleeper can arm its timer early by it and wake on time without
-//! spinning.
+//! A kernel sleep wakes *late*: timer slack plus the way back onto a
+//! core, by an amount that varies from one sleep to the next.
+//! [`TimerLead`] learns that lateness from the sleeps themselves, so a
+//! sleeper can arm its timer early by its lower quartile: most sleeps
+//! then end just past the target, and the rest end a little before it
+//! and spin the difference away.
 
 use std::time::{Duration as StdDuration, Instant as StdInstant};
 use yasmin_core::time::{Duration, Instant};
@@ -67,16 +68,20 @@ pub fn wait_for(mode: WaitMode, d: StdDuration) -> StdDuration {
     wait_until(mode, StdInstant::now() + d)
 }
 
-/// How early to arm a timed sleep so that it ends on time: the smallest
-/// wake-up lateness of the last [`TimerLead::WINDOW`] sleeps that ran
-/// into their timeout.
+/// How early to arm a timed sleep so that it ends on time: the lower
+/// quartile of the wake-up lateness of the last [`TimerLead::WINDOW`]
+/// sleeps that ran into their timeout.
 ///
-/// The minimum, not a mean: a sleep armed at `target − lead` then wakes
-/// at or after `target` as long as the host is no quicker than it has
-/// been over the window, and nothing has to be spun away. When the host
-/// does get quicker the sleeper finds itself early by
-/// `lead − new lateness` once, and that sleep's sample lowers the lead
-/// for the next. A host whose timer is on time teaches a lead of zero.
+/// The lower quartile, not the minimum: lateness spreads by tens of µs
+/// between its quickest tenth and its median, so a lead at the floor
+/// leaves a typical sleep ending that spread past its target, and one
+/// unusually quick wake-up holds the lead down for a whole window. A
+/// sleep armed at `target − lead` instead wakes early about one time in
+/// four, by a few µs, which the sleeper spins away; the other three end
+/// closer to the target than a floor would let them. A single quick
+/// sample moves the lead by one rank only, and a lasting drop in
+/// lateness is followed within `WINDOW / 4 + 1` samples. A host whose
+/// timer is on time teaches a lead of zero.
 ///
 /// Pure state over a fixed array: no clock, no allocation, no thread.
 #[derive(Clone, Debug)]
@@ -121,16 +126,19 @@ impl TimerLead {
         self.held = (self.held + 1).min(Self::WINDOW);
     }
 
-    /// How early to arm the next sleep: the window minimum, at most
+    /// How early to arm the next sleep: the sample at ascending rank
+    /// `held / 4` (the 17th smallest of a full window), at most
     /// [`TimerLead::CAP`]; zero until [`TimerLead::WARM_UP`] samples
-    /// exist.
+    /// exist. Selects on a stack copy of the ring: O(`WINDOW`), no
+    /// allocation.
     #[must_use]
     pub fn lead(&self) -> Duration {
         if self.held < Self::WARM_UP {
             return Duration::ZERO;
         }
-        let floor = self.late[..self.held].iter().copied().min();
-        floor.map_or(Duration::ZERO, |d| d.min(Self::CAP))
+        let mut late = self.late;
+        let (_, &mut quartile, _) = late[..self.held].select_nth_unstable(self.held / 4);
+        quartile.min(Self::CAP)
     }
 }
 
@@ -225,48 +233,84 @@ mod tests {
         lead.observe(armed, armed + Duration::from_micros(late_us), true);
     }
 
+    /// Feeds a full window of `late_us`.
+    fn fill(lead: &mut TimerLead, late_us: u64) {
+        for _ in 0..TimerLead::WINDOW {
+            timed_out(lead, late_us);
+        }
+    }
+
     #[test]
-    fn lead_is_the_window_minimum_once_warm() {
+    fn lead_is_the_window_lower_quartile_once_warm() {
         let mut lead = TimerLead::new();
         for late in [130, 99, 167, 120, 126, 140, 111] {
             timed_out(&mut lead, late);
             assert_eq!(lead.lead(), Duration::ZERO, "7 samples or fewer");
         }
+        // 99 111 [120] 126 130 140 150 167: rank 8 / 4 = 2.
         timed_out(&mut lead, 150);
-        assert_eq!(lead.lead(), Duration::from_micros(99));
+        assert_eq!(lead.lead(), Duration::from_micros(120));
+        // 99 104 [111] 120 …: still rank 2 of 9.
         timed_out(&mut lead, 104);
-        assert_eq!(lead.lead(), Duration::from_micros(99));
+        assert_eq!(lead.lead(), Duration::from_micros(111));
+        // A full window of 1..=64 µs in any order: the 17th smallest.
+        for late in (1..=64).rev() {
+            timed_out(&mut lead, late * 37 % 64 + 1);
+        }
+        assert_eq!(lead.lead(), Duration::from_micros(17));
     }
 
     #[test]
-    fn lead_forgets_a_low_sample_after_a_window_of_others() {
+    fn lead_ignores_one_quick_wake() {
+        // The minimum would sit at 10 µs for the next 64 sleeps, each
+        // of them then ending 110 µs past its target.
         let mut lead = TimerLead::new();
-        timed_out(&mut lead, 40);
-        for _ in 0..TimerLead::WINDOW - 1 {
+        fill(&mut lead, 120);
+        timed_out(&mut lead, 10);
+        assert_eq!(lead.lead(), Duration::from_micros(120));
+        // Nor does it while the window is still filling.
+        let mut warm = TimerLead::new();
+        for late in [120, 120, 10, 120, 120, 120, 120, 120] {
+            timed_out(&mut warm, late);
+        }
+        assert_eq!(warm.lead(), Duration::from_micros(120));
+    }
+
+    #[test]
+    fn lead_forgets_low_samples_after_a_window_of_others() {
+        // A quarter of the window and one more low: they hold the lead.
+        let mut lead = TimerLead::new();
+        for _ in 0..TimerLead::WINDOW / 4 + 1 {
+            timed_out(&mut lead, 40);
+        }
+        for _ in TimerLead::WINDOW / 4 + 1..TimerLead::WINDOW {
             timed_out(&mut lead, 120);
-            // Not yet: the low sample is still among the last 64.
         }
         assert_eq!(lead.lead(), Duration::from_micros(40));
+        // The oldest is overwritten: a quarter is not enough.
         timed_out(&mut lead, 125);
         assert_eq!(lead.lead(), Duration::from_micros(120));
     }
 
     #[test]
-    fn lead_follows_a_drop_within_one_sample() {
+    fn lead_follows_a_drop_within_a_quarter_window() {
         // A sleeper armed at `target − lead` that wakes `late` after
-        // `armed` is early by `lead − late`: once, for the sample that
-        // shows the drop also ends it.
+        // `armed` is early by `lead − late` and spins it away, until a
+        // quarter of the window shows the drop.
         let mut lead = TimerLead::new();
-        for _ in 0..TimerLead::WINDOW {
-            timed_out(&mut lead, 120);
+        fill(&mut lead, 120);
+        for _ in 0..TimerLead::WINDOW / 4 {
+            timed_out(&mut lead, 30);
+            assert_eq!(lead.lead(), Duration::from_micros(120));
         }
-        let old = lead.lead();
-        assert_eq!(old, Duration::from_micros(120));
         timed_out(&mut lead, 30);
-        let early_once = old - Duration::from_micros(30);
-        assert_eq!(early_once, Duration::from_micros(90));
         assert_eq!(lead.lead(), Duration::from_micros(30));
-        // A host whose timer turns out to be on time: no lead at all.
+        // A host whose timer turns out to be on time: no lead at all,
+        // just as soon.
+        for _ in 0..TimerLead::WINDOW / 4 {
+            timed_out(&mut lead, 0);
+        }
+        assert_eq!(lead.lead(), Duration::from_micros(30));
         timed_out(&mut lead, 0);
         assert_eq!(lead.lead(), Duration::ZERO);
     }

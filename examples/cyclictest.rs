@@ -57,20 +57,28 @@ fn yasmin_managed(
 }
 
 /// How each owner met its tick edges — what is left of the latency
-/// above once the timed park is armed early by the lateness it shows —
-/// and what it gave to and took from its peers (nothing here: one owner
-/// has no peer to steal from).
+/// above once the timed park is armed early by the lateness it shows,
+/// and what the early quarter of the parks spun — and what it gave to
+/// and took from its peers (nothing here: one owner has no peer to
+/// steal from). Exits with status 1 if an owner met no edge at all.
 fn print_owner_stats(owners: &[(TickStats, StealStats)]) {
     for (i, (t, s)) in owners.iter().enumerate() {
+        if t.edges == 0 {
+            eprintln!("owner {i} ran no tick round: {t:?}");
+            std::process::exit(1);
+        }
+        let edges = t.edges as f64;
         println!(
             "    owner {i}: {} edges, late p50 {:.0} µs / max {:.0} µs, lead {:.0} µs, \
-             {} early wakes, {:.0} µs spun",
+             {} early wakes ({:.0} % of edges), {:.0} µs spun ({:.2} µs per edge)",
             t.edges,
             t.late_p50_ns as f64 / 1e3,
             t.late_max_ns as f64 / 1e3,
             t.lead_ns as f64 / 1e3,
             t.early_wakes,
+            100.0 * t.early_wakes as f64 / edges,
             t.spin_ns as f64 / 1e3,
+            t.spin_ns as f64 / 1e3 / edges,
         );
         println!(
             "             {} jobs shelved, {} of them taken; {} claims took {} jobs, \
