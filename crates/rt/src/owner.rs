@@ -1029,10 +1029,8 @@ impl<C: Clock> Owner<C> {
     /// long that round took.
     pub(crate) fn start(&mut self) -> Next {
         let t0 = self.clock.now();
-        self.engine
-            .start_into(t0, &mut self.sink)
+        self.engine_call(|o| o.engine.start_into(t0, &mut o.sink))
             .expect("fresh engine starts");
-        self.settle_round();
         self.next_tick = t0 + self.tick;
         self.next_job.take().unwrap_or_else(|| self.step())
     }
@@ -1080,12 +1078,12 @@ impl<C: Clock> Owner<C> {
         }
         // No tick due: the completions retire in a round of their own.
         if !self.done.is_empty() {
-            self.sink.clear();
-            self.engine
-                .on_jobs_completed_into(&self.done, self.last_done, &mut self.sink)
-                .expect("completion protocol upheld");
+            self.engine_call(|o| {
+                o.engine
+                    .on_jobs_completed_into(&o.done, o.last_done, &mut o.sink)
+            })
+            .expect("completion protocol upheld");
             self.done.clear();
-            self.settle_round();
         }
         // Fully idle (empty queue, no job, drained mailbox): take from
         // the shelf of the most loaded peer that has one filled.
@@ -1104,14 +1102,28 @@ impl<C: Clock> Owner<C> {
         local.posts.pop_front().or_else(|| local.rx.try_recv())
     }
 
+    /// One engine round: `f` makes the engine call on the cleared sink,
+    /// and what the call left is settled ([`Owner::settle_round`]) —
+    /// unless the engine refused it, which leaves nothing.
+    fn engine_call(&mut self, f: impl FnOnce(&mut Self) -> Result<()>) -> Result<()> {
+        self.sink.clear();
+        let out = f(self);
+        if out.is_ok() {
+            self.settle_round();
+        }
+        out
+    }
+
     /// Everything an engine round leaves behind: a dispatch becomes
     /// this thread's next job or goes to its slot's helper, cross-shard
     /// tokens route to their owning peers, and — only when anyone
-    /// probes it — the advisory load is republished.
+    /// probes it — the advisory load is republished. The other actions
+    /// need nothing from a thread: a `Boost` is priority bookkeeping,
+    /// and with preemption refused at build no job is ever preempted,
+    /// so there is no `Preempt`, and a `Cull` finds no paused job to
+    /// drop — a culled job never left the engine's ready queue.
     fn settle_round(&mut self) {
         for &a in self.sink.as_slice() {
-            // Boost actions are priority bookkeeping only; preemption
-            // is disabled, so Preempt cannot occur.
             let Action::Dispatch {
                 worker: slot,
                 job,
@@ -1155,12 +1167,9 @@ impl<C: Clock> Owner<C> {
     fn tick_round(&mut self, at: Instant, now: Instant) {
         debug_assert!(now >= self.next_tick, "a tick round ahead of its edge");
         self.late.record(now.saturating_since(self.next_tick));
-        self.sink.clear();
-        self.engine
-            .advance_into(&self.done, at, &mut self.sink)
+        self.engine_call(|o| o.engine.advance_into(&o.done, at, &mut o.sink))
             .expect("completion protocol upheld");
         self.done.clear();
-        self.settle_round();
         // Age the donation history once per tick, from one shard only
         // (every shard halving it would decay n times faster than
         // intended). "Recent donor" then means "donated within the
@@ -1180,11 +1189,11 @@ impl<C: Clock> Owner<C> {
             // Rare by construction: retired alone through the failure
             // path (successors are policy-gated there).
             JobOutcome::Failed => {
-                self.sink.clear();
-                self.engine
-                    .on_job_failed_into(r.worker, r.job.id, r.completed, &mut self.sink)
-                    .expect("failure protocol upheld");
-                self.settle_round();
+                self.engine_call(|o| {
+                    o.engine
+                        .on_job_failed_into(r.worker, r.job.id, r.completed, &mut o.sink)
+                })
+                .expect("failure protocol upheld");
             }
         }
     }
@@ -1198,25 +1207,26 @@ impl<C: Clock> Owner<C> {
         if self.shutting_down && !matches!(msg, ShardMsg::DrainFlush { .. } | ShardMsg::DrainAck) {
             self.peers.clear_drained(self.me);
         }
-        self.sink.clear();
-        let applied = match msg {
-            ShardMsg::Done(record) => return self.job_done(record),
+        match msg {
+            ShardMsg::Done(record) => self.job_done(record),
             ShardMsg::Activate(task) => {
                 let now = self.clock.now();
-                self.engine.activate_into(task, now, &mut self.sink).is_ok()
+                // An activation the engine refuses is dropped.
+                let _ = self.engine_call(|o| o.engine.activate_into(task, now, &mut o.sink));
             }
             ShardMsg::CrossActivate {
                 edge,
                 graph_release,
             } => {
                 let now = self.clock.now();
-                self.engine
-                    .on_remote_token(edge, graph_release, now, &mut self.sink)
-                    .expect("cross-shard token routed to the owning shard");
-                true
+                self.engine_call(|o| {
+                    o.engine
+                        .on_remote_token(edge, graph_release, now, &mut o.sink)
+                })
+                .expect("cross-shard token routed to the owning shard");
             }
             ShardMsg::MsgHigh { dst, .. } | ShardMsg::MsgDrained { dst } => {
-                return self.msg_event(dst, msg)
+                self.msg_event(dst, msg);
             }
             ShardMsg::Admit {
                 taskset,
@@ -1236,44 +1246,34 @@ impl<C: Clock> Owner<C> {
                 if let Some(ack) = ack {
                     ack.fetch_sub(1, Ordering::AcqRel);
                 }
-                false
             }
             // A commit racing a `stop()` is refused by the engine
             // (`ScheduleNotRunning`) — the schedule is ending anyway,
             // so the tenant simply never starts.
             ShardMsg::Commit { tenant } => {
                 let (edge, now) = (self.next_tick, self.clock.now());
-                self.engine
-                    .commit_tenant_anchored_into(tenant, edge, now, &mut self.sink)
-                    .is_ok()
+                let _ = self.engine_call(|o| {
+                    o.engine
+                        .commit_tenant_anchored_into(tenant, edge, now, &mut o.sink)
+                });
             }
             ShardMsg::Retire { tenant, at } => {
-                self.engine
-                    .retire_tenant_into(tenant, at, &mut self.sink)
+                self.engine_call(|o| o.engine.retire_tenant_into(tenant, at, &mut o.sink))
                     .expect("retirement validated by the retiring thread");
-                true
             }
             ShardMsg::Stop | ShardMsg::Shutdown => {
                 // Shutdown implies stop: the drain terminates only once
                 // releases cease.
                 self.engine.stop();
                 self.shutting_down |= matches!(msg, ShardMsg::Shutdown);
-                false
             }
             ShardMsg::DrainFlush { from } => {
                 // The flush rode the FIFO peer lane behind every token
                 // `from` routed here before quiescing; acking it proves
                 // all of them have been received.
                 self.peers.send(from, ShardMsg::DrainAck);
-                false
             }
-            ShardMsg::DrainAck => {
-                self.drain_acks += 1;
-                false
-            }
-        };
-        if applied {
-            self.settle_round();
+            ShardMsg::DrainAck => self.drain_acks += 1,
         }
     }
 
@@ -1284,20 +1284,16 @@ impl<C: Clock> Owner<C> {
     fn msg_event(&mut self, dst: TaskId, msg: ShardMsg) {
         let sharded = self.engine.shard_worker().is_some();
         match owner_of(self.engine.taskset(), sharded, dst) {
-            Ok(o) if o == self.me => {
+            Ok(owner) if owner == self.me => {
                 let at = self.clock.now();
-                let applied = match msg {
+                let _ = self.engine_call(|o| match msg {
                     ShardMsg::MsgHigh { ceiling, .. } => {
-                        self.engine
-                            .on_high_posted_into(dst, ceiling, at, &mut self.sink)
+                        o.engine.on_high_posted_into(dst, ceiling, at, &mut o.sink)
                     }
-                    _ => self.engine.on_high_drained_into(dst, at, &mut self.sink),
-                };
-                if applied.is_ok() {
-                    self.settle_round();
-                }
+                    _ => o.engine.on_high_drained_into(dst, at, &mut o.sink),
+                });
             }
-            Ok(o) => self.peers.send(o, msg),
+            Ok(owner) => self.peers.send(owner, msg),
             Err(_) => {}
         }
     }
@@ -1354,12 +1350,12 @@ impl<C: Clock> Owner<C> {
         }
         self.report.steals.claims += 1;
         self.report.steals.jobs_claimed += self.steal_batch.len() as u64;
-        self.sink.clear();
         let now = self.clock.now();
-        self.engine
-            .adopt_stolen_batch(self.steal_batch.as_slice(), now, &mut self.sink)
-            .expect("a shelf holds its own shard's jobs only");
-        self.settle_round();
+        self.engine_call(|o| {
+            o.engine
+                .adopt_stolen_batch(o.steal_batch.as_slice(), now, &mut o.sink)
+        })
+        .expect("a shelf holds its own shard's jobs only");
         true
     }
 
@@ -2665,7 +2661,8 @@ mod tests {
             // Taken once the bodies in flight have let go of it.
             let rt = slot.write().unwrap().take().unwrap();
             let stats = rt.cleanup().engine_stats;
-            assert_eq!(stats.released, stats.completed);
+            // A tenant retired while its first job waited culls it.
+            assert_eq!(stats.released, stats.completed + stats.culled);
             (activated.load(Ordering::SeqCst), ran.load(Ordering::SeqCst))
         });
         assert!(activated >= 3 * PER_JOB, "only {activated} activations");

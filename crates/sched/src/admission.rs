@@ -828,7 +828,7 @@ impl TenantLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::OnlineEngine;
+    use crate::engine::{Action, OnlineEngine};
     use crate::server::ServerKind;
     use crate::sink::ActionSink;
     use yasmin_core::config::Config;
@@ -1161,7 +1161,14 @@ mod tests {
         // one dispatch and one job left ready.
         assert_eq!(engine.ready_len(), 1);
 
+        // Retiring culls the guest's ready job and reports each cull.
+        let culled = engine.stats().culled;
+        sink.clear();
         engine.retire_tenant_into(tenant, t0, &mut sink).unwrap();
+        let culls = sink.as_slice().iter();
+        let culls = culls.filter(|a| matches!(a, Action::Cull { .. })).count();
+        assert_eq!(culls as u64, engine.stats().culled - culled);
+        assert_eq!((culls, engine.ready_len()), (1, 0));
         assert!(engine.is_tenant_retired(tenant).unwrap());
         assert!(engine.is_task_retired(TaskId::new(1)));
         // Late activation is refused with the structured error.

@@ -84,6 +84,17 @@ pub enum Action {
         /// Its new effective priority.
         priority: Priority,
     },
+    /// A ready job left the engine without running on: its absolute
+    /// deadline passed while it waited
+    /// ([`yasmin_core::config::Config::cull_missed`]), or its tenant was
+    /// retired ([`OnlineEngine::retire_tenant_into`]). The engine never
+    /// dispatches it again, so state kept for it outside the engine —
+    /// the remaining work of a preempted job — can go. Each one is
+    /// counted in [`EngineStats::culled`].
+    Cull {
+        /// The culled job.
+        job: JobId,
+    },
 }
 
 /// What currently occupies a worker.
@@ -216,7 +227,8 @@ engine_stats! {
     /// deadline had already passed
     /// ([`yasmin_core::config::Config::cull_missed`]), or because their
     /// tenant was retired while they waited
-    /// ([`OnlineEngine::retire_tenant_into`]).
+    /// ([`OnlineEngine::retire_tenant_into`]). Every one is reported as
+    /// one [`Action::Cull`].
     culled: u64,
     /// Dispatch attempts deferred because the job's tenant had exhausted
     /// its [`ReservationServer`] budget for the current replenishment
@@ -261,6 +273,16 @@ struct TenantEntry {
     server: Option<ReservationServer>,
 }
 
+impl TenantEntry {
+    fn tasks(&self) -> std::ops::Range<usize> {
+        self.first_task as usize..(self.first_task + self.task_count) as usize
+    }
+
+    fn edges(&self) -> std::ops::Range<usize> {
+        self.first_edge as usize..(self.first_edge + self.edge_count) as usize
+    }
+}
+
 /// A DAG activation token addressed to a foreign shard: the completion
 /// of a job whose out-edge crosses shards does not touch the local
 /// token state (the *destination* shard owns every edge entering its
@@ -289,6 +311,16 @@ pub struct StealHint {
     pub task: TaskId,
     /// Its queue priority (smaller = more urgent).
     pub priority: Priority,
+}
+
+impl StealHint {
+    fn of(job: &Job) -> Self {
+        StealHint {
+            job: job.id,
+            task: job.task,
+            priority: job.priority,
+        }
+    }
 }
 
 /// An engine's running counts at a recurrence point
@@ -397,7 +429,7 @@ pub struct OnlineEngine {
     /// Tokens for cross-shard edges, awaiting routing by the driver
     /// (shard engines only; always empty on the single-owner engine).
     outbox: Vec<RemoteActivation>,
-    /// Scratch for the deadline-missed culling scan.
+    /// Scratch for the ready-queue cull scan.
     cull_buf: Vec<JobId>,
     /// Copied from the config: cull deadline-missed ready jobs on tick.
     cull_missed: bool,
@@ -484,130 +516,52 @@ impl OnlineEngine {
     }
 
     fn new_inner(taskset: Arc<TaskSet>, config: Config, shard: Option<WorkerId>) -> Result<Self> {
-        let workers = config.workers();
-        if config.mapping() == MappingScheme::Partitioned {
-            for t in taskset.tasks() {
-                match t.spec().assigned_worker() {
-                    None => return Err(Error::MissingPartition(t.id())),
-                    Some(w) if w.index() >= workers => return Err(Error::UnknownWorker(w)),
-                    Some(_) => {}
-                }
-            }
-        }
-        let tick = match config.tick_override() {
-            Some(t) => t,
-            None => taskset.scheduler_tick().ok_or_else(|| {
-                Error::InvalidConfig(
-                    "no recurring task: provide a tick override to drive the scheduler".into(),
-                )
-            })?,
-        };
-        let n_queues = match (shard, config.mapping()) {
-            (Some(_), _) => 1,
-            (None, MappingScheme::Global) => 1,
-            (None, MappingScheme::Partitioned) => workers,
-        };
-        let n_slots = if shard.is_some() { 1 } else { workers };
+        let tick = config.tick_override().or_else(|| taskset.scheduler_tick());
+        // One ready queue per worker on the partitioned whole engine.
+        let per_worker = shard.is_none() && config.mapping() == MappingScheme::Partitioned;
+        let n_queues = if per_worker { config.workers() } else { 1 };
+        let n_slots = if shard.is_some() { 1 } else { config.workers() };
         let queues = (0..n_queues)
             .map(|_| ReadyQueue::with_capacity(config.max_pending_jobs()))
             .collect();
-        let n = taskset.len();
-        let static_priority = taskset
-            .tasks()
-            .iter()
-            .map(|t| Self::static_priority_of(&taskset, config.priority(), t.id()))
-            .collect();
         let mode = config.initial_mode();
-        let mut out_edges: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut in_edges: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, e) in taskset.edges().iter().enumerate() {
-            out_edges[e.src.index()].push(i);
-            in_edges[e.dst.index()].push(i);
-        }
-        let max_versions = taskset
-            .tasks()
-            .iter()
-            .map(|t| t.versions().len())
-            .max()
-            .unwrap_or(0);
-        let rank_cache = taskset
-            .tasks()
-            .iter()
-            .map(|t| RankEntry {
-                valid: false,
-                ids: Vec::with_capacity(t.versions().len()),
-            })
-            .collect();
-        let period = taskset.tasks().iter().map(|t| t.spec().period()).collect();
-        let rel_deadline = taskset
-            .tasks()
-            .iter()
-            .map(|t| taskset.effective_deadline(t.id()))
-            .collect();
-        let queue_of = taskset
-            .tasks()
-            .iter()
-            .map(|t| match (shard, config.mapping()) {
-                (Some(_), _) | (None, MappingScheme::Global) => 0,
-                (None, MappingScheme::Partitioned) => {
-                    t.spec().assigned_worker().expect("validated above").index() as u32
-                }
-            })
-            .collect();
         let policy_uses_battery = matches!(
             config.version_policy(),
             VersionPolicy::Energy | VersionPolicy::UserDefined(_)
         );
-        let cache_ctx = SelectCtx {
-            battery: if policy_uses_battery {
-                config.read_battery()
-            } else {
-                BatteryLevel::FULL
-            },
-            mode,
-            permissions: PermMask::ALL,
-        };
-        Ok(OnlineEngine {
-            accels: AccelManager::new(taskset.accels().len()),
-            tokens: vec![0; taskset.edges().len()],
-            // Pre-reserve each edge's release FIFO to its channel's
-            // declared capacity (+1 for the transient over-capacity
-            // entry the shedding policies trim), so token pushes — the
-            // cross-shard inbound path included — never allocate in
-            // steady state.
-            token_release: taskset
-                .edges()
-                .iter()
-                .map(|e| {
-                    let cap = taskset.channels()[e.channel.index()].capacity();
-                    Vec::with_capacity(cap.max(1) + 1)
-                })
-                .collect(),
-            next_release: vec![Instant::MAX; n],
-            period,
-            rel_deadline,
-            queue_of,
+        let mut engine = OnlineEngine {
+            accels: AccelManager::new(0),
+            tokens: Vec::new(),
+            token_release: Vec::new(),
+            next_release: Vec::new(),
+            period: Vec::new(),
+            rel_deadline: Vec::new(),
+            queue_of: Vec::new(),
             next_wake: Instant::MAX,
-            last_activation: vec![None; n],
-            activation_seq: vec![0; n],
-            static_priority,
+            last_activation: Vec::new(),
+            activation_seq: Vec::new(),
+            static_priority: Vec::new(),
             // Shards stamp their worker index into the id's high bits so
             // job ids stay unique across concurrently-numbering shards.
             job_counter: shard.map_or(0, |w| (w.index() as u64) << 48),
-            tick,
+            tick: tick.unwrap_or(Duration::ZERO),
             started: false,
             stopping: false,
             mode,
             permissions: PermMask::ALL,
             stats: EngineStats::default(),
-            out_edges,
-            in_edges,
-            rank_cache,
-            cache_ctx,
-            rank_buf: RankBuf::with_capacity(max_versions),
+            out_edges: Vec::new(),
+            in_edges: Vec::new(),
+            rank_cache: Vec::new(),
+            cache_ctx: SelectCtx {
+                battery: BatteryLevel::FULL,
+                mode,
+                permissions: PermMask::ALL,
+            },
+            rank_buf: RankBuf::new(),
             policy_cacheable: !matches!(config.version_policy(), VersionPolicy::UserDefined(_)),
             policy_uses_battery,
-            wish_buf: Vec::with_capacity(taskset.accels().len()),
+            wish_buf: Vec::new(),
             steal_frontier: Vec::with_capacity(if shard.is_some() {
                 // k·(D-1) + 1 for the 4-ary heap at the batch cap.
                 crate::job::MAX_STEAL_BATCH * 3 + 1
@@ -615,45 +569,17 @@ impl OnlineEngine {
                 0
             }),
             blocked_buf: Vec::with_capacity(config.max_pending_jobs().min(64)),
-            successor_buf: Vec::with_capacity(n),
-            outbox: Vec::with_capacity(if shard.is_some() {
-                taskset.edges().len()
-            } else {
-                0
-            }),
-            cull_buf: if config.cull_missed() {
-                Vec::with_capacity(config.max_pending_jobs().min(64))
-            } else {
-                Vec::new()
-            },
+            successor_buf: Vec::new(),
+            outbox: Vec::new(),
+            cull_buf: Vec::with_capacity(config.max_pending_jobs().min(64)),
             cull_missed: config.cull_missed(),
-            task_worker: taskset
-                .tasks()
-                .iter()
-                .map(|t| t.spec().assigned_worker().map_or(u16::MAX, WorkerId::raw))
-                .collect(),
-            task_accel_bound: taskset
-                .tasks()
-                .iter()
-                .map(|t| t.versions().iter().any(|v| v.accel().is_some()))
-                .collect(),
-            tenants: vec![TenantEntry {
-                first_task: 0,
-                task_count: n as u32,
-                first_edge: 0,
-                edge_count: taskset.edges().len() as u32,
-                committed: true,
-                retired: false,
-                server: None,
-            }],
-            tenant_of: vec![0; n],
-            high_depth: vec![0; n],
-            msg_ceiling: vec![Priority::LOWEST; n],
-            overrun_policy: taskset
-                .tasks()
-                .iter()
-                .map(|t| t.spec().overrun_policy())
-                .collect(),
+            task_worker: Vec::new(),
+            task_accel_bound: Vec::new(),
+            tenants: Vec::new(),
+            tenant_of: Vec::new(),
+            high_depth: Vec::new(),
+            msg_ceiling: Vec::new(),
+            overrun_policy: Vec::new(),
             enforce_wcet: config.enforce_wcet(),
             miss_trip: config.miss_trip(),
             miss_window_start: Instant::ZERO,
@@ -662,9 +588,127 @@ impl OnlineEngine {
             queues,
             running: vec![None; n_slots],
             shard,
-            taskset,
+            taskset: Arc::clone(&taskset),
             config,
-        })
+        };
+        engine.cache_ctx = engine.select_ctx();
+        engine.add_tenant(taskset, None, true)?;
+        // A partition error outranks a missing tick.
+        engine.tick = tick.ok_or_else(|| {
+            Error::InvalidConfig(
+                "no recurring task: provide a tick override to drive the scheduler".into(),
+            )
+        })?;
+        Ok(engine)
+    }
+
+    /// Adds the tasks and edges of `merged` past those this engine has
+    /// as one more tenant — tenant 0 from [`OnlineEngine::new`],
+    /// committed; every later one from
+    /// [`OnlineEngine::splice_taskset`], not yet. Every per-task and
+    /// per-edge table grows as the new ids need, releases disarmed, and
+    /// the engine adopts `merged`. Nothing changes on an error: under
+    /// partitioned mapping every new task must sit on an existing
+    /// worker, and a later tenant's periods must be multiples of the
+    /// tick, which tenant 0 fixed.
+    fn add_tenant(
+        &mut self,
+        merged: Arc<TaskSet>,
+        server: Option<ReservationServer>,
+        committed: bool,
+    ) -> Result<TenantId> {
+        let (n0, e0) = (self.tenant_of.len(), self.tokens.len());
+        let tasks = &merged.tasks()[n0..];
+        let tenant = TenantId::new(self.tenants.len() as u32);
+        let partitioned = self.config.mapping() == MappingScheme::Partitioned;
+        for t in tasks {
+            match t.spec().assigned_worker() {
+                None if partitioned => return Err(Error::MissingPartition(t.id())),
+                Some(w) if partitioned && w.index() >= self.config.workers() => {
+                    return Err(Error::UnknownWorker(w))
+                }
+                _ => {}
+            }
+            let p = t.spec().period();
+            if tenant.index() > 0
+                && t.spec().kind().is_recurring()
+                && p.as_nanos() % self.tick.as_nanos() != 0
+            {
+                return Err(Error::InvalidConfig(format!(
+                    "tenant task {} period {p:?} is not a multiple of the engine tick \
+                     {:?} (the tick is fixed when the schedule starts)",
+                    t.id(),
+                    self.tick
+                )));
+            }
+        }
+        // A task waits in its worker's queue where each has one.
+        let per_worker = self.queues.len() > 1;
+        let policy = self.config.priority();
+        let n1 = merged.len();
+        self.next_release.resize(n1, Instant::MAX);
+        self.period.extend(tasks.iter().map(|t| t.spec().period()));
+        let deadlines = tasks.iter().map(|t| merged.effective_deadline(t.id()));
+        self.rel_deadline.extend(deadlines);
+        let queues = tasks.iter().map(|t| t.spec().assigned_worker());
+        let queues = queues.map(|w| w.filter(|_| per_worker).map_or(0, |w| w.index() as u32));
+        self.queue_of.extend(queues);
+        self.last_activation.resize(n1, None);
+        self.activation_seq.resize(n1, 0);
+        let priorities = tasks
+            .iter()
+            .map(|t| Self::static_priority_of(&merged, policy, t.id()));
+        self.static_priority.extend(priorities);
+        self.rank_cache.extend(tasks.iter().map(|t| RankEntry {
+            valid: false,
+            ids: Vec::with_capacity(t.versions().len()),
+        }));
+        let workers = tasks.iter().map(|t| t.spec().assigned_worker());
+        self.task_worker
+            .extend(workers.map(|w| w.map_or(u16::MAX, WorkerId::raw)));
+        let accel_bound = tasks
+            .iter()
+            .map(|t| t.versions().iter().any(|v| v.accel().is_some()));
+        self.task_accel_bound.extend(accel_bound);
+        self.out_edges.resize(n1, Vec::new());
+        self.in_edges.resize(n1, Vec::new());
+        self.tenant_of.resize(n1, tenant.raw());
+        self.high_depth.resize(n1, 0);
+        self.msg_ceiling.resize(n1, Priority::LOWEST);
+        let policies = tasks.iter().map(|t| t.spec().overrun_policy());
+        self.overrun_policy.extend(policies);
+        for (i, e) in merged.edges().iter().enumerate().skip(e0) {
+            self.out_edges[e.src.index()].push(i);
+            self.in_edges[e.dst.index()].push(i);
+            self.tokens.push(0);
+            // Each edge's release FIFO holds its channel's declared
+            // capacity, +1 for the transient over-capacity entry the
+            // shedding policies trim, so token pushes — the cross-shard
+            // inbound path included — never allocate in steady state.
+            let cap = merged.channels()[e.channel.index()].capacity();
+            self.token_release.push(Vec::with_capacity(cap.max(1) + 1));
+        }
+        self.accels.grow_to(merged.accels().len());
+        let max_versions = merged.tasks().iter().map(|t| t.versions().len()).max();
+        self.rank_buf = RankBuf::with_capacity(max_versions.unwrap_or(0));
+        // The hot-path scratch grows with the set, so the steady state
+        // stays allocation-free.
+        self.successor_buf.reserve(n1);
+        self.wish_buf.reserve(merged.accels().len());
+        if self.shard.is_some() {
+            self.outbox.reserve(merged.edges().len());
+        }
+        self.tenants.push(TenantEntry {
+            first_task: n0 as u32,
+            task_count: (n1 - n0) as u32,
+            first_edge: e0 as u32,
+            edge_count: (merged.edges().len() - e0) as u32,
+            committed,
+            retired: false,
+            server,
+        });
+        self.taskset = merged;
+        Ok(tenant)
     }
 
     fn static_priority_of(ts: &TaskSet, policy: PriorityPolicy, t: TaskId) -> Priority {
@@ -761,11 +805,10 @@ impl OnlineEngine {
 
     /// `true` when this engine releases jobs of `task` (always, unless a
     /// shard not owning the task's assigned worker).
+    #[inline]
     fn owns_task(&self, task: TaskId) -> bool {
-        match self.shard {
-            None => true,
-            Some(w) => self.taskset.tasks()[task.index()].spec().assigned_worker() == Some(w),
-        }
+        let homed = |w: WorkerId| self.task_worker[task.index()] == w.raw();
+        self.shard.is_none_or(homed)
     }
 
     /// What `worker` is currently executing.
@@ -820,20 +863,30 @@ impl OnlineEngine {
         self.started = true;
         self.stopping = false;
         self.next_wake = Instant::MAX;
-        for t in self.taskset.tasks() {
-            let id = t.id();
-            if !self.owns_task(id) {
-                continue;
-            }
-            let is_root = self.taskset.in_degree(id) == 0;
-            if is_root && t.spec().kind() == ActivationKind::Periodic {
-                let r = now + t.spec().release_offset();
-                self.next_release[id.index()] = r;
-                self.next_wake = self.next_wake.min(r);
-            }
+        for tenant in 0..self.tenants.len() {
+            self.arm_releases(tenant, now);
         }
         self.on_tick_into(now, sink);
         Ok(())
+    }
+
+    /// Arms the first release of every periodic root of `tenant` that
+    /// this engine owns at `anchor + release_offset` — if the tenant is
+    /// live: committed and not retired.
+    fn arm_releases(&mut self, tenant: usize, anchor: Instant) {
+        let entry = &self.tenants[tenant];
+        if !entry.committed || entry.retired {
+            return;
+        }
+        for i in entry.tasks() {
+            let (id, spec) = (TaskId::new(i as u32), self.taskset.tasks()[i].spec());
+            let root = self.taskset.in_degree(id) == 0;
+            if root && spec.kind() == ActivationKind::Periodic && self.owns_task(id) {
+                let r = anchor + spec.release_offset();
+                self.next_release[i] = r;
+                self.next_wake = self.next_wake.min(r);
+            }
+        }
     }
 
     /// Stops releasing new periodic jobs; already-released jobs drain
@@ -974,10 +1027,10 @@ impl OnlineEngine {
     /// `merged` must be [`TaskSet::extended`] of this engine's current
     /// task set with the tenant's set: every existing id is unchanged
     /// and the tenant occupies the appended suffix. The engine adopts
-    /// `merged` and extends every per-task/per-edge structure exactly as
-    /// construction would have initialised it, with all of the new
-    /// tasks' releases **disarmed** (`Instant::MAX`): after splicing,
-    /// the engine knows the tenant's tasks and edges (so cross-shard
+    /// `merged` and extends every per-task/per-edge structure the way
+    /// construction adds tenant 0 — both are one table builder — with
+    /// all of the new tasks' releases **disarmed** (`Instant::MAX`):
+    /// after splicing, the engine knows the tenant's tasks and edges (so cross-shard
     /// tokens for them resolve) but releases nothing of it until
     /// [`OnlineEngine::commit_tenant_into`].
     ///
@@ -1001,14 +1054,11 @@ impl OnlineEngine {
         merged: Arc<TaskSet>,
         server: Option<ReservationServer>,
     ) -> Result<TenantId> {
-        let n0 = self.taskset.len();
-        let n1 = merged.len();
-        let e0 = self.taskset.edges().len();
-        let e1 = merged.edges().len();
-        if n1 <= n0 {
+        let (n0, e0) = (self.taskset.len(), self.taskset.edges().len());
+        if merged.len() <= n0 {
             return Err(Error::InvalidConfig("tenant splice adds no tasks".into()));
         }
-        if e1 < e0
+        if merged.edges().len() < e0
             || merged.edges()[..e0] != self.taskset.edges()[..e0]
             || merged.accels().len() < self.taskset.accels().len()
             || merged.channels().len() < self.taskset.channels().len()
@@ -1018,103 +1068,13 @@ impl OnlineEngine {
             ));
         }
         let tenant = TenantId::new(self.tenants.len() as u32);
-        if let Some(s) = &server {
-            if s.tenant() != tenant {
-                return Err(Error::InvalidConfig(format!(
-                    "reservation server tagged {} but splice assigns {tenant}",
-                    s.tenant()
-                )));
-            }
+        if let Some(s) = server.as_ref().filter(|s| s.tenant() != tenant) {
+            return Err(Error::InvalidConfig(format!(
+                "reservation server tagged {} but splice assigns {tenant}",
+                s.tenant()
+            )));
         }
-        let workers = self.config.workers();
-        for t in &merged.tasks()[n0..] {
-            if self.config.mapping() == MappingScheme::Partitioned {
-                match t.spec().assigned_worker() {
-                    None => return Err(Error::MissingPartition(t.id())),
-                    Some(w) if w.index() >= workers => return Err(Error::UnknownWorker(w)),
-                    Some(_) => {}
-                }
-            }
-            if t.spec().kind().is_recurring() {
-                let p = t.spec().period();
-                if p.as_nanos() % self.tick.as_nanos() != 0 {
-                    return Err(Error::InvalidConfig(format!(
-                        "tenant task {} period {p:?} is not a multiple of the engine tick \
-                         {:?} (the tick is fixed when the schedule starts)",
-                        t.id(),
-                        self.tick
-                    )));
-                }
-            }
-        }
-
-        for t in &merged.tasks()[n0..] {
-            let id = t.id();
-            self.next_release.push(Instant::MAX);
-            self.period.push(t.spec().period());
-            self.rel_deadline.push(merged.effective_deadline(id));
-            self.queue_of
-                .push(match (self.shard, self.config.mapping()) {
-                    (Some(_), _) | (None, MappingScheme::Global) => 0,
-                    (None, MappingScheme::Partitioned) => {
-                        t.spec().assigned_worker().expect("validated above").index() as u32
-                    }
-                });
-            self.last_activation.push(None);
-            self.activation_seq.push(0);
-            self.static_priority.push(Self::static_priority_of(
-                &merged,
-                self.config.priority(),
-                id,
-            ));
-            self.rank_cache.push(RankEntry {
-                valid: false,
-                ids: Vec::with_capacity(t.versions().len()),
-            });
-            self.task_worker
-                .push(t.spec().assigned_worker().map_or(u16::MAX, WorkerId::raw));
-            self.task_accel_bound
-                .push(t.versions().iter().any(|v| v.accel().is_some()));
-            self.out_edges.push(Vec::new());
-            self.in_edges.push(Vec::new());
-            self.tenant_of.push(tenant.raw());
-            self.high_depth.push(0);
-            self.msg_ceiling.push(Priority::LOWEST);
-            self.overrun_policy.push(t.spec().overrun_policy());
-        }
-        for (i, e) in merged.edges().iter().enumerate().skip(e0) {
-            self.out_edges[e.src.index()].push(i);
-            self.in_edges[e.dst.index()].push(i);
-            self.tokens.push(0);
-            let cap = merged.channels()[e.channel.index()].capacity();
-            self.token_release.push(Vec::with_capacity(cap.max(1) + 1));
-        }
-        self.accels.grow_to(merged.accels().len());
-        let max_versions = merged
-            .tasks()
-            .iter()
-            .map(|t| t.versions().len())
-            .max()
-            .unwrap_or(0);
-        self.rank_buf = RankBuf::with_capacity(max_versions);
-        // Re-reserve the hot-path scratch so post-splice steady state
-        // stays allocation-free even when the tenant widened the graph.
-        self.successor_buf.reserve(n1);
-        self.wish_buf.reserve(merged.accels().len());
-        if self.shard.is_some() {
-            self.outbox.reserve(e1);
-        }
-        self.taskset = merged;
-        self.tenants.push(TenantEntry {
-            first_task: n0 as u32,
-            task_count: (n1 - n0) as u32,
-            first_edge: e0 as u32,
-            edge_count: (e1 - e0) as u32,
-            committed: false,
-            retired: false,
-            server,
-        });
-        Ok(tenant)
+        self.add_tenant(merged, server, false)
     }
 
     /// Arms a spliced tenant's releases — phase two of admission. Every
@@ -1169,38 +1129,30 @@ impl OnlineEngine {
         if !self.started || self.stopping {
             return Err(Error::ScheduleNotRunning);
         }
-        let entry = self
-            .tenants
-            .get_mut(tenant.index())
-            .ok_or(Error::UnknownTenant(tenant.raw()))?;
-        if entry.retired {
-            return Err(Error::TenantRetired(tenant.raw()));
-        }
+        let entry = self.live_tenant(tenant)?;
         if entry.committed {
             return Err(Error::InvalidConfig(format!(
                 "tenant {tenant} is already committed"
             )));
         }
         entry.committed = true;
-        let range = entry.first_task as usize..(entry.first_task + entry.task_count) as usize;
-        for i in range {
-            let id = TaskId::new(i as u32);
-            if !self.owns_task(id) {
-                continue;
-            }
-            let t = &self.taskset.tasks()[i];
-            if self.taskset.in_degree(id) == 0 && t.spec().kind() == ActivationKind::Periodic {
-                let r = anchor + t.spec().release_offset();
-                self.next_release[i] = r;
-                self.next_wake = self.next_wake.min(r);
-            }
-        }
+        self.arm_releases(tenant.index(), anchor);
         self.on_tick_into(now, sink);
         Ok(())
     }
 
+    /// The entry of `tenant`: [`Error::UnknownTenant`] for an id never
+    /// admitted, [`Error::TenantRetired`] for a retired one.
+    fn live_tenant(&mut self, tenant: TenantId) -> Result<&mut TenantEntry> {
+        match self.tenants.get_mut(tenant.index()) {
+            None => Err(Error::UnknownTenant(tenant.raw())),
+            Some(e) if e.retired => Err(Error::TenantRetired(tenant.raw())),
+            Some(e) => Ok(e),
+        }
+    }
+
     /// Quiesces a tenant: disarms its future releases, culls its ready
-    /// jobs (counted in [`EngineStats::culled`]), drops its pending DAG
+    /// jobs (one [`Action::Cull`] each), drops its pending DAG
     /// tokens, and marks it retired so late activations and in-flight
     /// cross-shard tokens are refused or silently dropped. Jobs of the
     /// tenant already *running* are not interrupted — they complete
@@ -1216,48 +1168,22 @@ impl OnlineEngine {
         &mut self,
         tenant: TenantId,
         _now: Instant,
-        _sink: &mut ActionSink,
+        sink: &mut ActionSink,
     ) -> Result<()> {
         if tenant.index() == 0 {
             return Err(Error::InvalidConfig(
                 "tenant 0 is the built-in task set; stop the schedule to end it".into(),
             ));
         }
-        let entry = self
-            .tenants
-            .get_mut(tenant.index())
-            .ok_or(Error::UnknownTenant(tenant.raw()))?;
-        if entry.retired {
-            return Err(Error::TenantRetired(tenant.raw()));
-        }
+        let entry = self.live_tenant(tenant)?;
         entry.retired = true;
-        let tasks = entry.first_task as usize..(entry.first_task + entry.task_count) as usize;
-        let edges = entry.first_edge as usize..(entry.first_edge + entry.edge_count) as usize;
-        for i in tasks {
-            self.next_release[i] = Instant::MAX;
-        }
+        let (tasks, edges) = (entry.tasks(), entry.edges());
+        self.next_release[tasks.clone()].fill(Instant::MAX);
         for i in edges {
             self.tokens[i] = 0;
             self.token_release[i].clear();
         }
-        let raw = tenant.raw();
-        let mut expired = std::mem::take(&mut self.cull_buf);
-        for qi in 0..self.queues.len() {
-            expired.clear();
-            expired.extend(
-                self.queues[qi]
-                    .iter()
-                    .filter(|j| self.tenant_of[j.task.index()] == raw)
-                    .map(|j| j.id),
-            );
-            for &id in &expired {
-                if self.queues[qi].remove(id).is_some() {
-                    self.stats.culled += 1;
-                }
-            }
-        }
-        expired.clear();
-        self.cull_buf = expired;
+        self.cull_ready(|j| tasks.contains(&j.task.index()), sink);
         Ok(())
     }
 
@@ -1291,7 +1217,7 @@ impl OnlineEngine {
             self.roll_miss_window(now);
         }
         if self.cull_missed {
-            self.cull_missed_jobs(now);
+            self.cull_ready(|j| j.deadline_missed_at(now), sink);
         }
         self.dispatch_round(now, sink);
     }
@@ -1302,10 +1228,7 @@ impl OnlineEngine {
     /// so enforcement-off ticks pay nothing.
     fn enforce_overruns(&mut self, now: Instant, sink: &mut ActionSink) {
         for s in 0..self.running.len() {
-            let due = self.running[s]
-                .as_ref()
-                .is_some_and(|r| !r.overrun && now > r.enforce_by);
-            if due {
+            if self.running[s].as_ref().is_some_and(|r| now > r.enforce_by) {
                 self.apply_overrun(s, now, sink);
             }
         }
@@ -1314,13 +1237,14 @@ impl OnlineEngine {
     /// Marks the job in running-slot `s` as overrunning: counts it,
     /// bills the overage to its tenant's reservation replica (so one
     /// tenant's overruns never eat another's budget), and applies the
-    /// task's [`OverrunPolicy`].
-    fn apply_overrun(&mut self, s: usize, now: Instant, sink: &mut ActionSink) {
-        let (task, job, overage) = {
-            let r = self.running[s].as_mut().expect("caller checked the slot");
-            r.overrun = true;
-            (r.job.task, r.job.id, now.saturating_since(r.enforce_by))
-        };
+    /// task's [`OverrunPolicy`] — once per job: `false` when the job
+    /// was already marked.
+    fn apply_overrun(&mut self, s: usize, now: Instant, sink: &mut ActionSink) -> bool {
+        let r = self.running[s].as_mut().expect("caller checked the slot");
+        if std::mem::replace(&mut r.overrun, true) {
+            return false;
+        }
+        let (task, overage) = (r.job.task, now.saturating_since(r.enforce_by));
         self.stats.overruns += 1;
         let tenant = self.tenant_of[task.index()] as usize;
         if let Some(server) = self.tenants[tenant].server.as_mut() {
@@ -1332,19 +1256,14 @@ impl OnlineEngine {
                 r.killed = true;
             }
             OverrunPolicy::DemoteToBackground => {
-                let worker = self.worker_of_slot(s);
-                let r = self.running[s].as_mut().expect("slot still occupied");
+                let r = self.running[s].as_ref().expect("slot still occupied");
                 if r.effective_priority != Priority::LOWEST {
-                    r.effective_priority = Priority::LOWEST;
-                    sink.push(Action::Boost {
-                        worker,
-                        job,
-                        priority: Priority::LOWEST,
-                    });
+                    self.set_effective_priority(s, Priority::LOWEST, sink);
                 }
             }
             OverrunPolicy::LogOnly => {}
         }
+        true
     }
 
     /// Deterministic fault injection: treats the running job of `task`
@@ -1354,16 +1273,10 @@ impl OnlineEngine {
     /// `fault_schedule` drives this so overrun behaviour is replayable
     /// bit-for-bit.
     pub fn force_overrun(&mut self, task: TaskId, now: Instant, sink: &mut ActionSink) -> bool {
-        for s in 0..self.running.len() {
-            let hit = self.running[s]
-                .as_ref()
-                .is_some_and(|r| r.job.task == task && !r.overrun);
-            if hit {
-                self.apply_overrun(s, now, sink);
-                return true;
-            }
-        }
-        false
+        (0..self.running.len()).any(|s| {
+            let hit = self.running[s].as_ref().is_some_and(|r| r.job.task == task);
+            hit && self.apply_overrun(s, now, sink)
+        })
     }
 
     /// Observes one deadline miss at `now` for the trip wire; no-op when
@@ -1402,25 +1315,20 @@ impl OnlineEngine {
         self.tripped
     }
 
-    /// Removes every ready job whose absolute deadline has already
-    /// passed at `now` — each removal is the queue's O(log n)
-    /// [`ReadyQueue::remove`], located by an O(queue) scan that only
-    /// runs when [`yasmin_core::config::Config::cull_missed`] opted in.
-    /// Running jobs are never culled (they complete and are accounted
-    /// as misses by the driver).
-    fn cull_missed_jobs(&mut self, now: Instant) {
+    /// Removes every ready job `doomed` picks — each removal the
+    /// queue's O(log n) [`ReadyQueue::remove`], located by an O(queue)
+    /// scan — and reports it: one [`Action::Cull`] and one
+    /// [`EngineStats::culled`] per job. Running jobs are never culled
+    /// (they complete, and the simulator or runtime counts the miss).
+    fn cull_ready(&mut self, doomed: impl Fn(&Job) -> bool, sink: &mut ActionSink) {
         let mut expired = std::mem::take(&mut self.cull_buf);
         for qi in 0..self.queues.len() {
             expired.clear();
-            expired.extend(
-                self.queues[qi]
-                    .iter()
-                    .filter(|j| j.deadline_missed_at(now))
-                    .map(|j| j.id),
-            );
-            for &id in &expired {
-                if self.queues[qi].remove(id).is_some() {
+            expired.extend(self.queues[qi].iter().filter(|j| doomed(j)).map(|j| j.id));
+            for &job in &expired {
+                if self.queues[qi].remove(job).is_some() {
                     self.stats.culled += 1;
+                    sink.push(Action::Cull { job });
                 }
             }
         }
@@ -1488,7 +1396,7 @@ impl OnlineEngine {
         now: Instant,
         sink: &mut ActionSink,
     ) -> Result<()> {
-        self.retire_job(worker, job, now)?;
+        self.retire(worker, job, JobOutcome::Completed, now)?;
         self.dispatch_round(now, sink);
         Ok(())
     }
@@ -1514,24 +1422,11 @@ impl OnlineEngine {
         now: Instant,
         sink: &mut ActionSink,
     ) -> Result<()> {
-        let mut retired = 0usize;
-        let mut first_err = None;
-        for &(worker, job) in completions {
-            match self.retire_job(worker, job, now) {
-                Ok(()) => retired += 1,
-                Err(e) => {
-                    first_err = Some(e);
-                    break;
-                }
-            }
-        }
+        let (retired, result) = self.retire_each(completions, now);
         if retired > 0 {
             self.dispatch_round(now, sink);
         }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        result
     }
 
     /// One coalesced engine round: retires every `(worker, job)`
@@ -1554,18 +1449,25 @@ impl OnlineEngine {
         now: Instant,
         sink: &mut ActionSink,
     ) -> Result<()> {
-        let mut first_err = None;
-        for &(worker, job) in completions {
-            if let Err(e) = self.retire_job(worker, job, now) {
-                first_err = Some(e);
-                break;
+        let (_, result) = self.retire_each(completions, now);
+        self.on_tick_into(now, sink);
+        result
+    }
+
+    /// Retires `completions` in order up to the first that violates the
+    /// completion protocol: how many retired, and that violation.
+    #[inline]
+    fn retire_each(
+        &mut self,
+        completions: &[(WorkerId, JobId)],
+        now: Instant,
+    ) -> (usize, Result<()>) {
+        for (k, &(worker, job)) in completions.iter().enumerate() {
+            if let Err(e) = self.retire(worker, job, JobOutcome::Completed, now) {
+                return (k, Err(e));
             }
         }
-        self.on_tick_into(now, sink);
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        (completions.len(), Ok(()))
     }
 
     /// The most urgent ready job as a work-stealing hint — O(1),
@@ -1580,17 +1482,17 @@ impl OnlineEngine {
     /// [`OnlineEngine::try_steal_batch`].
     #[must_use]
     pub fn steal_hint(&self) -> Option<StealHint> {
-        let w = self.shard?;
         let job = self.queues[0].peek_hint()?;
-        if self.task_worker[job.task.index()] != w.raw() || self.task_accel_bound[job.task.index()]
-        {
-            return None;
-        }
-        Some(StealHint {
-            job: job.id,
-            task: job.task,
-            priority: job.priority,
-        })
+        self.may_migrate(job.task).then(|| StealHint::of(job))
+    }
+
+    /// `true` when a ready job of `task` may leave this engine for a
+    /// thief: the engine is a shard, the task is homed on it (a job
+    /// migrates at most once) and no version of it is bound to an
+    /// accelerator (those are arbitrated shard-locally).
+    #[inline]
+    fn may_migrate(&self, task: TaskId) -> bool {
+        self.shard.is_some() && self.owns_task(task) && !self.task_accel_bound[task.index()]
     }
 
     /// Detaches the hinted ready job for a thief: removes it from the
@@ -1600,10 +1502,7 @@ impl OnlineEngine {
     /// must not migrate (accelerator-bound task, or a job this shard
     /// itself adopted — migration happens at most once).
     fn release_stolen(&mut self, hint: StealHint) -> Option<Job> {
-        let w = self.shard?;
-        if self.task_worker[hint.task.index()] != w.raw()
-            || self.task_accel_bound[hint.task.index()]
-        {
+        if !self.may_migrate(hint.task) {
             return None;
         }
         let job = self.queues[0].remove(hint.job)?;
@@ -1621,23 +1520,16 @@ impl OnlineEngine {
     /// returns the number produced. Shard engines only — 0 otherwise.
     pub fn try_steal_batch(&mut self, k: usize, out: &mut Vec<StealHint>) -> usize {
         out.clear();
-        let Some(w) = self.shard else { return 0 };
         let k = k.min(crate::job::MAX_STEAL_BATCH);
-        if k == 0 {
+        if self.shard.is_none() || k == 0 {
             return 0;
         }
         let mut frontier = std::mem::take(&mut self.steal_frontier);
-        let task_worker = &self.task_worker;
-        let task_accel_bound = &self.task_accel_bound;
         self.queues[0].scan_in_order(&mut frontier, |job| {
-            if task_worker[job.task.index()] != w.raw() || task_accel_bound[job.task.index()] {
+            if !self.may_migrate(job.task) {
                 return false;
             }
-            out.push(StealHint {
-                job: job.id,
-                task: job.task,
-                priority: job.priority,
-            });
+            out.push(StealHint::of(job));
             out.len() < k
         });
         self.steal_frontier = frontier;
@@ -1657,16 +1549,13 @@ impl OnlineEngine {
             let Some(job) = self.release_stolen(hint) else {
                 continue;
             };
-            if out.push(job) {
-                released += 1;
-            } else {
-                // The batch filled up (protocol cap): put the job back —
-                // it was never handed over. The push cannot fail: the
-                // remove just freed its slot.
-                self.queues[0].push(job).expect("slot was just vacated");
-                self.stats.donated -= 1;
+            if !out.push(job) {
+                // The batch filled up (protocol cap): the job was never
+                // handed over, and the slot it left is still free.
+                self.return_unclaimed(&[job]);
                 break;
             }
+            released += 1;
         }
         released
     }
@@ -1725,10 +1614,7 @@ impl OnlineEngine {
                 "only engine shards adopt stolen jobs".into(),
             ));
         };
-        if let Some(job) = jobs
-            .iter()
-            .find(|j| self.task_worker[j.task.index()] == w.raw())
-        {
+        if let Some(job) = jobs.iter().find(|j| self.owns_task(j.task)) {
             return Err(Error::InvalidConfig(format!(
                 "job of task {} is already owned by shard {w}",
                 job.task
@@ -1752,71 +1638,65 @@ impl OnlineEngine {
         Ok(())
     }
 
-    /// Validates and books one completion — frees the worker slot,
-    /// releases any held accelerator, fires DAG successors — without
-    /// running a dispatch round (the caller batches that). A job flagged
-    /// [`OverrunPolicy::Kill`] retires without firing successors, and a
-    /// completion past its absolute deadline feeds the miss trip wire.
-    fn retire_job(&mut self, worker: WorkerId, job: JobId, now: Instant) -> Result<()> {
+    /// Validates and books the end of `job` on `worker` — frees the
+    /// worker slot and any held accelerator, feeds the miss trip wire,
+    /// fires DAG successors — without running a dispatch round (the
+    /// caller batches that). A completion fires its successors unless
+    /// the job was killed ([`OverrunPolicy::Kill`]) and feeds the trip
+    /// wire when past its absolute deadline. A failure (the body
+    /// panicked; the runtime contained the unwind) is counted in
+    /// [`EngineStats::failed`] and always feeds the trip wire, and the
+    /// task's [`OverrunPolicy`] decides the successor tokens: `LogOnly`
+    /// fires them (downstream stages still run, presumably on stale
+    /// data the application tolerates), `Kill` and `DemoteToBackground`
+    /// drop them (the containment boundary).
+    #[inline]
+    fn retire(
+        &mut self,
+        worker: WorkerId,
+        job: JobId,
+        outcome: JobOutcome,
+        now: Instant,
+    ) -> Result<()> {
+        let verb = || match outcome {
+            JobOutcome::Completed => "completed",
+            JobOutcome::Failed => "failed",
+        };
         let slot = self
             .slot_of(worker)
             .and_then(|s| self.running.get_mut(s))
             .ok_or(Error::UnknownWorker(worker))?;
         let running = slot.take().ok_or_else(|| {
-            Error::InvalidConfig(format!("worker {worker} completed {job} while idle"))
+            Error::InvalidConfig(format!("worker {worker} {} {job} while idle", verb()))
         })?;
         if running.job.id != job {
             let actual = running.job.id;
             *slot = Some(running);
             return Err(Error::InvalidConfig(format!(
-                "worker {worker} completed {job} but runs {actual}"
+                "worker {worker} {} {job} but runs {actual}",
+                verb()
             )));
         }
-        self.stats.completed += 1;
-        if self.miss_trip.is_some() && running.job.abs_deadline < now {
-            self.note_miss(now);
-        }
+        let task = running.job.task;
+        let fires = match outcome {
+            JobOutcome::Completed => {
+                self.stats.completed += 1;
+                if self.miss_trip.is_some() && running.job.abs_deadline < now {
+                    self.note_miss(now);
+                }
+                true
+            }
+            JobOutcome::Failed => {
+                self.stats.failed += 1;
+                self.note_miss(now);
+                self.overrun_policy[task.index()] == OverrunPolicy::LogOnly
+            }
+        };
         if let Some(a) = running.accel {
             self.accels.release(a, job);
         }
-        if !running.killed {
-            self.fire_successors(running.job.task, running.job.graph_release);
-        }
-        Ok(())
-    }
-
-    /// Validates and books one *failed* completion (the body panicked;
-    /// the runtime contained the unwind). The worker slot and any held
-    /// accelerator are freed like a normal retirement, the failure is
-    /// counted in [`EngineStats::failed`] and fed to the miss trip wire,
-    /// and the task's [`OverrunPolicy`] decides the successor tokens:
-    /// `LogOnly` fires them (downstream stages still run, presumably on
-    /// stale data the application tolerates), `Kill` and
-    /// `DemoteToBackground` drop them (the containment boundary).
-    fn retire_failed(&mut self, worker: WorkerId, job: JobId, now: Instant) -> Result<()> {
-        let slot = self
-            .slot_of(worker)
-            .and_then(|s| self.running.get_mut(s))
-            .ok_or(Error::UnknownWorker(worker))?;
-        let running = slot.take().ok_or_else(|| {
-            Error::InvalidConfig(format!("worker {worker} failed {job} while idle"))
-        })?;
-        if running.job.id != job {
-            let actual = running.job.id;
-            *slot = Some(running);
-            return Err(Error::InvalidConfig(format!(
-                "worker {worker} failed {job} but runs {actual}"
-            )));
-        }
-        self.stats.failed += 1;
-        self.note_miss(now);
-        if let Some(a) = running.accel {
-            self.accels.release(a, job);
-        }
-        if self.overrun_policy[running.job.task.index()] == OverrunPolicy::LogOnly
-            && !running.killed
-        {
-            self.fire_successors(running.job.task, running.job.graph_release);
+        if fires && !running.killed {
+            self.fire_successors(task, running.job.graph_release);
         }
         Ok(())
     }
@@ -1837,7 +1717,7 @@ impl OnlineEngine {
         now: Instant,
         sink: &mut ActionSink,
     ) -> Result<()> {
-        self.retire_failed(worker, job, now)?;
+        self.retire(worker, job, JobOutcome::Failed, now)?;
         self.dispatch_round(now, sink);
         Ok(())
     }
@@ -1859,7 +1739,7 @@ impl OnlineEngine {
         // A retired tenant's in-flight jobs complete but activate
         // nothing: edges never cross tenants, so skipping the whole
         // fan-out (local tokens *and* outbox entries) is exact.
-        if self.tenants[self.tenant_of[task.index()] as usize].retired {
+        if self.is_task_retired(task) {
             return;
         }
         let mut successors = std::mem::take(&mut self.successor_buf);
@@ -1867,17 +1747,14 @@ impl OnlineEngine {
         for k in 0..self.out_edges[task.index()].len() {
             let i = self.out_edges[task.index()][k];
             let dst = self.taskset.edges()[i].dst;
-            if let Some(w) = self.shard {
-                let dw = self.task_worker[dst.index()];
-                if dw != w.raw() {
-                    self.outbox.push(RemoteActivation {
-                        worker: WorkerId::new(dw),
-                        edge: i as u32,
-                        graph_release,
-                    });
-                    self.stats.cross_activations += 1;
-                    continue;
-                }
+            if !self.owns_task(dst) {
+                self.outbox.push(RemoteActivation {
+                    worker: WorkerId::new(self.task_worker[dst.index()]),
+                    edge: i as u32,
+                    graph_release,
+                });
+                self.stats.cross_activations += 1;
+                continue;
             }
             self.push_token(i, graph_release);
             if !successors.contains(&dst) {
@@ -1900,39 +1777,31 @@ impl OnlineEngine {
     /// never reallocate under overload.
     fn push_token(&mut self, i: usize, graph_release: Instant) {
         let spec = &self.taskset.channels()[self.taskset.edges()[i].channel.index()];
-        let cap = spec.capacity();
-        let policy = spec.backpressure();
-        if cap > 0 && self.tokens[i] as usize >= cap {
-            match policy {
-                BackpressurePolicy::Reject => {
-                    self.tokens[i] += 1;
-                    self.token_release[i].push(graph_release);
-                    self.stats.channel_overflows += 1;
-                }
-                BackpressurePolicy::DropOldest => {
-                    self.token_release[i].remove(0);
-                    self.token_release[i].push(graph_release);
-                    self.stats.shed_drops += 1;
-                }
-                BackpressurePolicy::DeadlineAwareDrop => {
-                    // Shed the least urgent instance: the one whose
-                    // graph release (hence derived deadline) is latest.
-                    // Ties keep the older instance (FIFO stability).
-                    let fifo = &mut self.token_release[i];
-                    fifo.push(graph_release);
-                    let mut worst = 0;
-                    for k in 1..fifo.len() {
-                        if fifo[k] > fifo[worst] {
-                            worst = k;
-                        }
-                    }
-                    fifo.remove(worst);
-                    self.stats.shed_drops += 1;
-                }
+        let full = spec.capacity() > 0 && self.tokens[i] as usize >= spec.capacity();
+        let fifo = &mut self.token_release[i];
+        fifo.push(graph_release);
+        match (full, spec.backpressure()) {
+            (false, _) | (true, BackpressurePolicy::Reject) => {
+                self.tokens[i] += 1;
+                self.stats.channel_overflows += u64::from(full);
             }
-        } else {
-            self.tokens[i] += 1;
-            self.token_release[i].push(graph_release);
+            (true, BackpressurePolicy::DropOldest) => {
+                fifo.remove(0);
+                self.stats.shed_drops += 1;
+            }
+            (true, BackpressurePolicy::DeadlineAwareDrop) => {
+                // Shed the least urgent instance: the one whose graph
+                // release (hence derived deadline) is latest. Ties keep
+                // the older instance (FIFO stability).
+                let mut worst = 0;
+                for k in 1..fifo.len() {
+                    if fifo[k] > fifo[worst] {
+                        worst = k;
+                    }
+                }
+                fifo.remove(worst);
+                self.stats.shed_drops += 1;
+            }
         }
     }
 
@@ -1984,13 +1853,8 @@ impl OnlineEngine {
         // A token racing a tenant retirement (sent before the source
         // shard learned of it) is silently dropped, not a protocol
         // error.
-        if self.is_task_retired(dst) {
+        if !self.routed_here(dst, "remote token")? {
             return Ok(());
-        }
-        if !self.owns_task(dst) {
-            return Err(Error::InvalidConfig(format!(
-                "remote token for edge {edge} routed to a shard not owning {dst}"
-            )));
         }
         self.push_token(i, graph_release);
         self.try_fire_joins(dst);
@@ -2039,18 +1903,10 @@ impl OnlineEngine {
         now: Instant,
         sink: &mut ActionSink,
     ) -> Result<()> {
-        let ti = dst.index();
-        if ti >= self.taskset.len() {
-            return Err(Error::UnknownTask(dst));
-        }
-        if self.is_task_retired(dst) {
+        if !self.routed_here(dst, "high-priority message")? {
             return Ok(());
         }
-        if self.shard.is_some() && !self.owns_task(dst) {
-            return Err(Error::InvalidConfig(format!(
-                "high-priority message for {dst} routed to a shard not owning it"
-            )));
-        }
+        let ti = dst.index();
         self.high_depth[ti] += 1;
         if ceiling.is_higher_than(self.msg_ceiling[ti]) {
             self.msg_ceiling[ti] = ceiling;
@@ -2077,21 +1933,10 @@ impl OnlineEngine {
         // Boost a running job of `dst` the way accelerator PIP does:
         // update the slot's effective priority and tell the driver.
         for s in 0..self.running.len() {
-            let worker = self.worker_of_slot(s);
-            let mut boosted = None;
-            if let Some(r) = self.running[s].as_mut() {
-                if r.job.task == dst && active.is_higher_than(r.effective_priority) {
-                    r.effective_priority = active;
-                    boosted = Some(r.job.id);
-                }
-            }
-            if let Some(job) = boosted {
+            let r = self.running[s].as_ref();
+            if r.is_some_and(|r| r.job.task == dst && active.is_higher_than(r.effective_priority)) {
                 self.stats.msg_boosts += 1;
-                sink.push(Action::Boost {
-                    worker,
-                    job,
-                    priority: active,
-                });
+                self.set_effective_priority(s, active, sink);
             }
         }
         self.dispatch_round(now, sink);
@@ -2116,18 +1961,10 @@ impl OnlineEngine {
         now: Instant,
         sink: &mut ActionSink,
     ) -> Result<()> {
-        let ti = dst.index();
-        if ti >= self.taskset.len() {
-            return Err(Error::UnknownTask(dst));
-        }
-        if self.is_task_retired(dst) {
+        if !self.routed_here(dst, "high-lane drain")? {
             return Ok(());
         }
-        if self.shard.is_some() && !self.owns_task(dst) {
-            return Err(Error::InvalidConfig(format!(
-                "high-lane drain for {dst} routed to a shard not owning it"
-            )));
-        }
+        let ti = dst.index();
         debug_assert!(self.high_depth[ti] > 0, "drained an empty high lane");
         self.high_depth[ti] = self.high_depth[ti].saturating_sub(1);
         if self.high_depth[ti] > 0 {
@@ -2145,7 +1982,7 @@ impl OnlineEngine {
             let mut found: Option<(JobId, Priority)> = None;
             for j in self.queues[qi].iter() {
                 if j.task == dst {
-                    let base = self.base_priority_of(j);
+                    let base = self.base_priority(j.task, j.abs_deadline);
                     if j.priority != base {
                         found = Some((j.id, base));
                         break;
@@ -2160,27 +1997,35 @@ impl OnlineEngine {
         // De-boost a running job only when the message ceiling is the
         // active component of its effective priority.
         for s in 0..self.running.len() {
-            let worker = self.worker_of_slot(s);
-            let mut restored = None;
-            if let Some(r) = self.running[s].as_mut() {
-                if r.job.task == dst && r.effective_priority == ceiling {
-                    let base = r.job.priority;
-                    if base != r.effective_priority {
-                        r.effective_priority = base;
-                        restored = Some((r.job.id, base));
-                    }
-                }
-            }
-            if let Some((job, priority)) = restored {
-                sink.push(Action::Boost {
-                    worker,
-                    job,
-                    priority,
-                });
+            let r = self.running[s].as_ref();
+            let r = r.filter(|r| r.job.task == dst && r.effective_priority == ceiling);
+            if let Some(base) = r.map(|r| r.job.priority).filter(|&base| base != ceiling) {
+                self.set_effective_priority(s, base, sink);
             }
         }
         self.dispatch_round(now, sink);
         Ok(())
+    }
+
+    /// Whether an event routed to `dst` — a cross-shard token, a
+    /// high-lane post or drain — applies to this engine: `false` for a
+    /// task of a retired tenant (the event is dropped),
+    /// [`Error::UnknownTask`] for an out-of-range task and
+    /// [`Error::InvalidConfig`] for a shard not owning it — routing
+    /// bugs, not runtime conditions. `what` names the event.
+    fn routed_here(&self, dst: TaskId, what: &str) -> Result<bool> {
+        if dst.index() >= self.taskset.len() {
+            return Err(Error::UnknownTask(dst));
+        }
+        if self.is_task_retired(dst) {
+            return Ok(false);
+        }
+        if !self.owns_task(dst) {
+            return Err(Error::InvalidConfig(format!(
+                "{what} for {dst} routed to a shard not owning it"
+            )));
+        }
+        Ok(true)
     }
 
     /// Outstanding high-priority messages for `task` (posted minus
@@ -2200,11 +2045,13 @@ impl OnlineEngine {
         }
     }
 
-    /// The base (un-boosted) priority of a job under the active policy.
-    fn base_priority_of(&self, job: &Job) -> Priority {
+    /// The base (un-boosted) priority of a job of `task` due at
+    /// `abs_deadline` under the active policy.
+    #[inline]
+    fn base_priority(&self, task: TaskId, abs_deadline: Instant) -> Priority {
         match self.config.priority() {
-            PriorityPolicy::EarliestDeadlineFirst => Priority::earliest_deadline(job.abs_deadline),
-            _ => self.static_priority[job.task.index()],
+            PriorityPolicy::EarliestDeadlineFirst => Priority::earliest_deadline(abs_deadline),
+            _ => self.static_priority[task.index()],
         }
     }
 
@@ -2222,10 +2069,6 @@ impl OnlineEngine {
         } else {
             graph_release + rel_deadline
         };
-        let priority = match self.config.priority() {
-            PriorityPolicy::EarliestDeadlineFirst => Priority::earliest_deadline(abs_deadline),
-            _ => self.static_priority[task.index()],
-        };
         // Shedding mode: while the miss trip wire is tripped,
         // `LogOnly`-class tasks release at background priority so the
         // enforced/critical classes get the processor first. The message
@@ -2235,7 +2078,7 @@ impl OnlineEngine {
             if self.tripped && self.overrun_policy[task.index()] == OverrunPolicy::LogOnly {
                 Priority::LOWEST
             } else {
-                priority
+                self.base_priority(task, abs_deadline)
             };
         // A job released while its task's high message lane is non-empty
         // inherits the active ceiling immediately (message-plane PIP).
@@ -2268,9 +2111,7 @@ impl OnlineEngine {
     }
 
     fn queue_index(&self, task: TaskId) -> usize {
-        if self.shard.is_some() {
-            debug_assert!(self.owns_task(task), "shard released a foreign task");
-        }
+        debug_assert!(self.owns_task(task), "shard released a foreign task");
         self.queue_of[task.index()] as usize
     }
 
@@ -2392,23 +2233,28 @@ impl OnlineEngine {
     fn apply_pip(&mut self, blocked: &Job, wishes: &[AccelId], actions: &mut ActionSink) {
         for &a in wishes {
             if let Some(holder) = self.accels.boost_holder(a, blocked.priority) {
-                if let Some(r) = self
+                let s = self
                     .slot_of(holder.worker)
-                    .and_then(|s| self.running[s].as_mut())
-                {
-                    if r.job.id == holder.job {
-                        r.effective_priority = holder.priority;
-                    }
-                }
+                    .expect("a holder runs on its worker");
+                debug_assert_eq!(self.running[s].map(|r| r.job.id), Some(holder.job));
                 self.stats.pip_boosts += 1;
-                actions.push(Action::Boost {
-                    worker: holder.worker,
-                    job: holder.job,
-                    priority: holder.priority,
-                });
+                self.set_effective_priority(s, holder.priority, actions);
             }
         }
         self.stats.blocked_skips += 1;
+    }
+
+    /// Sets the effective priority of the job running in slot `s` and
+    /// reports it, raised or lowered: one [`Action::Boost`].
+    fn set_effective_priority(&mut self, s: usize, priority: Priority, actions: &mut ActionSink) {
+        let worker = self.worker_of_slot(s);
+        let r = self.running[s].as_mut().expect("a running job is boosted");
+        r.effective_priority = priority;
+        actions.push(Action::Boost {
+            worker,
+            job: r.job.id,
+            priority,
+        });
     }
 
     fn workers_fed_by(&self, queue_idx: usize) -> std::ops::Range<usize> {
@@ -2447,44 +2293,18 @@ impl OnlineEngine {
     }
 
     fn fill_idle_workers(&mut self, qi: usize, now: Instant, actions: &mut ActionSink) {
-        let mut blocked = std::mem::take(&mut self.blocked_buf);
-        blocked.clear();
         loop {
             let idle = self.workers_fed_by(qi).find(|&w| self.running[w].is_none());
             let Some(w) = idle else { break };
             let Some(job) = self.queues[qi].pop() else {
                 break;
             };
-            match self.choose_version(job.task) {
-                VersionChoice::Run(v, a) => {
-                    if !self.charge_budget(&job, v, now) {
-                        blocked.push(job);
-                        continue;
-                    }
-                    let worker = self.worker_of_slot(w);
-                    self.start_job(worker, job, v, a, now, actions);
-                }
-                VersionChoice::Blocked => {
-                    let wishes = std::mem::take(&mut self.wish_buf);
-                    self.apply_pip(&job, &wishes, actions);
-                    self.wish_buf = wishes;
-                    blocked.push(job);
-                }
-                VersionChoice::NoEligible => {
-                    self.stats.blocked_skips += 1;
-                    blocked.push(job);
-                }
-            }
+            self.dispatch_attempt(qi, w, job, now, actions);
         }
-        for j in blocked.drain(..) {
-            let _ = self.queues[qi].push(j);
-        }
-        self.blocked_buf = blocked;
+        self.requeue_blocked(qi);
     }
 
     fn preempt_round(&mut self, qi: usize, now: Instant, actions: &mut ActionSink) {
-        let mut blocked = std::mem::take(&mut self.blocked_buf);
-        blocked.clear();
         // The no-preempt fast path compares priorities only, through the
         // heap root's key — the queued job's payload is read just when a
         // preemption actually proceeds.
@@ -2506,43 +2326,65 @@ impl OnlineEngine {
             if !top_priority.is_higher_than(victim_prio) {
                 break;
             }
-            let top = *self.queues[qi].peek().expect("priority was peeked");
-            match self.choose_version(top.task) {
-                VersionChoice::Run(v, a) => {
-                    let job = self.queues[qi].pop().expect("peeked job present");
-                    if !self.charge_budget(&job, v, now) {
-                        blocked.push(job);
-                        continue;
-                    }
-                    let mut old = self.running[w].take().expect("victim present").job;
-                    old.preempted = true;
-                    let worker = self.worker_of_slot(w);
-                    actions.push(Action::Preempt {
-                        worker,
-                        job: old.id,
-                    });
-                    self.stats.preempted += 1;
-                    let _ = self.queues[qi].push(old);
-                    self.start_job(worker, job, v, a, now, actions);
-                }
-                VersionChoice::Blocked => {
-                    let job = self.queues[qi].pop().expect("peeked job present");
-                    let wishes = std::mem::take(&mut self.wish_buf);
-                    self.apply_pip(&job, &wishes, actions);
-                    self.wish_buf = wishes;
-                    blocked.push(job);
-                }
-                VersionChoice::NoEligible => {
-                    let job = self.queues[qi].pop().expect("peeked job present");
-                    self.stats.blocked_skips += 1;
-                    blocked.push(job);
-                }
+            let top = self.queues[qi].pop().expect("priority was peeked");
+            self.dispatch_attempt(qi, w, top, now, actions);
+        }
+        self.requeue_blocked(qi);
+    }
+
+    /// One dispatch attempt: `job`, just popped from queue `qi`, is
+    /// offered running slot `w`. Its version is chosen and its tenant's
+    /// budget charged; then it starts on `w`, preempting the job there
+    /// (which goes back to `qi`). A job refused either way waits in
+    /// `blocked_buf` for the end of the round — after boosting by PIP
+    /// whatever holds the accelerators it wished for.
+    #[inline]
+    fn dispatch_attempt(
+        &mut self,
+        qi: usize,
+        w: usize,
+        job: Job,
+        now: Instant,
+        actions: &mut ActionSink,
+    ) {
+        let (version, accel) = match self.choose_version(job.task) {
+            VersionChoice::Run(v, a) => (v, a),
+            VersionChoice::Blocked => {
+                let wishes = std::mem::take(&mut self.wish_buf);
+                self.apply_pip(&job, &wishes, actions);
+                self.wish_buf = wishes;
+                return self.blocked_buf.push(job);
             }
+            VersionChoice::NoEligible => {
+                self.stats.blocked_skips += 1;
+                return self.blocked_buf.push(job);
+            }
+        };
+        if !self.charge_budget(&job, version, now) {
+            return self.blocked_buf.push(job);
         }
-        for j in blocked.drain(..) {
-            let _ = self.queues[qi].push(j);
+        let worker = self.worker_of_slot(w);
+        if let Some(victim) = self.running[w].take() {
+            let old = Job {
+                preempted: true,
+                ..victim.job
+            };
+            actions.push(Action::Preempt {
+                worker,
+                job: old.id,
+            });
+            self.stats.preempted += 1;
+            let _ = self.queues[qi].push(old);
         }
-        self.blocked_buf = blocked;
+        self.start_job(worker, job, version, accel, now, actions);
+    }
+
+    /// Puts back into queue `qi` the jobs this round's dispatch attempts
+    /// set aside.
+    fn requeue_blocked(&mut self, qi: usize) {
+        for job in self.blocked_buf.drain(..) {
+            let _ = self.queues[qi].push(job);
+        }
     }
 }
 
@@ -3256,10 +3098,20 @@ mod tests {
         e.on_tick_into(at(30), &mut sink);
         assert_eq!(e.ready_len(), 1);
         assert_eq!(e.stats().culled, 0);
-        // First tick past the deadline culls it.
+        // First tick past the deadline culls it, and says so.
+        let loser_job = e.most_urgent_hint().unwrap().id;
         e.on_tick_into(at(50), &mut sink);
         assert_eq!(e.ready_len(), 0);
         assert_eq!(e.stats().culled, 1);
+        let culls: Vec<_> = sink
+            .as_slice()
+            .iter()
+            .filter_map(|a| match *a {
+                Action::Cull { job } => Some(job),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(culls, [loser_job], "one Action::Cull per culled job");
         // The culled job never dispatches: completing the winner leaves
         // the worker idle.
         let w = e.running(WorkerId::new(0)).unwrap().job.id;
@@ -3652,5 +3504,190 @@ mod tests {
         b.version_decl(t, VersionSpec::new("v", ms(1))).unwrap();
         let e = OnlineEngine::new(Arc::new(b.build().unwrap()), edf_config(1)).unwrap();
         assert!(e.recurrence_mark(at(0)).is_none());
+    }
+
+    /// Runs engines on a 1 ms grid: every job runs its version's WCET
+    /// from its dispatch, and each instant's completions share one round
+    /// with the tick when one is due.
+    struct GridRun {
+        /// Per global worker: the running job and when it finishes.
+        finish: Vec<Option<(JobId, Instant)>>,
+        actions: Vec<Action>,
+    }
+
+    impl GridRun {
+        fn new(workers: usize) -> Self {
+            GridRun {
+                finish: vec![None; workers],
+                actions: Vec::new(),
+            }
+        }
+
+        /// Books what one engine call at `now` emitted.
+        fn apply(&mut self, e: &OnlineEngine, now: Instant, sink: &ActionSink) {
+            for &a in sink.as_slice() {
+                match a {
+                    Action::Dispatch {
+                        worker,
+                        job,
+                        version,
+                    } => {
+                        let task = &e.taskset().tasks()[job.task.index()];
+                        let end = now + task.versions()[version.index()].wcet();
+                        self.finish[worker.index()] = Some((job.id, end));
+                    }
+                    Action::Preempt { worker, .. } => self.finish[worker.index()] = None,
+                    Action::Boost { .. } | Action::Cull { .. } => {}
+                }
+                self.actions.push(a);
+            }
+        }
+
+        /// Drives `e` over (`from`, `to`] ms.
+        fn run(&mut self, e: &mut OnlineEngine, from: u64, to: u64) {
+            let tick = e.tick_period().as_nanos() / 1_000_000;
+            let mut sink = ActionSink::new();
+            for t in from + 1..=to {
+                let now = at(t);
+                let mut done = Vec::new();
+                for (w, slot) in self.finish.iter_mut().enumerate() {
+                    if let Some((job, _)) = slot.take_if(|&mut (_, end)| end <= now) {
+                        done.push((WorkerId::new(w as u16), job));
+                    }
+                }
+                sink.clear();
+                if t % tick == 0 {
+                    e.advance_into(&done, now, &mut sink).unwrap();
+                } else if !done.is_empty() {
+                    e.on_jobs_completed_into(&done, now, &mut sink).unwrap();
+                }
+                self.apply(e, now, &sink);
+            }
+        }
+    }
+
+    /// Whether `actions` name a job of a task in `tasks`.
+    fn touches(actions: &[Action], tasks: std::ops::Range<usize>) -> bool {
+        actions.iter().any(|a| match a {
+            Action::Dispatch { job, .. } => tasks.contains(&job.task.index()),
+            _ => false,
+        })
+    }
+
+    #[test]
+    fn a_restarted_engine_arms_live_tenants_only() {
+        // One tenant committed then retired, one spliced and never
+        // committed: after a stop and a restart neither releases a job.
+        let guest = |name: &str| {
+            let mut b = yasmin_core::graph::TaskSetBuilder::new();
+            let t = b.task_decl(TaskSpec::periodic(name, ms(10))).unwrap();
+            b.version_decl(t, VersionSpec::new(name, ms(1))).unwrap();
+            b.build().unwrap()
+        };
+        let mut e = OnlineEngine::new(two_task_set(), edf_config(2)).unwrap();
+        let mut grid = GridRun::new(2);
+        let mut sink = ActionSink::new();
+        e.start_into(at(0), &mut sink).unwrap();
+        grid.apply(&e, at(0), &sink);
+        let merged = Arc::new(e.taskset().extended(&guest("retired")).unwrap());
+        let retired = e.splice_taskset(merged, None).unwrap();
+        sink.clear();
+        e.commit_tenant_into(retired, at(0), &mut sink).unwrap();
+        grid.apply(&e, at(0), &sink);
+        grid.run(&mut e, 0, 25);
+        e.retire_tenant_into(retired, at(25), &mut sink).unwrap();
+        let merged = Arc::new(e.taskset().extended(&guest("pending")).unwrap());
+        e.splice_taskset(merged, None).unwrap();
+        e.stop();
+        grid.run(&mut e, 25, 40);
+        assert!(e.is_idle(), "drained after the stop");
+
+        let released = e.stats().released;
+        sink.clear();
+        e.start_into(at(40), &mut sink).unwrap();
+        grid.actions.clear();
+        grid.apply(&e, at(40), &sink);
+        grid.run(&mut e, 40, 109);
+        assert!(!touches(&grid.actions, 2..4), "{:?}", grid.actions);
+        // The base set alone over [40, 100]: `a` every 10 ms, `c` every 20.
+        assert_eq!(e.stats().released - released, 7 + 4);
+        assert!(e.is_idle());
+    }
+
+    /// A base set of two workers' tasks with one edge, and a tenant
+    /// whose roots first release 10 ms in.
+    fn base_and_tenant() -> (TaskSet, TaskSet) {
+        let (w0, w1) = (WorkerId::new(0), WorkerId::new(1));
+        let mut b = yasmin_core::graph::TaskSetBuilder::new();
+        let t0 = b.task_decl(TaskSpec::periodic("t0", ms(10)).on_worker(w0));
+        let t1 = b.task_decl(TaskSpec::periodic("t1", ms(20)).on_worker(w1));
+        let g = b
+            .task_decl(TaskSpec::graph_node("g").on_worker(w1))
+            .unwrap();
+        let (t0, t1) = (t0.unwrap(), t1.unwrap());
+        for (t, c) in [(t0, 3), (t1, 6), (g, 2)] {
+            b.version_decl(t, VersionSpec::new("v", ms(c))).unwrap();
+        }
+        let ch = b.channel_decl("t1g", 1, 2);
+        b.channel_connect(t1, g, ch).unwrap();
+        let base = b.build().unwrap();
+
+        let mut b = yasmin_core::graph::TaskSetBuilder::new();
+        let late = |name, period, w| {
+            let spec = TaskSpec::periodic(name, ms(period));
+            spec.with_release_offset(ms(10)).on_worker(w)
+        };
+        let r = b.task_decl(late("r", 40, w0)).unwrap();
+        let s = b
+            .task_decl(TaskSpec::graph_node("s").on_worker(w0))
+            .unwrap();
+        let q = b.task_decl(late("q", 20, w1)).unwrap();
+        for (t, c) in [(r, 4), (s, 3), (q, 2)] {
+            b.version_decl(t, VersionSpec::new("v", ms(c))).unwrap();
+        }
+        let ch = b.channel_decl("rs", 1, 2);
+        b.channel_connect(r, s, ch).unwrap();
+        (base, b.build().unwrap())
+    }
+
+    #[test]
+    fn a_spliced_tenant_runs_as_if_built_in() {
+        // One engine is built on the merged set; the other on the base
+        // set, started, and handed the tenant at the start instant. Over
+        // three 40 ms hyperperiods they must emit the same actions and
+        // count the same.
+        let (base, tenant) = base_and_tenant();
+        let merged = Arc::new(base.extended(&tenant).unwrap());
+        let base = Arc::new(base);
+        let rm = |mapping, sharded| {
+            let b = Config::builder().workers(2).mapping(mapping);
+            let b = b.sharded_dispatch(sharded);
+            b.priority(PriorityPolicy::RateMonotonic).build().unwrap()
+        };
+        let run = |mut e: OnlineEngine, splice: bool| {
+            let mut grid = GridRun::new(2);
+            let mut sink = ActionSink::new();
+            e.start_into(at(0), &mut sink).unwrap();
+            if splice {
+                let tenant = e.splice_taskset(Arc::clone(&merged), None).unwrap();
+                e.commit_tenant_into(tenant, at(0), &mut sink).unwrap();
+            }
+            grid.apply(&e, at(0), &sink);
+            grid.run(&mut e, 0, 120);
+            assert!(!e.has_outbox(), "no edge crosses workers");
+            assert!(touches(&grid.actions, 3..6), "the tenant ran");
+            (grid.actions, e.stats().clone())
+        };
+        for mapping in [MappingScheme::Global, MappingScheme::Partitioned] {
+            let built = OnlineEngine::new(Arc::clone(&merged), rm(mapping, false)).unwrap();
+            let spliced = OnlineEngine::new(Arc::clone(&base), rm(mapping, false)).unwrap();
+            assert_eq!(run(built, false), run(spliced, true), "{mapping:?}");
+        }
+        let config = rm(MappingScheme::Partitioned, true);
+        let shard_0 = |set| {
+            let mut shards = crate::shard::EngineShard::build_all(set, &config).unwrap();
+            shards.swap_remove(0).into_inner()
+        };
+        assert_eq!(run(shard_0(&merged), false), run(shard_0(&base), true));
     }
 }

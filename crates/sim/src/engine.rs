@@ -621,6 +621,13 @@ impl Simulation {
                 Action::Boost { .. } => {
                     // Priority bookkeeping only; nothing to model.
                 }
+                Action::Cull { job } => {
+                    // A culled job is never dispatched again: a preempted
+                    // one leaves the simulation with its remaining work.
+                    if let Some(slot) = self.take_suspended(job) {
+                        self.slab.remove(slot);
+                    }
+                }
             }
         }
     }
@@ -735,33 +742,6 @@ impl Simulation {
             preemptions: p.preemptions,
         });
         (worker, slice.job)
-    }
-
-    /// Forgets the preempted jobs a release round at `now` culls
-    /// ([`Config::cull_missed`]): those past their deadline.
-    fn forget_missed(&mut self, now: Instant) {
-        if self.engine.config().cull_missed() {
-            self.forget_culled(|_, job| job.deadline_missed_at(now));
-        }
-    }
-
-    /// Forgets the preempted jobs an engine call about to be made will
-    /// cull from the ready queue: those `culled` picks. A culled job is
-    /// never dispatched again, so it must not stay in flight here.
-    fn forget_culled(&mut self, culled: impl Fn(&OnlineEngine, &Job) -> bool) {
-        let Simulation {
-            engine,
-            slab,
-            suspended,
-            ..
-        } = self;
-        suspended.retain(|&(_, slot)| {
-            let gone = culled(engine, &slab.get_mut(slot).job);
-            if gone {
-                slab.remove(slot);
-            }
-            !gone
-        });
     }
 
     /// Delivers one scheduled fault ([`SimConfig::fault_schedule`]).
@@ -1113,7 +1093,6 @@ impl Simulation {
             }
             now = reached;
         }
-        self.forget_missed(now);
         self.engine_call(now, |e, sink| e.on_tick_into(now, sink));
         let next = now + self.tick;
         // The horizon is exclusive for new releases, so runs over
@@ -1164,14 +1143,10 @@ impl Simulation {
             }),
             Planned::Fault(ev) => self.apply_fault(now, ev),
             Planned::Admit(idx) => self.apply_admit(now, idx),
-            Planned::Retire(tenant) => {
-                // The engine culls the tenant's ready jobs.
-                self.forget_culled(|e, job| e.tenant_of_task(job.task) == Some(tenant));
-                self.engine_call(now, |e, sink| {
-                    e.retire_tenant_into(tenant, now, sink)
-                        .expect("retired tenant was admitted");
-                });
-            }
+            Planned::Retire(tenant) => self.engine_call(now, |e, sink| {
+                e.retire_tenant_into(tenant, now, sink)
+                    .expect("retired tenant was admitted");
+            }),
         }
     }
 
@@ -1199,8 +1174,6 @@ impl Simulation {
                     Duration::ZERO
                 });
         }
-        // The commit runs a tick's release round, culling included.
-        self.forget_missed(now);
         self.engine_call(now, |e, sink| {
             e.commit_tenant_into(tenant, now, sink)
                 .expect("spliced tenant commits");

@@ -4,7 +4,7 @@
 //! warm-up phase (rank caches fill, scratch buffers and the action sink
 //! grow to their high-water marks) each scenario drives 10 000 further
 //! steady-state scheduler interactions and asserts the allocation
-//! counter did not move at all. Thirteen scenarios cover the paths the
+//! counter did not move at all. Fourteen scenarios cover the paths the
 //! ROADMAP names:
 //!
 //! 1. **independent / global** — the EDF tick/complete loop of PR 2;
@@ -52,7 +52,10 @@
 //!     runs the full batched migration, k = 4 (ordered `try_steal_batch`
 //!     scan, `release_stolen_batch` detach into the fixed-size
 //!     [`JobBatch`], `adopt_stolen_batch` dispatch round) and retires
-//!     all k stolen jobs, while the victim refills.
+//!     all k stolen jobs, while the victim refills;
+//! 14. **deadline culling** — `cull_missed` on an overloaded worker:
+//!     every tick culls the jobs past their deadline and reports each
+//!     as an `Action::Cull`.
 //!
 //! Runs without the libtest harness (`harness = false` in Cargo.toml)
 //! so no other thread can touch the allocator during the measured
@@ -110,7 +113,7 @@ fn track(running: &mut [Option<JobId>], actions: &[Action]) {
         match *a {
             Action::Dispatch { worker, job, .. } => running[worker.index()] = Some(job.id),
             Action::Preempt { worker, .. } => running[worker.index()] = None,
-            Action::Boost { .. } => {}
+            Action::Boost { .. } | Action::Cull { .. } => {}
         }
     }
 }
@@ -1117,6 +1120,64 @@ fn steal_every_cycle(label: &str, k: usize) {
     assert!(thief.stats().completed > u64::from(k as u32 * WARMUP));
 }
 
+/// Scenario 14: deadline culling under overload. Four jobs of 4 ms due
+/// 5 ms after their release share one worker every 10 ms: two run, and
+/// every tick culls the other two past their deadline — the cull scan,
+/// its scratch and the `Cull` actions must all run on pre-grown storage.
+fn cull_missed_overload() {
+    let mut b = TaskSetBuilder::new();
+    for i in 0..4 {
+        let spec = TaskSpec::periodic(format!("t{i}"), Duration::from_millis(10))
+            .with_constrained_deadline(Duration::from_millis(5));
+        let t = b.task_decl(spec).unwrap();
+        b.version_decl(t, VersionSpec::new("v", Duration::from_millis(4)))
+            .unwrap();
+    }
+    let config = Config::builder()
+        .workers(1)
+        .priority(PriorityPolicy::EarliestDeadlineFirst)
+        .preemption(false)
+        .cull_missed(true)
+        .max_pending_jobs(64)
+        .build()
+        .expect("valid config");
+    let mut engine = OnlineEngine::new(Arc::new(b.build().unwrap()), config).expect("valid engine");
+    let mut sink = ActionSink::with_capacity(64);
+    let mut running: Vec<Option<JobId>> = vec![None; 1];
+
+    engine
+        .start_into(Instant::ZERO, &mut sink)
+        .expect("fresh engine starts");
+    track(&mut running, sink.as_slice());
+    let tick = engine.tick_period();
+    let mut now = Instant::ZERO;
+    let mut culls = 0u64;
+
+    assert_zero_alloc("cull-missed-overload", || {
+        // The running job ends at half-tick and the next one, due right
+        // then, starts; at the tick the rest are past their deadline.
+        if let Some(job) = running[0].take() {
+            sink.clear();
+            engine
+                .on_job_completed_into(WorkerId::new(0), job, now + tick.scale(1, 2), &mut sink)
+                .expect("completion protocol upheld");
+            track(&mut running, sink.as_slice());
+        }
+        now += tick;
+        sink.clear();
+        engine.on_tick_into(now, &mut sink);
+        track(&mut running, sink.as_slice());
+        let culled = sink.as_slice().iter();
+        culls += culled.filter(|a| matches!(a, Action::Cull { .. })).count() as u64;
+    });
+    assert!(
+        engine.stats().culled >= u64::from(2 * STEADY),
+        "every tick must cull (got {})",
+        engine.stats().culled
+    );
+    assert_eq!(culls, engine.stats().culled, "each cull is reported");
+}
+
 fn main() {
     independent_global();
     dag_firing();
@@ -1131,4 +1192,5 @@ fn main() {
     enforcement_steady_state();
     battery_energy_refresh();
     steady_state_batch_stealing();
+    cull_missed_overload();
 }
