@@ -8,37 +8,118 @@
 //! WCET (the paper's stated limitation), the section length is simply
 //! the version's WCET.
 //!
-//! [`blocking_term`] computes `B_i` per task; [`response_times_blocking`]
-//! folds it into the standard RTA iteration:
+//! [`blocking_terms`] computes `B_i` for every row of a table from the
+//! sections [`extend_sections`] collects;
+//! [`blocking_term`] reads one task's, and [`response_times_blocking`]
+//! folds them into the standard RTA iteration:
 //!
 //! ```text
 //! Rᵏ⁺¹ = Cᵢ + Bᵢ + Σ_{j ∈ hp(i)} ⌈Rᵏ / Tⱼ⌉ · Cⱼ
 //! ```
 
-use crate::rta::{fixed_points, static_priority, ResponseTime};
+use crate::row::{rows_of, Placement, Row};
+use crate::rta::{ResponseTime, Rta};
 use crate::util::WcetAssumption;
 use yasmin_core::graph::TaskSet;
 use yasmin_core::ids::{AccelId, TaskId};
 use yasmin_core::priority::PriorityPolicy;
 use yasmin_core::time::Duration;
 
-/// Accelerators any version of `t` may occupy.
-fn accels_of(ts: &TaskSet, t: TaskId) -> Vec<AccelId> {
-    let mut out = Vec::new();
-    for v in ts.tasks()[t.index()].versions() {
-        if let Some(a) = v.accel() {
-            if !out.contains(&a) {
-                out.push(a);
+/// One accelerator section: a version of the task at `row` holds
+/// `accel` for `len` (its whole WCET, §3.2).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Section {
+    /// Index of the task's row.
+    pub row: usize,
+    /// The accelerator the version is bound to.
+    pub accel: AccelId,
+    /// The version's WCET.
+    pub len: Duration,
+}
+
+/// Appends the accelerator sections of every row of `rows` that holds
+/// a task of `ts` — a tenant whose first task and first accelerator are
+/// `T<task_offset>` and `A<accel_offset>` in a merged id space (both 0
+/// for a set on its own). Rows of other tasks are left to other calls.
+pub fn extend_sections(
+    out: &mut Vec<Section>,
+    rows: &[Row],
+    ts: &TaskSet,
+    task_offset: u32,
+    accel_offset: usize,
+) {
+    for (row, r) in rows.iter().enumerate() {
+        let Some(task) =
+            (r.task.raw().checked_sub(task_offset)).and_then(|k| ts.tasks().get(k as usize))
+        else {
+            continue;
+        };
+        for v in task.versions() {
+            if let Some(a) = v.accel() {
+                out.push(Section {
+                    row,
+                    accel: AccelId::new((accel_offset + a.index()) as u16),
+                    len: v.wcet(),
+                });
             }
         }
     }
-    out
+}
+
+/// Fills in every row's PIP blocking bound `Bᵢ` from `sections`: the
+/// longest section of any *strictly lower-priority* row on any
+/// accelerator that row `i` or a strictly higher-priority row may lock
+/// (push-through blocking included). Zero for a row no such section
+/// can block.
+pub fn blocking_terms(rows: &mut [Row], sections: &[Section]) {
+    let mut relevant = Vec::new();
+    for i in 0..rows.len() {
+        rows[i].blocking = blocking_of(rows, sections, i, &mut relevant);
+    }
+}
+
+/// Row `i`'s term of [`blocking_terms`]; `relevant` is scratch space.
+fn blocking_of(
+    rows: &[Row],
+    sections: &[Section],
+    i: usize,
+    relevant: &mut Vec<AccelId>,
+) -> Duration {
+    let mine = rows[i].priority;
+    relevant.clear();
+    for s in sections {
+        if (s.row == i || rows[s.row].priority.is_higher_than(mine)) && !relevant.contains(&s.accel)
+        {
+            relevant.push(s.accel);
+        }
+    }
+    let mut worst = Duration::ZERO;
+    for s in sections {
+        let p = rows[s.row].priority;
+        if s.row != i && mine.is_higher_than(p) && relevant.contains(&s.accel) {
+            worst = worst.max(s.len);
+        }
+    }
+    worst
+}
+
+/// One-core rows of `ts` and their accelerator sections.
+fn rows_and_sections(
+    ts: &TaskSet,
+    policy: PriorityPolicy,
+    assumption: WcetAssumption,
+) -> (Vec<Row>, Vec<Section>) {
+    let rows = rows_of(ts, policy, assumption, Placement::OneCore);
+    let mut sections = Vec::new();
+    extend_sections(&mut sections, &rows, ts, 0, 0);
+    (rows, sections)
 }
 
 /// The PIP blocking bound `B_i` of `task`: the longest accelerator
 /// section of any *lower-priority* task on any accelerator that `task`
 /// (or a higher-priority task) may request. Zero when the task set uses
-/// no accelerators.
+/// no accelerators. Section lengths are whole version WCETs whatever
+/// the `assumption` (§3.2 limitation).
 #[must_use]
 pub fn blocking_term(
     ts: &TaskSet,
@@ -46,46 +127,8 @@ pub fn blocking_term(
     task: TaskId,
     assumption: WcetAssumption,
 ) -> Duration {
-    let my_prio = static_priority(ts, policy, task);
-    // Resources that `task` or any higher-priority task may lock.
-    let mut relevant: Vec<AccelId> = Vec::new();
-    for t in ts.tasks() {
-        let p = static_priority(ts, policy, t.id());
-        if t.id() == task || p.is_higher_than(my_prio) {
-            for a in accels_of(ts, t.id()) {
-                if !relevant.contains(&a) {
-                    relevant.push(a);
-                }
-            }
-        }
-    }
-    if relevant.is_empty() {
-        return Duration::ZERO;
-    }
-    // Longest section of a lower-priority task on any relevant resource.
-    let mut worst = Duration::ZERO;
-    for t in ts.tasks() {
-        if t.id() == task {
-            continue;
-        }
-        let p = static_priority(ts, policy, t.id());
-        let lower = !p.is_higher_than(my_prio) && p != my_prio;
-        if !lower {
-            continue;
-        }
-        for v in t.versions() {
-            if let Some(a) = v.accel() {
-                if relevant.contains(&a) {
-                    // Section length = whole version WCET (§3.2
-                    // limitation). Use the analysis assumption for
-                    // consistency.
-                    let _ = assumption;
-                    worst = worst.max(v.wcet());
-                }
-            }
-        }
-    }
-    worst
+    let (rows, sections) = rows_and_sections(ts, policy, assumption);
+    blocking_of(&rows, &sections, task.index(), &mut Vec::new())
 }
 
 /// RTA with the PIP blocking term folded in (uniprocessor / one
@@ -101,10 +144,10 @@ pub fn response_times_blocking(
     assumption: WcetAssumption,
 ) -> Vec<ResponseTime> {
     assert!(policy.is_static(), "blocking RTA needs static priorities");
-    let all: Vec<TaskId> = ts.tasks().iter().map(|t| t.id()).collect();
-    fixed_points(ts, &all, policy, assumption, |t| {
-        blocking_term(ts, policy, t, assumption)
-    })
+    let (mut rows, sections) = rows_and_sections(ts, policy, assumption);
+    blocking_terms(&mut rows, &sections);
+    let mut rta = Rta::new(&rows);
+    (0..rows.len()).map(|i| rta.response_time(i)).collect()
 }
 
 #[cfg(test)]

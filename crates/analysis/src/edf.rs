@@ -11,29 +11,62 @@
 //! The testing window is bounded by the hyperperiod (for `U ≤ 1`), which
 //! our period grid keeps small.
 
-use crate::util::{total_utilisation, wcet_of, WcetAssumption};
+use crate::row::{edf_rows, hyperperiod, Row};
+use crate::util::{total_utilisation_rows, WcetAssumption};
 use yasmin_core::graph::TaskSet;
 use yasmin_core::time::Duration;
+
+/// The demand bound function `h(t)` of `rows` at time `t` — the kernel
+/// behind [`demand_bound`].
+pub(crate) fn demand_bound_rows(rows: &[Row], t: Duration) -> Duration {
+    let mut h = Duration::ZERO;
+    for row in rows {
+        let Some(period) = row.period else {
+            continue;
+        };
+        let d = row.deadline;
+        if d == Duration::MAX || t < d {
+            continue;
+        }
+        h += row.wcet * ((t - d) / period + 1);
+    }
+    h
+}
+
+/// Exact uniprocessor EDF schedulability of `rows` — the kernel behind
+/// [`edf_schedulable`].
+#[must_use]
+pub fn edf_schedulable_rows(rows: &[Row]) -> bool {
+    if total_utilisation_rows(rows) > 1.0 + 1e-9 {
+        return false;
+    }
+    let Some(hyper) = hyperperiod(rows) else {
+        return true; // no recurring work
+    };
+    // Candidate check points: every absolute deadline d + k·T ≤ hyper.
+    let mut points: Vec<Duration> = Vec::new();
+    for row in rows {
+        let Some(period) = row.period else {
+            continue;
+        };
+        if row.deadline == Duration::MAX {
+            continue;
+        }
+        let mut t = row.deadline;
+        while t <= hyper {
+            points.push(t);
+            t += period;
+        }
+    }
+    points.sort_unstable();
+    points.dedup();
+    points.into_iter().all(|t| demand_bound_rows(rows, t) <= t)
+}
 
 /// The demand bound function `h(t)` of the whole set at time `t`.
 #[must_use]
 pub fn demand_bound(ts: &TaskSet, t: Duration, assumption: WcetAssumption) -> Duration {
-    let mut h = Duration::ZERO;
-    for task in ts.tasks() {
-        let Some(period) = ts.effective_period(task.id()) else {
-            continue;
-        };
-        if period.is_zero() {
-            continue;
-        }
-        let d = ts.effective_deadline(task.id());
-        if d == Duration::MAX || t < d {
-            continue;
-        }
-        let jobs = (t - d) / period + 1;
-        h += wcet_of(ts, task.id(), assumption) * jobs;
-    }
-    h
+    demand_bound_rows(&edf_rows(ts, assumption), t)
 }
 
 /// Exact uniprocessor EDF schedulability via processor demand.
@@ -42,36 +75,7 @@ pub fn demand_bound(ts: &TaskSet, t: Duration, assumption: WcetAssumption) -> Du
 /// at every deadline up to the hyperperiod.
 #[must_use]
 pub fn edf_schedulable(ts: &TaskSet, assumption: WcetAssumption) -> bool {
-    if total_utilisation(ts, assumption) > 1.0 + 1e-9 {
-        return false;
-    }
-    let Some(hyper) = ts.hyperperiod() else {
-        return true; // no recurring work
-    };
-    // Candidate check points: every absolute deadline d + k·T ≤ hyper.
-    let mut points: Vec<Duration> = Vec::new();
-    for task in ts.tasks() {
-        let Some(period) = ts.effective_period(task.id()) else {
-            continue;
-        };
-        if period.is_zero() {
-            continue;
-        }
-        let d = ts.effective_deadline(task.id());
-        if d == Duration::MAX {
-            continue;
-        }
-        let mut t = d;
-        while t <= hyper {
-            points.push(t);
-            t += period;
-        }
-    }
-    points.sort_unstable();
-    points.dedup();
-    points
-        .into_iter()
-        .all(|t| demand_bound(ts, t, assumption) <= t)
+    edf_schedulable_rows(&edf_rows(ts, assumption))
 }
 
 #[cfg(test)]

@@ -2,6 +2,9 @@
 //!
 //! Schedulability analysis companions to the YASMIN middleware:
 //!
+//! * [`row`] — the analysis row every test below runs over: one
+//!   task's priority, WCET, effective period and deadline, partition
+//!   and blocking term;
 //! * [`util`] — utilisation tests: Liu & Layland (RM), `U ≤ 1` (EDF),
 //!   Goossens-Funk-Baruah (global EDF);
 //! * [`rta`] — fixed-priority response-time analysis (uniprocessor and
@@ -22,14 +25,19 @@
 pub mod blocking;
 pub mod dag;
 pub mod edf;
+pub mod row;
 pub mod rta;
 pub mod util;
 
-pub use blocking::{blocking_term, response_times_blocking};
+pub use blocking::{
+    blocking_term, blocking_terms, extend_sections, response_times_blocking, Section,
+};
 pub use dag::{critical_path, dag_meets_deadline, graham_bound, volume};
-pub use edf::{demand_bound, edf_schedulable};
-pub use rta::{response_times, schedulable, ResponseTime};
+pub use edf::{demand_bound, edf_schedulable, edf_schedulable_rows};
+pub use row::{extend_rows, Placement, Row};
+pub use rta::{response_times, schedulable, ResponseTime, Rta};
 pub use util::{
-    edf_utilisation_test, gfb_global_edf_test, liu_layland_bound, max_utilisation,
-    rm_utilisation_test, total_utilisation, WcetAssumption,
+    edf_utilisation_test, gfb_global_edf_test, gfb_rows, liu_layland_bound, max_utilisation,
+    max_utilisation_rows, rm_utilisation_test, total_utilisation, total_utilisation_rows,
+    WcetAssumption,
 };

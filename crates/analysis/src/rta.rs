@@ -11,10 +11,11 @@
 //! YASMIN's offline synthesis and the experiment harness use this to
 //! decide whether a partitioned assignment is feasible before running it.
 
-use crate::util::{wcet_of, WcetAssumption};
+use crate::row::{hyperperiod, rows_of, Placement, Row};
+use crate::util::WcetAssumption;
 use yasmin_core::graph::TaskSet;
 use yasmin_core::ids::TaskId;
-use yasmin_core::priority::{Priority, PriorityPolicy};
+use yasmin_core::priority::PriorityPolicy;
 use yasmin_core::time::Duration;
 
 /// Result of the RTA for one task.
@@ -37,100 +38,72 @@ impl ResponseTime {
     }
 }
 
-pub(crate) fn static_priority(ts: &TaskSet, policy: PriorityPolicy, t: TaskId) -> Priority {
-    match policy {
-        PriorityPolicy::RateMonotonic => ts
-            .effective_period(t)
-            .map_or(Priority::LOWEST, Priority::rate_monotonic),
-        PriorityPolicy::DeadlineMonotonic => {
-            let d = ts.effective_deadline(t);
-            if d == Duration::MAX {
-                Priority::LOWEST
-            } else {
-                Priority::deadline_monotonic(d)
-            }
-        }
-        PriorityPolicy::UserDefined => ts.tasks()[t.index()]
-            .spec()
-            .static_priority()
-            .unwrap_or(Priority::LOWEST),
-        PriorityPolicy::EarliestDeadlineFirst => Priority::LOWEST,
-    }
+/// The RTA over one table of rows — the one kernel every entry point
+/// and on-line admission run. Holds what the rows' iterations share:
+/// the hyperperiod, derived by the first row that needs it, and the
+/// buffer of interferers.
+#[derive(Debug)]
+pub struct Rta<'a> {
+    rows: &'a [Row],
+    /// The rows' hyperperiod once a row with an unbounded deadline
+    /// asked for it.
+    hyperperiod: Option<Option<Duration>>,
+    /// `(Cⱼ, Tⱼ)` of every row interfering with the one iterated.
+    hp: Vec<(Duration, Duration)>,
 }
 
-/// The fixed-point iteration for every task of `members` (ascending
-/// ids: one core's tasks), each interfered with by the other members
-/// only. `blocking` adds a per-task constant term `Bᵢ` to `Cᵢ`.
-///
-/// Each member's priority, WCET and period are derived once, not once
-/// per (i, j) pair — `effective_period` walks to the component root —
-/// and one `hp` buffer serves every task of the call.
-pub(crate) fn fixed_points(
-    ts: &TaskSet,
-    members: &[TaskId],
-    policy: PriorityPolicy,
-    assumption: WcetAssumption,
-    blocking: impl Fn(TaskId) -> Duration,
-) -> Vec<ResponseTime> {
-    // (task, priority, C, T); `None` for a task that never recurs and
-    // so interferes with nobody.
-    let params: Vec<(TaskId, Priority, Duration, Option<Duration>)> = members
-        .iter()
-        .map(|&t| {
-            (
-                t,
-                static_priority(ts, policy, t),
-                wcet_of(ts, t, assumption),
-                ts.effective_period(t).filter(|p| !p.is_zero()),
-            )
-        })
-        .collect();
-    let mut hyperperiod = None;
-    let mut hp: Vec<(Duration, Duration)> = Vec::with_capacity(params.len());
-    params
-        .iter()
-        .map(|&(t, my_prio, c, _)| {
-            // Higher-priority set: strictly more urgent; equal priority
-            // broken by task id (matching the ready-queue tie-break).
-            hp.clear();
-            hp.extend(
-                params
-                    .iter()
-                    .filter(|&&(j, pj, _, _)| {
-                        pj.is_higher_than(my_prio) || (pj == my_prio && j < t)
-                    })
-                    .filter_map(|&(_, _, cj, tj)| Some((cj, tj?))),
-            );
-            let d = ts.effective_deadline(t);
-            let limit = if d == Duration::MAX {
-                // Unbounded deadline: iterate up to the hyperperiod as a
-                // pragmatic divergence cut-off.
-                *hyperperiod.get_or_insert_with(|| ts.hyperperiod().unwrap_or(Duration::MAX))
-            } else {
-                d
-            };
-            let base = c + blocking(t);
-            let mut r = base;
-            let wcrt = loop {
-                let mut next = base;
-                for (cj, tj) in &hp {
-                    next += *cj * r.as_nanos().div_ceil(tj.as_nanos());
-                }
-                if next == r {
-                    break Some(r);
-                }
-                if next > limit {
-                    break None;
-                }
-                r = next;
-            };
-            ResponseTime {
-                task: t,
-                wcrt,
-                deadline: d,
+impl<'a> Rta<'a> {
+    /// The analysis of `rows`, in analysis order.
+    #[must_use]
+    pub fn new(rows: &'a [Row]) -> Self {
+        Rta {
+            rows,
+            hyperperiod: None,
+            hp: Vec::with_capacity(rows.len()),
+        }
+    }
+
+    /// The fixed-point iteration for `rows[i]`, interfered with by every
+    /// row that [`Row::preempts`] it, with its blocking term `Bᵢ` added
+    /// to `Cᵢ`.
+    ///
+    /// A row with an unbounded deadline iterates up to the rows'
+    /// hyperperiod, a pragmatic divergence cut-off.
+    pub fn response_time(&mut self, i: usize) -> ResponseTime {
+        let rows = self.rows;
+        let me = &rows[i];
+        let limit = if me.deadline == Duration::MAX {
+            (self.hyperperiod.get_or_insert_with(|| hyperperiod(rows))).unwrap_or(Duration::MAX)
+        } else {
+            me.deadline
+        };
+        self.hp.clear();
+        self.hp.extend(
+            (rows.iter().enumerate())
+                .filter(|(j, other)| other.preempts(*j, me, i))
+                .filter_map(|(_, other)| Some((other.wcet, other.period?))),
+        );
+        let base = me.wcet + me.blocking;
+        let mut r = base;
+        let wcrt = loop {
+            let mut next = base;
+            for (cj, tj) in &self.hp {
+                next += *cj * r.as_nanos().div_ceil(tj.as_nanos());
             }
-        })
-        .collect()
+            if next == r {
+                break Some(r);
+            }
+            if next > limit {
+                break None;
+            }
+            r = next;
+        };
+        ResponseTime {
+            task: me.task,
+            wcrt,
+            deadline: me.deadline,
+        }
+    }
 }
 
 /// Runs the RTA for every task of `ts` on a single core under a static
@@ -154,8 +127,9 @@ pub fn response_times(
         policy.is_static(),
         "RTA applies to static priorities; use the EDF demand test instead"
     );
-    let all: Vec<TaskId> = ts.tasks().iter().map(|t| t.id()).collect();
-    fixed_points(ts, &all, policy, assumption, |_| Duration::ZERO)
+    let rows = rows_of(ts, policy, assumption, Placement::OneCore);
+    let mut rta = Rta::new(&rows);
+    (0..rows.len()).map(|i| rta.response_time(i)).collect()
 }
 
 /// `true` if every task passes the RTA.
@@ -175,19 +149,15 @@ pub fn partitioned_response_times(
     policy: PriorityPolicy,
     assumption: WcetAssumption,
 ) -> Vec<(usize, ResponseTime)> {
+    let rows = rows_of(ts, policy, assumption, Placement::Assigned);
+    let mut rta = Rta::new(&rows);
     let mut results = Vec::new();
     for w in 0..workers {
-        let members: Vec<TaskId> = ts
-            .tasks()
-            .iter()
-            .filter(|t| t.spec().assigned_worker().is_some_and(|a| a.index() == w))
-            .map(|t| t.id())
-            .collect();
-        results.extend(
-            fixed_points(ts, &members, policy, assumption, |_| Duration::ZERO)
-                .into_iter()
-                .map(|r| (w, r)),
-        );
+        for (i, row) in rows.iter().enumerate() {
+            if row.worker.is_some_and(|x| x.index() == w) {
+                results.push((w, rta.response_time(i)));
+            }
+        }
     }
     results
 }
@@ -205,6 +175,8 @@ pub fn wcrt_bounds_hold(r: &ResponseTime, c: Duration) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::row::static_priority;
+    use crate::util::wcet_of;
     use yasmin_core::graph::TaskSetBuilder;
     use yasmin_core::task::TaskSpec;
     use yasmin_core::version::VersionSpec;
@@ -224,10 +196,10 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// The per-pair loop the analysis shipped with before `fixed_points`:
-    /// priority, WCET and period re-derived for every (i, j) pair, one
-    /// `hp` vector per task. Kept as the reference the refactored core
-    /// must agree with bit for bit.
+    /// The per-pair loop the analysis shipped with before the row
+    /// kernel: priority, WCET and period re-derived from the task set
+    /// for every (i, j) pair, one `hp` vector per task. Kept as the
+    /// reference the kernel must agree with bit for bit.
     fn naive(
         ts: &TaskSet,
         members: &[TaskId],

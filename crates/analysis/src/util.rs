@@ -1,7 +1,9 @@
 //! Utilisation-based schedulability tests.
 
+use crate::row::{edf_rows, Row};
 use yasmin_core::graph::TaskSet;
 use yasmin_core::ids::TaskId;
+use yasmin_core::priority::PriorityPolicy;
 use yasmin_core::time::Duration;
 
 /// Which version's WCET an analysis assumes per task.
@@ -29,30 +31,47 @@ pub fn wcet_of(ts: &TaskSet, task: TaskId, assumption: WcetAssumption) -> Durati
 /// for tasks with no period (pure aperiodic).
 #[must_use]
 pub fn utilisation_of(ts: &TaskSet, task: TaskId, assumption: WcetAssumption) -> f64 {
-    match ts.effective_period(task) {
-        Some(p) if !p.is_zero() => {
-            wcet_of(ts, task, assumption).as_nanos() as f64 / p.as_nanos() as f64
-        }
-        _ => 0.0,
-    }
+    Row::of(
+        ts,
+        task,
+        PriorityPolicy::EarliestDeadlineFirst,
+        assumption,
+        None,
+    )
+    .utilisation()
+}
+
+/// `Σ C/T` over `rows`, in row order — the kernel behind
+/// [`total_utilisation`].
+#[must_use]
+pub fn total_utilisation_rows(rows: &[Row]) -> f64 {
+    rows.iter().map(Row::utilisation).sum()
+}
+
+/// The largest single-row utilisation.
+#[must_use]
+pub fn max_utilisation_rows(rows: &[Row]) -> f64 {
+    rows.iter().map(Row::utilisation).fold(0.0, f64::max)
+}
+
+/// The GFB test of [`gfb_global_edf_test`] over `rows`.
+#[must_use]
+pub fn gfb_rows(rows: &[Row], m: usize) -> bool {
+    let u = total_utilisation_rows(rows);
+    let umax = max_utilisation_rows(rows);
+    u <= m as f64 - (m as f64 - 1.0) * umax + 1e-12
 }
 
 /// Total utilisation of the set.
 #[must_use]
 pub fn total_utilisation(ts: &TaskSet, assumption: WcetAssumption) -> f64 {
-    ts.tasks()
-        .iter()
-        .map(|t| utilisation_of(ts, t.id(), assumption))
-        .sum()
+    total_utilisation_rows(&edf_rows(ts, assumption))
 }
 
 /// Largest single-task utilisation.
 #[must_use]
 pub fn max_utilisation(ts: &TaskSet, assumption: WcetAssumption) -> f64 {
-    ts.tasks()
-        .iter()
-        .map(|t| utilisation_of(ts, t.id(), assumption))
-        .fold(0.0, f64::max)
+    max_utilisation_rows(&edf_rows(ts, assumption))
 }
 
 /// The Liu & Layland bound for rate-monotonic scheduling of `n` implicit-
@@ -82,9 +101,7 @@ pub fn edf_utilisation_test(ts: &TaskSet, assumption: WcetAssumption) -> bool {
 /// `U ≤ m − (m − 1)·u_max`.
 #[must_use]
 pub fn gfb_global_edf_test(ts: &TaskSet, m: usize, assumption: WcetAssumption) -> bool {
-    let u = total_utilisation(ts, assumption);
-    let umax = max_utilisation(ts, assumption);
-    u <= m as f64 - (m as f64 - 1.0) * umax + 1e-12
+    gfb_rows(&edf_rows(ts, assumption), m)
 }
 
 #[cfg(test)]

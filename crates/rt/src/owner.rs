@@ -206,15 +206,17 @@ pub(crate) enum ShardMsg {
     /// balance.
     MsgDrained { dst: TaskId },
     /// Phase one of a tenant admission (see [`Runtime::admit`]): splice
-    /// the merged task set — its suffix is the new tenant — into this
-    /// owner's engine and register the tenant's bodies, with every new
-    /// release left **disarmed**. With two shards or more each
-    /// decrements `ack` when its splice is done, and the admitting
-    /// thread holds the commit until the counter hits zero; one owner's
-    /// lane is FIFO and carries no counter.
+    /// the merged task set — its suffix from `task_offset` on is the new
+    /// tenant — into this owner's engine and register the tenant's
+    /// bodies (keyed by candidate-local ids, as the caller gave them),
+    /// with every new release left **disarmed**. With two shards or
+    /// more each decrements `ack` when its splice is done, and the
+    /// admitting thread holds the commit until the counter hits zero;
+    /// one owner's lane is FIFO and carries no counter.
     Admit {
         taskset: Arc<TaskSet>,
         bodies: Arc<HashMap<(TaskId, VersionId), TaskBody>>,
+        task_offset: u32,
         budget: Option<TenantBudget>,
         at: Instant,
         ack: Option<Arc<AtomicUsize>>,
@@ -500,7 +502,8 @@ pub(crate) fn wire<C: Clock>(
             shelves: peer_shelves.clone(),
             drained: Arc::clone(&drain_board),
         };
-        let bodies = launch.bodies.clone();
+        let mut bodies = BodyTable::default();
+        bodies.extend(taskset, 0, &launch.bodies);
         let lanes = Arc::clone(&msg_lanes);
         let owner = Owner::new(engine, bodies, rx, Arc::clone(clock), peers, lanes, helpers);
         owners.push((owner, ends));
@@ -919,11 +922,51 @@ pub(crate) enum Next {
     Exit,
 }
 
+/// Every body an owner may run, found by merged task id, then version:
+/// task `t`'s versions start at `first[t]` in `bodies`. A dispatch looks
+/// its body up with two indexings, no hashing.
+#[derive(Default)]
+struct BodyTable {
+    first: Vec<u32>,
+    bodies: Vec<TaskBody>,
+}
+
+impl BodyTable {
+    /// Appends the bodies of `taskset`'s tasks from `offset` on — its
+    /// newest tenant's, or every task when `offset` is 0 — looked up in
+    /// `local` under their ids less `offset`.
+    ///
+    /// # Panics
+    ///
+    /// When a version has no body (the caller checked them all), or the
+    /// table does not end at task `offset`.
+    fn extend(
+        &mut self,
+        taskset: &TaskSet,
+        offset: u32,
+        local: &HashMap<(TaskId, VersionId), TaskBody>,
+    ) {
+        assert_eq!(self.first.len(), offset as usize, "tenants arrive in order");
+        for t in &taskset.tasks()[offset as usize..] {
+            self.first.push(self.bodies.len() as u32);
+            let id = TaskId::new(t.id().raw() - offset);
+            self.bodies.extend((0..t.versions().len()).map(|v| {
+                let key = (id, VersionId::new(v as u16));
+                Arc::clone(local.get(&key).expect("bodies were checked"))
+            }));
+        }
+    }
+
+    fn get(&self, task: TaskId, version: VersionId) -> &TaskBody {
+        &self.bodies[self.first[task.index()] as usize + version.index()]
+    }
+}
+
 /// One owner's protocol over its engine — a shard's, or the whole — as
 /// a machine a thread steps: the thread runs bodies, parks and spins.
 pub(crate) struct Owner<C: Clock> {
     engine: OnlineEngine,
-    bodies: HashMap<(TaskId, VersionId), TaskBody>,
+    bodies: BodyTable,
     clock: Arc<C>,
     /// `None` while a body has it ([`Owner::in_body`]).
     local: Option<ShardLocal>,
@@ -971,7 +1014,7 @@ pub(crate) struct Owner<C: Clock> {
 impl<C: Clock> Owner<C> {
     fn new(
         engine: OnlineEngine,
-        bodies: HashMap<(TaskId, VersionId), TaskBody>,
+        bodies: BodyTable,
         rx: MailboxReceiver<ShardMsg>,
         clock: Arc<C>,
         peers: PeerLinks,
@@ -1133,7 +1176,7 @@ impl<C: Clock> Owner<C> {
                 continue;
             };
             if let Some(helper) = self.helpers.get_mut(slot.index()) {
-                let body = Arc::clone(&self.bodies[&(job.task, version)]);
+                let body = Arc::clone(self.bodies.get(job.task, version));
                 helper.push(Some(Run { job, version, body }));
             } else {
                 debug_assert!(self.next_job.is_none(), "one slot, one job");
@@ -1231,14 +1274,14 @@ impl<C: Clock> Owner<C> {
             ShardMsg::Admit {
                 taskset,
                 bodies,
+                task_offset,
                 budget,
                 at,
                 ack,
             } => {
                 // Control path: allocation is fine, the tenant is not
                 // running yet (module docs of `yasmin_sched::admission`).
-                let tenants = bodies.iter().map(|(k, b)| (*k, Arc::clone(b)));
-                self.bodies.extend(tenants);
+                self.bodies.extend(&taskset, task_offset, &bodies);
                 let tenant = TenantId::new(self.engine.tenant_count() as u32);
                 self.engine
                     .splice_taskset(taskset, reservation_for(tenant, budget, at))
@@ -1459,7 +1502,7 @@ impl<C: Clock> Owner<C> {
         run: impl FnOnce(&TaskBody) -> R,
     ) -> R {
         LOCAL.with_borrow_mut(|l| std::mem::swap(l, &mut self.local));
-        let out = run(&self.bodies[&key]);
+        let out = run(self.bodies.get(key.0, key.1));
         LOCAL.with_borrow_mut(|l| std::mem::swap(l, &mut self.local));
         out
     }

@@ -163,11 +163,11 @@ struct World {
     next_seen: [u64; 4],
 }
 
-fn noop_bodies(taskset: &TaskSet, offset: u32) -> HashMap<(TaskId, VersionId), TaskBody> {
+fn noop_bodies(taskset: &TaskSet) -> HashMap<(TaskId, VersionId), TaskBody> {
     let mut bodies: HashMap<(TaskId, VersionId), TaskBody> = HashMap::new();
     for t in taskset.tasks() {
         for v in 0..t.versions().len() {
-            let key = (TaskId::new(offset + t.id().raw()), VersionId::new(v as u16));
+            let key = (t.id(), VersionId::new(v as u16));
             bodies.insert(key, Arc::new(|_: &JobCtx| {}));
         }
     }
@@ -183,7 +183,7 @@ impl World {
     fn new(label: String, seed: u64, taskset: TaskSet, config: Config, stealing: bool) -> Self {
         let taskset = Arc::new(taskset);
         let mut launch = RuntimeBuilder::new(Arc::clone(&taskset), config.clone());
-        launch.bodies = noop_bodies(&taskset, 0);
+        launch.bodies = noop_bodies(&taskset);
         launch.work_stealing = stealing;
         let clock = Arc::new(ManualClock::new());
         clock.set(T0);
@@ -592,11 +592,12 @@ impl World {
                     if sharded {
                         validate_sharding(admission.merged, config)?;
                     }
-                    let bodies = Arc::new(noop_bodies(&candidate, admission.task_offset));
+                    let bodies = Arc::new(noop_bodies(&candidate));
                     for lane in control {
                         let msg = ShardMsg::Admit {
                             taskset: Arc::clone(admission.merged),
                             bodies: Arc::clone(&bodies),
+                            task_offset: admission.task_offset,
                             budget: None,
                             at: now,
                             ack: ack.clone(),

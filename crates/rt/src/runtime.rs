@@ -409,10 +409,13 @@ impl Runtime {
     ///
     /// Everything that can refuse the tenant runs on the **caller's**
     /// thread — the paper's non-real-time admission path: the body
-    /// check, the request's shape, the schedulability analysis
-    /// ([`yasmin_sched::AdmissionControl::evaluate`], on the live
-    /// tenants only — see [`TenantLedger`]) and, under sharding, the
-    /// sharding contract ([`validate_sharding`]). An accepted tenant is
+    /// check, the request's shape, the schedulability analysis (the
+    /// tests of [`yasmin_sched::AdmissionControl`], run by the
+    /// [`TenantLedger`] over the analysis rows of the live tenants plus
+    /// the candidate's) and, under sharding, the sharding contract
+    /// ([`validate_sharding`]). `bodies` travels to the owners as given:
+    /// each files them under merged task ids in its own dense table,
+    /// which is where a dispatch finds its body. An accepted tenant is
     /// then spliced in **two phases** over the control lanes: every
     /// owner first adopts the merged set with the new releases disarmed,
     /// and only then is the commit sent that arms them, anchored at
@@ -461,16 +464,14 @@ impl Runtime {
                 if self.config.sharded_dispatch() {
                     validate_sharding(admission.merged, &self.config)?;
                 }
-                let remapped: Arc<HashMap<(TaskId, VersionId), TaskBody>> = Arc::new(
-                    bodies
-                        .into_iter()
-                        .map(|((t, v), b)| ((TaskId::new(admission.task_offset + t.raw()), v), b))
-                        .collect(),
-                );
+                // Keyed by candidate-local ids: each owner files them
+                // under merged ids in its own table.
+                let bodies = Arc::new(bodies);
                 let at = self.clock.now();
                 self.broadcast(|| ShardMsg::Admit {
                     taskset: Arc::clone(admission.merged),
-                    bodies: Arc::clone(&remapped),
+                    bodies: Arc::clone(&bodies),
+                    task_offset: admission.task_offset,
                     budget,
                     at,
                     ack: ack.clone(),

@@ -65,15 +65,31 @@
 //! Every driver — the single-owner and the sharded thread runtime, the
 //! simulator — keeps its tenants in a [`TenantLedger`]: the id-stable
 //! merged set its engines splice, the next tenant id, which tenants
-//! are retired, and a compact *analysis view* holding the live tenants
-//! only (in admission order, so priority ties break as they do in the
-//! merged id space). [`TenantLedger::admit`] evaluates
-//! `view ⊕ candidate` with [`AdmissionControl::evaluate`], translates a
-//! refusal's task ids back to the merged space, hands the driver
-//! `merged ⊕ candidate` to splice and records the tenant only if that
-//! splice succeeded; [`TenantLedger::retire`] drops the tenant from the
-//! view. [`AdmissionControl::evaluate`] itself is the stateless gate —
-//! the case where everything in `current` is live.
+//! are retired, and a flat table of analysis rows
+//! ([`yasmin_analysis::Row`]) for the live tenants only. A row holds
+//! what every test reads of one task — merged id, worker, static
+//! priority, largest-version WCET, effective period and deadline, PIP
+//! blocking term — derived once, when its tenant is admitted
+//! ([`yasmin_analysis::extend_rows`] with the tenant's id offset); the
+//! rows sit in admission order, so priority ties break as they do in
+//! the merged id space. The table is built by the first admission
+//! (building a driver costs nothing). [`TenantLedger::admit`] appends
+//! the candidate's rows to the table's spare capacity, runs the test
+//! battery over all of them, hands the driver `merged ⊕ candidate` to
+//! splice and keeps the rows only if that splice succeeded;
+//! [`TenantLedger::retire`] deletes the tenant's row range. A refusal
+//! names merged ids directly: the rows carry them. No task set of the
+//! live tenants is ever built. [`AdmissionControl::evaluate`] itself is
+//! the stateless gate — the same battery over the rows of
+//! `current ⊕ candidate`, every one of them live.
+//!
+//! The blocking term is recomputed over the whole table at each check
+//! on the blocking path, from the accelerator sections of the live
+//! tenants and the candidate ([`yasmin_analysis::extend_sections`]):
+//! accelerators are not shared across tenants, but PIP's push-through
+//! blocking is — a lower-priority task of one tenant that holds an
+//! accelerator a more urgent task of its own may want delays every task
+//! in between, whichever tenant it belongs to.
 //!
 //! The ledger also keeps each *superseded* merged set alive until the
 //! engines have let go of it. A driver's splice closure may return once
@@ -101,11 +117,13 @@
 //! Rejected (structured refusal)                                         Retired
 //! ```
 //!
-//! * **Checked** — [`AdmissionControl::evaluate`] ran the analysis on
-//!   the *merged* set (live + candidate) on the caller's thread. This is
-//!   deliberately a non-real-time operation: the RTA fixed points, DAG
-//!   bounds and demand tests allocate and iterate, so drivers run them
-//!   on an admission thread, never on a scheduler thread.
+//! * **Checked** — the analysis ran over the rows of the live tenants
+//!   and the candidate ([`TenantLedger::admit`]), or of a whole set
+//!   ([`AdmissionControl::evaluate`]), on the caller's thread. This is
+//!   deliberately a non-real-time operation: the RTA iterates every
+//!   row to its fixed point, the EDF demand test collects its check
+//!   points and the DAG bound walks the candidate's graphs, so drivers
+//!   run it on an admission thread, never on a scheduler thread.
 //! * **Spliced** — every engine (the single [`OnlineEngine`], or each
 //!   shard's) adopted the merged set
 //!   via [`OnlineEngine::splice_taskset`] with the tenant's releases
@@ -157,11 +175,10 @@ use crate::engine::OnlineEngine;
 use crate::server::{ReservationServer, TenantBudget};
 use std::fmt;
 use std::sync::Arc;
-use yasmin_analysis::rta::partitioned_response_times;
-use yasmin_analysis::util::wcet_of;
 use yasmin_analysis::{
-    dag_meets_deadline, edf_schedulable, gfb_global_edf_test, graham_bound, max_utilisation,
-    response_times, response_times_blocking, total_utilisation, ResponseTime, WcetAssumption,
+    blocking_terms, dag_meets_deadline, edf_schedulable_rows, extend_rows, extend_sections,
+    gfb_rows, graham_bound, max_utilisation_rows, total_utilisation_rows, Placement, Row, Rta,
+    WcetAssumption,
 };
 use yasmin_core::config::{Config, MappingScheme};
 use yasmin_core::error::Error;
@@ -171,6 +188,9 @@ use yasmin_core::time::{Duration, Instant};
 
 /// Float-comparison slack for utilisation/density sums.
 const EPS: f64 = 1e-9;
+
+/// Every admission test assumes the largest WCET over a task's versions.
+const ASSUMED: WcetAssumption = WcetAssumption::MaxVersion;
 
 /// The analysis bound a rejected tenant violated, with the numbers that
 /// failed it — the structured half of the refusal.
@@ -331,7 +351,7 @@ impl From<AdmissionError> for Error {
 ///
 /// | mapping | priorities | test |
 /// |---|---|---|
-/// | partitioned (incl. sharded) | static (RM/DM/user) | per-partition RTA (`partitioned_response_times`) |
+/// | partitioned (incl. sharded) | static (RM/DM/user) | per-partition RTA |
 /// | partitioned (incl. sharded) | EDF | per-partition density `Σ C/min(D,T) ≤ 1` |
 /// | global, 1 worker | static | RTA, with the PIP blocking term when accelerators are declared |
 /// | global, 1 worker | EDF | utilisation + processor-demand criterion |
@@ -385,8 +405,8 @@ impl AdmissionControl {
     /// [`OnlineEngine::splice_taskset`] — on acceptance.
     ///
     /// Every task of `current` counts as live. A schedule that retires
-    /// tenants admits through a [`TenantLedger`], which calls this on
-    /// the live tenants only.
+    /// tenants admits through a [`TenantLedger`], which runs the same
+    /// tests on the rows of its live tenants.
     ///
     /// Runs on the caller's thread and allocates freely: call it from an
     /// admission thread, never a scheduler thread.
@@ -404,6 +424,21 @@ impl AdmissionControl {
         candidate: &TaskSet,
         budget: Option<&TenantBudget>,
     ) -> Result<Arc<TaskSet>, AdmissionError> {
+        self.validate(candidate, budget)?;
+        let merged = current.extended(candidate)?;
+        let mut rows = Vec::with_capacity(merged.len());
+        self.extend_rows(&mut rows, current, 0);
+        self.extend_rows(&mut rows, candidate, current.len() as u32);
+        self.check(&mut rows, current, candidate, budget)?;
+        Ok(Arc::new(merged))
+    }
+
+    /// The request's shape, before any analysis.
+    fn validate(
+        &self,
+        candidate: &TaskSet,
+        budget: Option<&TenantBudget>,
+    ) -> Result<(), AdmissionError> {
         if candidate.is_empty() {
             return Err(AdmissionError::Invalid(Error::InvalidConfig(
                 "candidate tenant declares no tasks".into(),
@@ -440,12 +475,33 @@ impl AdmissionControl {
                 ))));
             }
         }
+        Ok(())
+    }
 
-        let merged = Arc::new(current.extended(candidate)?);
-        let a = WcetAssumption::MaxVersion;
+    /// Appends the rows of every task of `ts`, their ids offset by
+    /// `offset`: each on its assigned worker under partitioned mapping,
+    /// all on one core under global mapping.
+    fn extend_rows(&self, rows: &mut Vec<Row>, ts: &TaskSet, offset: u32) {
+        let placement = match self.config.mapping() {
+            MappingScheme::Partitioned => Placement::Assigned,
+            MappingScheme::Global => Placement::OneCore,
+        };
+        extend_rows(rows, ts, offset, self.config.priority(), ASSUMED, placement);
+    }
 
+    /// The test battery over `rows`: the rows of the live tasks, all
+    /// found in `current` by their ids, then the candidate's, numbered
+    /// from `current.len()` on.
+    fn check(
+        &self,
+        rows: &mut [Row],
+        current: &TaskSet,
+        candidate: &TaskSet,
+        budget: Option<&TenantBudget>,
+    ) -> Result<(), AdmissionError> {
+        let offset = current.len() as u32;
         if let Some(b) = budget {
-            let tenant_util = total_utilisation(candidate, a);
+            let tenant_util = total_utilisation_rows(&rows[rows.len() - candidate.len()..]);
             if tenant_util > b.utilisation() + EPS {
                 return Err(AdmissionError::Rejected(
                     BoundViolation::BudgetInsufficient {
@@ -455,51 +511,65 @@ impl AdmissionControl {
                 ));
             }
         }
-
         match (self.config.mapping(), self.config.priority().is_static()) {
-            (MappingScheme::Partitioned, true) => {
-                self.check_partitioned_static(&merged, a)?;
+            (MappingScheme::Partitioned, true) => self.check_rta(rows)?,
+            (MappingScheme::Partitioned, false) => self.check_partitioned_edf(rows)?,
+            (MappingScheme::Global, true) => {
+                if self.config.workers() > 1 {
+                    return Err(AdmissionError::Invalid(Error::InvalidConfig(
+                        "no admission test implemented for global static priorities on \
+                         multiple workers"
+                            .into(),
+                    )));
+                }
+                // Every check: push-through blocking crosses tenants,
+                // and a retired tenant's sections must stop counting.
+                let mut sections = Vec::new();
+                extend_sections(&mut sections, rows, current, 0, 0);
+                let accel_offset = current.accels().len();
+                extend_sections(&mut sections, rows, candidate, offset, accel_offset);
+                blocking_terms(rows, &sections);
+                self.check_rta(rows)?;
             }
-            (MappingScheme::Partitioned, false) => {
-                self.check_partitioned_edf(&merged, a)?;
-            }
-            (MappingScheme::Global, is_static) => {
-                self.check_global(&merged, is_static, a)?;
-            }
+            (MappingScheme::Global, false) => self.check_global_edf(rows)?,
         }
-        self.check_dags(&merged, current.len(), a)?;
-        Ok(merged)
+        self.check_dags(candidate, offset)
     }
 
-    fn check_partitioned_static(
-        &self,
-        merged: &TaskSet,
-        a: WcetAssumption,
-    ) -> Result<(), AdmissionError> {
-        let results =
-            partitioned_response_times(merged, self.config.workers(), self.config.priority(), a);
-        for (_, r) in results {
-            if !r.schedulable() {
-                return Err(AdmissionError::Rejected(reject_rta(&r)));
+    /// Per-partition RTA — one partition under global mapping. A
+    /// refusal names the first failing row in partition, then analysis,
+    /// order.
+    fn check_rta(&self, rows: &[Row]) -> Result<(), AdmissionError> {
+        let mut rta = Rta::new(rows);
+        for w in 0..self.config.workers() {
+            for (i, row) in rows.iter().enumerate() {
+                if row.worker.map(WorkerId::index) != Some(w) {
+                    continue;
+                }
+                let r = rta.response_time(i);
+                if !r.schedulable() {
+                    return Err(AdmissionError::Rejected(
+                        BoundViolation::TaskUnschedulable {
+                            task: r.task,
+                            wcrt: r.wcrt,
+                            deadline: r.deadline,
+                        },
+                    ));
+                }
             }
         }
         Ok(())
     }
 
-    fn check_partitioned_edf(
-        &self,
-        merged: &TaskSet,
-        a: WcetAssumption,
-    ) -> Result<(), AdmissionError> {
+    fn check_partitioned_edf(&self, rows: &[Row]) -> Result<(), AdmissionError> {
         for w in 0..self.config.workers() {
             let mut density = 0.0;
-            for t in merged.tasks() {
-                if t.spec().assigned_worker().map(WorkerId::index) != Some(w) {
+            for row in rows {
+                if row.worker.map(WorkerId::index) != Some(w) {
                     continue;
                 }
-                let c = wcet_of(merged, t.id(), a).as_nanos() as f64;
-                let d = merged.effective_deadline(t.id());
-                let denom = match merged.effective_period(t.id()) {
+                let d = row.deadline;
+                let denom = match row.period {
                     Some(p) if d < p => d,
                     Some(p) => p,
                     None => d,
@@ -507,7 +577,7 @@ impl AdmissionControl {
                 if denom == Duration::MAX || denom.is_zero() {
                     continue; // aperiodic & unconstrained: no recurring demand
                 }
-                density += c / denom.as_nanos() as f64;
+                density += row.wcet.as_nanos() as f64 / denom.as_nanos() as f64;
             }
             if density > 1.0 + EPS {
                 return Err(AdmissionError::Rejected(BoundViolation::WorkerOverload {
@@ -519,34 +589,9 @@ impl AdmissionControl {
         Ok(())
     }
 
-    fn check_global(
-        &self,
-        merged: &TaskSet,
-        is_static: bool,
-        a: WcetAssumption,
-    ) -> Result<(), AdmissionError> {
+    fn check_global_edf(&self, rows: &[Row]) -> Result<(), AdmissionError> {
         let m = self.config.workers();
-        let total = total_utilisation(merged, a);
-        if is_static {
-            if m > 1 {
-                return Err(AdmissionError::Invalid(Error::InvalidConfig(
-                    "no admission test implemented for global static priorities on \
-                     multiple workers"
-                        .into(),
-                )));
-            }
-            let results = if merged.accels().is_empty() {
-                response_times(merged, self.config.priority(), a)
-            } else {
-                response_times_blocking(merged, self.config.priority(), a)
-            };
-            for r in &results {
-                if !r.schedulable() {
-                    return Err(AdmissionError::Rejected(reject_rta(r)));
-                }
-            }
-            return Ok(());
-        }
+        let total = total_utilisation_rows(rows);
         if total > m as f64 + EPS {
             return Err(AdmissionError::Rejected(BoundViolation::TotalUtilisation {
                 total,
@@ -554,13 +599,13 @@ impl AdmissionControl {
             }));
         }
         if m == 1 {
-            if !edf_schedulable(merged, a) {
+            if !edf_schedulable_rows(rows) {
                 return Err(AdmissionError::Rejected(BoundViolation::EdfDemand {
                     total,
                 }));
             }
-        } else if !gfb_global_edf_test(merged, m, a) {
-            let bound = m as f64 - (m as f64 - 1.0) * max_utilisation(merged, a);
+        } else if !gfb_rows(rows, m) {
+            let bound = m as f64 - (m as f64 - 1.0) * max_utilisation_rows(rows);
             return Err(AdmissionError::Rejected(BoundViolation::GfbDensity {
                 total,
                 bound,
@@ -569,42 +614,29 @@ impl AdmissionControl {
         Ok(())
     }
 
-    /// Graham's bound for every multi-task DAG of the candidate (the
-    /// merged suffix starting at `first_new`) with a finite graph
-    /// deadline.
-    fn check_dags(
-        &self,
-        merged: &TaskSet,
-        first_new: usize,
-        a: WcetAssumption,
-    ) -> Result<(), AdmissionError> {
+    /// Graham's bound for every multi-task DAG of the candidate with a
+    /// finite graph deadline — a DAG is one tenant's, so the candidate
+    /// alone decides; roots are reported at merged id `offset + k`.
+    fn check_dags(&self, candidate: &TaskSet, offset: u32) -> Result<(), AdmissionError> {
         let m = self.config.workers();
-        for t in &merged.tasks()[first_new..] {
+        for t in candidate.tasks() {
             let id = t.id();
-            if merged.in_degree(id) != 0 || merged.out_edges(id).next().is_none() {
+            if candidate.in_degree(id) != 0 || candidate.out_edges(id).next().is_none() {
                 continue; // not a DAG root, or a singleton task
             }
-            let deadline = merged.effective_deadline(id);
+            let deadline = candidate.effective_deadline(id);
             if deadline == Duration::MAX {
                 continue;
             }
-            if !dag_meets_deadline(merged, id, m, a) {
+            if !dag_meets_deadline(candidate, id, m, ASSUMED) {
                 return Err(AdmissionError::Rejected(BoundViolation::DagDeadline {
-                    root: id,
-                    bound: graham_bound(merged, id, m, a),
+                    root: TaskId::new(offset + id.raw()),
+                    bound: graham_bound(candidate, id, m, ASSUMED),
                     deadline,
                 }));
             }
         }
         Ok(())
-    }
-}
-
-fn reject_rta(r: &ResponseTime) -> BoundViolation {
-    BoundViolation::TaskUnschedulable {
-        task: r.task,
-        wcrt: r.wcrt,
-        deadline: r.deadline,
     }
 }
 
@@ -635,18 +667,18 @@ pub struct Admission<'a> {
 }
 
 /// One admitted tenant in the ledger (index = tenant id).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Tenant {
     /// Merged id of the tenant's first task.
     first: u32,
-    /// The tenant's own declaration, from which the analysis view is
-    /// rebuilt when another tenant retires; `None` once retired.
-    set: Option<Arc<TaskSet>>,
+    /// How many tasks it declared.
+    len: u32,
+    retired: bool,
 }
 
 /// The tenant state of one running schedule (see the module docs):
-/// the merged set the engines splice, tenant ids, and the live-only
-/// view admission is analysed against.
+/// the merged set the engines splice, tenant ids, and the analysis rows
+/// of the live tenants admission is checked against.
 ///
 /// Not synchronised: a driver serving concurrent callers keeps it
 /// under the mutex that serialises its admissions.
@@ -656,8 +688,10 @@ pub struct TenantLedger {
     /// Base set extended by every tenant ever admitted; append-only.
     merged: Arc<TaskSet>,
     tenants: Vec<Tenant>,
-    /// Base set extended by the live tenants, in admission order.
-    view: Arc<TaskSet>,
+    /// The live tenants' analysis rows in admission order, so in
+    /// merged-id order; built by the first admission. A check appends
+    /// the candidate's and truncates them again unless it is admitted.
+    rows: Vec<Row>,
     /// Earlier values of `merged`, oldest first (module docs): kept
     /// while an engine may still run them, then recycled by the next
     /// admission — or dropped by it, on a caller's thread.
@@ -666,17 +700,18 @@ pub struct TenantLedger {
 
 impl TenantLedger {
     /// A ledger for a schedule built with `base` (tenant 0), admitting
-    /// through `control`.
+    /// through `control`. Builds no rows: the first admission does.
     #[must_use]
     pub fn new(control: AdmissionControl, base: Arc<TaskSet>) -> Self {
         TenantLedger {
             control,
             tenants: vec![Tenant {
                 first: 0,
-                set: Some(Arc::clone(&base)),
+                len: base.len() as u32,
+                retired: false,
             }],
-            view: Arc::clone(&base),
             merged: base,
+            rows: Vec::new(),
             superseded: Vec::new(),
         }
     }
@@ -700,10 +735,11 @@ impl TenantLedger {
         &self.merged
     }
 
-    /// The set admission analyses against: the live tenants only.
+    /// The analysis rows of the live tenants, in admission order, with
+    /// merged task ids — empty until the first admission builds them.
     #[must_use]
-    pub fn live_view(&self) -> &TaskSet {
-        &self.view
+    pub fn live_rows(&self) -> &[Row] {
+        &self.rows
     }
 
     /// Evaluates `candidate` against the live tenants and, when the
@@ -723,11 +759,33 @@ impl TenantLedger {
         budget: Option<&TenantBudget>,
         splice: impl FnOnce(Admission<'_>) -> Result<(), Error>,
     ) -> Result<TenantId, AdmissionError> {
+        self.control.validate(candidate, budget)?;
+        if self.rows.is_empty() && self.tenants[0].len > 0 {
+            // No admission yet — tenant 0 never retires, and keeps its
+            // rows once it has them — so the merged set is the base.
+            debug_assert_eq!(self.tenants.len(), 1);
+            self.control.extend_rows(&mut self.rows, &self.merged, 0);
+        }
+        let live = self.rows.len();
+        let admitted = self.try_admit(candidate, budget, splice);
+        if admitted.is_err() {
+            self.rows.truncate(live);
+        }
+        admitted
+    }
+
+    /// [`TenantLedger::admit`] once the live rows are built; leaves the
+    /// candidate's rows appended whatever the outcome.
+    fn try_admit(
+        &mut self,
+        candidate: &TaskSet,
+        budget: Option<&TenantBudget>,
+        splice: impl FnOnce(Admission<'_>) -> Result<(), Error>,
+    ) -> Result<TenantId, AdmissionError> {
         let task_offset = self.merged.len() as u32;
-        let view = self
-            .control
-            .evaluate(&self.view, candidate, budget)
-            .map_err(|e| self.in_merged_ids(e))?;
+        let (control, rows) = (&self.control, &mut self.rows);
+        control.extend_rows(rows, candidate, task_offset);
+        control.check(rows, &self.merged, candidate, budget)?;
         let merged = Arc::new(match self.reclaim_superseded() {
             Some(stale) => self.merged.extended_from(stale, candidate)?,
             None => self.merged.extended(candidate)?,
@@ -740,19 +798,19 @@ impl TenantLedger {
         })?;
         self.tenants.push(Tenant {
             first: task_offset,
-            set: Some(Arc::new(candidate.clone())),
+            len: candidate.len() as u32,
+            retired: false,
         });
-        self.view = view;
         self.superseded
             .push(std::mem::replace(&mut self.merged, merged));
         Ok(tenant)
     }
 
-    /// Drops `tenant` from the analysis view: its bandwidth is free for
-    /// the next candidate. Its ids stay tombstoned in
-    /// [`TenantLedger::merged`]. Call it in step with the engines'
-    /// retirement — after they acknowledged it, or before sending it
-    /// down the same FIFO lane a later splice travels.
+    /// Deletes `tenant`'s rows: its bandwidth is free for the next
+    /// candidate. Its ids stay tombstoned in [`TenantLedger::merged`].
+    /// Call it in step with the engines' retirement — after they
+    /// acknowledged it, or before sending it down the same FIFO lane a
+    /// later splice travels.
     ///
     /// # Errors
     ///
@@ -769,59 +827,13 @@ impl TenantLedger {
             .tenants
             .get_mut(tenant.raw() as usize)
             .ok_or(Error::UnknownTenant(tenant.raw()))?;
-        if entry.set.take().is_none() {
+        if std::mem::replace(&mut entry.retired, true) {
             return Err(Error::TenantRetired(tenant.raw()));
         }
-        // Rebuild the view from the declarations still live: O(live),
-        // and exactly the set a from-scratch evaluation would see.
-        let mut live = self.tenants.iter().filter_map(|t| t.set.as_ref());
-        let base = live.next().expect("tenant 0 is never retired");
-        self.view = live.fold(Arc::clone(base), |view, set| {
-            Arc::new(
-                view.extended(set)
-                    .expect("a subset of the merged set fits the id spaces"),
-            )
-        });
+        // Admitted tenants have rows, contiguous and in merged-id order.
+        let start = self.rows.partition_point(|r| r.task.raw() < entry.first);
+        self.rows.drain(start..start + entry.len as usize);
         Ok(())
-    }
-
-    /// Rewrites the view-space task ids of a refusal into merged ids.
-    fn in_merged_ids(&self, e: AdmissionError) -> AdmissionError {
-        // The view lays the live tenants end to end; a view id past
-        // them is the candidate's, which the merged set appends after
-        // everything admitted so far.
-        let map = |t: TaskId| {
-            let mut at = 0;
-            for tenant in &self.tenants {
-                let Some(set) = &tenant.set else { continue };
-                if t.index() < at + set.len() {
-                    return TaskId::new(tenant.first + (t.index() - at) as u32);
-                }
-                at += set.len();
-            }
-            TaskId::new((self.merged.len() + t.index() - at) as u32)
-        };
-        match e {
-            AdmissionError::Rejected(BoundViolation::TaskUnschedulable {
-                task,
-                wcrt,
-                deadline,
-            }) => AdmissionError::Rejected(BoundViolation::TaskUnschedulable {
-                task: map(task),
-                wcrt,
-                deadline,
-            }),
-            AdmissionError::Rejected(BoundViolation::DagDeadline {
-                root,
-                bound,
-                deadline,
-            }) => AdmissionError::Rejected(BoundViolation::DagDeadline {
-                root: map(root),
-                bound,
-                deadline,
-            }),
-            other => other,
-        }
     }
 }
 
@@ -831,7 +843,6 @@ mod tests {
     use crate::engine::{Action, OnlineEngine};
     use crate::server::ServerKind;
     use crate::sink::ActionSink;
-    use yasmin_core::config::Config;
     use yasmin_core::graph::TaskSetBuilder;
     use yasmin_core::priority::PriorityPolicy;
     use yasmin_core::task::TaskSpec;
@@ -1010,7 +1021,7 @@ mod tests {
                     Ok(())
                 })
                 .unwrap_or_else(|e| panic!("round {round}: {e}"));
-            assert_eq!(ledger.live_view().len(), 2);
+            assert_eq!(ledger.live_rows().len(), 2);
             // 0.2 + 0.5 + 0.5 does not fit beside a live tenant…
             assert!(matches!(
                 ledger.admit(&half, None, |_| Ok(())),
@@ -1020,7 +1031,7 @@ mod tests {
             ));
             // …and does once it is gone.
             ledger.retire(tenant).unwrap();
-            assert_eq!(ledger.live_view().len(), 1);
+            assert_eq!(ledger.live_rows().len(), 1);
         }
         assert_eq!(
             ledger.merged().len(),
@@ -1044,9 +1055,9 @@ mod tests {
             .admit(&set("slow", 4, 20, None), None, |_| Ok(()))
             .unwrap(); // T2
         ledger.retire(gone).unwrap();
-        // View = {base, slow} = view ids {0, 1}. The hog (view id 2)
-        // passes; it is `slow` (view id 1, merged T2) that no longer
-        // makes its deadline behind 1 + 8 ms of higher-priority work.
+        // Live rows = {base T0, slow T2}. The hog (merged T3) passes;
+        // it is `slow` that no longer makes its deadline behind 1 + 8 ms
+        // of higher-priority work.
         match ledger.admit(&set("hog", 8, 10, None), None, |_| Ok(())) {
             Err(AdmissionError::Rejected(BoundViolation::TaskUnschedulable { task, .. })) => {
                 assert_eq!(task, TaskId::new(2));
@@ -1062,6 +1073,96 @@ mod tests {
         }
     }
 
+    /// One DM task of `wcet_us` with deadline `deadline_ms` in a 40 ms
+    /// period.
+    fn dm_task(name: &str, wcet_us: u64, deadline_ms: u64) -> TaskSet {
+        let mut b = TaskSetBuilder::new();
+        let spec = TaskSpec::periodic(name, ms(40)).with_constrained_deadline(ms(deadline_ms));
+        let t = b.task_decl(spec).unwrap();
+        let wcet = Duration::from_micros(wcet_us);
+        b.version_decl(t, VersionSpec::new("v", wcet)).unwrap();
+        b.build().unwrap()
+    }
+
+    /// The ledger's RTA over its row table against one over a task set:
+    /// after two admissions and a retirement, candidates more urgent
+    /// than every live task, less urgent than all, and tied with the
+    /// most urgent and with a middle one, over a sweep of WCETs, get the
+    /// verdict — and the refused task, WCRT and deadline — of
+    /// `AdmissionControl::evaluate` on a set built from the live
+    /// tenants.
+    #[test]
+    fn ledger_rta_equals_a_full_rta() {
+        let cfg = Config::builder()
+            .workers(1)
+            .priority(PriorityPolicy::DeadlineMonotonic)
+            .build()
+            .unwrap();
+        let gate = AdmissionControl::new(cfg, ms(40));
+        let base = dm_task("base", 3_000, 10)
+            .extended(&dm_task("b1", 4_000, 20))
+            .unwrap();
+        let mut ledger = TenantLedger::new(gate.clone(), Arc::new(base.clone()));
+        let gone = ledger
+            .admit(&dm_task("gone", 2_000, 30), None, |_| Ok(()))
+            .unwrap(); // T2
+        let kept = dm_task("kept", 5_000, 20)
+            .extended(&dm_task("k1", 6_000, 35))
+            .unwrap();
+        ledger.admit(&kept, None, |_| Ok(())).unwrap(); // T3, T4
+        ledger.retire(gone).unwrap();
+        let live = base.extended(&kept).unwrap();
+        // Live-set id → merged id: `kept` starts at T3, a candidate at T5.
+        let merged_id = |t: TaskId| TaskId::new(t.raw() + u32::from(t.raw() >= 2));
+
+        let (mut accepted, mut refused_live, mut refused_candidate) = (0, 0, 0);
+        for deadline_ms in [5, 10, 20, 40] {
+            for wcet_us in (500..=12_000).step_by(500) {
+                let cand = dm_task("cand", wcet_us, deadline_ms);
+                let full = gate.evaluate(&live, &cand, None).map(|_| ());
+                let full = full.map_err(|e| match e {
+                    AdmissionError::Rejected(BoundViolation::TaskUnschedulable {
+                        task,
+                        wcrt,
+                        deadline,
+                    }) => AdmissionError::Rejected(BoundViolation::TaskUnschedulable {
+                        task: merged_id(task),
+                        wcrt,
+                        deadline,
+                    }),
+                    other => panic!("only the RTA refuses here: {other:?}"),
+                });
+                let got = ledger.clone().admit(&cand, None, |_| Ok(())).map(|_| ());
+                assert_eq!(got, full, "deadline {deadline_ms} ms, WCET {wcet_us} µs");
+                match got {
+                    Ok(()) => accepted += 1,
+                    Err(AdmissionError::Rejected(BoundViolation::TaskUnschedulable {
+                        task,
+                        ..
+                    })) if task == TaskId::new(5) => refused_candidate += 1,
+                    Err(_) => refused_live += 1,
+                }
+            }
+        }
+        assert!(
+            accepted > 10 && refused_live > 10 && refused_candidate > 10,
+            "{accepted} accepted, {refused_live} refused on a live task, \
+             {refused_candidate} on the candidate"
+        );
+
+        // The first admission checks the base's own rows: a base that
+        // misses its deadline refuses the first candidate, as a full RTA
+        // of it does.
+        let late = dm_task("a", 8_000, 10)
+            .extended(&dm_task("b", 5_000, 10))
+            .unwrap();
+        let cand = dm_task("cand", 500, 40);
+        let full = gate.evaluate(&late, &cand, None).map(|_| ());
+        assert!(full.is_err());
+        let mut ledger = TenantLedger::new(gate, Arc::new(late));
+        assert_eq!(ledger.admit(&cand, None, |_| Ok(())).map(|_| ()), full);
+    }
+
     #[test]
     fn ledger_is_untouched_by_a_failed_splice_and_validates_retire() {
         let base = Arc::new(set("base", 2, 10, None));
@@ -1072,7 +1173,7 @@ mod tests {
             Err(AdmissionError::Invalid(Error::ScheduleNotRunning))
         ));
         assert_eq!(ledger.merged().len(), 1);
-        assert_eq!(ledger.live_view().len(), 1);
+        assert_eq!(ledger.live_rows().len(), 1);
         let t = ledger.admit(&guest, None, |_| Ok(())).unwrap();
         assert_eq!(t, TenantId::new(1), "the failed attempt consumed no id");
 

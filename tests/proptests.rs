@@ -158,8 +158,23 @@ proptest! {
     }
 }
 
-/// One row of the admission test table (`AdmissionControl` rustdoc).
-fn admission_rows() -> Vec<Config> {
+/// What a row's generated tenants look like.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Tenants {
+    /// `taskgen`'s default period grid.
+    Grid,
+    /// Periods of 20 or 40 ms only: equal DM and RM priorities across
+    /// tenants are the rule, not the exception.
+    TwoPeriods,
+    /// [`Tenants::TwoPeriods`], each task with a second version of the
+    /// same WCET bound to one of its tenant's own two accelerators: the
+    /// PIP blocking path.
+    Accelerators,
+}
+
+/// One row of the admission test table (`AdmissionControl` rustdoc),
+/// with the tenants it is driven with.
+fn admission_rows() -> Vec<(Config, Tenants)> {
     let row = |workers, mapping, priority| {
         Config::builder()
             .workers(workers)
@@ -169,25 +184,49 @@ fn admission_rows() -> Vec<Config> {
             .unwrap()
     };
     use MappingScheme::{Global, Partitioned};
+    use PriorityPolicy::{DeadlineMonotonic, EarliestDeadlineFirst, RateMonotonic};
     vec![
-        row(2, Partitioned, PriorityPolicy::RateMonotonic),
-        row(2, Partitioned, PriorityPolicy::EarliestDeadlineFirst),
-        row(1, Global, PriorityPolicy::EarliestDeadlineFirst),
-        row(3, Global, PriorityPolicy::EarliestDeadlineFirst),
-        row(1, Global, PriorityPolicy::DeadlineMonotonic),
+        (row(2, Partitioned, RateMonotonic), Tenants::Grid),
+        (row(2, Partitioned, DeadlineMonotonic), Tenants::TwoPeriods),
+        (row(2, Partitioned, EarliestDeadlineFirst), Tenants::Grid),
+        (row(1, Global, EarliestDeadlineFirst), Tenants::Grid),
+        (row(3, Global, EarliestDeadlineFirst), Tenants::Grid),
+        (row(1, Global, DeadlineMonotonic), Tenants::Grid),
+        (row(1, Global, DeadlineMonotonic), Tenants::TwoPeriods),
+        (row(1, Global, DeadlineMonotonic), Tenants::Accelerators),
+        // Refused whatever the candidate: no sound test is implemented.
+        (row(2, Global, DeadlineMonotonic), Tenants::Grid),
     ]
 }
 
 /// A `taskgen` set of `n` tasks at utilisation `u`, pinned worst-fit
 /// when `config` is partitioned.
-fn generated_tenant(config: &Config, n: usize, u: f64, seed: u64) -> TaskSet {
-    use yasmin::taskgen::taskset::{build_independent, build_partitioned, IndependentSetParams};
-    let p = IndependentSetParams {
+fn generated_tenant(config: &Config, tenants: Tenants, n: usize, u: f64, seed: u64) -> TaskSet {
+    use yasmin::taskgen::periods::PeriodModel;
+    use yasmin::taskgen::taskset::{
+        build_independent, build_partitioned, generate_params, IndependentSetParams,
+    };
+    let mut p = IndependentSetParams {
         n,
         total_utilisation: u,
         seed,
         ..Default::default()
     };
+    if tenants != Tenants::Grid {
+        p.periods = PeriodModel::Grid(&[20, 40]);
+    }
+    if tenants == Tenants::Accelerators {
+        let mut b = TaskSetBuilder::new();
+        let accels = [b.hwaccel_decl("gpu"), b.hwaccel_decl("dsp")];
+        for (i, g) in generate_params(&p).unwrap().into_iter().enumerate() {
+            let t = b.task_decl(TaskSpec::periodic(g.name, g.period)).unwrap();
+            b.version_decl(t, VersionSpec::new("cpu", g.wcet)).unwrap();
+            let v = b.version_decl(t, VersionSpec::new("acc", g.wcet)).unwrap();
+            let accel = accels[(seed >> (i % 8)) as usize & 1];
+            b.hwaccel_use(t, v, accel).unwrap();
+        }
+        return b.build().unwrap();
+    }
     match config.mapping() {
         MappingScheme::Partitioned => build_partitioned(&p, config.workers()),
         MappingScheme::Global => build_independent(&p),
@@ -200,12 +239,17 @@ proptest! {
 
     /// The tenant ledger against the stateless gate, under every row of
     /// the admission test table: over a random admit/retire sequence the
-    /// ledger's verdict is `AdmissionControl::evaluate` on a set built
-    /// from scratch out of exactly the live tenants, with task ids moved
-    /// to the merged space; after 200 steps its view holds the base and
-    /// the live tenants' tasks and nothing else, and its merged set —
-    /// built in recycled storage from the third admission on — is the
-    /// base extended by every accepted candidate in turn.
+    /// ledger's verdict over its row table is
+    /// `AdmissionControl::evaluate` on a set built from scratch out of
+    /// exactly the live tenants, with task ids moved to the merged
+    /// space and every refusal equal field for field; after every step
+    /// its rows are those of the base and the live tenants' tasks and
+    /// nothing else, and after 200 its merged set — built in recycled
+    /// storage from the third admission on — is the base extended by
+    /// every accepted candidate in turn. The rows include a PIP one
+    /// whose tenants bind their own accelerators, two whose periods tie
+    /// across tenants, and the global static one on two workers, which
+    /// refuses every candidate.
     #[test]
     fn ledger_matches_from_scratch_evaluation(
         seed in any::<u64>(),
@@ -214,10 +258,11 @@ proptest! {
         use yasmin::sched::admission::{AdmissionControl, AdmissionError, BoundViolation, TenantLedger};
         // Every `taskgen` grid period is a multiple of 5 ms.
         let tick = Duration::from_millis(5);
-        for config in admission_rows() {
+        for (config, tenants) in admission_rows() {
             let gate = AdmissionControl::new(config.clone(), tick);
             let base = Arc::new(generated_tenant(
                 &config,
+                tenants,
                 3,
                 0.2 * config.workers() as f64,
                 seed,
@@ -240,8 +285,8 @@ proptest! {
                 // of five refuses its share of candidates.
                 let n = 1 + op as usize % 3;
                 let u = (0.1 + 0.15 * f64::from(op % 5)) * config.workers() as f64;
-                let cand =
-                    generated_tenant(&config, n, u.min(0.9 * n as f64), seed.wrapping_add(i as u64));
+                let u = u.min(0.9 * n as f64);
+                let cand = generated_tenant(&config, tenants, n, u, seed.wrapping_add(i as u64));
                 let mut scratch = (*base).clone();
                 for (_, _, set) in &live {
                     scratch = scratch.extended(set).unwrap();
@@ -261,7 +306,27 @@ proptest! {
                     (t.index() < at + cand.len())
                         .then(|| TaskId::new((merged_len + t.index() - at) as u32))
                 };
-                let expected = gate.evaluate(&scratch, &cand, None).map(|_| ()).map_err(|e| match e {
+                let verdict = gate.evaluate(&scratch, &cand, None);
+                if config.workers() == 1 && config.priority().is_static() {
+                    // One core, static priorities: the gate's verdict is
+                    // the first miss of the blocking-aware RTA.
+                    let merged = scratch.extended(&cand).unwrap();
+                    let rta = yasmin::analysis::response_times_blocking(
+                        &merged,
+                        config.priority(),
+                        yasmin::analysis::WcetAssumption::MaxVersion,
+                    );
+                    let miss = rta.into_iter().find(|r| !r.schedulable());
+                    let named = match &verdict {
+                        Err(AdmissionError::Rejected(BoundViolation::TaskUnschedulable {
+                            task, wcrt, deadline,
+                        })) => Some((*task, *wcrt, *deadline)),
+                        _ => None,
+                    };
+                    prop_assert_eq!(miss.map(|r| (r.task, r.wcrt, r.deadline)), named);
+                    prop_assert_eq!(named.is_none(), verdict.is_ok());
+                }
+                let expected = verdict.map(|_| ()).map_err(|e| match e {
                     AdmissionError::Rejected(BoundViolation::TaskUnschedulable { task, wcrt, deadline }) => {
                         AdmissionError::Rejected(BoundViolation::TaskUnschedulable {
                             task: to_merged(task).expect("names a live or candidate task"),
@@ -289,15 +354,23 @@ proptest! {
                         refused += 1;
                     }
                 }
-                let live_tasks: usize = live.iter().map(|(_, _, s)| s.len()).sum();
-                prop_assert_eq!(ledger.live_view().len(), base.len() + live_tasks);
+                let rows = ledger.live_rows().iter().map(|r| r.task.index());
+                let tenant_ids = live.iter().flat_map(|(_, first, set)| *first..first + set.len());
+                prop_assert!(rows.eq((0..base.len()).chain(tenant_ids)));
                 prop_assert_eq!(ledger.merged().len(), merged_len);
             }
             prop_assert_eq!(format!("{:?}", ledger.merged()), format!("{every_tenant:?}"));
+            if config.mapping() == MappingScheme::Global
+                && config.workers() > 1
+                && config.priority().is_static()
+            {
+                prop_assert_eq!(accepted, 0);
+                continue;
+            }
             prop_assert!(
                 accepted > 10 && refused > 10,
-                "{:?}: {} accepted, {} refused — one-sided sequence",
-                config.priority(), accepted, refused
+                "{:?} {:?}: {} accepted, {} refused — one-sided sequence",
+                config.priority(), tenants, accepted, refused
             );
         }
     }
