@@ -5,8 +5,8 @@
 //! * [`row`] — the analysis row every test below runs over: one
 //!   task's priority, WCET, effective period and deadline, partition
 //!   and blocking term;
-//! * [`util`] — utilisation tests: Liu & Layland (RM), `U ≤ 1` (EDF),
-//!   Goossens-Funk-Baruah (global EDF);
+//! * [`util`] — utilisation tests: Liu & Layland (RM), the hyperbolic
+//!   bound (RM/DM), `U ≤ 1` (EDF), Goossens-Funk-Baruah (global EDF);
 //! * [`rta`] — fixed-priority response-time analysis (uniprocessor and
 //!   partitioned);
 //! * [`edf`] — exact uniprocessor EDF via processor-demand analysis;
@@ -37,7 +37,7 @@ pub use edf::{demand_bound, edf_schedulable, edf_schedulable_rows};
 pub use row::{extend_rows, Placement, Row};
 pub use rta::{response_times, schedulable, ResponseTime, Rta};
 pub use util::{
-    edf_utilisation_test, gfb_global_edf_test, gfb_rows, liu_layland_bound, max_utilisation,
-    max_utilisation_rows, rm_utilisation_test, total_utilisation, total_utilisation_rows,
-    WcetAssumption,
+    edf_utilisation_test, gfb_global_edf_test, gfb_rows, hyperbolic_bound, liu_layland_bound,
+    max_utilisation, max_utilisation_rows, rm_utilisation_test, total_utilisation,
+    total_utilisation_rows, WcetAssumption,
 };

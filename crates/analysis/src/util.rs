@@ -84,6 +84,48 @@ pub fn liu_layland_bound(n: usize) -> f64 {
     n as f64 * (2f64.powf(1.0 / n as f64) - 1.0)
 }
 
+/// The hyperbolic bound (Bini, Buttazzo & Buttazzo, IEEE TC 2003) over
+/// the rows of one partition: `Π (1 + Cᵢ/Dᵢ) ≤ 2` proves every row
+/// schedulable under `policy`'s fixed priorities, so the RTA of
+/// [`crate::rta::Rta`] would find every row within its deadline. O(rows),
+/// no iteration.
+///
+/// It applies only when `policy` is DM, or RM with `D = T` on every
+/// row, and every row recurs with `0 < D ≤ T` and no blocking term.
+/// Under DM, shortening each interferer's period to its deadline only
+/// adds interference, and what is left is an implicit-deadline RM set —
+/// the bound's own case. `false` when the bound does not apply or does
+/// not hold: only the RTA can decide then. Ties in priority may break
+/// either way.
+#[must_use]
+pub fn hyperbolic_bound<'a>(
+    rows: impl IntoIterator<Item = &'a Row>,
+    policy: PriorityPolicy,
+) -> bool {
+    let mut product = 1.0;
+    for row in rows {
+        let Some(period) = row.period else {
+            return false;
+        };
+        let d = row.deadline;
+        let applies = match policy {
+            PriorityPolicy::DeadlineMonotonic => d <= period,
+            PriorityPolicy::RateMonotonic => d == period,
+            _ => false,
+        };
+        if !applies || d.is_zero() || !row.blocking.is_zero() {
+            return false;
+        }
+        product *= 1.0 + row.wcet.as_nanos() as f64 / d.as_nanos() as f64;
+        if product > 2.0 {
+            return false; // every factor is at least 1
+        }
+    }
+    // Below 2 by more than the product's rounding error: a set on the
+    // bound itself is left to the RTA.
+    product <= 2.0 - 1e-9
+}
+
 /// Sufficient RM test on one core: `U ≤ n(2^{1/n} − 1)`.
 #[must_use]
 pub fn rm_utilisation_test(ts: &TaskSet, assumption: WcetAssumption) -> bool {
@@ -165,6 +207,55 @@ mod tests {
             &set(&[(10, 3), (20, 6), (40, 12)]),
             WcetAssumption::MaxVersion
         ));
+    }
+
+    #[test]
+    fn hyperbolic_bound_accepts_past_liu_layland_and_only_where_it_applies() {
+        use crate::row::{rows_of, Placement};
+        let rows = |ts: &TaskSet, policy| {
+            rows_of(ts, policy, WcetAssumption::MaxVersion, Placement::OneCore)
+        };
+        // (1.6)(1.2) = 1.92 holds; (1.5)(1.35) = 2.025 does not.
+        let light = set(&[(10, 6), (20, 4)]);
+        let heavy = set(&[(10, 5), (20, 7)]);
+        for policy in [
+            PriorityPolicy::RateMonotonic,
+            PriorityPolicy::DeadlineMonotonic,
+        ] {
+            assert!(hyperbolic_bound(&rows(&light, policy), policy));
+            assert!(!hyperbolic_bound(&rows(&heavy, policy), policy));
+        }
+        // Bini et al.'s point: U = 0.83 is past Liu & Layland's 0.828
+        // for two tasks, and (1.8)(1.03) = 1.854 holds.
+        let skewed = set(&[(10, 8), (100, 3)]);
+        assert!(!rm_utilisation_test(&skewed, WcetAssumption::MaxVersion));
+        assert!(hyperbolic_bound(
+            &rows(&skewed, PriorityPolicy::RateMonotonic),
+            PriorityPolicy::RateMonotonic
+        ));
+        // Neither EDF nor user priorities, nor a blocked row, nor a
+        // deadline past the period, nor a row that never recurs.
+        for policy in [
+            PriorityPolicy::EarliestDeadlineFirst,
+            PriorityPolicy::UserDefined,
+        ] {
+            assert!(!hyperbolic_bound(&rows(&light, policy), policy));
+        }
+        let dm = PriorityPolicy::DeadlineMonotonic;
+        let mut r = rows(&light, dm);
+        r[1].blocking = Duration::from_micros(1);
+        assert!(!hyperbolic_bound(&r, dm));
+        let mut r = rows(&light, dm);
+        r[1].deadline = ms(30);
+        assert!(!hyperbolic_bound(&r, dm));
+        let mut r = rows(&light, dm);
+        r[1].period = None;
+        assert!(!hyperbolic_bound(&r, dm));
+        // RM needs D = T; DM takes a constrained deadline.
+        let mut r = rows(&light, PriorityPolicy::RateMonotonic);
+        r[1].deadline = ms(19);
+        assert!(!hyperbolic_bound(&r, PriorityPolicy::RateMonotonic));
+        assert!(hyperbolic_bound(&[], dm), "an empty partition holds");
     }
 
     #[test]

@@ -54,8 +54,13 @@
 //! * **`admit`**: an owner splices at its boundary. With two shards or
 //!   more every shard acknowledges before the commit is sent, so
 //!   [`Runtime::admit`] returns after the longest body then in flight;
-//!   with one owner nothing is waited for. `Commit`, `retire`,
-//!   `activate`, `stop` and `DrainFlush` take effect there too.
+//!   one owner is sent one splice-and-commit command and nothing is
+//!   waited for. `Commit`, `retire`, `activate`, `stop` and
+//!   `DrainFlush` take effect there too. A parked owner hears the
+//!   tenant commands of one owner — `admit`'s and `retire`'s, sent
+//!   quietly (`tenant_send`) — when its timed park ends at the next
+//!   tick edge, and applies them ahead of that edge's tick round: the
+//!   round the commit's releases are anchored at, rung or not.
 //! * **Message-plane events from an owner's own bodies.** A notify hook
 //!   firing on its channel's *home* thread must not send into the
 //!   message lane: only that thread drains it, so waiting for room
@@ -205,26 +210,21 @@ pub(crate) enum ShardMsg {
     /// [`ShardMsg::MsgHigh`], releasing the boost when posts and drains
     /// balance.
     MsgDrained { dst: TaskId },
-    /// Phase one of a tenant admission (see [`Runtime::admit`]): splice
-    /// the merged task set — its suffix from `task_offset` on is the new
-    /// tenant — into this owner's engine and register the tenant's
-    /// bodies (keyed by candidate-local ids, as the caller gave them),
-    /// with every new release left **disarmed**. With two shards or
-    /// more each decrements `ack` when its splice is done, and the
-    /// admitting thread holds the commit until the counter hits zero;
-    /// one owner's lane is FIFO and carries no counter.
+    /// A tenant admission (see [`Runtime::admit`]): splice the merged
+    /// task set — its suffix from `task_offset` on is the new tenant —
+    /// into this owner's engine and register the tenant's bodies (keyed
+    /// by candidate-local ids, as the caller gave them), with every new
+    /// release left **disarmed**; then do as `then` says.
     Admit {
         taskset: Arc<TaskSet>,
         bodies: Arc<HashMap<(TaskId, VersionId), TaskBody>>,
         task_offset: u32,
         budget: Option<TenantBudget>,
         at: Instant,
-        ack: Option<Arc<AtomicUsize>>,
+        then: Spliced,
     },
-    /// Phase two: arm the tenant's releases. Each owner anchors them at
-    /// its **next local tick edge** (not the commit send instant): it
-    /// dispatches on a fixed tick grid, and an off-grid release phase
-    /// would delay every dispatch of the tenant by up to one tick.
+    /// Phase two of a sharded admission: arm the tenant's releases
+    /// (`Owner::commit`).
     Commit { tenant: TenantId },
     /// Quiesce a tenant: cull its ready jobs, disarm its releases, drop
     /// its pending tokens; a job in flight finishes but fires no
@@ -240,6 +240,19 @@ pub(crate) enum ShardMsg {
     /// The sending peer has seen everything routed to it before the
     /// flush (its identity is implied by its lane).
     DrainAck,
+}
+
+/// What an owner does once it has spliced a tenant ([`ShardMsg::Admit`]).
+#[derive(Clone)]
+pub(crate) enum Spliced {
+    /// Commit it at once (`Owner::commit`): the one owner of a runtime
+    /// has nobody to wait for, so its admission is one command.
+    Commit,
+    /// Count down: with two shards or more each decrements the counter
+    /// when its splice is done, and the admitting thread sends the
+    /// [`ShardMsg::Commit`] once it hits zero, so no cross-shard token
+    /// of the tenant reaches a shard that has not spliced it.
+    Ack(Arc<AtomicUsize>),
 }
 
 // Every slot of every lane is this large, and a peer lane is
@@ -333,11 +346,32 @@ pub(crate) fn try_lock<T>(m: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
     }
 }
 
-/// Sends `msg` into a shared lane, waiting for room ([`wait_for`]).
-pub(crate) fn send_waiting(lanes: &MsgLanes, lane: &SharedLane, msg: ShardMsg) {
+/// How a command enters a lane: [`MailboxSender::send`], which rings the
+/// owner, or [`MailboxSender::send_quiet`].
+pub(crate) type SendFn =
+    fn(&mut MailboxSender<ShardMsg>, ShardMsg) -> std::result::Result<(), MailboxFull<ShardMsg>>;
+
+/// How a tenant command (`Admit`, `Retire`) enters the control lanes of
+/// a runtime of `owners` owners: quietly when there is one, rung to
+/// shards. One owner acts on it no sooner than its next tick edge
+/// anyway — an admission's releases anchor there, and nothing waits for
+/// its acknowledgement — and every park of an owner is timed to end at
+/// that edge, where its next pass drains the mailbox ahead of the tick
+/// round, rung or not. Shards keep the rung protocol: a caller waits
+/// for their acknowledgement of a splice.
+pub(crate) fn tenant_send(owners: usize) -> SendFn {
+    match owners {
+        1 => MailboxSender::send_quiet,
+        _ => MailboxSender::send,
+    }
+}
+
+/// Sends `msg` into a shared lane by `send`, waiting for room
+/// ([`wait_for`]).
+pub(crate) fn send_waiting(lanes: &MsgLanes, lane: &SharedLane, msg: ShardMsg, send: SendFn) {
     let mut msg = Some(msg);
     wait_for(lanes, || {
-        let sent = try_lock(lane)?.send(msg.take()?);
+        let sent = send(&mut *try_lock(lane)?, msg.take()?);
         sent.map_err(|MailboxFull(v)| msg = Some(v)).ok()
     });
 }
@@ -359,7 +393,7 @@ fn post(lanes: &MsgLanes, home: usize, msg: ShardMsg) {
         None
     });
     if let Some(msg) = elsewhere {
-        send_waiting(lanes, &lanes[home], msg);
+        send_waiting(lanes, &lanes[home], msg, MailboxSender::send);
     }
 }
 
@@ -589,10 +623,10 @@ fn owner_thread(mut owner: Owner<MonotonicClock>, core: usize) -> OwnerReport {
                 // `also_ready` runs after the thread has announced its
                 // sleep: whoever changes it later sees that and rings.
                 let timeout = until.saturating_since(owner.now);
-                owner
+                let unrung = owner
                     .mailbox()
                     .park(Some(timeout.into()), || owner.also_ready(wake));
-                owner.woke(until, wake);
+                owner.woke(until, wake, unrung);
             }
             Next::SpinTo { edge, wake } => {
                 let to = loop {
@@ -870,7 +904,10 @@ pub(crate) enum WakeSource {
     /// A command in any lane — control, the peer protocol with
     /// `DrainFlush`/`DrainAck`, the message lane, a helper's `Done`:
     /// every `send` rings, and a park looks at the pending count after
-    /// announcing itself.
+    /// announcing itself. The one exception is a tenant command to the
+    /// one owner of a runtime (`tenant_send`), sent quietly: it waits
+    /// for whatever ends the park next — [`WakeSource::TickEdge`], of
+    /// every park, at the latest — which is no later than it is due.
     Mailbox,
     /// A peer's shelf filling, for an idle thief: it raises its idle
     /// flag on the [`LoadBoard`] before parking, a victim that shelved
@@ -1277,7 +1314,7 @@ impl<C: Clock> Owner<C> {
                 task_offset,
                 budget,
                 at,
-                ack,
+                then,
             } => {
                 // Control path: allocation is fine, the tenant is not
                 // running yet (module docs of `yasmin_sched::admission`).
@@ -1286,20 +1323,14 @@ impl<C: Clock> Owner<C> {
                 self.engine
                     .splice_taskset(taskset, reservation_for(tenant, budget, at))
                     .expect("admission validated by the admitting thread");
-                if let Some(ack) = ack {
-                    ack.fetch_sub(1, Ordering::AcqRel);
+                match then {
+                    Spliced::Commit => self.commit(tenant),
+                    Spliced::Ack(ack) => {
+                        ack.fetch_sub(1, Ordering::AcqRel);
+                    }
                 }
             }
-            // A commit racing a `stop()` is refused by the engine
-            // (`ScheduleNotRunning`) — the schedule is ending anyway,
-            // so the tenant simply never starts.
-            ShardMsg::Commit { tenant } => {
-                let (edge, now) = (self.next_tick, self.clock.now());
-                let _ = self.engine_call(|o| {
-                    o.engine
-                        .commit_tenant_anchored_into(tenant, edge, now, &mut o.sink)
-                });
-            }
+            ShardMsg::Commit { tenant } => self.commit(tenant),
             ShardMsg::Retire { tenant, at } => {
                 self.engine_call(|o| o.engine.retire_tenant_into(tenant, at, &mut o.sink))
                     .expect("retirement validated by the retiring thread");
@@ -1318,6 +1349,20 @@ impl<C: Clock> Owner<C> {
             }
             ShardMsg::DrainAck => self.drain_acks += 1,
         }
+    }
+
+    /// Arms a spliced tenant's releases at this owner's **next tick
+    /// edge**, not at the instant the command is handled: the owner
+    /// dispatches on a fixed tick grid, and an off-grid release phase
+    /// would delay every dispatch of the tenant by up to one tick. It
+    /// only arms ([`OnlineEngine::commit_tenant_at`]): the tick round of
+    /// that edge releases the tenant's first jobs, after every command
+    /// drained ahead of it — a retirement queued behind the admission
+    /// included. A commit racing a `stop()` is refused by the engine
+    /// (`ScheduleNotRunning`): the schedule is ending anyway, so the
+    /// tenant never starts.
+    fn commit(&mut self, tenant: TenantId) {
+        let _ = self.engine.commit_tenant_at(tenant, self.next_tick);
     }
 
     /// A high-lane post or drain for `dst`: applied when this engine
@@ -1442,15 +1487,14 @@ impl<C: Clock> Owner<C> {
             || (wake.has(WakeSource::AllDrained) && self.peers.all_drained())
     }
 
-    /// The park `step` asked for is over. Its lateness feeds the lead
-    /// when it *ran into its timeout*: woken with the mailbox still
-    /// empty and nothing else ready, not capped by `SPILL_RETRY`, not
-    /// back before `armed` (a stale token). A park a ring ended says
-    /// nothing about the timer.
-    pub(crate) fn woke(&mut self, armed: Instant, wake: WakeSet) {
-        let timed_out = !wake.has(WakeSource::SpillRetry)
-            && self.mailbox().is_empty()
-            && !self.also_ready(wake);
+    /// The park `step` asked for is over; `unrung` says the thread slept
+    /// and no ringer claimed the sleep (`MailboxReceiver::park`). Its
+    /// lateness feeds the lead when it *ran into its timeout*: unrung —
+    /// whatever quiet commands wait in the mailbox, which rang nobody —
+    /// not capped by `SPILL_RETRY`, and not back before `armed` (a stale
+    /// token). A park a ring ended says nothing about the timer.
+    pub(crate) fn woke(&mut self, armed: Instant, wake: WakeSet, unrung: bool) {
+        let timed_out = unrung && !wake.has(WakeSource::SpillRetry);
         self.timer_lead.observe(armed, self.clock.now(), timed_out);
         if wake.has(WakeSource::PeerShelf) {
             self.peers.board.set_idle(self.me, false);

@@ -100,13 +100,15 @@ enum Cmd {
         dst: TaskId,
         high: bool,
     },
-    /// A one-task tenant on `worker`, spliced through the ledger;
-    /// retired `retire_after` its commit when that is given.
+    /// A one-task tenant on `worker` with `period`, spliced through the
+    /// ledger and sent as `Runtime::admit` sends it; retired
+    /// `retire_after` its commit when that is given.
     Admit {
         worker: u16,
+        period: Duration,
         retire_after: Option<Duration>,
     },
-    /// Sent once every owner has acknowledged the splice.
+    /// Sent to shards once every one has acknowledged the splice.
     Commit {
         tenant: TenantId,
         ack: Option<Arc<AtomicUsize>>,
@@ -161,6 +163,11 @@ struct World {
     records_at_shutdown: usize,
     longest_body: Duration,
     next_seen: [u64; 4],
+    /// Per owner: commands sent to it quietly since its last step, which
+    /// drained its mailbox. They may wait for its park's timeout.
+    quiet: Vec<usize>,
+    /// Parks a ringer ended.
+    rung_wakes: u64,
 }
 
 fn noop_bodies(taskset: &TaskSet) -> HashMap<(TaskId, VersionId), TaskBody> {
@@ -179,6 +186,17 @@ fn send(lane: &SharedLane, msg: ShardMsg) {
     assert!(sent.is_ok(), "the script overfills a command lane");
 }
 
+/// A tenant command down every control lane, as `Runtime` sends it
+/// ([`tenant_send`]: quietly to one owner), counted in `quiet` when so.
+fn tenant_broadcast(control: &[SharedLane], quiet: &mut [usize], msg: impl Fn() -> ShardMsg) {
+    let (how, alone) = (tenant_send(control.len()), control.len() == 1);
+    for (lane, quiet) in control.iter().zip(quiet) {
+        let sent = how(&mut try_lock(lane).expect("one thread"), msg());
+        assert!(sent.is_ok(), "the script overfills a command lane");
+        *quiet += usize::from(alone);
+    }
+}
+
 impl World {
     fn new(label: String, seed: u64, taskset: TaskSet, config: Config, stealing: bool) -> Self {
         let taskset = Arc::new(taskset);
@@ -189,7 +207,7 @@ impl World {
         clock.set(T0);
         let (owners, control, lanes) = wire(&launch, &clock).unwrap();
         let (owners, ends): (Vec<_>, Vec<Vec<HelperEnd>>) = owners.into_iter().unzip();
-        let tick = owners[0].tick;
+        let (tick, n) = (owners[0].tick, owners.len());
         let helper = |end| HelperSeat { end, busy: None };
         World {
             label,
@@ -217,6 +235,8 @@ impl World {
             records_at_shutdown: 0,
             longest_body: Duration::ZERO,
             next_seen: [0; 4],
+            quiet: vec![0; n],
+            rung_wakes: 0,
         }
     }
 
@@ -357,6 +377,8 @@ impl World {
                     Seat::Fresh => self.owners[i].start(),
                     _ => self.owners[i].step(),
                 };
+                assert!(self.owners[i].mailbox().is_empty(), "o{i}: step left mail");
+                self.quiet[i] = 0;
                 self.tick_rounds_kept_to(i, edges, edge);
                 assert!(self.owners[i].peers.shelf.is_empty(), "o{i}: shelf open");
                 self.stepped(i, next);
@@ -377,13 +399,12 @@ impl World {
                 else {
                     unreachable!()
                 };
-                let rung = !self.owners[i].mailbox().is_announced();
                 // The sleep's second half: over at once, it withdraws
                 // the announcement and uses up a ringer's token.
-                self.owners[i]
-                    .mailbox()
-                    .park_announced(Some(std::time::Duration::ZERO));
-                self.owners[i].woke(until, wake);
+                let rung =
+                    (self.owners[i].mailbox()).park_announced(Some(std::time::Duration::ZERO));
+                self.rung_wakes += u64::from(rung);
+                self.owners[i].woke(until, wake, !rung);
                 let late = now.saturating_since(until);
                 self.note(format!("o{i} woke rung={rung} {late} past its timeout"));
             }
@@ -487,7 +508,7 @@ impl World {
                     let late = (self.lateness)(&mut self.rng);
                     self.seats[i] = Seat::Asleep { until, late, wake };
                 } else {
-                    self.owners[i].woke(until, wake);
+                    self.owners[i].woke(until, wake, false);
                     self.seats[i] = Seat::Ready;
                 }
                 self.note(format!("o{i} step -> Park until {until} {}", sources(wake)));
@@ -521,7 +542,8 @@ impl World {
     }
 
     /// A sleeper whose announcement stands has nothing to wake up for:
-    /// every `send` and every `set_drained` rings.
+    /// every `send` and every `set_drained` rings. What a quiet send
+    /// left may wait for the park's timeout, its next tick edge.
     fn check_sleepers(&self) {
         for i in (0..self.seats.len()).filter(|&i| self.announced(i)) {
             let Seat::Asleep { wake, .. } = self.seats[i] else {
@@ -529,7 +551,7 @@ impl World {
             };
             let owner = &self.owners[i];
             assert!(
-                owner.mailbox().is_empty(),
+                owner.mailbox().len() <= self.quiet[i] && wake.has(WakeSource::TickEdge),
                 "lost wake: o{i} sleeps on a mailbox that is not empty"
             );
             assert!(
@@ -575,10 +597,11 @@ impl World {
             }
             Cmd::Admit {
                 worker,
+                period,
                 retire_after,
             } => {
                 let mut b = TaskSetBuilder::new();
-                let mut spec = TaskSpec::periodic("tenant", us(4_000));
+                let mut spec = TaskSpec::periodic("tenant", period);
                 if sharded {
                     spec = spec.on_worker(WorkerId::new(worker));
                 }
@@ -587,33 +610,37 @@ impl World {
                 let candidate = b.build().unwrap();
                 let owners = self.control.len();
                 let ack = (owners > 1).then(|| Arc::new(AtomicUsize::new(owners)));
-                let (control, config) = (&self.control, &self.config);
+                let then = match &ack {
+                    Some(ack) => Spliced::Ack(Arc::clone(ack)),
+                    None => Spliced::Commit,
+                };
+                let (control, quiet, config) = (&self.control, &mut self.quiet, &self.config);
                 let admitted = self.ledger.admit(&candidate, None, |admission| {
                     if sharded {
                         validate_sharding(admission.merged, config)?;
                     }
                     let bodies = Arc::new(noop_bodies(&candidate));
-                    for lane in control {
-                        let msg = ShardMsg::Admit {
-                            taskset: Arc::clone(admission.merged),
-                            bodies: Arc::clone(&bodies),
-                            task_offset: admission.task_offset,
-                            budget: None,
-                            at: now,
-                            ack: ack.clone(),
-                        };
-                        send(lane, msg);
-                    }
+                    tenant_broadcast(control, quiet, || ShardMsg::Admit {
+                        taskset: Arc::clone(admission.merged),
+                        bodies: Arc::clone(&bodies),
+                        task_offset: admission.task_offset,
+                        budget: None,
+                        at: now,
+                        then: then.clone(),
+                    });
                     Ok(())
                 });
                 self.note(format!("admit -> {admitted:?}"));
-                if let Ok(tenant) = admitted {
+                let Ok(tenant) = admitted else { return };
+                if ack.is_some() {
                     let commit = Cmd::Commit {
                         tenant,
                         ack,
                         retire_after,
                     };
                     self.at(now, commit);
+                } else if let Some(after) = retire_after {
+                    self.at(now + after, Cmd::Retire(tenant));
                 }
             }
             Cmd::Commit {
@@ -629,7 +656,10 @@ impl World {
             }
             Cmd::Retire(tenant) => {
                 self.ledger.retire(tenant).unwrap();
-                self.broadcast(|| ShardMsg::Retire { tenant, at: now });
+                tenant_broadcast(&self.control, &mut self.quiet, || ShardMsg::Retire {
+                    tenant,
+                    at: now,
+                });
                 self.note(format!("retire {tenant}"));
             }
             Cmd::Stop => {
@@ -844,6 +874,7 @@ fn explore(case: Case, keep: usize) -> (Vec<OwnerReport>, [u64; 4], VecDeque<Str
                     when,
                     Cmd::Admit {
                         worker,
+                        period: us(4_000),
                         retire_after,
                     },
                 );
@@ -1065,6 +1096,66 @@ fn a_quarter_of_the_parks_end_early_and_spin_to_their_edge() {
     residual.record(us(20));
     assert_eq!(ticks.late_p50_ns, residual.median());
     assert_eq!(ticks.late_max_ns, 160_000, "a warm-up round");
+}
+
+/// An admission of a one-task tenant with the tick as its period.
+fn admit_every_tick() -> Cmd {
+    Cmd::Admit {
+        worker: 0,
+        period: us(50_000),
+        retire_after: None,
+    }
+}
+
+#[test]
+fn one_owner_hears_an_admission_and_a_retirement_at_its_next_edge() {
+    // Tenant A (T2) is admitted 10 ms after edge 1. Ten ms after edge
+    // 3, tenant B (T3) is admitted and A retired behind it. Both
+    // commands are sent quietly: the owner sleeps through them to its
+    // timeout, and its next pass applies them ahead of the tick round.
+    let (mut world, _) = ticking_alone(&[], 30);
+    world.at(edge(1) + us(10_000), admit_every_tick());
+    world.at(edge(3) + us(10_000), admit_every_tick());
+    world.at(edge(3) + us(10_001), Cmd::Retire(TenantId::new(1)));
+    world.run_until(edge(4) + us(1_000));
+    assert_eq!(world.rung_wakes, 0, "no park ended before its timeout");
+    assert!(
+        world.script.is_empty() && world.quiet[0] == 0,
+        "all applied"
+    );
+    let releases = |world: &World, t: u32| -> Vec<Instant> {
+        let records = world.owners[0].report.records.iter();
+        let of_t = records.filter(|r| r.job.task == TaskId::new(t));
+        of_t.map(|r| r.job.release).collect()
+    };
+    // A's releases are anchored at the edge after its admission, where
+    // a rung commit would have anchored them too, and B's likewise. The
+    // retirement applied ahead of edge 4's round: A released nothing
+    // there, so nothing of it was culled.
+    assert_eq!(releases(&world, 2), [edge(2), edge(3)]);
+    assert_eq!(releases(&world, 3), [edge(4)]);
+    let stats = world.owners[0].engine.stats();
+    assert_eq!((stats.culled, stats.released), (0, 5 + 2 + 1), "{stats:?}");
+    world.at(edge(5) + us(10_000), Cmd::Shutdown);
+    world.run();
+    world.finish();
+}
+
+#[test]
+fn a_park_that_times_out_beside_a_quiet_command_teaches_the_lead() {
+    // Every park from the start to edge 8 runs into its timeout 130 µs
+    // late with a quietly sent admission waiting: eight samples, so the
+    // lead is 130 µs once edge 8 is past.
+    let (mut world, _) = ticking_alone(&[], 130);
+    for k in 0..8 {
+        world.at(edge(k) + us(20_000), admit_every_tick());
+    }
+    world.run_until(edge(8) + us(1_000));
+    assert_eq!(world.rung_wakes, 0);
+    assert_eq!(world.owners[0].lead(), us(130));
+    world.at(edge(8) + us(10_000), Cmd::Shutdown);
+    world.run();
+    world.finish();
 }
 
 #[test]

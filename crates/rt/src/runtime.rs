@@ -23,12 +23,15 @@
 //! slots or more the owner only schedules, and each worker is a helper
 //! thread (`yasmin-worker-{w}`, a "virtual CPU", pinned best-effort).
 //!
-//! Control commands (`activate`, `admit`, `retire`, message boosts,
-//! `stop`) reach an owner over mailbox lanes that ring it, so a parked
-//! owner acts on a command when it is sent, not at the next completion
-//! or tick. Between jobs it waits as [`Config::waiting`] says — parked
-//! on its mailbox until the next tick edge, or spinning — and the tick
-//! grid is anchored at the instant the engine started.
+//! Control commands (`activate`, message boosts, `stop`) reach an owner
+//! over mailbox lanes that ring it, so a parked owner acts on a command
+//! when it is sent, not at the next completion or tick. `admit` and
+//! `retire` ring shards too, but reach one owner quietly: what they do
+//! takes effect at its next tick edge anyway, where its timed park ends
+//! ([`Runtime::admit`]). Between jobs an owner waits as
+//! [`Config::waiting`] says — parked on its mailbox until the next tick
+//! edge, or spinning — and the tick grid is anchored at the instant the
+//! engine started.
 //!
 //! `ShardedRuntime` and `ShardedRuntimeBuilder` ([`crate::owner`]) are
 //! aliases of [`Runtime`] and [`RuntimeBuilder`], kept for source
@@ -47,7 +50,8 @@
 //! FIFO buffers — see `examples/quickstart.rs`).
 
 use crate::owner::{
-    owner_of, send_waiting, spawn, try_lock, wait_for, MsgLanes, OwnerReport, ShardMsg, SharedLane,
+    owner_of, send_waiting, spawn, tenant_send, try_lock, wait_for, MsgLanes, OwnerReport, SendFn,
+    ShardMsg, SharedLane, Spliced,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -61,6 +65,7 @@ use yasmin_sched::admission::{AdmissionError, TenantLedger};
 use yasmin_sched::msg::{NotifyHandle, Receiver as MsgReceiver, Sender as MsgSender};
 use yasmin_sched::server::TenantBudget;
 use yasmin_sched::{validate_sharding, EngineStats, Job, JobOutcome};
+use yasmin_sync::mailbox::MailboxSender;
 
 /// Context handed to a task body for each job.
 #[derive(Debug, Clone, Copy)]
@@ -367,10 +372,10 @@ impl std::fmt::Debug for Runtime {
 }
 
 impl Runtime {
-    /// Sends one `msg()` down every owner's control lane.
-    fn broadcast(&self, msg: impl Fn() -> ShardMsg) {
+    /// Sends one `msg()` down every owner's control lane, by `send`.
+    fn broadcast(&self, send: SendFn, msg: impl Fn() -> ShardMsg) {
         for lane in &self.control {
-            send_waiting(&self.lanes, lane, msg());
+            send_waiting(&self.lanes, lane, msg(), send);
         }
     }
 
@@ -393,7 +398,8 @@ impl Runtime {
     pub fn activate(&self, task: TaskId) -> Result<()> {
         let sharded = self.config.sharded_dispatch();
         let owner = owner_of(self.lock_ledger().merged(), sharded, task)?;
-        send_waiting(&self.lanes, &self.control[owner], ShardMsg::Activate(task));
+        let msg = ShardMsg::Activate(task);
+        send_waiting(&self.lanes, &self.control[owner], msg, MailboxSender::send);
         Ok(())
     }
 
@@ -416,22 +422,25 @@ impl Runtime {
     /// ([`validate_sharding`]). `bodies` travels to the owners as given:
     /// each files them under merged task ids in its own dense table,
     /// which is where a dispatch finds its body. An accepted tenant is
-    /// then spliced in **two phases** over the control lanes: every
-    /// owner first adopts the merged set with the new releases disarmed,
-    /// and only then is the commit sent that arms them, anchored at
-    /// each owner's next tick edge. An owner applies both at its next
-    /// job boundary (at once, when it is parked or only schedules),
-    /// between two engine rounds, and a lane's FIFO order puts them
-    /// ahead of anything the caller sends afterwards. Existing tenants'
-    /// scheduling is untouched either way. A commit that arrives after
-    /// [`Runtime::stop`] is refused by the engine: the tenant never
-    /// starts.
+    /// spliced into every owner's engine with its releases disarmed,
+    /// then committed: the commit arms them at the owner's next tick
+    /// edge, and that edge's tick round releases the first jobs. An
+    /// owner applies both between two engine rounds, and a lane's FIFO
+    /// order puts them ahead of anything the caller sends afterwards.
+    /// Existing tenants' scheduling is untouched either way. A commit
+    /// that arrives after [`Runtime::stop`] is refused by the engine:
+    /// the tenant never starts.
     ///
-    /// **One owner** has nobody to race: the call **returns once both
-    /// commands are sent**, without waiting for the owner. **Two shards
-    /// or more** acknowledge the splice before the commit is sent, so a
-    /// cross-shard DAG token of the new tenant can never arrive at a
-    /// shard that has not yet spliced: the call lasts as long as the
+    /// **One owner** has nobody to race: the caller sends **one**
+    /// splice-and-commit command, **quietly** — without waking the
+    /// owner — and returns. The owner finds it at the latest when its
+    /// timed park ends at the next tick edge, ahead of that edge's tick
+    /// round (at its job boundary, when it is inside a body): the edge
+    /// the release anchors at either way, so the schedule is the one a
+    /// wake-up would have given. **Two shards or more** are sent the
+    /// splice rung, acknowledge it, and only then are sent the commit,
+    /// so a cross-shard DAG token of the new tenant can never arrive at
+    /// a shard that has not yet spliced: the call lasts as long as the
     /// longest body then running — and must not come from a task body
     /// of this runtime, whose own shard could then never acknowledge.
     ///
@@ -455,9 +464,13 @@ impl Runtime {
         check_bodies(candidate, &bodies).map_err(AdmissionError::Invalid)?;
         let owners = self.control.len();
         let ack = (owners > 1).then(|| Arc::new(AtomicUsize::new(owners)));
-        // Phase 1: broadcast the splice, under the ledger lock so that
-        // every owner hears concurrent admissions in ledger order.
-        // Everything an engine's splice refuses is refused here first.
+        let then = match &ack {
+            Some(ack) => Spliced::Ack(Arc::clone(ack)),
+            None => Spliced::Commit,
+        };
+        // Send the splice under the ledger lock so that every owner
+        // hears concurrent admissions in ledger order. Everything an
+        // engine's splice refuses is refused here first.
         let tenant = self
             .lock_ledger()
             .admit(candidate, budget.as_ref(), |admission| {
@@ -468,13 +481,13 @@ impl Runtime {
                 // under merged ids in its own table.
                 let bodies = Arc::new(bodies);
                 let at = self.clock.now();
-                self.broadcast(|| ShardMsg::Admit {
+                self.broadcast(tenant_send(self.control.len()), || ShardMsg::Admit {
                     taskset: Arc::clone(admission.merged),
                     bodies: Arc::clone(&bodies),
                     task_offset: admission.task_offset,
                     budget,
                     at,
-                    ack: ack.clone(),
+                    then: then.clone(),
                 });
                 Ok(())
             })?;
@@ -485,9 +498,9 @@ impl Runtime {
             wait_for(&self.lanes, || {
                 (ack.load(Ordering::Acquire) == 0).then_some(())
             });
+            // Every shard knows the tenant: arm its releases.
+            self.broadcast(MailboxSender::send, || ShardMsg::Commit { tenant });
         }
-        // Phase 2: every owner knows the tenant — arm its releases.
-        self.broadcast(|| ShardMsg::Commit { tenant });
         Ok(tenant)
     }
 
@@ -496,12 +509,17 @@ impl Runtime {
     /// without firing successors, and racing cross-shard tokens are
     /// dropped silently. Other tenants are untouched. The id is
     /// validated on the caller's thread and the call **returns once the
-    /// command is sent**; an owner applies it at its next job boundary,
-    /// ahead of anything the caller sends afterwards. The tenant's
-    /// bandwidth is available to the next [`Runtime::admit`] as soon as
-    /// this returns (that admission's splice queues behind the
-    /// retirement; up to `workers` of the tenant's jobs, already
-    /// executing, may still finish — see `yasmin_sched::admission`).
+    /// command is sent**. One owner is sent it quietly, as
+    /// [`Runtime::admit`] sends: it applies it when it next wakes — its
+    /// next tick edge at the latest, ahead of that edge's round — or at
+    /// its job boundary. Shards are rung. Either way an owner drains its
+    /// mailbox ahead of every engine round, so no job of the tenant is
+    /// dispatched after this returns, and the retirement is applied
+    /// ahead of anything the caller sends afterwards. The tenant's bandwidth is
+    /// available to the next [`Runtime::admit`] as soon as this returns
+    /// (that admission's splice queues behind the retirement; up to
+    /// `workers` of the tenant's jobs, already executing, may still
+    /// finish — see `yasmin_sched::admission`).
     ///
     /// # Errors
     ///
@@ -516,14 +534,17 @@ impl Runtime {
         // commits a tenant admitted into the freed bandwidth.
         ledger.retire(tenant)?;
         let at = self.clock.now();
-        self.broadcast(|| ShardMsg::Retire { tenant, at });
+        self.broadcast(tenant_send(self.control.len()), || ShardMsg::Retire {
+            tenant,
+            at,
+        });
         Ok(())
     }
 
     /// Stops releasing new periodic jobs on every owner; in-flight jobs
     /// drain (the paper's `yas_stop`).
     pub fn stop(&self) {
-        self.broadcast(|| ShardMsg::Stop);
+        self.broadcast(MailboxSender::send, || ShardMsg::Stop);
     }
 
     /// Drains every owner — loss-free across shards: no routed token or
@@ -536,7 +557,7 @@ impl Runtime {
     /// Panics if a runtime thread panicked.
     #[must_use]
     pub fn cleanup(self) -> RuntimeReport {
-        self.broadcast(|| ShardMsg::Shutdown);
+        self.broadcast(MailboxSender::send, || ShardMsg::Shutdown);
         let mut report = RuntimeReport::default();
         for t in self.threads {
             let owner = t.join().expect("owner thread panicked");
@@ -1013,11 +1034,13 @@ mod tests {
 
     #[test]
     fn command_wakes_a_parked_scheduler() {
-        // Tick 50 ms, the scheduler parked between edges: an admission,
-        // a retirement, an activation and a high-lane boost must take
-        // effect when they are sent — not at the next completion or
-        // tick, which is when a loop that reads its commands only after
-        // waking for something else would see them.
+        // Tick 50 ms, the scheduler parked between edges: an activation
+        // and a high-lane boost must take effect when they are sent —
+        // not at the next completion or tick, which is when a loop that
+        // reads its commands only after waking for something else would
+        // see them. An admission and a retirement are due at the next
+        // edge: they are sent quietly, and the activation's wake-up
+        // finds them ahead of it.
         use yasmin_core::priority::Priority;
         use yasmin_sched::ChannelBuilder;
         within_attempts(3, || {
@@ -1074,7 +1097,7 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(10));
 
             // `admit` and `retire` return once validated and sent: the
-            // parked owner is woken by them, not waited for.
+            // parked owner is not waited for.
             let (cand, bodies) = candidate(50, Duration::from_micros(50));
             let t = std::time::Instant::now();
             let admitted = rt.admit(&cand, bodies, None);

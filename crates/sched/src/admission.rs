@@ -89,7 +89,10 @@
 //! accelerators are not shared across tenants, but PIP's push-through
 //! blocking is — a lower-priority task of one tenant that holds an
 //! accelerator a more urgent task of its own may want delays every task
-//! in between, whichever tenant it belongs to.
+//! in between, whichever tenant it belongs to. Where no tenant ever
+//! admitted and not the candidate declares an accelerator, there are no
+//! sections and every term stays the zero it was built with: the check
+//! skips them.
 //!
 //! The ledger also keeps each *superseded* merged set alive until the
 //! engines have let go of it. A driver's splice closure may return once
@@ -120,22 +123,32 @@
 //! * **Checked** — the analysis ran over the rows of the live tenants
 //!   and the candidate ([`TenantLedger::admit`]), or of a whole set
 //!   ([`AdmissionControl::evaluate`]), on the caller's thread. This is
-//!   deliberately a non-real-time operation: the RTA iterates every
-//!   row to its fixed point, the EDF demand test collects its check
-//!   points and the DAG bound walks the candidate's graphs, so drivers
-//!   run it on an admission thread, never on a scheduler thread.
+//!   deliberately a non-real-time operation: the EDF demand test
+//!   collects its check points, the DAG bound walks the candidate's
+//!   graphs, and the RTA iterates every row of a partition to its fixed
+//!   point — unless the partition passes the hyperbolic bound
+//!   ([`yasmin_analysis::hyperbolic_bound`]: DM, or RM with `D = T`,
+//!   every row recurring with `D ≤ T` and no blocking), which proves in
+//!   one pass over the rows what the RTA would find. The bound is
+//!   sufficient only, so where it fails the RTA decides as before: no
+//!   verdict and no refusal changes. Drivers run the check on an
+//!   admission thread, never on a scheduler thread.
 //! * **Spliced** — every engine (the single [`OnlineEngine`], or each
 //!   shard's) adopted the merged set
 //!   via [`OnlineEngine::splice_taskset`] with the tenant's releases
-//!   still disarmed. In the sharded runtime the splice command travels
-//!   the same per-shard control mailbox lane as every other command, so
-//!   it serialises with the hot path instead of locking it.
-//! * **Committed** — [`OnlineEngine::commit_tenant_into`] armed the
-//!   tenant's periodic roots. Two-phase matters under sharding: commit
-//!   is sent only after *every* shard acknowledged its splice, so no
-//!   shard can complete a tenant job and route a cross-shard token to a
-//!   shard that has never heard of the edge. A single engine hears both
-//!   commands over one FIFO lane, in order, and nobody waits for it.
+//!   still disarmed. The splice command travels the same control
+//!   mailbox lane as every other command, so it serialises with the hot
+//!   path instead of locking it.
+//! * **Committed** — [`OnlineEngine::commit_tenant_into`] (or
+//!   [`OnlineEngine::commit_tenant_at`], which leaves the release to the
+//!   next round) armed the tenant's periodic roots. Two-phase matters
+//!   under sharding: commit is sent only after *every* shard
+//!   acknowledged its splice, so no shard can complete a tenant job and
+//!   route a cross-shard token to a shard that has never heard of the
+//!   edge. A single engine has nobody to wait for: the thread runtime
+//!   sends it one command that splices and commits, without waking its
+//!   owner — the commit anchors at the owner's next tick edge, where its
+//!   timed park ends and it drains its mailbox ahead of the tick round.
 //! * **Retired** — [`OnlineEngine::retire_tenant_into`] quiesced the
 //!   tenant: future releases disarmed, ready jobs culled, pending DAG
 //!   tokens dropped, late cross-shard tokens silently discarded.
@@ -157,9 +170,9 @@
 //!   anchor is the commit instant for exact event-driven drivers (the
 //!   simulator); a driver dispatching on a fixed tick grid (the thread
 //!   runtimes) instead anchors at its **next tick edge**
-//!   ([`OnlineEngine::commit_tenant_anchored_into`]), because an
-//!   off-grid release phase would delay every dispatch of the tenant by
-//!   up to one tick — enough to sink a deadline equal to the period.
+//!   ([`OnlineEngine::commit_tenant_at`]), because an off-grid release
+//!   phase would delay every dispatch of the tenant by up to one tick —
+//!   enough to sink a deadline equal to the period.
 //! * Admission analysis assumes worst-case (largest) version WCETs
 //!   ([`WcetAssumption::MaxVersion`]); run-time version selection can
 //!   only do better.
@@ -177,8 +190,8 @@ use std::fmt;
 use std::sync::Arc;
 use yasmin_analysis::{
     blocking_terms, dag_meets_deadline, edf_schedulable_rows, extend_rows, extend_sections,
-    gfb_rows, graham_bound, max_utilisation_rows, total_utilisation_rows, Placement, Row, Rta,
-    WcetAssumption,
+    gfb_rows, graham_bound, hyperbolic_bound, max_utilisation_rows, total_utilisation_rows,
+    Placement, Row, Rta, WcetAssumption,
 };
 use yasmin_core::config::{Config, MappingScheme};
 use yasmin_core::error::Error;
@@ -351,9 +364,9 @@ impl From<AdmissionError> for Error {
 ///
 /// | mapping | priorities | test |
 /// |---|---|---|
-/// | partitioned (incl. sharded) | static (RM/DM/user) | per-partition RTA |
+/// | partitioned (incl. sharded) | static (RM/DM/user) | per-partition RTA, skipped where the hyperbolic bound holds |
 /// | partitioned (incl. sharded) | EDF | per-partition density `Σ C/min(D,T) ≤ 1` |
-/// | global, 1 worker | static | RTA, with the PIP blocking term when accelerators are declared |
+/// | global, 1 worker | static | RTA, with the PIP blocking term when accelerators are declared; skipped where the hyperbolic bound holds |
 /// | global, 1 worker | EDF | utilisation + processor-demand criterion |
 /// | global, m workers | EDF | `U ≤ m` + the GFB test `U ≤ m − (m−1)·U_max` |
 /// | global, m workers | static | refused — no sound test is implemented |
@@ -524,11 +537,16 @@ impl AdmissionControl {
                 }
                 // Every check: push-through blocking crosses tenants,
                 // and a retired tenant's sections must stop counting.
-                let mut sections = Vec::new();
-                extend_sections(&mut sections, rows, current, 0, 0);
-                let accel_offset = current.accels().len();
-                extend_sections(&mut sections, rows, candidate, offset, accel_offset);
-                blocking_terms(rows, &sections);
+                // Without an accelerator declared by any tenant ever
+                // admitted, or by the candidate, there is no section:
+                // every row's term is the zero it was built with.
+                if !(current.accels().is_empty() && candidate.accels().is_empty()) {
+                    let mut sections = Vec::new();
+                    extend_sections(&mut sections, rows, current, 0, 0);
+                    let accel_offset = current.accels().len();
+                    extend_sections(&mut sections, rows, candidate, offset, accel_offset);
+                    blocking_terms(rows, &sections);
+                }
                 self.check_rta(rows)?;
             }
             (MappingScheme::Global, false) => self.check_global_edf(rows)?,
@@ -537,13 +555,20 @@ impl AdmissionControl {
     }
 
     /// Per-partition RTA — one partition under global mapping. A
+    /// partition the hyperbolic bound accepts in O(rows) is not iterated:
+    /// the bound is sufficient, so the RTA would accept it too. A
     /// refusal names the first failing row in partition, then analysis,
     /// order.
     fn check_rta(&self, rows: &[Row]) -> Result<(), AdmissionError> {
         let mut rta = Rta::new(rows);
+        let policy = self.config.priority();
         for w in 0..self.config.workers() {
+            let on_w = |row: &&Row| row.worker.map(WorkerId::index) == Some(w);
+            if hyperbolic_bound(rows.iter().filter(on_w), policy) {
+                continue;
+            }
             for (i, row) in rows.iter().enumerate() {
-                if row.worker.map(WorkerId::index) != Some(w) {
+                if !on_w(&row) {
                     continue;
                 }
                 let r = rta.response_time(i);

@@ -1095,37 +1095,32 @@ impl OnlineEngine {
         now: Instant,
         sink: &mut ActionSink,
     ) -> Result<()> {
-        self.commit_tenant_anchored_into(tenant, now, now, sink)
+        self.commit_tenant_at(tenant, now)?;
+        self.on_tick_into(now, sink);
+        Ok(())
     }
 
-    /// [`OnlineEngine::commit_tenant_into`] with the release anchor
-    /// decoupled from the release round: first releases land at
-    /// `anchor + release_offset` while the immediate release round runs
-    /// at `now`.
+    /// [`OnlineEngine::commit_tenant_into`] without the release round:
+    /// arms the tenant's first releases at `anchor + release_offset` and
+    /// releases nothing itself — the next round at or past them does.
     ///
     /// A driver dispatching on a fixed tick grid (the thread runtimes)
-    /// passes its **next tick edge** as `anchor`: the tenant's release
-    /// train then coincides with dispatch edges, so admitted jobs start
-    /// at their nominal releases and the admitted deadlines hold exactly
-    /// as analysed. Anchoring at an off-grid instant instead would delay
-    /// every dispatch of the tenant by the phase difference — up to one
-    /// full tick, enough to sink a deadline equal to the period. Exact
-    /// event-driven drivers (the simulator) anchor at `now` via
-    /// [`OnlineEngine::commit_tenant_into`].
-    ///
-    /// `anchor < now` is allowed; the round at `now` releases anything
-    /// already due.
+    /// passes its **next tick edge** as `anchor` and leaves the release
+    /// to that edge's tick round: the tenant's release train then
+    /// coincides with dispatch edges, so admitted jobs start at their
+    /// nominal releases and the admitted deadlines hold exactly as
+    /// analysed, and a command applied between the commit and that
+    /// round (a retirement queued behind the admission) is in force
+    /// before anything is released. Anchoring at an off-grid instant
+    /// instead would delay every dispatch of the tenant by the phase
+    /// difference — up to one full tick, enough to sink a deadline equal
+    /// to the period. Exact event-driven drivers (the simulator) anchor
+    /// at the commit instant via [`OnlineEngine::commit_tenant_into`].
     ///
     /// # Errors
     ///
     /// As [`OnlineEngine::commit_tenant_into`].
-    pub fn commit_tenant_anchored_into(
-        &mut self,
-        tenant: TenantId,
-        anchor: Instant,
-        now: Instant,
-        sink: &mut ActionSink,
-    ) -> Result<()> {
+    pub fn commit_tenant_at(&mut self, tenant: TenantId, anchor: Instant) -> Result<()> {
         if !self.started || self.stopping {
             return Err(Error::ScheduleNotRunning);
         }
@@ -1137,7 +1132,6 @@ impl OnlineEngine {
         }
         entry.committed = true;
         self.arm_releases(tenant.index(), anchor);
-        self.on_tick_into(now, sink);
         Ok(())
     }
 

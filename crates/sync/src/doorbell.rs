@@ -118,13 +118,17 @@ impl Doorbell {
     }
 
     /// The second half: parks the announced thread until a ring or
-    /// `timeout`, and withdraws the announcement.
-    pub fn park(&self, timeout: Option<Duration>) {
+    /// `timeout`, and withdraws the announcement. Returns `true` when a
+    /// ringer claimed it; `false` when nobody did — the timeout ended
+    /// the park, or it returned early with nothing to do (module docs).
+    pub fn park(&self, timeout: Option<Duration>) -> bool {
         match timeout {
             Some(d) => std::thread::park_timeout(d),
             None => std::thread::park(),
         }
-        self.sleeping.store(false, Ordering::Relaxed);
+        // A read-modify-write, like the ringer's claim: of the two, one
+        // finds the flag still set.
+        !self.sleeping.swap(false, Ordering::Relaxed)
     }
 
     /// `true` from an [`Doorbell::announce`] that returned `true` until
@@ -219,13 +223,15 @@ mod tests {
         assert!(bell.is_announced());
         bell.ring();
         assert!(!bell.is_announced(), "the ringer claimed it");
-        // Its token ends the park at once, whatever the timeout.
+        // Its token ends the park at once, whatever the timeout, and
+        // the park says it was rung.
         let t0 = Instant::now();
-        bell.park(Some(Duration::from_secs(5)));
+        assert!(bell.park(Some(Duration::from_secs(5))));
         assert!(t0.elapsed() < Duration::from_secs(1));
-        // An announcement nobody claims stands until the park is over.
+        // An announcement nobody claims stands until the park is over,
+        // which says nobody rang.
         assert!(bell.announce(|| false));
-        bell.park(Some(Duration::ZERO));
+        assert!(!bell.park(Some(Duration::ZERO)));
         assert!(!bell.is_announced());
     }
 

@@ -32,7 +32,9 @@
 //!   mailbox carries a [`Doorbell`] next to its pending counter; every
 //!   successful `send` (and every lane close) rings it, which against
 //!   an owner that is awake is one load of a flag on the cache line the
-//!   `send` has just written.
+//!   `send` has just written. A [`MailboxSender::send_quiet`] does not
+//!   ring: its command waits for whatever ends the park next, the
+//!   owner's timeout at the latest.
 
 use crate::doorbell::Doorbell;
 use crate::spsc;
@@ -142,23 +144,38 @@ impl<T: Send> MailboxSender<T> {
     /// [`MailboxFull`] returning the command when the lane has no room;
     /// the producer should back off and retry (the owner drains).
     pub fn send(&mut self, cmd: T) -> Result<(), MailboxFull<T>> {
+        self.send_quiet(cmd)?;
+        // The count is a `SeqCst` read-modify-write the parking owner
+        // re-reads, which makes the ring fence-free.
+        self.shared.bell.ring_published();
+        Ok(())
+    }
+
+    /// [`MailboxSender::send`] without the ring: the command is queued
+    /// and counted, but a parked owner sleeps on until something else
+    /// ends its park — another `send`, a `wake`, or its timeout. For a
+    /// command that is not due before the owner's next timed wake-up
+    /// anyway: the owner finds it then, and the sender saves the futex
+    /// wake a ring costs when the owner is asleep (an IPI, when it
+    /// sleeps on another core).
+    ///
+    /// An owner that parks with no timeout may never see it: only send
+    /// quietly to one whose every park is timed.
+    ///
+    /// # Errors
+    ///
+    /// As [`MailboxSender::send`].
+    pub fn send_quiet(&mut self, cmd: T) -> Result<(), MailboxFull<T>> {
         // Count *before* the push: the counter must never under-count,
         // or an owner could believe the mailbox empty while a command is
         // already visible in a lane. `SeqCst` because the count is also
-        // what a parking owner re-reads (`MailboxReceiver::park`): that
-        // makes the ring below fence-free.
+        // what a parking owner re-reads (`MailboxReceiver::park`).
         let shared = &*self.shared;
         shared.pending.fetch_add(1, Ordering::SeqCst);
-        match self.lane.push(cmd) {
-            Ok(()) => {
-                shared.bell.ring_published();
-                Ok(())
-            }
-            Err(spsc::Full(v)) => {
-                shared.pending.fetch_sub(1, Ordering::Release);
-                Err(MailboxFull(v))
-            }
-        }
+        self.lane.push(cmd).map_err(|spsc::Full(v)| {
+            shared.pending.fetch_sub(1, Ordering::Release);
+            MailboxFull(v)
+        })
     }
 
     /// Wakes the owner if it is parked, without sending anything — for
@@ -310,10 +327,14 @@ impl<T: Send> MailboxReceiver<T> {
     /// May return with nothing to do (see [`Doorbell::wait`]): call it
     /// from a loop that drains and re-evaluates. Always from the same
     /// thread — the mailbox has one owner.
-    pub fn park(&self, timeout: Option<Duration>, also_ready: impl FnOnce() -> bool) {
-        if self.announce(also_ready) {
-            self.park_announced(timeout);
-        }
+    ///
+    /// Returns `true` when the owner slept and nobody rang: its timeout
+    /// ended the sleep (or it returned early, see [`Doorbell::wait`]),
+    /// whatever quiet sends ([`MailboxSender::send_quiet`]) arrived
+    /// meanwhile. `false` when a ringer ended it, or the look found
+    /// something and it never slept.
+    pub fn park(&self, timeout: Option<Duration>, also_ready: impl FnOnce() -> bool) -> bool {
+        self.announce(also_ready) && !self.park_announced(timeout)
     }
 
     /// The first half of [`MailboxReceiver::park`] — the owner
@@ -327,9 +348,10 @@ impl<T: Send> MailboxReceiver<T> {
             .announce(|| shared.pending.load(Ordering::SeqCst) != 0 || also_ready())
     }
 
-    /// The second half: the sleep itself ([`Doorbell::park`]).
-    pub fn park_announced(&self, timeout: Option<Duration>) {
-        self.shared.bell.park(timeout);
+    /// The second half: the sleep itself ([`Doorbell::park`]); `true`
+    /// when a ringer claimed it.
+    pub fn park_announced(&self, timeout: Option<Duration>) -> bool {
+        self.shared.bell.park(timeout)
     }
 
     /// `true` while an announced sleep stands that no `send`, `wake` or
@@ -555,6 +577,29 @@ mod tests {
         let (mut txs, rx) = mailbox::<u64>(1, 4);
         txs[0].send(1).unwrap();
         rx.park(None, || false);
+    }
+
+    #[test]
+    fn a_quiet_send_waits_for_the_timeout_and_a_ring_claims_the_park() {
+        let (mut txs, mut rx) = mailbox::<u64>(2, 4);
+        let (mut quiet, loud) = (txs.remove(0), txs.remove(0));
+        // Queued and counted, yet nobody is rung: the timeout ends the
+        // park, which says so, and the command is there.
+        assert!(rx.announce(|| false));
+        quiet.send_quiet(1).unwrap();
+        assert!(rx.is_announced(), "a quiet send claims no park");
+        assert!(!rx.park_announced(Some(Duration::ZERO)), "not rung");
+        assert_eq!(rx.try_recv(), Some(1));
+        // A park that finds a quiet command pending does not sleep.
+        quiet.send_quiet(2).unwrap();
+        assert!(!rx.park(Some(Duration::from_secs(5)), || false));
+        assert_eq!(rx.try_recv(), Some(2));
+        // A ring claims the announcement, and the park says it was rung.
+        assert!(rx.announce(|| false));
+        loud.wake();
+        assert!(rx.park_announced(Some(Duration::from_secs(5))));
+        // Nobody rings: the timeout ends it.
+        assert!(rx.park(Some(Duration::from_millis(1)), || false));
     }
 
     #[test]

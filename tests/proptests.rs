@@ -170,6 +170,120 @@ enum Tenants {
     /// same WCET bound to one of its tenant's own two accelerators: the
     /// PIP blocking path.
     Accelerators,
+    /// [`Tenants::TwoPeriods`] with every deadline drawn from `[C, T]`:
+    /// the hyperbolic bound's DM case.
+    Constrained,
+}
+
+/// A `taskgen` set of `n` tasks at utilisation `u` with periods of 20
+/// or 40 ms — ties are the rule — each deadline drawn from `[C, T]`
+/// when `constrained` and equal to the period otherwise, pinned
+/// worst-fit onto `workers` when that is given.
+fn two_period_set(
+    n: usize,
+    u: f64,
+    seed: u64,
+    constrained: bool,
+    workers: Option<usize>,
+) -> TaskSet {
+    use yasmin::taskgen::periods::{constrained_deadlines, PeriodModel};
+    use yasmin::taskgen::taskset::{assign_worst_fit, generate_params, IndependentSetParams};
+    let p = IndependentSetParams {
+        n,
+        total_utilisation: u,
+        periods: PeriodModel::Grid(&[20, 40]),
+        seed,
+        ..Default::default()
+    };
+    let tasks = generate_params(&p).unwrap();
+    let wcets: Vec<Duration> = tasks.iter().map(|g| g.wcet).collect();
+    let periods: Vec<Duration> = tasks.iter().map(|g| g.period).collect();
+    let deadlines = match constrained {
+        true => constrained_deadlines(&wcets, &periods, seed ^ 0xD1),
+        false => periods.clone(),
+    };
+    let utils: Vec<f64> = tasks.iter().map(|g| g.utilisation).collect();
+    let on = workers.map(|m| assign_worst_fit(&utils, m));
+    let mut b = TaskSetBuilder::new();
+    for (i, g) in tasks.iter().enumerate() {
+        let mut spec =
+            TaskSpec::periodic(&g.name, g.period).with_constrained_deadline(deadlines[i]);
+        if let Some(on) = &on {
+            spec = spec.on_worker(on[i]);
+        }
+        let t = b.task_decl(spec).unwrap();
+        b.version_decl(t, VersionSpec::new("v", g.wcet)).unwrap();
+    }
+    b.build().unwrap()
+}
+
+/// On one core under `policy` — DM with deadlines in `[C, T]`, RM with
+/// `D = T` — a [`two_period_set`]: whether the hyperbolic bound accepts
+/// it, and whether the RTA finds every task schedulable.
+fn bound_and_rta(n: usize, u: f64, seed: u64, policy: PriorityPolicy) -> (bool, bool) {
+    use yasmin::analysis::{extend_rows, hyperbolic_bound, response_times, Placement};
+    use yasmin::analysis::{ResponseTime, WcetAssumption};
+    let dm = policy == PriorityPolicy::DeadlineMonotonic;
+    let ts = two_period_set(n, u, seed, dm, None);
+    let mut rows = Vec::new();
+    let a = WcetAssumption::MaxVersion;
+    extend_rows(&mut rows, &ts, 0, policy, a, Placement::OneCore);
+    let rta = response_times(&ts, policy, a);
+    (
+        hyperbolic_bound(&rows, policy),
+        rta.iter().all(ResponseTime::schedulable),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The hyperbolic bound is sufficient: whenever it accepts a set —
+    /// 2 to 60 tasks at U 0.1 to 1, DM with deadlines in `[C, T]` or RM
+    /// with `D = T`, periods tied more often than not — the RTA finds
+    /// every task within its deadline. Admission skips a partition's
+    /// RTA on its word.
+    #[test]
+    fn hyperbolic_bound_is_sound(
+        n in 2usize..=60,
+        u_pct in 10u32..=100,
+        seed in any::<u64>(),
+        dm in any::<bool>(),
+    ) {
+        let policy = match dm {
+            true => PriorityPolicy::DeadlineMonotonic,
+            false => PriorityPolicy::RateMonotonic,
+        };
+        let (bound, rta) = bound_and_rta(n, f64::from(u_pct) / 100.0, seed, policy);
+        prop_assert!(!bound || rta, "the bound accepted a set the RTA refuses");
+    }
+}
+
+/// [`hyperbolic_bound_is_sound`] is not vacuous: over a sweep of the
+/// same space the bound accepts sets under both policies, and leaves
+/// sets the RTA accepts to it.
+#[test]
+fn hyperbolic_bound_is_exercised() {
+    let (mut accepted, mut left_to_rta) = ([0; 2], [0; 2]);
+    for seed in 0..400u64 {
+        let n = 2 + (seed % 59) as usize;
+        let u = 0.1 + (seed % 10) as f64 * 0.1;
+        for (k, policy) in [
+            PriorityPolicy::RateMonotonic,
+            PriorityPolicy::DeadlineMonotonic,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let (bound, rta) = bound_and_rta(n, u, seed, policy);
+            accepted[k] += usize::from(bound);
+            left_to_rta[k] += usize::from(!bound && rta);
+        }
+    }
+    assert!(
+        accepted.iter().chain(&left_to_rta).all(|&c| c > 20),
+        "accepted {accepted:?}, left to the RTA {left_to_rta:?}"
+    );
 }
 
 /// One row of the admission test table (`AdmissionControl` rustdoc),
@@ -188,11 +302,13 @@ fn admission_rows() -> Vec<(Config, Tenants)> {
     vec![
         (row(2, Partitioned, RateMonotonic), Tenants::Grid),
         (row(2, Partitioned, DeadlineMonotonic), Tenants::TwoPeriods),
+        (row(2, Partitioned, DeadlineMonotonic), Tenants::Constrained),
         (row(2, Partitioned, EarliestDeadlineFirst), Tenants::Grid),
         (row(1, Global, EarliestDeadlineFirst), Tenants::Grid),
         (row(3, Global, EarliestDeadlineFirst), Tenants::Grid),
         (row(1, Global, DeadlineMonotonic), Tenants::Grid),
         (row(1, Global, DeadlineMonotonic), Tenants::TwoPeriods),
+        (row(1, Global, DeadlineMonotonic), Tenants::Constrained),
         (row(1, Global, DeadlineMonotonic), Tenants::Accelerators),
         // Refused whatever the candidate: no sound test is implemented.
         (row(2, Global, DeadlineMonotonic), Tenants::Grid),
@@ -206,6 +322,10 @@ fn generated_tenant(config: &Config, tenants: Tenants, n: usize, u: f64, seed: u
     use yasmin::taskgen::taskset::{
         build_independent, build_partitioned, generate_params, IndependentSetParams,
     };
+    if tenants == Tenants::Constrained {
+        let partitioned = config.mapping() == MappingScheme::Partitioned;
+        return two_period_set(n, u, seed, true, partitioned.then(|| config.workers()));
+    }
     let mut p = IndependentSetParams {
         n,
         total_utilisation: u,
@@ -246,10 +366,13 @@ proptest! {
     /// its rows are those of the base and the live tenants' tasks and
     /// nothing else, and after 200 its merged set — built in recycled
     /// storage from the third admission on — is the base extended by
-    /// every accepted candidate in turn. The rows include a PIP one
-    /// whose tenants bind their own accelerators, two whose periods tie
-    /// across tenants, and the global static one on two workers, which
-    /// refuses every candidate.
+    /// every accepted candidate in turn. Under static priorities both
+    /// verdicts are also that of an RTA run on every partition, which no
+    /// hyperbolic bound cut short. The rows include a PIP one whose
+    /// tenants bind their own accelerators, four whose periods tie
+    /// across tenants — two of them with deadlines short of the period —
+    /// and the global static one on two workers, which refuses every
+    /// candidate.
     #[test]
     fn ledger_matches_from_scratch_evaluation(
         seed in any::<u64>(),
@@ -307,15 +430,27 @@ proptest! {
                         .then(|| TaskId::new((merged_len + t.index() - at) as u32))
                 };
                 let verdict = gate.evaluate(&scratch, &cand, None);
-                if config.workers() == 1 && config.priority().is_static() {
-                    // One core, static priorities: the gate's verdict is
-                    // the first miss of the blocking-aware RTA.
-                    let merged = scratch.extended(&cand).unwrap();
-                    let rta = yasmin::analysis::response_times_blocking(
-                        &merged,
-                        config.priority(),
-                        yasmin::analysis::WcetAssumption::MaxVersion,
-                    );
+                // The RTA-always reference: under static priorities the
+                // gate's verdict is the first miss, in partition then id
+                // order, of an RTA that iterates every row — the
+                // blocking-aware one on one core — whatever the
+                // hyperbolic bound says first.
+                let merged = scratch.extended(&cand).unwrap();
+                let (policy, a) = (config.priority(), yasmin::analysis::WcetAssumption::MaxVersion);
+                let reference = match (config.mapping(), config.workers()) {
+                    _ if !policy.is_static() => None,
+                    (MappingScheme::Global, 1) => {
+                        Some(yasmin::analysis::response_times_blocking(&merged, policy, a))
+                    }
+                    (MappingScheme::Partitioned, m) => Some(
+                        yasmin::analysis::rta::partitioned_response_times(&merged, m, policy, a)
+                            .into_iter()
+                            .map(|(_, r)| r)
+                            .collect(),
+                    ),
+                    (MappingScheme::Global, _) => None, // refused, no test
+                };
+                if let Some(rta) = reference {
                     let miss = rta.into_iter().find(|r| !r.schedulable());
                     let named = match &verdict {
                         Err(AdmissionError::Rejected(BoundViolation::TaskUnschedulable {
