@@ -5,7 +5,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use parking_lot::Mutex;
 use std::sync::Arc;
-use yasmin_sync::{McsLock, TicketLock};
+use yasmin_bench::mcs::McsLock;
+use yasmin_bench::ticket::TicketLock;
 
 fn bench_uncontended(c: &mut Criterion) {
     let mut group = c.benchmark_group("locks/uncontended");

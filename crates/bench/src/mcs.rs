@@ -13,6 +13,7 @@
 use std::cell::{Cell, UnsafeCell};
 use std::ptr;
 use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
+use yasmin_sync::wait::Backoff;
 
 /// Maximum nesting depth of MCS locks held simultaneously by one thread.
 const MAX_NESTING: usize = 8;
@@ -45,7 +46,7 @@ thread_local! {
 /// # Examples
 ///
 /// ```
-/// use yasmin_sync::mcs::McsLock;
+/// use yasmin_bench::mcs::McsLock;
 ///
 /// let lock = McsLock::new(41);
 /// *lock.lock() += 1;
@@ -93,7 +94,7 @@ impl<T> McsLock<T> {
             // its successor), so the node is alive.
             unsafe {
                 (*prev).next.store(node, Ordering::Release);
-                let mut backoff = crate::wait::Backoff::new();
+                let mut backoff = Backoff::new();
                 while (*node).locked.load(Ordering::Acquire) {
                     backoff.snooze();
                 }
@@ -182,7 +183,7 @@ impl<T> Drop for McsGuard<'_, T> {
                     return;
                 }
                 // A successor is in the middle of enqueueing; wait for it.
-                let mut backoff = crate::wait::Backoff::new();
+                let mut backoff = Backoff::new();
                 loop {
                     next = (*node).next.load(Ordering::Acquire);
                     if !next.is_null() {

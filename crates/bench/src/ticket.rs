@@ -7,13 +7,14 @@
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use yasmin_sync::wait::Backoff;
 
 /// A FIFO spinlock protecting a value of type `T`.
 ///
 /// # Examples
 ///
 /// ```
-/// use yasmin_sync::ticket::TicketLock;
+/// use yasmin_bench::ticket::TicketLock;
 ///
 /// let lock = TicketLock::new(0u64);
 /// *lock.lock() += 1;
@@ -52,7 +53,7 @@ impl<T> TicketLock<T> {
     /// must keep holder and waiters comparable.)
     pub fn lock(&self) -> TicketGuard<'_, T> {
         let ticket = self.next_ticket.fetch_add(1, Ordering::Relaxed);
-        let mut backoff = crate::wait::Backoff::new();
+        let mut backoff = Backoff::new();
         while self.now_serving.load(Ordering::Acquire) != ticket {
             backoff.snooze();
         }

@@ -53,11 +53,13 @@ pub enum SchedulerClass {
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum WaitChoice {
     /// Sleep in the kernel (default; hardly timing-analysable). A thread
-    /// runtime's owner arms its timed park ahead of the tick edge by the
-    /// lower quartile of the wake-up lateness its own parks have shown,
-    /// so the sleep ends near the edge rather than that much after it
-    /// (and spins the rest when it ends ahead); nothing is scheduled
-    /// ahead of its edge (`yasmin_rt::owner`, "The tick edge").
+    /// runtime's owner meets its tick edge with two timed parks, each
+    /// armed early by the wake-up lateness its own parks of that kind
+    /// have shown: a far park that ends ahead of the near one's arming
+    /// point nine times in ten, then a near park that ends near the edge
+    /// rather than that much after it (and spins the rest when it ends
+    /// ahead); nothing is scheduled ahead of its edge
+    /// (`yasmin_rt::owner`, "The tick edge").
     #[default]
     Sleep,
     /// Busy-spin on the clock: precise overhead analysis, wastes energy.
@@ -450,9 +452,10 @@ impl ConfigBuilder {
     /// waits between jobs. Every owner thread honours it — a shard's and
     /// the single-owner `Runtime`'s alike, it is one loop — and so do
     /// `Runtime`'s helper threads: [`WaitChoice::Sleep`] parks until the
-    /// next tick edge (armed early by the lateness the parks show) or
-    /// the first wake-up, [`WaitChoice::Spin`] parks
-    /// nobody and wants a core per thread.
+    /// next tick edge (twice, far then near, each armed early by the
+    /// lateness parks of its kind show) or the first wake-up,
+    /// [`WaitChoice::Spin`] parks nobody — an idle owner spins to its
+    /// next edge — and wants a core per thread.
     #[must_use]
     pub fn waiting(mut self, w: WaitChoice) -> Self {
         self.waiting = w;

@@ -98,22 +98,39 @@
 //! # The tick edge
 //!
 //! A timed park returns late, by an amount that spreads from one park
-//! to the next. An owner measures it — `woke − armed` of its own parks
-//! that ran into their timeout (`Owner::woke`), the last 64 of them,
-//! in a `yasmin_sync::wait::TimerLead` — and `step` arms the next park
-//! *early* by their lower quartile (at most `TimerLead::CAP`, and at
-//! most an eighth of a tick). About three parks in four then end at or
-//! just after the edge; the fourth ends a few µs ahead of it, and the
-//! owner spins the rest. A host whose timer is on time teaches a lead
-//! of zero.
+//! to the next and depends on the park before it: a long park ends
+//! later, and spread wider, than a short one taken right after it
+//! (docs/ARCHITECTURE.md, "What a timed park is", has the figures). So
+//! an owner meets a tick edge with two parks, each armed *early* by a
+//! lead learnt from the parks of its own kind — `woke − armed` of those
+//! that ran into their timeout (`Owner::woke`), the last 64, in one
+//! `yasmin_sync::wait::TimerLead` per kind:
 //!
-//! The lead moves the *wake-up*, never the schedule: a tick round runs
+//! * the **far** park is armed at `edge − (far lead + near lead)`. The
+//!   far lead is the upper decile of the far parks' lateness plus
+//!   `FAR_MARGIN`, so nine far parks in ten, and more, end before the
+//!   near park's arming point;
+//! * the **near** park is armed at `edge − near lead`, the lower
+//!   quartile of the near parks' lateness. About three near parks in
+//!   four end at or just after the edge; the fourth ends a few µs ahead
+//!   of it, and the owner spins the rest.
+//!
+//! Together the leads are at most `TimerLead::CAP` and at most an
+//! eighth of a tick. Which park is which follows from where the owner
+//! goes idle: ahead of the far arming point it takes a far park, at or
+//! past it a near one — its far park ended there, or its last job did.
+//! A far park that ends past the near arming point takes the spin
+//! below, or past the edge a late round. A host whose timer is on time
+//! teaches leads of zero; its far park ends `FAR_MARGIN` ahead of the
+//! edge, its near park on it.
+//!
+//! The leads move the *wake-up*, never the schedule: a tick round runs
 //! only once the clock has reached its edge, so the engine sees the
-//! same instants as without it. An owner idle inside
-//! `[edge − lead, edge)` — its park ended inside the lead, or its last
-//! job did — gets `Next::SpinTo` that edge: its thread polls what a
-//! park's re-check polls, so a command that lands there is served at
-//! once. [`TickStats`], one per owner in
+//! same instants as without them. An owner idle inside
+//! `[edge − near lead, edge)` gets `Next::SpinTo` that edge: its thread
+//! polls what a park's re-check polls, so a command that lands there is
+//! served at once. Under [`WaitChoice::Spin`] every idle owner spins so,
+//! to its next edge. [`TickStats`], one per owner in
 //! [`crate::RuntimeReport::tick_stats`], says what came of it. A pass
 //! that finds completions *and* a due tick coalesces both into **one**
 //! engine round ([`OnlineEngine::advance_into`]).
@@ -190,6 +207,12 @@ const COMMAND_LANE_DEPTH: usize = 64;
 /// Longest park of a shard that holds spilled peer sends
 /// ([`PeerLinks::pending`], [`WakeSource::SpillRetry`]).
 const SPILL_RETRY: Duration = Duration::from_micros(200);
+
+/// Added to the far lead ("The tick edge"): a far park that ends late
+/// by a little more than the upper decile of its kind still ends ahead
+/// of the near park's arming point, and takes the near park instead of
+/// spinning through the near lead.
+const FAR_MARGIN: Duration = Duration::from_micros(20);
 
 /// Commands flowing into an owner thread.
 pub(crate) enum ShardMsg {
@@ -919,10 +942,14 @@ pub(crate) enum WakeSource {
     /// re-checks [`PeerLinks::all_drained`].
     AllDrained,
     /// Room in a full peer lane for [`PeerLinks::flush`]. No event:
-    /// while a shard holds spilled sends its park ends `SPILL_RETRY`
-    /// on at the latest, and says nothing about the timer.
+    /// while a shard holds spilled sends its park or spin ends
+    /// `SPILL_RETRY` on at the latest, and a park says nothing about the
+    /// timer.
     SpillRetry,
-    /// The next tick edge: the timeout, armed the lead ahead of it.
+    /// The next tick edge: the timeout of a far park, armed the far and
+    /// the near lead ahead of it, or of a near park, armed the near
+    /// lead ahead of it (module docs, "The tick edge"). Either kind of
+    /// park ends at any of the other sources too.
     TickEdge,
 }
 
@@ -951,9 +978,10 @@ pub(crate) enum Next {
     Park { until: Instant, wake: WakeSet },
     /// Nothing to do, and no time to sleep: watch the clock, the
     /// mailbox and [`Owner::also_ready`] until the first of them, then
-    /// [`Owner::spun`]. `edge` is the next tick edge when the owner is
-    /// idle inside its lead, and already reached — one look — under
-    /// [`WaitChoice::Spin`].
+    /// [`Owner::spun`]. `edge` is the next tick edge, or the next retry
+    /// of spilled sends when that is sooner; an owner that sleeps spins
+    /// only inside its near lead, one under [`WaitChoice::Spin`]
+    /// whenever it is idle.
     SpinTo { edge: Instant, wake: WakeSet },
     /// Globally quiescent after `Shutdown`: [`Owner::into_report`].
     Exit,
@@ -1031,9 +1059,12 @@ pub(crate) struct Owner<C: Clock> {
     next_tick: Instant,
     /// The clock as the last pass read it for its tick check.
     now: Instant,
-    /// The lateness this thread's timed parks show, how late its tick
-    /// rounds began, what waking early cost.
-    timer_lead: TimerLead,
+    /// The lateness this thread's far and near parks show ("The tick
+    /// edge"), whether the park `step` last asked for is a near one, and
+    /// how late its tick rounds began.
+    far_lead: TimerLead,
+    near_lead: TimerLead,
+    parked_near: bool,
     late: LateHist,
     /// Steal scratch, reused: what the engine names stealable, the jobs
     /// on their way to or from a shelf, how many lie on this owner's.
@@ -1077,7 +1108,9 @@ impl<C: Clock> Owner<C> {
             outbox: Vec::with_capacity(8),
             next_tick: Instant::MAX,
             now: Instant::ZERO,
-            timer_lead: TimerLead::new(),
+            far_lead: TimerLead::new(),
+            near_lead: TimerLead::new(),
+            parked_near: false,
             late: LateHist::new(),
             steal_hints: Vec::with_capacity(MAX_STEAL_BATCH),
             steal_batch: JobBatch::new(),
@@ -1447,11 +1480,17 @@ impl<C: Clock> Owner<C> {
         true
     }
 
-    /// How far ahead of a tick edge the timed park is armed: what this
-    /// thread's parks taught it, and at most an eighth of a tick — a
-    /// lead as long as the tick would leave nothing to park for.
-    fn lead(&self) -> Duration {
-        self.timer_lead.lead().min(self.tick / 8)
+    /// How far ahead of a tick edge the near park is armed, and how far
+    /// ahead of that the far park (module docs, "The tick edge"): what
+    /// this thread's parks of each kind taught it, the far lead with
+    /// [`FAR_MARGIN`], the two together at most `TimerLead::CAP` and at
+    /// most an eighth of a tick — a lead as long as the tick would leave
+    /// nothing to park for.
+    fn leads(&self) -> (Duration, Duration) {
+        let cap = TimerLead::CAP.min(self.tick / 8);
+        let near = self.near_lead.lead().min(cap);
+        let far = self.far_lead.upper_decile() + FAR_MARGIN;
+        (near, far.min(cap - near))
     }
 
     /// Nothing to do: how the thread waits for something.
@@ -1461,24 +1500,35 @@ impl<C: Clock> Owner<C> {
             .with(WakeSource::PeerShelf, thief)
             .with(WakeSource::AllDrained, self.shutting_down)
             .with(WakeSource::SpillRetry, spilled);
-        let spin_to = |edge| Next::SpinTo { edge, wake };
-        if self.waiting == WaitChoice::Spin {
-            return spin_to(self.now);
-        }
         if thief {
             self.peers.board.set_idle(self.me, true);
         }
-        let armed = self.next_tick - self.lead();
-        if self.now < armed {
-            let until = match spilled {
-                true => armed.min(self.now + SPILL_RETRY),
-                false => armed,
-            };
-            return Next::Park { until, wake };
+        let retry = match spilled {
+            true => self.now + SPILL_RETRY,
+            false => Instant::MAX,
+        };
+        if self.waiting == WaitChoice::Sleep {
+            let (near, far) = self.leads();
+            let near_at = self.next_tick - near;
+            let far_at = near_at - far;
+            if self.now < near_at {
+                // Near when idle at or past the far arming point: its
+                // far park ended there, or its last job did.
+                self.parked_near = self.now >= far_at;
+                self.report.ticks.near_parks += u64::from(self.parked_near);
+                let armed = if self.parked_near { near_at } else { far_at };
+                return Next::Park {
+                    until: armed.min(retry),
+                    wake,
+                };
+            }
+            // Idle inside the near lead: a park ended there, or a job did.
+            self.report.ticks.early_wakes += 1;
         }
-        // Idle at or past `armed`: a park ended early, or a job did.
-        self.report.ticks.early_wakes += 1;
-        spin_to(self.next_tick)
+        Next::SpinTo {
+            edge: self.next_tick.min(retry),
+            wake,
+        }
     }
 
     /// What a sleeping or spinning owner watches besides its mailbox.
@@ -1489,26 +1539,28 @@ impl<C: Clock> Owner<C> {
 
     /// The park `step` asked for is over; `unrung` says the thread slept
     /// and no ringer claimed the sleep (`MailboxReceiver::park`). Its
-    /// lateness feeds the lead when it *ran into its timeout*: unrung —
-    /// whatever quiet commands wait in the mailbox, which rang nobody —
-    /// not capped by `SPILL_RETRY`, and not back before `armed` (a stale
-    /// token). A park a ring ended says nothing about the timer.
+    /// lateness feeds the lead of its kind, far or near, when it *ran
+    /// into its timeout*: unrung — whatever quiet commands wait in the
+    /// mailbox, which rang nobody — not capped by `SPILL_RETRY`, and not
+    /// back before `armed` (a stale token). A park a ring ended says
+    /// nothing about the timer.
     pub(crate) fn woke(&mut self, armed: Instant, wake: WakeSet, unrung: bool) {
         let timed_out = unrung && !wake.has(WakeSource::SpillRetry);
-        self.timer_lead.observe(armed, self.clock.now(), timed_out);
+        let lead = match self.parked_near {
+            true => &mut self.near_lead,
+            false => &mut self.far_lead,
+        };
+        lead.observe(armed, self.clock.now(), timed_out);
         if wake.has(WakeSource::PeerShelf) {
             self.peers.board.set_idle(self.me, false);
         }
     }
 
-    /// The spin `step` asked for ended at `to`. Under `WaitChoice::Spin`
-    /// it was one look between two passes, and counts for nothing.
+    /// The spin `step` asked for ended at `to`.
     pub(crate) fn spun(&mut self, to: Instant, wake: WakeSet) {
-        if self.waiting == WaitChoice::Sleep {
-            self.report.ticks.spin_ns += to.saturating_since(self.now).as_nanos();
-            if wake.has(WakeSource::PeerShelf) {
-                self.peers.board.set_idle(self.me, false);
-            }
+        self.report.ticks.spin_ns += to.saturating_since(self.now).as_nanos();
+        if wake.has(WakeSource::PeerShelf) {
+            self.peers.board.set_idle(self.me, false);
         }
     }
 
@@ -1583,10 +1635,11 @@ impl<C: Clock> Owner<C> {
 
     /// The exited owner's records and counters.
     pub(crate) fn into_report(mut self, pinned: bool) -> OwnerReport {
-        let lead_ns = self.lead().as_nanos();
+        let (near, far) = self.leads();
         let ticks = &mut self.report.ticks;
         (ticks.edges, ticks.late_max_ns) = (self.late.count, self.late.max);
-        (ticks.late_p50_ns, ticks.lead_ns) = (self.late.median(), lead_ns);
+        (ticks.lead_ns, ticks.far_lead_ns) = (near.as_nanos(), far.as_nanos());
+        ticks.late_p50_ns = self.late.median();
         self.report.stats = self.engine.stats().clone();
         self.report.pinned = pinned;
         self.report

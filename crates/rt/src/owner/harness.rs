@@ -70,6 +70,9 @@ impl Rng {
 /// How long a job's body lasts.
 type BodyTime = dyn FnMut(&Job, &mut Rng) -> Duration;
 
+/// How late a park's timeout fires, given how far ahead it was armed.
+type Lateness = dyn FnMut(Duration, &mut Rng) -> Duration;
+
 /// What a seat's owner is doing, as its thread would be.
 enum Seat {
     /// Not started yet.
@@ -153,7 +156,7 @@ struct World {
     /// Undelivered commands and the instant each is due.
     script: Vec<(Instant, Cmd)>,
     body_time: Box<BodyTime>,
-    lateness: Box<dyn FnMut(&mut Rng) -> Duration>,
+    lateness: Box<Lateness>,
     /// Longest stretch of virtual time one event takes.
     jitter: Duration,
     trace: VecDeque<String>,
@@ -227,7 +230,7 @@ impl World {
                 0 => rng.span(us(2_000), us(5_000)), // across an edge or two
                 _ => rng.span(us(10), us(400)),
             }),
-            lateness: Box::new(|rng| rng.span(Duration::ZERO, us(200))),
+            lateness: Box::new(|_, rng| rng.span(Duration::ZERO, us(200))),
             jitter: us(3),
             trace: VecDeque::new(),
             keep: 48,
@@ -504,14 +507,18 @@ impl World {
                 self.next_seen[1] += 1;
                 let owner = &self.owners[i];
                 // The sleep's first half. What it finds is found.
+                let kind = if owner.parked_near { "near" } else { "far" };
                 if owner.mailbox().announce(|| owner.also_ready(wake)) {
-                    let late = (self.lateness)(&mut self.rng);
+                    let late = (self.lateness)(until.saturating_since(now), &mut self.rng);
                     self.seats[i] = Seat::Asleep { until, late, wake };
                 } else {
                     self.owners[i].woke(until, wake, false);
                     self.seats[i] = Seat::Ready;
                 }
-                self.note(format!("o{i} step -> Park until {until} {}", sources(wake)));
+                self.note(format!(
+                    "o{i} step -> Park ({kind}) until {until} {}",
+                    sources(wake)
+                ));
             }
             Next::SpinTo { edge, wake } => {
                 self.next_seen[2] += 1;
@@ -882,7 +889,9 @@ fn explore(case: Case, keep: usize) -> (Vec<OwnerReport>, [u64; 4], VecDeque<Str
             _ => world.at(when, Cmd::Stop),
         }
     }
-    world.run_until(T0 + horizon + us(9_100));
+    // A quiet tail: parks then run into their timeouts, enough of them
+    // to teach both tick leads, so the spin path is explored too.
+    world.run_until(T0 + horizon + us(40_000));
     // Whatever was gated on an acknowledgement has been sent by now.
     while !world.script.is_empty() {
         world.run_until(world.now() + us(1_000));
@@ -963,20 +972,41 @@ fn the_exploration_reaches_every_part_of_the_protocol() {
     );
 }
 
+/// Park lateness by kind: `far` for parks armed a millisecond or more
+/// ahead, `near` for the others.
+fn by_kind(
+    mut far: impl FnMut(&mut Rng) -> Duration + 'static,
+    mut near: impl FnMut(&mut Rng) -> Duration + 'static,
+) -> Box<Lateness> {
+    Box::new(move |armed, rng| match armed >= us(1_000) {
+        true => far(rng),
+        false => near(rng),
+    })
+}
+
+/// Lateness as `late` lists it, in µs, one value per park; the last
+/// holds for good.
+fn listed(late: &[u64]) -> impl FnMut(&mut Rng) -> Duration {
+    let mut late: VecDeque<u64> = late.iter().copied().collect();
+    move |_| match late.len() {
+        1 => us(late[0]),
+        _ => us(late.pop_front().expect("a list of one or more")),
+    }
+}
+
 /// One owner over one slot with `p` every 50 ms (the tick) and the
-/// aperiodic `a`, no jitter, and parks that return as late as `script`
-/// says, then `rest` late for good. The owner's anchor is [`T0`], so
-/// its `k`-th edge is `T0 + k × 50 ms`.
-fn ticking_alone(script: &[u64], rest: u64) -> (World, TaskId) {
+/// aperiodic `a`, no jitter, 5 µs bodies, and parks that return as late
+/// as `lateness` says. The owner's anchor is [`T0`], so its `k`-th edge
+/// is `T0 + k × 50 ms`.
+fn ticking_alone(lateness: Box<Lateness>) -> (World, TaskId) {
     let mut b = TaskSetBuilder::new();
     task(&mut b, TaskSpec::periodic("p", us(50_000)), None, us(100));
     let a = task(&mut b, TaskSpec::aperiodic("a"), None, us(100));
-    let label = format!("ticking_alone({script:?}, {rest})");
+    let label = "ticking_alone".to_owned();
     let mut world = World::new(label, 0, b.build().unwrap(), one_owner(1), false);
     world.jitter = Duration::ZERO;
     world.body_time = Box::new(|_, _| us(5));
-    let mut script: VecDeque<u64> = script.iter().copied().collect();
-    world.lateness = Box::new(move |_| us(script.pop_front().unwrap_or(rest)));
+    world.lateness = lateness;
     (world, a)
 }
 
@@ -984,29 +1014,41 @@ fn edge(k: u64) -> Instant {
     T0 + us(50_000) * k
 }
 
+/// How late the tick round of edge `k` began: the start latency of the
+/// first job released there (no jitter, so it starts as the round ends).
+fn round_late(world: &World, k: u64) -> Duration {
+    let records = world.owners[0].report.records.iter();
+    let burst = records.filter(|r| r.job.release == edge(k));
+    burst
+        .map(RtJobRecord::start_latency)
+        .min()
+        .expect("a job of edge k ran")
+}
+
 #[test]
 fn a_command_inside_the_lead_is_served_before_the_edge() {
-    // Eight parks teach the lead their lower quartile, 120 µs. The
-    // ninth, armed that much early, ends on its edge. The tenth returns
-    // after 60 µs only: 60 µs ahead of edge 10 and inside the lead, so
-    // the owner spins — and an activation that lands 20 µs ahead of the
-    // edge is applied at that instant.
-    let (mut world, a) = ticking_alone(&[130, 99, 167, 120, 126, 140, 111, 150, 120, 60], 60);
-    world.run_until(edge(8) + us(1_000));
+    // Far parks return 100 µs late. Eight of them teach the far lead,
+    // and from edge 9 on each far park ends the margin ahead of the
+    // near park's arming point. The next eight near parks teach the
+    // near lead their lower quartile, 120 µs. The ninth, armed that
+    // much early, ends on edge 17. The tenth returns after 60 µs only:
+    // 60 µs ahead of edge 18 and inside the near lead, so the owner
+    // spins — and an activation that lands 20 µs ahead of the edge is
+    // applied at that instant.
+    let near = listed(&[130, 99, 167, 120, 126, 140, 111, 150, 120, 60]);
+    let (mut world, a) = ticking_alone(by_kind(listed(&[100]), near));
+    world.run_until(edge(16) + us(1_000));
     assert_eq!(
-        world.owners[0].lead(),
-        us(120),
-        "the window's lower quartile"
+        world.owners[0].leads(),
+        (us(120), us(100) + FAR_MARGIN),
+        "the near window's lower quartile, the far window's upper decile"
     );
-    world.run_until(edge(9) + us(1_000));
-    assert_eq!(
-        world.owners[0].late.max, 167_000,
-        "round 9 began on its edge"
-    );
+    world.run_until(edge(17) + us(1_000));
+    assert_eq!(round_late(&world, 17), Duration::ZERO);
     assert_eq!(world.next_seen[2], 0, "no spin so far");
-    let sent = edge(10) - us(20);
+    let sent = edge(18) - us(20);
     world.at(sent, Cmd::Activate(a));
-    world.at(edge(10) + us(10_000), Cmd::Shutdown);
+    world.at(edge(18) + us(10_000), Cmd::Shutdown);
     world.run();
     let ran: Vec<_> = (world.owners[0].report.records.iter())
         .filter(|r| r.job.task == a)
@@ -1024,78 +1066,161 @@ fn a_command_inside_the_lead_is_served_before_the_edge() {
     );
     // 60 99 [111] 120 120 …: the tenth sample moved the lead one rank.
     assert_eq!(ticks.lead_ns, 111_000);
+    assert_eq!(ticks.far_lead_ns, (us(100) + FAR_MARGIN).as_nanos());
     assert_eq!(
-        ticks.edges, 10,
+        (ticks.edges, ticks.near_parks),
+        (18, 10),
         "and no round ahead of its edge: `tick_rounds_kept_to`"
     );
 }
 
 #[test]
 fn the_lead_is_bounded_and_cheap() {
-    let run = |late: u64| {
-        let (mut world, _) = ticking_alone(&[], late);
-        world.at(edge(24) + us(10_000), Cmd::Shutdown);
+    let run = |far: u64, near: u64, edges: u64| {
+        let (mut world, _) = ticking_alone(by_kind(listed(&[far]), listed(&[near])));
+        world.at(edge(edges) + us(10_000), Cmd::Shutdown);
         world.run();
         let spins = world.next_seen[2];
         (world.finish()[0].ticks, spins)
     };
-    // A timer that is on time teaches no lead, and an owner without a
-    // lead never spins.
-    let (plain, spins) = run(0);
+    let margin = FAR_MARGIN.as_nanos();
+    // A timer that is on time teaches no lead: every far park ends the
+    // margin ahead of its edge, every near park on it, and an owner
+    // without a near lead never spins.
+    let (plain, spins) = run(0, 0, 24);
+    assert_eq!((plain.lead_ns, plain.far_lead_ns), (0, margin));
+    assert_eq!((plain.spin_ns, plain.early_wakes, spins), (0, 0, 0));
     assert_eq!(
-        (plain.lead_ns, plain.spin_ns, plain.early_wakes, spins),
-        (0, 0, 0, 0)
+        (plain.edges, plain.near_parks, plain.late_max_ns),
+        (24, 24, 0)
     );
-    assert_eq!((plain.edges, plain.late_max_ns), (24, 0));
-    // One that is always 130 µs late teaches exactly that: eight rounds
-    // begin 130 µs late, every later one on its edge, and with nothing
-    // ever early nothing is spun away.
-    let (led, spins) = run(130);
+    // Far parks 100 µs late and near ones 60 µs teach exactly that:
+    // eight rounds begin 80 µs late (the far park alone, armed the
+    // margin ahead), eight 60 µs late (no near lead yet), every later
+    // one on its edge, and with nothing ever early nothing is spun away.
+    let (led, spins) = run(100, 60, 40);
+    assert_eq!((led.lead_ns, led.far_lead_ns), (60_000, 100_000 + margin));
+    assert_eq!((led.late_max_ns, led.late_p50_ns), (100_000 - margin, 0));
     assert_eq!(
-        (led.lead_ns, led.late_max_ns, led.late_p50_ns),
-        (130_000, 130_000, 0)
+        (
+            led.edges,
+            led.near_parks,
+            led.spin_ns,
+            led.early_wakes,
+            spins
+        ),
+        (40, 32, 0, 0, 0)
     );
+    // However late the timer, the two leads stop at the cap together
+    // (and at an eighth of the tick, 6.25 ms here).
+    let (capped, _) = run(4_000, 4_000, 24);
     assert_eq!(
-        (led.edges, led.spin_ns, led.early_wakes, spins),
-        (24, 0, 0, 0)
+        capped.lead_ns + capped.far_lead_ns,
+        TimerLead::CAP.as_nanos()
     );
-    // However late the timer, the lead stops at the cap (and at an
-    // eighth of the tick, 6.25 ms here).
-    let (capped, _) = run(4_000);
-    assert_eq!(capped.lead_ns, TimerLead::CAP.as_nanos());
-    assert_eq!(capped.late_max_ns, 4_000_000);
+    assert_eq!(capped.late_max_ns, 4_000_000 - margin);
 }
 
 #[test]
 fn a_quarter_of_the_parks_end_early_and_spin_to_their_edge() {
-    // Parks return 160, 140, 120, 100 µs late, over and over. Eight
-    // teach a lead of 120 µs, the lower quartile, and it stays there:
-    // every window holds as many 100s as its rank, never more. From
-    // edge 9 on, the 120s end on their edge, the 140s and 160s 20 and
-    // 40 µs past it, and the 100s — a quarter — 20 µs ahead, spun away.
+    // Far parks return 100 µs late, near ones 160, 140, 120, 100 µs,
+    // over and over. Eight far parks teach the far lead; the next eight
+    // near parks a near lead of 120 µs, the lower quartile, and it stays
+    // there: every window holds as many 100s as its rank, never more.
+    // From edge 17 on, the 120s end on their edge, the 140s and 160s 20
+    // and 40 µs past it, and the 100s — a quarter — 20 µs ahead, spun
+    // away.
     let cycle = [160, 140, 120, 100];
-    let script: Vec<u64> = (0..100).map(|k| cycle[k % 4]).collect();
-    let (mut world, _) = ticking_alone(&script, 0);
-    for k in 8..=72 {
+    let near: Vec<u64> = (0..100).map(|k| cycle[k % 4]).collect();
+    let (mut world, _) = ticking_alone(by_kind(listed(&[100]), listed(&near)));
+    for k in 16..=80 {
         world.run_until(edge(k) + us(1_000));
-        assert_eq!(world.owners[0].lead(), us(120), "after edge {k}");
+        assert_eq!(world.owners[0].leads().0, us(120), "after edge {k}");
     }
-    world.at(edge(72) + us(10_000), Cmd::Shutdown);
+    world.at(edge(80) + us(10_000), Cmd::Shutdown);
     world.run();
     let ticks = world.finish()[0].ticks;
-    assert_eq!((ticks.edges, ticks.lead_ns), (72, 120_000));
+    assert_eq!(
+        (ticks.edges, ticks.lead_ns, ticks.near_parks),
+        (80, 120_000, 72)
+    );
     assert_eq!(
         (ticks.early_wakes, ticks.spin_ns),
         (64 / 4, 64 / 4 * 20_000),
         "{ticks:?}"
     );
-    // After the warm-up half the rounds begin on their edge, a quarter
-    // 20 µs late and a quarter 40 µs; with the warm-up's eight late
+    // After the warm-ups half the rounds begin on their edge, a quarter
+    // 20 µs late and a quarter 40 µs; with the warm-ups' sixteen late
     // ones the median is the 20 µs residual.
     let mut residual = LateHist::new();
     residual.record(us(20));
     assert_eq!(ticks.late_p50_ns, residual.median());
     assert_eq!(ticks.late_max_ns, 160_000, "a warm-up round");
+}
+
+#[test]
+fn a_far_then_a_near_park_meet_every_edge() {
+    // Far parks end 80–130 µs late, near ones 58–62 µs: the far lead
+    // settles at the far parks' upper decile, ≈ 125 µs, so with the
+    // margin no far park ends past the near arming point, and the near
+    // lead at the near parks' lower quartile, ≈ 59 µs, so every near
+    // park ends within 4 µs of its edge — ahead of it, spun away, or
+    // past it. Far park 60 (the one before edge 60) is 175 µs late:
+    // past the near arming point, ≈ 205 µs ahead of the edge, but short
+    // of the edge, so the owner spins. Far park 65, 400 µs late, ends
+    // past its edge, whose round is late.
+    let mut far_parks = 0;
+    let far = move |rng: &mut Rng| {
+        far_parks += 1;
+        match far_parks {
+            60 => us(175),
+            65 => us(400),
+            _ => rng.span(us(80), us(130)),
+        }
+    };
+    let near = |rng: &mut Rng| rng.span(us(58), us(62));
+    let (mut world, _) = ticking_alone(by_kind(far, near));
+    // Quiet admissions: one lands in a far park, one in a near park.
+    world.at(edge(30) + us(10_000), admit_every_tick());
+    world.at(edge(40) - us(30), admit_every_tick());
+    world.run_until(edge(20) + us(1_000));
+    let mut before = world.owners[0].report.ticks;
+    for k in 21..=70 {
+        world.run_until(edge(k) + us(1_000));
+        let ticks = world.owners[0].report.ticks;
+        let near_parks = ticks.near_parks - before.near_parks;
+        let early = ticks.early_wakes - before.early_wakes;
+        let late = round_late(&world, k);
+        match k {
+            60 => assert_eq!(
+                (near_parks, early, late),
+                (0, 1, Duration::ZERO),
+                "edge {k}: the far park overshot, the owner spun to the edge"
+            ),
+            65 => assert!(
+                near_parks == 0 && early == 0 && late > us(100),
+                "edge {k}: the far park overshot the edge, the round is late: {late}"
+            ),
+            _ => {
+                assert_eq!(near_parks, 1, "edge {k}: one near park");
+                assert!(late <= us(5), "edge {k}: the round began {late} past it");
+            }
+        }
+        before = ticks;
+    }
+    // Both tenants' releases are anchored at the edge after their
+    // admission.
+    let first_release = |t: u32| {
+        let records = world.owners[0].report.records.iter();
+        let of_t = records.filter(|r| r.job.task == TaskId::new(t));
+        of_t.map(|r| r.job.release).min()
+    };
+    assert_eq!(first_release(2), Some(edge(31)));
+    assert_eq!(first_release(3), Some(edge(40)));
+    assert_eq!(world.rung_wakes, 0, "both were heard without a ring");
+    world.at(edge(70) + us(10_000), Cmd::Shutdown);
+    world.run();
+    world.finish();
 }
 
 /// An admission of a one-task tenant with the tick as its period.
@@ -1113,7 +1238,7 @@ fn one_owner_hears_an_admission_and_a_retirement_at_its_next_edge() {
     // 3, tenant B (T3) is admitted and A retired behind it. Both
     // commands are sent quietly: the owner sleeps through them to its
     // timeout, and its next pass applies them ahead of the tick round.
-    let (mut world, _) = ticking_alone(&[], 30);
+    let (mut world, _) = ticking_alone(by_kind(listed(&[30]), listed(&[30])));
     world.at(edge(1) + us(10_000), admit_every_tick());
     world.at(edge(3) + us(10_000), admit_every_tick());
     world.at(edge(3) + us(10_001), Cmd::Retire(TenantId::new(1)));
@@ -1143,16 +1268,16 @@ fn one_owner_hears_an_admission_and_a_retirement_at_its_next_edge() {
 
 #[test]
 fn a_park_that_times_out_beside_a_quiet_command_teaches_the_lead() {
-    // Every park from the start to edge 8 runs into its timeout 130 µs
-    // late with a quietly sent admission waiting: eight samples, so the
-    // lead is 130 µs once edge 8 is past.
-    let (mut world, _) = ticking_alone(&[], 130);
+    // Every far park from the start to edge 8 runs into its timeout
+    // 130 µs late with a quietly sent admission waiting: eight samples,
+    // so the far lead is 130 µs once edge 8 is past.
+    let (mut world, _) = ticking_alone(by_kind(listed(&[130]), listed(&[130])));
     for k in 0..8 {
         world.at(edge(k) + us(20_000), admit_every_tick());
     }
     world.run_until(edge(8) + us(1_000));
     assert_eq!(world.rung_wakes, 0);
-    assert_eq!(world.owners[0].lead(), us(130));
+    assert_eq!(world.owners[0].leads().1, us(130) + FAR_MARGIN);
     world.at(edge(8) + us(10_000), Cmd::Shutdown);
     world.run();
     world.finish();

@@ -131,16 +131,27 @@ pub struct TickStats {
     pub late_p50_ns: u64,
     /// The largest such lateness, exact.
     pub late_max_ns: u64,
-    /// The lead in force when the owner exited: how far ahead of an
-    /// edge its timed park was armed.
+    /// The near lead in force when the owner exited: how far ahead of
+    /// an edge its near park was armed — the lower quartile of its near
+    /// parks' lateness.
     pub lead_ns: u64,
-    /// Times the owner found itself idle inside the lead and spun to
-    /// the edge — its park ended inside the lead, or its last job did.
-    /// The lead is the lower quartile of the park lateness, so about a
-    /// quarter of the edges of an owner that parks between them.
+    /// The far lead in force when the owner exited: how far ahead of the
+    /// near park's arming point its far park was armed — the upper
+    /// decile of its far parks' lateness and a fixed 20 µs margin.
+    pub far_lead_ns: u64,
+    /// Near parks taken: about one per edge of an owner that parks
+    /// between its edges, none under `WaitChoice::Spin`.
+    pub near_parks: u64,
+    /// Times the owner found itself idle inside the near lead and spun
+    /// to the edge — its near park ended there, its far park did, or its
+    /// last job did. The near lead is the lower quartile of the near
+    /// parks' lateness, so about a quarter of the edges of an owner that
+    /// parks between them. None under `WaitChoice::Spin`.
     pub early_wakes: u64,
-    /// Total time spent in those spins: a few µs per early wake, the
-    /// part of the lead its park did not sleep through.
+    /// Time the owner spun while idle. Under `WaitChoice::Sleep`, in
+    /// those early wakes: a few µs each, the part of the near lead its
+    /// park did not sleep through. Under `WaitChoice::Spin`, all of its
+    /// idle time: it spins to every edge.
     pub spin_ns: u64,
 }
 
@@ -161,7 +172,7 @@ pub struct StealStats {
     pub jobs_claimed: u64,
     /// Times the owner, idle, found nothing to take: no loaded peer had
     /// anything on its shelf, or another thief was faster. One per
-    /// park — or per pass of the loop under `WaitChoice::Spin`.
+    /// park, or per spin under `WaitChoice::Spin`.
     pub empty_probes: u64,
 }
 

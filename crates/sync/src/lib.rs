@@ -3,10 +3,6 @@
 //! Synchronisation substrate for the YASMIN middleware (§3.5 of Rouxel,
 //! Altmeyer & Grelck, Middleware 2021):
 //!
-//! * [`ticket`] — FIFO ticket spinlock;
-//! * [`mcs`] — Mellor-Crummey & Scott queue lock (the paper's "lock-free
-//!   algorithms from \[27\]" option); the two are what §3.5 compares a
-//!   POSIX mutex with (`crates/bench/benches/ablation_locks.rs`);
 //! * [`spsc`] — bounded wait-free SPSC FIFO ring backing the task
 //!   channels;
 //! * [`mod@mailbox`] — lock-free MPSC command mailbox (one SPSC lane
@@ -23,25 +19,22 @@
 //!   a producer has work for it instead of polling;
 //! * [`wait`] — sleep vs spin waiting strategies.
 //!
-//! This is the only crate in the workspace that uses `unsafe` code; every
-//! unsafe block carries its justification, and the stress tests exercise
-//! mutual exclusion and FIFO invariants under real contention.
+//! Every unsafe block carries its justification, and the stress tests
+//! exercise the FIFO and exchange invariants under real contention.
+//! (The MCS and ticket locks the paper's §3.5 compares with a POSIX
+//! mutex are `yasmin_bench::{mcs, ticket}`: the runtime takes no lock.)
 
 #![warn(missing_docs)]
 
 pub mod doorbell;
 pub mod mailbox;
-pub mod mcs;
 pub mod shelf;
 pub mod spsc;
 pub mod steal;
-pub mod ticket;
 pub mod wait;
 
 pub use doorbell::Doorbell;
 pub use mailbox::{mailbox, MailboxFull, MailboxReceiver, MailboxSender};
-pub use mcs::McsLock;
 pub use spsc::{channel as spsc_channel, Consumer, Producer};
 pub use steal::LoadBoard;
-pub use ticket::TicketLock;
 pub use wait::{wait_for, wait_until, WaitMode};

@@ -7,11 +7,17 @@
 //! idle workers wait for their next activation through this module.
 //!
 //! A kernel sleep wakes *late*: timer slack plus the way back onto a
-//! core, by an amount that varies from one sleep to the next.
-//! [`TimerLead`] learns that lateness from the sleeps themselves, so a
-//! sleeper can arm its timer early by its lower quartile: most sleeps
-//! then end just past the target, and the rest end a little before it
-//! and spin the difference away.
+//! core, by an amount that varies from one sleep to the next and with
+//! the sleep before it. [`TimerLead`] learns that lateness from the
+//! sleeps themselves and reads it at two ranks. Its lower quartile arms
+//! a sleep that is to end on its target: most such sleeps then end just
+//! past it, and the rest a little before it, spinning the difference
+//! away. Its upper decile arms a sleep that is to end *before* a point:
+//! nine in ten do. A sleeper that meets a target after a long wait does
+//! both, with one `TimerLead` per kind of sleep: a long sleep armed the
+//! upper decile of long sleeps ahead of where a short one is armed, and
+//! then the short one, armed the lower quartile of short sleeps ahead
+//! of the target.
 
 use std::time::{Duration as StdDuration, Instant as StdInstant};
 use yasmin_core::time::{Duration, Instant};
@@ -68,11 +74,12 @@ pub fn wait_for(mode: WaitMode, d: StdDuration) -> StdDuration {
     wait_until(mode, StdInstant::now() + d)
 }
 
-/// How early to arm a timed sleep so that it ends on time: the lower
-/// quartile of the wake-up lateness of the last [`TimerLead::WINDOW`]
-/// sleeps that ran into their timeout.
+/// How early to arm a timed sleep: the wake-up lateness of the last
+/// [`TimerLead::WINDOW`] sleeps that ran into their timeout, read at one
+/// of two ranks.
 ///
-/// The lower quartile, not the minimum: lateness spreads by tens of µs
+/// [`TimerLead::lead`], the lower quartile, arms a sleep that is to end
+/// *on* its target. Not the minimum: lateness spreads by tens of µs
 /// between its quickest tenth and its median, so a lead at the floor
 /// leaves a typical sleep ending that spread past its target, and one
 /// unusually quick wake-up holds the lead down for a whole window. A
@@ -80,8 +87,16 @@ pub fn wait_for(mode: WaitMode, d: StdDuration) -> StdDuration {
 /// four, by a few µs, which the sleeper spins away; the other three end
 /// closer to the target than a floor would let them. A single quick
 /// sample moves the lead by one rank only, and a lasting drop in
-/// lateness is followed within `WINDOW / 4 + 1` samples. A host whose
-/// timer is on time teaches a lead of zero.
+/// lateness is followed within `WINDOW / 4 + 1` samples.
+///
+/// [`TimerLead::upper_decile`] arms a sleep that is to end *before* a
+/// point, where a shorter sleep or a spin takes over: about nine sleeps
+/// in ten armed that far ahead of the point end ahead of it. One slow
+/// sample in a full window does not move it; a burst of more than a
+/// tenth of the window holds it up until the burst is overwritten.
+///
+/// Both read zero until [`TimerLead::WARM_UP`] samples exist, and at
+/// most [`TimerLead::CAP`]. A host whose timer is on time teaches zero.
 ///
 /// Pure state over a fixed array: no clock, no allocation, no thread.
 #[derive(Clone, Debug)]
@@ -126,19 +141,33 @@ impl TimerLead {
         self.held = (self.held + 1).min(Self::WINDOW);
     }
 
-    /// How early to arm the next sleep: the sample at ascending rank
-    /// `held / 4` (the 17th smallest of a full window), at most
+    /// How early to arm a sleep that is to end on its target: the
+    /// sample at ascending rank `held / 4`, the 17th smallest of a full
+    /// window.
+    #[must_use]
+    pub fn lead(&self) -> Duration {
+        self.ranked(self.held / 4)
+    }
+
+    /// How early to arm a sleep that is to end before a point: the
+    /// sample at ascending rank `⌊9 · held / 10⌋`, the 58th smallest of
+    /// a full window.
+    #[must_use]
+    pub fn upper_decile(&self) -> Duration {
+        self.ranked(9 * self.held / 10)
+    }
+
+    /// The sample at ascending `rank` of those held, at most
     /// [`TimerLead::CAP`]; zero until [`TimerLead::WARM_UP`] samples
     /// exist. Selects on a stack copy of the ring: O(`WINDOW`), no
     /// allocation.
-    #[must_use]
-    pub fn lead(&self) -> Duration {
+    fn ranked(&self, rank: usize) -> Duration {
         if self.held < Self::WARM_UP {
             return Duration::ZERO;
         }
         let mut late = self.late;
-        let (_, &mut quartile, _) = late[..self.held].select_nth_unstable(self.held / 4);
-        quartile.min(Self::CAP)
+        let (_, &mut sample, _) = late[..self.held].select_nth_unstable(rank);
+        sample.min(Self::CAP)
     }
 }
 
@@ -321,8 +350,71 @@ mod tests {
         for _ in 0..TimerLead::WINDOW {
             timed_out(&mut lead, 4_000);
             assert!(lead.lead() <= TimerLead::CAP);
+            assert!(lead.upper_decile() <= TimerLead::CAP);
         }
         assert_eq!(lead.lead(), TimerLead::CAP);
+        assert_eq!(lead.upper_decile(), TimerLead::CAP);
+    }
+
+    #[test]
+    fn lead_upper_decile_is_rank_nine_tenths_once_warm() {
+        let mut lead = TimerLead::new();
+        for late in [130, 99, 167, 120, 126, 140, 111] {
+            timed_out(&mut lead, late);
+            assert_eq!(lead.upper_decile(), Duration::ZERO, "7 samples or fewer");
+        }
+        // 99 111 120 126 130 140 150 [167]: rank 72 / 10 = 7.
+        timed_out(&mut lead, 150);
+        assert_eq!(lead.upper_decile(), Duration::from_micros(167));
+        // A full window of 1..=64 µs in any order: the 58th smallest,
+        // beside the 17th smallest of the lower quartile.
+        for late in (1..=64).rev() {
+            timed_out(&mut lead, late * 37 % 64 + 1);
+        }
+        assert_eq!(lead.upper_decile(), Duration::from_micros(58));
+        assert_eq!(lead.lead(), Duration::from_micros(17));
+        // Sleeps the timer did not end count for nothing here either.
+        let mut cold = TimerLead::new();
+        let armed = Instant::from_nanos(1_000_000);
+        for _ in 0..TimerLead::WINDOW {
+            cold.observe(armed, armed + Duration::from_micros(50), false);
+        }
+        assert_eq!(cold.upper_decile(), Duration::ZERO);
+    }
+
+    #[test]
+    fn lead_upper_decile_forgets_a_spike_after_a_window() {
+        // One slow wake-up among the warm-up's eight is their upper
+        // decile until it is a tenth of the samples or less, at 11.
+        let mut lead = TimerLead::new();
+        for late in [80, 80, 80, 300, 80, 80, 80, 80] {
+            timed_out(&mut lead, late);
+        }
+        for _ in 0..2 {
+            assert_eq!(lead.upper_decile(), Duration::from_micros(300));
+            timed_out(&mut lead, 80);
+        }
+        assert_eq!(lead.upper_decile(), Duration::from_micros(300));
+        timed_out(&mut lead, 80);
+        assert_eq!(lead.upper_decile(), Duration::from_micros(80));
+        // In a full window one spike does not move it at all.
+        fill(&mut lead, 80);
+        timed_out(&mut lead, 300);
+        assert_eq!(lead.upper_decile(), Duration::from_micros(80));
+        // Seven — more than a tenth — hold it up for the rest of the
+        // window, and it drops as soon as the first of them is
+        // overwritten.
+        fill(&mut lead, 80);
+        for _ in 0..7 {
+            timed_out(&mut lead, 300);
+        }
+        for _ in 0..TimerLead::WINDOW - 7 {
+            assert_eq!(lead.upper_decile(), Duration::from_micros(300));
+            timed_out(&mut lead, 80);
+        }
+        assert_eq!(lead.upper_decile(), Duration::from_micros(300));
+        timed_out(&mut lead, 80);
+        assert_eq!(lead.upper_decile(), Duration::from_micros(80));
     }
 
     #[test]

@@ -57,24 +57,35 @@ fn yasmin_managed(
 }
 
 /// How each owner met its tick edges — what is left of the latency
-/// above once the timed park is armed early by the lateness it shows,
-/// and what the early quarter of the parks spun — and what it gave to
-/// and took from its peers (nothing here: one owner has no peer to
-/// steal from). Exits with status 1 if an owner met no edge at all.
+/// above once each edge is met with a far and a near park, each armed
+/// early by the lateness parks of its kind show, and what the early
+/// quarter of the near parks spun — and what it gave to and took from
+/// its peers (nothing here: one owner has no peer to steal from).
+/// Exits with status 1 if an owner met no edge at all, or parked
+/// between its edges — every owner here sleeps through most of each
+/// 10 ms tick — and never took a near park.
 fn print_owner_stats(owners: &[(TickStats, StealStats)]) {
     for (i, (t, s)) in owners.iter().enumerate() {
         if t.edges == 0 {
             eprintln!("owner {i} ran no tick round: {t:?}");
             std::process::exit(1);
         }
+        if t.near_parks == 0 {
+            eprintln!("owner {i} parked between its edges but never took a near park: {t:?}");
+            std::process::exit(1);
+        }
         let edges = t.edges as f64;
         println!(
-            "    owner {i}: {} edges, late p50 {:.0} µs / max {:.0} µs, lead {:.0} µs, \
-             {} early wakes ({:.0} % of edges), {:.0} µs spun ({:.2} µs per edge)",
+            "    owner {i}: {} edges, late p50 {:.0} µs / max {:.0} µs, leads {:.0} µs near + \
+             {:.0} µs far, {} near parks ({:.0} % of edges), {} early wakes ({:.0} %), \
+             {:.0} µs spun ({:.2} µs per edge)",
             t.edges,
             t.late_p50_ns as f64 / 1e3,
             t.late_max_ns as f64 / 1e3,
             t.lead_ns as f64 / 1e3,
+            t.far_lead_ns as f64 / 1e3,
+            t.near_parks,
+            100.0 * t.near_parks as f64 / edges,
             t.early_wakes,
             100.0 * t.early_wakes as f64 / edges,
             t.spin_ns as f64 / 1e3,

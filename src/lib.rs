@@ -16,7 +16,7 @@
 //! | [`sched`] | the scheduling engine (online G/P, offline tables, version selection, PIP, typed priority message plane) |
 //! | [`rt`] | real-thread runtime: one builder, one handle; the `Config` picks one owner thread over the whole engine or one per shard |
 //! | [`sim`] | discrete-event simulator (heterogeneous platforms, kernel latency models) |
-//! | [`sync`] | MCS/ticket locks, PIP mutex, barriers, SPSC rings, wait strategies |
+//! | [`sync`] | SPSC rings, MPSC mailbox, doorbell, load board, shelf, wait strategies |
 //! | [`taskgen`] | DRS/UUniFast generators, DAGs, the drone SAR workload |
 //! | [`analysis`] | RTA, EDF demand bound, G-EDF tests, DAG bounds |
 //! | [`baselines`] | Mollison & Anderson library, cyclictest, stress-ng analogue |

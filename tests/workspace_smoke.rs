@@ -113,15 +113,9 @@ fn sim_links_and_simulates() {
     assert!(result.records.len() >= 9, "expected ~10 releases in 50ms");
 }
 
-/// `yasmin-sync` via the facade: locks and rings construct.
+/// `yasmin-sync` via the facade: rings construct.
 #[test]
 fn sync_links_and_locks() {
-    use yasmin::sync::{McsLock, TicketLock};
-    let lock = McsLock::new(0u32);
-    *lock.lock() += 1;
-    assert_eq!(*lock.lock(), 1);
-    let ticket = TicketLock::new(7u8);
-    assert_eq!(*ticket.lock(), 7);
     let (mut tx, mut rx) = yasmin::sync::spsc::channel::<u8>(2);
     tx.push(3).expect("push");
     assert_eq!(rx.pop(), Some(3));
