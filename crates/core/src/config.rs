@@ -39,16 +39,6 @@ impl MappingScheme {
     }
 }
 
-/// On-line scheduling vs off-line (table-driven) dispatch (§3.3 / §3.4).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-pub enum SchedulerClass {
-    /// A scheduler thread activates and dispatches jobs at run time.
-    #[default]
-    Online,
-    /// An on-line dispatcher follows a pre-computed time table (Fig. 1c).
-    Offline,
-}
-
 /// Waiting strategy between activations (§3.5 "Waiting").
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum WaitChoice {
@@ -180,7 +170,6 @@ impl VersionPolicy {
 pub struct Config {
     workers: usize,
     mapping: MappingScheme,
-    scheduler_class: SchedulerClass,
     priority: PriorityPolicy,
     version_policy: VersionPolicy,
     waiting: WaitChoice,
@@ -212,12 +201,6 @@ impl Config {
     #[must_use]
     pub const fn mapping(&self) -> MappingScheme {
         self.mapping
-    }
-
-    /// On-line or off-line scheduling class.
-    #[must_use]
-    pub const fn scheduler_class(&self) -> SchedulerClass {
-        self.scheduler_class
     }
 
     /// The priority assignment policy.
@@ -320,12 +303,7 @@ impl Config {
     /// A configuration label like `G-EDF` used in experiment tables.
     #[must_use]
     pub fn label(&self) -> String {
-        match self.scheduler_class {
-            SchedulerClass::Online => {
-                format!("{}-{}", self.mapping.label(), self.priority.label())
-            }
-            SchedulerClass::Offline => "OFF".to_string(),
-        }
+        format!("{}-{}", self.mapping.label(), self.priority.label())
     }
 }
 
@@ -340,7 +318,6 @@ impl fmt::Debug for Config {
         f.debug_struct("Config")
             .field("workers", &self.workers)
             .field("mapping", &self.mapping)
-            .field("scheduler_class", &self.scheduler_class)
             .field("priority", &self.priority)
             .field("version_policy", &self.version_policy)
             .field("waiting", &self.waiting)
@@ -365,7 +342,6 @@ impl fmt::Debug for Config {
 pub struct ConfigBuilder {
     workers: usize,
     mapping: MappingScheme,
-    scheduler_class: SchedulerClass,
     priority: PriorityPolicy,
     version_policy: VersionPolicy,
     waiting: WaitChoice,
@@ -395,7 +371,6 @@ impl Default for ConfigBuilder {
         ConfigBuilder {
             workers: 1,
             mapping: MappingScheme::default(),
-            scheduler_class: SchedulerClass::default(),
             priority: PriorityPolicy::default(),
             version_policy: VersionPolicy::default(),
             waiting: WaitChoice::default(),
@@ -424,13 +399,6 @@ impl ConfigBuilder {
     #[must_use]
     pub fn mapping(mut self, m: MappingScheme) -> Self {
         self.mapping = m;
-        self
-    }
-
-    /// Sets on-line or off-line scheduling.
-    #[must_use]
-    pub fn scheduler_class(mut self, c: SchedulerClass) -> Self {
-        self.scheduler_class = c;
         self
     }
 
@@ -538,9 +506,8 @@ impl ConfigBuilder {
     /// # Errors
     ///
     /// [`Error::InvalidConfig`] when the combination is inconsistent
-    /// (zero workers, zero queue capacity, zero tick override,
-    /// preemption with off-line scheduling — the paper supports
-    /// "pre-emption with on-line scheduling policies only", §3.5).
+    /// (zero workers, zero queue capacity, zero tick override, sharded
+    /// dispatch without partitioned mapping, a zero miss-trip window).
     pub fn build(self) -> Result<Config> {
         if self.workers == 0 {
             return Err(Error::InvalidConfig(
@@ -559,11 +526,6 @@ impl ConfigBuilder {
                 ));
             }
         }
-        if self.scheduler_class == SchedulerClass::Offline && self.preemption {
-            return Err(Error::InvalidConfig(
-                "preemption is supported with on-line scheduling policies only".into(),
-            ));
-        }
         if self.sharded_dispatch && self.mapping != MappingScheme::Partitioned {
             return Err(Error::InvalidConfig(
                 "sharded dispatch needs per-worker ready queues: use partitioned mapping".into(),
@@ -579,7 +541,6 @@ impl ConfigBuilder {
         Ok(Config {
             workers: self.workers,
             mapping: self.mapping,
-            scheduler_class: self.scheduler_class,
             priority: self.priority,
             version_policy: self.version_policy,
             waiting: self.waiting,
@@ -614,7 +575,6 @@ mod tests {
         let c = Config::builder()
             .workers(3)
             .mapping(MappingScheme::Partitioned)
-            .scheduler_class(SchedulerClass::Online)
             .priority(PriorityPolicy::RateMonotonic)
             .version_policy(VersionPolicy::Energy)
             .waiting(WaitChoice::Spin)
@@ -644,21 +604,6 @@ mod tests {
             Config::builder().workers(0).build(),
             Err(Error::InvalidConfig(_))
         ));
-    }
-
-    #[test]
-    fn offline_with_preemption_rejected() {
-        let r = Config::builder()
-            .scheduler_class(SchedulerClass::Offline)
-            .preemption(true)
-            .build();
-        assert!(matches!(r, Err(Error::InvalidConfig(_))));
-        // And without preemption it is fine.
-        assert!(Config::builder()
-            .scheduler_class(SchedulerClass::Offline)
-            .preemption(false)
-            .build()
-            .is_ok());
     }
 
     #[test]
@@ -692,12 +637,6 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(c.label(), "G-EDF");
-        let c = Config::builder()
-            .scheduler_class(SchedulerClass::Offline)
-            .preemption(false)
-            .build()
-            .unwrap();
-        assert_eq!(c.label(), "OFF");
     }
 
     #[test]

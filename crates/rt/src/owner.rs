@@ -28,12 +28,14 @@
 //! only after retiring what ran there, so one job is all either holds.
 //!
 //! Everything else reaches an owner through its MPSC mailbox
-//! (`yasmin_sync::mailbox`): one lane for control commands, **one lane
-//! per peer shard** for the cross-shard protocol — routed DAG tokens
-//! (`CrossActivate`), forwarded message-plane events, the drain
-//! barrier — and one *message lane* fed by the channel notify hooks
-//! that fire on other threads, each sized by what it carries (`wire`).
-//! Ticks are generated locally by each owner at the shared gcd period.
+//! (`yasmin_sync::mailbox`): **one shared lane** that every thread
+//! without a lane of its own sends into — control commands, and the
+//! message-plane events the channel notify hooks post for the tasks the
+//! owner has — and **one lane per peer shard** for the cross-shard
+//! protocol — routed DAG tokens (`CrossActivate`) and the drain
+//! barrier — each sized by what it carries (`wire`). Whatever names a
+//! task goes to that task's owner, and to no other. Ticks are generated
+//! locally by each owner at the shared gcd period.
 //!
 //! # The job boundary
 //!
@@ -61,17 +63,19 @@
 //!   quietly (`tenant_send`) — when its timed park ends at the next
 //!   tick edge, and applies them ahead of that edge's tick round: the
 //!   round the commit's releases are anchored at, rung or not.
-//! * **Message-plane events from an owner's own bodies.** A notify hook
-//!   firing on its channel's *home* thread must not send into the
-//!   message lane: only that thread drains it, so waiting for room
-//!   would wait for itself. For the length of a body
-//!   (`Owner::in_body`) the thread-local `LOCAL` holds the owner's
-//!   mailbox and a queue the thread owns; the hook (`post`) appends to
-//!   that queue — no lock, no bound — after moving what the lane holds
-//!   behind what is queued, so queue-then-lane stays the one FIFO route
-//!   per channel and a drain never overtakes its post.
+//! * **Message-plane events for an owner's own tasks, from its own
+//!   bodies.** A notify hook firing on the thread of the owner it posts
+//!   to must not send into that owner's shared lane: only this thread
+//!   drains it, so waiting for room would wait for itself. For the
+//!   length of a body (`Owner::in_body`) the thread-local `LOCAL` holds
+//!   the owner's mailbox and a queue the thread owns; the hook (`post`)
+//!   appends to that queue — no lock, no bound — after moving what the
+//!   shared lane holds behind what is queued. A post is emitted before
+//!   its value is pushed and a drain after its value is popped, so
+//!   queue-then-lane keeps a channel's events in order and a drain
+//!   never overtakes its post.
 //! * **Calls from a body.** `activate`, `retire`, `stop` and a post to
-//!   another home may wait: for room in a lane, or for the ledger lock
+//!   another owner may wait: for room in a lane, or for the ledger lock
 //!   of a caller that is itself waiting for room. Every such wait
 //!   (`wait_for`) holds nothing and, inside a body, keeps moving that
 //!   owner's mailbox into its own queue — so the room others wait for
@@ -191,17 +195,16 @@ use yasmin_sync::spsc;
 use yasmin_sync::steal::LoadBoard;
 use yasmin_sync::wait::{Backoff, TimerLead};
 
-/// Lane indices of each owner's command mailbox; lane `LANE_PEER0 + p`
-/// belongs to peer shard `p` (a shard's own peer lane stays unused, so
-/// indexing needs no adjustment). Lane `LANE_PEER0 + n` is the *message
-/// lane* (see [`MsgLanes`]); an owner's helpers answer on the lanes
-/// after it.
+/// Lane indices of each owner's command mailbox: `LANE_CONTROL` is the
+/// shared lane (see [`Lanes`]); lane `LANE_PEER0 + p` belongs to peer
+/// shard `p` (a shard's own peer lane stays unused, so indexing needs no
+/// adjustment); an owner's helpers answer on the lanes after those.
 const LANE_CONTROL: usize = 0;
 const LANE_PEER0: usize = 1;
 
-/// Slots of a control or message lane. Whoever finds one full waits for
-/// room ([`wait_for`]) — back-pressure, never loss — so the depth only
-/// says how many commands may queue behind one body.
+/// Slots of a shared lane. Whoever finds one full waits for room
+/// ([`wait_for`]) — back-pressure, never loss — so the depth only says
+/// how many commands may queue behind one body.
 const COMMAND_LANE_DEPTH: usize = 64;
 
 /// Longest park of a shard that holds spilled peer sends
@@ -224,10 +227,9 @@ pub(crate) enum ShardMsg {
     /// A DAG token routed from a peer shard (cross-shard edge whose
     /// destination this shard owns).
     CrossActivate { edge: u32, graph_release: Instant },
-    /// A high-priority message entered a channel lane. Lands first on
-    /// the channel's *home* shard (the sending task's, so one channel's
-    /// posts and drains share one FIFO route); a home that does not own
-    /// `dst` forwards it over the per-peer lane, like a token.
+    /// A high-priority message entered a channel lane. Goes to the
+    /// owner of `dst` — into its shared lane, or from its own bodies into
+    /// its own queue (`post`) — and never over a peer lane.
     MsgHigh { dst: TaskId, ceiling: Priority },
     /// A high-lane message was consumed; routed like
     /// [`ShardMsg::MsgHigh`], releasing the boost when posts and drains
@@ -316,22 +318,22 @@ type PeerShelf = shelf::Thief<Job, MAX_STEAL_BATCH>;
 /// mutex keeps the lane at one logical producer.
 pub(crate) type SharedLane = Mutex<MailboxSender<ShardMsg>>;
 
-/// The message lanes of one runtime, by home shard: where the channel
-/// notify hooks post from threads other than the home's own. Shared by
-/// the hooks, the handle and the owners, which tell their runtime by it.
-pub(crate) type MsgLanes = Arc<Vec<SharedLane>>;
+/// The shared lanes of one runtime, by owner: where the handle sends its
+/// commands and the channel notify hooks their events. Shared by the
+/// hooks, the handle and the owners, which tell their runtime by it.
+pub(crate) type Lanes = Arc<Vec<SharedLane>>;
 
 /// An owner's mailbox, which only its thread drains, and the queue that
 /// thread owns. They are the [`Owner`]'s between bodies and `LOCAL`'s
 /// during one ([`Owner::in_body`]): what code running inside a body
 /// finds of the owner it runs on.
 struct ShardLocal {
-    lanes: MsgLanes,
+    lanes: Lanes,
     me: usize,
     rx: MailboxReceiver<ShardMsg>,
-    /// Events this thread's bodies posted to their own home, and what
-    /// [`post`] and [`wait_for`] moved here from the mailbox; applied at
-    /// the job boundary, ahead of the mailbox.
+    /// Events this thread's bodies posted for their own owner's tasks,
+    /// and what [`post`] and [`wait_for`] moved here from the mailbox;
+    /// applied at the job boundary, ahead of the mailbox.
     posts: VecDeque<ShardMsg>,
 }
 
@@ -345,7 +347,7 @@ thread_local! {
 /// reaching its job boundary, and the caller may be inside a body of one
 /// of `lanes`' owners: it keeps moving that owner's mailbox into its
 /// queue meanwhile, so the room others wait for is always made.
-pub(crate) fn wait_for<T>(lanes: &MsgLanes, mut attempt: impl FnMut() -> Option<T>) -> T {
+pub(crate) fn wait_for<T>(lanes: &Lanes, mut attempt: impl FnMut() -> Option<T>) -> T {
     let mut backoff = Backoff::new();
     loop {
         if let Some(v) = attempt() {
@@ -374,7 +376,7 @@ pub(crate) fn try_lock<T>(m: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
 pub(crate) type SendFn =
     fn(&mut MailboxSender<ShardMsg>, ShardMsg) -> std::result::Result<(), MailboxFull<ShardMsg>>;
 
-/// How a tenant command (`Admit`, `Retire`) enters the control lanes of
+/// How a tenant command (`Admit`, `Retire`) enters the shared lanes of
 /// a runtime of `owners` owners: quietly when there is one, rung to
 /// shards. One owner acts on it no sooner than its next tick edge
 /// anyway — an admission's releases anchor there, and nothing waits for
@@ -389,34 +391,35 @@ pub(crate) fn tenant_send(owners: usize) -> SendFn {
     }
 }
 
-/// Sends `msg` into a shared lane by `send`, waiting for room
-/// ([`wait_for`]).
-pub(crate) fn send_waiting(lanes: &MsgLanes, lane: &SharedLane, msg: ShardMsg, send: SendFn) {
+/// Sends `msg` into the shared lane of `owner` by `send`, waiting for
+/// room ([`wait_for`]).
+pub(crate) fn send_waiting(lanes: &Lanes, owner: usize, msg: ShardMsg, send: SendFn) {
     let mut msg = Some(msg);
     wait_for(lanes, || {
-        let sent = send(&mut *try_lock(lane)?, msg.take()?);
+        let sent = send(&mut *try_lock(&lanes[owner])?, msg.take()?);
         sent.map_err(|MailboxFull(v)| msg = Some(v)).ok()
     });
 }
 
-/// Delivers a message-plane event to its channel's `home` owner from
-/// whichever thread the notify hook fired on ("The job boundary"): in
-/// a body of the home itself, the thread-owned queue, behind what the
-/// message lane holds — no lock, never full; anywhere else, that lane.
-fn post(lanes: &MsgLanes, home: usize, msg: ShardMsg) {
+/// Delivers a message-plane event to `owner`, the owner of the task it
+/// names, from whichever thread the notify hook fired on ("The job
+/// boundary"): in a body of that owner, the thread-owned queue, behind
+/// what its shared lane holds — no lock, never full; anywhere else, that
+/// lane.
+fn post(lanes: &Lanes, owner: usize, msg: ShardMsg) {
     let elsewhere = LOCAL.with_borrow_mut(|local| {
-        let at_home = |l: &&mut ShardLocal| Arc::ptr_eq(&l.lanes, lanes) && l.me == home;
-        let Some(l) = local.as_mut().filter(at_home) else {
+        let at_owner = |l: &&mut ShardLocal| Arc::ptr_eq(&l.lanes, lanes) && l.me == owner;
+        let Some(l) = local.as_mut().filter(at_owner) else {
             return Some(msg);
         };
-        while let Some(earlier) = l.rx.pop_lane(LANE_PEER0 + lanes.len()) {
+        while let Some(earlier) = l.rx.pop_lane(LANE_CONTROL) {
             l.posts.push_back(earlier);
         }
         l.posts.push_back(msg);
         None
     });
     if let Some(msg) = elsewhere {
-        send_waiting(lanes, &lanes[home], msg, MailboxSender::send);
+        send_waiting(lanes, owner, msg, MailboxSender::send);
     }
 }
 
@@ -440,12 +443,12 @@ pub(crate) type Owners<C> = Vec<(Owner<C>, Vec<HelperEnd>)>;
 /// Builds one [`Owner`] per engine — every shard of a partitioned set
 /// in worker order, or the one whole engine — and what joins them:
 /// mailbox lanes, shelves, the load board, the drain board and the
-/// channel notify hooks. Starts no thread; returns the owners, the
-/// control lane into each, and the message lanes.
+/// channel notify hooks. Starts no thread; returns the owners and the
+/// shared lane into each.
 pub(crate) fn wire<C: Clock>(
     launch: &RuntimeBuilder,
     clock: &Arc<C>,
-) -> Result<(Owners<C>, Vec<SharedLane>, MsgLanes)> {
+) -> Result<(Owners<C>, Lanes)> {
     let (taskset, config) = (&launch.taskset, &launch.config);
     let sharded = config.sharded_dispatch();
     let engines = if sharded {
@@ -479,56 +482,46 @@ pub(crate) fn wire<C: Clock>(
     let (shelves, peer_shelves): (Vec<JobShelf>, Vec<PeerShelf>) =
         (0..n).map(|_| shelf::new()).unzip();
 
-    // One mailbox per owner: control lane, one lane per peer shard
-    // for the cross-shard protocol, the message lane fed by the
-    // channel notify hooks, and one lane per helper. Peer senders
-    // are regrouped so owner `s` holds, for every target `t`, the
-    // sender feeding lane `LANE_PEER0 + s` of `t`'s mailbox.
-    let mut control = Vec::with_capacity(n);
+    // One mailbox per owner: the shared lane, one lane per peer shard
+    // for the cross-shard protocol, and one lane per helper. Peer
+    // senders are regrouped so owner `s` holds, for every target `t`,
+    // the sender feeding lane `LANE_PEER0 + s` of `t`'s mailbox.
+    let mut shared = Vec::with_capacity(n);
     let mut receivers = Vec::with_capacity(n);
     let mut peer_lanes_by_target = Vec::with_capacity(n);
-    let mut msg_txs = Vec::with_capacity(n);
     let mut done_lanes_by_owner = Vec::with_capacity(n);
     for (s, engine) in engines.iter().enumerate() {
         // Who executes: an owner with one slot itself, one with
         // more hands every job to the slot's helper.
         let slots = engine.shard_worker().map_or(config.workers(), |_| 1);
         let helpers = if slots > 1 { slots } else { 0 };
-        let mut capacities = vec![peer_depth; LANE_PEER0 + n + 1];
+        let mut capacities = vec![peer_depth; LANE_PEER0 + n];
         capacities[LANE_CONTROL] = COMMAND_LANE_DEPTH;
         capacities[LANE_PEER0 + s] = 1; // nobody writes to itself
-        capacities[LANE_PEER0 + n] = COMMAND_LANE_DEPTH;
         capacities.resize(capacities.len() + helpers, 1); // one job in flight each
         let (mut lanes, mailbox_rx) = mailbox_with_capacities::<ShardMsg>(&capacities);
-        done_lanes_by_owner.push(lanes.split_off(LANE_PEER0 + n + 1));
-        let mut peer_lanes = lanes.split_off(LANE_PEER0);
-        msg_txs.push(Mutex::new(peer_lanes.pop().expect("message lane present")));
-        peer_lanes_by_target.push(peer_lanes);
-        control.push(Mutex::new(lanes.swap_remove(LANE_CONTROL)));
+        done_lanes_by_owner.push(lanes.split_off(LANE_PEER0 + n));
+        peer_lanes_by_target.push(lanes.split_off(LANE_PEER0));
+        shared.push(Mutex::new(lanes.swap_remove(LANE_CONTROL)));
         receivers.push(mailbox_rx);
     }
-    let msg_lanes: MsgLanes = Arc::new(msg_txs);
+    let shared: Lanes = Arc::new(shared);
 
     // Arm the channel notify hooks: each channel posts its events to
-    // its *home* owner — the sending task's, so one channel's posts and
-    // drains travel one FIFO route (see `ShardMsg::MsgHigh`). Channels
-    // without a declared ceiling never reach an engine.
+    // the owner of its receiving task, the one that can act on them.
+    // Channels without a declared ceiling never reach an engine.
     for handle in &launch.channels {
         if handle.ceiling().is_none() {
             continue;
         }
-        let edge = taskset
-            .edges()
-            .iter()
-            .find(|e| Some(e.channel) == handle.channel());
-        let home = owner(edge.map_or(handle.dst(), |e| e.src))?;
-        let lanes = Arc::clone(&msg_lanes);
+        let to = owner(handle.dst())?;
+        let lanes = Arc::clone(&shared);
         let _ = handle.set_notify(Arc::new(move |ev| {
             let msg = match ev {
                 MsgEvent::HighPosted { dst, ceiling } => ShardMsg::MsgHigh { dst, ceiling },
                 MsgEvent::HighDrained { dst } => ShardMsg::MsgDrained { dst },
             };
-            post(&lanes, home, msg);
+            post(&lanes, to, msg);
         }));
     }
     // Transpose: peer_txs[source][target], a shard never sends to
@@ -561,11 +554,11 @@ pub(crate) fn wire<C: Clock>(
         };
         let mut bodies = BodyTable::default();
         bodies.extend(taskset, 0, &launch.bodies);
-        let lanes = Arc::clone(&msg_lanes);
+        let lanes = Arc::clone(&shared);
         let owner = Owner::new(engine, bodies, rx, Arc::clone(clock), peers, lanes, helpers);
         owners.push((owner, ends));
     }
-    Ok((owners, control, msg_lanes))
+    Ok((owners, shared))
 }
 
 /// [`wire`]s the owners and starts one thread per owner and one per
@@ -573,7 +566,7 @@ pub(crate) fn wire<C: Clock>(
 pub(crate) fn spawn(launch: RuntimeBuilder) -> Result<Runtime> {
     let clock = Arc::new(MonotonicClock::new());
     let waiting = launch.config.waiting();
-    let (owners, control, lanes) = wire(&launch, &clock)?;
+    let (owners, lanes) = wire(&launch, &clock)?;
     let tick = owners
         .first()
         .map(|(owner, _)| owner.tick)
@@ -606,7 +599,6 @@ pub(crate) fn spawn(launch: RuntimeBuilder) -> Result<Runtime> {
         ledger: Mutex::new(TenantLedger::new(admission, launch.taskset)),
         clock,
         config: launch.config,
-        control,
         lanes,
         threads,
         helpers,
@@ -924,8 +916,8 @@ impl LateHist {
 /// posts).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum WakeSource {
-    /// A command in any lane — control, the peer protocol with
-    /// `DrainFlush`/`DrainAck`, the message lane, a helper's `Done`:
+    /// A command in any lane — the shared one, the peer protocol with
+    /// `DrainFlush`/`DrainAck`, a helper's `Done`:
     /// every `send` rings, and a park looks at the pending count after
     /// announcing itself. The one exception is a tenant command to the
     /// one owner of a runtime (`tenant_send`), sent quietly: it waits
@@ -1060,11 +1052,12 @@ pub(crate) struct Owner<C: Clock> {
     /// The clock as the last pass read it for its tick check.
     now: Instant,
     /// The lateness this thread's far and near parks show ("The tick
-    /// edge"), whether the park `step` last asked for is a near one, and
-    /// how late its tick rounds began.
+    /// edge"), whether the park `step` last asked for is a near one, the
+    /// near arming point of its edge, and how late its tick rounds began.
     far_lead: TimerLead,
     near_lead: TimerLead,
     parked_near: bool,
+    near_at: Instant,
     late: LateHist,
     /// Steal scratch, reused: what the engine names stealable, the jobs
     /// on their way to or from a shelf, how many lie on this owner's.
@@ -1086,7 +1079,7 @@ impl<C: Clock> Owner<C> {
         rx: MailboxReceiver<ShardMsg>,
         clock: Arc<C>,
         peers: PeerLinks,
-        lanes: MsgLanes,
+        lanes: Lanes,
         helpers: Vec<HelperLink>,
     ) -> Self {
         let worker = engine.shard_worker().unwrap_or(WorkerId::new(0));
@@ -1111,6 +1104,7 @@ impl<C: Clock> Owner<C> {
             far_lead: TimerLead::new(),
             near_lead: TimerLead::new(),
             parked_near: false,
+            near_at: Instant::MAX,
             late: LateHist::new(),
             steal_hints: Vec::with_capacity(MAX_STEAL_BATCH),
             steal_batch: JobBatch::new(),
@@ -1283,13 +1277,6 @@ impl<C: Clock> Owner<C> {
         self.engine_call(|o| o.engine.advance_into(&o.done, at, &mut o.sink))
             .expect("completion protocol upheld");
         self.done.clear();
-        // Age the donation history once per tick, from one shard only
-        // (every shard halving it would decay n times faster than
-        // intended). "Recent donor" then means "donated within the
-        // last few ticks".
-        if self.peers.stealing && self.me == 0 {
-            self.peers.board.decay_donations();
-        }
     }
 
     /// A job ran, here or on a helper: its record, and its completion
@@ -1398,25 +1385,17 @@ impl<C: Clock> Owner<C> {
         let _ = self.engine.commit_tenant_at(tenant, self.next_tick);
     }
 
-    /// A high-lane post or drain for `dst`: applied when this engine
-    /// has the task — the whole engine has every task; a shard's, those
-    /// assigned to its worker — and otherwise sent on over the per-peer
-    /// lane to the owner, like a cross-shard activation token.
+    /// A high-lane post or drain for `dst`, which this engine has: the
+    /// notify hook sent it here, to `dst`'s owner ([`post`]).
     fn msg_event(&mut self, dst: TaskId, msg: ShardMsg) {
-        let sharded = self.engine.shard_worker().is_some();
-        match owner_of(self.engine.taskset(), sharded, dst) {
-            Ok(owner) if owner == self.me => {
-                let at = self.clock.now();
-                let _ = self.engine_call(|o| match msg {
-                    ShardMsg::MsgHigh { ceiling, .. } => {
-                        o.engine.on_high_posted_into(dst, ceiling, at, &mut o.sink)
-                    }
-                    _ => o.engine.on_high_drained_into(dst, at, &mut o.sink),
-                });
+        let at = self.clock.now();
+        self.engine_call(|o| match msg {
+            ShardMsg::MsgHigh { ceiling, .. } => {
+                o.engine.on_high_posted_into(dst, ceiling, at, &mut o.sink)
             }
-            Ok(owner) => self.peers.send(owner, msg),
-            Err(_) => {}
-        }
+            _ => o.engine.on_high_drained_into(dst, at, &mut o.sink),
+        })
+        .expect("message event routed to the owner of its task");
     }
 
     /// The two-phase loss-free drain; `true` when this shard may exit.
@@ -1514,7 +1493,7 @@ impl<C: Clock> Owner<C> {
             if self.now < near_at {
                 // Near when idle at or past the far arming point: its
                 // far park ended there, or its last job did.
-                self.parked_near = self.now >= far_at;
+                (self.parked_near, self.near_at) = (self.now >= far_at, near_at);
                 self.report.ticks.near_parks += u64::from(self.parked_near);
                 let armed = if self.parked_near { near_at } else { far_at };
                 return Next::Park {
@@ -1543,14 +1522,18 @@ impl<C: Clock> Owner<C> {
     /// into its timeout*: unrung — whatever quiet commands wait in the
     /// mailbox, which rang nobody — not capped by `SPILL_RETRY`, and not
     /// back before `armed` (a stale token). A park a ring ended says
-    /// nothing about the timer.
+    /// nothing about the timer. A far park that ran into its timeout at
+    /// or past the near arming point is a far overshoot.
     pub(crate) fn woke(&mut self, armed: Instant, wake: WakeSet, unrung: bool) {
         let timed_out = unrung && !wake.has(WakeSource::SpillRetry);
+        let now = self.clock.now();
+        let overshot = !self.parked_near && timed_out && now >= self.near_at;
+        self.report.ticks.far_overshoots += u64::from(overshot);
         let lead = match self.parked_near {
             true => &mut self.near_lead,
             false => &mut self.far_lead,
         };
-        lead.observe(armed, self.clock.now(), timed_out);
+        lead.observe(armed, now, timed_out);
         if wake.has(WakeSource::PeerShelf) {
             self.peers.board.set_idle(self.me, false);
         }
@@ -1616,12 +1599,7 @@ impl<C: Clock> Owner<C> {
                 batch.push(spare);
             });
             self.engine.return_unclaimed(self.steal_batch.as_slice());
-            if unclaimed < shelved {
-                self.report.steals.taken += (shelved - unclaimed) as u64;
-                // Future load ties break towards this shard: recent
-                // donors tend to stay the imbalanced ones.
-                self.peers.board.record_donation(self.me);
-            }
+            self.report.steals.taken += (shelved - unclaimed) as u64;
         }
         // The edges the body ran across, in time order and ahead of its
         // completion: overrun enforcement and the miss trip find the
@@ -2212,12 +2190,14 @@ mod tests {
     fn cross_shard_high_lane_boosts_the_receiver() {
         // src (worker 0) streams typed messages to dst (worker 1) over
         // the channel bound to their DAG edge; every third message rides
-        // the high lane. The post hook runs in src's body on shard 0's
-        // thread and takes that thread's own queue, the drain hook runs
-        // on shard 1's and crosses shard 0's message lane, and both are
-        // forwarded over a peer lane to shard 1 — the thread crossings
-        // this smoke test exists to put under TSan. dst outlasts the src
-        // period, so a high post always finds a live dst job to boost.
+        // the high lane. Both events go to shard 1, dst's owner. The post
+        // hook runs in src's body on shard 0's thread and crosses into
+        // shard 1's shared lane under its mutex; the drain hook runs in
+        // dst's body on shard 1's thread, moves that lane behind its own
+        // queue — popping it while shard 0 may push — and appends there.
+        // Those are the thread crossings this smoke test exists to put
+        // under TSan. dst outlasts the src period, so a high post always
+        // finds a live dst job to boost.
         use yasmin_core::priority::Priority;
         let mut b = TaskSetBuilder::new();
         let src = b
@@ -2698,13 +2678,13 @@ mod tests {
 
     #[test]
     fn a_body_may_post_more_than_its_home_lane_holds() {
-        // Every src job posts 100 high messages: 100 events from shard
-        // 0's own thread to its own home, whose message lane holds 64 —
-        // sent there, the first job would wait for room only its own
-        // thread can make. dst drains them all in one job on shard 1:
-        // 100 drain events into that lane from a foreign body, which
-        // does wait for room, while shard 0 forwards 100 posts the other
-        // way. Nothing may hang, and every boost must balance (in debug
+        // Every src job posts 100 high messages: 100 events from a body
+        // on shard 0 into the shared lane of shard 1, dst's owner, which
+        // holds 64 — the job waits for room, which shard 1 makes at its
+        // job boundary, or inside dst's body whenever a drain moves that
+        // lane behind its own queue. dst drains them all in one job on
+        // shard 1: 100 drain events into that queue, which never waits.
+        // Nothing may hang, and every boost must balance (in debug
         // builds the engine asserts that no drain overtakes its post).
         const PER_JOB: u32 = 100;
         let (sent, got) = must_return(|| {

@@ -97,7 +97,8 @@ enum Seat {
 /// A command on its way to the owners.
 enum Cmd {
     Activate(TaskId),
-    /// A high-lane post (`high`) or drain for `dst`, by way of `home`.
+    /// A high-lane post (`high`) or drain for `dst`, sent to `home`,
+    /// the owner of `dst`.
     Msg {
         home: usize,
         dst: TaskId,
@@ -149,8 +150,7 @@ struct World {
     owners: Vec<Owner<ManualClock>>,
     seats: Vec<Seat>,
     helpers: Vec<Vec<HelperSeat>>,
-    control: Vec<SharedLane>,
-    lanes: MsgLanes,
+    lanes: Lanes,
     config: Config,
     ledger: TenantLedger,
     /// Undelivered commands and the instant each is due.
@@ -189,11 +189,11 @@ fn send(lane: &SharedLane, msg: ShardMsg) {
     assert!(sent.is_ok(), "the script overfills a command lane");
 }
 
-/// A tenant command down every control lane, as `Runtime` sends it
+/// A tenant command down every shared lane, as `Runtime` sends it
 /// ([`tenant_send`]: quietly to one owner), counted in `quiet` when so.
-fn tenant_broadcast(control: &[SharedLane], quiet: &mut [usize], msg: impl Fn() -> ShardMsg) {
-    let (how, alone) = (tenant_send(control.len()), control.len() == 1);
-    for (lane, quiet) in control.iter().zip(quiet) {
+fn tenant_broadcast(lanes: &[SharedLane], quiet: &mut [usize], msg: impl Fn() -> ShardMsg) {
+    let (how, alone) = (tenant_send(lanes.len()), lanes.len() == 1);
+    for (lane, quiet) in lanes.iter().zip(quiet) {
         let sent = how(&mut try_lock(lane).expect("one thread"), msg());
         assert!(sent.is_ok(), "the script overfills a command lane");
         *quiet += usize::from(alone);
@@ -202,13 +202,20 @@ fn tenant_broadcast(control: &[SharedLane], quiet: &mut [usize], msg: impl Fn() 
 
 impl World {
     fn new(label: String, seed: u64, taskset: TaskSet, config: Config, stealing: bool) -> Self {
-        let taskset = Arc::new(taskset);
-        let mut launch = RuntimeBuilder::new(Arc::clone(&taskset), config.clone());
-        launch.bodies = noop_bodies(&taskset);
+        let mut launch = RuntimeBuilder::new(Arc::new(taskset), config);
         launch.work_stealing = stealing;
+        Self::wired(label, seed, launch)
+    }
+
+    /// The world of `launch` — its task set, configuration, stealing and
+    /// channels — with a no-op body for every version: what a body does
+    /// a scenario does through `Owner::in_body`, as [`Cmd::Msg`] does.
+    fn wired(label: String, seed: u64, mut launch: RuntimeBuilder) -> Self {
+        let (taskset, config) = (Arc::clone(&launch.taskset), launch.config.clone());
+        launch.bodies = noop_bodies(&taskset);
         let clock = Arc::new(ManualClock::new());
         clock.set(T0);
-        let (owners, control, lanes) = wire(&launch, &clock).unwrap();
+        let (owners, lanes) = wire(&launch, &clock).unwrap();
         let (owners, ends): (Vec<_>, Vec<Vec<HelperEnd>>) = owners.into_iter().unzip();
         let (tick, n) = (owners[0].tick, owners.len());
         let helper = |end| HelperSeat { end, busy: None };
@@ -221,7 +228,6 @@ impl World {
             helpers: (ends.into_iter())
                 .map(|e| e.into_iter().map(helper).collect())
                 .collect(),
-            control,
             lanes,
             ledger: TenantLedger::new(AdmissionControl::new(config.clone(), tick), taskset),
             config,
@@ -569,7 +575,7 @@ impl World {
     }
 
     fn broadcast(&self, msg: impl Fn() -> ShardMsg) {
-        for lane in &self.control {
+        for lane in self.lanes.iter() {
             send(lane, msg());
         }
     }
@@ -580,7 +586,7 @@ impl World {
         match cmd {
             Cmd::Activate(task) => {
                 let owner = owner_of(self.ledger.merged(), sharded, task).unwrap();
-                send(&self.control[owner], ShardMsg::Activate(task));
+                send(&self.lanes[owner], ShardMsg::Activate(task));
                 self.note(format!("activate {task} -> o{owner}"));
             }
             Cmd::Msg { home, dst, high } => {
@@ -591,16 +597,16 @@ impl World {
                     },
                     false => ShardMsg::MsgDrained { dst },
                 };
-                // From a body of the home owner when it is inside one —
-                // the thread-owned queue — and from a foreign thread
-                // otherwise.
+                // From a body of the owner of `dst` when it is inside
+                // one — the thread-owned queue — and from a foreign
+                // thread otherwise.
                 if let Seat::InBody(r) = self.seats[home] {
                     let lanes = Arc::clone(&self.lanes);
                     self.owners[home].in_body((r.job.task, r.version), |_| post(&lanes, home, msg));
                 } else {
                     send(&self.lanes[home], msg);
                 }
-                self.note(format!("msg high={high} for {dst} by way of o{home}"));
+                self.note(format!("msg high={high} for {dst} to o{home}"));
             }
             Cmd::Admit {
                 worker,
@@ -615,19 +621,19 @@ impl World {
                 let t = b.task_decl(spec).unwrap();
                 b.version_decl(t, VersionSpec::new("v", us(50))).unwrap();
                 let candidate = b.build().unwrap();
-                let owners = self.control.len();
+                let owners = self.lanes.len();
                 let ack = (owners > 1).then(|| Arc::new(AtomicUsize::new(owners)));
                 let then = match &ack {
                     Some(ack) => Spliced::Ack(Arc::clone(ack)),
                     None => Spliced::Commit,
                 };
-                let (control, quiet, config) = (&self.control, &mut self.quiet, &self.config);
+                let (lanes, quiet, config) = (&self.lanes, &mut self.quiet, &self.config);
                 let admitted = self.ledger.admit(&candidate, None, |admission| {
                     if sharded {
                         validate_sharding(admission.merged, config)?;
                     }
                     let bodies = Arc::new(noop_bodies(&candidate));
-                    tenant_broadcast(control, quiet, || ShardMsg::Admit {
+                    tenant_broadcast(lanes, quiet, || ShardMsg::Admit {
                         taskset: Arc::clone(admission.merged),
                         bodies: Arc::clone(&bodies),
                         task_offset: admission.task_offset,
@@ -663,7 +669,7 @@ impl World {
             }
             Cmd::Retire(tenant) => {
                 self.ledger.retire(tenant).unwrap();
-                tenant_broadcast(&self.control, &mut self.quiet, || ShardMsg::Retire {
+                tenant_broadcast(&self.lanes, &mut self.quiet, || ShardMsg::Retire {
                     tenant,
                     at: now,
                 });
@@ -855,7 +861,7 @@ fn explore(case: Case, keep: usize) -> (Vec<OwnerReport>, [u64; 4], VecDeque<Str
             0..=9 => world.at(when, Cmd::Activate(aperiodic[rng.below(aperiodic.len())])),
             10..=13 => {
                 let dst = periodic[rng.below(periodic.len())];
-                let home = dst.index() % world.control.len();
+                let home = owner_of(world.ledger.merged(), pinned, dst).unwrap();
                 let drain = when + rng.span(us(1), us(3_000));
                 world.at(
                     when,
@@ -1168,7 +1174,8 @@ fn a_far_then_a_near_park_meet_every_edge() {
     // past it. Far park 60 (the one before edge 60) is 175 µs late:
     // past the near arming point, ≈ 205 µs ahead of the edge, but short
     // of the edge, so the owner spins. Far park 65, 400 µs late, ends
-    // past its edge, whose round is late.
+    // past its edge, whose round is late. Those two are the far parks
+    // that overshoot from edge 21 on.
     let mut far_parks = 0;
     let far = move |rng: &mut Rng| {
         far_parks += 1;
@@ -1190,6 +1197,8 @@ fn a_far_then_a_near_park_meet_every_edge() {
         let ticks = world.owners[0].report.ticks;
         let near_parks = ticks.near_parks - before.near_parks;
         let early = ticks.early_wakes - before.early_wakes;
+        let overshot = ticks.far_overshoots - before.far_overshoots;
+        assert_eq!(overshot, u64::from(k == 60 || k == 65), "edge {k}");
         let late = round_late(&world, k);
         match k {
             60 => assert_eq!(
@@ -1219,6 +1228,100 @@ fn a_far_then_a_near_park_meet_every_edge() {
     assert_eq!(first_release(3), Some(edge(40)));
     assert_eq!(world.rung_wakes, 0, "both were heard without a ring");
     world.at(edge(70) + us(10_000), Cmd::Shutdown);
+    world.run();
+    world.finish();
+}
+
+#[test]
+fn a_message_event_goes_straight_to_the_receivers_owner() {
+    // `s` (shard 0) feeds `r` (shard 1) over a DAG edge bound to a
+    // channel with a ceiling. Shard 1 runs `busy` from the start for
+    // 3 ms; `s` is activated at 100 µs and runs for 500 µs. From inside
+    // `s`'s body a high message is sent, and the post goes into the
+    // shared lane of shard 1, `r`'s owner. `s`'s completion sends `r` its
+    // token over the peer lane. Shard 1 hears both at its job boundary,
+    // the shared lane first — its mailbox was never served before — so
+    // `r`'s job is released boosted. `r`'s body takes the message, and
+    // the drain goes into shard 1's own queue. No peer lane ever
+    // carries either event.
+    let mut b = TaskSetBuilder::new();
+    let s = task(&mut b, TaskSpec::aperiodic("s"), Some(0), us(500));
+    let r = task(&mut b, TaskSpec::graph_node("r"), Some(1), us(100));
+    let busy = task(
+        &mut b,
+        TaskSpec::periodic("busy", us(4_000)),
+        Some(1),
+        us(3_000),
+    );
+    let c = b.channel_decl_prioritized("c", 4, 8, 4, Priority::HIGHEST);
+    b.channel_connect(s, r, c).unwrap();
+    let config = sharded(2).build().unwrap();
+    let mut launch = RuntimeBuilder::new(Arc::new(b.build().unwrap()), config);
+    let (tx, rx) = launch.channel::<u64>(c).unwrap();
+    let mut world = World::wired("straight".into(), 0, launch);
+    world.jitter = Duration::ZERO;
+    world.body_time = Box::new(move |job, _| match job.task {
+        t if t == busy => us(3_000),
+        t if t == s => us(500),
+        _ => us(100),
+    });
+    let shared_len = |world: &World, o: usize| try_lock(&world.lanes[o]).unwrap().len();
+    let peer_len = |world: &World| {
+        let txs = world
+            .owners
+            .iter()
+            .flat_map(|o| o.peers.txs.iter().flatten());
+        txs.map(MailboxSender::len).sum::<usize>()
+    };
+    let in_body = |world: &World, o: usize, t: TaskId| match world.seats[o] {
+        Seat::InBody(rec) => rec.job.task == t,
+        _ => false,
+    };
+    world.at(T0 + us(100), Cmd::Activate(s));
+    world.run_until(T0 + us(300));
+    assert!(in_body(&world, 0, s) && in_body(&world, 1, busy));
+    let Seat::InBody(rec) = world.seats[0] else {
+        unreachable!()
+    };
+    world.owners[0].in_body((rec.job.task, rec.version), |_| tx.send_high(7).unwrap());
+    assert_eq!(shared_len(&world, 1), 1, "the post is in r's owner's lane");
+    assert_eq!(world.owners[0].local().posts.len(), 0);
+    assert_eq!(peer_len(&world), 0);
+    world.run_until(T0 + us(1_000));
+    assert!(in_body(&world, 1, busy), "shard 1 is still inside busy");
+    assert_eq!(
+        (shared_len(&world, 1), peer_len(&world)),
+        (1, 1),
+        "the post in shard 1's lane, the token alone on the peer lane"
+    );
+    world.run_until(T0 + us(3_050));
+    assert!(in_body(&world, 1, r), "r runs after busy");
+    let shard1 = &world.owners[1].engine;
+    assert_eq!(shard1.high_lane_depth(r), 1);
+    assert_eq!(
+        shard1.stats().msg_boosts,
+        0,
+        "no queued job was boosted: r's job was released boosted"
+    );
+    let Seat::InBody(rec) = world.seats[1] else {
+        unreachable!()
+    };
+    assert_eq!(
+        rec.job.priority,
+        Priority::HIGHEST,
+        "released under the ceiling"
+    );
+    world.owners[1].in_body((r, rec.version), |_| assert_eq!(rx.recv(), Some(7)));
+    let posts = &world.owners[1].local().posts;
+    assert!(
+        matches!(posts.front(), Some(ShardMsg::MsgDrained { dst }) if *dst == r)
+            && posts.len() == 1,
+        "the drain is in shard 1's own queue"
+    );
+    assert_eq!((shared_len(&world, 1), peer_len(&world)), (0, 0));
+    world.run_until(T0 + us(3_200));
+    assert_eq!(world.owners[1].engine.high_lane_depth(r), 0, "drained");
+    world.at(world.now(), Cmd::Shutdown);
     world.run();
     world.finish();
 }

@@ -50,8 +50,8 @@
 //! FIFO buffers — see `examples/quickstart.rs`).
 
 use crate::owner::{
-    owner_of, send_waiting, spawn, tenant_send, try_lock, wait_for, MsgLanes, OwnerReport, SendFn,
-    ShardMsg, SharedLane, Spliced,
+    owner_of, send_waiting, spawn, tenant_send, try_lock, wait_for, Lanes, OwnerReport, SendFn,
+    ShardMsg, Spliced,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -142,6 +142,12 @@ pub struct TickStats {
     /// Near parks taken: about one per edge of an owner that parks
     /// between its edges, none under `WaitChoice::Spin`.
     pub near_parks: u64,
+    /// Far parks that ran into their timeout at or past the near park's
+    /// arming point: each spun through the near lead to its edge, or
+    /// left the edge's round late. The far lead is the far parks' upper
+    /// decile and a margin, so at most about one in ten; none under
+    /// `WaitChoice::Spin`.
+    pub far_overshoots: u64,
     /// Times the owner found itself idle inside the near lead and spun
     /// to the edge — its near park ended there, its far park did, or its
     /// last job did. The near lead is the lower quartile of the near
@@ -231,11 +237,10 @@ impl RuntimeBuilder {
     /// [`yasmin_sched::msg::Sender::send_high`] on this channel boosts
     /// the receiving task's pending job through the scheduler until the
     /// high lane drains. Capacity and element size are validated
-    /// against the [`yasmin_core::channel::ChannelSpec`]. Under sharding
-    /// the channel's events land on its *home* shard (the sending
-    /// task's); when the receiving task lives on another shard the home
-    /// forwards them over the per-peer lanes, exactly like cross-shard
-    /// DAG activation tokens.
+    /// against the [`yasmin_core::channel::ChannelSpec`]. The channel's
+    /// events go to the owner of the receiving task — under sharding its
+    /// shard, wherever the sending task runs — as an `activate` of that
+    /// task does.
     ///
     /// Hand the [`yasmin_sched::msg::Sender`] to the producing task's
     /// body and the [`yasmin_sched::msg::Receiver`] to the consuming
@@ -362,12 +367,10 @@ pub struct Runtime {
     pub(crate) clock: Arc<MonotonicClock>,
     /// Says whether the owners are shards.
     pub(crate) config: Config,
-    /// One control sender per owner, shared by the callers of the
-    /// `&self` handle.
-    pub(crate) control: Vec<SharedLane>,
-    /// Tells a caller that is inside a body of this runtime
-    /// ([`wait_for`]).
-    pub(crate) lanes: MsgLanes,
+    /// The shared lane into each owner, which the callers of the `&self`
+    /// handle send into; also tells a caller that is inside a body of
+    /// this runtime ([`wait_for`]).
+    pub(crate) lanes: Lanes,
     pub(crate) threads: Vec<std::thread::JoinHandle<OwnerReport>>,
     /// Each helper returns whether it ran pinned.
     pub(crate) helpers: Vec<std::thread::JoinHandle<bool>>,
@@ -383,10 +386,10 @@ impl std::fmt::Debug for Runtime {
 }
 
 impl Runtime {
-    /// Sends one `msg()` down every owner's control lane, by `send`.
+    /// Sends one `msg()` down every owner's shared lane, by `send`.
     fn broadcast(&self, send: SendFn, msg: impl Fn() -> ShardMsg) {
-        for lane in &self.control {
-            send_waiting(&self.lanes, lane, msg(), send);
+        for owner in 0..self.lanes.len() {
+            send_waiting(&self.lanes, owner, msg(), send);
         }
     }
 
@@ -410,7 +413,7 @@ impl Runtime {
         let sharded = self.config.sharded_dispatch();
         let owner = owner_of(self.lock_ledger().merged(), sharded, task)?;
         let msg = ShardMsg::Activate(task);
-        send_waiting(&self.lanes, &self.control[owner], msg, MailboxSender::send);
+        send_waiting(&self.lanes, owner, msg, MailboxSender::send);
         Ok(())
     }
 
@@ -473,7 +476,7 @@ impl Runtime {
         budget: Option<TenantBudget>,
     ) -> std::result::Result<TenantId, AdmissionError> {
         check_bodies(candidate, &bodies).map_err(AdmissionError::Invalid)?;
-        let owners = self.control.len();
+        let owners = self.lanes.len();
         let ack = (owners > 1).then(|| Arc::new(AtomicUsize::new(owners)));
         let then = match &ack {
             Some(ack) => Spliced::Ack(Arc::clone(ack)),
@@ -492,7 +495,7 @@ impl Runtime {
                 // under merged ids in its own table.
                 let bodies = Arc::new(bodies);
                 let at = self.clock.now();
-                self.broadcast(tenant_send(self.control.len()), || ShardMsg::Admit {
+                self.broadcast(tenant_send(owners), || ShardMsg::Admit {
                     taskset: Arc::clone(admission.merged),
                     bodies: Arc::clone(&bodies),
                     task_offset: admission.task_offset,
@@ -540,12 +543,12 @@ impl Runtime {
     pub fn retire(&self, tenant: TenantId) -> Result<()> {
         let mut ledger = self.lock_ledger();
         // The ledger forgets the tenant before the owners hear of it:
-        // a later admission's splice travels the same FIFO control
+        // a later admission's splice travels the same FIFO shared
         // lanes, so every owner has retired the tenant by the time it
         // commits a tenant admitted into the freed bandwidth.
         ledger.retire(tenant)?;
         let at = self.clock.now();
-        self.broadcast(tenant_send(self.control.len()), || ShardMsg::Retire {
+        self.broadcast(tenant_send(self.lanes.len()), || ShardMsg::Retire {
             tenant,
             at,
         });
@@ -1235,10 +1238,11 @@ mod tests {
         // One worker: src and dst run on the thread that drains the
         // mailbox. Every src job posts 100 high messages and every dst
         // job drains them: 200 events a period from that thread's own
-        // bodies, against a message lane of 64 — sent there, the first
-        // job would wait for room only its own thread can make. Nothing
-        // may hang, and every boost must balance (in debug builds the
-        // engine asserts that no drain overtakes its post).
+        // bodies to its own owner, whose shared lane holds 64 — sent
+        // there, the first job would wait for room only its own thread
+        // can make; they take its own queue instead. Nothing may hang,
+        // and every boost must balance (in debug builds the engine
+        // asserts that no drain overtakes its post).
         const PER_JOB: u32 = 100;
         let (sent, got, stats) = must_return(|| {
             let mut b = TaskSetBuilder::new();

@@ -48,11 +48,12 @@
 //!
 //! ## Cross-shard routing
 //!
-//! In the sharded runtime the notify events ride the same per-peer
-//! mailbox lanes as `CrossActivate` tokens: the sending worker hands
-//! the event to its own shard's scheduler, which applies it locally
-//! when it owns the receiver and otherwise forwards it to the owning
-//! shard. The simulator applies the same events
+//! A notify event names the receiving task, and only that task's owner
+//! can act on it. The thread runtime sends it there directly, whatever
+//! thread the hook fires on: into the owner's one shared mailbox lane,
+//! or — from a body the owner itself runs — into a queue that owner's
+//! thread drains at its job boundary. Nothing forwards it. The
+//! simulator applies the same events
 //! ([`OnlineEngine::on_high_posted_into`](crate::OnlineEngine::on_high_posted_into)
 //! / [`on_high_drained_into`](crate::OnlineEngine::on_high_drained_into))
 //! at event boundaries, on the shard owning the receiver, so delivery

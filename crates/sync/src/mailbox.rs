@@ -15,22 +15,18 @@
 //!
 //! * **per-lane FIFO**: commands from one producer arrive in order;
 //!   cross-lane order is decided by the consumer (round-robin in
-//!   [`MailboxReceiver::try_recv`], or caller-driven via the per-lane
-//!   API for deterministic merges);
+//!   [`MailboxReceiver::try_recv`], or one lane at a time with
+//!   [`MailboxReceiver::pop_lane`]);
 //! * **O(1) emptiness**: a shared counter tracks pending commands so an
 //!   idle owner does not scan all lanes to discover there is nothing to
 //!   do (the counter is advisory — it may transiently over-count while
 //!   a `send` is in flight, but never under-counts);
-//! * **close semantics**: dropping (or [`MailboxSender::close`]-ing) a
-//!   sender marks its lane closed; the owner can distinguish "lane empty
-//!   for now" from "lane will never produce again", which is what a
-//!   deterministic merge needs for its watermark;
 //! * **no allocation after construction**: lanes are fixed-capacity
 //!   rings created up front;
 //! * **event-driven idling**: an owner with nothing to do may
 //!   [`MailboxReceiver::park`] until the next `send` on any lane. The
 //!   mailbox carries a [`Doorbell`] next to its pending counter; every
-//!   successful `send` (and every lane close) rings it, which against
+//!   successful `send` rings it, which against
 //!   an owner that is awake is one load of a flag on the cache line the
 //!   `send` has just written. A [`MailboxSender::send_quiet`] does not
 //!   ring: its command waits for whatever ends the park next, the
@@ -38,7 +34,7 @@
 
 use crate::doorbell::Doorbell;
 use crate::spsc;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -102,13 +98,11 @@ pub fn mailbox_with_capacities<T: Send>(
     let mut receivers = Vec::with_capacity(capacities.len());
     for &lane_capacity in capacities {
         let (tx, rx) = spsc::channel::<T>(lane_capacity);
-        let closed = Arc::new(AtomicBool::new(false));
         senders.push(MailboxSender {
             lane: tx,
             shared: Arc::clone(&shared),
-            closed: Arc::clone(&closed),
         });
-        receivers.push(Lane { rx, closed });
+        receivers.push(rx);
     }
     (
         senders,
@@ -124,14 +118,12 @@ pub fn mailbox_with_capacities<T: Send>(
 pub struct MailboxSender<T> {
     lane: spsc::Producer<T>,
     shared: Arc<Shared>,
-    closed: Arc<AtomicBool>,
 }
 
 impl<T: Send> std::fmt::Debug for MailboxSender<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MailboxSender")
             .field("buffered", &self.lane.len())
-            .field("closed", &self.closed.load(Ordering::Relaxed))
             .finish()
     }
 }
@@ -203,39 +195,11 @@ impl<T: Send> MailboxSender<T> {
     pub fn capacity(&self) -> usize {
         self.lane.capacity()
     }
-
-    /// Marks the lane closed: the owner will drain what is buffered and
-    /// then treat the lane as finished. Dropping the sender closes the
-    /// lane too; `close` exists for making the hand-off explicit.
-    pub fn close(&mut self) {
-        self.mark_closed();
-    }
-}
-
-impl<T> MailboxSender<T> {
-    /// A closing lane is an event the owner may be waiting for (a
-    /// request outstanding towards a producer that is gone), so it
-    /// rings.
-    fn mark_closed(&self) {
-        self.closed.store(true, Ordering::Release);
-        self.shared.bell.ring();
-    }
-}
-
-impl<T> Drop for MailboxSender<T> {
-    fn drop(&mut self) {
-        self.mark_closed();
-    }
-}
-
-struct Lane<T> {
-    rx: spsc::Consumer<T>,
-    closed: Arc<AtomicBool>,
 }
 
 /// The single consuming endpoint of a mailbox (the shard owner).
 pub struct MailboxReceiver<T> {
-    lanes: Vec<Lane<T>>,
+    lanes: Vec<spsc::Consumer<T>>,
     next: usize,
     shared: Arc<Shared>,
 }
@@ -261,7 +225,7 @@ impl<T: Send> MailboxReceiver<T> {
         let n = self.lanes.len();
         for k in 0..n {
             let i = (self.next + k) % n;
-            if let Some(cmd) = self.lanes[i].rx.pop() {
+            if let Some(cmd) = self.lanes[i].pop() {
                 self.shared.pending.fetch_sub(1, Ordering::Release);
                 self.next = (i + 1) % n;
                 return Some(cmd);
@@ -284,40 +248,18 @@ impl<T: Send> MailboxReceiver<T> {
         self.len() == 0
     }
 
-    /// Number of lanes (producers) this mailbox was built with.
-    #[must_use]
-    pub fn lane_count(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// `true` while lane `i`'s producer may still send (its sender has
-    /// not been dropped or closed). Buffered commands may remain even
-    /// after the lane closes; drain with [`MailboxReceiver::pop_lane`].
-    #[must_use]
-    pub fn lane_open(&self, i: usize) -> bool {
-        !self.lanes[i].closed.load(Ordering::Acquire)
-    }
-
-    /// The oldest command buffered in lane `i` without consuming it —
-    /// the primitive a deterministic k-way merge needs to pick the next
-    /// lane by timestamp.
-    #[must_use]
-    pub fn peek_lane(&self, i: usize) -> Option<&T> {
-        self.lanes[i].rx.peek()
-    }
-
     /// Removes the oldest command of lane `i` specifically.
     #[must_use]
     pub fn pop_lane(&mut self, i: usize) -> Option<T> {
-        let cmd = self.lanes[i].rx.pop();
+        let cmd = self.lanes[i].pop();
         if cmd.is_some() {
             self.shared.pending.fetch_sub(1, Ordering::Release);
         }
         cmd
     }
 
-    /// Parks the owner thread until a command is pending, a lane
-    /// closes, a producer calls [`MailboxSender::wake`], or `timeout`
+    /// Parks the owner thread until a command is pending, a producer
+    /// calls [`MailboxSender::wake`], or `timeout`
     /// elapses (`None`: no deadline). `also_ready` is the owner's look
     /// at whatever it watches besides the mailbox; it runs after the
     /// owner has announced itself, so a state change followed by a
@@ -354,20 +296,11 @@ impl<T: Send> MailboxReceiver<T> {
         self.shared.bell.park(timeout)
     }
 
-    /// `true` while an announced sleep stands that no `send`, `wake` or
-    /// lane close has claimed yet ([`Doorbell::is_announced`]).
+    /// `true` while an announced sleep stands that no `send` or `wake`
+    /// has claimed yet ([`Doorbell::is_announced`]).
     #[must_use]
     pub fn is_announced(&self) -> bool {
         self.shared.bell.is_announced()
-    }
-
-    /// `true` once every lane is closed *and* fully drained: no command
-    /// is buffered and none can ever arrive.
-    #[must_use]
-    pub fn is_finished(&self) -> bool {
-        self.lanes
-            .iter()
-            .all(|l| l.closed.load(Ordering::Acquire) && l.rx.is_empty())
     }
 }
 
@@ -375,6 +308,7 @@ impl<T: Send> MailboxReceiver<T> {
 mod tests {
     use super::*;
     use crate::wait::Backoff;
+    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn round_robin_serves_all_lanes() {
@@ -423,36 +357,6 @@ mod tests {
     }
 
     #[test]
-    fn close_and_drop_finish_lanes() {
-        let (mut txs, mut rx) = mailbox::<u8>(2, 4);
-        txs[0].send(7).unwrap();
-        txs[0].close();
-        assert!(!rx.lane_open(0));
-        assert!(rx.lane_open(1));
-        assert!(!rx.is_finished(), "lane 0 still holds a command");
-        assert_eq!(rx.try_recv(), Some(7));
-        drop(txs);
-        assert!(rx.is_finished());
-        assert_eq!(rx.try_recv(), None);
-    }
-
-    #[test]
-    fn per_lane_peek_and_pop_support_merging() {
-        let (mut txs, mut rx) = mailbox::<u64>(2, 8);
-        txs[0].send(5).unwrap();
-        txs[0].send(9).unwrap();
-        txs[1].send(3).unwrap();
-        // Merge by minimum head value.
-        assert_eq!(rx.peek_lane(0), Some(&5));
-        assert_eq!(rx.peek_lane(1), Some(&3));
-        assert_eq!(rx.pop_lane(1), Some(3));
-        assert_eq!(rx.peek_lane(1), None);
-        assert_eq!(rx.pop_lane(0), Some(5));
-        assert_eq!(rx.pop_lane(0), Some(9));
-        assert_eq!(rx.len(), 0);
-    }
-
-    #[test]
     fn concurrent_producers_preserve_lane_fifo_and_lose_nothing() {
         const PER_LANE: u64 = 20_000;
         const LANES: usize = 3;
@@ -498,54 +402,16 @@ mod tests {
         for p in producers {
             p.join().unwrap();
         }
-        assert!(rx.is_finished());
+        assert!(rx.is_empty());
         assert_eq!(seen, [PER_LANE; LANES]);
     }
 
     #[test]
-    fn drain_while_closing_races_cleanly() {
-        // A producer that closes mid-stream: the consumer must see every
-        // command sent before the close, then observe the lane finished.
-        let (mut txs, mut rx) = mailbox::<u64>(1, 8);
-        let mut tx = txs.pop().unwrap();
-        let producer = std::thread::spawn(move || {
-            let mut backoff = Backoff::new();
-            for i in 0..1_000u64 {
-                let mut cmd = i;
-                while let Err(MailboxFull(v)) = tx.send(cmd) {
-                    cmd = v;
-                    backoff.snooze();
-                }
-            }
-            // tx dropped here -> lane closes.
-        });
-        let mut expected = 0u64;
-        let mut backoff = Backoff::new();
-        loop {
-            match rx.try_recv() {
-                Some(v) => {
-                    assert_eq!(v, expected);
-                    expected += 1;
-                    backoff.reset();
-                }
-                None => {
-                    if rx.is_finished() {
-                        break;
-                    }
-                    backoff.snooze();
-                }
-            }
-        }
-        producer.join().unwrap();
-        assert_eq!(expected, 1_000);
-    }
-
-    #[test]
-    fn parked_owner_is_woken_by_send_wake_and_close() {
+    fn parked_owner_is_woken_by_send_and_wake() {
         // Untimed parks throughout: a missed ring hangs the test.
         let (mut txs, mut rx) = mailbox::<u64>(2, 4);
         let flag = Arc::new(AtomicBool::new(false));
-        let mut tx1 = txs.pop().unwrap();
+        let tx1 = txs.pop().unwrap();
         let mut tx0 = txs.pop().unwrap();
         let producer = {
             let flag = Arc::clone(&flag);
@@ -556,8 +422,6 @@ mod tests {
                 // State outside the mailbox: publish, then wake.
                 flag.store(true, Ordering::Release);
                 tx1.wake();
-                std::thread::sleep(Duration::from_millis(5));
-                tx1.close();
             })
         };
         let mut got = None;
@@ -568,9 +432,6 @@ mod tests {
         assert_eq!(got, Some(7));
         while !flag.load(Ordering::Acquire) {
             rx.park(None, || flag.load(Ordering::Acquire));
-        }
-        while rx.lane_open(1) {
-            rx.park(None, || !rx.lane_open(1));
         }
         producer.join().unwrap();
         // A pending command makes park return at once, deadline or not.

@@ -167,25 +167,6 @@ pub struct Consumer<T> {
 }
 
 impl<T: Send> Consumer<T> {
-    /// A reference to the oldest item without removing it, or `None`
-    /// when empty.
-    ///
-    /// Only the consumer advances `head`, so the referenced slot cannot
-    /// be overwritten by the producer while the borrow lives: the
-    /// producer writes strictly outside `[head, tail)`.
-    #[must_use]
-    pub fn peek(&self) -> Option<&T> {
-        let head = self.ring.head.load(Ordering::Relaxed);
-        let tail = self.ring.tail.load(Ordering::Acquire);
-        if head == tail {
-            return None;
-        }
-        let slot = &self.ring.buf[head % self.ring.buf.len()];
-        // SAFETY: the slot is inside [head, tail), initialised by the
-        // producer; we are the only consumer and do not advance head here.
-        Some(unsafe { (*slot.get()).assume_init_ref() })
-    }
-
     /// Removes and returns the oldest item, or `None` when empty.
     #[must_use]
     pub fn pop(&mut self) -> Option<T> {
@@ -238,20 +219,6 @@ mod tests {
             assert_eq!(rx.pop(), Some(i));
         }
         assert!(rx.is_empty());
-    }
-
-    #[test]
-    fn peek_does_not_consume() {
-        let (mut tx, mut rx) = channel(2);
-        assert_eq!(rx.peek(), None);
-        tx.push(7).unwrap();
-        tx.push(8).unwrap();
-        assert_eq!(rx.peek(), Some(&7));
-        assert_eq!(rx.peek(), Some(&7), "peek is idempotent");
-        assert_eq!(rx.pop(), Some(7));
-        assert_eq!(rx.peek(), Some(&8));
-        assert_eq!(rx.pop(), Some(8));
-        assert_eq!(rx.peek(), None);
     }
 
     #[test]

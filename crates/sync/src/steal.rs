@@ -23,23 +23,12 @@
 //!
 //! [`LoadBoard::pick_victim`] ranks candidates by published load first —
 //! the most loaded peer always wins, so the board never trades imbalance
-//! correction for locality. Two further signals break *ties* between
-//! equally loaded peers, both advisory and both cache-padded per shard:
-//!
-//! * a **donation history** ([`LoadBoard::record_donation`]): shards
-//!   that were recently robbed are preferred — a job taken is evidence
-//!   the peer publishes honest, stealable load, where an untried peer
-//!   may be all accelerator-bound or already-migrated jobs. History
-//!   decays by halving ([`LoadBoard::decay_donations`], called once a
-//!   tick by shard 0's loop) so a burst of old donations does not pin
-//!   victim choice forever;
-//! * a **DAG-adjacency hint table** ([`LoadBoard::set_adjacent`]):
-//!   shards connected to the thief by a cross-shard DAG edge are
-//!   preferred, because jobs stolen from a graph neighbour keep their
-//!   produced/consumed edge data on a core that already touches it
-//!   (stolen successors stay cache-warm). The table is a per-shard
-//!   bitmask filled once at runtime start from the task graph; shards
-//!   past index 63 simply carry no hint.
+//! correction for locality. A *tie* between equally loaded peers breaks
+//! towards a **DAG-adjacent** one ([`LoadBoard::set_adjacent`]): a shard
+//! connected to the thief by a cross-shard DAG edge, whose stolen jobs
+//! keep their produced/consumed edge data on a core that already touches
+//! it. The hints are a cache-padded per-shard bitmask filled once at
+//! runtime start from the task graph; shards past index 63 carry none.
 //!
 //! # Parked thieves
 //!
@@ -56,8 +45,8 @@
 //! is guaranteed to see the flag: the same store / fence / load pairing
 //! on both sides as [`crate::doorbell`].
 //!
-//! The full ranking key is `(load, adjacent-to-me, donations, lowest
-//! index)` — every component is a pure function of published state, so
+//! The full ranking key is `(load, adjacent-to-me, lowest index)` —
+//! every component is a pure function of published state, so
 //! selection is deterministic for deterministic inputs (the
 //! simulator's steal pass, which needs bit-reproducible runs, ranks by
 //! load and lowest index alone).
@@ -69,8 +58,8 @@ use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 #[repr(align(64))]
 struct PaddedLoad(AtomicUsize);
 
-/// Cache-line-padded per-shard counter (donation history) or bitmask
-/// (adjacency hints); same sharing argument as [`PaddedLoad`].
+/// Cache-line-padded per-shard bitmask (adjacency hints); same sharing
+/// argument as [`PaddedLoad`].
 #[repr(align(64))]
 struct PaddedWord(AtomicU64);
 
@@ -78,14 +67,10 @@ struct PaddedWord(AtomicU64);
 #[repr(align(64))]
 struct PaddedFlag(AtomicBool);
 
-/// One advisory ready-count slot per shard, plus the donation-history
-/// and DAG-adjacency tie-breakers and the parked-thief flags; see the
-/// module docs.
+/// One advisory ready-count slot per shard, plus the DAG-adjacency
+/// tie-breaker and the parked-thief flags; see the module docs.
 pub struct LoadBoard {
     loads: Vec<PaddedLoad>,
-    /// Times each shard was robbed since the last decay (victim side of
-    /// the history: "who recently donated").
-    donations: Vec<PaddedWord>,
     /// Bit `v` of `adjacency[t]` set ⇔ shards `t` and `v` share a
     /// cross-shard DAG edge (symmetric; shards ≥ 64 carry no hint).
     adjacency: Vec<PaddedWord>,
@@ -103,15 +88,14 @@ impl std::fmt::Debug for LoadBoard {
 }
 
 impl LoadBoard {
-    /// A board for `shards` shards, all starting at load 0 with empty
-    /// donation history and no adjacency hints.
+    /// A board for `shards` shards, all starting at load 0 with no
+    /// adjacency hints.
     #[must_use]
     pub fn new(shards: usize) -> Self {
         LoadBoard {
             loads: (0..shards)
                 .map(|_| PaddedLoad(AtomicUsize::new(0)))
                 .collect(),
-            donations: (0..shards).map(|_| PaddedWord(AtomicU64::new(0))).collect(),
             adjacency: (0..shards).map(|_| PaddedWord(AtomicU64::new(0))).collect(),
             idle: (0..shards)
                 .map(|_| PaddedFlag(AtomicBool::new(false)))
@@ -143,38 +127,6 @@ impl LoadBoard {
         self.loads[i].0.load(Ordering::Acquire)
     }
 
-    /// Books that `donor` was robbed (victim side: the donor itself,
-    /// on finding that jobs it offered were taken): recent donors are
-    /// preferred among equally loaded victims. Saturates well below
-    /// overflow.
-    pub fn record_donation(&self, donor: usize) {
-        let slot = &self.donations[donor].0;
-        // Saturating add without a CAS loop: the counter is advisory, a
-        // lost increment under contention is harmless.
-        let v = slot.load(Ordering::Relaxed);
-        if v < u64::MAX / 2 {
-            slot.store(v + 1, Ordering::Relaxed);
-        }
-    }
-
-    /// Shard `i`'s donation count since the last decay (advisory).
-    #[must_use]
-    pub fn donation_score(&self, i: usize) -> u64 {
-        self.donations[i].0.load(Ordering::Relaxed)
-    }
-
-    /// Halves every donation counter — called periodically by thief
-    /// loops so history stays *recent*: a shard that stops donating
-    /// loses its preference within a few decay periods.
-    pub fn decay_donations(&self) {
-        for d in &self.donations {
-            let v = d.0.load(Ordering::Relaxed);
-            if v > 0 {
-                d.0.store(v / 2, Ordering::Relaxed);
-            }
-        }
-    }
-
     /// Marks shards `a` and `b` as DAG-adjacent (symmetric) — they own
     /// tasks connected by a cross-shard edge, so stealing between them
     /// keeps edge data warm. Hints for shards past index 63 are dropped.
@@ -198,9 +150,8 @@ impl LoadBoard {
 
     /// The victim an idle thief should ask first: the most loaded shard
     /// other than `me` with at least one ready job. Ties on load break
-    /// towards DAG-adjacent shards, then towards recent donors, then
-    /// towards the lowest index — a deterministic total order over the
-    /// published state. `None` when every peer looks empty.
+    /// towards DAG-adjacent shards, then towards the lowest index — a
+    /// deterministic total order over the published state. `None` when every peer looks empty.
     #[must_use]
     pub fn pick_victim(&self, me: usize) -> Option<usize> {
         self.pick_victim_among(me, |_| true)
@@ -212,7 +163,7 @@ impl LoadBoard {
     /// loaded one while it has not.
     #[must_use]
     pub fn pick_victim_among(&self, me: usize, has_offer: impl Fn(usize) -> bool) -> Option<usize> {
-        let mut best: Option<((usize, bool, u64), usize)> = None;
+        let mut best: Option<((usize, bool), usize)> = None;
         for (i, slot) in self.loads.iter().enumerate() {
             if i == me || !has_offer(i) {
                 continue;
@@ -221,7 +172,7 @@ impl LoadBoard {
             if l == 0 {
                 continue;
             }
-            let key = (l, self.adjacent(me, i), self.donation_score(i));
+            let key = (l, self.adjacent(me, i));
             if best.is_none_or(|(bk, _)| key > bk) {
                 best = Some((key, i));
             }
@@ -295,16 +246,13 @@ mod tests {
 
     #[test]
     fn load_always_dominates_the_tie_breakers() {
-        // Locality and history must never override a genuine imbalance:
-        // a strictly higher load wins against any adjacency + donations.
+        // Locality must never override a genuine imbalance: a strictly
+        // higher load wins against adjacency.
         let b = LoadBoard::new(3);
         b.publish(1, 3);
         b.publish(2, 4);
         b.set_adjacent(0, 1);
-        for _ in 0..10 {
-            b.record_donation(1);
-        }
-        assert_eq!(b.pick_victim(0), Some(2), "higher load beats both hints");
+        assert_eq!(b.pick_victim(0), Some(2), "higher load beats the hint");
     }
 
     #[test]
@@ -319,39 +267,8 @@ mod tests {
         assert!(!b.adjacent(0, 1));
         assert_eq!(b.pick_victim(0), Some(2), "DAG neighbour wins the tie");
         // Adjacency is per-thief: shard 3 has no neighbours, so its pick
-        // falls through to the donation/index tie-break.
+        // falls through to the index tie-break.
         assert_eq!(b.pick_victim(3), Some(1));
-    }
-
-    #[test]
-    fn donation_history_prefers_recent_donors_and_decays() {
-        let b = LoadBoard::new(3);
-        b.publish(1, 5);
-        b.publish(2, 5);
-        b.record_donation(2);
-        b.record_donation(2);
-        assert_eq!(b.donation_score(2), 2);
-        assert_eq!(b.pick_victim(0), Some(2), "recent donor wins the tie");
-        // Decay halves the history; once both scores reach zero the
-        // deterministic index tie-break takes over again.
-        b.decay_donations();
-        assert_eq!(b.donation_score(2), 1);
-        assert_eq!(b.pick_victim(0), Some(2));
-        b.decay_donations();
-        assert_eq!(b.donation_score(2), 0);
-        assert_eq!(b.pick_victim(0), Some(1), "decayed history stops mattering");
-    }
-
-    #[test]
-    fn adjacency_outranks_donations_on_a_load_tie() {
-        // Fixed preference order (adjacency, then donations, then index)
-        // — a deterministic total order, not a weighted blend.
-        let b = LoadBoard::new(3);
-        b.publish(1, 5);
-        b.publish(2, 5);
-        b.record_donation(1);
-        b.set_adjacent(0, 2);
-        assert_eq!(b.pick_victim(0), Some(2), "adjacency beats donations");
     }
 
     #[test]
@@ -409,10 +326,6 @@ mod tests {
                 for i in 0..50_000usize {
                     b.publish(1, i % 8);
                     b.publish(2, (i * 3) % 8);
-                    b.record_donation(1);
-                    if i % 64 == 0 {
-                        b.decay_donations();
-                    }
                 }
                 b.publish(1, 5);
                 b.publish(2, 1);

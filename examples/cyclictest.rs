@@ -77,8 +77,8 @@ fn print_owner_stats(owners: &[(TickStats, StealStats)]) {
         let edges = t.edges as f64;
         println!(
             "    owner {i}: {} edges, late p50 {:.0} µs / max {:.0} µs, leads {:.0} µs near + \
-             {:.0} µs far, {} near parks ({:.0} % of edges), {} early wakes ({:.0} %), \
-             {:.0} µs spun ({:.2} µs per edge)",
+             {:.0} µs far, {} near parks ({:.0} % of edges), {} far overshoots, \
+             {} early wakes ({:.0} %), {:.0} µs spun ({:.2} µs per edge)",
             t.edges,
             t.late_p50_ns as f64 / 1e3,
             t.late_max_ns as f64 / 1e3,
@@ -86,6 +86,7 @@ fn print_owner_stats(owners: &[(TickStats, StealStats)]) {
             t.far_lead_ns as f64 / 1e3,
             t.near_parks,
             100.0 * t.near_parks as f64 / edges,
+            t.far_overshoots,
             t.early_wakes,
             100.0 * t.early_wakes as f64 / edges,
             t.spin_ns as f64 / 1e3,

@@ -75,9 +75,7 @@ pub use yasmin_core::{Error, Result};
 /// The most common imports in one place.
 pub mod prelude {
     pub use yasmin_core::channel::BackpressurePolicy;
-    pub use yasmin_core::config::{
-        Config, MappingScheme, SchedulerClass, VersionPolicy, WaitChoice,
-    };
+    pub use yasmin_core::config::{Config, MappingScheme, VersionPolicy, WaitChoice};
     pub use yasmin_core::energy::{BatteryLevel, Energy, Power};
     pub use yasmin_core::graph::{TaskSet, TaskSetBuilder};
     pub use yasmin_core::ids::{AccelId, ChannelId, JobId, TaskId, TenantId, VersionId, WorkerId};
