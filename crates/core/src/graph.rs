@@ -305,17 +305,58 @@ impl TaskSet {
     pub fn extended(&self, tenant: &TaskSet) -> Result<TaskSet> {
         self.check_room_for(tenant)?;
         let mut merged = self.clone();
-        merged.append(tenant);
+        merged.place(tenant, self.end_slot(tenant));
         Ok(merged)
     }
 
-    /// [`TaskSet::extended`] built in recycled storage: `stale` is an
-    /// earlier generation of `self` — a set `self` descends from through
-    /// `extended` calls, hence a prefix of it entity for entity — and
-    /// comes back as `self ⊕ tenant`, having copied only what it lacked.
-    /// The cost is that of the tenants appended since `stale` was
+    /// The slot `tenant` takes when it is appended to `self`
+    /// ([`TaskSet::extended`]): past every entity `self` holds.
+    #[must_use]
+    pub fn end_slot(&self, tenant: &TaskSet) -> Slot {
+        Slot {
+            first_task: self.tasks.len() as u32,
+            task_count: tenant.tasks.len() as u32,
+            first_edge: self.edges.len() as u32,
+            edge_count: tenant.edges.len() as u32,
+            first_channel: self.channels.len() as u32,
+            channel_count: tenant.channels.len() as u32,
+            first_accel: self.accels.len() as u16,
+            accel_count: tenant.accels.len() as u16,
+        }
+    }
+
+    /// Whether `tenant` has the shape of what `self` holds in `slot`:
+    /// as many tasks, edges, channels and accelerators, and for each
+    /// task as many versions and the same assigned worker. A tenant
+    /// written into a slot of its shape leaves every per-entity table
+    /// the same length, and each task with the engine that releases it.
+    #[must_use]
+    pub fn fits(&self, slot: Slot, tenant: &TaskSet) -> bool {
+        let Some(held) = self.tasks.get(slot.task_range()) else {
+            return false;
+        };
+        held.len() == tenant.tasks.len()
+            && slot.edge_count as usize == tenant.edges.len()
+            && slot.channel_count as usize == tenant.channels.len()
+            && slot.accel_count as usize == tenant.accels.len()
+            && (held.iter().zip(&tenant.tasks)).all(|(a, b)| {
+                a.versions().len() == b.versions().len()
+                    && a.spec().assigned_worker() == b.spec().assigned_worker()
+            })
+    }
+
+    /// `self` with `tenant` written into `at` — a slot of its shape
+    /// that `self` holds ([`TaskSet::fits`]), whose former entities it
+    /// replaces, or [`TaskSet::end_slot`], which appends it as
+    /// [`TaskSet::extended`] does — built in recycled storage. `stale`
+    /// is an earlier generation of `self`: a set `self` descends from
+    /// through such writes, which differs from `self` only in the
+    /// slots `written` since it was current and in the entities
+    /// appended since. It comes back as the result, having copied only
+    /// those, so the cost is that of what changed since `stale` was
     /// current, not of every task `self` holds, and none of `stale`'s
-    /// storage is freed.
+    /// storage is freed. `self.clone()` with no slots written is the
+    /// plain copy.
     ///
     /// # Errors
     ///
@@ -323,10 +364,29 @@ impl TaskSet {
     ///
     /// # Panics
     ///
-    /// Panics if `stale` holds more entities of any kind than `self`;
-    /// that it is a prefix of `self` is otherwise the caller's word.
-    pub fn extended_from(&self, mut stale: TaskSet, tenant: &TaskSet) -> Result<TaskSet> {
-        self.check_room_for(tenant)?;
+    /// Panics if `stale` holds more entities of any kind than `self`,
+    /// or `at` is neither within `self` nor its end; that `stale` is
+    /// an earlier generation, `written` complete and `at` of
+    /// `tenant`'s shape is otherwise the caller's word.
+    pub fn placed_from(
+        &self,
+        mut stale: TaskSet,
+        written: &[Slot],
+        tenant: &TaskSet,
+        at: Slot,
+    ) -> Result<TaskSet> {
+        let appended = at.first_task as usize == self.tasks.len();
+        assert!(
+            appended || at.task_range().end <= self.tasks.len(),
+            "a tenant is written into a slot of the set or at its end"
+        );
+        if appended {
+            self.check_room_for(tenant)?;
+        }
+        let held = stale.len();
+        for &slot in written.iter().filter(|s| s.task_range().end <= held) {
+            stale.copy_slot(self, slot);
+        }
         stale
             .tasks
             .extend_from_slice(&self.tasks[stale.tasks.len()..]);
@@ -346,8 +406,20 @@ impl TaskSet {
             .succs
             .extend_from_slice(&self.succs[stale.succs.len()..]);
         stale.topo.extend_from_slice(&self.topo[stale.topo.len()..]);
-        stale.append(tenant);
+        stale.place(tenant, at);
         Ok(stale)
+    }
+
+    /// Copies what `from` holds in `slot` over what `self` holds there.
+    fn copy_slot(&mut self, from: &TaskSet, slot: Slot) {
+        let (tasks, edges) = (slot.task_range(), slot.edge_range());
+        self.tasks[tasks.clone()].clone_from_slice(&from.tasks[tasks.clone()]);
+        self.accels[slot.accel_range()].clone_from_slice(&from.accels[slot.accel_range()]);
+        self.channels[slot.channel_range()].clone_from_slice(&from.channels[slot.channel_range()]);
+        self.edges[edges.clone()].copy_from_slice(&from.edges[edges]);
+        self.preds[tasks.clone()].clone_from_slice(&from.preds[tasks.clone()]);
+        self.succs[tasks.clone()].clone_from_slice(&from.succs[tasks.clone()]);
+        self.topo[tasks.clone()].copy_from_slice(&from.topo[tasks]);
     }
 
     fn check_room_for(&self, tenant: &TaskSet) -> Result<()> {
@@ -372,19 +444,18 @@ impl TaskSet {
         Ok(())
     }
 
-    /// Appends `tenant`'s entities under offset ids; the id spaces have
-    /// room (`check_room_for`).
-    fn append(&mut self, tenant: &TaskSet) {
-        let task_off = self.tasks.len();
-        let accel_off = self.accels.len();
-        let chan_off = self.channels.len();
-        let edge_off = self.edges.len();
-
-        for t in &tenant.tasks {
-            let mut task = Task::new(
-                TaskId::new((task_off + t.id().index()) as u32),
-                t.spec().clone(),
-            );
+    /// Writes `tenant`'s entities under the ids of `at`, over what
+    /// `self` holds there and past its end: the id spaces have room
+    /// (`check_room_for`). A tenant's topological order is its own
+    /// (no edge leaves it), and it sits at its tasks' positions.
+    fn place(&mut self, tenant: &TaskSet, at: Slot) {
+        let task_off = at.first_task as usize;
+        let accel_off = at.first_accel as usize;
+        let chan_off = at.first_channel as usize;
+        let edge_off = at.first_edge as usize;
+        let task_id = |t: TaskId| TaskId::new((task_off + t.index()) as u32);
+        let tasks = tenant.tasks.iter().map(|t| {
+            let mut task = Task::new(task_id(t.id()), t.spec().clone());
             for v in t.versions() {
                 let mut spec = v.clone();
                 if let Some(a) = spec.accel() {
@@ -392,47 +463,96 @@ impl TaskSet {
                 }
                 task.push_version(spec);
             }
-            self.tasks.push(task);
-        }
-        for a in &tenant.accels {
-            self.accels.push(
-                AccelSpec::new(AccelId::new((accel_off + a.id().index()) as u16), a.name())
-                    .with_active_power(a.active_power()),
-            );
-        }
-        for c in &tenant.channels {
-            // `with_id` preserves every other field (capacity, element
-            // size, high-priority lane) across the id offset.
-            self.channels.push(
-                c.clone()
-                    .with_id(ChannelId::new((chan_off + c.id().index()) as u32)),
-            );
-        }
-        for e in &tenant.edges {
-            self.edges.push(Edge {
-                src: TaskId::new((task_off + e.src.index()) as u32),
-                dst: TaskId::new((task_off + e.dst.index()) as u32),
-                channel: ChannelId::new((chan_off + e.channel.index()) as u32),
-            });
-        }
-        self.preds.extend(
-            tenant
-                .preds
-                .iter()
-                .map(|p| p.iter().map(|&i| edge_off + i).collect()),
+            task
+        });
+        put(&mut self.tasks, task_off, tasks);
+        let accels = tenant.accels.iter().map(|a| {
+            AccelSpec::new(AccelId::new((accel_off + a.id().index()) as u16), a.name())
+                .with_active_power(a.active_power())
+        });
+        put(&mut self.accels, accel_off, accels);
+        // `with_id` preserves every other field (capacity, element
+        // size, high-priority lane) across the id offset.
+        let channels = (tenant.channels.iter())
+            .map(|c| (c.clone()).with_id(ChannelId::new((chan_off + c.id().index()) as u32)));
+        put(&mut self.channels, chan_off, channels);
+        let edges = tenant.edges.iter().map(|e| Edge {
+            src: task_id(e.src),
+            dst: task_id(e.dst),
+            channel: ChannelId::new((chan_off + e.channel.index()) as u32),
+        });
+        put(&mut self.edges, edge_off, edges);
+        let shift = |p: &Vec<usize>| p.iter().map(|&i| edge_off + i).collect();
+        put(&mut self.preds, task_off, tenant.preds.iter().map(shift));
+        put(&mut self.succs, task_off, tenant.succs.iter().map(shift));
+        put(
+            &mut self.topo,
+            task_off,
+            tenant.topo.iter().map(|&t| task_id(t)),
         );
-        self.succs.extend(
-            tenant
-                .succs
-                .iter()
-                .map(|s| s.iter().map(|&i| edge_off + i).collect()),
-        );
-        self.topo.extend(
-            tenant
-                .topo
-                .iter()
-                .map(|t| TaskId::new((task_off + t.index()) as u32)),
-        );
+    }
+}
+
+/// Writes `items` into `v` from index `at` on: over what is there,
+/// then past its end, which grows as `Vec::extend` grows it.
+fn put<T>(v: &mut Vec<T>, at: usize, items: impl ExactSizeIterator<Item = T>) {
+    v.reserve((at + items.len()).saturating_sub(v.len()));
+    for (i, item) in items.enumerate() {
+        match v.get_mut(at + i) {
+            Some(slot) => *slot = item,
+            None => v.push(item),
+        }
+    }
+}
+
+/// Where one tenant sits in a merged set: the first id and the count of
+/// each kind of entity it occupies. Appending a tenant
+/// ([`TaskSet::end_slot`]) opens a slot; a later tenant of the same
+/// shape ([`TaskSet::fits`]) can be written into it in place
+/// ([`TaskSet::placed_from`]) once its holder is gone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Slot {
+    /// Id of the slot's first task.
+    pub first_task: u32,
+    /// How many tasks it holds.
+    pub task_count: u32,
+    /// Index of its first edge.
+    pub first_edge: u32,
+    /// How many edges it holds.
+    pub edge_count: u32,
+    /// Id of its first channel.
+    pub first_channel: u32,
+    /// How many channels it holds.
+    pub channel_count: u32,
+    /// Id of its first accelerator.
+    pub first_accel: u16,
+    /// How many accelerators it holds.
+    pub accel_count: u16,
+}
+
+impl Slot {
+    /// Its task ids, as indices.
+    #[must_use]
+    pub fn task_range(&self) -> std::ops::Range<usize> {
+        self.first_task as usize..(self.first_task + self.task_count) as usize
+    }
+
+    /// Its edges, as indices into [`TaskSet::edges`].
+    #[must_use]
+    pub fn edge_range(&self) -> std::ops::Range<usize> {
+        self.first_edge as usize..(self.first_edge + self.edge_count) as usize
+    }
+
+    /// Its channel ids, as indices.
+    #[must_use]
+    pub fn channel_range(&self) -> std::ops::Range<usize> {
+        self.first_channel as usize..(self.first_channel + self.channel_count) as usize
+    }
+
+    /// Its accelerator ids, as indices.
+    #[must_use]
+    pub fn accel_range(&self) -> std::ops::Range<usize> {
+        self.first_accel as usize..(self.first_accel + self.accel_count) as usize
     }
 }
 
@@ -911,34 +1031,67 @@ mod tests {
         );
     }
 
-    #[test]
-    fn extended_from_a_stale_generation_equals_extended() {
-        // A tenant with an edge, a channel and an accelerator, so every
-        // table and every offset takes part.
+    /// A tenant with an edge, a channel and an accelerator, so every
+    /// table and every offset takes part; `tag` names its tasks.
+    fn tenant(tag: &str) -> TaskSet {
         let mut b = TaskSetBuilder::new();
         let root = b
-            .task_decl(TaskSpec::periodic("t-root", Duration::from_millis(50)))
+            .task_decl(TaskSpec::periodic(
+                format!("{tag}-root"),
+                Duration::from_millis(50),
+            ))
             .unwrap();
-        let sink = b.task_decl(TaskSpec::graph_node("t-sink")).unwrap();
-        let gpu = b.hwaccel_decl("t-gpu");
+        let sink = b
+            .task_decl(TaskSpec::graph_node(format!("{tag}-sink")))
+            .unwrap();
+        let gpu = b.hwaccel_decl(format!("{tag}-gpu"));
         b.version_decl(root, simple_version()).unwrap();
         b.version_decl(sink, simple_version().with_accel(gpu))
             .unwrap();
-        let ch = b.channel_decl("t-ch", 1, 8);
+        let ch = b.channel_decl(format!("{tag}-ch"), 1, 8);
         b.channel_connect(root, sink, ch).unwrap();
-        let tenant = b.build().unwrap();
+        b.build().unwrap()
+    }
 
+    #[test]
+    fn placed_from_a_stale_generation_equals_a_copy() {
+        let (a, b) = (tenant("a"), tenant("b"));
         let gen0 = diamond();
-        let gen1 = gen0.extended(&tenant).unwrap();
-        let gen2 = gen1.extended(&tenant).unwrap();
-        let copied = gen2.extended(&tenant).unwrap();
-        // Two generations behind, one behind, and level with `self`.
-        for stale in [gen0, gen1, gen2.clone()] {
-            let recycled = gen2.extended_from(stale, &tenant).unwrap();
+        let s1 = gen0.end_slot(&a);
+        let gen1 = gen0.extended(&a).unwrap();
+        let s2 = gen1.end_slot(&a);
+        let gen2 = gen1.extended(&a).unwrap();
+        // `b` takes the first tenant's slot: same shape, new entities.
+        assert!(gen2.fits(s1, &b) && !gen2.fits(s1, &diamond()));
+        let gen3 = gen2.placed_from(gen2.clone(), &[], &b, s1).unwrap();
+        assert_eq!(gen3.len(), gen2.len());
+        assert_eq!(gen3.tasks()[5].spec().name(), "b-sink");
+        assert_eq!(gen3.tasks()[5].versions()[0].accel(), Some(AccelId::new(0)));
+        assert_eq!(gen3.in_degree(TaskId::new(5)), 1);
+        assert_eq!(gen3.component_root(TaskId::new(5)), TaskId::new(4));
+        assert_eq!(
+            gen3.tasks()[7].spec().name(),
+            "a-sink",
+            "the other slot kept"
+        );
+
+        let copied = gen3.extended(&a).unwrap();
+        let at = gen3.end_slot(&a);
+        // Three generations behind, two, one, and level with `self`:
+        // each catches up on the slots written since it was current.
+        let stale = [
+            (gen0, vec![s1, s2, s1]),
+            (gen1, vec![s2, s1]),
+            (gen2, vec![s1]),
+            (gen3.clone(), vec![]),
+        ];
+        for (stale, written) in stale {
+            let recycled = gen3.placed_from(stale, &written, &a, at).unwrap();
             assert_eq!(format!("{recycled:?}"), format!("{copied:?}"));
         }
         assert_eq!(copied.len(), 10);
         assert_eq!(copied.component_root(TaskId::new(9)), TaskId::new(8));
+        assert_eq!(copied.topological_order().len(), 10);
     }
 
     #[test]

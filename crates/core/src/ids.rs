@@ -105,7 +105,9 @@ id_type!(
     ///
     /// Tenant 0 is always the task set the engine was built with; each
     /// successful on-line admission allocates the next id in order. Ids are
-    /// never reused, even after the tenant is retired.
+    /// never reused, even after the tenant is retired — but its task ids
+    /// are: a retired tenant's slot goes to the next tenant of its shape
+    /// (`yasmin_sched::admission`).
     TenantId,
     "N",
     u32

@@ -169,7 +169,7 @@
 //! [`crate::RuntimeReport::steal_stats`], counts both sides.)
 
 use crate::runtime::{
-    JobCtx, RtJobRecord, Runtime, RuntimeBuilder, StealStats, TaskBody, TickStats,
+    JobCtx, RtJobRecord, Runtime, RuntimeBuilder, StealStats, TaskBody, Tenancy, TickStats,
 };
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
@@ -235,22 +235,24 @@ pub(crate) enum ShardMsg {
     /// [`ShardMsg::MsgHigh`], releasing the boost when posts and drains
     /// balance.
     MsgDrained { dst: TaskId },
-    /// A tenant admission (see [`Runtime::admit`]): splice the merged
-    /// task set — its suffix from `task_offset` on is the new tenant —
-    /// into this owner's engine and register the tenant's bodies (keyed
-    /// by candidate-local ids, as the caller gave them), with every new
+    /// A tenant admission (see [`Runtime::admit`]): install `tenant` —
+    /// the slot of the merged task set that starts at `first_task` — in
+    /// this owner's engine and file its bodies (keyed by
+    /// candidate-local ids, as the caller gave them), with every new
     /// release left **disarmed**; then do as `then` says.
     Admit {
         taskset: Arc<TaskSet>,
         bodies: Arc<HashMap<(TaskId, VersionId), TaskBody>>,
-        task_offset: u32,
+        tenant: TenantId,
+        first_task: u32,
         budget: Option<TenantBudget>,
         at: Instant,
         then: Spliced,
     },
     /// Phase two of a sharded admission: arm the tenant's releases
-    /// (`Owner::commit`).
-    Commit { tenant: TenantId },
+    /// (`Owner::commit`), which begin no earlier than `since`, an
+    /// instant taken once every shard spliced it.
+    Commit { tenant: TenantId, since: Instant },
     /// Quiesce a tenant: cull its ready jobs, disarm its releases, drop
     /// its pending tokens; a job in flight finishes but fires no
     /// successors.
@@ -553,7 +555,7 @@ pub(crate) fn wire<C: Clock>(
             drained: Arc::clone(&drain_board),
         };
         let mut bodies = BodyTable::default();
-        bodies.extend(taskset, 0, &launch.bodies);
+        bodies.place(taskset, 0, &launch.bodies);
         let lanes = Arc::clone(&shared);
         let owner = Owner::new(engine, bodies, rx, Arc::clone(clock), peers, lanes, helpers);
         owners.push((owner, ends));
@@ -596,7 +598,7 @@ pub(crate) fn spawn(launch: RuntimeBuilder) -> Result<Runtime> {
     }
 
     Ok(Runtime {
-        ledger: Mutex::new(TenantLedger::new(admission, launch.taskset)),
+        tenancy: Mutex::new(Tenancy::new(TenantLedger::new(admission, launch.taskset))),
         clock,
         config: launch.config,
         lanes,
@@ -989,28 +991,41 @@ struct BodyTable {
 }
 
 impl BodyTable {
-    /// Appends the bodies of `taskset`'s tasks from `offset` on — its
-    /// newest tenant's, or every task when `offset` is 0 — looked up in
-    /// `local` under their ids less `offset`.
+    /// Files the bodies of `taskset`'s tenant that starts at task
+    /// `first` — every task of a build-time set, whose `first` is 0 —
+    /// looked up in `local` under their ids less `first`: past the
+    /// table's end, or over the entries of a slot's former holder, of
+    /// the tenant's shape. Those are not freed here: the caller that
+    /// admitted their tenant holds them ([`Runtime::admit`]).
     ///
     /// # Panics
     ///
-    /// When a version has no body (the caller checked them all), or the
-    /// table does not end at task `offset`.
-    fn extend(
+    /// When a version has no body (the caller checked them all), or
+    /// the tenant starts past the table's end.
+    fn place(
         &mut self,
         taskset: &TaskSet,
-        offset: u32,
+        first: u32,
         local: &HashMap<(TaskId, VersionId), TaskBody>,
     ) {
-        assert_eq!(self.first.len(), offset as usize, "tenants arrive in order");
-        for t in &taskset.tasks()[offset as usize..] {
-            self.first.push(self.bodies.len() as u32);
-            let id = TaskId::new(t.id().raw() - offset);
-            self.bodies.extend((0..t.versions().len()).map(|v| {
+        let count = local.keys().map(|&(t, _)| t.index() + 1).max();
+        let tenant = &taskset.tasks()[first as usize..][..count.unwrap_or(0)];
+        let appended = first as usize == self.first.len();
+        for t in tenant {
+            let id = TaskId::new(t.id().raw() - first);
+            let body = |v: usize| {
                 let key = (id, VersionId::new(v as u16));
                 Arc::clone(local.get(&key).expect("bodies were checked"))
-            }));
+            };
+            if appended {
+                self.first.push(self.bodies.len() as u32);
+                self.bodies.extend((0..t.versions().len()).map(body));
+            } else {
+                let at = self.first[t.id().index()] as usize;
+                for v in 0..t.versions().len() {
+                    self.bodies[at + v] = body(v);
+                }
+            }
         }
     }
 
@@ -1331,26 +1346,30 @@ impl<C: Clock> Owner<C> {
             ShardMsg::Admit {
                 taskset,
                 bodies,
-                task_offset,
+                tenant,
+                first_task,
                 budget,
                 at,
                 then,
             } => {
                 // Control path: allocation is fine, the tenant is not
                 // running yet (module docs of `yasmin_sched::admission`).
-                self.bodies.extend(&taskset, task_offset, &bodies);
-                let tenant = TenantId::new(self.engine.tenant_count() as u32);
+                self.bodies.place(&taskset, first_task, &bodies);
+                let server = reservation_for(tenant, budget, at);
                 self.engine
-                    .splice_taskset(taskset, reservation_for(tenant, budget, at))
+                    .install_tenant(taskset, tenant, first_task, server)
                     .expect("admission validated by the admitting thread");
                 match then {
-                    Spliced::Commit => self.commit(tenant),
+                    // Nothing of a former holder is left to tell apart
+                    // (`Owner::commit`): every instant from here on is
+                    // the tenant's.
+                    Spliced::Commit => self.commit(tenant, self.clock.now().min(self.next_tick)),
                     Spliced::Ack(ack) => {
                         ack.fetch_sub(1, Ordering::AcqRel);
                     }
                 }
             }
-            ShardMsg::Commit { tenant } => self.commit(tenant),
+            ShardMsg::Commit { tenant, since } => self.commit(tenant, since),
             ShardMsg::Retire { tenant, at } => {
                 self.engine_call(|o| o.engine.retire_tenant_into(tenant, at, &mut o.sink))
                     .expect("retirement validated by the retiring thread");
@@ -1381,8 +1400,15 @@ impl<C: Clock> Owner<C> {
     /// included. A commit racing a `stop()` is refused by the engine
     /// (`ScheduleNotRunning`): the schedule is ending anyway, so the
     /// tenant never starts.
-    fn commit(&mut self, tenant: TenantId) {
-        let _ = self.engine.commit_tenant_at(tenant, self.next_tick);
+    ///
+    /// In a recycled slot the tenant begins at `since`
+    /// ([`OnlineEngine::commit_tenant_at`]). One owner's former holders'
+    /// jobs are all here, culled or marked by their retirement, so any
+    /// instant up to the tenant's first release will do; shards are
+    /// sent one taken after every shard spliced it, hence retired the
+    /// slot's former holder.
+    fn commit(&mut self, tenant: TenantId, since: Instant) {
+        let _ = self.engine.commit_tenant_at(tenant, self.next_tick, since);
     }
 
     /// A high-lane post or drain for `dst`, which this engine has: the

@@ -112,6 +112,8 @@ enum Cmd {
         period: Duration,
         retire_after: Option<Duration>,
     },
+    /// The tenant `.0`, admitted as [`Cmd::Admit`] admits its own.
+    AdmitSet(TaskSet),
     /// Sent to shards once every one has acknowledged the splice.
     Commit {
         tenant: TenantId,
@@ -171,6 +173,8 @@ struct World {
     quiet: Vec<usize>,
     /// Parks a ringer ended.
     rung_wakes: u64,
+    /// Admissions into the slot of a retired tenant.
+    recycled: u64,
 }
 
 fn noop_bodies(taskset: &TaskSet) -> HashMap<(TaskId, VersionId), TaskBody> {
@@ -246,6 +250,7 @@ impl World {
             next_seen: [0; 4],
             quiet: vec![0; n],
             rung_wakes: 0,
+            recycled: 0,
         }
     }
 
@@ -580,6 +585,52 @@ impl World {
         }
     }
 
+    /// Admits `candidate` through the ledger and sends it as
+    /// `Runtime::admit` sends it: the commit gated on every shard's
+    /// acknowledgement, the retirement `retire_after` it when given.
+    fn admit(&mut self, candidate: &TaskSet, retire_after: Option<Duration>) {
+        let (now, sharded) = (self.now(), self.config.sharded_dispatch());
+        let owners = self.lanes.len();
+        let ack = (owners > 1).then(|| Arc::new(AtomicUsize::new(owners)));
+        let then = match &ack {
+            Some(ack) => Spliced::Ack(Arc::clone(ack)),
+            None => Spliced::Commit,
+        };
+        let end = self.ledger.merged().len() as u32;
+        let (lanes, quiet, config) = (&self.lanes, &mut self.quiet, &self.config);
+        let mut recycled = false;
+        let admitted = self.ledger.admit(candidate, None, |admission| {
+            if sharded {
+                validate_sharding(admission.merged, config)?;
+            }
+            recycled = admission.slot.first_task < end;
+            let bodies = Arc::new(noop_bodies(candidate));
+            tenant_broadcast(lanes, quiet, || ShardMsg::Admit {
+                taskset: Arc::clone(admission.merged),
+                bodies: Arc::clone(&bodies),
+                tenant: admission.tenant,
+                first_task: admission.slot.first_task,
+                budget: None,
+                at: now,
+                then: then.clone(),
+            });
+            Ok(())
+        });
+        self.recycled += u64::from(admitted.is_ok() && recycled);
+        self.note(format!("admit -> {admitted:?}, recycled={recycled}"));
+        let Ok(tenant) = admitted else { return };
+        if ack.is_some() {
+            let commit = Cmd::Commit {
+                tenant,
+                ack,
+                retire_after,
+            };
+            self.at(now, commit);
+        } else if let Some(after) = retire_after {
+            self.at(now + after, Cmd::Retire(tenant));
+        }
+    }
+
     fn deliver(&mut self, cmd: Cmd) {
         let now = self.now();
         let sharded = self.config.sharded_dispatch();
@@ -620,48 +671,15 @@ impl World {
                 }
                 let t = b.task_decl(spec).unwrap();
                 b.version_decl(t, VersionSpec::new("v", us(50))).unwrap();
-                let candidate = b.build().unwrap();
-                let owners = self.lanes.len();
-                let ack = (owners > 1).then(|| Arc::new(AtomicUsize::new(owners)));
-                let then = match &ack {
-                    Some(ack) => Spliced::Ack(Arc::clone(ack)),
-                    None => Spliced::Commit,
-                };
-                let (lanes, quiet, config) = (&self.lanes, &mut self.quiet, &self.config);
-                let admitted = self.ledger.admit(&candidate, None, |admission| {
-                    if sharded {
-                        validate_sharding(admission.merged, config)?;
-                    }
-                    let bodies = Arc::new(noop_bodies(&candidate));
-                    tenant_broadcast(lanes, quiet, || ShardMsg::Admit {
-                        taskset: Arc::clone(admission.merged),
-                        bodies: Arc::clone(&bodies),
-                        task_offset: admission.task_offset,
-                        budget: None,
-                        at: now,
-                        then: then.clone(),
-                    });
-                    Ok(())
-                });
-                self.note(format!("admit -> {admitted:?}"));
-                let Ok(tenant) = admitted else { return };
-                if ack.is_some() {
-                    let commit = Cmd::Commit {
-                        tenant,
-                        ack,
-                        retire_after,
-                    };
-                    self.at(now, commit);
-                } else if let Some(after) = retire_after {
-                    self.at(now + after, Cmd::Retire(tenant));
-                }
+                self.admit(&b.build().unwrap(), retire_after);
             }
+            Cmd::AdmitSet(candidate) => self.admit(&candidate, None),
             Cmd::Commit {
                 tenant,
                 retire_after,
                 ..
             } => {
-                self.broadcast(|| ShardMsg::Commit { tenant });
+                self.broadcast(|| ShardMsg::Commit { tenant, since: now });
                 self.note(format!("commit {tenant}"));
                 if let Some(after) = retire_after {
                     self.at(now + after, Cmd::Retire(tenant));
@@ -802,7 +820,12 @@ struct Case {
 }
 
 /// Builds `case`'s world and script, runs it to the end and checks it.
-fn explore(case: Case, keep: usize) -> (Vec<OwnerReport>, [u64; 4], VecDeque<String>) {
+/// What [`explore`] leaves: the owners' reports, how often `step`
+/// answered each kind of [`Next`], the recycled admissions and the
+/// trace.
+type Explored = (Vec<OwnerReport>, [u64; 4], u64, VecDeque<String>);
+
+fn explore(case: Case, keep: usize) -> Explored {
     let mut rng = Rng(case.seed ^ 0x5EED);
     let (workers, config) = match case.shape {
         Shape::Alone => (1, one_owner(1)),
@@ -905,8 +928,9 @@ fn explore(case: Case, keep: usize) -> (Vec<OwnerReport>, [u64; 4], VecDeque<Str
     let down = world.now();
     world.at(down, Cmd::Shutdown);
     world.run();
-    let (seen, trace) = (world.next_seen, std::mem::take(&mut world.trace));
-    (world.finish(), seen, trace)
+    let (seen, recycled) = (world.next_seen, world.recycled);
+    let trace = std::mem::take(&mut world.trace);
+    (world.finish(), seen, recycled, trace)
 }
 
 proptest! {
@@ -939,7 +963,7 @@ const REPLAY: Case = Case {
 
 #[test]
 fn replay() {
-    let (reports, seen, trace) = explore(REPLAY, usize::MAX);
+    let (reports, seen, _, trace) = explore(REPLAY, usize::MAX);
     trace.iter().for_each(|line| println!("{line}"));
     let [run, park, spin, exit] = seen;
     println!("{REPLAY:?}: {run} Run, {park} Park, {spin} SpinTo, {exit} Exit");
@@ -951,10 +975,10 @@ fn replay() {
 #[test]
 fn the_exploration_reaches_every_part_of_the_protocol() {
     // What the generated runs are made of: unless they steal, route
-    // tokens, splice tenants and park for every reason there is, their
-    // invariants hold of nothing.
+    // tokens, splice tenants — into a retired one's slot too — and park
+    // for every reason there is, their invariants hold of nothing.
     let mut stats = EngineStats::default();
-    let mut seen = [0; 4];
+    let (mut seen, mut recycled) = ([0; 4], 0);
     for seed in 0..if cfg!(miri) { 2 } else { 24 } {
         let case = Case {
             seed,
@@ -963,7 +987,8 @@ fn the_exploration_reaches_every_part_of_the_protocol() {
             tasks: 2,
             commands: 12,
         };
-        let (reports, next, _) = explore(case, 48);
+        let (reports, next, into_slot, _) = explore(case, 48);
+        recycled += into_slot;
         reports.iter().for_each(|r| stats.merge(&r.stats));
         (0..4).for_each(|k| seen[k] += next[k]);
     }
@@ -976,6 +1001,7 @@ fn the_exploration_reaches_every_part_of_the_protocol() {
         seen.iter().all(|&n| n > 0),
         "Run/Park/SpinTo/Exit: {seen:?}"
     );
+    assert!(recycled > 0, "no admission took a retired tenant's slot");
 }
 
 /// Park lateness by kind: `far` for parks armed a millisecond or more
@@ -1382,6 +1408,125 @@ fn a_park_that_times_out_beside_a_quiet_command_teaches_the_lead() {
     assert_eq!(world.rung_wakes, 0);
     assert_eq!(world.owners[0].leads().1, us(130) + FAR_MARGIN);
     world.at(edge(8) + us(10_000), Cmd::Shutdown);
+    world.run();
+    world.finish();
+}
+
+/// A tenant of two tasks: `root`, aperiodic, feeding `node` over a
+/// channel, on `workers.0` and `workers.1` when the set is sharded.
+fn dag_tenant(workers: (Option<u16>, Option<u16>)) -> TaskSet {
+    let mut b = TaskSetBuilder::new();
+    let root = task(&mut b, TaskSpec::aperiodic("root"), workers.0, us(100));
+    let node = task(&mut b, TaskSpec::graph_node("node"), workers.1, us(100));
+    let c = b.channel_decl("c", 1, 8);
+    b.channel_connect(root, node, c).unwrap();
+    b.build().unwrap()
+}
+
+#[test]
+fn a_helpers_straggler_fires_nothing_of_the_heir() {
+    // One owner, two helpers, `p` every 4 ms. Tenant A (T1 `root` →
+    // T2 `node`) is admitted, and its root, activated at 4.5 ms, runs
+    // 5 ms on a helper. Meanwhile A is retired and B, of A's shape,
+    // admitted: both quietly, so both apply at the 8 ms edge, where B
+    // takes A's slot. When the helper finishes A's root, B's node gets
+    // no token and releases nothing. B's own root then feeds it.
+    let mut b = TaskSetBuilder::new();
+    task(&mut b, TaskSpec::periodic("p", us(4_000)), None, us(100));
+    let set = b.build().unwrap();
+    let mut world = World::new("straggler".into(), 0, set, one_owner(2), false);
+    world.jitter = Duration::ZERO;
+    let (root, node) = (TaskId::new(1), TaskId::new(2));
+    world.body_time = Box::new(move |job, _| match job.task == root && job.seq == 0 {
+        true => us(5_000),
+        false => us(100),
+    });
+    world.at(T0 + us(500), Cmd::AdmitSet(dag_tenant((None, None))));
+    world.at(T0 + us(4_500), Cmd::Activate(root));
+    world.at(T0 + us(5_000), Cmd::Retire(TenantId::new(1)));
+    world.at(T0 + us(5_001), Cmd::AdmitSet(dag_tenant((None, None))));
+    world.run_until(T0 + us(9_000));
+    assert_eq!(world.recycled, 1);
+    let engine = &world.owners[0].engine;
+    assert_eq!(engine.tenant_of_task(node), Some(TenantId::new(2)));
+    let busy = world.helpers[0].iter().filter_map(|h| h.busy);
+    let straggler = busy.filter(|r| r.job.task == root).count();
+    assert_eq!(straggler, 1, "A's root still runs on a helper");
+    let released = engine.stats().released;
+    // It ends at 9.5 ms; the next release of `p` is at 12 ms.
+    world.run_until(T0 + us(11_000));
+    let ran = |world: &World, t: TaskId| {
+        let records = world.owners[0].report.records.iter();
+        records.filter(|r| r.job.task == t).count()
+    };
+    assert_eq!(ran(&world, root), 1, "the straggler finished");
+    assert_eq!(
+        world.owners[0].engine.stats().released,
+        released,
+        "A's root fired nothing of B"
+    );
+    world.at(T0 + us(11_000), Cmd::Activate(root));
+    world.run_until(T0 + us(11_500));
+    assert_eq!(ran(&world, node), 1, "B's root fed B's node");
+    world.at(T0 + us(12_500), Cmd::Shutdown);
+    world.run();
+    world.finish();
+}
+
+#[test]
+fn a_former_holders_token_after_the_heirs_splice_is_dropped() {
+    // Two shards, `p0` and `p1` every 4 ms. Tenant A: `root` on shard 0
+    // feeding `node` on shard 1. Shard 1 runs `busy` from 1 ms to 4 ms;
+    // A's root runs at 1.1 ms, and its completion sends `node` a token
+    // over the peer lane, which is held back in flight, as a full lane's
+    // spill would hold it. A is retired and B, of A's shape, admitted:
+    // both shards splice B into A's slot, acknowledge and commit. Then
+    // the token arrives. It names B's edge, but A's graph instance,
+    // released before B began: shard 1 drops it, and B's node releases
+    // nothing.
+    let mut b = TaskSetBuilder::new();
+    for w in 0..2 {
+        let spec = TaskSpec::periodic(format!("p{w}"), us(4_000));
+        task(&mut b, spec, Some(w), us(100));
+    }
+    let busy = task(&mut b, TaskSpec::aperiodic("busy"), Some(1), us(3_000));
+    let config = sharded(2).build().unwrap();
+    let mut world = World::new("late token".into(), 0, b.build().unwrap(), config, false);
+    world.jitter = Duration::ZERO;
+    world.body_time = Box::new(move |job, _| match job.task == busy {
+        true => us(3_000),
+        false => us(100),
+    });
+    let (root, node) = (TaskId::new(3), TaskId::new(4));
+    world.at(T0 + us(500), Cmd::AdmitSet(dag_tenant((Some(0), Some(1)))));
+    world.at(T0 + us(1_000), Cmd::Activate(busy));
+    world.at(T0 + us(1_100), Cmd::Activate(root));
+    world.run_until(T0 + us(1_500));
+    let lane = &mut world.owners[1].local.as_mut().unwrap().rx;
+    let token = lane.pop_lane(LANE_PEER0).expect("A's token is on its way");
+    assert!(matches!(token, ShardMsg::CrossActivate { .. }));
+    world.at(T0 + us(1_600), Cmd::Retire(TenantId::new(1)));
+    world.at(
+        T0 + us(1_700),
+        Cmd::AdmitSet(dag_tenant((Some(0), Some(1)))),
+    );
+    world.run_until(T0 + us(4_500));
+    assert!(world.script.is_empty(), "B spliced and committed");
+    assert_eq!(world.recycled, 1);
+    let shard1 = &world.owners[1].engine;
+    assert_eq!(shard1.tenant_of_task(node), Some(TenantId::new(2)));
+    let released = shard1.stats().released;
+    world.owners[0].peers.send(1, token);
+    world.run_until(T0 + us(5_000));
+    let shard1 = &world.owners[1].engine;
+    assert_eq!(
+        shard1.stats().released,
+        released,
+        "B's node released nothing"
+    );
+    let records = world.owners[1].report.records.iter();
+    assert_eq!(records.filter(|r| r.job.task == node).count(), 0);
+    world.at(T0 + us(5_500), Cmd::Shutdown);
     world.run();
     world.finish();
 }

@@ -363,7 +363,7 @@ pub struct Runtime {
     /// broadcasts of concurrent callers, so every owner hears them in
     /// ledger order. Admissions and retirements are validated here:
     /// owner threads do not reply.
-    pub(crate) ledger: Mutex<TenantLedger>,
+    pub(crate) tenancy: Mutex<Tenancy>,
     pub(crate) clock: Arc<MonotonicClock>,
     /// Says whether the owners are shards.
     pub(crate) config: Config,
@@ -374,6 +374,54 @@ pub struct Runtime {
     pub(crate) threads: Vec<std::thread::JoinHandle<OwnerReport>>,
     /// Each helper returns whether it ran pinned.
     pub(crate) helpers: Vec<std::thread::JoinHandle<bool>>,
+}
+
+/// A runtime's tenant state: the ledger, and the bodies of every
+/// admitted tenant an owner may still hold.
+pub(crate) struct Tenancy {
+    pub(crate) ledger: TenantLedger,
+    /// Each admitted tenant's bodies as the caller gave them, live or
+    /// retired (`None`), with each body's reference count before any
+    /// owner filed it. An owner overwrites a retired tenant's bodies
+    /// with those of the next tenant of its slot, so it must not hold
+    /// the last reference to one: this does, and drops it here, on a
+    /// caller's thread, once no owner holds any.
+    bodies: Vec<(Option<TenantId>, Arc<Bodies>, Vec<usize>)>,
+}
+
+type Bodies = HashMap<(TaskId, VersionId), TaskBody>;
+
+impl Tenancy {
+    pub(crate) fn new(ledger: TenantLedger) -> Self {
+        Tenancy {
+            ledger,
+            bodies: Vec::new(),
+        }
+    }
+
+    /// Keeps `tenant`'s bodies, counted before they were sent to the
+    /// owners.
+    fn hold(&mut self, tenant: TenantId, bodies: Arc<Bodies>, counts: Vec<usize>) {
+        self.prune();
+        self.bodies.push((Some(tenant), bodies, counts));
+    }
+
+    /// Marks `tenant`'s bodies retired: dropped once no owner holds
+    /// them.
+    fn release(&mut self, tenant: TenantId) {
+        if let Some(entry) = self.bodies.iter_mut().find(|e| e.0 == Some(tenant)) {
+            entry.0 = None;
+        }
+        self.prune();
+    }
+
+    /// Drops the bodies of retired tenants no owner holds any longer.
+    fn prune(&mut self) {
+        self.bodies.retain(|(live, map, counts)| {
+            let held = |(b, &c): (&TaskBody, &usize)| Arc::strong_count(b) > c;
+            live.is_some() || Arc::strong_count(map) > 1 || map.values().zip(counts).any(held)
+        });
+    }
 }
 
 impl std::fmt::Debug for Runtime {
@@ -393,8 +441,15 @@ impl Runtime {
         }
     }
 
-    fn lock_ledger(&self) -> MutexGuard<'_, TenantLedger> {
-        wait_for(&self.lanes, || try_lock(&self.ledger))
+    fn lock_ledger(&self) -> MutexGuard<'_, Tenancy> {
+        wait_for(&self.lanes, || try_lock(&self.tenancy))
+    }
+
+    /// The merged id of `tenant`'s first task: its candidate-local
+    /// `T<k>` runs as `T<first + k>`. `None` unless the tenant is live.
+    #[must_use]
+    pub fn first_task(&self, tenant: TenantId) -> Option<TaskId> {
+        self.lock_ledger().ledger.first_task(tenant)
     }
 
     /// Activates an aperiodic or sporadic task on the owner that has it
@@ -411,7 +466,7 @@ impl Runtime {
     /// worker assignment (one owner has every task, assigned or not).
     pub fn activate(&self, task: TaskId) -> Result<()> {
         let sharded = self.config.sharded_dispatch();
-        let owner = owner_of(self.lock_ledger().merged(), sharded, task)?;
+        let owner = owner_of(self.lock_ledger().ledger.merged(), sharded, task)?;
         let msg = ShardMsg::Activate(task);
         send_waiting(&self.lanes, owner, msg, MailboxSender::send);
         Ok(())
@@ -459,8 +514,10 @@ impl Runtime {
     /// of this runtime, whose own shard could then never acknowledge.
     ///
     /// Returns the assigned [`TenantId`] (use it with
-    /// [`Runtime::retire`]); task ids of the tenant are its candidate
-    /// ids offset by the number of tasks admitted before it.
+    /// [`Runtime::retire`]). The tenant's tasks run under its candidate
+    /// ids offset by [`Runtime::first_task`]: in the slot of a retired
+    /// tenant of its shape, whose task ids it takes over, or past every
+    /// task admitted before it.
     ///
     /// # Errors
     ///
@@ -485,26 +542,31 @@ impl Runtime {
         // Send the splice under the ledger lock so that every owner
         // hears concurrent admissions in ledger order. Everything an
         // engine's splice refuses is refused here first.
-        let tenant = self
-            .lock_ledger()
+        let mut tenancy = self.lock_ledger();
+        // Keyed by candidate-local ids: each owner files them under
+        // merged ids in its own table.
+        let bodies = Arc::new(bodies);
+        let counts = bodies.values().map(Arc::strong_count).collect();
+        let tenant = tenancy
+            .ledger
             .admit(candidate, budget.as_ref(), |admission| {
                 if self.config.sharded_dispatch() {
                     validate_sharding(admission.merged, &self.config)?;
                 }
-                // Keyed by candidate-local ids: each owner files them
-                // under merged ids in its own table.
-                let bodies = Arc::new(bodies);
                 let at = self.clock.now();
                 self.broadcast(tenant_send(owners), || ShardMsg::Admit {
                     taskset: Arc::clone(admission.merged),
                     bodies: Arc::clone(&bodies),
-                    task_offset: admission.task_offset,
+                    tenant: admission.tenant,
+                    first_task: admission.slot.first_task,
                     budget,
                     at,
                     then: then.clone(),
                 });
                 Ok(())
             })?;
+        tenancy.hold(tenant, bodies, counts);
+        drop(tenancy);
         if let Some(ack) = ack {
             // Holding nothing: a body that calls `activate`, `retire`
             // or `stop` meanwhile gets through, returns, and lets its
@@ -512,8 +574,10 @@ impl Runtime {
             wait_for(&self.lanes, || {
                 (ack.load(Ordering::Acquire) == 0).then_some(())
             });
-            // Every shard knows the tenant: arm its releases.
-            self.broadcast(MailboxSender::send, || ShardMsg::Commit { tenant });
+            // Every shard knows the tenant, and has retired whatever
+            // held its slot before: arm its releases from now on.
+            let since = self.clock.now();
+            self.broadcast(MailboxSender::send, || ShardMsg::Commit { tenant, since });
         }
         Ok(tenant)
     }
@@ -530,10 +594,13 @@ impl Runtime {
     /// mailbox ahead of every engine round, so no job of the tenant is
     /// dispatched after this returns, and the retirement is applied
     /// ahead of anything the caller sends afterwards. The tenant's bandwidth is
-    /// available to the next [`Runtime::admit`] as soon as this returns
-    /// (that admission's splice queues behind the retirement; up to
-    /// `workers` of the tenant's jobs, already executing, may still
-    /// finish — see `yasmin_sched::admission`).
+    /// available to the next [`Runtime::admit`] as soon as this returns,
+    /// and so are its task ids, to the next tenant of its shape (that
+    /// admission's splice queues behind the retirement; up to `workers`
+    /// of the tenant's jobs, already executing, may still finish, and
+    /// fire nothing of the next — see `yasmin_sched::admission`). The
+    /// tenant's bodies are dropped here, on a caller's thread, once no
+    /// owner holds them.
     ///
     /// # Errors
     ///
@@ -541,12 +608,13 @@ impl Runtime {
     /// or a double retire; [`Error::InvalidConfig`] for tenant 0 (the
     /// build-time set — use [`Runtime::stop`]).
     pub fn retire(&self, tenant: TenantId) -> Result<()> {
-        let mut ledger = self.lock_ledger();
+        let mut tenancy = self.lock_ledger();
         // The ledger forgets the tenant before the owners hear of it:
         // a later admission's splice travels the same FIFO shared
         // lanes, so every owner has retired the tenant by the time it
-        // commits a tenant admitted into the freed bandwidth.
-        ledger.retire(tenant)?;
+        // commits a tenant admitted into the freed bandwidth or slot.
+        tenancy.ledger.retire(tenant)?;
+        tenancy.release(tenant);
         let at = self.clock.now();
         self.broadcast(tenant_send(self.lanes.len()), || ShardMsg::Retire {
             tenant,

@@ -17,32 +17,41 @@
 //! **A tenant is a task-set namespace.** Each tenant declares its tasks,
 //! versions, accelerators and channels against its own id space starting
 //! at zero, exactly as if it were the only application. At admission the
-//! tenant's set is appended to the live set with
-//! [`TaskSet::extended`]: every pre-existing id is unchanged, and the
-//! tenant's ids are offset into the merged space (its `T0` becomes
-//! `T<n>` where `n` was the live task count). Consequences:
+//! tenant's set is written into a **slot** of the live set
+//! ([`TaskSet::placed_from`]): the id ranges — tasks, edges, channels,
+//! accelerators — of a retired tenant of the same *shape*
+//! ([`TaskSet::fits`]: as many tasks, edges, channels and accelerators,
+//! and for each task as many versions on the same worker), or, when no
+//! free slot has its shape, the end of the set ([`TaskSet::extended`]).
+//! Every other id is unchanged, and the tenant's ids are offset into the
+//! merged space (its `T0` becomes `T<first>`, the slot's first task).
+//! Consequences:
 //!
 //! * **Isolation by construction** — no edges ever cross tenants, so a
 //!   tenant's DAG tokens, joins and completions cannot touch another
 //!   tenant's activation state. Accelerators are likewise *not* shared
 //!   across tenants: a tenant wanting a GPU declares its own, which maps
 //!   to its own arbitration slot.
-//! * **Ids are stable for the lifetime of the schedule** — admission is
-//!   append-only and retirement *tombstones* a tenant (marks its range
-//!   retired) rather than compacting ids. A retired tenant's memory is
-//!   reclaimed only when the schedule itself ends; this is the price of
-//!   letting the hot path index dense per-task vectors without
-//!   indirection.
-//! * **Ids tombstone, the analysis forgets.** The schedulability tests
-//!   run on the *live* tenants only — the build-time set plus every
-//!   admitted tenant not yet retired — so a retired tenant's bandwidth
-//!   is available to the next candidate and an admission costs what the
-//!   live system costs, not what its history does. One residue: up to
-//!   `workers` jobs of a retired tenant that were already executing may
-//!   still finish after the retirement is acknowledged. That
-//!   interference is one-shot and bounded by one job per worker — the
-//!   same class as the non-preemptive blocking the analysis already
-//!   leaves out.
+//! * **Ids are stable for a tenant's lifetime** — a live tenant's ids
+//!   never move, and the hot path indexes dense per-task vectors without
+//!   indirection. A retired tenant's slot goes to the next tenant of its
+//!   shape, whose tables the engines overwrite in place, so every
+//!   structure kept per task, edge, channel, accelerator or version is
+//!   bounded by the most tenants of each shape ever live at once, not by
+//!   how many were ever admitted. [`TenantId`]s are never reused; a task
+//!   id is, and [`TenantLedger::first_task`] says where a live tenant's
+//!   tasks are.
+//! * **The analysis forgets.** The schedulability tests run on the
+//!   *live* tenants only — the build-time set plus every admitted tenant
+//!   not yet retired — so a retired tenant's bandwidth is available to
+//!   the next candidate and an admission costs what the live system
+//!   costs, not what its history does. One residue: up to `workers` jobs
+//!   of a retired tenant that were already executing may still finish
+//!   after the retirement is acknowledged — also once its slot has a
+//!   new holder ([`OnlineEngine::install_tenant`] says how the engine
+//!   tells them apart). That interference is one-shot and bounded by one
+//!   job per worker — the same class as the non-preemptive blocking the
+//!   analysis already leaves out.
 //! * **Tenant 0 is the task set the engine was built with.** It is never
 //!   budgeted and cannot be retired (stop the schedule instead).
 //!
@@ -63,25 +72,25 @@
 //! # One owner of tenant state
 //!
 //! Every driver — the single-owner and the sharded thread runtime, the
-//! simulator — keeps its tenants in a [`TenantLedger`]: the id-stable
-//! merged set its engines splice, the next tenant id, which tenants
-//! are retired, and a flat table of analysis rows
-//! ([`yasmin_analysis::Row`]) for the live tenants only. A row holds
-//! what every test reads of one task — merged id, worker, static
-//! priority, largest-version WCET, effective period and deadline, PIP
-//! blocking term — derived once, when its tenant is admitted
-//! ([`yasmin_analysis::extend_rows`] with the tenant's id offset); the
-//! rows sit in admission order, so priority ties break as they do in
-//! the merged id space. The table is built by the first admission
-//! (building a driver costs nothing). [`TenantLedger::admit`] appends
-//! the candidate's rows to the table's spare capacity, runs the test
-//! battery over all of them, hands the driver `merged ⊕ candidate` to
-//! splice and keeps the rows only if that splice succeeded;
-//! [`TenantLedger::retire`] deletes the tenant's row range. A refusal
-//! names merged ids directly: the rows carry them. No task set of the
-//! live tenants is ever built. [`AdmissionControl::evaluate`] itself is
-//! the stateless gate — the same battery over the rows of
-//! `current ⊕ candidate`, every one of them live.
+//! simulator — keeps its tenants in a [`TenantLedger`]: the merged set
+//! its engines splice, its slots and who holds each, the next tenant id,
+//! and a flat table of analysis rows ([`yasmin_analysis::Row`]) for the
+//! live tenants only. A row holds what every test reads of one task —
+//! merged id, worker, static priority, largest-version WCET, effective
+//! period and deadline, PIP blocking term — derived once, when its
+//! tenant is admitted ([`yasmin_analysis::extend_rows`] with the
+//! tenant's first task as offset); the rows sit in merged-id order, so
+//! priority ties break as they do in the merged id space. The table is
+//! built by the first admission (building a driver costs nothing).
+//! [`TenantLedger::admit`] picks the candidate's slot, inserts its rows
+//! at the slot's position, runs the test battery over all of them, hands
+//! the driver the merged set with the candidate in that slot and keeps
+//! the rows only if the splice succeeded; [`TenantLedger::retire`] frees
+//! the slot and deletes the tenant's row range. A refusal names merged
+//! ids directly: the rows carry them. No task set of the live tenants is
+//! ever built. [`AdmissionControl::evaluate`] itself is the stateless
+//! gate — the same battery over the rows of `current ⊕ candidate`, every
+//! one of them live.
 //!
 //! The blocking term is recomputed over the whole table at each check
 //! on the blocking path, from the accelerator sections of the live
@@ -98,16 +107,17 @@
 //! engines have let go of it. A driver's splice closure may return once
 //! the new set is sent (the thread runtimes' do), so the engine that
 //! adopts it last would otherwise drop the last reference to the old
-//! one — one `free` per task, version vector and adjacency list ever
-//! admitted, on a real-time thread. The next `admit` takes the newest
-//! such set back instead and builds `merged ⊕ candidate` in its storage
-//! ([`TaskSet::extended_from`]): it is a prefix of the current set, so
-//! only the tenants admitted since are copied and nothing is freed. In
-//! the steady state two sets alternate — the one the engines run and
-//! the one before it — and an admission copies two tenants, not every
-//! task ever admitted; only when the engines fall behind does `admit`
-//! copy the whole set, and drop, on the caller's thread, the older
-//! sets they let go of later.
+//! one — one `free` per task, version vector and adjacency list of the
+//! set, on a real-time thread. The next `admit` takes the newest such
+//! set back instead and builds the next one in its storage
+//! ([`TaskSet::placed_from`]): it differs from the current set only in
+//! the slots written since it was current and the entities appended
+//! since, which the ledger logs, so only those are copied and nothing
+//! is freed. In the steady state two sets alternate — the one the
+//! engines run and the one before it — and an admission copies two
+//! tenants, not the whole set; only when the engines fall behind does
+//! `admit` copy the whole set, and drop, on the caller's thread, the
+//! older sets they let go of later.
 //!
 //! # The admission state machine
 //!
@@ -134,9 +144,9 @@
 //!   verdict and no refusal changes. Drivers run the check on an
 //!   admission thread, never on a scheduler thread.
 //! * **Spliced** — every engine (the single [`OnlineEngine`], or each
-//!   shard's) adopted the merged set
-//!   via [`OnlineEngine::splice_taskset`] with the tenant's releases
-//!   still disarmed. The splice command travels the same control
+//!   shard's) adopted the merged set and installed the tenant in its
+//!   slot via [`OnlineEngine::install_tenant`] with the tenant's
+//!   releases still disarmed. The splice command travels the same control
 //!   mailbox lane as every other command, so it serialises with the hot
 //!   path instead of locking it.
 //! * **Committed** — [`OnlineEngine::commit_tenant_into`] (or
@@ -153,7 +163,8 @@
 //!   tenant: future releases disarmed, ready jobs culled, pending DAG
 //!   tokens dropped, late cross-shard tokens silently discarded.
 //!   In-flight jobs finish normally (their completions are the tenant's
-//!   last trace) but fire no successors.
+//!   last trace) but fire no successors. The slot is free for the next
+//!   tenant of its shape.
 //!
 //! # What is (and is not) guaranteed during splice-in
 //!
@@ -176,13 +187,19 @@
 //! * Admission analysis assumes worst-case (largest) version WCETs
 //!   ([`WcetAssumption::MaxVersion`]); run-time version selection can
 //!   only do better.
-//! * Splicing allocates (the engine's dense vectors grow). Admission is
-//!   a control-path event; the steady state between admissions stays
-//!   allocation-free, which `tests/zero_alloc.rs` asserts with a
-//!   counting allocator.
+//! * Splicing at the set's end allocates (the engine's dense vectors
+//!   grow); installing a tenant in a free slot of its shape overwrites
+//!   the slot's entries in their own storage and allocates nothing.
+//!   Admission is a control-path event; the steady state between
+//!   admissions stays allocation-free, and so does a churn of tenants
+//!   of one shape, which `tests/zero_alloc.rs` asserts with a counting
+//!   allocator.
 //!
 //! [`EngineStats::budget_deferrals`]: crate::engine::EngineStats::budget_deferrals
 //! [`TaskSet::extended`]: yasmin_core::graph::TaskSet::extended
+//! [`TaskSet::placed_from`]: yasmin_core::graph::TaskSet::placed_from
+//! [`TaskSet::fits`]: yasmin_core::graph::TaskSet::fits
+//! [`TenantId`]: yasmin_core::ids::TenantId
 
 use crate::engine::OnlineEngine;
 use crate::server::{ReservationServer, TenantBudget};
@@ -195,7 +212,7 @@ use yasmin_analysis::{
 };
 use yasmin_core::config::{Config, MappingScheme};
 use yasmin_core::error::Error;
-use yasmin_core::graph::TaskSet;
+use yasmin_core::graph::{Slot, TaskSet};
 use yasmin_core::ids::{TaskId, TenantId, WorkerId};
 use yasmin_core::time::{Duration, Instant};
 
@@ -442,7 +459,8 @@ impl AdmissionControl {
         let mut rows = Vec::with_capacity(merged.len());
         self.extend_rows(&mut rows, current, 0);
         self.extend_rows(&mut rows, candidate, current.len() as u32);
-        self.check(&mut rows, current, candidate, budget)?;
+        let (slot, cand) = (current.end_slot(candidate), current.len()..merged.len());
+        self.check(&mut rows, cand, current, candidate, slot, budget)?;
         Ok(Arc::new(merged))
     }
 
@@ -503,18 +521,19 @@ impl AdmissionControl {
     }
 
     /// The test battery over `rows`: the rows of the live tasks, all
-    /// found in `current` by their ids, then the candidate's, numbered
-    /// from `current.len()` on.
+    /// found in `current` by their ids, with the candidate's — written
+    /// into `slot` of `current` — at `cand`.
     fn check(
         &self,
         rows: &mut [Row],
+        cand: std::ops::Range<usize>,
         current: &TaskSet,
         candidate: &TaskSet,
+        slot: Slot,
         budget: Option<&TenantBudget>,
     ) -> Result<(), AdmissionError> {
-        let offset = current.len() as u32;
         if let Some(b) = budget {
-            let tenant_util = total_utilisation_rows(&rows[rows.len() - candidate.len()..]);
+            let tenant_util = total_utilisation_rows(&rows[cand.clone()]);
             if tenant_util > b.utilisation() + EPS {
                 return Err(AdmissionError::Rejected(
                     BoundViolation::BudgetInsufficient {
@@ -537,21 +556,33 @@ impl AdmissionControl {
                 }
                 // Every check: push-through blocking crosses tenants,
                 // and a retired tenant's sections must stop counting.
-                // Without an accelerator declared by any tenant ever
-                // admitted, or by the candidate, there is no section:
+                // Without an accelerator declared by any tenant in the
+                // merged set, or by the candidate, there is no section:
                 // every row's term is the zero it was built with.
                 if !(current.accels().is_empty() && candidate.accels().is_empty()) {
                     let mut sections = Vec::new();
-                    extend_sections(&mut sections, rows, current, 0, 0);
-                    let accel_offset = current.accels().len();
-                    extend_sections(&mut sections, rows, candidate, offset, accel_offset);
+                    // `current` holds a former tenant where the
+                    // candidate's rows are: its sections are not theirs.
+                    let (before, rest) = rows.split_at(cand.start);
+                    let (mine, after) = rest.split_at(cand.len());
+                    let accels = slot.first_accel as usize;
+                    let parts = [
+                        (before, current, 0, 0, 0),
+                        (mine, candidate, slot.first_task, accels, cand.start),
+                        (after, current, 0, 0, cand.end),
+                    ];
+                    for (part, ts, task_offset, accel_offset, at) in parts {
+                        let from = sections.len();
+                        extend_sections(&mut sections, part, ts, task_offset, accel_offset);
+                        sections[from..].iter_mut().for_each(|s| s.row += at);
+                    }
                     blocking_terms(rows, &sections);
                 }
                 self.check_rta(rows)?;
             }
             (MappingScheme::Global, false) => self.check_global_edf(rows)?,
         }
-        self.check_dags(candidate, offset)
+        self.check_dags(candidate, slot.first_task)
     }
 
     /// Per-partition RTA — one partition under global mapping. A
@@ -560,7 +591,9 @@ impl AdmissionControl {
     /// refusal names the first failing row in partition, then analysis,
     /// order.
     fn check_rta(&self, rows: &[Row]) -> Result<(), AdmissionError> {
-        let mut rta = Rta::new(rows);
+        // Built for the first partition the bound refuses: an admission
+        // the bound accepts allocates nothing here.
+        let mut rta = None;
         let policy = self.config.priority();
         for w in 0..self.config.workers() {
             let on_w = |row: &&Row| row.worker.map(WorkerId::index) == Some(w);
@@ -571,7 +604,7 @@ impl AdmissionControl {
                 if !on_w(&row) {
                     continue;
                 }
-                let r = rta.response_time(i);
+                let r = rta.get_or_insert_with(|| Rta::new(rows)).response_time(i);
                 if !r.schedulable() {
                     return Err(AdmissionError::Rejected(
                         BoundViolation::TaskUnschedulable {
@@ -681,46 +714,61 @@ pub fn reservation_for(
 /// handed to the closure of [`TenantLedger::admit`].
 #[derive(Debug, Clone, Copy)]
 pub struct Admission<'a> {
-    /// The id the engines' splice will assign to the tenant.
+    /// The id the tenant is admitted under: the next one, never reused.
     pub tenant: TenantId,
-    /// The id-stable merged set, `current.extended(candidate)`, ready
-    /// for [`OnlineEngine::splice_taskset`].
+    /// The merged set with the tenant written into `slot`, ready for
+    /// [`OnlineEngine::install_tenant`].
     pub merged: &'a Arc<TaskSet>,
-    /// The merged id of the tenant's first task: its candidate-local
-    /// `T<k>` is `T<task_offset + k>` in the running schedule.
-    pub task_offset: u32,
+    /// Where the tenant sits in `merged`: a retired tenant's slot of
+    /// its shape, or the set's end. Its candidate-local `T<k>` is
+    /// `T<slot.first_task + k>` in the running schedule.
+    pub slot: Slot,
 }
 
-/// One admitted tenant in the ledger (index = tenant id).
+/// One slot of the merged set (module docs): where a tenant sits, and
+/// which one holds it.
 #[derive(Debug, Clone, Copy)]
-struct Tenant {
-    /// Merged id of the tenant's first task.
-    first: u32,
-    /// How many tasks it declared.
-    len: u32,
-    retired: bool,
+struct TenantSlot {
+    slot: Slot,
+    /// `None` once its holder is retired: free for the next tenant of
+    /// its shape.
+    holder: Option<TenantId>,
 }
 
 /// The tenant state of one running schedule (see the module docs):
 /// the merged set the engines splice, tenant ids, and the analysis rows
-/// of the live tenants admission is checked against.
+/// of the live tenants admission is checked against. Every part of it
+/// is bounded by the tenants live at once, not by how many were ever
+/// admitted.
 ///
 /// Not synchronised: a driver serving concurrent callers keeps it
 /// under the mutex that serialises its admissions.
 #[derive(Debug, Clone)]
 pub struct TenantLedger {
     control: AdmissionControl,
-    /// Base set extended by every tenant ever admitted; append-only.
+    /// Base set with a tenant written into every slot: the live ones,
+    /// and the last holder of each free one.
     merged: Arc<TaskSet>,
-    tenants: Vec<Tenant>,
-    /// The live tenants' analysis rows in admission order, so in
-    /// merged-id order; built by the first admission. A check appends
-    /// the candidate's and truncates them again unless it is admitted.
+    /// Slot 0 is tenant 0's, the others in the order they were opened.
+    slots: Vec<TenantSlot>,
+    /// The id the next admission gets.
+    next_tenant: u32,
+    /// The live tenants' analysis rows in merged-id order; built by the
+    /// first admission. A check inserts the candidate's at its slot and
+    /// removes them again unless it is admitted.
     rows: Vec<Row>,
-    /// Earlier values of `merged`, oldest first (module docs): kept
+    /// Earlier values of `merged`, oldest first, each with the number of
+    /// admissions made before it was superseded (module docs): kept
     /// while an engine may still run them, then recycled by the next
     /// admission — or dropped by it, on a caller's thread.
-    superseded: Vec<Arc<TaskSet>>,
+    superseded: Vec<(Arc<TaskSet>, u64)>,
+    /// Admissions made so far: the generation of `merged`.
+    generation: u64,
+    /// The slot admission `first_written + k` wrote, for each `k`: what
+    /// a recycled set catches up on. Kept from the oldest superseded
+    /// set's generation on.
+    written: Vec<Slot>,
+    first_written: u64,
 }
 
 impl TenantLedger {
@@ -730,48 +778,68 @@ impl TenantLedger {
     pub fn new(control: AdmissionControl, base: Arc<TaskSet>) -> Self {
         TenantLedger {
             control,
-            tenants: vec![Tenant {
-                first: 0,
-                len: base.len() as u32,
-                retired: false,
+            slots: vec![TenantSlot {
+                slot: Slot {
+                    task_count: base.len() as u32,
+                    edge_count: base.edges().len() as u32,
+                    channel_count: base.channels().len() as u32,
+                    accel_count: base.accels().len() as u16,
+                    ..Slot::default()
+                },
+                holder: Some(TenantId::new(0)),
             }],
             merged: base,
+            next_tenant: 1,
             rows: Vec::new(),
             superseded: Vec::new(),
+            generation: 0,
+            written: Vec::new(),
+            first_written: 0,
         }
     }
 
     /// Takes back the newest superseded set every engine has let go of
     /// — the one that lacks the least — and drops the older such ones.
-    fn reclaim_superseded(&mut self) -> Option<TaskSet> {
+    /// Returns it with the admissions made before it was superseded.
+    fn reclaim_superseded(&mut self) -> Option<(TaskSet, u64)> {
         // A count of one cannot rise again — only a holder can clone —
         // and `try_unwrap` synchronises with the drop that left it.
-        let unheld = |set: &Arc<TaskSet>| Arc::strong_count(set) == 1;
+        let unheld = |(set, _): &(Arc<TaskSet>, u64)| Arc::strong_count(set) == 1;
         let newest = self.superseded.iter().rposition(unheld)?;
-        let stale = self.superseded.remove(newest);
-        self.superseded.retain(|set| !unheld(set));
-        Arc::try_unwrap(stale).ok()
+        let (stale, generation) = self.superseded.remove(newest);
+        self.superseded.retain(|s| !unheld(s));
+        Arc::try_unwrap(stale).ok().map(|set| (set, generation))
     }
 
-    /// The merged set the engines currently run: every tenant ever
-    /// admitted, retired ones included (ids are never reused).
+    /// The merged set the engines currently run: a tenant in every slot
+    /// — each live one, and the last holder of each free slot.
     #[must_use]
     pub fn merged(&self) -> &Arc<TaskSet> {
         &self.merged
     }
 
-    /// The analysis rows of the live tenants, in admission order, with
-    /// merged task ids — empty until the first admission builds them.
+    /// The analysis rows of the live tenants, in merged-id order — empty
+    /// until the first admission builds them.
     #[must_use]
     pub fn live_rows(&self) -> &[Row] {
         &self.rows
     }
 
+    /// The merged id of `tenant`'s first task: its candidate-local `T<k>`
+    /// is `T<first + k>` in the running schedule. `None` unless the
+    /// tenant is live.
+    #[must_use]
+    pub fn first_task(&self, tenant: TenantId) -> Option<TaskId> {
+        let slot = self.slots.iter().find(|s| s.holder == Some(tenant))?;
+        Some(TaskId::new(slot.slot.first_task))
+    }
+
     /// Evaluates `candidate` against the live tenants and, when the
     /// analysis accepts it, calls `splice` with what the driver's
-    /// engines must adopt. The tenant is recorded only if `splice`
-    /// returns `Ok`, so a driver-side failure leaves the ledger — like
-    /// the engines — as it was.
+    /// engines must adopt: the first free slot of the candidate's shape
+    /// ([`TaskSet::fits`]), or the merged set's end. The tenant is
+    /// recorded only if `splice` returns `Ok`, so a driver-side failure
+    /// leaves the ledger — like the engines — as it was.
     ///
     /// # Errors
     ///
@@ -785,55 +853,85 @@ impl TenantLedger {
         splice: impl FnOnce(Admission<'_>) -> Result<(), Error>,
     ) -> Result<TenantId, AdmissionError> {
         self.control.validate(candidate, budget)?;
-        if self.rows.is_empty() && self.tenants[0].len > 0 {
+        if self.rows.is_empty() && self.slots[0].slot.task_count > 0 {
             // No admission yet — tenant 0 never retires, and keeps its
             // rows once it has them — so the merged set is the base.
-            debug_assert_eq!(self.tenants.len(), 1);
+            debug_assert_eq!(self.slots.len(), 1);
             self.control.extend_rows(&mut self.rows, &self.merged, 0);
         }
-        let live = self.rows.len();
-        let admitted = self.try_admit(candidate, budget, splice);
-        if admitted.is_err() {
-            self.rows.truncate(live);
+        let free = |s: &TenantSlot| s.holder.is_none() && self.merged.fits(s.slot, candidate);
+        let recycled = self.slots.iter().position(free);
+        let slot = recycled.map_or_else(|| self.merged.end_slot(candidate), |i| self.slots[i].slot);
+        // The candidate's rows go where its ids do, so ties break as
+        // they do in the merged id space.
+        let at = self
+            .rows
+            .partition_point(|r| r.task.raw() < slot.first_task);
+        let (len, added) = (self.rows.len(), candidate.len());
+        self.control
+            .extend_rows(&mut self.rows, candidate, slot.first_task);
+        self.rows[at..].rotate_right(added);
+        let admitted = self.try_admit(candidate, budget, slot, at..at + added, splice);
+        match admitted {
+            Ok(tenant) => {
+                let taken = TenantSlot {
+                    slot,
+                    holder: Some(tenant),
+                };
+                match recycled {
+                    Some(i) => self.slots[i] = taken,
+                    None => self.slots.push(taken),
+                }
+            }
+            Err(_) => {
+                self.rows.drain(at..at + added);
+                debug_assert_eq!(self.rows.len(), len);
+            }
         }
         admitted
     }
 
-    /// [`TenantLedger::admit`] once the live rows are built; leaves the
-    /// candidate's rows appended whatever the outcome.
+    /// [`TenantLedger::admit`] once the candidate's rows are in place at
+    /// `cand`; leaves them there whatever the outcome.
     fn try_admit(
         &mut self,
         candidate: &TaskSet,
         budget: Option<&TenantBudget>,
+        slot: Slot,
+        cand: std::ops::Range<usize>,
         splice: impl FnOnce(Admission<'_>) -> Result<(), Error>,
     ) -> Result<TenantId, AdmissionError> {
-        let task_offset = self.merged.len() as u32;
         let (control, rows) = (&self.control, &mut self.rows);
-        control.extend_rows(rows, candidate, task_offset);
-        control.check(rows, &self.merged, candidate, budget)?;
-        let merged = Arc::new(match self.reclaim_superseded() {
-            Some(stale) => self.merged.extended_from(stale, candidate)?,
-            None => self.merged.extended(candidate)?,
-        });
-        let tenant = TenantId::new(self.tenants.len() as u32);
+        control.check(rows, cand, &self.merged, candidate, slot, budget)?;
+        let (stale, since) = match self.reclaim_superseded() {
+            Some(reclaimed) => reclaimed,
+            None => ((*self.merged).clone(), self.generation),
+        };
+        let written = &self.written[(since - self.first_written) as usize..];
+        let merged = Arc::new(self.merged.placed_from(stale, written, candidate, slot)?);
+        let tenant = TenantId::new(self.next_tenant);
         splice(Admission {
             tenant,
             merged: &merged,
-            task_offset,
+            slot,
         })?;
-        self.tenants.push(Tenant {
-            first: task_offset,
-            len: candidate.len() as u32,
-            retired: false,
-        });
+        self.next_tenant += 1;
         self.superseded
-            .push(std::mem::replace(&mut self.merged, merged));
+            .push((std::mem::replace(&mut self.merged, merged), self.generation));
+        self.written.push(slot);
+        self.generation += 1;
+        // What the oldest set still held lacks is all a later
+        // admission may have to copy.
+        let oldest = self.superseded[0].1;
+        self.written.drain(..(oldest - self.first_written) as usize);
+        self.first_written = oldest;
         Ok(tenant)
     }
 
-    /// Deletes `tenant`'s rows: its bandwidth is free for the next
-    /// candidate. Its ids stay tombstoned in [`TenantLedger::merged`].
-    /// Call it in step with the engines' retirement — after they
+    /// Frees `tenant`'s slot for the next candidate of its shape and
+    /// deletes its rows: its bandwidth is free too. Its entities stay
+    /// in [`TenantLedger::merged`] until a tenant takes the slot. Call
+    /// it in step with the engines' retirement — after they
     /// acknowledged it, or before sending it down the same FIFO lane a
     /// later splice travels.
     ///
@@ -848,16 +946,18 @@ impl TenantLedger {
                 "tenant 0 is the built-in task set; stop the schedule to end it".into(),
             ));
         }
-        let entry = self
-            .tenants
-            .get_mut(tenant.raw() as usize)
-            .ok_or(Error::UnknownTenant(tenant.raw()))?;
-        if std::mem::replace(&mut entry.retired, true) {
-            return Err(Error::TenantRetired(tenant.raw()));
-        }
+        let Some(entry) = self.slots.iter_mut().find(|s| s.holder == Some(tenant)) else {
+            return Err(if tenant.raw() < self.next_tenant {
+                Error::TenantRetired(tenant.raw())
+            } else {
+                Error::UnknownTenant(tenant.raw())
+            });
+        };
+        entry.holder = None;
         // Admitted tenants have rows, contiguous and in merged-id order.
-        let start = self.rows.partition_point(|r| r.task.raw() < entry.first);
-        self.rows.drain(start..start + entry.len as usize);
+        let (first, len) = (entry.slot.first_task, entry.slot.task_count as usize);
+        let start = self.rows.partition_point(|r| r.task.raw() < first);
+        self.rows.drain(start..start + len);
         Ok(())
     }
 }
@@ -1040,9 +1140,9 @@ mod tests {
         for round in 1..=3u32 {
             let tenant = ledger
                 .admit(&half, None, |a| {
-                    assert_eq!(a.tenant.raw(), round);
-                    assert_eq!(a.task_offset, round, "ids are never reused");
-                    assert_eq!(a.merged.len(), round as usize + 1);
+                    assert_eq!(a.tenant.raw(), round, "tenant ids are never reused");
+                    assert_eq!(a.slot.first_task, 1, "the retired tenant's slot is");
+                    assert_eq!(a.merged.len(), 2);
                     Ok(())
                 })
                 .unwrap_or_else(|e| panic!("round {round}: {e}"));
@@ -1058,11 +1158,8 @@ mod tests {
             ledger.retire(tenant).unwrap();
             assert_eq!(ledger.live_rows().len(), 1);
         }
-        assert_eq!(
-            ledger.merged().len(),
-            4,
-            "tombstones stay in the merged set"
-        );
+        assert_eq!(ledger.merged().len(), 2, "one slot served every tenant");
+        assert_eq!(ledger.first_task(TenantId::new(3)), None, "retired");
     }
 
     #[test]
@@ -1080,17 +1177,30 @@ mod tests {
             .admit(&set("slow", 4, 20, None), None, |_| Ok(()))
             .unwrap(); // T2
         ledger.retire(gone).unwrap();
-        // Live rows = {base T0, slow T2}. The hog (merged T3) passes;
-        // it is `slow` that no longer makes its deadline behind 1 + 8 ms
-        // of higher-priority work.
+        // Live rows = {base T0, slow T2}. The hog passes — in the
+        // freed slot, T1 — and it is `slow` that no longer makes its
+        // deadline behind 1 + 8 ms of higher-priority work.
         match ledger.admit(&set("hog", 8, 10, None), None, |_| Ok(())) {
             Err(AdmissionError::Rejected(BoundViolation::TaskUnschedulable { task, .. })) => {
                 assert_eq!(task, TaskId::new(2));
             }
             other => panic!("expected an RTA rejection, got {other:?}"),
         }
-        // A failing candidate is named past every id ever assigned.
+        // A candidate is analysed in the slot it would take: `late`, in
+        // T1, comes before `slow` among their tied priorities, and it is
+        // `slow` that misses, at 1 + 16 + 4 ms.
         match ledger.admit(&set("late", 16, 20, None), None, |_| Ok(())) {
+            Err(AdmissionError::Rejected(BoundViolation::TaskUnschedulable { task, .. })) => {
+                assert_eq!(task, TaskId::new(2));
+            }
+            other => panic!("expected an RTA rejection, got {other:?}"),
+        }
+        // One that takes no freed slot is named past every id.
+        match ledger.admit(
+            &set("late", 16, 20, None).extended(&filler).unwrap(),
+            None,
+            |_| Ok(()),
+        ) {
             Err(AdmissionError::Rejected(BoundViolation::TaskUnschedulable { task, .. })) => {
                 assert_eq!(task, TaskId::new(3));
             }
@@ -1115,7 +1225,8 @@ mod tests {
     /// most urgent and with a middle one, over a sweep of WCETs, get the
     /// verdict — and the refused task, WCRT and deadline — of
     /// `AdmissionControl::evaluate` on a set built from the live
-    /// tenants.
+    /// tenants with the candidate where the ledger puts it: in the
+    /// retired tenant's slot, between the base and `kept`.
     #[test]
     fn ledger_rta_equals_a_full_rta() {
         let cfg = Config::builder()
@@ -1136,27 +1247,21 @@ mod tests {
             .unwrap();
         ledger.admit(&kept, None, |_| Ok(())).unwrap(); // T3, T4
         ledger.retire(gone).unwrap();
-        let live = base.extended(&kept).unwrap();
-        // Live-set id → merged id: `kept` starts at T3, a candidate at T5.
-        let merged_id = |t: TaskId| TaskId::new(t.raw() + u32::from(t.raw() >= 2));
 
         let (mut accepted, mut refused_live, mut refused_candidate) = (0, 0, 0);
         for deadline_ms in [5, 10, 20, 40] {
             for wcet_us in (500..=12_000).step_by(500) {
                 let cand = dm_task("cand", wcet_us, deadline_ms);
-                let full = gate.evaluate(&live, &cand, None).map(|_| ());
-                let full = full.map_err(|e| match e {
-                    AdmissionError::Rejected(BoundViolation::TaskUnschedulable {
-                        task,
-                        wcrt,
-                        deadline,
-                    }) => AdmissionError::Rejected(BoundViolation::TaskUnschedulable {
-                        task: merged_id(task),
-                        wcrt,
-                        deadline,
-                    }),
-                    other => panic!("only the RTA refuses here: {other:?}"),
-                });
+                // The candidate takes `gone`'s slot, T2: ids match.
+                let in_slot = cand.extended(&kept).unwrap();
+                let full = gate.evaluate(&base, &in_slot, None).map(|_| ());
+                if let Err(e) = &full {
+                    let rta = matches!(
+                        e,
+                        AdmissionError::Rejected(BoundViolation::TaskUnschedulable { .. })
+                    );
+                    assert!(rta, "only the RTA refuses here: {e:?}");
+                }
                 let got = ledger.clone().admit(&cand, None, |_| Ok(())).map(|_| ());
                 assert_eq!(got, full, "deadline {deadline_ms} ms, WCET {wcet_us} µs");
                 match got {
@@ -1164,7 +1269,7 @@ mod tests {
                     Err(AdmissionError::Rejected(BoundViolation::TaskUnschedulable {
                         task,
                         ..
-                    })) if task == TaskId::new(5) => refused_candidate += 1,
+                    })) if task == TaskId::new(2) => refused_candidate += 1,
                     Err(_) => refused_live += 1,
                 }
             }

@@ -25,6 +25,7 @@ use crate::queue::ReadyQueue;
 use crate::select::{rank_versions_into, RankBuf};
 use crate::server::ReservationServer;
 use crate::sink::ActionSink;
+use std::iter::repeat_n;
 use std::sync::Arc;
 use yasmin_core::channel::BackpressurePolicy;
 use yasmin_core::config::{Config, MappingScheme, SelectCtx, VersionPolicy};
@@ -115,9 +116,10 @@ pub struct RunningJob {
     pub enforce_by: Instant,
     /// The overrun has been detected and handled (policies apply once).
     pub overrun: bool,
-    /// The job was killed ([`OverrunPolicy::Kill`]): the body still runs
-    /// to completion on its worker — the middleware never destroys a
-    /// thread mid-body — but its successors are dropped at retirement.
+    /// The job was killed ([`OverrunPolicy::Kill`]), or its tenant
+    /// retired while it ran: the body still runs to completion on its
+    /// worker — the middleware never destroys a thread mid-body — but
+    /// its successors are dropped at retirement.
     pub killed: bool,
 }
 
@@ -250,11 +252,15 @@ engine_stats! {
     miss_trips: u64,
 }
 
-/// Per-tenant bookkeeping: the contiguous id ranges a tenant occupies in
-/// the (append-only) merged task set, its lifecycle flags, and its
-/// optional processor-time reservation.
+/// Per-slot bookkeeping: the contiguous id ranges a tenant occupies in
+/// the merged task set, its holder, lifecycle flags and optional
+/// processor-time reservation. A slot outlives its holder: once that is
+/// retired, the next tenant of its shape is installed in its place
+/// ([`OnlineEngine::install_tenant`]).
 #[derive(Debug)]
 struct TenantEntry {
+    /// The tenant holding the slot — the last one, once retired.
+    tenant: TenantId,
     /// First task index of the tenant's contiguous range.
     first_task: u32,
     /// Number of tasks in the range.
@@ -265,9 +271,14 @@ struct TenantEntry {
     edge_count: u32,
     /// Releases armed ([`OnlineEngine::commit_tenant_into`] ran).
     committed: bool,
-    /// Tenant torn down: future releases culled, activations refused,
-    /// DAG tokens dropped.
+    /// Holder torn down: future releases culled, activations refused,
+    /// DAG tokens dropped; the slot is free for the next holder.
     retired: bool,
+    /// Where the holder begins ([`OnlineEngine::install_tenant`]): a job
+    /// or token of the slot whose graph release is earlier belongs to a
+    /// former holder. [`Instant::ZERO`] in a slot that never had one,
+    /// [`Instant::MAX`] while a recycled slot's holder is uncommitted.
+    since: Instant,
     /// The tenant's budget; `None` (tenant 0, or an unbudgeted admission)
     /// means dispatches are never charged.
     server: Option<ReservationServer>,
@@ -440,12 +451,15 @@ pub struct OnlineEngine {
     /// steal probe (run after every engine interaction in the sharded
     /// runtime) never scans version specs.
     task_accel_bound: Vec<bool>,
-    /// The tenants admitted into this engine, in admission order.
-    /// Entry 0 is always the task set the engine was built with.
+    /// The tenant slots, in the order they were opened: entry 0 is
+    /// always the task set the engine was built with.
     tenants: Vec<TenantEntry>,
-    /// Dense per-task owning tenant (raw [`TenantId`]), so the dispatch
-    /// and token paths resolve tenancy without a range search.
+    /// Dense per-task slot (index into `tenants`), so the dispatch and
+    /// token paths resolve tenancy without a range search.
     tenant_of: Vec<u32>,
+    /// One past the largest [`TenantId`] ever installed: an id below it
+    /// that no live slot holds is retired.
+    next_tenant: u32,
     /// Dense per-task count of outstanding high-priority messages
     /// (posted minus drained) — the message-plane boost is held while
     /// this is non-zero.
@@ -577,6 +591,7 @@ impl OnlineEngine {
             task_accel_bound: Vec::new(),
             tenants: Vec::new(),
             tenant_of: Vec::new(),
+            next_tenant: 0,
             high_depth: Vec::new(),
             msg_ceiling: Vec::new(),
             overrun_policy: Vec::new(),
@@ -592,7 +607,8 @@ impl OnlineEngine {
             config,
         };
         engine.cache_ctx = engine.select_ctx();
-        engine.add_tenant(taskset, None, true)?;
+        let (tasks, edges) = (0..taskset.len(), 0..taskset.edges().len());
+        engine.add_tenant(taskset, TenantId::new(0), tasks, edges, None, None)?;
         // A partition error outranks a missing tick.
         engine.tick = tick.ok_or_else(|| {
             Error::InvalidConfig(
@@ -602,26 +618,28 @@ impl OnlineEngine {
         Ok(engine)
     }
 
-    /// Adds the tasks and edges of `merged` past those this engine has
-    /// as one more tenant — tenant 0 from [`OnlineEngine::new`],
-    /// committed; every later one from
-    /// [`OnlineEngine::splice_taskset`], not yet. Every per-task and
-    /// per-edge table grows as the new ids need, releases disarmed, and
-    /// the engine adopts `merged`. Nothing changes on an error: under
-    /// partitioned mapping every new task must sit on an existing
-    /// worker, and a later tenant's periods must be multiples of the
-    /// tick, which tenant 0 fixed.
+    /// Installs `tenant` in the tasks and edges `tasks` and `edges` of
+    /// `merged`: past those this engine has (`recycled` is `None`) —
+    /// tenant 0 from [`OnlineEngine::new`], committed, and later ones
+    /// from [`OnlineEngine::install_tenant`], not yet — or in place of
+    /// the retired holder of slot `recycled`, whose per-task and
+    /// per-edge table entries are overwritten and keep their storage.
+    /// Releases stay disarmed and the engine adopts `merged`. Nothing
+    /// changes on an error: under partitioned mapping every task must
+    /// sit on an existing worker, and a later tenant's periods must be
+    /// multiples of the tick, which tenant 0 fixed.
     fn add_tenant(
         &mut self,
         merged: Arc<TaskSet>,
+        tenant: TenantId,
+        tasks: std::ops::Range<usize>,
+        edges: std::ops::Range<usize>,
+        recycled: Option<usize>,
         server: Option<ReservationServer>,
-        committed: bool,
-    ) -> Result<TenantId> {
-        let (n0, e0) = (self.tenant_of.len(), self.tokens.len());
-        let tasks = &merged.tasks()[n0..];
-        let tenant = TenantId::new(self.tenants.len() as u32);
+    ) -> Result<()> {
+        let installed = &merged.tasks()[tasks.clone()];
         let partitioned = self.config.mapping() == MappingScheme::Partitioned;
-        for t in tasks {
+        for t in installed {
             match t.spec().assigned_worker() {
                 None if partitioned => return Err(Error::MissingPartition(t.id())),
                 Some(w) if partitioned && w.index() >= self.config.workers() => {
@@ -642,73 +660,112 @@ impl OnlineEngine {
                 )));
             }
         }
+        let slot = recycled.unwrap_or(self.tenants.len());
+        let n0 = tasks.start;
         // A task waits in its worker's queue where each has one.
         let per_worker = self.queues.len() > 1;
         let policy = self.config.priority();
-        let n1 = merged.len();
-        self.next_release.resize(n1, Instant::MAX);
-        self.period.extend(tasks.iter().map(|t| t.spec().period()));
-        let deadlines = tasks.iter().map(|t| merged.effective_deadline(t.id()));
-        self.rel_deadline.extend(deadlines);
-        let queues = tasks.iter().map(|t| t.spec().assigned_worker());
+        let n = installed.len();
+        put(&mut self.next_release, n0, repeat_n(Instant::MAX, n));
+        let periods = installed.iter().map(|t| t.spec().period());
+        put(&mut self.period, n0, periods);
+        let deadlines = installed.iter().map(|t| merged.effective_deadline(t.id()));
+        put(&mut self.rel_deadline, n0, deadlines);
+        let queues = installed.iter().map(|t| t.spec().assigned_worker());
         let queues = queues.map(|w| w.filter(|_| per_worker).map_or(0, |w| w.index() as u32));
-        self.queue_of.extend(queues);
-        self.last_activation.resize(n1, None);
-        self.activation_seq.resize(n1, 0);
-        let priorities = tasks
+        put(&mut self.queue_of, n0, queues);
+        put(&mut self.last_activation, n0, repeat_n(None, n));
+        // Continued across holders, so `(task, seq)` names one job a run.
+        self.activation_seq
+            .resize(self.activation_seq.len().max(tasks.end), 0);
+        let priorities = installed
             .iter()
             .map(|t| Self::static_priority_of(&merged, policy, t.id()));
-        self.static_priority.extend(priorities);
-        self.rank_cache.extend(tasks.iter().map(|t| RankEntry {
-            valid: false,
-            ids: Vec::with_capacity(t.versions().len()),
-        }));
-        let workers = tasks.iter().map(|t| t.spec().assigned_worker());
-        self.task_worker
-            .extend(workers.map(|w| w.map_or(u16::MAX, WorkerId::raw)));
-        let accel_bound = tasks
+        put(&mut self.static_priority, n0, priorities);
+        self.rank_cache
+            .reserve(tasks.end.saturating_sub(self.rank_cache.len()));
+        for (i, t) in tasks.clone().zip(installed) {
+            match self.rank_cache.get_mut(i) {
+                // The same shape: as many versions as its storage holds.
+                Some(entry) => {
+                    entry.valid = false;
+                    entry.ids.clear();
+                }
+                None => self.rank_cache.push(RankEntry {
+                    valid: false,
+                    ids: Vec::with_capacity(t.versions().len()),
+                }),
+            }
+        }
+        let workers = installed.iter().map(|t| t.spec().assigned_worker());
+        let workers = workers.map(|w| w.map_or(u16::MAX, WorkerId::raw));
+        put(&mut self.task_worker, n0, workers);
+        let accel_bound = installed
             .iter()
             .map(|t| t.versions().iter().any(|v| v.accel().is_some()));
-        self.task_accel_bound.extend(accel_bound);
-        self.out_edges.resize(n1, Vec::new());
-        self.in_edges.resize(n1, Vec::new());
-        self.tenant_of.resize(n1, tenant.raw());
-        self.high_depth.resize(n1, 0);
-        self.msg_ceiling.resize(n1, Priority::LOWEST);
-        let policies = tasks.iter().map(|t| t.spec().overrun_policy());
-        self.overrun_policy.extend(policies);
-        for (i, e) in merged.edges().iter().enumerate().skip(e0) {
+        put(&mut self.task_accel_bound, n0, accel_bound);
+        self.out_edges
+            .resize_with(tasks.end.max(self.out_edges.len()), Vec::new);
+        self.in_edges
+            .resize_with(tasks.end.max(self.in_edges.len()), Vec::new);
+        for i in tasks.clone() {
+            self.out_edges[i].clear();
+            self.in_edges[i].clear();
+        }
+        put(&mut self.tenant_of, n0, repeat_n(slot as u32, n));
+        put(&mut self.high_depth, n0, repeat_n(0, n));
+        put(&mut self.msg_ceiling, n0, repeat_n(Priority::LOWEST, n));
+        let policies = installed.iter().map(|t| t.spec().overrun_policy());
+        put(&mut self.overrun_policy, n0, policies);
+        for i in edges.clone() {
+            let e = merged.edges()[i];
             self.out_edges[e.src.index()].push(i);
             self.in_edges[e.dst.index()].push(i);
-            self.tokens.push(0);
             // Each edge's release FIFO holds its channel's declared
             // capacity, +1 for the transient over-capacity entry the
             // shedding policies trim, so token pushes — the cross-shard
             // inbound path included — never allocate in steady state.
-            let cap = merged.channels()[e.channel.index()].capacity();
-            self.token_release.push(Vec::with_capacity(cap.max(1) + 1));
+            let cap = merged.channels()[e.channel.index()].capacity().max(1) + 1;
+            match self.token_release.get_mut(i) {
+                Some(fifo) => {
+                    self.tokens[i] = 0;
+                    fifo.clear();
+                    fifo.reserve(cap);
+                }
+                None => {
+                    self.tokens.push(0);
+                    self.token_release.push(Vec::with_capacity(cap));
+                }
+            }
         }
         self.accels.grow_to(merged.accels().len());
-        let max_versions = merged.tasks().iter().map(|t| t.versions().len()).max();
-        self.rank_buf = RankBuf::with_capacity(max_versions.unwrap_or(0));
+        let max_versions = installed.iter().map(|t| t.versions().len()).max();
+        self.rank_buf.reserve_for(max_versions.unwrap_or(0));
         // The hot-path scratch grows with the set, so the steady state
         // stays allocation-free.
-        self.successor_buf.reserve(n1);
+        self.successor_buf.reserve(merged.len());
         self.wish_buf.reserve(merged.accels().len());
         if self.shard.is_some() {
             self.outbox.reserve(merged.edges().len());
         }
-        self.tenants.push(TenantEntry {
-            first_task: n0 as u32,
-            task_count: (n1 - n0) as u32,
-            first_edge: e0 as u32,
-            edge_count: (merged.edges().len() - e0) as u32,
-            committed,
+        let entry = TenantEntry {
+            tenant,
+            first_task: tasks.start as u32,
+            task_count: tasks.len() as u32,
+            first_edge: edges.start as u32,
+            edge_count: edges.len() as u32,
+            committed: tenant.index() == 0,
             retired: false,
+            since: recycled.map_or(Instant::ZERO, |_| Instant::MAX),
             server,
-        });
+        };
+        match recycled {
+            Some(slot) => self.tenants[slot] = entry,
+            None => self.tenants.push(entry),
+        }
+        self.next_tenant = tenant.raw() + 1;
         self.taskset = merged;
-        Ok(tenant)
+        Ok(())
     }
 
     fn static_priority_of(ts: &TaskSet, policy: PriorityPolicy, t: TaskId) -> Priority {
@@ -980,26 +1037,36 @@ impl OnlineEngine {
         Ok(())
     }
 
-    /// Number of tenants ever admitted (including the built-in tenant 0
-    /// and any since retired).
+    /// Number of tenant ids ever assigned: the built-in tenant 0 and
+    /// every one installed since, retired ones included.
     #[must_use]
     pub fn tenant_count(&self) -> usize {
-        self.tenants.len()
+        self.next_tenant as usize
     }
 
-    /// The tenant owning `task`, `None` for an unknown task.
+    /// The tenant whose slot holds `task` — the last one, if retired —
+    /// `None` for an unknown task.
     #[must_use]
     pub fn tenant_of_task(&self, task: TaskId) -> Option<TenantId> {
-        self.tenant_of.get(task.index()).map(|&n| TenantId::new(n))
+        (self.tenant_of.get(task.index())).map(|&n| self.tenants[n as usize].tenant)
     }
 
-    /// `true` when `task` belongs to a retired tenant (`false` for
-    /// unknown tasks).
+    /// `true` when the slot holding `task` is free: its last holder was
+    /// retired and no tenant holds it since (`false` for unknown tasks).
     #[must_use]
     pub fn is_task_retired(&self, task: TaskId) -> bool {
         self.tenant_of
             .get(task.index())
             .is_some_and(|&n| self.tenants[n as usize].retired)
+    }
+
+    /// Whether a job or token of `task` that belongs to the graph
+    /// instance released at `graph_release` is its current holder's:
+    /// the slot is not free, and the reference is no earlier than where
+    /// the holder begins ([`OnlineEngine::install_tenant`]).
+    fn holds(&self, task: TaskId, graph_release: Instant) -> bool {
+        let entry = &self.tenants[self.tenant_of[task.index()] as usize];
+        !entry.retired && graph_release >= entry.since
     }
 
     /// `true` when `tenant` has been retired.
@@ -1008,73 +1075,138 @@ impl OnlineEngine {
     ///
     /// [`Error::UnknownTenant`] for an id never admitted.
     pub fn is_tenant_retired(&self, tenant: TenantId) -> Result<bool> {
-        self.tenants
-            .get(tenant.index())
-            .map(|e| e.retired)
-            .ok_or(Error::UnknownTenant(tenant.raw()))
+        match self.live_tenant(tenant) {
+            Ok(_) => Ok(false),
+            Err(Error::TenantRetired(_)) => Ok(true),
+            Err(e) => Err(e),
+        }
     }
 
     /// The reservation server of `tenant`, `None` when the tenant is
-    /// unbudgeted (or unknown).
+    /// unbudgeted, retired or unknown.
     #[must_use]
     pub fn tenant_server(&self, tenant: TenantId) -> Option<&ReservationServer> {
-        self.tenants.get(tenant.index())?.server.as_ref()
+        let slot = self.live_tenant(tenant).ok()?;
+        self.tenants[slot].server.as_ref()
     }
 
-    /// Splices an admitted tenant into the live engine — phase one of
-    /// the two-phase admission described in `yasmin_sched::admission`.
-    ///
-    /// `merged` must be [`TaskSet::extended`] of this engine's current
-    /// task set with the tenant's set: every existing id is unchanged
-    /// and the tenant occupies the appended suffix. The engine adopts
-    /// `merged` and extends every per-task/per-edge structure the way
-    /// construction adds tenant 0 — both are one table builder — with
-    /// all of the new tasks' releases **disarmed** (`Instant::MAX`):
-    /// after splicing, the engine knows the tenant's tasks and edges (so cross-shard
-    /// tokens for them resolve) but releases nothing of it until
-    /// [`OnlineEngine::commit_tenant_into`].
+    /// Splices an admitted tenant into the live engine at the end of
+    /// its task set, assigning the next [`TenantId`]: as
+    /// [`OnlineEngine::install_tenant`] with [`TaskSet::end_slot`],
+    /// `merged` being [`TaskSet::extended`] of this engine's current
+    /// set with the tenant's.
     ///
     /// `server`, if provided, must be tagged with the [`TenantId`] this
     /// splice assigns (the current [`OnlineEngine::tenant_count`]).
     ///
-    /// The splice itself allocates (vector growth, rank-cache entries)
-    /// — admission is a control-path operation; the post-splice steady
-    /// state stays allocation-free.
-    ///
     /// # Errors
     ///
-    /// [`Error::InvalidConfig`] if `merged` is not an append-only
-    /// extension of the current set, adds no tasks, has a recurring
-    /// period that is not a multiple of the engine tick (admitted
-    /// tenants cannot re-derive the tick of a running scheduler), or a
-    /// mis-tagged server; [`Error::MissingPartition`] /
-    /// [`Error::UnknownWorker`] for partition violations.
+    /// As [`OnlineEngine::install_tenant`].
+    ///
+    /// [`TaskSet::end_slot`]: yasmin_core::graph::TaskSet::end_slot
+    /// [`TaskSet::extended`]: yasmin_core::graph::TaskSet::extended
     pub fn splice_taskset(
         &mut self,
         merged: Arc<TaskSet>,
         server: Option<ReservationServer>,
     ) -> Result<TenantId> {
-        let (n0, e0) = (self.taskset.len(), self.taskset.edges().len());
-        if merged.len() <= n0 {
-            return Err(Error::InvalidConfig("tenant splice adds no tasks".into()));
+        let tenant = TenantId::new(self.next_tenant);
+        let end = self.taskset.len() as u32;
+        self.install_tenant(merged, tenant, end, server)?;
+        Ok(tenant)
+    }
+
+    /// Installs an admitted tenant in the live engine — phase one of the
+    /// two-phase admission described in `yasmin_sched::admission`.
+    ///
+    /// `merged` is this engine's task set with the tenant written into
+    /// the slot that starts at task `first_task`
+    /// ([`TaskSet::placed_from`]): at the set's end, where the tenant is
+    /// appended and every table grows the way construction adds
+    /// tenant 0 — both are one table builder — or at a slot whose holder
+    /// was retired, which the tenant takes over in place: that slot's
+    /// per-task and per-edge entries, version rankings and token FIFOs
+    /// are overwritten and keep their storage, so installing a tenant
+    /// of a free slot's shape allocates nothing. Either way only the
+    /// installed range is read, every other id is unchanged, and the
+    /// tenant's releases are **disarmed** (`Instant::MAX`): the engine
+    /// knows its tasks and edges (so cross-shard tokens for them
+    /// resolve) but releases nothing of it until
+    /// [`OnlineEngine::commit_tenant_into`].
+    ///
+    /// **Stragglers.** A former holder's job may still run — here, on a
+    /// helper, on a thief — or its token travel between shards when
+    /// the slot's new holder is installed. Every such reference belongs
+    /// to a graph instance released before the holder begins, an
+    /// instant its commit fixes: a job or token whose graph release is
+    /// earlier completes or drops as a retired tenant's does — no
+    /// successor fires, nothing of the holder is touched. Until the
+    /// commit every reference to the slot counts as a former holder's.
+    /// Jobs running here when their tenant is retired are marked then,
+    /// and fire nothing whatever their graph release.
+    ///
+    /// `server`, if provided, must be tagged with `tenant`, and
+    /// `tenant` must be newer than every tenant installed so far.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidConfig`] if `tenant` is not new, the server is
+    /// mis-tagged, `merged` shrinks the current set, `first_task` starts
+    /// neither its end nor a free slot, the installed range adds no
+    /// tasks, changes the set's length in a slot, has an edge leaving
+    /// it, or has a recurring period that is not a multiple of the
+    /// engine tick (admitted tenants cannot re-derive the tick of a
+    /// running scheduler); [`Error::MissingPartition`] /
+    /// [`Error::UnknownWorker`] for partition violations.
+    ///
+    /// [`TaskSet::placed_from`]: yasmin_core::graph::TaskSet::placed_from
+    pub fn install_tenant(
+        &mut self,
+        merged: Arc<TaskSet>,
+        tenant: TenantId,
+        first_task: u32,
+        server: Option<ReservationServer>,
+    ) -> Result<()> {
+        if tenant.raw() < self.next_tenant {
+            return Err(Error::InvalidConfig(format!(
+                "tenant {tenant} is not newer than every tenant installed"
+            )));
         }
-        if merged.edges().len() < e0
-            || merged.edges()[..e0] != self.taskset.edges()[..e0]
-            || merged.accels().len() < self.taskset.accels().len()
-            || merged.channels().len() < self.taskset.channels().len()
-        {
-            return Err(Error::InvalidConfig(
-                "tenant splice must extend the current task set append-only".into(),
-            ));
-        }
-        let tenant = TenantId::new(self.tenants.len() as u32);
         if let Some(s) = server.as_ref().filter(|s| s.tenant() != tenant) {
             return Err(Error::InvalidConfig(format!(
-                "reservation server tagged {} but splice assigns {tenant}",
+                "reservation server tagged {} but the tenant is {tenant}",
                 s.tenant()
             )));
         }
-        self.add_tenant(merged, server, false)
+        let (n0, e0) = (self.taskset.len(), self.taskset.edges().len());
+        let refuse = |why: &str| Error::InvalidConfig(format!("tenant install {why}"));
+        if merged.accels().len() < self.taskset.accels().len()
+            || merged.channels().len() < self.taskset.channels().len()
+            || merged.edges().len() < e0
+        {
+            return Err(refuse("shrinks the task set"));
+        }
+        let (tasks, edges, recycled) = if first_task as usize == n0 {
+            if merged.len() <= n0 {
+                return Err(refuse("adds no tasks"));
+            }
+            (n0..merged.len(), e0..merged.edges().len(), None)
+        } else {
+            let free = |e: &TenantEntry| e.retired && e.first_task == first_task;
+            let Some(slot) = self.tenants.iter().position(free) else {
+                return Err(refuse(&format!("names no free slot at {first_task}")));
+            };
+            if merged.len() != n0 || merged.edges().len() != e0 {
+                return Err(refuse("into a slot changes the set's length"));
+            }
+            let entry = &self.tenants[slot];
+            (entry.tasks(), entry.edges(), Some(slot))
+        };
+        let own = |t: TaskId| tasks.contains(&t.index());
+        if (merged.edges()[edges.clone()].iter()).any(|e| !own(e.src) || !own(e.dst)) {
+            return Err(refuse("has an edge leaving the tenant"));
+        }
+        self.add_tenant(merged, tenant, tasks, edges, recycled, server)
     }
 
     /// Arms a spliced tenant's releases — phase two of admission. Every
@@ -1095,7 +1227,7 @@ impl OnlineEngine {
         now: Instant,
         sink: &mut ActionSink,
     ) -> Result<()> {
-        self.commit_tenant_at(tenant, now)?;
+        self.commit_tenant_at(tenant, now, now)?;
         self.on_tick_into(now, sink);
         Ok(())
     }
@@ -1117,31 +1249,52 @@ impl OnlineEngine {
     /// to the period. Exact event-driven drivers (the simulator) anchor
     /// at the commit instant via [`OnlineEngine::commit_tenant_into`].
     ///
+    /// In a recycled slot the holder begins at `since`
+    /// ([`OnlineEngine::install_tenant`]), and its releases anchor at the
+    /// first `anchor + k·tick` at or past it: an instant no graph
+    /// instance of a former holder was released at or after, and none
+    /// of this one before — the commit instant of an exact driver; for
+    /// a thread runtime, one taken after every owner retired the former
+    /// holder and before this one can run, the same on every shard.
+    ///
     /// # Errors
     ///
     /// As [`OnlineEngine::commit_tenant_into`].
-    pub fn commit_tenant_at(&mut self, tenant: TenantId, anchor: Instant) -> Result<()> {
+    pub fn commit_tenant_at(
+        &mut self,
+        tenant: TenantId,
+        mut anchor: Instant,
+        since: Instant,
+    ) -> Result<()> {
         if !self.started || self.stopping {
             return Err(Error::ScheduleNotRunning);
         }
-        let entry = self.live_tenant(tenant)?;
+        let slot = self.live_tenant(tenant)?;
+        let entry = &mut self.tenants[slot];
         if entry.committed {
             return Err(Error::InvalidConfig(format!(
                 "tenant {tenant} is already committed"
             )));
         }
         entry.committed = true;
-        self.arm_releases(tenant.index(), anchor);
+        if entry.since == Instant::MAX {
+            entry.since = since;
+            while anchor < since {
+                anchor += self.tick;
+            }
+        }
+        self.arm_releases(slot, anchor);
         Ok(())
     }
 
-    /// The entry of `tenant`: [`Error::UnknownTenant`] for an id never
+    /// The slot `tenant` holds: [`Error::UnknownTenant`] for an id never
     /// admitted, [`Error::TenantRetired`] for a retired one.
-    fn live_tenant(&mut self, tenant: TenantId) -> Result<&mut TenantEntry> {
-        match self.tenants.get_mut(tenant.index()) {
+    fn live_tenant(&self, tenant: TenantId) -> Result<usize> {
+        let held = |e: &TenantEntry| e.tenant == tenant && !e.retired;
+        match self.tenants.iter().position(held) {
+            Some(slot) => Ok(slot),
+            None if tenant.raw() < self.next_tenant => Err(Error::TenantRetired(tenant.raw())),
             None => Err(Error::UnknownTenant(tenant.raw())),
-            Some(e) if e.retired => Err(Error::TenantRetired(tenant.raw())),
-            Some(e) => Ok(e),
         }
     }
 
@@ -1169,13 +1322,22 @@ impl OnlineEngine {
                 "tenant 0 is the built-in task set; stop the schedule to end it".into(),
             ));
         }
-        let entry = self.live_tenant(tenant)?;
+        let slot = self.live_tenant(tenant)?;
+        let entry = &mut self.tenants[slot];
         entry.retired = true;
         let (tasks, edges) = (entry.tasks(), entry.edges());
         self.next_release[tasks.clone()].fill(Instant::MAX);
         for i in edges {
             self.tokens[i] = 0;
             self.token_release[i].clear();
+        }
+        // Its jobs running here finish and fire nothing, whatever their
+        // graph release: one activated late in the pass that retires
+        // it may carry an instant past where the slot's next holder
+        // begins.
+        let ours = |r: &&mut RunningJob| tasks.contains(&r.job.task.index());
+        for r in self.running.iter_mut().flatten().filter(ours) {
+            r.killed = true;
         }
         self.cull_ready(|j| tasks.contains(&j.task.index()), sink);
         Ok(())
@@ -1239,9 +1401,15 @@ impl OnlineEngine {
             return false;
         }
         let (task, overage) = (r.job.task, now.saturating_since(r.enforce_by));
+        let graph_release = r.job.graph_release;
         self.stats.overruns += 1;
-        let tenant = self.tenant_of[task.index()] as usize;
-        if let Some(server) = self.tenants[tenant].server.as_mut() {
+        let entry = &mut self.tenants[self.tenant_of[task.index()] as usize];
+        // A former holder's job is not billed to the slot's new one.
+        let holders = entry
+            .server
+            .as_mut()
+            .filter(|_| graph_release >= entry.since);
+        if let Some(server) = holders {
             let _ = server.charge_overrun(now, overage);
         }
         match self.overrun_policy[task.index()] {
@@ -1730,10 +1898,11 @@ impl OnlineEngine {
     /// *stolen* job completing on a thief shard stays consistent (the
     /// thief fires only the edges whose destinations it owns).
     fn fire_successors(&mut self, task: TaskId, graph_release: Instant) {
-        // A retired tenant's in-flight jobs complete but activate
-        // nothing: edges never cross tenants, so skipping the whole
-        // fan-out (local tokens *and* outbox entries) is exact.
-        if self.is_task_retired(task) {
+        // A retired tenant's in-flight jobs — a former holder's, where
+        // the slot has a new one — complete but activate nothing: edges
+        // never cross tenants, so skipping the whole fan-out (local
+        // tokens *and* outbox entries) is exact.
+        if !self.holds(task, graph_release) {
             return;
         }
         let mut successors = std::mem::take(&mut self.successor_buf);
@@ -1846,8 +2015,8 @@ impl OnlineEngine {
         let dst = self.taskset.edges()[i].dst;
         // A token racing a tenant retirement (sent before the source
         // shard learned of it) is silently dropped, not a protocol
-        // error.
-        if !self.routed_here(dst, "remote token")? {
+        // error — also once the slot has a new holder.
+        if !self.routed_here(dst, graph_release, "remote token")? {
             return Ok(());
         }
         self.push_token(i, graph_release);
@@ -1897,7 +2066,8 @@ impl OnlineEngine {
         now: Instant,
         sink: &mut ActionSink,
     ) -> Result<()> {
-        if !self.routed_here(dst, "high-priority message")? {
+        // A message names no graph instance: only a free slot drops it.
+        if !self.routed_here(dst, Instant::MAX, "high-priority message")? {
             return Ok(());
         }
         let ti = dst.index();
@@ -1955,7 +2125,7 @@ impl OnlineEngine {
         now: Instant,
         sink: &mut ActionSink,
     ) -> Result<()> {
-        if !self.routed_here(dst, "high-lane drain")? {
+        if !self.routed_here(dst, Instant::MAX, "high-lane drain")? {
             return Ok(());
         }
         let ti = dst.index();
@@ -2001,17 +2171,18 @@ impl OnlineEngine {
         Ok(())
     }
 
-    /// Whether an event routed to `dst` — a cross-shard token, a
-    /// high-lane post or drain — applies to this engine: `false` for a
-    /// task of a retired tenant (the event is dropped),
+    /// Whether an event routed to `dst` — a cross-shard token of the
+    /// graph instance released at `graph_release`, a high-lane post or
+    /// drain — applies to this engine: `false` for a task of a retired
+    /// tenant or a former holder's token (the event is dropped),
     /// [`Error::UnknownTask`] for an out-of-range task and
     /// [`Error::InvalidConfig`] for a shard not owning it — routing
     /// bugs, not runtime conditions. `what` names the event.
-    fn routed_here(&self, dst: TaskId, what: &str) -> Result<bool> {
+    fn routed_here(&self, dst: TaskId, graph_release: Instant, what: &str) -> Result<bool> {
         if dst.index() >= self.taskset.len() {
             return Err(Error::UnknownTask(dst));
         }
-        if self.is_task_retired(dst) {
+        if !self.holds(dst, graph_release) {
             return Ok(false);
         }
         if !self.owns_task(dst) {
@@ -2264,8 +2435,13 @@ impl OnlineEngine {
     /// (counted in [`EngineStats::budget_deferrals`]).
     #[inline]
     fn charge_budget(&mut self, job: &Job, version: VersionId, now: Instant) -> bool {
-        let tenant = self.tenant_of[job.task.index()] as usize;
-        let Some(server) = self.tenants[tenant].server.as_mut() else {
+        let entry = &mut self.tenants[self.tenant_of[job.task.index()] as usize];
+        // A former holder's straggler is not charged to the slot's new one.
+        let holders = entry
+            .server
+            .as_mut()
+            .filter(|_| job.graph_release >= entry.since);
+        let Some(server) = holders else {
             return true;
         };
         let wcet = self.taskset.tasks()[job.task.index()].versions()[version.index()].wcet();
@@ -2378,6 +2554,18 @@ impl OnlineEngine {
     fn requeue_blocked(&mut self, qi: usize) {
         for job in self.blocked_buf.drain(..) {
             let _ = self.queues[qi].push(job);
+        }
+    }
+}
+
+/// Writes `items` into `v` from index `at` on: over what is there,
+/// then past its end, which grows as `Vec::extend` grows it.
+fn put<T>(v: &mut Vec<T>, at: usize, items: impl ExactSizeIterator<Item = T>) {
+    v.reserve((at + items.len()).saturating_sub(v.len()));
+    for (i, item) in items.enumerate() {
+        match v.get_mut(at + i) {
+            Some(slot) => *slot = item,
+            None => v.push(item),
         }
     }
 }
@@ -3683,5 +3871,90 @@ mod tests {
             shards.swap_remove(0).into_inner()
         };
         assert_eq!(run(shard_0(&merged), false), run(shard_0(&base), true));
+    }
+
+    /// `churn`'s shape — six base tasks, three-task tenants, four live —
+    /// through 10 000 admit/retire cycles of a ledger and an engine,
+    /// with time running: every structure kept per task or per tenant
+    /// stays what four live tenants need.
+    #[test]
+    fn tenant_state_is_bounded_by_the_live_tenants() {
+        use crate::admission::{AdmissionControl, TenantLedger};
+        use std::collections::VecDeque;
+        use yasmin_core::graph::TaskSetBuilder;
+        let set = |name: &str, periods: &[u64], wcet_us: u64| {
+            let mut b = TaskSetBuilder::new();
+            for (i, &p) in periods.iter().enumerate() {
+                let t = b
+                    .task_decl(TaskSpec::periodic(format!("{name}{i}"), ms(p)))
+                    .unwrap();
+                let v = VersionSpec::new("v", Duration::from_micros(wcet_us));
+                b.version_decl(t, v).unwrap();
+            }
+            b.build().unwrap()
+        };
+        let config = Config::builder()
+            .workers(1)
+            .priority(PriorityPolicy::DeadlineMonotonic)
+            .preemption(false)
+            .build()
+            .unwrap();
+        let base = Arc::new(set("base", &[5, 10, 10, 20, 40, 40], 500));
+        let mut e = OnlineEngine::new(Arc::clone(&base), config).unwrap();
+        let mut ledger = TenantLedger::new(AdmissionControl::for_engine(&e), base);
+        let mut sink = ActionSink::new();
+        e.start_into(at(0), &mut sink).unwrap();
+        let tenant = set("t", &[10, 20, 40], 2);
+        let mut live = VecDeque::new();
+        let mut now = at(0);
+        for _ in 0..10_000 {
+            let admitted = ledger.admit(&tenant, None, |a| {
+                let merged = Arc::clone(a.merged);
+                e.install_tenant(merged, a.tenant, a.slot.first_task, None)
+            });
+            let t = admitted.unwrap();
+            e.commit_tenant_into(t, now, &mut sink).unwrap();
+            live.push_back(t);
+            if live.len() > 4 {
+                let oldest = live.pop_front().unwrap();
+                ledger.retire(oldest).unwrap();
+                e.retire_tenant_into(oldest, now, &mut sink).unwrap();
+            }
+            now += ms(5);
+            if let Some(r) = e.running(WorkerId::new(0)) {
+                let job = r.job.id;
+                e.on_job_completed_into(WorkerId::new(0), job, now, &mut sink)
+                    .unwrap();
+            }
+            sink.clear();
+            e.on_tick_into(now, &mut sink);
+        }
+        assert_eq!(ledger.merged().len(), 21);
+        assert_eq!(ledger.live_rows().len(), 18);
+        assert_eq!(e.taskset().len(), 21);
+        // Tenant 0 and five slots: four live, one free.
+        assert_eq!(e.tenants.len(), 6);
+        assert_eq!(e.tenants.iter().filter(|t| t.retired).count(), 1);
+        assert_eq!(e.tenant_count(), 10_001);
+        let per_task = [
+            e.next_release.len(),
+            e.period.len(),
+            e.rel_deadline.len(),
+            e.queue_of.len(),
+            e.last_activation.len(),
+            e.activation_seq.len(),
+            e.static_priority.len(),
+            e.rank_cache.len(),
+            e.out_edges.len(),
+            e.in_edges.len(),
+            e.task_worker.len(),
+            e.task_accel_bound.len(),
+            e.tenant_of.len(),
+            e.high_depth.len(),
+            e.msg_ceiling.len(),
+            e.overrun_policy.len(),
+        ];
+        assert!(per_task.iter().all(|&n| n <= 21), "{per_task:?}");
+        assert!(e.stats().completed > 5_000, "{:?}", e.stats());
     }
 }

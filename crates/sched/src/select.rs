@@ -48,6 +48,14 @@ impl RankBuf {
         }
     }
 
+    /// Grows the buffer, if need be, to rank tasks with up to `n`
+    /// versions without allocating.
+    pub fn reserve_for(&mut self, n: usize) {
+        self.ids.reserve_exact(n.saturating_sub(self.ids.len()));
+        self.scratch
+            .reserve_exact(n.saturating_sub(self.scratch.len()));
+    }
+
     /// The ranked ids from the most recent [`rank_versions_into`] call.
     #[must_use]
     pub fn as_slice(&self) -> &[VersionId] {

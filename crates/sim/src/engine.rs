@@ -27,7 +27,7 @@ use std::sync::Arc;
 use yasmin_core::config::Config;
 use yasmin_core::energy::Energy;
 use yasmin_core::error::{Error, Result};
-use yasmin_core::graph::TaskSet;
+use yasmin_core::graph::{Slot, TaskSet};
 use yasmin_core::ids::{CoreId, JobId, TaskId, TenantId, VersionId, WorkerId};
 use yasmin_core::platform::PlatformSpec;
 use yasmin_core::stats::Samples;
@@ -187,8 +187,8 @@ enum Planned {
 /// `(Key, Arrival)` is: keys are unique, so it never decides.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Arrival {
-    /// The next job of a sporadic train.
-    Sporadic(TaskId),
+    /// The next job of a sporadic train of the tenant that armed it.
+    Sporadic(TaskId, TenantId),
     /// A DAG activation token a peer shard's completion routed to this
     /// one, which owns the edge's destination ([`crate::par`]).
     Cross { edge: u32, graph_release: Instant },
@@ -370,9 +370,10 @@ pub struct Simulation {
     /// energy/idle accounting covers only worker `w`, so per-shard
     /// results sum to the whole-system result.
     shard: Option<WorkerId>,
-    /// Payload of each [`Ev::Admit`]: the merged set to splice and the
-    /// budget, pre-validated by [`Simulation::admit_at`].
-    admit_events: Vec<(Arc<TaskSet>, Option<TenantBudget>)>,
+    /// Payload of each [`Ev::Admit`]: the merged set to splice, the
+    /// budget, the tenant and its slot, pre-validated by
+    /// [`Simulation::admit_at`].
+    admit_events: Vec<(Arc<TaskSet>, Option<TenantBudget>, TenantId, Slot)>,
     /// Tenant state as it will stand at `last_admit_offset`: every
     /// scheduled admission, minus the retirements scheduled up to then.
     ledger: TenantLedger,
@@ -526,13 +527,27 @@ impl Simulation {
         });
         let idx = self.admit_events.len();
         let events = &mut self.admit_events;
-        let id = self.ledger.admit(tenant, budget.as_ref(), |admission| {
-            events.push((Arc::clone(admission.merged), budget));
+        let id = self.ledger.admit(tenant, budget.as_ref(), |a| {
+            events.push((Arc::clone(a.merged), budget, a.tenant, a.slot));
             Ok(())
         })?;
         self.last_admit_offset = offset;
         self.plan(offset, Planned::Admit(idx));
         Ok(id)
+    }
+
+    /// The merged id of `tenant`'s first task, as its admission places
+    /// it: its candidate-local `T<k>` runs as `T<first + k>` — in the
+    /// slot of a tenant retired before it, or past every earlier one.
+    /// `None` for an id no admission was scheduled under.
+    #[must_use]
+    pub fn first_task(&self, tenant: TenantId) -> Option<TaskId> {
+        if tenant.raw() == 0 {
+            return Some(TaskId::new(0));
+        }
+        let mut events = self.admit_events.iter();
+        let (.., slot) = events.find(|e| e.2 == tenant)?;
+        Some(TaskId::new(slot.first_task))
     }
 
     /// Schedules the retirement of an admitted tenant at `offset` from
@@ -972,7 +987,8 @@ impl Simulation {
         self.next_tick = Some(self.key(Instant::ZERO + self.tick));
         for i in 0..self.sporadic_roots.len() {
             let (task, offset) = self.sporadic_roots[i];
-            self.push_arrival(Instant::ZERO + offset, Arrival::Sporadic(task));
+            let base = TenantId::new(0);
+            self.push_arrival(Instant::ZERO + offset, Arrival::Sporadic(task, base));
         }
         for (offset, mode) in std::mem::take(&mut self.cfg.mode_schedule) {
             self.plan(offset, Planned::Mode(mode));
@@ -1104,10 +1120,13 @@ impl Simulation {
 
     fn apply_arrival(&mut self, now: Instant, arrival: Arrival) {
         match arrival {
-            Arrival::Sporadic(task) => {
+            Arrival::Sporadic(task, tenant) => {
                 // A retired tenant's sporadic train ends silently: no
-                // activation, no re-arm.
-                if self.engine.is_task_retired(task) {
+                // activation, no re-arm — also once its slot has a new
+                // holder.
+                if self.engine.is_task_retired(task)
+                    || self.engine.tenant_of_task(task) != Some(tenant)
+                {
                     return;
                 }
                 self.engine_call(now, |e, sink| {
@@ -1116,7 +1135,7 @@ impl Simulation {
                 });
                 let next = now + self.sporadic_period[task.index()];
                 if next < self.horizon {
-                    self.push_arrival(next, Arrival::Sporadic(task));
+                    self.push_arrival(next, Arrival::Sporadic(task, tenant));
                 }
             }
             Arrival::Cross {
@@ -1150,29 +1169,30 @@ impl Simulation {
         }
     }
 
-    /// Splices and commits the tenant [`Simulation::admit_at`] validated
-    /// as admission `idx`, and arms its sporadic roots.
+    /// Installs and commits the tenant [`Simulation::admit_at`]
+    /// validated as admission `idx`, and arms its sporadic roots.
     fn apply_admit(&mut self, now: Instant, idx: usize) {
-        let (merged, budget) = self.admit_events[idx].clone();
-        let tenant = TenantId::new(self.engine.tenant_count() as u32);
+        let (merged, budget, tenant, slot) = self.admit_events[idx].clone();
         let server = budget.map(|b| ReservationServer::new(tenant, b, now));
-        let first_new = self.engine.taskset().len();
-        // Splice: pre-validated at admit_at time, so a failure here is
-        // a driver bug, not a tenant fault.
+        // Pre-validated at admit_at time, so a failure here is a driver
+        // bug, not a tenant fault.
         self.engine
-            .splice_taskset(Arc::clone(&merged), server)
+            .install_tenant(Arc::clone(&merged), tenant, slot.first_task, server)
             .expect("admission was validated by admit_at");
-        // Grow the per-task / per-accel side state the sim keeps
-        // alongside the engine.
+        // The per-task / per-accel side state the sim keeps alongside
+        // the engine: grown, or overwritten in a recycled slot.
         self.accel_busy
             .resize(merged.accels().len(), Duration::ZERO);
-        for t in &merged.tasks()[first_new..] {
-            self.sporadic_period
-                .push(if t.spec().kind() == ActivationKind::Sporadic {
-                    t.spec().period()
-                } else {
-                    Duration::ZERO
-                });
+        let tasks = &merged.tasks()[slot.task_range()];
+        for t in tasks {
+            let period = match t.spec().kind() {
+                ActivationKind::Sporadic => t.spec().period(),
+                _ => Duration::ZERO,
+            };
+            match self.sporadic_period.get_mut(t.id().index()) {
+                Some(p) => *p = period,
+                None => self.sporadic_period.push(period),
+            }
         }
         self.engine_call(now, |e, sink| {
             e.commit_tenant_into(tenant, now, sink)
@@ -1180,11 +1200,11 @@ impl Simulation {
         });
         // Arm the tenant's sporadic roots from the commit instant, like
         // the base set's at start.
-        for t in &merged.tasks()[first_new..] {
+        for t in tasks {
             if t.spec().kind() == ActivationKind::Sporadic && merged.in_degree(t.id()) == 0 {
                 let first = now + t.spec().release_offset();
                 if first < self.horizon {
-                    self.push_arrival(first, Arrival::Sporadic(t.id()));
+                    self.push_arrival(first, Arrival::Sporadic(t.id(), tenant));
                 }
             }
         }

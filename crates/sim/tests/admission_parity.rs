@@ -211,12 +211,18 @@ fn retired_bandwidth_is_returned() {
         }
         other => panic!("expected an overload beside the live tenant, got {other:?}"),
     }
+    let mut copies = vec![live];
     for round in 1..3u64 {
         let at = ms(20 + 100 * round);
         sim.retire_at(at, live);
         live = sim
             .admit_at(at, &tenant_b(5), None)
             .unwrap_or_else(|e| panic!("round {round}: {e}"));
+        copies.push(live);
+    }
+    // Each copy takes the slot the one before it left: task T1.
+    for &copy in &copies {
+        assert_eq!(sim.first_task(copy), Some(TaskId::new(1)));
     }
     // A retirement scheduled *later* than an admission stays in its view.
     sim.retire_at(ms(350), live);
@@ -227,9 +233,11 @@ fn retired_bandwidth_is_returned() {
 
     let res = sim.run().unwrap();
     assert_eq!(res.total_misses(), 0, "the analysis held at run time");
-    // Merged ids 1, 2, 3: each copy ran for its own ≥ 100 ms window.
-    for id in 1..=3 {
-        let n = res.records_of(TaskId::new(id)).count();
-        assert!(n >= 9, "T{id} ran {n} jobs");
+    // Each copy ran as T1 for its own ≥ 100 ms window.
+    for round in 0..3u64 {
+        let window = Instant::ZERO + ms(20 + 100 * round)..Instant::ZERO + ms(120 + 100 * round);
+        let mine = |r: &&JobRecord| window.contains(&r.release);
+        let n = res.records_of(TaskId::new(1)).filter(mine).count();
+        assert!(n >= 9, "copy {round} ran {n} jobs");
     }
 }

@@ -103,6 +103,8 @@ fn main() -> Result<(), yasmin::Error> {
         .admit(&cand, bodies, Some(TenantBudget::deferrable(ms(2), ms(10))))
         .expect("guest tenant passes every bound");
     println!("tenant {} admitted while the schedule runs", tenant.raw());
+    // Its candidate-local T0 runs as this merged id.
+    let guest_task = rt.first_task(tenant).expect("the guest is live");
 
     // ----- reject: an oversubscribed tenant ----------------------------
     // 12 ms of work every 10 ms on worker 1 — density 1.2. The gate
@@ -135,14 +137,24 @@ fn main() -> Result<(), yasmin::Error> {
     println!("tenant {} retired after {served} jobs", tenant.raw());
 
     // ----- re-admit: the retired tenant's bandwidth is back ------------
-    // Ids are never reused (the guest's T1 stays a tombstone, the heir
-    // becomes tenant 2 with task T2), but the analysis forgets a
-    // retired tenant: the same request now passes.
+    // The analysis forgets a retired tenant: the same request now
+    // passes. Tenant ids are never reused (the heir becomes tenant 2),
+    // but the guest's slot goes to the next tenant of its shape: the
+    // heir's task runs as the guest's did, T1.
     let (cand, bodies) = heir();
     let heir_id = rt
         .admit(&cand, bodies, None)
         .expect("the retired guest's bandwidth is available again");
-    println!("heir admitted as tenant {} after the retire", heir_id.raw());
+    assert_eq!(
+        rt.first_task(heir_id),
+        Some(guest_task),
+        "the heir takes the slot"
+    );
+    assert_eq!(rt.first_task(tenant), None, "the guest is gone");
+    println!(
+        "heir admitted as tenant {} in the guest's slot ({guest_task}) after the retire",
+        heir_id.raw()
+    );
 
     std::thread::sleep(std::time::Duration::from_millis(30));
     rt.stop();
@@ -150,12 +162,19 @@ fn main() -> Result<(), yasmin::Error> {
 
     // Tenant 0 ran undisturbed from start to stop; the guest's jobs all
     // ran on its own worker and none after the in-flight one at retire.
-    let guest_task = TaskId::new(1); // merged suffix: base set holds T0
-    let guest_recs = report
-        .records
-        .iter()
+    // The heir's jobs of the shared task id continue its sequence
+    // numbers: the guest's are the first ones.
+    let mut seqs: Vec<u64> = (report.records.iter())
         .filter(|r| r.job.task == guest_task)
-        .count();
+        .map(|r| r.job.seq)
+        .collect();
+    seqs.sort_unstable();
+    let heir_recs = heir_runs.load(Ordering::Relaxed) as usize;
+    let guest_recs = seqs.len() - heir_recs;
+    assert!(
+        seqs.windows(2).all(|w| w[0] < w[1]),
+        "one job per (task, seq)"
+    );
     println!(
         "final tally: tenant 0 ran {} jobs, guest ran {} (records agree: {}), heir ran {}",
         base_runs.load(Ordering::Relaxed),
@@ -163,9 +182,11 @@ fn main() -> Result<(), yasmin::Error> {
         guest_recs,
         heir_runs.load(Ordering::Relaxed)
     );
-    assert!(
-        heir_runs.load(Ordering::Relaxed) > 0,
-        "the re-admitted tenant ran"
+    assert!(heir_recs > 0, "the re-admitted tenant ran");
+    assert_eq!(
+        guest_recs,
+        tenant_runs.load(Ordering::Relaxed) as usize,
+        "every guest job has its record"
     );
     Ok(())
 }

@@ -317,6 +317,20 @@ fn admission_rows() -> Vec<(Config, Tenants)> {
 
 /// A `taskgen` set of `n` tasks at utilisation `u`, pinned worst-fit
 /// when `config` is partitioned.
+/// Whether `b` fits a slot `a` held: as many tasks, edges, channels
+/// and accelerators, and for each task as many versions on the same
+/// worker.
+fn same_shape(a: &TaskSet, b: &TaskSet) -> bool {
+    a.len() == b.len()
+        && a.edges().len() == b.edges().len()
+        && a.channels().len() == b.channels().len()
+        && a.accels().len() == b.accels().len()
+        && (a.tasks().iter().zip(b.tasks())).all(|(x, y)| {
+            x.versions().len() == y.versions().len()
+                && x.spec().assigned_worker() == y.spec().assigned_worker()
+        })
+}
+
 fn generated_tenant(config: &Config, tenants: Tenants, n: usize, u: f64, seed: u64) -> TaskSet {
     use yasmin::taskgen::periods::PeriodModel;
     use yasmin::taskgen::taskset::{
@@ -391,15 +405,18 @@ proptest! {
                 seed,
             ));
             let mut ledger = TenantLedger::new(gate.clone(), Arc::clone(&base));
-            // The model: live tenants as (id, first merged id, set).
-            let mut live: Vec<(TenantId, usize, TaskSet)> = Vec::new();
+            // The model: every slot past the base as (first merged id,
+            // set, holder) — the holder `None` once retired, the set its
+            // last holder's.
+            let mut slots: Vec<(usize, TaskSet, Option<TenantId>)> = Vec::new();
             let mut merged_len = base.len();
-            let mut every_tenant = (*base).clone();
-            let (mut accepted, mut refused) = (0, 0);
+            let (mut accepted, mut refused, mut recycled) = (0, 0, 0);
 
             for (i, &op) in ops.iter().enumerate() {
+                let live: Vec<usize> = (0..slots.len()).filter(|&k| slots[k].2.is_some()).collect();
                 if live.len() >= 5 || (op % 3 == 0 && !live.is_empty()) {
-                    let (tenant, _, _) = live.remove(op as usize / 3 % live.len());
+                    let k = live[op as usize / 3 % live.len()];
+                    let tenant = slots[k].2.take().unwrap();
                     prop_assert!(ledger.retire(tenant).is_ok());
                     prop_assert!(ledger.retire(tenant).is_err(), "double retire");
                     continue;
@@ -410,32 +427,43 @@ proptest! {
                 let u = (0.1 + 0.15 * f64::from(op % 5)) * config.workers() as f64;
                 let u = u.min(0.9 * n as f64);
                 let cand = generated_tenant(&config, tenants, n, u, seed.wrapping_add(i as u64));
+                // The first free slot of the candidate's shape, else the end.
+                let free = slots.iter().position(|(_, set, holder)| holder.is_none() && same_shape(set, &cand));
+                let first = free.map_or(merged_len, |k| slots[k].0);
+                // From scratch with the same slots: the live tenants
+                // before the candidate's, then the candidate followed by
+                // the live ones after it — the ledger's row order.
+                let live_sets = || slots.iter().filter(|s| s.2.is_some());
                 let mut scratch = (*base).clone();
-                for (_, _, set) in &live {
+                let mut parts = vec![(0, base.len())];
+                for (at, set, _) in live_sets().filter(|s| s.0 < first) {
                     scratch = scratch.extended(set).unwrap();
+                    parts.push((*at, set.len()));
+                }
+                let mut suffix = cand.clone();
+                parts.push((first, cand.len()));
+                for (at, set, _) in live_sets().filter(|s| s.0 > first) {
+                    suffix = suffix.extended(set).unwrap();
+                    parts.push((*at, set.len()));
                 }
                 // Scratch id → merged id, from the model alone.
                 let to_merged = |t: TaskId| {
-                    let mut at = base.len();
-                    if t.index() < at {
-                        return Some(t);
-                    }
-                    for (_, first, set) in &live {
-                        if t.index() < at + set.len() {
+                    let mut at = 0;
+                    for &(first, len) in &parts {
+                        if t.index() < at + len {
                             return Some(TaskId::new((first + t.index() - at) as u32));
                         }
-                        at += set.len();
+                        at += len;
                     }
-                    (t.index() < at + cand.len())
-                        .then(|| TaskId::new((merged_len + t.index() - at) as u32))
+                    None
                 };
-                let verdict = gate.evaluate(&scratch, &cand, None);
+                let verdict = gate.evaluate(&scratch, &suffix, None);
                 // The RTA-always reference: under static priorities the
                 // gate's verdict is the first miss, in partition then id
                 // order, of an RTA that iterates every row — the
                 // blocking-aware one on one core — whatever the
                 // hyperbolic bound says first.
-                let merged = scratch.extended(&cand).unwrap();
+                let merged = scratch.extended(&suffix).unwrap();
                 let (policy, a) = (config.priority(), yasmin::analysis::WcetAssumption::MaxVersion);
                 let reference = match (config.mapping(), config.workers()) {
                     _ if !policy.is_static() => None,
@@ -472,16 +500,24 @@ proptest! {
                     other => other,
                 });
                 let got = ledger.admit(&cand, None, |a| {
-                    assert_eq!(a.task_offset as usize, merged_len);
-                    assert_eq!(a.merged.len(), merged_len + cand.len());
+                    assert_eq!(a.slot.first_task as usize, first);
+                    let grown = if free.is_some() { 0 } else { cand.len() };
+                    assert_eq!(a.merged.len(), merged_len + grown);
                     Ok(())
                 });
                 match got {
                     Ok(tenant) => {
                         prop_assert_eq!(expected, Ok(()));
-                        every_tenant = every_tenant.extended(&cand).unwrap();
-                        live.push((tenant, merged_len, cand.clone()));
-                        merged_len += cand.len();
+                        match free {
+                            Some(k) => {
+                                slots[k] = (first, cand.clone(), Some(tenant));
+                                recycled += 1;
+                            }
+                            None => {
+                                slots.push((first, cand.clone(), Some(tenant)));
+                                merged_len += cand.len();
+                            }
+                        }
                         accepted += 1;
                     }
                     Err(e) => {
@@ -490,11 +526,17 @@ proptest! {
                     }
                 }
                 let rows = ledger.live_rows().iter().map(|r| r.task.index());
-                let tenant_ids = live.iter().flat_map(|(_, first, set)| *first..first + set.len());
+                let live_sets = slots.iter().filter(|s| s.2.is_some());
+                let tenant_ids = live_sets.flat_map(|(first, set, _)| *first..first + set.len());
                 prop_assert!(rows.eq((0..base.len()).chain(tenant_ids)));
                 prop_assert_eq!(ledger.merged().len(), merged_len);
             }
-            prop_assert_eq!(format!("{:?}", ledger.merged()), format!("{every_tenant:?}"));
+            // A tenant in every slot, the last holder of a free one.
+            let mut every_slot = (*base).clone();
+            for (_, set, _) in &slots {
+                every_slot = every_slot.extended(set).unwrap();
+            }
+            prop_assert_eq!(format!("{:?}", ledger.merged()), format!("{every_slot:?}"));
             if config.mapping() == MappingScheme::Global
                 && config.workers() > 1
                 && config.priority().is_static()
@@ -503,10 +545,146 @@ proptest! {
                 continue;
             }
             prop_assert!(
-                accepted > 10 && refused > 10,
-                "{:?} {:?}: {} accepted, {} refused — one-sided sequence",
-                config.priority(), tenants, accepted, refused
+                accepted > 10 && refused > 10 && recycled > 0,
+                "{:?} {:?}: {} accepted ({} into a freed slot), {} refused — one-sided sequence",
+                config.priority(), tenants, accepted, recycled, refused
             );
+        }
+    }
+}
+
+/// The three tenant shapes of `recycled_slots_keep_tenants_apart`, on
+/// worker 1: one task; a root and a node joined by a channel; three
+/// independent tasks.
+fn shaped_tenant(shape: usize, wcet_us: u64) -> TaskSet {
+    let ms = Duration::from_millis;
+    let mut b = TaskSetBuilder::new();
+    let on_1 = |spec: TaskSpec| spec.on_worker(WorkerId::new(1));
+    let task = |b: &mut TaskSetBuilder, spec: TaskSpec| {
+        let t = b.task_decl(on_1(spec)).unwrap();
+        let wcet = Duration::from_micros(wcet_us);
+        b.version_decl(t, VersionSpec::new("v", wcet)).unwrap();
+        t
+    };
+    match shape {
+        0 => {
+            task(&mut b, TaskSpec::periodic("solo", ms(10)));
+        }
+        1 => {
+            let root = task(&mut b, TaskSpec::periodic("root", ms(20)));
+            let node = task(&mut b, TaskSpec::graph_node("node"));
+            let ch = b.channel_decl("ch", 2, 8);
+            b.channel_connect(root, node, ch).unwrap();
+        }
+        _ => {
+            for (i, p) in [10, 20, 40].into_iter().enumerate() {
+                task(&mut b, TaskSpec::periodic(format!("t{i}"), ms(p)));
+            }
+        }
+    }
+    b.build().unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random admit/retire sequences over three tenant shapes through
+    /// `Simulation`, partitioned: the base set on worker 0, tenants on
+    /// worker 1. A retired tenant's slot goes to the next tenant of its
+    /// shape, and then: live tenants' task ranges never overlap; the
+    /// merged set holds at most the base plus, per shape, the most
+    /// tenants of it ever live at once; tenant 0's records are a solo
+    /// run's, field for field but the job id; and every record of a
+    /// slot's task belongs to the holder live at its release, which
+    /// started it no later than its retirement — what ran after that
+    /// was already running then.
+    #[test]
+    fn recycled_slots_keep_tenants_apart(
+        ops in prop::collection::vec(0u64..1_000_000, 1..40),
+    ) {
+        let ms = Duration::from_millis;
+        let horizon = ms(600);
+        let config = Config::builder()
+            .workers(2)
+            .mapping(MappingScheme::Partitioned)
+            .priority(PriorityPolicy::EarliestDeadlineFirst)
+            .build()
+            .unwrap();
+        let mut b = TaskSetBuilder::new();
+        for (name, period, wcet) in [("a_fast", 10, 2), ("a_slow", 20, 3)] {
+            let t = b
+                .task_decl(TaskSpec::periodic(name, ms(period)).on_worker(WorkerId::new(0)))
+                .unwrap();
+            b.version_decl(t, VersionSpec::new(name, ms(wcet))).unwrap();
+        }
+        let base = Arc::new(b.build().unwrap());
+        let mut sim = Simulation::new(Arc::clone(&base), config.clone(), SimConfig::uniform(2, horizon)).unwrap();
+        // (tenant, shape, first task, admitted at, retired at)
+        let mut tenants: Vec<(TenantId, usize, usize, Duration, Option<Duration>)> = Vec::new();
+        let (mut live_of, mut max_live) = ([0usize; 3], [0usize; 3]);
+        let mut now = Duration::ZERO;
+        for &draw in &ops {
+            // A shape, an operation and a whole number of ms to wait,
+            // zero now and then: a retirement and an admission may
+            // share an instant.
+            let (shape, op, step) = (draw % 3, (draw / 3 % 10) as u32, draw / 30 % 40);
+            now += ms(step);
+            let live: Vec<usize> = (0..tenants.len()).filter(|&k| tenants[k].4.is_none()).collect();
+            if op < 4 && !live.is_empty() {
+                let k = live[op as usize % live.len()];
+                sim.retire_at(now, tenants[k].0);
+                tenants[k].4 = Some(now);
+                live_of[tenants[k].1] -= 1;
+                continue;
+            }
+            let cand = shaped_tenant(shape as usize, 200 + 100 * u64::from(op));
+            let Ok(t) = sim.admit_at(now, &cand, None) else { continue };
+            let first = sim.first_task(t).unwrap().index();
+            tenants.push((t, shape as usize, first, now, None));
+            live_of[shape as usize] += 1;
+            max_live[shape as usize] = max_live[shape as usize].max(live_of[shape as usize]);
+            // Live tenants' ranges are disjoint.
+            let mut ranges: Vec<(usize, usize)> = tenants
+                .iter()
+                .filter(|t| t.4.is_none())
+                .map(|t| (t.2, t.2 + shaped_tenant(t.1, 1).len()))
+                .collect();
+            ranges.sort_unstable();
+            prop_assert!(ranges.windows(2).all(|w| w[0].1 <= w[1].0), "{ranges:?}");
+            prop_assert!(ranges[0].0 >= base.len());
+        }
+        let lens = [0, 1, 2].map(|s| shaped_tenant(s, 1).len());
+        let merged_len = tenants.iter().map(|t| t.2 + lens[t.1]).max().unwrap_or(base.len());
+        let bound = base.len() + (0..3).map(|s| max_live[s] * lens[s]).sum::<usize>();
+        prop_assert!(merged_len <= bound, "{merged_len} > {bound}");
+
+        let res = sim.run().unwrap();
+        let solo = Simulation::new(Arc::clone(&base), config, SimConfig::uniform(2, horizon))
+            .unwrap()
+            .run()
+            .unwrap();
+        let key = |r: &yasmin::sim::JobRecord| {
+            (r.task, r.seq, r.release, r.graph_release, r.abs_deadline, r.first_start,
+             r.completion, r.version, r.worker, r.preemptions)
+        };
+        let own = |r: &&yasmin::sim::JobRecord| r.task.index() < base.len();
+        prop_assert!(res.records.iter().filter(own).map(key).eq(solo.records.iter().map(key)));
+        for r in res.records.iter().filter(|r| r.task.index() >= base.len()) {
+            let zero = Instant::ZERO;
+            // The slot's holder live at the release: the last admitted
+            // into it at or before then.
+            let holder = tenants
+                .iter()
+                .filter(|t| (t.2..t.2 + lens[t.1]).contains(&r.task.index()))
+                .filter(|t| zero + t.3 <= r.release)
+                .max_by_key(|t| t.3);
+            prop_assert!(holder.is_some(), "{r:?} released before any holder");
+            let &(tenant, _, _, admitted, retired) = holder.unwrap();
+            prop_assert!(r.graph_release >= zero + admitted, "{tenant}: {r:?}");
+            if let Some(retired) = retired {
+                prop_assert!(r.release <= zero + retired, "{tenant} released after retiring: {r:?}");
+                prop_assert!(r.first_start <= zero + retired, "{tenant} started after retiring: {r:?}");
+            }
         }
     }
 }

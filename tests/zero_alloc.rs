@@ -4,7 +4,7 @@
 //! warm-up phase (rank caches fill, scratch buffers and the action sink
 //! grow to their high-water marks) each scenario drives 10 000 further
 //! steady-state scheduler interactions and asserts the allocation
-//! counter did not move at all. Fourteen scenarios cover the paths the
+//! counter did not move at all. Fifteen scenarios cover the paths the
 //! ROADMAP names:
 //!
 //! 1. **independent / global** — the EDF tick/complete loop of PR 2;
@@ -55,7 +55,11 @@
 //!     all k stolen jobs, while the victim refills;
 //! 14. **deadline culling** — `cull_missed` on an overloaded worker:
 //!     every tick culls the jobs past their deadline and reports each
-//!     as an `Action::Cull`.
+//!     as an `Action::Cull`;
+//! 15. **tenant churn** — four live tenants of one shape: every cycle
+//!     one is installed in the slot the last retirement freed,
+//!     committed and run, and the oldest is retired — installing in
+//!     place overwrites the slot's tables in their own storage.
 //!
 //! Runs without the libtest harness (`harness = false` in Cargo.toml)
 //! so no other thread can touch the allocator during the measured
@@ -1178,6 +1182,123 @@ fn cull_missed_overload() {
     assert_eq!(culls, engine.stats().culled, "each cull is reported");
 }
 
+/// Scenario 15: tenant churn. Beside the base set, four tenants of one
+/// shape — a two-task DAG over a channel — are live at any time: every
+/// cycle one is installed in the slot the last retirement freed
+/// (`install_tenant`), committed, runs a tick, and the oldest is
+/// retired. The test plays the ledger's part: it builds the merged sets
+/// once and holds them, so the engine frees none either.
+fn tenant_churn() {
+    use std::collections::VecDeque;
+    use yasmin_core::ids::TenantId;
+    const WORKERS: usize = 2;
+    let p = Duration::from_millis(10);
+    let mut b = TaskSetBuilder::new();
+    for i in 0..2 {
+        let t = b
+            .task_decl(TaskSpec::periodic(format!("base{i}"), p))
+            .unwrap();
+        b.version_decl(t, VersionSpec::new("v", Duration::from_millis(1)))
+            .unwrap();
+    }
+    let base = Arc::new(b.build().unwrap());
+    let mut b = TaskSetBuilder::new();
+    let root = b.task_decl(TaskSpec::periodic("root", p)).unwrap();
+    let node = b.task_decl(TaskSpec::graph_node("node")).unwrap();
+    for t in [root, node] {
+        b.version_decl(t, VersionSpec::new("v", Duration::from_millis(1)))
+            .unwrap();
+    }
+    let ch = b.channel_decl("ch", 2, 8);
+    b.channel_connect(root, node, ch).unwrap();
+    let tenant = b.build().unwrap();
+    // The base grown by one to five tenants; the last one has a tenant
+    // in every slot, and is what every heir is installed from.
+    let mut sets = vec![Arc::clone(&base)];
+    for _ in 0..5 {
+        let grown = sets.last().unwrap().extended(&tenant).unwrap();
+        sets.push(Arc::new(grown));
+    }
+    let full = Arc::clone(&sets[5]);
+    let config = Config::builder()
+        .workers(WORKERS)
+        .priority(PriorityPolicy::EarliestDeadlineFirst)
+        .max_pending_jobs(256)
+        .build()
+        .expect("valid config");
+    let mut engine = OnlineEngine::new(Arc::clone(&base), config).expect("valid engine");
+    let mut sink = ActionSink::with_capacity(256);
+    let mut running: Vec<Option<JobId>> = vec![None; WORKERS];
+    engine
+        .start_into(Instant::ZERO, &mut sink)
+        .expect("fresh engine starts");
+    track(&mut running, sink.as_slice());
+
+    // Five tenants appended, the first retired: four live, one slot free.
+    let mut live: VecDeque<(TenantId, u32)> = VecDeque::with_capacity(8);
+    for set in &sets[1..] {
+        let first = engine.taskset().len() as u32;
+        let t = engine.splice_taskset(Arc::clone(set), None).unwrap();
+        sink.clear();
+        engine
+            .commit_tenant_into(t, Instant::ZERO, &mut sink)
+            .unwrap();
+        track(&mut running, sink.as_slice());
+        live.push_back((t, first));
+    }
+    let (oldest, mut free) = live.pop_front().unwrap();
+    sink.clear();
+    engine
+        .retire_tenant_into(oldest, Instant::ZERO, &mut sink)
+        .unwrap();
+    let tick = engine.tick_period();
+    let mut now = Instant::ZERO;
+    let mut next = engine.tenant_count() as u32;
+
+    assert_zero_alloc("tenant-churn", || {
+        let heir = TenantId::new(next);
+        next += 1;
+        engine
+            .install_tenant(Arc::clone(&full), heir, free, None)
+            .expect("the freed slot fits the heir");
+        sink.clear();
+        engine
+            .commit_tenant_into(heir, now, &mut sink)
+            .expect("the heir commits");
+        track(&mut running, sink.as_slice());
+        live.push_back((heir, free));
+        let mid = now + tick.scale(1, 2);
+        for w in 0..WORKERS {
+            if let Some(job) = running[w].take() {
+                sink.clear();
+                engine
+                    .on_job_completed_into(WorkerId::new(w as u16), job, mid, &mut sink)
+                    .expect("completion protocol upheld");
+                track(&mut running, sink.as_slice());
+            }
+        }
+        now += tick;
+        sink.clear();
+        engine.on_tick_into(now, &mut sink);
+        track(&mut running, sink.as_slice());
+        let (oldest, slot) = live.pop_front().expect("four live");
+        sink.clear();
+        engine
+            .retire_tenant_into(oldest, now, &mut sink)
+            .expect("the oldest is live");
+        free = slot;
+    });
+    assert_eq!(engine.taskset().len(), full.len(), "no slot was added");
+    assert!(engine.tenant_count() > STEADY as usize);
+    // Both workers run a job every cycle; what the retirements cull
+    // never ran.
+    let stats = engine.stats();
+    assert!(
+        stats.dispatched >= u64::from(2 * STEADY) && stats.culled > 0,
+        "the tenants must run and retire (got {stats:?})"
+    );
+}
+
 fn main() {
     independent_global();
     dag_firing();
@@ -1193,4 +1314,5 @@ fn main() {
     battery_energy_refresh();
     steady_state_batch_stealing();
     cull_missed_overload();
+    tenant_churn();
 }
