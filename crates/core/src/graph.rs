@@ -494,8 +494,11 @@ impl TaskSet {
 }
 
 /// Writes `items` into `v` from index `at` on: over what is there,
-/// then past its end, which grows as `Vec::extend` grows it.
-fn put<T>(v: &mut Vec<T>, at: usize, items: impl ExactSizeIterator<Item = T>) {
+/// then past its end, which grows as `Vec::extend` grows it. How a
+/// tenant is written into a slot ([`TaskSet::placed_from`]), and how a
+/// driver's tables indexed by id follow it. `at` is at most `v`'s
+/// length.
+pub fn put<T>(v: &mut Vec<T>, at: usize, items: impl ExactSizeIterator<Item = T>) {
     v.reserve((at + items.len()).saturating_sub(v.len()));
     for (i, item) in items.enumerate() {
         match v.get_mut(at + i) {

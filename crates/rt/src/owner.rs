@@ -180,6 +180,7 @@ use yasmin_core::error::{Error, Result};
 use yasmin_core::graph::TaskSet;
 use yasmin_core::ids::{JobId, TaskId, TenantId, VersionId, WorkerId};
 use yasmin_core::priority::Priority;
+use yasmin_core::task::Task;
 use yasmin_core::time::{Clock, Duration, Instant, MonotonicClock};
 use yasmin_sched::admission::{reservation_for, AdmissionControl, TenantLedger};
 use yasmin_sched::msg::MsgEvent;
@@ -555,7 +556,7 @@ pub(crate) fn wire<C: Clock>(
             drained: Arc::clone(&drain_board),
         };
         let mut bodies = BodyTable::default();
-        bodies.place(taskset, 0, &launch.bodies);
+        bodies.place(taskset.tasks(), 0, &launch.bodies);
         let lanes = Arc::clone(&shared);
         let owner = Owner::new(engine, bodies, rx, Arc::clone(clock), peers, lanes, helpers);
         owners.push((owner, ends));
@@ -991,12 +992,13 @@ struct BodyTable {
 }
 
 impl BodyTable {
-    /// Files the bodies of `taskset`'s tenant that starts at task
-    /// `first` — every task of a build-time set, whose `first` is 0 —
+    /// Files the bodies of `tenant` — every task of a build-time set, or
+    /// the tasks of one admitted tenant, which start at task `first` —
     /// looked up in `local` under their ids less `first`: past the
     /// table's end, or over the entries of a slot's former holder, of
     /// the tenant's shape. Those are not freed here: the caller that
-    /// admitted their tenant holds them ([`Runtime::admit`]).
+    /// admitted their tenant holds them ([`Runtime::admit`]). What else
+    /// `local` holds is never read.
     ///
     /// # Panics
     ///
@@ -1004,12 +1006,10 @@ impl BodyTable {
     /// the tenant starts past the table's end.
     fn place(
         &mut self,
-        taskset: &TaskSet,
+        tenant: &[Task],
         first: u32,
         local: &HashMap<(TaskId, VersionId), TaskBody>,
     ) {
-        let count = local.keys().map(|&(t, _)| t.index() + 1).max();
-        let tenant = &taskset.tasks()[first as usize..][..count.unwrap_or(0)];
         let appended = first as usize == self.first.len();
         for t in tenant {
             let id = TaskId::new(t.id().raw() - first);
@@ -1354,11 +1354,16 @@ impl<C: Clock> Owner<C> {
             } => {
                 // Control path: allocation is fine, the tenant is not
                 // running yet (module docs of `yasmin_sched::admission`).
-                self.bodies.place(&taskset, first_task, &bodies);
                 let server = reservation_for(tenant, budget, at);
                 self.engine
-                    .install_tenant(taskset, tenant, first_task, server)
+                    .install_tenant(Arc::clone(&taskset), tenant, first_task, server)
                     .expect("admission validated by the admitting thread");
+                // The tenant's tasks, as the engine installed them: the
+                // caller's map may hold more keys than it has tasks.
+                let held = |t: &&Task| self.engine.tenant_of_task(t.id()) == Some(tenant);
+                let tasks = &taskset.tasks()[first_task as usize..];
+                let count = tasks.iter().take_while(held).count();
+                self.bodies.place(&tasks[..count], first_task, &bodies);
                 match then {
                     // Nothing of a former holder is left to tell apart
                     // (`Owner::commit`): every instant from here on is

@@ -112,8 +112,9 @@ enum Cmd {
         period: Duration,
         retire_after: Option<Duration>,
     },
-    /// The tenant `.0`, admitted as [`Cmd::Admit`] admits its own.
-    AdmitSet(TaskSet),
+    /// The tenant `.0` with bodies `.1`, admitted as [`Cmd::Admit`]
+    /// admits its own ([`admit_set`]: with a no-op body for each version).
+    AdmitSet(TaskSet, HashMap<(TaskId, VersionId), TaskBody>),
     /// Sent to shards once every one has acknowledged the splice.
     Commit {
         tenant: TenantId,
@@ -186,6 +187,11 @@ fn noop_bodies(taskset: &TaskSet) -> HashMap<(TaskId, VersionId), TaskBody> {
         }
     }
     bodies
+}
+
+fn admit_set(candidate: TaskSet) -> Cmd {
+    let bodies = noop_bodies(&candidate);
+    Cmd::AdmitSet(candidate, bodies)
 }
 
 fn send(lane: &SharedLane, msg: ShardMsg) {
@@ -588,7 +594,12 @@ impl World {
     /// Admits `candidate` through the ledger and sends it as
     /// `Runtime::admit` sends it: the commit gated on every shard's
     /// acknowledgement, the retirement `retire_after` it when given.
-    fn admit(&mut self, candidate: &TaskSet, retire_after: Option<Duration>) {
+    fn admit(
+        &mut self,
+        candidate: &TaskSet,
+        bodies: HashMap<(TaskId, VersionId), TaskBody>,
+        retire_after: Option<Duration>,
+    ) {
         let (now, sharded) = (self.now(), self.config.sharded_dispatch());
         let owners = self.lanes.len();
         let ack = (owners > 1).then(|| Arc::new(AtomicUsize::new(owners)));
@@ -599,12 +610,12 @@ impl World {
         let end = self.ledger.merged().len() as u32;
         let (lanes, quiet, config) = (&self.lanes, &mut self.quiet, &self.config);
         let mut recycled = false;
+        let bodies = Arc::new(bodies);
         let admitted = self.ledger.admit(candidate, None, |admission| {
             if sharded {
                 validate_sharding(admission.merged, config)?;
             }
             recycled = admission.slot.first_task < end;
-            let bodies = Arc::new(noop_bodies(candidate));
             tenant_broadcast(lanes, quiet, || ShardMsg::Admit {
                 taskset: Arc::clone(admission.merged),
                 bodies: Arc::clone(&bodies),
@@ -671,9 +682,10 @@ impl World {
                 }
                 let t = b.task_decl(spec).unwrap();
                 b.version_decl(t, VersionSpec::new("v", us(50))).unwrap();
-                self.admit(&b.build().unwrap(), retire_after);
+                let candidate = b.build().unwrap();
+                self.admit(&candidate, noop_bodies(&candidate), retire_after);
             }
-            Cmd::AdmitSet(candidate) => self.admit(&candidate, None),
+            Cmd::AdmitSet(candidate, bodies) => self.admit(&candidate, bodies, None),
             Cmd::Commit {
                 tenant,
                 retire_after,
@@ -1441,10 +1453,10 @@ fn a_helpers_straggler_fires_nothing_of_the_heir() {
         true => us(5_000),
         false => us(100),
     });
-    world.at(T0 + us(500), Cmd::AdmitSet(dag_tenant((None, None))));
+    world.at(T0 + us(500), admit_set(dag_tenant((None, None))));
     world.at(T0 + us(4_500), Cmd::Activate(root));
     world.at(T0 + us(5_000), Cmd::Retire(TenantId::new(1)));
-    world.at(T0 + us(5_001), Cmd::AdmitSet(dag_tenant((None, None))));
+    world.at(T0 + us(5_001), admit_set(dag_tenant((None, None))));
     world.run_until(T0 + us(9_000));
     assert_eq!(world.recycled, 1);
     let engine = &world.owners[0].engine;
@@ -1498,7 +1510,7 @@ fn a_former_holders_token_after_the_heirs_splice_is_dropped() {
         false => us(100),
     });
     let (root, node) = (TaskId::new(3), TaskId::new(4));
-    world.at(T0 + us(500), Cmd::AdmitSet(dag_tenant((Some(0), Some(1)))));
+    world.at(T0 + us(500), admit_set(dag_tenant((Some(0), Some(1)))));
     world.at(T0 + us(1_000), Cmd::Activate(busy));
     world.at(T0 + us(1_100), Cmd::Activate(root));
     world.run_until(T0 + us(1_500));
@@ -1506,10 +1518,7 @@ fn a_former_holders_token_after_the_heirs_splice_is_dropped() {
     let token = lane.pop_lane(LANE_PEER0).expect("A's token is on its way");
     assert!(matches!(token, ShardMsg::CrossActivate { .. }));
     world.at(T0 + us(1_600), Cmd::Retire(TenantId::new(1)));
-    world.at(
-        T0 + us(1_700),
-        Cmd::AdmitSet(dag_tenant((Some(0), Some(1)))),
-    );
+    world.at(T0 + us(1_700), admit_set(dag_tenant((Some(0), Some(1)))));
     world.run_until(T0 + us(4_500));
     assert!(world.script.is_empty(), "B spliced and committed");
     assert_eq!(world.recycled, 1);
@@ -1527,6 +1536,50 @@ fn a_former_holders_token_after_the_heirs_splice_is_dropped() {
     let records = world.owners[1].report.records.iter();
     assert_eq!(records.filter(|r| r.job.task == node).count(), 0);
     world.at(T0 + us(5_500), Cmd::Shutdown);
+    world.run();
+    world.finish();
+}
+
+#[test]
+fn bodies_beyond_the_tenant_are_never_filed() {
+    // One owner, `p` every 4 ms. Tenants A and B, of one task each,
+    // take T1 and T2. A is retired, and C, of their shape, takes T1
+    // with a body for a second task it does not have; D is appended
+    // with one too. Neither extra body is filed: B's task keeps B's
+    // body, and the table holds one body per task.
+    let mut b = TaskSetBuilder::new();
+    task(&mut b, TaskSpec::periodic("p", us(4_000)), None, us(100));
+    let mut world = World::new("extra".into(), 0, b.build().unwrap(), one_owner(1), false);
+    let one = || {
+        let mut b = TaskSetBuilder::new();
+        task(&mut b, TaskSpec::aperiodic("t"), None, us(100));
+        b.build().unwrap()
+    };
+    let v0 = VersionId::new(0);
+    let with_extra = |set: TaskSet| {
+        let mut bodies = noop_bodies(&set);
+        let extra: TaskBody = Arc::new(|_: &JobCtx| unreachable!("never filed"));
+        bodies.insert((TaskId::new(1), v0), extra);
+        Cmd::AdmitSet(set, bodies)
+    };
+    let (b_set, b_bodies) = (one(), noop_bodies(&one()));
+    let b_body = Arc::clone(&b_bodies[&(TaskId::new(0), v0)]);
+    world.at(T0 + us(500), admit_set(one()));
+    world.at(T0 + us(600), Cmd::AdmitSet(b_set, b_bodies));
+    world.at(T0 + us(700), Cmd::Retire(TenantId::new(1)));
+    world.at(T0 + us(800), with_extra(one()));
+    world.at(T0 + us(900), with_extra(one()));
+    world.run_until(T0 + us(5_000));
+    assert!(world.script.is_empty(), "every tenant spliced");
+    assert_eq!(world.recycled, 1);
+    let owner = &world.owners[0];
+    let holder = |t: u32| owner.engine.tenant_of_task(TaskId::new(t));
+    assert_eq!(holder(1), Some(TenantId::new(3)));
+    assert_eq!(holder(3), Some(TenantId::new(4)));
+    let filed = owner.bodies.get(TaskId::new(2), v0);
+    assert!(Arc::ptr_eq(filed, &b_body), "B's task keeps B's body");
+    assert_eq!(owner.bodies.bodies.len(), 4);
+    world.at(T0 + us(5_000), Cmd::Shutdown);
     world.run();
     world.finish();
 }

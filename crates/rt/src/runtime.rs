@@ -781,6 +781,21 @@ mod tests {
         assert!(matches!(r, Err(Error::InvalidConfig(_))));
     }
 
+    #[test]
+    fn a_body_for_no_task_is_ignored() {
+        let mut b = TaskSetBuilder::new();
+        let spec = TaskSpec::periodic("t", ms(5));
+        let (t, v) = task(&mut b, spec, Duration::from_micros(10));
+        let ts = Arc::new(b.build().unwrap());
+        let rt = RuntimeBuilder::new(ts, config(1))
+            .body(t, v, |_| {})
+            .body(TaskId::new(1), v, |_| unreachable!("no task T1"))
+            .build()
+            .unwrap();
+        rt.stop();
+        let _ = rt.cleanup();
+    }
+
     /// One periodic task per worker and an aperiodic one on worker 1,
     /// every one assigned, so the set builds under any mapping.
     fn one_task_per_worker() -> (Arc<TaskSet>, Vec<(TaskId, VersionId)>, TaskId) {

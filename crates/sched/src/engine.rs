@@ -31,7 +31,7 @@ use yasmin_core::channel::BackpressurePolicy;
 use yasmin_core::config::{Config, MappingScheme, SelectCtx, VersionPolicy};
 use yasmin_core::energy::BatteryLevel;
 use yasmin_core::error::{Error, Result};
-use yasmin_core::graph::TaskSet;
+use yasmin_core::graph::{put, TaskSet};
 use yasmin_core::ids::{AccelId, JobId, TaskId, TenantId, VersionId, WorkerId};
 use yasmin_core::priority::{Priority, PriorityPolicy};
 use yasmin_core::task::{ActivationKind, OverrunPolicy};
@@ -1141,7 +1141,9 @@ impl OnlineEngine {
     /// instant its commit fixes: a job or token whose graph release is
     /// earlier completes or drops as a retired tenant's does — no
     /// successor fires, nothing of the holder is touched. Until the
-    /// commit every reference to the slot counts as a former holder's.
+    /// commit a cross-shard token for the slot is kept, and the commit
+    /// drops it or books it as the holder's; every other reference
+    /// counts as a former holder's.
     /// Jobs running here when their tenant is retired are marked then,
     /// and fire nothing whatever their graph release.
     ///
@@ -1281,6 +1283,14 @@ impl OnlineEngine {
             entry.since = since;
             while anchor < since {
                 anchor += self.tick;
+            }
+            // Tokens kept while it was undecided (`on_remote_token`):
+            // the former holder's are dropped, the holder's may fire.
+            let edges = entry.edges();
+            for i in edges {
+                self.token_release[i].retain(|&r| r >= since);
+                self.tokens[i] = self.token_release[i].len() as u64;
+                self.try_fire_joins(self.taskset.edges()[i].dst);
             }
         }
         self.arm_releases(slot, anchor);
@@ -1514,7 +1524,8 @@ impl OnlineEngine {
     ) -> Result<()> {
         let t = self.taskset.task(task)?;
         if self.is_task_retired(task) {
-            return Err(Error::TenantRetired(self.tenant_of[task.index()]));
+            let tenant = self.tenants[self.tenant_of[task.index()] as usize].tenant;
+            return Err(Error::TenantRetired(tenant.raw()));
         }
         if !self.owns_task(task) {
             return Err(Error::InvalidConfig(format!(
@@ -2013,13 +2024,26 @@ impl OnlineEngine {
             )));
         }
         let dst = self.taskset.edges()[i].dst;
+        // Until this shard hears the commit of a recycled slot's holder,
+        // a token for the slot may be the holder's — a shard that heard
+        // it first may have run its root — or a former holder's: it is
+        // kept, and the commit sorts them (`commit_tenant_at`).
+        let undecided = self.tenants[self.tenant_of[dst.index()] as usize].since == Instant::MAX;
+        let instance = if undecided {
+            Instant::MAX
+        } else {
+            graph_release
+        };
         // A token racing a tenant retirement (sent before the source
         // shard learned of it) is silently dropped, not a protocol
         // error — also once the slot has a new holder.
-        if !self.routed_here(dst, graph_release, "remote token")? {
+        if !self.routed_here(dst, instance, "remote token")? {
             return Ok(());
         }
         self.push_token(i, graph_release);
+        if undecided {
+            return Ok(());
+        }
         self.try_fire_joins(dst);
         self.dispatch_round(now, sink);
         Ok(())
@@ -2554,18 +2578,6 @@ impl OnlineEngine {
     fn requeue_blocked(&mut self, qi: usize) {
         for job in self.blocked_buf.drain(..) {
             let _ = self.queues[qi].push(job);
-        }
-    }
-}
-
-/// Writes `items` into `v` from index `at` on: over what is there,
-/// then past its end, which grows as `Vec::extend` grows it.
-fn put<T>(v: &mut Vec<T>, at: usize, items: impl ExactSizeIterator<Item = T>) {
-    v.reserve((at + items.len()).saturating_sub(v.len()));
-    for (i, item) in items.enumerate() {
-        match v.get_mut(at + i) {
-            Some(slot) => *slot = item,
-            None => v.push(item),
         }
     }
 }
@@ -3956,5 +3968,36 @@ mod tests {
         ];
         assert!(per_task.iter().all(|&n| n <= 21), "{per_task:?}");
         assert!(e.stats().completed > 5_000, "{:?}", e.stats());
+    }
+
+    #[test]
+    fn an_activation_in_a_free_slot_names_its_last_holder() {
+        use crate::admission::{AdmissionControl, TenantLedger};
+        let guest = || {
+            let mut b = yasmin_core::graph::TaskSetBuilder::new();
+            let t = b.task_decl(TaskSpec::aperiodic("g")).unwrap();
+            b.version_decl(t, VersionSpec::new("g", ms(1))).unwrap();
+            b.build().unwrap()
+        };
+        let mut e = OnlineEngine::new(two_task_set(), edf_config(2)).unwrap();
+        let mut ledger = TenantLedger::new(AdmissionControl::for_engine(&e), e.taskset_arc());
+        let mut sink = ActionSink::new();
+        e.start_into(at(0), &mut sink).unwrap();
+        for round in 1..=3 {
+            let tenant = ledger.admit(&guest(), None, |a| {
+                e.install_tenant(Arc::clone(a.merged), a.tenant, a.slot.first_task, None)
+            });
+            let tenant = tenant.unwrap();
+            e.commit_tenant_into(tenant, at(round), &mut sink).unwrap();
+            ledger.retire(tenant).unwrap();
+            e.retire_tenant_into(tenant, at(round), &mut sink).unwrap();
+        }
+        // Three tenants held T2 in turn, from the tenant table's index 1.
+        assert_eq!(e.taskset().len(), 3);
+        let refused = e.activate_into(TaskId::new(2), at(4), &mut sink);
+        assert!(
+            matches!(refused, Err(Error::TenantRetired(3))),
+            "{refused:?}"
+        );
     }
 }

@@ -808,6 +808,88 @@ mod tests {
     }
 
     #[test]
+    fn a_token_that_beats_its_shards_commit_waits_for_it() {
+        // Tenant A (`src` on worker 0 feeding `dst` on worker 1) is
+        // retired, and B, of its shape, takes its slot on both shards.
+        // Shard 0 hears B's commit first and runs B's root; its token
+        // reaches shard 1 before the commit does, beside a token of A's.
+        // Shard 1 keeps both until its commit, then drops A's and
+        // releases B's node.
+        use crate::admission::{AdmissionControl, TenantLedger};
+        let (w0, w1) = (WorkerId::new(0), WorkerId::new(1));
+        let mut b = yasmin_core::graph::TaskSetBuilder::new();
+        for (name, w) in [("p0", w0), ("p1", w1)] {
+            let t = b
+                .task_decl(TaskSpec::periodic(name, ms(40)).on_worker(w))
+                .unwrap();
+            b.version_decl(t, VersionSpec::new(name, ms(1))).unwrap();
+        }
+        let base = Arc::new(b.build().unwrap());
+        let tenant = {
+            let mut b = yasmin_core::graph::TaskSetBuilder::new();
+            let src = b.task_decl(TaskSpec::aperiodic("src").on_worker(w0));
+            let dst = b.task_decl(TaskSpec::graph_node("dst").on_worker(w1));
+            let (src, dst) = (src.unwrap(), dst.unwrap());
+            b.version_decl(src, VersionSpec::new("s", ms(1))).unwrap();
+            b.version_decl(dst, VersionSpec::new("d", ms(1))).unwrap();
+            let c = b.channel_decl("c", 1, 4);
+            b.channel_connect(src, dst, c).unwrap();
+            b.build().unwrap()
+        };
+        let mut shards = EngineShard::build_all(&base, &partitioned_config(2)).unwrap();
+        let mut ledger = TenantLedger::new(AdmissionControl::for_engine(&shards[0]), base);
+        let mut sink = ActionSink::new();
+        for (s, w) in shards.iter_mut().zip([w0, w1]) {
+            s.start_into(Instant::ZERO, &mut sink).unwrap();
+            let base_job = s.running().unwrap().job.id;
+            s.on_job_completed_into(w, base_job, at(1), &mut sink)
+                .unwrap();
+        }
+        let admit = |ledger: &mut TenantLedger, shards: &mut [EngineShard]| {
+            let admitted = ledger.admit(&tenant, None, |a| {
+                for s in shards.iter_mut() {
+                    s.install_tenant(Arc::clone(a.merged), a.tenant, a.slot.first_task, None)?;
+                }
+                Ok(())
+            });
+            admitted.unwrap()
+        };
+        let a = admit(&mut ledger, &mut shards);
+        for s in &mut shards {
+            s.commit_tenant_at(a, at(1), at(1)).unwrap();
+            s.retire_tenant_into(a, at(1), &mut sink).unwrap();
+        }
+        ledger.retire(a).unwrap();
+        let b = admit(&mut ledger, &mut shards);
+        let (src, dst) = (TaskId::new(2), TaskId::new(3));
+        assert_eq!(shards[1].tenant_of_task(dst), Some(b), "B took A's slot");
+        shards[0].commit_tenant_at(b, at(2), at(2)).unwrap();
+        shards[0].activate_into(src, at(2), &mut sink).unwrap();
+        let root = shards[0].running().expect("B's root runs").job.id;
+        shards[0]
+            .on_job_completed_into(w0, root, at(3), &mut sink)
+            .unwrap();
+        let mut outbox = Vec::new();
+        shards[0].drain_outbox_into(&mut outbox);
+        let edge = outbox[0].edge;
+        assert_eq!(outbox[0].graph_release, at(2));
+        for instance in [at(1), at(2)] {
+            shards[1]
+                .on_remote_token(edge, instance, at(3), &mut sink)
+                .unwrap();
+        }
+        assert_eq!(shards[1].ready_len(), 0, "held until the commit");
+        assert!(shards[1].running().is_none());
+        let released = shards[1].stats().released;
+        shards[1].commit_tenant_at(b, at(4), at(2)).unwrap();
+        assert_eq!(shards[1].stats().released, released + 1, "B's token only");
+        sink.clear();
+        shards[1].on_tick_into(at(4), &mut sink);
+        let node = shards[1].running().expect("B's node runs").job;
+        assert_eq!((node.task, node.graph_release), (dst, at(2)));
+    }
+
+    #[test]
     fn advance_into_matches_separate_completion_and_tick_rounds() {
         let ts = two_worker_set();
         let mut split = EngineShard::build_all(&ts, &partitioned_config(2)).unwrap();
