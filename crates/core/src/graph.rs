@@ -303,10 +303,7 @@ impl TaskSet {
     /// [`Error::CapacityExceeded`] if the combined counts overflow the id
     /// spaces (`u32` tasks/channels, `u16` accelerators).
     pub fn extended(&self, tenant: &TaskSet) -> Result<TaskSet> {
-        self.check_room_for(tenant)?;
-        let mut merged = self.clone();
-        merged.place(tenant, self.end_slot(tenant));
-        Ok(merged)
+        self.placed(tenant, self.end_slot(tenant))
     }
 
     /// The slot `tenant` takes when it is appended to `self`
@@ -345,36 +342,20 @@ impl TaskSet {
             })
     }
 
-    /// `self` with `tenant` written into `at` — a slot of its shape
-    /// that `self` holds ([`TaskSet::fits`]), whose former entities it
-    /// replaces, or [`TaskSet::end_slot`], which appends it as
-    /// [`TaskSet::extended`] does — built in recycled storage. `stale`
-    /// is an earlier generation of `self`: a set `self` descends from
-    /// through such writes, which differs from `self` only in the
-    /// slots `written` since it was current and in the entities
-    /// appended since. It comes back as the result, having copied only
-    /// those, so the cost is that of what changed since `stale` was
-    /// current, not of every task `self` holds, and none of `stale`'s
-    /// storage is freed. `self.clone()` with no slots written is the
-    /// plain copy.
+    /// A copy of `self` with `tenant` written into `at`: a slot of its
+    /// shape that `self` holds ([`TaskSet::fits`]), whose former
+    /// entities it replaces, or [`TaskSet::end_slot`], which appends it
+    /// as [`TaskSet::extended`] does.
     ///
     /// # Errors
     ///
-    /// As [`TaskSet::extended`] (`stale` is dropped).
+    /// As [`TaskSet::extended`].
     ///
     /// # Panics
     ///
-    /// Panics if `stale` holds more entities of any kind than `self`,
-    /// or `at` is neither within `self` nor its end; that `stale` is
-    /// an earlier generation, `written` complete and `at` of
-    /// `tenant`'s shape is otherwise the caller's word.
-    pub fn placed_from(
-        &self,
-        mut stale: TaskSet,
-        written: &[Slot],
-        tenant: &TaskSet,
-        at: Slot,
-    ) -> Result<TaskSet> {
+    /// Panics if `at` is neither within `self` nor its end; that `at`
+    /// is of `tenant`'s shape is otherwise the caller's word.
+    pub fn placed(&self, tenant: &TaskSet, at: Slot) -> Result<TaskSet> {
         let appended = at.first_task as usize == self.tasks.len();
         assert!(
             appended || at.task_range().end <= self.tasks.len(),
@@ -383,43 +364,9 @@ impl TaskSet {
         if appended {
             self.check_room_for(tenant)?;
         }
-        let held = stale.len();
-        for &slot in written.iter().filter(|s| s.task_range().end <= held) {
-            stale.copy_slot(self, slot);
-        }
-        stale
-            .tasks
-            .extend_from_slice(&self.tasks[stale.tasks.len()..]);
-        stale
-            .accels
-            .extend_from_slice(&self.accels[stale.accels.len()..]);
-        stale
-            .channels
-            .extend_from_slice(&self.channels[stale.channels.len()..]);
-        stale
-            .edges
-            .extend_from_slice(&self.edges[stale.edges.len()..]);
-        stale
-            .preds
-            .extend_from_slice(&self.preds[stale.preds.len()..]);
-        stale
-            .succs
-            .extend_from_slice(&self.succs[stale.succs.len()..]);
-        stale.topo.extend_from_slice(&self.topo[stale.topo.len()..]);
-        stale.place(tenant, at);
-        Ok(stale)
-    }
-
-    /// Copies what `from` holds in `slot` over what `self` holds there.
-    fn copy_slot(&mut self, from: &TaskSet, slot: Slot) {
-        let (tasks, edges) = (slot.task_range(), slot.edge_range());
-        self.tasks[tasks.clone()].clone_from_slice(&from.tasks[tasks.clone()]);
-        self.accels[slot.accel_range()].clone_from_slice(&from.accels[slot.accel_range()]);
-        self.channels[slot.channel_range()].clone_from_slice(&from.channels[slot.channel_range()]);
-        self.edges[edges.clone()].copy_from_slice(&from.edges[edges]);
-        self.preds[tasks.clone()].clone_from_slice(&from.preds[tasks.clone()]);
-        self.succs[tasks.clone()].clone_from_slice(&from.succs[tasks.clone()]);
-        self.topo[tasks.clone()].copy_from_slice(&from.topo[tasks]);
+        let mut merged = self.clone();
+        merged.place(tenant, at);
+        Ok(merged)
     }
 
     fn check_room_for(&self, tenant: &TaskSet) -> Result<()> {
@@ -495,7 +442,7 @@ impl TaskSet {
 
 /// Writes `items` into `v` from index `at` on: over what is there,
 /// then past its end, which grows as `Vec::extend` grows it. How a
-/// tenant is written into a slot ([`TaskSet::placed_from`]), and how a
+/// tenant is written into a slot ([`TaskSet::placed`]), and how a
 /// driver's tables indexed by id follow it. `at` is at most `v`'s
 /// length.
 pub fn put<T>(v: &mut Vec<T>, at: usize, items: impl ExactSizeIterator<Item = T>) {
@@ -511,8 +458,8 @@ pub fn put<T>(v: &mut Vec<T>, at: usize, items: impl ExactSizeIterator<Item = T>
 /// Where one tenant sits in a merged set: the first id and the count of
 /// each kind of entity it occupies. Appending a tenant
 /// ([`TaskSet::end_slot`]) opens a slot; a later tenant of the same
-/// shape ([`TaskSet::fits`]) can be written into it in place
-/// ([`TaskSet::placed_from`]) once its holder is gone.
+/// shape ([`TaskSet::fits`]) can be written into it
+/// ([`TaskSet::placed`]) once its holder is gone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Slot {
     /// Id of the slot's first task.
@@ -538,24 +485,6 @@ impl Slot {
     #[must_use]
     pub fn task_range(&self) -> std::ops::Range<usize> {
         self.first_task as usize..(self.first_task + self.task_count) as usize
-    }
-
-    /// Its edges, as indices into [`TaskSet::edges`].
-    #[must_use]
-    pub fn edge_range(&self) -> std::ops::Range<usize> {
-        self.first_edge as usize..(self.first_edge + self.edge_count) as usize
-    }
-
-    /// Its channel ids, as indices.
-    #[must_use]
-    pub fn channel_range(&self) -> std::ops::Range<usize> {
-        self.first_channel as usize..(self.first_channel + self.channel_count) as usize
-    }
-
-    /// Its accelerator ids, as indices.
-    #[must_use]
-    pub fn accel_range(&self) -> std::ops::Range<usize> {
-        self.first_accel as usize..(self.first_accel + self.accel_count) as usize
     }
 }
 
@@ -1057,44 +986,36 @@ mod tests {
     }
 
     #[test]
-    fn placed_from_a_stale_generation_equals_a_copy() {
+    fn placed_into_a_recycled_slot_equals_a_from_scratch_build() {
         let (a, b) = (tenant("a"), tenant("b"));
-        let gen0 = diamond();
-        let s1 = gen0.end_slot(&a);
-        let gen1 = gen0.extended(&a).unwrap();
-        let s2 = gen1.end_slot(&a);
-        let gen2 = gen1.extended(&a).unwrap();
+        let base = diamond();
+        let s1 = base.end_slot(&a);
+        let held = base.extended(&a).unwrap().extended(&a).unwrap();
         // `b` takes the first tenant's slot: same shape, new entities.
-        assert!(gen2.fits(s1, &b) && !gen2.fits(s1, &diamond()));
-        let gen3 = gen2.placed_from(gen2.clone(), &[], &b, s1).unwrap();
-        assert_eq!(gen3.len(), gen2.len());
-        assert_eq!(gen3.tasks()[5].spec().name(), "b-sink");
-        assert_eq!(gen3.tasks()[5].versions()[0].accel(), Some(AccelId::new(0)));
-        assert_eq!(gen3.in_degree(TaskId::new(5)), 1);
-        assert_eq!(gen3.component_root(TaskId::new(5)), TaskId::new(4));
+        assert!(held.fits(s1, &b) && !held.fits(s1, &diamond()));
+        let recycled = held.placed(&b, s1).unwrap();
+        let scratch = base.extended(&b).unwrap().extended(&a).unwrap();
+        assert_eq!(format!("{recycled:?}"), format!("{scratch:?}"));
+        assert_eq!(recycled.tasks()[5].spec().name(), "b-sink");
         assert_eq!(
-            gen3.tasks()[7].spec().name(),
+            recycled.tasks()[5].versions()[0].accel(),
+            Some(AccelId::new(0))
+        );
+        assert_eq!(recycled.in_degree(TaskId::new(5)), 1);
+        assert_eq!(recycled.component_root(TaskId::new(5)), TaskId::new(4));
+        assert_eq!(
+            recycled.tasks()[7].spec().name(),
             "a-sink",
             "the other slot kept"
         );
 
-        let copied = gen3.extended(&a).unwrap();
-        let at = gen3.end_slot(&a);
-        // Three generations behind, two, one, and level with `self`:
-        // each catches up on the slots written since it was current.
-        let stale = [
-            (gen0, vec![s1, s2, s1]),
-            (gen1, vec![s2, s1]),
-            (gen2, vec![s1]),
-            (gen3.clone(), vec![]),
-        ];
-        for (stale, written) in stale {
-            let recycled = gen3.placed_from(stale, &written, &a, at).unwrap();
-            assert_eq!(format!("{recycled:?}"), format!("{copied:?}"));
-        }
-        assert_eq!(copied.len(), 10);
-        assert_eq!(copied.component_root(TaskId::new(9)), TaskId::new(8));
-        assert_eq!(copied.topological_order().len(), 10);
+        // At the set's end, `placed` is `extended`.
+        let appended = recycled.placed(&a, recycled.end_slot(&a)).unwrap();
+        let scratch = scratch.extended(&a).unwrap();
+        assert_eq!(format!("{appended:?}"), format!("{scratch:?}"));
+        assert_eq!(appended.len(), 10);
+        assert_eq!(appended.component_root(TaskId::new(9)), TaskId::new(8));
+        assert_eq!(appended.topological_order().len(), 10);
     }
 
     #[test]

@@ -182,9 +182,9 @@ use yasmin_core::ids::{JobId, TaskId, TenantId, VersionId, WorkerId};
 use yasmin_core::priority::Priority;
 use yasmin_core::task::Task;
 use yasmin_core::time::{Clock, Duration, Instant, MonotonicClock};
-use yasmin_sched::admission::{reservation_for, AdmissionControl, TenantLedger};
+use yasmin_sched::admission::{AdmissionControl, TenantLedger};
 use yasmin_sched::msg::MsgEvent;
-use yasmin_sched::server::TenantBudget;
+use yasmin_sched::server::{ReservationServer, TenantBudget};
 use yasmin_sched::{
     Action, ActionSink, EngineShard, EngineStats, Job, JobBatch, JobOutcome, OnlineEngine,
     RemoteActivation, StealHint, MAX_STEAL_BATCH,
@@ -1354,7 +1354,7 @@ impl<C: Clock> Owner<C> {
             } => {
                 // Control path: allocation is fine, the tenant is not
                 // running yet (module docs of `yasmin_sched::admission`).
-                let server = reservation_for(tenant, budget, at);
+                let server = budget.map(|b| ReservationServer::new(b, at));
                 self.engine
                     .install_tenant(Arc::clone(&taskset), tenant, first_task, server)
                     .expect("admission validated by the admitting thread");

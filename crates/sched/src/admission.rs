@@ -17,8 +17,8 @@
 //! **A tenant is a task-set namespace.** Each tenant declares its tasks,
 //! versions, accelerators and channels against its own id space starting
 //! at zero, exactly as if it were the only application. At admission the
-//! tenant's set is written into a **slot** of the live set
-//! ([`TaskSet::placed_from`]): the id ranges — tasks, edges, channels,
+//! tenant's set is written into a **slot** of a copy of the live set
+//! ([`TaskSet::placed`]): the id ranges — tasks, edges, channels,
 //! accelerators — of a retired tenant of the same *shape*
 //! ([`TaskSet::fits`]: as many tasks, edges, channels and accelerators,
 //! and for each task as many versions on the same worker), or, when no
@@ -57,8 +57,8 @@
 //!
 //! **Budgets.** An admitted tenant may carry a [`TenantBudget`], which
 //! the engine turns into a [`ReservationServer`]
-//! (a deferrable/polling server in the Ghazalie & Baker sense, anchored
-//! at the admission instant). Every dispatch of one of the tenant's jobs
+//! (a deferrable server in the Ghazalie & Baker sense, anchored at the
+//! admission instant). Every dispatch of one of the tenant's jobs
 //! charges the *selected version's WCET* against the server,
 //! all-or-nothing: a job that does not fit in the remaining budget is
 //! deferred to a later dispatch round — never dropped — and counted in
@@ -103,21 +103,15 @@
 //! sections and every term stays the zero it was built with: the check
 //! skips them.
 //!
-//! The ledger also keeps each *superseded* merged set alive until the
-//! engines have let go of it. A driver's splice closure may return once
-//! the new set is sent (the thread runtimes' do), so the engine that
-//! adopts it last would otherwise drop the last reference to the old
-//! one — one `free` per task, version vector and adjacency list of the
-//! set, on a real-time thread. The next `admit` takes the newest such
-//! set back instead and builds the next one in its storage
-//! ([`TaskSet::placed_from`]): it differs from the current set only in
-//! the slots written since it was current and the entities appended
-//! since, which the ledger logs, so only those are copied and nothing
-//! is freed. In the steady state two sets alternate — the one the
-//! engines run and the one before it — and an admission copies two
-//! tenants, not the whole set; only when the engines fall behind does
-//! `admit` copy the whole set, and drop, on the caller's thread, the
-//! older sets they let go of later.
+//! Every admission writes the candidate into a copy of the merged set,
+//! so it costs one copy of the live tenants' entities. The ledger keeps
+//! each *superseded* merged set alive until the engines have let go of
+//! it. A driver's splice closure may return once the new set is sent
+//! (the thread runtimes' do), so the engine that adopts it last would
+//! otherwise drop the last reference to the old one — one `free` per
+//! task, version vector and adjacency list of the set, on a real-time
+//! thread. Each admission instead drops, on the caller's thread, the
+//! superseded sets no engine holds any more.
 //!
 //! # The admission state machine
 //!
@@ -196,13 +190,14 @@
 //!   allocator.
 //!
 //! [`EngineStats::budget_deferrals`]: crate::engine::EngineStats::budget_deferrals
+//! [`ReservationServer`]: crate::server::ReservationServer
 //! [`TaskSet::extended`]: yasmin_core::graph::TaskSet::extended
-//! [`TaskSet::placed_from`]: yasmin_core::graph::TaskSet::placed_from
+//! [`TaskSet::placed`]: yasmin_core::graph::TaskSet::placed
 //! [`TaskSet::fits`]: yasmin_core::graph::TaskSet::fits
 //! [`TenantId`]: yasmin_core::ids::TenantId
 
 use crate::engine::OnlineEngine;
-use crate::server::{ReservationServer, TenantBudget};
+use crate::server::TenantBudget;
 use std::fmt;
 use std::sync::Arc;
 use yasmin_analysis::{
@@ -214,7 +209,7 @@ use yasmin_core::config::{Config, MappingScheme};
 use yasmin_core::error::Error;
 use yasmin_core::graph::{Slot, TaskSet};
 use yasmin_core::ids::{TaskId, TenantId, WorkerId};
-use yasmin_core::time::{Duration, Instant};
+use yasmin_core::time::Duration;
 
 /// Float-comparison slack for utilisation/density sums.
 const EPS: f64 = 1e-9;
@@ -698,18 +693,6 @@ impl AdmissionControl {
     }
 }
 
-/// Builds the [`ReservationServer`] for an accepted admission: tagged
-/// with the tenant id the splice will assign, replenishing from the
-/// admission instant.
-#[must_use]
-pub fn reservation_for(
-    tenant: TenantId,
-    budget: Option<TenantBudget>,
-    now: Instant,
-) -> Option<ReservationServer> {
-    budget.map(|b| ReservationServer::new(tenant, b, now))
-}
-
 /// What a driver must splice for an admission the analysis accepted —
 /// handed to the closure of [`TenantLedger::admit`].
 #[derive(Debug, Clone, Copy)]
@@ -757,18 +740,10 @@ pub struct TenantLedger {
     /// first admission. A check inserts the candidate's at its slot and
     /// removes them again unless it is admitted.
     rows: Vec<Row>,
-    /// Earlier values of `merged`, oldest first, each with the number of
-    /// admissions made before it was superseded (module docs): kept
-    /// while an engine may still run them, then recycled by the next
-    /// admission — or dropped by it, on a caller's thread.
-    superseded: Vec<(Arc<TaskSet>, u64)>,
-    /// Admissions made so far: the generation of `merged`.
-    generation: u64,
-    /// The slot admission `first_written + k` wrote, for each `k`: what
-    /// a recycled set catches up on. Kept from the oldest superseded
-    /// set's generation on.
-    written: Vec<Slot>,
-    first_written: u64,
+    /// Earlier values of `merged` (module docs): kept while an engine
+    /// may still run them, then dropped by a later admission, on the
+    /// caller's thread.
+    superseded: Vec<Arc<TaskSet>>,
 }
 
 impl TenantLedger {
@@ -792,23 +767,7 @@ impl TenantLedger {
             next_tenant: 1,
             rows: Vec::new(),
             superseded: Vec::new(),
-            generation: 0,
-            written: Vec::new(),
-            first_written: 0,
         }
-    }
-
-    /// Takes back the newest superseded set every engine has let go of
-    /// — the one that lacks the least — and drops the older such ones.
-    /// Returns it with the admissions made before it was superseded.
-    fn reclaim_superseded(&mut self) -> Option<(TaskSet, u64)> {
-        // A count of one cannot rise again — only a holder can clone —
-        // and `try_unwrap` synchronises with the drop that left it.
-        let unheld = |(set, _): &(Arc<TaskSet>, u64)| Arc::strong_count(set) == 1;
-        let newest = self.superseded.iter().rposition(unheld)?;
-        let (stale, generation) = self.superseded.remove(newest);
-        self.superseded.retain(|s| !unheld(s));
-        Arc::try_unwrap(stale).ok().map(|set| (set, generation))
     }
 
     /// The merged set the engines currently run: a tenant in every slot
@@ -903,12 +862,11 @@ impl TenantLedger {
     ) -> Result<TenantId, AdmissionError> {
         let (control, rows) = (&self.control, &mut self.rows);
         control.check(rows, cand, &self.merged, candidate, slot, budget)?;
-        let (stale, since) = match self.reclaim_superseded() {
-            Some(reclaimed) => reclaimed,
-            None => ((*self.merged).clone(), self.generation),
-        };
-        let written = &self.written[(since - self.first_written) as usize..];
-        let merged = Arc::new(self.merged.placed_from(stale, written, candidate, slot)?);
+        // A count of one cannot rise again: only a holder can clone.
+        // Dropped before the copy, the sets leave what they share with
+        // the merged set (its names) in cache for it.
+        self.superseded.retain(|set| Arc::strong_count(set) > 1);
+        let merged = Arc::new(self.merged.placed(candidate, slot)?);
         let tenant = TenantId::new(self.next_tenant);
         splice(Admission {
             tenant,
@@ -917,14 +875,7 @@ impl TenantLedger {
         })?;
         self.next_tenant += 1;
         self.superseded
-            .push((std::mem::replace(&mut self.merged, merged), self.generation));
-        self.written.push(slot);
-        self.generation += 1;
-        // What the oldest set still held lacks is all a later
-        // admission may have to copy.
-        let oldest = self.superseded[0].1;
-        self.written.drain(..(oldest - self.first_written) as usize);
-        self.first_written = oldest;
+            .push(std::mem::replace(&mut self.merged, merged));
         Ok(tenant)
     }
 
@@ -966,11 +917,12 @@ impl TenantLedger {
 mod tests {
     use super::*;
     use crate::engine::{Action, OnlineEngine};
-    use crate::server::ServerKind;
+    use crate::server::ReservationServer;
     use crate::sink::ActionSink;
     use yasmin_core::graph::TaskSetBuilder;
     use yasmin_core::priority::PriorityPolicy;
     use yasmin_core::task::TaskSpec;
+    use yasmin_core::time::Instant;
     use yasmin_core::version::VersionSpec;
 
     fn ms(v: u64) -> Duration {
@@ -1091,11 +1043,7 @@ mod tests {
     fn insufficient_budget_rejected() {
         let live = set("base", 1, 10, None);
         let tenant = set("guest", 4, 10, None); // needs 0.4
-        let budget = TenantBudget {
-            kind: ServerKind::Deferrable,
-            capacity: ms(2),
-            period: ms(10), // grants only 0.2
-        };
+        let budget = TenantBudget::deferrable(ms(2), ms(10)); // grants only 0.2
         let ctl = AdmissionControl::new(edf(1), ms(10));
         match ctl.evaluate(&live, &tenant, Some(&budget)) {
             Err(AdmissionError::Rejected(BoundViolation::BudgetInsufficient {
@@ -1350,10 +1298,10 @@ mod tests {
         // The engine splices the latest set: nothing dies on its thread…
         running = third;
         assert!(first.upgrade().is_some(), "the ledger still holds it");
-        // …and the caller's next admission takes the storage back: the
-        // new set is built in it, and is what copying would have built.
+        // …and the caller's next admission drops it, on the caller's
+        // thread; the new set is what copying would have built.
         let (_, fourth) = admit();
-        assert!(first.upgrade().is_none(), "recycled once the engine let go");
+        assert!(first.upgrade().is_none(), "dropped on the caller's thread");
         let mut copied = set("base", 1, 100, None);
         for _ in 0..4 {
             copied = copied.extended(&guest).unwrap();
@@ -1381,7 +1329,7 @@ mod tests {
             .evaluate(engine.taskset(), &tenant_set, Some(&budget))
             .unwrap();
         let tenant = TenantId::new(engine.tenant_count() as u32);
-        let server = reservation_for(tenant, Some(budget), t0);
+        let server = Some(ReservationServer::new(budget, t0));
         let got = engine.splice_taskset(Arc::clone(&merged), server).unwrap();
         assert_eq!(got, tenant);
         assert!(engine.tenant_server(tenant).is_some());

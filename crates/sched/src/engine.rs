@@ -1069,6 +1069,14 @@ impl OnlineEngine {
         !entry.retired && graph_release >= entry.since
     }
 
+    /// Whether `task`'s slot has a holder installed here whose commit
+    /// this engine has not heard: a job or token of the slot may then be
+    /// the holder's or a former holder's, and the commit sorts them
+    /// ([`OnlineEngine::commit_tenant_at`]).
+    fn undecided(&self, task: TaskId) -> bool {
+        self.tenants[self.tenant_of[task.index()] as usize].since == Instant::MAX
+    }
+
     /// `true` when `tenant` has been retired.
     ///
     /// # Errors
@@ -1094,10 +1102,7 @@ impl OnlineEngine {
     /// its task set, assigning the next [`TenantId`]: as
     /// [`OnlineEngine::install_tenant`] with [`TaskSet::end_slot`],
     /// `merged` being [`TaskSet::extended`] of this engine's current
-    /// set with the tenant's.
-    ///
-    /// `server`, if provided, must be tagged with the [`TenantId`] this
-    /// splice assigns (the current [`OnlineEngine::tenant_count`]).
+    /// set with the tenant's, and `server` the tenant's budget, if any.
     ///
     /// # Errors
     ///
@@ -1121,7 +1126,7 @@ impl OnlineEngine {
     ///
     /// `merged` is this engine's task set with the tenant written into
     /// the slot that starts at task `first_task`
-    /// ([`TaskSet::placed_from`]): at the set's end, where the tenant is
+    /// ([`TaskSet::placed`]): at the set's end, where the tenant is
     /// appended and every table grows the way construction adds
     /// tenant 0 — both are one table builder — or at a slot whose holder
     /// was retired, which the tenant takes over in place: that slot's
@@ -1141,27 +1146,29 @@ impl OnlineEngine {
     /// instant its commit fixes: a job or token whose graph release is
     /// earlier completes or drops as a retired tenant's does — no
     /// successor fires, nothing of the holder is touched. Until the
-    /// commit a cross-shard token for the slot is kept, and the commit
-    /// drops it or books it as the holder's; every other reference
-    /// counts as a former holder's.
+    /// commit a token for the slot — a cross-shard one, or one a job of
+    /// the slot stolen from a shard that heard the commit books here —
+    /// is kept and fires nothing, and the commit drops it or books it
+    /// as the holder's. Such a stolen job is not charged to the
+    /// holder's budget.
     /// Jobs running here when their tenant is retired are marked then,
     /// and fire nothing whatever their graph release.
     ///
-    /// `server`, if provided, must be tagged with `tenant`, and
-    /// `tenant` must be newer than every tenant installed so far.
+    /// `server` is the tenant's budget, if any: it serves the slot until
+    /// the tenant is retired. `tenant` must be newer than every tenant
+    /// installed so far.
     ///
     /// # Errors
     ///
-    /// [`Error::InvalidConfig`] if `tenant` is not new, the server is
-    /// mis-tagged, `merged` shrinks the current set, `first_task` starts
-    /// neither its end nor a free slot, the installed range adds no
-    /// tasks, changes the set's length in a slot, has an edge leaving
-    /// it, or has a recurring period that is not a multiple of the
-    /// engine tick (admitted tenants cannot re-derive the tick of a
+    /// [`Error::InvalidConfig`] if `tenant` is not new, `merged` shrinks
+    /// the current set, `first_task` starts neither its end nor a free
+    /// slot, the installed range adds no tasks, changes the set's length
+    /// in a slot, has an edge leaving it, or has a recurring period that
+    /// is not a multiple of the engine tick (admitted tenants cannot re-derive the tick of a
     /// running scheduler); [`Error::MissingPartition`] /
     /// [`Error::UnknownWorker`] for partition violations.
     ///
-    /// [`TaskSet::placed_from`]: yasmin_core::graph::TaskSet::placed_from
+    /// [`TaskSet::placed`]: yasmin_core::graph::TaskSet::placed
     pub fn install_tenant(
         &mut self,
         merged: Arc<TaskSet>,
@@ -1172,12 +1179,6 @@ impl OnlineEngine {
         if tenant.raw() < self.next_tenant {
             return Err(Error::InvalidConfig(format!(
                 "tenant {tenant} is not newer than every tenant installed"
-            )));
-        }
-        if let Some(s) = server.as_ref().filter(|s| s.tenant() != tenant) {
-            return Err(Error::InvalidConfig(format!(
-                "reservation server tagged {} but the tenant is {tenant}",
-                s.tenant()
             )));
         }
         let (n0, e0) = (self.taskset.len(), self.taskset.edges().len());
@@ -1284,8 +1285,9 @@ impl OnlineEngine {
             while anchor < since {
                 anchor += self.tick;
             }
-            // Tokens kept while it was undecided (`on_remote_token`):
-            // the former holder's are dropped, the holder's may fire.
+            // Tokens kept while it was undecided (`on_remote_token`,
+            // `fire_successors`): the former holder's are dropped, the
+            // holder's may fire.
             let edges = entry.edges();
             for i in edges {
                 self.token_release[i].retain(|&r| r >= since);
@@ -1912,8 +1914,17 @@ impl OnlineEngine {
         // A retired tenant's in-flight jobs — a former holder's, where
         // the slot has a new one — complete but activate nothing: edges
         // never cross tenants, so skipping the whole fan-out (local
-        // tokens *and* outbox entries) is exact.
-        if !self.holds(task, graph_release) {
+        // tokens *and* outbox entries) is exact. Before this shard hears
+        // the commit of the slot's holder, a job of the slot — stolen
+        // from a shard that heard it — may be the holder's: its tokens
+        // are routed, and booked here as `on_remote_token` books one.
+        let undecided = self.undecided(task);
+        let instance = if undecided {
+            Instant::MAX
+        } else {
+            graph_release
+        };
+        if !self.holds(task, instance) {
             return;
         }
         let mut successors = std::mem::take(&mut self.successor_buf);
@@ -1931,7 +1942,7 @@ impl OnlineEngine {
                 continue;
             }
             self.push_token(i, graph_release);
-            if !successors.contains(&dst) {
+            if !undecided && !successors.contains(&dst) {
                 successors.push(dst);
             }
         }
@@ -2028,7 +2039,7 @@ impl OnlineEngine {
         // a token for the slot may be the holder's — a shard that heard
         // it first may have run its root — or a former holder's: it is
         // kept, and the commit sorts them (`commit_tenant_at`).
-        let undecided = self.tenants[self.tenant_of[dst.index()] as usize].since == Instant::MAX;
+        let undecided = self.undecided(dst);
         let instance = if undecided {
             Instant::MAX
         } else {
@@ -3655,7 +3666,7 @@ mod tests {
         b.version_decl(t, VersionSpec::new("t", ms(1))).unwrap();
         let merged = Arc::new(e.taskset().extended(&b.build().unwrap()).unwrap());
         let budget = crate::server::TenantBudget::deferrable(ms(5), ms(20));
-        let server = ReservationServer::new(TenantId::new(1), budget, at(20));
+        let server = ReservationServer::new(budget, at(20));
         e.splice_taskset(merged, Some(server)).unwrap();
         refused(&mut e, &start, at(20), "a reservation server attached");
 

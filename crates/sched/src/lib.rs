@@ -21,9 +21,8 @@
 //!   lane boosts the receiving task through the engine's PIP machinery;
 //! * [`offline`] — off-line table synthesis, validation, and the run-time
 //!   dispatcher (§3.4, Fig. 1c);
-//! * [`server`] — polling/deferrable aperiodic servers (the paper's §7
-//!   future-work item, implemented), plus per-tenant reservation
-//!   servers backing admission budgets;
+//! * [`server`] — deferrable reservation servers backing admitted
+//!   tenants' budgets (the paper's §7 future-work item);
 //! * [`admission`] — on-line admission control: schedulability-checks an
 //!   arriving tenant against the live set and produces the merged task
 //!   set to splice into a running engine, with structured refusals.
@@ -56,6 +55,6 @@ pub use offline::{
 };
 pub use queue::ReadyQueue;
 pub use select::{rank_versions, rank_versions_into, RankBuf};
-pub use server::{AperiodicServer, ReservationServer, ServerKind, TenantBudget};
+pub use server::{ReservationServer, TenantBudget};
 pub use shard::{validate_sharding, EngineShard};
 pub use sink::ActionSink;

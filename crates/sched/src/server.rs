@@ -1,169 +1,20 @@
-//! Aperiodic servers — the paper's first future-work item (§7):
-//! "improve the management of real-time tasks with arbitrary activation
-//! patterns by using recurring servers, e.g. [Ghazalie & Baker 1995]".
+//! Per-tenant reservation servers — the paper's first future-work item
+//! (§7): "improve the management of real-time tasks with arbitrary
+//! activation patterns by using recurring servers, e.g. [Ghazalie &
+//! Baker 1995]".
 //!
-//! A server reserves `(budget C_s, period T_s)` of processor time for
-//! aperiodic work so it can be accounted for like one more periodic task
-//! in any schedulability analysis, while aperiodic jobs get bounded
-//! service. Two classic disciplines:
-//!
-//! * **Polling server** — budget exists only at replenishment instants;
-//!   if no aperiodic work is pending, the budget is lost immediately.
-//! * **Deferrable server** — the budget persists through the period
-//!   (bandwidth-preserving), replenished to full every `T_s`.
-//!
-//! [`AperiodicServer`] is pure accounting: the driver asks how much
-//! budget is available at `now`, reports consumption, and the server
-//! tracks replenishments. This composes with the engine by modelling the
-//! server as a periodic task whose job "body" serves the aperiodic
-//! queue.
-//!
-//! [`ReservationServer`] builds on the same accounting to give an
-//! *admitted tenant* (see `yasmin_sched::admission`) a processor-time
-//! reservation: every dispatch of one of the tenant's jobs is charged
-//! against the server, and a tenant whose budget is exhausted has its
-//! jobs deferred — not dropped — until the next replenishment.
+//! An admitted tenant (see `yasmin_sched::admission`) may reserve
+//! `(capacity C_s, period T_s)` of processor time: a [`TenantBudget`].
+//! The engine turns it into a [`ReservationServer`], a *deferrable*
+//! server: the budget persists through the period until it is consumed
+//! (bandwidth-preserving) and is replenished to full every `T_s`,
+//! counted from the admission instant. Every dispatch of one of the
+//! tenant's jobs is charged against it, and a tenant whose budget is
+//! exhausted has its jobs deferred — not dropped — until the next
+//! replenishment. The server is pure accounting: the engine keeps one
+//! in each budgeted tenant's slot and passes it the time.
 
-use yasmin_core::ids::TenantId;
 use yasmin_core::time::{Duration, Instant};
-
-/// Which replenishment discipline the server follows.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum ServerKind {
-    /// Budget is lost if unused when the server is polled.
-    Polling,
-    /// Budget persists until consumed or replenished (deferrable).
-    Deferrable,
-}
-
-/// Budget accounting for one aperiodic server.
-#[derive(Clone, Debug)]
-pub struct AperiodicServer {
-    kind: ServerKind,
-    capacity: Duration,
-    period: Duration,
-    budget: Duration,
-    next_replenish: Instant,
-    served: Duration,
-    replenishments: u64,
-}
-
-impl AperiodicServer {
-    /// Creates a server with full initial budget, first replenishment at
-    /// `period`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` or `period` is zero, or `capacity > period`.
-    #[must_use]
-    pub fn new(kind: ServerKind, capacity: Duration, period: Duration) -> Self {
-        AperiodicServer::new_at(kind, capacity, period, Instant::ZERO)
-    }
-
-    /// Creates a server whose replenishment schedule is anchored at
-    /// `start` (first replenishment at `start + period`). On-line
-    /// admission uses this so a tenant admitted mid-run replenishes
-    /// relative to its admission instant, not the schedule epoch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` or `period` is zero, or `capacity > period`.
-    #[must_use]
-    pub fn new_at(kind: ServerKind, capacity: Duration, period: Duration, start: Instant) -> Self {
-        assert!(!capacity.is_zero(), "server capacity must be positive");
-        assert!(!period.is_zero(), "server period must be positive");
-        assert!(capacity <= period, "capacity cannot exceed the period");
-        AperiodicServer {
-            kind,
-            capacity,
-            period,
-            budget: capacity,
-            next_replenish: start + period,
-            served: Duration::ZERO,
-            replenishments: 0,
-        }
-    }
-
-    /// The discipline.
-    #[must_use]
-    pub fn kind(&self) -> ServerKind {
-        self.kind
-    }
-
-    /// The reserved budget per period.
-    #[must_use]
-    pub fn capacity(&self) -> Duration {
-        self.capacity
-    }
-
-    /// The replenishment period (also the server's RM/DM period when
-    /// folded into the task set).
-    #[must_use]
-    pub fn period(&self) -> Duration {
-        self.period
-    }
-
-    /// The server's utilisation `C_s / T_s`.
-    #[must_use]
-    pub fn utilisation(&self) -> f64 {
-        self.capacity.as_nanos() as f64 / self.period.as_nanos() as f64
-    }
-
-    /// Advances the accounting to `now`, applying any replenishments
-    /// that are due, and returns the budget available for aperiodic
-    /// service.
-    pub fn available_at(&mut self, now: Instant) -> Duration {
-        while self.next_replenish <= now {
-            self.budget = self.capacity;
-            self.next_replenish += self.period;
-            self.replenishments += 1;
-        }
-        self.budget
-    }
-
-    /// Serves aperiodic work for up to `demand` at `now`; returns how
-    /// much was actually granted (bounded by the available budget).
-    pub fn serve(&mut self, now: Instant, demand: Duration) -> Duration {
-        let available = self.available_at(now);
-        let granted = demand.min(available);
-        self.budget -= granted;
-        self.served += granted;
-        granted
-    }
-
-    /// For a polling server: called when the server is activated and
-    /// finds no pending work — the remaining budget is discarded
-    /// ("budget exists only at the instants the server polls").
-    pub fn poll_idle(&mut self, now: Instant) {
-        let _ = self.available_at(now);
-        if self.kind == ServerKind::Polling {
-            self.budget = Duration::ZERO;
-        }
-    }
-
-    /// Total aperiodic time served so far.
-    #[must_use]
-    pub fn total_served(&self) -> Duration {
-        self.served
-    }
-
-    /// Replenishments applied so far.
-    #[must_use]
-    pub fn replenishment_count(&self) -> u64 {
-        self.replenishments
-    }
-
-    /// Worst-case response-time bound for an aperiodic job of execution
-    /// time `c` arriving at the worst instant, assuming the server runs
-    /// at top priority: the job may wait one full period before service
-    /// starts (just-missed replenishment) and needs `⌈c/C_s⌉` periods of
-    /// budget.
-    #[must_use]
-    pub fn response_bound(&self, c: Duration) -> Duration {
-        let full_periods = c.as_nanos().div_ceil(self.capacity.as_nanos());
-        self.period * full_periods + self.period
-    }
-}
 
 /// The processor-time reservation requested for a tenant at admission.
 ///
@@ -178,9 +29,6 @@ impl AperiodicServer {
 /// *per-worker* reservation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TenantBudget {
-    /// Replenishment discipline ([`ServerKind::Deferrable`] is the usual
-    /// choice — budget persists until consumed).
-    pub kind: ServerKind,
     /// Processor time granted per replenishment period.
     pub capacity: Duration,
     /// Replenishment period (also the utilisation the tenant's server
@@ -192,11 +40,7 @@ impl TenantBudget {
     /// A deferrable reservation of `capacity` every `period`.
     #[must_use]
     pub fn deferrable(capacity: Duration, period: Duration) -> Self {
-        TenantBudget {
-            kind: ServerKind::Deferrable,
-            capacity,
-            period,
-        }
+        TenantBudget { capacity, period }
     }
 
     /// The server utilisation `capacity / period` this budget folds into
@@ -207,58 +51,62 @@ impl TenantBudget {
     }
 }
 
-/// A per-tenant reservation server: [`AperiodicServer`] accounting tagged
-/// with the owning [`TenantId`] and an all-or-nothing charge interface
-/// used by the engine's dispatch path.
+/// A tenant's deferrable reservation server, with the all-or-nothing
+/// charge interface the engine's dispatch path uses.
 #[derive(Clone, Debug)]
 pub struct ReservationServer {
-    tenant: TenantId,
-    server: AperiodicServer,
+    capacity: Duration,
+    period: Duration,
+    budget: Duration,
+    next_replenish: Instant,
+    charged: Duration,
     deferrals: u64,
     overrun_charges: u64,
 }
 
 impl ReservationServer {
-    /// Creates the reservation for `tenant` from its admitted `budget`,
-    /// with the replenishment schedule anchored at `start` (the admission
-    /// instant).
+    /// The server for an admitted `budget`, full, with its replenishment
+    /// schedule anchored at `start` (the admission instant): the first
+    /// replenishment is at `start + period`.
     ///
     /// # Panics
     ///
     /// Panics on a zero-capacity/period budget or `capacity > period`
     /// (admission validates budgets before constructing servers).
     #[must_use]
-    pub fn new(tenant: TenantId, budget: TenantBudget, start: Instant) -> Self {
+    pub fn new(budget: TenantBudget, start: Instant) -> Self {
+        let TenantBudget { capacity, period } = budget;
+        assert!(!capacity.is_zero(), "server capacity must be positive");
+        assert!(!period.is_zero(), "server period must be positive");
+        assert!(capacity <= period, "capacity cannot exceed the period");
         ReservationServer {
-            tenant,
-            server: AperiodicServer::new_at(budget.kind, budget.capacity, budget.period, start),
+            capacity,
+            period,
+            budget: capacity,
+            next_replenish: start + period,
+            charged: Duration::ZERO,
             deferrals: 0,
             overrun_charges: 0,
         }
     }
 
-    /// The tenant this reservation belongs to.
-    #[must_use]
-    pub fn tenant(&self) -> TenantId {
-        self.tenant
+    /// Applies the replenishments due by `now`, and returns the budget
+    /// available then.
+    fn available_at(&mut self, now: Instant) -> Duration {
+        while self.next_replenish <= now {
+            self.budget = self.capacity;
+            self.next_replenish += self.period;
+        }
+        self.budget
     }
 
-    /// The budget replenished each period.
-    #[must_use]
-    pub fn capacity(&self) -> Duration {
-        self.server.capacity()
-    }
-
-    /// The replenishment period.
-    #[must_use]
-    pub fn period(&self) -> Duration {
-        self.server.period()
-    }
-
-    /// The reservation's utilisation `C_s / T_s`.
-    #[must_use]
-    pub fn utilisation(&self) -> f64 {
-        self.server.utilisation()
+    /// Consumes up to `demand` of the budget available at `now`, and
+    /// returns how much it consumed.
+    fn serve(&mut self, now: Instant, demand: Duration) -> Duration {
+        let granted = demand.min(self.available_at(now));
+        self.budget -= granted;
+        self.charged += granted;
+        granted
     }
 
     /// Charges `demand` (a dispatched job's selected-version WCET)
@@ -267,9 +115,8 @@ impl ReservationServer {
     /// otherwise consumes nothing, counts a deferral and returns `false`
     /// (the engine requeues the job for a later round).
     pub fn try_charge(&mut self, now: Instant, demand: Duration) -> bool {
-        if self.server.available_at(now) >= demand {
-            let granted = self.server.serve(now, demand);
-            debug_assert_eq!(granted, demand);
+        if self.available_at(now) >= demand {
+            self.serve(now, demand);
             true
         } else {
             self.deferrals += 1;
@@ -285,7 +132,7 @@ impl ReservationServer {
     /// actually recovered from the remaining budget.
     pub fn charge_overrun(&mut self, now: Instant, overage: Duration) -> Duration {
         self.overrun_charges += 1;
-        self.server.serve(now, overage)
+        self.serve(now, overage)
     }
 
     /// How many overruns were billed against this reservation.
@@ -297,7 +144,7 @@ impl ReservationServer {
     /// Total processor time charged so far.
     #[must_use]
     pub fn total_charged(&self) -> Duration {
-        self.server.total_served()
+        self.charged
     }
 
     /// How many dispatch attempts were deferred for lack of budget.
@@ -319,9 +166,16 @@ mod tests {
         Instant::ZERO + ms(v)
     }
 
+    fn server(capacity_ms: u64, period_ms: u64) -> ReservationServer {
+        ReservationServer::new(
+            TenantBudget::deferrable(ms(capacity_ms), ms(period_ms)),
+            Instant::ZERO,
+        )
+    }
+
     #[test]
     fn deferrable_budget_persists() {
-        let mut s = AperiodicServer::new(ServerKind::Deferrable, ms(2), ms(10));
+        let mut s = server(2, 10);
         assert_eq!(s.available_at(at(0)), ms(2));
         // Nothing served; budget still there late in the period.
         assert_eq!(s.available_at(at(9)), ms(2));
@@ -329,56 +183,40 @@ mod tests {
         assert_eq!(s.available_at(at(9)), ms(1));
         // Replenished to full at t=10.
         assert_eq!(s.available_at(at(10)), ms(2));
-        assert_eq!(s.replenishment_count(), 1);
-    }
-
-    #[test]
-    fn polling_budget_is_lost_when_idle() {
-        let mut s = AperiodicServer::new(ServerKind::Polling, ms(2), ms(10));
-        s.poll_idle(at(0));
-        assert_eq!(s.available_at(at(5)), Duration::ZERO, "discarded");
-        // Back at the next replenishment.
-        assert_eq!(s.available_at(at(10)), ms(2));
     }
 
     #[test]
     fn service_is_budget_bounded() {
-        let mut s = AperiodicServer::new(ServerKind::Deferrable, ms(3), ms(10));
+        let mut s = server(3, 10);
         assert_eq!(s.serve(at(1), ms(5)), ms(3), "capped at the budget");
         assert_eq!(s.serve(at(2), ms(5)), Duration::ZERO, "exhausted");
         // Next period: more budget.
         assert_eq!(s.serve(at(11), ms(5)), ms(3));
-        assert_eq!(s.total_served(), ms(6));
+        assert_eq!(s.total_charged(), ms(6));
     }
 
     #[test]
     fn multiple_missed_replenishments_catch_up() {
-        let mut s = AperiodicServer::new(ServerKind::Deferrable, ms(2), ms(10));
+        let mut s = server(2, 10);
         let _ = s.serve(at(0), ms(2));
-        // Jump far ahead: budget refilled (once, not accumulated).
+        // Jump far ahead: budget refilled (once, not accumulated)…
         assert_eq!(s.available_at(at(55)), ms(2));
-        assert_eq!(s.replenishment_count(), 5);
-    }
-
-    #[test]
-    fn utilisation_and_bounds() {
-        let s = AperiodicServer::new(ServerKind::Deferrable, ms(2), ms(10));
-        assert!((s.utilisation() - 0.2).abs() < 1e-12);
-        // c = 5ms needs ceil(5/2)=3 periods + 1 waiting = 40ms.
-        assert_eq!(s.response_bound(ms(5)), ms(40));
-        // Tiny job: 1 period of service + 1 waiting.
-        assert_eq!(s.response_bound(ms(1)), ms(20));
+        // …and the next replenishment stays on the period grid, at 60.
+        assert_eq!(s.serve(at(55), ms(2)), ms(2));
+        assert_eq!(s.available_at(at(59)), Duration::ZERO);
+        assert_eq!(s.available_at(at(60)), ms(2));
     }
 
     #[test]
     #[should_panic(expected = "capacity cannot exceed")]
     fn capacity_over_period_rejected() {
-        let _ = AperiodicServer::new(ServerKind::Polling, ms(11), ms(10));
+        let _ = server(11, 10);
     }
 
     #[test]
     fn anchored_server_replenishes_from_start() {
-        let mut s = AperiodicServer::new_at(ServerKind::Deferrable, ms(2), ms(10), at(25));
+        let budget = TenantBudget::deferrable(ms(2), ms(10));
+        let mut s = ReservationServer::new(budget, at(25));
         let _ = s.serve(at(26), ms(2));
         assert_eq!(s.available_at(at(34)), Duration::ZERO);
         // First replenishment at 25 + 10 = 35, not at 30.
@@ -389,8 +227,7 @@ mod tests {
     fn reservation_charge_is_all_or_nothing() {
         let budget = TenantBudget::deferrable(ms(3), ms(10));
         assert!((budget.utilisation() - 0.3).abs() < 1e-12);
-        let mut r = ReservationServer::new(TenantId::new(1), budget, at(0));
-        assert_eq!(r.tenant(), TenantId::new(1));
+        let mut r = ReservationServer::new(budget, at(0));
         assert!(r.try_charge(at(1), ms(2)));
         // 1ms left: a 2ms demand must consume nothing.
         assert!(!r.try_charge(at(2), ms(2)));
@@ -406,11 +243,7 @@ mod tests {
 
     #[test]
     fn overrun_charge_is_clamped_but_always_counted() {
-        let mut r = ReservationServer::new(
-            TenantId::new(2),
-            TenantBudget::deferrable(ms(3), ms(10)),
-            at(0),
-        );
+        let mut r = server(3, 10);
         assert!(r.try_charge(at(0), ms(2)));
         // 1ms budget left; a 4ms overrun recovers only that 1ms.
         assert_eq!(r.charge_overrun(at(1), ms(4)), ms(1));

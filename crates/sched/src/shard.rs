@@ -191,11 +191,11 @@ impl DerefMut for EngineShard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::admission::reservation_for;
     use crate::engine::{Action, EngineStats};
     use crate::job::JobBatch;
-    use crate::server::TenantBudget;
+    use crate::server::{ReservationServer, TenantBudget};
     use crate::sink::ActionSink;
+    use yasmin_core::graph::Slot;
     use yasmin_core::ids::{JobId, TenantId};
     use yasmin_core::priority::PriorityPolicy;
     use yasmin_core::task::TaskSpec;
@@ -494,8 +494,20 @@ mod tests {
             .is_err());
     }
 
-    /// One 40 ms base task per worker, both shards started, plus a guest
-    /// tenant — two 4 ms tasks on worker 0 — spliced and committed on
+    /// The guest tenant: two 40 ms tasks of 4 ms on worker 0.
+    fn guest() -> TaskSet {
+        let mut g = yasmin_core::graph::TaskSetBuilder::new();
+        for name in ["g0", "g1"] {
+            let t = g
+                .task_decl(TaskSpec::periodic(name, ms(40)).on_worker(WorkerId::new(0)))
+                .unwrap();
+            g.version_decl(t, VersionSpec::new(name, ms(4))).unwrap();
+        }
+        g.build().unwrap()
+    }
+
+    /// One 40 ms base task per worker, both shards started, plus a
+    /// [`guest`] tenant spliced and committed on
     /// both with a 6 ms / 40 ms deferrable budget: capacity for one
     /// guest WCET on a replica, not for two. Worker 0 runs its base
     /// task with both guest jobs queued behind it; worker 1 has finished
@@ -514,19 +526,12 @@ mod tests {
         shards[0].start_into(Instant::ZERO, &mut sink).unwrap();
         shards[1].start_into(Instant::ZERO, &mut sink).unwrap();
 
-        let mut g = yasmin_core::graph::TaskSetBuilder::new();
-        for name in ["g0", "g1"] {
-            let t = g
-                .task_decl(TaskSpec::periodic(name, ms(40)).on_worker(WorkerId::new(0)))
-                .unwrap();
-            g.version_decl(t, VersionSpec::new(name, ms(4))).unwrap();
-        }
-        let merged = Arc::new(live.extended(&g.build().unwrap()).unwrap());
+        let merged = Arc::new(live.extended(&guest()).unwrap());
         // Every shard splices its own server replica.
         let budget = Some(TenantBudget::deferrable(ms(6), ms(40)));
         let tenant = TenantId::new(1);
         for s in &mut shards {
-            let server = reservation_for(tenant, budget, Instant::ZERO);
+            let server = budget.map(|b| ReservationServer::new(b, Instant::ZERO));
             assert_eq!(
                 s.splice_taskset(Arc::clone(&merged), server).unwrap(),
                 tenant
@@ -609,6 +614,56 @@ mod tests {
         // The second guest job follows in an exchange of its own.
         assert_eq!(steal(&mut shards, 1, at(2), &mut sink).len(), 1);
         second_guest_job_defers_on_the_thief(&mut shards, tenant, first.id, &mut sink);
+
+        // A heir's budget is its own. The guest, its thief replica
+        // spent and deferring, is retired; a budgeted heir takes its slot
+        // and starts with a full budget and no deferral on every shard.
+        let slot = Slot {
+            first_task: 2,
+            task_count: 2,
+            ..Slot::default()
+        };
+        let heir = Arc::new(shards[0].taskset().placed(&guest(), slot).unwrap());
+        let budget = TenantBudget::deferrable(ms(6), ms(40));
+        let budgeted = TenantId::new(2);
+        for s in &mut shards {
+            s.retire_tenant_into(tenant, at(6), &mut sink).unwrap();
+            let server = ReservationServer::new(budget, at(6));
+            s.install_tenant(Arc::clone(&heir), budgeted, 2, Some(server))
+                .unwrap();
+            // Nothing charged to it yet: its budget is full.
+            let fresh = s.tenant_server(budgeted).expect("the heir's own server");
+            assert_eq!(fresh.total_charged(), Duration::ZERO);
+            assert_eq!(fresh.deferral_count(), 0);
+            s.commit_tenant_at(budgeted, at(40), at(6)).unwrap();
+            s.retire_tenant_into(budgeted, at(6), &mut sink).unwrap();
+        }
+        // An heir without a budget is never deferred: both of its 4 ms
+        // jobs run on worker 0, where a 6 ms budget would defer one.
+        let unbudgeted = TenantId::new(3);
+        for s in &mut shards {
+            s.install_tenant(Arc::clone(&heir), unbudgeted, 2, None)
+                .unwrap();
+            assert!(s.tenant_server(unbudgeted).is_none());
+        }
+        let base0 = shards[0].running().expect("base0 still runs").job.id;
+        shards[0]
+            .on_job_completed_into(WorkerId::new(0), base0, at(7), &mut sink)
+            .unwrap();
+        let deferrals = shards[0].stats().budget_deferrals;
+        shards[0]
+            .commit_tenant_into(unbudgeted, at(40), &mut sink)
+            .unwrap();
+        let mut ran = Vec::new();
+        while let Some(r) = shards[0].running() {
+            let (job, done) = (r.job, at(41 + 5 * ran.len() as u64));
+            ran.push(job.task);
+            shards[0]
+                .on_job_completed_into(WorkerId::new(0), job.id, done, &mut sink)
+                .unwrap();
+        }
+        assert_eq!(ran.len(), 3, "base0 and both of the heir's jobs: {ran:?}");
+        assert_eq!(shards[0].stats().budget_deferrals, deferrals);
     }
 
     #[test]
@@ -887,6 +942,111 @@ mod tests {
         shards[1].on_tick_into(at(4), &mut sink);
         let node = shards[1].running().expect("B's node runs").job;
         assert_eq!((node.task, node.graph_release), (dst, at(2)));
+    }
+
+    #[test]
+    fn a_job_stolen_before_its_shards_commit_fires_once_committed() {
+        // Tenant A and then B, of its shape, hold one slot: a root `src`
+        // on worker 0 feeding `d0` on worker 0 and `d1` on worker 1.
+        // Shard 0 runs its base task throughout, so every root queues
+        // there and idle shard 1 steals it. A's root is taken before A
+        // is retired, and B's after shard 0 committed B. Shard 1 runs
+        // both before it hears B's commit: B's tokens release each
+        // successor exactly once, A's release nothing.
+        use crate::admission::{AdmissionControl, TenantLedger};
+        let (w0, w1) = (WorkerId::new(0), WorkerId::new(1));
+        let mut b = yasmin_core::graph::TaskSetBuilder::new();
+        for (name, w) in [("p0", w0), ("p1", w1)] {
+            let t = b
+                .task_decl(TaskSpec::periodic(name, ms(40)).on_worker(w))
+                .unwrap();
+            b.version_decl(t, VersionSpec::new(name, ms(1))).unwrap();
+        }
+        let base = Arc::new(b.build().unwrap());
+        let tenant = {
+            let mut b = yasmin_core::graph::TaskSetBuilder::new();
+            let src = b.task_decl(TaskSpec::aperiodic("src").on_worker(w0));
+            let src = src.unwrap();
+            b.version_decl(src, VersionSpec::new("s", ms(1))).unwrap();
+            for (name, w) in [("d0", w0), ("d1", w1)] {
+                let d = b.task_decl(TaskSpec::graph_node(name).on_worker(w));
+                let d = d.unwrap();
+                b.version_decl(d, VersionSpec::new(name, ms(1))).unwrap();
+                let c = b.channel_decl(name, 1, 4);
+                b.channel_connect(src, d, c).unwrap();
+            }
+            b.build().unwrap()
+        };
+        let mut shards = EngineShard::build_all(&base, &partitioned_config(2)).unwrap();
+        let mut ledger = TenantLedger::new(AdmissionControl::for_engine(&shards[0]), base);
+        let mut sink = ActionSink::new();
+        for s in &mut shards {
+            s.start_into(Instant::ZERO, &mut sink).unwrap();
+        }
+        let p1 = shards[1].running().unwrap().job.id;
+        shards[1]
+            .on_job_completed_into(w1, p1, at(1), &mut sink)
+            .unwrap();
+        let admit = |ledger: &mut TenantLedger, shards: &mut [EngineShard]| {
+            let admitted = ledger.admit(&tenant, None, |a| {
+                for s in shards.iter_mut() {
+                    s.install_tenant(Arc::clone(a.merged), a.tenant, a.slot.first_task, None)?;
+                }
+                Ok(())
+            });
+            admitted.unwrap()
+        };
+        let src = TaskId::new(2);
+        // Activates the root on shard 0 and detaches it for a thief.
+        let root = |shards: &mut [EngineShard], now: Instant, sink: &mut ActionSink| {
+            shards[0].activate_into(src, now, sink).unwrap();
+            let mut hints = Vec::new();
+            shards[0].try_steal_batch(1, &mut hints);
+            let mut batch = JobBatch::new();
+            assert_eq!(shards[0].release_stolen_batch(&hints, &mut batch), 1);
+            batch.as_slice()[0]
+        };
+        let a = admit(&mut ledger, &mut shards);
+        for s in &mut shards {
+            s.commit_tenant_at(a, at(1), at(1)).unwrap();
+        }
+        let former = root(&mut shards, at(1), &mut sink);
+        for s in &mut shards {
+            s.retire_tenant_into(a, at(1), &mut sink).unwrap();
+        }
+        ledger.retire(a).unwrap();
+        let b = admit(&mut ledger, &mut shards);
+        assert_eq!(shards[1].tenant_of_task(src), Some(b), "B took A's slot");
+        shards[0].commit_tenant_at(b, at(2), at(2)).unwrap();
+        let heirs = root(&mut shards, at(2), &mut sink);
+        let released = [0, 1].map(|k| shards[k].stats().released);
+        // Shard 1 runs both roots before it hears B's commit.
+        for (job, done) in [(former, at(3)), (heirs, at(4))] {
+            shards[1]
+                .adopt_stolen_batch(&[job], done, &mut sink)
+                .unwrap();
+            let ran = shards[1].running().expect("the stolen root runs").job;
+            assert_eq!((ran.task, ran.graph_release), (src, job.graph_release));
+            shards[1]
+                .on_job_completed_into(w1, ran.id, done, &mut sink)
+                .unwrap();
+        }
+        assert_eq!(shards[1].ready_len(), 0, "d1 waits for the commit");
+        let mut outbox = Vec::new();
+        shards[1].drain_outbox_into(&mut outbox);
+        assert_eq!(outbox.len(), 2, "both roots' d0 tokens are routed");
+        for token in outbox {
+            shards[0]
+                .on_remote_token(token.edge, token.graph_release, at(4), &mut sink)
+                .unwrap();
+        }
+        shards[1].commit_tenant_at(b, at(5), at(2)).unwrap();
+        let now = [0, 1].map(|k| shards[k].stats().released);
+        assert_eq!(now, released.map(|n| n + 1), "d0 and d1 once each");
+        sink.clear();
+        shards[1].on_tick_into(at(5), &mut sink);
+        let d1 = shards[1].running().expect("B's d1 runs").job;
+        assert_eq!((d1.task, d1.graph_release), (TaskId::new(4), at(2)));
     }
 
     #[test]

@@ -1173,7 +1173,7 @@ impl Simulation {
     /// validated as admission `idx`, and arms its sporadic roots.
     fn apply_admit(&mut self, now: Instant, idx: usize) {
         let (merged, budget, tenant, slot) = self.admit_events[idx].clone();
-        let server = budget.map(|b| ReservationServer::new(tenant, b, now));
+        let server = budget.map(|b| ReservationServer::new(b, now));
         // Pre-validated at admit_at time, so a failure here is a driver
         // bug, not a tenant fault.
         self.engine

@@ -576,8 +576,8 @@ fn steady_state_stealing() {
 /// behind is not.
 fn admitted_tenant_steady_state() {
     use yasmin_core::ids::TenantId;
-    use yasmin_sched::admission::{reservation_for, AdmissionControl};
-    use yasmin_sched::server::TenantBudget;
+    use yasmin_sched::admission::AdmissionControl;
+    use yasmin_sched::server::{ReservationServer, TenantBudget};
     const WORKERS: usize = 2;
     let p = Duration::from_millis(10);
     let build_set = |prefix: &str, n: usize| {
@@ -616,7 +616,7 @@ fn admitted_tenant_steady_state() {
         .evaluate(engine.taskset(), &tenant_set, Some(&budget))
         .expect("tenant is admissible");
     let tenant = TenantId::new(engine.tenant_count() as u32);
-    let server = reservation_for(tenant, Some(budget), Instant::ZERO);
+    let server = Some(ReservationServer::new(budget, Instant::ZERO));
     engine.splice_taskset(merged, server).expect("valid splice");
     sink.clear();
     engine
