@@ -129,28 +129,34 @@ impl TaskSet {
         &self.edges
     }
 
+    /// Indices into [`TaskSet::edges`] of the edges entering `t`, in
+    /// edge order; empty for a task the set does not have.
+    #[must_use]
+    pub fn in_edge_ids(&self, t: TaskId) -> &[usize] {
+        self.preds.get(t.index()).map_or(&[], Vec::as_slice)
+    }
+
+    /// Indices into [`TaskSet::edges`] of the edges leaving `t`, in
+    /// edge order; empty for a task the set does not have.
+    #[must_use]
+    pub fn out_edge_ids(&self, t: TaskId) -> &[usize] {
+        self.succs.get(t.index()).map_or(&[], Vec::as_slice)
+    }
+
     /// Edges entering `t` (its data dependencies).
     pub fn in_edges(&self, t: TaskId) -> impl Iterator<Item = &Edge> {
-        self.preds
-            .get(t.index())
-            .into_iter()
-            .flatten()
-            .map(move |&i| &self.edges[i])
+        self.in_edge_ids(t).iter().map(move |&i| &self.edges[i])
     }
 
     /// Edges leaving `t`.
     pub fn out_edges(&self, t: TaskId) -> impl Iterator<Item = &Edge> {
-        self.succs
-            .get(t.index())
-            .into_iter()
-            .flatten()
-            .map(move |&i| &self.edges[i])
+        self.out_edge_ids(t).iter().map(move |&i| &self.edges[i])
     }
 
     /// Number of incoming edges of `t`.
     #[must_use]
     pub fn in_degree(&self, t: TaskId) -> usize {
-        self.preds.get(t.index()).map_or(0, Vec::len)
+        self.in_edge_ids(t).len()
     }
 
     /// Tasks without incoming edges — the graph roots, which carry the

@@ -53,7 +53,10 @@
 //!   still in its slot. The releases are dispatched late by the rest of
 //!   the body — the analysis' non-preemptive blocking term.
 //! * **Thieves do not wait for it** (see "Work stealing").
-//! * **`admit`**: an owner splices at its boundary. With two shards or
+//! * **`admit`**: an owner splices at its boundary. It adopts by `Arc`
+//!   what the admitting thread built once for every owner — the merged
+//!   set and the `BodyTable` — and frees neither one it lets go of
+//!   (`Tenancy` does, on a caller's thread). With two shards or
 //!   more every shard acknowledges before the commit is sent, so
 //!   [`Runtime::admit`] returns after the longest body then in flight;
 //!   one owner is sent one splice-and-commit command and nothing is
@@ -169,20 +172,19 @@
 //! [`crate::RuntimeReport::steal_stats`], counts both sides.)
 
 use crate::runtime::{
-    JobCtx, RtJobRecord, Runtime, RuntimeBuilder, StealStats, TaskBody, Tenancy, TickStats,
+    Bodies, JobCtx, RtJobRecord, Runtime, RuntimeBuilder, StealStats, TaskBody, Tenancy, TickStats,
 };
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 use yasmin_core::config::WaitChoice;
 use yasmin_core::error::{Error, Result};
-use yasmin_core::graph::TaskSet;
+use yasmin_core::graph::{put, TaskSet};
 use yasmin_core::ids::{JobId, TaskId, TenantId, VersionId, WorkerId};
 use yasmin_core::priority::Priority;
-use yasmin_core::task::Task;
 use yasmin_core::time::{Clock, Duration, Instant, MonotonicClock};
-use yasmin_sched::admission::{AdmissionControl, TenantLedger};
+use yasmin_sched::admission::AdmissionControl;
 use yasmin_sched::msg::MsgEvent;
 use yasmin_sched::server::{ReservationServer, TenantBudget};
 use yasmin_sched::{
@@ -238,12 +240,12 @@ pub(crate) enum ShardMsg {
     MsgDrained { dst: TaskId },
     /// A tenant admission (see [`Runtime::admit`]): install `tenant` —
     /// the slot of the merged task set that starts at `first_task` — in
-    /// this owner's engine and file its bodies (keyed by
-    /// candidate-local ids, as the caller gave them), with every new
-    /// release left **disarmed**; then do as `then` says.
+    /// this owner's engine, with every new release left **disarmed**,
+    /// and adopt `bodies`, the table built with `taskset`; then do as
+    /// `then` says.
     Admit {
         taskset: Arc<TaskSet>,
-        bodies: Arc<HashMap<(TaskId, VersionId), TaskBody>>,
+        bodies: Arc<BodyTable>,
         tenant: TenantId,
         first_task: u32,
         budget: Option<TenantBudget>,
@@ -257,7 +259,7 @@ pub(crate) enum ShardMsg {
     /// Quiesce a tenant: cull its ready jobs, disarm its releases, drop
     /// its pending tokens; a job in flight finishes but fires no
     /// successors.
-    Retire { tenant: TenantId, at: Instant },
+    Retire(TenantId),
     /// Stop releasing periodic jobs.
     Stop,
     /// Drain and exit (two-phase: see [`Owner::drained`]).
@@ -446,12 +448,13 @@ pub(crate) type Owners<C> = Vec<(Owner<C>, Vec<HelperEnd>)>;
 /// Builds one [`Owner`] per engine — every shard of a partitioned set
 /// in worker order, or the one whole engine — and what joins them:
 /// mailbox lanes, shelves, the load board, the drain board and the
-/// channel notify hooks. Starts no thread; returns the owners and the
-/// shared lane into each.
+/// channel notify hooks — and tenant 0's body table, which every owner
+/// adopts. Starts no thread; returns the owners, the shared lane into
+/// each, and the table.
 pub(crate) fn wire<C: Clock>(
     launch: &RuntimeBuilder,
     clock: &Arc<C>,
-) -> Result<(Owners<C>, Lanes)> {
+) -> Result<(Owners<C>, Lanes, Arc<BodyTable>)> {
     let (taskset, config) = (&launch.taskset, &launch.config);
     let sharded = config.sharded_dispatch();
     let engines = if sharded {
@@ -537,6 +540,7 @@ pub(crate) fn wire<C: Clock>(
         }
     }
 
+    let bodies = BodyTable::default().placed(taskset, 0, &launch.bodies);
     let mut owners = Vec::with_capacity(n);
     for ((((engine, rx), txs), done_lanes), shelf) in engines
         .into_iter()
@@ -555,13 +559,12 @@ pub(crate) fn wire<C: Clock>(
             shelves: peer_shelves.clone(),
             drained: Arc::clone(&drain_board),
         };
-        let mut bodies = BodyTable::default();
-        bodies.place(taskset.tasks(), 0, &launch.bodies);
         let lanes = Arc::clone(&shared);
-        let owner = Owner::new(engine, bodies, rx, Arc::clone(clock), peers, lanes, helpers);
+        let table = Arc::clone(&bodies);
+        let owner = Owner::new(engine, table, rx, Arc::clone(clock), peers, lanes, helpers);
         owners.push((owner, ends));
     }
-    Ok((owners, shared))
+    Ok((owners, shared, bodies))
 }
 
 /// [`wire`]s the owners and starts one thread per owner and one per
@@ -569,7 +572,7 @@ pub(crate) fn wire<C: Clock>(
 pub(crate) fn spawn(launch: RuntimeBuilder) -> Result<Runtime> {
     let clock = Arc::new(MonotonicClock::new());
     let waiting = launch.config.waiting();
-    let (owners, lanes) = wire(&launch, &clock)?;
+    let (owners, lanes, bodies) = wire(&launch, &clock)?;
     let tick = owners
         .first()
         .map(|(owner, _)| owner.tick)
@@ -599,7 +602,7 @@ pub(crate) fn spawn(launch: RuntimeBuilder) -> Result<Runtime> {
     }
 
     Ok(Runtime {
-        tenancy: Mutex::new(Tenancy::new(TenantLedger::new(admission, launch.taskset))),
+        tenancy: Mutex::new(Tenancy::new(admission, launch.taskset, bodies)),
         clock,
         config: launch.config,
         lanes,
@@ -682,12 +685,9 @@ fn run_body(body: &TaskBody, ctx: &JobCtx, clock: &impl Clock) -> RtJobRecord {
     }
 }
 
-/// What an owner hands a helper: one dispatched job.
-pub(crate) struct Run {
-    job: Job,
-    version: VersionId,
-    body: TaskBody,
-}
+/// What an owner hands a helper: one dispatched job, and the table its
+/// body is in, whose count then covers the body while the helper runs it.
+pub(crate) struct Run(Job, VersionId, Arc<BodyTable>);
 
 /// An owner's end of one helper: the dispatch ring — `None` dismisses
 /// the helper — and the bell the helper sleeps on while it is empty.
@@ -740,7 +740,7 @@ fn helper_main(mut end: HelperEnd, clock: &impl Clock, worker: WorkerId, waiting
             }
             continue;
         };
-        let Some(Run { job, version, body }) = msg else {
+        let Some(Run(job, version, bodies)) = msg else {
             break;
         };
         let ctx = JobCtx {
@@ -748,7 +748,7 @@ fn helper_main(mut end: HelperEnd, clock: &impl Clock, worker: WorkerId, waiting
             version,
             worker,
         };
-        let record = run_body(&body, &ctx, clock);
+        let record = run_body(bodies.get(job.task, version), &ctx, clock);
         // The owner took the previous answer out of the lane before it
         // dispatched this job.
         if end.done.send(ShardMsg::Done(record)).is_err() {
@@ -982,51 +982,50 @@ pub(crate) enum Next {
     Exit,
 }
 
-/// Every body an owner may run, found by merged task id, then version:
+/// Every body a runtime may run, found by merged task id, then version:
 /// task `t`'s versions start at `first[t]` in `bodies`. A dispatch looks
 /// its body up with two indexings, no hashing.
-#[derive(Default)]
-struct BodyTable {
+///
+/// Immutable: one is built per admission, on the admitting thread, with
+/// the merged set it goes with ([`BodyTable::placed`]), and every owner
+/// adopts it by `Arc` ([`ShardMsg::Admit`]); a helper's [`Run`] carries
+/// it too. An owner lets go of a table on its own thread, so it must
+/// never hold the last reference: [`Tenancy`] does.
+#[derive(Clone, Default)]
+pub(crate) struct BodyTable {
     first: Vec<u32>,
     bodies: Vec<TaskBody>,
 }
 
 impl BodyTable {
-    /// Files the bodies of `tenant` — every task of a build-time set, or
-    /// the tasks of one admitted tenant, which start at task `first` —
-    /// looked up in `local` under their ids less `first`: past the
-    /// table's end, or over the entries of a slot's former holder, of
-    /// the tenant's shape. Those are not freed here: the caller that
-    /// admitted their tenant holds them ([`Runtime::admit`]). What else
-    /// `local` holds is never read.
+    /// A copy of `self` with the bodies of `tenant`, a set in its own id
+    /// space, written into the slot of the merged set that starts at
+    /// task `first` ([`put`]): over a former holder of its shape, or
+    /// past the table's end. Like `check_bodies`, it reads `local` for
+    /// the tenant's own tasks and versions only. Tenant 0's goes into an
+    /// empty table at 0.
     ///
     /// # Panics
     ///
     /// When a version has no body (the caller checked them all), or
     /// the tenant starts past the table's end.
-    fn place(
-        &mut self,
-        tenant: &[Task],
-        first: u32,
-        local: &HashMap<(TaskId, VersionId), TaskBody>,
-    ) {
-        let appended = first as usize == self.first.len();
-        for t in tenant {
-            let id = TaskId::new(t.id().raw() - first);
+    pub(crate) fn placed(&self, tenant: &TaskSet, first: u32, local: &Bodies) -> Arc<Self> {
+        let mut table = self.clone();
+        let first = first as usize;
+        let end = self.bodies.len() as u32;
+        let mut at = *self.first.get(first).unwrap_or(&end) as usize;
+        for t in tenant.tasks() {
+            let versions = t.versions().len();
             let body = |v: usize| {
-                let key = (id, VersionId::new(v as u16));
+                let key = (t.id(), VersionId::new(v as u16));
                 Arc::clone(local.get(&key).expect("bodies were checked"))
             };
-            if appended {
-                self.first.push(self.bodies.len() as u32);
-                self.bodies.extend((0..t.versions().len()).map(body));
-            } else {
-                let at = self.first[t.id().index()] as usize;
-                for v in 0..t.versions().len() {
-                    self.bodies[at + v] = body(v);
-                }
-            }
+            let task = first + t.id().index();
+            put(&mut table.first, task, std::iter::once(at as u32));
+            put(&mut table.bodies, at, (0..versions).map(body));
+            at += versions;
         }
+        Arc::new(table)
     }
 
     fn get(&self, task: TaskId, version: VersionId) -> &TaskBody {
@@ -1038,7 +1037,7 @@ impl BodyTable {
 /// a machine a thread steps: the thread runs bodies, parks and spins.
 pub(crate) struct Owner<C: Clock> {
     engine: OnlineEngine,
-    bodies: BodyTable,
+    bodies: Arc<BodyTable>,
     clock: Arc<C>,
     /// `None` while a body has it ([`Owner::in_body`]).
     local: Option<ShardLocal>,
@@ -1090,7 +1089,7 @@ pub(crate) struct Owner<C: Clock> {
 impl<C: Clock> Owner<C> {
     fn new(
         engine: OnlineEngine,
-        bodies: BodyTable,
+        bodies: Arc<BodyTable>,
         rx: MailboxReceiver<ShardMsg>,
         clock: Arc<C>,
         peers: PeerLinks,
@@ -1255,8 +1254,7 @@ impl<C: Clock> Owner<C> {
                 continue;
             };
             if let Some(helper) = self.helpers.get_mut(slot.index()) {
-                let body = Arc::clone(self.bodies.get(job.task, version));
-                helper.push(Some(Run { job, version, body }));
+                helper.push(Some(Run(job, version, Arc::clone(&self.bodies))));
             } else {
                 debug_assert!(self.next_job.is_none(), "one slot, one job");
                 self.next_job = Some(Next::Run(job, version));
@@ -1356,14 +1354,9 @@ impl<C: Clock> Owner<C> {
                 // running yet (module docs of `yasmin_sched::admission`).
                 let server = budget.map(|b| ReservationServer::new(b, at));
                 self.engine
-                    .install_tenant(Arc::clone(&taskset), tenant, first_task, server)
+                    .install_tenant(taskset, tenant, first_task, server)
                     .expect("admission validated by the admitting thread");
-                // The tenant's tasks, as the engine installed them: the
-                // caller's map may hold more keys than it has tasks.
-                let held = |t: &&Task| self.engine.tenant_of_task(t.id()) == Some(tenant);
-                let tasks = &taskset.tasks()[first_task as usize..];
-                let count = tasks.iter().take_while(held).count();
-                self.bodies.place(&tasks[..count], first_task, &bodies);
+                self.bodies = bodies;
                 match then {
                     // Nothing of a former holder is left to tell apart
                     // (`Owner::commit`): every instant from here on is
@@ -1375,8 +1368,8 @@ impl<C: Clock> Owner<C> {
                 }
             }
             ShardMsg::Commit { tenant, since } => self.commit(tenant, since),
-            ShardMsg::Retire { tenant, at } => {
-                self.engine_call(|o| o.engine.retire_tenant_into(tenant, at, &mut o.sink))
+            ShardMsg::Retire(tenant) => {
+                self.engine_call(|o| o.engine.retire_tenant_into(tenant, &mut o.sink))
                     .expect("retirement validated by the retiring thread");
             }
             ShardMsg::Stop | ShardMsg::Shutdown => {
@@ -2287,14 +2280,14 @@ mod tests {
         wcet: Duration,
         worker: u16,
         counter: &Arc<AtomicU32>,
-    ) -> (TaskSet, HashMap<(TaskId, VersionId), TaskBody>) {
+    ) -> (TaskSet, Bodies) {
         let mut b = TaskSetBuilder::new();
         let t = b
             .task_decl(TaskSpec::periodic("tenant", ms(period_ms)).on_worker(WorkerId::new(worker)))
             .unwrap();
         let v = b.version_decl(t, VersionSpec::new("v", wcet)).unwrap();
         let c = Arc::clone(counter);
-        let mut bodies: HashMap<(TaskId, VersionId), TaskBody> = HashMap::new();
+        let mut bodies = Bodies::new();
         bodies.insert(
             (t, v),
             Arc::new(move |_: &JobCtx| {
@@ -2395,7 +2388,7 @@ mod tests {
         // A missing body is caught before any shard hears of the tenant.
         let (cand, _) = candidate(10, ms(1), 1, &noop);
         assert!(matches!(
-            rt.admit(&cand, HashMap::new(), None),
+            rt.admit(&cand, Bodies::new(), None),
             Err(AdmissionError::Invalid(_))
         ));
         rt.stop();

@@ -15,8 +15,8 @@
 //! What the prose of the module docs promises is checked after every
 //! event and again when all owners have left ([`World::finish`]).
 //!
-//! Not under test here: `Runtime`'s caller side (the ledger is used to
-//! build valid `Admit`s, but validation and the acknowledgement wait
+//! Not under test here: `Runtime`'s caller side (its [`Tenancy`]
+//! builds the `Admit`s, but validation and the acknowledgement wait
 //! stay with the thread tests), memory orderings (the thread tests
 //! under ThreadSanitizer), and scenarios that need two threads to make
 //! progress — a body waiting for room in a full lane never returns on
@@ -114,7 +114,7 @@ enum Cmd {
     },
     /// The tenant `.0` with bodies `.1`, admitted as [`Cmd::Admit`]
     /// admits its own ([`admit_set`]: with a no-op body for each version).
-    AdmitSet(TaskSet, HashMap<(TaskId, VersionId), TaskBody>),
+    AdmitSet(TaskSet, Bodies),
     /// Sent to shards once every one has acknowledged the splice.
     Commit {
         tenant: TenantId,
@@ -155,7 +155,8 @@ struct World {
     helpers: Vec<Vec<HelperSeat>>,
     lanes: Lanes,
     config: Config,
-    ledger: TenantLedger,
+    /// Admits as `Runtime` does.
+    tenancy: Tenancy,
     /// Undelivered commands and the instant each is due.
     script: Vec<(Instant, Cmd)>,
     body_time: Box<BodyTime>,
@@ -178,8 +179,8 @@ struct World {
     recycled: u64,
 }
 
-fn noop_bodies(taskset: &TaskSet) -> HashMap<(TaskId, VersionId), TaskBody> {
-    let mut bodies: HashMap<(TaskId, VersionId), TaskBody> = HashMap::new();
+fn noop_bodies(taskset: &TaskSet) -> Bodies {
+    let mut bodies = Bodies::new();
     for t in taskset.tasks() {
         for v in 0..t.versions().len() {
             let key = (t.id(), VersionId::new(v as u16));
@@ -225,7 +226,7 @@ impl World {
         launch.bodies = noop_bodies(&taskset);
         let clock = Arc::new(ManualClock::new());
         clock.set(T0);
-        let (owners, lanes) = wire(&launch, &clock).unwrap();
+        let (owners, lanes, bodies) = wire(&launch, &clock).unwrap();
         let (owners, ends): (Vec<_>, Vec<Vec<HelperEnd>>) = owners.into_iter().unzip();
         let (tick, n) = (owners[0].tick, owners.len());
         let helper = |end| HelperSeat { end, busy: None };
@@ -239,7 +240,7 @@ impl World {
                 .map(|e| e.into_iter().map(helper).collect())
                 .collect(),
             lanes,
-            ledger: TenantLedger::new(AdmissionControl::new(config.clone(), tick), taskset),
+            tenancy: Tenancy::new(AdmissionControl::new(config.clone(), tick), taskset, bodies),
             config,
             script: Vec::new(),
             body_time: Box::new(|_, rng| match rng.below(10) {
@@ -439,7 +440,7 @@ impl World {
             }
             Event::Pop(i, h) => {
                 let helper = &mut self.helpers[i][h];
-                let Some(Run { job, version, .. }) = helper.end.ring.pop().unwrap() else {
+                let Some(Run(job, version, _)) = helper.end.ring.pop().unwrap() else {
                     return self.note(format!("o{i} helper {h} dismissed"));
                 };
                 let spent = (self.body_time)(&job, &mut self.rng);
@@ -591,15 +592,10 @@ impl World {
         }
     }
 
-    /// Admits `candidate` through the ledger and sends it as
+    /// Admits `candidate` through the [`Tenancy`] and sends it as
     /// `Runtime::admit` sends it: the commit gated on every shard's
     /// acknowledgement, the retirement `retire_after` it when given.
-    fn admit(
-        &mut self,
-        candidate: &TaskSet,
-        bodies: HashMap<(TaskId, VersionId), TaskBody>,
-        retire_after: Option<Duration>,
-    ) {
+    fn admit(&mut self, candidate: &TaskSet, bodies: Bodies, retire_after: Option<Duration>) {
         let (now, sharded) = (self.now(), self.config.sharded_dispatch());
         let owners = self.lanes.len();
         let ack = (owners > 1).then(|| Arc::new(AtomicUsize::new(owners)));
@@ -607,26 +603,27 @@ impl World {
             Some(ack) => Spliced::Ack(Arc::clone(ack)),
             None => Spliced::Commit,
         };
-        let end = self.ledger.merged().len() as u32;
+        let end = self.tenancy.ledger.merged().len() as u32;
         let (lanes, quiet, config) = (&self.lanes, &mut self.quiet, &self.config);
         let mut recycled = false;
-        let bodies = Arc::new(bodies);
-        let admitted = self.ledger.admit(candidate, None, |admission| {
-            if sharded {
-                validate_sharding(admission.merged, config)?;
-            }
-            recycled = admission.slot.first_task < end;
-            tenant_broadcast(lanes, quiet, || ShardMsg::Admit {
-                taskset: Arc::clone(admission.merged),
-                bodies: Arc::clone(&bodies),
-                tenant: admission.tenant,
-                first_task: admission.slot.first_task,
-                budget: None,
-                at: now,
-                then: then.clone(),
+        let admitted = self
+            .tenancy
+            .admit(candidate, &bodies, None, |admission, table| {
+                if sharded {
+                    validate_sharding(admission.merged, config)?;
+                }
+                recycled = admission.slot.first_task < end;
+                tenant_broadcast(lanes, quiet, || ShardMsg::Admit {
+                    taskset: Arc::clone(admission.merged),
+                    bodies: Arc::clone(table),
+                    tenant: admission.tenant,
+                    first_task: admission.slot.first_task,
+                    budget: None,
+                    at: now,
+                    then: then.clone(),
+                });
+                Ok(())
             });
-            Ok(())
-        });
         self.recycled += u64::from(admitted.is_ok() && recycled);
         self.note(format!("admit -> {admitted:?}, recycled={recycled}"));
         let Ok(tenant) = admitted else { return };
@@ -647,7 +644,7 @@ impl World {
         let sharded = self.config.sharded_dispatch();
         match cmd {
             Cmd::Activate(task) => {
-                let owner = owner_of(self.ledger.merged(), sharded, task).unwrap();
+                let owner = owner_of(self.tenancy.ledger.merged(), sharded, task).unwrap();
                 send(&self.lanes[owner], ShardMsg::Activate(task));
                 self.note(format!("activate {task} -> o{owner}"));
             }
@@ -698,11 +695,8 @@ impl World {
                 }
             }
             Cmd::Retire(tenant) => {
-                self.ledger.retire(tenant).unwrap();
-                tenant_broadcast(&self.lanes, &mut self.quiet, || ShardMsg::Retire {
-                    tenant,
-                    at: now,
-                });
+                self.tenancy.ledger.retire(tenant).unwrap();
+                tenant_broadcast(&self.lanes, &mut self.quiet, || ShardMsg::Retire(tenant));
                 self.note(format!("retire {tenant}"));
             }
             Cmd::Stop => {
@@ -722,7 +716,7 @@ impl World {
     /// Every owner has left: what must hold of the whole run.
     fn finish(mut self) -> Vec<OwnerReport> {
         assert!(self.seats.iter().all(|s| matches!(s, Seat::Exited)));
-        let merged = Arc::clone(self.ledger.merged());
+        let merged = Arc::clone(self.tenancy.ledger.merged());
         for (i, owner) in self.owners.iter().enumerate() {
             // Nothing is queued, dispatched or half retired at exit …
             assert!(owner.engine.is_idle(), "o{i}: engine not idle at exit");
@@ -896,7 +890,7 @@ fn explore(case: Case, keep: usize) -> Explored {
             0..=9 => world.at(when, Cmd::Activate(aperiodic[rng.below(aperiodic.len())])),
             10..=13 => {
                 let dst = periodic[rng.below(periodic.len())];
-                let home = owner_of(world.ledger.merged(), pinned, dst).unwrap();
+                let home = owner_of(world.tenancy.ledger.merged(), pinned, dst).unwrap();
                 let drain = when + rng.span(us(1), us(3_000));
                 world.at(
                     when,
@@ -1545,8 +1539,9 @@ fn bodies_beyond_the_tenant_are_never_filed() {
     // One owner, `p` every 4 ms. Tenants A and B, of one task each,
     // take T1 and T2. A is retired, and C, of their shape, takes T1
     // with a body for a second task it does not have; D is appended
-    // with one too. Neither extra body is filed: B's task keeps B's
-    // body, and the table holds one body per task.
+    // with one too. The owner runs the one table the admissions built:
+    // B's task keeps B's body, the table holds one body per task, and
+    // the extra key is never read.
     let mut b = TaskSetBuilder::new();
     task(&mut b, TaskSpec::periodic("p", us(4_000)), None, us(100));
     let mut world = World::new("extra".into(), 0, b.build().unwrap(), one_owner(1), false);
@@ -1556,10 +1551,10 @@ fn bodies_beyond_the_tenant_are_never_filed() {
         b.build().unwrap()
     };
     let v0 = VersionId::new(0);
+    let extra: TaskBody = Arc::new(|_: &JobCtx| unreachable!("never filed"));
     let with_extra = |set: TaskSet| {
         let mut bodies = noop_bodies(&set);
-        let extra: TaskBody = Arc::new(|_: &JobCtx| unreachable!("never filed"));
-        bodies.insert((TaskId::new(1), v0), extra);
+        bodies.insert((TaskId::new(1), v0), Arc::clone(&extra));
         Cmd::AdmitSet(set, bodies)
     };
     let (b_set, b_bodies) = (one(), noop_bodies(&one()));
@@ -1576,9 +1571,12 @@ fn bodies_beyond_the_tenant_are_never_filed() {
     let holder = |t: u32| owner.engine.tenant_of_task(TaskId::new(t));
     assert_eq!(holder(1), Some(TenantId::new(3)));
     assert_eq!(holder(3), Some(TenantId::new(4)));
+    let current = &world.tenancy.generations.last().unwrap().1;
+    assert!(Arc::ptr_eq(&owner.bodies, current), "the shared table");
     let filed = owner.bodies.get(TaskId::new(2), v0);
     assert!(Arc::ptr_eq(filed, &b_body), "B's task keeps B's body");
     assert_eq!(owner.bodies.bodies.len(), 4);
+    assert_eq!(Arc::strong_count(&extra), 1, "the extra key is never read");
     world.at(T0 + us(5_000), Cmd::Shutdown);
     world.run();
     world.finish();

@@ -50,8 +50,8 @@
 //! FIFO buffers — see `examples/quickstart.rs`).
 
 use crate::owner::{
-    owner_of, send_waiting, spawn, tenant_send, try_lock, wait_for, Lanes, OwnerReport, SendFn,
-    ShardMsg, Spliced,
+    owner_of, send_waiting, spawn, tenant_send, try_lock, wait_for, BodyTable, Lanes, OwnerReport,
+    SendFn, ShardMsg, Spliced,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -61,7 +61,7 @@ use yasmin_core::error::{Error, Result};
 use yasmin_core::graph::TaskSet;
 use yasmin_core::ids::{TaskId, TenantId, VersionId, WorkerId};
 use yasmin_core::time::{Clock, Instant, MonotonicClock};
-use yasmin_sched::admission::{AdmissionError, TenantLedger};
+use yasmin_sched::admission::{Admission, AdmissionControl, AdmissionError, TenantLedger};
 use yasmin_sched::msg::{NotifyHandle, Receiver as MsgReceiver, Sender as MsgSender};
 use yasmin_sched::server::TenantBudget;
 use yasmin_sched::{validate_sharding, EngineStats, Job, JobOutcome};
@@ -204,7 +204,7 @@ pub struct RuntimeReport {
 pub struct RuntimeBuilder {
     pub(crate) taskset: Arc<TaskSet>,
     pub(crate) config: Config,
-    pub(crate) bodies: HashMap<(TaskId, VersionId), TaskBody>,
+    pub(crate) bodies: Bodies,
     pub(crate) channels: Vec<NotifyHandle>,
     pub(crate) pin_offset: usize,
     /// Only shards steal; off unless turned on.
@@ -376,51 +376,67 @@ pub struct Runtime {
     pub(crate) helpers: Vec<std::thread::JoinHandle<bool>>,
 }
 
-/// A runtime's tenant state: the ledger, and the bodies of every
-/// admitted tenant an owner may still hold.
+/// A runtime's tenant state: the ledger, and the pen — every generation
+/// of what the owners run, a merged set and the body table built with
+/// it, oldest first. An owner lets go of both on its own thread when it
+/// adopts the next ([`ShardMsg::Admit`]), so it must never hold the last
+/// reference: the pen drops a generation on a caller's thread — at an
+/// admission, or with the handle at [`Runtime::cleanup`] — once it holds
+/// the only reference to both halves.
 pub(crate) struct Tenancy {
     pub(crate) ledger: TenantLedger,
-    /// Each admitted tenant's bodies as the caller gave them, live or
-    /// retired (`None`), with each body's reference count before any
-    /// owner filed it. An owner overwrites a retired tenant's bodies
-    /// with those of the next tenant of its slot, so it must not hold
-    /// the last reference to one: this does, and drops it here, on a
-    /// caller's thread, once no owner holds any.
-    bodies: Vec<(Option<TenantId>, Arc<Bodies>, Vec<usize>)>,
+    /// The last is the one the owners run; tenant 0's at first.
+    pub(crate) generations: Vec<(Arc<TaskSet>, Arc<BodyTable>)>,
 }
 
-type Bodies = HashMap<(TaskId, VersionId), TaskBody>;
+/// Bodies keyed by `(task, version)`, as a caller registers them.
+pub(crate) type Bodies = HashMap<(TaskId, VersionId), TaskBody>;
 
 impl Tenancy {
-    pub(crate) fn new(ledger: TenantLedger) -> Self {
+    /// The tenancy of a runtime built with `base`, whose body table is
+    /// `bodies`.
+    pub(crate) fn new(
+        control: AdmissionControl,
+        base: Arc<TaskSet>,
+        bodies: Arc<BodyTable>,
+    ) -> Self {
+        let first = (Arc::clone(&base), bodies);
         Tenancy {
-            ledger,
-            bodies: Vec::new(),
+            ledger: TenantLedger::new(control, base),
+            generations: vec![first],
         }
     }
 
-    /// Keeps `tenant`'s bodies, counted before they were sent to the
-    /// owners.
-    fn hold(&mut self, tenant: TenantId, bodies: Arc<Bodies>, counts: Vec<usize>) {
+    /// Admits `candidate` as [`Runtime::admit`] does: prunes — ahead of
+    /// the ledger's copy, which then finds in cache what it shares with
+    /// the pruned sets — and has `send` send the admission and its body
+    /// table ([`BodyTable::placed`]), which become the current
+    /// generation if it returns `Ok`.
+    pub(crate) fn admit(
+        &mut self,
+        candidate: &TaskSet,
+        bodies: &Bodies,
+        budget: Option<&TenantBudget>,
+        send: impl FnOnce(&Admission<'_>, &Arc<BodyTable>) -> Result<()>,
+    ) -> std::result::Result<TenantId, AdmissionError> {
         self.prune();
-        self.bodies.push((Some(tenant), bodies, counts));
+        let current = &self.generations.last().expect("tenant 0's generation").1;
+        let mut spliced = None;
+        let tenant = self.ledger.admit(candidate, budget, |admission| {
+            let table = current.placed(candidate, admission.slot.first_task, bodies);
+            send(&admission, &table)?;
+            spliced = Some((Arc::clone(admission.merged), table));
+            Ok(())
+        })?;
+        self.generations.extend(spliced);
+        Ok(tenant)
     }
 
-    /// Marks `tenant`'s bodies retired: dropped once no owner holds
-    /// them.
-    fn release(&mut self, tenant: TenantId) {
-        if let Some(entry) = self.bodies.iter_mut().find(|e| e.0 == Some(tenant)) {
-            entry.0 = None;
-        }
-        self.prune();
-    }
-
-    /// Drops the bodies of retired tenants no owner holds any longer.
+    /// Drops the generations nobody else holds: a count of one cannot
+    /// rise again, only a holder can clone.
     fn prune(&mut self) {
-        self.bodies.retain(|(live, map, counts)| {
-            let held = |(b, &c): (&TaskBody, &usize)| Arc::strong_count(b) > c;
-            live.is_some() || Arc::strong_count(map) > 1 || map.values().zip(counts).any(held)
-        });
+        self.generations
+            .retain(|(set, table)| Arc::strong_count(set) > 1 || Arc::strong_count(table) > 1);
     }
 }
 
@@ -488,9 +504,9 @@ impl Runtime {
     /// tests of [`yasmin_sched::AdmissionControl`], run by the
     /// [`TenantLedger`] over the analysis rows of the live tenants plus
     /// the candidate's) and, under sharding, the sharding contract
-    /// ([`validate_sharding`]). `bodies` travels to the owners as given:
-    /// each files them under merged task ids in its own dense table,
-    /// which is where a dispatch finds its body. An accepted tenant is
+    /// ([`validate_sharding`]) — and so does the copy of the owners' body
+    /// table with `bodies` written in under merged task ids, the one
+    /// table every owner adopts. An accepted tenant is
     /// spliced into every owner's engine with its releases disarmed,
     /// then committed: the commit arms them at the owner's next tick
     /// edge, and that edge's tick round releases the first jobs. An
@@ -543,29 +559,22 @@ impl Runtime {
         // hears concurrent admissions in ledger order. Everything an
         // engine's splice refuses is refused here first.
         let mut tenancy = self.lock_ledger();
-        // Keyed by candidate-local ids: each owner files them under
-        // merged ids in its own table.
-        let bodies = Arc::new(bodies);
-        let counts = bodies.values().map(Arc::strong_count).collect();
-        let tenant = tenancy
-            .ledger
-            .admit(candidate, budget.as_ref(), |admission| {
-                if self.config.sharded_dispatch() {
-                    validate_sharding(admission.merged, &self.config)?;
-                }
-                let at = self.clock.now();
-                self.broadcast(tenant_send(owners), || ShardMsg::Admit {
-                    taskset: Arc::clone(admission.merged),
-                    bodies: Arc::clone(&bodies),
-                    tenant: admission.tenant,
-                    first_task: admission.slot.first_task,
-                    budget,
-                    at,
-                    then: then.clone(),
-                });
-                Ok(())
-            })?;
-        tenancy.hold(tenant, bodies, counts);
+        let tenant = tenancy.admit(candidate, &bodies, budget.as_ref(), |admission, table| {
+            if self.config.sharded_dispatch() {
+                validate_sharding(admission.merged, &self.config)?;
+            }
+            let at = self.clock.now();
+            self.broadcast(tenant_send(owners), || ShardMsg::Admit {
+                taskset: Arc::clone(admission.merged),
+                bodies: Arc::clone(table),
+                tenant: admission.tenant,
+                first_task: admission.slot.first_task,
+                budget,
+                at,
+                then: then.clone(),
+            });
+            Ok(())
+        })?;
         drop(tenancy);
         if let Some(ack) = ack {
             // Holding nothing: a body that calls `activate`, `retire`
@@ -599,8 +608,9 @@ impl Runtime {
     /// admission's splice queues behind the retirement; up to `workers`
     /// of the tenant's jobs, already executing, may still finish, and
     /// fire nothing of the next — see `yasmin_sched::admission`). The
-    /// tenant's bodies are dropped here, on a caller's thread, once no
-    /// owner holds them.
+    /// tenant's bodies are dropped on a caller's thread: by an
+    /// admission once no owner or helper holds them, or by
+    /// [`Runtime::cleanup`].
     ///
     /// # Errors
     ///
@@ -614,12 +624,8 @@ impl Runtime {
         // lanes, so every owner has retired the tenant by the time it
         // commits a tenant admitted into the freed bandwidth or slot.
         tenancy.ledger.retire(tenant)?;
-        tenancy.release(tenant);
-        let at = self.clock.now();
-        self.broadcast(tenant_send(self.lanes.len()), || ShardMsg::Retire {
-            tenant,
-            at,
-        });
+        let send = tenant_send(self.lanes.len());
+        self.broadcast(send, || ShardMsg::Retire(tenant));
         Ok(())
     }
 
@@ -670,7 +676,7 @@ impl Runtime {
 /// Verifies every version of every task of `taskset` — a build-time set,
 /// or a candidate tenant in its own id space — has a registered body,
 /// before any runtime thread hears of it.
-fn check_bodies(taskset: &TaskSet, bodies: &HashMap<(TaskId, VersionId), TaskBody>) -> Result<()> {
+fn check_bodies(taskset: &TaskSet, bodies: &Bodies) -> Result<()> {
     for t in taskset.tasks() {
         for (vi, _) in t.versions().iter().enumerate() {
             let key = (t.id(), VersionId::new(vi as u16));
@@ -1011,7 +1017,7 @@ mod tests {
             let cand = c.build().unwrap();
             let hits = Arc::new(AtomicU32::new(0));
             let h = Arc::clone(&hits);
-            let mut bodies: HashMap<(TaskId, VersionId), TaskBody> = HashMap::new();
+            let mut bodies = Bodies::new();
             bodies.insert(
                 (t, v),
                 Arc::new(move |_: &JobCtx| {
@@ -1059,7 +1065,7 @@ mod tests {
         let t = c.task_decl(TaskSpec::periodic("greedy", ms(5))).unwrap();
         let v = c.version_decl(t, VersionSpec::new("v", ms(3))).unwrap();
         let cand = c.build().unwrap();
-        let mut bodies: HashMap<(TaskId, VersionId), TaskBody> = HashMap::new();
+        let mut bodies = Bodies::new();
         bodies.insert((t, v), Arc::new(|_: &JobCtx| {}));
         assert!(matches!(
             rt.admit(&cand, bodies, None),
@@ -1081,7 +1087,7 @@ mod tests {
             .task_decl(TaskSpec::periodic("tenant", ms(period_ms)).on_worker(WorkerId::new(0)))
             .unwrap();
         let v = c.version_decl(t, VersionSpec::new("v", wcet)).unwrap();
-        let mut bodies: HashMap<(TaskId, VersionId), TaskBody> = HashMap::new();
+        let mut bodies = Bodies::new();
         bodies.insert((t, v), Arc::new(|_: &JobCtx| {}));
         (c.build().unwrap(), bodies)
     }
@@ -1127,6 +1133,151 @@ mod tests {
             rt.stop();
             let _ = rt.cleanup();
         }
+    }
+
+    #[test]
+    fn a_superseded_generation_outlives_the_owner_that_still_runs_it() {
+        // A stand-in for an owner that splices when it gets round to
+        // it: `running` is the set and table it runs, and each admission
+        // returns what `Runtime::admit` sent it.
+        let one = |name: &str| {
+            let mut b = TaskSetBuilder::new();
+            let (t, v) = task(&mut b, TaskSpec::periodic(name, ms(100)), ms(1));
+            let body: TaskBody = Arc::new(|_: &JobCtx| {});
+            (b.build().unwrap(), Bodies::from([((t, v), body)]))
+        };
+        let (base, base_bodies) = one("base");
+        let base = Arc::new(base);
+        let table = BodyTable::default().placed(&base, 0, &base_bodies);
+        let control = AdmissionControl::new(config(1), ms(100));
+        let mut tenancy = Tenancy::new(control, Arc::clone(&base), table);
+        let (guest, bodies) = one("guest");
+        let mut admit = || {
+            let mut sent = None;
+            let tenant = tenancy.admit(&guest, &bodies, None, |a, table| {
+                sent = Some((Arc::clone(a.merged), Arc::clone(table)));
+                Ok(())
+            });
+            (tenant.unwrap(), sent.expect("spliced"))
+        };
+        let counts =
+            |g: &(Arc<TaskSet>, Arc<BodyTable>)| (Arc::strong_count(&g.0), Arc::strong_count(&g.1));
+        let (_, mut running) = admit();
+        let first = (Arc::downgrade(&running.0), Arc::downgrade(&running.1));
+
+        // Two admissions go by before the owner adopts anything: it
+        // must not be left holding the last reference to what it runs.
+        let _second = admit();
+        assert_eq!(counts(&running), (2, 2), "owner and pen");
+        let (_, third) = admit();
+        assert_eq!(counts(&running), (2, 2), "owner and pen");
+
+        // The owner adopts the latest: nothing dies on its thread…
+        running = third;
+        assert!(first.0.upgrade().is_some(), "the pen still holds the set");
+        assert!(first.1.upgrade().is_some(), "the pen still holds the table");
+        // …and the caller's next admission drops both, on the caller's
+        // thread; the new set is what copying would have built.
+        let (_, fourth) = admit();
+        assert!(
+            first.0.upgrade().is_none(),
+            "set dropped on the caller's thread"
+        );
+        assert!(
+            first.1.upgrade().is_none(),
+            "table dropped on the caller's thread"
+        );
+        let mut copied = (*base).clone();
+        for _ in 0..4 {
+            copied = copied.extended(&guest).unwrap();
+        }
+        assert_eq!(format!("{:?}", fourth.0), format!("{copied:?}"));
+        assert!(Arc::ptr_eq(&fourth.0, tenancy.ledger.merged()));
+        assert_eq!(counts(&running), (2, 2), "owner and pen");
+    }
+
+    #[test]
+    fn a_body_never_dies_on_an_owner_or_helper_thread() {
+        // One owner feeding two helpers. Tenant A's one body holds a
+        // probe that records the thread it is dropped on. A is retired
+        // while a helper is inside that body, an heir of its shape
+        // takes its slot — no table from there on has A's body — and
+        // one more tenant is admitted while the helper still runs it.
+        // Then the body ends, and once only the pen holds the superseded
+        // generations the next admission drops them: the probe dies on
+        // this thread, never on `yasmin-worker-*` or `yasmin-scheduler`.
+        struct Probe(Arc<Mutex<Vec<Option<String>>>>);
+        impl Drop for Probe {
+            fn drop(&mut self) {
+                let name = std::thread::current().name().map(str::to_owned);
+                self.0.lock().unwrap().push(name);
+            }
+        }
+        let one = |name: &str, body: TaskBody| {
+            let mut b = TaskSetBuilder::new();
+            let (t, v) = task(&mut b, TaskSpec::aperiodic(name), ms(1));
+            (b.build().unwrap(), Bodies::from([((t, v), body)]))
+        };
+        let noop = || -> TaskBody { Arc::new(|_: &JobCtx| {}) };
+        let drops = Arc::new(Mutex::new(Vec::new()));
+        let inside = Arc::new(AtomicBool::new(false));
+        let gate = Arc::new(AtomicBool::new(false));
+        let gated: TaskBody = {
+            let (probe, inside, gate) = (
+                Probe(Arc::clone(&drops)),
+                Arc::clone(&inside),
+                Arc::clone(&gate),
+            );
+            Arc::new(move |_: &JobCtx| {
+                let _held = &probe;
+                inside.store(true, Ordering::SeqCst);
+                while !gate.load(Ordering::SeqCst) {
+                    std::thread::sleep(std::time::Duration::from_micros(200));
+                }
+            })
+        };
+
+        let mut b = TaskSetBuilder::new();
+        let (base, vb) = task(&mut b, TaskSpec::periodic("base", ms(5)), ms(1));
+        let rt = RuntimeBuilder::new(Arc::new(b.build().unwrap()), config(2))
+            .body(base, vb, |_| {})
+            .build()
+            .unwrap();
+        let admit = |name: &str, body: TaskBody| {
+            let (set, bodies) = one(name, body);
+            rt.admit(&set, bodies, None).unwrap()
+        };
+        let a = admit("a", gated);
+        let slot = rt.first_task(a).unwrap();
+        rt.activate(slot).unwrap();
+        nap_until(|| inside.load(Ordering::SeqCst));
+        assert!(inside.load(Ordering::SeqCst), "A's job never started");
+        rt.retire(a).unwrap();
+        let heir = admit("heir", noop());
+        assert_eq!(rt.first_task(heir), Some(slot), "the heir takes A's slot");
+        admit("c", noop());
+        gate.store(true, Ordering::SeqCst);
+
+        let only_the_pen = || {
+            let tenancy = rt.lock_ledger();
+            let superseded = &tenancy.generations[..tenancy.generations.len() - 1];
+            let alone = |(set, table): &(Arc<TaskSet>, Arc<BodyTable>)| {
+                Arc::strong_count(set) == 1 && Arc::strong_count(table) == 1
+            };
+            superseded.iter().all(alone)
+        };
+        nap_until(only_the_pen);
+        assert!(
+            only_the_pen(),
+            "an owner or helper kept a superseded generation"
+        );
+        assert_eq!(*drops.lock().unwrap(), [], "the pen holds A's body");
+        admit("d", noop());
+        let here = [std::thread::current().name().map(str::to_owned)];
+        assert_eq!(*drops.lock().unwrap(), here, "where the probe died");
+        rt.stop();
+        let _ = rt.cleanup();
+        assert_eq!(*drops.lock().unwrap(), here, "dropped once");
     }
 
     #[test]

@@ -104,14 +104,11 @@
 //! skips them.
 //!
 //! Every admission writes the candidate into a copy of the merged set,
-//! so it costs one copy of the live tenants' entities. The ledger keeps
-//! each *superseded* merged set alive until the engines have let go of
-//! it. A driver's splice closure may return once the new set is sent
-//! (the thread runtimes' do), so the engine that adopts it last would
-//! otherwise drop the last reference to the old one — one `free` per
-//! task, version vector and adjacency list of the set, on a real-time
-//! thread. Each admission instead drops, on the caller's thread, the
-//! superseded sets no engine holds any more.
+//! so it costs one copy of the live tenants' entities, and the ledger
+//! then holds the new set only. A driver whose engines let go of the
+//! old set on real-time threads (the thread runtime's) keeps the sets
+//! it replaced until they have, so that no `free` of a task, version
+//! vector or adjacency list runs there; the simulator keeps none.
 //!
 //! # The admission state machine
 //!
@@ -740,10 +737,6 @@ pub struct TenantLedger {
     /// first admission. A check inserts the candidate's at its slot and
     /// removes them again unless it is admitted.
     rows: Vec<Row>,
-    /// Earlier values of `merged` (module docs): kept while an engine
-    /// may still run them, then dropped by a later admission, on the
-    /// caller's thread.
-    superseded: Vec<Arc<TaskSet>>,
 }
 
 impl TenantLedger {
@@ -766,7 +759,6 @@ impl TenantLedger {
             merged: base,
             next_tenant: 1,
             rows: Vec::new(),
-            superseded: Vec::new(),
         }
     }
 
@@ -862,10 +854,6 @@ impl TenantLedger {
     ) -> Result<TenantId, AdmissionError> {
         let (control, rows) = (&self.control, &mut self.rows);
         control.check(rows, cand, &self.merged, candidate, slot, budget)?;
-        // A count of one cannot rise again: only a holder can clone.
-        // Dropped before the copy, the sets leave what they share with
-        // the merged set (its names) in cache for it.
-        self.superseded.retain(|set| Arc::strong_count(set) > 1);
         let merged = Arc::new(self.merged.placed(candidate, slot)?);
         let tenant = TenantId::new(self.next_tenant);
         splice(Admission {
@@ -874,8 +862,7 @@ impl TenantLedger {
             slot,
         })?;
         self.next_tenant += 1;
-        self.superseded
-            .push(std::mem::replace(&mut self.merged, merged));
+        self.merged = merged;
         Ok(tenant)
     }
 
@@ -1267,50 +1254,6 @@ mod tests {
         assert!(matches!(ledger.retire(t), Err(Error::TenantRetired(1))));
     }
 
-    #[test]
-    fn superseded_merged_set_outlives_the_engine_that_still_runs_it() {
-        // A stand-in for an engine that splices when it gets round to
-        // it: `running` is the set it runs, and each admission returns
-        // what the driver's splice closure sent it.
-        let base = Arc::new(set("base", 1, 100, None));
-        let mut ledger = TenantLedger::new(AdmissionControl::new(edf(1), ms(100)), base);
-        let guest = set("guest", 1, 100, None);
-        let mut admit = || {
-            let mut sent = None;
-            let tenant = ledger
-                .admit(&guest, None, |a| {
-                    sent = Some(Arc::clone(a.merged));
-                    Ok(())
-                })
-                .unwrap();
-            (tenant, sent.expect("spliced"))
-        };
-        let (_, mut running) = admit();
-        let first = Arc::downgrade(&running);
-
-        // Two admissions go by before the engine adopts anything: it
-        // must not be left holding the last reference to what it runs.
-        let _second = admit();
-        assert_eq!(Arc::strong_count(&running), 2, "engine and ledger");
-        let (_, third) = admit();
-        assert_eq!(Arc::strong_count(&running), 2, "engine and ledger");
-
-        // The engine splices the latest set: nothing dies on its thread…
-        running = third;
-        assert!(first.upgrade().is_some(), "the ledger still holds it");
-        // …and the caller's next admission drops it, on the caller's
-        // thread; the new set is what copying would have built.
-        let (_, fourth) = admit();
-        assert!(first.upgrade().is_none(), "dropped on the caller's thread");
-        let mut copied = set("base", 1, 100, None);
-        for _ in 0..4 {
-            copied = copied.extended(&guest).unwrap();
-        }
-        assert_eq!(format!("{fourth:?}"), format!("{copied:?}"));
-        assert!(Arc::ptr_eq(&fourth, ledger.merged()));
-        assert_eq!(Arc::strong_count(&running), 2, "engine and ledger");
-    }
-
     /// End-to-end through a live engine: evaluate → splice → commit →
     /// run → retire.
     #[test]
@@ -1343,7 +1286,7 @@ mod tests {
         // Retiring culls the guest's ready job and reports each cull.
         let culled = engine.stats().culled;
         sink.clear();
-        engine.retire_tenant_into(tenant, t0, &mut sink).unwrap();
+        engine.retire_tenant_into(tenant, &mut sink).unwrap();
         let culls = sink.as_slice().iter();
         let culls = culls.filter(|a| matches!(a, Action::Cull { .. })).count();
         assert_eq!(culls as u64, engine.stats().culled - culled);
@@ -1358,11 +1301,11 @@ mod tests {
         ));
         // Double retire is an error; tenant 0 cannot be retired.
         assert!(matches!(
-            engine.retire_tenant_into(tenant, t0, &mut sink),
+            engine.retire_tenant_into(tenant, &mut sink),
             Err(Error::TenantRetired(1))
         ));
         assert!(matches!(
-            engine.retire_tenant_into(TenantId::new(0), t0, &mut sink),
+            engine.retire_tenant_into(TenantId::new(0), &mut sink),
             Err(Error::InvalidConfig(_))
         ));
     }

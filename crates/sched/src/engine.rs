@@ -410,10 +410,6 @@ pub struct OnlineEngine {
     mode: ExecMode,
     permissions: PermMask,
     stats: EngineStats,
-    /// Per-task outgoing / incoming edge indices, precomputed so DAG
-    /// token firing never scans (or collects) the edge list.
-    out_edges: Vec<Vec<usize>>,
-    in_edges: Vec<Vec<usize>>,
     /// Per-task version ranking memo; entries are recomputed lazily when
     /// `cache_ctx` (mode, permissions, battery) changes.
     rank_cache: Vec<RankEntry>,
@@ -564,8 +560,6 @@ impl OnlineEngine {
             mode,
             permissions: PermMask::ALL,
             stats: EngineStats::default(),
-            out_edges: Vec::new(),
-            in_edges: Vec::new(),
             rank_cache: Vec::new(),
             cache_ctx: SelectCtx {
                 battery: BatteryLevel::FULL,
@@ -704,14 +698,6 @@ impl OnlineEngine {
             .iter()
             .map(|t| t.versions().iter().any(|v| v.accel().is_some()));
         put(&mut self.task_accel_bound, n0, accel_bound);
-        self.out_edges
-            .resize_with(tasks.end.max(self.out_edges.len()), Vec::new);
-        self.in_edges
-            .resize_with(tasks.end.max(self.in_edges.len()), Vec::new);
-        for i in tasks.clone() {
-            self.out_edges[i].clear();
-            self.in_edges[i].clear();
-        }
         put(&mut self.tenant_of, n0, repeat_n(slot as u32, n));
         put(&mut self.high_depth, n0, repeat_n(0, n));
         put(&mut self.msg_ceiling, n0, repeat_n(Priority::LOWEST, n));
@@ -719,8 +705,6 @@ impl OnlineEngine {
         put(&mut self.overrun_policy, n0, policies);
         for i in edges.clone() {
             let e = merged.edges()[i];
-            self.out_edges[e.src.index()].push(i);
-            self.in_edges[e.dst.index()].push(i);
             // Each edge's release FIFO holds its channel's declared
             // capacity, +1 for the transient over-capacity entry the
             // shedding policies trim, so token pushes — the cross-shard
@@ -1323,12 +1307,7 @@ impl OnlineEngine {
     /// [`Error::UnknownTenant`]; [`Error::TenantRetired`] on a double
     /// retire; [`Error::InvalidConfig`] for tenant 0 (the built-in task
     /// set cannot be retired — stop the schedule instead).
-    pub fn retire_tenant_into(
-        &mut self,
-        tenant: TenantId,
-        _now: Instant,
-        sink: &mut ActionSink,
-    ) -> Result<()> {
+    pub fn retire_tenant_into(&mut self, tenant: TenantId, sink: &mut ActionSink) -> Result<()> {
         if tenant.index() == 0 {
             return Err(Error::InvalidConfig(
                 "tenant 0 is the built-in task set; stop the schedule to end it".into(),
@@ -1901,8 +1880,9 @@ impl OnlineEngine {
     /// successor whose inputs are all present (§3.3: inner nodes are
     /// "automatically activated by the scheduler, once all required
     /// incoming data are present in their input channels"). Edge
-    /// adjacency is precomputed at construction and the successor set
-    /// lives in a reusable scratch, so firing allocates nothing.
+    /// adjacency is the task set's own ([`TaskSet::out_edge_ids`],
+    /// written when a tenant is placed) and the successor set lives in
+    /// a reusable scratch, so firing allocates nothing.
     ///
     /// Token state is owned by the shard owning the edge's
     /// **destination**: an out-edge whose destination belongs to a
@@ -1929,8 +1909,8 @@ impl OnlineEngine {
         }
         let mut successors = std::mem::take(&mut self.successor_buf);
         successors.clear();
-        for k in 0..self.out_edges[task.index()].len() {
-            let i = self.out_edges[task.index()][k];
+        for k in 0..self.taskset.out_edge_ids(task).len() {
+            let i = self.taskset.out_edge_ids(task)[k];
             let dst = self.taskset.edges()[i].dst;
             if !self.owns_task(dst) {
                 self.outbox.push(RemoteActivation {
@@ -1993,8 +1973,8 @@ impl OnlineEngine {
     /// Releases instances of `dst` while every input edge holds a token.
     fn try_fire_joins(&mut self, dst: TaskId) {
         loop {
-            let n_in = self.in_edges[dst.index()].len();
-            let all_present = (0..n_in).all(|k| self.tokens[self.in_edges[dst.index()][k]] > 0);
+            let n_in = self.taskset.in_edge_ids(dst).len();
+            let all_present = (0..n_in).all(|k| self.tokens[self.taskset.in_edge_ids(dst)[k]] > 0);
             if !all_present {
                 break;
             }
@@ -2002,7 +1982,7 @@ impl OnlineEngine {
             // new job is the *oldest* input instance (join semantics).
             let mut release = Instant::ZERO;
             for k in 0..n_in {
-                let i = self.in_edges[dst.index()][k];
+                let i = self.taskset.in_edge_ids(dst)[k];
                 self.tokens[i] -= 1;
                 let r = self.token_release[i].remove(0);
                 release = release.max(r);
@@ -3800,7 +3780,7 @@ mod tests {
         e.commit_tenant_into(retired, at(0), &mut sink).unwrap();
         grid.apply(&e, at(0), &sink);
         grid.run(&mut e, 0, 25);
-        e.retire_tenant_into(retired, at(25), &mut sink).unwrap();
+        e.retire_tenant_into(retired, &mut sink).unwrap();
         let merged = Arc::new(e.taskset().extended(&guest("pending")).unwrap());
         e.splice_taskset(merged, None).unwrap();
         e.stop();
@@ -3941,7 +3921,7 @@ mod tests {
             if live.len() > 4 {
                 let oldest = live.pop_front().unwrap();
                 ledger.retire(oldest).unwrap();
-                e.retire_tenant_into(oldest, now, &mut sink).unwrap();
+                e.retire_tenant_into(oldest, &mut sink).unwrap();
             }
             now += ms(5);
             if let Some(r) = e.running(WorkerId::new(0)) {
@@ -3968,8 +3948,6 @@ mod tests {
             e.activation_seq.len(),
             e.static_priority.len(),
             e.rank_cache.len(),
-            e.out_edges.len(),
-            e.in_edges.len(),
             e.task_worker.len(),
             e.task_accel_bound.len(),
             e.tenant_of.len(),
@@ -4001,7 +3979,7 @@ mod tests {
             let tenant = tenant.unwrap();
             e.commit_tenant_into(tenant, at(round), &mut sink).unwrap();
             ledger.retire(tenant).unwrap();
-            e.retire_tenant_into(tenant, at(round), &mut sink).unwrap();
+            e.retire_tenant_into(tenant, &mut sink).unwrap();
         }
         // Three tenants held T2 in turn, from the tenant table's index 1.
         assert_eq!(e.taskset().len(), 3);

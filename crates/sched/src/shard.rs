@@ -627,7 +627,7 @@ mod tests {
         let budget = TenantBudget::deferrable(ms(6), ms(40));
         let budgeted = TenantId::new(2);
         for s in &mut shards {
-            s.retire_tenant_into(tenant, at(6), &mut sink).unwrap();
+            s.retire_tenant_into(tenant, &mut sink).unwrap();
             let server = ReservationServer::new(budget, at(6));
             s.install_tenant(Arc::clone(&heir), budgeted, 2, Some(server))
                 .unwrap();
@@ -636,7 +636,7 @@ mod tests {
             assert_eq!(fresh.total_charged(), Duration::ZERO);
             assert_eq!(fresh.deferral_count(), 0);
             s.commit_tenant_at(budgeted, at(40), at(6)).unwrap();
-            s.retire_tenant_into(budgeted, at(6), &mut sink).unwrap();
+            s.retire_tenant_into(budgeted, &mut sink).unwrap();
         }
         // An heir without a budget is never deferred: both of its 4 ms
         // jobs run on worker 0, where a 6 ms budget would defer one.
@@ -912,7 +912,7 @@ mod tests {
         let a = admit(&mut ledger, &mut shards);
         for s in &mut shards {
             s.commit_tenant_at(a, at(1), at(1)).unwrap();
-            s.retire_tenant_into(a, at(1), &mut sink).unwrap();
+            s.retire_tenant_into(a, &mut sink).unwrap();
         }
         ledger.retire(a).unwrap();
         let b = admit(&mut ledger, &mut shards);
@@ -1012,7 +1012,7 @@ mod tests {
         }
         let former = root(&mut shards, at(1), &mut sink);
         for s in &mut shards {
-            s.retire_tenant_into(a, at(1), &mut sink).unwrap();
+            s.retire_tenant_into(a, &mut sink).unwrap();
         }
         ledger.retire(a).unwrap();
         let b = admit(&mut ledger, &mut shards);

@@ -1163,7 +1163,7 @@ impl Simulation {
             Planned::Fault(ev) => self.apply_fault(now, ev),
             Planned::Admit(idx) => self.apply_admit(now, idx),
             Planned::Retire(tenant) => self.engine_call(now, |e, sink| {
-                e.retire_tenant_into(tenant, now, sink)
+                e.retire_tenant_into(tenant, sink)
                     .expect("retired tenant was admitted");
             }),
         }

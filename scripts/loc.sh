@@ -1,0 +1,48 @@
+#!/usr/bin/env bash
+# Prints the non-test Rust lines of every crate of the workspace and
+# their total. A file under a crate's `src/` counts the lines above its
+# first `#[cfg(test)]`, or all of them without one; a file whose `mod`
+# declaration sits under `#[cfg(test)]` (`owner/harness.rs`,
+# `fold_parity.rs`, `test_util.rs`) is test code and counts none.
+# Integration tests, benches, examples, `benchmark/` and `vendor/` are
+# left out. Gates nothing.
+#
+#   scripts/loc.sh            # from any directory
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+# The files of the test-only modules that the files named declare: a
+# `mod name;` on the line after a `#[cfg(test)]`.
+test_modules() {
+  local f dir
+  for f in "$@"; do
+    dir=$(dirname "$f")
+    case $(basename "$f") in
+      lib.rs | main.rs | mod.rs) ;;
+      *) dir="$dir/$(basename "$f" .rs)" ;;
+    esac
+    awk -v dir="$dir" '
+      prev ~ /^[ \t]*#\[cfg\(test\)\][ \t]*$/ && match($0, /mod [a-z_0-9]+;/) {
+        name = substr($0, RSTART + 4, RLENGTH - 5)
+        print dir "/" name ".rs"
+        print dir "/" name "/mod.rs"
+      }
+      { prev = $0 }' "$f"
+  done
+}
+
+total=0
+for src in crates/*/src src; do
+  crate=$(awk -F'"' '/^name *=/ { print $2; exit }' "$(dirname "$src")/Cargo.toml")
+  mapfile -t files < <(find "$src" -name '*.rs' | sort)
+  skip=$(test_modules "${files[@]}")
+  lines=0
+  for f in "${files[@]}"; do
+    grep -qxF "$f" <<<"$skip" && continue
+    n=$(awk '/^[ \t]*#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$f")
+    lines=$((lines + n))
+  done
+  printf '%-18s %6d\n' "$crate" "$lines"
+  total=$((total + lines))
+done
+printf '%-18s %6d\n' total "$total"

@@ -1248,9 +1248,7 @@ fn tenant_churn() {
     }
     let (oldest, mut free) = live.pop_front().unwrap();
     sink.clear();
-    engine
-        .retire_tenant_into(oldest, Instant::ZERO, &mut sink)
-        .unwrap();
+    engine.retire_tenant_into(oldest, &mut sink).unwrap();
     let tick = engine.tick_period();
     let mut now = Instant::ZERO;
     let mut next = engine.tenant_count() as u32;
@@ -1284,7 +1282,7 @@ fn tenant_churn() {
         let (oldest, slot) = live.pop_front().expect("four live");
         sink.clear();
         engine
-            .retire_tenant_into(oldest, now, &mut sink)
+            .retire_tenant_into(oldest, &mut sink)
             .expect("the oldest is live");
         free = slot;
     });
