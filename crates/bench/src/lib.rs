@@ -6,29 +6,20 @@
 //! * [`fig2`] — Figure 2 (a/b): scheduling overhead vs Mollison &
 //!   Anderson, by task count and by utilisation;
 //! * [`table2`] — Table 2: cyclictest latency on PREEMPT_RT and LitmusRT;
-//! * [`fig4`] — Figure 4: the drone SAR scheduling exploration;
-//! * [`mcs`] and [`ticket`] — the Mellor-Crummey & Scott queue lock
-//!   (the paper's "lock-free algorithms from \[27\]" option) and a FIFO
-//!   ticket spinlock, the two locks §3.5 sets against a POSIX mutex
-//!   (`benches/ablation_locks.rs`). The runtime itself takes no lock on
-//!   its paths, so they live here, beside the comparison.
+//! * [`fig4`] — Figure 4: the drone SAR scheduling exploration.
 //!
 //! Each module exposes `run` + `render`; the binaries
 //! (`exp_fig2`, `exp_table2`, `exp_fig4`) print the paper-format tables
 //! and write a Markdown table and a CSV under `results/` through
 //! [`write_result`]; the committed outputs and the host they were
-//! measured on are in `results/README.md`. `benches/` holds the three
-//! criterion ablations (lock, ready-queue and version-selection
-//! alternatives) and nothing that another instrument already times:
-//! end-to-end and per-layer numbers come from `benchmark/run.sh`.
+//! measured on are in `results/README.md`. End-to-end and per-layer
+//! numbers come from `benchmark/run.sh`.
 
 #![warn(missing_docs)]
 
 pub mod fig2;
 pub mod fig4;
-pub mod mcs;
 pub mod table2;
-pub mod ticket;
 
 use std::io::Write;
 

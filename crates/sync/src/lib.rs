@@ -21,8 +21,9 @@
 //!
 //! Every unsafe block carries its justification, and the stress tests
 //! exercise the FIFO and exchange invariants under real contention.
-//! (The MCS and ticket locks the paper's §3.5 compares with a POSIX
-//! mutex are `yasmin_bench::{mcs, ticket}`: the runtime takes no lock.)
+//! There is no lock here: the runtime takes none, so the lock choice
+//! of the paper's §3.5 is not reproduced (`docs/ARCHITECTURE.md`,
+//! "Locking").
 
 #![warn(missing_docs)]
 

@@ -4,7 +4,7 @@
 # first `#[cfg(test)]`, or all of them without one; a file whose `mod`
 # declaration sits under `#[cfg(test)]` (`owner/harness.rs`,
 # `fold_parity.rs`, `test_util.rs`) is test code and counts none.
-# Integration tests, benches, examples, `benchmark/` and `vendor/` are
+# Integration tests, examples, `benchmark/` and `vendor/` are
 # left out. Gates nothing.
 #
 #   scripts/loc.sh            # from any directory

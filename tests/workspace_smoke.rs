@@ -155,11 +155,16 @@ fn baselines_links_and_configures() {
     assert!(cfg.interval >= Duration::from_micros(1));
 }
 
-/// `yasmin-bench` via the facade: the experiment harness is reachable
-/// (result writing is best-effort by contract).
+/// `yasmin-bench` via the facade: the experiment harness and its result
+/// writer are reachable, and Table 2 defaults to the paper's
+/// `cyclictest -t 6 -i 10000 -l 10000`. Writes nothing to `results/`.
 #[test]
 fn bench_links_and_writes_results() {
-    yasmin::bench::write_result("smoke.txt", "ok\n");
+    let _: fn(&str, &str) = yasmin::bench::write_result;
+    let p = yasmin::bench::table2::Table2Params::default();
+    assert_eq!(p.cyclictest.threads, 6);
+    assert_eq!(p.cyclictest.interval, Duration::from_micros(10_000));
+    assert_eq!(p.cyclictest.loops, 10_000);
 }
 
 /// Energy/battery/platform types from the prelude are constructible.
