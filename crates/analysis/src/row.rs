@@ -59,7 +59,7 @@ impl Row {
         Row {
             task: t,
             worker,
-            priority: static_priority(ts, policy, t),
+            priority: ts.static_priority(t, policy),
             wcet: wcet_of(ts, t, assumption),
             period: ts.effective_period(t).filter(|p| !p.is_zero()),
             deadline: ts.effective_deadline(t),
@@ -149,28 +149,6 @@ pub(crate) fn edf_rows(ts: &TaskSet, assumption: WcetAssumption) -> Vec<Row> {
 /// one: graph nodes repeat their root's). `None` if nothing recurs.
 pub(crate) fn hyperperiod(rows: &[Row]) -> Option<Duration> {
     lcm_all(rows.iter().filter_map(|r| r.period))
-}
-
-/// The static priority `policy` gives `t` in `ts`.
-pub(crate) fn static_priority(ts: &TaskSet, policy: PriorityPolicy, t: TaskId) -> Priority {
-    match policy {
-        PriorityPolicy::RateMonotonic => ts
-            .effective_period(t)
-            .map_or(Priority::LOWEST, Priority::rate_monotonic),
-        PriorityPolicy::DeadlineMonotonic => {
-            let d = ts.effective_deadline(t);
-            if d == Duration::MAX {
-                Priority::LOWEST
-            } else {
-                Priority::deadline_monotonic(d)
-            }
-        }
-        PriorityPolicy::UserDefined => ts.tasks()[t.index()]
-            .spec()
-            .static_priority()
-            .unwrap_or(Priority::LOWEST),
-        PriorityPolicy::EarliestDeadlineFirst => Priority::LOWEST,
-    }
 }
 
 #[cfg(test)]
@@ -268,17 +246,17 @@ mod tests {
                     .filter_map(|v| v.accel())
                     .collect::<Vec<_>>()
             };
-            let mine = static_priority(ts, policy, task);
+            let mine = ts.static_priority(task, policy);
             let mut relevant = Vec::new();
             for t in ts.tasks() {
-                let p = static_priority(ts, policy, t.id());
+                let p = ts.static_priority(t.id(), policy);
                 if t.id() == task || p.is_higher_than(mine) {
                     relevant.extend(accels(t));
                 }
             }
             let mut worst = Duration::ZERO;
             for t in ts.tasks() {
-                let p = static_priority(ts, policy, t.id());
+                let p = ts.static_priority(t.id(), policy);
                 if t.id() == task || p.is_higher_than(mine) || p == mine {
                     continue;
                 }

@@ -175,7 +175,6 @@ pub fn wcrt_bounds_hold(r: &ResponseTime, c: Duration) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::row::static_priority;
     use crate::util::wcet_of;
     use yasmin_core::graph::TaskSetBuilder;
     use yasmin_core::task::TaskSpec;
@@ -211,12 +210,12 @@ mod tests {
             .map(|&t| {
                 let c = wcet_of(ts, t, a);
                 let d = ts.effective_deadline(t);
-                let my_prio = static_priority(ts, policy, t);
+                let my_prio = ts.static_priority(t, policy);
                 let hp: Vec<(Duration, Duration)> = members
                     .iter()
                     .filter(|&&j| j != t)
                     .filter(|&&j| {
-                        let pj = static_priority(ts, policy, j);
+                        let pj = ts.static_priority(j, policy);
                         pj.is_higher_than(my_prio) || (pj == my_prio && j < t)
                     })
                     .filter_map(|&j| {

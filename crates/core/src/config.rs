@@ -177,7 +177,6 @@ pub struct Config {
     tick_override: Option<Duration>,
     max_pending_jobs: usize,
     battery_source: Option<Arc<BatteryFn>>,
-    initial_mode: ExecMode,
     sharded_dispatch: bool,
     cull_missed: bool,
     enforce_wcet: bool,
@@ -254,12 +253,6 @@ impl Config {
             .map_or(BatteryLevel::FULL, |f| f())
     }
 
-    /// The execution mode the system starts in.
-    #[must_use]
-    pub const fn initial_mode(&self) -> ExecMode {
-        self.initial_mode
-    }
-
     /// Whether drivers should run one independent engine shard per
     /// worker (partitioned mapping only) instead of a single shared
     /// engine owner. Sharded dispatch is the opt-in for the per-core
@@ -328,7 +321,6 @@ impl fmt::Debug for Config {
                 "battery_source",
                 &self.battery_source.as_ref().map(|_| ".."),
             )
-            .field("initial_mode", &self.initial_mode)
             .field("sharded_dispatch", &self.sharded_dispatch)
             .field("cull_missed", &self.cull_missed)
             .field("enforce_wcet", &self.enforce_wcet)
@@ -337,38 +329,24 @@ impl fmt::Debug for Config {
     }
 }
 
-/// Builder for [`Config`].
+/// Builder for [`Config`]: the configuration being built, which
+/// [`ConfigBuilder::build`] validates and hands out.
 #[derive(Clone)]
-pub struct ConfigBuilder {
-    workers: usize,
-    mapping: MappingScheme,
-    priority: PriorityPolicy,
-    version_policy: VersionPolicy,
-    waiting: WaitChoice,
-    preemption: bool,
-    tick_override: Option<Duration>,
-    max_pending_jobs: usize,
-    battery_source: Option<Arc<BatteryFn>>,
-    initial_mode: ExecMode,
-    sharded_dispatch: bool,
-    cull_missed: bool,
-    enforce_wcet: bool,
-    miss_trip: Option<(Duration, u32)>,
-}
+pub struct ConfigBuilder(Config);
 
 impl fmt::Debug for ConfigBuilder {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ConfigBuilder")
-            .field("workers", &self.workers)
-            .field("mapping", &self.mapping)
-            .field("priority", &self.priority)
+            .field("workers", &self.0.workers)
+            .field("mapping", &self.0.mapping)
+            .field("priority", &self.0.priority)
             .finish_non_exhaustive()
     }
 }
 
 impl Default for ConfigBuilder {
     fn default() -> Self {
-        ConfigBuilder {
+        ConfigBuilder(Config {
             workers: 1,
             mapping: MappingScheme::default(),
             priority: PriorityPolicy::default(),
@@ -378,12 +356,11 @@ impl Default for ConfigBuilder {
             tick_override: None,
             max_pending_jobs: 1024,
             battery_source: None,
-            initial_mode: ExecMode::NORMAL,
             sharded_dispatch: false,
             cull_missed: false,
             enforce_wcet: false,
             miss_trip: None,
-        }
+        })
     }
 }
 
@@ -391,28 +368,28 @@ impl ConfigBuilder {
     /// Sets the number of worker threads (virtual CPUs).
     #[must_use]
     pub fn workers(mut self, n: usize) -> Self {
-        self.workers = n;
+        self.0.workers = n;
         self
     }
 
     /// Sets global or partitioned mapping.
     #[must_use]
     pub fn mapping(mut self, m: MappingScheme) -> Self {
-        self.mapping = m;
+        self.0.mapping = m;
         self
     }
 
     /// Sets the priority assignment policy.
     #[must_use]
     pub fn priority(mut self, p: PriorityPolicy) -> Self {
-        self.priority = p;
+        self.0.priority = p;
         self
     }
 
     /// Sets the version-selection policy.
     #[must_use]
     pub fn version_policy(mut self, v: VersionPolicy) -> Self {
-        self.version_policy = v;
+        self.0.version_policy = v;
         self
     }
 
@@ -426,42 +403,35 @@ impl ConfigBuilder {
     /// next edge — and wants a core per thread.
     #[must_use]
     pub fn waiting(mut self, w: WaitChoice) -> Self {
-        self.waiting = w;
+        self.0.waiting = w;
         self
     }
 
     /// Enables or disables preemption.
     #[must_use]
     pub fn preemption(mut self, on: bool) -> Self {
-        self.preemption = on;
+        self.0.preemption = on;
         self
     }
 
     /// Overrides the scheduler-tick period (otherwise gcd of periods).
     #[must_use]
     pub fn tick(mut self, tick: Duration) -> Self {
-        self.tick_override = Some(tick);
+        self.0.tick_override = Some(tick);
         self
     }
 
     /// Sets the bound on pending jobs (ready-queue capacity).
     #[must_use]
     pub fn max_pending_jobs(mut self, n: usize) -> Self {
-        self.max_pending_jobs = n;
+        self.0.max_pending_jobs = n;
         self
     }
 
     /// Installs the platform-dependent battery probe.
     #[must_use]
     pub fn battery_source(mut self, f: impl Fn() -> BatteryLevel + Send + Sync + 'static) -> Self {
-        self.battery_source = Some(Arc::new(f));
-        self
-    }
-
-    /// Sets the initial execution mode.
-    #[must_use]
-    pub fn initial_mode(mut self, m: ExecMode) -> Self {
-        self.initial_mode = m;
+        self.0.battery_source = Some(Arc::new(f));
         self
     }
 
@@ -471,7 +441,7 @@ impl ConfigBuilder {
     /// one scheduler thread per core.
     #[must_use]
     pub fn sharded_dispatch(mut self, on: bool) -> Self {
-        self.sharded_dispatch = on;
+        self.0.sharded_dispatch = on;
         self
     }
 
@@ -479,7 +449,7 @@ impl ConfigBuilder {
     /// ticks; see [`Config::cull_missed`].
     #[must_use]
     pub fn cull_missed(mut self, on: bool) -> Self {
-        self.cull_missed = on;
+        self.0.cull_missed = on;
         self
     }
 
@@ -487,7 +457,7 @@ impl ConfigBuilder {
     /// [`Config::enforce_wcet`].
     #[must_use]
     pub fn enforce_wcet(mut self, on: bool) -> Self {
-        self.enforce_wcet = on;
+        self.0.enforce_wcet = on;
         self
     }
 
@@ -497,7 +467,7 @@ impl ConfigBuilder {
     /// [`Config::miss_trip`].
     #[must_use]
     pub fn miss_trip(mut self, window: Duration, budget: u32) -> Self {
-        self.miss_trip = Some((window, budget));
+        self.0.miss_trip = Some((window, budget));
         self
     }
 
@@ -509,51 +479,37 @@ impl ConfigBuilder {
     /// (zero workers, zero queue capacity, zero tick override, sharded
     /// dispatch without partitioned mapping, a zero miss-trip window).
     pub fn build(self) -> Result<Config> {
-        if self.workers == 0 {
+        let c = self.0;
+        if c.workers == 0 {
             return Err(Error::InvalidConfig(
                 "at least one worker is required".into(),
             ));
         }
-        if self.max_pending_jobs == 0 {
+        if c.max_pending_jobs == 0 {
             return Err(Error::InvalidConfig(
                 "max_pending_jobs must be positive".into(),
             ));
         }
-        if let Some(t) = self.tick_override {
+        if let Some(t) = c.tick_override {
             if t.is_zero() {
                 return Err(Error::InvalidConfig(
                     "tick override must be positive".into(),
                 ));
             }
         }
-        if self.sharded_dispatch && self.mapping != MappingScheme::Partitioned {
+        if c.sharded_dispatch && c.mapping != MappingScheme::Partitioned {
             return Err(Error::InvalidConfig(
                 "sharded dispatch needs per-worker ready queues: use partitioned mapping".into(),
             ));
         }
-        if let Some((window, _)) = self.miss_trip {
+        if let Some((window, _)) = c.miss_trip {
             if window.is_zero() {
                 return Err(Error::InvalidConfig(
                     "miss-trip window must be positive".into(),
                 ));
             }
         }
-        Ok(Config {
-            workers: self.workers,
-            mapping: self.mapping,
-            priority: self.priority,
-            version_policy: self.version_policy,
-            waiting: self.waiting,
-            preemption: self.preemption,
-            tick_override: self.tick_override,
-            max_pending_jobs: self.max_pending_jobs,
-            battery_source: self.battery_source,
-            initial_mode: self.initial_mode,
-            sharded_dispatch: self.sharded_dispatch,
-            cull_missed: self.cull_missed,
-            enforce_wcet: self.enforce_wcet,
-            miss_trip: self.miss_trip,
-        })
+        Ok(c)
     }
 }
 
@@ -581,8 +537,11 @@ mod tests {
             .preemption(false)
             .tick(Duration::from_millis(1))
             .max_pending_jobs(64)
-            .initial_mode(ExecMode::new(1))
             .battery_source(|| BatteryLevel::from_percent(50))
+            .sharded_dispatch(true)
+            .cull_missed(true)
+            .enforce_wcet(true)
+            .miss_trip(Duration::from_millis(100), 3)
             .build()
             .unwrap();
         assert_eq!(c.workers(), 3);
@@ -593,8 +552,11 @@ mod tests {
         assert!(!c.preemption());
         assert_eq!(c.tick_override(), Some(Duration::from_millis(1)));
         assert_eq!(c.max_pending_jobs(), 64);
-        assert_eq!(c.initial_mode(), ExecMode::new(1));
         assert_eq!(c.read_battery(), BatteryLevel::from_percent(50));
+        assert!(c.sharded_dispatch());
+        assert!(c.cull_missed());
+        assert!(c.enforce_wcet());
+        assert_eq!(c.miss_trip(), Some((Duration::from_millis(100), 3)));
         assert_eq!(c.label(), "P-RM");
     }
 

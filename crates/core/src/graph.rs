@@ -9,8 +9,8 @@
 use crate::accel::AccelSpec;
 use crate::channel::{BackpressurePolicy, ChannelSpec, Edge};
 use crate::error::{Error, Result};
-use crate::ids::{AccelId, ChannelId, TaskId, VersionId};
-use crate::priority::Priority;
+use crate::ids::{AccelId, ChannelId, TaskId, VersionId, WorkerId};
+use crate::priority::{Priority, PriorityPolicy};
 use crate::task::{Task, TaskSpec};
 use crate::time::{gcd_all, lcm_all, Duration};
 use crate::version::VersionSpec;
@@ -264,6 +264,43 @@ impl TaskSet {
         }
         let root = self.component_root(t);
         self.tasks[root.index()].spec().relative_deadline()
+    }
+
+    /// The static priority `policy` gives `t`: by its effective period
+    /// (RM) or deadline (DM), as declared (user-defined), and
+    /// [`Priority::LOWEST`] where there is none — always under EDF,
+    /// whose priority is per job. The engine releases by it and
+    /// admission analyses it.
+    #[must_use]
+    pub fn static_priority(&self, t: TaskId, policy: PriorityPolicy) -> Priority {
+        match policy {
+            PriorityPolicy::RateMonotonic => self
+                .effective_period(t)
+                .map_or(Priority::LOWEST, Priority::rate_monotonic),
+            PriorityPolicy::DeadlineMonotonic => match self.effective_deadline(t) {
+                Duration::MAX => Priority::LOWEST,
+                d => Priority::deadline_monotonic(d),
+            },
+            PriorityPolicy::UserDefined => self.tasks[t.index()]
+                .spec()
+                .static_priority()
+                .unwrap_or(Priority::LOWEST),
+            PriorityPolicy::EarliestDeadlineFirst => Priority::LOWEST,
+        }
+    }
+
+    /// The worker `t` runs on among `workers`: its assigned one.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::MissingPartition`] if `t` has none;
+    /// [`Error::UnknownWorker`] if it names one at or past `workers`.
+    pub fn partition_of(&self, t: TaskId, workers: usize) -> Result<WorkerId> {
+        match self.tasks[t.index()].spec().assigned_worker() {
+            None => Err(Error::MissingPartition(t)),
+            Some(w) if w.index() >= workers => Err(Error::UnknownWorker(w)),
+            Some(w) => Ok(w),
+        }
     }
 
     /// All tasks reachable from `root` (including it), in topological

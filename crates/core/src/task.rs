@@ -207,6 +207,15 @@ impl TaskSpec {
         self.period
     }
 
+    /// Whether a running schedule ticking every `tick` can release this
+    /// task on time: it never recurs, or its period is a multiple of
+    /// `tick`. A tenant spliced in later must fit the tick its first
+    /// tenant fixed.
+    #[must_use]
+    pub fn fits_tick(&self, tick: Duration) -> bool {
+        !self.kind.is_recurring() || self.period.as_nanos().is_multiple_of(tick.as_nanos())
+    }
+
     /// The deadline scheme.
     #[must_use]
     pub const fn deadline(&self) -> DeadlineKind {

@@ -474,22 +474,13 @@ impl AdmissionControl {
                 )));
             }
         }
-        let workers = self.config.workers();
         if self.config.mapping() == MappingScheme::Partitioned {
             for t in candidate.tasks() {
-                match t.spec().assigned_worker() {
-                    None => return Err(AdmissionError::Invalid(Error::MissingPartition(t.id()))),
-                    Some(w) if w.index() >= workers => {
-                        return Err(AdmissionError::Invalid(Error::UnknownWorker(w)))
-                    }
-                    Some(_) => {}
-                }
+                candidate.partition_of(t.id(), self.config.workers())?;
             }
         }
         for t in candidate.tasks() {
-            if t.spec().kind().is_recurring()
-                && t.spec().period().as_nanos() % self.tick.as_nanos() != 0
-            {
+            if !t.spec().fits_tick(self.tick) {
                 return Err(AdmissionError::Invalid(Error::InvalidConfig(format!(
                     "tenant task {} period {:?} is not a multiple of the running tick {:?}",
                     t.id(),

@@ -377,10 +377,8 @@ pub struct OnlineEngine {
     queues: Vec<ReadyQueue>,
     running: Vec<Option<RunningJob>>,
     accels: AccelManager,
-    /// Activation tokens per graph edge.
-    tokens: Vec<u64>,
-    /// Graph release carried by the tokens of each edge (FIFO of one: with
-    /// unit-rate firing the front instance's release is enough).
+    /// The graph releases of the activation tokens each edge holds, in
+    /// arrival order: an edge holds as many tokens as its FIFO's length.
     token_release: Vec<Vec<Instant>>,
     /// Next periodic release per task (`Instant::MAX` = not
     /// auto-released). Dense: the release scan is branch-predictable and
@@ -534,14 +532,12 @@ impl OnlineEngine {
         let queues = (0..n_queues)
             .map(|_| ReadyQueue::with_capacity(config.max_pending_jobs()))
             .collect();
-        let mode = config.initial_mode();
         let policy_uses_battery = matches!(
             config.version_policy(),
             VersionPolicy::Energy | VersionPolicy::UserDefined(_)
         );
         let mut engine = OnlineEngine {
             accels: AccelManager::new(0),
-            tokens: Vec::new(),
             token_release: Vec::new(),
             next_release: Vec::new(),
             period: Vec::new(),
@@ -557,13 +553,13 @@ impl OnlineEngine {
             tick: tick.unwrap_or(Duration::ZERO),
             started: false,
             stopping: false,
-            mode,
+            mode: ExecMode::NORMAL,
             permissions: PermMask::ALL,
             stats: EngineStats::default(),
             rank_cache: Vec::new(),
             cache_ctx: SelectCtx {
                 battery: BatteryLevel::FULL,
-                mode,
+                mode: ExecMode::NORMAL,
                 permissions: PermMask::ALL,
             },
             rank_buf: RankBuf::new(),
@@ -634,22 +630,15 @@ impl OnlineEngine {
         let installed = &merged.tasks()[tasks.clone()];
         let partitioned = self.config.mapping() == MappingScheme::Partitioned;
         for t in installed {
-            match t.spec().assigned_worker() {
-                None if partitioned => return Err(Error::MissingPartition(t.id())),
-                Some(w) if partitioned && w.index() >= self.config.workers() => {
-                    return Err(Error::UnknownWorker(w))
-                }
-                _ => {}
+            if partitioned {
+                merged.partition_of(t.id(), self.config.workers())?;
             }
-            let p = t.spec().period();
-            if tenant.index() > 0
-                && t.spec().kind().is_recurring()
-                && p.as_nanos() % self.tick.as_nanos() != 0
-            {
+            if tenant.index() > 0 && !t.spec().fits_tick(self.tick) {
                 return Err(Error::InvalidConfig(format!(
-                    "tenant task {} period {p:?} is not a multiple of the engine tick \
+                    "tenant task {} period {:?} is not a multiple of the engine tick \
                      {:?} (the tick is fixed when the schedule starts)",
                     t.id(),
+                    t.spec().period(),
                     self.tick
                 )));
             }
@@ -674,7 +663,7 @@ impl OnlineEngine {
             .resize(self.activation_seq.len().max(tasks.end), 0);
         let priorities = installed
             .iter()
-            .map(|t| Self::static_priority_of(&merged, policy, t.id()));
+            .map(|t| merged.static_priority(t.id(), policy));
         put(&mut self.static_priority, n0, priorities);
         self.rank_cache
             .reserve(tasks.end.saturating_sub(self.rank_cache.len()));
@@ -712,14 +701,10 @@ impl OnlineEngine {
             let cap = merged.channels()[e.channel.index()].capacity().max(1) + 1;
             match self.token_release.get_mut(i) {
                 Some(fifo) => {
-                    self.tokens[i] = 0;
                     fifo.clear();
                     fifo.reserve(cap);
                 }
-                None => {
-                    self.tokens.push(0);
-                    self.token_release.push(Vec::with_capacity(cap));
-                }
+                None => self.token_release.push(Vec::with_capacity(cap)),
             }
         }
         self.accels.grow_to(merged.accels().len());
@@ -750,27 +735,6 @@ impl OnlineEngine {
         self.next_tenant = tenant.raw() + 1;
         self.taskset = merged;
         Ok(())
-    }
-
-    fn static_priority_of(ts: &TaskSet, policy: PriorityPolicy, t: TaskId) -> Priority {
-        let task = &ts.tasks()[t.index()];
-        match policy {
-            PriorityPolicy::RateMonotonic => ts
-                .effective_period(t)
-                .map_or(Priority::LOWEST, Priority::rate_monotonic),
-            PriorityPolicy::DeadlineMonotonic => {
-                let d = ts.effective_deadline(t);
-                if d == Duration::MAX {
-                    Priority::LOWEST
-                } else {
-                    Priority::deadline_monotonic(d)
-                }
-            }
-            PriorityPolicy::EarliestDeadlineFirst => Priority::LOWEST, // per-job
-            PriorityPolicy::UserDefined => {
-                task.spec().static_priority().unwrap_or(Priority::LOWEST)
-            }
-        }
     }
 
     /// The scheduler-thread period (gcd of task periods, or the override).
@@ -962,7 +926,7 @@ impl OnlineEngine {
             && self.outbox.is_empty()
             && !(self.enforce_wcet || self.cull_missed || self.policy_uses_battery)
             && self.miss_trip.is_none()
-            && self.tokens.iter().all(|&t| t == 0)
+            && self.token_release.iter().all(Vec::is_empty)
             && self.high_depth.iter().all(|&d| d == 0)
             && self.tenants.iter().all(|t| t.server.is_none())
     }
@@ -1275,7 +1239,6 @@ impl OnlineEngine {
             let edges = entry.edges();
             for i in edges {
                 self.token_release[i].retain(|&r| r >= since);
-                self.tokens[i] = self.token_release[i].len() as u64;
                 self.try_fire_joins(self.taskset.edges()[i].dst);
             }
         }
@@ -1319,7 +1282,6 @@ impl OnlineEngine {
         let (tasks, edges) = (entry.tasks(), entry.edges());
         self.next_release[tasks.clone()].fill(Instant::MAX);
         for i in edges {
-            self.tokens[i] = 0;
             self.token_release[i].clear();
         }
         // Its jobs running here finish and fire nothing, whatever their
@@ -1942,12 +1904,11 @@ impl OnlineEngine {
     /// never reallocate under overload.
     fn push_token(&mut self, i: usize, graph_release: Instant) {
         let spec = &self.taskset.channels()[self.taskset.edges()[i].channel.index()];
-        let full = spec.capacity() > 0 && self.tokens[i] as usize >= spec.capacity();
         let fifo = &mut self.token_release[i];
+        let full = spec.capacity() > 0 && fifo.len() >= spec.capacity();
         fifo.push(graph_release);
         match (full, spec.backpressure()) {
             (false, _) | (true, BackpressurePolicy::Reject) => {
-                self.tokens[i] += 1;
                 self.stats.channel_overflows += u64::from(full);
             }
             (true, BackpressurePolicy::DropOldest) => {
@@ -1973,19 +1934,15 @@ impl OnlineEngine {
     /// Releases instances of `dst` while every input edge holds a token.
     fn try_fire_joins(&mut self, dst: TaskId) {
         loop {
-            let n_in = self.taskset.in_edge_ids(dst).len();
-            let all_present = (0..n_in).all(|k| self.tokens[self.taskset.in_edge_ids(dst)[k]] > 0);
-            if !all_present {
+            let inputs = self.taskset.in_edge_ids(dst);
+            if inputs.iter().any(|&i| self.token_release[i].is_empty()) {
                 break;
             }
             // Consume one token per input; the graph release of the
             // new job is the *oldest* input instance (join semantics).
             let mut release = Instant::ZERO;
-            for k in 0..n_in {
-                let i = self.taskset.in_edge_ids(dst)[k];
-                self.tokens[i] -= 1;
-                let r = self.token_release[i].remove(0);
-                release = release.max(r);
+            for &i in inputs {
+                release = release.max(self.token_release[i].remove(0));
             }
             self.release_job(dst, release, release);
         }
@@ -2942,6 +2899,64 @@ mod tests {
         let j = e.running(WorkerId::new(0)).unwrap().job;
         assert_eq!(j.abs_deadline, at(100));
         assert_eq!(j.graph_release, Instant::ZERO);
+    }
+
+    /// A join whose input `a → j` holds one token under `policy`: two
+    /// tokens of `a` (graph releases 1 and 3 ms) arrive there before the
+    /// one of `b` (0 ms) completes the join. Returns the releases the
+    /// full edge kept, the join's first job's graph release, and the
+    /// engine's `(shed_drops, channel_overflows)`.
+    fn shed_on_a_full_join(policy: BackpressurePolicy) -> (Vec<Instant>, Instant, (u64, u64)) {
+        let mut b = yasmin_core::graph::TaskSetBuilder::new();
+        let a = b.task_decl(TaskSpec::aperiodic("a")).unwrap();
+        let bt = b.task_decl(TaskSpec::aperiodic("b")).unwrap();
+        let j = b.task_decl(TaskSpec::graph_node("j")).unwrap();
+        for t in [a, bt, j] {
+            b.version_decl(t, VersionSpec::new("v", ms(1))).unwrap();
+        }
+        let aj = b.channel_decl_shedding("aj", 1, 1, policy);
+        let bj = b.channel_decl("bj", 1, 1);
+        b.channel_connect(a, j, aj).unwrap();
+        b.channel_connect(bt, j, bj).unwrap();
+        let ts = Arc::new(b.build().unwrap());
+        let config = Config::builder()
+            .workers(2)
+            .priority(PriorityPolicy::EarliestDeadlineFirst)
+            .tick(ms(10))
+            .build()
+            .unwrap();
+        let mut e = OnlineEngine::new(ts, config).unwrap();
+        let mut sink = ActionSink::new();
+        e.start_into(Instant::ZERO, &mut sink).unwrap();
+        let (w0, w1) = (WorkerId::new(0), WorkerId::new(1));
+        // `b` holds worker 0 until the end; `a` runs twice on worker 1.
+        e.activate_into(bt, Instant::ZERO, &mut sink).unwrap();
+        for start in [1, 3] {
+            e.activate_into(a, at(start), &mut sink).unwrap();
+            let job = e.running(w1).unwrap().job;
+            assert_eq!(job.task, a);
+            e.on_job_completed_into(w1, job.id, at(start + 1), &mut sink)
+                .unwrap();
+        }
+        let kept = e.token_release[0].clone();
+        let b_job = e.running(w0).unwrap().job.id;
+        let acts = emitted(|s| e.on_job_completed_into(w0, b_job, at(5), s).unwrap());
+        let joined = acts.iter().find_map(|x| match x {
+            Action::Dispatch { job, .. } if job.task == j => Some(job.graph_release),
+            _ => None,
+        });
+        let stats = (e.stats().shed_drops, e.stats().channel_overflows);
+        (kept, joined.expect("the join fires"), stats)
+    }
+
+    #[test]
+    fn a_full_edge_sheds_by_its_policy_before_the_join_fires() {
+        let (kept, joined, stats) = shed_on_a_full_join(BackpressurePolicy::DropOldest);
+        assert_eq!((kept, joined, stats), (vec![at(3)], at(3), (1, 0)));
+        let (kept, joined, stats) = shed_on_a_full_join(BackpressurePolicy::DeadlineAwareDrop);
+        assert_eq!((kept, joined, stats), (vec![at(1)], at(1), (1, 0)));
+        let (kept, joined, stats) = shed_on_a_full_join(BackpressurePolicy::Reject);
+        assert_eq!((kept, joined, stats), (vec![at(1), at(3)], at(1), (0, 1)));
     }
 
     #[test]

@@ -71,9 +71,8 @@
 //!   receiving task must be named, so control planes can cut across the
 //!   DAG.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
-use parking_lot::Mutex;
 use yasmin_core::channel::ChannelSpec;
 use yasmin_core::error::{Error, Result};
 use yasmin_core::graph::TaskSet;
@@ -213,8 +212,7 @@ impl<T: Send> Sender<T> {
     ///
     /// [`SendError`] with the value when the lane is full.
     pub fn send(&self, value: T) -> std::result::Result<(), SendError<T>> {
-        self.normal
-            .lock()
+        lock(&self.normal)
             .push(value)
             .map_err(|full| SendError(full.0))
     }
@@ -241,7 +239,7 @@ impl<T: Send> Sender<T> {
                 ceiling,
             });
         }
-        match high.lock().push(value) {
+        match lock(high).push(value) {
             Ok(()) => Ok(()),
             Err(full) => {
                 // Nothing was delivered: balance the speculative post so
@@ -259,13 +257,13 @@ impl<T: Send> Sender<T> {
     /// Buffered messages on the normal lane.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.normal.lock().len()
+        lock(&self.normal).len()
     }
 
     /// `true` when the normal lane is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.normal.lock().is_empty()
+        lock(&self.normal).is_empty()
     }
 
     /// The channel's shared-state handle (for driver wiring).
@@ -293,13 +291,13 @@ impl<T: Send> Receiver<T> {
         if let Some(v) = self.recv_high() {
             return Some(v);
         }
-        self.normal.lock().pop()
+        lock(&self.normal).pop()
     }
 
     /// Receives from the high lane only.
     fn recv_high(&self) -> Option<T> {
         let high = self.high.as_ref()?;
-        let v = high.lock().pop()?;
+        let v = lock(high).pop()?;
         if self.shared.ceiling.is_some() {
             self.shared.emit(MsgEvent::HighDrained {
                 dst: self.shared.dst,
@@ -311,7 +309,7 @@ impl<T: Send> Receiver<T> {
     /// Buffered messages across both lanes.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.high.as_ref().map_or(0, |h| h.lock().len()) + self.normal.lock().len()
+        self.high.as_ref().map_or(0, |h| lock(h).len()) + lock(&self.normal).len()
     }
 
     /// `true` when both lanes are empty.
@@ -323,7 +321,7 @@ impl<T: Send> Receiver<T> {
     /// Buffered messages on the high lane.
     #[must_use]
     pub fn high_len(&self) -> usize {
-        self.high.as_ref().map_or(0, |h| h.lock().len())
+        self.high.as_ref().map_or(0, |h| lock(h).len())
     }
 
     /// The channel's shared-state handle (for driver wiring).
@@ -333,6 +331,13 @@ impl<T: Send> Receiver<T> {
             shared: Arc::clone(&self.shared),
         }
     }
+}
+
+/// Locks one lane's endpoint. A body that panicked while holding it
+/// left the ring whole (a push or pop either happened or did not), so a
+/// poisoned lock is taken as it is.
+fn lock<T>(lane: &Mutex<T>) -> MutexGuard<'_, T> {
+    lane.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn make_endpoints<T: Send>(

@@ -217,7 +217,10 @@ struct PendingJob {
 ///
 /// * [`Error::InvalidConfig`] if `workers == 0`;
 /// * [`Error::Infeasible`] if the task set has no recurring task (no
-///   hyperperiod), or partitioned synthesis lacks assignments.
+///   hyperperiod);
+/// * [`Error::MissingPartition`] / [`Error::UnknownWorker`] if
+///   partitioned synthesis meets a task without a worker or with one at
+///   or past `workers`.
 pub fn synthesize(ts: &TaskSet, workers: usize, opts: SynthesisOptions) -> Result<ScheduleTable> {
     if workers == 0 {
         return Err(Error::InvalidConfig(
@@ -341,18 +344,12 @@ pub fn synthesize(ts: &TaskSet, workers: usize, opts: SynthesisOptions) -> Resul
 
         // Worker choice.
         let w = if opts.partitioned {
-            task.spec()
-                .assigned_worker()
-                .ok_or(Error::MissingPartition(job.task))?
-                .index()
+            ts.partition_of(job.task, workers)?.index()
         } else {
             (0..workers)
                 .min_by_key(|&w| (worker_free[w].max(est), w))
                 .expect("workers > 0")
         };
-        if w >= workers {
-            return Err(Error::UnknownWorker(WorkerId::new(w as u16)));
-        }
         let start = est.max(worker_free[w]);
         let entry = TableEntry {
             worker: WorkerId::new(w as u16),

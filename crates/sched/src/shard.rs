@@ -99,13 +99,7 @@ pub fn validate_sharding(taskset: &TaskSet, config: &Config) -> Result<()> {
         ));
     }
     debug_assert_eq!(config.mapping(), MappingScheme::Partitioned);
-    let assigned = |t: TaskId| -> Result<WorkerId> {
-        match taskset.tasks()[t.index()].spec().assigned_worker() {
-            None => Err(Error::MissingPartition(t)),
-            Some(w) if w.index() >= config.workers() => Err(Error::UnknownWorker(w)),
-            Some(w) => Ok(w),
-        }
-    };
+    let assigned = |t: TaskId| taskset.partition_of(t, config.workers());
     for e in taskset.edges() {
         // Both endpoints assigned and in range; the edge may cross.
         let _ = (assigned(e.src)?, assigned(e.dst)?);

@@ -9,9 +9,7 @@
 //! * [`taskset`] — assembly into validated `TaskSet`s, including
 //!   worst-fit-decreasing partitioning;
 //! * [`dag`] — random layered DAGs for the graph-based task model;
-//! * [`drone`] — the Search & Rescue drone application of §5/Figure 3b;
-//! * [`dsl`] — a textual task-set format (the coordination-DSL front door
-//!   the paper's tool-chain feeds into YASMIN).
+//! * [`drone`] — the Search & Rescue drone application of §5/Figure 3b.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -19,7 +17,6 @@
 pub mod dag;
 pub mod drone;
 pub mod drs;
-pub mod dsl;
 pub mod periods;
 pub mod taskset;
 pub mod uunifast;
@@ -27,7 +24,6 @@ pub mod uunifast;
 pub use dag::{build_dag, DagParams};
 pub use drone::{DroneWorkload, VersionRestriction};
 pub use drs::{drs, drs_bounded, DrsError};
-pub use dsl::parse_taskset;
 pub use taskset::{
     assign_worst_fit, build_independent, build_partitioned, generate_params, GeneratedTask,
     IndependentSetParams,

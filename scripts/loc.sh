@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Prints the non-test Rust lines of every crate of the workspace and
-# their total. A file under a crate's `src/` counts the lines above its
-# first `#[cfg(test)]`, or all of them without one; a file whose `mod`
+# their total. A file under a crate's `src/` counts the lines above the
+# `#[cfg(test)]` that opens its `mod tests {`, or all of them without
+# one: a test-only item above it (a `#[cfg(test)] fn`, a
+# `#[cfg(test)] mod name;`) does not end the count. A file whose `mod`
 # declaration sits under `#[cfg(test)]` (`owner/harness.rs`,
 # `fold_parity.rs`, `test_util.rs`) is test code and counts none.
 # Integration tests, examples, `benchmark/` and `vendor/` are
@@ -39,7 +41,10 @@ for src in crates/*/src src; do
   lines=0
   for f in "${files[@]}"; do
     grep -qxF "$f" <<<"$skip" && continue
-    n=$(awk '/^[ \t]*#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$f")
+    n=$(awk '
+      /^[ \t]*mod tests \{/ && prev ~ /^[ \t]*#\[cfg\(test\)\][ \t]*$/ { n--; exit }
+      { n++; prev = $0 }
+      END { print n + 0 }' "$f")
     lines=$((lines + n))
   done
   printf '%-18s %6d\n' "$crate" "$lines"
