@@ -116,45 +116,20 @@ pub fn set_fifo_priority(priority: i32) -> Result<()> {
     Err(Error::Os("os-rt disabled or non-Linux host".into()))
 }
 
-/// Number of cores visible to this process.
-#[must_use]
-pub fn available_cores() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
 /// What every runtime thread — owner or helper — does before its loop:
 /// pin to `core`, best-effort. Returns whether the kernel agreed; a
 /// thread it refused runs wherever the host puts it and is counted in
-/// `RuntimeReport::unpinned_threads`. Placement and priority of runtime
-/// threads are decided here and nowhere else.
+/// `RuntimeReport::unpinned_threads`. Where a runtime thread runs is
+/// decided here and nowhere else. Its priority is not: it keeps the
+/// policy it was spawned with ([`set_fifo_priority`] is a caller's).
 #[must_use]
 pub fn enter_runtime_thread(core: usize) -> bool {
     pin_current_thread(core).is_ok()
 }
 
-/// Applies the full shielded-worker setup best-effort: pin to `core`,
-/// set FIFO priority. Returns the list of failures (empty = full RT
-/// setup achieved).
-#[must_use]
-pub fn setup_rt_thread(core: usize, priority: i32) -> Vec<Error> {
-    let mut failures = Vec::new();
-    if let Err(e) = pin_current_thread(core) {
-        failures.push(e);
-    }
-    if let Err(e) = set_fifo_priority(priority) {
-        failures.push(e);
-    }
-    failures
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn available_cores_positive() {
-        assert!(available_cores() >= 1);
-    }
 
     #[test]
     fn pin_to_core_zero_usually_works() {
@@ -170,14 +145,5 @@ mod tests {
     #[test]
     fn pin_to_absurd_core_fails() {
         assert!(pin_current_thread(100_000).is_err());
-    }
-
-    #[test]
-    fn best_effort_setup_reports() {
-        // Either full success or a list of Os errors; never panics.
-        let failures = setup_rt_thread(0, 50);
-        for f in failures {
-            assert!(matches!(f, Error::Os(_)));
-        }
     }
 }

@@ -32,10 +32,10 @@
 //! without a lane of its own sends into — control commands, and the
 //! message-plane events the channel notify hooks post for the tasks the
 //! owner has — and **one lane per peer shard** for the cross-shard
-//! protocol — routed DAG tokens (`CrossActivate`) and the drain
-//! barrier — each sized by what it carries (`wire`). Whatever names a
-//! task goes to that task's owner, and to no other. Ticks are generated
-//! locally by each owner at the shared gcd period.
+//! protocol — routed DAG tokens (`CrossActivate`) — each sized by what
+//! it carries (`wire`). Whatever names a task goes to that task's
+//! owner, and to no other. Ticks are generated locally by each owner at
+//! the shared gcd period.
 //!
 //! # The job boundary
 //!
@@ -61,7 +61,7 @@
 //!   [`Runtime::admit`] returns after the longest body then in flight;
 //!   one owner is sent one splice-and-commit command and nothing is
 //!   waited for. `Commit`, `retire`, `activate`, `stop` and
-//!   `DrainFlush` take effect there too. A parked owner hears the
+//!   `Shutdown` take effect there too. A parked owner hears the
 //!   tenant commands of one owner — `admit`'s and `retire`'s, sent
 //!   quietly (`tenant_send`) — when its timed park ends at the next
 //!   tick edge, and applies them ahead of that edge's tick round: the
@@ -157,8 +157,8 @@
 //! back into the ready queue ([`OnlineEngine::return_unclaimed`]) under
 //! its own key — a total order, so the queue is as if those jobs had
 //! never left it. A shelf is open only between those two calls:
-//! whenever `step` looks at the engine or the drain protocol looks at
-//! the shard, its shelf is empty.
+//! whenever `step` looks at the engine, the drain's look included, its
+//! shelf is empty.
 //!
 //! An idle shard (empty queue, no job, drained mailbox) asks the
 //! advisory [`LoadBoard`] for a victim among the peers whose shelf has
@@ -170,13 +170,29 @@
 //! global [`WorkerId`]s keep every record truthful about where a job
 //! ran. It waits for nobody. ([`StealStats`], one per owner in
 //! [`crate::RuntimeReport::steal_stats`], counts both sides.)
+//!
+//! # Shutting down
+//!
+//! One count per runtime, beside its shared lanes (`SharedLanes`), is
+//! the unfinished work. It starts at the number of owners, goes up by
+//! one before any message is sent to an owner — into a lane or its
+//! posts queue; a spilled peer send counts when it spills — and down by
+//! one once `Owner::handle` has applied it. A helper's `Done` is not
+//! counted: the slot it frees keeps the engine busy until then. An
+//! owner that has seen `Shutdown` and is locally quiet (`Owner::drain`)
+//! takes its own 1 off, once, and puts it back before it applies a
+//! later message. The count is 0, for good, only when every owner is
+//! quiet and every message applied: owners exit there, and the one
+//! that brought it there wakes the others (`WakeSource::AllDrained`).
+//! A thread outside the runtime that sends after that finds 0, and its
+//! message is dropped ([`Runtime::cleanup`]).
 
 use crate::runtime::{
     Bodies, JobCtx, RtJobRecord, Runtime, RuntimeBuilder, StealStats, TaskBody, Tenancy, TickStats,
 };
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 use yasmin_core::config::WaitChoice;
 use yasmin_core::error::{Error, Result};
@@ -262,14 +278,8 @@ pub(crate) enum ShardMsg {
     Retire(TenantId),
     /// Stop releasing periodic jobs.
     Stop,
-    /// Drain and exit (two-phase: see [`Owner::drained`]).
+    /// Stop, drain and exit ([`Owner::drain`]).
     Shutdown,
-    /// The barrier a quiesced shard puts into each peer lane during that
-    /// drain, answered with [`ShardMsg::DrainAck`].
-    DrainFlush { from: usize },
-    /// The sending peer has seen everything routed to it before the
-    /// flush (its identity is implied by its lane).
-    DrainAck,
 }
 
 /// What an owner does once it has spliced a tenant ([`ShardMsg::Admit`]).
@@ -323,10 +333,48 @@ type PeerShelf = shelf::Thief<Job, MAX_STEAL_BATCH>;
 /// mutex keeps the lane at one logical producer.
 pub(crate) type SharedLane = Mutex<MailboxSender<ShardMsg>>;
 
-/// The shared lanes of one runtime, by owner: where the handle sends its
-/// commands and the channel notify hooks their events. Shared by the
-/// hooks, the handle and the owners, which tell their runtime by it.
-pub(crate) type Lanes = Arc<Vec<SharedLane>>;
+/// The shared lanes of one runtime, by owner — where the handle sends
+/// its commands and the channel notify hooks their events — and its
+/// count of unfinished work. Shared by the hooks, the handle and the
+/// owners, which tell their runtime by it.
+pub(crate) type Lanes = Arc<SharedLanes>;
+
+/// What [`Lanes`] points at; it derefs to the lanes.
+pub(crate) struct SharedLanes {
+    lanes: Vec<SharedLane>,
+    /// Module docs, "Shutting down". `SeqCst` throughout, like the
+    /// mailbox's pending count: a park re-reads it after announcing.
+    unfinished: AtomicUsize,
+}
+
+impl SharedLanes {
+    /// Counts one message before it is sent; `false` — send nothing —
+    /// once the count is 0: every owner has exited.
+    fn open(&self) -> bool {
+        let more = |n: usize| (n > 0).then_some(n + 1);
+        (self.unfinished)
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, more)
+            .is_ok()
+    }
+
+    /// Takes one off the count; `true` when that brought it to 0.
+    fn finish(&self) -> bool {
+        self.unfinished.fetch_sub(1, Ordering::SeqCst) == 1
+    }
+
+    /// `true` once nothing is left anywhere: every owner may exit.
+    fn finished(&self) -> bool {
+        self.unfinished.load(Ordering::SeqCst) == 0
+    }
+}
+
+impl std::ops::Deref for SharedLanes {
+    type Target = [SharedLane];
+
+    fn deref(&self) -> &[SharedLane] {
+        &self.lanes
+    }
+}
 
 /// An owner's mailbox, which only its thread drains, and the queue that
 /// thread owns. They are the [`Owner`]'s between bodies and `LOCAL`'s
@@ -396,9 +444,13 @@ pub(crate) fn tenant_send(owners: usize) -> SendFn {
     }
 }
 
-/// Sends `msg` into the shared lane of `owner` by `send`, waiting for
-/// room ([`wait_for`]).
+/// Counts `msg` and sends it into the shared lane of `owner` by `send`,
+/// waiting for room ([`wait_for`]); drops it once every owner has
+/// exited ([`SharedLanes::open`]).
 pub(crate) fn send_waiting(lanes: &Lanes, owner: usize, msg: ShardMsg, send: SendFn) {
+    if !lanes.open() {
+        return;
+    }
     let mut msg = Some(msg);
     wait_for(lanes, || {
         let sent = send(&mut *try_lock(&lanes[owner])?, msg.take()?);
@@ -420,6 +472,9 @@ fn post(lanes: &Lanes, owner: usize, msg: ShardMsg) {
         while let Some(earlier) = l.rx.pop_lane(LANE_CONTROL) {
             l.posts.push_back(earlier);
         }
+        // Counted like a send: this owner, inside a body, has not
+        // drained, so the count is not 0.
+        lanes.open();
         l.posts.push_back(msg);
         None
     });
@@ -447,9 +502,9 @@ pub(crate) type Owners<C> = Vec<(Owner<C>, Vec<HelperEnd>)>;
 
 /// Builds one [`Owner`] per engine — every shard of a partitioned set
 /// in worker order, or the one whole engine — and what joins them:
-/// mailbox lanes, shelves, the load board, the drain board and the
-/// channel notify hooks — and tenant 0's body table, which every owner
-/// adopts. Starts no thread; returns the owners, the shared lane into
+/// mailbox lanes, the count of unfinished work, shelves, the load
+/// board and the channel notify hooks — and tenant 0's body table, which
+/// every owner adopts. Starts no thread; returns the owners, the shared lane into
 /// each, and the table.
 pub(crate) fn wire<C: Clock>(
     launch: &RuntimeBuilder,
@@ -481,8 +536,6 @@ pub(crate) fn wire<C: Clock>(
             }
         }
     }
-    let drain_board: Arc<Vec<AtomicBool>> =
-        Arc::new((0..n).map(|_| AtomicBool::new(false)).collect());
     // One shelf per owner (module docs, "Work stealing"): the filling
     // end is its owner's, every owner gets a taking end.
     let (shelves, peer_shelves): (Vec<JobShelf>, Vec<PeerShelf>) =
@@ -511,7 +564,11 @@ pub(crate) fn wire<C: Clock>(
         shared.push(Mutex::new(lanes.swap_remove(LANE_CONTROL)));
         receivers.push(mailbox_rx);
     }
-    let shared: Lanes = Arc::new(shared);
+    // Every owner's own 1 (`Owner::drain`).
+    let shared: Lanes = Arc::new(SharedLanes {
+        lanes: shared,
+        unfinished: AtomicUsize::new(n),
+    });
 
     // Arm the channel notify hooks: each channel posts its events to
     // the owner of its receiving task, the one that can act on them.
@@ -557,7 +614,7 @@ pub(crate) fn wire<C: Clock>(
             stealing: launch.work_stealing && n > 1,
             shelf,
             shelves: peer_shelves.clone(),
-            drained: Arc::clone(&drain_board),
+            lanes: Arc::clone(&shared),
         };
         let lanes = Arc::clone(&shared);
         let table = Arc::clone(&bodies);
@@ -759,7 +816,8 @@ fn helper_main(mut end: HelperEnd, clock: &impl Clock, worker: WorkerId, waiting
 
 /// A shard thread's links to its peers: one mailbox sender per target
 /// shard (its own slot is `None`), the advisory load board, whether
-/// stealing is enabled, and the shelves stolen jobs change hands on.
+/// stealing is enabled, the shelves stolen jobs change hands on, and
+/// the runtime's count of unfinished work.
 ///
 /// Peer sends never block: a full lane spills into a local per-target
 /// FIFO that [`PeerLinks::flush`] retries every wake. Blocking here
@@ -778,14 +836,15 @@ struct PeerLinks {
     /// The taking end of every shard's shelf, this shard's own included
     /// so that a shard index needs no adjustment.
     shelves: Vec<PeerShelf>,
-    /// The drain board of the two-phase shutdown ([`Owner::drained`]):
-    /// `drained[s]` is raised by shard `s` once it is quiet and cleared
-    /// by `s` when late work arrives.
-    drained: Arc<Vec<AtomicBool>>,
+    /// Where every send is counted ([`SharedLanes::open`]).
+    lanes: Lanes,
 }
 
 impl PeerLinks {
+    /// Counts `msg` — this owner has not drained, so the count is not
+    /// 0 — and sends it, or spills it when the lane is full.
     fn send(&mut self, target: usize, msg: ShardMsg) {
+        self.lanes.open();
         let tx = self.txs[target]
             .as_mut()
             .expect("peer links never target the sending shard");
@@ -835,29 +894,14 @@ impl PeerLinks {
         }
     }
 
-    /// Raises this shard's drained flag. `Release` pairs with the
-    /// `Acquire` in [`PeerLinks::all_drained`]: everything this shard
-    /// sent before raising the flag (tokens already landed in peer
-    /// mailboxes) is visible to a peer that observes the flag before it
-    /// checks its own mailbox. A flag going up may complete global
-    /// quiescence, which parked peers are waiting for: wake them.
-    fn set_drained(&self, me: usize) {
-        if !self.drained[me].swap(true, Ordering::AcqRel) {
+    /// Takes this drained owner's own 1 off the count; the owner that
+    /// brings it to 0 wakes every peer, parked for that.
+    fn drained(&self) {
+        if self.lanes.finish() {
             for tx in self.txs.iter().flatten() {
                 tx.wake();
             }
         }
-    }
-
-    /// Clears this shard's drained flag — late work arrived after the
-    /// shard advertised quiescence.
-    fn clear_drained(&self, me: usize) {
-        self.drained[me].store(false, Ordering::Release);
-    }
-
-    /// `true` when every shard has advertised quiescence.
-    fn all_drained(&self) -> bool {
-        self.drained.iter().all(|d| d.load(Ordering::Acquire))
     }
 }
 
@@ -919,10 +963,9 @@ impl LateHist {
 /// posts).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum WakeSource {
-    /// A command in any lane — the shared one, the peer protocol with
-    /// `DrainFlush`/`DrainAck`, a helper's `Done`:
-    /// every `send` rings, and a park looks at the pending count after
-    /// announcing itself. The one exception is a tenant command to the
+    /// A command in any lane — the shared one, a peer's token, a
+    /// helper's `Done`: every `send` rings, and a park looks at the
+    /// pending count after announcing itself. The one exception is a tenant command to the
     /// one owner of a runtime (`tenant_send`), sent quietly: it waits
     /// for whatever ends the park next — [`WakeSource::TickEdge`], of
     /// every park, at the latest — which is no later than it is due.
@@ -932,9 +975,10 @@ pub(crate) enum WakeSource {
     /// jobs wakes the flagged peers ([`PeerLinks::wake_thieves`]), and
     /// the sleeper re-checks [`PeerLinks::victim`].
     PeerShelf,
-    /// Every shard drained, during shutdown: a shard raising its flag
-    /// wakes every peer ([`PeerLinks::set_drained`]), and the sleeper
-    /// re-checks [`PeerLinks::all_drained`].
+    /// Every owner drained, for one that has: the owner whose own 1
+    /// brings the count of unfinished work to 0 wakes every peer
+    /// ([`PeerLinks::drained`]), and the sleeper re-checks that it is 0
+    /// ([`SharedLanes::finished`]).
     AllDrained,
     /// Room in a full peer lane for [`PeerLinks::flush`]. No event:
     /// while a shard holds spilled sends its park or spin ends
@@ -1078,11 +1122,10 @@ pub(crate) struct Owner<C: Clock> {
     steal_hints: Vec<StealHint>,
     steal_batch: JobBatch,
     shelved: usize,
-    /// Two-phase drain state: `Shutdown` seen, the peer lanes barriered
-    /// with `DrainFlush`, and how many peers have acked.
+    /// `Shutdown` seen, and whether this owner's own 1 is off the count
+    /// of unfinished work ([`Owner::drain`]).
     shutting_down: bool,
-    flush_sent: bool,
-    drain_acks: usize,
+    drained: bool,
     report: OwnerReport,
 }
 
@@ -1124,8 +1167,7 @@ impl<C: Clock> Owner<C> {
             steal_batch: JobBatch::new(),
             shelved: 0,
             shutting_down: false,
-            flush_sent: false,
-            drain_acks: 0,
+            drained: false,
             report: OwnerReport::default(),
             engine,
             bodies,
@@ -1181,8 +1223,8 @@ impl<C: Clock> Owner<C> {
             drained_any = true;
             self.handle(msg);
         }
-        if self.shutting_down && self.drained() {
-            // Global quiescence: nothing is in flight, nothing is lost.
+        if self.shutting_down && self.drain() {
+            // Nothing is queued, running or on its way anywhere.
             debug_assert!(self.peers.shelf.is_empty(), "open during a body only");
             self.peers.board.publish(self.me, 0);
             self.helpers.iter_mut().for_each(|h| h.push(None));
@@ -1311,15 +1353,14 @@ impl<C: Clock> Owner<C> {
         }
     }
 
-    /// Applies one command.
+    /// Applies one command, and takes it off the count of unfinished
+    /// work once it has (a `Done` was never on it). A drained owner first
+    /// puts its own 1 back, so the count does not reach 0 while it works.
     fn handle(&mut self, msg: ShardMsg) {
-        // Late work arriving after this shard advertised quiescence
-        // revokes the advertisement before any effect of the work
-        // (dispatches, routed tokens) becomes visible to peers. The
-        // drain-protocol markers themselves are not work.
-        if self.shutting_down && !matches!(msg, ShardMsg::DrainFlush { .. } | ShardMsg::DrainAck) {
-            self.peers.clear_drained(self.me);
+        if std::mem::take(&mut self.drained) {
+            self.peers.lanes.open();
         }
+        let counted = !matches!(msg, ShardMsg::Done(_));
         match msg {
             ShardMsg::Done(record) => self.job_done(record),
             ShardMsg::Activate(task) => {
@@ -1378,13 +1419,10 @@ impl<C: Clock> Owner<C> {
                 self.engine.stop();
                 self.shutting_down |= matches!(msg, ShardMsg::Shutdown);
             }
-            ShardMsg::DrainFlush { from } => {
-                // The flush rode the FIFO peer lane behind every token
-                // `from` routed here before quiescing; acking it proves
-                // all of them have been received.
-                self.peers.send(from, ShardMsg::DrainAck);
-            }
-            ShardMsg::DrainAck => self.drain_acks += 1,
+        }
+        if counted {
+            // Never the last: this owner still holds its own 1.
+            self.peers.lanes.finish();
         }
     }
 
@@ -1422,35 +1460,15 @@ impl<C: Clock> Owner<C> {
         .expect("message event routed to the owner of its task");
     }
 
-    /// The two-phase loss-free drain; `true` when this shard may exit.
-    /// Phase one: a shard that has gone locally quiet — engine idle
-    /// (helpers' jobs retired like its own), spill backlog flushed —
-    /// barriers every peer lane with `DrainFlush` and waits for all
-    /// acks; the FIFO lanes turn each ack into a proof that the peer
-    /// received everything routed to it before the flush. Phase two:
-    /// with all acks in and its own mailbox empty, the shard raises its
-    /// flag on the drain board, and exits at global quiescence — every
-    /// flag up *and* its mailbox and backlog still empty. A late token
-    /// un-drains its receiver before any effect of the work is visible
-    /// ([`Owner::handle`]), and an undelivered message shows either in
-    /// its sender's backlog or in its receiver's mailbox, so none is
-    /// lost.
-    fn drained(&mut self) -> bool {
-        if !self.engine.is_idle() || !self.peers.pending_empty() {
-            return false;
+    /// The drain after `Shutdown` ("Shutting down"); `true` when this
+    /// owner may exit. Locally quiet — engine idle (helpers' jobs retired
+    /// like its own), no spilled send — it takes its own 1 off the count.
+    fn drain(&mut self) -> bool {
+        if !self.drained && self.engine.is_idle() && self.peers.pending_empty() {
+            self.drained = true;
+            self.peers.drained();
         }
-        let (me, peers) = (self.me, self.peers.txs.len());
-        if !self.flush_sent {
-            for p in (0..peers).filter(|&p| p != me) {
-                self.peers.send(p, ShardMsg::DrainFlush { from: me });
-            }
-            self.flush_sent = true;
-        }
-        if self.drain_acks + 1 < peers || !self.mailbox().is_empty() {
-            return false;
-        }
-        self.peers.set_drained(me);
-        self.peers.all_drained() && self.mailbox().is_empty() && self.peers.pending_empty()
+        self.drained && self.peers.lanes.finished()
     }
 
     /// Thief side of a steal; `true` when jobs were taken and adopted.
@@ -1501,7 +1519,7 @@ impl<C: Clock> Owner<C> {
         let spilled = !self.peers.pending_empty();
         let wake = WakeSet(1 << WakeSource::Mailbox as u8 | 1 << WakeSource::TickEdge as u8)
             .with(WakeSource::PeerShelf, thief)
-            .with(WakeSource::AllDrained, self.shutting_down)
+            .with(WakeSource::AllDrained, self.drained)
             .with(WakeSource::SpillRetry, spilled);
         if thief {
             self.peers.board.set_idle(self.me, true);
@@ -1537,7 +1555,7 @@ impl<C: Clock> Owner<C> {
     /// What a sleeping or spinning owner watches besides its mailbox.
     pub(crate) fn also_ready(&self, wake: WakeSet) -> bool {
         (wake.has(WakeSource::PeerShelf) && self.peers.victim(self.me).is_some())
-            || (wake.has(WakeSource::AllDrained) && self.peers.all_drained())
+            || (wake.has(WakeSource::AllDrained) && self.peers.lanes.finished())
     }
 
     /// The park `step` asked for is over; `unrung` says the thread slept
@@ -1657,7 +1675,7 @@ mod tests {
     #[cfg(target_os = "linux")]
     use crate::test_util::{alone_in_child, thread_sleeps};
     use crate::test_util::{must_return, nap_ms, one_owner, sharded, within_attempts};
-    use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
     use yasmin_core::config::{Config, MappingScheme};
     use yasmin_core::graph::TaskSetBuilder;
     use yasmin_core::task::TaskSpec;

@@ -168,6 +168,8 @@ struct World {
     keep: usize,
     shutdown_at: Option<Instant>,
     records_at_shutdown: usize,
+    /// Cross-shard tokens routed before `Shutdown` was sent.
+    routed_at_shutdown: u64,
     longest_body: Duration,
     next_seen: [u64; 4],
     /// Per owner: commands sent to it quietly since its last step, which
@@ -195,18 +197,25 @@ fn admit_set(candidate: TaskSet) -> Cmd {
     Cmd::AdmitSet(candidate, bodies)
 }
 
-fn send(lane: &SharedLane, msg: ShardMsg) {
-    let sent = try_lock(lane).expect("one thread").send(msg);
-    assert!(sent.is_ok(), "the script overfills a command lane");
+/// Counts `msg` and sends it into the shared lane of `owner` by `how`,
+/// as [`send_waiting`] does, but never waiting for room.
+fn send_by(lanes: &SharedLanes, owner: usize, msg: ShardMsg, how: SendFn) {
+    if lanes.open() {
+        let sent = how(&mut try_lock(&lanes[owner]).expect("one thread"), msg);
+        assert!(sent.is_ok(), "the script overfills a command lane");
+    }
+}
+
+fn send(lanes: &SharedLanes, owner: usize, msg: ShardMsg) {
+    send_by(lanes, owner, msg, MailboxSender::send);
 }
 
 /// A tenant command down every shared lane, as `Runtime` sends it
 /// ([`tenant_send`]: quietly to one owner), counted in `quiet` when so.
-fn tenant_broadcast(lanes: &[SharedLane], quiet: &mut [usize], msg: impl Fn() -> ShardMsg) {
+fn tenant_broadcast(lanes: &SharedLanes, quiet: &mut [usize], msg: impl Fn() -> ShardMsg) {
     let (how, alone) = (tenant_send(lanes.len()), lanes.len() == 1);
-    for (lane, quiet) in lanes.iter().zip(quiet) {
-        let sent = how(&mut try_lock(lane).expect("one thread"), msg());
-        assert!(sent.is_ok(), "the script overfills a command lane");
+    for (owner, quiet) in quiet.iter_mut().enumerate() {
+        send_by(lanes, owner, msg(), how);
         *quiet += usize::from(alone);
     }
 }
@@ -253,6 +262,7 @@ impl World {
             keep: 48,
             shutdown_at: None,
             records_at_shutdown: 0,
+            routed_at_shutdown: 0,
             longest_body: Duration::ZERO,
             next_seen: [0; 4],
             quiet: vec![0; n],
@@ -389,17 +399,29 @@ impl World {
         self.owners.iter().map(|o| o.report.records.len()).sum()
     }
 
+    /// Cross-shard tokens routed so far.
+    fn routed(&self) -> u64 {
+        let stats = self.owners.iter().map(|o| o.engine.stats());
+        stats.map(|s| s.cross_activations).sum()
+    }
+
     fn apply(&mut self, event: Event) {
         let now = self.now();
         match event {
             Event::Step(i) => {
                 let (edges, edge) = (self.owners[i].late.count, self.owners[i].next_tick);
-                let next = match self.seats[i] {
-                    Seat::Fresh => self.owners[i].start(),
-                    _ => self.owners[i].step(),
+                let fresh = matches!(self.seats[i], Seat::Fresh);
+                let next = match fresh {
+                    true => self.owners[i].start(),
+                    false => self.owners[i].step(),
                 };
-                assert!(self.owners[i].mailbox().is_empty(), "o{i}: step left mail");
-                self.quiet[i] = 0;
+                // `start` answers its first dispatch before it looks at
+                // the mailbox; a command may already wait there.
+                let drained = self.owners[i].mailbox().is_empty();
+                assert!(fresh || drained, "o{i}: step left mail");
+                if drained {
+                    self.quiet[i] = 0;
+                }
                 self.tick_rounds_kept_to(i, edges, edge);
                 assert!(self.owners[i].peers.shelf.is_empty(), "o{i}: shelf open");
                 self.stepped(i, next);
@@ -567,8 +589,9 @@ impl World {
     }
 
     /// A sleeper whose announcement stands has nothing to wake up for:
-    /// every `send` and every `set_drained` rings. What a quiet send
-    /// left may wait for the park's timeout, its next tick edge.
+    /// every `send` rings, and so does the owner whose drain brings the
+    /// count of unfinished work to 0. What a quiet send left may wait
+    /// for the park's timeout, its next tick edge.
     fn check_sleepers(&self) {
         for i in (0..self.seats.len()).filter(|&i| self.announced(i)) {
             let Seat::Asleep { wake, .. } = self.seats[i] else {
@@ -580,15 +603,15 @@ impl World {
                 "lost wake: o{i} sleeps on a mailbox that is not empty"
             );
             assert!(
-                !(wake.has(WakeSource::AllDrained) && owner.peers.all_drained()),
-                "lost wake: o{i} sleeps although every shard has drained"
+                !(wake.has(WakeSource::AllDrained) && self.lanes.finished()),
+                "lost wake: o{i} sleeps although every owner has drained"
             );
         }
     }
 
     fn broadcast(&self, msg: impl Fn() -> ShardMsg) {
-        for lane in self.lanes.iter() {
-            send(lane, msg());
+        for owner in 0..self.lanes.len() {
+            send(&self.lanes, owner, msg());
         }
     }
 
@@ -645,7 +668,7 @@ impl World {
         match cmd {
             Cmd::Activate(task) => {
                 let owner = owner_of(self.tenancy.ledger.merged(), sharded, task).unwrap();
-                send(&self.lanes[owner], ShardMsg::Activate(task));
+                send(&self.lanes, owner, ShardMsg::Activate(task));
                 self.note(format!("activate {task} -> o{owner}"));
             }
             Cmd::Msg { home, dst, high } => {
@@ -663,7 +686,7 @@ impl World {
                     let lanes = Arc::clone(&self.lanes);
                     self.owners[home].in_body((r.job.task, r.version), |_| post(&lanes, home, msg));
                 } else {
-                    send(&self.lanes[home], msg);
+                    send(&self.lanes, home, msg);
                 }
                 self.note(format!("msg high={high} for {dst} to o{home}"));
             }
@@ -704,10 +727,17 @@ impl World {
                 self.note("stop".into());
             }
             Cmd::Shutdown => {
-                assert!(self.script.is_empty(), "Shutdown is the last command");
+                // A body may still post to the message plane while the
+                // owners drain; nothing else is sent after `Shutdown`.
+                let posts = self
+                    .script
+                    .iter()
+                    .all(|(_, c)| matches!(c, Cmd::Msg { .. }));
+                assert!(posts, "Shutdown is the last command but for posts");
                 self.broadcast(|| ShardMsg::Shutdown);
                 self.shutdown_at = Some(now);
                 self.records_at_shutdown = self.records();
+                self.routed_at_shutdown = self.routed();
                 self.note("shutdown".into());
             }
         }
@@ -823,14 +853,25 @@ struct Case {
     tasks: usize,
     /// Commands before the `Shutdown`.
     commands: usize,
+    /// Shut down right after the last command, inside the horizon, with
+    /// jobs and tokens in flight; otherwise after a quiet tail.
+    early: bool,
+}
+
+/// What [`explore`] leaves.
+struct Explored {
+    reports: Vec<OwnerReport>,
+    /// How often `step` answered each kind of [`Next`].
+    seen: [u64; 4],
+    /// Admissions into a retired tenant's slot.
+    recycled: u64,
+    /// Cross-shard tokens routed after `Shutdown` was sent, each handled
+    /// during the drain.
+    routed_late: u64,
+    trace: VecDeque<String>,
 }
 
 /// Builds `case`'s world and script, runs it to the end and checks it.
-/// What [`explore`] leaves: the owners' reports, how often `step`
-/// answered each kind of [`Next`], the recycled admissions and the
-/// trace.
-type Explored = (Vec<OwnerReport>, [u64; 4], u64, VecDeque<String>);
-
 fn explore(case: Case, keep: usize) -> Explored {
     let mut rng = Rng(case.seed ^ 0x5EED);
     let (workers, config) = match case.shape {
@@ -924,19 +965,33 @@ fn explore(case: Case, keep: usize) -> Explored {
             _ => world.at(when, Cmd::Stop),
         }
     }
-    // A quiet tail: parks then run into their timeouts, enough of them
-    // to teach both tick leads, so the spin path is explored too.
-    world.run_until(T0 + horizon + us(40_000));
-    // Whatever was gated on an acknowledgement has been sent by now.
+    // Early: shut down as soon as the last command is out, with jobs
+    // and tokens in flight. Otherwise after a quiet tail: parks then run
+    // into their timeouts, enough of them to teach both tick leads, so
+    // the spin path is explored too.
+    let last = world.script.iter().map(|(when, _)| *when).max();
+    let (quiet, step) = match case.early {
+        true => (last.unwrap_or(T0), us(1)),
+        false => (T0 + horizon + us(40_000), us(1_000)),
+    };
+    world.run_until(quiet);
+    // Whatever was gated on an acknowledgement or scheduled at a commit.
     while !world.script.is_empty() {
-        world.run_until(world.now() + us(1_000));
+        world.run_until(world.now() + step);
     }
     let down = world.now();
     world.at(down, Cmd::Shutdown);
     world.run();
     let (seen, recycled) = (world.next_seen, world.recycled);
+    let routed_late = world.routed() - world.routed_at_shutdown;
     let trace = std::mem::take(&mut world.trace);
-    (world.finish(), seen, recycled, trace)
+    Explored {
+        reports: world.finish(),
+        seen,
+        recycled,
+        routed_late,
+        trace,
+    }
 }
 
 proptest! {
@@ -951,10 +1006,11 @@ proptest! {
         stealing in any::<bool>(),
         tasks in 1usize..3,
         commands in 0usize..14,
+        early in any::<bool>(),
     ) {
         const SHAPES: [Shape; 5] =
             [Shape::Alone, Shape::Helpers, Shape::Shards(2), Shape::Shards(3), Shape::Shards(3)];
-        explore(Case { seed, shape: SHAPES[shape], stealing, tasks, commands }, 48);
+        explore(Case { seed, shape: SHAPES[shape], stealing, tasks, commands, early }, 48);
     }
 }
 
@@ -965,15 +1021,16 @@ const REPLAY: Case = Case {
     stealing: true,
     tasks: 2,
     commands: 12,
+    early: false,
 };
 
 #[test]
 fn replay() {
-    let (reports, seen, _, trace) = explore(REPLAY, usize::MAX);
-    trace.iter().for_each(|line| println!("{line}"));
-    let [run, park, spin, exit] = seen;
-    println!("{REPLAY:?}: {run} Run, {park} Park, {spin} SpinTo, {exit} Exit");
-    reports
+    let run = explore(REPLAY, usize::MAX);
+    run.trace.iter().for_each(|line| println!("{line}"));
+    let [steps, park, spin, exit] = run.seen;
+    println!("{REPLAY:?}: {steps} Run, {park} Park, {spin} SpinTo, {exit} Exit");
+    (run.reports)
         .iter()
         .for_each(|r| println!("{:?} {:?}", r.ticks, r.steals));
 }
@@ -981,10 +1038,11 @@ fn replay() {
 #[test]
 fn the_exploration_reaches_every_part_of_the_protocol() {
     // What the generated runs are made of: unless they steal, route
-    // tokens, splice tenants — into a retired one's slot too — and park
-    // for every reason there is, their invariants hold of nothing.
+    // tokens — during the drain too — splice tenants — into a retired
+    // one's slot too — and park for every reason there is, their
+    // invariants hold of nothing.
     let mut stats = EngineStats::default();
-    let (mut seen, mut recycled) = ([0; 4], 0);
+    let (mut seen, mut recycled, mut routed_late) = ([0; 4], 0, 0);
     for seed in 0..if cfg!(miri) { 2 } else { 24 } {
         let case = Case {
             seed,
@@ -992,11 +1050,13 @@ fn the_exploration_reaches_every_part_of_the_protocol() {
             stealing: true,
             tasks: 2,
             commands: 12,
+            early: seed % 4 < 2,
         };
-        let (reports, next, into_slot, _) = explore(case, 48);
-        recycled += into_slot;
-        reports.iter().for_each(|r| stats.merge(&r.stats));
-        (0..4).for_each(|k| seen[k] += next[k]);
+        let run = explore(case, 48);
+        recycled += run.recycled;
+        routed_late += run.routed_late;
+        run.reports.iter().for_each(|r| stats.merge(&r.stats));
+        (0..4).for_each(|k| seen[k] += run.seen[k]);
     }
     if cfg!(miri) {
         return;
@@ -1008,6 +1068,7 @@ fn the_exploration_reaches_every_part_of_the_protocol() {
         "Run/Park/SpinTo/Exit: {seen:?}"
     );
     assert!(recycled > 0, "no admission took a retired tenant's slot");
+    assert!(routed_late > 0, "no token was routed after Shutdown");
 }
 
 /// Park lateness by kind: `far` for parks armed a millisecond or more
@@ -1358,6 +1419,72 @@ fn a_message_event_goes_straight_to_the_receivers_owner() {
     world.finish();
 }
 
+#[test]
+fn a_post_during_the_drain_loses_no_token() {
+    // Two shards, each with a periodic task every 100 ms for the tick,
+    // and a chain `c0 → … → c7` that alternates shard 0 and 1: `c0` is
+    // activated at 100 µs and `Shutdown` sent at 175 µs, while `c1`
+    // runs on shard 1, so six tokens of the chain cross shards during
+    // the drain. Shard 0 runs `c2` for 500 µs, and from inside its body
+    // a high message is posted and drained for `p0`: events into shard
+    // 0's own queue, handled at its job boundary beside the token it
+    // routes to `c3`. Every node of the chain runs, on every seed.
+    for seed in 0..64 {
+        let mut b = TaskSetBuilder::new();
+        let p0 = task(
+            &mut b,
+            TaskSpec::periodic("p0", us(100_000)),
+            Some(0),
+            us(50),
+        );
+        task(
+            &mut b,
+            TaskSpec::periodic("p1", us(100_000)),
+            Some(1),
+            us(50),
+        );
+        let chain: Vec<TaskId> = (0..8u16)
+            .map(|k| {
+                let spec = match k {
+                    0 => TaskSpec::aperiodic("c0"),
+                    _ => TaskSpec::graph_node(format!("c{k}")),
+                };
+                task(&mut b, spec, Some(k % 2), us(50))
+            })
+            .collect();
+        for pair in chain.windows(2) {
+            let c = b.channel_decl("c", 1, 8);
+            b.channel_connect(pair[0], pair[1], c).unwrap();
+        }
+        let config = sharded(2).build().unwrap();
+        let label = format!("drain post, seed {seed}");
+        let mut world = World::new(label, seed, b.build().unwrap(), config, false);
+        world.jitter = Duration::ZERO;
+        let c2 = chain[2];
+        world.body_time = Box::new(move |job, _| match job.task == c2 {
+            true => us(500),
+            false => us(50),
+        });
+        world.at(T0 + us(100), Cmd::Activate(chain[0]));
+        world.at(T0 + us(175), Cmd::Shutdown);
+        for (at, high) in [(450, true), (460, false)] {
+            let msg = Cmd::Msg {
+                home: 0,
+                dst: p0,
+                high,
+            };
+            world.at(T0 + us(at), msg);
+        }
+        world.run();
+        let records = world.owners.iter().flat_map(|o| &o.report.records);
+        let ran: HashSet<TaskId> = records.map(|r| r.job.task).collect();
+        for (k, c) in chain.iter().enumerate() {
+            assert!(ran.contains(c), "seed {seed}: c{k} never ran");
+        }
+        world.finish();
+    }
+}
+
 /// An admission of a one-task tenant with the tick as its period.
 fn admit_every_tick() -> Cmd {
     Cmd::Admit {
@@ -1511,6 +1638,8 @@ fn a_former_holders_token_after_the_heirs_splice_is_dropped() {
     let lane = &mut world.owners[1].local.as_mut().unwrap().rx;
     let token = lane.pop_lane(LANE_PEER0).expect("A's token is on its way");
     assert!(matches!(token, ShardMsg::CrossActivate { .. }));
+    // Out of the lane, off the count: `peers.send` counts it again.
+    world.lanes.finish();
     world.at(T0 + us(1_600), Cmd::Retire(TenantId::new(1)));
     world.at(T0 + us(1_700), admit_set(dag_tenant((Some(0), Some(1)))));
     world.run_until(T0 + us(4_500));

@@ -635,10 +635,17 @@ impl Runtime {
         self.broadcast(MailboxSender::send, || ShardMsg::Stop);
     }
 
-    /// Drains every owner — loss-free across shards: no routed token or
-    /// steal grant is dropped — joins all threads and returns the merged
-    /// run report (the paper's `yas_cleanup`), records ordered by
-    /// completion time.
+    /// Stops releasing, lets the work in flight drain, joins all threads
+    /// and returns the merged run report (the paper's `yas_cleanup`),
+    /// records ordered by completion time.
+    ///
+    /// The drain is loss-free: no owner exits while a job is queued or
+    /// running on any owner, or while a message sent to one — a routed
+    /// DAG token, a command, a message-plane event a body posted — has
+    /// not been applied (module docs of `owner`, "Shutting down"). The
+    /// one exception is a message sent from a thread outside the
+    /// runtime after cleanup began — a channel's notify hook firing
+    /// there: once every owner has exited it is dropped.
     ///
     /// # Panics
     ///

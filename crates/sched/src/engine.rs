@@ -830,7 +830,7 @@ impl OnlineEngine {
     pub fn most_urgent_hint(&self) -> Option<&Job> {
         self.queues
             .iter()
-            .filter_map(ReadyQueue::peek_hint)
+            .filter_map(ReadyQueue::peek)
             .min_by_key(|j| j.queue_key())
     }
 
@@ -1598,7 +1598,7 @@ impl OnlineEngine {
     /// [`OnlineEngine::try_steal_batch`].
     #[must_use]
     pub fn steal_hint(&self) -> Option<StealHint> {
-        let job = self.queues[0].peek_hint()?;
+        let job = self.queues[0].peek()?;
         self.may_migrate(job.task).then(|| StealHint::of(job))
     }
 

@@ -38,7 +38,7 @@
 //! | [`ReadyQueue::push`]   | O(log n) sift-up, O(1) index insert |
 //! | [`ReadyQueue::pop`]    | O(log n) sift-down, O(1) index delete |
 //! | [`ReadyQueue::remove`] | O(log n) sift from the tracked position |
-//! | [`ReadyQueue::peek`] / [`ReadyQueue::peek_hint`] | O(1), `&self` |
+//! | [`ReadyQueue::peek`]   | O(1), `&self` |
 //! | [`ReadyQueue::scan_in_order`] | O(v·D) comparisons for v visited |
 //!
 //! Earlier revisions used a `BinaryHeap` with tombstoned lazy deletion:
@@ -344,16 +344,6 @@ impl ReadyQueue {
         self.nodes.first().map(|n| n.key.0)
     }
 
-    /// Alias of [`ReadyQueue::peek`], kept for the callers (telemetry,
-    /// work-stealing probes) that adopted it while `peek` still needed
-    /// `&mut self` to purge lazily-deleted entries. Both are now O(1)
-    /// and side-effect-free.
-    #[inline]
-    #[must_use]
-    pub fn peek_hint(&self) -> Option<&Job> {
-        self.peek()
-    }
-
     /// Visits queued jobs in ascending [`Job::queue_key`] order without
     /// mutating the queue, stopping when `visit` returns `false`.
     ///
@@ -533,11 +523,10 @@ mod tests {
         q.push(job(2, 20)).unwrap();
         q.push(job(3, 30)).unwrap();
         assert!(q.remove(JobId::new(1)).is_some()); // remove the top
-        let hint = |q: &ReadyQueue| q.peek_hint().map(|j| j.id);
-        assert_eq!(hint(&q), Some(JobId::new(2)), "peek sees the live top");
-        assert_eq!(hint(&q), Some(JobId::new(2)), "no side effect");
-        assert_eq!(q.peek().map(|j| j.id), Some(JobId::new(2)));
-        assert!(ReadyQueue::with_capacity(2).peek_hint().is_none());
+        let top = |q: &ReadyQueue| q.peek().map(|j| j.id);
+        assert_eq!(top(&q), Some(JobId::new(2)), "peek sees the live top");
+        assert_eq!(top(&q), Some(JobId::new(2)), "no side effect");
+        assert!(ReadyQueue::with_capacity(2).peek().is_none());
     }
 
     #[test]

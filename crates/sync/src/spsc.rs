@@ -147,12 +147,6 @@ impl<T: Send> Producer<T> {
         self.len() == 0
     }
 
-    /// `true` if a `push` would fail.
-    #[must_use]
-    pub fn is_full(&self) -> bool {
-        self.len() == self.ring.buf.len()
-    }
-
     /// The fixed capacity.
     #[must_use]
     pub fn capacity(&self) -> usize {
@@ -214,7 +208,7 @@ mod tests {
         for i in 0..4 {
             tx.push(i).unwrap();
         }
-        assert!(tx.is_full());
+        assert_eq!(tx.push(4), Err(Full(4)), "full at capacity");
         for i in 0..4 {
             assert_eq!(rx.pop(), Some(i));
         }

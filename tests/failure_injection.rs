@@ -623,10 +623,10 @@ fn worker_panic_is_contained_in_sharded_runtime() {
 #[test]
 fn sharded_stop_is_loss_free_under_cross_shard_traffic() {
     // Repeatedly tear down a sharded runtime mid-flight while tokens
-    // cross shards. The two-phase drain must deliver every in-flight
-    // peer message before any shard exits — the debug assertions at
-    // shard exit (empty backlog, empty mailbox) turn a lost message
-    // into a test failure — and no send may ever hit a closed peer.
+    // cross shards. The drain must deliver every in-flight peer message
+    // before any shard exits — no shard exits while the runtime's count
+    // of unfinished work is above 0 — and no send may ever hit a closed
+    // peer.
     let crossed = Arc::new(AtomicU32::new(0));
     for round in 0..10u64 {
         let mut b = TaskSetBuilder::new();
