@@ -204,110 +204,27 @@ enum Source {
     Arrival,
 }
 
+/// A job in flight, from its first dispatch to its finish, crash or
+/// cull: the simulator's one record of it. While the job runs, its
+/// slice is its worker's entry of [`Simulation::slices`]; while it is
+/// preempted, the same slice waits in [`Simulation::suspended`] with
+/// the work it has left.
 #[derive(Debug, Clone, Copy)]
 struct Slice {
-    job: JobId,
-    /// Slab handle of the job's in-flight state.
-    slot: SlotRef,
-    task: TaskId,
+    /// The job as it was first dispatched.
+    job: Job,
+    /// The version this slice runs.
     version: VersionId,
+    /// When the job first started.
+    first_start: Instant,
+    /// How often the job has been preempted.
+    preemptions: u32,
+    /// When this slice starts: its dispatch plus the dispatch delay.
     start: Instant,
-    /// Remaining reference-time work at slice start.
+    /// Reference-time work left at `start`.
     remaining_ref: Duration,
     /// When the slice finishes, unless it is preempted or crashed first.
     finish: Key,
-}
-
-#[derive(Debug, Default, Clone)]
-struct JobProgress {
-    remaining_ref: Option<Duration>,
-    first_start: Option<Instant>,
-    preemptions: u32,
-    accel_busy: Duration,
-}
-
-/// Generation-checked handle into the [`JobSlab`]: a stale handle (its
-/// slot was freed and re-used) is detected instead of silently reading
-/// another job's state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct SlotRef {
-    idx: u32,
-    gen: u32,
-}
-
-#[derive(Debug, Clone)]
-struct JobSlot {
-    gen: u32,
-    occupied: bool,
-    job: Job,
-    progress: JobProgress,
-}
-
-/// A free-list slab holding every in-flight (dispatched or preempted)
-/// job. Replaces the former `HashMap<JobId, …>` pair on the per-event
-/// hot path: slot access is a bounds-checked array index plus a
-/// generation check, and steady-state operation allocates nothing once
-/// the slab has grown to the peak in-flight count.
-#[derive(Debug, Default)]
-struct JobSlab {
-    slots: Vec<JobSlot>,
-    free: Vec<u32>,
-    live: usize,
-}
-
-impl JobSlab {
-    fn insert(&mut self, job: Job) -> SlotRef {
-        self.live += 1;
-        if let Some(idx) = self.free.pop() {
-            let slot = &mut self.slots[idx as usize];
-            debug_assert!(!slot.occupied);
-            slot.occupied = true;
-            slot.job = job;
-            slot.progress = JobProgress::default();
-            SlotRef { idx, gen: slot.gen }
-        } else {
-            let idx = u32::try_from(self.slots.len()).expect("slab bounded by pending jobs");
-            self.slots.push(JobSlot {
-                gen: 0,
-                occupied: true,
-                job,
-                progress: JobProgress::default(),
-            });
-            SlotRef { idx, gen: 0 }
-        }
-    }
-
-    fn get_mut(&mut self, r: SlotRef) -> &mut JobSlot {
-        let slot = &mut self.slots[r.idx as usize];
-        assert!(
-            slot.occupied && slot.gen == r.gen,
-            "stale slab handle: slot {} gen {} vs handle gen {}",
-            r.idx,
-            slot.gen,
-            r.gen
-        );
-        slot
-    }
-
-    /// Frees the slot, returning its contents; the generation bump
-    /// invalidates any outstanding handle to it.
-    fn remove(&mut self, r: SlotRef) -> (Job, JobProgress) {
-        let slot = self.get_mut(r);
-        slot.occupied = false;
-        slot.gen = slot.gen.wrapping_add(1);
-        let out = (slot.job, std::mem::take(&mut slot.progress));
-        self.free.push(r.idx);
-        self.live -= 1;
-        out
-    }
-
-    fn len(&self) -> usize {
-        self.live
-    }
-
-    fn iter_jobs(&self) -> impl Iterator<Item = &Job> {
-        self.slots.iter().filter(|s| s.occupied).map(|s| &s.job)
-    }
 }
 
 /// What the simulator has accumulated at a recurrence boundary
@@ -345,10 +262,9 @@ pub struct Simulation {
     exec: ExecSampler,
     kernel: Option<KernelModel>,
     stress_intensity: f64,
-    /// In-flight job state (dispatched or preempted), slab-allocated.
-    slab: JobSlab,
-    /// Preempted jobs waiting for re-dispatch: (id, slab handle).
-    suspended: Vec<(JobId, SlotRef)>,
+    /// The slices of preempted jobs, each waiting for the engine to
+    /// dispatch its job again (or to cull it) with the work it has left.
+    suspended: Vec<Slice>,
     /// Reusable action buffer passed to every engine interaction.
     sink: ActionSink,
     /// Same-timestamp completions gathered for one batched engine call.
@@ -370,7 +286,7 @@ pub struct Simulation {
     /// energy/idle accounting covers only worker `w`, so per-shard
     /// results sum to the whole-system result.
     shard: Option<WorkerId>,
-    /// Payload of each [`Ev::Admit`]: the merged set to splice, the
+    /// Payload of each [`Planned::Admit`]: the merged set to splice, the
     /// budget, the tenant and its slot, pre-validated by
     /// [`Simulation::admit_at`].
     admit_events: Vec<(Arc<TaskSet>, Option<TenantBudget>, TenantId, Slot)>,
@@ -415,17 +331,14 @@ impl Simulation {
     /// [`Error::InvalidConfig`] if the platform has fewer cores than
     /// workers.
     pub(crate) fn from_engine(engine: OnlineEngine, mut sim: SimConfig) -> Result<Self> {
-        let config = engine.config();
-        if config.workers() > sim.platform.core_count() {
+        let workers = engine.config().workers();
+        if workers > sim.platform.core_count() {
             return Err(Error::InvalidConfig(format!(
-                "{} workers need {} cores but platform {} has {}",
-                config.workers(),
-                config.workers(),
+                "{workers} workers need {workers} cores but platform {} has {}",
                 sim.platform.name(),
                 sim.platform.core_count()
             )));
         }
-        let workers = config.workers();
         let shard = engine.shard_worker();
         let accels = engine.taskset().accels().len();
         let tick = engine.tick_period();
@@ -457,7 +370,6 @@ impl Simulation {
             slices: vec![None; workers],
             planned: Vec::new(),
             arrivals: BinaryHeap::new(),
-            slab: JobSlab::default(),
             suspended: Vec::new(),
             sink: ActionSink::with_capacity(workers * 2),
             finish_batch: Vec::with_capacity(workers),
@@ -516,12 +428,13 @@ impl Simulation {
         }
         // Retirements that will have happened by `offset` (their events
         // were pushed first, so they also run first at an equal
-        // instant). An id the run will refuse is refused there, as
-        // before; the ledger's complaint about it adds nothing.
+        // instant); `retire_at` refused any the ledger would.
         let ledger = &mut self.ledger;
         self.planned_retirements.retain(|&(at, retired)| {
             if at <= offset {
-                let _ = ledger.retire(retired);
+                ledger
+                    .retire(retired)
+                    .expect("retire_at validated the retirement");
             }
             at > offset
         });
@@ -551,13 +464,36 @@ impl Simulation {
     }
 
     /// Schedules the retirement of an admitted tenant at `offset` from
-    /// the start. The tenant must exist by then (i.e. come from a prior
-    /// [`Simulation::admit_at`] with an earlier or equal offset);
-    /// tenant 0 cannot be retired. An admission scheduled **after** this
-    /// call at an equal or later offset is analysed without the tenant.
-    pub fn retire_at(&mut self, offset: Duration, tenant: TenantId) {
+    /// the start. An admission scheduled **after** this call at an equal
+    /// or later offset is analysed without the tenant.
+    ///
+    /// # Errors
+    ///
+    /// [`TenantLedger::retire`]'s, at call time: [`Error::InvalidConfig`]
+    /// for tenant 0, [`Error::UnknownTenant`] for an id no
+    /// [`Simulation::admit_at`] at or before `offset` returned, and
+    /// [`Error::TenantRetired`] for a second retirement of the tenant.
+    pub fn retire_at(&mut self, offset: Duration, tenant: TenantId) -> Result<()> {
+        if tenant.raw() == 0 {
+            return Err(Error::InvalidConfig(
+                "tenant 0 is the built-in task set; it cannot be retired".into(),
+            ));
+        }
+        let at = (Instant::ZERO + offset).as_nanos();
+        let admitted = |&((t, _), ev): &(Key, Planned)| match ev {
+            Planned::Admit(i) => t <= at && self.admit_events[i].2 == tenant,
+            _ => false,
+        };
+        let retired = |&(_, ev): &(Key, Planned)| matches!(ev, Planned::Retire(r) if r == tenant);
+        if self.planned.iter().any(retired) {
+            return Err(Error::TenantRetired(tenant.raw()));
+        }
+        if !self.planned.iter().any(admitted) {
+            return Err(Error::UnknownTenant(tenant.raw()));
+        }
         self.planned_retirements.push((offset, tenant));
         self.plan(offset, Planned::Retire(tenant));
+        Ok(())
     }
 
     /// The key of an event scheduled now for `at`.
@@ -639,124 +575,104 @@ impl Simulation {
                 Action::Cull { job } => {
                     // A culled job is never dispatched again: a preempted
                     // one leaves the simulation with its remaining work.
-                    if let Some(slot) = self.take_suspended(job) {
-                        self.slab.remove(slot);
-                    }
+                    self.take_suspended(job);
                 }
             }
         }
     }
 
-    /// Finds (and detaches) the slab handle of a previously preempted
-    /// job awaiting re-dispatch.
-    fn take_suspended(&mut self, job: JobId) -> Option<SlotRef> {
-        let pos = self.suspended.iter().position(|&(id, _)| id == job)?;
-        Some(self.suspended.swap_remove(pos).1)
+    /// Detaches the slice of a preempted job awaiting re-dispatch.
+    fn take_suspended(&mut self, job: JobId) -> Option<Slice> {
+        let pos = self.suspended.iter().position(|s| s.job.id == job)?;
+        Some(self.suspended.swap_remove(pos))
     }
 
+    /// Puts a slice of `job` on `worker`. A job the engine has preempted
+    /// before resumes its suspended slice, with the work it has left,
+    /// and pays the context switch; anything else is a fresh start whose
+    /// execution demand is sampled once, and which pays the kernel's
+    /// wake-up latency.
     fn apply_dispatch(&mut self, now: Instant, worker: WorkerId, job: Job, version: VersionId) {
-        let task = &self.engine.taskset().tasks()[job.task.index()];
-        let wcet = task.versions()[version.index()].wcet();
-        // A job the engine has preempted before carries a slab slot with
-        // its remaining work; anything else is a fresh start whose
-        // execution demand is sampled once.
-        let (slot, remaining, fresh) = match self.take_suspended(job.id) {
-            Some(slot) => {
-                let remaining = self.slab.get_mut(slot).progress.remaining_ref;
-                let remaining = remaining.expect("resumed job has remaining");
-                (slot, remaining, false)
+        let mut delay = self.cfg.overheads.dispatch;
+        let mut slice = match self.take_suspended(job.id) {
+            Some(slice) => {
+                delay += self.cfg.overheads.context_switch;
+                slice
             }
             None => {
-                let slot = self.slab.insert(job);
-                let d = self.exec.sample(wcet);
-                self.slab.get_mut(slot).progress.remaining_ref = Some(d);
-                (slot, d, true)
+                let task = &self.engine.taskset().tasks()[job.task.index()];
+                let remaining_ref = self.exec.sample(task.versions()[version.index()].wcet());
+                if let Some(k) = self.kernel.as_mut() {
+                    delay += k.sample_latency(self.stress_intensity);
+                }
+                Slice {
+                    job,
+                    version,
+                    first_start: now + delay,
+                    preemptions: 0,
+                    start: now + delay,
+                    remaining_ref,
+                    finish: (0, 0),
+                }
             }
         };
-
-        // Wake-up latency (kernel model) applies to fresh starts; resumes
-        // pay the context switch instead.
-        let mut delay = self.cfg.overheads.dispatch;
-        if fresh {
-            if let Some(k) = self.kernel.as_mut() {
-                delay += k.sample_latency(self.stress_intensity);
-            }
-        } else {
-            delay += self.cfg.overheads.context_switch;
-        }
-        let start = now + delay;
-        let p = &mut self.slab.get_mut(slot).progress;
-        if p.first_start.is_none() {
-            p.first_start = Some(start);
-        }
-        let finish = self.key(start + self.wall_time(worker, remaining));
-        self.slices[worker.index()] = Some(Slice {
-            job: job.id,
-            slot,
-            task: job.task,
-            version,
-            start,
-            remaining_ref: remaining,
-            finish,
-        });
+        slice.version = version;
+        slice.start = now + delay;
+        slice.finish = self.key(slice.start + self.wall_time(worker, slice.remaining_ref));
+        self.slices[worker.index()] = Some(slice);
     }
 
-    /// Takes the slice off `worker`, and with it its finish.
+    /// Takes `w`'s slice off the worker at `now` — it finished, was
+    /// preempted or crashed, or the run ended — and books the time it
+    /// ran to the worker and to the accelerator of its version.
+    fn end_slice(&mut self, w: usize, now: Instant) -> Option<Slice> {
+        let slice = self.slices[w].take()?;
+        // Nothing runs before the dispatch delay is over, and no slice
+        // past its finish: that is consumed no later than `now`.
+        let ran = now.saturating_since(slice.start);
+        debug_assert!(ran <= self.wall_time(WorkerId::new(w as u16), slice.remaining_ref));
+        self.worker_busy[w] += ran;
+        let task = &self.engine.taskset().tasks()[slice.job.task.index()];
+        if let Some(a) = task.versions()[slice.version.index()].accel() {
+            self.accel_busy[a.index()] += ran;
+        }
+        Some(slice)
+    }
+
+    /// Suspends the slice on `worker` with the work it has left.
     fn apply_preempt(&mut self, now: Instant, worker: WorkerId, job: JobId) {
-        let Some(slice) = self.slices[worker.index()].take() else {
+        let Some(mut slice) = self.end_slice(worker.index(), now) else {
             return;
         };
-        debug_assert_eq!(slice.job, job, "engine preempted a different job");
-        // Progress made this slice (the slice may not have started yet if
-        // `now` falls inside the dispatch-delay window).
-        let elapsed = now.saturating_since(slice.start);
-        let done_ref = self.ref_work(worker, elapsed).min(slice.remaining_ref);
-        let busy = elapsed.min(self.wall_time(worker, slice.remaining_ref));
-        self.worker_busy[worker.index()] += busy;
-        let p = &mut self.slab.get_mut(slice.slot).progress;
-        p.remaining_ref = Some(slice.remaining_ref - done_ref);
-        p.preemptions += 1;
-        self.suspended.push((slice.job, slice.slot));
-        self.account_accel(&slice, elapsed);
+        debug_assert_eq!(slice.job.id, job, "engine preempted a different job");
+        let done = self.ref_work(worker, now.saturating_since(slice.start));
+        slice.remaining_ref -= done.min(slice.remaining_ref);
+        slice.preemptions += 1;
+        self.suspended.push(slice);
     }
 
-    fn account_accel(&mut self, slice: &Slice, busy: Duration) {
-        let task = &self.engine.taskset().tasks()[slice.task.index()];
-        if let Some(a) = task.versions()[slice.version.index()].accel() {
-            self.accel_busy[a.index()] += busy;
-            self.slab.get_mut(slice.slot).progress.accel_busy += busy;
-        }
-    }
-
-    /// Books the finish of `w`'s slice — worker busy time, accelerator
-    /// time, the job record — and returns the completion pair for the
-    /// engine call, which the event loop batches across same-timestamp
-    /// finishes.
+    /// Ends `w`'s slice with its job's record, and returns the
+    /// completion pair for the engine call, which the event loop batches
+    /// across same-timestamp finishes.
     fn settle_finish(&mut self, now: Instant, w: usize) -> (WorkerId, JobId) {
-        let slice = self.slices[w]
-            .take()
+        let slice = self
+            .end_slice(w, now)
             .expect("a finish is a running slice's");
-        let worker = WorkerId::new(w as u16);
-        let wall = now.saturating_since(slice.start);
-        self.worker_busy[w] += wall;
-        self.account_accel(&slice, wall);
-
-        let (j, p) = self.slab.remove(slice.slot);
-        debug_assert_eq!(j.id, slice.job, "slab slot tracks the finished job");
+        let (job, worker) = (slice.job, WorkerId::new(w as u16));
         self.records.push(JobRecord {
-            job: j.id,
-            task: j.task,
-            seq: j.seq,
-            release: j.release,
-            graph_release: j.graph_release,
-            abs_deadline: j.abs_deadline,
-            first_start: p.first_start.unwrap_or(slice.start),
+            job: job.id,
+            task: job.task,
+            seq: job.seq,
+            release: job.release,
+            graph_release: job.graph_release,
+            abs_deadline: job.abs_deadline,
+            first_start: slice.first_start,
             completion: now,
             version: slice.version,
             worker,
-            preemptions: p.preemptions,
+            preemptions: slice.preemptions,
         });
-        (worker, slice.job)
+        (worker, job.id)
     }
 
     /// Delivers one scheduled fault ([`SimConfig::fault_schedule`]).
@@ -781,28 +697,22 @@ impl Simulation {
 
     /// Crashes the running job of `task` — the simulated analogue of a
     /// worker catching a body panic (`yasmin-rt` wraps bodies in
-    /// `catch_unwind`). Progress is accounted, the slice and slab entry
-    /// are dropped *without* a completion record (a failed job never
-    /// completed), and the engine retires the job through its failure
-    /// path. No-op if the task is not running at the instant.
+    /// `catch_unwind`). The slice ends as a preempted one would, and is
+    /// dropped *without* a completion record (a failed job never
+    /// completed); the engine retires the job through its failure path.
+    /// No-op if the task is not running at the instant.
     fn apply_crash(&mut self, now: Instant, task: TaskId) {
         let Some(w) = self
             .slices
             .iter()
-            .position(|s| matches!(s, Some(sl) if sl.task == task))
+            .position(|s| matches!(s, Some(sl) if sl.job.task == task))
         else {
             return;
         };
-        let slice = self.slices[w].take().expect("position matched");
+        let slice = self.end_slice(w, now).expect("position matched");
         let worker = WorkerId::new(w as u16);
-        let elapsed = now.saturating_since(slice.start);
-        let busy = elapsed.min(self.wall_time(worker, slice.remaining_ref));
-        self.worker_busy[w] += busy;
-        self.account_accel(&slice, busy);
-        let (j, _p) = self.slab.remove(slice.slot);
-        debug_assert_eq!(j.id, slice.job, "slab slot tracks the crashed job");
         self.engine_call(now, |e, sink| {
-            e.on_job_failed_into(worker, slice.job, now, sink)
+            e.on_job_failed_into(worker, slice.job.id, now, sink)
                 .expect("crashed job is running on its worker");
         });
     }
@@ -873,7 +783,7 @@ impl Simulation {
     /// continues from: `now`, or the end of the last replayed cycle.
     fn fold(&mut self, now: Instant) -> Instant {
         let horizon = self.horizon;
-        if self.slab.len() > 0 || !self.suspended.is_empty() {
+        if self.slices.iter().any(Option::is_some) || !self.suspended.is_empty() {
             return now;
         }
         let Some(mut here) = self.engine.recurrence_mark(now) else {
@@ -1183,16 +1093,13 @@ impl Simulation {
         // the engine: grown, or overwritten in a recycled slot.
         self.accel_busy
             .resize(merged.accels().len(), Duration::ZERO);
+        self.sporadic_period.resize(merged.len(), Duration::ZERO);
         let tasks = &merged.tasks()[slot.task_range()];
         for t in tasks {
-            let period = match t.spec().kind() {
+            self.sporadic_period[t.id().index()] = match t.spec().kind() {
                 ActivationKind::Sporadic => t.spec().period(),
                 _ => Duration::ZERO,
             };
-            match self.sporadic_period.get_mut(t.id().index()) {
-                Some(p) => *p = period,
-                None => self.sporadic_period.push(period),
-            }
         }
         self.engine_call(now, |e, sink| {
             e.commit_tenant_into(tenant, now, sink)
@@ -1214,12 +1121,15 @@ impl Simulation {
     /// [`Simulation::next_key`] has answered `None`.
     pub(crate) fn finish(mut self) -> SimResult {
         let horizon = self.horizon;
-        // Account still-running slices up to the horizon.
-        for (w, slice) in self.slices.iter().enumerate() {
-            if let Some(s) = slice {
-                let busy = horizon.saturating_since(s.start);
-                let cap = self.wall_time(WorkerId::new(w as u16), s.remaining_ref);
-                self.worker_busy[w] += busy.min(cap);
+        // The running slices end at the horizon. A preempted job waits
+        // in the engine's ready queue, so it counts once, there.
+        let mut unfinished = self.engine.ready_len();
+        let missed = |s: &Slice| usize::from(s.job.deadline_missed_at(horizon));
+        let mut unfinished_missed: usize = self.suspended.iter().map(missed).sum();
+        for w in 0..self.slices.len() {
+            if let Some(slice) = self.end_slice(w, horizon) {
+                unfinished += 1;
+                unfinished_missed += missed(&slice);
             }
         }
 
@@ -1241,14 +1151,6 @@ impl Simulation {
             let spec = &self.engine.taskset().accels()[a];
             energy += spec.active_power().energy_over(*busy);
         }
-
-        // Unfinished jobs: anything still tracked.
-        let unfinished = self.slab.len() + self.engine.ready_len();
-        let unfinished_missed = self
-            .slab
-            .iter_jobs()
-            .filter(|j| j.deadline_missed_at(horizon))
-            .count();
 
         SimResult {
             records: self.records,
@@ -1276,6 +1178,7 @@ fn msg_dst(ev: &MsgEvent) -> TaskId {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fold_parity::assert_conserved;
     use yasmin_core::graph::TaskSetBuilder;
     use yasmin_core::priority::PriorityPolicy;
     use yasmin_core::task::TaskSpec;
@@ -1504,19 +1407,6 @@ mod tests {
         Arc::new(b.build().unwrap())
     }
 
-    /// Every released job is a record, culled, or unfinished: once.
-    fn assert_conserved(r: &SimResult) {
-        let s = &r.engine_stats;
-        assert_eq!(
-            s.released,
-            r.records.len() as u64 + s.culled + r.unfinished as u64,
-            "records {} culled {} unfinished {}",
-            r.records.len(),
-            s.culled,
-            r.unfinished
-        );
-    }
-
     #[test]
     fn a_culled_preempted_job_leaves_the_simulation() {
         // The 97 ms task is preempted, then culled past its deadline
@@ -1542,10 +1432,76 @@ mod tests {
         let tenant = sim
             .admit_at(Duration::ZERO, &periodic_set(&[(100, 20)]), None)
             .unwrap();
-        sim.retire_at(ms(21), tenant);
+        sim.retire_at(ms(21), tenant).unwrap();
         let r = sim.run().unwrap();
         assert_eq!(r.engine_stats.released, 6);
         assert_eq!(r.engine_stats.culled, 1);
+        assert_eq!(r.records.len(), 5);
+        assert_conserved(&r);
+    }
+
+    #[test]
+    fn a_preempted_job_is_unfinished_once() {
+        // t0 runs 0..5 ms; t1 runs from 5 ms until t0's second job
+        // preempts it at 10 ms. At the 12 ms horizon t0 runs and t1
+        // waits in the ready queue to resume.
+        let ts = periodic_set(&[(10, 5), (97, 30)]);
+        let r = Simulation::new(ts, rm(1).build().unwrap(), SimConfig::uniform(1, ms(12)))
+            .unwrap()
+            .run()
+            .unwrap();
+        assert_eq!(r.engine_stats.released, 3);
+        assert_eq!(r.engine_stats.preempted, 1);
+        assert_eq!(r.records.len(), 1);
+        assert_eq!(r.unfinished, 2);
+        assert_conserved(&r);
+    }
+
+    #[test]
+    fn an_accelerator_busy_at_the_horizon_draws_its_power() {
+        let mut b = TaskSetBuilder::new();
+        let gpu = b.hwaccel_decl_with_power("gpu", yasmin_core::energy::Power::from_watts(10));
+        let t = b.task_decl(TaskSpec::periodic("t", ms(100))).unwrap();
+        let v = b.version_decl(t, VersionSpec::new("gpu", ms(10))).unwrap();
+        b.hwaccel_use(t, v, gpu).unwrap();
+        let ts = Arc::new(b.build().unwrap());
+        let r = Simulation::new(ts, edf(1), SimConfig::uniform(1, ms(5)))
+            .unwrap()
+            .run()
+            .unwrap();
+        assert_eq!(r.unfinished, 1);
+        // The worker at 1 W and the GPU at 10 W, both busy all 5 ms.
+        assert_eq!(r.energy.as_microjoules(), 5_000 + 50_000);
+    }
+
+    #[test]
+    fn retire_at_refuses_a_retirement_the_run_could_not_make() {
+        let ts = periodic_set(&[(10, 3)]);
+        let mut sim =
+            Simulation::new(ts, rm(1).build().unwrap(), SimConfig::uniform(1, ms(50))).unwrap();
+        let refused = |r: Result<()>| r.unwrap_err();
+        assert!(matches!(
+            refused(sim.retire_at(ms(5), TenantId::new(7))),
+            Error::UnknownTenant(7)
+        ));
+        assert!(matches!(
+            refused(sim.retire_at(ms(5), TenantId::new(0))),
+            Error::InvalidConfig(_)
+        ));
+        let tenant = sim
+            .admit_at(ms(10), &periodic_set(&[(100, 20)]), None)
+            .unwrap();
+        // Before its admission, the tenant does not exist yet.
+        assert!(matches!(
+            refused(sim.retire_at(ms(5), tenant)),
+            Error::UnknownTenant(1)
+        ));
+        sim.retire_at(ms(10), tenant).unwrap();
+        assert!(matches!(
+            refused(sim.retire_at(ms(30), tenant)),
+            Error::TenantRetired(1)
+        ));
+        let r = sim.run().unwrap();
         assert_eq!(r.records.len(), 5);
         assert_conserved(&r);
     }

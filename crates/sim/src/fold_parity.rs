@@ -192,7 +192,7 @@ impl Case {
             // A refused tenant leaves a plain run, which is a case too.
             if let Ok(id) = s.admit_at(at, &self.tenant(), None) {
                 if self.shape == Shape::AdmitRetire {
-                    s.retire_at(at + ms(95), id);
+                    s.retire_at(at + ms(95), id).unwrap();
                 }
             }
         }
@@ -200,7 +200,23 @@ impl Case {
     }
 }
 
+/// Every released job is a record, culled, failed or unfinished: once.
+pub(crate) fn assert_conserved(r: &SimResult) {
+    let s = &r.engine_stats;
+    assert_eq!(
+        s.released,
+        r.records.len() as u64 + s.culled + s.failed + r.unfinished as u64,
+        "records {} culled {} failed {} unfinished {}",
+        r.records.len(),
+        s.culled,
+        s.failed,
+        r.unfinished
+    );
+}
+
 fn assert_same(case: &Case, folded: &SimResult, reference: &SimResult) {
+    assert_conserved(folded);
+    assert_conserved(reference);
     assert_eq!(reference.replayed_cycles, 0, "{case:?}");
     assert_eq!(folded.records.len(), reference.records.len(), "{case:?}");
     for (i, (f, r)) in folded.records.iter().zip(&reference.records).enumerate() {

@@ -66,9 +66,11 @@ impl JobRecord {
 pub struct SimResult {
     /// Completed jobs, in completion order.
     pub records: Vec<JobRecord>,
-    /// Jobs released but not finished by the horizon.
+    /// Jobs released and not finished, culled or failed by the horizon:
+    /// the running ones and the ready ones, preempted jobs included.
     pub unfinished: usize,
-    /// Of the unfinished, how many had already passed their deadline.
+    /// Of the unfinished jobs that had started (running or preempted),
+    /// those past their deadline; a never-dispatched job is not counted.
     pub unfinished_missed: usize,
     /// Scheduler-engine counters.
     pub engine_stats: EngineStats,
@@ -118,8 +120,8 @@ impl SimResult {
         self.records_of(task).filter(|r| r.missed()).count()
     }
 
-    /// Total deadline misses across all tasks (completed late +
-    /// unfinished past deadline).
+    /// Total deadline misses: jobs completed late, plus
+    /// [`SimResult::unfinished_missed`] (started jobs only).
     #[must_use]
     pub fn total_misses(&self) -> usize {
         self.records.iter().filter(|r| r.missed()).count() + self.unfinished_missed

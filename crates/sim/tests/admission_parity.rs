@@ -118,7 +118,7 @@ fn mid_run_tenant_leaves_other_tenants_trace_unchanged() {
     // Same run with B admitted at 60ms and retired at 180ms.
     let mut sim = Simulation::new(tenant_a(), config(2), SimConfig::uniform(2, horizon)).unwrap();
     let b = sim.admit_at(ms(60), &tenant_b(3), None).unwrap();
-    sim.retire_at(ms(180), b);
+    sim.retire_at(ms(180), b).unwrap();
     let shared = sim.run().unwrap();
 
     // A's records (tasks 0 and 1) must match the solo run on every
@@ -214,7 +214,7 @@ fn retired_bandwidth_is_returned() {
     let mut copies = vec![live];
     for round in 1..3u64 {
         let at = ms(20 + 100 * round);
-        sim.retire_at(at, live);
+        sim.retire_at(at, live).unwrap();
         live = sim
             .admit_at(at, &tenant_b(5), None)
             .unwrap_or_else(|e| panic!("round {round}: {e}"));
@@ -225,7 +225,7 @@ fn retired_bandwidth_is_returned() {
         assert_eq!(sim.first_task(copy), Some(TaskId::new(1)));
     }
     // A retirement scheduled *later* than an admission stays in its view.
-    sim.retire_at(ms(350), live);
+    sim.retire_at(ms(350), live).unwrap();
     assert!(matches!(
         sim.admit_at(ms(300), &tenant_b(5), None),
         Err(AdmissionError::Rejected(_))

@@ -632,7 +632,7 @@ proptest! {
             let live: Vec<usize> = (0..tenants.len()).filter(|&k| tenants[k].4.is_none()).collect();
             if op < 4 && !live.is_empty() {
                 let k = live[op as usize % live.len()];
-                sim.retire_at(now, tenants[k].0);
+                sim.retire_at(now, tenants[k].0).unwrap();
                 tenants[k].4 = Some(now);
                 live_of[tenants[k].1] -= 1;
                 continue;
