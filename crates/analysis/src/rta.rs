@@ -162,16 +162,6 @@ pub fn partitioned_response_times(
     results
 }
 
-/// A simple sanity bound used in tests: the busy-period-free lower bound
-/// `R ≥ C` and, when schedulable, `R ≤ D`.
-#[must_use]
-pub fn wcrt_bounds_hold(r: &ResponseTime, c: Duration) -> bool {
-    match r.wcrt {
-        Some(w) => w >= c && (w <= r.deadline),
-        None => true,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -83,12 +83,6 @@ impl Duration {
         self.0 as f64 / 1e9
     }
 
-    /// The span as fractional microseconds (for reporting only).
-    #[must_use]
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
     /// `true` if this span is zero.
     #[must_use]
     pub const fn is_zero(self) -> bool {

@@ -231,13 +231,6 @@ impl VersionSpec {
         self
     }
 
-    /// Sets the selection properties (`VSelect`).
-    #[must_use]
-    pub fn with_props(mut self, props: VersionProps) -> Self {
-        self.props = props;
-        self
-    }
-
     /// Sets only the energy budget used by the energy selection policy.
     #[must_use]
     pub fn with_energy_budget(mut self, budget: Energy) -> Self {

@@ -1674,7 +1674,7 @@ mod tests {
     use super::*;
     #[cfg(target_os = "linux")]
     use crate::test_util::{alone_in_child, thread_sleeps};
-    use crate::test_util::{must_return, nap_ms, one_owner, sharded, within_attempts};
+    use crate::test_util::{must_return, nap_ms, one_owner, sharded, wall_clock, within_attempts};
     use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
     use yasmin_core::config::{Config, MappingScheme};
     use yasmin_core::graph::TaskSetBuilder;
@@ -1693,6 +1693,7 @@ mod tests {
 
     #[test]
     fn per_shard_periodic_tasks_fire_on_both_workers() {
+        let _clock = wall_clock();
         let mut b = TaskSetBuilder::new();
         let mut ids = Vec::new();
         for w in 0..2u16 {
@@ -1738,6 +1739,7 @@ mod tests {
 
     #[test]
     fn activation_routes_to_the_owning_shard() {
+        let _clock = wall_clock();
         let mut b = TaskSetBuilder::new();
         let p = b
             .task_decl(TaskSpec::periodic("p", ms(5)).on_worker(WorkerId::new(0)))
@@ -1797,6 +1799,7 @@ mod tests {
 
     #[test]
     fn cross_shard_dag_fires_on_the_owning_worker() {
+        let _clock = wall_clock();
         // src (periodic, worker 0) -> dst (graph node, worker 1): the
         // successor must run on worker 1, fed by CrossActivate commands
         // routed through the peer lanes.
@@ -1850,6 +1853,7 @@ mod tests {
 
     #[test]
     fn work_stealing_drains_an_imbalanced_shard() {
+        let _clock = wall_clock();
         // Worker 0 owns a burst of aperiodic jobs; worker 1 owns only a
         // light periodic tick source. With stealing enabled, worker 1
         // must pull jobs over and every activation must complete.
@@ -1934,6 +1938,7 @@ mod tests {
 
     #[test]
     fn batch_steal_grants_multiple_jobs_in_one_exchange() {
+        let _clock = wall_clock();
         // A heavy burst parked on shard 0's queue while shard 1 idles:
         // the thief's probe sees a wide load gap, asks for k > 1, and a
         // single `StolenBatch` grant migrates several jobs at once. The
@@ -2061,6 +2066,7 @@ mod tests {
 
     #[test]
     fn a_thief_does_not_wait_for_the_victims_body() {
+        let _clock = wall_clock();
         // Shard 0 enters a 30 ms body with four short jobs queued behind
         // it; shard 1 is parked with nothing to do. The four lie on
         // shard 0's shelf for those 30 ms, and shard 1 has run them all
@@ -2103,6 +2109,7 @@ mod tests {
 
     #[test]
     fn the_running_tasks_next_instance_stays_home() {
+        let _clock = wall_clock();
         // Queued behind the gate: two instances of `twice`, then
         // `other`. While the first instance runs the second is the most
         // urgent job of the queue, and it must stay: nothing is shelved,
@@ -2136,6 +2143,7 @@ mod tests {
     #[test]
     #[cfg(target_os = "linux")]
     fn an_idle_thief_with_empty_shelves_stays_parked() {
+        let _clock = wall_clock();
         // Every 50 ms shard 0 spends 20 ms in `busy` with `spare` queued
         // behind it. Shard 1 takes `spare` off the shelf at once — and
         // for the rest of those 20 ms the load board still shows shard 0
@@ -2175,6 +2183,7 @@ mod tests {
 
     #[test]
     fn stealing_beside_admit_and_retire_loses_and_doubles_nothing() {
+        let _clock = wall_clock();
         // Shard 0 is 60 % loaded by three 1 ms jobs every 5 ms, so there
         // is always something on its shelf and shard 1 steals all the
         // time; meanwhile tenants with a task on shard 0 are admitted
@@ -2230,6 +2239,7 @@ mod tests {
 
     #[test]
     fn cross_shard_high_lane_boosts_the_receiver() {
+        let _clock = wall_clock();
         // src (worker 0) streams typed messages to dst (worker 1) over
         // the channel bound to their DAG edge; every third message rides
         // the high lane. Both events go to shard 1, dst's owner. The post
@@ -2317,6 +2327,7 @@ mod tests {
 
     #[test]
     fn tenant_admitted_into_running_schedule_executes_and_retires() {
+        let _clock = wall_clock();
         let mut b = TaskSetBuilder::new();
         let base = b
             .task_decl(TaskSpec::periodic("base", ms(5)).on_worker(WorkerId::new(0)))
@@ -2379,6 +2390,7 @@ mod tests {
 
     #[test]
     fn overloaded_tenant_is_rejected_with_the_violated_bound() {
+        let _clock = wall_clock();
         use yasmin_sched::BoundViolation;
         let mut b = TaskSetBuilder::new();
         let base = b
@@ -2418,6 +2430,7 @@ mod tests {
     #[test]
     #[cfg(target_os = "linux")]
     fn idle_threads_stay_parked() {
+        let _clock = wall_clock();
         // A parked thread blocks a few times per tick, a polling one (a
         // 100 µs nap) thousands of times in 300 ms.
         if !alone_in_child("owner::tests::idle_threads_stay_parked") {
@@ -2459,6 +2472,7 @@ mod tests {
 
     #[test]
     fn parked_thief_is_woken_by_load_appearing_mid_tick() {
+        let _clock = wall_clock();
         // Tick 250 ms; shard 1 runs one light job at the first edge and
         // parks with nothing to steal. A burst lands on shard 0 between
         // two edges and is over long before the second (≈ 40 ms of work
@@ -2533,6 +2547,7 @@ mod tests {
 
     #[test]
     fn control_lane_wakes_a_parked_scheduler() {
+        let _clock = wall_clock();
         // Tick 50 ms, both shards parked between edges: an activation
         // and an admission must take effect when they are sent, not at
         // the next edge.
@@ -2607,6 +2622,7 @@ mod tests {
 
     #[test]
     fn spinning_shards_keep_their_schedule() {
+        let _clock = wall_clock();
         // `WaitChoice::Spin`, one 5 ms task per shard for 200 ms: each
         // shard busy-waits alone on its thread, so every job starts
         // within a period of its release, none is lost, and `cleanup`
@@ -2678,6 +2694,7 @@ mod tests {
 
     #[test]
     fn no_job_starts_before_its_release() {
+        let _clock = wall_clock();
         // 1 s of a 2 ms tick — some 490 edges met with the park armed
         // early, on one owner and on two shards: arming early moves no
         // dispatch ahead of its edge (in debug builds `tick_round`
@@ -2720,6 +2737,7 @@ mod tests {
 
     #[test]
     fn a_body_may_post_more_than_its_home_lane_holds() {
+        let _clock = wall_clock();
         // Every src job posts 100 high messages: 100 events from a body
         // on shard 0 into the shared lane of shard 1, dst's owner, which
         // holds 64 — the job waits for room, which shard 1 makes at its
@@ -2769,6 +2787,7 @@ mod tests {
 
     #[test]
     fn a_body_may_activate_while_another_thread_admits() {
+        let _clock = wall_clock();
         // base (shard 0, every 5 ms) activates an aperiodic task of its
         // own shard 100 times per job — more than the 64 slots of the
         // control lane only its own thread drains — while this thread
@@ -2834,6 +2853,7 @@ mod tests {
 
     #[test]
     fn admit_and_retire_wait_one_body_at_most() {
+        let _clock = wall_clock();
         // Shard 0 spends 20 ms of every 50 in one body. An `admit`
         // issued inside it is acknowledged at the job boundary, a
         // `retire` only has to be sent: both return within two bodies.

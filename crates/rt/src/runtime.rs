@@ -703,7 +703,8 @@ mod tests {
     use super::*;
     #[cfg(target_os = "linux")]
     use crate::test_util::{alone_in_child, thread_sleeps};
-    use crate::test_util::{must_return, nap_ms, one_owner as config, sharded, within_attempts};
+    use crate::test_util::{must_return, nap_ms, one_owner as config, sharded};
+    use crate::test_util::{wall_clock, within_attempts};
     use std::sync::atomic::{AtomicBool, AtomicU32};
     use yasmin_core::graph::TaskSetBuilder;
     use yasmin_core::priority::{Priority, PriorityPolicy};
@@ -717,6 +718,7 @@ mod tests {
 
     #[test]
     fn periodic_task_fires_repeatedly() {
+        let _clock = wall_clock();
         let mut b = TaskSetBuilder::new();
         let t = b.task_decl(TaskSpec::periodic("tick", ms(5))).unwrap();
         let v = b
@@ -743,6 +745,7 @@ mod tests {
 
     #[test]
     fn failed_pins_are_counted() {
+        let _clock = wall_clock();
         // No host has core 100 000: every thread of the runtime, however
         // configured, runs unpinned and says so.
         let mut b = TaskSetBuilder::new();
@@ -796,6 +799,7 @@ mod tests {
 
     #[test]
     fn a_body_for_no_task_is_ignored() {
+        let _clock = wall_clock();
         let mut b = TaskSetBuilder::new();
         let spec = TaskSpec::periodic("t", ms(5));
         let (t, v) = task(&mut b, spec, Duration::from_micros(10));
@@ -833,6 +837,7 @@ mod tests {
     #[test]
     #[cfg(target_os = "linux")]
     fn the_configuration_decides_which_runtime_comes_up() {
+        let _clock = wall_clock();
         // One task set, one builder, three configurations: the thread
         // census says whether one owner feeds a helper per worker or
         // every shard is a thread of its own.
@@ -864,6 +869,7 @@ mod tests {
 
     #[test]
     fn activate_names_a_task_somebody_owns() {
+        let _clock = wall_clock();
         // Validated on the caller for every configuration: the engine
         // drops what it does not know without a word. A task without a
         // worker assignment is fine when one owner has them all.
@@ -900,6 +906,7 @@ mod tests {
 
     #[test]
     fn work_stealing_needs_shards_to_steal_between() {
+        let _clock = wall_clock();
         let (ts, ids, _) = one_task_per_worker();
         for unsharded in [
             config(2),
@@ -925,6 +932,7 @@ mod tests {
 
     #[test]
     fn dag_data_flows_through_spsc() {
+        let _clock = wall_clock();
         // fork -> join with a real typed channel captured in the bodies.
         let mut b = TaskSetBuilder::new();
         let fork = b.task_decl(TaskSpec::periodic("fork", ms(5))).unwrap();
@@ -971,6 +979,7 @@ mod tests {
 
     #[test]
     fn aperiodic_activation_runs_once() {
+        let _clock = wall_clock();
         let mut b = TaskSetBuilder::new();
         let p = b.task_decl(TaskSpec::periodic("p", ms(5))).unwrap();
         let a = b.task_decl(TaskSpec::aperiodic("a")).unwrap();
@@ -1000,6 +1009,7 @@ mod tests {
 
     #[test]
     fn tenant_admission_on_the_single_owner_runtime() {
+        let _clock = wall_clock();
         // Every functional assertion holds on every attempt; only the
         // 5 ms deadlines may lose an attempt to a stalled host.
         within_attempts(3, || {
@@ -1058,6 +1068,7 @@ mod tests {
 
     #[test]
     fn oversubscribed_tenant_is_rejected() {
+        let _clock = wall_clock();
         let mut b = TaskSetBuilder::new();
         let base = b.task_decl(TaskSpec::periodic("base", ms(5))).unwrap();
         let vb = b.version_decl(base, VersionSpec::new("v", ms(3))).unwrap();
@@ -1101,6 +1112,7 @@ mod tests {
 
     #[test]
     fn retired_bandwidth_is_returned() {
+        let _clock = wall_clock();
         // Base U = 0.2 on worker 0; a U = 0.5 tenant on the same worker,
         // admitted and retired three times over. With the retired
         // copies still counted the second round reads
@@ -1144,6 +1156,7 @@ mod tests {
 
     #[test]
     fn a_superseded_generation_outlives_the_owner_that_still_runs_it() {
+        let _clock = wall_clock();
         // A stand-in for an owner that splices when it gets round to
         // it: `running` is the set and table it runs, and each admission
         // returns what `Runtime::admit` sent it.
@@ -1205,6 +1218,7 @@ mod tests {
 
     #[test]
     fn a_body_never_dies_on_an_owner_or_helper_thread() {
+        let _clock = wall_clock();
         // One owner feeding two helpers. Tenant A's one body holds a
         // probe that records the thread it is dropped on. A is retired
         // while a helper is inside that body, an heir of its shape
@@ -1289,6 +1303,7 @@ mod tests {
 
     #[test]
     fn command_wakes_a_parked_scheduler() {
+        let _clock = wall_clock();
         // Tick 50 ms, the scheduler parked between edges: an activation
         // and a high-lane boost must take effect when they are sent —
         // not at the next completion or tick, which is when a loop that
@@ -1410,6 +1425,7 @@ mod tests {
     #[test]
     #[cfg(target_os = "linux")]
     fn idle_scheduler_stays_parked() {
+        let _clock = wall_clock();
         // The command wake must be an event, not a poll: over 300 ms of
         // a 50 ms schedule a runtime thread blocks a few times per tick
         // (the timed park, a helper's wait for its next job), where a
@@ -1476,6 +1492,7 @@ mod tests {
 
     #[test]
     fn a_body_may_post_more_than_the_message_lane_holds() {
+        let _clock = wall_clock();
         // One worker: src and dst run on the thread that drains the
         // mailbox. Every src job posts 100 high messages and every dst
         // job drains them: 200 events a period from that thread's own
@@ -1536,6 +1553,7 @@ mod tests {
 
     #[test]
     fn a_body_may_activate_more_than_the_control_lane_holds() {
+        let _clock = wall_clock();
         // One worker: base activates an aperiodic task 100 times per
         // job, more than the 64 slots of the control lane only its own
         // thread drains.
@@ -1592,6 +1610,7 @@ mod tests {
 
     #[test]
     fn admit_and_retire_do_not_wait_for_the_job_boundary() {
+        let _clock = wall_clock();
         // One worker, inside a 20 ms body of every 50: `admit` and
         // `retire` validate on this thread, send and return — they do
         // not wait for the owner, which is the thread inside the body.
@@ -1659,6 +1678,7 @@ mod tests {
 
     #[test]
     fn an_owner_with_helpers_never_runs_a_body() {
+        let _clock = wall_clock();
         // Two workers, global EDF, released together: one 30 ms job
         // (earliest deadline, so it is dispatched first) and three 1 ms
         // jobs. One worker takes the long job, the other must be handed
@@ -1705,6 +1725,7 @@ mod tests {
 
     #[test]
     fn overrunning_body_is_flagged_in_its_slot() {
+        let _clock = wall_clock();
         // Tick 5 ms (quick's period), one slot — the whole engine's, or
         // a shard's. slow's first body sleeps across two edges on a
         // 2 ms WCET; the thread that handles them was inside that body,
@@ -1760,6 +1781,7 @@ mod tests {
 
     #[test]
     fn latency_is_sane() {
+        let _clock = wall_clock();
         // Wake-up latency on this host should be far below one period,
         // whichever owner has the task.
         for config in [config(1), sharded(1).build().unwrap()] {

@@ -1,6 +1,7 @@
 //! Helpers shared by the tests of the runtime and of its owner loop.
 
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use yasmin_core::config::{Config, ConfigBuilder, MappingScheme};
 use yasmin_core::priority::PriorityPolicy;
 
@@ -37,6 +38,17 @@ pub(crate) fn within_attempts(n: usize, attempt: impl Fn() -> Result<(), String>
         }
     }
     panic!("{last}");
+}
+
+/// Holds the wall clock for one test. Every test that starts a
+/// runtime's threads takes it first, so no two run at once: on a host
+/// with few CPUs, another test's owners and helpers can hold an owner
+/// off its core long enough to start a job milliseconds late and miss a
+/// deadline that the scenario meets on its own. A test that failed
+/// while holding it leaves nothing behind that the next one reads.
+pub(crate) fn wall_clock() -> MutexGuard<'static, ()> {
+    static CLOCK: Mutex<()> = Mutex::new(());
+    CLOCK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 pub(crate) fn nap_ms(v: u64) {

@@ -48,8 +48,8 @@
 //!   costs, not what its history does. One residue: up to `workers` jobs
 //!   of a retired tenant that were already executing may still finish
 //!   after the retirement is acknowledged — also once its slot has a
-//!   new holder ([`OnlineEngine::install_tenant`] says how the engine
-//!   tells them apart). That interference is one-shot and bounded by one
+//!   new holder ([`crate::tenancy`] says how the engine tells them
+//!   apart). That interference is one-shot and bounded by one
 //!   job per worker — the same class as the non-preemptive blocking the
 //!   analysis already leaves out.
 //! * **Tenant 0 is the task set the engine was built with.** It is never
@@ -91,6 +91,11 @@
 //! ever built. [`AdmissionControl::evaluate`] itself is the stateless
 //! gate — the same battery over the rows of `current ⊕ candidate`, every
 //! one of them live.
+//!
+//! The ledger's slots and who holds each are a [`crate::tenancy`]
+//! table, the one every engine keeps too: which tenant may retire,
+//! which fits a free slot's place and the running tick, and whose a job
+//! or token of a slot is are stated there once.
 //!
 //! The blocking term is recomputed over the whole table at each check
 //! on the blocking path, from the accelerator sections of the live
@@ -195,6 +200,7 @@
 
 use crate::engine::OnlineEngine;
 use crate::server::TenantBudget;
+use crate::tenancy::{check_fit, slot_past, Tenancy};
 use std::fmt;
 use std::sync::Arc;
 use yasmin_analysis::{
@@ -474,22 +480,8 @@ impl AdmissionControl {
                 )));
             }
         }
-        if self.config.mapping() == MappingScheme::Partitioned {
-            for t in candidate.tasks() {
-                candidate.partition_of(t.id(), self.config.workers())?;
-            }
-        }
-        for t in candidate.tasks() {
-            if !t.spec().fits_tick(self.tick) {
-                return Err(AdmissionError::Invalid(Error::InvalidConfig(format!(
-                    "tenant task {} period {:?} is not a multiple of the running tick {:?}",
-                    t.id(),
-                    t.spec().period(),
-                    self.tick
-                ))));
-            }
-        }
-        Ok(())
+        let all = 0..candidate.len();
+        Ok(check_fit(candidate, all, &self.config, Some(self.tick))?)
     }
 
     /// Appends the rows of every task of `ts`, their ids offset by
@@ -696,16 +688,6 @@ pub struct Admission<'a> {
     pub slot: Slot,
 }
 
-/// One slot of the merged set (module docs): where a tenant sits, and
-/// which one holds it.
-#[derive(Debug, Clone, Copy)]
-struct TenantSlot {
-    slot: Slot,
-    /// `None` once its holder is retired: free for the next tenant of
-    /// its shape.
-    holder: Option<TenantId>,
-}
-
 /// The tenant state of one running schedule (see the module docs):
 /// the merged set the engines splice, tenant ids, and the analysis rows
 /// of the live tenants admission is checked against. Every part of it
@@ -720,10 +702,8 @@ pub struct TenantLedger {
     /// Base set with a tenant written into every slot: the live ones,
     /// and the last holder of each free one.
     merged: Arc<TaskSet>,
-    /// Slot 0 is tenant 0's, the others in the order they were opened.
-    slots: Vec<TenantSlot>,
-    /// The id the next admission gets.
-    next_tenant: u32,
+    /// Which tenant holds each slot of `merged`, and the next id.
+    tenancy: Tenancy,
     /// The live tenants' analysis rows in merged-id order; built by the
     /// first admission. A check inserts the candidate's at its slot and
     /// removes them again unless it is admitted.
@@ -735,20 +715,12 @@ impl TenantLedger {
     /// through `control`. Builds no rows: the first admission does.
     #[must_use]
     pub fn new(control: AdmissionControl, base: Arc<TaskSet>) -> Self {
+        let mut tenancy = Tenancy::default();
+        tenancy.add(TenantId::new(0), slot_past(&base, None), None, None);
         TenantLedger {
             control,
-            slots: vec![TenantSlot {
-                slot: Slot {
-                    task_count: base.len() as u32,
-                    edge_count: base.edges().len() as u32,
-                    channel_count: base.channels().len() as u32,
-                    accel_count: base.accels().len() as u16,
-                    ..Slot::default()
-                },
-                holder: Some(TenantId::new(0)),
-            }],
+            tenancy,
             merged: base,
-            next_tenant: 1,
             rows: Vec::new(),
         }
     }
@@ -772,8 +744,8 @@ impl TenantLedger {
     /// tenant is live.
     #[must_use]
     pub fn first_task(&self, tenant: TenantId) -> Option<TaskId> {
-        let slot = self.slots.iter().find(|s| s.holder == Some(tenant))?;
-        Some(TaskId::new(slot.slot.first_task))
+        let entry = self.tenancy.live(tenant).ok()?;
+        Some(TaskId::new(entry.slot.first_task))
     }
 
     /// Evaluates `candidate` against the live tenants and, when the
@@ -795,15 +767,18 @@ impl TenantLedger {
         splice: impl FnOnce(Admission<'_>) -> Result<(), Error>,
     ) -> Result<TenantId, AdmissionError> {
         self.control.validate(candidate, budget)?;
-        if self.rows.is_empty() && self.slots[0].slot.task_count > 0 {
+        let base = self.tenancy.iter().next().map_or(0, |e| e.slot.task_count);
+        if self.rows.is_empty() && base > 0 {
             // No admission yet — tenant 0 never retires, and keeps its
             // rows once it has them — so the merged set is the base.
-            debug_assert_eq!(self.slots.len(), 1);
+            debug_assert_eq!(self.tenancy.len(), 1);
             self.control.extend_rows(&mut self.rows, &self.merged, 0);
         }
-        let free = |s: &TenantSlot| s.holder.is_none() && self.merged.fits(s.slot, candidate);
-        let recycled = self.slots.iter().position(free);
-        let slot = recycled.map_or_else(|| self.merged.end_slot(candidate), |i| self.slots[i].slot);
+        let free = (self.tenancy.free_slots()).find(|(_, e)| self.merged.fits(e.slot, candidate));
+        let (recycled, slot) = match free {
+            Some((i, e)) => (Some(i), e.slot),
+            None => (None, self.merged.end_slot(candidate)),
+        };
         // The candidate's rows go where its ids do, so ties break as
         // they do in the merged id space.
         let at = self
@@ -815,16 +790,7 @@ impl TenantLedger {
         self.rows[at..].rotate_right(added);
         let admitted = self.try_admit(candidate, budget, slot, at..at + added, splice);
         match admitted {
-            Ok(tenant) => {
-                let taken = TenantSlot {
-                    slot,
-                    holder: Some(tenant),
-                };
-                match recycled {
-                    Some(i) => self.slots[i] = taken,
-                    None => self.slots.push(taken),
-                }
-            }
+            Ok(tenant) => self.tenancy.add(tenant, slot, recycled, None),
             Err(_) => {
                 self.rows.drain(at..at + added);
                 debug_assert_eq!(self.rows.len(), len);
@@ -846,13 +812,12 @@ impl TenantLedger {
         let (control, rows) = (&self.control, &mut self.rows);
         control.check(rows, cand, &self.merged, candidate, slot, budget)?;
         let merged = Arc::new(self.merged.placed(candidate, slot)?);
-        let tenant = TenantId::new(self.next_tenant);
+        let tenant = self.tenancy.next_id();
         splice(Admission {
             tenant,
             merged: &merged,
             slot,
         })?;
-        self.next_tenant += 1;
         self.merged = merged;
         Ok(tenant)
     }
@@ -870,21 +835,9 @@ impl TenantLedger {
     /// [`Error::UnknownTenant`] for an id never admitted,
     /// [`Error::TenantRetired`] for a double retire.
     pub fn retire(&mut self, tenant: TenantId) -> Result<(), Error> {
-        if tenant.raw() == 0 {
-            return Err(Error::InvalidConfig(
-                "tenant 0 is the built-in task set; stop the schedule to end it".into(),
-            ));
-        }
-        let Some(entry) = self.slots.iter_mut().find(|s| s.holder == Some(tenant)) else {
-            return Err(if tenant.raw() < self.next_tenant {
-                Error::TenantRetired(tenant.raw())
-            } else {
-                Error::UnknownTenant(tenant.raw())
-            });
-        };
-        entry.holder = None;
+        let slot = self.tenancy.retire(tenant)?.slot;
         // Admitted tenants have rows, contiguous and in merged-id order.
-        let (first, len) = (entry.slot.first_task, entry.slot.task_count as usize);
+        let (first, len) = (slot.first_task, slot.task_count as usize);
         let start = self.rows.partition_point(|r| r.task.raw() < first);
         self.rows.drain(start..start + len);
         Ok(())
@@ -1044,6 +997,78 @@ mod tests {
             ctl.evaluate(&live, &tenant, None),
             Err(AdmissionError::Invalid(Error::InvalidConfig(_)))
         ));
+    }
+
+    #[test]
+    fn a_hyperbolic_product_just_above_two_goes_to_the_rta_and_fails() {
+        // DM on one core, tick 2 ms: the live task is 1 ms every 2 ms;
+        // the candidate runs 1.1 ms every 4 ms by a 3 ms deadline. The
+        // product (1 + 1/2)(1 + 1.1/3) = 2.05 misses the bound, and the
+        // RTA's iteration passes the deadline: R = 1.1 + 2 · 1 = 3.1 ms.
+        let cfg = Config::builder()
+            .workers(1)
+            .priority(PriorityPolicy::DeadlineMonotonic)
+            .build()
+            .unwrap();
+        let live = set("base", 1, 2, None);
+        let mut b = TaskSetBuilder::new();
+        let spec = TaskSpec::periodic("late", ms(4)).with_constrained_deadline(ms(3));
+        let t = b.task_decl(spec).unwrap();
+        b.version_decl(t, VersionSpec::new("v0", Duration::from_micros(1_100)))
+            .unwrap();
+        let tenant = b.build().unwrap();
+        let ctl = AdmissionControl::new(cfg, ms(2));
+        match ctl.evaluate(&live, &tenant, None) {
+            Err(AdmissionError::Rejected(BoundViolation::TaskUnschedulable {
+                task,
+                deadline,
+                ..
+            })) => assert_eq!((task, deadline), (TaskId::new(1), ms(3))),
+            other => panic!("expected RTA rejection, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn gfb_refuses_by_the_full_m_minus_one_umax_term() {
+        // Global EDF on 2 workers: U = 0.8 + 0.5 = 1.3 fits U <= m but
+        // not GFB's 2 - (2 - 1) * 0.8 = 1.2.
+        let live = set("base", 8, 10, None);
+        let tenant = set("guest", 5, 10, None);
+        let ctl = AdmissionControl::new(edf(2), ms(10));
+        match ctl.evaluate(&live, &tenant, None) {
+            Err(AdmissionError::Rejected(BoundViolation::GfbDensity { total, bound })) => {
+                assert!((total - 1.3).abs() < 1e-9, "total = {total}");
+                assert!((bound - 1.2).abs() < 1e-9, "bound = {bound}");
+            }
+            other => panic!("expected GFB rejection, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_dag_whose_graham_bound_passes_its_deadline_is_refused() {
+        // Global EDF on 2 workers: the root runs 2 ms every 20 ms by a
+        // 7 ms deadline and forks to two 4 ms nodes. Graham's bound is
+        // 6 + (10 - 6) / 2 = 8 ms; every utilisation test passes.
+        let live = set("base", 1, 20, None);
+        let mut b = TaskSetBuilder::new();
+        let spec = TaskSpec::periodic("r", ms(20)).with_constrained_deadline(ms(7));
+        let r = b.task_decl(spec).unwrap();
+        b.version_decl(r, VersionSpec::new("v0", ms(2))).unwrap();
+        for name in ["x", "y"] {
+            let n = b.task_decl(TaskSpec::graph_node(name)).unwrap();
+            b.version_decl(n, VersionSpec::new("v0", ms(4))).unwrap();
+            let c = b.channel_decl(format!("r{name}"), 0, 0);
+            b.channel_connect(r, n, c).unwrap();
+        }
+        let tenant = b.build().unwrap();
+        let ctl = AdmissionControl::new(edf(2), ms(20));
+        let refused = ctl.evaluate(&live, &tenant, None).map(|_| ());
+        let dag = BoundViolation::DagDeadline {
+            root: TaskId::new(1),
+            bound: ms(8),
+            deadline: ms(7),
+        };
+        assert_eq!(refused, Err(AdmissionError::Rejected(dag)));
     }
 
     #[test]

@@ -18,6 +18,10 @@
 //! * a job holding an accelerator is never preempted — combined with the
 //!   PIP boost of §3.2 this prevents accelerator-deadlock and chained
 //!   inversions (our design decision, documented in DESIGN.md).
+//!
+//! Admitted tenants ([`crate::admission`]) occupy slots of the task set;
+//! the engine keeps its tables per task and asks its one
+//! [`crate::tenancy`] table which slot a task is in and whose it is.
 
 use crate::accel::AccelManager;
 use crate::job::{Job, JobBatch};
@@ -25,13 +29,14 @@ use crate::queue::ReadyQueue;
 use crate::select::{rank_versions_into, RankBuf};
 use crate::server::ReservationServer;
 use crate::sink::ActionSink;
+use crate::tenancy::{check_fit, edge_range, slot_past, Tenancy, Verdict};
 use std::iter::repeat_n;
 use std::sync::Arc;
 use yasmin_core::channel::BackpressurePolicy;
 use yasmin_core::config::{Config, MappingScheme, SelectCtx, VersionPolicy};
 use yasmin_core::energy::BatteryLevel;
 use yasmin_core::error::{Error, Result};
-use yasmin_core::graph::{put, TaskSet};
+use yasmin_core::graph::{put, Slot, TaskSet};
 use yasmin_core::ids::{AccelId, JobId, TaskId, TenantId, VersionId, WorkerId};
 use yasmin_core::priority::{Priority, PriorityPolicy};
 use yasmin_core::task::{ActivationKind, OverrunPolicy};
@@ -252,48 +257,6 @@ engine_stats! {
     miss_trips: u64,
 }
 
-/// Per-slot bookkeeping: the contiguous id ranges a tenant occupies in
-/// the merged task set, its holder, lifecycle flags and optional
-/// processor-time reservation. A slot outlives its holder: once that is
-/// retired, the next tenant of its shape is installed in its place
-/// ([`OnlineEngine::install_tenant`]).
-#[derive(Debug)]
-struct TenantEntry {
-    /// The tenant holding the slot — the last one, once retired.
-    tenant: TenantId,
-    /// First task index of the tenant's contiguous range.
-    first_task: u32,
-    /// Number of tasks in the range.
-    task_count: u32,
-    /// First edge index of the tenant's contiguous range.
-    first_edge: u32,
-    /// Number of edges in the range.
-    edge_count: u32,
-    /// Releases armed ([`OnlineEngine::commit_tenant_into`] ran).
-    committed: bool,
-    /// Holder torn down: future releases culled, activations refused,
-    /// DAG tokens dropped; the slot is free for the next holder.
-    retired: bool,
-    /// Where the holder begins ([`OnlineEngine::install_tenant`]): a job
-    /// or token of the slot whose graph release is earlier belongs to a
-    /// former holder. [`Instant::ZERO`] in a slot that never had one,
-    /// [`Instant::MAX`] while a recycled slot's holder is uncommitted.
-    since: Instant,
-    /// The tenant's budget; `None` (tenant 0, or an unbudgeted admission)
-    /// means dispatches are never charged.
-    server: Option<ReservationServer>,
-}
-
-impl TenantEntry {
-    fn tasks(&self) -> std::ops::Range<usize> {
-        self.first_task as usize..(self.first_task + self.task_count) as usize
-    }
-
-    fn edges(&self) -> std::ops::Range<usize> {
-        self.first_edge as usize..(self.first_edge + self.edge_count) as usize
-    }
-}
-
 /// A DAG activation token addressed to a foreign shard: the completion
 /// of a job whose out-edge crosses shards does not touch the local
 /// token state (the *destination* shard owns every edge entering its
@@ -445,15 +408,8 @@ pub struct OnlineEngine {
     /// steal probe (run after every engine interaction in the sharded
     /// runtime) never scans version specs.
     task_accel_bound: Vec<bool>,
-    /// The tenant slots, in the order they were opened: entry 0 is
-    /// always the task set the engine was built with.
-    tenants: Vec<TenantEntry>,
-    /// Dense per-task slot (index into `tenants`), so the dispatch and
-    /// token paths resolve tenancy without a range search.
-    tenant_of: Vec<u32>,
-    /// One past the largest [`TenantId`] ever installed: an id below it
-    /// that no live slot holds is retired.
-    next_tenant: u32,
+    /// The tenant slots and which one each task is in.
+    tenants: Tenancy,
     /// Dense per-task count of outstanding high-priority messages
     /// (posted minus drained) — the message-plane boost is held while
     /// this is non-zero.
@@ -579,9 +535,7 @@ impl OnlineEngine {
             cull_missed: config.cull_missed(),
             task_worker: Vec::new(),
             task_accel_bound: Vec::new(),
-            tenants: Vec::new(),
-            tenant_of: Vec::new(),
-            next_tenant: 0,
+            tenants: Tenancy::default(),
             high_depth: Vec::new(),
             msg_ceiling: Vec::new(),
             overrun_policy: Vec::new(),
@@ -597,8 +551,8 @@ impl OnlineEngine {
             config,
         };
         engine.cache_ctx = engine.select_ctx();
-        let (tasks, edges) = (0..taskset.len(), 0..taskset.edges().len());
-        engine.add_tenant(taskset, TenantId::new(0), tasks, edges, None, None)?;
+        let slot = slot_past(&taskset, None);
+        engine.add_tenant(taskset, TenantId::new(0), slot, None, None)?;
         // A partition error outranks a missing tick.
         engine.tick = tick.ok_or_else(|| {
             Error::InvalidConfig(
@@ -608,8 +562,8 @@ impl OnlineEngine {
         Ok(engine)
     }
 
-    /// Installs `tenant` in the tasks and edges `tasks` and `edges` of
-    /// `merged`: past those this engine has (`recycled` is `None`) —
+    /// Installs `tenant` in `slot` of `merged`: past the tasks and edges
+    /// this engine has (`recycled` is `None`) —
     /// tenant 0 from [`OnlineEngine::new`], committed, and later ones
     /// from [`OnlineEngine::install_tenant`], not yet — or in place of
     /// the retired holder of slot `recycled`, whose per-task and
@@ -622,28 +576,14 @@ impl OnlineEngine {
         &mut self,
         merged: Arc<TaskSet>,
         tenant: TenantId,
-        tasks: std::ops::Range<usize>,
-        edges: std::ops::Range<usize>,
+        slot: Slot,
         recycled: Option<usize>,
         server: Option<ReservationServer>,
     ) -> Result<()> {
+        let tasks = slot.task_range();
+        let tick = (tenant.index() > 0).then_some(self.tick);
+        check_fit(&merged, tasks.clone(), &self.config, tick)?;
         let installed = &merged.tasks()[tasks.clone()];
-        let partitioned = self.config.mapping() == MappingScheme::Partitioned;
-        for t in installed {
-            if partitioned {
-                merged.partition_of(t.id(), self.config.workers())?;
-            }
-            if tenant.index() > 0 && !t.spec().fits_tick(self.tick) {
-                return Err(Error::InvalidConfig(format!(
-                    "tenant task {} period {:?} is not a multiple of the engine tick \
-                     {:?} (the tick is fixed when the schedule starts)",
-                    t.id(),
-                    t.spec().period(),
-                    self.tick
-                )));
-            }
-        }
-        let slot = recycled.unwrap_or(self.tenants.len());
         let n0 = tasks.start;
         // A task waits in its worker's queue where each has one.
         let per_worker = self.queues.len() > 1;
@@ -687,12 +627,11 @@ impl OnlineEngine {
             .iter()
             .map(|t| t.versions().iter().any(|v| v.accel().is_some()));
         put(&mut self.task_accel_bound, n0, accel_bound);
-        put(&mut self.tenant_of, n0, repeat_n(slot as u32, n));
         put(&mut self.high_depth, n0, repeat_n(0, n));
         put(&mut self.msg_ceiling, n0, repeat_n(Priority::LOWEST, n));
         let policies = installed.iter().map(|t| t.spec().overrun_policy());
         put(&mut self.overrun_policy, n0, policies);
-        for i in edges.clone() {
+        for i in edge_range(&slot) {
             let e = merged.edges()[i];
             // Each edge's release FIFO holds its channel's declared
             // capacity, +1 for the transient over-capacity entry the
@@ -717,22 +656,7 @@ impl OnlineEngine {
         if self.shard.is_some() {
             self.outbox.reserve(merged.edges().len());
         }
-        let entry = TenantEntry {
-            tenant,
-            first_task: tasks.start as u32,
-            task_count: tasks.len() as u32,
-            first_edge: edges.start as u32,
-            edge_count: edges.len() as u32,
-            committed: tenant.index() == 0,
-            retired: false,
-            since: recycled.map_or(Instant::ZERO, |_| Instant::MAX),
-            server,
-        };
-        match recycled {
-            Some(slot) => self.tenants[slot] = entry,
-            None => self.tenants.push(entry),
-        }
-        self.next_tenant = tenant.raw() + 1;
+        self.tenants.add(tenant, slot, recycled, server);
         self.taskset = merged;
         Ok(())
     }
@@ -847,12 +771,6 @@ impl OnlineEngine {
         self.ready_len() == 0 && self.running.iter().all(Option::is_none)
     }
 
-    /// `true` if `start` has been called and `stop` has not.
-    #[must_use]
-    pub fn is_started(&self) -> bool {
-        self.started && !self.stopping
-    }
-
     /// Starts the schedule at `now` (the paper's `yas_start`): arms the
     /// periodic release bookkeeping and performs the first release
     /// round, appending the resulting actions to a caller-owned reusable
@@ -868,22 +786,21 @@ impl OnlineEngine {
         self.started = true;
         self.stopping = false;
         self.next_wake = Instant::MAX;
-        for tenant in 0..self.tenants.len() {
-            self.arm_releases(tenant, now);
+        for slot in 0..self.tenants.len() {
+            self.arm_releases(slot, now);
         }
         self.on_tick_into(now, sink);
         Ok(())
     }
 
-    /// Arms the first release of every periodic root of `tenant` that
-    /// this engine owns at `anchor + release_offset` — if the tenant is
+    /// Arms the first release of every periodic root of slot `slot` that
+    /// this engine owns at `anchor + release_offset` — if its holder is
     /// live: committed and not retired.
-    fn arm_releases(&mut self, tenant: usize, anchor: Instant) {
-        let entry = &self.tenants[tenant];
-        if !entry.committed || entry.retired {
+    fn arm_releases(&mut self, slot: usize, anchor: Instant) {
+        let Some(tasks) = self.tenants.armed_tasks(slot) else {
             return;
-        }
-        for i in entry.tasks() {
+        };
+        for i in tasks {
             let (id, spec) = (TaskId::new(i as u32), self.taskset.tasks()[i].spec());
             let root = self.taskset.in_degree(id) == 0;
             if root && spec.kind() == ActivationKind::Periodic && self.owns_task(id) {
@@ -989,40 +906,21 @@ impl OnlineEngine {
     /// every one installed since, retired ones included.
     #[must_use]
     pub fn tenant_count(&self) -> usize {
-        self.next_tenant as usize
+        self.tenants.next_id().index()
     }
 
     /// The tenant whose slot holds `task` — the last one, if retired —
     /// `None` for an unknown task.
     #[must_use]
     pub fn tenant_of_task(&self, task: TaskId) -> Option<TenantId> {
-        (self.tenant_of.get(task.index())).map(|&n| self.tenants[n as usize].tenant)
+        self.tenants.of_task(task).map(|e| e.tenant)
     }
 
     /// `true` when the slot holding `task` is free: its last holder was
     /// retired and no tenant holds it since (`false` for unknown tasks).
     #[must_use]
     pub fn is_task_retired(&self, task: TaskId) -> bool {
-        self.tenant_of
-            .get(task.index())
-            .is_some_and(|&n| self.tenants[n as usize].retired)
-    }
-
-    /// Whether a job or token of `task` that belongs to the graph
-    /// instance released at `graph_release` is its current holder's:
-    /// the slot is not free, and the reference is no earlier than where
-    /// the holder begins ([`OnlineEngine::install_tenant`]).
-    fn holds(&self, task: TaskId, graph_release: Instant) -> bool {
-        let entry = &self.tenants[self.tenant_of[task.index()] as usize];
-        !entry.retired && graph_release >= entry.since
-    }
-
-    /// Whether `task`'s slot has a holder installed here whose commit
-    /// this engine has not heard: a job or token of the slot may then be
-    /// the holder's or a former holder's, and the commit sorts them
-    /// ([`OnlineEngine::commit_tenant_at`]).
-    fn undecided(&self, task: TaskId) -> bool {
-        self.tenants[self.tenant_of[task.index()] as usize].since == Instant::MAX
+        self.tenants.of_task(task).is_some_and(|e| e.retired)
     }
 
     /// `true` when `tenant` has been retired.
@@ -1031,7 +929,7 @@ impl OnlineEngine {
     ///
     /// [`Error::UnknownTenant`] for an id never admitted.
     pub fn is_tenant_retired(&self, tenant: TenantId) -> Result<bool> {
-        match self.live_tenant(tenant) {
+        match self.tenants.live(tenant) {
             Ok(_) => Ok(false),
             Err(Error::TenantRetired(_)) => Ok(true),
             Err(e) => Err(e),
@@ -1042,8 +940,7 @@ impl OnlineEngine {
     /// unbudgeted, retired or unknown.
     #[must_use]
     pub fn tenant_server(&self, tenant: TenantId) -> Option<&ReservationServer> {
-        let slot = self.live_tenant(tenant).ok()?;
-        self.tenants[slot].server.as_ref()
+        self.tenants.live(tenant).ok()?.server.as_ref()
     }
 
     /// Splices an admitted tenant into the live engine at the end of
@@ -1063,7 +960,7 @@ impl OnlineEngine {
         merged: Arc<TaskSet>,
         server: Option<ReservationServer>,
     ) -> Result<TenantId> {
-        let tenant = TenantId::new(self.next_tenant);
+        let tenant = self.tenants.next_id();
         let end = self.taskset.len() as u32;
         self.install_tenant(merged, tenant, end, server)?;
         Ok(tenant)
@@ -1087,20 +984,9 @@ impl OnlineEngine {
     /// resolve) but releases nothing of it until
     /// [`OnlineEngine::commit_tenant_into`].
     ///
-    /// **Stragglers.** A former holder's job may still run — here, on a
-    /// helper, on a thief — or its token travel between shards when
-    /// the slot's new holder is installed. Every such reference belongs
-    /// to a graph instance released before the holder begins, an
-    /// instant its commit fixes: a job or token whose graph release is
-    /// earlier completes or drops as a retired tenant's does — no
-    /// successor fires, nothing of the holder is touched. Until the
-    /// commit a token for the slot — a cross-shard one, or one a job of
-    /// the slot stolen from a shard that heard the commit books here —
-    /// is kept and fires nothing, and the commit drops it or books it
-    /// as the holder's. Such a stolen job is not charged to the
-    /// holder's budget.
-    /// Jobs running here when their tenant is retired are marked then,
-    /// and fire nothing whatever their graph release.
+    /// **Stragglers** — a former holder's jobs and tokens, still in
+    /// flight when the slot's new holder is installed — are told apart
+    /// from the holder's as [`crate::tenancy`] states.
     ///
     /// `server` is the tenant's budget, if any: it serves the slot until
     /// the tenant is retired. `tenant` must be newer than every tenant
@@ -1124,7 +1010,7 @@ impl OnlineEngine {
         first_task: u32,
         server: Option<ReservationServer>,
     ) -> Result<()> {
-        if tenant.raw() < self.next_tenant {
+        if tenant < self.tenants.next_id() {
             return Err(Error::InvalidConfig(format!(
                 "tenant {tenant} is not newer than every tenant installed"
             )));
@@ -1137,27 +1023,27 @@ impl OnlineEngine {
         {
             return Err(refuse("shrinks the task set"));
         }
-        let (tasks, edges, recycled) = if first_task as usize == n0 {
+        let (slot, recycled) = if first_task as usize == n0 {
             if merged.len() <= n0 {
                 return Err(refuse("adds no tasks"));
             }
-            (n0..merged.len(), e0..merged.edges().len(), None)
+            (slot_past(&merged, Some(&self.taskset)), None)
         } else {
-            let free = |e: &TenantEntry| e.retired && e.first_task == first_task;
-            let Some(slot) = self.tenants.iter().position(free) else {
+            let found = (self.tenants.free_slots()).find(|(_, e)| e.slot.first_task == first_task);
+            let Some((i, free)) = found else {
                 return Err(refuse(&format!("names no free slot at {first_task}")));
             };
             if merged.len() != n0 || merged.edges().len() != e0 {
                 return Err(refuse("into a slot changes the set's length"));
             }
-            let entry = &self.tenants[slot];
-            (entry.tasks(), entry.edges(), Some(slot))
+            (free.slot, Some(i))
         };
+        let tasks = slot.task_range();
         let own = |t: TaskId| tasks.contains(&t.index());
-        if (merged.edges()[edges.clone()].iter()).any(|e| !own(e.src) || !own(e.dst)) {
+        if (merged.edges()[edge_range(&slot)].iter()).any(|e| !own(e.src) || !own(e.dst)) {
             return Err(refuse("has an edge leaving the tenant"));
         }
-        self.add_tenant(merged, tenant, tasks, edges, recycled, server)
+        self.add_tenant(merged, tenant, slot, recycled, server)
     }
 
     /// Arms a spliced tenant's releases — phase two of admission. Every
@@ -1220,41 +1106,23 @@ impl OnlineEngine {
         if !self.started || self.stopping {
             return Err(Error::ScheduleNotRunning);
         }
-        let slot = self.live_tenant(tenant)?;
-        let entry = &mut self.tenants[slot];
-        if entry.committed {
-            return Err(Error::InvalidConfig(format!(
-                "tenant {tenant} is already committed"
-            )));
-        }
-        entry.committed = true;
-        if entry.since == Instant::MAX {
-            entry.since = since;
+        let (slot, undecided) = self.tenants.commit(tenant, since)?;
+        if let Some(edges) = undecided {
             while anchor < since {
                 anchor += self.tick;
             }
             // Tokens kept while it was undecided (`on_remote_token`,
             // `fire_successors`): the former holder's are dropped, the
             // holder's may fire.
-            let edges = entry.edges();
             for i in edges {
-                self.token_release[i].retain(|&r| r >= since);
-                self.try_fire_joins(self.taskset.edges()[i].dst);
+                let dst = self.taskset.edges()[i].dst;
+                let tenants = &self.tenants;
+                self.token_release[i].retain(|&r| tenants.verdict(dst, r) == Verdict::Holder);
+                self.try_fire_joins(dst);
             }
         }
         self.arm_releases(slot, anchor);
         Ok(())
-    }
-
-    /// The slot `tenant` holds: [`Error::UnknownTenant`] for an id never
-    /// admitted, [`Error::TenantRetired`] for a retired one.
-    fn live_tenant(&self, tenant: TenantId) -> Result<usize> {
-        let held = |e: &TenantEntry| e.tenant == tenant && !e.retired;
-        match self.tenants.iter().position(held) {
-            Some(slot) => Ok(slot),
-            None if tenant.raw() < self.next_tenant => Err(Error::TenantRetired(tenant.raw())),
-            None => Err(Error::UnknownTenant(tenant.raw())),
-        }
     }
 
     /// Quiesces a tenant: disarms its future releases, culls its ready
@@ -1271,15 +1139,8 @@ impl OnlineEngine {
     /// retire; [`Error::InvalidConfig`] for tenant 0 (the built-in task
     /// set cannot be retired — stop the schedule instead).
     pub fn retire_tenant_into(&mut self, tenant: TenantId, sink: &mut ActionSink) -> Result<()> {
-        if tenant.index() == 0 {
-            return Err(Error::InvalidConfig(
-                "tenant 0 is the built-in task set; stop the schedule to end it".into(),
-            ));
-        }
-        let slot = self.live_tenant(tenant)?;
-        let entry = &mut self.tenants[slot];
-        entry.retired = true;
-        let (tasks, edges) = (entry.tasks(), entry.edges());
+        let free = self.tenants.retire(tenant)?;
+        let (tasks, edges) = (free.slot.task_range(), edge_range(&free.slot));
         self.next_release[tasks.clone()].fill(Instant::MAX);
         for i in edges {
             self.token_release[i].clear();
@@ -1356,13 +1217,7 @@ impl OnlineEngine {
         let (task, overage) = (r.job.task, now.saturating_since(r.enforce_by));
         let graph_release = r.job.graph_release;
         self.stats.overruns += 1;
-        let entry = &mut self.tenants[self.tenant_of[task.index()] as usize];
-        // A former holder's job is not billed to the slot's new one.
-        let holders = entry
-            .server
-            .as_mut()
-            .filter(|_| graph_release >= entry.since);
-        if let Some(server) = holders {
+        if let Some(server) = self.tenants.holders_server(task, graph_release) {
             let _ = server.charge_overrun(now, overage);
         }
         match self.overrun_policy[task.index()] {
@@ -1466,9 +1321,8 @@ impl OnlineEngine {
         sink: &mut ActionSink,
     ) -> Result<()> {
         let t = self.taskset.task(task)?;
-        if self.is_task_retired(task) {
-            let tenant = self.tenants[self.tenant_of[task.index()] as usize].tenant;
-            return Err(Error::TenantRetired(tenant.raw()));
+        if let Some(free) = self.tenants.of_task(task).filter(|e| e.retired) {
+            return Err(Error::TenantRetired(free.tenant.raw()));
         }
         if !self.owns_task(task) {
             return Err(Error::InvalidConfig(format!(
@@ -1853,22 +1707,14 @@ impl OnlineEngine {
     /// *stolen* job completing on a thief shard stays consistent (the
     /// thief fires only the edges whose destinations it owns).
     fn fire_successors(&mut self, task: TaskId, graph_release: Instant) {
-        // A retired tenant's in-flight jobs — a former holder's, where
-        // the slot has a new one — complete but activate nothing: edges
-        // never cross tenants, so skipping the whole fan-out (local
-        // tokens *and* outbox entries) is exact. Before this shard hears
-        // the commit of the slot's holder, a job of the slot — stolen
-        // from a shard that heard it — may be the holder's: its tokens
-        // are routed, and booked here as `on_remote_token` books one.
-        let undecided = self.undecided(task);
-        let instance = if undecided {
-            Instant::MAX
-        } else {
-            graph_release
+        // Edges never cross tenants, so skipping a former holder's whole
+        // fan-out (local tokens *and* outbox entries) is exact. An
+        // undecided job's tokens are routed, and booked here as
+        // `on_remote_token` books one.
+        let undecided = match self.tenants.verdict(task, graph_release) {
+            Verdict::Former => return,
+            verdict => verdict == Verdict::Undecided,
         };
-        if !self.holds(task, instance) {
-            return;
-        }
         let mut successors = std::mem::take(&mut self.successor_buf);
         successors.clear();
         for k in 0..self.taskset.out_edge_ids(task).len() {
@@ -1972,24 +1818,14 @@ impl OnlineEngine {
             )));
         }
         let dst = self.taskset.edges()[i].dst;
-        // Until this shard hears the commit of a recycled slot's holder,
-        // a token for the slot may be the holder's — a shard that heard
-        // it first may have run its root — or a former holder's: it is
-        // kept, and the commit sorts them (`commit_tenant_at`).
-        let undecided = self.undecided(dst);
-        let instance = if undecided {
-            Instant::MAX
-        } else {
-            graph_release
-        };
         // A token racing a tenant retirement (sent before the source
         // shard learned of it) is silently dropped, not a protocol
-        // error — also once the slot has a new holder.
-        if !self.routed_here(dst, instance, "remote token")? {
-            return Ok(());
+        // error. An undecided one is kept for the commit to sort.
+        let verdict = self.routed_here(dst, graph_release, "remote token")?;
+        if verdict != Verdict::Former {
+            self.push_token(i, graph_release);
         }
-        self.push_token(i, graph_release);
-        if undecided {
+        if verdict != Verdict::Holder {
             return Ok(());
         }
         self.try_fire_joins(dst);
@@ -2039,7 +1875,7 @@ impl OnlineEngine {
         sink: &mut ActionSink,
     ) -> Result<()> {
         // A message names no graph instance: only a free slot drops it.
-        if !self.routed_here(dst, Instant::MAX, "high-priority message")? {
+        if self.routed_here(dst, Instant::MAX, "high-priority message")? == Verdict::Former {
             return Ok(());
         }
         let ti = dst.index();
@@ -2097,7 +1933,7 @@ impl OnlineEngine {
         now: Instant,
         sink: &mut ActionSink,
     ) -> Result<()> {
-        if !self.routed_here(dst, Instant::MAX, "high-lane drain")? {
+        if self.routed_here(dst, Instant::MAX, "high-lane drain")? == Verdict::Former {
             return Ok(());
         }
         let ti = dst.index();
@@ -2145,24 +1981,22 @@ impl OnlineEngine {
 
     /// Whether an event routed to `dst` — a cross-shard token of the
     /// graph instance released at `graph_release`, a high-lane post or
-    /// drain — applies to this engine: `false` for a task of a retired
-    /// tenant or a former holder's token (the event is dropped),
-    /// [`Error::UnknownTask`] for an out-of-range task and
+    /// drain — applies to this engine, and whose it is: `Former` for a
+    /// task of a retired tenant or a former holder's token (the event is
+    /// dropped), [`Error::UnknownTask`] for an out-of-range task and
     /// [`Error::InvalidConfig`] for a shard not owning it — routing
     /// bugs, not runtime conditions. `what` names the event.
-    fn routed_here(&self, dst: TaskId, graph_release: Instant, what: &str) -> Result<bool> {
+    fn routed_here(&self, dst: TaskId, graph_release: Instant, what: &str) -> Result<Verdict> {
         if dst.index() >= self.taskset.len() {
             return Err(Error::UnknownTask(dst));
         }
-        if !self.holds(dst, graph_release) {
-            return Ok(false);
-        }
-        if !self.owns_task(dst) {
+        let verdict = self.tenants.verdict(dst, graph_release);
+        if verdict != Verdict::Former && !self.owns_task(dst) {
             return Err(Error::InvalidConfig(format!(
                 "{what} for {dst} routed to a shard not owning it"
             )));
         }
-        Ok(true)
+        Ok(verdict)
     }
 
     /// Outstanding high-priority messages for `task` (posted minus
@@ -2407,13 +2241,7 @@ impl OnlineEngine {
     /// (counted in [`EngineStats::budget_deferrals`]).
     #[inline]
     fn charge_budget(&mut self, job: &Job, version: VersionId, now: Instant) -> bool {
-        let entry = &mut self.tenants[self.tenant_of[job.task.index()] as usize];
-        // A former holder's straggler is not charged to the slot's new one.
-        let holders = entry
-            .server
-            .as_mut()
-            .filter(|_| job.graph_release >= entry.since);
-        let Some(server) = holders else {
+        let Some(server) = self.tenants.holders_server(job.task, job.graph_release) else {
             return true;
         };
         let wcet = self.taskset.tasks()[job.task.index()].versions()[version.index()].wcet();
@@ -3965,7 +3793,7 @@ mod tests {
             e.rank_cache.len(),
             e.task_worker.len(),
             e.task_accel_bound.len(),
-            e.tenant_of.len(),
+            e.tenants.indexed_tasks(),
             e.high_depth.len(),
             e.msg_ceiling.len(),
             e.overrun_policy.len(),

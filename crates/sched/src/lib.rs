@@ -23,6 +23,8 @@
 //!   dispatcher (§3.4, Fig. 1c);
 //! * [`server`] — deferrable reservation servers backing admitted
 //!   tenants' budgets (the paper's §7 future-work item);
+//! * [`tenancy`] — an engine's tenant slot table, and the rules that
+//!   tell a slot's holder from its former holders;
 //! * [`admission`] — on-line admission control: schedulability-checks an
 //!   arriving tenant against the live set and produces the merged task
 //!   set to splice into a running engine, with structured refusals.
@@ -41,6 +43,7 @@ pub mod select;
 pub mod server;
 pub mod shard;
 pub mod sink;
+pub mod tenancy;
 
 pub use accel::AccelManager;
 pub use admission::{AdmissionControl, AdmissionError, BoundViolation, TenantLedger};

@@ -126,17 +126,6 @@ impl KernelModel {
         }
     }
 
-    /// Creates a sampler with custom parameters (for sensitivity
-    /// studies).
-    #[must_use]
-    pub fn with_params(kind: KernelKind, params: KernelParams, seed: u64) -> Self {
-        KernelModel {
-            kind,
-            params,
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-
     /// The modelled kernel.
     #[must_use]
     pub fn kind(&self) -> KernelKind {
