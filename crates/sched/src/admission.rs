@@ -93,9 +93,9 @@
 //! one of them live.
 //!
 //! The ledger's slots and who holds each are a [`crate::tenancy`]
-//! table, the one every engine keeps too: which tenant may retire,
-//! which fits a free slot's place and the running tick, and whose a job
-//! or token of a slot is are stated there once.
+//! table, the kind every engine keeps too, so which tenant may retire
+//! and which ids are retired or unknown are stated there once; an
+//! engine's table also keeps what its holder verdict reads.
 //!
 //! The blocking term is recomputed over the whole table at each check
 //! on the blocking path, from the accelerator sections of the live
@@ -200,7 +200,7 @@
 
 use crate::engine::OnlineEngine;
 use crate::server::TenantBudget;
-use crate::tenancy::{check_fit, slot_past, Tenancy};
+use crate::tenancy::{check_fit, slot_past, SlotTable};
 use std::fmt;
 use std::sync::Arc;
 use yasmin_analysis::{
@@ -703,7 +703,7 @@ pub struct TenantLedger {
     /// and the last holder of each free one.
     merged: Arc<TaskSet>,
     /// Which tenant holds each slot of `merged`, and the next id.
-    tenancy: Tenancy,
+    slots: SlotTable,
     /// The live tenants' analysis rows in merged-id order; built by the
     /// first admission. A check inserts the candidate's at its slot and
     /// removes them again unless it is admitted.
@@ -715,11 +715,11 @@ impl TenantLedger {
     /// through `control`. Builds no rows: the first admission does.
     #[must_use]
     pub fn new(control: AdmissionControl, base: Arc<TaskSet>) -> Self {
-        let mut tenancy = Tenancy::default();
-        tenancy.add(TenantId::new(0), slot_past(&base, None), None, None);
+        let mut slots = SlotTable::default();
+        slots.add(TenantId::new(0), slot_past(&base, None), None, ());
         TenantLedger {
             control,
-            tenancy,
+            slots,
             merged: base,
             rows: Vec::new(),
         }
@@ -744,7 +744,7 @@ impl TenantLedger {
     /// tenant is live.
     #[must_use]
     pub fn first_task(&self, tenant: TenantId) -> Option<TaskId> {
-        let entry = self.tenancy.live(tenant).ok()?;
+        let entry = self.slots.live(tenant).ok()?;
         Some(TaskId::new(entry.slot.first_task))
     }
 
@@ -767,14 +767,14 @@ impl TenantLedger {
         splice: impl FnOnce(Admission<'_>) -> Result<(), Error>,
     ) -> Result<TenantId, AdmissionError> {
         self.control.validate(candidate, budget)?;
-        let base = self.tenancy.iter().next().map_or(0, |e| e.slot.task_count);
+        let base = self.slots.iter().next().map_or(0, |e| e.slot.task_count);
         if self.rows.is_empty() && base > 0 {
             // No admission yet — tenant 0 never retires, and keeps its
             // rows once it has them — so the merged set is the base.
-            debug_assert_eq!(self.tenancy.len(), 1);
+            debug_assert_eq!(self.slots.len(), 1);
             self.control.extend_rows(&mut self.rows, &self.merged, 0);
         }
-        let free = (self.tenancy.free_slots()).find(|(_, e)| self.merged.fits(e.slot, candidate));
+        let free = (self.slots.free_slots()).find(|(_, e)| self.merged.fits(e.slot, candidate));
         let (recycled, slot) = match free {
             Some((i, e)) => (Some(i), e.slot),
             None => (None, self.merged.end_slot(candidate)),
@@ -790,7 +790,7 @@ impl TenantLedger {
         self.rows[at..].rotate_right(added);
         let admitted = self.try_admit(candidate, budget, slot, at..at + added, splice);
         match admitted {
-            Ok(tenant) => self.tenancy.add(tenant, slot, recycled, None),
+            Ok(tenant) => self.slots.add(tenant, slot, recycled, ()),
             Err(_) => {
                 self.rows.drain(at..at + added);
                 debug_assert_eq!(self.rows.len(), len);
@@ -812,7 +812,7 @@ impl TenantLedger {
         let (control, rows) = (&self.control, &mut self.rows);
         control.check(rows, cand, &self.merged, candidate, slot, budget)?;
         let merged = Arc::new(self.merged.placed(candidate, slot)?);
-        let tenant = self.tenancy.next_id();
+        let tenant = self.slots.next_id();
         splice(Admission {
             tenant,
             merged: &merged,
@@ -835,7 +835,7 @@ impl TenantLedger {
     /// [`Error::UnknownTenant`] for an id never admitted,
     /// [`Error::TenantRetired`] for a double retire.
     pub fn retire(&mut self, tenant: TenantId) -> Result<(), Error> {
-        let slot = self.tenancy.retire(tenant)?.slot;
+        let slot = self.slots.retire(tenant)?.slot;
         // Admitted tenants have rows, contiguous and in merged-id order.
         let (first, len) = (slot.first_task, slot.task_count as usize);
         let start = self.rows.partition_point(|r| r.task.raw() < first);
@@ -908,22 +908,28 @@ mod tests {
 
     #[test]
     fn gfb_failure_names_the_bound() {
-        // Two heavy tasks + newcomer: U = 2.4 on m = 3 passes U <= m but
-        // fails GFB with U_max = 0.8: bound = 3 - 2*0.8 = 1.4.
+        // m = 3: two heavy tasks + newcomer, U = 2.4 passes U <= m but
+        // fails GFB with U_max = 0.8: bound = 3 - 2*0.8 = 1.4. m = 2:
+        // U = 0.8 + 0.5 = 1.3 against 2 - 1*0.8 = 1.2, which a halved
+        // (m-1)*U_max term would let pass.
         let mut b = TaskSetBuilder::new();
         for name in ["a", "b"] {
             let t = b.task_decl(TaskSpec::periodic(name, ms(10))).unwrap();
             b.version_decl(t, VersionSpec::new("v0", ms(8))).unwrap();
         }
-        let live = b.build().unwrap();
-        let tenant = set("c", 8, 10, None);
-        let ctl = AdmissionControl::new(edf(3), ms(10));
-        match ctl.evaluate(&live, &tenant, None) {
-            Err(AdmissionError::Rejected(BoundViolation::GfbDensity { total, bound })) => {
-                assert!((total - 2.4).abs() < 1e-9);
-                assert!((bound - 1.4).abs() < 1e-9);
+        let cases = [
+            (3, b.build().unwrap(), set("c", 8, 10, None), 2.4, 1.4),
+            (2, set("a", 8, 10, None), set("b", 5, 10, None), 1.3, 1.2),
+        ];
+        for (m, live, tenant, want_total, want_bound) in cases {
+            let ctl = AdmissionControl::new(edf(m), ms(10));
+            match ctl.evaluate(&live, &tenant, None) {
+                Err(AdmissionError::Rejected(BoundViolation::GfbDensity { total, bound })) => {
+                    assert!((total - want_total).abs() < 1e-9, "m = {m}: {total}");
+                    assert!((bound - want_bound).abs() < 1e-9, "m = {m}: {bound}");
+                }
+                other => panic!("m = {m}: expected GFB rejection, got {other:?}"),
             }
-            other => panic!("expected GFB rejection, got {other:?}"),
         }
     }
 
@@ -1025,22 +1031,6 @@ mod tests {
                 ..
             })) => assert_eq!((task, deadline), (TaskId::new(1), ms(3))),
             other => panic!("expected RTA rejection, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn gfb_refuses_by_the_full_m_minus_one_umax_term() {
-        // Global EDF on 2 workers: U = 0.8 + 0.5 = 1.3 fits U <= m but
-        // not GFB's 2 - (2 - 1) * 0.8 = 1.2.
-        let live = set("base", 8, 10, None);
-        let tenant = set("guest", 5, 10, None);
-        let ctl = AdmissionControl::new(edf(2), ms(10));
-        match ctl.evaluate(&live, &tenant, None) {
-            Err(AdmissionError::Rejected(BoundViolation::GfbDensity { total, bound })) => {
-                assert!((total - 1.3).abs() < 1e-9, "total = {total}");
-                assert!((bound - 1.2).abs() < 1e-9, "bound = {bound}");
-            }
-            other => panic!("expected GFB rejection, got {other:?}"),
         }
     }
 

@@ -21,7 +21,8 @@
 //!
 //! Admitted tenants ([`crate::admission`]) occupy slots of the task set;
 //! the engine keeps its tables per task and asks its one
-//! [`crate::tenancy`] table which slot a task is in and whose it is.
+//! [`crate::tenancy`] slot table which slot a task is in and whose it
+//! is.
 
 use crate::accel::AccelManager;
 use crate::job::{Job, JobBatch};
@@ -29,7 +30,7 @@ use crate::queue::ReadyQueue;
 use crate::select::{rank_versions_into, RankBuf};
 use crate::server::ReservationServer;
 use crate::sink::ActionSink;
-use crate::tenancy::{check_fit, edge_range, slot_past, Tenancy, Verdict};
+use crate::tenancy::{check_fit, edge_range, slot_past, Holding, SlotTable, Verdict};
 use std::iter::repeat_n;
 use std::sync::Arc;
 use yasmin_core::channel::BackpressurePolicy;
@@ -408,8 +409,8 @@ pub struct OnlineEngine {
     /// steal probe (run after every engine interaction in the sharded
     /// runtime) never scans version specs.
     task_accel_bound: Vec<bool>,
-    /// The tenant slots and which one each task is in.
-    tenants: Tenancy,
+    /// The tenant slots and their holders.
+    tenants: SlotTable<Holding>,
     /// Dense per-task count of outstanding high-priority messages
     /// (posted minus drained) — the message-plane boost is held while
     /// this is non-zero.
@@ -535,7 +536,7 @@ impl OnlineEngine {
             cull_missed: config.cull_missed(),
             task_worker: Vec::new(),
             task_accel_bound: Vec::new(),
-            tenants: Tenancy::default(),
+            tenants: SlotTable::default(),
             high_depth: Vec::new(),
             msg_ceiling: Vec::new(),
             overrun_policy: Vec::new(),
@@ -656,7 +657,8 @@ impl OnlineEngine {
         if self.shard.is_some() {
             self.outbox.reserve(merged.edges().len());
         }
-        self.tenants.add(tenant, slot, recycled, server);
+        let holding = Holding::new(tenant, recycled, server);
+        self.tenants.add(tenant, slot, recycled, holding);
         self.taskset = merged;
         Ok(())
     }
@@ -845,7 +847,7 @@ impl OnlineEngine {
             && self.miss_trip.is_none()
             && self.token_release.iter().all(Vec::is_empty)
             && self.high_depth.iter().all(|&d| d == 0)
-            && self.tenants.iter().all(|t| t.server.is_none())
+            && self.tenants.iter().all(|t| t.holding.server.is_none())
     }
 
     /// The engine's running counts at `now`, if `now` is a **recurrence
@@ -940,7 +942,7 @@ impl OnlineEngine {
     /// unbudgeted, retired or unknown.
     #[must_use]
     pub fn tenant_server(&self, tenant: TenantId) -> Option<&ReservationServer> {
-        self.tenants.live(tenant).ok()?.server.as_ref()
+        self.tenants.live(tenant).ok()?.holding.server.as_ref()
     }
 
     /// Splices an admitted tenant into the live engine at the end of
@@ -3793,7 +3795,6 @@ mod tests {
             e.rank_cache.len(),
             e.task_worker.len(),
             e.task_accel_bound.len(),
-            e.tenants.indexed_tasks(),
             e.high_depth.len(),
             e.msg_ceiling.len(),
             e.overrun_policy.len(),

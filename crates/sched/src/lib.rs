@@ -23,8 +23,9 @@
 //!   dispatcher (§3.4, Fig. 1c);
 //! * [`server`] — deferrable reservation servers backing admitted
 //!   tenants' budgets (the paper's §7 future-work item);
-//! * [`tenancy`] — an engine's tenant slot table, and the rules that
-//!   tell a slot's holder from its former holders;
+//! * [`tenancy`] — the tenant slot table of a ledger and of each
+//!   engine, and the rules that tell a slot's holder from its former
+//!   holders;
 //! * [`admission`] — on-line admission control: schedulability-checks an
 //!   arriving tenant against the live set and produces the merged task
 //!   set to splice into a running engine, with structured refusals.

@@ -1,7 +1,7 @@
-//! Tenant slots: which slot of the merged task set ([`Slot`]) each task
-//! is in, which tenant holds each slot, and the rules that follow. The
-//! [`crate::TenantLedger`] of a driver and each of its engines keep their
-//! slots here; the tenancy model is in [`crate::admission`].
+//! Tenant slots: which tenant holds each slot ([`Slot`]) of the merged
+//! task set, and the rules that follow. A driver's
+//! [`crate::TenantLedger`] and each of its engines keep a `SlotTable`;
+//! the tenancy model is in [`crate::admission`].
 //!
 //! **Stragglers.** A former holder's job may still run — on its owner,
 //! a helper or a thief — or its token travel between shards when the
@@ -22,37 +22,119 @@
 //! * **The holder's server.** Only a job of the holder is charged to the
 //!   slot's reservation server, at dispatch and on overrun.
 //!
-//! [`Slot`]: yasmin_core::graph::Slot
 //! [`OnlineEngine::install_tenant`]: crate::OnlineEngine::install_tenant
 //! [`OnlineEngine::commit_tenant_at`]: crate::OnlineEngine::commit_tenant_at
 
 use crate::server::ReservationServer;
-use std::iter::repeat_n;
 use std::ops::Range;
 use yasmin_core::config::{Config, MappingScheme};
 use yasmin_core::error::{Error, Result};
-use yasmin_core::graph::{put, Slot, TaskSet};
+use yasmin_core::graph::{Slot, TaskSet};
 use yasmin_core::ids::{TaskId, TenantId};
 use yasmin_core::time::{Duration, Instant};
 
-/// One slot. Only [`Tenancy`] changes it.
+/// One slot and its holder — the last one, once the slot is free.
 #[derive(Debug, Clone)]
-pub(crate) struct TenantEntry {
-    /// The holder — the last one, once the slot is free.
+pub(crate) struct Entry<S> {
     pub(crate) tenant: TenantId,
     pub(crate) slot: Slot,
-    committed: bool,
     /// Free: the last holder was retired.
     pub(crate) retired: bool,
-    /// Where the holder begins; [`Instant::MAX`] while undecided.
-    since: Instant,
-    pub(crate) server: Option<ReservationServer>,
+    /// What the table's owner keeps of the holder: an engine's
+    /// [`Holding`].
+    pub(crate) holding: S,
 }
 
-impl TenantEntry {
+/// The tenant slots of a ledger or an engine, in the order they were
+/// opened: slot 0 is tenant 0's, the set the schedule was built with,
+/// and each later one lies past those before it, so they are in task
+/// order too.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SlotTable<S = ()> {
+    slots: Vec<Entry<S>>,
+    /// One past the largest [`TenantId`] ever installed.
+    next_tenant: u32,
+}
+
+impl<S> SlotTable<S> {
+    pub(crate) fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    pub(crate) fn iter(&self) -> std::slice::Iter<'_, Entry<S>> {
+        self.slots.iter()
+    }
+
+    pub(crate) fn next_id(&self) -> TenantId {
+        TenantId::new(self.next_tenant)
+    }
+
+    /// The index of the slot `task` is in, if any task is: the last one
+    /// that starts at or before it.
     #[inline]
-    fn begun_by(&self, graph_release: Instant) -> bool {
-        graph_release >= self.since
+    fn index_of(&self, task: TaskId) -> usize {
+        let starts_by = |e: &Entry<S>| e.slot.first_task <= task.raw();
+        self.slots.partition_point(starts_by) - 1
+    }
+
+    /// The slot `task` is in; `None` for a task past every slot.
+    pub(crate) fn of_task(&self, task: TaskId) -> Option<&Entry<S>> {
+        let entry = &self.slots[self.index_of(task)];
+        let inside = entry.slot.task_range().contains(&task.index());
+        inside.then_some(entry)
+    }
+
+    pub(crate) fn free_slots(&self) -> impl Iterator<Item = (usize, &Entry<S>)> {
+        self.slots.iter().enumerate().filter(|(_, e)| e.retired)
+    }
+
+    /// Installs `tenant` in `slot`: free slot `recycled`, or a new one.
+    pub(crate) fn add(
+        &mut self,
+        tenant: TenantId,
+        slot: Slot,
+        recycled: Option<usize>,
+        holding: S,
+    ) {
+        let entry = Entry {
+            tenant,
+            slot,
+            retired: false,
+            holding,
+        };
+        match recycled {
+            Some(i) => self.slots[i] = entry,
+            None => self.slots.push(entry),
+        }
+        self.next_tenant = tenant.raw() + 1;
+    }
+
+    /// The index of the slot `tenant` holds: [`Error::UnknownTenant`]
+    /// for an id never installed, [`Error::TenantRetired`] for a retired
+    /// one.
+    fn held(&self, tenant: TenantId) -> Result<usize> {
+        let held = |e: &Entry<S>| e.tenant == tenant && !e.retired;
+        match self.slots.iter().position(held) {
+            Some(i) => Ok(i),
+            None if tenant < self.next_id() => Err(Error::TenantRetired(tenant.raw())),
+            None => Err(Error::UnknownTenant(tenant.raw())),
+        }
+    }
+
+    pub(crate) fn live(&self, tenant: TenantId) -> Result<&Entry<S>> {
+        Ok(&self.slots[self.held(tenant)?])
+    }
+
+    /// Frees the slot of `tenant` — never tenant 0, the built-in set.
+    pub(crate) fn retire(&mut self, tenant: TenantId) -> Result<&Entry<S>> {
+        if tenant.index() == 0 {
+            return Err(Error::InvalidConfig(
+                "tenant 0 is the built-in task set; stop the schedule to end it".into(),
+            ));
+        }
+        let i = self.held(tenant)?;
+        self.slots[i].retired = true;
+        Ok(&self.slots[i])
     }
 }
 
@@ -67,90 +149,45 @@ pub(crate) enum Verdict {
     Former,
 }
 
-/// The tenant slots of one engine or ledger, in the order they were
-/// opened: slot 0 is tenant 0's, the set the schedule was built with.
+/// What an engine keeps of a slot's holder.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct Tenancy {
-    slots: Vec<TenantEntry>,
-    /// Per task, its slot's index.
-    slot_of: Vec<u32>,
-    /// One past the largest [`TenantId`] ever installed.
-    next_tenant: u32,
+pub(crate) struct Holding {
+    /// Its releases may be armed.
+    committed: bool,
+    /// Where it begins; [`Instant::MAX`] while undecided.
+    since: Instant,
+    pub(crate) server: Option<ReservationServer>,
 }
 
-impl Tenancy {
-    pub(crate) fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    pub(crate) fn iter(&self) -> std::slice::Iter<'_, TenantEntry> {
-        self.slots.iter()
-    }
-
-    pub(crate) fn next_id(&self) -> TenantId {
-        TenantId::new(self.next_tenant)
+impl Holding {
+    /// A holder in a new slot begins at [`Instant::ZERO`], committed if
+    /// tenant 0; in free slot `recycled` it is undecided until its commit.
+    pub(crate) fn new(
+        tenant: TenantId,
+        recycled: Option<usize>,
+        server: Option<ReservationServer>,
+    ) -> Self {
+        let since = recycled.map_or(Instant::ZERO, |_| Instant::MAX);
+        let committed = tenant.index() == 0;
+        Holding {
+            committed,
+            since,
+            server,
+        }
     }
 
     #[inline]
-    pub(crate) fn of_task(&self, task: TaskId) -> Option<&TenantEntry> {
-        let i = *self.slot_of.get(task.index())?;
-        Some(&self.slots[i as usize])
+    fn begun_by(&self, graph_release: Instant) -> bool {
+        graph_release >= self.since
     }
+}
 
-    pub(crate) fn free_slots(&self) -> impl Iterator<Item = (usize, &TenantEntry)> {
-        self.slots.iter().enumerate().filter(|(_, e)| e.retired)
-    }
-
-    /// Installs `tenant` in `slot`: a new one, where it begins at
-    /// [`Instant::ZERO`] (committed if tenant 0), or free slot
-    /// `recycled`, undecided until its commit.
-    pub(crate) fn add(
-        &mut self,
-        tenant: TenantId,
-        slot: Slot,
-        recycled: Option<usize>,
-        server: Option<ReservationServer>,
-    ) {
-        let i = recycled.unwrap_or(self.slots.len());
-        let tasks = slot.task_range();
-        let ids = repeat_n(i as u32, tasks.len());
-        put(&mut self.slot_of, tasks.start, ids);
-        let entry = TenantEntry {
-            tenant,
-            slot,
-            committed: tenant.index() == 0,
-            retired: false,
-            since: recycled.map_or(Instant::ZERO, |_| Instant::MAX),
-            server,
-        };
-        match recycled {
-            Some(i) => self.slots[i] = entry,
-            None => self.slots.push(entry),
-        }
-        self.next_tenant = tenant.raw() + 1;
-    }
-
-    /// The index of the slot `tenant` holds: [`Error::UnknownTenant`]
-    /// for an id never installed, [`Error::TenantRetired`] for a retired
-    /// one.
-    fn held(&self, tenant: TenantId) -> Result<usize> {
-        let held = |e: &TenantEntry| e.tenant == tenant && !e.retired;
-        match self.slots.iter().position(held) {
-            Some(i) => Ok(i),
-            None if tenant < self.next_id() => Err(Error::TenantRetired(tenant.raw())),
-            None => Err(Error::UnknownTenant(tenant.raw())),
-        }
-    }
-
-    pub(crate) fn live(&self, tenant: TenantId) -> Result<&TenantEntry> {
-        Ok(&self.slots[self.held(tenant)?])
-    }
-
+impl SlotTable<Holding> {
     /// The tasks of slot `i` if its holder's releases may be armed:
     /// committed and not retired.
     pub(crate) fn armed_tasks(&self, i: usize) -> Option<Range<usize>> {
         let entry = &self.slots[i];
-        (entry.committed && !entry.retired).then(|| entry.slot.task_range())
+        (entry.holding.committed && !entry.retired).then(|| entry.slot.task_range())
     }
 
     /// Commits `tenant`; an undecided holder begins at `since`. Returns
@@ -163,43 +200,27 @@ impl Tenancy {
     ) -> Result<(usize, Option<Range<usize>>)> {
         let i = self.held(tenant)?;
         let entry = &mut self.slots[i];
-        if std::mem::replace(&mut entry.committed, true) {
+        if std::mem::replace(&mut entry.holding.committed, true) {
             return Err(Error::InvalidConfig(format!(
                 "tenant {tenant} is already committed"
             )));
         }
-        let undecided = entry.since == Instant::MAX;
+        let undecided = entry.holding.since == Instant::MAX;
         if undecided {
-            entry.since = since;
+            entry.holding.since = since;
         }
         Ok((i, undecided.then(|| edge_range(&entry.slot))))
-    }
-
-    /// Frees the slot of `tenant` — never tenant 0, the built-in set.
-    pub(crate) fn retire(&mut self, tenant: TenantId) -> Result<&TenantEntry> {
-        if tenant.index() == 0 {
-            return Err(Error::InvalidConfig(
-                "tenant 0 is the built-in task set; stop the schedule to end it".into(),
-            ));
-        }
-        let i = self.held(tenant)?;
-        self.slots[i].retired = true;
-        Ok(&self.slots[i])
     }
 
     /// The holder verdict on a job or token of `task` in the graph
     /// instance released at `graph_release`.
     #[inline]
     pub(crate) fn verdict(&self, task: TaskId, graph_release: Instant) -> Verdict {
-        let entry = &self.slots[self.slot_of[task.index()] as usize];
-        if entry.retired {
-            Verdict::Former
-        } else if entry.since == Instant::MAX {
-            Verdict::Undecided
-        } else if entry.begun_by(graph_release) {
-            Verdict::Holder
-        } else {
-            Verdict::Former
+        match &self.slots[self.index_of(task)] {
+            e if e.retired => Verdict::Former,
+            e if e.holding.since == Instant::MAX => Verdict::Undecided,
+            e if e.holding.begun_by(graph_release) => Verdict::Holder,
+            _ => Verdict::Former,
         }
     }
 
@@ -211,9 +232,10 @@ impl Tenancy {
         task: TaskId,
         graph_release: Instant,
     ) -> Option<&mut ReservationServer> {
-        let entry = &mut self.slots[self.slot_of[task.index()] as usize];
-        let begun = entry.begun_by(graph_release);
-        entry.server.as_mut().filter(|_| begun)
+        let i = self.index_of(task);
+        let holding = &mut self.slots[i].holding;
+        let begun = holding.begun_by(graph_release);
+        holding.server.as_mut().filter(|_| begun)
     }
 }
 
@@ -271,34 +293,33 @@ mod tests {
     use crate::server::TenantBudget;
     use yasmin_core::time::Duration;
 
-    impl Tenancy {
-        /// Number of tasks the per-task slot index covers.
-        pub(crate) fn indexed_tasks(&self) -> usize {
-            self.slot_of.len()
-        }
-    }
-
     fn at(ms: u64) -> Instant {
         Instant::ZERO + Duration::from_millis(ms)
     }
 
     /// Tenant 0 on task 0, tenant 1 installed on task 1 and retired,
     /// tenant 2 installed in its place with a budget.
-    fn recycled() -> Tenancy {
-        let mut t = Tenancy::default();
+    fn recycled() -> SlotTable<Holding> {
+        let mut t = SlotTable::default();
         let slot = |first| Slot {
             first_task: first,
             task_count: 1,
             ..Slot::default()
         };
-        t.add(TenantId::new(0), slot(0), None, None);
-        t.add(TenantId::new(1), slot(1), None, None);
+        let held = |t, recycled, server| Holding::new(TenantId::new(t), recycled, server);
+        t.add(TenantId::new(0), slot(0), None, held(0, None, None));
+        t.add(TenantId::new(1), slot(1), None, held(1, None, None));
         t.commit(TenantId::new(1), at(0)).unwrap();
         t.retire(TenantId::new(1)).unwrap();
         let (free, _) = t.free_slots().next().unwrap();
         let budget = TenantBudget::deferrable(Duration::from_millis(5), Duration::from_millis(20));
         let server = ReservationServer::new(budget, at(0));
-        t.add(TenantId::new(2), slot(1), Some(free), Some(server));
+        t.add(
+            TenantId::new(2),
+            slot(1),
+            Some(free),
+            held(2, Some(free), Some(server)),
+        );
         t
     }
 

@@ -10,21 +10,15 @@
 # then the score. A patch that does not apply is an error — the
 # catalogue must not rot quietly — and makes the script exit non-zero;
 # a survivor does not. A mutation that only hangs or only changes
-# performance does not belong here; a test run longer than
-# MUTANT_TIMEOUT seconds (default 900) is reported as killed by
-# timeout. Gates nothing in CI: one run costs about a minute per patch.
-# The scratch copy goes where `mktemp -d` puts it (`TMPDIR`).
+# performance does not belong here; a test run longer than 900 s is
+# reported as killed by timeout. Gates nothing in CI: one run costs
+# about a minute per patch. The scratch copy goes where `mktemp -d`
+# puts it (`TMPDIR`).
 #
-#   scripts/mutants.sh                      # every patch
-#   scripts/mutants.sh scripts/mutants/x.patch ...   # the named ones
+#   scripts/mutants.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 root=$PWD
-if [ $# -gt 0 ]; then
-  patches=("$@")
-else
-  patches=("$root"/scripts/mutants/*.patch)
-fi
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 # The tree as it stands, without build outputs; one target directory
@@ -34,8 +28,7 @@ tar -C "$root" --exclude=./target --exclude=./.git --exclude=./.bench_build \
 export CARGO_TARGET_DIR="$work/target"
 cd "$work"
 killed=0 survived=0 broken=0
-for p in "${patches[@]}"; do
-  p=$(cd "$(dirname "$p")" && pwd)/$(basename "$p")
+for p in "$root"/scripts/mutants/*.patch; do
   name=$(basename "$p" .patch)
   if ! git apply --check "$p" 2>/dev/null; then
     echo "$name: does not apply"
@@ -43,7 +36,7 @@ for p in "${patches[@]}"; do
     continue
   fi
   git apply "$p"
-  if timeout "${MUTANT_TIMEOUT:-900}" cargo test -q --workspace --no-fail-fast \
+  if timeout 900 cargo test -q --workspace --no-fail-fast \
     >"$work/$name.log" 2>&1; then
     echo "$name: survived"
     survived=$((survived + 1))
