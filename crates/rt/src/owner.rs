@@ -32,7 +32,7 @@
 //! without a lane of its own sends into — control commands, and the
 //! message-plane events the channel notify hooks post for the tasks the
 //! owner has — and **one lane per peer shard** for the cross-shard
-//! protocol — routed DAG tokens (`CrossActivate`) — each sized by what
+//! protocol — routed DAG tokens (`Token`) — each sized by what
 //! it carries (`wire`). Whatever names a task goes to that task's
 //! owner, and to no other. Ticks are generated locally by each owner at
 //! the shared gcd period.
@@ -198,7 +198,6 @@ use yasmin_core::config::WaitChoice;
 use yasmin_core::error::{Error, Result};
 use yasmin_core::graph::{put, TaskSet};
 use yasmin_core::ids::{JobId, TaskId, TenantId, VersionId, WorkerId};
-use yasmin_core::priority::Priority;
 use yasmin_core::time::{Clock, Duration, Instant, MonotonicClock};
 use yasmin_sched::admission::AdmissionControl;
 use yasmin_sched::msg::MsgEvent;
@@ -245,15 +244,11 @@ pub(crate) enum ShardMsg {
     Activate(TaskId),
     /// A DAG token routed from a peer shard (cross-shard edge whose
     /// destination this shard owns).
-    CrossActivate { edge: u32, graph_release: Instant },
-    /// A high-priority message entered a channel lane. Goes to the
-    /// owner of `dst` — into its shared lane, or from its own bodies into
-    /// its own queue (`post`) — and never over a peer lane.
-    MsgHigh { dst: TaskId, ceiling: Priority },
-    /// A high-lane message was consumed; routed like
-    /// [`ShardMsg::MsgHigh`], releasing the boost when posts and drains
-    /// balance.
-    MsgDrained { dst: TaskId },
+    Token(RemoteActivation),
+    /// A channel notify event. Goes to the owner of its receiving task
+    /// ([`MsgEvent::dst`]) — into its shared lane, or from its own bodies
+    /// into its own queue (`post`) — and never over a peer lane.
+    Msg(MsgEvent),
     /// A tenant admission (see [`Runtime::admit`]): install `tenant` —
     /// the slot of the merged task set that starts at `first_task` — in
     /// this owner's engine, with every new release left **disarmed**,
@@ -579,13 +574,7 @@ pub(crate) fn wire<C: Clock>(
         }
         let to = owner(handle.dst())?;
         let lanes = Arc::clone(&shared);
-        let _ = handle.set_notify(Arc::new(move |ev| {
-            let msg = match ev {
-                MsgEvent::HighPosted { dst, ceiling } => ShardMsg::MsgHigh { dst, ceiling },
-                MsgEvent::HighDrained { dst } => ShardMsg::MsgDrained { dst },
-            };
-            post(&lanes, to, msg);
-        }));
+        let _ = handle.set_notify(Arc::new(move |ev| post(&lanes, to, ShardMsg::Msg(ev))));
     }
     // Transpose: peer_txs[source][target], a shard never sends to
     // itself.
@@ -1304,11 +1293,7 @@ impl<C: Clock> Owner<C> {
         }
         self.engine.drain_outbox_into(&mut self.outbox);
         for ra in self.outbox.drain(..) {
-            let token = ShardMsg::CrossActivate {
-                edge: ra.edge,
-                graph_release: ra.graph_release,
-            };
-            self.peers.send(ra.worker.index(), token);
+            self.peers.send(ra.worker.index(), ShardMsg::Token(ra));
         }
         if self.peers.stealing {
             // The advertised load is the *stealable* load: zero
@@ -1368,19 +1353,19 @@ impl<C: Clock> Owner<C> {
                 // An activation the engine refuses is dropped.
                 let _ = self.engine_call(|o| o.engine.activate_into(task, now, &mut o.sink));
             }
-            ShardMsg::CrossActivate {
-                edge,
-                graph_release,
-            } => {
+            ShardMsg::Token(ra) => {
                 let now = self.clock.now();
                 self.engine_call(|o| {
                     o.engine
-                        .on_remote_token(edge, graph_release, now, &mut o.sink)
+                        .on_remote_token(ra.edge, ra.graph_release, now, &mut o.sink)
                 })
                 .expect("cross-shard token routed to the owning shard");
             }
-            ShardMsg::MsgHigh { dst, .. } | ShardMsg::MsgDrained { dst } => {
-                self.msg_event(dst, msg);
+            // The notify hook sent it here, to the owner of its task.
+            ShardMsg::Msg(ev) => {
+                let now = self.clock.now();
+                self.engine_call(|o| o.engine.on_msg_into(ev, now, &mut o.sink))
+                    .expect("message event routed to the owner of its task");
             }
             ShardMsg::Admit {
                 taskset,
@@ -1445,19 +1430,6 @@ impl<C: Clock> Owner<C> {
     /// slot's former holder.
     fn commit(&mut self, tenant: TenantId, since: Instant) {
         let _ = self.engine.commit_tenant_at(tenant, self.next_tick, since);
-    }
-
-    /// A high-lane post or drain for `dst`, which this engine has: the
-    /// notify hook sent it here, to `dst`'s owner ([`post`]).
-    fn msg_event(&mut self, dst: TaskId, msg: ShardMsg) {
-        let at = self.clock.now();
-        self.engine_call(|o| match msg {
-            ShardMsg::MsgHigh { ceiling, .. } => {
-                o.engine.on_high_posted_into(dst, ceiling, at, &mut o.sink)
-            }
-            _ => o.engine.on_high_drained_into(dst, at, &mut o.sink),
-        })
-        .expect("message event routed to the owner of its task");
     }
 
     /// The drain after `Shutdown` ("Shutting down"); `true` when this
@@ -1678,6 +1650,7 @@ mod tests {
     use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
     use yasmin_core::config::{Config, MappingScheme};
     use yasmin_core::graph::TaskSetBuilder;
+    use yasmin_core::priority::Priority;
     use yasmin_core::task::TaskSpec;
     use yasmin_core::time::Duration;
     use yasmin_core::version::VersionSpec;
@@ -1801,7 +1774,7 @@ mod tests {
     fn cross_shard_dag_fires_on_the_owning_worker() {
         let _clock = wall_clock();
         // src (periodic, worker 0) -> dst (graph node, worker 1): the
-        // successor must run on worker 1, fed by CrossActivate commands
+        // successor must run on worker 1, fed by `Token` commands
         // routed through the peer lanes.
         let mut b = TaskSetBuilder::new();
         let src = b
@@ -2250,7 +2223,6 @@ mod tests {
         // Those are the thread crossings this smoke test exists to put
         // under TSan. dst outlasts the src period, so a high post always
         // finds a live dst job to boost.
-        use yasmin_core::priority::Priority;
         let mut b = TaskSetBuilder::new();
         let src = b
             .task_decl(TaskSpec::periodic("src", ms(5)).on_worker(WorkerId::new(0)))

@@ -33,6 +33,7 @@ use proptest::prelude::*;
 use std::collections::HashSet;
 use yasmin_core::config::Config;
 use yasmin_core::graph::TaskSetBuilder;
+use yasmin_core::priority::Priority;
 use yasmin_core::task::TaskSpec;
 use yasmin_core::time::ManualClock;
 use yasmin_core::version::VersionSpec;
@@ -672,13 +673,13 @@ impl World {
                 self.note(format!("activate {task} -> o{owner}"));
             }
             Cmd::Msg { home, dst, high } => {
-                let msg = match high {
-                    true => ShardMsg::MsgHigh {
+                let msg = ShardMsg::Msg(match high {
+                    true => MsgEvent::HighPosted {
                         dst,
                         ceiling: Priority::HIGHEST,
                     },
-                    false => ShardMsg::MsgDrained { dst },
-                };
+                    false => MsgEvent::HighDrained { dst },
+                });
                 // From a body of the owner of `dst` when it is inside
                 // one — the thread-owned queue — and from a foreign
                 // thread otherwise.
@@ -1407,7 +1408,7 @@ fn a_message_event_goes_straight_to_the_receivers_owner() {
     world.owners[1].in_body((r, rec.version), |_| assert_eq!(rx.recv(), Some(7)));
     let posts = &world.owners[1].local().posts;
     assert!(
-        matches!(posts.front(), Some(ShardMsg::MsgDrained { dst }) if *dst == r)
+        matches!(posts.front(), Some(ShardMsg::Msg(MsgEvent::HighDrained { dst })) if *dst == r)
             && posts.len() == 1,
         "the drain is in shard 1's own queue"
     );
@@ -1637,7 +1638,7 @@ fn a_former_holders_token_after_the_heirs_splice_is_dropped() {
     world.run_until(T0 + us(1_500));
     let lane = &mut world.owners[1].local.as_mut().unwrap().rx;
     let token = lane.pop_lane(LANE_PEER0).expect("A's token is on its way");
-    assert!(matches!(token, ShardMsg::CrossActivate { .. }));
+    assert!(matches!(token, ShardMsg::Token(_)));
     // Out of the lane, off the count: `peers.send` counts it again.
     world.lanes.finish();
     world.at(T0 + us(1_600), Cmd::Retire(TenantId::new(1)));

@@ -26,6 +26,7 @@
 
 use crate::accel::AccelManager;
 use crate::job::{Job, JobBatch};
+use crate::msg::MsgEvent;
 use crate::queue::ReadyQueue;
 use crate::select::{rank_versions_into, RankBuf};
 use crate::server::ReservationServer;
@@ -263,7 +264,7 @@ engine_stats! {
 /// token state (the *destination* shard owns every edge entering its
 /// tasks) — it lands here instead, for the driver to route to the
 /// owning shard ([`OnlineEngine::on_remote_token`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct RemoteActivation {
     /// The worker whose shard owns the edge's destination task.
     pub worker: WorkerId,
@@ -1850,36 +1851,57 @@ impl OnlineEngine {
         !self.outbox.is_empty()
     }
 
-    /// A high-priority message was posted to `dst`'s high lane: raises
-    /// the task's active ceiling to `min(current, ceiling)` and applies
-    /// the boost — the most urgent pending job of `dst` is re-queued at
-    /// the ceiling, a running job of `dst` has its effective priority
-    /// raised (emitting [`Action::Boost`]), and jobs released while the
-    /// lane stays non-empty inherit the ceiling at release. The boost
-    /// holds until [`OnlineEngine::on_high_drained_into`] has been
-    /// called once per post (depth counting), making message priority a
-    /// schedulable quantity, not just queue ordering.
+    /// A message-plane event for its receiving task, [`MsgEvent::dst`].
     ///
-    /// A dispatch round runs afterwards, so under preemptive configs a
-    /// boosted pending job preempts immediately.
+    /// [`MsgEvent::HighPosted`] raises the task's active ceiling to
+    /// `min(current, ceiling)` and applies the boost — the most urgent
+    /// pending job of the task is re-queued at the ceiling, a running
+    /// job of it has its effective priority raised (emitting
+    /// [`Action::Boost`]), and jobs released while the lane stays
+    /// non-empty inherit the ceiling at release. The boost holds until
+    /// one [`MsgEvent::HighDrained`] per post has arrived (depth
+    /// counting), making message priority a schedulable quantity, not
+    /// just queue ordering. The last drain releases it: pending jobs
+    /// return to their base priority (recomputed — EDF from the absolute
+    /// deadline, otherwise the static task priority), and a running job
+    /// whose effective priority equals the released ceiling falls back
+    /// to base (a concurrent, more urgent accelerator-PIP boost is left
+    /// untouched).
+    ///
+    /// A dispatch round runs after every post, so under preemptive
+    /// configs a boosted pending job preempts immediately, and after the
+    /// drain that releases the boost; a drain that leaves the boost in
+    /// place runs none.
     ///
     /// # Errors
     ///
     /// [`Error::UnknownTask`] for an out-of-range task, or
-    /// [`Error::InvalidConfig`] when a shard engine receives a post for
-    /// a task it does not own — driver routing bugs, not runtime
-    /// conditions. Posts for retired-tenant tasks are silently dropped.
-    pub fn on_high_posted_into(
-        &mut self,
-        dst: TaskId,
-        ceiling: Priority,
-        now: Instant,
-        sink: &mut ActionSink,
-    ) -> Result<()> {
+    /// [`Error::InvalidConfig`] when a shard engine receives an event
+    /// for a task it does not own — driver routing bugs, not runtime
+    /// conditions. Events for retired-tenant tasks are silently dropped.
+    /// Draining an empty lane is a protocol error in debug builds and a
+    /// no-op in release.
+    pub fn on_msg_into(&mut self, ev: MsgEvent, now: Instant, sink: &mut ActionSink) -> Result<()> {
         // A message names no graph instance: only a free slot drops it.
-        if self.routed_here(dst, Instant::MAX, "high-priority message")? == Verdict::Former {
+        if self.routed_here(ev.dst(), Instant::MAX, "message event")? == Verdict::Former {
             return Ok(());
         }
+        let round = match ev {
+            MsgEvent::HighPosted { dst, ceiling } => {
+                self.boost(dst, ceiling, sink);
+                true
+            }
+            MsgEvent::HighDrained { dst } => self.release_drained(dst, sink),
+        };
+        if round {
+            self.dispatch_round(now, sink);
+        }
+        Ok(())
+    }
+
+    /// Books a high-lane post for `dst` and boosts its jobs to the
+    /// active ceiling.
+    fn boost(&mut self, dst: TaskId, ceiling: Priority, sink: &mut ActionSink) {
         let ti = dst.index();
         self.high_depth[ti] += 1;
         if ceiling.is_higher_than(self.msg_ceiling[ti]) {
@@ -1913,40 +1935,20 @@ impl OnlineEngine {
                 self.set_effective_priority(s, active, sink);
             }
         }
-        self.dispatch_round(now, sink);
-        Ok(())
     }
 
-    /// One high-priority message of `dst` was consumed. When the last
-    /// outstanding post drains (depth reaches zero) the boost is
-    /// released: pending jobs of `dst` return to their base priority
-    /// (recomputed — EDF from the absolute deadline, otherwise the
-    /// static task priority), and a running job whose effective priority
-    /// equals the released ceiling falls back to base (a concurrent,
-    /// more urgent accelerator-PIP boost is left untouched).
-    ///
-    /// # Errors
-    ///
-    /// As [`OnlineEngine::on_high_posted_into`]. Draining an empty lane
-    /// is a protocol error in debug builds and a no-op in release.
-    pub fn on_high_drained_into(
-        &mut self,
-        dst: TaskId,
-        now: Instant,
-        sink: &mut ActionSink,
-    ) -> Result<()> {
-        if self.routed_here(dst, Instant::MAX, "high-lane drain")? == Verdict::Former {
-            return Ok(());
-        }
+    /// Books one drained high-lane message of `dst`; `true` when it was
+    /// the last outstanding post and released a boost.
+    fn release_drained(&mut self, dst: TaskId, sink: &mut ActionSink) -> bool {
         let ti = dst.index();
         debug_assert!(self.high_depth[ti] > 0, "drained an empty high lane");
         self.high_depth[ti] = self.high_depth[ti].saturating_sub(1);
         if self.high_depth[ti] > 0 {
-            return Ok(());
+            return false;
         }
         let ceiling = std::mem::replace(&mut self.msg_ceiling[ti], Priority::LOWEST);
         if ceiling == Priority::LOWEST {
-            return Ok(());
+            return false;
         }
         // De-boost pending jobs: each restored job stops matching the
         // scan, so the loop terminates after at most one pass per
@@ -1977,8 +1979,7 @@ impl OnlineEngine {
                 self.set_effective_priority(s, base, sink);
             }
         }
-        self.dispatch_round(now, sink);
-        Ok(())
+        true
     }
 
     /// Whether an event routed to `dst` — a cross-shard token of the
@@ -2375,11 +2376,19 @@ mod tests {
         Instant::from_nanos(v * 1_000_000)
     }
 
+    fn posted(dst: TaskId, ceiling: Priority) -> MsgEvent {
+        MsgEvent::HighPosted { dst, ceiling }
+    }
+
+    fn drained(dst: TaskId) -> MsgEvent {
+        MsgEvent::HighDrained { dst }
+    }
+
     /// What one engine call appends to a fresh sink.
     fn emitted(call: impl FnOnce(&mut ActionSink)) -> Vec<Action> {
         let mut sink = ActionSink::new();
         call(&mut sink);
-        sink.into_vec()
+        sink
     }
 
     fn two_task_set() -> Arc<TaskSet> {
@@ -3212,7 +3221,7 @@ mod tests {
         let mut sink = ActionSink::new();
         e.start_into(Instant::ZERO, &mut sink).unwrap();
         sink.clear();
-        e.on_high_posted_into(receiver, Priority::HIGHEST, at(1), &mut sink)
+        e.on_msg_into(posted(receiver, Priority::HIGHEST), at(1), &mut sink)
             .unwrap();
         assert!(sink.is_empty(), "no worker freed, no action yet");
         assert_eq!(e.high_lane_depth(receiver), 1);
@@ -3234,7 +3243,7 @@ mod tests {
         // Drain while the receiver runs: its slot effective priority
         // falls back to base and c wins the next free worker.
         sink.clear();
-        e.on_high_drained_into(receiver, at(3), &mut sink).unwrap();
+        e.on_msg_into(drained(receiver), at(3), &mut sink).unwrap();
         assert_eq!(e.high_lane_depth(receiver), 0);
         assert_eq!(e.active_msg_ceiling(receiver), None);
         let receiver_job = e.running(WorkerId::new(0)).unwrap().job.id;
@@ -3257,7 +3266,7 @@ mod tests {
         let base = e.running(WorkerId::new(0)).unwrap().effective_priority;
         assert_eq!(base, Priority::earliest_deadline(at(10)));
         sink.clear();
-        e.on_high_posted_into(TaskId::new(0), Priority::new(7), at(1), &mut sink)
+        e.on_msg_into(posted(TaskId::new(0), Priority::new(7)), at(1), &mut sink)
             .unwrap();
         let boosted = e.running(WorkerId::new(0)).unwrap();
         assert_eq!(boosted.effective_priority, Priority::new(7));
@@ -3271,7 +3280,7 @@ mod tests {
             sink.as_slice()
         );
         sink.clear();
-        e.on_high_drained_into(TaskId::new(0), at(2), &mut sink)
+        e.on_msg_into(drained(TaskId::new(0)), at(2), &mut sink)
             .unwrap();
         assert_eq!(
             e.running(WorkerId::new(0)).unwrap().effective_priority,
@@ -3308,7 +3317,7 @@ mod tests {
             e.on_job_completed_into(WorkerId::new(w), id, at(6), &mut sink)
                 .unwrap();
         }
-        e.on_high_posted_into(receiver, Priority::HIGHEST, at(7), &mut sink)
+        e.on_msg_into(posted(receiver, Priority::HIGHEST), at(7), &mut sink)
             .unwrap();
         assert_eq!(e.stats().msg_boosts, 0, "nothing pending or running yet");
         sink.clear();
@@ -3325,7 +3334,7 @@ mod tests {
             .expect("receiver released and dispatched at t=40");
         assert_eq!(rj.priority, Priority::HIGHEST, "release inherits ceiling");
         // Drain, finish the cycle: the next release is back to base.
-        e.on_high_drained_into(receiver, at(41), &mut sink).unwrap();
+        e.on_msg_into(drained(receiver), at(41), &mut sink).unwrap();
         sink.clear();
         e.on_job_completed_into(rw, rj.id, at(42), &mut sink)
             .unwrap();
@@ -3354,21 +3363,72 @@ mod tests {
         let mut sink = ActionSink::new();
         e.start_into(Instant::ZERO, &mut sink).unwrap();
         sink.clear();
-        e.on_high_posted_into(receiver, Priority::new(9), at(1), &mut sink)
+        e.on_msg_into(posted(receiver, Priority::new(9)), at(1), &mut sink)
             .unwrap();
-        e.on_high_posted_into(receiver, Priority::new(3), at(1), &mut sink)
+        e.on_msg_into(posted(receiver, Priority::new(3)), at(1), &mut sink)
             .unwrap();
         // A less urgent later post does not loosen the ceiling.
-        e.on_high_posted_into(receiver, Priority::new(100), at(1), &mut sink)
+        e.on_msg_into(posted(receiver, Priority::new(100)), at(1), &mut sink)
             .unwrap();
         assert_eq!(e.high_lane_depth(receiver), 3);
         assert_eq!(e.active_msg_ceiling(receiver), Some(Priority::new(3)));
-        e.on_high_drained_into(receiver, at(2), &mut sink).unwrap();
-        e.on_high_drained_into(receiver, at(2), &mut sink).unwrap();
+        e.on_msg_into(drained(receiver), at(2), &mut sink).unwrap();
+        e.on_msg_into(drained(receiver), at(2), &mut sink).unwrap();
         assert_eq!(e.active_msg_ceiling(receiver), Some(Priority::new(3)));
-        e.on_high_drained_into(receiver, at(2), &mut sink).unwrap();
+        e.on_msg_into(drained(receiver), at(2), &mut sink).unwrap();
         assert_eq!(e.active_msg_ceiling(receiver), None);
         assert_eq!(e.high_lane_depth(receiver), 0);
+    }
+
+    #[test]
+    fn only_the_drain_that_releases_the_boost_runs_a_dispatch_round() {
+        // One worker. A budgeted tenant's second job waits for its
+        // server, which replenishes at 12 ms: any dispatch round from
+        // then on starts it. Of two drains at 12 ms, the one that leaves
+        // the receiver's boost in place runs no round; the one that
+        // releases it does.
+        let w = WorkerId::new(0);
+        let mut b = yasmin_core::graph::TaskSetBuilder::new();
+        let receiver = b.task_decl(TaskSpec::periodic("r", ms(40))).unwrap();
+        b.version_decl(receiver, VersionSpec::new("v", ms(1)))
+            .unwrap();
+        let mut e = OnlineEngine::new(Arc::new(b.build().unwrap()), edf_np_config(1)).unwrap();
+        let mut sink = ActionSink::new();
+        e.start_into(at(0), &mut sink).unwrap();
+        let r = e.running(w).unwrap().job.id;
+        e.on_job_completed_into(w, r, at(1), &mut sink).unwrap();
+
+        let mut b = yasmin_core::graph::TaskSetBuilder::new();
+        for name in ["t1", "t2"] {
+            let t = b.task_decl(TaskSpec::periodic(name, ms(40))).unwrap();
+            b.version_decl(t, VersionSpec::new("v", ms(3))).unwrap();
+        }
+        let merged = Arc::new(e.taskset().extended(&b.build().unwrap()).unwrap());
+        let budget = crate::server::TenantBudget::deferrable(ms(4), ms(10));
+        let server = ReservationServer::new(budget, at(2));
+        let tenant = e.splice_taskset(merged, Some(server)).unwrap();
+        e.commit_tenant_into(tenant, at(2), &mut sink).unwrap();
+        let t1 = e.running(w).unwrap().job.id;
+        e.on_job_completed_into(w, t1, at(5), &mut sink).unwrap();
+        assert!(e.running(w).is_none(), "1 ms of budget left: t2 waits");
+        assert_eq!(e.ready_len(), 1);
+
+        for _ in 0..2 {
+            e.on_msg_into(posted(receiver, Priority::HIGHEST), at(6), &mut sink)
+                .unwrap();
+        }
+        assert!(e.running(w).is_none(), "still 1 ms of budget at 6 ms");
+        sink.clear();
+        e.on_msg_into(drained(receiver), at(12), &mut sink).unwrap();
+        assert_eq!(e.active_msg_ceiling(receiver), Some(Priority::HIGHEST));
+        assert!(sink.is_empty(), "the boost holds: no round");
+        assert!(e.running(w).is_none());
+        e.on_msg_into(drained(receiver), at(12), &mut sink).unwrap();
+        assert_eq!(e.active_msg_ceiling(receiver), None);
+        match sink.as_slice() {
+            [Action::Dispatch { job, .. }] => assert_eq!(job.task, TaskId::new(2)),
+            other => panic!("the released boost's round starts t2, got {other:?}"),
+        }
     }
 
     #[test]
@@ -3376,11 +3436,11 @@ mod tests {
         let mut e = OnlineEngine::new(two_task_set(), edf_config(1)).unwrap();
         let mut sink = ActionSink::new();
         assert!(matches!(
-            e.on_high_posted_into(TaskId::new(9), Priority::HIGHEST, at(0), &mut sink),
+            e.on_msg_into(posted(TaskId::new(9), Priority::HIGHEST), at(0), &mut sink),
             Err(Error::UnknownTask(_))
         ));
         assert!(matches!(
-            e.on_high_drained_into(TaskId::new(9), at(0), &mut sink),
+            e.on_msg_into(drained(TaskId::new(9)), at(0), &mut sink),
             Err(Error::UnknownTask(_))
         ));
     }
@@ -3408,7 +3468,7 @@ mod tests {
                     .unwrap();
             }
         }
-        sink.into_vec()
+        sink
     }
 
     fn tick_cycle(e: &mut OnlineEngine, from: Instant) -> Vec<Action> {

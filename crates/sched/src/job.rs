@@ -46,14 +46,13 @@ impl Job {
 /// Most jobs a single batch-steal exchange may hand over. Also the cap
 /// on the adaptive batch size thieves derive from the load board: large
 /// enough to amortize the request/deny round-trip at k = 8, small
-/// enough that a [`JobBatch`] stays a cheap `Copy` payload on the
-/// fixed-capacity mailbox lanes.
+/// enough that a [`JobBatch`] stays a cheap `Copy` value.
 pub const MAX_STEAL_BATCH: usize = 8;
 
 /// A fixed-capacity, `Copy` batch of jobs — the payload of one
 /// batch-steal grant. Inline storage (no heap) keeps the hand-off
-/// allocation-free and lets the batch ride the wait-free SPSC command
-/// lanes by value, exactly like a single stolen [`Job`] does.
+/// allocation-free: the victim releases the jobs into it, and the
+/// thief adopts them from it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct JobBatch {
     jobs: [Job; MAX_STEAL_BATCH],

@@ -14,8 +14,8 @@
 //! * [`accel`] — accelerator arbitration with Priority Inheritance;
 //! * [`engine`] — the on-line global/partitioned scheduler (§3.3);
 //! * [`shard`] — per-worker engine shards for partitioned mapping: one
-//!   independent [`OnlineEngine`] per worker, the cross-shard steal
-//!   protocol, and the simulator's timestamped command vocabulary;
+//!   independent [`OnlineEngine`] per worker, and the cross-shard steal
+//!   protocol;
 //! * [`msg`] — the typed priority message plane: dual-lane
 //!   (normal/high) channels over the wait-free SPSC rings, whose high
 //!   lane boosts the receiving task through the engine's PIP machinery;

@@ -29,16 +29,15 @@
 //!
 //! 1. [`Sender::send_high`] posts to the high lane and emits
 //!    [`MsgEvent::HighPosted`] through the channel's notify hook;
-//! 2. the driver forwards the event to
-//!    [`OnlineEngine::on_high_posted_into`]: the receiving task's
-//!    pending job is re-queued at `min(base, ceiling)`, a running job
-//!    has its effective priority raised (the same mechanism as
-//!    accelerator PIP), and jobs released while the lane is non-empty
-//!    inherit the ceiling at release;
+//! 2. the driver hands the event as it is to
+//!    [`OnlineEngine::on_msg_into`]: the receiving task's pending job
+//!    is re-queued at `min(base, ceiling)`, a running job has its
+//!    effective priority raised (the same mechanism as accelerator
+//!    PIP), and jobs released while the lane is non-empty inherit the
+//!    ceiling at release;
 //! 3. each high-lane pop by [`Receiver::recv`] emits
 //!    [`MsgEvent::HighDrained`]; when posts and drains balance (the lane
-//!    is empty again) [`OnlineEngine::on_high_drained_into`] restores
-//!    base priorities.
+//!    is empty again) the same entry point restores base priorities.
 //!
 //! The ceiling can only tighten while the lane stays non-empty: with
 //! several prioritized channels into one task, the task holds the most
@@ -54,8 +53,7 @@
 //! or — from a body the owner itself runs — into a queue that owner's
 //! thread drains at its job boundary. Nothing forwards it. The
 //! simulator applies the same events
-//! ([`OnlineEngine::on_high_posted_into`](crate::OnlineEngine::on_high_posted_into)
-//! / [`on_high_drained_into`](crate::OnlineEngine::on_high_drained_into))
+//! ([`OnlineEngine::on_msg_into`](crate::OnlineEngine::on_msg_into))
 //! at event boundaries, on the shard owning the receiver, so delivery
 //! is deterministic and trace-identical across single-owner and sharded
 //! runs.
@@ -103,6 +101,16 @@ pub enum MsgEvent {
         /// The receiving task.
         dst: TaskId,
     },
+}
+
+impl MsgEvent {
+    /// The receiving task: only its owner can act on the event.
+    #[must_use]
+    pub fn dst(self) -> TaskId {
+        match self {
+            MsgEvent::HighPosted { dst, .. } | MsgEvent::HighDrained { dst } => dst,
+        }
+    }
 }
 
 /// The hook a driver attaches to observe [`MsgEvent`]s. Invoked inline

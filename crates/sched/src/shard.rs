@@ -425,6 +425,25 @@ mod tests {
     }
 
     #[test]
+    fn a_message_event_is_refused_by_a_shard_not_owning_its_task() {
+        use crate::msg::MsgEvent;
+        use yasmin_core::priority::Priority;
+        let mut shards = EngineShard::build_all(&two_worker_set(), &partitioned_config(2)).unwrap();
+        let mut sink = ActionSink::new();
+        let b0 = TaskId::new(2);
+        let post = MsgEvent::HighPosted {
+            dst: b0,
+            ceiling: Priority::HIGHEST,
+        };
+        assert!(matches!(
+            shards[0].on_msg_into(post, at(1), &mut sink),
+            Err(Error::InvalidConfig(_))
+        ));
+        shards[1].on_msg_into(post, at(1), &mut sink).unwrap();
+        assert_eq!(shards[1].active_msg_ceiling(b0), Some(Priority::HIGHEST));
+    }
+
+    #[test]
     fn a_steal_of_one_is_a_batch_of_one() {
         // Both tasks live on worker 0; worker 1's shard is idle.
         let mut b = yasmin_core::graph::TaskSetBuilder::new();

@@ -14,8 +14,8 @@ use crate::engine::Action;
 ///
 /// The engine's `*_into` entry points **append** to the sink (they do
 /// not clear it), so a driver may batch several engine calls into one
-/// sink and apply the actions once. Call [`ActionSink::clear`] between
-/// interactions to reuse the storage.
+/// sink and apply the actions once. Call `clear` between interactions
+/// to reuse the storage.
 ///
 /// ## Batch-completion contract
 ///
@@ -30,82 +30,7 @@ use crate::engine::Action;
 /// the same burst — and must not assume one action run per completion:
 /// a batch of N completions may append anywhere from zero to more than
 /// N actions, in selection order, not completion order.
-#[derive(Debug, Default, Clone)]
-pub struct ActionSink {
-    actions: Vec<Action>,
-}
-
-impl ActionSink {
-    /// An empty sink; storage grows on first use and is then retained.
-    #[must_use]
-    pub fn new() -> Self {
-        ActionSink::default()
-    }
-
-    /// A sink pre-sized for `n` actions.
-    #[must_use]
-    pub fn with_capacity(n: usize) -> Self {
-        ActionSink {
-            actions: Vec::with_capacity(n),
-        }
-    }
-
-    /// Appends one action.
-    #[inline]
-    pub fn push(&mut self, action: Action) {
-        self.actions.push(action);
-    }
-
-    /// The buffered actions, in emission order.
-    #[must_use]
-    pub fn as_slice(&self) -> &[Action] {
-        &self.actions
-    }
-
-    /// Number of buffered actions.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.actions.len()
-    }
-
-    /// `true` when no actions are buffered.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.actions.is_empty()
-    }
-
-    /// Empties the sink, retaining its storage.
-    pub fn clear(&mut self) {
-        self.actions.clear();
-    }
-
-    /// Removes and yields the buffered actions, retaining storage.
-    pub fn drain(&mut self) -> std::vec::Drain<'_, Action> {
-        self.actions.drain(..)
-    }
-
-    /// Consumes the sink into a plain `Vec` (the allocating legacy
-    /// representation).
-    #[must_use]
-    pub fn into_vec(self) -> Vec<Action> {
-        self.actions
-    }
-}
-
-impl Extend<Action> for ActionSink {
-    fn extend<T: IntoIterator<Item = Action>>(&mut self, iter: T) {
-        self.actions.extend(iter);
-    }
-}
-
-impl<'a> IntoIterator for &'a ActionSink {
-    type Item = &'a Action;
-    type IntoIter = std::slice::Iter<'a, Action>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.actions.iter()
-    }
-}
+pub type ActionSink = Vec<Action>;
 
 #[cfg(test)]
 mod tests {
@@ -141,7 +66,7 @@ mod tests {
             });
         }
         let jobs: Vec<JobId> = s
-            .drain()
+            .drain(..)
             .map(|a| match a {
                 Action::Preempt { job, .. } => job,
                 _ => unreachable!(),

@@ -35,7 +35,7 @@ use yasmin_core::task::ActivationKind;
 use yasmin_core::time::{Duration, Instant};
 use yasmin_sched::admission::{AdmissionControl, AdmissionError, TenantLedger};
 use yasmin_sched::server::{ReservationServer, TenantBudget};
-use yasmin_sched::{Action, ActionSink, CycleMark, Job, MsgEvent, OnlineEngine};
+use yasmin_sched::{Action, ActionSink, CycleMark, Job, MsgEvent, OnlineEngine, RemoteActivation};
 
 /// Modelled fixed costs of scheduler interactions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -191,7 +191,7 @@ enum Arrival {
     Sporadic(TaskId, TenantId),
     /// A DAG activation token a peer shard's completion routed to this
     /// one, which owns the edge's destination ([`crate::par`]).
-    Cross { edge: u32, graph_release: Instant },
+    Cross(RemoteActivation),
 }
 
 /// The event source holding the next event ([`Simulation::head`]).
@@ -360,7 +360,7 @@ impl Simulation {
                 }
             }
         }
-        sim.msg_schedule.retain(|(_, ev)| owns(msg_dst(ev)));
+        sim.msg_schedule.retain(|(_, ev)| owns(ev.dst()));
         sim.fault_schedule.retain(|(_, ev)| owns(ev.task()));
         Ok(Simulation {
             exec: ExecSampler::new(sim.exec, sim.seed ^ 0xE5E5),
@@ -474,10 +474,9 @@ impl Simulation {
     /// [`Simulation::admit_at`] at or before `offset` returned, and
     /// [`Error::TenantRetired`] for a second retirement of the tenant.
     pub fn retire_at(&mut self, offset: Duration, tenant: TenantId) -> Result<()> {
-        if tenant.raw() == 0 {
-            return Err(Error::InvalidConfig(
-                "tenant 0 is the built-in task set; it cannot be retired".into(),
-            ));
+        if tenant.index() == 0 {
+            // The ledger refuses tenant 0 before it changes anything.
+            return self.ledger.retire(tenant);
         }
         let at = (Instant::ZERO + offset).as_nanos();
         let admitted = |&((t, _), ev): &(Key, Planned)| match ev {
@@ -861,14 +860,8 @@ impl Simulation {
 
     /// Schedules a cross-shard activation token for `at`
     /// ([`crate::par`] routes a peer's outbox here).
-    pub(crate) fn push_cross(&mut self, at: Instant, edge: u32, graph_release: Instant) {
-        self.push_arrival(
-            at,
-            Arrival::Cross {
-                edge,
-                graph_release,
-            },
-        );
+    pub(crate) fn push_cross(&mut self, at: Instant, token: RemoteActivation) {
+        self.push_arrival(at, Arrival::Cross(token));
     }
 
     /// Adopts jobs a peer shard released to this (idle) one at `now`.
@@ -1048,11 +1041,8 @@ impl Simulation {
                     self.push_arrival(next, Arrival::Sporadic(task, tenant));
                 }
             }
-            Arrival::Cross {
-                edge,
-                graph_release,
-            } => self.engine_call(now, |e, sink| {
-                e.on_remote_token(edge, graph_release, now, sink)
+            Arrival::Cross(ra) => self.engine_call(now, |e, sink| {
+                e.on_remote_token(ra.edge, ra.graph_release, now, sink)
                     .expect("a token is routed to the shard owning its edge");
             }),
         }
@@ -1062,13 +1052,8 @@ impl Simulation {
         match ev {
             Planned::Mode(mode) => self.engine.set_mode(mode),
             Planned::Msg(ev) => self.engine_call(now, |e, sink| {
-                match ev {
-                    MsgEvent::HighPosted { dst, ceiling } => {
-                        e.on_high_posted_into(dst, ceiling, now, sink)
-                    }
-                    MsgEvent::HighDrained { dst } => e.on_high_drained_into(dst, now, sink),
-                }
-                .expect("scheduled message event targets a known task");
+                e.on_msg_into(ev, now, sink)
+                    .expect("scheduled message event targets a known task");
             }),
             Planned::Fault(ev) => self.apply_fault(now, ev),
             Planned::Admit(idx) => self.apply_admit(now, idx),
@@ -1164,14 +1149,6 @@ impl Simulation {
             replayed_cycles: self.replayed_cycles,
             replayed_jobs: self.replayed_jobs,
         }
-    }
-}
-
-/// The receiving task of a message-plane event: its owner's shard
-/// delivers it.
-fn msg_dst(ev: &MsgEvent) -> TaskId {
-    match *ev {
-        MsgEvent::HighPosted { dst, .. } | MsgEvent::HighDrained { dst } => dst,
     }
 }
 

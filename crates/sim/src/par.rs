@@ -156,7 +156,7 @@ impl Shards {
         self.sims[s].engine.drain_outbox_into(&mut self.outbox);
         for ra in self.outbox.drain(..) {
             self.sims[ra.worker.index()].with_seq(&mut self.seq, |dst| {
-                dst.push_cross(at, ra.edge, ra.graph_release);
+                dst.push_cross(at, ra);
             });
         }
         out

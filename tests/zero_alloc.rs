@@ -659,7 +659,7 @@ fn admitted_tenant_steady_state() {
 }
 
 /// Pumps queued [`MsgEvent`]s from the notify mailbox into the engine's
-/// boost/restore hooks — the role the scheduler thread plays in the
+/// message entry point — the role the scheduler thread plays in the
 /// real runtimes.
 fn pump_msg_events(
     events: &mut MailboxReceiver<yasmin_sched::msg::MsgEvent>,
@@ -668,17 +668,9 @@ fn pump_msg_events(
     sink: &mut ActionSink,
     running: &mut [Option<JobId>],
 ) {
-    use yasmin_sched::msg::MsgEvent;
     while let Some(ev) = events.try_recv() {
         sink.clear();
-        match ev {
-            MsgEvent::HighPosted { dst, ceiling } => engine
-                .on_high_posted_into(dst, ceiling, now, sink)
-                .expect("receiver is live"),
-            MsgEvent::HighDrained { dst } => engine
-                .on_high_drained_into(dst, now, sink)
-                .expect("receiver is live"),
-        }
+        engine.on_msg_into(ev, now, sink).expect("receiver is live");
         track(running, sink.as_slice());
     }
 }
@@ -785,7 +777,7 @@ fn message_plane_steady_state() {
 /// Scenario 10: the cross-shard outbox path. Every cycle a source job
 /// completes on shard 0 and lands its successor token in the outbox as
 /// a `RemoteActivation`; the driver drains the outbox into a reusable
-/// buffer and routes it to shard 1 as a `CrossActivate`, releasing and
+/// buffer and routes it to shard 1 as a token, releasing and
 /// dispatching the destination — the fire, drain, route and release
 /// must all run on pre-grown storage.
 fn cross_shard_outbox() {
