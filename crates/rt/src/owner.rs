@@ -22,9 +22,9 @@
 //! **never** gets a `Run`: under global scheduling a worker that
 //! finishes while the owner is inside someone's long body would idle
 //! beside ready work. Its dispatches go to `n` helper threads
-//! (`yasmin-worker-{w}`), each fed through a one-slot `yasmin_sync::spsc`
-//! ring with a `Doorbell` beside it and answering on a one-slot mailbox
-//! lane of its own (`ShardMsg::Done`) — the engine books a slot again
+//! (`yasmin-worker-{w}`), each fed through a one-lane, one-slot mailbox
+//! of its own (`yasmin_sync::mailbox`) and answering on a one-slot lane
+//! of its owner's (`ShardMsg::Done`) — the engine books a slot again
 //! only after retiring what ran there, so one job is all either holds.
 //!
 //! Everything else reaches an owner through its MPSC mailbox
@@ -91,13 +91,13 @@
 //!
 //! # Wake-up protocol
 //!
-//! Every sleep here is a `yasmin_sync::doorbell::Doorbell` wait (the
+//! Every sleep here is a mailbox park (`MailboxReceiver::park`, the
 //! paper's "sleep" waiting strategy, §3.5); there is no polling nap. A
-//! helper with an empty ring waits on the bell beside it; an owner that
+//! helper with an empty mailbox parks on it; an owner that
 //! `step` found nothing for gets `Next::Park`, whose `wake` names
 //! everything that may end the park — `WakeSource` says, per source,
 //! who rings and what the sleeper re-checks. No wake-up is lost because
-//! both sides follow the doorbell's rule: the ringer publishes, fences,
+//! both sides follow the bell's rule: the ringer publishes, fences,
 //! then looks for a sleeper; the sleeper announces itself, fences, then
 //! looks for work. A ring at an awake thread — one inside a body
 //! included — costs one load. Under [`WaitChoice::Spin`] nobody parks.
@@ -206,10 +206,8 @@ use yasmin_sched::{
     Action, ActionSink, EngineShard, EngineStats, Job, JobBatch, JobOutcome, OnlineEngine,
     RemoteActivation, StealHint, MAX_STEAL_BATCH,
 };
-use yasmin_sync::doorbell::Doorbell;
 use yasmin_sync::mailbox::{mailbox_with_capacities, MailboxFull, MailboxReceiver, MailboxSender};
 use yasmin_sync::shelf;
-use yasmin_sync::spsc;
 use yasmin_sync::steal::LoadBoard;
 use yasmin_sync::wait::{Backoff, TimerLead};
 
@@ -735,53 +733,42 @@ fn run_body(body: &TaskBody, ctx: &JobCtx, clock: &impl Clock) -> RtJobRecord {
 /// body is in, whose count then covers the body while the helper runs it.
 pub(crate) struct Run(Job, VersionId, Arc<BodyTable>);
 
-/// An owner's end of one helper: the dispatch ring — `None` dismisses
-/// the helper — and the bell the helper sleeps on while it is empty.
-struct HelperLink {
-    ring: spsc::Producer<Option<Run>>,
-    bell: Arc<Doorbell>,
-}
+/// An owner's end of one helper: a one-lane mailbox of dispatches, whose
+/// send rings the helper; `None` dismisses it.
+struct HelperLink(MailboxSender<Option<Run>>);
 
 impl HelperLink {
-    fn push(&mut self, run: Option<Run>) {
+    fn send(&mut self, run: Option<Run>) {
         // One slot is enough: the engine books a worker again only once
-        // it has retired the job the helper popped from here.
-        if self.ring.push(run).is_err() {
+        // it has retired the job the helper received from here.
+        if self.0.send(run).is_err() {
             unreachable!("the engine never double-books a worker");
         }
-        self.bell.ring();
     }
 }
 
-/// A helper's end of its owner: the ring it pops, the bell it sleeps
-/// on, and the mailbox lane of its own it answers on.
+/// A helper's end of its owner: the mailbox it receives its dispatches
+/// in, and the lane of the owner's mailbox it answers on.
 pub(crate) struct HelperEnd {
-    ring: spsc::Consumer<Option<Run>>,
-    bell: Arc<Doorbell>,
+    rx: MailboxReceiver<Option<Run>>,
     done: MailboxSender<ShardMsg>,
 }
 
 /// Both ends of the helper that answers on `done`.
 fn helper_ends(done: MailboxSender<ShardMsg>) -> (HelperLink, HelperEnd) {
-    let (to_helper, ring) = spsc::channel(1);
-    let bell = Arc::new(Doorbell::new());
-    let ring_bell = Arc::clone(&bell);
-    (
-        HelperLink {
-            ring: to_helper,
-            bell: ring_bell,
-        },
-        HelperEnd { ring, bell, done },
-    )
+    let (mut tx, rx) = mailbox_with_capacities(&[1]);
+    let link = HelperLink(tx.pop().expect("one lane"));
+    (link, HelperEnd { rx, done })
 }
 
 /// A helper thread: worker slot `worker` of an owner that does not
-/// execute. Runs what the ring holds, answers on its own mailbox lane.
+/// execute. Runs what its mailbox holds, answers on its own lane of the
+/// owner's.
 fn helper_main(mut end: HelperEnd, clock: &impl Clock, worker: WorkerId, waiting: WaitChoice) {
     loop {
-        let Some(msg) = end.ring.pop() else {
+        let Some(msg) = end.rx.try_recv() else {
             match waiting {
-                WaitChoice::Sleep => end.bell.wait(None, || !end.ring.is_empty()),
+                WaitChoice::Sleep => _ = end.rx.park(None, || false),
                 WaitChoice::Spin => std::hint::spin_loop(),
             }
             continue;
@@ -1153,7 +1140,7 @@ impl<C: Clock> Owner<C> {
             near_at: Instant::MAX,
             late: LateHist::new(),
             steal_hints: Vec::with_capacity(MAX_STEAL_BATCH),
-            steal_batch: JobBatch::new(),
+            steal_batch: JobBatch::with_capacity(MAX_STEAL_BATCH),
             shelved: 0,
             shutting_down: false,
             drained: false,
@@ -1216,7 +1203,7 @@ impl<C: Clock> Owner<C> {
             // Nothing is queued, running or on its way anywhere.
             debug_assert!(self.peers.shelf.is_empty(), "open during a body only");
             self.peers.board.publish(self.me, 0);
-            self.helpers.iter_mut().for_each(|h| h.push(None));
+            self.helpers.iter_mut().for_each(|h| h.send(None));
             return Some(Next::Exit);
         }
         // Tick edge, generated locally by this owner.
@@ -1285,7 +1272,7 @@ impl<C: Clock> Owner<C> {
                 continue;
             };
             if let Some(helper) = self.helpers.get_mut(slot.index()) {
-                helper.push(Some(Run(job, version, Arc::clone(&self.bodies))));
+                helper.send(Some(Run(job, version, Arc::clone(&self.bodies))));
             } else {
                 debug_assert!(self.next_job.is_none(), "one slot, one job");
                 self.next_job = Some(Next::Run(job, version));

@@ -1,6 +1,6 @@
 //! The **test shell**: the [`Owner`]s [`wire`] returns, stepped on one
 //! thread over their real mailboxes, shelves, [`LoadBoard`] and helper
-//! rings — all deterministic when one thread drives them — under a
+//! mailboxes — all deterministic when one thread drives them — under a
 //! [`ManualClock`], with the step order, the body durations, the park
 //! lateness and the instants commands arrive chosen by a seed.
 //!
@@ -133,7 +133,7 @@ enum Event {
     EndBody(usize),
     Wake(usize),
     EndSpin(usize),
-    /// Helper `.1` of owner `.0` takes what its ring holds.
+    /// Helper `.1` of owner `.0` takes what its mailbox holds.
     Pop(usize, usize),
     /// … and answers `Done`.
     Done(usize, usize),
@@ -327,7 +327,7 @@ impl World {
             }
             for (h, helper) in self.helpers[i].iter().enumerate() {
                 match helper.busy {
-                    None if !helper.end.ring.is_empty() => on.push(Event::Pop(i, h)),
+                    None if !helper.end.rx.is_empty() => on.push(Event::Pop(i, h)),
                     Some(r) if r.completed <= now => on.push(Event::Done(i, h)),
                     _ => {}
                 }
@@ -463,7 +463,7 @@ impl World {
             }
             Event::Pop(i, h) => {
                 let helper = &mut self.helpers[i][h];
-                let Some(Run(job, version, _)) = helper.end.ring.pop().unwrap() else {
+                let Some(Run(job, version, _)) = helper.end.rx.try_recv().unwrap() else {
                     return self.note(format!("o{i} helper {h} dismissed"));
                 };
                 let spent = (self.body_time)(&job, &mut self.rng);

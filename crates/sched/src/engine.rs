@@ -25,7 +25,7 @@
 //! is.
 
 use crate::accel::AccelManager;
-use crate::job::{Job, JobBatch};
+use crate::job::{Job, JobBatch, MAX_STEAL_BATCH};
 use crate::msg::MsgEvent;
 use crate::queue::ReadyQueue;
 use crate::select::{rank_versions_into, RankBuf};
@@ -275,29 +275,11 @@ pub struct RemoteActivation {
     pub graph_release: Instant,
 }
 
-/// A snapshot of one stealable ready job of a shard, taken without
-/// detaching it ([`OnlineEngine::steal_hint`],
-/// [`OnlineEngine::try_steal_batch`]) — what the victim then turns into
-/// a concrete hand-off via [`OnlineEngine::release_stolen_batch`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StealHint {
-    /// The hinted job.
-    pub job: JobId,
-    /// Its task.
-    pub task: TaskId,
-    /// Its queue priority (smaller = more urgent).
-    pub priority: Priority,
-}
-
-impl StealHint {
-    fn of(job: &Job) -> Self {
-        StealHint {
-            job: job.id,
-            task: job.task,
-            priority: job.priority,
-        }
-    }
-}
+/// One stealable ready job of a shard, copied without detaching it
+/// ([`OnlineEngine::steal_hint`], [`OnlineEngine::try_steal_batch`]) —
+/// what the victim then turns into a concrete hand-off via
+/// [`OnlineEngine::release_stolen_batch`], by its id.
+pub type StealHint = Job;
 
 /// An engine's running counts at a recurrence point
 /// ([`OnlineEngine::recurrence_mark`]). Two of them bracket one cycle
@@ -401,8 +383,6 @@ pub struct OnlineEngine {
     outbox: Vec<RemoteActivation>,
     /// Scratch for the ready-queue cull scan.
     cull_buf: Vec<JobId>,
-    /// Copied from the config: cull deadline-missed ready jobs on tick.
-    cull_missed: bool,
     /// Dense per-task assigned worker (`u16::MAX` = unassigned), so the
     /// successor-routing path never chases into the task-spec structs.
     task_worker: Vec<u16>,
@@ -423,11 +403,6 @@ pub struct OnlineEngine {
     msg_ceiling: Vec<Priority>,
     /// Dense per-task WCET-overrun / body-failure policy.
     overrun_policy: Vec<OverrunPolicy>,
-    /// Copied from the config: check enforcement deadlines on tick.
-    enforce_wcet: bool,
-    /// Copied from the config: the deadline-miss trip wire
-    /// `(window, budget)`, `None` when disarmed.
-    miss_trip: Option<(Duration, u32)>,
     /// Start of the current miss-accounting window.
     miss_window_start: Instant,
     /// Deadline misses observed in the current window.
@@ -526,7 +501,7 @@ impl OnlineEngine {
             wish_buf: Vec::new(),
             steal_frontier: Vec::with_capacity(if shard.is_some() {
                 // k·(D-1) + 1 for the 4-ary heap at the batch cap.
-                crate::job::MAX_STEAL_BATCH * 3 + 1
+                MAX_STEAL_BATCH * 3 + 1
             } else {
                 0
             }),
@@ -534,15 +509,12 @@ impl OnlineEngine {
             successor_buf: Vec::new(),
             outbox: Vec::new(),
             cull_buf: Vec::with_capacity(config.max_pending_jobs().min(64)),
-            cull_missed: config.cull_missed(),
             task_worker: Vec::new(),
             task_accel_bound: Vec::new(),
             tenants: SlotTable::default(),
             high_depth: Vec::new(),
             msg_ceiling: Vec::new(),
             overrun_policy: Vec::new(),
-            enforce_wcet: config.enforce_wcet(),
-            miss_trip: config.miss_trip(),
             miss_window_start: Instant::ZERO,
             miss_window_count: 0,
             tripped: false,
@@ -844,8 +816,9 @@ impl OnlineEngine {
             && !self.stopping
             && self.is_idle()
             && self.outbox.is_empty()
-            && !(self.enforce_wcet || self.cull_missed || self.policy_uses_battery)
-            && self.miss_trip.is_none()
+            && !(self.config.enforce_wcet() || self.config.cull_missed())
+            && !self.policy_uses_battery
+            && self.config.miss_trip().is_none()
             && self.token_release.iter().all(Vec::is_empty)
             && self.high_depth.iter().all(|&d| d == 0)
             && self.tenants.iter().all(|t| t.holding.server.is_none())
@@ -1183,13 +1156,13 @@ impl OnlineEngine {
             }
             self.next_wake = wake;
         }
-        if self.enforce_wcet {
+        if self.config.enforce_wcet() {
             self.enforce_overruns(now, sink);
         }
-        if self.miss_trip.is_some() {
+        if self.config.miss_trip().is_some() {
             self.roll_miss_window(now);
         }
-        if self.cull_missed {
+        if self.config.cull_missed() {
             self.cull_ready(|j| j.deadline_missed_at(now), sink);
         }
         self.dispatch_round(now, sink);
@@ -1255,7 +1228,7 @@ impl OnlineEngine {
     /// Observes one deadline miss at `now` for the trip wire; no-op when
     /// `Config::miss_trip` is disarmed.
     fn note_miss(&mut self, now: Instant) {
-        let Some((_, budget)) = self.miss_trip else {
+        let Some((_, budget)) = self.config.miss_trip() else {
             return;
         };
         self.roll_miss_window(now);
@@ -1271,7 +1244,7 @@ impl OnlineEngine {
     /// wire — a tripped engine untrips, restoring `LogOnly`-class tasks
     /// to their base release priority.
     fn roll_miss_window(&mut self, now: Instant) {
-        let Some((window, _)) = self.miss_trip else {
+        let Some((window, _)) = self.config.miss_trip() else {
             return;
         };
         if now.saturating_since(self.miss_window_start) >= window {
@@ -1456,7 +1429,7 @@ impl OnlineEngine {
     #[must_use]
     pub fn steal_hint(&self) -> Option<StealHint> {
         let job = self.queues[0].peek()?;
-        self.may_migrate(job.task).then(|| StealHint::of(job))
+        self.may_migrate(job.task).then_some(*job)
     }
 
     /// `true` when a ready job of `task` may leave this engine for a
@@ -1474,11 +1447,11 @@ impl OnlineEngine {
     /// dispatched or was culled since the hint was taken) or the job
     /// must not migrate (accelerator-bound task, or a job this shard
     /// itself adopted — migration happens at most once).
-    fn release_stolen(&mut self, hint: StealHint) -> Option<Job> {
+    fn release_stolen(&mut self, hint: &StealHint) -> Option<Job> {
         if !self.may_migrate(hint.task) {
             return None;
         }
-        let job = self.queues[0].remove(hint.job)?;
+        let job = self.queues[0].remove(hint.id)?;
         debug_assert_eq!(job.task, hint.task);
         self.stats.donated += 1;
         Some(job)
@@ -1493,7 +1466,7 @@ impl OnlineEngine {
     /// returns the number produced. Shard engines only — 0 otherwise.
     pub fn try_steal_batch(&mut self, k: usize, out: &mut Vec<StealHint>) -> usize {
         out.clear();
-        let k = k.min(crate::job::MAX_STEAL_BATCH);
+        let k = k.min(MAX_STEAL_BATCH);
         if self.shard.is_none() || k == 0 {
             return 0;
         }
@@ -1502,7 +1475,7 @@ impl OnlineEngine {
             if !self.may_migrate(job.task) {
                 return false;
             }
-            out.push(StealHint::of(job));
+            out.push(*job);
             out.len() < k
         });
         self.steal_frontier = frontier;
@@ -1510,27 +1483,18 @@ impl OnlineEngine {
     }
 
     /// Hands a batch of hinted jobs to a thief in one exchange (victim
-    /// side, step two): each hint is re-validated — stale hints
-    /// (dispatched or culled since the probe) and jobs that must no
-    /// longer migrate are skipped, never errors — and each detached job
-    /// is appended to `out` in hint order (most urgent first). Returns
-    /// the number detached; every one counts in
+    /// side, step two): the first [`MAX_STEAL_BATCH`] hints are each
+    /// re-validated — stale hints (dispatched or culled since the probe)
+    /// and jobs that must no longer migrate are skipped, never errors —
+    /// and each detached job is appended to `out` in hint order (most
+    /// urgent first). Returns the number detached; every one counts in
     /// [`EngineStats::donated`].
     pub fn release_stolen_batch(&mut self, hints: &[StealHint], out: &mut JobBatch) -> usize {
-        let mut released = 0;
-        for &hint in hints {
-            let Some(job) = self.release_stolen(hint) else {
-                continue;
-            };
-            if !out.push(job) {
-                // The batch filled up (protocol cap): the job was never
-                // handed over, and the slot it left is still free.
-                self.return_unclaimed(&[job]);
-                break;
-            }
-            released += 1;
+        let before = out.len();
+        for hint in hints.iter().take(MAX_STEAL_BATCH) {
+            out.extend(self.release_stolen(hint));
         }
-        released
+        out.len() - before
     }
 
     /// Takes back what [`OnlineEngine::release_stolen_batch`] detached
@@ -1654,7 +1618,7 @@ impl OnlineEngine {
         let fires = match outcome {
             JobOutcome::Completed => {
                 self.stats.completed += 1;
-                if self.miss_trip.is_some() && running.job.abs_deadline < now {
+                if self.config.miss_trip().is_some() && running.job.abs_deadline < now {
                     self.note_miss(now);
                 }
                 true
@@ -1950,24 +1914,24 @@ impl OnlineEngine {
         if ceiling == Priority::LOWEST {
             return false;
         }
-        // De-boost pending jobs: each restored job stops matching the
-        // scan, so the loop terminates after at most one pass per
-        // boosted job, allocation-free.
+        // De-boost pending jobs to the release rule: each restored job
+        // stops matching the scan, so the loop terminates after at most
+        // one pass per job of `dst`, allocation-free.
         let qi = self.queue_of[ti] as usize;
         loop {
             let mut found: Option<(JobId, Priority)> = None;
             for j in self.queues[qi].iter() {
                 if j.task == dst {
-                    let base = self.base_priority(j.task, j.abs_deadline);
-                    if j.priority != base {
-                        found = Some((j.id, base));
+                    let rule = self.release_priority(j.task, j.abs_deadline);
+                    if j.priority != rule {
+                        found = Some((j.id, rule));
                         break;
                     }
                 }
             }
-            let Some((id, base)) = found else { break };
+            let Some((id, rule)) = found else { break };
             let mut job = self.queues[qi].remove(id).expect("job was just iterated");
-            job.priority = base;
+            job.priority = rule;
             let _ = self.queues[qi].push(job);
         }
         // De-boost a running job only when the message ceiling is the
@@ -1975,8 +1939,9 @@ impl OnlineEngine {
         for s in 0..self.running.len() {
             let r = self.running[s].as_ref();
             let r = r.filter(|r| r.job.task == dst && r.effective_priority == ceiling);
-            if let Some(base) = r.map(|r| r.job.priority).filter(|&base| base != ceiling) {
-                self.set_effective_priority(s, base, sink);
+            let rule = r.map(|r| self.release_priority(dst, r.job.abs_deadline));
+            if let Some(rule) = rule.filter(|&rule| rule != ceiling) {
+                self.set_effective_priority(s, rule, sink);
             }
         }
         true
@@ -2019,10 +1984,17 @@ impl OnlineEngine {
         }
     }
 
-    /// The base (un-boosted) priority of a job of `task` due at
-    /// `abs_deadline` under the active policy.
+    /// The priority a job of `task` due at `abs_deadline` holds without
+    /// a message boost: its base priority under the active policy, or —
+    /// shedding mode: while the miss trip wire is tripped —
+    /// [`Priority::LOWEST`] for a `LogOnly`-class task, so the
+    /// enforced/critical classes get the processor first. A release
+    /// applies it, and so does the drain that ends a boost.
     #[inline]
-    fn base_priority(&self, task: TaskId, abs_deadline: Instant) -> Priority {
+    fn release_priority(&self, task: TaskId, abs_deadline: Instant) -> Priority {
+        if self.tripped && self.overrun_policy[task.index()] == OverrunPolicy::LogOnly {
+            return Priority::LOWEST;
+        }
         match self.config.priority() {
             PriorityPolicy::EarliestDeadlineFirst => Priority::earliest_deadline(abs_deadline),
             _ => self.static_priority[task.index()],
@@ -2043,19 +2015,10 @@ impl OnlineEngine {
         } else {
             graph_release + rel_deadline
         };
-        // Shedding mode: while the miss trip wire is tripped,
-        // `LogOnly`-class tasks release at background priority so the
-        // enforced/critical classes get the processor first. The message
-        // ceiling below still applies — a control-plane boost outranks
-        // the demotion.
-        let priority =
-            if self.tripped && self.overrun_policy[task.index()] == OverrunPolicy::LogOnly {
-                Priority::LOWEST
-            } else {
-                self.base_priority(task, abs_deadline)
-            };
         // A job released while its task's high message lane is non-empty
-        // inherits the active ceiling immediately (message-plane PIP).
+        // inherits the active ceiling immediately (message-plane PIP); a
+        // control-plane boost outranks the shedding demotion.
+        let priority = self.release_priority(task, abs_deadline);
         let ceiling = self.msg_ceiling[task.index()];
         let priority = if ceiling.is_higher_than(priority) {
             ceiling
@@ -2180,7 +2143,7 @@ impl OnlineEngine {
         // The enforcement budget is the selected version's declared
         // WCET, armed from the dispatch instant (a preempted job gets a
         // fresh budget on re-dispatch — its prior slice is not carried).
-        let enforce_by = if self.enforce_wcet {
+        let enforce_by = if self.config.enforce_wcet() {
             now + self.taskset.tasks()[job.task.index()].versions()[version.index()].wcet()
         } else {
             Instant::MAX
@@ -3294,6 +3257,80 @@ mod tests {
             "release is visible too: {:?}",
             sink.as_slice()
         );
+    }
+
+    #[test]
+    fn a_job_boosted_while_queued_runs_at_base_after_the_drain() {
+        // r's queued job is boosted, dispatches at the ceiling, and its
+        // lane drains while it runs: the slot falls back to r's base
+        // (deadline 40 ms), not to the ceiling the boost wrote into the
+        // job.
+        let ts = three_task_set();
+        let receiver = TaskId::new(2);
+        let w0 = WorkerId::new(0);
+        let mut e = OnlineEngine::new(ts, edf_np_config(1)).unwrap();
+        let mut sink = ActionSink::new();
+        e.start_into(Instant::ZERO, &mut sink).unwrap();
+        e.on_msg_into(posted(receiver, Priority::HIGHEST), at(1), &mut sink)
+            .unwrap();
+        let a = e.running(w0).unwrap().job.id;
+        e.on_job_completed_into(w0, a, at(2), &mut sink).unwrap();
+        assert_eq!(e.running(w0).unwrap().job.task, receiver);
+        sink.clear();
+        e.on_msg_into(drained(receiver), at(3), &mut sink).unwrap();
+        let base = Priority::earliest_deadline(at(40));
+        assert_eq!(e.running(w0).unwrap().effective_priority, base);
+        assert!(
+            sink.iter()
+                .any(|a| matches!(a, Action::Boost { priority, .. } if *priority == base)),
+            "the driver is told: {sink:?}"
+        );
+    }
+
+    #[test]
+    fn a_drain_keeps_the_shedding_demotion_while_tripped() {
+        // One worker, a budget of no miss: a's late completion trips the
+        // wire. Two jobs of the `LogOnly` receiver r queue behind b at
+        // background priority; a high post boosts one, and the drain
+        // that ends the boost returns both to the release rule while
+        // tripped — background, not their deadlines.
+        let mut b = yasmin_core::graph::TaskSetBuilder::new();
+        let a = b.task_decl(TaskSpec::periodic("a", ms(10))).unwrap();
+        let kill = TaskSpec::aperiodic("b").with_overrun_policy(OverrunPolicy::Kill);
+        let busy = b.task_decl(kill).unwrap();
+        let spec = TaskSpec::aperiodic("r").with_constrained_deadline(ms(10));
+        let r = b.task_decl(spec).unwrap();
+        for t in [a, busy, r] {
+            b.version_decl(t, VersionSpec::new("v", ms(2))).unwrap();
+        }
+        let config = Config::builder()
+            .workers(1)
+            .priority(PriorityPolicy::EarliestDeadlineFirst)
+            .preemption(false)
+            .miss_trip(ms(1_000), 0)
+            .build()
+            .unwrap();
+        let mut e = OnlineEngine::new(Arc::new(b.build().unwrap()), config).unwrap();
+        let w0 = WorkerId::new(0);
+        let mut sink = ActionSink::new();
+        e.start_into(Instant::ZERO, &mut sink).unwrap();
+        let late = e.running(w0).unwrap().job.id;
+        e.on_job_completed_into(w0, late, at(11), &mut sink)
+            .unwrap();
+        assert!(e.is_tripped());
+        for (t, when) in [(busy, 12), (r, 12), (r, 13)] {
+            e.activate_into(t, at(when), &mut sink).unwrap();
+        }
+        let queued = |e: &OnlineEngine| -> Vec<Priority> {
+            let jobs = e.queues[0].iter().filter(|j| j.task == r);
+            jobs.map(|j| j.priority).collect()
+        };
+        assert_eq!(queued(&e), [Priority::LOWEST; 2]);
+        e.on_msg_into(posted(r, Priority::HIGHEST), at(14), &mut sink)
+            .unwrap();
+        assert!(queued(&e).contains(&Priority::HIGHEST));
+        e.on_msg_into(drained(r), at(15), &mut sink).unwrap();
+        assert_eq!(queued(&e), [Priority::LOWEST; 2]);
     }
 
     #[test]

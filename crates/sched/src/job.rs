@@ -44,84 +44,14 @@ impl Job {
 }
 
 /// Most jobs a single batch-steal exchange may hand over. Also the cap
-/// on the adaptive batch size thieves derive from the load board: large
-/// enough to amortize the request/deny round-trip at k = 8, small
-/// enough that a [`JobBatch`] stays a cheap `Copy` value.
+/// on the adaptive batch size thieves derive from the load board.
 pub const MAX_STEAL_BATCH: usize = 8;
 
-/// A fixed-capacity, `Copy` batch of jobs — the payload of one
-/// batch-steal grant. Inline storage (no heap) keeps the hand-off
-/// allocation-free: the victim releases the jobs into it, and the
-/// thief adopts them from it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct JobBatch {
-    jobs: [Job; MAX_STEAL_BATCH],
-    len: u8,
-}
-
-impl JobBatch {
-    /// An empty batch.
-    #[must_use]
-    pub fn new() -> Self {
-        // Placeholder payload for the unused tail slots; never observable
-        // through `as_slice`.
-        let blank = Job {
-            id: JobId::new(0),
-            task: TaskId::new(0),
-            seq: 0,
-            release: Instant::ZERO,
-            graph_release: Instant::ZERO,
-            abs_deadline: Instant::ZERO,
-            priority: Priority::new(0),
-            preempted: false,
-        };
-        JobBatch {
-            jobs: [blank; MAX_STEAL_BATCH],
-            len: 0,
-        }
-    }
-
-    /// Appends a job; `false` (and no change) when the batch is full.
-    pub fn push(&mut self, job: Job) -> bool {
-        if (self.len as usize) < MAX_STEAL_BATCH {
-            self.jobs[self.len as usize] = job;
-            self.len += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// The batched jobs, in the order they were pushed (most urgent
-    /// first for batches built by the victim-side release).
-    #[must_use]
-    pub fn as_slice(&self) -> &[Job] {
-        &self.jobs[..self.len as usize]
-    }
-
-    /// Number of jobs in the batch.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len as usize
-    }
-
-    /// `true` when no jobs were pushed.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Drops all jobs, keeping the (inline) storage.
-    pub fn clear(&mut self) {
-        self.len = 0;
-    }
-}
-
-impl Default for JobBatch {
-    fn default() -> Self {
-        JobBatch::new()
-    }
-}
+/// The jobs of one steal exchange, most urgent first: what the victim
+/// detaches ([`crate::OnlineEngine::release_stolen_batch`]) and the
+/// thief adopts. A driver keeps one with room for [`MAX_STEAL_BATCH`]
+/// jobs and clears it per exchange, so no exchange allocates.
+pub type JobBatch = Vec<Job>;
 
 #[cfg(test)]
 mod tests {
@@ -151,22 +81,6 @@ mod tests {
         assert_eq!(v[0].id, JobId::new(2)); // most urgent priority 3
         assert_eq!(v[1].id, JobId::new(3)); // prio 5, earlier release
         assert_eq!(v[2].id, JobId::new(1));
-    }
-
-    #[test]
-    fn job_batch_is_bounded_and_ordered() {
-        let mut b = JobBatch::new();
-        assert!(b.is_empty());
-        assert_eq!(b.as_slice(), &[]);
-        for i in 0..MAX_STEAL_BATCH {
-            assert!(b.push(job(i as u64, i as u64, 0)));
-        }
-        assert!(!b.push(job(99, 99, 0)), "batch refuses past capacity");
-        assert_eq!(b.len(), MAX_STEAL_BATCH);
-        let ids: Vec<u64> = b.as_slice().iter().map(|j| j.id.raw()).collect();
-        assert_eq!(ids, (0..MAX_STEAL_BATCH as u64).collect::<Vec<_>>());
-        b.clear();
-        assert!(b.is_empty());
     }
 
     #[test]

@@ -37,7 +37,10 @@
 //!    ceiling at release;
 //! 3. each high-lane pop by [`Receiver::recv`] emits
 //!    [`MsgEvent::HighDrained`]; when posts and drains balance (the lane
-//!    is empty again) the same entry point restores base priorities.
+//!    is empty again) the same entry point returns the receiver's jobs,
+//!    queued and running, to the release rule: the base priority, or
+//!    background for a shedding-class task while the miss trip wire is
+//!    tripped — never to the ceiling a boost wrote into a job.
 //!
 //! The ceiling can only tighten while the lane stays non-empty: with
 //! several prioritized channels into one task, the task holds the most

@@ -34,7 +34,7 @@
 //! `yasmin_sync::steal::LoadBoard`). The victim's driver collects up to
 //! `k` hints, most urgent first and stopping at the first job that must
 //! not migrate ([`OnlineEngine::try_steal_batch`], a non-mutating
-//! scan), and detaches the still-fresh ones into a `Copy`
+//! scan), and detaches the still-fresh ones into a plain
 //! [`crate::JobBatch`] ([`OnlineEngine::release_stolen_batch`]) —
 //! atomically with respect to its own scheduling, since the driver owns
 //! the shard. The batch lands on the thief in one piece, which adopts
@@ -186,7 +186,7 @@ impl DerefMut for EngineShard {
 mod tests {
     use super::*;
     use crate::engine::{Action, EngineStats};
-    use crate::job::JobBatch;
+    use crate::job::{JobBatch, MAX_STEAL_BATCH};
     use crate::server::{ReservationServer, TenantBudget};
     use crate::sink::ActionSink;
     use yasmin_core::graph::Slot;
@@ -789,6 +789,37 @@ mod tests {
         // An empty batch is a no-op, not an error.
         shards[1].adopt_stolen_batch(&[], at(2), &mut sink).unwrap();
         assert_eq!(shards[1].stats().stolen_batch, 1);
+    }
+
+    #[test]
+    fn one_exchange_detaches_at_most_max_steal_batch_jobs() {
+        // p0 runs, nine jobs queue. Nine fresh hints release the first
+        // eight; the ninth job stays queued.
+        let mut b = yasmin_core::graph::TaskSetBuilder::new();
+        for i in 0..=MAX_STEAL_BATCH as u64 + 1 {
+            let spec = TaskSpec::periodic(format!("p{i}"), ms(10 * (i + 1)));
+            let t = b.task_decl(spec.on_worker(WorkerId::new(0))).unwrap();
+            b.version_decl(t, VersionSpec::new("v", ms(1))).unwrap();
+        }
+        let ts = Arc::new(b.build().unwrap());
+        let mut shards = EngineShard::build_all(&ts, &partitioned_config(2)).unwrap();
+        let mut sink = ActionSink::new();
+        shards[0].start_into(Instant::ZERO, &mut sink).unwrap();
+        assert_eq!(shards[0].ready_len(), MAX_STEAL_BATCH + 1);
+        // The scan stops at the cap; the ninth hint is the top job once
+        // the first eight are out, and all nine go back.
+        let mut hints = Vec::new();
+        let mut batch = JobBatch::new();
+        shards[0].try_steal_batch(MAX_STEAL_BATCH + 1, &mut hints);
+        assert_eq!(hints.len(), MAX_STEAL_BATCH);
+        shards[0].release_stolen_batch(&hints, &mut batch);
+        hints.push(shards[0].steal_hint().expect("the ninth job"));
+        shards[0].return_unclaimed(&batch);
+        batch.clear();
+        let released = shards[0].release_stolen_batch(&hints, &mut batch);
+        assert_eq!(released, MAX_STEAL_BATCH);
+        assert_eq!(batch[..], hints[..MAX_STEAL_BATCH]);
+        assert_eq!(shards[0].ready_len(), 1);
     }
 
     #[test]

@@ -144,7 +144,10 @@ struct Shards {
     /// `Some(cap)` when stealing: the largest batch of one exchange.
     steal_cap: Option<usize>,
     outbox: Vec<RemoteActivation>,
+    /// Steal scratch, reused: what the victim names stealable, and the
+    /// jobs of one exchange.
     hints: Vec<StealHint>,
+    stolen: JobBatch,
 }
 
 impl Shards {
@@ -191,11 +194,14 @@ impl Shards {
                 if victim.try_steal_batch(k, &mut self.hints) == 0 {
                     continue;
                 }
-                let mut jobs = JobBatch::new();
-                if victim.release_stolen_batch(&self.hints, &mut jobs) == 0 {
+                self.stolen.clear();
+                if victim.release_stolen_batch(&self.hints, &mut self.stolen) == 0 {
                     continue;
                 }
-                self.on(thief, at, |sim| sim.adopt_stolen(jobs.as_slice(), at))?;
+                let jobs = std::mem::take(&mut self.stolen);
+                let adopted = self.on(thief, at, |sim| sim.adopt_stolen(&jobs, at));
+                self.stolen = jobs;
+                adopted?;
                 stole = true;
             }
             if !stole {
@@ -283,7 +289,8 @@ pub fn run_partitioned_parallel(
             .steal
             .then(|| opts.steal_batch.clamp(1, MAX_STEAL_BATCH)),
         outbox: Vec::new(),
-        hints: Vec::new(),
+        hints: Vec::with_capacity(MAX_STEAL_BATCH),
+        stolen: JobBatch::with_capacity(MAX_STEAL_BATCH),
     };
     run.run()?;
     Ok(merge_results(

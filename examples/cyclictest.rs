@@ -143,7 +143,7 @@ fn main() {
     print_owner_stats(&owners);
     println!(
         "\n(Idle host. With {} workers every job crosses the scheduler-thread relay —\n\
-         a ring, a doorbell and a second thread to wake: the architectural cost\n\
+         a mailbox send, its ring and a second thread to wake: the architectural cost\n\
          Table 2 measures on the Odroid-XU4. With one worker the scheduling thread\n\
          runs the bodies itself and there is no relay: what is left is the tick\n\
          edge, and each job of a burst waiting for the ones before it.)",

@@ -50,8 +50,8 @@
 //!     names);
 //! 13. **steady-state batch stealing** — every cycle the thief shard
 //!     runs the full batched migration, k = 4 (ordered `try_steal_batch`
-//!     scan, `release_stolen_batch` detach into the fixed-size
-//!     [`JobBatch`], `adopt_stolen_batch` dispatch round) and retires
+//!     scan, `release_stolen_batch` detach into a [`JobBatch`] grown
+//!     in the warm-up, `adopt_stolen_batch` dispatch round) and retires
 //!     all k stolen jobs, while the victim refills;
 //! 14. **deadline culling** — `cull_missed` on an overloaded worker:
 //!     every tick culls the jobs past their deadline and reports each
@@ -1025,7 +1025,7 @@ fn battery_energy_refresh() {
 }
 
 /// Scenario 13: the batched work-stealing migration every cycle —
-/// ordered hint scan, k-job detach into the fixed [`JobBatch`], one
+/// ordered hint scan, k-job detach into a reused [`JobBatch`], one
 /// adopt dispatch round on the thief, all k retirements and the
 /// victim's refill, all on pre-grown storage.
 fn steady_state_batch_stealing() {
