@@ -283,11 +283,17 @@ impl Config {
         self.enforce_wcet
     }
 
-    /// The deadline-miss trip wire `(window, budget)`: when more than
-    /// `budget` deadline misses are observed within a sliding window of
-    /// `window`, the engine demotes `OverrunPolicy::LogOnly`-class tasks
-    /// to background priority until the miss rate recovers. `None`
-    /// disables the trip wire.
+    /// The deadline-miss trip wire `(window, budget)`. Misses are
+    /// counted in a tumbling window of length `window`: the first opens
+    /// at instant zero, and the first tick or miss at or past a window's
+    /// end opens the next one there, with a count of zero. More than
+    /// `budget` misses in one window trip the wire, and the roll that
+    /// opens the next window untrips it. While it is tripped, every job
+    /// an `OverrunPolicy::LogOnly`-class task *releases* runs at
+    /// background priority, and keeps it after the untrip (until a
+    /// message boost on it ends, which applies the rule anew); jobs
+    /// released before the trip keep theirs. `None` disables the trip
+    /// wire.
     #[must_use]
     pub const fn miss_trip(&self) -> Option<(Duration, u32)> {
         self.miss_trip
@@ -461,10 +467,10 @@ impl ConfigBuilder {
         self
     }
 
-    /// Arms the deadline-miss trip wire: more than `budget` misses
-    /// within `window` demotes `OverrunPolicy::LogOnly`-class tasks to
-    /// background priority until the rate recovers; see
-    /// [`Config::miss_trip`].
+    /// Arms the deadline-miss trip wire: more than `budget` misses in
+    /// one tumbling window of `window` demote the jobs
+    /// `OverrunPolicy::LogOnly`-class tasks release until that window
+    /// ends; see [`Config::miss_trip`].
     #[must_use]
     pub fn miss_trip(mut self, window: Duration, budget: u32) -> Self {
         self.0.miss_trip = Some((window, budget));

@@ -14,6 +14,7 @@ use crate::priority::{Priority, PriorityPolicy};
 use crate::task::{Task, TaskSpec};
 use crate::time::{gcd_all, lcm_all, Duration};
 use crate::version::VersionSpec;
+use std::ops::Range;
 
 /// An immutable, validated set of tasks, versions, accelerators and
 /// channels.
@@ -399,16 +400,8 @@ impl TaskSet {
     /// Panics if `at` is neither within `self` nor its end; that `at`
     /// is of `tenant`'s shape is otherwise the caller's word.
     pub fn placed(&self, tenant: &TaskSet, at: Slot) -> Result<TaskSet> {
-        let appended = at.first_task as usize == self.tasks.len();
-        assert!(
-            appended || at.task_range().end <= self.tasks.len(),
-            "a tenant is written into a slot of the set or at its end"
-        );
-        if appended {
-            self.check_room_for(tenant)?;
-        }
         let mut merged = self.clone();
-        merged.place(tenant, at);
+        merged.place(tenant, at)?;
         Ok(merged)
     }
 
@@ -434,28 +427,41 @@ impl TaskSet {
         Ok(())
     }
 
-    /// Writes `tenant`'s entities under the ids of `at`, over what
-    /// `self` holds there and past its end: the id spaces have room
-    /// (`check_room_for`). A tenant's topological order is its own
-    /// (no edge leaves it), and it sits at its tasks' positions.
-    fn place(&mut self, tenant: &TaskSet, at: Slot) {
+    /// Writes `tenant` into `at` in place: what [`TaskSet::placed`]
+    /// writes into its copy. A tenant's topological order is its own (no
+    /// edge leaves it), and it sits at its tasks' positions.
+    ///
+    /// # Errors
+    ///
+    /// As [`TaskSet::extended`], before anything is written.
+    ///
+    /// # Panics
+    ///
+    /// As [`TaskSet::placed`].
+    pub fn place(&mut self, tenant: &TaskSet, at: Slot) -> Result<()> {
+        let appended = at.first_task as usize == self.tasks.len();
+        assert!(
+            appended || at.task_range().end <= self.tasks.len(),
+            "a tenant is written into a slot of the set or at its end"
+        );
+        if appended {
+            self.check_room_for(tenant)?;
+        }
         let task_off = at.first_task as usize;
         let accel_off = at.first_accel as usize;
         let chan_off = at.first_channel as usize;
         let edge_off = at.first_edge as usize;
         let task_id = |t: TaskId| TaskId::new((task_off + t.index()) as u32);
-        let tasks = tenant.tasks.iter().map(|t| {
-            let mut task = Task::new(task_id(t.id()), t.spec().clone());
-            for v in t.versions() {
-                let mut spec = v.clone();
-                if let Some(a) = spec.accel() {
-                    spec = spec.with_accel(AccelId::new((accel_off + a.index()) as u16));
-                }
-                task.push_version(spec);
+        // Over a former holder of its shape, a task keeps its version
+        // storage (`Task::clone_from`).
+        for t in &tenant.tasks {
+            let at = task_off + t.id().index();
+            match self.tasks.get_mut(at) {
+                Some(task) => task.clone_from(t),
+                None => self.tasks.push(t.clone()),
             }
-            task
-        });
-        put(&mut self.tasks, task_off, tasks);
+            self.tasks[at].offset(task_id(t.id()), accel_off);
+        }
         let accels = tenant.accels.iter().map(|a| {
             AccelSpec::new(AccelId::new((accel_off + a.id().index()) as u16), a.name())
                 .with_active_power(a.active_power())
@@ -480,7 +486,37 @@ impl TaskSet {
             task_off,
             tenant.topo.iter().map(|&t| task_id(t)),
         );
+        Ok(())
     }
+
+    /// Makes what `self` holds in `slot` a copy of what `from` holds
+    /// there — over its own entities, or past its end where `slot`
+    /// starts at it — and leaves every other entity as it is. A set of
+    /// an earlier generation catches up with a later one by a copy of
+    /// each slot written since, in the order they were written.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` does not hold `slot`, or `slot` starts past
+    /// `self`'s end.
+    pub fn copy_slot(&mut self, from: &TaskSet, slot: Slot) {
+        let tasks = slot.task_range();
+        copy_range(&mut self.tasks, &from.tasks, tasks.clone());
+        copy_range(&mut self.accels, &from.accels, slot.accel_range());
+        copy_range(&mut self.channels, &from.channels, slot.channel_range());
+        copy_range(&mut self.edges, &from.edges, slot.edge_range());
+        copy_range(&mut self.preds, &from.preds, tasks.clone());
+        copy_range(&mut self.succs, &from.succs, tasks.clone());
+        copy_range(&mut self.topo, &from.topo, tasks);
+    }
+}
+
+/// Makes `dst[range]` a copy of `src[range]`: over what `dst` holds
+/// there, then past its end. `range.start` is at most `dst`'s length.
+pub fn copy_range<T: Clone>(dst: &mut Vec<T>, src: &[T], range: Range<usize>) {
+    let split = dst.len().clamp(range.start, range.end);
+    dst[range.start..split].clone_from_slice(&src[range.start..split]);
+    dst.extend_from_slice(&src[split..range.end]);
 }
 
 /// Writes `items` into `v` from index `at` on: over what is there,
@@ -526,8 +562,26 @@ pub struct Slot {
 impl Slot {
     /// Its task ids, as indices.
     #[must_use]
-    pub fn task_range(&self) -> std::ops::Range<usize> {
+    pub fn task_range(&self) -> Range<usize> {
         self.first_task as usize..(self.first_task + self.task_count) as usize
+    }
+
+    /// Its edges, as indices into [`TaskSet::edges`].
+    #[must_use]
+    pub fn edge_range(&self) -> Range<usize> {
+        self.first_edge as usize..(self.first_edge + self.edge_count) as usize
+    }
+
+    /// Its channel ids, as indices.
+    #[must_use]
+    pub fn channel_range(&self) -> Range<usize> {
+        self.first_channel as usize..(self.first_channel + self.channel_count) as usize
+    }
+
+    /// Its accelerator ids, as indices.
+    #[must_use]
+    pub fn accel_range(&self) -> Range<usize> {
+        self.first_accel as usize..(self.first_accel + self.accel_count) as usize
     }
 }
 
@@ -1059,6 +1113,49 @@ mod tests {
         assert_eq!(appended.len(), 10);
         assert_eq!(appended.component_root(TaskId::new(9)), TaskId::new(8));
         assert_eq!(appended.topological_order().len(), 10);
+    }
+
+    #[test]
+    fn an_earlier_generation_catches_up_by_copying_each_slot_written_since() {
+        let (a, b) = (tenant("a"), tenant("b"));
+        let g0 = diamond();
+        let s1 = g0.end_slot(&a);
+        let g1 = g0.placed(&a, s1).unwrap();
+        let s2 = g1.end_slot(&a);
+        let g2 = g1.placed(&a, s2).unwrap();
+        let g3 = g2.placed(&b, s1).unwrap();
+        let g4 = g3.placed(&a, s1).unwrap();
+        let writes = [s1, s2, s1, s1];
+        let gens = [&g0, &g1, &g2, &g3];
+        for (behind, old) in gens.into_iter().enumerate() {
+            let mut caught_up = old.clone();
+            for &slot in &writes[behind..] {
+                caught_up.copy_slot(&g4, slot);
+            }
+            assert_eq!(
+                format!("{caught_up:?}"),
+                format!("{g4:?}"),
+                "from g{behind}"
+            );
+        }
+        // `g1` skipping the oldest of its writes misses the append.
+        let mut skipped = g1.clone();
+        for &slot in &writes[2..] {
+            skipped.copy_slot(&g4, slot);
+        }
+        assert_ne!(format!("{skipped:?}"), format!("{g4:?}"));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn a_slot_past_the_end_is_not_copied() {
+        let a = tenant("a");
+        let g0 = diamond();
+        let g1 = g0.extended(&a).unwrap();
+        let s2 = g1.end_slot(&a);
+        let g2 = g1.extended(&a).unwrap();
+        // `g0` has not had the first append copied in.
+        g0.clone().copy_slot(&g2, s2);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! constrained or arbitrary deadlines (§2).
 
 use crate::error::{Error, Result};
-use crate::ids::{TaskId, VersionId, WorkerId};
+use crate::ids::{AccelId, TaskId, VersionId, WorkerId};
 use crate::priority::Priority;
 use crate::time::Duration;
 use crate::version::VersionSpec;
@@ -284,11 +284,29 @@ impl TaskSpec {
 }
 
 /// A declared task: its specification plus all declared versions.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Task {
     id: TaskId,
     spec: TaskSpec,
     versions: Vec<VersionSpec>,
+}
+
+impl Clone for Task {
+    fn clone(&self) -> Self {
+        Task {
+            id: self.id,
+            spec: self.spec.clone(),
+            versions: self.versions.clone(),
+        }
+    }
+
+    /// Into `self`'s own version storage: a task copied over one with
+    /// as many versions allocates nothing ([`crate::graph::TaskSet::copy_slot`]).
+    fn clone_from(&mut self, source: &Self) {
+        self.id = source.id;
+        self.spec.clone_from(&source.spec);
+        self.versions.clone_from(&source.versions);
+    }
 }
 
 impl Task {
@@ -329,6 +347,21 @@ impl Task {
         self.versions
             .get(v.index())
             .ok_or(Error::UnknownVersion(self.id, v))
+    }
+
+    /// Moves `self` into a merged id space: task id `id`, and each
+    /// version's accelerator `accel_off` ids up. How a tenant's task,
+    /// copied into a merged set, takes its place there
+    /// ([`crate::graph::TaskSet::place`]).
+    pub(crate) fn offset(&mut self, id: TaskId, accel_off: usize) {
+        self.id = id;
+        for v in &mut self.versions {
+            if let Some(a) = v.accel() {
+                *v = v
+                    .clone()
+                    .with_accel(AccelId::new((accel_off + a.index()) as u16));
+            }
+        }
     }
 
     /// Appends a version and returns its id; used by the builder.

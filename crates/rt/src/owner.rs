@@ -54,9 +54,10 @@
 //!   the body — the analysis' non-preemptive blocking term.
 //! * **Thieves do not wait for it** (see "Work stealing").
 //! * **`admit`**: an owner splices at its boundary. It adopts by `Arc`
-//!   what the admitting thread built once for every owner — the merged
-//!   set and the `BodyTable` — and frees neither one it lets go of
-//!   (`Tenancy` does, on a caller's thread). With two shards or
+//!   what the admitting thread made once for every owner — the merged
+//!   set and the `BodyTable` — and never holds the last reference to
+//!   the pair it lets go of: `Tenancy` keeps it, and on a caller's
+//!   thread makes a later generation in it or drops it. With two shards or
 //!   more every shard acknowledges before the commit is sent, so
 //!   [`Runtime::admit`] returns after the longest body then in flight;
 //!   one owner is sent one splice-and-commit command and nothing is
@@ -192,11 +193,12 @@ use crate::runtime::{
 };
 use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 use yasmin_core::config::WaitChoice;
 use yasmin_core::error::{Error, Result};
-use yasmin_core::graph::{put, TaskSet};
+use yasmin_core::graph::{copy_range, put, TaskSet};
 use yasmin_core::ids::{JobId, TaskId, TenantId, VersionId, WorkerId};
 use yasmin_core::time::{Clock, Duration, Instant, MonotonicClock};
 use yasmin_sched::admission::AdmissionControl;
@@ -1006,11 +1008,13 @@ pub(crate) enum Next {
 /// task `t`'s versions start at `first[t]` in `bodies`. A dispatch looks
 /// its body up with two indexings, no hashing.
 ///
-/// Immutable: one is built per admission, on the admitting thread, with
-/// the merged set it goes with ([`BodyTable::placed`]), and every owner
-/// adopts it by `Arc` ([`ShardMsg::Admit`]); a helper's [`Run`] carries
-/// it too. An owner lets go of a table on its own thread, so it must
-/// never hold the last reference: [`Tenancy`] does.
+/// Immutable once shared: one is made per admission, on the admitting
+/// thread, with the merged set it goes with — in the table of a
+/// generation nobody runs any more, brought up to date slot by slot
+/// ([`BodyTable::copy_slot`]), or in a copy of the current one — and
+/// every owner adopts it by `Arc` ([`ShardMsg::Admit`]); a helper's
+/// [`Run`] carries it too. An owner lets go of a table on its own
+/// thread, so it must never hold the last reference: [`Tenancy`] does.
 #[derive(Clone, Default)]
 pub(crate) struct BodyTable {
     first: Vec<u32>,
@@ -1018,19 +1022,25 @@ pub(crate) struct BodyTable {
 }
 
 impl BodyTable {
-    /// A copy of `self` with the bodies of `tenant`, a set in its own id
-    /// space, written into the slot of the merged set that starts at
-    /// task `first` ([`put`]): over a former holder of its shape, or
-    /// past the table's end. Like `check_bodies`, it reads `local` for
-    /// the tenant's own tasks and versions only. Tenant 0's goes into an
-    /// empty table at 0.
+    /// A copy of `self` with the bodies of `tenant` written in
+    /// ([`BodyTable::place`]). Tenant 0's goes into an empty table at 0.
+    pub(crate) fn placed(&self, tenant: &TaskSet, first: u32, local: &Bodies) -> Arc<Self> {
+        let mut table = self.clone();
+        table.place(tenant, first, local);
+        Arc::new(table)
+    }
+
+    /// Writes the bodies of `tenant`, a set in its own id space, into
+    /// the slot of the merged set that starts at task `first` ([`put`]):
+    /// over a former holder of its shape, or past the table's end. Like
+    /// `check_bodies`, it reads `local` for the tenant's own tasks and
+    /// versions only.
     ///
     /// # Panics
     ///
     /// When a version has no body (the caller checked them all), or
     /// the tenant starts past the table's end.
-    pub(crate) fn placed(&self, tenant: &TaskSet, first: u32, local: &Bodies) -> Arc<Self> {
-        let mut table = self.clone();
+    pub(crate) fn place(&mut self, tenant: &TaskSet, first: u32, local: &Bodies) {
         let first = first as usize;
         let end = self.bodies.len() as u32;
         let mut at = *self.first.get(first).unwrap_or(&end) as usize;
@@ -1041,14 +1051,28 @@ impl BodyTable {
                 Arc::clone(local.get(&key).expect("bodies were checked"))
             };
             let task = first + t.id().index();
-            put(&mut table.first, task, std::iter::once(at as u32));
-            put(&mut table.bodies, at, (0..versions).map(body));
+            put(&mut self.first, task, std::iter::once(at as u32));
+            put(&mut self.bodies, at, (0..versions).map(body));
             at += versions;
         }
-        Arc::new(table)
     }
 
-    fn get(&self, task: TaskId, version: VersionId) -> &TaskBody {
+    /// Makes the bodies of merged tasks `tasks` a copy of `from`'s
+    /// ([`copy_range`]), as [`TaskSet::copy_slot`] makes a slot's
+    /// entities: a task's bodies follow those of the task before it, so
+    /// a slot's are one run.
+    pub(crate) fn copy_slot(&mut self, from: &BodyTable, tasks: Range<usize>) {
+        let end = from.bodies.len() as u32;
+        let at = |t: usize| *from.first.get(t).unwrap_or(&end) as usize;
+        copy_range(
+            &mut self.bodies,
+            &from.bodies,
+            at(tasks.start)..at(tasks.end),
+        );
+        copy_range(&mut self.first, &from.first, tasks);
+    }
+
+    pub(crate) fn get(&self, task: TaskId, version: VersionId) -> &TaskBody {
         &self.bodies[self.first[task.index()] as usize + version.index()]
     }
 }

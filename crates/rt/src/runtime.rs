@@ -61,7 +61,9 @@ use yasmin_core::error::{Error, Result};
 use yasmin_core::graph::TaskSet;
 use yasmin_core::ids::{TaskId, TenantId, VersionId, WorkerId};
 use yasmin_core::time::{Clock, Instant, MonotonicClock};
-use yasmin_sched::admission::{Admission, AdmissionControl, AdmissionError, TenantLedger};
+use yasmin_sched::admission::{
+    Admission, AdmissionControl, AdmissionError, Generation, TenantLedger,
+};
 use yasmin_sched::msg::{NotifyHandle, Receiver as MsgReceiver, Sender as MsgSender};
 use yasmin_sched::server::TenantBudget;
 use yasmin_sched::{validate_sharding, EngineStats, Job, JobOutcome};
@@ -377,16 +379,25 @@ pub struct Runtime {
 }
 
 /// A runtime's tenant state: the ledger, and the pen — every generation
-/// of what the owners run, a merged set and the body table built with
-/// it, oldest first. An owner lets go of both on its own thread when it
-/// adopts the next ([`ShardMsg::Admit`]), so it must never hold the last
-/// reference: the pen drops a generation on a caller's thread — at an
-/// admission, or with the handle at [`Runtime::cleanup`] — once it holds
-/// the only reference to both halves.
+/// of what the owners run that an owner or a helper may still hold, a
+/// merged set and the body table built with it. An owner lets go of
+/// both on its own thread when it adopts the next
+/// ([`ShardMsg::Admit`]), so it must never hold the last reference: the
+/// pen keeps a generation until it holds the only reference to both
+/// halves, and takes it back on a caller's thread — an admission makes
+/// the next generation in it, or drops it, and the handle drops what is
+/// left at [`Runtime::cleanup`].
 pub(crate) struct Tenancy {
     pub(crate) ledger: TenantLedger,
     /// The last is the one the owners run; tenant 0's at first.
-    pub(crate) generations: Vec<(Arc<TaskSet>, Arc<BodyTable>)>,
+    pub(crate) generations: Vec<(Generation, Arc<BodyTable>)>,
+}
+
+/// Whether the pen holds the only reference to both halves of a
+/// generation: a count of one cannot rise again, only a holder can
+/// clone.
+fn alone((g, table): &(Generation, Arc<BodyTable>)) -> bool {
+    Arc::strong_count(&g.set) == 1 && Arc::strong_count(table) == 1
 }
 
 /// Bodies keyed by `(task, version)`, as a caller registers them.
@@ -400,18 +411,23 @@ impl Tenancy {
         base: Arc<TaskSet>,
         bodies: Arc<BodyTable>,
     ) -> Self {
-        let first = (Arc::clone(&base), bodies);
+        let first = Generation {
+            set: Arc::clone(&base),
+            number: 0,
+        };
         Tenancy {
             ledger: TenantLedger::new(control, base),
-            generations: vec![first],
+            generations: vec![(first, bodies)],
         }
     }
 
-    /// Admits `candidate` as [`Runtime::admit`] does: prunes — ahead of
-    /// the ledger's copy, which then finds in cache what it shares with
-    /// the pruned sets — and has `send` send the admission and its body
-    /// table ([`BodyTable::placed`]), which become the current
-    /// generation if it returns `Ok`.
+    /// Admits `candidate` as [`Runtime::admit`] does, and has `send`
+    /// send the admission and its body table, which become the current
+    /// generation if it returns `Ok`. Both are made in the generation
+    /// [`Tenancy::recycle`] takes back, when there is one: the ledger
+    /// brings its set up to date ([`TenantLedger::admit_reusing`]) and
+    /// the table follows slot by slot ([`BodyTable::copy_slot`]) —
+    /// otherwise in copies of the current ones.
     pub(crate) fn admit(
         &mut self,
         candidate: &TaskSet,
@@ -419,24 +435,53 @@ impl Tenancy {
         budget: Option<&TenantBudget>,
         send: impl FnOnce(&Admission<'_>, &Arc<BodyTable>) -> Result<()>,
     ) -> std::result::Result<TenantId, AdmissionError> {
-        self.prune();
+        let (mut spare, mut spare_bodies) = self.recycle().unzip();
         let current = &self.generations.last().expect("tenant 0's generation").1;
         let mut spliced = None;
-        let tenant = self.ledger.admit(candidate, budget, |admission| {
-            let table = current.placed(candidate, admission.slot.first_task, bodies);
-            send(&admission, &table)?;
-            spliced = Some((Arc::clone(admission.merged), table));
-            Ok(())
-        })?;
+        let tenant = self
+            .ledger
+            .admit_reusing(&mut spare, candidate, budget, |admission| {
+                let first = admission.slot.first_task;
+                let table = match admission.replayed {
+                    Some(writes) => {
+                        let mut table = spare_bodies.take().expect("taken with its set");
+                        let caught_up = Arc::get_mut(&mut table).expect("the pen's alone");
+                        for written in writes {
+                            caught_up.copy_slot(current, written.task_range());
+                        }
+                        caught_up.place(candidate, first, bodies);
+                        table
+                    }
+                    None => current.placed(candidate, first, bodies),
+                };
+                send(&admission, &table)?;
+                let set = Arc::clone(admission.merged);
+                let number = admission.generation;
+                spliced = Some((Generation { set, number }, table));
+                Ok(())
+            });
+        // A spare the ledger left goes back, behind the current one.
+        if let Some(unused) = spare.zip(spare_bodies) {
+            self.generations.insert(self.generations.len() - 1, unused);
+        }
         self.generations.extend(spliced);
-        Ok(tenant)
+        tenant
     }
 
-    /// Drops the generations nobody else holds: a count of one cannot
-    /// rise again, only a holder can clone.
-    fn prune(&mut self) {
-        self.generations
-            .retain(|(set, table)| Arc::strong_count(set) > 1 || Arc::strong_count(table) > 1);
+    /// Takes out of the pen the newest generation nobody else holds —
+    /// the fewest writes behind — for the admission to make the next one
+    /// in, and drops the others nobody holds.
+    fn recycle(&mut self) -> Option<(Generation, Arc<BodyTable>)> {
+        // The current one is the ledger's too: never alone.
+        let current = self.generations.pop().expect("tenant 0's generation");
+        let newest = (self.generations.iter().enumerate())
+            .filter(|(_, held)| alone(held))
+            .max_by_key(|(_, (g, _))| g.number)
+            .map(|(i, _)| i);
+        let spare = newest.map(|i| self.generations.remove(i));
+        self.generations.retain(|held| !alone(held));
+        self.generations.push(current);
+        spare
     }
 }
 
@@ -504,9 +549,13 @@ impl Runtime {
     /// tests of [`yasmin_sched::AdmissionControl`], run by the
     /// [`TenantLedger`] over the analysis rows of the live tenants plus
     /// the candidate's) and, under sharding, the sharding contract
-    /// ([`validate_sharding`]) — and so does the copy of the owners' body
-    /// table with `bodies` written in under merged task ids, the one
-    /// table every owner adopts. An accepted tenant is
+    /// ([`validate_sharding`]) — and so does making what every owner
+    /// adopts: the next merged set and body table, with the tenant and
+    /// `bodies` written in under merged task ids. They are made in the
+    /// pair of an earlier generation that no owner or helper holds any
+    /// more, which catches up by a copy of each slot written since
+    /// (`TenantLedger::admit_reusing`), or else in copies of the current
+    /// pair. An accepted tenant is
     /// spliced into every owner's engine with its releases disarmed,
     /// then committed: the commit arms them at the owner's next tick
     /// edge, and that edge's tick round releases the first jobs. An
@@ -1172,7 +1221,7 @@ mod tests {
         let control = AdmissionControl::new(config(1), ms(100));
         let mut tenancy = Tenancy::new(control, Arc::clone(&base), table);
         let (guest, bodies) = one("guest");
-        let mut admit = || {
+        let admit = |tenancy: &mut Tenancy| {
             let mut sent = None;
             let tenant = tenancy.admit(&guest, &bodies, None, |a, table| {
                 sent = Some((Arc::clone(a.merged), Arc::clone(table)));
@@ -1182,31 +1231,27 @@ mod tests {
         };
         let counts =
             |g: &(Arc<TaskSet>, Arc<BodyTable>)| (Arc::strong_count(&g.0), Arc::strong_count(&g.1));
-        let (_, mut running) = admit();
-        let first = (Arc::downgrade(&running.0), Arc::downgrade(&running.1));
+        let addresses = |g: &(Arc<TaskSet>, Arc<BodyTable>)| (Arc::as_ptr(&g.0), Arc::as_ptr(&g.1));
+        let (_, mut running) = admit(&mut tenancy);
+        let first = addresses(&running);
 
         // Two admissions go by before the owner adopts anything: it
         // must not be left holding the last reference to what it runs.
-        let _second = admit();
+        let _second = admit(&mut tenancy);
         assert_eq!(counts(&running), (2, 2), "owner and pen");
-        let (_, third) = admit();
+        let (_, third) = admit(&mut tenancy);
         assert_eq!(counts(&running), (2, 2), "owner and pen");
 
         // The owner adopts the latest: nothing dies on its thread…
         running = third;
-        assert!(first.0.upgrade().is_some(), "the pen still holds the set");
-        assert!(first.1.upgrade().is_some(), "the pen still holds the table");
-        // …and the caller's next admission drops both, on the caller's
-        // thread; the new set is what copying would have built.
-        let (_, fourth) = admit();
-        assert!(
-            first.0.upgrade().is_none(),
-            "set dropped on the caller's thread"
-        );
-        assert!(
-            first.1.upgrade().is_none(),
-            "table dropped on the caller's thread"
-        );
+        let mut pen =
+            (tenancy.generations.iter()).map(|(g, b)| (Arc::as_ptr(&g.set), Arc::as_ptr(b)));
+        assert!(pen.any(|g| g == first), "the pen holds the first");
+        // …and the caller's next admission takes it back, on the
+        // caller's thread: the new generation is made in it, two writes
+        // behind, and is what copying would have built.
+        let (_, fourth) = admit(&mut tenancy);
+        assert_eq!(addresses(&fourth), first, "made in the first generation");
         let mut copied = (*base).clone();
         for _ in 0..4 {
             copied = copied.extended(&guest).unwrap();
@@ -1214,6 +1259,117 @@ mod tests {
         assert_eq!(format!("{:?}", fourth.0), format!("{copied:?}"));
         assert!(Arc::ptr_eq(&fourth.0, tenancy.ledger.merged()));
         assert_eq!(counts(&running), (2, 2), "owner and pen");
+    }
+
+    /// The `Arc` each `(task, version)` of `set` finds in `table`.
+    fn lookups(set: &TaskSet, table: &BodyTable) -> Vec<*const ()> {
+        let tasks = set.tasks().iter();
+        let each = tasks.flat_map(|t| (0..t.versions().len()).map(move |v| (t.id(), v)));
+        let at = |(t, v): (TaskId, usize)| table.get(t, VersionId::new(v as u16));
+        each.map(|key| Arc::as_ptr(at(key)) as *const ()).collect()
+    }
+
+    /// Asserts `made` is `fresh`, table by table.
+    fn assert_same_set(made: &TaskSet, fresh: &TaskSet, case: &str) {
+        let debug = |s: &TaskSet| {
+            let adjacency =
+                |t: &yasmin_core::task::Task| (s.in_edge_ids(t.id()), s.out_edge_ids(t.id()));
+            [
+                format!("{:?}", s.tasks()),
+                format!("{:?}", s.accels()),
+                format!("{:?}", s.channels()),
+                format!("{:?}", s.edges()),
+                format!("{:?}", s.tasks().iter().map(adjacency).collect::<Vec<_>>()),
+                format!("{:?}", s.topological_order()),
+            ]
+        };
+        let tables = ["tasks", "accels", "channels", "edges", "adjacency", "topo"];
+        for ((name, a), b) in tables.iter().zip(debug(made)).zip(debug(fresh)) {
+            assert_eq!(a, b, "{case}: {name}");
+        }
+    }
+
+    #[test]
+    fn a_recycled_generation_equals_a_fresh_copy() {
+        // Generated admit/retire sequences through a `Tenancy`, beside a
+        // stand-in for the owners that lets go of what it was sent late
+        // or early. Every generation the tenancy makes — in a spare, or
+        // by the copy it falls back to — must equal what the parent
+        // copied: `TaskSet::placed` and `BodyTable::placed` of the set and
+        // table it replaces, with the same body `Arc` behind every
+        // lookup. Three shapes: one task, one with two versions, and a
+        // root → node pair over a channel.
+        let shape = |kind: u64, tag: &str| {
+            let mut b = TaskSetBuilder::new();
+            let (t, v) = task(
+                &mut b,
+                TaskSpec::periodic(format!("{tag}-a"), ms(100)),
+                ms(1),
+            );
+            let mut keys = vec![(t, v)];
+            match kind {
+                0 => {}
+                1 => keys.push((t, b.version_decl(t, VersionSpec::new("w", ms(1))).unwrap())),
+                _ => {
+                    let (n, w) = task(&mut b, TaskSpec::graph_node(format!("{tag}-b")), ms(1));
+                    let ch = b.channel_decl(format!("{tag}-ch"), 1, 8);
+                    b.channel_connect(t, n, ch).unwrap();
+                    keys.push((n, w));
+                }
+            }
+            let body = |_| -> TaskBody { Arc::new(|_: &JobCtx| {}) };
+            let bodies = keys.into_iter().map(|k| (k, body(k))).collect::<Bodies>();
+            (b.build().unwrap(), bodies)
+        };
+        // Appended, recycled; copied, one write behind, two or more.
+        let mut seen = [0u32; 5];
+        for seed in 1..=60u64 {
+            let mut rng = seed;
+            let mut next = |n: u64| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng % n
+            };
+            let (base, base_bodies) = shape(2, "base");
+            let base = Arc::new(base);
+            let table = BodyTable::default().placed(&base, 0, &base_bodies);
+            let control = AdmissionControl::new(config(1), ms(100));
+            let mut tenancy = Tenancy::new(control, base, table);
+            let mut live = Vec::new();
+            let mut owners = std::collections::VecDeque::new();
+            for step in 0..30 {
+                match next(5) {
+                    0 if !live.is_empty() => {
+                        let i = next(live.len() as u64) as usize;
+                        tenancy.ledger.retire(live.swap_remove(i)).unwrap();
+                    }
+                    1 | 2 => drop(owners.pop_front()),
+                    _ => {
+                        let case = format!("seed {seed}, step {step}");
+                        let (cand, bodies) = shape(next(3), &case);
+                        let (set, table) = &tenancy.generations.last().unwrap();
+                        let (prev, prev_table) = (Arc::clone(&set.set), Arc::clone(table));
+                        let tenant = tenancy.admit(&cand, &bodies, None, |a, table| {
+                            let fresh = prev.placed(&cand, a.slot).unwrap();
+                            assert_same_set(a.merged, &fresh, &case);
+                            let fresh_table = prev_table.placed(&cand, a.slot.first_task, &bodies);
+                            let lookups = (lookups(&fresh, table), lookups(&fresh, &fresh_table));
+                            assert_eq!(lookups.0, lookups.1, "{case}: bodies");
+                            seen[usize::from(a.slot.first_task < prev.len() as u32)] += 1;
+                            seen[2 + a.replayed.map_or(0, |w| w.len().min(2))] += 1;
+                            owners.push_back((Arc::clone(a.merged), Arc::clone(table)));
+                            Ok(())
+                        });
+                        live.push(tenant.unwrap());
+                    }
+                }
+            }
+        }
+        let names = ["appended", "recycled", "copied", "1 behind", "2+ behind"];
+        for (name, n) in names.iter().zip(seen) {
+            assert!(n > 0, "no admission was {name}: {seen:?}");
+        }
     }
 
     #[test]
@@ -1282,9 +1438,6 @@ mod tests {
         let only_the_pen = || {
             let tenancy = rt.lock_ledger();
             let superseded = &tenancy.generations[..tenancy.generations.len() - 1];
-            let alone = |(set, table): &(Arc<TaskSet>, Arc<BodyTable>)| {
-                Arc::strong_count(set) == 1 && Arc::strong_count(table) == 1
-            };
             superseded.iter().all(alone)
         };
         nap_until(only_the_pen);

@@ -17,8 +17,8 @@
 //! **A tenant is a task-set namespace.** Each tenant declares its tasks,
 //! versions, accelerators and channels against its own id space starting
 //! at zero, exactly as if it were the only application. At admission the
-//! tenant's set is written into a **slot** of a copy of the live set
-//! ([`TaskSet::placed`]): the id ranges — tasks, edges, channels,
+//! tenant's set is written into a **slot** of the next merged set
+//! ([`TaskSet::place`]): the id ranges — tasks, edges, channels,
 //! accelerators — of a retired tenant of the same *shape*
 //! ([`TaskSet::fits`]: as many tasks, edges, channels and accelerators,
 //! and for each task as many versions on the same worker), or, when no
@@ -108,12 +108,21 @@
 //! sections and every term stays the zero it was built with: the check
 //! skips them.
 //!
-//! Every admission writes the candidate into a copy of the merged set,
-//! so it costs one copy of the live tenants' entities, and the ledger
-//! then holds the new set only. A driver whose engines let go of the
-//! old set on real-time threads (the thread runtime's) keeps the sets
-//! it replaced until they have, so that no `free` of a task, version
-//! vector or adjacency list runs there; the simulator keeps none.
+//! Every admission writes the candidate into the next merged set, and
+//! the ledger then holds that set only. [`TenantLedger::admit`] makes it
+//! as a copy of the current one ([`TaskSet::placed`]), which costs one
+//! copy of the live tenants' entities: the simulator admits so. A
+//! driver whose engines let go of the old set on real-time threads (the
+//! thread runtime's) keeps the sets it replaced until they have, so
+//! that no `free` of a task, version vector or adjacency list runs
+//! there — and hands one back once nobody else holds it
+//! ([`TenantLedger::admit_reusing`]): the ledger keeps the slot each
+//! admission wrote since the last set handed back, copies those slots
+//! into it from the current set ([`TaskSet::copy_slot`]), then writes
+//! the candidate. That costs the tenants written since, not the merged
+//! set: in a steady churn one tenant's slot, and no allocation
+//! (`tests/zero_alloc.rs`). Without a set to hand back — the first
+//! admissions, or every set still held — it copies as `admit` does.
 //!
 //! # The admission state machine
 //!
@@ -195,6 +204,8 @@
 //! [`ReservationServer`]: crate::server::ReservationServer
 //! [`TaskSet::extended`]: yasmin_core::graph::TaskSet::extended
 //! [`TaskSet::placed`]: yasmin_core::graph::TaskSet::placed
+//! [`TaskSet::place`]: yasmin_core::graph::TaskSet::place
+//! [`TaskSet::copy_slot`]: yasmin_core::graph::TaskSet::copy_slot
 //! [`TaskSet::fits`]: yasmin_core::graph::TaskSet::fits
 //! [`TenantId`]: yasmin_core::ids::TenantId
 
@@ -686,6 +697,29 @@ pub struct Admission<'a> {
     /// its shape, or the set's end. Its candidate-local `T<k>` is
     /// `T<slot.first_task + k>` in the running schedule.
     pub slot: Slot,
+    /// `merged`'s generation: 1 for the first set the ledger's
+    /// admissions made, 2 for the next and so on; the base is 0.
+    pub generation: u64,
+    /// How `merged` was made. `None`: as a copy of the set it replaces.
+    /// `Some(writes)`: in the spare handed to
+    /// [`TenantLedger::admit_reusing`], which caught up with the set it
+    /// replaces by a copy of each slot in `writes`, oldest first
+    /// ([`TaskSet::copy_slot`]), before the candidate was written into
+    /// `slot`. A driver brings its own tables of the spare's generation
+    /// up to date the same way.
+    pub replayed: Option<&'a [Slot]>,
+}
+
+/// A merged set a [`TenantLedger`] made, and which one it was
+/// ([`Admission::generation`]): what a driver keeps of a set its engines
+/// may still run, to hand it back once they have all let go of it
+/// ([`TenantLedger::admit_reusing`]).
+#[derive(Debug, Clone)]
+pub struct Generation {
+    /// The set.
+    pub set: Arc<TaskSet>,
+    /// Its generation.
+    pub number: u64,
 }
 
 /// The tenant state of one running schedule (see the module docs):
@@ -708,6 +742,14 @@ pub struct TenantLedger {
     /// first admission. A check inserts the candidate's at its slot and
     /// removes them again unless it is admitted.
     rows: Vec<Row>,
+    /// Admissions so far: `merged` is generation `generation`, the
+    /// base generation 0.
+    generation: u64,
+    /// The slot written into each of the last `writes.len()`
+    /// generations to make the next, oldest first: a spare of one of
+    /// them catches up by a copy of the slots written since. Kept from
+    /// the generation of the last spare taken on; `admit` keeps none.
+    writes: Vec<Slot>,
 }
 
 impl TenantLedger {
@@ -722,6 +764,8 @@ impl TenantLedger {
             slots,
             merged: base,
             rows: Vec::new(),
+            generation: 0,
+            writes: Vec::new(),
         }
     }
 
@@ -748,12 +792,23 @@ impl TenantLedger {
         Some(TaskId::new(entry.slot.first_task))
     }
 
+    /// How many slots a spare of `generation` would copy to catch up
+    /// with `merged`: `None` for a generation the ledger keeps no writes
+    /// for, or the current one.
+    fn writes_behind(&self, generation: u64) -> Option<usize> {
+        let behind = self.generation.checked_sub(generation)?;
+        (1..=self.writes.len() as u64)
+            .contains(&behind)
+            .then_some(behind as usize)
+    }
+
     /// Evaluates `candidate` against the live tenants and, when the
     /// analysis accepts it, calls `splice` with what the driver's
     /// engines must adopt: the first free slot of the candidate's shape
-    /// ([`TaskSet::fits`]), or the merged set's end. The tenant is
-    /// recorded only if `splice` returns `Ok`, so a driver-side failure
-    /// leaves the ledger — like the engines — as it was.
+    /// ([`TaskSet::fits`]), or the merged set's end, in a copy of the
+    /// merged set. The tenant is recorded only if `splice` returns
+    /// `Ok`, so a driver-side failure leaves the ledger — like the
+    /// engines — as it was.
     ///
     /// # Errors
     ///
@@ -762,6 +817,36 @@ impl TenantLedger {
     /// [`AdmissionError::Invalid`] also carries an error of `splice`.
     pub fn admit(
         &mut self,
+        candidate: &TaskSet,
+        budget: Option<&TenantBudget>,
+        splice: impl FnOnce(Admission<'_>) -> Result<(), Error>,
+    ) -> Result<TenantId, AdmissionError> {
+        let admitted = self.admit_reusing(&mut None, candidate, budget, splice);
+        // No set is ever handed back.
+        self.writes.clear();
+        admitted
+    }
+
+    /// [`TenantLedger::admit`], with the new merged set made in
+    /// `spare` — a set this ledger made that nobody else holds any more
+    /// — instead of a copy: once the analysis accepts, the slots
+    /// written since the spare was current are copied into it, then the
+    /// candidate is written into its slot, so the admission costs the
+    /// tenants written since, not the whole set
+    /// ([`Admission::replayed`]). The spare is left where it is when the
+    /// candidate is refused, when the ledger keeps no writes for it or
+    /// when somebody else holds it: the admission then copies as `admit`
+    /// does. A driver
+    /// that hands spares back admits through this call only, with
+    /// `None` when it has none: the ledger keeps the writes since the
+    /// last spare it took, and forgets the older ones.
+    ///
+    /// # Errors
+    ///
+    /// As [`TenantLedger::admit`].
+    pub fn admit_reusing(
+        &mut self,
+        spare: &mut Option<Generation>,
         candidate: &TaskSet,
         budget: Option<&TenantBudget>,
         splice: impl FnOnce(Admission<'_>) -> Result<(), Error>,
@@ -788,7 +873,7 @@ impl TenantLedger {
         self.control
             .extend_rows(&mut self.rows, candidate, slot.first_task);
         self.rows[at..].rotate_right(added);
-        let admitted = self.try_admit(candidate, budget, slot, at..at + added, splice);
+        let admitted = self.try_admit(spare, candidate, budget, slot, at..at + added, splice);
         match admitted {
             Ok(tenant) => self.slots.add(tenant, slot, recycled, ()),
             Err(_) => {
@@ -799,10 +884,11 @@ impl TenantLedger {
         admitted
     }
 
-    /// [`TenantLedger::admit`] once the candidate's rows are in place at
-    /// `cand`; leaves them there whatever the outcome.
+    /// [`TenantLedger::admit_reusing`] once the candidate's rows are in
+    /// place at `cand`; leaves them there whatever the outcome.
     fn try_admit(
         &mut self,
+        spare: &mut Option<Generation>,
         candidate: &TaskSet,
         budget: Option<&TenantBudget>,
         slot: Slot,
@@ -811,15 +897,46 @@ impl TenantLedger {
     ) -> Result<TenantId, AdmissionError> {
         let (control, rows) = (&self.control, &mut self.rows);
         control.check(rows, cand, &self.merged, candidate, slot, budget)?;
-        let merged = Arc::new(self.merged.placed(candidate, slot)?);
+        let (merged, recycled) = self.next_set(spare, candidate, slot)?;
         let tenant = self.slots.next_id();
         splice(Admission {
             tenant,
             merged: &merged,
             slot,
+            generation: self.generation + 1,
+            replayed: recycled.then_some(&self.writes[..]),
         })?;
+        self.writes.push(slot);
+        self.generation += 1;
         self.merged = merged;
         Ok(tenant)
+    }
+
+    /// `merged` with `candidate` written into `slot`, and whether it
+    /// was made in `spare`: when the ledger keeps its writes and nobody
+    /// else holds it, `spare` is taken, and the writes before its
+    /// generation are forgotten; otherwise the set is a copy.
+    fn next_set(
+        &mut self,
+        spare: &mut Option<Generation>,
+        candidate: &TaskSet,
+        slot: Slot,
+    ) -> Result<(Arc<TaskSet>, bool), Error> {
+        let usable = |g: &mut Generation| {
+            let behind = self.writes_behind(g.number)?;
+            Arc::get_mut(&mut g.set).and(Some(behind))
+        };
+        let Some(behind) = spare.as_mut().and_then(usable) else {
+            return Ok((Arc::new(self.merged.placed(candidate, slot)?), false));
+        };
+        let mut set = spare.take().expect("a spare was found").set;
+        let caught_up = Arc::get_mut(&mut set).expect("nobody else holds the spare");
+        self.writes.drain(..self.writes.len() - behind);
+        for &written in &self.writes {
+            caught_up.copy_slot(&self.merged, written);
+        }
+        caught_up.place(candidate, slot)?;
+        Ok((set, true))
     }
 
     /// Frees `tenant`'s slot for the next candidate of its shape and
@@ -1101,6 +1218,52 @@ mod tests {
         }
         assert_eq!(ledger.merged().len(), 2, "one slot served every tenant");
         assert_eq!(ledger.first_task(TenantId::new(3)), None, "retired");
+    }
+
+    #[test]
+    fn a_spare_is_written_over_only_when_it_can_catch_up() {
+        let base = Arc::new(set("base", 1, 10, None));
+        let mut ledger = TenantLedger::new(AdmissionControl::new(edf(1), ms(10)), base);
+        let (small, heavy) = (set("small", 1, 10, None), set("heavy", 10, 10, None));
+        // `Some(Some(writes copied))` when admitted in the spare,
+        // `Some(None)` when copied, `None` when refused.
+        let admit = |ledger: &mut TenantLedger, spare: &mut Option<Generation>, c: &TaskSet| {
+            let mut made = None;
+            let admitted = ledger.admit_reusing(spare, c, None, |a| {
+                made = Some(a.replayed.map(<[Slot]>::len));
+                Ok(())
+            });
+            admitted.ok().and(made)
+        };
+        let g0 = Generation {
+            set: Arc::clone(ledger.merged()),
+            number: 0,
+        };
+        let mut spare = Some(g0.clone());
+        // Still current, then held by `g0`: copied, the spare left alone.
+        assert_eq!(admit(&mut ledger, &mut spare, &small), Some(None));
+        assert_eq!(admit(&mut ledger, &mut spare, &small), Some(None));
+        assert_eq!(ledger.writes_behind(0), Some(2));
+        drop(g0);
+        let g2 = Generation {
+            set: Arc::clone(ledger.merged()),
+            number: 2,
+        };
+        // Nobody else holds it: it catches up by both writes.
+        assert_eq!(admit(&mut ledger, &mut spare, &small), Some(Some(2)));
+        assert!(spare.is_none(), "taken");
+        // A refusal leaves the spare where it is…
+        let mut spare = Some(g2);
+        assert_eq!(admit(&mut ledger, &mut spare, &heavy), None);
+        assert!(spare.is_some(), "left");
+        // …for the next admission, which forgets the writes before it.
+        assert_eq!(admit(&mut ledger, &mut spare, &small), Some(Some(1)));
+        assert_eq!(ledger.writes_behind(1), None, "older than the last spare");
+        assert_eq!(ledger.writes_behind(3), Some(1));
+        assert_eq!(ledger.writes_behind(4), None, "current");
+        // A plain admission keeps no writes: nothing can catch up.
+        ledger.admit(&small, None, |_| Ok(())).unwrap();
+        assert_eq!(ledger.writes_behind(4), None);
     }
 
     #[test]

@@ -31,7 +31,7 @@ use crate::queue::ReadyQueue;
 use crate::select::{rank_versions_into, RankBuf};
 use crate::server::ReservationServer;
 use crate::sink::ActionSink;
-use crate::tenancy::{check_fit, edge_range, slot_past, Holding, SlotTable, Verdict};
+use crate::tenancy::{check_fit, slot_past, Holding, SlotTable, Verdict};
 use std::iter::repeat_n;
 use std::sync::Arc;
 use yasmin_core::channel::BackpressurePolicy;
@@ -408,7 +408,7 @@ pub struct OnlineEngine {
     /// Deadline misses observed in the current window.
     miss_window_count: u32,
     /// The trip wire is tripped: `LogOnly`-class tasks release at
-    /// background priority until a window passes within budget.
+    /// background priority until the window it tripped in ends.
     tripped: bool,
     /// `Some(w)`: this engine is the *shard* owning only worker `w`
     /// (partitioned mapping). It holds exactly one queue and one running
@@ -605,7 +605,7 @@ impl OnlineEngine {
         put(&mut self.msg_ceiling, n0, repeat_n(Priority::LOWEST, n));
         let policies = installed.iter().map(|t| t.spec().overrun_policy());
         put(&mut self.overrun_policy, n0, policies);
-        for i in edge_range(&slot) {
+        for i in slot.edge_range() {
             let e = merged.edges()[i];
             // Each edge's release FIFO holds its channel's declared
             // capacity, +1 for the transient over-capacity entry the
@@ -1016,7 +1016,7 @@ impl OnlineEngine {
         };
         let tasks = slot.task_range();
         let own = |t: TaskId| tasks.contains(&t.index());
-        if (merged.edges()[edge_range(&slot)].iter()).any(|e| !own(e.src) || !own(e.dst)) {
+        if (merged.edges()[slot.edge_range()].iter()).any(|e| !own(e.src) || !own(e.dst)) {
             return Err(refuse("has an edge leaving the tenant"));
         }
         self.add_tenant(merged, tenant, slot, recycled, server)
@@ -1116,7 +1116,7 @@ impl OnlineEngine {
     /// set cannot be retired — stop the schedule instead).
     pub fn retire_tenant_into(&mut self, tenant: TenantId, sink: &mut ActionSink) -> Result<()> {
         let free = self.tenants.retire(tenant)?;
-        let (tasks, edges) = (free.slot.task_range(), edge_range(&free.slot));
+        let (tasks, edges) = (free.slot.task_range(), free.slot.edge_range());
         self.next_release[tasks.clone()].fill(Instant::MAX);
         for i in edges {
             self.token_release[i].clear();
@@ -1240,9 +1240,10 @@ impl OnlineEngine {
     }
 
     /// Advances the tumbling miss-accounting window: once a full window
-    /// has elapsed the count resets, and — the recovery half of the trip
-    /// wire — a tripped engine untrips, restoring `LogOnly`-class tasks
-    /// to their base release priority.
+    /// has elapsed the next opens at `now` with a count of zero, and —
+    /// the recovery half of the trip wire — a tripped engine untrips:
+    /// `LogOnly`-class tasks release at their base priority again, and
+    /// the jobs they released while tripped stay demoted.
     fn roll_miss_window(&mut self, now: Instant) {
         let Some((window, _)) = self.config.miss_trip() else {
             return;
@@ -3331,6 +3332,73 @@ mod tests {
         assert!(queued(&e).contains(&Priority::HIGHEST));
         e.on_msg_into(drained(r), at(15), &mut sink).unwrap();
         assert_eq!(queued(&e), [Priority::LOWEST; 2]);
+    }
+
+    #[test]
+    fn the_trip_wire_demotes_releases_until_its_tumbling_window_ends() {
+        // One worker, a budget of no miss in a 20 ms window that opened
+        // at 0. a's late completion at 11 ms trips the wire. Of the
+        // `LogOnly` receiver r, the job released before the trip keeps
+        // its deadline; the one released while tripped is demoted. The
+        // tick at 20 ms releases a's overdue jobs, still tripped, then
+        // rolls the window — tumbling, not sliding: the miss 9 ms before
+        // no longer counts — and untrips. The demoted jobs stay demoted;
+        // r's next release is not. `busy` holds the worker throughout.
+        let mut b = yasmin_core::graph::TaskSetBuilder::new();
+        let a = b.task_decl(TaskSpec::periodic("a", ms(10))).unwrap();
+        let spec = TaskSpec::aperiodic("busy").with_constrained_deadline(ms(5));
+        let busy = b
+            .task_decl(spec.with_overrun_policy(OverrunPolicy::Kill))
+            .unwrap();
+        let spec = TaskSpec::aperiodic("r").with_constrained_deadline(ms(10));
+        let r = b.task_decl(spec).unwrap();
+        for t in [a, busy, r] {
+            b.version_decl(t, VersionSpec::new("v", ms(2))).unwrap();
+        }
+        let config = Config::builder()
+            .workers(1)
+            .priority(PriorityPolicy::EarliestDeadlineFirst)
+            .preemption(false)
+            .miss_trip(ms(20), 0)
+            .build()
+            .unwrap();
+        let mut e = OnlineEngine::new(Arc::new(b.build().unwrap()), config).unwrap();
+        let w0 = WorkerId::new(0);
+        let mut sink = ActionSink::new();
+        let queued = |e: &OnlineEngine, t: TaskId| -> Vec<(Instant, Priority)> {
+            let mut jobs: Vec<_> = (e.queues[0].iter())
+                .filter(|j| j.task == t)
+                .map(|j| (j.release, j.priority))
+                .collect();
+            jobs.sort_by_key(|&(release, _)| release);
+            jobs
+        };
+        let edf = |d: u64| Priority::earliest_deadline(at(d));
+        e.start_into(Instant::ZERO, &mut sink).unwrap();
+        e.activate_into(r, at(1), &mut sink).unwrap();
+        e.activate_into(busy, at(2), &mut sink).unwrap();
+        let late = e.running(w0).unwrap().job.id;
+        e.on_job_completed_into(w0, late, at(11), &mut sink)
+            .unwrap();
+        assert!(e.is_tripped());
+        assert_eq!(e.running(w0).unwrap().job.task, busy);
+        e.activate_into(r, at(12), &mut sink).unwrap();
+        assert_eq!(
+            queued(&e, r),
+            [(at(1), edf(11)), (at(12), Priority::LOWEST)]
+        );
+
+        e.on_tick_into(at(20), &mut sink);
+        assert!(!e.is_tripped(), "the window that held the miss has ended");
+        let overdue = [(at(10), Priority::LOWEST), (at(20), Priority::LOWEST)];
+        assert_eq!(queued(&e, a), overdue, "released before the roll");
+        e.activate_into(r, at(21), &mut sink).unwrap();
+        let r_jobs = [
+            (at(1), edf(11)),
+            (at(12), Priority::LOWEST),
+            (at(21), edf(31)),
+        ];
+        assert_eq!(queued(&e, r), r_jobs, "demoted jobs stay demoted");
     }
 
     #[test]

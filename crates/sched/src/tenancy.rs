@@ -209,7 +209,7 @@ impl SlotTable<Holding> {
         if undecided {
             entry.holding.since = since;
         }
-        Ok((i, undecided.then(|| edge_range(&entry.slot))))
+        Ok((i, undecided.then(|| entry.slot.edge_range())))
     }
 
     /// The holder verdict on a job or token of `task` in the graph
@@ -237,11 +237,6 @@ impl SlotTable<Holding> {
         let begun = holding.begun_by(graph_release);
         holding.server.as_mut().filter(|_| begun)
     }
-}
-
-/// A slot's edges, as indices.
-pub(crate) fn edge_range(slot: &Slot) -> Range<usize> {
-    slot.first_edge as usize..(slot.first_edge + slot.edge_count) as usize
 }
 
 /// Whether tasks `tasks` of `set` may join a schedule under `config`:

@@ -5,7 +5,7 @@
 //! grow to their high-water marks) each scenario drives 10 000 further
 //! steady-state scheduler interactions and asserts the allocation
 //! counter did not move at all. Fifteen scenarios cover the paths the
-//! ROADMAP names:
+//! ROADMAP names, and a sixteenth the caller's side of an admission:
 //!
 //! 1. **independent / global** — the EDF tick/complete loop of PR 2;
 //! 2. **DAG firing** — fork → (left, right) → join released through the
@@ -59,7 +59,12 @@
 //! 15. **tenant churn** — four live tenants of one shape: every cycle
 //!     one is installed in the slot the last retirement freed,
 //!     committed and run, and the oldest is retired — installing in
-//!     place overwrites the slot's tables in their own storage.
+//!     place overwrites the slot's tables in their own storage;
+//! 16. **admission into a spare** — the same churn through a
+//!     [`TenantLedger`], each tenant written into the set its engines
+//!     let go of: a cycle makes as many allocations beside 12 base tasks
+//!     as beside 192 (22 and 202 merged tasks), so it costs the tenant,
+//!     not the merged set.
 //!
 //! Runs without the libtest harness (`harness = false` in Cargo.toml)
 //! so no other thread can touch the allocator during the measured
@@ -1289,6 +1294,86 @@ fn tenant_churn() {
     );
 }
 
+/// Scenario 16: four live tenants of one shape beside a base of `base`
+/// tasks, admitted through a [`TenantLedger`] that is handed back, each
+/// time, the set the stand-in engines just let go of; the oldest tenant
+/// retires after each admission. Returns the allocations of `STEADY`
+/// admit/retire cycles after `WARMUP` of them.
+fn ledger_churn_allocs(base: usize) -> u64 {
+    use std::collections::VecDeque;
+    use yasmin_sched::admission::{AdmissionControl, Generation, TenantLedger};
+    let p = Duration::from_millis(10);
+    let set = |name: &str, tasks: usize| {
+        let mut b = TaskSetBuilder::new();
+        for i in 0..tasks {
+            let t = b
+                .task_decl(TaskSpec::periodic(format!("{name}{i}"), p))
+                .unwrap();
+            b.version_decl(t, VersionSpec::new("v", Duration::from_micros(1)))
+                .unwrap();
+        }
+        b.build().unwrap()
+    };
+    let config = Config::builder()
+        .workers(1)
+        .priority(PriorityPolicy::DeadlineMonotonic)
+        .preemption(false)
+        .build()
+        .expect("valid config");
+    let base = Arc::new(set("base", base));
+    let mut ledger = TenantLedger::new(AdmissionControl::new(config, p), Arc::clone(&base));
+    let tenant = set("tenant", 2);
+    // What the engines run, and what they last let go of.
+    let mut running = Generation {
+        set: base,
+        number: 0,
+    };
+    let mut spare = None;
+    let mut live = VecDeque::with_capacity(8);
+    let mut cycle = |retire: bool| {
+        let mut adopted = None;
+        let id = ledger
+            .admit_reusing(&mut spare, &tenant, None, |a| {
+                let set = Arc::clone(a.merged);
+                adopted = Some(Generation {
+                    set,
+                    number: a.generation,
+                });
+                Ok(())
+            })
+            .expect("four tenants fit");
+        spare = Some(std::mem::replace(&mut running, adopted.unwrap()));
+        live.push_back(id);
+        if retire {
+            ledger.retire(live.pop_front().unwrap()).unwrap();
+        }
+    };
+    for _ in 0..4 {
+        cycle(false);
+    }
+    for _ in 0..WARMUP {
+        cycle(true);
+    }
+    let before = ALLOC_CALLS.load(Ordering::SeqCst);
+    for _ in 0..STEADY {
+        cycle(true);
+    }
+    ALLOC_CALLS.load(Ordering::SeqCst) - before
+}
+
+fn admission_into_a_spare() {
+    let (small, large) = (ledger_churn_allocs(12), ledger_churn_allocs(192));
+    assert_eq!(
+        small, large,
+        "admission-into-a-spare: {STEADY} admit/retire cycles allocated {small} times \
+         beside 12 base tasks and {large} times beside 192"
+    );
+    println!(
+        "zero_alloc[admission-into-a-spare]: OK — {small} allocations across {STEADY} \
+         admit/retire cycles beside 12 base tasks and beside 192"
+    );
+}
+
 fn main() {
     independent_global();
     dag_firing();
@@ -1305,4 +1390,5 @@ fn main() {
     steady_state_batch_stealing();
     cull_missed_overload();
     tenant_churn();
+    admission_into_a_spare();
 }
