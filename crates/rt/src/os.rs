@@ -1,9 +1,10 @@
 //! OS interactions of the runtime (§3.3/§3.5): core pinning, memory
-//! locking, real-time priorities.
+//! locking, real-time priorities, timer slack.
 //!
-//! These are exactly the calls the paper relies on —
-//! `pthread_setaffinity_np`, `mlockall`, `SCHED_FIFO` — none of which
-//! `std` exposes, hence the `libc` dependency behind the default `os-rt`
+//! These are the calls the paper relies on — `pthread_setaffinity_np`,
+//! `mlockall`, `SCHED_FIFO` — and the timer slack that `SCHED_FIFO`
+//! would have set (`prctl(PR_SET_TIMERSLACK)`), none of which `std`
+//! exposes, hence the `libc` dependency behind the default `os-rt`
 //! feature. Every call degrades gracefully: unprivileged containers
 //! return an [`Error::Os`] which callers may log and ignore, matching the
 //! middleware's best-effort stance on COTS systems.
@@ -116,14 +117,54 @@ pub fn set_fifo_priority(priority: i32) -> Result<()> {
     Err(Error::Os("os-rt disabled or non-Linux host".into()))
 }
 
+/// The timer slack of every runtime thread, in ns: what Linux gives a
+/// `SCHED_FIFO` thread. Under the default policy a thread's timed
+/// sleeps may end up to 50 µs past their timeout so that the kernel can
+/// batch wake-ups; an owner's tick-edge parks are timed to the µs.
+pub const RUNTIME_TIMER_SLACK_NS: u64 = 1;
+
+/// Sets the calling thread's timer slack to `ns` nanoseconds
+/// (`prctl(PR_SET_TIMERSLACK)`): how far past its timeout the kernel
+/// may end one of its timed sleeps. A thread with a real-time policy
+/// has none whatever this says.
+///
+/// # Errors
+///
+/// [`Error::Os`] when the kernel refuses.
+#[cfg(all(feature = "os-rt", target_os = "linux"))]
+pub fn set_timer_slack(ns: u64) -> Result<()> {
+    // SAFETY: PR_SET_TIMERSLACK takes one unsigned long by value and
+    // affects the calling thread only.
+    let rc = unsafe { libc::prctl(libc::PR_SET_TIMERSLACK, ns as libc::c_ulong) };
+    if rc == 0 {
+        Ok(())
+    } else {
+        Err(Error::Os(format!("PR_SET_TIMERSLACK({ns}) refused: {rc}")))
+    }
+}
+
+/// Sets the timer slack — no-op stub without `os-rt` on Linux.
+///
+/// # Errors
+///
+/// Always [`Error::Os`] (feature disabled or non-Linux host).
+#[cfg(not(all(feature = "os-rt", target_os = "linux")))]
+pub fn set_timer_slack(ns: u64) -> Result<()> {
+    let _ = ns;
+    Err(Error::Os("os-rt disabled or non-Linux host".into()))
+}
+
 /// What every runtime thread — owner or helper — does before its loop:
-/// pin to `core`, best-effort. Returns whether the kernel agreed; a
-/// thread it refused runs wherever the host puts it and is counted in
-/// `RuntimeReport::unpinned_threads`. Where a runtime thread runs is
-/// decided here and nowhere else. Its priority is not: it keeps the
-/// policy it was spawned with ([`set_fifo_priority`] is a caller's).
+/// pin to `core` and take a timer slack of [`RUNTIME_TIMER_SLACK_NS`],
+/// both best-effort. Returns whether the kernel agreed to the pinning;
+/// a thread it refused runs wherever the host puts it and is counted in
+/// `RuntimeReport::unpinned_threads`. Where a runtime thread runs, and
+/// how late the kernel may end its timed parks, are decided here and
+/// nowhere else. Its priority is not: it keeps the policy it was
+/// spawned with ([`set_fifo_priority`] is a caller's).
 #[must_use]
 pub fn enter_runtime_thread(core: usize) -> bool {
+    let _ = set_timer_slack(RUNTIME_TIMER_SLACK_NS);
     pin_current_thread(core).is_ok()
 }
 
@@ -145,5 +186,25 @@ mod tests {
     #[test]
     fn pin_to_absurd_core_fails() {
         assert!(pin_current_thread(100_000).is_err());
+    }
+
+    #[cfg(all(feature = "os-rt", target_os = "linux"))]
+    #[test]
+    fn a_runtime_thread_sleeps_with_a_nanosecond_of_timer_slack() {
+        // On a thread of its own: entering pins it, and the slack is
+        // the thread's.
+        let slack = std::thread::spawn(|| {
+            let _ = enter_runtime_thread(0);
+            // SAFETY: PR_GET_TIMERSLACK reads the calling thread's
+            // slack and takes no further argument.
+            unsafe { libc::prctl(libc::PR_GET_TIMERSLACK) }
+        });
+        assert_eq!(slack.join().unwrap(), 1);
+    }
+
+    #[cfg(not(all(feature = "os-rt", target_os = "linux")))]
+    #[test]
+    fn the_timer_slack_stub_does_nothing() {
+        assert!(set_timer_slack(RUNTIME_TIMER_SLACK_NS).is_err());
     }
 }

@@ -108,37 +108,68 @@
 //! A timed park returns late, by an amount that spreads from one park
 //! to the next and depends on the park before it: a long park ends
 //! later, and spread wider, than a short one taken right after it
-//! (docs/ARCHITECTURE.md, "What a timed park is", has the figures). So
-//! an owner meets a tick edge with two parks, each armed *early* by a
-//! lead learnt from the parks of its own kind — `woke − armed` of those
-//! that ran into their timeout (`Owner::woke`), the last 64, in one
+//! (docs/ARCHITECTURE.md, "What a timed park is", has the figures). And
+//! the edge's tick round, run right after a park, takes µs of its own —
+//! its data went cold while the thread slept — before the first body
+//! can begin. So an owner that runs its own bodies runs the round
+//! *ahead* of the edge, and every owner meets the point where the round
+//! runs with two parks, each armed *early* by a lead learnt from the
+//! parks of its own kind — `woke − armed` of those that ran into their
+//! timeout (`Owner::woke`), the last 64, in one
 //! `yasmin_sync::wait::TimerLead` per kind:
 //!
-//! * the **far** park is armed at `edge − (far lead + near lead)`. The
-//!   far lead is the upper decile of the far parks' lateness plus
-//!   `FAR_MARGIN`, so nine far parks in ten, and more, end before the
-//!   near park's arming point;
-//! * the **near** park is armed at `edge − near lead`, the lower
-//!   quartile of the near parks' lateness. About three near parks in
-//!   four end at or just after the edge; the fourth ends a few µs ahead
-//!   of it, and the owner spins the rest.
+//! * the **round lead** is the upper decile of what this thread's tick
+//!   rounds met from idle took (`Owner::learn_round`), in a third
+//!   `TimerLead`; zero on an owner that feeds helpers;
+//! * the **far** park is armed at `edge − round lead − (far lead + near
+//!   lead)`. The far lead is the upper decile of the far parks'
+//!   lateness plus `FAR_MARGIN`, so nine far parks in ten, and more, end
+//!   before the near park's arming point;
+//! * the **near** park is armed at `edge − round lead − near lead`, the
+//!   near lead being the lower quartile of the near parks' lateness.
+//!   About three near parks in four end at or just after the point
+//!   where the round runs; the fourth ends a few µs ahead of it, and the
+//!   owner spins the rest.
 //!
-//! Together the leads are at most `TimerLead::CAP` and at most an
+//! Together the three leads are at most `TimerLead::CAP` and at most an
 //! eighth of a tick. Which park is which follows from where the owner
 //! goes idle: ahead of the far arming point it takes a far park, at or
 //! past it a near one — its far park ended there, or its last job did.
 //! A far park that ends past the near arming point takes the spin
 //! below, or past the edge a late round. A host whose timer is on time
-//! teaches leads of zero; its far park ends `FAR_MARGIN` ahead of the
-//! edge, its near park on it.
+//! teaches park leads of zero; its far park ends `FAR_MARGIN` ahead of
+//! the round's point, its near park on it.
+//!
+//! **The hold.** An owner idle inside `[edge − round lead, edge)` runs
+//! the edge's round there, at the edge's own instant
+//! (`Owner::prestage`): the engine is told it is `edge`, releases and
+//! dispatches what it would at the edge, and the owner *holds* what it
+//! dispatched until the clock reaches the edge — `step` answers
+//! `Next::SpinTo` the edge meanwhile. What arrives during the hold — a
+//! command, a peer's token, a message event, a quiet admission — goes
+//! into the thread's own queue, and the first pass at the edge applies
+//! it, after the round and before the held body runs. So the engine
+//! never sees time go backwards, no body starts before its release, and
+//! an admission that lands in a hold anchors at the following edge, as
+//! one that lands just after the edge does. With the round off the
+//! critical path, the held body begins a few µs after the edge, where it
+//! began after the round.
+//!
+//! An owner that feeds helpers does not pre-stage: its round's dispatches
+//! go to helper threads at once, so holding them would mean holding
+//! sends, not a body of its own, and the relay to a helper, not the
+//! round, is what such a job waits for.
 //!
 //! The leads move the *wake-up*, never the schedule: a tick round runs
-//! only once the clock has reached its edge, so the engine sees the
+//! at its edge's instant, pre-staged or not, so the engine sees the
 //! same instants as without them. An owner idle inside
-//! `[edge − near lead, edge)` gets `Next::SpinTo` that edge: its thread
-//! polls what a park's re-check polls, so a command that lands there is
-//! served at once. Under [`WaitChoice::Spin`] every idle owner spins so,
-//! to its next edge. [`TickStats`], one per owner in
+//! `[edge − round lead − near lead, edge − round lead)` gets
+//! `Next::SpinTo` that point: its thread polls what a park's re-check
+//! polls, so a command that lands there is served at once. Under
+//! [`WaitChoice::Spin`] every idle owner spins so, to its next round.
+//! Under the harness's `ManualClock` a round costs nothing, so the
+//! round lead is zero and nothing is pre-staged there unless a scenario
+//! models the cost. [`TickStats`], one per owner in
 //! [`crate::RuntimeReport::tick_stats`], says what came of it. A pass
 //! that finds completions *and* a due tick coalesces both into **one**
 //! engine round ([`OnlineEngine::advance_into`]).
@@ -188,8 +219,11 @@
 //! A thread outside the runtime that sends after that finds 0, and its
 //! message is dropped ([`Runtime::cleanup`]).
 
+#[cfg(test)]
+use crate::runtime::Bodies;
 use crate::runtime::{
-    Bodies, JobCtx, RtJobRecord, Runtime, RuntimeBuilder, StealStats, TaskBody, Tenancy, TickStats,
+    bodies_of, JobCtx, RtJobRecord, Runtime, RuntimeBuilder, StealStats, TaskBody, Tenancy,
+    TickStats,
 };
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -380,9 +414,20 @@ struct ShardLocal {
     me: usize,
     rx: MailboxReceiver<ShardMsg>,
     /// Events this thread's bodies posted for their own owner's tasks,
-    /// and what [`post`] and [`wait_for`] moved here from the mailbox;
-    /// applied at the job boundary, ahead of the mailbox.
+    /// and what [`post`], [`wait_for`] and a hold moved here from the
+    /// mailbox; applied at the job boundary or the held edge, ahead of
+    /// the mailbox.
     posts: VecDeque<ShardMsg>,
+}
+
+impl ShardLocal {
+    /// Moves what the mailbox holds into the thread's own queue, behind
+    /// what is there.
+    fn queue_mailbox(&mut self) {
+        while let Some(msg) = self.rx.try_recv() {
+            self.posts.push_back(msg);
+        }
+    }
 }
 
 thread_local! {
@@ -403,9 +448,7 @@ pub(crate) fn wait_for<T>(lanes: &Lanes, mut attempt: impl FnMut() -> Option<T>)
         }
         LOCAL.with_borrow_mut(|local| {
             if let Some(l) = local.as_mut().filter(|l| Arc::ptr_eq(&l.lanes, lanes)) {
-                while let Some(msg) = l.rx.try_recv() {
-                    l.posts.push_back(msg);
-                }
+                l.queue_mailbox();
             }
         });
         backoff.snooze();
@@ -501,11 +544,12 @@ pub(crate) type Owners<C> = Vec<(Owner<C>, Vec<HelperEnd>)>;
 /// board and the channel notify hooks — and tenant 0's body table, which
 /// every owner adopts. Starts no thread; returns the owners, the shared lane into
 /// each, and the table.
-pub(crate) fn wire<C: Clock>(
+pub(crate) fn wire<C: OwnerClock>(
     launch: &RuntimeBuilder,
     clock: &Arc<C>,
 ) -> Result<(Owners<C>, Lanes, Arc<BodyTable>)> {
     let (taskset, config) = (&launch.taskset, &launch.config);
+    let found = bodies_of(taskset, &launch.bodies)?;
     let sharded = config.sharded_dispatch();
     let engines = if sharded {
         let shards = EngineShard::build_all(taskset, config)?;
@@ -586,7 +630,7 @@ pub(crate) fn wire<C: Clock>(
         }
     }
 
-    let bodies = BodyTable::default().placed(taskset, 0, &launch.bodies);
+    let bodies = BodyTable::default().placed(taskset, 0, &found);
     let mut owners = Vec::with_capacity(n);
     for ((((engine, rx), txs), done_lanes), shelf) in engines
         .into_iter()
@@ -613,12 +657,17 @@ pub(crate) fn wire<C: Clock>(
     Ok((owners, shared, bodies))
 }
 
-/// [`wire`]s the owners and starts one thread per owner and one per
-/// helper.
+/// [`wire`]s the owners — which reads every body, and refuses a missing
+/// one — locks memory when the builder asked for it, and starts one
+/// thread per owner and one per helper.
 pub(crate) fn spawn(launch: RuntimeBuilder) -> Result<Runtime> {
     let clock = Arc::new(MonotonicClock::new());
     let waiting = launch.config.waiting();
     let (owners, lanes, bodies) = wire(&launch, &clock)?;
+    if launch.lock_memory {
+        // Best-effort; containers commonly deny it.
+        let _ = crate::os::lock_all_memory();
+    }
     let tick = owners
         .first()
         .map(|(owner, _)| owner.tick)
@@ -975,6 +1024,9 @@ pub(crate) enum WakeSource {
 pub(crate) struct WakeSet(u8);
 
 impl WakeSet {
+    /// The mailbox and the next tick edge, which end every park and spin.
+    const EDGE: WakeSet = WakeSet(1 << WakeSource::Mailbox as u8 | 1 << WakeSource::TickEdge as u8);
+
     fn with(self, source: WakeSource, on: bool) -> Self {
         WakeSet(self.0 | u8::from(on) << source as u8)
     }
@@ -995,10 +1047,13 @@ pub(crate) enum Next {
     Park { until: Instant, wake: WakeSet },
     /// Nothing to do, and no time to sleep: watch the clock, the
     /// mailbox and [`Owner::also_ready`] until the first of them, then
-    /// [`Owner::spun`]. `edge` is the next tick edge, or the next retry
-    /// of spilled sends when that is sooner; an owner that sleeps spins
+    /// [`Owner::spun`]. `edge` is where the next tick edge's round runs
+    /// — the edge, or its round lead ahead of it — or the next retry of
+    /// spilled sends when that is sooner; an owner that sleeps spins
     /// only inside its near lead, one under [`WaitChoice::Spin`]
-    /// whenever it is idle.
+    /// whenever it is idle. An owner that holds a pre-staged edge spins
+    /// to that edge, and the mailbox ends its spin only for the arrival
+    /// to be queued.
     SpinTo { edge: Instant, wake: WakeSet },
     /// Globally quiescent after `Shutdown`: [`Owner::into_report`].
     Exit,
@@ -1024,37 +1079,34 @@ pub(crate) struct BodyTable {
 impl BodyTable {
     /// A copy of `self` with the bodies of `tenant` written in
     /// ([`BodyTable::place`]). Tenant 0's goes into an empty table at 0.
-    pub(crate) fn placed(&self, tenant: &TaskSet, first: u32, local: &Bodies) -> Arc<Self> {
+    pub(crate) fn placed(&self, tenant: &TaskSet, first: u32, found: &[TaskBody]) -> Arc<Self> {
         let mut table = self.clone();
-        table.place(tenant, first, local);
+        table.place(tenant, first, found);
         Arc::new(table)
     }
 
     /// Writes the bodies of `tenant`, a set in its own id space, into
     /// the slot of the merged set that starts at task `first` ([`put`]):
-    /// over a former holder of its shape, or past the table's end. Like
-    /// `check_bodies`, it reads `local` for the tenant's own tasks and
-    /// versions only.
+    /// over a former holder of its shape, or past the table's end.
+    /// `found` is what [`bodies_of`] read for the tenant: every version
+    /// of every task, in that order, as the table lays them out.
     ///
     /// # Panics
     ///
-    /// When a version has no body (the caller checked them all), or
-    /// the tenant starts past the table's end.
-    pub(crate) fn place(&mut self, tenant: &TaskSet, first: u32, local: &Bodies) {
+    /// When the tenant starts past the table's end.
+    pub(crate) fn place(&mut self, tenant: &TaskSet, first: u32, found: &[TaskBody]) {
         let first = first as usize;
         let end = self.bodies.len() as u32;
-        let mut at = *self.first.get(first).unwrap_or(&end) as usize;
-        for t in tenant.tasks() {
-            let versions = t.versions().len();
-            let body = |v: usize| {
-                let key = (t.id(), VersionId::new(v as u16));
-                Arc::clone(local.get(&key).expect("bodies were checked"))
-            };
-            let task = first + t.id().index();
-            put(&mut self.first, task, std::iter::once(at as u32));
-            put(&mut self.bodies, at, (0..versions).map(body));
-            at += versions;
-        }
+        let start = *self.first.get(first).unwrap_or(&end);
+        let mut at = start;
+        let starts = tenant.tasks().iter().map(|t| {
+            let task_start = at;
+            at += t.versions().len() as u32;
+            task_start
+        });
+        put(&mut self.first, first, starts);
+        debug_assert_eq!(at - start, found.len() as u32, "one body per version");
+        put(&mut self.bodies, start as usize, found.iter().cloned());
     }
 
     /// Makes the bodies of merged tasks `tasks` a copy of `from`'s
@@ -1077,9 +1129,22 @@ impl BodyTable {
     }
 }
 
+/// The clock an owner reads. A tick round it times ends at
+/// [`OwnerClock::round_end`]: on a real clock that is the read after the
+/// round; the harness's virtual clock, where time moves only when told,
+/// charges the round a modelled cost there first.
+pub(crate) trait OwnerClock: Clock {
+    /// The instant a tick round that just returned ended.
+    fn round_end(&self) -> Instant {
+        self.now()
+    }
+}
+
+impl OwnerClock for MonotonicClock {}
+
 /// One owner's protocol over its engine — a shard's, or the whole — as
 /// a machine a thread steps: the thread runs bodies, parks and spins.
-pub(crate) struct Owner<C: Clock> {
+pub(crate) struct Owner<C: OwnerClock> {
     engine: OnlineEngine,
     bodies: Arc<BodyTable>,
     clock: Arc<C>,
@@ -1107,13 +1172,21 @@ pub(crate) struct Owner<C: Clock> {
     /// Cross-shard DAG tokens drained from the shard outbox, reused.
     outbox: Vec<RemoteActivation>,
     next_tick: Instant,
+    /// A pre-staged edge ("The tick edge"): its round has run, and until
+    /// the clock reaches it the dispatched job waits in `next_job` and
+    /// what arrives waits in the thread's own queue.
+    held: Option<Instant>,
     /// The clock as the last pass read it for its tick check.
     now: Instant,
     /// The lateness this thread's far and near parks show ("The tick
-    /// edge"), whether the park `step` last asked for is a near one, the
-    /// near arming point of its edge, and how late its tick rounds began.
+    /// edge"), how long its tick rounds take and the round lead that
+    /// makes (zero on an owner that feeds helpers), whether the park
+    /// `step` last asked for is a near one, the near arming point of its
+    /// edge, and how late its edges were met.
     far_lead: TimerLead,
     near_lead: TimerLead,
+    rounds: TimerLead,
+    round_lead: Duration,
     parked_near: bool,
     near_at: Instant,
     late: LateHist,
@@ -1129,7 +1202,7 @@ pub(crate) struct Owner<C: Clock> {
     report: OwnerReport,
 }
 
-impl<C: Clock> Owner<C> {
+impl<C: OwnerClock> Owner<C> {
     fn new(
         engine: OnlineEngine,
         bodies: Arc<BodyTable>,
@@ -1157,9 +1230,12 @@ impl<C: Clock> Owner<C> {
             last_done: Instant::ZERO,
             outbox: Vec::with_capacity(8),
             next_tick: Instant::MAX,
+            held: None,
             now: Instant::ZERO,
             far_lead: TimerLead::new(),
             near_lead: TimerLead::new(),
+            rounds: TimerLead::new(),
+            round_lead: Duration::ZERO,
             parked_near: false,
             near_at: Instant::MAX,
             late: LateHist::new(),
@@ -1214,6 +1290,22 @@ impl<C: Clock> Owner<C> {
         // Retry peer sends that found a full lane — before draining our
         // own mailbox, so two busy shards always make mutual progress.
         self.peers.flush();
+        if let Some(edge) = self.held {
+            // Nothing reaches the engine, which has seen `edge`, before
+            // the clock has: what arrives waits in the thread's queue,
+            // which the edge's pass applies, in order, ahead of the held
+            // body.
+            self.now = self.clock.now();
+            if self.now < edge {
+                self.local().queue_mailbox();
+                return Some(Next::SpinTo {
+                    edge,
+                    wake: WakeSet::EDGE,
+                });
+            }
+            self.held = None;
+            self.late.record(self.now.saturating_since(edge));
+        }
         // In the order things happened: what the body posted, what
         // reached the mailbox meanwhile (helpers' completions among
         // it), and only then the completions, all in one round —
@@ -1234,6 +1326,7 @@ impl<C: Clock> Owner<C> {
         self.now = self.clock.now();
         if self.now >= self.next_tick {
             self.tick_round(self.now, self.now);
+            self.learn_round(self.now);
             while self.next_tick <= self.now {
                 self.next_tick += self.tick;
             }
@@ -1257,7 +1350,37 @@ impl<C: Clock> Owner<C> {
         if (thief && self.steal()) || drained_any || self.next_job.is_some() {
             return self.next_job.take();
         }
+        if self.now >= self.next_tick - self.round_lead {
+            self.prestage();
+            return None;
+        }
         Some(self.idle(thief))
+    }
+
+    /// Idle within the round lead of the next edge: runs that edge's
+    /// tick round now, at the edge's own instant, and holds what it
+    /// dispatched until the clock reaches the edge ("The tick edge").
+    fn prestage(&mut self) {
+        debug_assert!(self.done.is_empty(), "retired before going idle");
+        let (edge, began) = (self.next_tick, self.clock.now());
+        self.engine_call(|o| o.engine.advance_into(&[], edge, &mut o.sink))
+            .expect("completion protocol upheld");
+        self.learn_round(began);
+        self.next_tick += self.tick;
+        self.held = Some(edge);
+        self.report.ticks.prestaged += 1;
+    }
+
+    /// A tick round met from idle, begun at `began`, just returned:
+    /// what it took teaches the round lead of an owner that runs its
+    /// own bodies — the upper decile of those rounds, so about nine
+    /// pre-staged rounds in ten end ahead of their edge.
+    fn learn_round(&mut self, began: Instant) {
+        if self.helpers.is_empty() {
+            self.rounds.observe(began, self.clock.round_end(), true);
+            let cap = TimerLead::CAP.min(self.tick / 8);
+            self.round_lead = self.rounds.upper_decile().min(cap);
+        }
     }
 
     fn next_msg(&mut self) -> Option<ShardMsg> {
@@ -1484,14 +1607,15 @@ impl<C: Clock> Owner<C> {
         true
     }
 
-    /// How far ahead of a tick edge the near park is armed, and how far
+    /// How far ahead of the point where a tick edge's round runs — the
+    /// round lead ahead of the edge — the near park is armed, and how far
     /// ahead of that the far park (module docs, "The tick edge"): what
     /// this thread's parks of each kind taught it, the far lead with
-    /// [`FAR_MARGIN`], the two together at most `TimerLead::CAP` and at
-    /// most an eighth of a tick — a lead as long as the tick would leave
-    /// nothing to park for.
+    /// [`FAR_MARGIN`], the two and the round lead together at most
+    /// `TimerLead::CAP` and at most an eighth of a tick — a lead as long
+    /// as the tick would leave nothing to park for.
     fn leads(&self) -> (Duration, Duration) {
-        let cap = TimerLead::CAP.min(self.tick / 8);
+        let cap = TimerLead::CAP.min(self.tick / 8) - self.round_lead;
         let near = self.near_lead.lead().min(cap);
         let far = self.far_lead.upper_decile() + FAR_MARGIN;
         (near, far.min(cap - near))
@@ -1500,7 +1624,7 @@ impl<C: Clock> Owner<C> {
     /// Nothing to do: how the thread waits for something.
     fn idle(&mut self, thief: bool) -> Next {
         let spilled = !self.peers.pending_empty();
-        let wake = WakeSet(1 << WakeSource::Mailbox as u8 | 1 << WakeSource::TickEdge as u8)
+        let wake = WakeSet::EDGE
             .with(WakeSource::PeerShelf, thief)
             .with(WakeSource::AllDrained, self.drained)
             .with(WakeSource::SpillRetry, spilled);
@@ -1511,9 +1635,12 @@ impl<C: Clock> Owner<C> {
             true => self.now + SPILL_RETRY,
             false => Instant::MAX,
         };
+        // Where the next edge's round is pre-staged: the edge itself on
+        // an owner without a round lead.
+        let stage_at = self.next_tick - self.round_lead;
         if self.waiting == WaitChoice::Sleep {
             let (near, far) = self.leads();
-            let near_at = self.next_tick - near;
+            let near_at = stage_at - near;
             let far_at = near_at - far;
             if self.now < near_at {
                 // Near when idle at or past the far arming point: its
@@ -1530,7 +1657,7 @@ impl<C: Clock> Owner<C> {
             self.report.ticks.early_wakes += 1;
         }
         Next::SpinTo {
-            edge: self.next_tick.min(retry),
+            edge: stage_at.min(retry),
             wake,
         }
     }
@@ -1642,6 +1769,7 @@ impl<C: Clock> Owner<C> {
         let ticks = &mut self.report.ticks;
         (ticks.edges, ticks.late_max_ns) = (self.late.count, self.late.max);
         (ticks.lead_ns, ticks.far_lead_ns) = (near.as_nanos(), far.as_nanos());
+        ticks.round_lead_ns = self.round_lead.as_nanos();
         ticks.late_p50_ns = self.late.median();
         self.report.stats = self.engine.stats().clone();
         self.report.pinned = pinned;

@@ -1,8 +1,10 @@
 //! The **test shell**: the [`Owner`]s [`wire`] returns, stepped on one
 //! thread over their real mailboxes, shelves, [`LoadBoard`] and helper
 //! mailboxes — all deterministic when one thread drives them — under a
-//! [`ManualClock`], with the step order, the body durations, the park
-//! lateness and the instants commands arrive chosen by a seed.
+//! virtual clock ([`SteppedClock`]), with the step order, the body
+//! durations, the park lateness and the instants commands arrive chosen
+//! by a seed. The clock charges a tick round nothing unless a scenario
+//! models its cost.
 //!
 //! It calls what `owner_thread` calls (`start`, `step`, `begin_body`,
 //! `in_body`, `end_body`, `also_ready`, `woke`, `spun`, `into_report`)
@@ -31,6 +33,7 @@ use super::*;
 use crate::test_util::{one_owner, sharded};
 use proptest::prelude::*;
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicBool, AtomicU64};
 use yasmin_core::config::Config;
 use yasmin_core::graph::TaskSetBuilder;
 use yasmin_core::priority::Priority;
@@ -73,6 +76,53 @@ type BodyTime = dyn FnMut(&Job, &mut Rng) -> Duration;
 
 /// How late a park's timeout fires, given how far ahead it was armed.
 type Lateness = dyn FnMut(Duration, &mut Rng) -> Duration;
+
+/// The harness's virtual time: a [`ManualClock`] that also charges every
+/// tick round an owner times ([`OwnerClock::round_end`]) the cost of the
+/// owner being stepped ([`World::round_cost`]), which is zero until a
+/// scenario sets it — so a round lead stays zero and no edge is
+/// pre-staged unless the scenario models what a round costs.
+#[derive(Default)]
+struct SteppedClock {
+    manual: ManualClock,
+    round_cost_ns: AtomicU64,
+    /// Whether the rounds charged cost all, 3/4, 1/2 and 1/4 of it in
+    /// turn.
+    spread: AtomicBool,
+    charged: AtomicU64,
+}
+
+impl SteppedClock {
+    fn set(&self, t: Instant) {
+        self.manual.set(t);
+    }
+
+    fn advance(&self, d: Duration) {
+        self.manual.advance(d);
+    }
+
+    /// What every tick round an owner times costs until told otherwise.
+    fn charge_rounds(&self, cost: Duration) {
+        self.round_cost_ns.store(cost.as_nanos(), Ordering::SeqCst);
+    }
+}
+
+impl Clock for SteppedClock {
+    fn now(&self) -> Instant {
+        self.manual.now()
+    }
+}
+
+impl OwnerClock for SteppedClock {
+    fn round_end(&self) -> Instant {
+        let mut cost = self.round_cost_ns.load(Ordering::SeqCst);
+        if self.spread.load(Ordering::SeqCst) {
+            cost -= cost * (self.charged.fetch_add(1, Ordering::SeqCst) % 4) / 4;
+        }
+        self.manual.advance(Duration::from_nanos(cost));
+        self.manual.now()
+    }
+}
 
 /// What a seat's owner is doing, as its thread would be.
 enum Seat {
@@ -149,9 +199,9 @@ struct HelperSeat {
 
 struct World {
     label: String,
-    clock: Arc<ManualClock>,
+    clock: Arc<SteppedClock>,
     rng: Rng,
-    owners: Vec<Owner<ManualClock>>,
+    owners: Vec<Owner<SteppedClock>>,
     seats: Vec<Seat>,
     helpers: Vec<Vec<HelperSeat>>,
     lanes: Lanes,
@@ -180,6 +230,12 @@ struct World {
     rung_wakes: u64,
     /// Admissions into the slot of a retired tenant.
     recycled: u64,
+    /// Steps that left an owner holding a pre-staged edge with arrivals
+    /// queued for it.
+    held_arrivals: u64,
+    /// What each owner's timed tick rounds cost it: charged by the
+    /// clock while that owner steps. Zero unless a scenario says.
+    round_cost: Vec<Duration>,
 }
 
 fn noop_bodies(taskset: &TaskSet) -> Bodies {
@@ -234,7 +290,7 @@ impl World {
     fn wired(label: String, seed: u64, mut launch: RuntimeBuilder) -> Self {
         let (taskset, config) = (Arc::clone(&launch.taskset), launch.config.clone());
         launch.bodies = noop_bodies(&taskset);
-        let clock = Arc::new(ManualClock::new());
+        let clock = Arc::new(SteppedClock::default());
         clock.set(T0);
         let (owners, lanes, bodies) = wire(&launch, &clock).unwrap();
         let (owners, ends): (Vec<_>, Vec<Vec<HelperEnd>>) = owners.into_iter().unzip();
@@ -269,6 +325,8 @@ impl World {
             quiet: vec![0; n],
             rung_wakes: 0,
             recycled: 0,
+            held_arrivals: 0,
+            round_cost: vec![Duration::ZERO; n],
         }
     }
 
@@ -410,8 +468,9 @@ impl World {
         let now = self.now();
         match event {
             Event::Step(i) => {
-                let (edges, edge) = (self.owners[i].late.count, self.owners[i].next_tick);
+                let (edges, edge) = self.edges_met(i);
                 let fresh = matches!(self.seats[i], Seat::Fresh);
+                self.clock.charge_rounds(self.round_cost[i]);
                 let next = match fresh {
                     true => self.owners[i].start(),
                     false => self.owners[i].step(),
@@ -424,6 +483,15 @@ impl World {
                     self.quiet[i] = 0;
                 }
                 self.tick_rounds_kept_to(i, edges, edge);
+                if let Some(held) = self.owners[i].held {
+                    let holds = matches!(next, Next::SpinTo { edge, .. } if edge == held);
+                    assert!(
+                        holds && self.now() < held,
+                        "o{i}: let go of the pre-staged edge {held} early"
+                    );
+                    let queued = self.owners[i].local.as_ref().map(|l| l.posts.len());
+                    self.held_arrivals += u64::from(queued > Some(0));
+                }
                 assert!(self.owners[i].peers.shelf.is_empty(), "o{i}: shelf open");
                 self.stepped(i, next);
             }
@@ -432,7 +500,7 @@ impl World {
                 else {
                     unreachable!()
                 };
-                let (edges, edge) = (self.owners[i].late.count, self.owners[i].next_tick);
+                let (edges, edge) = self.edges_met(i);
                 self.owners[i].end_body(record);
                 self.tick_rounds_kept_to(i, edges, edge);
                 self.note(format!("o{i} end_body {:?}", record.job.id));
@@ -492,8 +560,17 @@ impl World {
         }
     }
 
-    /// No tick round ahead of its edge: `i` had run `edges` rounds and
-    /// the next was due at `edge` before the call that just returned.
+    /// How many edges owner `i` has met, and the next it is to meet: the
+    /// one it holds pre-staged, or its next tick.
+    fn edges_met(&self, i: usize) -> (u64, Instant) {
+        let owner = &self.owners[i];
+        (owner.late.count, owner.held.unwrap_or(owner.next_tick))
+    }
+
+    /// No edge met ahead of itself: `i` had met `edges` edges and the
+    /// next was due at `edge` before the call that just returned. A
+    /// pre-staged edge counts as met when its hold ends, and while it
+    /// holds, its step answers a spin to the edge (`apply`).
     fn tick_rounds_kept_to(&self, i: usize, edges: u64, edge: Instant) {
         let ran = self.owners[i].late.count > edges;
         assert!(
@@ -630,9 +707,11 @@ impl World {
         let end = self.tenancy.ledger.merged().len() as u32;
         let (lanes, quiet, config) = (&self.lanes, &mut self.quiet, &self.config);
         let mut recycled = false;
-        let admitted = self
-            .tenancy
-            .admit(candidate, &bodies, None, |admission, table| {
+        let admitted = self.tenancy.admit(
+            candidate,
+            &bodies_of(candidate, &bodies).unwrap(),
+            None,
+            |admission, table| {
                 if sharded {
                     validate_sharding(admission.merged, config)?;
                 }
@@ -647,7 +726,8 @@ impl World {
                     then: then.clone(),
                 });
                 Ok(())
-            });
+            },
+        );
         self.recycled += u64::from(admitted.is_ok() && recycled);
         self.note(format!("admit -> {admitted:?}, recycled={recycled}"));
         let Ok(tenant) = admitted else { return };
@@ -866,6 +946,8 @@ struct Explored {
     seen: [u64; 4],
     /// Admissions into a retired tenant's slot.
     recycled: u64,
+    /// Steps that held a pre-staged edge with arrivals queued for it.
+    held_arrivals: u64,
     /// Cross-shard tokens routed after `Shutdown` was sent, each handled
     /// during the drain.
     routed_late: u64,
@@ -924,10 +1006,22 @@ fn explore(case: Case, keep: usize) -> Explored {
         stealing,
     );
     world.keep = keep;
+    // Two seeds in three model what a timed tick round costs — up to 20
+    // or 40 µs, spread — so owners that run their own bodies learn a
+    // round lead and pre-stage edges, and hold for up to 3/4 of it; they
+    // get as many commands again once the leads are learnt, each in the
+    // last 40 µs before an edge, where the holds are.
+    let cost = us(case.seed % 3 * 20);
+    world.round_cost.iter_mut().for_each(|c| *c = cost);
+    world.clock.spread.store(true, Ordering::SeqCst);
+    let (tick, costed) = (world.owners[0].tick, !cost.is_zero());
 
     let horizon = us(16_000);
-    for _ in 0..case.commands {
-        let when = T0 + rng.span(Duration::ZERO, horizon);
+    for k in 0..case.commands * (1 + usize::from(costed)) {
+        let when = match k < case.commands {
+            true => T0 + rng.span(Duration::ZERO, horizon),
+            false => T0 + tick * (10 + rng.below(8) as u64) - rng.span(Duration::ZERO, us(40)),
+        };
         match rng.below(20) {
             0..=9 => world.at(when, Cmd::Activate(aperiodic[rng.below(aperiodic.len())])),
             10..=13 => {
@@ -983,13 +1077,14 @@ fn explore(case: Case, keep: usize) -> Explored {
     let down = world.now();
     world.at(down, Cmd::Shutdown);
     world.run();
-    let (seen, recycled) = (world.next_seen, world.recycled);
+    let (seen, recycled, held_arrivals) = (world.next_seen, world.recycled, world.held_arrivals);
     let routed_late = world.routed() - world.routed_at_shutdown;
     let trace = std::mem::take(&mut world.trace);
     Explored {
         reports: world.finish(),
         seen,
         recycled,
+        held_arrivals,
         routed_late,
         trace,
     }
@@ -1763,4 +1858,241 @@ fn two_instances_of_one_task_never_overlap() {
         ran[0].worker,
     );
     world.finish();
+}
+
+/// [`ticking_alone`] with parks on time and tick rounds that cost 20 µs
+/// up to edge 11 and 5 µs after it. Eight rounds teach a round lead of
+/// 20 µs, their upper decile, and it stays there for dozens of edges:
+/// from edge 9 on each round is pre-staged 20 µs ahead of its edge, and
+/// from edge 12 on the owner holds what it dispatched for the 15 µs the
+/// round did not take, `[edge − 15 µs, edge)`.
+fn holding_alone() -> (World, TaskId) {
+    let (mut world, a) = ticking_alone(by_kind(listed(&[0]), listed(&[0])));
+    world.round_cost[0] = us(20);
+    world.run_until(edge(11) + us(1_000));
+    world.round_cost[0] = us(5);
+    assert_eq!(world.owners[0].round_lead, us(20));
+    (world, a)
+}
+
+/// Runs `world` to `edge − 1 µs` and checks that its owner 0 holds the
+/// pre-staged `edge` with `queued` arrivals in its own queue.
+fn held_at(world: &mut World, edge: Instant, queued: usize) {
+    world.run_until(edge - us(1));
+    let owner = &world.owners[0];
+    assert_eq!(owner.held, Some(edge), "pre-staged");
+    assert!(matches!(world.seats[0], Seat::Spinning { edge: e, .. } if e == edge));
+    assert_eq!(owner.local.as_ref().unwrap().posts.len(), queued, "queued");
+}
+
+/// The first job of task `t` that owner 0 ran.
+fn first_of(world: &World, t: TaskId) -> RtJobRecord {
+    let records = world.owners[0].report.records.iter();
+    *records
+        .filter(|r| r.job.task == t)
+        .min_by_key(|r| r.started)
+        .unwrap()
+}
+
+#[test]
+fn a_pre_staged_edge_leaves_the_records_as_they_were() {
+    // One owner over one slot, four periodic tasks on a 1 ms tick; the
+    // 10 ms one runs across an edge. Far parks end 30 µs late, near ones
+    // 10 µs. Run once with rounds that cost nothing, and once with rounds
+    // that cost 7, 3 and 5 µs in turn: the second run learns a round
+    // lead of 7 µs and pre-stages its edges, holding each dispatch for
+    // the 0–4 µs its round did not take. Past the warm-up both runs
+    // start every job at the same instant, and no body starts before
+    // its edge — `finish` checks every release, `apply` every hold.
+    let ms = |k: u64| T0 + us(1_000) * k;
+    let run = |costs: &[u64]| {
+        let mut b = TaskSetBuilder::new();
+        let periods = [1_000, 2_000, 5_000, 10_000];
+        let spans = [40, 100, 150, 1_300];
+        let ids: Vec<TaskId> = (periods.iter())
+            .map(|&p| task(&mut b, TaskSpec::periodic("p", us(p)), None, us(100)))
+            .collect();
+        let mut world = World::new("records".into(), 0, b.build().unwrap(), one_owner(1), false);
+        world.jitter = Duration::ZERO;
+        world.body_time =
+            Box::new(move |job, _| us(spans[ids.iter().position(|&t| t == job.task).unwrap()]));
+        world.lateness = Box::new(|armed, _| match armed > us(100) {
+            true => us(30),
+            false => us(10),
+        });
+        for k in 0..200 {
+            world.round_cost[0] = us(costs[k as usize % costs.len()]);
+            world.run_until(ms(k) + us(700));
+        }
+        world.at(world.now(), Cmd::Shutdown);
+        world.run();
+        let reports = world.finish();
+        let settled = |r: &&RtJobRecord| r.job.release >= ms(40) && r.job.release < ms(190);
+        let records: Vec<_> = reports[0].records.iter().filter(settled).copied().collect();
+        (records, reports[0].ticks)
+    };
+    let (plain, plain_ticks) = run(&[0]);
+    let (staged, staged_ticks) = run(&[7, 3, 5]);
+    assert_eq!((plain_ticks.prestaged, plain_ticks.round_lead_ns), (0, 0));
+    assert_eq!(staged_ticks.round_lead_ns, 7_000);
+    assert!(staged_ticks.prestaged >= 150, "{staged_ticks:?}");
+    let key = |r: &RtJobRecord| (r.job.id, r.job.release, r.started, r.completed);
+    assert_eq!(
+        plain.iter().map(key).collect::<Vec<_>>(),
+        staged.iter().map(key).collect::<Vec<_>>()
+    );
+    // Each edge's first job starts on it — held to it, never ahead — but
+    // where the 10 ms task's body runs across the edge.
+    for k in (40..190).filter(|k| k % 10 != 1) {
+        let first = staged.iter().filter(|r| r.job.release == ms(k));
+        assert_eq!(first.map(|r| r.started).min(), Some(ms(k)), "edge {k}");
+    }
+}
+
+#[test]
+fn what_lands_in_a_hold_is_applied_at_its_edge_ahead_of_the_held_body() {
+    // Shard 0 has `p0` (the 50 ms tick), `a0` and `dst`; shard 1 has
+    // `p1` and `src`, which feeds `dst` over a DAG edge. Shard 0's rounds
+    // cost as in `holding_alone`; shard 1's cost nothing, so it never
+    // pre-stages and never moves shard 0's time. At edge 14 shard 0 holds
+    // `p0`'s job from 15 µs ahead of the edge. Inside the hold `a0` is
+    // activated, a high message for `a0` is posted, and `src`, activated
+    // 100 µs ahead of the edge for 90 µs, sends `dst` its token. All three
+    // wait in shard 0's own queue and are applied at the edge: `a0`'s job
+    // is released at the edge, `dst`'s at its graph's release, both are
+    // queued behind `p0`'s, and the boost is in place when `p0`'s body
+    // begins.
+    let mut b = TaskSetBuilder::new();
+    let p0 = task(
+        &mut b,
+        TaskSpec::periodic("p0", us(50_000)),
+        Some(0),
+        us(100),
+    );
+    let a0 = task(&mut b, TaskSpec::aperiodic("a0"), Some(0), us(100));
+    let dst = task(&mut b, TaskSpec::graph_node("dst"), Some(0), us(100));
+    task(
+        &mut b,
+        TaskSpec::periodic("p1", us(50_000)),
+        Some(1),
+        us(100),
+    );
+    let src = task(&mut b, TaskSpec::aperiodic("src"), Some(1), us(100));
+    let c = b.channel_decl("c", 1, 8);
+    b.channel_connect(src, dst, c).unwrap();
+    let config = sharded(2).build().unwrap();
+    let mut world = World::new("hold".into(), 0, b.build().unwrap(), config, false);
+    world.jitter = Duration::ZERO;
+    world.body_time = Box::new(move |job, _| match job.task {
+        t if t == src => us(90),
+        _ => us(5),
+    });
+    world.lateness = by_kind(listed(&[0]), listed(&[0]));
+    world.round_cost[0] = us(20);
+    world.run_until(edge(11) + us(1_000));
+    world.round_cost[0] = us(5);
+    let e = edge(14);
+    world.at(e - us(100), Cmd::Activate(src));
+    world.at(e - us(12), Cmd::Activate(a0));
+    let msg = |high| Cmd::Msg {
+        home: 0,
+        dst: a0,
+        high,
+    };
+    world.at(e - us(11), msg(true));
+    held_at(&mut world, e, 3);
+    let released = world.owners[0].engine.stats().released;
+    assert_eq!(world.owners[0].engine.high_lane_depth(a0), 0, "not yet");
+    world.run_until(e + us(1));
+    let Seat::InBody(held) = world.seats[0] else {
+        panic!("shard 0 runs the held body")
+    };
+    assert_eq!((held.job.task, held.job.release, held.started), (p0, e, e));
+    let engine = &world.owners[0].engine;
+    assert_eq!(engine.stats().released, released + 2, "a0's and dst's jobs");
+    assert_eq!(engine.ready_len(), 2, "behind the held one");
+    assert_eq!(engine.high_lane_depth(a0), 1, "the post applied");
+    world.at(e + us(1_000), msg(false));
+    world.at(e + us(10_000), Cmd::Shutdown);
+    world.run();
+    for (t, release) in [(a0, e), (dst, e - us(100))] {
+        let r = first_of(&world, t);
+        assert_eq!(r.job.release, release, "{t}");
+        assert!(r.started >= held.completed, "{t} ran after the held body");
+    }
+    world.finish();
+}
+
+#[test]
+fn a_quiet_admission_in_a_hold_anchors_at_the_following_edge() {
+    // One lands 10 µs ahead of edge 14, inside its hold; one 1 µs past
+    // edge 16, inside the held body. Both are applied after their edge's
+    // round, so both tenants' releases begin at the edge after it.
+    let (mut world, _) = holding_alone();
+    world.at(edge(14) - us(10), admit_every_tick());
+    world.at(edge(16) + us(1), admit_every_tick());
+    held_at(&mut world, edge(14), 1);
+    world.run_until(edge(17) + us(1_000));
+    assert_eq!(first_of(&world, TaskId::new(2)).job.release, edge(15));
+    assert_eq!(first_of(&world, TaskId::new(3)).job.release, edge(17));
+    assert_eq!(world.rung_wakes, 0, "heard without a ring");
+    world.at(edge(18) + us(10_000), Cmd::Shutdown);
+    world.run();
+    world.finish();
+}
+
+#[test]
+fn a_shutdown_in_a_hold_drains_without_loss() {
+    // `Shutdown` lands 10 µs ahead of edge 14, inside its hold: the held
+    // job runs at the edge, and the owner drains and exits after it
+    // (`finish`: every released job ran or was culled).
+    let (mut world, p) = (holding_alone().0, TaskId::new(0));
+    world.at(edge(14) - us(10), Cmd::Shutdown);
+    held_at(&mut world, edge(14), 1);
+    world.run();
+    let last = world.owners[0]
+        .report
+        .records
+        .iter()
+        .max_by_key(|r| r.started);
+    let last = *last.unwrap();
+    assert_eq!(
+        (last.job.task, last.job.release, last.started),
+        (p, edge(14), edge(14))
+    );
+    let ticks = world.finish()[0].ticks;
+    assert_eq!((ticks.edges, ticks.prestaged), (14, 6), "{ticks:?}");
+}
+
+#[test]
+fn generated_schedules_pre_stage_edges_with_arrivals_in_their_holds() {
+    // The generated runs whose rounds cost something pre-stage edges on
+    // owners that run their bodies, alone or as shards, and commands
+    // land in their holds — so `any_schedule_keeps_the_protocol` checks
+    // holds too. An owner that feeds helpers never pre-stages.
+    let (mut prestaged, mut held_arrivals, mut helpers) = (0, 0, 0);
+    for seed in (0..if cfg!(miri) { 2 } else { 24 }).filter(|s| s % 3 != 0) {
+        for shape in [Shape::Alone, Shape::Helpers, Shape::Shards(2)] {
+            let case = Case {
+                seed,
+                shape,
+                stealing: true,
+                tasks: 2,
+                commands: 12,
+                early: false,
+            };
+            let run = explore(case, 48);
+            let staged: u64 = run.reports.iter().map(|r| r.ticks.prestaged).sum();
+            match shape {
+                Shape::Helpers => helpers += staged,
+                _ => prestaged += staged,
+            }
+            held_arrivals += run.held_arrivals;
+        }
+    }
+    assert_eq!(helpers, 0);
+    assert!(
+        prestaged > 0 && held_arrivals > 0,
+        "{prestaged} {held_arrivals}"
+    );
 }

@@ -125,22 +125,36 @@ impl RtJobRecord {
 /// timed park early cost it (see "The tick edge" in [`crate::owner`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TickStats {
-    /// Tick rounds the owner ran.
+    /// Tick edges the owner met: the rounds it ran at or past their
+    /// edge, and the pre-staged ones.
     pub edges: u64,
-    /// Median of *round began − nominal edge* over those rounds, to
-    /// about 6 %: the timer's lateness where the owner was parked, the
-    /// rest of a body where an edge fell inside one.
+    /// Median lateness of those edges, to about 6 %: *round began −
+    /// nominal edge* for a round run at or past its edge — the timer's
+    /// lateness where the owner was parked, the rest of a body where an
+    /// edge fell inside one — and *hold ended − nominal edge* for a
+    /// pre-staged edge, whose round ran ahead of it: how late its held
+    /// body, and what arrived during the hold, could go on.
     pub late_p50_ns: u64,
     /// The largest such lateness, exact.
     pub late_max_ns: u64,
     /// The near lead in force when the owner exited: how far ahead of
-    /// an edge its near park was armed — the lower quartile of its near
-    /// parks' lateness.
+    /// the point where an edge's round runs its near park was armed —
+    /// the lower quartile of its near parks' lateness.
     pub lead_ns: u64,
     /// The far lead in force when the owner exited: how far ahead of the
     /// near park's arming point its far park was armed — the upper
     /// decile of its far parks' lateness and a fixed 20 µs margin.
     pub far_lead_ns: u64,
+    /// The round lead in force when the owner exited: how far ahead of
+    /// an edge its round was pre-staged — the upper decile of what its
+    /// tick rounds met from idle took. Zero on an owner that feeds
+    /// helpers, which never pre-stages.
+    pub round_lead_ns: u64,
+    /// Edges whose round ran ahead of them, at the edge's own instant,
+    /// with what it dispatched held until the clock reached the edge:
+    /// about one per edge of an owner that runs its own bodies and is
+    /// idle before its edges.
+    pub prestaged: u64,
     /// Near parks taken: about one per edge of an owner that parks
     /// between its edges, none under `WaitChoice::Spin`.
     pub near_parks: u64,
@@ -151,15 +165,17 @@ pub struct TickStats {
     /// `WaitChoice::Spin`.
     pub far_overshoots: u64,
     /// Times the owner found itself idle inside the near lead and spun
-    /// to the edge — its near park ended there, its far park did, or its
-    /// last job did. The near lead is the lower quartile of the near
-    /// parks' lateness, so about a quarter of the edges of an owner that
-    /// parks between them. None under `WaitChoice::Spin`.
+    /// to the point where the edge's round runs — its near park ended
+    /// there, its far park did, or its last job did. The near lead is
+    /// the lower quartile of the near parks' lateness, so about a
+    /// quarter of the edges of an owner that parks between them. None
+    /// under `WaitChoice::Spin`.
     pub early_wakes: u64,
     /// Time the owner spun while idle. Under `WaitChoice::Sleep`, in
-    /// those early wakes: a few µs each, the part of the near lead its
-    /// park did not sleep through. Under `WaitChoice::Spin`, all of its
-    /// idle time: it spins to every edge.
+    /// those early wakes — a few µs each, the part of the near lead its
+    /// park did not sleep through — and in the holds of pre-staged
+    /// edges, the part of the round lead the round did not take. Under
+    /// `WaitChoice::Spin`, all of its idle time: it spins to every edge.
     pub spin_ns: u64,
 }
 
@@ -211,7 +227,7 @@ pub struct RuntimeBuilder {
     pub(crate) pin_offset: usize,
     /// Only shards steal; off unless turned on.
     pub(crate) work_stealing: bool,
-    lock_memory: bool,
+    pub(crate) lock_memory: bool,
 }
 
 impl RuntimeBuilder {
@@ -332,7 +348,7 @@ impl RuntimeBuilder {
     ///   ([`yasmin_sched::validate_sharding`]);
     /// * engine construction errors (partition validation etc.).
     pub fn build(self) -> Result<Runtime> {
-        let (taskset, config) = (&self.taskset, &self.config);
+        let config = &self.config;
         if config.preemption() {
             return Err(Error::InvalidConfig(
                 "the thread runtime schedules non-preemptively at job boundaries; \
@@ -348,11 +364,8 @@ impl RuntimeBuilder {
                     .into(),
             ));
         }
-        check_bodies(taskset, &self.bodies)?;
-        if self.lock_memory {
-            // Best-effort; containers commonly deny it.
-            let _ = crate::os::lock_all_memory();
-        }
+        // `spawn` reads the bodies, and refuses a missing one, before it
+        // starts a thread.
         spawn(self)
     }
 }
@@ -431,7 +444,7 @@ impl Tenancy {
     pub(crate) fn admit(
         &mut self,
         candidate: &TaskSet,
-        bodies: &Bodies,
+        bodies: &[TaskBody],
         budget: Option<&TenantBudget>,
         send: impl FnOnce(&Admission<'_>, &Arc<BodyTable>) -> Result<()>,
     ) -> std::result::Result<TenantId, AdmissionError> {
@@ -597,7 +610,8 @@ impl Runtime {
         bodies: HashMap<(TaskId, VersionId), TaskBody>,
         budget: Option<TenantBudget>,
     ) -> std::result::Result<TenantId, AdmissionError> {
-        check_bodies(candidate, &bodies).map_err(AdmissionError::Invalid)?;
+        // Read once, before the ledger or a spare generation is touched.
+        let bodies = bodies_of(candidate, &bodies).map_err(AdmissionError::Invalid)?;
         let owners = self.lanes.len();
         let ack = (owners > 1).then(|| Arc::new(AtomicUsize::new(owners)));
         let then = match &ack {
@@ -729,22 +743,30 @@ impl Runtime {
     }
 }
 
-/// Verifies every version of every task of `taskset` — a build-time set,
-/// or a candidate tenant in its own id space — has a registered body,
-/// before any runtime thread hears of it.
-fn check_bodies(taskset: &TaskSet, bodies: &Bodies) -> Result<()> {
+/// The body of every version of every task of `taskset` — a build-time
+/// set, or a candidate tenant in its own id space — read from `bodies`
+/// once, in task then version order, before any runtime thread hears of
+/// the set: what [`BodyTable::place`] writes. Keys of other tasks or
+/// versions are never read.
+///
+/// # Errors
+///
+/// [`Error::InvalidConfig`] naming the first version without a body.
+pub(crate) fn bodies_of(taskset: &TaskSet, bodies: &Bodies) -> Result<Vec<TaskBody>> {
+    let mut found = Vec::with_capacity(taskset.tasks().iter().map(|t| t.versions().len()).sum());
     for t in taskset.tasks() {
-        for (vi, _) in t.versions().iter().enumerate() {
+        for vi in 0..t.versions().len() {
             let key = (t.id(), VersionId::new(vi as u16));
-            if !bodies.contains_key(&key) {
+            let Some(body) = bodies.get(&key) else {
                 return Err(Error::InvalidConfig(format!(
                     "no body registered for task {} version v{vi}",
                     t.id()
                 )));
-            }
+            };
+            found.push(Arc::clone(body));
         }
     }
-    Ok(())
+    Ok(found)
 }
 
 #[cfg(test)]
@@ -1160,6 +1182,52 @@ mod tests {
     }
 
     #[test]
+    fn a_missing_body_leaves_the_pen_and_the_ledger_as_they_were() {
+        let _clock = wall_clock();
+        // Three admissions and two retirements leave the pen holding
+        // generations the next admission may make its own in. A
+        // candidate with a body missing is refused before the ledger or
+        // a spare generation is touched: the pen holds the same
+        // generations, in the same order and at the same addresses, and
+        // the ledger the same merged set and rows. The next complete
+        // admission gets the id the refused one would have had.
+        let mut b = TaskSetBuilder::new();
+        let base = TaskSpec::periodic("base", ms(10)).on_worker(WorkerId::new(0));
+        let (base, vb) = task(&mut b, base, ms(1));
+        let rt = RuntimeBuilder::new(Arc::new(b.build().unwrap()), config(1))
+            .body(base, vb, |_| {})
+            .build()
+            .unwrap();
+        for round in 1..=3 {
+            let (cand, bodies) = candidate(10, ms(1));
+            let tenant = rt.admit(&cand, bodies, None).unwrap();
+            if round < 3 {
+                rt.retire(tenant).unwrap();
+            }
+        }
+        let state = |rt: &Runtime| {
+            let tenancy = rt.lock_ledger();
+            let pen = (tenancy.generations.iter())
+                .map(|(g, table)| (g.number, Arc::as_ptr(&g.set), Arc::as_ptr(table)))
+                .collect::<Vec<_>>();
+            let ledger = &tenancy.ledger;
+            (pen, Arc::as_ptr(ledger.merged()), ledger.live_rows().len())
+        };
+        let before = state(&rt);
+        assert!(before.0.len() > 1, "a spare to take: {before:?}");
+        let (cand, _) = candidate(10, ms(1));
+        assert!(matches!(
+            rt.admit(&cand, Bodies::new(), None),
+            Err(AdmissionError::Invalid(_))
+        ));
+        assert_eq!(state(&rt), before);
+        let (cand, bodies) = candidate(10, ms(1));
+        assert_eq!(rt.admit(&cand, bodies, None).unwrap().raw(), 4);
+        rt.stop();
+        let _ = rt.cleanup();
+    }
+
+    #[test]
     fn retired_bandwidth_is_returned() {
         let _clock = wall_clock();
         // Base U = 0.2 on worker 0; a U = 0.5 tenant on the same worker,
@@ -1217,16 +1285,21 @@ mod tests {
         };
         let (base, base_bodies) = one("base");
         let base = Arc::new(base);
-        let table = BodyTable::default().placed(&base, 0, &base_bodies);
+        let table = BodyTable::default().placed(&base, 0, &bodies_of(&base, &base_bodies).unwrap());
         let control = AdmissionControl::new(config(1), ms(100));
         let mut tenancy = Tenancy::new(control, Arc::clone(&base), table);
         let (guest, bodies) = one("guest");
         let admit = |tenancy: &mut Tenancy| {
             let mut sent = None;
-            let tenant = tenancy.admit(&guest, &bodies, None, |a, table| {
-                sent = Some((Arc::clone(a.merged), Arc::clone(table)));
-                Ok(())
-            });
+            let tenant = tenancy.admit(
+                &guest,
+                &bodies_of(&guest, &bodies).unwrap(),
+                None,
+                |a, table| {
+                    sent = Some((Arc::clone(a.merged), Arc::clone(table)));
+                    Ok(())
+                },
+            );
             (tenant.unwrap(), sent.expect("spliced"))
         };
         let counts =
@@ -1333,7 +1406,8 @@ mod tests {
             };
             let (base, base_bodies) = shape(2, "base");
             let base = Arc::new(base);
-            let table = BodyTable::default().placed(&base, 0, &base_bodies);
+            let table =
+                BodyTable::default().placed(&base, 0, &bodies_of(&base, &base_bodies).unwrap());
             let control = AdmissionControl::new(config(1), ms(100));
             let mut tenancy = Tenancy::new(control, base, table);
             let mut live = Vec::new();
@@ -1350,10 +1424,11 @@ mod tests {
                         let (cand, bodies) = shape(next(3), &case);
                         let (set, table) = &tenancy.generations.last().unwrap();
                         let (prev, prev_table) = (Arc::clone(&set.set), Arc::clone(table));
-                        let tenant = tenancy.admit(&cand, &bodies, None, |a, table| {
+                        let found = bodies_of(&cand, &bodies).unwrap();
+                        let tenant = tenancy.admit(&cand, &found, None, |a, table| {
                             let fresh = prev.placed(&cand, a.slot).unwrap();
                             assert_same_set(a.merged, &fresh, &case);
-                            let fresh_table = prev_table.placed(&cand, a.slot.first_task, &bodies);
+                            let fresh_table = prev_table.placed(&cand, a.slot.first_task, &found);
                             let lookups = (lookups(&fresh, table), lookups(&fresh, &fresh_table));
                             assert_eq!(lookups.0, lookups.1, "{case}: bodies");
                             seen[usize::from(a.slot.first_task < prev.len() as u32)] += 1;

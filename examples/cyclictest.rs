@@ -58,12 +58,14 @@ fn yasmin_managed(
 
 /// How each owner met its tick edges — what is left of the latency
 /// above once each edge is met with a far and a near park, each armed
-/// early by the lateness parks of its kind show, and what the early
-/// quarter of the near parks spun — and what it gave to and took from
-/// its peers (nothing here: one owner has no peer to steal from).
-/// Exits with status 1 if an owner met no edge at all, or parked
-/// between its edges — every owner here sleeps through most of each
-/// 10 ms tick — and never took a near park.
+/// early by the lateness parks of its kind show, and, on an owner that
+/// runs its bodies itself, with the edge's round pre-staged a round lead
+/// ahead of the edge and its dispatch held until the edge — what the
+/// early quarter of the near parks and the holds spun, and what it gave
+/// to and took from its peers (nothing here: one owner has no peer to
+/// steal from). Exits with status 1 if an owner met no edge at all, or
+/// parked between its edges — every owner here sleeps through most of
+/// each 10 ms tick — and never took a near park.
 fn print_owner_stats(owners: &[(TickStats, StealStats)]) {
     for (i, (t, s)) in owners.iter().enumerate() {
         if t.edges == 0 {
@@ -77,13 +79,17 @@ fn print_owner_stats(owners: &[(TickStats, StealStats)]) {
         let edges = t.edges as f64;
         println!(
             "    owner {i}: {} edges, late p50 {:.0} µs / max {:.0} µs, leads {:.0} µs near + \
-             {:.0} µs far, {} near parks ({:.0} % of edges), {} far overshoots, \
+             {:.0} µs far + {:.0} µs round, {} pre-staged ({:.0} % of edges), \
+             {} near parks ({:.0} %), {} far overshoots, \
              {} early wakes ({:.0} %), {:.0} µs spun ({:.2} µs per edge)",
             t.edges,
             t.late_p50_ns as f64 / 1e3,
             t.late_max_ns as f64 / 1e3,
             t.lead_ns as f64 / 1e3,
             t.far_lead_ns as f64 / 1e3,
+            t.round_lead_ns as f64 / 1e3,
+            t.prestaged,
+            100.0 * t.prestaged as f64 / edges,
             t.near_parks,
             100.0 * t.near_parks as f64 / edges,
             t.far_overshoots,
