@@ -1190,6 +1190,10 @@ pub(crate) struct Owner<C: OwnerClock> {
     parked_near: bool,
     near_at: Instant,
     late: LateHist,
+    /// When the last wait (park or spin) since the last body ended, zero
+    /// after a body: whether the wait or work kept an edge met from idle
+    /// from being pre-staged.
+    woke_at: Instant,
     /// Steal scratch, reused: what the engine names stealable, the jobs
     /// on their way to or from a shelf, how many lie on this owner's.
     steal_hints: Vec<StealHint>,
@@ -1239,6 +1243,7 @@ impl<C: OwnerClock> Owner<C> {
             parked_near: false,
             near_at: Instant::MAX,
             late: LateHist::new(),
+            woke_at: Instant::ZERO,
             steal_hints: Vec::with_capacity(MAX_STEAL_BATCH),
             steal_batch: JobBatch::with_capacity(MAX_STEAL_BATCH),
             shelved: 0,
@@ -1325,6 +1330,16 @@ impl<C: OwnerClock> Owner<C> {
         // Tick edge, generated locally by this owner.
         self.now = self.clock.now();
         if self.now >= self.next_tick {
+            // Why the edge was not pre-staged.
+            let ticks = &mut self.report.ticks;
+            let missed = if self.round_lead.is_zero() {
+                &mut ticks.no_lead
+            } else if self.woke_at >= self.next_tick {
+                &mut ticks.woke_late
+            } else {
+                &mut ticks.held_busy
+            };
+            *missed += 1;
             self.tick_round(self.now, self.now);
             self.learn_round(self.now);
             while self.next_tick <= self.now {
@@ -1686,6 +1701,7 @@ impl<C: OwnerClock> Owner<C> {
             false => &mut self.far_lead,
         };
         lead.observe(armed, now, timed_out);
+        self.woke_at = now;
         if wake.has(WakeSource::PeerShelf) {
             self.peers.board.set_idle(self.me, false);
         }
@@ -1694,6 +1710,7 @@ impl<C: OwnerClock> Owner<C> {
     /// The spin `step` asked for ended at `to`.
     pub(crate) fn spun(&mut self, to: Instant, wake: WakeSet) {
         self.report.ticks.spin_ns += to.saturating_since(self.now).as_nanos();
+        self.woke_at = to;
         if wake.has(WakeSource::PeerShelf) {
             self.peers.board.set_idle(self.me, false);
         }
@@ -1759,7 +1776,9 @@ impl<C: OwnerClock> Owner<C> {
         while self.next_tick <= record.completed {
             self.tick_round(self.next_tick, record.completed);
             self.next_tick += self.tick;
+            self.report.ticks.body_crossed += 1;
         }
+        self.woke_at = Instant::ZERO;
         self.job_done(record);
     }
 

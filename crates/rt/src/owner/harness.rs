@@ -844,6 +844,11 @@ impl World {
         }
         let owners = std::mem::take(&mut self.owners);
         let reports: Vec<_> = owners.into_iter().map(|o| o.into_report(true)).collect();
+        for (i, t) in reports.iter().map(|r| r.ticks).enumerate() {
+            // Each edge was pre-staged, or one cause kept it from that.
+            let why = t.body_crossed + t.woke_late + t.no_lead + t.held_busy;
+            assert_eq!(t.prestaged + why, t.edges, "o{i}: {t:?}");
+        }
         let mut stats = EngineStats::default();
         let mut seen = HashSet::new();
         let mut migrated = 0;
@@ -2039,6 +2044,87 @@ fn a_quiet_admission_in_a_hold_anchors_at_the_following_edge() {
     world.at(edge(18) + us(10_000), Cmd::Shutdown);
     world.run();
     world.finish();
+}
+
+/// Owner 0's tick counters as they stand, `edges` included.
+fn ticks_now(world: &World) -> TickStats {
+    let owner = &world.owners[0];
+    TickStats {
+        edges: owner.late.count,
+        ..owner.report.ticks
+    }
+}
+
+#[test]
+fn edges_ahead_of_a_learnt_round_lead_are_not_pre_staged() {
+    // `holding_alone`'s first eight rounds teach the round lead: until
+    // then there is none to pre-stage by, and from edge 9 on each edge
+    // is pre-staged.
+    let (mut world, _) = holding_alone();
+    let ticks = ticks_now(&world);
+    assert_eq!((ticks.edges, ticks.no_lead, ticks.prestaged), (11, 8, 3));
+    world.at(edge(12) + us(10_000), Cmd::Shutdown);
+    world.run();
+    let ticks = world.finish()[0].ticks;
+    assert_eq!((ticks.edges, ticks.no_lead, ticks.prestaged), (12, 8, 4));
+}
+
+#[test]
+fn an_edge_a_body_runs_across_is_not_pre_staged() {
+    // `a` runs 60 ms from 1 ms past edge 12: edge 13 falls inside its
+    // body, and its round runs when the body is over.
+    let (mut world, a) = holding_alone();
+    world.body_time = Box::new(move |job, _| match job.task == a {
+        true => us(60_000),
+        false => us(5),
+    });
+    world.at(edge(12) + us(1_000), Cmd::Activate(a));
+    world.at(edge(15) + us(10_000), Cmd::Shutdown);
+    world.run();
+    let ticks = world.finish()[0].ticks;
+    assert_eq!(ticks.round_lead_ns, 20_000);
+    assert_eq!(
+        (ticks.edges, ticks.body_crossed, ticks.prestaged),
+        (15, 1, 6)
+    );
+}
+
+#[test]
+fn an_edge_a_park_ends_past_is_not_pre_staged() {
+    // From edge 12 on, near parks end 200 µs late: armed 20 µs ahead of
+    // the edge, each ends 180 µs past it, and three such parks leave the
+    // near lead, their lower quartile, at zero.
+    let (mut world, _) = holding_alone();
+    world.lateness = by_kind(listed(&[0]), listed(&[200]));
+    world.at(edge(14) + us(10_000), Cmd::Shutdown);
+    world.run();
+    let ticks = world.finish()[0].ticks;
+    assert_eq!((ticks.edges, ticks.woke_late, ticks.prestaged), (14, 3, 3));
+    assert_eq!(ticks.lead_ns, 0);
+}
+
+#[test]
+fn an_edge_that_passes_while_the_owner_works_is_not_pre_staged() {
+    // From edge 12 on, a high-lane post for `a`, which has nothing to
+    // run, rings the owner 25 µs ahead of each edge and its drain 1 ms
+    // past it, and up to 30 µs go by between any two steps of the run:
+    // a post that wakes the owner ahead of the edge, served past it,
+    // kept that edge from being pre-staged.
+    let (mut world, a) = holding_alone();
+    world.jitter = us(30);
+    for k in 12..40 {
+        let msg = |high| Cmd::Msg {
+            home: 0,
+            dst: a,
+            high,
+        };
+        world.at(edge(k) - us(25), msg(true));
+        world.at(edge(k) + us(1_000), msg(false));
+    }
+    world.at(edge(40) + us(10_000), Cmd::Shutdown);
+    world.run();
+    let ticks = world.finish()[0].ticks;
+    assert!(ticks.held_busy > 0 && ticks.prestaged > 0, "{ticks:?}");
 }
 
 #[test]

@@ -153,8 +153,21 @@ pub struct TickStats {
     /// Edges whose round ran ahead of them, at the edge's own instant,
     /// with what it dispatched held until the clock reached the edge:
     /// about one per edge of an owner that runs its own bodies and is
-    /// idle before its edges.
+    /// idle before its edges. The four counters after it say why the
+    /// other edges were not: each edge is in exactly one of the five.
     pub prestaged: u64,
+    /// Edges a body ran across: their round ran at the job boundary.
+    pub body_crossed: u64,
+    /// Edges met from idle whose last wait — a far or near park, or a
+    /// spin — ended at or past the edge.
+    pub woke_late: u64,
+    /// Edges met from idle with a zero round lead: the first rounds,
+    /// while the lead still learns, and every edge an owner that feeds
+    /// helpers meets from idle.
+    pub no_lead: u64,
+    /// Edges that passed while the owner, its last wait over before
+    /// them, was at work: commands, a steal, a job boundary.
+    pub held_busy: u64,
     /// Near parks taken: about one per edge of an owner that parks
     /// between its edges, none under `WaitChoice::Spin`.
     pub near_parks: u64,

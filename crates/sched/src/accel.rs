@@ -5,7 +5,9 @@
 //! busy, and that it is preferable to use another task version targeting a
 //! free one" (§3.2). When no free-resource version exists and the blocked
 //! job is more urgent than the holder, the engine applies the Priority
-//! Inheritance Protocol and requeues the job.
+//! Inheritance Protocol and requeues the job. The holder's priority is
+//! the engine's to keep (`RunningJob::effective_priority`); this module
+//! keeps who holds what.
 //!
 //! Per the paper's stated limitation, an accelerator is considered busy
 //! from the beginning of the version's initial CPU part to the end of its
@@ -19,7 +21,7 @@ use yasmin_core::priority::Priority;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccelState {
     /// The job currently occupying the accelerator, with the worker it
-    /// runs on and its (possibly boosted) priority.
+    /// runs on.
     pub holder: Option<AccelHolder>,
 }
 
@@ -30,15 +32,12 @@ pub struct AccelHolder {
     pub job: JobId,
     /// The worker executing that job.
     pub worker: WorkerId,
-    /// The holder's current effective priority (after any PIP boost).
-    pub priority: Priority,
 }
 
-/// Tracks which accelerators are busy and applies PIP bookkeeping.
+/// Tracks which accelerators are busy, and whom PIP boosts.
 #[derive(Debug)]
 pub struct AccelManager {
     states: Vec<AccelState>,
-    boosts: u64,
 }
 
 impl AccelManager {
@@ -47,7 +46,6 @@ impl AccelManager {
     pub fn new(count: usize) -> Self {
         AccelManager {
             states: vec![AccelState { holder: None }; count],
-            boosts: 0,
         }
     }
 
@@ -81,13 +79,7 @@ impl AccelManager {
     /// [`Error::UnknownAccel`] for an undeclared id; returns an error of
     /// kind [`Error::InvalidConfig`] if the accelerator is already busy
     /// (an engine invariant violation).
-    pub fn acquire(
-        &mut self,
-        accel: AccelId,
-        job: JobId,
-        worker: WorkerId,
-        priority: Priority,
-    ) -> Result<()> {
+    pub fn acquire(&mut self, accel: AccelId, job: JobId, worker: WorkerId) -> Result<()> {
         let s = self
             .states
             .get_mut(accel.index())
@@ -97,11 +89,7 @@ impl AccelManager {
                 "accelerator {accel} acquired while busy"
             )));
         }
-        s.holder = Some(AccelHolder {
-            job,
-            worker,
-            priority,
-        });
+        s.holder = Some(AccelHolder { job, worker });
         Ok(())
     }
 
@@ -114,29 +102,19 @@ impl AccelManager {
         }
     }
 
-    /// Applies priority inheritance: if `blocked_priority` is more urgent
-    /// than the holder's current priority, the holder is boosted to it.
-    /// Returns the holder (with its *new* priority) when a boost happened.
+    /// Priority inheritance: the holder of `accel`, to be boosted to
+    /// `blocked_priority` when that is more urgent than the holder's
+    /// effective priority as `effective` reads it (the engine's fold for
+    /// the holder's slot). `None` for a free accelerator or a holder at
+    /// least as urgent.
     pub fn boost_holder(
-        &mut self,
+        &self,
         accel: AccelId,
         blocked_priority: Priority,
+        effective: impl FnOnce(AccelHolder) -> Priority,
     ) -> Option<AccelHolder> {
-        let s = self.states.get_mut(accel.index())?;
-        let h = s.holder.as_mut()?;
-        if blocked_priority.is_higher_than(h.priority) {
-            h.priority = blocked_priority;
-            self.boosts += 1;
-            Some(*h)
-        } else {
-            None
-        }
-    }
-
-    /// Number of PIP boosts applied so far.
-    #[must_use]
-    pub fn boost_count(&self) -> u64 {
-        self.boosts
+        let h = self.holder(accel)?;
+        blocked_priority.is_higher_than(effective(h)).then_some(h)
     }
 
     /// Number of managed accelerators.
@@ -161,14 +139,11 @@ mod tests {
         let mut m = AccelManager::new(1);
         let gpu = AccelId::new(0);
         assert!(m.is_free(gpu));
-        m.acquire(gpu, JobId::new(1), WorkerId::new(0), Priority::new(50))
-            .unwrap();
+        m.acquire(gpu, JobId::new(1), WorkerId::new(0)).unwrap();
         assert!(!m.is_free(gpu));
         assert_eq!(m.holder(gpu).unwrap().job, JobId::new(1));
         // Double acquire is an invariant violation.
-        assert!(m
-            .acquire(gpu, JobId::new(2), WorkerId::new(1), Priority::new(10))
-            .is_err());
+        assert!(m.acquire(gpu, JobId::new(2), WorkerId::new(1)).is_err());
         // Release by a non-holder is ignored.
         m.release(gpu, JobId::new(2));
         assert!(!m.is_free(gpu));
@@ -180,12 +155,7 @@ mod tests {
     fn unknown_accel_rejected() {
         let mut m = AccelManager::new(1);
         assert!(matches!(
-            m.acquire(
-                AccelId::new(9),
-                JobId::new(1),
-                WorkerId::new(0),
-                Priority::new(1)
-            ),
+            m.acquire(AccelId::new(9), JobId::new(1), WorkerId::new(0)),
             Err(Error::UnknownAccel(_))
         ));
         assert!(!m.is_free(AccelId::new(9)));
@@ -195,24 +165,29 @@ mod tests {
     fn pip_boost_only_when_more_urgent() {
         let mut m = AccelManager::new(1);
         let gpu = AccelId::new(0);
-        m.acquire(gpu, JobId::new(1), WorkerId::new(0), Priority::new(100))
-            .unwrap();
+        m.acquire(gpu, JobId::new(1), WorkerId::new(0)).unwrap();
+        let holder = m.holder(gpu);
         // A less urgent waiter does not boost.
-        assert!(m.boost_holder(gpu, Priority::new(200)).is_none());
-        assert_eq!(m.boost_count(), 0);
-        // A more urgent waiter boosts the holder to its priority.
-        let boosted = m.boost_holder(gpu, Priority::new(10)).unwrap();
-        assert_eq!(boosted.priority, Priority::new(10));
-        assert_eq!(m.holder(gpu).unwrap().priority, Priority::new(10));
-        assert_eq!(m.boost_count(), 1);
-        // Boosting is monotone: an in-between priority does nothing.
-        assert!(m.boost_holder(gpu, Priority::new(50)).is_none());
+        assert!(m
+            .boost_holder(gpu, Priority::new(200), |_| Priority::new(100))
+            .is_none());
+        // A more urgent waiter boosts the holder.
+        let boosted = m.boost_holder(gpu, Priority::new(10), |_| Priority::new(100));
+        assert_eq!(boosted, holder);
+        // Once boosted, an in-between priority does nothing: the
+        // comparison is against what the engine folded.
+        assert!(m
+            .boost_holder(gpu, Priority::new(50), |_| Priority::new(10))
+            .is_none());
     }
 
     #[test]
     fn boost_free_accel_is_none() {
-        let mut m = AccelManager::new(2);
-        assert!(m.boost_holder(AccelId::new(1), Priority::HIGHEST).is_none());
+        let m = AccelManager::new(2);
+        let never = |_| unreachable!("no holder to read");
+        assert!(m
+            .boost_holder(AccelId::new(1), Priority::HIGHEST, never)
+            .is_none());
         assert_eq!(m.len(), 2);
         assert!(!m.is_empty());
     }

@@ -24,7 +24,7 @@
 //! [`crate::tenancy`] slot table which slot a task is in and whose it
 //! is.
 
-use crate::accel::AccelManager;
+use crate::accel::{AccelHolder, AccelManager};
 use crate::job::{Job, JobBatch, MAX_STEAL_BATCH};
 use crate::msg::MsgEvent;
 use crate::queue::ReadyQueue;
@@ -82,12 +82,14 @@ pub enum Action {
         /// The job being paused.
         job: JobId,
     },
-    /// Raise the effective priority of `job` on `worker` (Priority
-    /// Inheritance after accelerator contention, §3.2).
+    /// The effective priority of `job` on `worker` changed, raised or
+    /// lowered ([`RunningJob::effective_priority`], the fold of PIP after
+    /// accelerator contention (§3.2), the message ceiling, the overrun
+    /// demotion and the release rule). Emitted only on a change.
     Boost {
-        /// Worker running the boosted holder.
+        /// Worker running the job.
         worker: WorkerId,
-        /// The boosted job.
+        /// The job.
         job: JobId,
         /// Its new effective priority.
         priority: Priority,
@@ -114,8 +116,19 @@ pub struct RunningJob {
     pub version: VersionId,
     /// The accelerator held, if the version uses one.
     pub accel: Option<AccelId>,
-    /// Current effective priority (base, or PIP-boosted).
+    /// What the job runs at: the one fold of the three fields below and
+    /// its task's message ceiling — [`Priority::LOWEST`] while `demoted`,
+    /// else the most urgent of `rule`, `inherited` and the ceiling
+    /// ([`OnlineEngine::active_msg_ceiling`]). Each change is an
+    /// [`Action::Boost`].
     pub effective_priority: Priority,
+    /// The release rule: base priority, or background for a `LogOnly`
+    /// task released while the miss trip wire was tripped.
+    pub(crate) rule: Priority,
+    /// The most urgent priority inherited by PIP (§3.2).
+    pub(crate) inherited: Option<Priority>,
+    /// [`OverrunPolicy::DemoteToBackground`] applied.
+    pub(crate) demoted: bool,
     /// The enforcement deadline: dispatch instant + the selected
     /// version's WCET (`Instant::MAX` when `Config::enforce_wcet` is
     /// off). A tick strictly past this instant flags the job as
@@ -128,6 +141,21 @@ pub struct RunningJob {
     /// worker — the middleware never destroys a thread mid-body — but
     /// its successors are dropped at retirement.
     pub killed: bool,
+}
+
+impl RunningJob {
+    /// Folds the components and `ceiling` into `effective_priority`, its
+    /// one writer; `true` when its value changed.
+    fn fold(&mut self, ceiling: Priority) -> bool {
+        let ceiling = Some(ceiling).filter(|&c| c != Priority::LOWEST);
+        let raise = [self.inherited, ceiling].into_iter().flatten().min();
+        let raised = raise.map_or(self.rule, |r| r.min(self.rule));
+        let folded = match self.demoted {
+            true => Priority::LOWEST,
+            false => raised,
+        };
+        std::mem::replace(&mut self.effective_priority, folded) != folded
+    }
 }
 
 /// How one [`EngineStats`] field combines with another engine's (`add`)
@@ -205,7 +233,8 @@ engine_stats! {
     completed: u64,
     /// Preemptions performed.
     preempted: u64,
-    /// PIP boosts applied.
+    /// PIP boosts applied: holders whose effective priority a blocked
+    /// job raised.
     pip_boosts: u64,
     /// Times a ready job had to be skipped because every eligible version
     /// targeted a busy accelerator (it stays ready).
@@ -243,8 +272,8 @@ engine_stats! {
     /// its [`ReservationServer`] budget for the current replenishment
     /// period (the job stays ready and retries on later rounds).
     budget_deferrals: u64,
-    /// Priority boosts applied because a high-priority message arrived
-    /// for a task (message-plane PIP; released when the lane drains).
+    /// Jobs a high-lane post raised to its task's ceiling, queued or
+    /// running (released when the lane drains).
     msg_boosts: u64,
     /// Jobs caught running past their enforcement deadline
     /// (`Config::enforce_wcet`), or force-flagged by fault injection.
@@ -381,7 +410,7 @@ pub struct OnlineEngine {
     /// Tokens for cross-shard edges, awaiting routing by the driver
     /// (shard engines only; always empty on the single-owner engine).
     outbox: Vec<RemoteActivation>,
-    /// Scratch for the ready-queue cull scan.
+    /// Scratch for the ready-queue scans that cull or re-key jobs.
     cull_buf: Vec<JobId>,
     /// Dense per-task assigned worker (`u16::MAX` = unassigned), so the
     /// successor-routing path never chases into the task-spec structs.
@@ -1190,24 +1219,14 @@ impl OnlineEngine {
         if std::mem::replace(&mut r.overrun, true) {
             return false;
         }
-        let (task, overage) = (r.job.task, now.saturating_since(r.enforce_by));
-        let graph_release = r.job.graph_release;
+        let (job, overage) = (r.job, now.saturating_since(r.enforce_by));
+        let policy = self.overrun_policy[job.task.index()];
+        r.killed |= policy == OverrunPolicy::Kill;
+        r.demoted = policy == OverrunPolicy::DemoteToBackground;
+        self.refold(s, sink);
         self.stats.overruns += 1;
-        if let Some(server) = self.tenants.holders_server(task, graph_release) {
+        if let Some(server) = self.tenants.holders_server(job.task, job.graph_release) {
             let _ = server.charge_overrun(now, overage);
-        }
-        match self.overrun_policy[task.index()] {
-            OverrunPolicy::Kill => {
-                let r = self.running[s].as_mut().expect("slot still occupied");
-                r.killed = true;
-            }
-            OverrunPolicy::DemoteToBackground => {
-                let r = self.running[s].as_ref().expect("slot still occupied");
-                if r.effective_priority != Priority::LOWEST {
-                    self.set_effective_priority(s, Priority::LOWEST, sink);
-                }
-            }
-            OverrunPolicy::LogOnly => {}
         }
         true
     }
@@ -1818,20 +1837,14 @@ impl OnlineEngine {
 
     /// A message-plane event for its receiving task, [`MsgEvent::dst`].
     ///
-    /// [`MsgEvent::HighPosted`] raises the task's active ceiling to
-    /// `min(current, ceiling)` and applies the boost — the most urgent
-    /// pending job of the task is re-queued at the ceiling, a running
-    /// job of it has its effective priority raised (emitting
-    /// [`Action::Boost`]), and jobs released while the lane stays
-    /// non-empty inherit the ceiling at release. The boost holds until
-    /// one [`MsgEvent::HighDrained`] per post has arrived (depth
-    /// counting), making message priority a schedulable quantity, not
-    /// just queue ordering. The last drain releases it: pending jobs
-    /// return to their base priority (recomputed — EDF from the absolute
-    /// deadline, otherwise the static task priority), and a running job
-    /// whose effective priority equals the released ceiling falls back
-    /// to base (a concurrent, more urgent accelerator-PIP boost is left
-    /// untouched).
+    /// From a [`MsgEvent::HighPosted`] until one [`MsgEvent::HighDrained`]
+    /// per post has arrived (depth counting), the task has an active
+    /// ceiling, the most urgent one posted meanwhile. It keys every
+    /// queued job of the task at the job's rule raised by the ceiling
+    /// (jobs released meanwhile included), and it is one term of a
+    /// running job's fold ([`RunningJob::effective_priority`]). The last
+    /// drain clears it and re-keys the queued jobs at the release rule,
+    /// recomputed (background for a `LogOnly` task while tripped).
     ///
     /// A dispatch round runs after every post, so under preemptive
     /// configs a boosted pending job preempts immediately, and after the
@@ -1864,41 +1877,14 @@ impl OnlineEngine {
         Ok(())
     }
 
-    /// Books a high-lane post for `dst` and boosts its jobs to the
-    /// active ceiling.
+    /// Books a high-lane post for `dst`; a tighter ceiling raises its
+    /// jobs (each raised one counted in [`EngineStats::msg_boosts`]).
     fn boost(&mut self, dst: TaskId, ceiling: Priority, sink: &mut ActionSink) {
         let ti = dst.index();
         self.high_depth[ti] += 1;
         if ceiling.is_higher_than(self.msg_ceiling[ti]) {
             self.msg_ceiling[ti] = ceiling;
-        }
-        let active = self.msg_ceiling[ti];
-        // Boost the most urgent pending job of `dst` (O(log n) re-queue
-        // through the index heap; the scan itself allocates nothing).
-        let qi = self.queue_of[ti] as usize;
-        let mut target: Option<(Priority, JobId)> = None;
-        for j in self.queues[qi].iter() {
-            if j.task == dst
-                && active.is_higher_than(j.priority)
-                && target.is_none_or(|(p, _)| j.priority.is_higher_than(p))
-            {
-                target = Some((j.priority, j.id));
-            }
-        }
-        if let Some((_, id)) = target {
-            let mut job = self.queues[qi].remove(id).expect("job was just iterated");
-            job.priority = active;
-            let _ = self.queues[qi].push(job);
-            self.stats.msg_boosts += 1;
-        }
-        // Boost a running job of `dst` the way accelerator PIP does:
-        // update the slot's effective priority and tell the driver.
-        for s in 0..self.running.len() {
-            let r = self.running[s].as_ref();
-            if r.is_some_and(|r| r.job.task == dst && active.is_higher_than(r.effective_priority)) {
-                self.stats.msg_boosts += 1;
-                self.set_effective_priority(s, active, sink);
-            }
+            self.stats.msg_boosts += self.apply_ceiling(dst, sink);
         }
     }
 
@@ -1915,37 +1901,36 @@ impl OnlineEngine {
         if ceiling == Priority::LOWEST {
             return false;
         }
-        // De-boost pending jobs to the release rule: each restored job
-        // stops matching the scan, so the loop terminates after at most
-        // one pass per job of `dst`, allocation-free.
-        let qi = self.queue_of[ti] as usize;
-        loop {
-            let mut found: Option<(JobId, Priority)> = None;
-            for j in self.queues[qi].iter() {
-                if j.task == dst {
-                    let rule = self.release_priority(j.task, j.abs_deadline);
-                    if j.priority != rule {
-                        found = Some((j.id, rule));
-                        break;
-                    }
-                }
-            }
-            let Some((id, rule)) = found else { break };
-            let mut job = self.queues[qi].remove(id).expect("job was just iterated");
-            job.priority = rule;
-            let _ = self.queues[qi].push(job);
-        }
-        // De-boost a running job only when the message ceiling is the
-        // active component of its effective priority.
-        for s in 0..self.running.len() {
-            let r = self.running[s].as_ref();
-            let r = r.filter(|r| r.job.task == dst && r.effective_priority == ceiling);
-            let rule = r.map(|r| self.release_priority(dst, r.job.abs_deadline));
-            if let Some(rule) = rule.filter(|&rule| rule != ceiling) {
-                self.set_effective_priority(s, rule, sink);
-            }
-        }
+        self.apply_ceiling(dst, sink);
         true
+    }
+
+    /// Applies the ceiling of `dst` as it now stands: re-keys its queued
+    /// jobs — raised by an active ceiling, back to the recomputed
+    /// release rule when none is — and re-folds its running ones.
+    /// Returns how many of them changed.
+    fn apply_ceiling(&mut self, dst: TaskId, sink: &mut ActionSink) -> u64 {
+        let (ti, mut stale) = (dst.index(), std::mem::take(&mut self.cull_buf));
+        let (qi, ceiling) = (self.queue_of[ti] as usize, self.msg_ceiling[ti]);
+        let key = |e: &Self, j: &Job| match ceiling {
+            Priority::LOWEST => e.release_priority(dst, j.abs_deadline),
+            c => j.priority.min(c),
+        };
+        let moves = |j: &&Job| j.task == dst && key(self, j) != j.priority;
+        stale.extend(self.queues[qi].iter().filter(moves).map(|j| j.id));
+        for &id in &stale {
+            let job = self.queues[qi].remove(id).expect("job was just iterated");
+            let priority = key(self, &job);
+            let _ = self.queues[qi].push(Job { priority, ..job });
+        }
+        let mut n = stale.len() as u64;
+        stale.clear();
+        self.cull_buf = stale;
+        for s in 0..self.running.len() {
+            let ours = self.running[s].is_some_and(|r| r.job.task == dst);
+            n += u64::from(ours && self.refold(s, sink));
+        }
+        n
     }
 
     /// Whether an event routed to `dst` — a cross-shard token of the
@@ -1979,10 +1964,8 @@ impl OnlineEngine {
     /// or `None` when no boost is active.
     #[must_use]
     pub fn active_msg_ceiling(&self, task: TaskId) -> Option<Priority> {
-        match self.msg_ceiling.get(task.index()) {
-            Some(&c) if c != Priority::LOWEST => Some(c),
-            _ => None,
-        }
+        let c = self.msg_ceiling.get(task.index()).copied();
+        c.filter(|&c| c != Priority::LOWEST)
     }
 
     /// The priority a job of `task` due at `abs_deadline` holds without
@@ -1990,7 +1973,9 @@ impl OnlineEngine {
     /// shedding mode: while the miss trip wire is tripped —
     /// [`Priority::LOWEST`] for a `LogOnly`-class task, so the
     /// enforced/critical classes get the processor first. A release
-    /// applies it, and so does the drain that ends a boost.
+    /// applies it, and so does the drain that ends a boost; while a
+    /// boost holds, a dispatch recomputes it (the queued key may be the
+    /// ceiling's).
     #[inline]
     fn release_priority(&self, task: TaskId, abs_deadline: Instant) -> Priority {
         if self.tripped && self.overrun_policy[task.index()] == OverrunPolicy::LogOnly {
@@ -2016,16 +2001,11 @@ impl OnlineEngine {
         } else {
             graph_release + rel_deadline
         };
-        // A job released while its task's high message lane is non-empty
-        // inherits the active ceiling immediately (message-plane PIP); a
-        // control-plane boost outranks the shedding demotion.
+        // Keyed at its rule raised by the active ceiling, as every queued
+        // job of its task is; a message boost outranks the shedding
+        // demotion.
         let priority = self.release_priority(task, abs_deadline);
-        let ceiling = self.msg_ceiling[task.index()];
-        let priority = if ceiling.is_higher_than(priority) {
-            ceiling
-        } else {
-            priority
-        };
+        let priority = priority.min(self.msg_ceiling[task.index()]);
         let job = Job {
             id: JobId::new(self.job_counter),
             task,
@@ -2138,7 +2118,7 @@ impl OnlineEngine {
     ) {
         if let Some(a) = accel {
             self.accels
-                .acquire(a, job.id, worker, job.priority)
+                .acquire(a, job.id, worker)
                 .expect("choose_version verified the accelerator is free");
         }
         // The enforcement budget is the selected version's declared
@@ -2150,15 +2130,26 @@ impl OnlineEngine {
             Instant::MAX
         };
         let slot = self.slot_of(worker).expect("dispatch targets owned worker");
-        self.running[slot] = Some(RunningJob {
+        // The key is the rule unless an active ceiling may have raised it.
+        let ceiling = self.msg_ceiling[job.task.index()];
+        let rule = match ceiling {
+            Priority::LOWEST => job.priority,
+            _ => self.release_priority(job.task, job.abs_deadline),
+        };
+        let mut seat = RunningJob {
             job,
             version,
             accel,
-            effective_priority: job.priority,
+            effective_priority: rule,
+            rule,
+            inherited: None,
+            demoted: false,
             enforce_by,
             overrun: false,
             killed: false,
-        });
+        };
+        seat.fold(ceiling);
+        self.running[slot] = Some(seat);
         self.stats.dispatched += 1;
         actions.push(Action::Dispatch {
             worker,
@@ -2167,32 +2158,37 @@ impl OnlineEngine {
         });
     }
 
-    /// Applies PIP to every busy accelerator the blocked job wanted.
+    /// Applies PIP to every busy accelerator the blocked job wanted: a
+    /// holder less urgent than the blocked job inherits its priority.
     fn apply_pip(&mut self, blocked: &Job, wishes: &[AccelId], actions: &mut ActionSink) {
+        let p = blocked.priority;
         for &a in wishes {
-            if let Some(holder) = self.accels.boost_holder(a, blocked.priority) {
-                let s = self
-                    .slot_of(holder.worker)
-                    .expect("a holder runs on its worker");
-                debug_assert_eq!(self.running[s].map(|r| r.job.id), Some(holder.job));
-                self.stats.pip_boosts += 1;
-                self.set_effective_priority(s, holder.priority, actions);
+            let fold = |h: AccelHolder| self.running(h.worker).map_or(p, |r| r.effective_priority);
+            let holder = self.accels.boost_holder(a, p, fold);
+            if let Some(s) = holder.and_then(|h| self.slot_of(h.worker)) {
+                let r = self.running[s].as_mut().expect("a holder runs");
+                r.inherited = Some(r.inherited.map_or(p, |i| i.min(p)));
+                self.stats.pip_boosts += u64::from(self.refold(s, actions));
             }
         }
         self.stats.blocked_skips += 1;
     }
 
-    /// Sets the effective priority of the job running in slot `s` and
-    /// reports it, raised or lowered: one [`Action::Boost`].
-    fn set_effective_priority(&mut self, s: usize, priority: Priority, actions: &mut ActionSink) {
+    /// Re-folds the job running in slot `s` ([`RunningJob::fold`]) and
+    /// reports a change, raised or lowered: one [`Action::Boost`].
+    fn refold(&mut self, s: usize, actions: &mut ActionSink) -> bool {
         let worker = self.worker_of_slot(s);
-        let r = self.running[s].as_mut().expect("a running job is boosted");
-        r.effective_priority = priority;
-        actions.push(Action::Boost {
-            worker,
-            job: r.job.id,
-            priority,
-        });
+        let r = self.running[s].as_mut().expect("a running job is folded");
+        let changed = r.fold(self.msg_ceiling[r.job.task.index()]);
+        let (job, priority) = (r.job.id, r.effective_priority);
+        if changed {
+            actions.push(Action::Boost {
+                worker,
+                job,
+                priority,
+            });
+        }
+        changed
     }
 
     fn workers_fed_by(&self, queue_idx: usize) -> std::ops::Range<usize> {
@@ -2302,8 +2298,10 @@ impl OnlineEngine {
         }
         let worker = self.worker_of_slot(w);
         if let Some(victim) = self.running[w].take() {
+            let ceiling = self.msg_ceiling[victim.job.task.index()];
             let old = Job {
                 preempted: true,
+                priority: victim.rule.min(ceiling),
                 ..victim.job
             };
             actions.push(Action::Preempt {
@@ -3534,6 +3532,103 @@ mod tests {
             [Action::Dispatch { job, .. }] => assert_eq!(job.task, TaskId::new(2)),
             other => panic!("the released boost's round starts t2, got {other:?}"),
         }
+    }
+
+    /// `hold` (GPU, deadline 200 ms) runs on worker 0 from 0 ms; at
+    /// 10 ms `urgent` (GPU only, deadline 40 ms) is released and blocks
+    /// on the GPU. Returns the engine before that tick, and both tasks.
+    fn gpu_holder() -> (OnlineEngine, TaskId, TaskId) {
+        let mut b = yasmin_core::graph::TaskSetBuilder::new();
+        let gpu = b.hwaccel_decl("gpu");
+        let hold = b.task_decl(TaskSpec::periodic("hold", ms(200))).unwrap();
+        let spec = TaskSpec::periodic("urgent", ms(200)).with_release_offset(ms(10));
+        let urgent = b.task_decl(spec.with_constrained_deadline(ms(30))).unwrap();
+        for t in [hold, urgent] {
+            b.version_decl(t, VersionSpec::new("gpu", ms(50)).with_accel(gpu))
+                .unwrap();
+        }
+        let mut e = OnlineEngine::new(Arc::new(b.build().unwrap()), edf_config(2)).unwrap();
+        e.start_into(Instant::ZERO, &mut ActionSink::new()).unwrap();
+        (e, hold, urgent)
+    }
+
+    fn boosts(sink: &ActionSink) -> Vec<Priority> {
+        let boost = |a: &Action| match *a {
+            Action::Boost { priority, .. } => Some(priority),
+            _ => None,
+        };
+        sink.iter().filter_map(boost).collect()
+    }
+
+    #[test]
+    fn a_message_episode_keeps_an_overrun_demotion() {
+        // The job overruns its 1 ms budget at 2 ms and runs on at
+        // background priority; a post (ceiling 7) and its drain leave it
+        // there, and tell the driver nothing.
+        let mut b = yasmin_core::graph::TaskSetBuilder::new();
+        let spec = TaskSpec::periodic("t", ms(10));
+        let t = b
+            .task_decl(spec.with_overrun_policy(OverrunPolicy::DemoteToBackground))
+            .unwrap();
+        b.version_decl(t, VersionSpec::new("v", ms(1))).unwrap();
+        let config = Config::builder()
+            .workers(1)
+            .tick(ms(1))
+            .enforce_wcet(true)
+            .build()
+            .unwrap();
+        let mut e = OnlineEngine::new(Arc::new(b.build().unwrap()), config).unwrap();
+        let w0 = WorkerId::new(0);
+        let mut sink = ActionSink::new();
+        e.start_into(Instant::ZERO, &mut sink).unwrap();
+        e.on_tick_into(at(2), &mut sink);
+        assert_eq!(e.running(w0).unwrap().effective_priority, Priority::LOWEST);
+        sink.clear();
+        e.on_msg_into(posted(t, Priority::new(7)), at(3), &mut sink)
+            .unwrap();
+        e.on_msg_into(drained(t), at(4), &mut sink).unwrap();
+        assert_eq!(e.running(w0).unwrap().effective_priority, Priority::LOWEST);
+        assert_eq!(boosts(&sink), []);
+    }
+
+    #[test]
+    fn a_drain_keeps_the_inherited_priority_while_the_blocked_job_waits() {
+        // `hold` inherits `urgent`'s deadline by PIP; a message episode
+        // of its own raises it further and, drained, hands it back to
+        // the inherited priority, not to its base.
+        let (mut e, hold, urgent) = gpu_holder();
+        let w0 = WorkerId::new(0);
+        let mut sink = ActionSink::new();
+        e.on_tick_into(at(10), &mut sink);
+        let inherited = Priority::earliest_deadline(at(40));
+        assert_eq!(e.running(w0).unwrap().effective_priority, inherited);
+        sink.clear();
+        e.on_msg_into(posted(hold, Priority::new(7)), at(11), &mut sink)
+            .unwrap();
+        e.on_msg_into(drained(hold), at(12), &mut sink).unwrap();
+        assert!(
+            e.queues[0].iter().any(|j| j.task == urgent),
+            "still blocked"
+        );
+        assert_eq!(e.running(w0).unwrap().effective_priority, inherited);
+        assert_eq!(boosts(&sink), [Priority::new(7), inherited]);
+    }
+
+    #[test]
+    fn pip_never_lowers_a_message_boost() {
+        // A post raises the holder to 7; `urgent` blocks behind it at
+        // its 40 ms deadline, which is less urgent: no PIP boost.
+        let (mut e, hold, _) = gpu_holder();
+        let w0 = WorkerId::new(0);
+        let mut sink = ActionSink::new();
+        e.on_msg_into(posted(hold, Priority::new(7)), at(5), &mut sink)
+            .unwrap();
+        assert_eq!(e.running(w0).unwrap().effective_priority, Priority::new(7));
+        sink.clear();
+        e.on_tick_into(at(10), &mut sink);
+        assert_eq!(e.running(w0).unwrap().effective_priority, Priority::new(7));
+        assert_eq!(boosts(&sink), []);
+        assert_eq!(e.stats().pip_boosts, 0);
     }
 
     #[test]

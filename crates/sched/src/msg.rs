@@ -30,17 +30,19 @@
 //! 1. [`Sender::send_high`] posts to the high lane and emits
 //!    [`MsgEvent::HighPosted`] through the channel's notify hook;
 //! 2. the driver hands the event as it is to
-//!    [`OnlineEngine::on_msg_into`]: the receiving task's pending job
-//!    is re-queued at `min(base, ceiling)`, a running job has its
-//!    effective priority raised (the same mechanism as accelerator
-//!    PIP), and jobs released while the lane is non-empty inherit the
-//!    ceiling at release;
+//!    [`OnlineEngine::on_msg_into`]: while the lane holds posts the
+//!    ceiling keys every queued job of the receiving task at
+//!    `min(rule, ceiling)` (jobs released meanwhile included), and it is
+//!    one term of a running job's effective priority — one fold of the
+//!    release rule, accelerator PIP, the ceiling and the overrun
+//!    demotion ([`crate::RunningJob::effective_priority`]);
 //! 3. each high-lane pop by [`Receiver::recv`] emits
 //!    [`MsgEvent::HighDrained`]; when posts and drains balance (the lane
-//!    is empty again) the same entry point returns the receiver's jobs,
-//!    queued and running, to the release rule: the base priority, or
-//!    background for a shedding-class task while the miss trip wire is
-//!    tripped — never to the ceiling a boost wrote into a job.
+//!    is empty again) the same entry point drops the ceiling: queued
+//!    jobs return to the release rule (the base priority, or background
+//!    for a shedding-class task while the miss trip wire is tripped),
+//!    and a running job re-folds without it — keeping what PIP or a
+//!    demotion gave it, never the ceiling a boost wrote into a job.
 //!
 //! The ceiling can only tighten while the lane stays non-empty: with
 //! several prioritized channels into one task, the task holds the most

@@ -60,7 +60,8 @@ fn yasmin_managed(
 /// above once each edge is met with a far and a near park, each armed
 /// early by the lateness parks of its kind show, and, on an owner that
 /// runs its bodies itself, with the edge's round pre-staged a round lead
-/// ahead of the edge and its dispatch held until the edge — what the
+/// ahead of the edge and its dispatch held until the edge, and why the
+/// other edges were not pre-staged — what the
 /// early quarter of the near parks and the holds spun, and what it gave
 /// to and took from its peers (nothing here: one owner has no peer to
 /// steal from). Exits with status 1 if an owner met no edge at all, or
@@ -79,7 +80,8 @@ fn print_owner_stats(owners: &[(TickStats, StealStats)]) {
         let edges = t.edges as f64;
         println!(
             "    owner {i}: {} edges, late p50 {:.0} µs / max {:.0} µs, leads {:.0} µs near + \
-             {:.0} µs far + {:.0} µs round, {} pre-staged ({:.0} % of edges), \
+             {:.0} µs far + {:.0} µs round, {} pre-staged ({:.0} % of edges; not: \
+             {} body crossed, {} woke late, {} no lead, {} held busy), \
              {} near parks ({:.0} %), {} far overshoots, \
              {} early wakes ({:.0} %), {:.0} µs spun ({:.2} µs per edge)",
             t.edges,
@@ -90,6 +92,10 @@ fn print_owner_stats(owners: &[(TickStats, StealStats)]) {
             t.round_lead_ns as f64 / 1e3,
             t.prestaged,
             100.0 * t.prestaged as f64 / edges,
+            t.body_crossed,
+            t.woke_late,
+            t.no_lead,
+            t.held_busy,
             t.near_parks,
             100.0 * t.near_parks as f64 / edges,
             t.far_overshoots,

@@ -1,24 +1,44 @@
 #!/usr/bin/env bash
 # Mutation catalogue: copies the tree to a scratch directory, applies
-# each patch of `scripts/mutants/*.patch` there in turn, and runs the
-# workspace tests against it. Prints one line per patch:
+# each patch of `scripts/mutants/*.patch` there in turn — or of the
+# patches whose names (without `.patch`) match one of the glob patterns
+# given as arguments — and runs the workspace tests against it. Prints
+# one line per patch:
 #
 #   killed          a test failed (or the mutant did not build)
 #   survived        every test passed: no test notices the mutation
 #   does not apply  the code the patch mutates has moved
 #
-# then the score. A patch that does not apply is an error — the
-# catalogue must not rot quietly — and makes the script exit non-zero;
-# a survivor does not. A mutation that only hangs or only changes
-# performance does not belong here; a test run longer than 900 s is
-# reported as killed by timeout. Gates nothing in CI: one run costs
-# about a minute per patch. The scratch copy goes where `mktemp -d`
-# puts it (`TMPDIR`).
+# then the score. A survivor and a patch that does not apply are both
+# errors — no test notices the mutation, or the catalogue rots quietly
+# — and make the script exit non-zero, as does a pattern that names no
+# patch. A mutation that only hangs or only changes performance does
+# not belong here; a test run longer than 900 s is reported as killed
+# by timeout. One run costs about a minute per patch; CI runs the
+# priority mutants (`msg-*`, `fold-*`). The scratch copy goes where
+# `mktemp -d` puts it (`TMPDIR`).
 #
-#   scripts/mutants.sh
+#   scripts/mutants.sh                   # the whole catalogue
+#   scripts/mutants.sh 'msg-*' 'fold-*'  # the patches these globs name
 set -euo pipefail
 cd "$(dirname "$0")/.."
 root=$PWD
+[ $# -gt 0 ] || set -- '*'
+patches=()
+for p in "$root"/scripts/mutants/*.patch; do
+  name=$(basename "$p" .patch)
+  for glob in "$@"; do
+    # shellcheck disable=SC2053 # the pattern is meant to match
+    if [[ $name == $glob ]]; then
+      patches+=("$p")
+      break
+    fi
+  done
+done
+if [ ${#patches[@]} -eq 0 ]; then
+  echo "no patch in scripts/mutants/ matches: $*" >&2
+  exit 1
+fi
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 # The tree as it stands, without build outputs; one target directory
@@ -28,7 +48,7 @@ tar -C "$root" --exclude=./target --exclude=./.git --exclude=./.bench_build \
 export CARGO_TARGET_DIR="$work/target"
 cd "$work"
 killed=0 survived=0 broken=0
-for p in "$root"/scripts/mutants/*.patch; do
+for p in "${patches[@]}"; do
   name=$(basename "$p" .patch)
   if ! git apply --check "$p" 2>/dev/null; then
     echo "$name: does not apply"
@@ -49,4 +69,4 @@ for p in "$root"/scripts/mutants/*.patch; do
   git apply -R "$p"
 done
 echo "score: $killed killed, $survived survived, $broken do not apply"
-[ "$broken" -eq 0 ]
+[ "$broken" -eq 0 ] && [ "$survived" -eq 0 ]
