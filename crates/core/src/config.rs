@@ -288,12 +288,12 @@ impl Config {
     /// at instant zero, and the first tick or miss at or past a window's
     /// end opens the next one there, with a count of zero. More than
     /// `budget` misses in one window trip the wire, and the roll that
-    /// opens the next window untrips it. While it is tripped, every job
-    /// an `OverrunPolicy::LogOnly`-class task *releases* runs at
-    /// background priority, and keeps it after the untrip (until a
-    /// message boost on it ends, which applies the rule anew); jobs
-    /// released before the trip keep theirs. `None` disables the trip
-    /// wire.
+    /// opens the next window untrips it. Shedding is a level: exactly
+    /// while the wire is tripped, every job of an
+    /// `OverrunPolicy::LogOnly`-class task — queued or running, released
+    /// before the trip or during it — runs at background priority (a
+    /// message ceiling still raises it), and the untrip restores each to
+    /// its base priority. `None` disables the trip wire.
     #[must_use]
     pub const fn miss_trip(&self) -> Option<(Duration, u32)> {
         self.miss_trip
@@ -468,9 +468,9 @@ impl ConfigBuilder {
     }
 
     /// Arms the deadline-miss trip wire: more than `budget` misses in
-    /// one tumbling window of `window` demote the jobs
-    /// `OverrunPolicy::LogOnly`-class tasks release until that window
-    /// ends; see [`Config::miss_trip`].
+    /// one tumbling window of `window` demote every job of the
+    /// `OverrunPolicy::LogOnly`-class tasks, queued or running, until
+    /// that window ends; see [`Config::miss_trip`].
     #[must_use]
     pub fn miss_trip(mut self, window: Duration, budget: u32) -> Self {
         self.0.miss_trip = Some((window, budget));

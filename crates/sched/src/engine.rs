@@ -83,9 +83,10 @@ pub enum Action {
         job: JobId,
     },
     /// The effective priority of `job` on `worker` changed, raised or
-    /// lowered ([`RunningJob::effective_priority`], the fold of PIP after
-    /// accelerator contention (§3.2), the message ceiling, the overrun
-    /// demotion and the release rule). Emitted only on a change.
+    /// lowered ([`RunningJob::effective_priority`], the fold of its base,
+    /// its task's shedding state and message ceiling, its overrun
+    /// demotion and PIP after accelerator contention, §3.2). Emitted
+    /// only on a change.
     Boost {
         /// Worker running the job.
         worker: WorkerId,
@@ -116,19 +117,14 @@ pub struct RunningJob {
     pub version: VersionId,
     /// The accelerator held, if the version uses one.
     pub accel: Option<AccelId>,
-    /// What the job runs at: the one fold of the three fields below and
-    /// its task's message ceiling — [`Priority::LOWEST`] while `demoted`,
-    /// else the most urgent of `rule`, `inherited` and the ceiling
-    /// ([`OnlineEngine::active_msg_ceiling`]). Each change is an
-    /// [`Action::Boost`].
+    /// What the job runs at: the engine's one fold of its state, as its
+    /// queued key was — [`Priority::LOWEST`] once an overrun demoted it
+    /// ([`OverrunPolicy::DemoteToBackground`]), else its base
+    /// (background while its task sheds) raised by its task's message
+    /// ceiling and by `inherited`. Each change is an [`Action::Boost`].
     pub effective_priority: Priority,
-    /// The release rule: base priority, or background for a `LogOnly`
-    /// task released while the miss trip wire was tripped.
-    pub(crate) rule: Priority,
     /// The most urgent priority inherited by PIP (§3.2).
     pub(crate) inherited: Option<Priority>,
-    /// [`OverrunPolicy::DemoteToBackground`] applied.
-    pub(crate) demoted: bool,
     /// The enforcement deadline: dispatch instant + the selected
     /// version's WCET (`Instant::MAX` when `Config::enforce_wcet` is
     /// off). A tick strictly past this instant flags the job as
@@ -141,21 +137,6 @@ pub struct RunningJob {
     /// worker — the middleware never destroys a thread mid-body — but
     /// its successors are dropped at retirement.
     pub killed: bool,
-}
-
-impl RunningJob {
-    /// Folds the components and `ceiling` into `effective_priority`, its
-    /// one writer; `true` when its value changed.
-    fn fold(&mut self, ceiling: Priority) -> bool {
-        let ceiling = Some(ceiling).filter(|&c| c != Priority::LOWEST);
-        let raise = [self.inherited, ceiling].into_iter().flatten().min();
-        let raised = raise.map_or(self.rule, |r| r.min(self.rule));
-        let folded = match self.demoted {
-            true => Priority::LOWEST,
-            false => raised,
-        };
-        std::mem::replace(&mut self.effective_priority, folded) != folded
-    }
 }
 
 /// How one [`EngineStats`] field combines with another engine's (`add`)
@@ -427,8 +408,7 @@ pub struct OnlineEngine {
     high_depth: Vec<u32>,
     /// Dense per-task active message ceiling: the most urgent ceiling
     /// posted since the high lane last became non-empty;
-    /// [`Priority::LOWEST`] when no boost is active. Jobs released while
-    /// a ceiling is active inherit `min(base, ceiling)`.
+    /// [`Priority::LOWEST`] when no boost is active. A term of the fold.
     msg_ceiling: Vec<Priority>,
     /// Dense per-task WCET-overrun / body-failure policy.
     overrun_policy: Vec<OverrunPolicy>,
@@ -436,9 +416,13 @@ pub struct OnlineEngine {
     miss_window_start: Instant,
     /// Deadline misses observed in the current window.
     miss_window_count: u32,
-    /// The trip wire is tripped: `LogOnly`-class tasks release at
-    /// background priority until the window it tripped in ends.
+    /// The trip wire is tripped, until the window it tripped in ends:
+    /// every job of a `LogOnly`-class task sheds (a term of the fold).
     tripped: bool,
+    /// Queued jobs that overran, then were preempted: each resumes
+    /// with its mark ([`RunningJob::overrun`]). At most what the queues
+    /// hold, its capacity: it never reallocates.
+    overran: Vec<JobId>,
     /// `Some(w)`: this engine is the *shard* owning only worker `w`
     /// (partitioned mapping). It holds exactly one queue and one running
     /// slot, releases only tasks assigned to `w`, and still reports the
@@ -547,6 +531,7 @@ impl OnlineEngine {
             miss_window_start: Instant::ZERO,
             miss_window_count: 0,
             tripped: false,
+            overran: Vec::with_capacity(n_queues * config.max_pending_jobs()),
             queues,
             running: vec![None; n_slots],
             shard,
@@ -1168,6 +1153,7 @@ impl OnlineEngine {
     /// warmed-up sink this path performs no heap allocation in steady
     /// state.
     pub fn on_tick_into(&mut self, now: Instant, sink: &mut ActionSink) {
+        self.roll_miss_window(now, 0, sink);
         if now >= self.next_wake {
             let mut wake = Instant::MAX;
             for i in 0..self.next_release.len() {
@@ -1187,9 +1173,6 @@ impl OnlineEngine {
         }
         if self.config.enforce_wcet() {
             self.enforce_overruns(now, sink);
-        }
-        if self.config.miss_trip().is_some() {
-            self.roll_miss_window(now);
         }
         if self.config.cull_missed() {
             self.cull_ready(|j| j.deadline_missed_at(now), sink);
@@ -1220,9 +1203,7 @@ impl OnlineEngine {
             return false;
         }
         let (job, overage) = (r.job, now.saturating_since(r.enforce_by));
-        let policy = self.overrun_policy[job.task.index()];
-        r.killed |= policy == OverrunPolicy::Kill;
-        r.demoted = policy == OverrunPolicy::DemoteToBackground;
+        r.killed |= self.overrun_policy[job.task.index()] == OverrunPolicy::Kill;
         self.refold(s, sink);
         self.stats.overruns += 1;
         if let Some(server) = self.tenants.holders_server(job.task, job.graph_release) {
@@ -1244,38 +1225,33 @@ impl OnlineEngine {
         })
     }
 
-    /// Observes one deadline miss at `now` for the trip wire; no-op when
-    /// `Config::miss_trip` is disarmed.
-    fn note_miss(&mut self, now: Instant) {
-        let Some((_, budget)) = self.config.miss_trip() else {
-            return;
-        };
-        self.roll_miss_window(now);
-        self.miss_window_count += 1;
-        if self.miss_window_count > budget && !self.tripped {
-            self.tripped = true;
-            self.stats.miss_trips += 1;
-        }
-    }
-
-    /// Advances the tumbling miss-accounting window: once a full window
-    /// has elapsed the next opens at `now` with a count of zero, and —
-    /// the recovery half of the trip wire — a tripped engine untrips:
-    /// `LogOnly`-class tasks release at their base priority again, and
-    /// the jobs they released while tripped stay demoted.
-    fn roll_miss_window(&mut self, now: Instant) {
-        let Some((window, _)) = self.config.miss_trip() else {
+    /// Books `misses` deadline misses at `now` for the trip wire, in a
+    /// tumbling window: once a full one has elapsed the next opens at
+    /// `now` with a count of zero. The wire is tripped exactly while the
+    /// window's count exceeds the budget, and shedding is a level: each
+    /// flip, the untrip at a roll included, re-keys every job of a
+    /// `LogOnly`-class task. No-op when `Config::miss_trip` is disarmed.
+    fn roll_miss_window(&mut self, now: Instant, misses: u32, sink: &mut ActionSink) {
+        let Some((window, budget)) = self.config.miss_trip() else {
             return;
         };
         if now.saturating_since(self.miss_window_start) >= window {
             self.miss_window_start = now;
             self.miss_window_count = 0;
-            self.tripped = false;
+        }
+        self.miss_window_count += misses;
+        let tripped = self.miss_window_count > budget;
+        if std::mem::replace(&mut self.tripped, tripped) != tripped {
+            self.stats.miss_trips += u64::from(tripped);
+            self.rekey(
+                |e, t| e.overrun_policy[t.index()] == OverrunPolicy::LogOnly,
+                sink,
+            );
         }
     }
 
     /// `true` while the deadline-miss trip wire is tripped (shedding
-    /// mode: `LogOnly`-class tasks release at background priority).
+    /// mode: every job of a `LogOnly`-class task runs in background).
     #[must_use]
     pub fn is_tripped(&self) -> bool {
         self.tripped
@@ -1293,6 +1269,7 @@ impl OnlineEngine {
             expired.extend(self.queues[qi].iter().filter(|j| doomed(j)).map(|j| j.id));
             for &job in &expired {
                 if self.queues[qi].remove(job).is_some() {
+                    self.overran.retain(|&o| o != job);
                     self.stats.culled += 1;
                     sink.push(Action::Cull { job });
                 }
@@ -1362,7 +1339,7 @@ impl OnlineEngine {
         now: Instant,
         sink: &mut ActionSink,
     ) -> Result<()> {
-        self.retire(worker, job, JobOutcome::Completed, now)?;
+        self.retire(worker, job, JobOutcome::Completed, now, sink)?;
         self.dispatch_round(now, sink);
         Ok(())
     }
@@ -1388,7 +1365,7 @@ impl OnlineEngine {
         now: Instant,
         sink: &mut ActionSink,
     ) -> Result<()> {
-        let (retired, result) = self.retire_each(completions, now);
+        let (retired, result) = self.retire_each(completions, now, sink);
         if retired > 0 {
             self.dispatch_round(now, sink);
         }
@@ -1415,7 +1392,7 @@ impl OnlineEngine {
         now: Instant,
         sink: &mut ActionSink,
     ) -> Result<()> {
-        let (_, result) = self.retire_each(completions, now);
+        let (_, result) = self.retire_each(completions, now, sink);
         self.on_tick_into(now, sink);
         result
     }
@@ -1427,9 +1404,10 @@ impl OnlineEngine {
         &mut self,
         completions: &[(WorkerId, JobId)],
         now: Instant,
+        sink: &mut ActionSink,
     ) -> (usize, Result<()>) {
         for (k, &(worker, job)) in completions.iter().enumerate() {
-            if let Err(e) = self.retire(worker, job, JobOutcome::Completed, now) {
+            if let Err(e) = self.retire(worker, job, JobOutcome::Completed, now, sink) {
                 return (k, Err(e));
             }
         }
@@ -1596,11 +1574,12 @@ impl OnlineEngine {
     }
 
     /// Validates and books the end of `job` on `worker` — frees the
-    /// worker slot and any held accelerator, feeds the miss trip wire,
-    /// fires DAG successors — without running a dispatch round (the
-    /// caller batches that). A completion fires its successors unless
-    /// the job was killed ([`OverrunPolicy::Kill`]) and feeds the trip
-    /// wire when past its absolute deadline. A failure (the body
+    /// worker slot and any held accelerator, feeds the miss trip wire
+    /// (a flip re-folds into `sink`), fires DAG successors — without
+    /// running a dispatch round (the caller batches that). A completion
+    /// fires its successors unless the job was killed
+    /// ([`OverrunPolicy::Kill`]) and feeds the trip wire when past its
+    /// absolute deadline. A failure (the body
     /// panicked; the runtime contained the unwind) is counted in
     /// [`EngineStats::failed`] and always feeds the trip wire, and the
     /// task's [`OverrunPolicy`] decides the successor tokens: `LogOnly`
@@ -1614,6 +1593,7 @@ impl OnlineEngine {
         job: JobId,
         outcome: JobOutcome,
         now: Instant,
+        sink: &mut ActionSink,
     ) -> Result<()> {
         let verb = || match outcome {
             JobOutcome::Completed => "completed",
@@ -1638,14 +1618,14 @@ impl OnlineEngine {
         let fires = match outcome {
             JobOutcome::Completed => {
                 self.stats.completed += 1;
-                if self.config.miss_trip().is_some() && running.job.abs_deadline < now {
-                    self.note_miss(now);
+                if running.job.abs_deadline < now {
+                    self.roll_miss_window(now, 1, sink);
                 }
                 true
             }
             JobOutcome::Failed => {
                 self.stats.failed += 1;
-                self.note_miss(now);
+                self.roll_miss_window(now, 1, sink);
                 self.overrun_policy[task.index()] == OverrunPolicy::LogOnly
             }
         };
@@ -1674,7 +1654,7 @@ impl OnlineEngine {
         now: Instant,
         sink: &mut ActionSink,
     ) -> Result<()> {
-        self.retire(worker, job, JobOutcome::Failed, now)?;
+        self.retire(worker, job, JobOutcome::Failed, now, sink)?;
         self.dispatch_round(now, sink);
         Ok(())
     }
@@ -1839,12 +1819,9 @@ impl OnlineEngine {
     ///
     /// From a [`MsgEvent::HighPosted`] until one [`MsgEvent::HighDrained`]
     /// per post has arrived (depth counting), the task has an active
-    /// ceiling, the most urgent one posted meanwhile. It keys every
-    /// queued job of the task at the job's rule raised by the ceiling
-    /// (jobs released meanwhile included), and it is one term of a
-    /// running job's fold ([`RunningJob::effective_priority`]). The last
-    /// drain clears it and re-keys the queued jobs at the release rule,
-    /// recomputed (background for a `LogOnly` task while tripped).
+    /// ceiling, the most urgent one posted meanwhile: a term of the fold
+    /// ([`RunningJob::effective_priority`]) for every job of the task,
+    /// queued or running, jobs released meanwhile included.
     ///
     /// A dispatch round runs after every post, so under preemptive
     /// configs a boosted pending job preempts immediately, and after the
@@ -1884,7 +1861,7 @@ impl OnlineEngine {
         self.high_depth[ti] += 1;
         if ceiling.is_higher_than(self.msg_ceiling[ti]) {
             self.msg_ceiling[ti] = ceiling;
-            self.stats.msg_boosts += self.apply_ceiling(dst, sink);
+            self.stats.msg_boosts += self.rekey(|_, t| t == dst, sink);
         }
     }
 
@@ -1901,33 +1878,31 @@ impl OnlineEngine {
         if ceiling == Priority::LOWEST {
             return false;
         }
-        self.apply_ceiling(dst, sink);
+        self.rekey(|_, t| t == dst, sink);
         true
     }
 
-    /// Applies the ceiling of `dst` as it now stands: re-keys its queued
-    /// jobs — raised by an active ceiling, back to the recomputed
-    /// release rule when none is — and re-folds its running ones.
-    /// Returns how many of them changed.
-    fn apply_ceiling(&mut self, dst: TaskId, sink: &mut ActionSink) -> u64 {
-        let (ti, mut stale) = (dst.index(), std::mem::take(&mut self.cull_buf));
-        let (qi, ceiling) = (self.queue_of[ti] as usize, self.msg_ceiling[ti]);
-        let key = |e: &Self, j: &Job| match ceiling {
-            Priority::LOWEST => e.release_priority(dst, j.abs_deadline),
-            c => j.priority.min(c),
-        };
-        let moves = |j: &&Job| j.task == dst && key(self, j) != j.priority;
-        stale.extend(self.queues[qi].iter().filter(moves).map(|j| j.id));
-        for &id in &stale {
-            let job = self.queues[qi].remove(id).expect("job was just iterated");
-            let priority = key(self, &job);
-            let _ = self.queues[qi].push(Job { priority, ..job });
+    /// Re-keys every queued job of a task `hit` names at its fold
+    /// ([`OnlineEngine::fold`]) and re-folds its running ones: what a
+    /// post, a drain, the trip and the untrip do once they have changed
+    /// their input. Returns how many of the jobs changed.
+    fn rekey(&mut self, hit: impl Fn(&Self, TaskId) -> bool, sink: &mut ActionSink) -> u64 {
+        let (mut stale, mut n) = (std::mem::take(&mut self.cull_buf), 0);
+        for qi in 0..self.queues.len() {
+            stale.clear();
+            let moves = |j: &&Job| hit(self, j.task) && self.fold(j, None) != j.priority;
+            stale.extend(self.queues[qi].iter().filter(moves).map(|j| j.id));
+            for &id in &stale {
+                let job = self.queues[qi].remove(id).expect("job was just iterated");
+                let priority = self.fold(&job, None);
+                let _ = self.queues[qi].push(Job { priority, ..job });
+            }
+            n += stale.len() as u64;
         }
-        let mut n = stale.len() as u64;
         stale.clear();
         self.cull_buf = stale;
         for s in 0..self.running.len() {
-            let ours = self.running[s].is_some_and(|r| r.job.task == dst);
+            let ours = self.running[s].is_some_and(|r| hit(self, r.job.task));
             n += u64::from(ours && self.refold(s, sink));
         }
         n
@@ -1968,23 +1943,26 @@ impl OnlineEngine {
         c.filter(|&c| c != Priority::LOWEST)
     }
 
-    /// The priority a job of `task` due at `abs_deadline` holds without
-    /// a message boost: its base priority under the active policy, or —
-    /// shedding mode: while the miss trip wire is tripped —
-    /// [`Priority::LOWEST`] for a `LogOnly`-class task, so the
-    /// enforced/critical classes get the processor first. A release
-    /// applies it, and so does the drain that ends a boost; while a
-    /// boost holds, a dispatch recomputes it (the queued key may be the
-    /// ceiling's).
-    #[inline]
-    fn release_priority(&self, task: TaskId, abs_deadline: Instant) -> Priority {
-        if self.tripped && self.overrun_policy[task.index()] == OverrunPolicy::LogOnly {
+    /// The one fold: every priority the engine holds, a queued job's key
+    /// or the effective priority of one running in `r`. A job that
+    /// overran under [`OverrunPolicy::DemoteToBackground`] (a queued one:
+    /// then was preempted) is at [`Priority::LOWEST`]; any other at its
+    /// base — the deadline under EDF, the task's static priority
+    /// otherwise, background while the task sheds (`LogOnly` and
+    /// tripped) — raised by the task's active ceiling and by PIP.
+    fn fold(&self, job: &Job, r: Option<&RunningJob>) -> Priority {
+        let (ti, policy) = (job.task.index(), self.overrun_policy[job.task.index()]);
+        let marked = || job.preempted && self.overran.contains(&job.id);
+        if policy == OverrunPolicy::DemoteToBackground && r.map_or_else(marked, |r| r.overrun) {
             return Priority::LOWEST;
         }
-        match self.config.priority() {
-            PriorityPolicy::EarliestDeadlineFirst => Priority::earliest_deadline(abs_deadline),
-            _ => self.static_priority[task.index()],
-        }
+        let base = match self.config.priority() {
+            _ if self.tripped && policy == OverrunPolicy::LogOnly => Priority::LOWEST,
+            PriorityPolicy::EarliestDeadlineFirst => Priority::earliest_deadline(job.abs_deadline),
+            _ => self.static_priority[ti],
+        };
+        let (ceiling, inherited) = (self.msg_ceiling[ti], r.and_then(|r| r.inherited));
+        base.min(inherited.map_or(ceiling, |i| i.min(ceiling)))
     }
 
     fn release_job(&mut self, task: TaskId, release: Instant, graph_release: Instant) {
@@ -2001,21 +1979,17 @@ impl OnlineEngine {
         } else {
             graph_release + rel_deadline
         };
-        // Keyed at its rule raised by the active ceiling, as every queued
-        // job of its task is; a message boost outranks the shedding
-        // demotion.
-        let priority = self.release_priority(task, abs_deadline);
-        let priority = priority.min(self.msg_ceiling[task.index()]);
-        let job = Job {
+        let mut job = Job {
             id: JobId::new(self.job_counter),
             task,
             seq,
             release,
             graph_release,
             abs_deadline,
-            priority,
+            priority: Priority::LOWEST,
             preempted: false,
         };
+        job.priority = self.fold(&job, None);
         self.job_counter += 1;
         let qi = self.queue_index(task);
         if self.queues[qi].push(job).is_err() {
@@ -2130,25 +2104,22 @@ impl OnlineEngine {
             Instant::MAX
         };
         let slot = self.slot_of(worker).expect("dispatch targets owned worker");
-        // The key is the rule unless an active ceiling may have raised it.
-        let ceiling = self.msg_ceiling[job.task.index()];
-        let rule = match ceiling {
-            Priority::LOWEST => job.priority,
-            _ => self.release_priority(job.task, job.abs_deadline),
-        };
+        // A mark costs a resume nothing while no job that overran waits.
+        let overran = job.preempted && self.overran.contains(&job.id);
+        if overran {
+            self.overran.retain(|&o| o != job.id);
+        }
         let mut seat = RunningJob {
             job,
             version,
             accel,
-            effective_priority: rule,
-            rule,
+            effective_priority: job.priority,
             inherited: None,
-            demoted: false,
             enforce_by,
-            overrun: false,
-            killed: false,
+            overrun: overran,
+            killed: overran && self.overrun_policy[job.task.index()] == OverrunPolicy::Kill,
         };
-        seat.fold(ceiling);
+        seat.effective_priority = self.fold(&job, Some(&seat));
         self.running[slot] = Some(seat);
         self.stats.dispatched += 1;
         actions.push(Action::Dispatch {
@@ -2174,14 +2145,15 @@ impl OnlineEngine {
         self.stats.blocked_skips += 1;
     }
 
-    /// Re-folds the job running in slot `s` ([`RunningJob::fold`]) and
+    /// Re-folds the job running in slot `s` ([`OnlineEngine::fold`]) and
     /// reports a change, raised or lowered: one [`Action::Boost`].
     fn refold(&mut self, s: usize, actions: &mut ActionSink) -> bool {
-        let worker = self.worker_of_slot(s);
-        let r = self.running[s].as_mut().expect("a running job is folded");
-        let changed = r.fold(self.msg_ceiling[r.job.task.index()]);
-        let (job, priority) = (r.job.id, r.effective_priority);
+        let mut r = self.running[s].expect("a running job is folded");
+        let priority = self.fold(&r.job, Some(&r));
+        let changed = std::mem::replace(&mut r.effective_priority, priority) != priority;
         if changed {
+            self.running[s] = Some(r);
+            let (worker, job) = (self.worker_of_slot(s), r.job.id);
             actions.push(Action::Boost {
                 worker,
                 job,
@@ -2237,6 +2209,11 @@ impl OnlineEngine {
         self.requeue_blocked(qi);
     }
 
+    /// Preempts while queue `qi`'s top beats the least urgent running
+    /// job it feeds. The loop ends: a victim re-enters its queue at its
+    /// fold, which the job that replaces it beats, and that job runs at
+    /// its own fold, its key — so each turn leaves the running set
+    /// strictly more urgent.
     fn preempt_round(&mut self, qi: usize, now: Instant, actions: &mut ActionSink) {
         // The no-preempt fast path compares priorities only, through the
         // heap root's key — the queued job's payload is read just when a
@@ -2298,10 +2275,11 @@ impl OnlineEngine {
         }
         let worker = self.worker_of_slot(w);
         if let Some(victim) = self.running[w].take() {
-            let ceiling = self.msg_ceiling[victim.job.task.index()];
+            // It re-enters at its fold: a victim holds no accelerator, so
+            // inherits nothing, and one that overran keeps its mark.
             let old = Job {
                 preempted: true,
-                priority: victim.rule.min(ceiling),
+                priority: victim.effective_priority,
                 ..victim.job
             };
             actions.push(Action::Preempt {
@@ -2309,7 +2287,9 @@ impl OnlineEngine {
                 job: old.id,
             });
             self.stats.preempted += 1;
-            let _ = self.queues[qi].push(old);
+            if self.queues[qi].push(old).is_ok() && victim.overrun {
+                self.overran.push(old.id);
+            }
         }
         self.start_job(worker, job, version, accel, now, actions);
     }
@@ -2351,6 +2331,52 @@ mod tests {
         let mut sink = ActionSink::new();
         call(&mut sink);
         sink
+    }
+
+    /// Asserts the fold everywhere: every queued key and every running
+    /// job's effective priority equals the fold recomputed here, from
+    /// its definition, out of the engine's state; an overrun is marked
+    /// on a queued job only while it waits preempted, and the trip wire
+    /// is tripped exactly while the window's count exceeds the budget.
+    fn assert_folded(e: &OnlineEngine) {
+        let fold = |j: &Job, overran: bool, inherited: Option<Priority>| {
+            let (ti, policy) = (j.task.index(), e.overrun_policy[j.task.index()]);
+            let base = match e.config.priority() {
+                _ if e.tripped && policy == OverrunPolicy::LogOnly => Priority::LOWEST,
+                PriorityPolicy::EarliestDeadlineFirst => {
+                    Priority::earliest_deadline(j.abs_deadline)
+                }
+                _ => e.static_priority[ti],
+            };
+            let terms = [Some(base), Some(e.msg_ceiling[ti]), inherited];
+            match overran && policy == OverrunPolicy::DemoteToBackground {
+                true => Priority::LOWEST,
+                false => terms.into_iter().flatten().min().unwrap(),
+            }
+        };
+        let queued: Vec<Job> = e
+            .queues
+            .iter()
+            .flat_map(ReadyQueue::iter)
+            .copied()
+            .collect();
+        for j in &queued {
+            let overran = e.overran.contains(&j.id);
+            assert_eq!(j.priority, fold(j, overran, None), "queued {j:?}");
+        }
+        for r in e.running.iter().flatten() {
+            let folded = fold(&r.job, r.overrun, r.inherited);
+            assert_eq!(r.effective_priority, folded, "running {r:?}");
+            let kill = e.overrun_policy[r.job.task.index()] == OverrunPolicy::Kill;
+            assert!(r.killed || !(r.overrun && kill), "running {r:?}");
+        }
+        for id in &e.overran {
+            let parked = queued.iter().any(|j| j.id == *id && j.preempted);
+            assert!(parked, "{id} is marked but waits in no queue");
+        }
+        if let Some((_, budget)) = e.config.miss_trip() {
+            assert_eq!(e.tripped, e.miss_window_count > budget);
+        }
     }
 
     fn two_task_set() -> Arc<TaskSet> {
@@ -2554,8 +2580,10 @@ mod tests {
         let ts = Arc::new(b.build().unwrap());
         let mut e = OnlineEngine::new(ts, edf_config(1)).unwrap();
         let a0 = emitted(|s| e.start_into(Instant::ZERO, s).unwrap());
+        assert_folded(&e);
         assert_eq!(a0.len(), 1); // slow dispatched
         let acts = emitted(|s| e.on_tick_into(at(10), s));
+        assert_folded(&e);
         // fast (deadline 30ms) preempts slow (deadline 100ms).
         assert!(matches!(acts[0], Action::Preempt { .. }), "{acts:?}");
         match &acts[1] {
@@ -2571,6 +2599,7 @@ mod tests {
             e.on_job_completed_into(WorkerId::new(0), fast_id, at(15), s)
                 .unwrap()
         });
+        assert_folded(&e);
         match &acts[0] {
             Action::Dispatch { job, .. } => {
                 assert_eq!(job.task, slow);
@@ -2778,6 +2807,7 @@ mod tests {
         let ts = Arc::new(b.build().unwrap());
         let mut e = OnlineEngine::new(ts, edf_config(2)).unwrap();
         let acts = emitted(|s| e.start_into(Instant::ZERO, s).unwrap());
+        assert_folded(&e);
         // t2 (tighter deadline) gets the GPU; t1 falls back to CPU.
         let mut gpu_user = None;
         let mut cpu_user = None;
@@ -2815,7 +2845,9 @@ mod tests {
         let mut e = OnlineEngine::new(ts, edf_config(2)).unwrap();
         let mut sink = ActionSink::new();
         e.start_into(Instant::ZERO, &mut sink).unwrap();
+        assert_folded(&e);
         let acts = emitted(|s| e.on_tick_into(at(10), s));
+        assert_folded(&e);
         // urgent is blocked on the GPU -> PIP boost of the holder.
         let boost = acts.iter().find_map(|a| match a {
             Action::Boost { priority, .. } => Some(*priority),
@@ -2836,6 +2868,7 @@ mod tests {
             e.on_job_completed_into(WorkerId::new(0), hold_id, at(50), s)
                 .unwrap()
         });
+        assert_folded(&e);
         assert!(acts.iter().any(|a| matches!(
             a,
             Action::Dispatch { job, .. } if job.task == urgent
@@ -2862,7 +2895,9 @@ mod tests {
         let mut e = OnlineEngine::new(ts, edf_config(1)).unwrap();
         let mut sink = ActionSink::new();
         e.start_into(Instant::ZERO, &mut sink).unwrap();
+        assert_folded(&e);
         let acts = emitted(|s| e.on_tick_into(at(10), s));
+        assert_folded(&e);
         // The only worker runs the GPU holder; urgent must NOT preempt it.
         assert!(
             !acts.iter().any(|a| matches!(a, Action::Preempt { .. })),
@@ -3182,9 +3217,11 @@ mod tests {
         let mut e = OnlineEngine::new(ts, edf_np_config(1)).unwrap();
         let mut sink = ActionSink::new();
         e.start_into(Instant::ZERO, &mut sink).unwrap();
+        assert_folded(&e);
         sink.clear();
         e.on_msg_into(posted(receiver, Priority::HIGHEST), at(1), &mut sink)
             .unwrap();
+        assert_folded(&e);
         assert!(sink.is_empty(), "no worker freed, no action yet");
         assert_eq!(e.high_lane_depth(receiver), 1);
         assert_eq!(e.active_msg_ceiling(receiver), Some(Priority::HIGHEST));
@@ -3194,6 +3231,7 @@ mod tests {
         sink.clear();
         e.on_job_completed_into(WorkerId::new(0), running, at(2), &mut sink)
             .unwrap();
+        assert_folded(&e);
         match sink.as_slice() {
             [Action::Dispatch { job, .. }] => {
                 assert_eq!(job.task, receiver, "boosted receiver dispatches first");
@@ -3206,12 +3244,14 @@ mod tests {
         // falls back to base and c wins the next free worker.
         sink.clear();
         e.on_msg_into(drained(receiver), at(3), &mut sink).unwrap();
+        assert_folded(&e);
         assert_eq!(e.high_lane_depth(receiver), 0);
         assert_eq!(e.active_msg_ceiling(receiver), None);
         let receiver_job = e.running(WorkerId::new(0)).unwrap().job.id;
         sink.clear();
         e.on_job_completed_into(WorkerId::new(0), receiver_job, at(4), &mut sink)
             .unwrap();
+        assert_folded(&e);
         match sink.as_slice() {
             [Action::Dispatch { job, .. }] => assert_eq!(job.task, TaskId::new(1)),
             other => panic!("expected one dispatch, got {other:?}"),
@@ -3224,12 +3264,14 @@ mod tests {
         let mut e = OnlineEngine::new(ts, edf_np_config(1)).unwrap();
         let mut sink = ActionSink::new();
         e.start_into(Instant::ZERO, &mut sink).unwrap();
+        assert_folded(&e);
         // a runs with its EDF base priority (deadline at 10ms).
         let base = e.running(WorkerId::new(0)).unwrap().effective_priority;
         assert_eq!(base, Priority::earliest_deadline(at(10)));
         sink.clear();
         e.on_msg_into(posted(TaskId::new(0), Priority::new(7)), at(1), &mut sink)
             .unwrap();
+        assert_folded(&e);
         let boosted = e.running(WorkerId::new(0)).unwrap();
         assert_eq!(boosted.effective_priority, Priority::new(7));
         assert!(
@@ -3244,6 +3286,7 @@ mod tests {
         sink.clear();
         e.on_msg_into(drained(TaskId::new(0)), at(2), &mut sink)
             .unwrap();
+        assert_folded(&e);
         assert_eq!(
             e.running(WorkerId::new(0)).unwrap().effective_priority,
             base
@@ -3270,13 +3313,17 @@ mod tests {
         let mut e = OnlineEngine::new(ts, edf_np_config(1)).unwrap();
         let mut sink = ActionSink::new();
         e.start_into(Instant::ZERO, &mut sink).unwrap();
+        assert_folded(&e);
         e.on_msg_into(posted(receiver, Priority::HIGHEST), at(1), &mut sink)
             .unwrap();
+        assert_folded(&e);
         let a = e.running(w0).unwrap().job.id;
         e.on_job_completed_into(w0, a, at(2), &mut sink).unwrap();
+        assert_folded(&e);
         assert_eq!(e.running(w0).unwrap().job.task, receiver);
         sink.clear();
         e.on_msg_into(drained(receiver), at(3), &mut sink).unwrap();
+        assert_folded(&e);
         let base = Priority::earliest_deadline(at(40));
         assert_eq!(e.running(w0).unwrap().effective_priority, base);
         assert!(
@@ -3313,12 +3360,15 @@ mod tests {
         let w0 = WorkerId::new(0);
         let mut sink = ActionSink::new();
         e.start_into(Instant::ZERO, &mut sink).unwrap();
+        assert_folded(&e);
         let late = e.running(w0).unwrap().job.id;
         e.on_job_completed_into(w0, late, at(11), &mut sink)
             .unwrap();
+        assert_folded(&e);
         assert!(e.is_tripped());
         for (t, when) in [(busy, 12), (r, 12), (r, 13)] {
             e.activate_into(t, at(when), &mut sink).unwrap();
+            assert_folded(&e);
         }
         let queued = |e: &OnlineEngine| -> Vec<Priority> {
             let jobs = e.queues[0].iter().filter(|j| j.task == r);
@@ -3327,21 +3377,20 @@ mod tests {
         assert_eq!(queued(&e), [Priority::LOWEST; 2]);
         e.on_msg_into(posted(r, Priority::HIGHEST), at(14), &mut sink)
             .unwrap();
+        assert_folded(&e);
         assert!(queued(&e).contains(&Priority::HIGHEST));
         e.on_msg_into(drained(r), at(15), &mut sink).unwrap();
+        assert_folded(&e);
         assert_eq!(queued(&e), [Priority::LOWEST; 2]);
     }
 
-    #[test]
-    fn the_trip_wire_demotes_releases_until_its_tumbling_window_ends() {
-        // One worker, a budget of no miss in a 20 ms window that opened
-        // at 0. a's late completion at 11 ms trips the wire. Of the
-        // `LogOnly` receiver r, the job released before the trip keeps
-        // its deadline; the one released while tripped is demoted. The
-        // tick at 20 ms releases a's overdue jobs, still tripped, then
-        // rolls the window — tumbling, not sliding: the miss 9 ms before
-        // no longer counts — and untrips. The demoted jobs stay demoted;
-        // r's next release is not. `busy` holds the worker throughout.
+    /// One worker, non-preemptive EDF, a budget of no miss in a 20 ms
+    /// window that opened at 0. `a` (periodic, 10 ms) runs from 0; the
+    /// `LogOnly` receiver `r` (deadline 10 ms) is activated at 1 ms and
+    /// `busy` (`Kill`, deadline 5 ms) at 2 ms. `a`'s late completion at
+    /// 11 ms trips the wire and starts `busy`, which then holds the
+    /// worker. Returns the engine and `[a, busy, r]`.
+    fn tripped_at_11() -> (OnlineEngine, [TaskId; 3]) {
         let mut b = yasmin_core::graph::TaskSetBuilder::new();
         let a = b.task_decl(TaskSpec::periodic("a", ms(10))).unwrap();
         let spec = TaskSpec::aperiodic("busy").with_constrained_deadline(ms(5));
@@ -3363,15 +3412,6 @@ mod tests {
         let mut e = OnlineEngine::new(Arc::new(b.build().unwrap()), config).unwrap();
         let w0 = WorkerId::new(0);
         let mut sink = ActionSink::new();
-        let queued = |e: &OnlineEngine, t: TaskId| -> Vec<(Instant, Priority)> {
-            let mut jobs: Vec<_> = (e.queues[0].iter())
-                .filter(|j| j.task == t)
-                .map(|j| (j.release, j.priority))
-                .collect();
-            jobs.sort_by_key(|&(release, _)| release);
-            jobs
-        };
-        let edf = |d: u64| Priority::earliest_deadline(at(d));
         e.start_into(Instant::ZERO, &mut sink).unwrap();
         e.activate_into(r, at(1), &mut sink).unwrap();
         e.activate_into(busy, at(2), &mut sink).unwrap();
@@ -3380,23 +3420,46 @@ mod tests {
             .unwrap();
         assert!(e.is_tripped());
         assert_eq!(e.running(w0).unwrap().job.task, busy);
+        assert_folded(&e);
+        (e, [a, busy, r])
+    }
+
+    /// The queued jobs of `t`, as (release, key), by release.
+    fn queued(e: &OnlineEngine, t: TaskId) -> Vec<(Instant, Priority)> {
+        let mut jobs: Vec<_> = (e.queues.iter().flat_map(ReadyQueue::iter))
+            .filter(|j| j.task == t)
+            .map(|j| (j.release, j.priority))
+            .collect();
+        jobs.sort_by_key(|&(release, _)| release);
+        jobs
+    }
+
+    #[test]
+    fn the_trip_wire_demotes_releases_until_its_tumbling_window_ends() {
+        // Shedding is a level. Of the `LogOnly` receiver r, the job
+        // released before the trip and the one released while tripped
+        // are both demoted. The tick at 20 ms rolls the window —
+        // tumbling, not sliding: the miss 9 ms before no longer counts —
+        // and untrips, which restores every `LogOnly` job to its
+        // deadline, then releases a's overdue jobs at theirs. `busy`
+        // holds the worker throughout.
+        let (mut e, [a, _, r]) = tripped_at_11();
+        let mut sink = ActionSink::new();
+        let edf = |d: u64| Priority::earliest_deadline(at(d));
         e.activate_into(r, at(12), &mut sink).unwrap();
-        assert_eq!(
-            queued(&e, r),
-            [(at(1), edf(11)), (at(12), Priority::LOWEST)]
-        );
+        assert_folded(&e);
+        let shed = [(at(1), Priority::LOWEST), (at(12), Priority::LOWEST)];
+        assert_eq!(queued(&e, r), shed);
 
         e.on_tick_into(at(20), &mut sink);
+        assert_folded(&e);
         assert!(!e.is_tripped(), "the window that held the miss has ended");
-        let overdue = [(at(10), Priority::LOWEST), (at(20), Priority::LOWEST)];
-        assert_eq!(queued(&e, a), overdue, "released before the roll");
+        let overdue = [(at(10), edf(20)), (at(20), edf(30))];
+        assert_eq!(queued(&e, a), overdue, "released after the roll");
         e.activate_into(r, at(21), &mut sink).unwrap();
-        let r_jobs = [
-            (at(1), edf(11)),
-            (at(12), Priority::LOWEST),
-            (at(21), edf(31)),
-        ];
-        assert_eq!(queued(&e, r), r_jobs, "demoted jobs stay demoted");
+        assert_folded(&e);
+        let r_jobs = [(at(1), edf(11)), (at(12), edf(22)), (at(21), edf(31))];
+        assert_eq!(queued(&e, r), r_jobs, "the untrip restored them");
     }
 
     #[test]
@@ -3413,18 +3476,22 @@ mod tests {
         let mut e = OnlineEngine::new(ts, edf_np_config(2)).unwrap();
         let mut sink = ActionSink::new();
         e.start_into(Instant::ZERO, &mut sink).unwrap();
+        assert_folded(&e);
         // Both tasks run; complete both so the next releases are fresh.
         sink.clear();
         for w in [0, 1] {
             let id = e.running(WorkerId::new(w)).unwrap().job.id;
             e.on_job_completed_into(WorkerId::new(w), id, at(6), &mut sink)
                 .unwrap();
+            assert_folded(&e);
         }
         e.on_msg_into(posted(receiver, Priority::HIGHEST), at(7), &mut sink)
             .unwrap();
+        assert_folded(&e);
         assert_eq!(e.stats().msg_boosts, 0, "nothing pending or running yet");
         sink.clear();
         e.on_tick_into(at(40), &mut sink);
+        assert_folded(&e);
         let (rw, rj) = sink
             .as_slice()
             .iter()
@@ -3438,15 +3505,19 @@ mod tests {
         assert_eq!(rj.priority, Priority::HIGHEST, "release inherits ceiling");
         // Drain, finish the cycle: the next release is back to base.
         e.on_msg_into(drained(receiver), at(41), &mut sink).unwrap();
+        assert_folded(&e);
         sink.clear();
         e.on_job_completed_into(rw, rj.id, at(42), &mut sink)
             .unwrap();
+        assert_folded(&e);
         let aw = if rw == WorkerId::new(0) { 1 } else { 0 };
         let aj = e.running(WorkerId::new(aw)).unwrap().job.id;
         e.on_job_completed_into(WorkerId::new(aw), aj, at(43), &mut sink)
             .unwrap();
+        assert_folded(&e);
         sink.clear();
         e.on_tick_into(at(80), &mut sink);
+        assert_folded(&e);
         let rj2 = sink
             .as_slice()
             .iter()
@@ -3465,20 +3536,27 @@ mod tests {
         let mut e = OnlineEngine::new(ts, edf_np_config(1)).unwrap();
         let mut sink = ActionSink::new();
         e.start_into(Instant::ZERO, &mut sink).unwrap();
+        assert_folded(&e);
         sink.clear();
         e.on_msg_into(posted(receiver, Priority::new(9)), at(1), &mut sink)
             .unwrap();
+        assert_folded(&e);
         e.on_msg_into(posted(receiver, Priority::new(3)), at(1), &mut sink)
             .unwrap();
+        assert_folded(&e);
         // A less urgent later post does not loosen the ceiling.
         e.on_msg_into(posted(receiver, Priority::new(100)), at(1), &mut sink)
             .unwrap();
+        assert_folded(&e);
         assert_eq!(e.high_lane_depth(receiver), 3);
         assert_eq!(e.active_msg_ceiling(receiver), Some(Priority::new(3)));
         e.on_msg_into(drained(receiver), at(2), &mut sink).unwrap();
+        assert_folded(&e);
         e.on_msg_into(drained(receiver), at(2), &mut sink).unwrap();
+        assert_folded(&e);
         assert_eq!(e.active_msg_ceiling(receiver), Some(Priority::new(3)));
         e.on_msg_into(drained(receiver), at(2), &mut sink).unwrap();
+        assert_folded(&e);
         assert_eq!(e.active_msg_ceiling(receiver), None);
         assert_eq!(e.high_lane_depth(receiver), 0);
     }
@@ -3498,8 +3576,10 @@ mod tests {
         let mut e = OnlineEngine::new(Arc::new(b.build().unwrap()), edf_np_config(1)).unwrap();
         let mut sink = ActionSink::new();
         e.start_into(at(0), &mut sink).unwrap();
+        assert_folded(&e);
         let r = e.running(w).unwrap().job.id;
         e.on_job_completed_into(w, r, at(1), &mut sink).unwrap();
+        assert_folded(&e);
 
         let mut b = yasmin_core::graph::TaskSetBuilder::new();
         for name in ["t1", "t2"] {
@@ -3510,23 +3590,29 @@ mod tests {
         let budget = crate::server::TenantBudget::deferrable(ms(4), ms(10));
         let server = ReservationServer::new(budget, at(2));
         let tenant = e.splice_taskset(merged, Some(server)).unwrap();
+        assert_folded(&e);
         e.commit_tenant_into(tenant, at(2), &mut sink).unwrap();
+        assert_folded(&e);
         let t1 = e.running(w).unwrap().job.id;
         e.on_job_completed_into(w, t1, at(5), &mut sink).unwrap();
+        assert_folded(&e);
         assert!(e.running(w).is_none(), "1 ms of budget left: t2 waits");
         assert_eq!(e.ready_len(), 1);
 
         for _ in 0..2 {
             e.on_msg_into(posted(receiver, Priority::HIGHEST), at(6), &mut sink)
                 .unwrap();
+            assert_folded(&e);
         }
         assert!(e.running(w).is_none(), "still 1 ms of budget at 6 ms");
         sink.clear();
         e.on_msg_into(drained(receiver), at(12), &mut sink).unwrap();
+        assert_folded(&e);
         assert_eq!(e.active_msg_ceiling(receiver), Some(Priority::HIGHEST));
         assert!(sink.is_empty(), "the boost holds: no round");
         assert!(e.running(w).is_none());
         e.on_msg_into(drained(receiver), at(12), &mut sink).unwrap();
+        assert_folded(&e);
         assert_eq!(e.active_msg_ceiling(receiver), None);
         match sink.as_slice() {
             [Action::Dispatch { job, .. }] => assert_eq!(job.task, TaskId::new(2)),
@@ -3581,12 +3667,16 @@ mod tests {
         let w0 = WorkerId::new(0);
         let mut sink = ActionSink::new();
         e.start_into(Instant::ZERO, &mut sink).unwrap();
+        assert_folded(&e);
         e.on_tick_into(at(2), &mut sink);
+        assert_folded(&e);
         assert_eq!(e.running(w0).unwrap().effective_priority, Priority::LOWEST);
         sink.clear();
         e.on_msg_into(posted(t, Priority::new(7)), at(3), &mut sink)
             .unwrap();
+        assert_folded(&e);
         e.on_msg_into(drained(t), at(4), &mut sink).unwrap();
+        assert_folded(&e);
         assert_eq!(e.running(w0).unwrap().effective_priority, Priority::LOWEST);
         assert_eq!(boosts(&sink), []);
     }
@@ -3600,12 +3690,15 @@ mod tests {
         let w0 = WorkerId::new(0);
         let mut sink = ActionSink::new();
         e.on_tick_into(at(10), &mut sink);
+        assert_folded(&e);
         let inherited = Priority::earliest_deadline(at(40));
         assert_eq!(e.running(w0).unwrap().effective_priority, inherited);
         sink.clear();
         e.on_msg_into(posted(hold, Priority::new(7)), at(11), &mut sink)
             .unwrap();
+        assert_folded(&e);
         e.on_msg_into(drained(hold), at(12), &mut sink).unwrap();
+        assert_folded(&e);
         assert!(
             e.queues[0].iter().any(|j| j.task == urgent),
             "still blocked"
@@ -3623,12 +3716,290 @@ mod tests {
         let mut sink = ActionSink::new();
         e.on_msg_into(posted(hold, Priority::new(7)), at(5), &mut sink)
             .unwrap();
+        assert_folded(&e);
         assert_eq!(e.running(w0).unwrap().effective_priority, Priority::new(7));
         sink.clear();
         e.on_tick_into(at(10), &mut sink);
+        assert_folded(&e);
         assert_eq!(e.running(w0).unwrap().effective_priority, Priority::new(7));
         assert_eq!(boosts(&sink), []);
         assert_eq!(e.stats().pip_boosts, 0);
+    }
+
+    #[test]
+    fn a_message_episode_while_tripped_keeps_the_shedding_level() {
+        // r@1 was released before the trip: it is in background exactly
+        // while the wire is tripped. A ceiling raises it meanwhile, the
+        // drain hands it back to background, and the roll that untrips
+        // the wire restores its deadline.
+        let (mut e, [_, _, r]) = tripped_at_11();
+        let mut sink = ActionSink::new();
+        assert_eq!(queued(&e, r), [(at(1), Priority::LOWEST)], "shed");
+        e.on_msg_into(posted(r, Priority::new(7)), at(12), &mut sink)
+            .unwrap();
+        assert_folded(&e);
+        assert_eq!(queued(&e, r), [(at(1), Priority::new(7))]);
+        e.on_msg_into(drained(r), at(13), &mut sink).unwrap();
+        assert_folded(&e);
+        assert_eq!(queued(&e, r), [(at(1), Priority::LOWEST)]);
+        e.on_tick_into(at(20), &mut sink);
+        assert_folded(&e);
+        assert!(!e.is_tripped());
+        let restored = Priority::earliest_deadline(at(11));
+        assert_eq!(queued(&e, r), [(at(1), restored)], "back at prio(11000000)");
+    }
+
+    #[test]
+    fn a_message_episode_after_the_untrip_changes_no_key() {
+        // r@12 is released while tripped; the untrip at 20 ms has
+        // already restored it, so a later post and drain change no key.
+        let (mut e, [_, _, r]) = tripped_at_11();
+        let mut sink = ActionSink::new();
+        e.activate_into(r, at(12), &mut sink).unwrap();
+        e.on_tick_into(at(20), &mut sink);
+        assert_folded(&e);
+        let edf = |d: u64| Priority::earliest_deadline(at(d));
+        let restored = [(at(1), edf(11)), (at(12), edf(22))];
+        assert_eq!(queued(&e, r), restored, "r@12 back at prio(22000000)");
+        e.on_msg_into(posted(r, Priority::new(7)), at(21), &mut sink)
+            .unwrap();
+        assert_folded(&e);
+        e.on_msg_into(drained(r), at(22), &mut sink).unwrap();
+        assert_folded(&e);
+        assert_eq!(queued(&e, r), restored);
+    }
+
+    #[test]
+    fn the_trip_and_the_untrip_refold_a_running_log_only_job() {
+        // Two workers, non-preemptive EDF. r (`LogOnly`, deadline 100 ms)
+        // runs on worker 1 when a's late completion on worker 0 trips the
+        // wire, and still runs when the tick at 20 ms untrips it: one
+        // Boost down, one back up.
+        let mut b = yasmin_core::graph::TaskSetBuilder::new();
+        let a = b.task_decl(TaskSpec::periodic("a", ms(10))).unwrap();
+        let spec = TaskSpec::aperiodic("r").with_constrained_deadline(ms(100));
+        let r = b.task_decl(spec).unwrap();
+        for t in [a, r] {
+            b.version_decl(t, VersionSpec::new("v", ms(2))).unwrap();
+        }
+        let config = Config::builder()
+            .workers(2)
+            .priority(PriorityPolicy::EarliestDeadlineFirst)
+            .preemption(false)
+            .miss_trip(ms(20), 0)
+            .build()
+            .unwrap();
+        let mut e = OnlineEngine::new(Arc::new(b.build().unwrap()), config).unwrap();
+        let (w0, w1) = (WorkerId::new(0), WorkerId::new(1));
+        let mut sink = ActionSink::new();
+        e.start_into(Instant::ZERO, &mut sink).unwrap();
+        e.activate_into(r, at(1), &mut sink).unwrap();
+        assert_eq!(e.running(w1).unwrap().job.task, r);
+        let late = e.running(w0).unwrap().job.id;
+        sink.clear();
+        e.on_job_completed_into(w0, late, at(11), &mut sink)
+            .unwrap();
+        assert_folded(&e);
+        assert!(e.is_tripped());
+        assert_eq!(boosts(&sink), [Priority::LOWEST]);
+        sink.clear();
+        e.on_tick_into(at(20), &mut sink);
+        assert_folded(&e);
+        assert!(!e.is_tripped());
+        assert_eq!(boosts(&sink), [Priority::earliest_deadline(at(101))]);
+        assert_eq!(e.running(w1).unwrap().job.task, r);
+    }
+
+    /// One worker, preemptive EDF, WCET enforced on a 1 ms tick: `a`
+    /// (periodic, 10 ms, `policy`, 1 ms budget) runs from 0 and overruns
+    /// at 2 ms; the aperiodic `b` (deadline `b_deadline`) is released at
+    /// 3 ms, and `a → s` when `with_successor`. Returns the engine after
+    /// the overrun, `[a, b, s]` and what `b`'s activation emitted.
+    fn preempted_after_overrun(
+        policy: OverrunPolicy,
+        b_deadline: Duration,
+    ) -> (OnlineEngine, [TaskId; 3], Vec<Action>) {
+        let mut b = yasmin_core::graph::TaskSetBuilder::new();
+        let spec = TaskSpec::periodic("a", ms(10)).with_overrun_policy(policy);
+        let a = b.task_decl(spec).unwrap();
+        let spec = TaskSpec::aperiodic("b").with_constrained_deadline(b_deadline);
+        let late = b.task_decl(spec).unwrap();
+        let s = b.task_decl(TaskSpec::graph_node("s")).unwrap();
+        for t in [a, late, s] {
+            b.version_decl(t, VersionSpec::new("v", ms(1))).unwrap();
+        }
+        let c = b.channel_decl("as", 1, 1);
+        b.channel_connect(a, s, c).unwrap();
+        let config = Config::builder()
+            .workers(1)
+            .priority(PriorityPolicy::EarliestDeadlineFirst)
+            .tick(ms(1))
+            .enforce_wcet(true)
+            .build()
+            .unwrap();
+        let mut e = OnlineEngine::new(Arc::new(b.build().unwrap()), config).unwrap();
+        let mut sink = ActionSink::new();
+        e.start_into(Instant::ZERO, &mut sink).unwrap();
+        e.on_tick_into(at(2), &mut sink);
+        assert_folded(&e);
+        assert_eq!(e.stats().overruns, 1);
+        let acts = emitted(|s| e.activate_into(late, at(3), s).unwrap());
+        assert_folded(&e);
+        (e, [a, late, s], acts)
+    }
+
+    #[test]
+    fn a_preempted_demoted_job_resumes_demoted() {
+        // a is demoted at 2 ms; b (deadline 50 ms) preempts it at 3 ms,
+        // and a goes back to its queue in background, where b's
+        // activation leaves it. When b completes, a resumes as it left:
+        // demoted, its overrun booked once.
+        let (mut e, [a, b, _], acts) =
+            preempted_after_overrun(OverrunPolicy::DemoteToBackground, ms(50));
+        let w0 = WorkerId::new(0);
+        match acts.as_slice() {
+            [Action::Preempt { job, .. }, Action::Dispatch { job: started, .. }] => {
+                assert_eq!(e.running(w0).unwrap().job.id, started.id);
+                assert_eq!(started.task, b);
+                assert!(e.queues[0].iter().any(|j| j.id == *job && j.task == a));
+            }
+            other => panic!("expected Preempt a, Dispatch b and nothing after: {other:?}"),
+        }
+        let b_job = e.running(w0).unwrap().job.id;
+        let mut sink = ActionSink::new();
+        e.on_job_completed_into(w0, b_job, at(4), &mut sink)
+            .unwrap();
+        assert_folded(&e);
+        let resumed = *e.running(w0).unwrap();
+        assert_eq!(resumed.job.task, a);
+        assert!(resumed.overrun);
+        assert_eq!(resumed.effective_priority, Priority::LOWEST);
+        e.on_tick_into(at(6), &mut sink);
+        assert_folded(&e);
+        assert_eq!(e.stats().overruns, 1, "no second overrun is booked");
+    }
+
+    #[test]
+    fn a_killed_job_preempted_after_its_overrun_fires_no_successor() {
+        // a → s, and a is killed at 2 ms; b (deadline 2 ms) preempts it
+        // at 3 ms. a resumes killed at 4 ms and completes at 5 ms: s is
+        // never released.
+        let (mut e, [a, b, s], acts) = preempted_after_overrun(OverrunPolicy::Kill, ms(2));
+        let w0 = WorkerId::new(0);
+        assert!(
+            matches!(acts.as_slice(), [Action::Preempt { .. }, Action::Dispatch { job, .. }] if job.task == b)
+        );
+        let mut sink = ActionSink::new();
+        let b_job = e.running(w0).unwrap().job.id;
+        e.on_job_completed_into(w0, b_job, at(4), &mut sink)
+            .unwrap();
+        assert_folded(&e);
+        let resumed = *e.running(w0).unwrap();
+        assert_eq!(resumed.job.task, a);
+        assert!(resumed.overrun && resumed.killed);
+        sink.clear();
+        e.on_job_completed_into(w0, resumed.job.id, at(5), &mut sink)
+            .unwrap();
+        assert_folded(&e);
+        let fired = sink
+            .iter()
+            .any(|a| matches!(a, Action::Dispatch { job, .. } if job.task == s));
+        assert!(!fired && e.is_idle(), "{sink:?}");
+        assert_eq!(e.stats().overruns, 1);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Generated sessions over one shape — posts, drains, late
+        /// completions that trip, ticks that untrip, forced overruns,
+        /// preempting activations — keep the fold after every step.
+        #[test]
+        fn every_step_keeps_the_fold(
+            workers in 1usize..3,
+            edf in proptest::any::<bool>(),
+            preemptive in proptest::any::<bool>(),
+            budget in 0u32..3,
+            steps in proptest::prop::collection::vec(proptest::any::<u32>(), 1..80),
+        ) {
+            fold_session(workers, edf, preemptive, budget, &steps);
+        }
+    }
+
+    /// One session of `every_step_keeps_the_fold`: `p` (periodic, 5 ms,
+    /// `LogOnly`), `d` (periodic, 10 ms, `DemoteToBackground`), `k`
+    /// (aperiodic, `Kill`, deadline 3 ms) with a successor `s`, and the
+    /// message receiver `r` (aperiodic, `LogOnly`, deadline 20 ms); WCETs
+    /// enforced, the trip wire armed with `budget` over 10 ms. Each step
+    /// advances the clock by 0–2 ms, then does one thing.
+    fn fold_session(workers: usize, edf: bool, preemptive: bool, budget: u32, steps: &[u32]) {
+        let mut b = yasmin_core::graph::TaskSetBuilder::new();
+        let p = b.task_decl(TaskSpec::periodic("p", ms(5))).unwrap();
+        let spec = TaskSpec::periodic("d", ms(10));
+        let d = b
+            .task_decl(spec.with_overrun_policy(OverrunPolicy::DemoteToBackground))
+            .unwrap();
+        let spec = TaskSpec::aperiodic("k").with_constrained_deadline(ms(3));
+        let k = b
+            .task_decl(spec.with_overrun_policy(OverrunPolicy::Kill))
+            .unwrap();
+        let s = b.task_decl(TaskSpec::graph_node("s")).unwrap();
+        let spec = TaskSpec::aperiodic("r").with_constrained_deadline(ms(20));
+        let r = b.task_decl(spec).unwrap();
+        for (t, wcet) in [(p, 2), (d, 3), (k, 1), (s, 1), (r, 2)] {
+            b.version_decl(t, VersionSpec::new("v", ms(wcet))).unwrap();
+        }
+        let c = b.channel_decl("ks", 4, 1);
+        b.channel_connect(k, s, c).unwrap();
+        let policy = match edf {
+            true => PriorityPolicy::EarliestDeadlineFirst,
+            false => PriorityPolicy::RateMonotonic,
+        };
+        let config = Config::builder()
+            .workers(workers)
+            .priority(policy)
+            .preemption(preemptive)
+            .tick(ms(1))
+            .enforce_wcet(true)
+            .miss_trip(ms(10), budget)
+            .build()
+            .unwrap();
+        let mut e = OnlineEngine::new(Arc::new(b.build().unwrap()), config).unwrap();
+        let mut sink = ActionSink::new();
+        let mut now = Instant::ZERO;
+        e.start_into(now, &mut sink).unwrap();
+        assert_folded(&e);
+        for &step in steps {
+            let (op, arg) = (step % 8, step / 8);
+            now += ms(u64::from(arg % 3));
+            let w = WorkerId::new((arg % workers as u32) as u16);
+            let running = e.running(w).map(|r| r.job.id);
+            let dst = [p, r][(arg % 2) as usize];
+            sink.clear();
+            match op {
+                0 | 1 => e.on_tick_into(now, &mut sink),
+                2 => running
+                    .map_or(Ok(()), |j| e.on_job_completed_into(w, j, now, &mut sink))
+                    .unwrap(),
+                3 => running
+                    .map_or(Ok(()), |j| e.on_job_failed_into(w, j, now, &mut sink))
+                    .unwrap(),
+                4 => {
+                    let ceiling = Priority::earliest_deadline(now + ms(u64::from(arg % 7)));
+                    e.on_msg_into(posted(dst, ceiling), now, &mut sink).unwrap();
+                }
+                5 if e.high_lane_depth(dst) > 0 => {
+                    e.on_msg_into(drained(dst), now, &mut sink).unwrap();
+                }
+                6 => {
+                    let _ = e.force_overrun([p, d, k, r][(arg % 4) as usize], now, &mut sink);
+                }
+                _ => e
+                    .activate_into([k, r][(arg % 2) as usize], now, &mut sink)
+                    .unwrap(),
+            }
+            assert_folded(&e);
+        }
     }
 
     #[test]

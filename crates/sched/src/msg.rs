@@ -31,18 +31,20 @@
 //!    [`MsgEvent::HighPosted`] through the channel's notify hook;
 //! 2. the driver hands the event as it is to
 //!    [`OnlineEngine::on_msg_into`]: while the lane holds posts the
-//!    ceiling keys every queued job of the receiving task at
-//!    `min(rule, ceiling)` (jobs released meanwhile included), and it is
-//!    one term of a running job's effective priority — one fold of the
-//!    release rule, accelerator PIP, the ceiling and the overrun
-//!    demotion ([`crate::RunningJob::effective_priority`]);
+//!    ceiling is one term of the engine's one fold, which keys every
+//!    queued job of the receiving task (jobs released meanwhile
+//!    included) and gives every running one its effective priority
+//!    ([`crate::RunningJob::effective_priority`]): background while an
+//!    overrun demoted the job, otherwise its base — background while its
+//!    task sheds — raised by the ceiling and by accelerator PIP;
 //! 3. each high-lane pop by [`Receiver::recv`] emits
 //!    [`MsgEvent::HighDrained`]; when posts and drains balance (the lane
-//!    is empty again) the same entry point drops the ceiling: queued
-//!    jobs return to the release rule (the base priority, or background
-//!    for a shedding-class task while the miss trip wire is tripped),
-//!    and a running job re-folds without it — keeping what PIP or a
-//!    demotion gave it, never the ceiling a boost wrote into a job.
+//!    is empty again) the same entry point drops the ceiling, and the
+//!    task's jobs are re-keyed and re-folded without it: each is where
+//!    its other terms put it — its base, or background while the miss
+//!    trip wire is tripped for a shedding-class task or an overrun
+//!    demoted it, raised by what PIP gave it — never at the ceiling a
+//!    boost wrote into a job.
 //!
 //! The ceiling can only tighten while the lane stays non-empty: with
 //! several prioritized channels into one task, the task holds the most

@@ -13,10 +13,16 @@
 # errors — no test notices the mutation, or the catalogue rots quietly
 # — and make the script exit non-zero, as does a pattern that names no
 # patch. A mutation that only hangs or only changes performance does
-# not belong here; a test run longer than 900 s is reported as killed
-# by timeout. One run costs about a minute per patch; CI runs the
-# priority mutants (`msg-*`, `fold-*`). The scratch copy goes where
-# `mktemp -d` puts it (`TMPDIR`).
+# not belong here. Each run is bounded in time and in memory: a test
+# run longer than 900 s is reported as killed by timeout, and every
+# process of a run (cargo, rustc, the test binaries) is capped at
+# 2 GiB of data (`ulimit -d`, set in the run's subshell only; the
+# unmutated tree builds and passes under half of it), so a mutant
+# that makes a test allocate without bound — a scheduling loop that
+# never ends, say — is reported as killed (out of memory) instead of
+# taking the host's memory. One run costs about a minute per patch; CI
+# runs the priority mutants (`msg-*`, `fold-*`). The scratch copy goes
+# where `mktemp -d` puts it (`TMPDIR`).
 #
 #   scripts/mutants.sh                   # the whole catalogue
 #   scripts/mutants.sh 'msg-*' 'fold-*'  # the patches these globs name
@@ -48,6 +54,7 @@ tar -C "$root" --exclude=./target --exclude=./.git --exclude=./.bench_build \
 export CARGO_TARGET_DIR="$work/target"
 cd "$work"
 killed=0 survived=0 broken=0
+data_kb=$((2 * 1024 * 1024))
 for p in "${patches[@]}"; do
   name=$(basename "$p" .patch)
   if ! git apply --check "$p" 2>/dev/null; then
@@ -56,13 +63,16 @@ for p in "${patches[@]}"; do
     continue
   fi
   git apply "$p"
-  if timeout 900 cargo test -q --workspace --no-fail-fast \
+  if (ulimit -d "$data_kb" && timeout 900 cargo test -q --workspace --no-fail-fast) \
     >"$work/$name.log" 2>&1; then
     echo "$name: survived"
     survived=$((survived + 1))
   else
     # The tests that failed, or why none ran.
     why=$(grep -oE '^---- [^ ]+' "$work/$name.log" | cut -c6- | head -3 | paste -sd, - || true)
+    if grep -q '^memory allocation of [0-9]* bytes failed' "$work/$name.log"; then
+      why="out of memory"
+    fi
     echo "$name: killed (${why:-no test ran: build failure or timeout})"
     killed=$((killed + 1))
   fi

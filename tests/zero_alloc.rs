@@ -5,7 +5,8 @@
 //! grow to their high-water marks) each scenario drives 10 000 further
 //! steady-state scheduler interactions and asserts the allocation
 //! counter did not move at all. Fifteen scenarios cover the paths the
-//! ROADMAP names, and a sixteenth the caller's side of an admission:
+//! ROADMAP names, a sixteenth the caller's side of an admission, and a
+//! seventeenth the trip wire's level:
 //!
 //! 1. **independent / global** — the EDF tick/complete loop of PR 2;
 //! 2. **DAG firing** — fork → (left, right) → join released through the
@@ -64,7 +65,11 @@
 //!     [`TenantLedger`], each tenant written into the set its engines
 //!     let go of: a cycle makes as many allocations beside 12 base tasks
 //!     as beside 192 (22 and 202 merged tasks), so it costs the tenant,
-//!     not the merged set.
+//!     not the merged set;
+//! 17. **trip and untrip** — every cycle a late completion trips the
+//!     miss wire while `LogOnly` jobs wait and run, and the next tick's
+//!     roll untrips it, each flip re-keying them; a job that overran is
+//!     preempted meanwhile and resumes with its mark.
 //!
 //! Runs without the libtest harness (`harness = false` in Cargo.toml)
 //! so no other thread can touch the allocator during the measured
@@ -75,7 +80,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use yasmin_core::config::{Config, MappingScheme};
 use yasmin_core::graph::TaskSetBuilder;
-use yasmin_core::ids::{JobId, WorkerId};
+use yasmin_core::ids::{JobId, TaskId, WorkerId};
 use yasmin_core::priority::PriorityPolicy;
 use yasmin_core::task::TaskSpec;
 use yasmin_core::time::{Duration, Instant};
@@ -1374,6 +1379,83 @@ fn admission_into_a_spare() {
     );
 }
 
+/// Completes every running job of `tasks` at `now`.
+fn finish(engine: &mut OnlineEngine, tasks: &[TaskId], now: Instant, sink: &mut ActionSink) {
+    for w in (0..engine.config().workers() as u16).map(WorkerId::new) {
+        let Some(r) = engine.running(w).filter(|r| tasks.contains(&r.job.task)) else {
+            continue;
+        };
+        sink.clear();
+        let job = r.job.id;
+        engine
+            .on_job_completed_into(w, job, now, sink)
+            .expect("completion protocol upheld");
+    }
+}
+
+/// Scenario 17: the trip wire as a level. Two workers, preemptive EDF,
+/// a budget of no miss per 10 ms window; `d` (deadline 2 ms, demoted on
+/// overrun), the `LogOnly` tasks `l1` and `l2`, all periodic at 10 ms,
+/// and the aperiodic `u` (deadline 1 ms). Each cycle from its tick `t`:
+/// at `t+1` `d` is forced to overrun and `u`'s activation preempts it;
+/// at `t+3` `u` completes late and trips the wire, which sheds the
+/// running `l1` and the queued `l2`, and `d` resumes with its mark; at
+/// `t+5` `d` and `l1` complete and `l2` starts; the tick at `t+10`
+/// releases the next cycle and untrips the wire, which restores the
+/// queued `l1`, `l2` and the running `l2`, and that completes.
+fn trip_and_untrip() {
+    use yasmin_core::task::OverrunPolicy;
+    let ms = Duration::from_millis;
+    let mut b = TaskSetBuilder::new();
+    let spec = TaskSpec::periodic("d", ms(10)).with_constrained_deadline(ms(2));
+    let d = b
+        .task_decl(spec.with_overrun_policy(OverrunPolicy::DemoteToBackground))
+        .unwrap();
+    let l1 = b.task_decl(TaskSpec::periodic("l1", ms(10))).unwrap();
+    let l2 = b.task_decl(TaskSpec::periodic("l2", ms(10))).unwrap();
+    let spec = TaskSpec::aperiodic("u").with_constrained_deadline(ms(1));
+    let u = b
+        .task_decl(spec.with_overrun_policy(OverrunPolicy::Kill))
+        .unwrap();
+    for t in [d, l1, l2, u] {
+        b.version_decl(t, VersionSpec::new("v", ms(1))).unwrap();
+    }
+    let config = Config::builder()
+        .workers(2)
+        .priority(PriorityPolicy::EarliestDeadlineFirst)
+        .miss_trip(ms(10), 0)
+        .build()
+        .expect("valid config");
+    let mut engine = OnlineEngine::new(Arc::new(b.build().unwrap()), config).expect("valid engine");
+    let mut sink = ActionSink::with_capacity(64);
+    engine
+        .start_into(Instant::ZERO, &mut sink)
+        .expect("fresh engine starts");
+    let mut t = Instant::ZERO;
+
+    assert_zero_alloc("trip-and-untrip", || {
+        sink.clear();
+        assert!(engine.force_overrun(d, t + ms(1), &mut sink));
+        engine
+            .activate_into(u, t + ms(1), &mut sink)
+            .expect("u is aperiodic");
+        finish(&mut engine, &[u], t + ms(3), &mut sink);
+        assert!(engine.is_tripped());
+        finish(&mut engine, &[d, l1], t + ms(5), &mut sink);
+        t += ms(10);
+        sink.clear();
+        engine.on_tick_into(t, &mut sink);
+        assert!(!engine.is_tripped());
+        finish(&mut engine, &[l2], t, &mut sink);
+    });
+    let cycles = u64::from(WARMUP + STEADY);
+    let stats = engine.stats();
+    assert_eq!(stats.miss_trips, cycles, "one trip a cycle");
+    assert_eq!(stats.overruns, cycles, "a resume books no second overrun");
+    assert_eq!(stats.preempted, cycles);
+    assert_eq!(stats.completed, 4 * cycles);
+}
+
 fn main() {
     independent_global();
     dag_firing();
@@ -1391,4 +1473,5 @@ fn main() {
     cull_missed_overload();
     tenant_churn();
     admission_into_a_spare();
+    trip_and_untrip();
 }
