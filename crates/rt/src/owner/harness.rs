@@ -32,7 +32,7 @@
 use super::*;
 use crate::test_util::{one_owner, sharded};
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64};
 use yasmin_core::config::Config;
 use yasmin_core::graph::TaskSetBuilder;
@@ -40,6 +40,7 @@ use yasmin_core::priority::Priority;
 use yasmin_core::task::TaskSpec;
 use yasmin_core::time::ManualClock;
 use yasmin_core::version::VersionSpec;
+use yasmin_sched::server::TenantBudget;
 use yasmin_sched::validate_sharding;
 
 fn us(v: u64) -> Duration {
@@ -163,9 +164,10 @@ enum Cmd {
         period: Duration,
         retire_after: Option<Duration>,
     },
-    /// The tenant `.0` with bodies `.1`, admitted as [`Cmd::Admit`]
-    /// admits its own ([`admit_set`]: with a no-op body for each version).
-    AdmitSet(TaskSet, Bodies),
+    /// The tenant `.0` with bodies `.1` and budget `.2`, admitted as
+    /// [`Cmd::Admit`] admits its own ([`admit_set`]: with a no-op body
+    /// for each version and no budget).
+    AdmitSet(Box<TaskSet>, Bodies, Option<TenantBudget>),
     /// Sent to shards once every one has acknowledged the splice.
     Commit {
         tenant: TenantId,
@@ -236,6 +238,9 @@ struct World {
     /// What each owner's timed tick rounds cost it: charged by the
     /// clock while that owner steps. Zero unless a scenario says.
     round_cost: Vec<Duration>,
+    /// The tasks of the built-in set, which no admission retires.
+    base_tasks: usize,
+    owners_len: usize,
 }
 
 fn noop_bodies(taskset: &TaskSet) -> Bodies {
@@ -251,7 +256,7 @@ fn noop_bodies(taskset: &TaskSet) -> Bodies {
 
 fn admit_set(candidate: TaskSet) -> Cmd {
     let bodies = noop_bodies(&candidate);
-    Cmd::AdmitSet(candidate, bodies)
+    Cmd::AdmitSet(Box::new(candidate), bodies, None)
 }
 
 /// Counts `msg` and sends it into the shared lane of `owner` by `how`,
@@ -294,7 +299,7 @@ impl World {
         clock.set(T0);
         let (owners, lanes, bodies) = wire(&launch, &clock).unwrap();
         let (owners, ends): (Vec<_>, Vec<Vec<HelperEnd>>) = owners.into_iter().unzip();
-        let (tick, n) = (owners[0].tick, owners.len());
+        let (tick, n, base_tasks) = (owners[0].tick, owners.len(), taskset.len());
         let helper = |end| HelperSeat { end, busy: None };
         World {
             label,
@@ -327,6 +332,8 @@ impl World {
             recycled: 0,
             held_arrivals: 0,
             round_cost: vec![Duration::ZERO; n],
+            base_tasks,
+            owners_len: n,
         }
     }
 
@@ -353,13 +360,16 @@ impl World {
 
     fn due(&self, k: usize) -> bool {
         let (when, cmd) = &self.script[k];
-        *when <= self.now()
-            && match cmd {
-                Cmd::Commit { ack, .. } => {
-                    ack.as_ref().is_none_or(|a| a.load(Ordering::Acquire) == 0)
-                }
-                _ => true,
-            }
+        *when <= self.now() && match cmd {
+            Cmd::Commit { ack, .. } => ack.as_ref().is_none_or(|a| a.load(Ordering::Acquire) == 0),
+            // A drain follows its post, as a receiver's drain does.
+            &Cmd::Msg {
+                dst, high: false, ..
+            } => !self.script.iter().any(
+                |(w, c)| matches!(*c, Cmd::Msg { dst: d, high: true, .. } if d == dst && w <= when),
+            ),
+            _ => true,
+        }
     }
 
     /// Everything that can happen at this instant.
@@ -598,7 +608,7 @@ impl World {
                     })
                     .collect();
                 let asleep: Vec<bool> = flagged.iter().map(|&p| self.announced(p)).collect();
-                self.owners[i].begin_body(&job);
+                self.owners[i].begin_body();
                 let shelved = self.owners[i].shelved;
                 for (&p, was) in flagged.iter().zip(asleep).take(shelved) {
                     assert!(
@@ -693,10 +703,16 @@ impl World {
         }
     }
 
-    /// Admits `candidate` through the [`Tenancy`] and sends it as
-    /// `Runtime::admit` sends it: the commit gated on every shard's
+    /// Admits `candidate` with `budget` through the [`Tenancy`] and sends
+    /// it as `Runtime::admit` sends it: the commit gated on every shard's
     /// acknowledgement, the retirement `retire_after` it when given.
-    fn admit(&mut self, candidate: &TaskSet, bodies: Bodies, retire_after: Option<Duration>) {
+    fn admit(
+        &mut self,
+        candidate: &TaskSet,
+        bodies: Bodies,
+        budget: Option<TenantBudget>,
+        retire_after: Option<Duration>,
+    ) {
         let (now, sharded) = (self.now(), self.config.sharded_dispatch());
         let owners = self.lanes.len();
         let ack = (owners > 1).then(|| Arc::new(AtomicUsize::new(owners)));
@@ -710,7 +726,7 @@ impl World {
         let admitted = self.tenancy.admit(
             candidate,
             &bodies_of(candidate, &bodies).unwrap(),
-            None,
+            budget.as_ref(),
             |admission, table| {
                 if sharded {
                     validate_sharding(admission.merged, config)?;
@@ -721,7 +737,7 @@ impl World {
                     bodies: Arc::clone(table),
                     tenant: admission.tenant,
                     first_task: admission.slot.first_task,
-                    budget: None,
+                    budget,
                     at: now,
                     then: then.clone(),
                 });
@@ -784,9 +800,11 @@ impl World {
                 let t = b.task_decl(spec).unwrap();
                 b.version_decl(t, VersionSpec::new("v", us(50))).unwrap();
                 let candidate = b.build().unwrap();
-                self.admit(&candidate, noop_bodies(&candidate), retire_after);
+                self.admit(&candidate, noop_bodies(&candidate), None, retire_after);
             }
-            Cmd::AdmitSet(candidate, bodies) => self.admit(&candidate, bodies, None),
+            Cmd::AdmitSet(candidate, bodies, budget) => {
+                self.admit(&candidate, bodies, budget, None);
+            }
             Cmd::Commit {
                 tenant,
                 retire_after,
@@ -876,16 +894,67 @@ impl World {
             seen.len() as u64 + stats.culled,
             "{stats:?}"
         );
-        // Both sides of every steal agree, and a job migrates once.
+        // Both sides of every steal and every kept instance agree, and a
+        // job migrates once.
         let sum = |f: fn(&StealStats) -> u64| reports.iter().map(|r| f(&r.steals)).sum::<u64>();
         assert_eq!(stats.stolen, stats.donated);
-        assert_eq!(sum(|s| s.taken), stats.donated);
-        assert_eq!(sum(|s| s.jobs_claimed), stats.stolen);
+        assert_eq!(sum(|s| s.taken) + sum(|s| s.continued), stats.donated);
+        assert_eq!(sum(|s| s.jobs_claimed) + sum(|s| s.continued), stats.stolen);
         assert_eq!(sum(|s| s.claims), stats.stolen_batch);
-        assert_eq!(
-            migrated, stats.stolen,
-            "a job migrated twice, or home again"
+        // (A migrated job its tenant's retirement culled on the thief
+        // ran nowhere.)
+        assert!(
+            migrated <= stats.stolen && stats.stolen - migrated <= stats.culled,
+            "a job migrated twice, or home again: {migrated} ran away, {stats:?}"
         );
+        let base = self.base_tasks;
+        let records = || reports.iter().flat_map(|r| &r.records);
+        // No two instances of one task of the built-in set overlap —
+        // where one instance at a time is the contract: on shards, and
+        // on an owner that runs its bodies itself.
+        let one_at_a_time = self.helpers.iter().all(Vec::is_empty);
+        if one_at_a_time {
+            let mut ran: Vec<_> = records().filter(|r| r.job.task.index() < base).collect();
+            ran.sort_by_key(|r| (r.job.task, r.started));
+            for w in ran.windows(2).filter(|w| w[0].job.task == w[1].job.task) {
+                assert!(
+                    w[1].started >= w[0].completed,
+                    "{:?} on {} overlaps {:?} on {}",
+                    w[1].job,
+                    w[1].worker,
+                    w[0].job,
+                    w[0].worker
+                );
+            }
+        }
+        // On a single-input chain that shed nothing, every node's seq is
+        // its root instance's: the one the home would have released,
+        // whoever ran it. (With three shards, a root instance stolen by
+        // the third sends its token over another lane than the next
+        // instance's, and the two may arrive out of order.)
+        let shed = stats.shed_drops + stats.channel_overflows;
+        if one_at_a_time && self.owners_len <= 2 && shed == 0 {
+            let root_of = |mut t: TaskId| loop {
+                match merged.in_edge_ids(t) {
+                    [] => return Some(t),
+                    &[e] => t = merged.edges()[e].src,
+                    _ => return None,
+                }
+            };
+            let roots: HashMap<_, _> = records()
+                .filter(|r| merged.in_degree(r.job.task) == 0)
+                .map(|r| ((r.job.task, r.job.graph_release), r.job.seq))
+                .collect();
+            let node = |t: TaskId| t.index() < base && merged.in_degree(t) > 0;
+            for r in records().filter(|r| node(r.job.task)) {
+                let Some(root) = root_of(r.job.task) else {
+                    continue;
+                };
+                if let Some(&seq) = roots.get(&(root, r.job.graph_release)) {
+                    assert_eq!(r.job.seq, seq, "{:?}: not its root's instance", r.job);
+                }
+            }
+        }
         reports
     }
 }
@@ -985,8 +1054,11 @@ fn explore(case: Case, keep: usize) -> Explored {
         ));
     }
     if workers > 1 {
-        // A DAG edge across owners: every job of `src` sends `dst` a
-        // token, over a peer lane when the set is sharded.
+        // A chain across owners and back: every job of `src` sends `dst`
+        // a token, and every job of `dst` sends `back` one — over a peer
+        // lane when the set is sharded, where the home of `dst` or
+        // `back` is often inside a body when its token is due: a peer
+        // that completes the predecessor then keeps the instance.
         let src = task(
             &mut b,
             TaskSpec::periodic("src", us(4_000)),
@@ -999,8 +1071,16 @@ fn explore(case: Case, keep: usize) -> Explored {
             pinned.then_some(1),
             us(200),
         );
-        let c = b.channel_decl("c", 1, 8);
-        b.channel_connect(src, dst, c).unwrap();
+        let back = task(
+            &mut b,
+            TaskSpec::graph_node("back"),
+            pinned.then_some(0),
+            us(200),
+        );
+        for (from, to) in [(src, dst), (dst, back)] {
+            let c = b.channel_decl(format!("c{to}"), 1, 8);
+            b.channel_connect(from, to, c).unwrap();
+        }
     }
     let stealing = case.stealing && pinned && workers > 1;
     let mut world = World::new(
@@ -1115,10 +1195,11 @@ proptest! {
     }
 }
 
-/// The case to replay: paste what a failure printed.
+/// The case to replay: paste what a failure printed. Until then, the
+/// generated case that found two instances of one task overlapping.
 const REPLAY: Case = Case {
-    seed: 7,
-    shape: Shape::Shards(3),
+    seed: 9185883544293053237,
+    shape: Shape::Shards(2),
     stealing: true,
     tasks: 2,
     commands: 12,
@@ -1138,12 +1219,12 @@ fn replay() {
 
 #[test]
 fn the_exploration_reaches_every_part_of_the_protocol() {
-    // What the generated runs are made of: unless they steal, route
-    // tokens — during the drain too — splice tenants — into a retired
-    // one's slot too — and park for every reason there is, their
-    // invariants hold of nothing.
+    // What the generated runs are made of: unless they steal, keep
+    // instances, route tokens — during the drain too — splice tenants —
+    // into a retired one's slot too — and park for every reason there
+    // is, their invariants hold of nothing.
     let mut stats = EngineStats::default();
-    let (mut seen, mut recycled, mut routed_late) = ([0; 4], 0, 0);
+    let (mut seen, mut recycled, mut routed_late, mut kept) = ([0; 4], 0, 0, 0);
     for seed in 0..if cfg!(miri) { 2 } else { 24 } {
         let case = Case {
             seed,
@@ -1157,6 +1238,7 @@ fn the_exploration_reaches_every_part_of_the_protocol() {
         recycled += run.recycled;
         routed_late += run.routed_late;
         run.reports.iter().for_each(|r| stats.merge(&r.stats));
+        kept += run.reports.iter().map(|r| r.steals.continued).sum::<u64>();
         (0..4).for_each(|k| seen[k] += run.seen[k]);
     }
     if cfg!(miri) {
@@ -1169,6 +1251,7 @@ fn the_exploration_reaches_every_part_of_the_protocol() {
         "Run/Park/SpinTo/Exit: {seen:?}"
     );
     assert!(recycled > 0, "no admission took a retired tenant's slot");
+    assert!(kept > 0, "no peer kept an instance");
     assert!(routed_late > 0, "no token was routed after Shutdown");
 }
 
@@ -1785,12 +1868,12 @@ fn bodies_beyond_the_tenant_are_never_filed() {
     let with_extra = |set: TaskSet| {
         let mut bodies = noop_bodies(&set);
         bodies.insert((TaskId::new(1), v0), Arc::clone(&extra));
-        Cmd::AdmitSet(set, bodies)
+        Cmd::AdmitSet(Box::new(set), bodies, None)
     };
     let (b_set, b_bodies) = (one(), noop_bodies(&one()));
     let b_body = Arc::clone(&b_bodies[&(TaskId::new(0), v0)]);
     world.at(T0 + us(500), admit_set(one()));
-    world.at(T0 + us(600), Cmd::AdmitSet(b_set, b_bodies));
+    world.at(T0 + us(600), Cmd::AdmitSet(Box::new(b_set), b_bodies, None));
     world.at(T0 + us(700), Cmd::Retire(TenantId::new(1)));
     world.at(T0 + us(800), with_extra(one()));
     world.at(T0 + us(900), with_extra(one()));
@@ -1813,7 +1896,6 @@ fn bodies_beyond_the_tenant_are_never_filed() {
 }
 
 #[test]
-#[ignore = "ROADMAP: instances of one task never overlap"]
 fn two_instances_of_one_task_never_overlap() {
     // Shard 0 enters `gate` with two instances of `t` queued behind it,
     // so both go on the shelf. Shard 1 takes one (`k = 1`: half the
@@ -2181,4 +2263,144 @@ fn generated_schedules_pre_stage_edges_with_arrivals_in_their_holds() {
         prestaged > 0 && held_arrivals > 0,
         "{prestaged} {held_arrivals}"
     );
+}
+
+/// Two shards with stealing: `busy` keeps shard 1 inside a body from
+/// 0.1 ms to 3.1 ms; `src` and `also` on shard 0 run at 0.5 ms, each
+/// for 100 µs. `src` feeds `dst`, and `src` and `also` both feed `join`,
+/// both homed on shard 1. Returns the world run to its end, and the
+/// tasks `(busy, src, dst, join)`.
+fn a_successor_due_inside_a_body() -> (World, [TaskId; 4]) {
+    let mut b = TaskSetBuilder::new();
+    let busy = task(&mut b, TaskSpec::aperiodic("busy"), Some(1), us(3_000));
+    let src = task(&mut b, TaskSpec::aperiodic("src"), Some(0), us(100));
+    let also = task(&mut b, TaskSpec::aperiodic("also"), Some(0), us(100));
+    let dst = task(&mut b, TaskSpec::graph_node("dst"), Some(1), us(100));
+    let join = task(&mut b, TaskSpec::graph_node("join"), Some(1), us(100));
+    let light = TaskSpec::periodic("light", us(100_000));
+    task(&mut b, light, Some(0), us(10));
+    for (i, (from, to)) in [(src, dst), (src, join), (also, join)]
+        .into_iter()
+        .enumerate()
+    {
+        let c = b.channel_decl(format!("c{i}"), 1, 8);
+        b.channel_connect(from, to, c).unwrap();
+    }
+    let config = sharded(2).build().unwrap();
+    let mut world = World::new("kept".into(), 0, b.build().unwrap(), config, true);
+    world.jitter = Duration::ZERO;
+    world.body_time = Box::new(move |job, _| match job.task == busy {
+        true => us(3_000),
+        false => us(100),
+    });
+    world.at(T0 + us(100), Cmd::Activate(busy));
+    world.at(T0 + us(500), Cmd::Activate(src));
+    world.at(T0 + us(500), Cmd::Activate(also));
+    world.run_until(T0 + us(10_000));
+    world.at(world.now(), Cmd::Shutdown);
+    world.run();
+    (world, [busy, src, dst, join])
+}
+
+#[test]
+fn a_completer_keeps_the_successor_whose_home_is_inside_a_body() {
+    // `src` ends at 0.6 ms on shard 0, inside `busy` on shard 1, whose
+    // door on `dst` is open: shard 0 keeps `dst`'s instance and runs it
+    // at once — the one shard 1 would have released, seq 0 of `src`'s
+    // graph instance — instead of sending the token to wait until
+    // 3.1 ms. Shard 1 books it released and donated when `busy` ends,
+    // and its end comes home.
+    let (world, [busy, src, dst, _]) = a_successor_due_inside_a_body();
+    let of = |t: TaskId| -> Vec<RtJobRecord> {
+        let records = world.owners.iter().flat_map(|o| &o.report.records);
+        records.filter(|r| r.job.task == t).copied().collect()
+    };
+    let (busy, src, kept) = (of(busy)[0], of(src)[0], of(dst));
+    assert_eq!(kept.len(), 1);
+    let kept = kept[0];
+    assert_eq!(kept.worker, WorkerId::new(0), "ran where src ended");
+    assert!(kept.started < busy.completed, "ran while its home was busy");
+    assert_eq!((kept.job.seq, kept.job.graph_release), (0, src.job.release));
+    let deadline = world.owners[1].engine.taskset().effective_deadline(dst);
+    let deadline = (deadline != Duration::MAX).then(|| src.job.release + deadline);
+    assert_eq!(kept.job.abs_deadline, deadline.unwrap_or(Instant::MAX));
+    let (steals, stats) = (
+        &world.owners[0].report.steals,
+        world.owners[0].engine.stats(),
+    );
+    assert_eq!((steals.continued, stats.stolen), (1, 1), "{steals:?}");
+    let home = world.owners[1].engine.stats();
+    assert_eq!(home.donated, 1);
+    assert_eq!(home.released, 3, "busy, join, and dst where it was kept");
+    world.finish();
+}
+
+#[test]
+fn a_token_for_a_join_inside_a_body_bounces() {
+    // `join` has two inputs: no door offers it, and the tokens of `src`
+    // and `also` go to shard 1 while it is inside `busy` — two bounces,
+    // and `join` runs at home once `busy` ends.
+    let (world, [busy, _, _, join]) = a_successor_due_inside_a_body();
+    let steals = world.owners[0].report.steals;
+    assert_eq!((steals.bounced, steals.continued), (2, 1), "{steals:?}");
+    let records = world.owners.iter().flat_map(|o| &o.report.records);
+    let at = |t: TaskId| records.clone().find(|r| r.job.task == t).copied().unwrap();
+    let (busy, join) = (at(busy), at(join));
+    assert_eq!(join.worker, WorkerId::new(1));
+    assert!(join.started >= busy.completed);
+    world.finish();
+}
+
+#[test]
+fn an_admitted_tenant_meets_its_deadlines_and_retires() {
+    // The deadline claim of the thread test
+    // `tenant_admitted_into_running_schedule_executes_and_retires`, on
+    // the harness's clock, where a busy host cannot move it: `base`
+    // every 5 ms on shard 0; at 20 ms a tenant of one 5 ms task on
+    // shard 1 with a 2 ms / 5 ms budget is admitted, as `Runtime::admit`
+    // admits it; at 60 ms it is retired. Every one of its jobs ran on
+    // shard 1 and completed by its deadline, and none after the
+    // retirement but the one in flight.
+    let mut b = TaskSetBuilder::new();
+    task(
+        &mut b,
+        TaskSpec::periodic("base", us(5_000)),
+        Some(0),
+        us(50),
+    );
+    let config = sharded(2).build().unwrap();
+    let mut world = World::new("tenant".into(), 0, b.build().unwrap(), config, false);
+    world.body_time = Box::new(|_, _| us(50));
+    let mut c = TaskSetBuilder::new();
+    task(
+        &mut c,
+        TaskSpec::periodic("tenant", us(5_000)),
+        Some(1),
+        us(50),
+    );
+    let tenant = c.build().unwrap();
+    let budget = Some(TenantBudget::deferrable(us(2_000), us(5_000)));
+    let bodies = noop_bodies(&tenant);
+    world.at(
+        T0 + us(20_000),
+        Cmd::AdmitSet(Box::new(tenant), bodies, budget),
+    );
+    world.at(T0 + us(60_000), Cmd::Retire(TenantId::new(1)));
+    world.run_until(T0 + us(60_000));
+    let ran = |world: &World| {
+        let records = world.owners.iter().flat_map(|o| &o.report.records);
+        records.filter(|r| r.job.task == TaskId::new(1)).count()
+    };
+    let before = ran(&world);
+    assert!(before >= 7, "the tenant ran {before} jobs in 40 ms");
+    world.run_until(T0 + us(90_000));
+    assert!(ran(&world) <= before + 1, "it ran on after its retirement");
+    world.at(world.now(), Cmd::Shutdown);
+    world.run();
+    let records = world.owners.iter().flat_map(|o| &o.report.records);
+    for r in records.filter(|r| r.job.task == TaskId::new(1)) {
+        assert!(!r.missed(), "admitted tenant missed a deadline: {r:?}");
+        assert_eq!(r.worker, WorkerId::new(1));
+    }
+    world.finish();
 }

@@ -211,6 +211,14 @@ pub struct StealStats {
     /// anything on its shelf, or another thief was faster. One per
     /// park, or per spin under `WaitChoice::Spin`.
     pub empty_probes: u64,
+    /// DAG tokens the owner sent to a peer inside a body, where each
+    /// waits for that body's end: successors it could not keep.
+    pub bounced: u64,
+    /// Instances of a peer's task the owner kept and ran itself, having
+    /// completed their predecessor while that peer was inside a body
+    /// (work-first continuation). With `jobs_claimed`, its share of
+    /// `EngineStats::stolen`; the peer counts each one donated.
+    pub continued: u64,
 }
 
 /// Final report returned by [`Runtime::cleanup`].

@@ -285,6 +285,38 @@ pub struct RemoteActivation {
     pub graph_release: Instant,
 }
 
+/// The end of a migrated instance — stolen, or kept by the peer that
+/// completed its predecessor — on the shard that ran it, addressed to
+/// its home: until the home has it ([`OnlineEngine::on_instance_home`])
+/// no other instance of the task is dispatched, shelved or kept.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HomeNote {
+    /// The worker whose shard the task is homed on.
+    pub worker: WorkerId,
+    /// The task whose instance ended.
+    pub task: TaskId,
+    /// The graph release of that instance: the end of a former holder's
+    /// is dropped, like its tokens.
+    pub graph_release: Instant,
+}
+
+/// The instance a shard would release next of one of its single-input
+/// tasks, offered while it is inside a body
+/// ([`OnlineEngine::continuations_into`]): a peer that completes the
+/// task's predecessor meanwhile may keep it and run it itself
+/// ([`OnlineEngine::adopt_kept`]) instead of sending the token to a home
+/// that reads it only after the body. Its id is reserved from the home's
+/// own, so the kept job is the one the home would have released.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Continuation {
+    /// The task.
+    pub task: TaskId,
+    /// The `seq` its next instance gets.
+    pub seq: u64,
+    /// The id reserved for that instance.
+    pub id: JobId,
+}
+
 /// One stealable ready job of a shard, copied without detaching it
 /// ([`OnlineEngine::steal_hint`], [`OnlineEngine::try_steal_batch`]) —
 /// what the victim then turns into a concrete hand-off via
@@ -391,6 +423,16 @@ pub struct OnlineEngine {
     /// Tokens for cross-shard edges, awaiting routing by the driver
     /// (shard engines only; always empty on the single-owner engine).
     outbox: Vec<RemoteActivation>,
+    /// Ends of migrated instances that ran here, awaiting routing to
+    /// their homes by the driver (shard engines only).
+    homeward: Vec<HomeNote>,
+    /// Per task: an instance homed here is out of this shard's hands —
+    /// on its shelf, with a thief, or kept by a peer — and its end is
+    /// not home yet (shard engines only; the one-instance contract).
+    away: Vec<bool>,
+    /// Scratch of [`OnlineEngine::continuations_into`]: the tasks with
+    /// an instance queued here.
+    queued_scratch: Vec<bool>,
     /// Scratch for the ready-queue scans that cull or re-key jobs.
     cull_buf: Vec<JobId>,
     /// Dense per-task assigned worker (`u16::MAX` = unassigned), so the
@@ -521,6 +563,13 @@ impl OnlineEngine {
             blocked_buf: Vec::with_capacity(config.max_pending_jobs().min(64)),
             successor_buf: Vec::new(),
             outbox: Vec::new(),
+            homeward: Vec::with_capacity(if shard.is_some() {
+                config.max_pending_jobs().min(64)
+            } else {
+                0
+            }),
+            away: Vec::new(),
+            queued_scratch: Vec::new(),
             cull_buf: Vec::with_capacity(config.max_pending_jobs().min(64)),
             task_worker: Vec::new(),
             task_accel_bound: Vec::new(),
@@ -616,6 +665,10 @@ impl OnlineEngine {
             .map(|t| t.versions().iter().any(|v| v.accel().is_some()));
         put(&mut self.task_accel_bound, n0, accel_bound);
         put(&mut self.high_depth, n0, repeat_n(0, n));
+        // A former holder's migrated instance is not the heir's: its end
+        // is dropped when it comes home (`on_instance_home`).
+        put(&mut self.away, n0, repeat_n(false, n));
+        put(&mut self.queued_scratch, n0, repeat_n(false, n));
         put(&mut self.msg_ceiling, n0, repeat_n(Priority::LOWEST, n));
         let policies = installed.iter().map(|t| t.spec().overrun_policy());
         put(&mut self.overrun_policy, n0, policies);
@@ -830,6 +883,8 @@ impl OnlineEngine {
             && !self.stopping
             && self.is_idle()
             && self.outbox.is_empty()
+            && self.homeward.is_empty()
+            && !self.away.contains(&true)
             && !(self.config.enforce_wcet() || self.config.cull_missed())
             && !self.policy_uses_battery
             && self.config.miss_trip().is_none()
@@ -1268,9 +1323,10 @@ impl OnlineEngine {
             expired.clear();
             expired.extend(self.queues[qi].iter().filter(|j| doomed(j)).map(|j| j.id));
             for &job in &expired {
-                if self.queues[qi].remove(job).is_some() {
+                if let Some(culled) = self.queues[qi].remove(job) {
                     self.overran.retain(|&o| o != job);
                     self.stats.culled += 1;
+                    self.send_home(&culled);
                     sink.push(Action::Cull { job });
                 }
             }
@@ -1423,11 +1479,24 @@ impl OnlineEngine {
     /// work around or hand a job back to its owner. This is the "is my
     /// top job stealable" probe a driver advertises its load by and
     /// filters victims with; grants go through
-    /// [`OnlineEngine::try_steal_batch`].
+    /// [`OnlineEngine::try_steal_batch`]. Nor is one given for a job of a
+    /// task with an instance in flight (the one-instance contract,
+    /// [`OnlineEngine::on_instance_home`]).
     #[must_use]
     pub fn steal_hint(&self) -> Option<StealHint> {
         let job = self.queues[0].peek()?;
-        self.may_migrate(job.task).then_some(*job)
+        (self.may_migrate(job.task) && !self.in_flight(job.task)).then_some(*job)
+    }
+
+    /// The one-instance contract: `true` while an instance of `task`
+    /// homed here is out of the queue — running here, on the shelf, with
+    /// a thief or kept by a peer — and its end is not home. Another
+    /// instance of it is then neither dispatched nor shelved nor offered
+    /// to be kept. Only shards let instances leave, so on the
+    /// single-owner engine this is whether one runs.
+    #[inline]
+    fn in_flight(&self, task: TaskId) -> bool {
+        self.away[task.index()] || self.running.iter().flatten().any(|r| r.job.task == task)
     }
 
     /// `true` when a ready job of `task` may leave this engine for a
@@ -1446,11 +1515,12 @@ impl OnlineEngine {
     /// must not migrate (accelerator-bound task, or a job this shard
     /// itself adopted — migration happens at most once).
     fn release_stolen(&mut self, hint: &StealHint) -> Option<Job> {
-        if !self.may_migrate(hint.task) {
+        if !self.may_migrate(hint.task) || self.in_flight(hint.task) {
             return None;
         }
         let job = self.queues[0].remove(hint.id)?;
         debug_assert_eq!(job.task, hint.task);
+        self.away[job.task.index()] = true;
         self.stats.donated += 1;
         Some(job)
     }
@@ -1458,10 +1528,13 @@ impl OnlineEngine {
     /// Up to `k` steal hints in ascending queue-key order (victim side
     /// of a steal, step one). The ordered scan walks the ready heap
     /// without detaching anything and **stops at the first job that
-    /// must not migrate** (see [`OnlineEngine::steal_hint`]): a thief
-    /// never takes less urgent work while skipping over more urgent
-    /// local-only work. Hints are appended to `out` (cleared here);
-    /// returns the number produced. Shard engines only — 0 otherwise.
+    /// must not migrate** (see [`OnlineEngine::steal_hint`]) or whose
+    /// task has an instance in flight: a thief never takes less urgent
+    /// work while skipping over more urgent work that must stay. Hints
+    /// are appended to `out` (cleared here); returns the number
+    /// produced. Shard engines only — 0 otherwise. A second instance of
+    /// one task among the hints is refused by the detach, which puts
+    /// the first in flight.
     pub fn try_steal_batch(&mut self, k: usize, out: &mut Vec<StealHint>) -> usize {
         out.clear();
         let k = k.min(MAX_STEAL_BATCH);
@@ -1470,7 +1543,7 @@ impl OnlineEngine {
         }
         let mut frontier = std::mem::take(&mut self.steal_frontier);
         self.queues[0].scan_in_order(&mut frontier, |job| {
-            if !self.may_migrate(job.task) {
+            if !self.may_migrate(job.task) || self.in_flight(job.task) {
                 return false;
             }
             out.push(*job);
@@ -1497,8 +1570,9 @@ impl OnlineEngine {
 
     /// Takes back what [`OnlineEngine::release_stolen_batch`] detached
     /// and no thief took after all (victim side, the inverse of step
-    /// two): each job re-enters the ready queue and no longer counts in
-    /// [`EngineStats::donated`]. The queue key `(priority, release, id)`
+    /// two): each job re-enters the ready queue, is no longer in flight
+    /// and no longer counts in [`EngineStats::donated`]. The queue key
+    /// `(priority, release, id)`
     /// is a total order, so the queue then pops exactly as if the jobs
     /// had never left it. Between the two calls the caller ran no other
     /// engine round, so the slots the detach vacated are still free; a
@@ -1507,6 +1581,7 @@ impl OnlineEngine {
     pub fn return_unclaimed(&mut self, jobs: &[Job]) {
         for &job in jobs {
             self.stats.donated -= 1;
+            self.away[job.task.index()] = false;
             if self.queues[0].push(job).is_err() {
                 self.stats.channel_overflows += 1;
             }
@@ -1559,18 +1634,182 @@ impl OnlineEngine {
             return Ok(());
         }
         for &job in jobs {
-            if self.queues[0].push(job).is_ok() {
-                self.stats.stolen += 1;
-            } else {
-                self.stats.channel_overflows += 1;
-            }
+            self.adopt(job);
         }
-        self.stats.max_ready = self.stats.max_ready.max(self.ready_len());
         self.stats.stolen_batch += 1;
         let bucket = (jobs.len() - 1).min(self.stats.steal_batch_len.len() - 1);
         self.stats.steal_batch_len[bucket] += 1;
         self.dispatch_round(now, sink);
         Ok(())
+    }
+
+    /// Queues a job that migrated here, counted in
+    /// [`EngineStats::stolen`]; one the full queue refuses is lost, like
+    /// every queue overflow, and its end goes home at once.
+    fn adopt(&mut self, job: Job) {
+        if self.queues[0].push(job).is_ok() {
+            self.stats.stolen += 1;
+        } else {
+            self.stats.channel_overflows += 1;
+            self.send_home(&job);
+        }
+        self.stats.max_ready = self.stats.max_ready.max(self.ready_len());
+    }
+
+    /// Books the end of `job`, which ran, or left the queue, here: on a
+    /// shard not its home, a [`HomeNote`] for the driver to route.
+    #[inline]
+    fn send_home(&mut self, job: &Job) {
+        if self.shard.is_some() && !self.owns_task(job.task) {
+            self.homeward.push(HomeNote {
+                worker: WorkerId::new(self.task_worker[job.task.index()]),
+                task: job.task,
+                graph_release: job.graph_release,
+            });
+        }
+    }
+
+    /// Moves every pending [`HomeNote`] into `buf` (appended), for the
+    /// driver to route to the home shards; reusable like
+    /// [`OnlineEngine::drain_outbox_into`]'s buffer.
+    pub fn drain_homeward_into(&mut self, buf: &mut Vec<HomeNote>) {
+        buf.append(&mut self.homeward);
+    }
+
+    /// The end of an instance that migrated from this shard is home
+    /// ([`HomeNote`]): the task's next instance may now be dispatched,
+    /// shelved or kept, and a dispatch round runs for it. The end of a
+    /// former holder's instance changes nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::UnknownTask`] for an out-of-range task and
+    /// [`Error::InvalidConfig`] when this engine is not the task's home
+    /// — driver routing bugs.
+    pub fn on_instance_home(
+        &mut self,
+        note: HomeNote,
+        now: Instant,
+        sink: &mut ActionSink,
+    ) -> Result<()> {
+        let task = note.task;
+        if self.shard.is_none()
+            || self.routed_here(task, note.graph_release, "an end")? == Verdict::Former
+        {
+            return Ok(());
+        }
+        self.away[task.index()] = false;
+        self.dispatch_round(now, sink);
+        Ok(())
+    }
+
+    /// The instances a peer may keep while this shard is inside a body
+    /// (shard side of work-first continuation), appended to `out`
+    /// (cleared here): one per task of the built-in tenant homed here
+    /// with one input and no accelerator-bound version, no instance
+    /// queued or in flight, and a predecessor that may end elsewhere
+    /// meanwhile — homed there, in flight from here, or offered itself.
+    /// Each gets the `seq` of the task's next release and an id reserved
+    /// from this shard's; an offer nobody takes costs the id. Between this call and the
+    /// booking of what was kept ([`OnlineEngine::book_kept`]) the caller
+    /// runs no engine round.
+    pub fn continuations_into(&mut self, out: &mut Vec<Continuation>) {
+        out.clear();
+        if self.shard.is_none() {
+            return;
+        }
+        for job in self.queues[0].iter() {
+            self.queued_scratch[job.task.index()] = true;
+        }
+        let tasks = self.tenants.iter().next().map(|e| e.slot.task_range());
+        for i in tasks.unwrap_or(0..0) {
+            if self.offers(TaskId::new(i as u32)) {
+                out.push(Continuation {
+                    task: TaskId::new(i as u32),
+                    seq: self.activation_seq[i],
+                    id: JobId::new(self.job_counter),
+                });
+                self.job_counter += 1;
+            }
+        }
+        for job in self.queues[0].iter() {
+            self.queued_scratch[job.task.index()] = false;
+        }
+    }
+
+    /// Whether a peer may keep the next instance of `task`, homed here,
+    /// while this shard is inside a body: it has one input and no
+    /// accelerator-bound version, no instance queued
+    /// (`queued_scratch`) or in flight — the one-instance contract — and
+    /// its predecessor may end elsewhere meanwhile.
+    fn offers(&self, task: TaskId) -> bool {
+        let &[edge] = self.taskset.in_edge_ids(task) else {
+            return false;
+        };
+        let free = !self.queued_scratch[task.index()] && !self.in_flight(task);
+        self.may_migrate(task) && free && self.ends_elsewhere(self.taskset.edges()[edge].src)
+    }
+
+    /// Whether an instance of `task` may end on another shard while this
+    /// one is inside a body: it is homed there, in flight from here, or
+    /// offered to be kept itself — a peer that keeps it keeps the chain.
+    fn ends_elsewhere(&self, task: TaskId) -> bool {
+        !self.owns_task(task) || self.away[task.index()] || self.offers(task)
+    }
+
+    /// A peer kept the offered `c` (home side): booked as released here
+    /// and donated, in flight until its end is home, and the task's
+    /// next release gets the `seq` after it.
+    pub fn book_kept(&mut self, c: &Continuation) {
+        let i = c.task.index();
+        self.activation_seq[i] = self.activation_seq[i].max(c.seq + 1);
+        self.away[i] = true;
+        self.stats.released += 1;
+        self.stats.donated += 1;
+    }
+
+    /// The foreign successor this shard may keep instead of routing
+    /// `token` (completer side of work-first continuation): the edge's
+    /// destination when it has one input, no accelerator-bound version
+    /// and belongs to the built-in tenant — a token of which is always
+    /// its holder's. `None` on the single-owner engine.
+    #[must_use]
+    pub fn keepable(&self, token: &RemoteActivation) -> Option<TaskId> {
+        let dst = self.taskset.edges().get(token.edge as usize)?.dst;
+        let builtin = self.tenants.of_task(dst)?.tenant.index() == 0;
+        let single = self.taskset.in_degree(dst) == 1;
+        let cpu = !self.task_accel_bound[dst.index()];
+        (self.shard.is_some() && !self.owns_task(dst) && builtin && single && cpu).then_some(dst)
+    }
+
+    /// Adopts the instance `c` of a peer's task that this shard kept for
+    /// `token`, which it produced and routes no more (completer side):
+    /// the job its home would have released — `c`'s id and seq, the
+    /// token's graph release, its deadline, keyed by the fold — queued
+    /// here as a migrated job and counted in [`EngineStats::stolen`];
+    /// one dispatch round runs for it. Its end goes home like a stolen
+    /// job's ([`HomeNote`]).
+    pub fn adopt_kept(
+        &mut self,
+        token: &RemoteActivation,
+        c: &Continuation,
+        now: Instant,
+        sink: &mut ActionSink,
+    ) {
+        let g = token.graph_release;
+        let mut job = Job {
+            id: c.id,
+            task: c.task,
+            seq: c.seq,
+            release: g,
+            graph_release: g,
+            abs_deadline: self.abs_deadline(c.task, g),
+            priority: Priority::LOWEST,
+            preempted: false,
+        };
+        job.priority = self.fold(&job, None);
+        self.adopt(job);
+        self.dispatch_round(now, sink);
     }
 
     /// Validates and books the end of `job` on `worker` — frees the
@@ -1635,6 +1874,7 @@ impl OnlineEngine {
         if fires && !running.killed {
             self.fire_successors(task, running.job.graph_release);
         }
+        self.send_home(&running.job);
         Ok(())
     }
 
@@ -1973,19 +2213,13 @@ impl OnlineEngine {
         let seq = self.activation_seq[task.index()];
         self.activation_seq[task.index()] += 1;
         self.last_activation[task.index()] = Some(release);
-        let rel_deadline = self.rel_deadline[task.index()];
-        let abs_deadline = if rel_deadline == Duration::MAX {
-            Instant::MAX
-        } else {
-            graph_release + rel_deadline
-        };
         let mut job = Job {
             id: JobId::new(self.job_counter),
             task,
             seq,
             release,
             graph_release,
-            abs_deadline,
+            abs_deadline: self.abs_deadline(task, graph_release),
             priority: Priority::LOWEST,
             preempted: false,
         };
@@ -2000,6 +2234,15 @@ impl OnlineEngine {
             self.stats.released += 1;
         }
         self.stats.max_ready = self.stats.max_ready.max(self.ready_len());
+    }
+
+    /// The absolute deadline of `task`'s job of the graph instance
+    /// released at `graph_release` (deadlines are the graph's, §2).
+    fn abs_deadline(&self, task: TaskId, graph_release: Instant) -> Instant {
+        match self.rel_deadline[task.index()] {
+            d if d == Duration::MAX => Instant::MAX,
+            d => graph_release + d,
+        }
     }
 
     fn queue_index(&self, task: TaskId) -> usize {
@@ -2243,9 +2486,10 @@ impl OnlineEngine {
     }
 
     /// One dispatch attempt: `job`, just popped from queue `qi`, is
-    /// offered running slot `w`. Its version is chosen and its tenant's
-    /// budget charged; then it starts on `w`, preempting the job there
-    /// (which goes back to `qi`). A job refused either way waits in
+    /// offered running slot `w` — unless an instance of its task is away
+    /// ([`OnlineEngine::in_flight`]). Its version is chosen and its
+    /// tenant's budget charged; then it starts on `w`, preempting the
+    /// job there (which goes back to `qi`). A job refused any way waits in
     /// `blocked_buf` for the end of the round — after boosting by PIP
     /// whatever holds the accelerators it wished for.
     #[inline]
@@ -2257,6 +2501,11 @@ impl OnlineEngine {
         now: Instant,
         actions: &mut ActionSink,
     ) {
+        // The one-instance contract: it waits for its predecessor's end
+        // (only shards let instances leave).
+        if self.shard.is_some() && self.away[job.task.index()] {
+            return self.blocked_buf.push(job);
+        }
         let (version, accel) = match self.choose_version(job.task) {
             VersionChoice::Run(v, a) => (v, a),
             VersionChoice::Blocked => {

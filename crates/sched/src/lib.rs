@@ -49,8 +49,8 @@ pub mod tenancy;
 pub use accel::AccelManager;
 pub use admission::{AdmissionControl, AdmissionError, BoundViolation, TenantLedger};
 pub use engine::{
-    Action, CycleMark, EngineStats, JobOutcome, OnlineEngine, RemoteActivation, RunningJob,
-    StealHint,
+    Action, Continuation, CycleMark, EngineStats, HomeNote, JobOutcome, OnlineEngine,
+    RemoteActivation, RunningJob, StealHint,
 };
 pub use job::{Job, JobBatch, MAX_STEAL_BATCH};
 pub use msg::{ChannelBuilder, MsgEvent, MsgNotify, NotifyHandle, Receiver, SendError, Sender};

@@ -59,6 +59,25 @@
 //! job charges the **thief's** replica of its tenant's reservation
 //! server, at dispatch.
 //!
+//! **One instance at a time.** A job that leaves its home's queue for a
+//! thief is *in flight* there until its end is home: the thief's engine
+//! leaves a [`crate::HomeNote`] when it retires or culls the job, which
+//! the driver drains ([`OnlineEngine::drain_homeward_into`]) and routes
+//! to the home ([`OnlineEngine::on_instance_home`]) as it routes the
+//! outbox. Meanwhile the home neither dispatches nor hands out another
+//! instance of the task, so no two instances of one task ever run side
+//! by side, wherever each runs.
+//!
+//! **Kept instances.** A shard about to enter a body may also offer the
+//! next instance of each single-input task whose token a peer may
+//! produce meanwhile ([`OnlineEngine::continuations_into`]); the peer
+//! that completes the predecessor keeps it ([`OnlineEngine::keepable`],
+//! [`OnlineEngine::adopt_kept`]) instead of routing the token, and the
+//! home books it when its body ends ([`OnlineEngine::book_kept`]). How
+//! the offer and the claim meet is the driver's: `yasmin-rt` puts them
+//! on a `yasmin_sync::door`; `yasmin_sim::par`, whose victims answer in
+//! the instant they are asked, never keeps.
+//!
 //! ## What cannot cross shards, and why
 //!
 //! * **Accelerator bindings.** [`validate_sharding`] rejects a task set

@@ -35,7 +35,9 @@ use yasmin_core::task::ActivationKind;
 use yasmin_core::time::{Duration, Instant};
 use yasmin_sched::admission::{AdmissionControl, AdmissionError, TenantLedger};
 use yasmin_sched::server::{ReservationServer, TenantBudget};
-use yasmin_sched::{Action, ActionSink, CycleMark, Job, MsgEvent, OnlineEngine, RemoteActivation};
+use yasmin_sched::{
+    Action, ActionSink, CycleMark, HomeNote, Job, MsgEvent, OnlineEngine, RemoteActivation,
+};
 
 /// Modelled fixed costs of scheduler interactions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -872,6 +874,16 @@ impl Simulation {
     /// violation.
     pub(crate) fn adopt_stolen(&mut self, jobs: &[Job], now: Instant) -> Result<()> {
         self.engine_call(now, |e, sink| e.adopt_stolen_batch(jobs, now, sink))
+    }
+
+    /// The end of a job that migrated from this shard is home at `now`
+    /// ([`OnlineEngine::on_instance_home`]).
+    ///
+    /// # Errors
+    ///
+    /// [`OnlineEngine::on_instance_home`]'s: a driver routing bug.
+    pub(crate) fn instance_home(&mut self, note: HomeNote, now: Instant) -> Result<()> {
+        self.engine_call(now, |e, sink| e.on_instance_home(note, now, sink))
     }
 
     /// Starts the schedule at time zero and arms the event sources: the

@@ -52,7 +52,7 @@ use yasmin_core::error::{Error, Result};
 use yasmin_core::graph::TaskSet;
 use yasmin_core::ids::TaskId;
 use yasmin_core::time::{Duration, Instant};
-use yasmin_sched::{EngineShard, JobBatch, RemoteActivation, StealHint, MAX_STEAL_BATCH};
+use yasmin_sched::{EngineShard, HomeNote, JobBatch, RemoteActivation, StealHint, MAX_STEAL_BATCH};
 
 /// Options of the sharded driver.
 #[derive(Debug, Clone, Copy)]
@@ -144,6 +144,8 @@ struct Shards {
     /// `Some(cap)` when stealing: the largest batch of one exchange.
     steal_cap: Option<usize>,
     outbox: Vec<RemoteActivation>,
+    /// Ends of stolen jobs on their way home, reused.
+    homeward: Vec<HomeNote>,
     /// Steal scratch, reused: what the victim names stealable, and the
     /// jobs of one exchange.
     hints: Vec<StealHint>,
@@ -152,17 +154,38 @@ struct Shards {
 
 impl Shards {
     /// Runs `f` on shard `s` at `at` under the shared insertion
-    /// counter, then routes what the engine left in its outbox: each
-    /// cross-shard token becomes an event of the owning shard at `at`.
-    fn on<R>(&mut self, s: usize, at: Instant, f: impl FnOnce(&mut Simulation) -> R) -> R {
-        let out = self.sims[s].with_seq(&mut self.seq, f);
+    /// counter, then routes what the engine left behind ([`Shards::route`]).
+    fn on<R>(
+        &mut self,
+        s: usize,
+        at: Instant,
+        f: impl FnOnce(&mut Simulation) -> Result<R>,
+    ) -> Result<R> {
+        let out = self.sims[s].with_seq(&mut self.seq, f)?;
+        self.route(s, at)?;
+        Ok(out)
+    }
+
+    /// Routes what shard `s`'s engine left at `at`: each cross-shard
+    /// token becomes an event of the owning shard at `at`, and the end
+    /// of each stolen job is home at once ([`Simulation::instance_home`]),
+    /// where its task's next instance may then run.
+    fn route(&mut self, s: usize, at: Instant) -> Result<()> {
         self.sims[s].engine.drain_outbox_into(&mut self.outbox);
         for ra in self.outbox.drain(..) {
             self.sims[ra.worker.index()].with_seq(&mut self.seq, |dst| {
                 dst.push_cross(at, ra);
             });
         }
-        out
+        let mut notes = std::mem::take(&mut self.homeward);
+        self.sims[s].engine.drain_homeward_into(&mut notes);
+        for note in notes.drain(..) {
+            let home = note.worker.index();
+            (self.sims[home]).with_seq(&mut self.seq, |h| h.instance_home(note, at))?;
+            self.route(home, at)?;
+        }
+        self.homeward = notes;
+        Ok(())
     }
 
     /// At an event boundary, every fully idle shard (no slice, empty
@@ -231,7 +254,10 @@ impl Shards {
                 return Ok(());
             };
             now = Instant::from_nanos(time);
-            self.on(s, now, Simulation::step);
+            self.on(s, now, |sim| {
+                sim.step();
+                Ok(())
+            })?;
         }
     }
 }
@@ -289,6 +315,7 @@ pub fn run_partitioned_parallel(
             .steal
             .then(|| opts.steal_batch.clamp(1, MAX_STEAL_BATCH)),
         outbox: Vec::new(),
+        homeward: Vec::new(),
         hints: Vec::with_capacity(MAX_STEAL_BATCH),
         stolen: JobBatch::with_capacity(MAX_STEAL_BATCH),
     };

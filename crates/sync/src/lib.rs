@@ -13,6 +13,9 @@
 //! * [`shelf`] — the single-producer / multi-consumer exchange a
 //!   victim lays its spare jobs out on before it runs a body, and from
 //!   which a thief takes them with one compare-and-swap;
+//! * [`door`] — the doors a busy scheduler opens on the instances it
+//!   would release next, one of which the peer that completes the
+//!   predecessor keeps with one compare-and-swap;
 //! * [`doorbell`] — [`doorbell::Doorbell`], the one-sleeper /
 //!   many-ringers wake-up signal (`park`/`unpark` behind a Dekker
 //!   flag) that lets the owner of a mailbox or an SPSC ring sleep until
@@ -27,6 +30,7 @@
 
 #![warn(missing_docs)]
 
+pub mod door;
 pub mod doorbell;
 pub mod mailbox;
 pub mod shelf;

@@ -13,7 +13,8 @@
 //! lies there, each with one compare-and-swap, without the owner taking
 //! part. What the owner may spare and whom a thief robs is not decided
 //! here (the engine and the [`crate::steal::LoadBoard`] do that): the
-//! shelf is pure mechanism.
+//! shelf is pure mechanism. Its sibling [`crate::door`] hands out, the
+//! same way, instances the owner has not released yet.
 //!
 //! # Slots
 //!

@@ -64,9 +64,10 @@ fn yasmin_managed(
 /// other edges were not pre-staged — what the
 /// early quarter of the near parks and the holds spun, and what it gave
 /// to and took from its peers (nothing here: one owner has no peer to
-/// steal from). Exits with status 1 if an owner met no edge at all, or
-/// parked between its edges — every owner here sleeps through most of
-/// each 10 ms tick — and never took a near park.
+/// steal from, send a token to or keep an instance of). Exits with
+/// status 1 if an owner met no edge at all, or parked between its edges
+/// — every owner here sleeps through most of each 10 ms tick — and never
+/// took a near park.
 fn print_owner_stats(owners: &[(TickStats, StealStats)]) {
     for (i, (t, s)) in owners.iter().enumerate() {
         if t.edges == 0 {
@@ -106,8 +107,8 @@ fn print_owner_stats(owners: &[(TickStats, StealStats)]) {
         );
         println!(
             "             {} jobs shelved, {} of them taken; {} claims took {} jobs, \
-             {} probes found nothing",
-            s.shelved, s.taken, s.claims, s.jobs_claimed, s.empty_probes,
+             {} probes found nothing; {} tokens bounced, {} instances kept",
+            s.shelved, s.taken, s.claims, s.jobs_claimed, s.empty_probes, s.bounced, s.continued,
         );
     }
 }

@@ -21,8 +21,8 @@
 # that makes a test allocate without bound — a scheduling loop that
 # never ends, say — is reported as killed (out of memory) instead of
 # taking the host's memory. One run costs about a minute per patch; CI
-# runs the priority mutants (`msg-*`, `fold-*`). The scratch copy goes
-# where `mktemp -d` puts it (`TMPDIR`).
+# runs the priority mutants (`msg-*`, `fold-*`, `steal-*`). The scratch
+# copy goes where `mktemp -d` puts it (`TMPDIR`).
 #
 #   scripts/mutants.sh                   # the whole catalogue
 #   scripts/mutants.sh 'msg-*' 'fold-*'  # the patches these globs name

@@ -5,8 +5,9 @@
 //! grow to their high-water marks) each scenario drives 10 000 further
 //! steady-state scheduler interactions and asserts the allocation
 //! counter did not move at all. Fifteen scenarios cover the paths the
-//! ROADMAP names, a sixteenth the caller's side of an admission, and a
-//! seventeenth the trip wire's level:
+//! ROADMAP names, a sixteenth the caller's side of an admission, a
+//! seventeenth the trip wire's level and an eighteenth work-first
+//! continuation:
 //!
 //! 1. **independent / global** — the EDF tick/complete loop of PR 2;
 //! 2. **DAG firing** — fork → (left, right) → join released through the
@@ -26,7 +27,8 @@
 //!    pre-grown per-task entries and the in-place rank scratch);
 //! 7. **steady-state stealing** — every cycle an idle thief shard
 //!    takes one job — a batch of one — through the full migration of
-//!    scenario 13 and retires it, while the victim refills;
+//!    scenario 13 and retires it, its end goes home, and the victim
+//!    refills;
 //! 8. **multi-tenant serving** — a budgeted tenant admitted on-line
 //!    (evaluate → splice → commit) before the measured window; the
 //!    post-admission steady loop, including the per-dispatch budget
@@ -52,8 +54,9 @@
 //! 13. **steady-state batch stealing** — every cycle the thief shard
 //!     runs the full batched migration, k = 4 (ordered `try_steal_batch`
 //!     scan, `release_stolen_batch` detach into a [`JobBatch`] grown
-//!     in the warm-up, `adopt_stolen_batch` dispatch round) and retires
-//!     all k stolen jobs, while the victim refills;
+//!     in the warm-up, `adopt_stolen_batch` dispatch round), retires
+//!     all k stolen jobs and routes their ends home, while the victim
+//!     refills;
 //! 14. **deadline culling** — `cull_missed` on an overloaded worker:
 //!     every tick culls the jobs past their deadline and reports each
 //!     as an `Action::Cull`;
@@ -69,7 +72,12 @@
 //! 17. **trip and untrip** — every cycle a late completion trips the
 //!     miss wire while `LogOnly` jobs wait and run, and the next tick's
 //!     roll untrips it, each flip re-keying them; a job that overran is
-//!     preempted meanwhile and resumes with its mark.
+//!     preempted meanwhile and resumes with its mark;
+//! 18. **kept instance** — every cycle a shard inside a body offers its
+//!     successor's next instance through a door, the peer that
+//!     completes the predecessor keeps it instead of routing the token,
+//!     the home books it when the door closes, and the instance's end,
+//!     once retired, goes home.
 //!
 //! Runs without the libtest harness (`harness = false` in Cargo.toml)
 //! so no other thread can touch the allocator during the measured
@@ -85,7 +93,9 @@ use yasmin_core::priority::PriorityPolicy;
 use yasmin_core::task::TaskSpec;
 use yasmin_core::time::{Duration, Instant};
 use yasmin_core::version::VersionSpec;
-use yasmin_sched::{Action, ActionSink, EngineShard, JobBatch, OnlineEngine, StealHint};
+use yasmin_sched::{
+    Action, ActionSink, EngineShard, HomeNote, JobBatch, OnlineEngine, RemoteActivation, StealHint,
+};
 use yasmin_sync::mailbox::{mailbox, MailboxReceiver, MailboxSender};
 use yasmin_taskgen::taskset::{build_independent, build_partitioned, IndependentSetParams};
 
@@ -791,7 +801,6 @@ fn message_plane_steady_state() {
 /// dispatching the destination — the fire, drain, route and release
 /// must all run on pre-grown storage.
 fn cross_shard_outbox() {
-    use yasmin_sched::RemoteActivation;
     let mut b = TaskSetBuilder::new();
     let src = b
         .task_decl(TaskSpec::aperiodic("src").on_worker(WorkerId::new(0)))
@@ -1088,6 +1097,7 @@ fn steal_every_cycle(label: &str, k: usize) {
     let step = Duration::from_micros(1);
     let mut hints: Vec<StealHint> = Vec::with_capacity(k);
     let mut batch = JobBatch::new();
+    let mut notes: Vec<HomeNote> = Vec::with_capacity(k);
 
     assert_zero_alloc(label, || {
         now += step;
@@ -1111,6 +1121,13 @@ fn steal_every_cycle(label: &str, k: usize) {
                 .expect("completion protocol upheld");
         }
         assert!(thief.running().is_none(), "all k stolen jobs retired");
+        // Their ends go home: only then may their tasks leave again.
+        thief.drain_homeward_into(&mut notes);
+        assert_eq!(notes.len(), k);
+        for note in notes.drain(..) {
+            sink.clear();
+            victim.on_instance_home(note, now, &mut sink).unwrap();
+        }
         for job in batch.as_slice() {
             sink.clear();
             victim.activate_into(job.task, now, &mut sink).unwrap();
@@ -1456,6 +1473,117 @@ fn trip_and_untrip() {
     assert_eq!(stats.completed, 4 * cycles);
 }
 
+/// Scenario 18: work-first continuation. `busy` keeps shard 0 inside a
+/// body while `src` on shard 1 feeds `dst`, homed on shard 0. Every
+/// cycle shard 0 opens its door on `dst`'s next instance as it enters
+/// `busy`, shard 1 completes `src` and keeps that instance instead of
+/// routing the token, shard 0 books it as it closes the door, shard 1
+/// retires it and its end goes home — on pre-grown storage, doors
+/// included.
+fn kept_instance() {
+    use yasmin_sched::Continuation;
+    use yasmin_sync::door;
+    let mut b = TaskSetBuilder::new();
+    let busy = b
+        .task_decl(TaskSpec::aperiodic("busy").on_worker(WorkerId::new(0)))
+        .unwrap();
+    let src = b
+        .task_decl(TaskSpec::aperiodic("src").on_worker(WorkerId::new(1)))
+        .unwrap();
+    let dst = b
+        .task_decl(TaskSpec::graph_node("dst").on_worker(WorkerId::new(0)))
+        .unwrap();
+    for t in [busy, src, dst] {
+        b.version_decl(t, VersionSpec::new("v", Duration::from_millis(1)))
+            .unwrap();
+    }
+    let c = b.channel_decl("c", 4, 8);
+    b.channel_connect(src, dst, c).unwrap();
+    let ts = Arc::new(b.build().unwrap());
+    let config = Config::builder()
+        .workers(2)
+        .mapping(MappingScheme::Partitioned)
+        .sharded_dispatch(true)
+        .priority(PriorityPolicy::EarliestDeadlineFirst)
+        .preemption(false)
+        .tick(Duration::from_millis(1_000))
+        .max_pending_jobs(16)
+        .build()
+        .expect("valid config");
+    let mut shards = EngineShard::build_all(&ts, &config).expect("valid shards");
+    let mut s1 = shards.pop().unwrap();
+    let mut s0 = shards.pop().unwrap();
+    let (mut doors, keeper) = door::new(ts.len());
+    let mut sink = ActionSink::with_capacity(64);
+    s0.start_into(Instant::ZERO, &mut sink)
+        .expect("fresh shard starts");
+    s1.start_into(Instant::ZERO, &mut sink)
+        .expect("fresh shard starts");
+    let (w0, w1) = (WorkerId::new(0), WorkerId::new(1));
+    let mut running: Vec<Option<JobId>> = vec![None; 2];
+    let mut offered: Vec<Continuation> = Vec::with_capacity(ts.len());
+    let mut outbox: Vec<RemoteActivation> = Vec::with_capacity(8);
+    let mut notes: Vec<HomeNote> = Vec::with_capacity(8);
+    let step = Duration::from_micros(1);
+    let mut now = Instant::ZERO;
+
+    assert_zero_alloc("kept-instance", || {
+        now += step;
+        // Shard 0 enters `busy`'s body with its door on `dst` open.
+        sink.clear();
+        s0.activate_into(busy, now, &mut sink).unwrap();
+        track(&mut running, sink.as_slice());
+        s0.continuations_into(&mut offered);
+        assert_eq!(offered.len(), 1, "dst's next instance");
+        for c in &offered {
+            doors.open(c.task.index(), c.seq, c.id.raw());
+        }
+        // Shard 1 completes `src` and keeps what the token would release.
+        sink.clear();
+        s1.activate_into(src, now, &mut sink).unwrap();
+        track(&mut running, sink.as_slice());
+        let j1 = running[1].take().expect("src dispatched");
+        sink.clear();
+        s1.on_job_completed_into(w1, j1, now, &mut sink).unwrap();
+        s1.drain_outbox_into(&mut outbox);
+        for ra in outbox.drain(..) {
+            let task = s1.keepable(&ra).expect("a single-input successor");
+            let (seq, id) = keeper.keep(task.index()).expect("the door is open");
+            let c = Continuation {
+                task,
+                seq,
+                id: JobId::new(id),
+            };
+            sink.clear();
+            s1.adopt_kept(&ra, &c, now, &mut sink);
+            track(&mut running, sink.as_slice());
+        }
+        // Shard 0 leaves its body and books what was kept.
+        for c in offered.drain(..) {
+            if doors.close(c.task.index()) {
+                s0.book_kept(&c);
+            }
+        }
+        let j0 = running[0].take().expect("busy dispatched");
+        sink.clear();
+        s0.on_job_completed_into(w0, j0, now, &mut sink).unwrap();
+        // Shard 1 retires the kept instance; its end goes home.
+        let kept = running[1].take().expect("the kept instance dispatched");
+        sink.clear();
+        s1.on_job_completed_into(w1, kept, now, &mut sink).unwrap();
+        s1.drain_homeward_into(&mut notes);
+        for note in notes.drain(..) {
+            sink.clear();
+            s0.on_instance_home(note, now, &mut sink).unwrap();
+        }
+    });
+    let cycles = u64::from(WARMUP + STEADY);
+    assert_eq!(s1.stats().stolen, cycles, "one kept instance a cycle");
+    assert_eq!(s0.stats().donated, cycles);
+    assert_eq!(s0.stats().released, 2 * cycles, "busy, and dst kept");
+    assert_eq!(s1.stats().completed, 2 * cycles);
+}
+
 fn main() {
     independent_global();
     dag_firing();
@@ -1474,4 +1602,5 @@ fn main() {
     tenant_churn();
     admission_into_a_spare();
     trip_and_untrip();
+    kept_instance();
 }
