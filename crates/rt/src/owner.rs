@@ -210,7 +210,11 @@
 //! flight, a predecessor that may end elsewhere), naming the `seq` and
 //! the id that instance would get. A shard whose completion routes such
 //! a token (`Owner::settle_round`) keeps the instance with one
-//! compare-and-swap on the door and runs it itself, as a migrated job
+//! compare-and-swap on the door — unless a token for the task sent
+//! earlier has not been applied at home yet: it is for an earlier graph
+//! instance, whose job comes first (every sender counts the tokens it
+//! sends for a door's task, the home those it applies; `yasmin_sync::door`,
+//! "Tokens on their way") — and runs it itself, as a migrated job
 //! ([`OnlineEngine::adopt_kept`]): the job its home would have
 //! released, on the token's graph release, counted once as stolen, and
 //! its end goes home like a stolen job's. `Owner::end_body` closes the
@@ -1508,7 +1512,9 @@ impl<C: OwnerClock> Owner<C> {
                     self.kept.push((ra, c));
                     continue;
                 }
-                self.report.steals.bounced += u64::from(self.peers.keepers[home].inside());
+                let keeper = &self.peers.keepers[home];
+                self.report.steals.bounced += u64::from(keeper.inside());
+                keeper.sending(self.engine.taskset().edges()[ra.edge as usize].dst.index());
             }
             self.peers.send(home, ShardMsg::Token(ra));
         }
@@ -1589,6 +1595,10 @@ impl<C: OwnerClock> Owner<C> {
                         .on_remote_token(ra.edge, ra.graph_release, now, &mut o.sink)
                 })
                 .expect("cross-shard token routed to the owning shard");
+                if self.peers.stealing {
+                    let dst = self.engine.taskset().edges()[ra.edge as usize].dst;
+                    self.peers.doors.applied(dst.index());
+                }
             }
             ShardMsg::Home(note) => {
                 let now = self.clock.now();

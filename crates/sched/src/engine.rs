@@ -249,6 +249,9 @@ engine_stats! {
     /// ([`OnlineEngine::retire_tenant_into`]). Every one is reported as
     /// one [`Action::Cull`].
     culled: u64,
+    /// Of `culled`, the jobs that migrated here — stolen or kept — and
+    /// so ran nowhere (thief side).
+    culled_migrated: u64,
     /// Dispatch attempts deferred because the job's tenant had exhausted
     /// its [`ReservationServer`] budget for the current replenishment
     /// period (the job stays ready and retries on later rounds).
@@ -358,6 +361,32 @@ struct RankEntry {
     ids: Vec<(VersionId, Option<AccelId>)>,
 }
 
+/// What a shard engine holds of migrated instances.
+#[derive(Debug)]
+struct Migration {
+    /// Ends of migrated instances that ran here, awaiting routing to
+    /// their homes by the driver.
+    homeward: Vec<HomeNote>,
+    /// Per task, its instances beyond this shard's queue.
+    tasks: Vec<Flight>,
+}
+
+/// One task's instances beyond a shard's queue: the one-instance
+/// contract's book (shard engines only).
+#[derive(Debug, Clone, Copy, Default)]
+struct Flight {
+    /// An instance homed here is out of this shard's hands — on its
+    /// shelf, with a thief, or kept by a peer — and its end is not home
+    /// yet.
+    away: bool,
+    /// A dispatch attempt found an instance away and left the job
+    /// queued: what the end's coming home must retry.
+    held: bool,
+    /// Scratch of [`OnlineEngine::continuations_into`]: an instance is
+    /// queued here.
+    queued: bool,
+}
+
 /// The on-line scheduler state machine.
 #[derive(Debug)]
 pub struct OnlineEngine {
@@ -423,16 +452,10 @@ pub struct OnlineEngine {
     /// Tokens for cross-shard edges, awaiting routing by the driver
     /// (shard engines only; always empty on the single-owner engine).
     outbox: Vec<RemoteActivation>,
-    /// Ends of migrated instances that ran here, awaiting routing to
-    /// their homes by the driver (shard engines only).
-    homeward: Vec<HomeNote>,
-    /// Per task: an instance homed here is out of this shard's hands —
-    /// on its shelf, with a thief, or kept by a peer — and its end is
-    /// not home yet (shard engines only; the one-instance contract).
-    away: Vec<bool>,
-    /// Scratch of [`OnlineEngine::continuations_into`]: the tasks with
-    /// an instance queued here.
-    queued_scratch: Vec<bool>,
+    /// The instances that left this shard or came to it (shard engines
+    /// only): behind one pointer, which keeps the engine's own layout —
+    /// and its hot paths — as they are without migration.
+    migration: Box<Migration>,
     /// Scratch for the ready-queue scans that cull or re-key jobs.
     cull_buf: Vec<JobId>,
     /// Dense per-task assigned worker (`u16::MAX` = unassigned), so the
@@ -563,13 +586,14 @@ impl OnlineEngine {
             blocked_buf: Vec::with_capacity(config.max_pending_jobs().min(64)),
             successor_buf: Vec::new(),
             outbox: Vec::new(),
-            homeward: Vec::with_capacity(if shard.is_some() {
-                config.max_pending_jobs().min(64)
-            } else {
-                0
+            migration: Box::new(Migration {
+                homeward: Vec::with_capacity(if shard.is_some() {
+                    config.max_pending_jobs().min(64)
+                } else {
+                    0
+                }),
+                tasks: Vec::new(),
             }),
-            away: Vec::new(),
-            queued_scratch: Vec::new(),
             cull_buf: Vec::with_capacity(config.max_pending_jobs().min(64)),
             task_worker: Vec::new(),
             task_accel_bound: Vec::new(),
@@ -667,8 +691,11 @@ impl OnlineEngine {
         put(&mut self.high_depth, n0, repeat_n(0, n));
         // A former holder's migrated instance is not the heir's: its end
         // is dropped when it comes home (`on_instance_home`).
-        put(&mut self.away, n0, repeat_n(false, n));
-        put(&mut self.queued_scratch, n0, repeat_n(false, n));
+        put(
+            &mut self.migration.tasks,
+            n0,
+            repeat_n(Flight::default(), n),
+        );
         put(&mut self.msg_ceiling, n0, repeat_n(Priority::LOWEST, n));
         let policies = installed.iter().map(|t| t.spec().overrun_policy());
         put(&mut self.overrun_policy, n0, policies);
@@ -883,8 +910,8 @@ impl OnlineEngine {
             && !self.stopping
             && self.is_idle()
             && self.outbox.is_empty()
-            && self.homeward.is_empty()
-            && !self.away.contains(&true)
+            && self.migration.homeward.is_empty()
+            && !self.migration.tasks.iter().any(|f| f.away)
             && !(self.config.enforce_wcet() || self.config.cull_missed())
             && !self.policy_uses_battery
             && self.config.miss_trip().is_none()
@@ -1326,7 +1353,7 @@ impl OnlineEngine {
                 if let Some(culled) = self.queues[qi].remove(job) {
                     self.overran.retain(|&o| o != job);
                     self.stats.culled += 1;
-                    self.send_home(&culled);
+                    self.stats.culled_migrated += u64::from(self.send_home(&culled));
                     sink.push(Action::Cull { job });
                 }
             }
@@ -1496,7 +1523,8 @@ impl OnlineEngine {
     /// single-owner engine this is whether one runs.
     #[inline]
     fn in_flight(&self, task: TaskId) -> bool {
-        self.away[task.index()] || self.running.iter().flatten().any(|r| r.job.task == task)
+        self.migration.tasks[task.index()].away
+            || self.running.iter().flatten().any(|r| r.job.task == task)
     }
 
     /// `true` when a ready job of `task` may leave this engine for a
@@ -1520,7 +1548,7 @@ impl OnlineEngine {
         }
         let job = self.queues[0].remove(hint.id)?;
         debug_assert_eq!(job.task, hint.task);
-        self.away[job.task.index()] = true;
+        self.migration.tasks[job.task.index()].away = true;
         self.stats.donated += 1;
         Some(job)
     }
@@ -1581,7 +1609,7 @@ impl OnlineEngine {
     pub fn return_unclaimed(&mut self, jobs: &[Job]) {
         for &job in jobs {
             self.stats.donated -= 1;
-            self.away[job.task.index()] = false;
+            self.migration.tasks[job.task.index()].away = false;
             if self.queues[0].push(job).is_err() {
                 self.stats.channel_overflows += 1;
             }
@@ -1636,6 +1664,7 @@ impl OnlineEngine {
         for &job in jobs {
             self.adopt(job);
         }
+        self.stats.max_ready = self.stats.max_ready.max(self.ready_len());
         self.stats.stolen_batch += 1;
         let bucket = (jobs.len() - 1).min(self.stats.steal_batch_len.len() - 1);
         self.stats.steal_batch_len[bucket] += 1;
@@ -1653,33 +1682,36 @@ impl OnlineEngine {
             self.stats.channel_overflows += 1;
             self.send_home(&job);
         }
-        self.stats.max_ready = self.stats.max_ready.max(self.ready_len());
     }
 
     /// Books the end of `job`, which ran, or left the queue, here: on a
     /// shard not its home, a [`HomeNote`] for the driver to route.
+    /// `true` when `job` migrated here.
     #[inline]
-    fn send_home(&mut self, job: &Job) {
-        if self.shard.is_some() && !self.owns_task(job.task) {
-            self.homeward.push(HomeNote {
+    fn send_home(&mut self, job: &Job) -> bool {
+        let migrated = self.shard.is_some() && !self.owns_task(job.task);
+        if migrated {
+            self.migration.homeward.push(HomeNote {
                 worker: WorkerId::new(self.task_worker[job.task.index()]),
                 task: job.task,
                 graph_release: job.graph_release,
             });
         }
+        migrated
     }
 
     /// Moves every pending [`HomeNote`] into `buf` (appended), for the
     /// driver to route to the home shards; reusable like
     /// [`OnlineEngine::drain_outbox_into`]'s buffer.
     pub fn drain_homeward_into(&mut self, buf: &mut Vec<HomeNote>) {
-        buf.append(&mut self.homeward);
+        buf.append(&mut self.migration.homeward);
     }
 
     /// The end of an instance that migrated from this shard is home
     /// ([`HomeNote`]): the task's next instance may now be dispatched,
-    /// shelved or kept, and a dispatch round runs for it. The end of a
-    /// former holder's instance changes nothing.
+    /// shelved or kept, and when a dispatch attempt held one back
+    /// meanwhile, a dispatch round runs for it. The end of a former
+    /// holder's instance changes nothing.
     ///
     /// # Errors
     ///
@@ -1698,8 +1730,11 @@ impl OnlineEngine {
         {
             return Ok(());
         }
-        self.away[task.index()] = false;
-        self.dispatch_round(now, sink);
+        let flight = &mut self.migration.tasks[task.index()];
+        flight.away = false;
+        if std::mem::take(&mut flight.held) {
+            self.dispatch_round(now, sink);
+        }
         Ok(())
     }
 
@@ -1719,7 +1754,7 @@ impl OnlineEngine {
             return;
         }
         for job in self.queues[0].iter() {
-            self.queued_scratch[job.task.index()] = true;
+            self.migration.tasks[job.task.index()].queued = true;
         }
         let tasks = self.tenants.iter().next().map(|e| e.slot.task_range());
         for i in tasks.unwrap_or(0..0) {
@@ -1733,20 +1768,20 @@ impl OnlineEngine {
             }
         }
         for job in self.queues[0].iter() {
-            self.queued_scratch[job.task.index()] = false;
+            self.migration.tasks[job.task.index()].queued = false;
         }
     }
 
     /// Whether a peer may keep the next instance of `task`, homed here,
     /// while this shard is inside a body: it has one input and no
     /// accelerator-bound version, no instance queued
-    /// (`queued_scratch`) or in flight — the one-instance contract — and
+    /// (`Flight::queued`) or in flight — the one-instance contract — and
     /// its predecessor may end elsewhere meanwhile.
     fn offers(&self, task: TaskId) -> bool {
         let &[edge] = self.taskset.in_edge_ids(task) else {
             return false;
         };
-        let free = !self.queued_scratch[task.index()] && !self.in_flight(task);
+        let free = !self.migration.tasks[task.index()].queued && !self.in_flight(task);
         self.may_migrate(task) && free && self.ends_elsewhere(self.taskset.edges()[edge].src)
     }
 
@@ -1754,7 +1789,7 @@ impl OnlineEngine {
     /// one is inside a body: it is homed there, in flight from here, or
     /// offered to be kept itself — a peer that keeps it keeps the chain.
     fn ends_elsewhere(&self, task: TaskId) -> bool {
-        !self.owns_task(task) || self.away[task.index()] || self.offers(task)
+        !self.owns_task(task) || self.migration.tasks[task.index()].away || self.offers(task)
     }
 
     /// A peer kept the offered `c` (home side): booked as released here
@@ -1763,7 +1798,7 @@ impl OnlineEngine {
     pub fn book_kept(&mut self, c: &Continuation) {
         let i = c.task.index();
         self.activation_seq[i] = self.activation_seq[i].max(c.seq + 1);
-        self.away[i] = true;
+        self.migration.tasks[i].away = true;
         self.stats.released += 1;
         self.stats.donated += 1;
     }
@@ -1809,6 +1844,7 @@ impl OnlineEngine {
         };
         job.priority = self.fold(&job, None);
         self.adopt(job);
+        self.stats.max_ready = self.stats.max_ready.max(self.ready_len());
         self.dispatch_round(now, sink);
     }
 
@@ -2503,8 +2539,12 @@ impl OnlineEngine {
     ) {
         // The one-instance contract: it waits for its predecessor's end
         // (only shards let instances leave).
-        if self.shard.is_some() && self.away[job.task.index()] {
-            return self.blocked_buf.push(job);
+        if self.shard.is_some() {
+            let flight = &mut self.migration.tasks[job.task.index()];
+            if flight.away {
+                flight.held = true;
+                return self.blocked_buf.push(job);
+            }
         }
         let (version, accel) = match self.choose_version(job.task) {
             VersionChoice::Run(v, a) => (v, a),

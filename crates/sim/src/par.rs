@@ -154,37 +154,38 @@ struct Shards {
 
 impl Shards {
     /// Runs `f` on shard `s` at `at` under the shared insertion
-    /// counter, then routes what the engine left behind ([`Shards::route`]).
-    fn on<R>(
-        &mut self,
-        s: usize,
-        at: Instant,
-        f: impl FnOnce(&mut Simulation) -> Result<R>,
-    ) -> Result<R> {
-        let out = self.sims[s].with_seq(&mut self.seq, f)?;
-        self.route(s, at)?;
-        Ok(out)
-    }
-
-    /// Routes what shard `s`'s engine left at `at`: each cross-shard
-    /// token becomes an event of the owning shard at `at`, and the end
-    /// of each stolen job is home at once ([`Simulation::instance_home`]),
-    /// where its task's next instance may then run.
-    fn route(&mut self, s: usize, at: Instant) -> Result<()> {
+    /// counter, then routes what the engine left behind: each
+    /// cross-shard token becomes an event of the owning shard at `at`,
+    /// and the ends of stolen jobs go home ([`Shards::route_home`]).
+    ///
+    /// # Errors
+    ///
+    /// A routing bug the home's engine reports.
+    fn on<R>(&mut self, s: usize, at: Instant, f: impl FnOnce(&mut Simulation) -> R) -> Result<R> {
+        let out = self.sims[s].with_seq(&mut self.seq, f);
         self.sims[s].engine.drain_outbox_into(&mut self.outbox);
         for ra in self.outbox.drain(..) {
             self.sims[ra.worker.index()].with_seq(&mut self.seq, |dst| {
                 dst.push_cross(at, ra);
             });
         }
-        let mut notes = std::mem::take(&mut self.homeward);
-        self.sims[s].engine.drain_homeward_into(&mut notes);
-        for note in notes.drain(..) {
-            let home = note.worker.index();
-            (self.sims[home]).with_seq(&mut self.seq, |h| h.instance_home(note, at))?;
-            self.route(home, at)?;
+        self.sims[s].engine.drain_homeward_into(&mut self.homeward);
+        if !self.homeward.is_empty() {
+            self.route_home(at)?;
         }
-        self.homeward = notes;
+        Ok(out)
+    }
+
+    /// The end of each stolen job in `homeward` is home at once
+    /// ([`Simulation::instance_home`]), where its task's next instance
+    /// may then run — a dispatch round, which leaves no token and no
+    /// end behind. Out of line: most events leave none.
+    #[cold]
+    fn route_home(&mut self, at: Instant) -> Result<()> {
+        for note in self.homeward.drain(..) {
+            let home = &mut self.sims[note.worker.index()];
+            home.with_seq(&mut self.seq, |h| h.instance_home(note, at))?;
+        }
         Ok(())
     }
 
@@ -224,7 +225,7 @@ impl Shards {
                 let jobs = std::mem::take(&mut self.stolen);
                 let adopted = self.on(thief, at, |sim| sim.adopt_stolen(&jobs, at));
                 self.stolen = jobs;
-                adopted?;
+                adopted??;
                 stole = true;
             }
             if !stole {
@@ -237,7 +238,7 @@ impl Shards {
     /// earliest event until none is left before the horizon.
     fn run(&mut self) -> Result<()> {
         for s in 0..self.sims.len() {
-            self.on(s, Instant::ZERO, |sim| sim.arm(false))?;
+            self.on(s, Instant::ZERO, |sim| sim.arm(false))??;
         }
         let mut now = Instant::ZERO;
         loop {
@@ -254,10 +255,7 @@ impl Shards {
                 return Ok(());
             };
             now = Instant::from_nanos(time);
-            self.on(s, now, |sim| {
-                sim.step();
-                Ok(())
-            })?;
+            self.on(s, now, Simulation::step)?;
         }
     }
 }

@@ -33,6 +33,20 @@
 //! offered is one the home set aside and does not release itself, and
 //! each opening is kept at most once, so no id is used twice.
 //!
+//! # Tokens on their way
+//!
+//! A door names the instance the home would release *next*. A token for
+//! the task that a peer sent before the door opened, and that still
+//! waits in a lane or a spill queue, is for an earlier graph instance:
+//! the instance it releases comes before the one a keeper would take.
+//! So every sender counts the tokens it sends for a door's task
+//! ([`Keeper::sending`], before the send), the home counts those it
+//! applied ([`Home::applied`], after applying one), and a door is kept
+//! only while the two counts agree. The home applies tokens between
+//! bodies only, with its doors closed; a keeper that reads the counts
+//! equal (`Acquire` on the home's) therefore meets an opening made
+//! after the home applied the last of them, whose `seq` counts it.
+//!
 //! # Inside a body
 //!
 //! Beside its doors, the home raises a flag for the span of its body —
@@ -50,6 +64,9 @@ const KEPT: u64 = 2;
 struct Door {
     word: AtomicU64,
     id: AtomicU64,
+    /// Tokens for the door's task sent to the home, and applied there.
+    sent: AtomicU64,
+    applied: AtomicU64,
 }
 
 struct Block {
@@ -79,6 +96,8 @@ pub fn new(n: usize) -> (Home, Keeper) {
     let door = || Door {
         word: AtomicU64::new(0),
         id: AtomicU64::new(0),
+        sent: AtomicU64::new(0),
+        applied: AtomicU64::new(0),
     };
     let block = Arc::new(Block {
         inside: AtomicBool::new(false),
@@ -126,6 +145,16 @@ impl Home {
     pub fn close(&mut self, i: usize) -> bool {
         self.block.doors[i].word.swap(0, Ordering::AcqRel) & STATE == KEPT
     }
+
+    /// Counts a token for door `i`'s task as applied; a door out of
+    /// range counts nothing.
+    pub fn applied(&mut self, i: usize) {
+        if let Some(door) = self.block.doors.get(i) {
+            let n = door.applied.load(Ordering::Relaxed);
+            // Release: what applying it changed precedes the count.
+            door.applied.store(n + 1, Ordering::Release);
+        }
+    }
 }
 
 /// A keeping end of a set of doors; clone one for every peer.
@@ -141,12 +170,25 @@ impl Keeper {
         self.block.inside.load(Ordering::Relaxed)
     }
 
+    /// Counts a token for door `i`'s task about to be sent to the home;
+    /// a door out of range counts nothing.
+    pub fn sending(&self, i: usize) {
+        if let Some(door) = self.block.doors.get(i) {
+            door.sent.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
     /// Keeps the instance door `i` offers: its `(seq, id)`, or `None`
-    /// when the door is closed, out of range, or another keeper was
-    /// faster.
+    /// when the door is closed, out of range, a token for its task is
+    /// on its way to the home, or another keeper was faster.
     #[must_use]
     pub fn keep(&self, i: usize) -> Option<(u64, u64)> {
         let door = self.block.doors.get(i)?;
+        // Every token counted before this one was applied: the opening
+        // the CAS below meets came after (module docs).
+        if door.applied.load(Ordering::Acquire) != door.sent.load(Ordering::Relaxed) {
+            return None;
+        }
         let word = door.word.load(Ordering::Acquire);
         if word & STATE != OPEN {
             return None;
@@ -179,6 +221,21 @@ mod tests {
         assert!(!home.close(0), "closing twice finds nothing");
         home.open(0, 4, 32);
         assert_eq!(keeper.keep(0), Some((4, 32)), "and it serves again");
+    }
+
+    #[test]
+    fn a_door_is_not_kept_while_a_token_for_its_task_is_on_its_way() {
+        let (mut home, keeper) = new(2);
+        keeper.sending(0);
+        keeper.sending(1);
+        home.open(0, 3, 30);
+        assert_eq!(keeper.keep(0), None, "the token's instance comes first");
+        home.applied(1);
+        assert!(!home.close(0));
+        home.applied(0);
+        home.applied(5); // no such door: nothing counted
+        home.open(0, 4, 31);
+        assert_eq!(keeper.keep(0), Some((4, 31)), "applied: seq 4 counts it");
     }
 
     #[test]
