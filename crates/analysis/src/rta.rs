@@ -10,6 +10,14 @@
 //!
 //! YASMIN's offline synthesis and the experiment harness use this to
 //! decide whether a partitioned assignment is feasible before running it.
+//!
+//! Every deadline a `TaskSpec` can declare is implicit (`D = T`) or
+//! constrained (`D ≤ T`), and only these are sound here: the iteration
+//! takes the first job of the level-i busy period as the worst, which
+//! holds only while a job ends before its task's next release. With
+//! `D > T` a later job of the same busy period can respond later —
+//! Lehoczky's set (C/T = 26/70 and 62/100 ms, D₂ = 115 ms) gets R₂ =
+//! 114 ms from this iteration, yet τ₂'s jobs respond in up to 118 ms.
 
 use crate::row::{hyperperiod, rows_of, Placement, Row};
 use crate::util::WcetAssumption;

@@ -62,12 +62,6 @@ impl StressRunner {
         self.iterations.load(Ordering::Relaxed)
     }
 
-    /// Number of stressor threads running.
-    #[must_use]
-    pub fn thread_count(&self) -> usize {
-        self.threads.len()
-    }
-
     /// Stops and joins all stressors.
     pub fn stop(mut self) {
         self.stop_inner();
@@ -148,7 +142,6 @@ mod tests {
             yield_: 1,
         };
         let runner = StressRunner::spawn(profile);
-        assert_eq!(runner.thread_count(), 4);
         std::thread::sleep(std::time::Duration::from_millis(30));
         assert!(runner.iterations() > 0, "stressors made no progress");
         runner.stop();
@@ -157,7 +150,8 @@ mod tests {
     #[test]
     fn idle_profile_spawns_nothing() {
         let runner = StressRunner::spawn(StressProfile::IDLE);
-        assert_eq!(runner.thread_count(), 0);
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        assert_eq!(runner.iterations(), 0);
         runner.stop();
     }
 

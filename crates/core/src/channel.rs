@@ -113,12 +113,6 @@ impl ChannelSpec {
         self.high_ceiling
     }
 
-    /// `true` if the channel declares a scheduler-visible high lane.
-    #[must_use]
-    pub const fn has_high_lane(&self) -> bool {
-        self.high_capacity > 0
-    }
-
     /// The channel identifier.
     #[must_use]
     pub const fn id(&self) -> ChannelId {
@@ -148,12 +142,6 @@ impl ChannelSpec {
     pub const fn is_precedence_only(&self) -> bool {
         self.capacity == 0
     }
-
-    /// Total buffer footprint in bytes.
-    #[must_use]
-    pub const fn buffer_bytes(&self) -> usize {
-        self.capacity * self.elem_bytes
-    }
 }
 
 /// A directed connection `src → dst` over a channel.
@@ -178,7 +166,6 @@ mod tests {
         assert_eq!(c.name(), "rj");
         assert_eq!(c.capacity(), 2);
         assert_eq!(c.elem_bytes(), 4);
-        assert_eq!(c.buffer_bytes(), 8);
         assert!(!c.is_precedence_only());
     }
 
@@ -186,17 +173,15 @@ mod tests {
     fn zero_capacity_is_precedence_only() {
         let c = ChannelSpec::new(ChannelId::new(0), "fl", 0, 1);
         assert!(c.is_precedence_only());
-        assert_eq!(c.buffer_bytes(), 0);
     }
 
     #[test]
     fn high_lane_declaration_and_rebind() {
         let plain = ChannelSpec::new(ChannelId::new(1), "c", 4, 8);
-        assert!(!plain.has_high_lane());
+        assert_eq!(plain.high_capacity(), 0);
         assert_eq!(plain.high_ceiling(), None);
 
         let c = plain.clone().with_high_lane(2, Priority::new(5));
-        assert!(c.has_high_lane());
         assert_eq!(c.high_capacity(), 2);
         assert_eq!(c.high_ceiling(), Some(Priority::new(5)));
 

@@ -10,8 +10,8 @@
 //! * [`time`] — nanosecond [`time::Instant`]/[`time::Duration`] newtypes,
 //!   clocks, gcd/lcm (scheduler tick & hyperperiod);
 //! * [`ids`] — typed identifiers (`TaskId`, `VersionId`, `AccelId`, …);
-//! * [`task`] — sporadic/periodic/aperiodic tasks with implicit,
-//!   constrained or arbitrary deadlines;
+//! * [`task`] — sporadic/periodic/aperiodic tasks with implicit or
+//!   constrained deadlines;
 //! * [`version`] — multi-version tasks with per-version WCET, energy,
 //!   accelerator binding and selection properties;
 //! * [`graph`] — DAG task graphs with FIFO [`channel`]s and the

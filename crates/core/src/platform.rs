@@ -8,7 +8,6 @@
 
 use crate::energy::Power;
 use crate::ids::CoreId;
-use crate::time::Duration;
 
 /// A class of identical cores (e.g. the "big" cluster).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -72,13 +71,6 @@ impl CoreClass {
     #[must_use]
     pub const fn idle_power(&self) -> Power {
         self.idle_power
-    }
-
-    /// Time to execute `reference_wcet` worth of work on this class:
-    /// `wcet × den / num` (a half-speed core doubles the time).
-    #[must_use]
-    pub fn exec_time(&self, reference_wcet: Duration) -> Duration {
-        reference_wcet.scale(self.speed_den, self.speed_num)
     }
 }
 
@@ -187,42 +179,30 @@ impl PlatformSpec {
     pub fn classes(&self) -> &[CoreClass] {
         &self.classes
     }
-
-    /// Cores belonging to the class with the given name.
-    pub fn cores_of_class<'a>(&'a self, name: &'a str) -> impl Iterator<Item = CoreId> + 'a {
-        self.core_class
-            .iter()
-            .enumerate()
-            .filter(move |&(_, &ci)| self.classes[ci].name() == name)
-            .map(|(i, _)| CoreId::new(i as u16))
-    }
-
-    /// Time to run `reference_wcet` of work on `core`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` is out of range.
-    #[must_use]
-    pub fn exec_time(&self, core: CoreId, reference_wcet: Duration) -> Duration {
-        self.class_of(core).exec_time(reference_wcet)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::Duration;
+
+    /// Reference work stretched to wall time on `class`: `wcet × den / num`.
+    fn wall_time(class: &CoreClass, reference: Duration) -> Duration {
+        let (num, den) = class.speed();
+        reference.scale(den, num)
+    }
 
     #[test]
     fn core_class_speed_scaling() {
         let little = CoreClass::new("LITTLE", 2, 5);
         // 100ms of reference work takes 250ms at 0.4x speed.
         assert_eq!(
-            little.exec_time(Duration::from_millis(100)),
+            wall_time(&little, Duration::from_millis(100)),
             Duration::from_millis(250)
         );
         let big = CoreClass::new("big", 1, 1);
         assert_eq!(
-            big.exec_time(Duration::from_millis(100)),
+            wall_time(&big, Duration::from_millis(100)),
             Duration::from_millis(100)
         );
     }
@@ -231,14 +211,16 @@ mod tests {
     fn odroid_preset_shape() {
         let p = PlatformSpec::odroid_xu4();
         assert_eq!(p.core_count(), 8);
-        assert_eq!(p.cores_of_class("big-A15").count(), 4);
-        assert_eq!(p.cores_of_class("LITTLE-A7").count(), 4);
+        let named = |name| p.cores().filter(|&c| p.class_of(c).name() == name).count();
+        assert_eq!(named("big-A15"), 4);
+        assert_eq!(named("LITTLE-A7"), 4);
         assert_eq!(p.class_of(CoreId::new(0)).name(), "big-A15");
         assert_eq!(p.class_of(CoreId::new(7)).name(), "LITTLE-A7");
         // LITTLE cores stretch execution times.
+        let ms10 = Duration::from_millis(10);
         assert!(
-            p.exec_time(CoreId::new(7), Duration::from_millis(10))
-                > p.exec_time(CoreId::new(0), Duration::from_millis(10))
+            wall_time(p.class_of(CoreId::new(7)), ms10)
+                > wall_time(p.class_of(CoreId::new(0)), ms10)
         );
     }
 
@@ -255,7 +237,7 @@ mod tests {
         assert_eq!(p.core_count(), 3);
         assert_eq!(p.cores().count(), 3);
         assert_eq!(
-            p.exec_time(CoreId::new(2), Duration::from_micros(5)),
+            wall_time(p.class_of(CoreId::new(2)), Duration::from_micros(5)),
             Duration::from_micros(5)
         );
     }

@@ -37,11 +37,6 @@ impl Summary {
         self.sum += u128::from(value);
     }
 
-    /// Records a duration observation (as nanoseconds).
-    pub fn record_duration(&mut self, d: Duration) {
-        self.record(d.as_nanos());
-    }
-
     /// Merges another summary into this one.
     pub fn merge(&mut self, other: &Summary) {
         if other.count == 0 {
@@ -150,11 +145,6 @@ impl Samples {
         self.sorted = false;
     }
 
-    /// Records a duration observation (as nanoseconds).
-    pub fn record_duration(&mut self, d: Duration) {
-        self.record(d.as_nanos());
-    }
-
     /// Appends every observation of `other` (used when merging
     /// per-shard results into one aggregate).
     pub fn merge(&mut self, other: &Samples) {
@@ -197,22 +187,6 @@ impl Samples {
         }
         let sum: u128 = self.values.iter().map(|&v| u128::from(v)).sum();
         Some(sum as f64 / self.values.len() as f64)
-    }
-
-    /// Population standard deviation.
-    #[must_use]
-    pub fn std_dev(&self) -> Option<f64> {
-        let mean = self.mean()?;
-        let var = self
-            .values
-            .iter()
-            .map(|&v| {
-                let d = v as f64 - mean;
-                d * d
-            })
-            .sum::<f64>()
-            / self.values.len() as f64;
-        Some(var.sqrt())
     }
 
     /// The `p`-th percentile (0–100, nearest-rank).
@@ -292,8 +266,8 @@ mod tests {
     #[test]
     fn summary_micros_triple() {
         let mut s = Summary::new();
-        s.record_duration(Duration::from_micros(90));
-        s.record_duration(Duration::from_micros(1481));
+        s.record(Duration::from_micros(90).as_nanos());
+        s.record(Duration::from_micros(1481).as_nanos());
         let (min, max, avg) = s.as_micros_triple();
         assert!((min - 90.0).abs() < 1e-9);
         assert!((max - 1481.0).abs() < 1e-9);
@@ -333,17 +307,11 @@ mod tests {
     }
 
     #[test]
-    fn samples_std_dev() {
-        let s: Samples = [2u64, 4, 4, 4, 5, 5, 7, 9].into_iter().collect();
-        assert!((s.std_dev().unwrap() - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn samples_empty() {
         let mut s = Samples::new();
         assert!(s.is_empty());
         assert_eq!(s.percentile(50), None);
-        assert_eq!(s.std_dev(), None);
+        assert_eq!(s.mean(), None);
         assert_eq!(s.summary().count(), 0);
     }
 

@@ -1,5 +1,6 @@
-//! The task model: sporadic/periodic/aperiodic tasks with implicit,
-//! constrained or arbitrary deadlines (§2).
+//! The task model: sporadic/periodic/aperiodic tasks with implicit or
+//! constrained deadlines (§2). A deadline past the period is not
+//! declarable: the response-time analysis bounds only `D ≤ T`.
 
 use crate::error::{Error, Result};
 use crate::ids::{AccelId, TaskId, VersionId, WorkerId};
@@ -65,8 +66,6 @@ pub enum DeadlineKind {
     Implicit,
     /// `D ≤ T` (validated at build time).
     Constrained(Duration),
-    /// `D` unrelated to `T` (may exceed it).
-    Arbitrary(Duration),
 }
 
 /// Static description of a task (the paper's `TData` structure, Table 1).
@@ -150,13 +149,6 @@ impl TaskSpec {
         self
     }
 
-    /// Sets an arbitrary deadline (may exceed the period).
-    #[must_use]
-    pub fn with_arbitrary_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = DeadlineKind::Arbitrary(deadline);
-        self
-    }
-
     /// Delays the first release by `offset`.
     #[must_use]
     pub fn with_release_offset(mut self, offset: Duration) -> Self {
@@ -235,7 +227,7 @@ impl TaskSpec {
                     self.period
                 }
             }
-            DeadlineKind::Constrained(d) | DeadlineKind::Arbitrary(d) => d,
+            DeadlineKind::Constrained(d) => d,
         }
     }
 
@@ -406,35 +398,6 @@ impl Task {
             .max()
             .unwrap_or(Duration::ZERO)
     }
-
-    /// Utilisation `C/T` using the *largest* WCET; `None` for aperiodic
-    /// tasks (no period).
-    #[must_use]
-    pub fn utilization_max(&self) -> Option<f64> {
-        if self.spec.period.is_zero() {
-            None
-        } else {
-            Some(self.max_wcet().as_nanos() as f64 / self.spec.period.as_nanos() as f64)
-        }
-    }
-
-    /// `true` if at least one version avoids every accelerator (pure CPU).
-    #[must_use]
-    pub fn has_cpu_version(&self) -> bool {
-        self.versions.iter().any(|v| v.accel().is_none())
-    }
-
-    /// Versions that target the given accelerator.
-    pub fn versions_on_accel(
-        &self,
-        accel: crate::ids::AccelId,
-    ) -> impl Iterator<Item = (VersionId, &VersionSpec)> {
-        self.versions
-            .iter()
-            .enumerate()
-            .filter(move |(_, v)| v.accel() == Some(accel))
-            .map(|(i, v)| (VersionId::new(i as u16), v))
-    }
 }
 
 impl fmt::Display for Task {
@@ -494,14 +457,6 @@ mod tests {
     }
 
     #[test]
-    fn arbitrary_deadline_may_exceed_period() {
-        let s = TaskSpec::periodic("t", Duration::from_millis(10))
-            .with_arbitrary_deadline(Duration::from_millis(30));
-        assert!(s.validate(TaskId::new(0)).is_ok());
-        assert_eq!(s.relative_deadline(), Duration::from_millis(30));
-    }
-
-    #[test]
     fn zero_period_recurring_rejected() {
         let s = TaskSpec::periodic("t", Duration::ZERO);
         assert_eq!(
@@ -527,8 +482,6 @@ mod tests {
         assert_eq!(t.min_wcet(), Duration::from_millis(130));
         assert_eq!(t.max_wcet(), Duration::from_millis(230));
         assert!(t.version(VersionId::new(2)).is_err());
-        let u = t.utilization_max().unwrap();
-        assert!((u - 0.46).abs() < 1e-9);
     }
 
     #[test]
@@ -540,8 +493,7 @@ mod tests {
         let v = t.push_version(VersionSpec::new("gpu", Duration::from_millis(130)));
         t.bind_accel(v, AccelId::new(0)).unwrap();
         assert_eq!(t.version(v).unwrap().accel(), Some(AccelId::new(0)));
-        assert!(!t.has_cpu_version());
-        assert_eq!(t.versions_on_accel(AccelId::new(0)).count(), 1);
+        assert!(t.versions().iter().all(|v| v.accel().is_some()));
         assert!(t.bind_accel(VersionId::new(9), AccelId::new(0)).is_err());
     }
 

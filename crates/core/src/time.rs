@@ -95,15 +95,6 @@ impl Duration {
         Duration(self.0.saturating_sub(rhs.0))
     }
 
-    /// Checked addition, `None` on overflow.
-    #[must_use]
-    pub const fn checked_add(self, rhs: Duration) -> Option<Duration> {
-        match self.0.checked_add(rhs.0) {
-            Some(v) => Some(Duration(v)),
-            None => None,
-        }
-    }
-
     /// Checked multiplication by a scalar, `None` on overflow.
     #[must_use]
     pub const fn checked_mul(self, rhs: u64) -> Option<Duration> {

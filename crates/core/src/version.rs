@@ -78,12 +78,6 @@ impl ModeMask {
         self.0
     }
 
-    /// Union of two masks.
-    #[must_use]
-    pub const fn union(self, other: ModeMask) -> ModeMask {
-        ModeMask(self.0 | other.0)
-    }
-
     /// Adds `mode` to the mask.
     #[must_use]
     pub const fn with(self, mode: ExecMode) -> ModeMask {
@@ -167,14 +161,6 @@ pub struct VersionProps {
     pub modes: ModeMask,
     /// Permission bits carried by this version.
     pub permissions: PermMask,
-}
-
-impl VersionProps {
-    /// Properties that make the version eligible under every policy.
-    #[must_use]
-    pub fn permissive() -> Self {
-        VersionProps::default()
-    }
 }
 
 /// One implementation of a task, with its extra-functional profile.
@@ -311,14 +297,6 @@ mod tests {
     }
 
     #[test]
-    fn mode_mask_union() {
-        let a = ModeMask::only(ExecMode::new(0));
-        let b = ModeMask::only(ExecMode::new(3));
-        let u = a.union(b);
-        assert!(u.contains(ExecMode::new(0)) && u.contains(ExecMode::new(3)));
-    }
-
-    #[test]
     fn perm_mask_intersection() {
         let a = PermMask::from_bits(0b0110);
         let b = PermMask::from_bits(0b0100);
@@ -354,7 +332,7 @@ mod tests {
 
     #[test]
     fn default_props_are_permissive() {
-        let p = VersionProps::permissive();
+        let p = VersionProps::default();
         assert_eq!(p.energy_budget, None);
         assert!(p.modes.contains(ExecMode::new(17)));
         assert!(p.permissions.intersects(PermMask::from_bits(1 << 30)));

@@ -369,6 +369,11 @@ struct Migration {
     homeward: Vec<HomeNote>,
     /// Per task, its instances beyond this shard's queue.
     tasks: Vec<Flight>,
+    /// The tasks [`OnlineEngine::continuations_into`] may offer, fixed at
+    /// build: the built-in set's single-input, accelerator-free tasks
+    /// homed here, in topological order, each with its predecessor when
+    /// that is homed here too (`None`: it ends on another shard).
+    doors: Vec<(TaskId, Option<TaskId>)>,
 }
 
 /// One task's instances beyond a shard's queue: the one-instance
@@ -385,6 +390,9 @@ struct Flight {
     /// Scratch of [`OnlineEngine::continuations_into`]: an instance is
     /// queued here.
     queued: bool,
+    /// Scratch of [`OnlineEngine::continuations_into`]: offered in this
+    /// pass.
+    offered: bool,
 }
 
 /// The on-line scheduler state machine.
@@ -531,7 +539,17 @@ impl OnlineEngine {
         if worker.index() >= config.workers() {
             return Err(Error::UnknownWorker(worker));
         }
-        Self::new_inner(taskset, config, Some(worker))
+        let mut engine = Self::new_inner(Arc::clone(&taskset), config, Some(worker))?;
+        let doors = taskset.topological_order().iter().filter_map(|&task| {
+            let &[edge] = taskset.in_edge_ids(task) else {
+                return None;
+            };
+            let pred = taskset.edges()[edge].src;
+            let pred = engine.owns_task(pred).then_some(pred);
+            engine.may_migrate(task).then_some((task, pred))
+        });
+        engine.migration.doors = doors.collect();
+        Ok(engine)
     }
 
     fn new_inner(taskset: Arc<TaskSet>, config: Config, shard: Option<WorkerId>) -> Result<Self> {
@@ -593,6 +611,7 @@ impl OnlineEngine {
                     0
                 }),
                 tasks: Vec::new(),
+                doors: Vec::new(),
             }),
             cull_buf: Vec::with_capacity(config.max_pending_jobs().min(64)),
             task_worker: Vec::new(),
@@ -1741,55 +1760,49 @@ impl OnlineEngine {
     /// The instances a peer may keep while this shard is inside a body
     /// (shard side of work-first continuation), appended to `out`
     /// (cleared here): one per task of the built-in tenant homed here
-    /// with one input and no accelerator-bound version, no instance
-    /// queued or in flight, and a predecessor that may end elsewhere
-    /// meanwhile — homed there, in flight from here, or offered itself.
-    /// Each gets the `seq` of the task's next release and an id reserved
-    /// from this shard's; an offer nobody takes costs the id. Between this call and the
-    /// booking of what was kept ([`OnlineEngine::book_kept`]) the caller
-    /// runs no engine round.
+    /// with one input and no accelerator-bound version (`Migration::doors`),
+    /// no instance queued or in flight — the one-instance contract — and
+    /// a predecessor that may end elsewhere meanwhile: homed there, in
+    /// flight from here, or offered itself, so a peer that keeps it keeps
+    /// the chain. Each gets the `seq` of the task's next release and an
+    /// id reserved from this shard's, in task order; an offer nobody
+    /// takes costs the id. Between this call and the booking of what was
+    /// kept ([`OnlineEngine::book_kept`]) the caller runs no engine round.
     pub fn continuations_into(&mut self, out: &mut Vec<Continuation>) {
         out.clear();
-        if self.shard.is_none() {
+        let Migration { doors, tasks, .. } = &mut *self.migration;
+        if doors.is_empty() {
             return;
         }
         for job in self.queues[0].iter() {
-            self.migration.tasks[job.task.index()].queued = true;
+            tasks[job.task.index()].queued = true;
         }
-        let tasks = self.tenants.iter().next().map(|e| e.slot.task_range());
-        for i in tasks.unwrap_or(0..0) {
-            if self.offers(TaskId::new(i as u32)) {
+        let running = self.running[0].as_ref().map(|r| r.job.task);
+        for &(task, pred) in doors.iter() {
+            let ends_elsewhere = pred.is_none_or(|p| {
+                let p = tasks[p.index()];
+                p.away || p.offered
+            });
+            let t = &mut tasks[task.index()];
+            if !t.queued && !t.away && running != Some(task) && ends_elsewhere {
+                t.offered = true;
+                let seq = self.activation_seq[task.index()];
                 out.push(Continuation {
-                    task: TaskId::new(i as u32),
-                    seq: self.activation_seq[i],
-                    id: JobId::new(self.job_counter),
+                    task,
+                    seq,
+                    id: JobId::new(0),
                 });
-                self.job_counter += 1;
             }
         }
         for job in self.queues[0].iter() {
-            self.migration.tasks[job.task.index()].queued = false;
+            tasks[job.task.index()].queued = false;
         }
-    }
-
-    /// Whether a peer may keep the next instance of `task`, homed here,
-    /// while this shard is inside a body: it has one input and no
-    /// accelerator-bound version, no instance queued
-    /// (`Flight::queued`) or in flight — the one-instance contract — and
-    /// its predecessor may end elsewhere meanwhile.
-    fn offers(&self, task: TaskId) -> bool {
-        let &[edge] = self.taskset.in_edge_ids(task) else {
-            return false;
-        };
-        let free = !self.migration.tasks[task.index()].queued && !self.in_flight(task);
-        self.may_migrate(task) && free && self.ends_elsewhere(self.taskset.edges()[edge].src)
-    }
-
-    /// Whether an instance of `task` may end on another shard while this
-    /// one is inside a body: it is homed there, in flight from here, or
-    /// offered to be kept itself — a peer that keeps it keeps the chain.
-    fn ends_elsewhere(&self, task: TaskId) -> bool {
-        !self.owns_task(task) || self.migration.tasks[task.index()].away || self.offers(task)
+        out.sort_unstable_by_key(|c| c.task);
+        for c in out.iter_mut() {
+            tasks[c.task.index()].offered = false;
+            c.id = JobId::new(self.job_counter);
+            self.job_counter += 1;
+        }
     }
 
     /// A peer kept the offered `c` (home side): booked as released here

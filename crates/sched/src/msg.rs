@@ -333,12 +333,6 @@ impl<T: Send> Receiver<T> {
         self.len() == 0
     }
 
-    /// Buffered messages on the high lane.
-    #[must_use]
-    pub fn high_len(&self) -> usize {
-        self.high.as_ref().map_or(0, |h| lock(h).len())
-    }
-
     /// The channel's shared-state handle (for driver wiring).
     #[must_use]
     pub fn notify_handle(&self) -> NotifyHandle {
@@ -576,7 +570,7 @@ mod tests {
         tx.send(1).unwrap();
         tx.send(2).unwrap();
         tx.send_high(99).unwrap();
-        assert_eq!(rx.high_len(), 1);
+        assert_eq!(rx.len(), 3);
         assert_eq!(rx.recv(), Some(99));
         assert_eq!(rx.recv(), Some(1));
         assert_eq!(rx.recv(), Some(2));

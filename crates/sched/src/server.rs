@@ -61,7 +61,6 @@ pub struct ReservationServer {
     next_replenish: Instant,
     charged: Duration,
     deferrals: u64,
-    overrun_charges: u64,
 }
 
 impl ReservationServer {
@@ -86,7 +85,6 @@ impl ReservationServer {
             next_replenish: start + period,
             charged: Duration::ZERO,
             deferrals: 0,
-            overrun_charges: 0,
         }
     }
 
@@ -131,14 +129,7 @@ impl ReservationServer {
     /// silently eating other tenants' reservations. Returns how much was
     /// actually recovered from the remaining budget.
     pub fn charge_overrun(&mut self, now: Instant, overage: Duration) -> Duration {
-        self.overrun_charges += 1;
         self.serve(now, overage)
-    }
-
-    /// How many overruns were billed against this reservation.
-    #[must_use]
-    pub fn overrun_count(&self) -> u64 {
-        self.overrun_charges
     }
 
     /// Total processor time charged so far.
@@ -242,17 +233,15 @@ mod tests {
     }
 
     #[test]
-    fn overrun_charge_is_clamped_but_always_counted() {
+    fn overrun_charge_is_clamped_to_the_remaining_budget() {
         let mut r = server(3, 10);
         assert!(r.try_charge(at(0), ms(2)));
         // 1ms budget left; a 4ms overrun recovers only that 1ms.
         assert_eq!(r.charge_overrun(at(1), ms(4)), ms(1));
-        assert_eq!(r.overrun_count(), 1);
         // Budget now exhausted: further dispatches defer.
         assert!(!r.try_charge(at(2), ms(1)));
-        // Overrun with nothing left recovers zero but is still counted.
+        // Overrun with nothing left recovers zero.
         assert_eq!(r.charge_overrun(at(3), ms(1)), Duration::ZERO);
-        assert_eq!(r.overrun_count(), 2);
         // Replenishment restores normal service.
         assert!(r.try_charge(at(10), ms(3)));
     }

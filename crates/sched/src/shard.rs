@@ -1286,4 +1286,43 @@ mod tests {
         assert_eq!(merged.dispatched, single.stats().dispatched);
         assert_eq!(merged.completed, single.stats().completed);
     }
+
+    /// A shard offers a chain homed on it node after node whatever the
+    /// nodes' ids: `n2` (id 0) is offered because `n1` (id 1), whose
+    /// predecessor ends on the other shard, is offered before it; the
+    /// ids are reserved in task order.
+    #[test]
+    fn continuations_follow_a_chain_whatever_its_ids() {
+        let mut b = yasmin_core::graph::TaskSetBuilder::new();
+        let on = |spec: TaskSpec, w| spec.on_worker(WorkerId::new(w));
+        let n2 = b.task_decl(on(TaskSpec::graph_node("n2"), 0)).unwrap();
+        let n1 = b.task_decl(on(TaskSpec::graph_node("n1"), 0)).unwrap();
+        let src = b.task_decl(on(TaskSpec::aperiodic("src"), 1)).unwrap();
+        for t in [n2, n1, src] {
+            b.version_decl(t, VersionSpec::new("v", ms(1))).unwrap();
+        }
+        for (name, from, to) in [("a", src, n1), ("b", n1, n2)] {
+            let c = b.channel_decl(name, 4, 8);
+            b.channel_connect(from, to, c).unwrap();
+        }
+        let ts = Arc::new(b.build().unwrap());
+        let cfg = Config::builder()
+            .workers(2)
+            .mapping(MappingScheme::Partitioned)
+            .sharded_dispatch(true)
+            .tick(ms(10))
+            .build()
+            .unwrap();
+        let mut shards = EngineShard::build_all(&ts, &cfg).unwrap();
+        let mut offered = Vec::new();
+        shards[0].continuations_into(&mut offered);
+        let first = offered.first().expect("offers").id.raw();
+        let got: Vec<_> = offered
+            .iter()
+            .map(|c| (c.task, c.seq, c.id.raw() - first))
+            .collect();
+        assert_eq!(got, [(n2, 0, 0), (n1, 0, 1)]);
+        shards[1].continuations_into(&mut offered);
+        assert!(offered.is_empty(), "a root is never offered");
+    }
 }

@@ -36,12 +36,6 @@ impl StressProfile {
         yield_: 8,
     };
 
-    /// Total stressor threads.
-    #[must_use]
-    pub const fn total_threads(&self) -> u32 {
-        self.cache + self.cpu + self.timer + self.yield_
-    }
-
     /// Scalar intensity in `[0, 1]` for a platform with `cores` cores.
     ///
     /// Saturates once the stressors oversubscribe the machine by 4×
@@ -73,14 +67,12 @@ mod tests {
     #[test]
     fn idle_is_zero() {
         assert_eq!(StressProfile::IDLE.intensity(8), 0.0);
-        assert_eq!(StressProfile::IDLE.total_threads(), 0);
     }
 
     #[test]
     fn paper_profile_saturates_odroid() {
         // 8+8+2*(8+8) = 48 weighted threads on 8 cores: 48/32 > 1 -> 1.0.
         let p = StressProfile::PAPER;
-        assert_eq!(p.total_threads(), 32);
         assert!((p.intensity(8) - 1.0).abs() < 1e-12);
     }
 

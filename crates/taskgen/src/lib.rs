@@ -4,7 +4,6 @@
 //!
 //! * [`mod@drs`] — the Dirichlet-Rescale utilisation generator the paper's
 //!   Figure 2 experiment uses (Griffin, Bate & Davis 2020);
-//! * [`mod@uunifast`] — the classical UUniFast / UUniFast-Discard baselines;
 //! * [`periods`] — period grids, log-uniform periods, WCETs, deadlines;
 //! * [`taskset`] — assembly into validated `TaskSet`s, including
 //!   worst-fit-decreasing partitioning;
@@ -19,7 +18,6 @@ pub mod drone;
 pub mod drs;
 pub mod periods;
 pub mod taskset;
-pub mod uunifast;
 
 pub use dag::{build_dag, DagParams};
 pub use drone::{DroneWorkload, VersionRestriction};
@@ -28,4 +26,3 @@ pub use taskset::{
     assign_worst_fit, build_independent, build_partitioned, generate_params, GeneratedTask,
     IndependentSetParams,
 };
-pub use uunifast::{uunifast, uunifast_discard};

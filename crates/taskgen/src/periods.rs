@@ -1,7 +1,7 @@
 //! Period, WCET and deadline generation.
 //!
-//! Utilisation vectors (from [`mod@crate::drs`] / [`mod@crate::uunifast`]) become
-//! concrete task parameters here: periods drawn log-uniformly or from a
+//! Utilisation vectors (from [`mod@crate::drs`]) become concrete task
+//! parameters here: periods drawn log-uniformly or from a
 //! harmonic-friendly grid, WCETs as `C = U·T`, and optional constrained
 //! deadlines.
 

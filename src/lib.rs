@@ -17,7 +17,7 @@
 //! | [`rt`] | real-thread runtime: one builder, one handle; the `Config` picks one owner thread over the whole engine or one per shard |
 //! | [`sim`] | discrete-event simulator (heterogeneous platforms, kernel latency models) |
 //! | [`sync`] | SPSC rings, MPSC mailbox, doorbell, load board, shelf, wait strategies |
-//! | [`taskgen`] | DRS/UUniFast generators, DAGs, the drone SAR workload |
+//! | [`taskgen`] | DRS generators, DAGs, the drone SAR workload |
 //! | [`analysis`] | RTA, EDF demand bound, G-EDF tests, DAG bounds |
 //! | [`baselines`] | Mollison & Anderson library, cyclictest, stress-ng analogue |
 //! | [`mod@bench`] | experiment harness for the paper's figures and tables |

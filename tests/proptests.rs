@@ -23,16 +23,6 @@ proptest! {
         }
     }
 
-    /// UUniFast: non-negative and exact-sum.
-    #[test]
-    fn uunifast_invariants(n in 1usize..50, total_milli in 1u32..3000, seed in any::<u64>()) {
-        let total = f64::from(total_milli) / 1000.0;
-        let v = yasmin::taskgen::uunifast(n, total, seed);
-        let sum: f64 = v.iter().sum();
-        prop_assert!((sum - total).abs() < 1e-9);
-        prop_assert!(v.iter().all(|&u| u >= 0.0));
-    }
-
     /// gcd/lcm: divisibility and bounds.
     #[test]
     fn gcd_lcm_laws(a in 1u64..1_000_000, b in 1u64..1_000_000) {

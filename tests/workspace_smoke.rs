@@ -124,11 +124,9 @@ fn sync_links_and_locks() {
 /// `yasmin-taskgen` via the facade: generators produce valid vectors.
 #[test]
 fn taskgen_links_and_generates() {
-    let u = yasmin::taskgen::uunifast(8, 2.0, 42);
-    assert_eq!(u.len(), 8);
-    assert!((u.iter().sum::<f64>() - 2.0).abs() < 1e-9);
     let d = yasmin::taskgen::drs(8, 2.0, 1.0, 42).expect("drs");
     assert_eq!(d.len(), 8);
+    assert!((d.iter().sum::<f64>() - 2.0).abs() < 1e-6);
 }
 
 /// `yasmin-analysis` via the facade: the classic bounds answer.
