@@ -150,8 +150,9 @@ impl fmt::Debug for PermMask {
 /// to `version_decl`, §3.1/§3.2).
 ///
 /// Each selection policy reads the fields it needs; unused fields keep
-/// their permissive defaults, so the same declaration works under any
-/// configured policy ("allowing for an easy switch at compile time").
+/// their defaults, which make the version eligible under every policy,
+/// so the same declaration works under any configured policy
+/// ("allowing for an easy switch at compile time").
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct VersionProps {
     /// Energy this version needs per activation; the energy policy only
