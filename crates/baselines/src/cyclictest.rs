@@ -27,7 +27,7 @@ use yasmin_core::task::TaskSpec;
 use yasmin_core::time::{Duration, Instant};
 use yasmin_core::version::VersionSpec;
 use yasmin_core::WorkerId;
-use yasmin_sched::{Action, ActionSink, OnlineEngine};
+use yasmin_sched::{Action, ActionSink, Input, OnlineEngine};
 use yasmin_sim::{KernelKind, KernelModel};
 
 /// Configuration mirroring the paper's cyclictest invocation.
@@ -143,7 +143,7 @@ pub fn measure_engine_overhead(cfg: &CyclictestConfig, iterations: usize) -> Sam
     let mut now = Instant::ZERO;
     let mut sink = ActionSink::with_capacity(256);
     let t0 = std::time::Instant::now();
-    engine.start_into(now, &mut sink).unwrap();
+    engine.apply(now, &Input::Start, &mut sink).unwrap();
     samples.record(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
     let mut running: Vec<(WorkerId, yasmin_core::JobId)> = sink
         .as_slice()
@@ -159,13 +159,19 @@ pub fn measure_engine_overhead(cfg: &CyclictestConfig, iterations: usize) -> Sam
         for (w, j) in running.drain(..) {
             sink.clear();
             let t0 = std::time::Instant::now();
-            let _ = engine.on_job_completed_into(w, j, now + Duration::from_micros(100), &mut sink);
+            let _ = engine.apply(
+                now + Duration::from_micros(100),
+                &Input::Completed(&[(w, j)]),
+                &mut sink,
+            );
             samples.record(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
         }
         now += cfg.interval;
         sink.clear();
         let t0 = std::time::Instant::now();
-        engine.on_tick_into(now, &mut sink);
+        engine
+            .apply(now, &Input::Tick { done: &[] }, &mut sink)
+            .unwrap();
         samples.record(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
         running = sink
             .as_slice()

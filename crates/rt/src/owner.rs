@@ -172,7 +172,7 @@
 //! models the cost. [`TickStats`], one per owner in
 //! [`crate::RuntimeReport::tick_stats`], says what came of it. A pass
 //! that finds completions *and* a due tick coalesces both into **one**
-//! engine round ([`OnlineEngine::advance_into`]).
+//! engine round ([`Input::Tick`]).
 //!
 //! # Work stealing
 //!
@@ -186,7 +186,7 @@
 //! shelf and wakes the peers flagged idle. The first thing
 //! `Owner::end_body` does is close the shelf: what a thief claimed is
 //! donated, what nobody claimed goes back into the ready queue
-//! ([`OnlineEngine::return_unclaimed`]) under its own key — a total
+//! ([`Input::Returned`]) under its own key — a total
 //! order, so the queue is as if those jobs had never left it. A shelf
 //! is open only between those two calls: whenever `step` looks at the
 //! engine, the drain's look included, its shelf is empty.
@@ -197,7 +197,7 @@
 //! shard holds the instance *in flight* from the moment it leaves the
 //! queue, and a thief that retires, or culls, a migrated job sends its
 //! home a `ShardMsg::Home` over its peer lane
-//! ([`OnlineEngine::on_instance_home`]). So the next instance waits at
+//! ([`Input::Home`]). So the next instance waits at
 //! home, however long the thief takes, and two instances of one task
 //! never run side by side.
 //!
@@ -206,7 +206,7 @@
 //! the shard that produced it may idle. So before each body the shard
 //! also opens a **door** (`yasmin_sync::door`) on each of its
 //! single-input tasks whose next instance a peer may produce the token
-//! for ([`OnlineEngine::continuations_into`]: no instance queued or in
+//! for ([`Input::Offer`]: no instance queued or in
 //! flight, a predecessor that may end elsewhere), naming the `seq` and
 //! the id that instance would get. A shard whose completion routes such
 //! a token (`Owner::settle_round`) keeps the instance with one
@@ -215,11 +215,11 @@
 //! instance, whose job comes first (every sender counts the tokens it
 //! sends for a door's task, the home those it applies; `yasmin_sync::door`,
 //! "Tokens on their way") — and runs it itself, as a migrated job
-//! ([`OnlineEngine::adopt_kept`]): the job its home would have
+//! ([`Input::Kept`]): the job its home would have
 //! released, on the token's graph release, counted once as stolen, and
 //! its end goes home like a stolen job's. `Owner::end_body` closes the
 //! doors after the shelf and books what was kept
-//! ([`OnlineEngine::book_kept`]: released, donated, in flight) before
+//! ([`Input::Booked`]: released, donated, in flight) before
 //! any round of the job boundary. A token no door takes is sent;
 //! [`StealStats::bounced`] counts those that reach a home inside a body,
 //! [`StealStats::continued`] the instances kept. A chain whose nodes
@@ -236,7 +236,7 @@
 //! DAG-adjacent shards and recent donors — claims up to `k` jobs with
 //! one compare-and-swap, `k` derived from the load gap
 //! ([`LoadBoard::steal_batch_size`]), adopts them with one dispatch
-//! round ([`OnlineEngine::adopt_stolen_batch`]) and runs them itself —
+//! round ([`Input::Adopt`]) and runs them itself —
 //! global [`WorkerId`]s keep every record truthful about where a job
 //! ran. It waits for nobody. ([`StealStats`], one per owner in
 //! [`crate::RuntimeReport::steal_stats`], counts both sides.)
@@ -275,10 +275,10 @@ use yasmin_core::ids::{JobId, TaskId, TenantId, VersionId, WorkerId};
 use yasmin_core::time::{Clock, Duration, Instant, MonotonicClock};
 use yasmin_sched::admission::AdmissionControl;
 use yasmin_sched::msg::MsgEvent;
-use yasmin_sched::server::{ReservationServer, TenantBudget};
+use yasmin_sched::server::TenantBudget;
 use yasmin_sched::{
-    Action, ActionSink, Continuation, EngineShard, EngineStats, HomeNote, Job, JobBatch,
-    JobOutcome, OnlineEngine, RemoteActivation, StealHint, MAX_STEAL_BATCH,
+    Action, ActionSink, Continuation, EngineShard, EngineStats, HomeNote, Input, Job, JobBatch,
+    JobOutcome, OnlineEngine, RemoteActivation, MAX_STEAL_BATCH,
 };
 use yasmin_sync::mailbox::{mailbox_with_capacities, MailboxFull, MailboxReceiver, MailboxSender};
 use yasmin_sync::steal::LoadBoard;
@@ -1246,9 +1246,8 @@ pub(crate) struct Owner<C: OwnerClock> {
     /// after a body: whether the wait or work kept an edge met from idle
     /// from being pre-staged.
     woke_at: Instant,
-    /// Steal scratch, reused: what the engine names stealable, the jobs
-    /// on their way to or from a shelf, how many lie on this owner's.
-    steal_hints: Vec<StealHint>,
+    /// Steal scratch, reused: the jobs on their way to or from a shelf,
+    /// how many lie on this owner's.
     steal_batch: JobBatch,
     shelved: usize,
     /// Continuation scratch, reused: the instances this owner's doors
@@ -1302,7 +1301,6 @@ impl<C: OwnerClock> Owner<C> {
             near_at: Instant::MAX,
             late: LateHist::new(),
             woke_at: Instant::ZERO,
-            steal_hints: Vec::with_capacity(MAX_STEAL_BATCH),
             steal_batch: JobBatch::with_capacity(MAX_STEAL_BATCH),
             shelved: 0,
             offered: Vec::with_capacity(engine.taskset().len()),
@@ -1334,7 +1332,7 @@ impl<C: OwnerClock> Owner<C> {
     /// long that round took.
     pub(crate) fn start(&mut self) -> Next {
         let t0 = self.clock.now();
-        self.engine_call(|o| o.engine.start_into(t0, &mut o.sink))
+        self.engine_call(|o| o.engine.apply(t0, &Input::Start, &mut o.sink))
             .expect("fresh engine starts");
         self.next_tick = t0 + self.tick;
         self.next_job.take().unwrap_or_else(|| self.step())
@@ -1412,7 +1410,7 @@ impl<C: OwnerClock> Owner<C> {
         if !self.done.is_empty() {
             self.engine_call(|o| {
                 o.engine
-                    .on_jobs_completed_into(&o.done, o.last_done, &mut o.sink)
+                    .apply(o.last_done, &Input::Completed(&o.done), &mut o.sink)
             })
             .expect("completion protocol upheld");
             self.done.clear();
@@ -1439,8 +1437,11 @@ impl<C: OwnerClock> Owner<C> {
     fn prestage(&mut self) {
         debug_assert!(self.done.is_empty(), "retired before going idle");
         let (edge, began) = (self.next_tick, self.clock.now());
-        self.engine_call(|o| o.engine.advance_into(&[], edge, &mut o.sink))
-            .expect("completion protocol upheld");
+        self.engine_call(|o| {
+            o.engine
+                .apply(edge, &Input::Tick { done: &[] }, &mut o.sink)
+        })
+        .expect("completion protocol upheld");
         self.learn_round(began);
         self.next_tick += self.tick;
         self.held = Some(edge);
@@ -1527,7 +1528,9 @@ impl<C: OwnerClock> Owner<C> {
             let now = self.clock.now();
             self.report.steals.continued += 1;
             self.sink.clear();
-            self.engine.adopt_kept(&ra, &c, now, &mut self.sink);
+            self.engine
+                .apply(now, &Input::Kept(ra, c), &mut self.sink)
+                .expect("a kept instance is always adopted");
             self.settle_round();
         }
         if self.peers.stealing {
@@ -1549,8 +1552,11 @@ impl<C: OwnerClock> Owner<C> {
     fn tick_round(&mut self, at: Instant, now: Instant) {
         debug_assert!(now >= self.next_tick, "a tick round ahead of its edge");
         self.late.record(now.saturating_since(self.next_tick));
-        self.engine_call(|o| o.engine.advance_into(&o.done, at, &mut o.sink))
-            .expect("completion protocol upheld");
+        self.engine_call(|o| {
+            o.engine
+                .apply(at, &Input::Tick { done: &o.done }, &mut o.sink)
+        })
+        .expect("completion protocol upheld");
         self.done.clear();
     }
 
@@ -1566,7 +1572,7 @@ impl<C: OwnerClock> Owner<C> {
             JobOutcome::Failed => {
                 self.engine_call(|o| {
                     o.engine
-                        .on_job_failed_into(r.worker, r.job.id, r.completed, &mut o.sink)
+                        .apply(r.completed, &Input::Failed(r.worker, r.job.id), &mut o.sink)
                 })
                 .expect("failure protocol upheld");
             }
@@ -1586,15 +1592,13 @@ impl<C: OwnerClock> Owner<C> {
             ShardMsg::Activate(task) => {
                 let now = self.clock.now();
                 // An activation the engine refuses is dropped.
-                let _ = self.engine_call(|o| o.engine.activate_into(task, now, &mut o.sink));
+                let _ =
+                    self.engine_call(|o| o.engine.apply(now, &Input::Activate(task), &mut o.sink));
             }
             ShardMsg::Token(ra) => {
                 let now = self.clock.now();
-                self.engine_call(|o| {
-                    o.engine
-                        .on_remote_token(ra.edge, ra.graph_release, now, &mut o.sink)
-                })
-                .expect("cross-shard token routed to the owning shard");
+                self.engine_call(|o| o.engine.apply(now, &Input::Token(ra), &mut o.sink))
+                    .expect("cross-shard token routed to the owning shard");
                 if self.peers.stealing {
                     let dst = self.engine.taskset().edges()[ra.edge as usize].dst;
                     self.peers.doors.applied(dst.index());
@@ -1602,13 +1606,13 @@ impl<C: OwnerClock> Owner<C> {
             }
             ShardMsg::Home(note) => {
                 let now = self.clock.now();
-                self.engine_call(|o| o.engine.on_instance_home(note, now, &mut o.sink))
+                self.engine_call(|o| o.engine.apply(now, &Input::Home(note), &mut o.sink))
                     .expect("the end of a migrated instance routed to its home");
             }
             // The notify hook sent it here, to the owner of its task.
             ShardMsg::Msg(ev) => {
                 let now = self.clock.now();
-                self.engine_call(|o| o.engine.on_msg_into(ev, now, &mut o.sink))
+                self.engine_call(|o| o.engine.apply(now, &Input::Msg(ev), &mut o.sink))
                     .expect("message event routed to the owner of its task");
             }
             ShardMsg::Admit {
@@ -1622,9 +1626,14 @@ impl<C: OwnerClock> Owner<C> {
             } => {
                 // Control path: allocation is fine, the tenant is not
                 // running yet (module docs of `yasmin_sched::admission`).
-                let server = budget.map(|b| ReservationServer::new(b, at));
+                let install = Input::Install {
+                    merged: &taskset,
+                    tenant,
+                    first_task,
+                    budget,
+                };
                 self.engine
-                    .install_tenant(taskset, tenant, first_task, server)
+                    .apply(at, &install, &mut self.sink)
                     .expect("admission validated by the admitting thread");
                 self.bodies = bodies;
                 match then {
@@ -1639,13 +1648,14 @@ impl<C: OwnerClock> Owner<C> {
             }
             ShardMsg::Commit { tenant, since } => self.commit(tenant, since),
             ShardMsg::Retire(tenant) => {
-                self.engine_call(|o| o.engine.retire_tenant_into(tenant, &mut o.sink))
+                let now = self.clock.now();
+                self.engine_call(|o| o.engine.apply(now, &Input::Retire(tenant), &mut o.sink))
                     .expect("retirement validated by the retiring thread");
             }
             ShardMsg::Stop | ShardMsg::Shutdown => {
                 // Shutdown implies stop: the drain terminates only once
                 // releases cease.
-                self.engine.stop();
+                let _ = self.engine.apply(self.now, &Input::Stop, &mut self.sink);
                 self.shutting_down |= matches!(msg, ShardMsg::Shutdown);
             }
         }
@@ -1659,7 +1669,7 @@ impl<C: OwnerClock> Owner<C> {
     /// edge**, not at the instant the command is handled: the owner
     /// dispatches on a fixed tick grid, and an off-grid release phase
     /// would delay every dispatch of the tenant by up to one tick. It
-    /// only arms ([`OnlineEngine::commit_tenant_at`]): the tick round of
+    /// only arms ([`Input::Commit`]): the tick round of
     /// that edge releases the tenant's first jobs, after every command
     /// drained ahead of it — a retirement queued behind the admission
     /// included. A commit racing a `stop()` is refused by the engine
@@ -1667,13 +1677,19 @@ impl<C: OwnerClock> Owner<C> {
     /// tenant never starts.
     ///
     /// In a recycled slot the tenant begins at `since`
-    /// ([`OnlineEngine::commit_tenant_at`]). One owner's former holders'
+    /// ([`Input::Commit`]). One owner's former holders'
     /// jobs are all here, culled or marked by their retirement, so any
     /// instant up to the tenant's first release will do; shards are
     /// sent one taken after every shard spliced it, hence retired the
     /// slot's former holder.
     fn commit(&mut self, tenant: TenantId, since: Instant) {
-        let _ = self.engine.commit_tenant_at(tenant, self.next_tick, since);
+        let anchor = self.next_tick;
+        let commit = Input::Commit {
+            tenant,
+            anchor,
+            since,
+        };
+        let _ = self.engine.apply(self.now, &commit, &mut self.sink);
     }
 
     /// The drain after `Shutdown` ("Shutting down"); `true` when this
@@ -1711,7 +1727,7 @@ impl<C: OwnerClock> Owner<C> {
         let now = self.clock.now();
         self.engine_call(|o| {
             o.engine
-                .adopt_stolen_batch(o.steal_batch.as_slice(), now, &mut o.sink)
+                .apply(now, &Input::Adopt(o.steal_batch.as_slice()), &mut o.sink)
         })
         .expect("a shelf holds its own shard's jobs only");
         true
@@ -1829,19 +1845,26 @@ impl<C: OwnerClock> Owner<C> {
         if !self.peers.stealing {
             return;
         }
-        let room = self.peers.shelf.room();
-        self.engine.try_steal_batch(room, &mut self.steal_hints);
-        self.steal_batch.clear();
-        self.shelved = self
+        let k = self.peers.shelf.room();
+        self.sink.clear();
+        let _ = self
             .engine
-            .release_stolen_batch(&self.steal_hints, &mut self.steal_batch);
-        for &spare in self.steal_batch.as_slice() {
-            self.peers.shelf.put(spare).expect("room was counted");
-        }
+            .apply(self.now, &Input::Lend { k }, &mut self.sink);
         // After the shelf: a predecessor on it may end on a thief.
-        self.engine.continuations_into(&mut self.offered);
-        for c in &self.offered {
-            self.peers.doors.open(c.task.index(), c.seq, c.id.raw());
+        let _ = self.engine.apply(self.now, &Input::Offer, &mut self.sink);
+        self.shelved = 0;
+        for &a in self.sink.as_slice() {
+            match a {
+                Action::Lend { job } => {
+                    self.peers.shelf.put(job).expect("room was counted");
+                    self.shelved += 1;
+                }
+                Action::Offer(c) => {
+                    self.peers.doors.open(c.task.index(), c.seq, c.id.raw());
+                    self.offered.push(c);
+                }
+                _ => {}
+            }
         }
         self.peers.doors.enter();
         if self.shelved > 0 {
@@ -1875,7 +1898,8 @@ impl<C: OwnerClock> Owner<C> {
             let unclaimed = self.peers.shelf.close(|spare| {
                 batch.push(spare);
             });
-            self.engine.return_unclaimed(self.steal_batch.as_slice());
+            let returned = Input::Returned(self.steal_batch.as_slice());
+            let _ = self.engine.apply(self.now, &returned, &mut self.sink);
             self.report.steals.taken += (shelved - unclaimed) as u64;
         }
         // Then the doors: what a peer kept is booked here, in flight.
@@ -1883,7 +1907,9 @@ impl<C: OwnerClock> Owner<C> {
             self.peers.doors.leave();
             for c in self.offered.drain(..) {
                 if self.peers.doors.close(c.task.index()) {
-                    self.engine.book_kept(&c);
+                    let _ = self
+                        .engine
+                        .apply(self.now, &Input::Booked(c), &mut self.sink);
                 }
             }
         }

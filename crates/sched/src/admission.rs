@@ -150,12 +150,12 @@
 //!   admission thread, never on a scheduler thread.
 //! * **Spliced** — every engine (the single [`OnlineEngine`], or each
 //!   shard's) adopted the merged set and installed the tenant in its
-//!   slot via [`OnlineEngine::install_tenant`] with the tenant's
+//!   slot via [`Input::Install`](crate::Input::Install) with the tenant's
 //!   releases still disarmed. The splice command travels the same control
 //!   mailbox lane as every other command, so it serialises with the hot
 //!   path instead of locking it.
-//! * **Committed** — [`OnlineEngine::commit_tenant_into`] (or
-//!   [`OnlineEngine::commit_tenant_at`], which leaves the release to the
+//! * **Committed** — [`Input::Commit`](crate::Input::Commit) (or
+//!   [`Input::Commit`](crate::Input::Commit), which leaves the release to the
 //!   next round) armed the tenant's periodic roots. Two-phase matters
 //!   under sharding: commit is sent only after *every* shard
 //!   acknowledged its splice, so no shard can complete a tenant job and
@@ -164,7 +164,7 @@
 //!   sends it one command that splices and commits, without waking its
 //!   owner — the commit anchors at the owner's next tick edge, where its
 //!   timed park ends and it drains its mailbox ahead of the tick round.
-//! * **Retired** — [`OnlineEngine::retire_tenant_into`] quiesced the
+//! * **Retired** — [`Input::Retire`](crate::Input::Retire) quiesced the
 //!   tenant: future releases disarmed, ready jobs culled, pending DAG
 //!   tokens dropped, late cross-shard tokens silently discarded.
 //!   In-flight jobs finish normally (their completions are the tenant's
@@ -186,7 +186,7 @@
 //!   anchor is the commit instant for exact event-driven drivers (the
 //!   simulator); a driver dispatching on a fixed tick grid (the thread
 //!   runtimes) instead anchors at its **next tick edge**
-//!   ([`OnlineEngine::commit_tenant_at`]), because an off-grid release
+//!   ([`Input::Commit`](crate::Input::Commit)), because an off-grid release
 //!   phase would delay every dispatch of the tenant by up to one tick —
 //!   enough to sink a deadline equal to the period.
 //! * Admission analysis assumes worst-case (largest) version WCETs
@@ -441,7 +441,7 @@ impl AdmissionControl {
     /// Evaluates admitting `candidate` (a tenant declared in its own id
     /// space) into the live set `current`, with an optional budget
     /// request. Returns the merged task set — ready for
-    /// [`OnlineEngine::splice_taskset`] — on acceptance.
+    /// [`Input::Install`](crate::Input::Install) — on acceptance.
     ///
     /// Every task of `current` counts as live. A schedule that retires
     /// tenants admits through a [`TenantLedger`], which runs the same
@@ -691,7 +691,7 @@ pub struct Admission<'a> {
     /// The id the tenant is admitted under: the next one, never reused.
     pub tenant: TenantId,
     /// The merged set with the tenant written into `slot`, ready for
-    /// [`OnlineEngine::install_tenant`].
+    /// [`Input::Install`](crate::Input::Install).
     pub merged: &'a Arc<TaskSet>,
     /// Where the tenant sits in `merged`: a retired tenant's slot of
     /// its shape, or the set's end. Its candidate-local `T<k>` is
@@ -965,7 +965,7 @@ impl TenantLedger {
 mod tests {
     use super::*;
     use crate::engine::{Action, OnlineEngine};
-    use crate::server::ReservationServer;
+    use crate::input::Input;
     use crate::sink::ActionSink;
     use yasmin_core::graph::TaskSetBuilder;
     use yasmin_core::priority::PriorityPolicy;
@@ -1432,7 +1432,7 @@ mod tests {
         let mut engine = OnlineEngine::new(Arc::clone(&live), config).unwrap();
         let mut sink = ActionSink::new();
         let t0 = Instant::ZERO;
-        engine.start_into(t0, &mut sink).unwrap();
+        engine.apply(t0, &Input::Start, &mut sink).unwrap();
 
         let tenant_set = set("guest", 2, 10, None);
         let ctl = AdmissionControl::for_engine(&engine);
@@ -1441,13 +1441,26 @@ mod tests {
             .evaluate(engine.taskset(), &tenant_set, Some(&budget))
             .unwrap();
         let tenant = TenantId::new(engine.tenant_count() as u32);
-        let server = Some(ReservationServer::new(budget, t0));
-        let got = engine.splice_taskset(Arc::clone(&merged), server).unwrap();
-        assert_eq!(got, tenant);
+        let install = Input::Install {
+            merged: &merged,
+            tenant,
+            first_task: engine.taskset().len() as u32,
+            budget: Some(budget),
+        };
+        engine.apply(t0, &install, &mut sink).unwrap();
         assert!(engine.tenant_server(tenant).is_some());
 
         sink.clear();
-        engine.commit_tenant_into(tenant, t0, &mut sink).unwrap();
+        let (anchor, since) = (t0, t0);
+        let commit = Input::Commit {
+            tenant,
+            anchor,
+            since,
+        };
+        engine.apply(t0, &commit, &mut sink).unwrap();
+        engine
+            .apply(t0, &Input::Tick { done: &[] }, &mut sink)
+            .unwrap();
         // Both the base and the guest task release at t0; one worker, so
         // one dispatch and one job left ready.
         assert_eq!(engine.ready_len(), 1);
@@ -1455,7 +1468,7 @@ mod tests {
         // Retiring culls the guest's ready job and reports each cull.
         let culled = engine.stats().culled;
         sink.clear();
-        engine.retire_tenant_into(tenant, &mut sink).unwrap();
+        engine.apply(t0, &Input::Retire(tenant), &mut sink).unwrap();
         let culls = sink.as_slice().iter();
         let culls = culls.filter(|a| matches!(a, Action::Cull { .. })).count();
         assert_eq!(culls as u64, engine.stats().culled - culled);
@@ -1465,16 +1478,16 @@ mod tests {
         // Late activation is refused with the structured error.
         sink.clear();
         assert!(matches!(
-            engine.activate_into(TaskId::new(1), t0, &mut sink),
+            engine.apply(t0, &Input::Activate(TaskId::new(1)), &mut sink),
             Err(Error::TenantRetired(1))
         ));
         // Double retire is an error; tenant 0 cannot be retired.
         assert!(matches!(
-            engine.retire_tenant_into(tenant, &mut sink),
+            engine.apply(t0, &Input::Retire(tenant), &mut sink),
             Err(Error::TenantRetired(1))
         ));
         assert!(matches!(
-            engine.retire_tenant_into(TenantId::new(0), &mut sink),
+            engine.apply(t0, &Input::Retire(TenantId::new(0)), &mut sink),
             Err(Error::InvalidConfig(_))
         ));
     }

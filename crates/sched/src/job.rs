@@ -48,7 +48,7 @@ impl Job {
 pub const MAX_STEAL_BATCH: usize = 8;
 
 /// The jobs of one steal exchange, most urgent first: what the victim
-/// detaches ([`crate::OnlineEngine::release_stolen_batch`]) and the
+/// lends ([`crate::Input::Lend`]) and the
 /// thief adopts. A driver keeps one with room for [`MAX_STEAL_BATCH`]
 /// jobs and clears it per exchange, so no exchange allocates.
 pub type JobBatch = Vec<Job>;

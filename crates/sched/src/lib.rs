@@ -13,6 +13,8 @@
 //!   shortest-WCET default;
 //! * [`accel`] — accelerator arbitration with Priority Inheritance;
 //! * [`engine`] — the on-line global/partitioned scheduler (§3.3);
+//! * [`input`] — what a driver tells an engine, the one way to change
+//!   it ([`OnlineEngine::apply`]);
 //! * [`shard`] — per-worker engine shards for partitioned mapping: one
 //!   independent [`OnlineEngine`] per worker, and the cross-shard steal
 //!   protocol;
@@ -36,6 +38,7 @@
 pub mod accel;
 pub mod admission;
 pub mod engine;
+pub mod input;
 pub mod job;
 pub mod msg;
 pub mod offline;
@@ -52,6 +55,7 @@ pub use engine::{
     Action, Continuation, CycleMark, EngineStats, HomeNote, JobOutcome, OnlineEngine,
     RemoteActivation, RunningJob, StealHint,
 };
+pub use input::Input;
 pub use job::{Job, JobBatch, MAX_STEAL_BATCH};
 pub use msg::{ChannelBuilder, MsgEvent, MsgNotify, NotifyHandle, Receiver, SendError, Sender};
 pub use offline::{

@@ -30,7 +30,7 @@
 //! 1. [`Sender::send_high`] posts to the high lane and emits
 //!    [`MsgEvent::HighPosted`] through the channel's notify hook;
 //! 2. the driver hands the event as it is to
-//!    [`OnlineEngine::on_msg_into`]: while the lane holds posts the
+//!    [`Input::Msg`](crate::Input::Msg): while the lane holds posts the
 //!    ceiling is one term of the engine's one fold, which keys every
 //!    queued job of the receiving task (jobs released meanwhile
 //!    included) and gives every running one its effective priority
@@ -60,7 +60,7 @@
 //! or — from a body the owner itself runs — into a queue that owner's
 //! thread drains at its job boundary. Nothing forwards it. The
 //! simulator applies the same events
-//! ([`OnlineEngine::on_msg_into`](crate::OnlineEngine::on_msg_into))
+//! ([`Input::Msg`](crate::Input::Msg))
 //! at event boundaries, on the shard owning the receiver, so delivery
 //! is deterministic and trace-identical across single-owner and sharded
 //! runs.

@@ -19,7 +19,7 @@
 //!   completion whose out-edge points at a foreign destination lands in
 //!   the shard's **outbox** as a [`crate::engine::RemoteActivation`],
 //!   which the driver drains ([`OnlineEngine::drain_outbox_into`]) and
-//!   routes to the owner ([`OnlineEngine::on_remote_token`]). Only the
+//!   routes to the owner ([`Input::Token`](crate::Input::Token)). Only the
 //!   destination's owner ever touches an edge's tokens, so two shards
 //!   never race on them — ownership, not exclusion.
 //! * **Ready jobs** may migrate once, via work stealing. A stolen job
@@ -33,13 +33,13 @@
 //! The thief asks for `k` jobs (sized from the load gap on the
 //! `yasmin_sync::steal::LoadBoard`). The victim's driver collects up to
 //! `k` hints, most urgent first and stopping at the first job that must
-//! not migrate ([`OnlineEngine::try_steal_batch`], a non-mutating
+//! not migrate ([`Input::Lend`](crate::Input::Lend), a non-mutating
 //! scan), and detaches the still-fresh ones into a plain
-//! [`crate::JobBatch`] ([`OnlineEngine::release_stolen_batch`]) —
+//! [`crate::JobBatch`] ([`Input::Lend`](crate::Input::Lend)) —
 //! atomically with respect to its own scheduling, since the driver owns
 //! the shard. The batch lands on the thief in one piece, which adopts
 //! it with **one dispatch round for all of it**
-//! ([`OnlineEngine::adopt_stolen_batch`]). [`OnlineEngine::steal_hint`]
+//! ([`Input::Adopt`](crate::Input::Adopt)). [`OnlineEngine::steal_hint`]
 //! is the O(1) "is my most urgent job stealable" probe a driver
 //! advertises its load by; it never grants.
 //!
@@ -49,7 +49,7 @@
 //! asked, so `yasmin-rt` makes the same engine calls in another order:
 //! the victim detaches what it can spare *before* each body and lays it
 //! out on a `yasmin_sync::shelf`, thieves take from there without
-//! asking, and after the body [`OnlineEngine::return_unclaimed`] puts
+//! asking, and after the body [`Input::Returned`](crate::Input::Returned) puts
 //! back what nobody took.
 //!
 //! **Migrate-at-most-once** is enforced on both sides: the victim's
@@ -63,17 +63,17 @@
 //! thief is *in flight* there until its end is home: the thief's engine
 //! leaves a [`crate::HomeNote`] when it retires or culls the job, which
 //! the driver drains ([`OnlineEngine::drain_homeward_into`]) and routes
-//! to the home ([`OnlineEngine::on_instance_home`]) as it routes the
+//! to the home ([`Input::Home`](crate::Input::Home)) as it routes the
 //! outbox. Meanwhile the home neither dispatches nor hands out another
 //! instance of the task, so no two instances of one task ever run side
 //! by side, wherever each runs.
 //!
 //! **Kept instances.** A shard about to enter a body may also offer the
 //! next instance of each single-input task whose token a peer may
-//! produce meanwhile ([`OnlineEngine::continuations_into`]); the peer
+//! produce meanwhile ([`Input::Offer`](crate::Input::Offer)); the peer
 //! that completes the predecessor keeps it ([`OnlineEngine::keepable`],
-//! [`OnlineEngine::adopt_kept`]) instead of routing the token, and the
-//! home books it when its body ends ([`OnlineEngine::book_kept`]). How
+//! [`Input::Kept`](crate::Input::Kept)) instead of routing the token, and the
+//! home books it when its body ends ([`Input::Booked`](crate::Input::Booked)). How
 //! the offer and the claim meet is the driver's: `yasmin-rt` puts them
 //! on a `yasmin_sync::door`; `yasmin_sim::par`, whose victims answer in
 //! the instant they are asked, never keeps.
@@ -204,9 +204,10 @@ impl DerefMut for EngineShard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Action, EngineStats};
+    use crate::engine::{Action, EngineStats, RemoteActivation};
+    use crate::input::Input;
     use crate::job::{JobBatch, MAX_STEAL_BATCH};
-    use crate::server::{ReservationServer, TenantBudget};
+    use crate::server::TenantBudget;
     use crate::sink::ActionSink;
     use yasmin_core::graph::Slot;
     use yasmin_core::ids::{JobId, TenantId};
@@ -221,6 +222,28 @@ mod tests {
 
     fn at(v: u64) -> Instant {
         Instant::from_nanos(v * 1_000_000)
+    }
+
+    /// What one [`Input::Lend`] of up to `k` detaches from `shard`.
+    fn lend(shard: &mut EngineShard, k: usize) -> JobBatch {
+        let mut sink = ActionSink::new();
+        shard
+            .apply(Instant::ZERO, &Input::Lend { k }, &mut sink)
+            .unwrap();
+        let lent = |a: &Action| match *a {
+            Action::Lend { job } => job,
+            other => panic!("{other:?}"),
+        };
+        sink.iter().map(lent).collect()
+    }
+
+    /// [`Input::Commit`] of `tenant`.
+    fn commit(tenant: TenantId, anchor: Instant, since: Instant) -> Input<'static> {
+        Input::Commit {
+            tenant,
+            anchor,
+            since,
+        }
     }
 
     fn partitioned_config(workers: usize) -> Config {
@@ -274,7 +297,9 @@ mod tests {
         let mut sink = ActionSink::new();
         for shard in &mut shards {
             sink.clear();
-            shard.start_into(Instant::ZERO, &mut sink).unwrap();
+            shard
+                .apply(Instant::ZERO, &Input::Start, &mut sink)
+                .unwrap();
             assert_eq!(sink.len(), 1, "one dispatch per shard worker");
             match sink.as_slice()[0] {
                 Action::Dispatch { worker, job, .. } => {
@@ -298,7 +323,9 @@ mod tests {
         let mut ids = Vec::new();
         for shard in &mut shards {
             sink.clear();
-            shard.start_into(Instant::ZERO, &mut sink).unwrap();
+            shard
+                .apply(Instant::ZERO, &Input::Start, &mut sink)
+                .unwrap();
             ids.push(shard.running().unwrap().job.id);
         }
         assert_ne!(ids[0], ids[1]);
@@ -310,11 +337,17 @@ mod tests {
         let ts = two_worker_set();
         let mut shards = EngineShard::build_all(&ts, &partitioned_config(2)).unwrap();
         let mut sink = ActionSink::new();
-        shards[0].start_into(Instant::ZERO, &mut sink).unwrap();
+        shards[0]
+            .apply(Instant::ZERO, &Input::Start, &mut sink)
+            .unwrap();
         let job = shards[0].running().unwrap().job.id;
         // Completion reported by the wrong worker id.
         assert!(shards[0]
-            .on_job_completed_into(WorkerId::new(1), job, at(1), &mut sink)
+            .apply(
+                at(1),
+                &Input::Completed(&[(WorkerId::new(1), job)]),
+                &mut sink
+            )
             .is_err());
         // Activation of a task owned by the other shard.
         let foreign = ts
@@ -323,7 +356,9 @@ mod tests {
             .find(|t| t.spec().assigned_worker() == Some(WorkerId::new(1)))
             .unwrap()
             .id();
-        assert!(shards[0].activate_into(foreign, at(1), &mut sink).is_err());
+        assert!(shards[0]
+            .apply(at(1), &Input::Activate(foreign), &mut sink)
+            .is_err());
     }
 
     #[test]
@@ -332,20 +367,26 @@ mod tests {
         let mut shards = EngineShard::build_all(&ts, &partitioned_config(2)).unwrap();
         let shard = &mut shards[0];
         let mut sink = ActionSink::new();
-        shard.start_into(Instant::ZERO, &mut sink).unwrap();
+        shard
+            .apply(Instant::ZERO, &Input::Start, &mut sink)
+            .unwrap();
         let first = shard.running().unwrap().job;
         let worker = shard.worker();
         sink.clear();
         shard
-            .on_job_completed_into(worker, first.id, at(2), &mut sink)
+            .apply(at(2), &Input::Completed(&[(worker, first.id)]), &mut sink)
             .unwrap();
         assert_eq!(sink.len(), 1, "next own task dispatches");
         sink.clear();
-        shard.on_tick_into(at(10), &mut sink);
+        shard
+            .apply(at(10), &Input::Tick { done: &[] }, &mut sink)
+            .unwrap();
         assert_eq!(shard.stats().released, 3, "period-10 task re-released");
-        shard.stop();
+        shard.apply(at(10), &Input::Stop, &mut sink).unwrap();
         sink.clear();
-        shard.on_tick_into(at(20), &mut sink);
+        shard
+            .apply(at(20), &Input::Tick { done: &[] }, &mut sink)
+            .unwrap();
         assert_eq!(shard.stats().released, 3, "no releases after stop");
     }
 
@@ -355,18 +396,24 @@ mod tests {
         let mut shards = EngineShard::build_all(&ts, &partitioned_config(2)).unwrap();
         let shard = &mut shards[0];
         let mut sink = ActionSink::new();
-        shard.start_into(Instant::ZERO, &mut sink).unwrap();
+        shard
+            .apply(Instant::ZERO, &Input::Start, &mut sink)
+            .unwrap();
         let first = shard.running().unwrap().job.id;
         let worker = shard.worker();
         sink.clear();
         shard
-            .on_jobs_completed_into(&[(worker, first)], at(2), &mut sink)
+            .apply(at(2), &Input::Completed(&[(worker, first)]), &mut sink)
             .unwrap();
         assert_eq!(sink.len(), 1, "next own task dispatches from the batch");
         // A batch naming a foreign worker is a protocol error.
         let second = shard.running().unwrap().job.id;
         assert!(shard
-            .on_jobs_completed_into(&[(WorkerId::new(1), second)], at(3), &mut sink)
+            .apply(
+                at(3),
+                &Input::Completed(&[(WorkerId::new(1), second)]),
+                &mut sink
+            )
             .is_err());
     }
 
@@ -391,13 +438,21 @@ mod tests {
         let (ts, src, dst) = cross_shard_pipeline();
         let mut shards = EngineShard::build_all(&ts, &partitioned_config(2)).unwrap();
         let mut sink = ActionSink::new();
-        shards[0].start_into(Instant::ZERO, &mut sink).unwrap();
-        shards[1].start_into(Instant::ZERO, &mut sink).unwrap();
+        shards[0]
+            .apply(Instant::ZERO, &Input::Start, &mut sink)
+            .unwrap();
+        shards[1]
+            .apply(Instant::ZERO, &Input::Start, &mut sink)
+            .unwrap();
         assert_eq!(sink.len(), 1, "only src dispatches at start");
         let s = shards[0].running().unwrap().job.id;
         sink.clear();
         shards[0]
-            .on_job_completed_into(WorkerId::new(0), s, at(1), &mut sink)
+            .apply(
+                at(1),
+                &Input::Completed(&[(WorkerId::new(0), s)]),
+                &mut sink,
+            )
             .unwrap();
         assert!(
             !sink
@@ -406,11 +461,12 @@ mod tests {
                 .any(|a| matches!(a, Action::Dispatch { job, .. } if job.task == dst)),
             "the successor must not fire on the src shard"
         );
-        assert!(shards[0].has_outbox());
         let mut outbox = Vec::new();
         shards[0].drain_outbox_into(&mut outbox);
-        assert!(!shards[0].has_outbox(), "outbox drained");
         assert_eq!(outbox.len(), 1);
+        let mut again = Vec::new();
+        shards[0].drain_outbox_into(&mut again);
+        assert!(again.is_empty(), "outbox drained");
         let ra = outbox[0];
         assert_eq!(ra.worker, WorkerId::new(1));
         assert_eq!(ra.graph_release, Instant::ZERO);
@@ -420,7 +476,7 @@ mod tests {
         // Route it (what a driver does) to the owning shard.
         sink.clear();
         shards[1]
-            .on_remote_token(ra.edge, ra.graph_release, at(1), &mut sink)
+            .apply(at(1), &Input::Token(ra), &mut sink)
             .unwrap();
         match sink.as_slice()[0] {
             Action::Dispatch { worker, job, .. } => {
@@ -436,10 +492,11 @@ mod tests {
         }
         // Routing it to the wrong shard is a protocol error.
         assert!(shards[0]
-            .on_remote_token(ra.edge, ra.graph_release, at(1), &mut sink)
+            .apply(at(1), &Input::Token(ra), &mut sink)
             .is_err());
+        let stray = RemoteActivation { edge: 999, ..ra };
         assert!(shards[1]
-            .on_remote_token(999, ra.graph_release, at(1), &mut sink)
+            .apply(at(1), &Input::Token(stray), &mut sink)
             .is_err());
     }
 
@@ -455,10 +512,12 @@ mod tests {
             ceiling: Priority::HIGHEST,
         };
         assert!(matches!(
-            shards[0].on_msg_into(post, at(1), &mut sink),
+            shards[0].apply(at(1), &Input::Msg(post), &mut sink),
             Err(Error::InvalidConfig(_))
         ));
-        shards[1].on_msg_into(post, at(1), &mut sink).unwrap();
+        shards[1]
+            .apply(at(1), &Input::Msg(post), &mut sink)
+            .unwrap();
         assert_eq!(shards[1].active_msg_ceiling(b0), Some(Priority::HIGHEST));
     }
 
@@ -475,8 +534,12 @@ mod tests {
         let ts = Arc::new(b.build().unwrap());
         let mut shards = EngineShard::build_all(&ts, &partitioned_config(2)).unwrap();
         let mut sink = ActionSink::new();
-        shards[0].start_into(Instant::ZERO, &mut sink).unwrap();
-        shards[1].start_into(Instant::ZERO, &mut sink).unwrap();
+        shards[0]
+            .apply(Instant::ZERO, &Input::Start, &mut sink)
+            .unwrap();
+        shards[1]
+            .apply(Instant::ZERO, &Input::Start, &mut sink)
+            .unwrap();
         assert!(shards[1].is_idle());
         assert_eq!(
             shards[0].ready_len(),
@@ -484,13 +547,10 @@ mod tests {
             "one job queued behind the running one"
         );
 
-        // The O(1) probe and the k = 1 scan name the same job.
+        // The O(1) probe and a lend of one name the same job.
         let top = shards[0].steal_hint().expect("victim has a stealable job");
-        let mut hints = Vec::new();
-        assert_eq!(shards[0].try_steal_batch(1, &mut hints), 1);
-        assert_eq!(hints, [top]);
-        let mut batch = JobBatch::new();
-        assert_eq!(shards[0].release_stolen_batch(&hints, &mut batch), 1);
+        let batch = lend(&mut shards[0], 1);
+        assert_eq!(batch, [top]);
         let job = batch.as_slice()[0];
         assert_eq!(shards[0].ready_len(), 0);
         assert_eq!(shards[0].stats().donated, 1);
@@ -498,7 +558,7 @@ mod tests {
 
         sink.clear();
         shards[1]
-            .adopt_stolen_batch(batch.as_slice(), at(1), &mut sink)
+            .apply(at(1), &Input::Adopt(batch.as_slice()), &mut sink)
             .unwrap();
         match sink.as_slice()[0] {
             Action::Dispatch { worker, job: j, .. } => {
@@ -514,15 +574,18 @@ mod tests {
         // The stolen job completes on the thief like any local job.
         sink.clear();
         shards[1]
-            .on_job_completed_into(WorkerId::new(1), job.id, at(2), &mut sink)
+            .apply(
+                at(2),
+                &Input::Completed(&[(WorkerId::new(1), job.id)]),
+                &mut sink,
+            )
             .unwrap();
         assert_eq!(shards[1].stats().completed, 1);
-        // A stale hint (already released) yields nothing.
-        let mut empty = JobBatch::new();
-        assert_eq!(shards[0].release_stolen_batch(&hints, &mut empty), 0);
+        // Nothing is left to lend.
+        assert!(lend(&mut shards[0], 1).is_empty());
         // Adopting a job the shard already owns is a protocol error.
         assert!(shards[0]
-            .adopt_stolen_batch(&[job], at(2), &mut sink)
+            .apply(at(2), &Input::Adopt(&[job]), &mut sink)
             .is_err());
     }
 
@@ -555,26 +618,43 @@ mod tests {
         let live = Arc::new(b.build().unwrap());
         let mut shards = EngineShard::build_all(&live, &partitioned_config(2)).unwrap();
         let mut sink = ActionSink::new();
-        shards[0].start_into(Instant::ZERO, &mut sink).unwrap();
-        shards[1].start_into(Instant::ZERO, &mut sink).unwrap();
+        shards[0]
+            .apply(Instant::ZERO, &Input::Start, &mut sink)
+            .unwrap();
+        shards[1]
+            .apply(Instant::ZERO, &Input::Start, &mut sink)
+            .unwrap();
 
         let merged = Arc::new(live.extended(&guest()).unwrap());
         // Every shard splices its own server replica.
         let budget = Some(TenantBudget::deferrable(ms(6), ms(40)));
         let tenant = TenantId::new(1);
         for s in &mut shards {
-            let server = budget.map(|b| ReservationServer::new(b, Instant::ZERO));
-            assert_eq!(
-                s.splice_taskset(Arc::clone(&merged), server).unwrap(),
-                tenant
-            );
-            s.commit_tenant_into(tenant, Instant::ZERO, &mut sink)
+            let install = Input::Install {
+                merged: &merged,
+                tenant,
+                first_task: 2,
+                budget,
+            };
+            s.apply(Instant::ZERO, &install, &mut sink).unwrap();
+            let (anchor, since) = (Instant::ZERO, Instant::ZERO);
+            let commit = Input::Commit {
+                tenant,
+                anchor,
+                since,
+            };
+            s.apply(Instant::ZERO, &commit, &mut sink).unwrap();
+            s.apply(Instant::ZERO, &Input::Tick { done: &[] }, &mut sink)
                 .unwrap();
         }
         assert_eq!(shards[0].ready_len(), 2);
         let b1 = shards[1].running().expect("base1 runs").job.id;
         shards[1]
-            .on_job_completed_into(WorkerId::new(1), b1, at(1), &mut sink)
+            .apply(
+                at(1),
+                &Input::Completed(&[(WorkerId::new(1), b1)]),
+                &mut sink,
+            )
             .unwrap();
         assert!(shards[1].is_idle());
         (shards, tenant)
@@ -588,13 +668,10 @@ mod tests {
         now: Instant,
         sink: &mut ActionSink,
     ) -> JobBatch {
-        let mut hints = Vec::new();
-        shards[0].try_steal_batch(k, &mut hints);
-        let mut batch = JobBatch::new();
-        shards[0].release_stolen_batch(&hints, &mut batch);
+        let batch = lend(&mut shards[0], k);
         sink.clear();
         shards[1]
-            .adopt_stolen_batch(batch.as_slice(), now, sink)
+            .apply(now, &Input::Adopt(batch.as_slice()), sink)
             .unwrap();
         batch
     }
@@ -609,7 +686,7 @@ mod tests {
         sink: &mut ActionSink,
     ) {
         shards[1]
-            .on_job_completed_into(WorkerId::new(1), first, at(5), sink)
+            .apply(at(5), &Input::Completed(&[(WorkerId::new(1), first)]), sink)
             .unwrap();
         assert!(
             shards[1].running().is_none(),
@@ -659,39 +736,64 @@ mod tests {
         let budget = TenantBudget::deferrable(ms(6), ms(40));
         let budgeted = TenantId::new(2);
         for s in &mut shards {
-            s.retire_tenant_into(tenant, &mut sink).unwrap();
-            let server = ReservationServer::new(budget, at(6));
-            s.install_tenant(Arc::clone(&heir), budgeted, 2, Some(server))
-                .unwrap();
+            s.apply(at(6), &Input::Retire(tenant), &mut sink).unwrap();
+            let install = Input::Install {
+                merged: &heir,
+                tenant: budgeted,
+                first_task: 2,
+                budget: Some(budget),
+            };
+            s.apply(at(6), &install, &mut sink).unwrap();
             // Nothing charged to it yet: its budget is full.
             let fresh = s.tenant_server(budgeted).expect("the heir's own server");
             assert_eq!(fresh.total_charged(), Duration::ZERO);
             assert_eq!(fresh.deferral_count(), 0);
-            s.commit_tenant_at(budgeted, at(40), at(6)).unwrap();
-            s.retire_tenant_into(budgeted, &mut sink).unwrap();
+            let commit = Input::Commit {
+                tenant: budgeted,
+                anchor: at(40),
+                since: at(6),
+            };
+            s.apply(at(6), &commit, &mut sink).unwrap();
+            s.apply(at(6), &Input::Retire(budgeted), &mut sink).unwrap();
         }
         // An heir without a budget is never deferred: both of its 4 ms
         // jobs run on worker 0, where a 6 ms budget would defer one.
         let unbudgeted = TenantId::new(3);
         for s in &mut shards {
-            s.install_tenant(Arc::clone(&heir), unbudgeted, 2, None)
-                .unwrap();
+            let install = Input::Install {
+                merged: &heir,
+                tenant: unbudgeted,
+                first_task: 2,
+                budget: None,
+            };
+            s.apply(at(6), &install, &mut sink).unwrap();
             assert!(s.tenant_server(unbudgeted).is_none());
         }
         let base0 = shards[0].running().expect("base0 still runs").job.id;
         shards[0]
-            .on_job_completed_into(WorkerId::new(0), base0, at(7), &mut sink)
+            .apply(
+                at(7),
+                &Input::Completed(&[(WorkerId::new(0), base0)]),
+                &mut sink,
+            )
             .unwrap();
         let deferrals = shards[0].stats().budget_deferrals;
         shards[0]
-            .commit_tenant_into(unbudgeted, at(40), &mut sink)
+            .apply(at(40), &commit(unbudgeted, at(40), at(40)), &mut sink)
+            .unwrap();
+        shards[0]
+            .apply(at(40), &Input::Tick { done: &[] }, &mut sink)
             .unwrap();
         let mut ran = Vec::new();
         while let Some(r) = shards[0].running() {
             let (job, done) = (r.job, at(41 + 5 * ran.len() as u64));
             ran.push(job.task);
             shards[0]
-                .on_job_completed_into(WorkerId::new(0), job.id, done, &mut sink)
+                .apply(
+                    done,
+                    &Input::Completed(&[(WorkerId::new(0), job.id)]),
+                    &mut sink,
+                )
                 .unwrap();
         }
         assert_eq!(ran.len(), 3, "base0 and both of the heir's jobs: {ran:?}");
@@ -713,7 +815,9 @@ mod tests {
         let ts = Arc::new(b.build().unwrap());
         let mut shards = EngineShard::build_all(&ts, &partitioned_config(2)).unwrap();
         let mut sink = ActionSink::new();
-        shards[0].start_into(Instant::ZERO, &mut sink).unwrap();
+        shards[0]
+            .apply(Instant::ZERO, &Input::Start, &mut sink)
+            .unwrap();
         // EDF ties break by release then id: the running job is "plain",
         // the queue holds gpu0 then gpu1 — both accelerator-bound.
         assert_eq!(shards[0].ready_len(), 2);
@@ -721,7 +825,7 @@ mod tests {
             shards[0].steal_hint().is_none(),
             "accelerator-bound jobs never migrate"
         );
-        assert_eq!(shards[0].try_steal_batch(8, &mut Vec::new()), 0);
+        assert!(lend(&mut shards[0], 8).is_empty());
     }
 
     #[test]
@@ -741,39 +845,41 @@ mod tests {
         let ts = Arc::new(b.build().unwrap());
         let mut shards = EngineShard::build_all(&ts, &partitioned_config(2)).unwrap();
         let mut sink = ActionSink::new();
-        shards[0].start_into(Instant::ZERO, &mut sink).unwrap();
-        shards[1].start_into(Instant::ZERO, &mut sink).unwrap();
+        shards[0]
+            .apply(Instant::ZERO, &Input::Start, &mut sink)
+            .unwrap();
+        shards[1]
+            .apply(Instant::ZERO, &Input::Start, &mut sink)
+            .unwrap();
         assert_eq!(shards[0].ready_len(), 4);
         assert!(shards[1].is_idle());
 
-        // Probe for up to 8: the victim offers all four ready jobs, most
-        // urgent first (EDF: ascending deadline).
-        let mut hints = Vec::new();
-        assert_eq!(shards[0].try_steal_batch(8, &mut hints), 4);
-        assert!(
-            hints.windows(2).all(|w| w[0].priority <= w[1].priority),
-            "hints come in ascending key order"
-        );
-        // A smaller k takes a prefix.
-        let mut two = Vec::new();
-        assert_eq!(shards[0].try_steal_batch(2, &mut two), 2);
-        assert_eq!(&hints[..2], &two[..]);
-
-        // The probe detached nothing: the queue is intact.
+        // A lend of two takes a prefix; given back, the queue is intact.
+        let two = lend(&mut shards[0], 2);
+        assert_eq!(two.len(), 2);
+        shards[0]
+            .apply(at(0), &Input::Returned(&two), &mut sink)
+            .unwrap();
         assert_eq!(shards[0].ready_len(), 4);
 
-        let mut batch = JobBatch::new();
-        assert_eq!(shards[0].release_stolen_batch(&hints, &mut batch), 4);
+        // Up to 8: the victim lends all four ready jobs, most urgent
+        // first (EDF: ascending deadline).
+        let batch = lend(&mut shards[0], 8);
+        assert_eq!(batch.len(), 4);
+        assert!(
+            batch.windows(2).all(|w| w[0].priority <= w[1].priority),
+            "lent in ascending key order"
+        );
+        assert_eq!(&batch[..2], &two[..]);
         assert_eq!(shards[0].ready_len(), 0);
         assert_eq!(shards[0].stats().donated, 4);
-        // Re-releasing the same hints finds them all stale.
-        let mut empty = JobBatch::new();
-        assert_eq!(shards[0].release_stolen_batch(&hints, &mut empty), 0);
+        // Nothing is left to lend.
+        assert!(lend(&mut shards[0], 8).is_empty());
 
         // One exchange lands all four on the thief.
         sink.clear();
         shards[1]
-            .adopt_stolen_batch(batch.as_slice(), at(1), &mut sink)
+            .apply(at(1), &Input::Adopt(batch.as_slice()), &mut sink)
             .unwrap();
         let dispatches = sink
             .as_slice()
@@ -794,25 +900,26 @@ mod tests {
         }
 
         // Migrate-at-most-once: the thief never re-offers adopted jobs.
-        let mut again = Vec::new();
-        assert_eq!(shards[1].try_steal_batch(8, &mut again), 0);
+        assert!(lend(&mut shards[1], 8).is_empty());
         assert!(shards[1].steal_hint().is_none());
 
         // A batch containing a job the shard already owns is rejected
         // whole — nothing enqueued.
         let own = batch.as_slice()[1];
         assert!(shards[0]
-            .adopt_stolen_batch(&[own], at(2), &mut sink)
+            .apply(at(2), &Input::Adopt(&[own]), &mut sink)
             .is_err());
         assert_eq!(shards[0].stats().stolen, 0);
         // An empty batch is a no-op, not an error.
-        shards[1].adopt_stolen_batch(&[], at(2), &mut sink).unwrap();
+        shards[1]
+            .apply(at(2), &Input::Adopt(&[]), &mut sink)
+            .unwrap();
         assert_eq!(shards[1].stats().stolen_batch, 1);
     }
 
     #[test]
     fn one_exchange_detaches_at_most_max_steal_batch_jobs() {
-        // p0 runs, nine jobs queue. Nine fresh hints release the first
+        // p0 runs, nine jobs queue. A lend of nine detaches the first
         // eight; the ninth job stays queued.
         let mut b = yasmin_core::graph::TaskSetBuilder::new();
         for i in 0..=MAX_STEAL_BATCH as u64 + 1 {
@@ -823,21 +930,15 @@ mod tests {
         let ts = Arc::new(b.build().unwrap());
         let mut shards = EngineShard::build_all(&ts, &partitioned_config(2)).unwrap();
         let mut sink = ActionSink::new();
-        shards[0].start_into(Instant::ZERO, &mut sink).unwrap();
+        shards[0]
+            .apply(Instant::ZERO, &Input::Start, &mut sink)
+            .unwrap();
         assert_eq!(shards[0].ready_len(), MAX_STEAL_BATCH + 1);
-        // The scan stops at the cap; the ninth hint is the top job once
-        // the first eight are out, and all nine go back.
-        let mut hints = Vec::new();
-        let mut batch = JobBatch::new();
-        shards[0].try_steal_batch(MAX_STEAL_BATCH + 1, &mut hints);
-        assert_eq!(hints.len(), MAX_STEAL_BATCH);
-        shards[0].release_stolen_batch(&hints, &mut batch);
-        hints.push(shards[0].steal_hint().expect("the ninth job"));
-        shards[0].return_unclaimed(&batch);
-        batch.clear();
-        let released = shards[0].release_stolen_batch(&hints, &mut batch);
-        assert_eq!(released, MAX_STEAL_BATCH);
-        assert_eq!(batch[..], hints[..MAX_STEAL_BATCH]);
+        // The lend stops at the cap, most urgent first.
+        let top = shards[0].steal_hint().expect("the first job");
+        let batch = lend(&mut shards[0], MAX_STEAL_BATCH + 1);
+        assert_eq!(batch.len(), MAX_STEAL_BATCH);
+        assert_eq!(batch[0], top);
         assert_eq!(shards[0].ready_len(), 1);
     }
 
@@ -855,15 +956,17 @@ mod tests {
         let ts = Arc::new(b.build().unwrap());
         let mut shards = EngineShard::build_all(&ts, &partitioned_config(2)).unwrap();
         let mut sink = ActionSink::new();
-        shards[0].start_into(Instant::ZERO, &mut sink).unwrap();
-        let mut hints = Vec::new();
-        let mut batch = JobBatch::new();
-        shards[0].try_steal_batch(8, &mut hints);
-        assert_eq!(shards[0].release_stolen_batch(&hints, &mut batch), 4);
-        let jobs = batch.as_slice();
+        shards[0]
+            .apply(Instant::ZERO, &Input::Start, &mut sink)
+            .unwrap();
+        let jobs = lend(&mut shards[0], 8);
+        assert_eq!(jobs.len(), 4);
         // Returned out of order on purpose: the key decides, not the
         // order of the pushes.
-        shards[0].return_unclaimed(&[jobs[3], jobs[0], jobs[2]]);
+        let unclaimed = [jobs[3], jobs[0], jobs[2]];
+        shards[0]
+            .apply(at(0), &Input::Returned(&unclaimed), &mut sink)
+            .unwrap();
         assert_eq!(shards[0].stats().donated, 1);
         assert_eq!(shards[0].ready_len(), 3);
         let mut ran = Vec::new();
@@ -871,7 +974,11 @@ mod tests {
             let id = running.job.id;
             ran.push(id);
             shards[0]
-                .on_job_completed_into(WorkerId::new(0), id, at(1), &mut sink)
+                .apply(
+                    at(1),
+                    &Input::Completed(&[(WorkerId::new(0), id)]),
+                    &mut sink,
+                )
                 .unwrap();
         }
         assert_eq!(ran[1..], [jobs[0].id, jobs[2].id, jobs[3].id]);
@@ -900,11 +1007,13 @@ mod tests {
         let ts = Arc::new(b.build().unwrap());
         let mut shards = EngineShard::build_all(&ts, &partitioned_config(2)).unwrap();
         let mut sink = ActionSink::new();
-        shards[0].start_into(Instant::ZERO, &mut sink).unwrap();
+        shards[0]
+            .apply(Instant::ZERO, &Input::Start, &mut sink)
+            .unwrap();
         assert_eq!(shards[0].ready_len(), 3, "p0 runs; p1, g, p2 queue");
-        let mut hints = Vec::new();
-        assert_eq!(shards[0].try_steal_batch(8, &mut hints), 1);
-        assert_eq!(ts.tasks()[hints[0].task.index()].spec().name(), "p1");
+        let lent = lend(&mut shards[0], 8);
+        assert_eq!(lent.len(), 1);
+        assert_eq!(ts.tasks()[lent[0].task.index()].spec().name(), "p1");
     }
 
     #[test]
@@ -958,15 +1067,21 @@ mod tests {
         let mut ledger = TenantLedger::new(AdmissionControl::for_engine(&shards[0]), base);
         let mut sink = ActionSink::new();
         for (s, w) in shards.iter_mut().zip([w0, w1]) {
-            s.start_into(Instant::ZERO, &mut sink).unwrap();
+            s.apply(Instant::ZERO, &Input::Start, &mut sink).unwrap();
             let base_job = s.running().unwrap().job.id;
-            s.on_job_completed_into(w, base_job, at(1), &mut sink)
+            s.apply(at(1), &Input::Completed(&[(w, base_job)]), &mut sink)
                 .unwrap();
         }
         let admit = |ledger: &mut TenantLedger, shards: &mut [EngineShard]| {
             let admitted = ledger.admit(&tenant, None, |a| {
+                let install = Input::Install {
+                    merged: a.merged,
+                    tenant: a.tenant,
+                    first_task: a.slot.first_task,
+                    budget: None,
+                };
                 for s in shards.iter_mut() {
-                    s.install_tenant(Arc::clone(a.merged), a.tenant, a.slot.first_task, None)?;
+                    s.apply(at(1), &install, &mut ActionSink::new())?;
                 }
                 Ok(())
             });
@@ -974,35 +1089,46 @@ mod tests {
         };
         let a = admit(&mut ledger, &mut shards);
         for s in &mut shards {
-            s.commit_tenant_at(a, at(1), at(1)).unwrap();
-            s.retire_tenant_into(a, &mut sink).unwrap();
+            s.apply(at(1), &commit(a, at(1), at(1)), &mut sink).unwrap();
+            s.apply(at(1), &Input::Retire(a), &mut sink).unwrap();
         }
         ledger.retire(a).unwrap();
         let b = admit(&mut ledger, &mut shards);
         let (src, dst) = (TaskId::new(2), TaskId::new(3));
         assert_eq!(shards[1].tenant_of_task(dst), Some(b), "B took A's slot");
-        shards[0].commit_tenant_at(b, at(2), at(2)).unwrap();
-        shards[0].activate_into(src, at(2), &mut sink).unwrap();
+        shards[0]
+            .apply(at(2), &commit(b, at(2), at(2)), &mut sink)
+            .unwrap();
+        shards[0]
+            .apply(at(2), &Input::Activate(src), &mut sink)
+            .unwrap();
         let root = shards[0].running().expect("B's root runs").job.id;
         shards[0]
-            .on_job_completed_into(w0, root, at(3), &mut sink)
+            .apply(at(3), &Input::Completed(&[(w0, root)]), &mut sink)
             .unwrap();
         let mut outbox = Vec::new();
         shards[0].drain_outbox_into(&mut outbox);
-        let edge = outbox[0].edge;
         assert_eq!(outbox[0].graph_release, at(2));
-        for instance in [at(1), at(2)] {
+        for graph_release in [at(1), at(2)] {
+            let token = RemoteActivation {
+                graph_release,
+                ..outbox[0]
+            };
             shards[1]
-                .on_remote_token(edge, instance, at(3), &mut sink)
+                .apply(at(3), &Input::Token(token), &mut sink)
                 .unwrap();
         }
         assert_eq!(shards[1].ready_len(), 0, "held until the commit");
         assert!(shards[1].running().is_none());
         let released = shards[1].stats().released;
-        shards[1].commit_tenant_at(b, at(4), at(2)).unwrap();
+        shards[1]
+            .apply(at(4), &commit(b, at(4), at(2)), &mut sink)
+            .unwrap();
         assert_eq!(shards[1].stats().released, released + 1, "B's token only");
         sink.clear();
-        shards[1].on_tick_into(at(4), &mut sink);
+        shards[1]
+            .apply(at(4), &Input::Tick { done: &[] }, &mut sink)
+            .unwrap();
         let node = shards[1].running().expect("B's node runs").job;
         assert_eq!((node.task, node.graph_release), (dst, at(2)));
     }
@@ -1044,16 +1170,22 @@ mod tests {
         let mut ledger = TenantLedger::new(AdmissionControl::for_engine(&shards[0]), base);
         let mut sink = ActionSink::new();
         for s in &mut shards {
-            s.start_into(Instant::ZERO, &mut sink).unwrap();
+            s.apply(Instant::ZERO, &Input::Start, &mut sink).unwrap();
         }
         let p1 = shards[1].running().unwrap().job.id;
         shards[1]
-            .on_job_completed_into(w1, p1, at(1), &mut sink)
+            .apply(at(1), &Input::Completed(&[(w1, p1)]), &mut sink)
             .unwrap();
         let admit = |ledger: &mut TenantLedger, shards: &mut [EngineShard]| {
             let admitted = ledger.admit(&tenant, None, |a| {
+                let install = Input::Install {
+                    merged: a.merged,
+                    tenant: a.tenant,
+                    first_task: a.slot.first_task,
+                    budget: None,
+                };
                 for s in shards.iter_mut() {
-                    s.install_tenant(Arc::clone(a.merged), a.tenant, a.slot.first_task, None)?;
+                    s.apply(at(1), &install, &mut ActionSink::new())?;
                 }
                 Ok(())
             });
@@ -1062,36 +1194,36 @@ mod tests {
         let src = TaskId::new(2);
         // Activates the root on shard 0 and detaches it for a thief.
         let root = |shards: &mut [EngineShard], now: Instant, sink: &mut ActionSink| {
-            shards[0].activate_into(src, now, sink).unwrap();
-            let mut hints = Vec::new();
-            shards[0].try_steal_batch(1, &mut hints);
-            let mut batch = JobBatch::new();
-            assert_eq!(shards[0].release_stolen_batch(&hints, &mut batch), 1);
-            batch.as_slice()[0]
+            shards[0].apply(now, &Input::Activate(src), sink).unwrap();
+            let batch = lend(&mut shards[0], 1);
+            assert_eq!(batch.len(), 1);
+            batch[0]
         };
         let a = admit(&mut ledger, &mut shards);
         for s in &mut shards {
-            s.commit_tenant_at(a, at(1), at(1)).unwrap();
+            s.apply(at(1), &commit(a, at(1), at(1)), &mut sink).unwrap();
         }
         let former = root(&mut shards, at(1), &mut sink);
         for s in &mut shards {
-            s.retire_tenant_into(a, &mut sink).unwrap();
+            s.apply(at(1), &Input::Retire(a), &mut sink).unwrap();
         }
         ledger.retire(a).unwrap();
         let b = admit(&mut ledger, &mut shards);
         assert_eq!(shards[1].tenant_of_task(src), Some(b), "B took A's slot");
-        shards[0].commit_tenant_at(b, at(2), at(2)).unwrap();
+        shards[0]
+            .apply(at(2), &commit(b, at(2), at(2)), &mut sink)
+            .unwrap();
         let heirs = root(&mut shards, at(2), &mut sink);
         let released = [0, 1].map(|k| shards[k].stats().released);
         // Shard 1 runs both roots before it hears B's commit.
         for (job, done) in [(former, at(3)), (heirs, at(4))] {
             shards[1]
-                .adopt_stolen_batch(&[job], done, &mut sink)
+                .apply(done, &Input::Adopt(&[job]), &mut sink)
                 .unwrap();
             let ran = shards[1].running().expect("the stolen root runs").job;
             assert_eq!((ran.task, ran.graph_release), (src, job.graph_release));
             shards[1]
-                .on_job_completed_into(w1, ran.id, done, &mut sink)
+                .apply(done, &Input::Completed(&[(w1, ran.id)]), &mut sink)
                 .unwrap();
         }
         assert_eq!(shards[1].ready_len(), 0, "d1 waits for the commit");
@@ -1100,14 +1232,18 @@ mod tests {
         assert_eq!(outbox.len(), 2, "both roots' d0 tokens are routed");
         for token in outbox {
             shards[0]
-                .on_remote_token(token.edge, token.graph_release, at(4), &mut sink)
+                .apply(at(4), &Input::Token(token), &mut sink)
                 .unwrap();
         }
-        shards[1].commit_tenant_at(b, at(5), at(2)).unwrap();
+        shards[1]
+            .apply(at(5), &commit(b, at(5), at(2)), &mut sink)
+            .unwrap();
         let now = [0, 1].map(|k| shards[k].stats().released);
         assert_eq!(now, released.map(|n| n + 1), "d0 and d1 once each");
         sink.clear();
-        shards[1].on_tick_into(at(5), &mut sink);
+        shards[1]
+            .apply(at(5), &Input::Tick { done: &[] }, &mut sink)
+            .unwrap();
         let d1 = shards[1].running().expect("B's d1 runs").job;
         assert_eq!((d1.task, d1.graph_release), (TaskId::new(4), at(2)));
     }
@@ -1119,8 +1255,12 @@ mod tests {
         let mut fused = EngineShard::build_all(&ts, &partitioned_config(2)).unwrap();
         let mut sink_a = ActionSink::new();
         let mut sink_b = ActionSink::new();
-        split[0].start_into(Instant::ZERO, &mut sink_a).unwrap();
-        fused[0].start_into(Instant::ZERO, &mut sink_b).unwrap();
+        split[0]
+            .apply(Instant::ZERO, &Input::Start, &mut sink_a)
+            .unwrap();
+        fused[0]
+            .apply(Instant::ZERO, &Input::Start, &mut sink_b)
+            .unwrap();
         for tick in 1..=6u64 {
             let done_a = split[0].running().map(|r| (split[0].worker(), r.job.id));
             let done_b = fused[0].running().map(|r| (fused[0].worker(), r.job.id));
@@ -1129,13 +1269,17 @@ mod tests {
             sink_a.clear();
             if let Some(d) = done_a {
                 split[0]
-                    .on_jobs_completed_into(&[d], now, &mut sink_a)
+                    .apply(now, &Input::Completed(&[d]), &mut sink_a)
                     .unwrap();
             }
-            split[0].on_tick_into(now, &mut sink_a);
+            split[0]
+                .apply(now, &Input::Tick { done: &[] }, &mut sink_a)
+                .unwrap();
             sink_b.clear();
             let batch: Vec<_> = done_b.into_iter().collect();
-            fused[0].advance_into(&batch, now, &mut sink_b).unwrap();
+            fused[0]
+                .apply(now, &Input::Tick { done: &batch }, &mut sink_b)
+                .unwrap();
             // The fused round may merge two dispatch rounds into one,
             // but the dispatched jobs and engine counters must agree.
             // (`max_ready` legitimately differs: the fused round sees
@@ -1186,10 +1330,14 @@ mod tests {
         let mut shards = EngineShard::build_all(&ts, &partitioned_config(2)).unwrap();
         let shard = &mut shards[1];
         let mut sink = ActionSink::new();
-        shard.start_into(Instant::ZERO, &mut sink).unwrap();
+        shard
+            .apply(Instant::ZERO, &Input::Start, &mut sink)
+            .unwrap();
         let s = shard.running().unwrap().job.id;
         sink.clear();
-        shard.on_job_completed_into(w, s, at(1), &mut sink).unwrap();
+        shard
+            .apply(at(1), &Input::Completed(&[(w, s)]), &mut sink)
+            .unwrap();
         assert!(
             sink.as_slice()
                 .iter()
@@ -1200,7 +1348,7 @@ mod tests {
         // Shard 0 owns nothing: starting it dispatches nothing.
         let mut empty_sink = ActionSink::new();
         shards[0]
-            .start_into(Instant::ZERO, &mut empty_sink)
+            .apply(Instant::ZERO, &Input::Start, &mut empty_sink)
             .unwrap();
         assert!(empty_sink.is_empty());
         assert!(shards[0].is_idle());
@@ -1234,11 +1382,15 @@ mod tests {
             }
         };
         let mut sink = ActionSink::new();
-        single.start_into(Instant::ZERO, &mut sink).unwrap();
+        single
+            .apply(Instant::ZERO, &Input::Start, &mut sink)
+            .unwrap();
         log_actions(&mut single_log, sink.as_slice());
         for shard in &mut shards {
             sink.clear();
-            shard.start_into(Instant::ZERO, &mut sink).unwrap();
+            shard
+                .apply(Instant::ZERO, &Input::Start, &mut sink)
+                .unwrap();
             log_actions(&mut shard_log, sink.as_slice());
         }
         for tick in 1..=8u64 {
@@ -1249,7 +1401,7 @@ mod tests {
                     let id = r.job.id;
                     sink.clear();
                     single
-                        .on_job_completed_into(worker, id, mid, &mut sink)
+                        .apply(mid, &Input::Completed(&[(worker, id)]), &mut sink)
                         .unwrap();
                     log_actions(&mut single_log, sink.as_slice());
                 }
@@ -1257,17 +1409,21 @@ mod tests {
                     let id = r.job.id;
                     sink.clear();
                     shards[w as usize]
-                        .on_job_completed_into(worker, id, mid, &mut sink)
+                        .apply(mid, &Input::Completed(&[(worker, id)]), &mut sink)
                         .unwrap();
                     log_actions(&mut shard_log, sink.as_slice());
                 }
             }
             sink.clear();
-            single.on_tick_into(at(tick * 10), &mut sink);
+            single
+                .apply(at(tick * 10), &Input::Tick { done: &[] }, &mut sink)
+                .unwrap();
             log_actions(&mut single_log, sink.as_slice());
             for shard in &mut shards {
                 sink.clear();
-                shard.on_tick_into(at(tick * 10), &mut sink);
+                shard
+                    .apply(at(tick * 10), &Input::Tick { done: &[] }, &mut sink)
+                    .unwrap();
                 log_actions(&mut shard_log, sink.as_slice());
             }
         }
@@ -1314,15 +1470,24 @@ mod tests {
             .build()
             .unwrap();
         let mut shards = EngineShard::build_all(&ts, &cfg).unwrap();
-        let mut offered = Vec::new();
-        shards[0].continuations_into(&mut offered);
+        let offers = |shard: &mut EngineShard| {
+            let mut sink = ActionSink::new();
+            shard
+                .apply(Instant::ZERO, &Input::Offer, &mut sink)
+                .unwrap();
+            let offer = |a: &Action| match *a {
+                Action::Offer(c) => c,
+                other => panic!("{other:?}"),
+            };
+            sink.iter().map(offer).collect::<Vec<_>>()
+        };
+        let offered = offers(&mut shards[0]);
         let first = offered.first().expect("offers").id.raw();
         let got: Vec<_> = offered
             .iter()
             .map(|c| (c.task, c.seq, c.id.raw() - first))
             .collect();
         assert_eq!(got, [(n2, 0, 0), (n1, 0, 1)]);
-        shards[1].continuations_into(&mut offered);
-        assert!(offered.is_empty(), "a root is never offered");
+        assert!(offers(&mut shards[1]).is_empty(), "a root is never offered");
     }
 }

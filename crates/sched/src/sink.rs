@@ -19,7 +19,7 @@ use crate::engine::Action;
 ///
 /// ## Batch-completion contract
 ///
-/// `OnlineEngine::on_jobs_completed_into` retires **all** completions
+/// `Input::Completed` retires **all** completions
 /// of a burst before its single dispatch round, and the actions of
 /// that round land in the sink **in one contiguous run** at the end:
 /// every `Dispatch`/`Preempt`/`Boost` appended by the batch call

@@ -5,10 +5,10 @@
 //!
 //! **Stragglers.** A former holder's job may still run — on its owner,
 //! a helper or a thief — or its token travel between shards when the
-//! slot's new holder is installed ([`OnlineEngine::install_tenant`]).
+//! slot's new holder is installed ([`Input::Install`](crate::Input::Install)).
 //! Each belongs to a graph instance released before the holder
 //! *begins*, an instant its commit fixes
-//! ([`OnlineEngine::commit_tenant_at`]). Two rules follow:
+//! ([`Input::Commit`](crate::Input::Commit)). Two rules follow:
 //!
 //! * **The holder verdict.** A job or token of a slot is its holder's
 //!   when the slot is not free and its graph release is no earlier than
@@ -21,9 +21,6 @@
 //!   running when their tenant is retired fire nothing.
 //! * **The holder's server.** Only a job of the holder is charged to the
 //!   slot's reservation server, at dispatch and on overrun.
-//!
-//! [`OnlineEngine::install_tenant`]: crate::OnlineEngine::install_tenant
-//! [`OnlineEngine::commit_tenant_at`]: crate::OnlineEngine::commit_tenant_at
 
 use crate::server::ReservationServer;
 use std::ops::Range;

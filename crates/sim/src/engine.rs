@@ -34,9 +34,9 @@ use yasmin_core::stats::Samples;
 use yasmin_core::task::ActivationKind;
 use yasmin_core::time::{Duration, Instant};
 use yasmin_sched::admission::{AdmissionControl, AdmissionError, TenantLedger};
-use yasmin_sched::server::{ReservationServer, TenantBudget};
+use yasmin_sched::server::TenantBudget;
 use yasmin_sched::{
-    Action, ActionSink, CycleMark, HomeNote, Job, MsgEvent, OnlineEngine, RemoteActivation,
+    Action, ActionSink, CycleMark, HomeNote, Input, Job, MsgEvent, OnlineEngine, RemoteActivation,
 };
 
 /// Modelled fixed costs of scheduler interactions.
@@ -578,6 +578,9 @@ impl Simulation {
                     // one leaves the simulation with its remaining work.
                     self.take_suspended(job);
                 }
+                // Answers to inputs a driver reads off the sink itself
+                // (`crate::par` lends with a sink of its own).
+                Action::Lend { .. } | Action::Offer(_) => {}
             }
         }
     }
@@ -683,14 +686,16 @@ impl Simulation {
                 // No-op when the task is not running at the instant
                 // (e.g. it already finished) — the schedule stays
                 // valid across parameter sweeps.
-                self.engine_call(now, |e, sink| e.force_overrun(task, now, sink));
+                self.engine_call(now, |e, sink| e.apply(now, &Input::Overrun(task), sink))
+                    .expect("an overrun is never refused");
             }
             FaultEvent::Crash { task } => self.apply_crash(now, task),
             FaultEvent::Burst { task, count } => {
                 for _ in 0..count {
                     // Tolerates non-activatable targets so burst
                     // schedules compose with retirement schedules.
-                    let _ = self.engine_call(now, |e, sink| e.activate_into(task, now, sink));
+                    let _ =
+                        self.engine_call(now, |e, sink| e.apply(now, &Input::Activate(task), sink));
                 }
             }
         }
@@ -713,7 +718,7 @@ impl Simulation {
         let slice = self.end_slice(w, now).expect("position matched");
         let worker = WorkerId::new(w as u16);
         self.engine_call(now, |e, sink| {
-            e.on_job_failed_into(worker, slice.job.id, now, sink)
+            e.apply(now, &Input::Failed(worker, slice.job.id), sink)
                 .expect("crashed job is running on its worker");
         });
     }
@@ -829,8 +834,12 @@ impl Simulation {
                 for (busy, before) in busy.chain(self.accel_busy.iter_mut().zip(&prev.accel_busy)) {
                     *busy += (*busy - *before) * n;
                 }
+                let skip = Input::Skip {
+                    since: &prev.engine,
+                    n,
+                };
                 self.engine
-                    .skip_cycles(&prev.engine, n)
+                    .apply(now, &skip, &mut self.sink)
                     .expect("the engine stands at the recurrence point just marked");
                 here = self
                     .engine
@@ -870,20 +879,20 @@ impl Simulation {
     ///
     /// # Errors
     ///
-    /// [`OnlineEngine::adopt_stolen_batch`]'s: a driver protocol
+    /// [`Input::Adopt`]'s: a driver protocol
     /// violation.
     pub(crate) fn adopt_stolen(&mut self, jobs: &[Job], now: Instant) -> Result<()> {
-        self.engine_call(now, |e, sink| e.adopt_stolen_batch(jobs, now, sink))
+        self.engine_call(now, |e, sink| e.apply(now, &Input::Adopt(jobs), sink))
     }
 
     /// The end of a job that migrated from this shard is home at `now`
-    /// ([`OnlineEngine::on_instance_home`]).
+    /// ([`Input::Home`]).
     ///
     /// # Errors
     ///
-    /// [`OnlineEngine::on_instance_home`]'s: a driver routing bug.
+    /// [`Input::Home`]'s: a driver routing bug.
     pub(crate) fn instance_home(&mut self, note: HomeNote, now: Instant) -> Result<()> {
-        self.engine_call(now, |e, sink| e.on_instance_home(note, now, sink))
+        self.engine_call(now, |e, sink| e.apply(now, &Input::Home(note), sink))
     }
 
     /// Starts the schedule at time zero and arms the event sources: the
@@ -892,13 +901,15 @@ impl Simulation {
     ///
     /// # Errors
     ///
-    /// [`OnlineEngine::start_into`]'s.
+    /// [`Input::Start`]'s.
     pub(crate) fn arm(&mut self, fold: bool) -> Result<()> {
         self.folding = fold;
         if fold {
             self.fold(Instant::ZERO);
         }
-        self.engine_call(Instant::ZERO, |e, sink| e.start_into(Instant::ZERO, sink))?;
+        self.engine_call(Instant::ZERO, |e, sink| {
+            e.apply(Instant::ZERO, &Input::Start, sink)
+        })?;
         self.next_tick = Some(self.key(Instant::ZERO + self.tick));
         for i in 0..self.sporadic_roots.len() {
             let (task, offset) = self.sporadic_roots[i];
@@ -993,7 +1004,7 @@ impl Simulation {
                     batch.push(self.settle_finish(now, w));
                 }
                 self.engine_call(now, |e, sink| {
-                    e.on_jobs_completed_into(&batch, now, sink)
+                    e.apply(now, &Input::Completed(&batch), sink)
                         .expect("driver protocol upheld");
                 });
                 self.finish_batch = batch;
@@ -1024,7 +1035,9 @@ impl Simulation {
             }
             now = reached;
         }
-        self.engine_call(now, |e, sink| e.on_tick_into(now, sink));
+        self.engine_call(now, |e, sink| {
+            e.apply(now, &Input::Tick { done: &[] }, sink).unwrap()
+        });
         let next = now + self.tick;
         // The horizon is exclusive for new releases, so runs over
         // [0, horizon) release exactly horizon/T jobs.
@@ -1045,7 +1058,7 @@ impl Simulation {
                     return;
                 }
                 self.engine_call(now, |e, sink| {
-                    e.activate_into(task, now, sink)
+                    e.apply(now, &Input::Activate(task), sink)
                         .expect("sporadic task is activatable");
                 });
                 let next = now + self.sporadic_period[task.index()];
@@ -1054,7 +1067,7 @@ impl Simulation {
                 }
             }
             Arrival::Cross(ra) => self.engine_call(now, |e, sink| {
-                e.on_remote_token(ra.edge, ra.graph_release, now, sink)
+                e.apply(now, &Input::Token(ra), sink)
                     .expect("a token is routed to the shard owning its edge");
             }),
         }
@@ -1062,15 +1075,17 @@ impl Simulation {
 
     fn apply_planned(&mut self, now: Instant, ev: Planned) {
         match ev {
-            Planned::Mode(mode) => self.engine.set_mode(mode),
+            Planned::Mode(mode) => {
+                let _ = self.engine.apply(now, &Input::Mode(mode), &mut self.sink);
+            }
             Planned::Msg(ev) => self.engine_call(now, |e, sink| {
-                e.on_msg_into(ev, now, sink)
+                e.apply(now, &Input::Msg(ev), sink)
                     .expect("scheduled message event targets a known task");
             }),
             Planned::Fault(ev) => self.apply_fault(now, ev),
             Planned::Admit(idx) => self.apply_admit(now, idx),
             Planned::Retire(tenant) => self.engine_call(now, |e, sink| {
-                e.retire_tenant_into(tenant, sink)
+                e.apply(now, &Input::Retire(tenant), sink)
                     .expect("retired tenant was admitted");
             }),
         }
@@ -1080,11 +1095,16 @@ impl Simulation {
     /// validated as admission `idx`, and arms its sporadic roots.
     fn apply_admit(&mut self, now: Instant, idx: usize) {
         let (merged, budget, tenant, slot) = self.admit_events[idx].clone();
-        let server = budget.map(|b| ReservationServer::new(b, now));
+        let install = Input::Install {
+            merged: &merged,
+            tenant,
+            first_task: slot.first_task,
+            budget,
+        };
         // Pre-validated at admit_at time, so a failure here is a driver
         // bug, not a tenant fault.
         self.engine
-            .install_tenant(Arc::clone(&merged), tenant, slot.first_task, server)
+            .apply(now, &install, &mut self.sink)
             .expect("admission was validated by admit_at");
         // The per-task / per-accel side state the sim keeps alongside
         // the engine: grown, or overwritten in a recycled slot.
@@ -1099,8 +1119,18 @@ impl Simulation {
             };
         }
         self.engine_call(now, |e, sink| {
-            e.commit_tenant_into(tenant, now, sink)
-                .expect("spliced tenant commits");
+            let (anchor, since) = (now, now);
+            e.apply(
+                now,
+                &Input::Commit {
+                    tenant,
+                    anchor,
+                    since,
+                },
+                sink,
+            )
+            .and_then(|()| e.apply(now, &Input::Tick { done: &[] }, sink))
+            .expect("spliced tenant commits");
         });
         // Arm the tenant's sporadic roots from the commit instant, like
         // the base set's at start.

@@ -52,7 +52,9 @@ use yasmin_core::error::{Error, Result};
 use yasmin_core::graph::TaskSet;
 use yasmin_core::ids::TaskId;
 use yasmin_core::time::{Duration, Instant};
-use yasmin_sched::{EngineShard, HomeNote, JobBatch, RemoteActivation, StealHint, MAX_STEAL_BATCH};
+use yasmin_sched::{
+    Action, ActionSink, EngineShard, HomeNote, Input, JobBatch, RemoteActivation, MAX_STEAL_BATCH,
+};
 
 /// Options of the sharded driver.
 #[derive(Debug, Clone, Copy)]
@@ -146,9 +148,9 @@ struct Shards {
     outbox: Vec<RemoteActivation>,
     /// Ends of stolen jobs on their way home, reused.
     homeward: Vec<HomeNote>,
-    /// Steal scratch, reused: what the victim names stealable, and the
-    /// jobs of one exchange.
-    hints: Vec<StealHint>,
+    /// Steal scratch, reused: what the victim lends, and the jobs of
+    /// one exchange.
+    lent: ActionSink,
     stolen: JobBatch,
 }
 
@@ -214,12 +216,17 @@ impl Shards {
                 // the victim's whole ready load) — the same sizing rule
                 // the thread runtime derives from its load board.
                 let k = (load / 2).clamp(1, cap);
-                let victim = &mut self.sims[v].engine;
-                if victim.try_steal_batch(k, &mut self.hints) == 0 {
-                    continue;
-                }
+                self.lent.clear();
+                self.sims[v]
+                    .engine
+                    .apply(at, &Input::Lend { k }, &mut self.lent)?;
                 self.stolen.clear();
-                if victim.release_stolen_batch(&self.hints, &mut self.stolen) == 0 {
+                for a in &self.lent {
+                    if let Action::Lend { job } = *a {
+                        self.stolen.push(job);
+                    }
+                }
+                if self.stolen.is_empty() {
                     continue;
                 }
                 let jobs = std::mem::take(&mut self.stolen);
@@ -314,7 +321,7 @@ pub fn run_partitioned_parallel(
             .then(|| opts.steal_batch.clamp(1, MAX_STEAL_BATCH)),
         outbox: Vec::new(),
         homeward: Vec::new(),
-        hints: Vec::with_capacity(MAX_STEAL_BATCH),
+        lent: ActionSink::with_capacity(MAX_STEAL_BATCH),
         stolen: JobBatch::with_capacity(MAX_STEAL_BATCH),
     };
     run.run()?;

@@ -16,7 +16,7 @@
 //! **advisory** — a probe may race with a dispatch and name a victim
 //! that turns out to have nothing on its shelf — which is fine: what a
 //! thief gets is decided by the claim on the shelf, filled from the
-//! victim's engine (`try_steal_batch` / `release_stolen_batch` in
+//! victim's engine (`Input::Lend` / `Input::Lend` in
 //! `yasmin-sched`). Stale reads cost a wasted probe, never correctness.
 //!
 //! # Victim ranking

@@ -86,7 +86,9 @@ pub mod prelude {
     pub use yasmin_core::version::{ExecMode, ModeMask, PermMask, VersionProps, VersionSpec};
     pub use yasmin_rt::{JobCtx, Runtime, RuntimeBuilder, TaskBody};
     // Aliases of the two above, for sources written against two runtimes
-    // (the frozen `benchmark/`); they go when it is re-baselined.
+    // (the frozen `benchmark/`, which also calls the eleven deprecated
+    // engine entry points kept at the end of `impl OnlineEngine`); they
+    // go when it is re-baselined onto `OnlineEngine::apply`.
     pub use yasmin_rt::{ShardedRuntime, ShardedRuntimeBuilder};
     pub use yasmin_sched::{
         AdmissionControl, AdmissionError, BoundViolation, ChannelBuilder, JobOutcome, MsgEvent,

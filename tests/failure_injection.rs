@@ -9,7 +9,7 @@
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use yasmin::prelude::*;
-use yasmin::sched::{Action, ActionSink, OnlineEngine};
+use yasmin::sched::{Action, ActionSink, Input, OnlineEngine};
 use yasmin::sim::{run_partitioned_parallel, ExecModel, FaultEvent, ParSimOptions};
 
 fn ms(v: u64) -> Duration {
@@ -127,11 +127,13 @@ fn sporadic_violation_counting_via_engine() {
     let config = Config::builder().workers(1).tick(ms(10)).build().unwrap();
     let mut engine = OnlineEngine::new(ts, config).unwrap();
     let mut sink = ActionSink::new();
-    engine.start_into(Instant::ZERO, &mut sink).unwrap();
+    engine
+        .apply(Instant::ZERO, &Input::Start, &mut sink)
+        .unwrap();
     for at in [0, 3_000_000, 20_000_000] {
         sink.clear();
         engine
-            .activate_into(s, Instant::from_nanos(at), &mut sink)
+            .apply(Instant::from_nanos(at), &Input::Activate(s), &mut sink)
             .unwrap();
     }
     assert_eq!(engine.stats().sporadic_violations, 1);
@@ -195,16 +197,22 @@ fn overrun_enforcement_applies_policy_on_tick() {
         .unwrap();
     let mut engine = OnlineEngine::new(ts, config).unwrap();
     let mut sink = ActionSink::new();
-    engine.start_into(Instant::ZERO, &mut sink).unwrap();
+    engine
+        .apply(Instant::ZERO, &Input::Start, &mut sink)
+        .unwrap();
     assert!(matches!(sink.as_slice(), [Action::Dispatch { .. }]));
 
     // At 1ms the job is exactly at its enforcement deadline (strict
     // comparison: no overrun); at 2ms it is past it.
     sink.clear();
-    engine.on_tick_into(Instant::ZERO + ms(1), &mut sink);
+    engine
+        .apply(Instant::ZERO + ms(1), &Input::Tick { done: &[] }, &mut sink)
+        .unwrap();
     assert_eq!(engine.stats().overruns, 0);
     sink.clear();
-    engine.on_tick_into(Instant::ZERO + ms(2), &mut sink);
+    engine
+        .apply(Instant::ZERO + ms(2), &Input::Tick { done: &[] }, &mut sink)
+        .unwrap();
     assert_eq!(engine.stats().overruns, 1);
     assert!(
         sink.as_slice().iter().any(|a| matches!(
@@ -216,7 +224,9 @@ fn overrun_enforcement_applies_policy_on_tick() {
     );
     // The policy fires exactly once per job.
     sink.clear();
-    engine.on_tick_into(Instant::ZERO + ms(3), &mut sink);
+    engine
+        .apply(Instant::ZERO + ms(3), &Input::Tick { done: &[] }, &mut sink)
+        .unwrap();
     assert_eq!(engine.stats().overruns, 1);
 }
 

@@ -19,7 +19,7 @@
 //!    on the held accelerator every cycle, boosting the holder (the
 //!    Boost action, wish scratch and blocked-job re-queue paths);
 //! 5. **burst completion** — every worker's completion retired through
-//!    one `on_jobs_completed_into` batch per cycle (PR 4), including
+//!    one `Input::Completed` batch per cycle (PR 4), including
 //!    the caller-side reusable batch buffer;
 //! 6. **mode switching** — the execution mode flips every cycle, so
 //!    each dispatch re-ranks versions through the invalidated rank
@@ -52,9 +52,9 @@
 //!     the new battery context (the last zero-alloc gap the ROADMAP
 //!     names);
 //! 13. **steady-state batch stealing** — every cycle the thief shard
-//!     runs the full batched migration, k = 4 (ordered `try_steal_batch`
-//!     scan, `release_stolen_batch` detach into a [`JobBatch`] grown
-//!     in the warm-up, `adopt_stolen_batch` dispatch round), retires
+//!     runs the full batched migration, k = 4 (ordered `Input::Lend`
+//!     scan, `Input::Lend` detach into a [`JobBatch`] grown
+//!     in the warm-up, `Input::Adopt` dispatch round), retires
 //!     all k stolen jobs and routes their ends home, while the victim
 //!     refills;
 //! 14. **deadline culling** — `cull_missed` on an overloaded worker:
@@ -88,13 +88,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use yasmin_core::config::{Config, MappingScheme};
 use yasmin_core::graph::TaskSetBuilder;
-use yasmin_core::ids::{JobId, TaskId, WorkerId};
+use yasmin_core::ids::{JobId, TaskId, TenantId, WorkerId};
 use yasmin_core::priority::PriorityPolicy;
 use yasmin_core::task::TaskSpec;
 use yasmin_core::time::{Duration, Instant};
 use yasmin_core::version::VersionSpec;
 use yasmin_sched::{
-    Action, ActionSink, EngineShard, HomeNote, JobBatch, OnlineEngine, RemoteActivation, StealHint,
+    Action, ActionSink, EngineShard, HomeNote, Input, JobBatch, OnlineEngine, RemoteActivation,
 };
 use yasmin_sync::mailbox::{mailbox, MailboxReceiver, MailboxSender};
 use yasmin_taskgen::taskset::{build_independent, build_partitioned, IndependentSetParams};
@@ -138,8 +138,29 @@ fn track(running: &mut [Option<JobId>], actions: &[Action]) {
             Action::Dispatch { worker, job, .. } => running[worker.index()] = Some(job.id),
             Action::Preempt { worker, .. } => running[worker.index()] = None,
             Action::Boost { .. } | Action::Cull { .. } => {}
+            Action::Lend { .. } | Action::Offer(_) => {}
         }
     }
+}
+
+/// Commits `tenant` at `now` and ticks there, as an exact driver does.
+fn commit(
+    engine: &mut OnlineEngine,
+    tenant: TenantId,
+    now: Instant,
+    sink: &mut ActionSink,
+) -> yasmin_core::error::Result<()> {
+    let (anchor, since) = (now, now);
+    engine.apply(
+        now,
+        &Input::Commit {
+            tenant,
+            anchor,
+            since,
+        },
+        sink,
+    )?;
+    engine.apply(now, &Input::Tick { done: &[] }, sink)
 }
 
 /// Runs `iter` WARMUP times unmeasured, then STEADY times measured, and
@@ -183,7 +204,7 @@ fn independent_global() {
     let mut running: Vec<Option<JobId>> = vec![None; WORKERS];
 
     engine
-        .start_into(Instant::ZERO, &mut sink)
+        .apply(Instant::ZERO, &Input::Start, &mut sink)
         .expect("fresh engine starts");
     track(&mut running, sink.as_slice());
     let tick = engine.tick_period();
@@ -195,14 +216,20 @@ fn independent_global() {
             if let Some(job) = running[w].take() {
                 sink.clear();
                 engine
-                    .on_job_completed_into(WorkerId::new(w as u16), job, mid, &mut sink)
+                    .apply(
+                        mid,
+                        &Input::Completed(&[(WorkerId::new(w as u16), job)]),
+                        &mut sink,
+                    )
                     .expect("completion protocol upheld");
                 track(&mut running, sink.as_slice());
             }
         }
         now += tick;
         sink.clear();
-        engine.on_tick_into(now, &mut sink);
+        engine
+            .apply(now, &Input::Tick { done: &[] }, &mut sink)
+            .unwrap();
         track(&mut running, sink.as_slice());
     });
     assert!(
@@ -248,7 +275,7 @@ fn dag_firing() {
     let mut running: Vec<Option<JobId>> = vec![None; WORKERS];
 
     engine
-        .start_into(Instant::ZERO, &mut sink)
+        .apply(Instant::ZERO, &Input::Start, &mut sink)
         .expect("fresh engine starts");
     track(&mut running, sink.as_slice());
     let tick = engine.tick_period();
@@ -265,7 +292,11 @@ fn dag_firing() {
                 if let Some(job) = running[w].take() {
                     sink.clear();
                     engine
-                        .on_job_completed_into(WorkerId::new(w as u16), job, sub, &mut sink)
+                        .apply(
+                            sub,
+                            &Input::Completed(&[(WorkerId::new(w as u16), job)]),
+                            &mut sink,
+                        )
                         .expect("completion protocol upheld");
                     track(&mut running, sink.as_slice());
                     any = true;
@@ -278,7 +309,9 @@ fn dag_firing() {
         }
         now += tick;
         sink.clear();
-        engine.on_tick_into(now, &mut sink);
+        engine
+            .apply(now, &Input::Tick { done: &[] }, &mut sink)
+            .unwrap();
         track(&mut running, sink.as_slice());
     });
     // 4 jobs per period: the DAG must really have fired.
@@ -332,7 +365,7 @@ fn partitioned_sharded_mailbox() {
 
     for shard in &mut shards {
         shard
-            .start_into(Instant::ZERO, &mut sink)
+            .apply(Instant::ZERO, &Input::Start, &mut sink)
             .expect("fresh shard starts");
     }
     track(&mut running, sink.as_slice());
@@ -347,9 +380,9 @@ fn partitioned_sharded_mailbox() {
         while let Some(cmd) = rx.try_recv() {
             match cmd {
                 Cmd::Completed { job, at } => shard
-                    .on_job_completed_into(worker, job, at, sink)
+                    .apply(at, &Input::Completed(&[(worker, job)]), sink)
                     .expect("driver protocol upheld"),
-                Cmd::Tick { at } => shard.on_tick_into(at, sink),
+                Cmd::Tick { at } => shard.apply(at, &Input::Tick { done: &[] }, sink).unwrap(),
             }
         }
     };
@@ -413,29 +446,41 @@ fn accel_contention_pip() {
     let w0 = WorkerId::new(0);
 
     engine
-        .start_into(Instant::ZERO, &mut sink)
+        .apply(Instant::ZERO, &Input::Start, &mut sink)
         .expect("fresh engine starts");
     let mut now = Instant::ZERO;
 
     assert_zero_alloc("accel-contention-pip", || {
         // Urgent releases while the holder owns the GPU: blocked + boost.
         sink.clear();
-        engine.on_tick_into(now + p.scale(1, 4), &mut sink);
+        engine
+            .apply(now + p.scale(1, 4), &Input::Tick { done: &[] }, &mut sink)
+            .unwrap();
         // Holder completes: urgent takes the GPU...
         let holder = engine.running(w0).expect("holder runs").job.id;
         sink.clear();
         engine
-            .on_job_completed_into(w0, holder, now + p.scale(1, 2), &mut sink)
+            .apply(
+                now + p.scale(1, 2),
+                &Input::Completed(&[(w0, holder)]),
+                &mut sink,
+            )
             .expect("completion protocol upheld");
         // ...and completes before the next period's holder release.
         let u = engine.running(w0).expect("urgent runs").job.id;
         sink.clear();
         engine
-            .on_job_completed_into(w0, u, now + p.scale(3, 4), &mut sink)
+            .apply(
+                now + p.scale(3, 4),
+                &Input::Completed(&[(w0, u)]),
+                &mut sink,
+            )
             .expect("completion protocol upheld");
         now += p;
         sink.clear();
-        engine.on_tick_into(now, &mut sink);
+        engine
+            .apply(now, &Input::Tick { done: &[] }, &mut sink)
+            .unwrap();
     });
     assert!(
         engine.stats().pip_boosts > u64::from(WARMUP),
@@ -450,7 +495,7 @@ fn accel_contention_pip() {
 }
 
 /// Scenario 5: bursty completions through the batch API — all workers'
-/// completions of a cycle retired by ONE `on_jobs_completed_into` call
+/// completions of a cycle retired by ONE `Input::Completed` call
 /// (a single dispatch round per burst), with the caller-side batch
 /// buffer reused across cycles.
 fn burst_batch_completion() {
@@ -474,7 +519,7 @@ fn burst_batch_completion() {
     let mut batch: Vec<(WorkerId, JobId)> = Vec::with_capacity(WORKERS);
 
     engine
-        .start_into(Instant::ZERO, &mut sink)
+        .apply(Instant::ZERO, &Input::Start, &mut sink)
         .expect("fresh engine starts");
     track(&mut running, sink.as_slice());
     let tick = engine.tick_period();
@@ -490,12 +535,14 @@ fn burst_batch_completion() {
         }
         sink.clear();
         engine
-            .on_jobs_completed_into(&batch, mid, &mut sink)
+            .apply(mid, &Input::Completed(&batch), &mut sink)
             .expect("completion protocol upheld");
         track(&mut running, sink.as_slice());
         now += tick;
         sink.clear();
-        engine.on_tick_into(now, &mut sink);
+        engine
+            .apply(now, &Input::Tick { done: &[] }, &mut sink)
+            .unwrap();
         track(&mut running, sink.as_slice());
     });
     assert!(
@@ -548,7 +595,7 @@ fn mode_switch_rank_refresh() {
     let mut running: Vec<Option<JobId>> = vec![None; WORKERS];
 
     engine
-        .start_into(Instant::ZERO, &mut sink)
+        .apply(Instant::ZERO, &Input::Start, &mut sink)
         .expect("fresh engine starts");
     track(&mut running, sink.as_slice());
     let tick = engine.tick_period();
@@ -557,20 +604,27 @@ fn mode_switch_rank_refresh() {
 
     assert_zero_alloc("mode-switch-rank-refresh", || {
         flip = !flip;
-        engine.set_mode(if flip { alt } else { ExecMode::NORMAL });
+        let mode = Input::Mode(if flip { alt } else { ExecMode::NORMAL });
+        engine.apply(now, &mode, &mut sink).unwrap();
         let mid = now + tick.scale(1, 2);
         for w in 0..WORKERS {
             if let Some(job) = running[w].take() {
                 sink.clear();
                 engine
-                    .on_job_completed_into(WorkerId::new(w as u16), job, mid, &mut sink)
+                    .apply(
+                        mid,
+                        &Input::Completed(&[(WorkerId::new(w as u16), job)]),
+                        &mut sink,
+                    )
                     .expect("completion protocol upheld");
                 track(&mut running, sink.as_slice());
             }
         }
         now += tick;
         sink.clear();
-        engine.on_tick_into(now, &mut sink);
+        engine
+            .apply(now, &Input::Tick { done: &[] }, &mut sink)
+            .unwrap();
         track(&mut running, sink.as_slice());
     });
     assert!(
@@ -595,9 +649,8 @@ fn steady_state_stealing() {
 /// allowed to allocate (control path); the steady state it leaves
 /// behind is not.
 fn admitted_tenant_steady_state() {
-    use yasmin_core::ids::TenantId;
     use yasmin_sched::admission::AdmissionControl;
-    use yasmin_sched::server::{ReservationServer, TenantBudget};
+    use yasmin_sched::server::TenantBudget;
     const WORKERS: usize = 2;
     let p = Duration::from_millis(10);
     let build_set = |prefix: &str, n: usize| {
@@ -623,7 +676,7 @@ fn admitted_tenant_steady_state() {
     let mut running: Vec<Option<JobId>> = vec![None; WORKERS];
 
     engine
-        .start_into(Instant::ZERO, &mut sink)
+        .apply(Instant::ZERO, &Input::Start, &mut sink)
         .expect("fresh engine starts");
     track(&mut running, sink.as_slice());
 
@@ -636,12 +689,17 @@ fn admitted_tenant_steady_state() {
         .evaluate(engine.taskset(), &tenant_set, Some(&budget))
         .expect("tenant is admissible");
     let tenant = TenantId::new(engine.tenant_count() as u32);
-    let server = Some(ReservationServer::new(budget, Instant::ZERO));
-    engine.splice_taskset(merged, server).expect("valid splice");
-    sink.clear();
+    let install = Input::Install {
+        merged: &merged,
+        tenant,
+        first_task: engine.taskset().len() as u32,
+        budget: Some(budget),
+    };
     engine
-        .commit_tenant_into(tenant, Instant::ZERO, &mut sink)
-        .expect("tenant commits");
+        .apply(Instant::ZERO, &install, &mut sink)
+        .expect("valid splice");
+    sink.clear();
+    commit(&mut engine, tenant, Instant::ZERO, &mut sink).expect("tenant commits");
     track(&mut running, sink.as_slice());
 
     let tick = engine.tick_period();
@@ -653,14 +711,20 @@ fn admitted_tenant_steady_state() {
             if let Some(job) = running[w].take() {
                 sink.clear();
                 engine
-                    .on_job_completed_into(WorkerId::new(w as u16), job, mid, &mut sink)
+                    .apply(
+                        mid,
+                        &Input::Completed(&[(WorkerId::new(w as u16), job)]),
+                        &mut sink,
+                    )
                     .expect("completion protocol upheld");
                 track(&mut running, sink.as_slice());
             }
         }
         now += tick;
         sink.clear();
-        engine.on_tick_into(now, &mut sink);
+        engine
+            .apply(now, &Input::Tick { done: &[] }, &mut sink)
+            .unwrap();
         track(&mut running, sink.as_slice());
     });
     assert!(
@@ -690,7 +754,9 @@ fn pump_msg_events(
 ) {
     while let Some(ev) = events.try_recv() {
         sink.clear();
-        engine.on_msg_into(ev, now, sink).expect("receiver is live");
+        engine
+            .apply(now, &Input::Msg(ev), sink)
+            .expect("receiver is live");
         track(running, sink.as_slice());
     }
 }
@@ -741,7 +807,7 @@ fn message_plane_steady_state() {
     let mut sink = ActionSink::with_capacity(64);
     let mut running: Vec<Option<JobId>> = vec![None; 1];
     engine
-        .start_into(Instant::ZERO, &mut sink)
+        .apply(Instant::ZERO, &Input::Start, &mut sink)
         .expect("fresh engine starts");
     track(&mut running, sink.as_slice());
 
@@ -755,13 +821,13 @@ fn message_plane_steady_state() {
         // `runner` takes the single worker; `dst` parks in the queue.
         sink.clear();
         engine
-            .activate_into(runner, now, &mut sink)
+            .apply(now, &Input::Activate(runner), &mut sink)
             .expect("worker is idle");
         track(&mut running, sink.as_slice());
         let active = running[0].expect("runner dispatched");
         sink.clear();
         engine
-            .activate_into(dst, now, &mut sink)
+            .apply(now, &Input::Activate(dst), &mut sink)
             .expect("queue has room");
         // Post both lanes; the high post boosts the queued `dst` job.
         tx.send(seq).expect("normal lane has room");
@@ -776,13 +842,21 @@ fn message_plane_steady_state() {
         // then retire that too so the next cycle starts idle.
         sink.clear();
         engine
-            .on_job_completed_into(WorkerId::new(0), active, now, &mut sink)
+            .apply(
+                now,
+                &Input::Completed(&[(WorkerId::new(0), active)]),
+                &mut sink,
+            )
             .expect("completion protocol upheld");
         track(&mut running, sink.as_slice());
         let drained = running[0].take().expect("dst dispatched after runner");
         sink.clear();
         engine
-            .on_job_completed_into(WorkerId::new(0), drained, now, &mut sink)
+            .apply(
+                now,
+                &Input::Completed(&[(WorkerId::new(0), drained)]),
+                &mut sink,
+            )
             .expect("completion protocol upheld");
         track(&mut running, sink.as_slice());
     });
@@ -829,9 +903,9 @@ fn cross_shard_outbox() {
     let mut s1 = shards.pop().unwrap();
     let mut s0 = shards.pop().unwrap();
     let mut sink = ActionSink::with_capacity(64);
-    s0.start_into(Instant::ZERO, &mut sink)
+    s0.apply(Instant::ZERO, &Input::Start, &mut sink)
         .expect("fresh shard starts");
-    s1.start_into(Instant::ZERO, &mut sink)
+    s1.apply(Instant::ZERO, &Input::Start, &mut sink)
         .expect("fresh shard starts");
     let (w0, w1) = (WorkerId::new(0), WorkerId::new(1));
     let mut running: Vec<Option<JobId>> = vec![None; 2];
@@ -842,24 +916,24 @@ fn cross_shard_outbox() {
     assert_zero_alloc("cross-shard-outbox", || {
         now += step;
         sink.clear();
-        s0.activate_into(src, now, &mut sink)
+        s0.apply(now, &Input::Activate(src), &mut sink)
             .expect("worker 0 idle");
         track(&mut running, sink.as_slice());
         let j0 = running[0].take().expect("src dispatched");
         sink.clear();
-        s0.on_job_completed_into(w0, j0, now, &mut sink)
+        s0.apply(now, &Input::Completed(&[(w0, j0)]), &mut sink)
             .expect("completion protocol upheld");
         outbox.clear();
         s0.drain_outbox_into(&mut outbox);
         for ra in outbox.drain(..) {
             sink.clear();
-            s1.on_remote_token(ra.edge, ra.graph_release, now, &mut sink)
+            s1.apply(now, &Input::Token(ra), &mut sink)
                 .expect("cross token routes");
             track(&mut running, sink.as_slice());
         }
         let j1 = running[1].take().expect("dst dispatched");
         sink.clear();
-        s1.on_job_completed_into(w1, j1, now, &mut sink)
+        s1.apply(now, &Input::Completed(&[(w1, j1)]), &mut sink)
             .expect("completion protocol upheld");
     });
     assert!(
@@ -902,7 +976,7 @@ fn enforcement_steady_state() {
     let mut running: Vec<Option<JobId>> = vec![None; WORKERS];
 
     engine
-        .start_into(Instant::ZERO, &mut sink)
+        .apply(Instant::ZERO, &Input::Start, &mut sink)
         .expect("fresh engine starts");
     track(&mut running, sink.as_slice());
     let tick = engine.tick_period();
@@ -915,20 +989,26 @@ fn enforcement_steady_state() {
         if let Some(r) = engine.running(WorkerId::new(0)) {
             let t = r.job.task;
             sink.clear();
-            engine.force_overrun(t, mid, &mut sink);
+            engine.apply(mid, &Input::Overrun(t), &mut sink).unwrap();
         }
         for w in 0..WORKERS {
             if let Some(job) = running[w].take() {
                 sink.clear();
                 engine
-                    .on_job_completed_into(WorkerId::new(w as u16), job, mid, &mut sink)
+                    .apply(
+                        mid,
+                        &Input::Completed(&[(WorkerId::new(w as u16), job)]),
+                        &mut sink,
+                    )
                     .expect("completion protocol upheld");
                 track(&mut running, sink.as_slice());
             }
         }
         now += tick;
         sink.clear();
-        engine.on_tick_into(now, &mut sink);
+        engine
+            .apply(now, &Input::Tick { done: &[] }, &mut sink)
+            .unwrap();
         track(&mut running, sink.as_slice());
     });
     assert!(
@@ -991,7 +1071,7 @@ fn battery_energy_refresh() {
     let mut running: Vec<Option<JobId>> = vec![None; WORKERS];
 
     engine
-        .start_into(Instant::ZERO, &mut sink)
+        .apply(Instant::ZERO, &Input::Start, &mut sink)
         .expect("fresh engine starts");
     track(&mut running, sink.as_slice());
     let tick = engine.tick_period();
@@ -1019,7 +1099,11 @@ fn battery_energy_refresh() {
             if let Some(job) = running[w].take() {
                 sink.clear();
                 engine
-                    .on_job_completed_into(WorkerId::new(w as u16), job, mid, &mut sink)
+                    .apply(
+                        mid,
+                        &Input::Completed(&[(WorkerId::new(w as u16), job)]),
+                        &mut sink,
+                    )
                     .expect("completion protocol upheld");
                 track(&mut running, sink.as_slice());
                 count(&sink);
@@ -1027,7 +1111,9 @@ fn battery_energy_refresh() {
         }
         now += tick;
         sink.clear();
-        engine.on_tick_into(now, &mut sink);
+        engine
+            .apply(now, &Input::Tick { done: &[] }, &mut sink)
+            .unwrap();
         track(&mut running, sink.as_slice());
         count(&sink);
     });
@@ -1082,34 +1168,39 @@ fn steal_every_cycle(label: &str, k: usize) {
     let mut victim = shards.pop().unwrap();
     let mut sink = ActionSink::with_capacity(64);
     victim
-        .start_into(Instant::ZERO, &mut sink)
+        .apply(Instant::ZERO, &Input::Start, &mut sink)
         .expect("fresh shard starts");
     thief
-        .start_into(Instant::ZERO, &mut sink)
+        .apply(Instant::ZERO, &Input::Start, &mut sink)
         .expect("fresh shard starts");
     // The first activation parks on the victim's worker; the rest hold
     // the queue at its steady size.
     for &t in &tasks {
-        victim.activate_into(t, Instant::ZERO, &mut sink).unwrap();
+        victim
+            .apply(Instant::ZERO, &Input::Activate(t), &mut sink)
+            .unwrap();
     }
     let w1 = WorkerId::new(1);
     let mut now = Instant::ZERO;
     let step = Duration::from_micros(1);
-    let mut hints: Vec<StealHint> = Vec::with_capacity(k);
+    let mut lent = ActionSink::with_capacity(k);
     let mut batch = JobBatch::new();
     let mut notes: Vec<HomeNote> = Vec::with_capacity(k);
 
     assert_zero_alloc(label, || {
         now += step;
-        hints.clear();
-        let hinted = victim.try_steal_batch(k, &mut hints);
-        assert_eq!(hinted, k, "victim queue is loaded");
+        lent.clear();
+        victim.apply(now, &Input::Lend { k }, &mut lent).unwrap();
         batch.clear();
-        let released = victim.release_stolen_batch(&hints, &mut batch);
-        assert_eq!(released, k, "hints are fresh");
+        for a in &lent {
+            if let Action::Lend { job } = *a {
+                batch.push(job);
+            }
+        }
+        assert_eq!(batch.len(), k, "victim queue is loaded");
         sink.clear();
         thief
-            .adopt_stolen_batch(batch.as_slice(), now, &mut sink)
+            .apply(now, &Input::Adopt(batch.as_slice()), &mut sink)
             .expect("thief is idle");
         // The adopt round dispatched the most urgent stolen job; each
         // retirement dispatches the next from the thief's local queue.
@@ -1117,7 +1208,7 @@ fn steal_every_cycle(label: &str, k: usize) {
             let job = thief.running().expect("an adopted job runs").job.id;
             sink.clear();
             thief
-                .on_job_completed_into(w1, job, now, &mut sink)
+                .apply(now, &Input::Completed(&[(w1, job)]), &mut sink)
                 .expect("completion protocol upheld");
         }
         assert!(thief.running().is_none(), "all k stolen jobs retired");
@@ -1126,11 +1217,13 @@ fn steal_every_cycle(label: &str, k: usize) {
         assert_eq!(notes.len(), k);
         for note in notes.drain(..) {
             sink.clear();
-            victim.on_instance_home(note, now, &mut sink).unwrap();
+            victim.apply(now, &Input::Home(note), &mut sink).unwrap();
         }
         for job in batch.as_slice() {
             sink.clear();
-            victim.activate_into(job.task, now, &mut sink).unwrap();
+            victim
+                .apply(now, &Input::Activate(job.task), &mut sink)
+                .unwrap();
         }
     });
     assert!(
@@ -1169,7 +1262,7 @@ fn cull_missed_overload() {
     let mut running: Vec<Option<JobId>> = vec![None; 1];
 
     engine
-        .start_into(Instant::ZERO, &mut sink)
+        .apply(Instant::ZERO, &Input::Start, &mut sink)
         .expect("fresh engine starts");
     track(&mut running, sink.as_slice());
     let tick = engine.tick_period();
@@ -1182,13 +1275,19 @@ fn cull_missed_overload() {
         if let Some(job) = running[0].take() {
             sink.clear();
             engine
-                .on_job_completed_into(WorkerId::new(0), job, now + tick.scale(1, 2), &mut sink)
+                .apply(
+                    now + tick.scale(1, 2),
+                    &Input::Completed(&[(WorkerId::new(0), job)]),
+                    &mut sink,
+                )
                 .expect("completion protocol upheld");
             track(&mut running, sink.as_slice());
         }
         now += tick;
         sink.clear();
-        engine.on_tick_into(now, &mut sink);
+        engine
+            .apply(now, &Input::Tick { done: &[] }, &mut sink)
+            .unwrap();
         track(&mut running, sink.as_slice());
         let culled = sink.as_slice().iter();
         culls += culled.filter(|a| matches!(a, Action::Cull { .. })).count() as u64;
@@ -1204,12 +1303,11 @@ fn cull_missed_overload() {
 /// Scenario 15: tenant churn. Beside the base set, four tenants of one
 /// shape — a two-task DAG over a channel — are live at any time: every
 /// cycle one is installed in the slot the last retirement freed
-/// (`install_tenant`), committed, runs a tick, and the oldest is
+/// (`Input::Install`), committed, runs a tick, and the oldest is
 /// retired. The test plays the ledger's part: it builds the merged sets
 /// once and holds them, so the engine frees none either.
 fn tenant_churn() {
     use std::collections::VecDeque;
-    use yasmin_core::ids::TenantId;
     const WORKERS: usize = 2;
     let p = Duration::from_millis(10);
     let mut b = TaskSetBuilder::new();
@@ -1249,7 +1347,7 @@ fn tenant_churn() {
     let mut sink = ActionSink::with_capacity(256);
     let mut running: Vec<Option<JobId>> = vec![None; WORKERS];
     engine
-        .start_into(Instant::ZERO, &mut sink)
+        .apply(Instant::ZERO, &Input::Start, &mut sink)
         .expect("fresh engine starts");
     track(&mut running, sink.as_slice());
 
@@ -1257,17 +1355,24 @@ fn tenant_churn() {
     let mut live: VecDeque<(TenantId, u32)> = VecDeque::with_capacity(8);
     for set in &sets[1..] {
         let first = engine.taskset().len() as u32;
-        let t = engine.splice_taskset(Arc::clone(set), None).unwrap();
+        let t = TenantId::new(engine.tenant_count() as u32);
+        let install = Input::Install {
+            merged: set,
+            tenant: t,
+            first_task: first,
+            budget: None,
+        };
+        engine.apply(Instant::ZERO, &install, &mut sink).unwrap();
         sink.clear();
-        engine
-            .commit_tenant_into(t, Instant::ZERO, &mut sink)
-            .unwrap();
+        commit(&mut engine, t, Instant::ZERO, &mut sink).unwrap();
         track(&mut running, sink.as_slice());
         live.push_back((t, first));
     }
     let (oldest, mut free) = live.pop_front().unwrap();
     sink.clear();
-    engine.retire_tenant_into(oldest, &mut sink).unwrap();
+    engine
+        .apply(Instant::ZERO, &Input::Retire(oldest), &mut sink)
+        .unwrap();
     let tick = engine.tick_period();
     let mut now = Instant::ZERO;
     let mut next = engine.tenant_count() as u32;
@@ -1275,13 +1380,17 @@ fn tenant_churn() {
     assert_zero_alloc("tenant-churn", || {
         let heir = TenantId::new(next);
         next += 1;
+        let install = Input::Install {
+            merged: &full,
+            tenant: heir,
+            first_task: free,
+            budget: None,
+        };
         engine
-            .install_tenant(Arc::clone(&full), heir, free, None)
+            .apply(now, &install, &mut sink)
             .expect("the freed slot fits the heir");
         sink.clear();
-        engine
-            .commit_tenant_into(heir, now, &mut sink)
-            .expect("the heir commits");
+        commit(&mut engine, heir, now, &mut sink).expect("the heir commits");
         track(&mut running, sink.as_slice());
         live.push_back((heir, free));
         let mid = now + tick.scale(1, 2);
@@ -1289,19 +1398,25 @@ fn tenant_churn() {
             if let Some(job) = running[w].take() {
                 sink.clear();
                 engine
-                    .on_job_completed_into(WorkerId::new(w as u16), job, mid, &mut sink)
+                    .apply(
+                        mid,
+                        &Input::Completed(&[(WorkerId::new(w as u16), job)]),
+                        &mut sink,
+                    )
                     .expect("completion protocol upheld");
                 track(&mut running, sink.as_slice());
             }
         }
         now += tick;
         sink.clear();
-        engine.on_tick_into(now, &mut sink);
+        engine
+            .apply(now, &Input::Tick { done: &[] }, &mut sink)
+            .unwrap();
         track(&mut running, sink.as_slice());
         let (oldest, slot) = live.pop_front().expect("four live");
         sink.clear();
         engine
-            .retire_tenant_into(oldest, &mut sink)
+            .apply(now, &Input::Retire(oldest), &mut sink)
             .expect("the oldest is live");
         free = slot;
     });
@@ -1405,7 +1520,7 @@ fn finish(engine: &mut OnlineEngine, tasks: &[TaskId], now: Instant, sink: &mut 
         sink.clear();
         let job = r.job.id;
         engine
-            .on_job_completed_into(w, job, now, sink)
+            .apply(now, &Input::Completed(&[(w, job)]), sink)
             .expect("completion protocol upheld");
     }
 }
@@ -1446,22 +1561,28 @@ fn trip_and_untrip() {
     let mut engine = OnlineEngine::new(Arc::new(b.build().unwrap()), config).expect("valid engine");
     let mut sink = ActionSink::with_capacity(64);
     engine
-        .start_into(Instant::ZERO, &mut sink)
+        .apply(Instant::ZERO, &Input::Start, &mut sink)
         .expect("fresh engine starts");
     let mut t = Instant::ZERO;
 
     assert_zero_alloc("trip-and-untrip", || {
         sink.clear();
-        assert!(engine.force_overrun(d, t + ms(1), &mut sink));
+        let overruns = engine.stats().overruns;
         engine
-            .activate_into(u, t + ms(1), &mut sink)
+            .apply(t + ms(1), &Input::Overrun(d), &mut sink)
+            .unwrap();
+        assert_eq!(engine.stats().overruns, overruns + 1, "d is flagged");
+        engine
+            .apply(t + ms(1), &Input::Activate(u), &mut sink)
             .expect("u is aperiodic");
         finish(&mut engine, &[u], t + ms(3), &mut sink);
         assert!(engine.is_tripped());
         finish(&mut engine, &[d, l1], t + ms(5), &mut sink);
         t += ms(10);
         sink.clear();
-        engine.on_tick_into(t, &mut sink);
+        engine
+            .apply(t, &Input::Tick { done: &[] }, &mut sink)
+            .unwrap();
         assert!(!engine.is_tripped());
         finish(&mut engine, &[l2], t, &mut sink);
     });
@@ -1515,9 +1636,9 @@ fn kept_instance() {
     let mut s0 = shards.pop().unwrap();
     let (mut doors, keeper) = door::new(ts.len());
     let mut sink = ActionSink::with_capacity(64);
-    s0.start_into(Instant::ZERO, &mut sink)
+    s0.apply(Instant::ZERO, &Input::Start, &mut sink)
         .expect("fresh shard starts");
-    s1.start_into(Instant::ZERO, &mut sink)
+    s1.apply(Instant::ZERO, &Input::Start, &mut sink)
         .expect("fresh shard starts");
     let (w0, w1) = (WorkerId::new(0), WorkerId::new(1));
     let mut running: Vec<Option<JobId>> = vec![None; 2];
@@ -1531,20 +1652,27 @@ fn kept_instance() {
         now += step;
         // Shard 0 enters `busy`'s body with its door on `dst` open.
         sink.clear();
-        s0.activate_into(busy, now, &mut sink).unwrap();
+        s0.apply(now, &Input::Activate(busy), &mut sink).unwrap();
         track(&mut running, sink.as_slice());
-        s0.continuations_into(&mut offered);
+        sink.clear();
+        s0.apply(now, &Input::Offer, &mut sink).unwrap();
+        for a in &sink {
+            if let Action::Offer(c) = *a {
+                offered.push(c);
+            }
+        }
         assert_eq!(offered.len(), 1, "dst's next instance");
         for c in &offered {
             doors.open(c.task.index(), c.seq, c.id.raw());
         }
         // Shard 1 completes `src` and keeps what the token would release.
         sink.clear();
-        s1.activate_into(src, now, &mut sink).unwrap();
+        s1.apply(now, &Input::Activate(src), &mut sink).unwrap();
         track(&mut running, sink.as_slice());
         let j1 = running[1].take().expect("src dispatched");
         sink.clear();
-        s1.on_job_completed_into(w1, j1, now, &mut sink).unwrap();
+        s1.apply(now, &Input::Completed(&[(w1, j1)]), &mut sink)
+            .unwrap();
         s1.drain_outbox_into(&mut outbox);
         for ra in outbox.drain(..) {
             let task = s1.keepable(&ra).expect("a single-input successor");
@@ -1555,26 +1683,28 @@ fn kept_instance() {
                 id: JobId::new(id),
             };
             sink.clear();
-            s1.adopt_kept(&ra, &c, now, &mut sink);
+            s1.apply(now, &Input::Kept(ra, c), &mut sink).unwrap();
             track(&mut running, sink.as_slice());
         }
         // Shard 0 leaves its body and books what was kept.
         for c in offered.drain(..) {
             if doors.close(c.task.index()) {
-                s0.book_kept(&c);
+                s0.apply(now, &Input::Booked(c), &mut sink).unwrap();
             }
         }
         let j0 = running[0].take().expect("busy dispatched");
         sink.clear();
-        s0.on_job_completed_into(w0, j0, now, &mut sink).unwrap();
+        s0.apply(now, &Input::Completed(&[(w0, j0)]), &mut sink)
+            .unwrap();
         // Shard 1 retires the kept instance; its end goes home.
         let kept = running[1].take().expect("the kept instance dispatched");
         sink.clear();
-        s1.on_job_completed_into(w1, kept, now, &mut sink).unwrap();
+        s1.apply(now, &Input::Completed(&[(w1, kept)]), &mut sink)
+            .unwrap();
         s1.drain_homeward_into(&mut notes);
         for note in notes.drain(..) {
             sink.clear();
-            s0.on_instance_home(note, now, &mut sink).unwrap();
+            s0.apply(now, &Input::Home(note), &mut sink).unwrap();
         }
     });
     let cycles = u64::from(WARMUP + STEADY);
