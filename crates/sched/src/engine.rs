@@ -362,15 +362,8 @@ enum VersionChoice {
     NoEligible,
 }
 
-/// Cached ranking of one task's versions under the engine's current
-/// selection context. Each ranked id carries the version's (constant)
-/// accelerator binding, so the dispatch loop never chases back into the
-/// task-spec structs.
-#[derive(Debug, Default)]
-struct RankEntry {
-    valid: bool,
-    ids: Vec<(VersionId, Option<AccelId>)>,
-}
+/// A ranked version and the accelerator it targets.
+type RankedVersion = (VersionId, Option<AccelId>);
 
 /// What a shard engine holds of migrated instances.
 #[derive(Debug)]
@@ -378,8 +371,6 @@ struct Migration {
     /// Ends of migrated instances that ran here, awaiting routing to
     /// their homes by the driver.
     homeward: Vec<HomeNote>,
-    /// Per task, its instances beyond this shard's queue.
-    tasks: Vec<Flight>,
     /// The tasks [`Input::Offer`] may offer, fixed at
     /// build: the built-in set's single-input, accelerator-free tasks
     /// homed here, in topological order, each with its predecessor when
@@ -398,12 +389,75 @@ struct Flight {
     /// A dispatch attempt found an instance away and left the job
     /// queued: what the end's coming home must retry.
     held: bool,
-    /// Scratch of [`Input::Offer`]: an instance is
-    /// queued here.
+    /// Scratch of [`Input::Offer`]: an instance is queued here.
     queued: bool,
-    /// Scratch of [`Input::Offer`]: offered in this
-    /// pass.
+    /// Scratch of [`Input::Offer`]: offered in this pass.
     offered: bool,
+}
+
+/// What the engine keeps of one task: the constants of its spec that the
+/// hot paths read, and the state of the slot's current holder.
+#[derive(Debug)]
+struct TaskRow {
+    /// Period: the release scan re-arms with it.
+    period: Duration,
+    /// Effective relative deadline (`Duration::MAX` = unconstrained).
+    rel_deadline: Duration,
+    /// Static priority under the configured policy.
+    static_priority: Priority,
+    /// The most urgent ceiling posted since the high lane last became
+    /// non-empty; [`Priority::LOWEST`] with no boost. A term of the fold.
+    msg_ceiling: Priority,
+    /// High-lane messages posted minus drained: the boost is held while
+    /// this is non-zero.
+    high_depth: u32,
+    /// Assigned worker (`u16::MAX` = none): the home of its jobs, and
+    /// their queue where each worker has one.
+    worker: u16,
+    /// WCET-overrun / body-failure policy.
+    overrun_policy: OverrunPolicy,
+    /// A version targets an accelerator: its jobs never migrate.
+    accel_bound: bool,
+    /// Its instances beyond a shard's queue.
+    flight: Flight,
+    /// Last activation (the sporadic inter-arrival check).
+    last_activation: Option<Instant>,
+    /// Its versions, best first, with each one's accelerator: a memo
+    /// of the selection context `cache_ctx`, valid while `ranked_valid`.
+    ranked: Vec<RankedVersion>,
+    ranked_valid: bool,
+}
+
+impl TaskRow {
+    /// The row of `task` of `merged` for a new holder of its slot: no
+    /// activation, high-lane post, instance in flight (a former holder's
+    /// end is dropped when it comes home, [`Input::Home`]) or ranking.
+    /// It keeps the rank storage `ranked` the former holder leaves, large
+    /// enough for a task of its shape; the task's `seq` carries on too.
+    fn new(
+        merged: &TaskSet,
+        task: TaskId,
+        policy: PriorityPolicy,
+        mut ranked: Vec<RankedVersion>,
+    ) -> Self {
+        let t = &merged.tasks()[task.index()];
+        ranked.clear();
+        ranked.reserve(t.versions().len());
+        TaskRow {
+            period: t.spec().period(),
+            rel_deadline: merged.effective_deadline(task),
+            static_priority: merged.static_priority(task, policy),
+            msg_ceiling: Priority::LOWEST,
+            high_depth: 0,
+            worker: t.spec().assigned_worker().map_or(u16::MAX, WorkerId::raw),
+            overrun_policy: t.spec().overrun_policy(),
+            accel_bound: t.versions().iter().any(|v| v.accel().is_some()),
+            flight: Flight::default(),
+            last_activation: None,
+            ranked,
+            ranked_valid: false,
+        }
+    }
 }
 
 /// The on-line scheduler state machine.
@@ -418,26 +472,19 @@ pub struct OnlineEngine {
     /// arrival order: an edge holds as many tokens as its FIFO's length.
     token_release: Vec<Vec<Instant>>,
     /// Next periodic release per task (`Instant::MAX` = not
-    /// auto-released). Dense: the release scan is branch-predictable and
-    /// cache-linear, which beats a timer heap at realistic task counts.
+    /// auto-released). Dense, beside the rows: the release scan is
+    /// branch-predictable and cache-linear, which beats a timer heap at
+    /// realistic task counts.
     next_release: Vec<Instant>,
-    /// Per-task period, dense — the release loop re-arms without
-    /// chasing into the task-spec structs.
-    period: Vec<Duration>,
-    /// Per-task effective relative deadline, dense (constant per task
-    /// set; `Duration::MAX` = unconstrained).
-    rel_deadline: Vec<Duration>,
-    /// Per-task ready-queue slot, dense (0 under global mapping and in
-    /// shards; the assigned worker's index under partitioned mapping).
-    queue_of: Vec<u32>,
+    /// One row per task of the set.
+    rows: Vec<TaskRow>,
     /// Minimum over `next_release`: ticks strictly before this instant
     /// skip the release scan entirely (O(1) idle ticks).
     next_wake: Instant,
-    /// Last activation per task (sporadic inter-arrival check).
-    last_activation: Vec<Option<Instant>>,
-    /// Per-task activation counter.
+    /// Per-task activation counter: the `seq` its next job gets. Beside
+    /// the rows, since it carries on across a slot's holders and a
+    /// [`CycleMark`] copies it whole.
     activation_seq: Vec<u64>,
-    static_priority: Vec<Priority>,
     job_counter: u64,
     tick: Duration,
     started: bool,
@@ -445,10 +492,7 @@ pub struct OnlineEngine {
     mode: ExecMode,
     permissions: PermMask,
     stats: EngineStats,
-    /// Per-task version ranking memo; entries are recomputed lazily when
-    /// `cache_ctx` (mode, permissions, battery) changes.
-    rank_cache: Vec<RankEntry>,
-    /// The selection context the cache entries were ranked under.
+    /// The selection context the rows' rankings were made under.
     cache_ctx: SelectCtx,
     /// Ranking scratch (in-place sort storage).
     rank_buf: RankBuf,
@@ -477,25 +521,8 @@ pub struct OnlineEngine {
     migration: Box<Migration>,
     /// Scratch for the ready-queue scans that cull or re-key jobs.
     cull_buf: Vec<JobId>,
-    /// Dense per-task assigned worker (`u16::MAX` = unassigned), so the
-    /// successor-routing path never chases into the task-spec structs.
-    task_worker: Vec<u16>,
-    /// Dense per-task "any version targets an accelerator" flag, so the
-    /// steal probe (run after every engine interaction in the sharded
-    /// runtime) never scans version specs.
-    task_accel_bound: Vec<bool>,
     /// The tenant slots and their holders.
     tenants: SlotTable<Holding>,
-    /// Dense per-task count of outstanding high-priority messages
-    /// (posted minus drained) — the message-plane boost is held while
-    /// this is non-zero.
-    high_depth: Vec<u32>,
-    /// Dense per-task active message ceiling: the most urgent ceiling
-    /// posted since the high lane last became non-empty;
-    /// [`Priority::LOWEST`] when no boost is active. A term of the fold.
-    msg_ceiling: Vec<Priority>,
-    /// Dense per-task WCET-overrun / body-failure policy.
-    overrun_policy: Vec<OverrunPolicy>,
     /// Start of the current miss-accounting window.
     miss_window_start: Instant,
     /// Deadline misses observed in the current window.
@@ -514,6 +541,12 @@ pub struct OnlineEngine {
     /// single-owner engine over all workers.
     shard: Option<WorkerId>,
 }
+
+// Every engine call reads through this layout: four unread `Vec` fields
+// once slowed `explore`'s DAG runs from ≈ 270 to ≈ 350 ns a job, which is
+// why what is kept per task sits in the rows and migration behind a `Box`.
+// A field added here is a measured choice. 832 bytes on x86-64.
+const _: () = assert!(std::mem::size_of::<OnlineEngine>() <= 832);
 
 impl OnlineEngine {
     /// Builds an engine for `taskset` under `config`.
@@ -580,13 +613,9 @@ impl OnlineEngine {
             accels: AccelManager::new(0),
             token_release: Vec::new(),
             next_release: Vec::new(),
-            period: Vec::new(),
-            rel_deadline: Vec::new(),
-            queue_of: Vec::new(),
+            rows: Vec::new(),
             next_wake: Instant::MAX,
-            last_activation: Vec::new(),
             activation_seq: Vec::new(),
-            static_priority: Vec::new(),
             // Shards stamp their worker index into the id's high bits so
             // job ids stay unique across concurrently-numbering shards.
             job_counter: shard.map_or(0, |w| (w.index() as u64) << 48),
@@ -596,7 +625,6 @@ impl OnlineEngine {
             mode: ExecMode::NORMAL,
             permissions: PermMask::ALL,
             stats: EngineStats::default(),
-            rank_cache: Vec::new(),
             cache_ctx: SelectCtx {
                 battery: BatteryLevel::FULL,
                 mode: ExecMode::NORMAL,
@@ -621,16 +649,10 @@ impl OnlineEngine {
                 } else {
                     0
                 }),
-                tasks: Vec::new(),
                 doors: Vec::new(),
             }),
             cull_buf: Vec::with_capacity(config.max_pending_jobs().min(64)),
-            task_worker: Vec::new(),
-            task_accel_bound: Vec::new(),
             tenants: SlotTable::default(),
-            high_depth: Vec::new(),
-            msg_ceiling: Vec::new(),
-            overrun_policy: Vec::new(),
             miss_window_start: Instant::ZERO,
             miss_window_count: 0,
             tripped: false,
@@ -674,61 +696,19 @@ impl OnlineEngine {
         let tasks = slot.task_range();
         let tick = (tenant.index() > 0).then_some(self.tick);
         check_fit(&merged, tasks.clone(), &self.config, tick)?;
-        let installed = &merged.tasks()[tasks.clone()];
-        let n0 = tasks.start;
-        // A task waits in its worker's queue where each has one.
-        let per_worker = self.queues.len() > 1;
-        let policy = self.config.priority();
-        let n = installed.len();
+        let (n0, n) = (tasks.start, tasks.len());
         put(&mut self.next_release, n0, repeat_n(Instant::MAX, n));
-        let periods = installed.iter().map(|t| t.spec().period());
-        put(&mut self.period, n0, periods);
-        let deadlines = installed.iter().map(|t| merged.effective_deadline(t.id()));
-        put(&mut self.rel_deadline, n0, deadlines);
-        let queues = installed.iter().map(|t| t.spec().assigned_worker());
-        let queues = queues.map(|w| w.filter(|_| per_worker).map_or(0, |w| w.index() as u32));
-        put(&mut self.queue_of, n0, queues);
-        put(&mut self.last_activation, n0, repeat_n(None, n));
         // Continued across holders, so `(task, seq)` names one job a run.
         self.activation_seq
             .resize(self.activation_seq.len().max(tasks.end), 0);
-        let priorities = installed
-            .iter()
-            .map(|t| merged.static_priority(t.id(), policy));
-        put(&mut self.static_priority, n0, priorities);
-        self.rank_cache
-            .reserve(tasks.end.saturating_sub(self.rank_cache.len()));
-        for (i, t) in tasks.clone().zip(installed) {
-            match self.rank_cache.get_mut(i) {
-                // The same shape: as many versions as its storage holds.
-                Some(entry) => {
-                    entry.valid = false;
-                    entry.ids.clear();
-                }
-                None => self.rank_cache.push(RankEntry {
-                    valid: false,
-                    ids: Vec::with_capacity(t.versions().len()),
-                }),
-            }
+        let policy = self.config.priority();
+        self.rows.reserve(tasks.end.saturating_sub(self.rows.len()));
+        for i in tasks.clone() {
+            let task = TaskId::new(i as u32);
+            let ranked = self.rows.get_mut(i).map(|r| std::mem::take(&mut r.ranked));
+            let row = TaskRow::new(&merged, task, policy, ranked.unwrap_or_default());
+            put(&mut self.rows, i, std::iter::once(row));
         }
-        let workers = installed.iter().map(|t| t.spec().assigned_worker());
-        let workers = workers.map(|w| w.map_or(u16::MAX, WorkerId::raw));
-        put(&mut self.task_worker, n0, workers);
-        let accel_bound = installed
-            .iter()
-            .map(|t| t.versions().iter().any(|v| v.accel().is_some()));
-        put(&mut self.task_accel_bound, n0, accel_bound);
-        put(&mut self.high_depth, n0, repeat_n(0, n));
-        // A former holder's migrated instance is not the heir's: its end
-        // is dropped when it comes home (`Input::Home`).
-        put(
-            &mut self.migration.tasks,
-            n0,
-            repeat_n(Flight::default(), n),
-        );
-        put(&mut self.msg_ceiling, n0, repeat_n(Priority::LOWEST, n));
-        let policies = installed.iter().map(|t| t.spec().overrun_policy());
-        put(&mut self.overrun_policy, n0, policies);
         for i in slot.edge_range() {
             let e = merged.edges()[i];
             // Each edge's release FIFO holds its channel's declared
@@ -745,8 +725,8 @@ impl OnlineEngine {
             }
         }
         self.accels.grow_to(merged.accels().len());
-        let max_versions = installed.iter().map(|t| t.versions().len()).max();
-        self.rank_buf.reserve_for(max_versions.unwrap_or(0));
+        let max_versions = merged.tasks()[tasks].iter().map(|t| t.versions().len());
+        self.rank_buf.reserve_for(max_versions.max().unwrap_or(0));
         // The hot-path scratch grows with the set, so the steady state
         // stays allocation-free.
         self.successor_buf.reserve(merged.len());
@@ -825,7 +805,7 @@ impl OnlineEngine {
     /// shard not owning the task's assigned worker).
     #[inline]
     fn owns_task(&self, task: TaskId) -> bool {
-        let homed = |w: WorkerId| self.task_worker[task.index()] == w.raw();
+        let homed = |w: WorkerId| self.rows[task.index()].worker == w.raw();
         self.shard.is_none_or(homed)
     }
 
@@ -1013,17 +993,17 @@ impl OnlineEngine {
             let mut tasks = self.taskset.tasks().iter();
             tasks.all(|t| t.spec().release_offset() == Duration::ZERO)
         };
+        let quiet = |r: &TaskRow| r.high_depth == 0 && !r.flight.away;
         synchronous
             && !self.stopping
             && self.is_idle()
             && self.outbox.is_empty()
             && self.migration.homeward.is_empty()
-            && !self.migration.tasks.iter().any(|f| f.away)
             && !(self.config.enforce_wcet() || self.config.cull_missed())
             && !self.policy_uses_battery
             && self.config.miss_trip().is_none()
             && self.token_release.iter().all(Vec::is_empty)
-            && self.high_depth.iter().all(|&d| d == 0)
+            && self.rows.iter().all(quiet)
             && self.tenants.iter().all(|t| t.holding.server.is_none())
     }
 
@@ -1055,14 +1035,16 @@ impl OnlineEngine {
                 "skip_cycles needs a recurrence point past its mark".into(),
             ));
         };
-        for (i, seq) in self.activation_seq.iter_mut().enumerate() {
-            let fired = *seq - since.activation_seq[i];
+        let seqs = self.activation_seq.iter_mut().zip(&since.activation_seq);
+        let rows = self.rows.iter_mut().zip(&mut self.next_release);
+        for ((seq, &marked), (row, next)) in seqs.zip(rows) {
+            let fired = *seq - marked;
             *seq += fired * n;
-            if let Some(last) = self.last_activation[i].as_mut().filter(|_| fired > 0) {
+            if let Some(last) = row.last_activation.as_mut().filter(|_| fired > 0) {
                 *last += shift;
             }
-            if self.next_release[i] != Instant::MAX {
-                self.next_release[i] += shift;
+            if *next != Instant::MAX {
+                *next += shift;
             }
         }
         self.next_wake += shift;
@@ -1216,7 +1198,7 @@ impl OnlineEngine {
                 let mut r = self.next_release[i];
                 if r <= now {
                     let task = TaskId::new(i as u32);
-                    let period = self.period[i];
+                    let period = self.rows[i].period;
                     while r <= now {
                         self.release_job(task, r, r);
                         r += period;
@@ -1258,7 +1240,7 @@ impl OnlineEngine {
             return false;
         }
         let (job, overage) = (r.job, now.saturating_since(r.enforce_by));
-        r.killed |= self.overrun_policy[job.task.index()] == OverrunPolicy::Kill;
+        r.killed |= self.rows[job.task.index()].overrun_policy == OverrunPolicy::Kill;
         self.refold(s, sink);
         self.stats.overruns += 1;
         if let Some(server) = self.tenants.holders_server(job.task, job.graph_release) {
@@ -1295,7 +1277,7 @@ impl OnlineEngine {
         if std::mem::replace(&mut self.tripped, tripped) != tripped {
             self.stats.miss_trips += u64::from(tripped);
             self.rekey(
-                |e, t| e.overrun_policy[t.index()] == OverrunPolicy::LogOnly,
+                |e, t| e.rows[t.index()].overrun_policy == OverrunPolicy::LogOnly,
                 sink,
             );
         }
@@ -1349,7 +1331,7 @@ impl OnlineEngine {
                 )))
             }
             ActivationKind::Sporadic => {
-                if let Some(last) = self.last_activation[task.index()] {
+                if let Some(last) = self.rows[task.index()].last_activation {
                     if now.saturating_since(last) < t.spec().period() {
                         self.stats.sporadic_violations += 1;
                     }
@@ -1403,7 +1385,7 @@ impl OnlineEngine {
     /// single-owner engine this is whether one runs.
     #[inline]
     fn in_flight(&self, task: TaskId) -> bool {
-        self.migration.tasks[task.index()].away
+        self.rows[task.index()].flight.away
             || self.running.iter().flatten().any(|r| r.job.task == task)
     }
 
@@ -1413,7 +1395,7 @@ impl OnlineEngine {
     /// accelerator (those are arbitrated shard-locally).
     #[inline]
     fn may_migrate(&self, task: TaskId) -> bool {
-        self.shard.is_some() && self.owns_task(task) && !self.task_accel_bound[task.index()]
+        self.shard.is_some() && self.owns_task(task) && !self.rows[task.index()].accel_bound
     }
 
     /// Detaches the hinted ready job for a thief: removes it from the
@@ -1428,7 +1410,7 @@ impl OnlineEngine {
         }
         let job = self.queues[0].remove(hint.id)?;
         debug_assert_eq!(job.task, hint.task);
-        self.migration.tasks[job.task.index()].away = true;
+        self.rows[job.task.index()].flight.away = true;
         self.stats.donated += 1;
         Some(job)
     }
@@ -1478,7 +1460,7 @@ impl OnlineEngine {
     fn return_unclaimed(&mut self, jobs: &[Job]) {
         for &job in jobs {
             self.stats.donated -= 1;
-            self.migration.tasks[job.task.index()].away = false;
+            self.rows[job.task.index()].flight.away = false;
             if self.queues[0].push(job).is_err() {
                 self.stats.channel_overflows += 1;
             }
@@ -1532,7 +1514,7 @@ impl OnlineEngine {
         let migrated = self.shard.is_some() && !self.owns_task(job.task);
         if migrated {
             self.migration.homeward.push(HomeNote {
-                worker: WorkerId::new(self.task_worker[job.task.index()]),
+                worker: WorkerId::new(self.rows[job.task.index()].worker),
                 task: job.task,
                 graph_release: job.graph_release,
             });
@@ -1556,7 +1538,7 @@ impl OnlineEngine {
         {
             return Ok(false);
         }
-        let flight = &mut self.migration.tasks[task.index()];
+        let flight = &mut self.rows[task.index()].flight;
         flight.away = false;
         Ok(std::mem::take(&mut flight.held))
     }
@@ -1565,20 +1547,20 @@ impl OnlineEngine {
     /// sorted by task and given their ids.
     fn offer(&mut self, sink: &mut ActionSink) {
         let first = sink.len();
-        let Migration { doors, tasks, .. } = &mut *self.migration;
+        let (doors, rows) = (&self.migration.doors, &mut self.rows);
         if doors.is_empty() {
             return;
         }
         for job in self.queues[0].iter() {
-            tasks[job.task.index()].queued = true;
+            rows[job.task.index()].flight.queued = true;
         }
         let running = self.running[0].as_ref().map(|r| r.job.task);
-        for &(task, pred) in doors.iter() {
+        for &(task, pred) in doors {
             let ends_elsewhere = pred.is_none_or(|p| {
-                let p = tasks[p.index()];
+                let p = rows[p.index()].flight;
                 p.away || p.offered
             });
-            let t = &mut tasks[task.index()];
+            let t = &mut rows[task.index()].flight;
             if !t.queued && !t.away && running != Some(task) && ends_elsewhere {
                 t.offered = true;
                 let seq = self.activation_seq[task.index()];
@@ -1590,7 +1572,7 @@ impl OnlineEngine {
             }
         }
         for job in self.queues[0].iter() {
-            tasks[job.task.index()].queued = false;
+            rows[job.task.index()].flight.queued = false;
         }
         let offers = &mut sink[first..];
         offers.sort_unstable_by_key(|a| match a {
@@ -1599,7 +1581,7 @@ impl OnlineEngine {
         });
         for a in offers {
             if let Action::Offer(c) = a {
-                tasks[c.task.index()].offered = false;
+                rows[c.task.index()].flight.offered = false;
                 c.id = JobId::new(self.job_counter);
                 self.job_counter += 1;
             }
@@ -1610,7 +1592,7 @@ impl OnlineEngine {
     fn book_kept(&mut self, c: &Continuation) {
         let i = c.task.index();
         self.activation_seq[i] = self.activation_seq[i].max(c.seq + 1);
-        self.migration.tasks[i].away = true;
+        self.rows[i].flight.away = true;
         self.stats.released += 1;
         self.stats.donated += 1;
     }
@@ -1625,7 +1607,7 @@ impl OnlineEngine {
         let dst = self.taskset.edges().get(token.edge as usize)?.dst;
         let builtin = self.tenants.of_task(dst)?.tenant.index() == 0;
         let single = self.taskset.in_degree(dst) == 1;
-        let cpu = !self.task_accel_bound[dst.index()];
+        let cpu = !self.rows[dst.index()].accel_bound;
         (self.shard.is_some() && !self.owns_task(dst) && builtin && single && cpu).then_some(dst)
     }
 
@@ -1692,7 +1674,7 @@ impl OnlineEngine {
             JobOutcome::Failed => {
                 self.stats.failed += 1;
                 self.roll_miss_window(now, 1, sink);
-                self.overrun_policy[task.index()] == OverrunPolicy::LogOnly
+                self.rows[task.index()].overrun_policy == OverrunPolicy::LogOnly
             }
         };
         if let Some(a) = running.accel {
@@ -1735,7 +1717,7 @@ impl OnlineEngine {
             let dst = self.taskset.edges()[i].dst;
             if !self.owns_task(dst) {
                 self.outbox.push(RemoteActivation {
-                    worker: WorkerId::new(self.task_worker[dst.index()]),
+                    worker: WorkerId::new(self.rows[dst.index()].worker),
                     edge: i as u32,
                     graph_release,
                 });
@@ -1865,10 +1847,10 @@ impl OnlineEngine {
     /// Books a high-lane post for `dst`; a tighter ceiling raises its
     /// jobs (each raised one counted in [`EngineStats::msg_boosts`]).
     fn boost(&mut self, dst: TaskId, ceiling: Priority, sink: &mut ActionSink) {
-        let ti = dst.index();
-        self.high_depth[ti] += 1;
-        if ceiling.is_higher_than(self.msg_ceiling[ti]) {
-            self.msg_ceiling[ti] = ceiling;
+        let row = &mut self.rows[dst.index()];
+        row.high_depth += 1;
+        if ceiling.is_higher_than(row.msg_ceiling) {
+            row.msg_ceiling = ceiling;
             self.stats.msg_boosts += self.rekey(|_, t| t == dst, sink);
         }
     }
@@ -1876,13 +1858,13 @@ impl OnlineEngine {
     /// Books one drained high-lane message of `dst`; `true` when it was
     /// the last outstanding post and released a boost.
     fn release_drained(&mut self, dst: TaskId, sink: &mut ActionSink) -> bool {
-        let ti = dst.index();
-        debug_assert!(self.high_depth[ti] > 0, "drained an empty high lane");
-        self.high_depth[ti] = self.high_depth[ti].saturating_sub(1);
-        if self.high_depth[ti] > 0 {
+        let row = &mut self.rows[dst.index()];
+        debug_assert!(row.high_depth > 0, "drained an empty high lane");
+        row.high_depth = row.high_depth.saturating_sub(1);
+        if row.high_depth > 0 {
             return false;
         }
-        let ceiling = std::mem::replace(&mut self.msg_ceiling[ti], Priority::LOWEST);
+        let ceiling = std::mem::replace(&mut row.msg_ceiling, Priority::LOWEST);
         if ceiling == Priority::LOWEST {
             return false;
         }
@@ -1940,14 +1922,14 @@ impl OnlineEngine {
     /// drained); the message boost is held while this is non-zero.
     #[must_use]
     pub fn high_lane_depth(&self, task: TaskId) -> u32 {
-        self.high_depth.get(task.index()).copied().unwrap_or(0)
+        self.rows.get(task.index()).map_or(0, |r| r.high_depth)
     }
 
     /// The ceiling `task` currently inherits from its high message lane,
     /// or `None` when no boost is active.
     #[must_use]
     pub fn active_msg_ceiling(&self, task: TaskId) -> Option<Priority> {
-        let c = self.msg_ceiling.get(task.index()).copied();
+        let c = self.rows.get(task.index()).map(|r| r.msg_ceiling);
         c.filter(|&c| c != Priority::LOWEST)
     }
 
@@ -1959,7 +1941,8 @@ impl OnlineEngine {
     /// otherwise, background while the task sheds (`LogOnly` and
     /// tripped) — raised by the task's active ceiling and by PIP.
     fn fold(&self, job: &Job, r: Option<&RunningJob>) -> Priority {
-        let (ti, policy) = (job.task.index(), self.overrun_policy[job.task.index()]);
+        let row = &self.rows[job.task.index()];
+        let policy = row.overrun_policy;
         let marked = || job.preempted && self.overran.contains(&job.id);
         if policy == OverrunPolicy::DemoteToBackground && r.map_or_else(marked, |r| r.overrun) {
             return Priority::LOWEST;
@@ -1967,9 +1950,9 @@ impl OnlineEngine {
         let base = match self.config.priority() {
             _ if self.tripped && policy == OverrunPolicy::LogOnly => Priority::LOWEST,
             PriorityPolicy::EarliestDeadlineFirst => Priority::earliest_deadline(job.abs_deadline),
-            _ => self.static_priority[ti],
+            _ => row.static_priority,
         };
-        let (ceiling, inherited) = (self.msg_ceiling[ti], r.and_then(|r| r.inherited));
+        let (ceiling, inherited) = (row.msg_ceiling, r.and_then(|r| r.inherited));
         base.min(inherited.map_or(ceiling, |i| i.min(ceiling)))
     }
 
@@ -1980,7 +1963,7 @@ impl OnlineEngine {
         );
         let seq = self.activation_seq[task.index()];
         self.activation_seq[task.index()] += 1;
-        self.last_activation[task.index()] = Some(release);
+        self.rows[task.index()].last_activation = Some(release);
         let mut job = Job {
             id: JobId::new(self.job_counter),
             task,
@@ -2007,7 +1990,7 @@ impl OnlineEngine {
     /// The absolute deadline of `task`'s job of the graph instance
     /// released at `graph_release` (deadlines are the graph's, §2).
     fn abs_deadline(&self, task: TaskId, graph_release: Instant) -> Instant {
-        match self.rel_deadline[task.index()] {
+        match self.rows[task.index()].rel_deadline {
             d if d == Duration::MAX => Instant::MAX,
             d => graph_release + d,
         }
@@ -2015,7 +1998,11 @@ impl OnlineEngine {
 
     fn queue_index(&self, task: TaskId) -> usize {
         debug_assert!(self.owns_task(task), "shard released a foreign task");
-        self.queue_of[task.index()] as usize
+        // A task waits in its worker's queue where each has one.
+        match self.queues.len() {
+            1 => 0,
+            _ => self.rows[task.index()].worker as usize,
+        }
     }
 
     fn select_ctx(&self) -> SelectCtx {
@@ -2044,12 +2031,12 @@ impl OnlineEngine {
         let ctx = self.select_ctx();
         let ti = task.index();
         if ctx == self.cache_ctx {
-            if self.policy_cacheable && self.rank_cache[ti].valid {
+            if self.policy_cacheable && self.rows[ti].ranked_valid {
                 return; // steady-state fast path
             }
         } else {
-            for e in &mut self.rank_cache {
-                e.valid = false;
+            for row in &mut self.rows {
+                row.ranked_valid = false;
             }
             self.cache_ctx = ctx;
         }
@@ -2060,25 +2047,26 @@ impl OnlineEngine {
             task_ref,
             &mut self.rank_buf,
         );
-        let entry = &mut self.rank_cache[ti];
-        entry.ids.clear();
-        entry.ids.extend(
+        let row = &mut self.rows[ti];
+        row.ranked.clear();
+        row.ranked.extend(
             self.rank_buf
                 .as_slice()
                 .iter()
                 .map(|&v| (v, task_ref.versions()[v.index()].accel())),
         );
-        entry.valid = self.policy_cacheable;
+        row.ranked_valid = self.policy_cacheable;
     }
 
     fn choose_version(&mut self, task: TaskId) -> VersionChoice {
         self.refresh_rank_cache(task);
         let ti = task.index();
-        if self.rank_cache[ti].ids.is_empty() {
+        let ranked = &self.rows[ti].ranked;
+        if ranked.is_empty() {
             return VersionChoice::NoEligible;
         }
         self.wish_buf.clear();
-        for &(v, accel) in &self.rank_cache[ti].ids {
+        for &(v, accel) in ranked {
             match accel {
                 None => return VersionChoice::Run(v, None),
                 Some(a) if self.accels.is_free(a) => return VersionChoice::Run(v, Some(a)),
@@ -2128,7 +2116,7 @@ impl OnlineEngine {
             inherited: None,
             enforce_by,
             overrun: overran,
-            killed: overran && self.overrun_policy[job.task.index()] == OverrunPolicy::Kill,
+            killed: overran && self.rows[job.task.index()].overrun_policy == OverrunPolicy::Kill,
         };
         seat.effective_priority = self.fold(&job, Some(&seat));
         self.running[slot] = Some(seat);
@@ -2272,7 +2260,7 @@ impl OnlineEngine {
         // The one-instance contract: it waits for its predecessor's end
         // (only shards let instances leave).
         if self.shard.is_some() {
-            let flight = &mut self.migration.tasks[job.task.index()];
+            let flight = &mut self.rows[job.task.index()].flight;
             if flight.away {
                 flight.held = true;
                 return self.blocked_buf.push(job);
@@ -2591,15 +2579,16 @@ mod tests {
     /// is tripped exactly while the window's count exceeds the budget.
     fn assert_folded(e: &OnlineEngine) {
         let fold = |j: &Job, overran: bool, inherited: Option<Priority>| {
-            let (ti, policy) = (j.task.index(), e.overrun_policy[j.task.index()]);
+            let row = &e.rows[j.task.index()];
+            let policy = row.overrun_policy;
             let base = match e.config.priority() {
                 _ if e.tripped && policy == OverrunPolicy::LogOnly => Priority::LOWEST,
                 PriorityPolicy::EarliestDeadlineFirst => {
                     Priority::earliest_deadline(j.abs_deadline)
                 }
-                _ => e.static_priority[ti],
+                _ => row.static_priority,
             };
-            let terms = [Some(base), Some(e.msg_ceiling[ti]), inherited];
+            let terms = [Some(base), Some(row.msg_ceiling), inherited];
             match overran && policy == OverrunPolicy::DemoteToBackground {
                 true => Priority::LOWEST,
                 false => terms.into_iter().flatten().min().unwrap(),
@@ -2618,7 +2607,7 @@ mod tests {
         for r in e.running.iter().flatten() {
             let folded = fold(&r.job, r.overrun, r.inherited);
             assert_eq!(r.effective_priority, folded, "running {r:?}");
-            let kill = e.overrun_policy[r.job.task.index()] == OverrunPolicy::Kill;
+            let kill = e.rows[r.job.task.index()].overrun_policy == OverrunPolicy::Kill;
             assert!(r.killed || !(r.overrun && kill), "running {r:?}");
         }
         for id in &e.overran {
@@ -4834,21 +4823,7 @@ mod tests {
         assert_eq!(e.tenants.len(), 6);
         assert_eq!(e.tenants.iter().filter(|t| t.retired).count(), 1);
         assert_eq!(e.tenant_count(), 10_001);
-        let per_task = [
-            e.next_release.len(),
-            e.period.len(),
-            e.rel_deadline.len(),
-            e.queue_of.len(),
-            e.last_activation.len(),
-            e.activation_seq.len(),
-            e.static_priority.len(),
-            e.rank_cache.len(),
-            e.task_worker.len(),
-            e.task_accel_bound.len(),
-            e.high_depth.len(),
-            e.msg_ceiling.len(),
-            e.overrun_policy.len(),
-        ];
+        let per_task = [e.next_release.len(), e.activation_seq.len(), e.rows.len()];
         assert!(per_task.iter().all(|&n| n <= 21), "{per_task:?}");
         assert!(e.stats().completed > 5_000, "{:?}", e.stats());
     }
@@ -4889,5 +4864,74 @@ mod tests {
             matches!(refused, Err(Error::TenantRetired(3))),
             "{refused:?}"
         );
+    }
+
+    #[test]
+    fn an_heir_starts_without_its_former_holders_message_boost() {
+        // The guest's running job is boosted by a high-lane post, and
+        // the guest retires with the post outstanding: `Input::Retire`
+        // leaves its task's depth and ceiling as they were. The heir of
+        // its slot starts with neither: its first job is dispatched at
+        // its base priority and no boost is sent.
+        use crate::admission::{AdmissionControl, TenantLedger};
+        let guest = || {
+            let mut b = yasmin_core::graph::TaskSetBuilder::new();
+            let t = b.task_decl(TaskSpec::periodic("g", ms(10))).unwrap();
+            b.version_decl(t, VersionSpec::new("g", ms(1))).unwrap();
+            b.build().unwrap()
+        };
+        let mut b = yasmin_core::graph::TaskSetBuilder::new();
+        let idle = b.task_decl(TaskSpec::aperiodic("idle")).unwrap();
+        b.version_decl(idle, VersionSpec::new("idle", ms(1)))
+            .unwrap();
+        let config = Config::builder()
+            .workers(1)
+            .priority(PriorityPolicy::EarliestDeadlineFirst)
+            .tick(ms(1))
+            .build()
+            .unwrap();
+        let mut e = OnlineEngine::new(Arc::new(b.build().unwrap()), config).unwrap();
+        let mut ledger = TenantLedger::new(AdmissionControl::for_engine(&e), e.taskset_arc());
+        let (w0, g) = (WorkerId::new(0), TaskId::new(1));
+        let mut sink = ActionSink::new();
+        let admit =
+            |e: &mut OnlineEngine, ledger: &mut TenantLedger, now, sink: &mut ActionSink| {
+                let tenant = ledger.admit(&guest(), None, |a| {
+                    let install = Input::Install {
+                        merged: a.merged,
+                        tenant: a.tenant,
+                        first_task: a.slot.first_task,
+                        budget: None,
+                    };
+                    e.apply(now, &install, sink)
+                });
+                let tenant = tenant.unwrap();
+                commit(e, tenant, now, sink).unwrap();
+                tenant
+            };
+        e.apply(at(0), &Input::Start, &mut sink).unwrap();
+        let former = admit(&mut e, &mut ledger, at(1), &mut sink);
+        let job = e.running(w0).unwrap().job;
+        e.apply(at(2), &Input::Msg(posted(g, Priority::new(7))), &mut sink)
+            .unwrap();
+        assert_eq!(boosts(&sink), [Priority::new(7)]);
+        ledger.retire(former).unwrap();
+        e.apply(at(3), &Input::Retire(former), &mut sink).unwrap();
+        e.apply(at(4), &Input::Completed(&[(w0, job.id)]), &mut sink)
+            .unwrap();
+        assert_eq!(e.high_lane_depth(g), 1, "the retirement left the post");
+        sink.clear();
+        admit(&mut e, &mut ledger, at(5), &mut sink);
+        assert_eq!(e.taskset().len(), 2, "the heir holds the guest's slot");
+        let base = Priority::earliest_deadline(at(15));
+        let Some(Action::Dispatch { job, .. }) = sink.first() else {
+            panic!("the heir's first job is not dispatched: {sink:?}");
+        };
+        assert_eq!((job.task, job.priority), (g, base));
+        assert_eq!(e.running(w0).unwrap().effective_priority, base);
+        assert_eq!(boosts(&sink), []);
+        assert_eq!(e.high_lane_depth(g), 0);
+        assert_eq!(e.active_msg_ceiling(g), None);
+        assert_folded(&e);
     }
 }
